@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test vet lint verlog-lint staticcheck govulncheck race check bench soak clean
+.PHONY: all build test vet lint verlog-lint staticcheck govulncheck race check bench bench-e2e soak clean
 
 all: check
 
@@ -85,6 +85,14 @@ bench:
 	$(GO) run ./cmd/verlog-bench -gobench-json bench.out > BENCH_10.json
 	@rm -f bench.out
 	$(GO) run ./cmd/verlog-bench -run E19 -table-json BENCH_7.json
+
+# The end-to-end benchmark: a real verlog-server on a real directory,
+# driven over HTTP through four workloads, every reply checked against an
+# oracle. BENCHMARK.json names the metrics; benchmarks/README.md explains
+# them and how to compare two commits (alternating pairs, never two
+# single runs). Prints one table per workload; not a gate.
+bench-e2e:
+	$(GO) run ./benchmarks/load --workload all --seed 1
 
 clean:
 	$(GO) clean ./...

@@ -10,6 +10,7 @@ package verlog
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -81,5 +82,46 @@ func TestBenchRegressionGuard(t *testing.T) {
 			t.Errorf("%s regressed: best of 3 = %v exceeds 2× reference %v",
 				c.name, best, time.Duration(ref))
 		}
+	}
+}
+
+// TestPointUpdateScalingGuard is the E21 guard (ROADMAP item 1): what a
+// one-object update allocates through repository.Apply must not depend on
+// the size of the base. It compares allocation counters of the same stream
+// of applies on 10⁴ and on 10² employees, in one process — deterministic
+// counts and an in-run ratio, nothing the host's mood can move. The stream
+// is long enough for the larger head to outgrow its delta layer and
+// flatten twice, so the one O(|base|) step left is averaged in.
+func TestPointUpdateScalingGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1280 journaled applies per base; skipped in -short")
+	}
+	if raceDetectorEnabled {
+		t.Skip("race instrumentation allocates on its own account")
+	}
+	const applies = 1280
+	measure := func(n int) (bytesPerOp, allocsPerOp float64) {
+		r, progs := pointUpdateRepo(t, n, 64)
+		defer r.Close()
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < applies; i++ {
+			if _, err := r.Apply(progs[(64+i)%len(progs)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / applies, float64(m1.Mallocs-m0.Mallocs) / applies
+	}
+	smallB, smallA := measure(100)
+	bigB, bigA := measure(10000)
+	t.Logf("n=100:   %.0f B/op, %.0f allocs/op", smallB, smallA)
+	t.Logf("n=10000: %.0f B/op, %.0f allocs/op (%.2fx, %.2fx)", bigB, bigA, bigB/smallB, bigA/smallA)
+	if bigB > 2*smallB {
+		t.Errorf("a point update allocates %.0f B on 10⁴ employees and %.0f B on 10²: %.2fx, want ≤ 2x", bigB, smallB, bigB/smallB)
+	}
+	if bigA > 2*smallA {
+		t.Errorf("a point update makes %.0f allocations on 10⁴ employees and %.0f on 10²: %.2fx, want ≤ 2x", bigA, smallA, bigA/smallA)
 	}
 }

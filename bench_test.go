@@ -340,6 +340,57 @@ func newBenchRepo(b *testing.B) *repository.Repository {
 	return r
 }
 
+// pointUpdateRepo is the E21 fixture: a repository holding n generated
+// employees, and a ring of pre-parsed one-object updates spread over them
+// (far more distinct texts than the plan cache has slots, as in the
+// end-to-end point_update workload, and more distinct objects than the
+// delta layer of a 10⁴-employee head may hold, so that a long enough run
+// crosses the flatten threshold). Before it returns it commits warm of
+// them.
+func pointUpdateRepo(tb testing.TB, n, warm int) (*repository.Repository, []*Program) {
+	tb.Helper()
+	r, err := repository.Init(tb.TempDir()+"/repo", workload.EnterpriseSpec{Employees: n, Seed: 21}.ObjectBase())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const ring = 1021
+	progs := make([]*Program, ring)
+	for i := range progs {
+		e := fmt.Sprintf("e%d", i*n/ring)
+		p, err := ParseProgram(fmt.Sprintf(`r: mod[%s].sal -> (S, S') <- %s.sal -> S, S' = S + 1.`, e, e))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		progs[i] = p
+	}
+	for i := 0; i < warm; i++ {
+		if _, err := r.Apply(progs[i%ring]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return r, progs
+}
+
+// BenchmarkE21PointUpdate — ROADMAP item 1: one-object updates through
+// repository.Apply on bases of growing size. What an apply allocates must
+// follow what it touches, not the base: B/op and allocs/op stay flat from
+// n = 10² to n = 10⁵ (ns/op is dominated by the journal fsync).
+func BenchmarkE21PointUpdate(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			r, progs := pointUpdateRepo(b, n, 32)
+			defer r.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Apply(progs[i%len(progs)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkE16MixedReadWrite — E16: per-read latency of the published
 // head with and without in-flight applies. Reads are a single atomic
 // pointer load, so the sub-benchmarks should stay within the same order

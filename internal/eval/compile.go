@@ -236,8 +236,7 @@ func ProgramHash(p *term.Program) uint64 {
 // (e.g. variables that are unbound where a ground value is required);
 // callers fall back to the interpreter then.
 func Compile(base *objectbase.Base, p *term.Program, static bool) (*CompiledProgram, error) {
-	idx := base.Index()
-	est := indexedCost(base, idx)
+	est := indexedCost(base)
 	if static {
 		est = staticCost
 	}

@@ -121,8 +121,8 @@ type StratumTiming struct {
 // fills Stratify, Strata, Copy and Eval; core.Apply adds Safety; the
 // repository adds ConstraintCheck and Commit; the server adds Parse. The
 // stage names follow the paper's pipeline: parse, safety, stratification,
-// per-stratum T_P fixpoints, the copy phase building ob' (Finalize), and
-// the apply phase committing the result.
+// per-stratum T_P fixpoints, the copy phase building ob', and the apply
+// phase committing the result.
 type Stats struct {
 	// Parse is the time spent parsing the program text (callers that start
 	// from a parsed program leave it zero).
@@ -133,16 +133,16 @@ type Stats struct {
 	Stratify time.Duration
 	// Strata is the per-stratum fixpoint cost, in stratum order.
 	Strata []StratumTiming
-	// Copy is the copy phase: building the updated object base ob' from the
-	// fixpoint (Finalize).
+	// Copy is the copy phase: deriving the updated object base ob' from the
+	// input base and the fixpoint's final versions.
 	Copy time.Duration
 	// Eval is the total time inside eval.Run (stratify through copy).
 	Eval time.Duration
 	// ConstraintCheck is the integrity-constraint verification of the
 	// updated base (repository layer).
 	ConstraintCheck time.Duration
-	// Commit is the apply phase: diff computation, journal append (with
-	// fsync) and head replacement (repository layer).
+	// Commit is the apply phase: diff of the changed states, journal append
+	// (with fsync) and publication of the new head (repository layer).
 	Commit time.Duration
 }
 
@@ -152,8 +152,14 @@ type Result struct {
 	// derived during evaluation.
 	Result *objectbase.Base
 	// Final is the updated object base ob' of Section 5, built from each
-	// object's final version.
+	// object's final version. It is frozen and shares the state of every
+	// object the program did not change with the input base; Clone it to
+	// obtain a mutable copy.
 	Final *objectbase.Base
+	// Changes lists the objects whose state differs between the input base
+	// and Final, each with its old and new state — the update as a delta.
+	// objectbase.DiffChanges turns it into the fact-level diff.
+	Changes []objectbase.Change
 	// Assignment is the stratification used.
 	Assignment *strata.Assignment
 	// Iterations records how many T_P applications each stratum took.
@@ -218,11 +224,16 @@ const dedupSpill = 16
 
 // engine carries the mutable evaluation state.
 type engine struct {
-	prog    *term.Program
-	base    *objectbase.Base
-	m       *matcher
-	plans   []plan
-	opts    Options
+	prog  *term.Program
+	base  *objectbase.Base
+	m     *matcher
+	plans []plan
+	opts  Options
+	// deepest maps an object to its deepest version, for the objects that
+	// have one besides the object itself: those the input base lists as
+	// unsettled, and every target the fixpoint derives. An object without
+	// an entry is its own deepest version. The final copy visits exactly
+	// these entries.
 	deepest map[term.OID]term.GVID
 	trace   []TraceEvent
 	fired   int
@@ -230,19 +241,17 @@ type engine struct {
 	labels []string
 	agg    []ruleAgg
 	// Compiled-plan state: compiled is nil on the interpreted path. x is
-	// the sequential executor; parallel workers build their own. idx is
-	// the input base's literal index (exact for path-0 literals for the
-	// whole run), and buckets holds the current iteration's delta facts
-	// grouped by (path, method) for the delta-seeded plan variants.
+	// the sequential executor; parallel workers build their own. buckets
+	// holds the current iteration's delta facts grouped by (path, method)
+	// for the delta-seeded plan variants.
 	compiled *CompiledProgram
 	x        *executor
-	idx      *objectbase.LiteralIndex
 	buckets  map[pmKey][]term.Fact
-	// arena backs the states cloned by the sequential copy phases (target
-	// computation and finalize); parallel workers carve from their own.
+	// arena backs the states cloned by the sequential target computation;
+	// parallel workers carve from their own.
 	arena objectbase.StateArena
-	// p0 is the frozen parent when base is a COW overlay, nil otherwise.
-	// Heads always push paths, so path-0 versions are never shadowed by the
+	// p0 is the frozen input base, the parent of the overlay base. Heads
+	// always push paths, so path-0 versions are never shadowed by the
 	// overlay's own layer; reads of them can go straight to the parent and
 	// skip the guaranteed own-layer miss.
 	p0 *objectbase.Base
@@ -250,7 +259,7 @@ type engine struct {
 
 // readBase returns the base to read version g from (see engine.p0).
 func (e *engine) readBase(g term.GVID) *objectbase.Base {
-	if e.p0 != nil && g.Path.Len() == 0 {
+	if g.Path.Len() == 0 {
 		return e.p0
 	}
 	return e.base
@@ -300,29 +309,25 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = defaultMaxIterations
 	}
-	// A frozen input evaluates over a copy-on-write overlay: path-0 facts
-	// are read through to the shared parent, and only derived versions
-	// materialize in the overlay's own layer. Mutable inputs are cloned as
-	// before (an overlay over a mutating parent would be unsound).
-	var base *objectbase.Base
-	if ob.Frozen() {
-		base = objectbase.Overlay(ob)
-	} else {
-		base = ob.Clone()
-		// Parallel matchers scan the clone concurrently between mutation
-		// phases; materialize its deferred VID index while still private.
-		base.EnsureVIDIndex()
+	// Evaluation runs over a copy-on-write overlay of the frozen input:
+	// path-0 facts are read through to the shared parent, only derived
+	// versions materialize in the overlay's own layer, and the updated base
+	// is derived from the input, sharing what did not change. A mutable
+	// input is cloned and frozen first (an overlay over a mutating parent
+	// would be unsound), so both kinds take the same path from here on.
+	if !ob.Frozen() {
+		ob = ob.Clone().Freeze()
 	}
 	e := &engine{
 		prog:    p,
-		base:    base,
+		base:    objectbase.Overlay(ob),
+		p0:      ob,
 		opts:    opts,
 		plans:   make([]plan, len(p.Rules)),
-		deepest: make(map[term.OID]term.GVID, ob.VersionCount()),
+		deepest: make(map[term.OID]term.GVID),
 		labels:  make([]string, len(p.Rules)),
 		agg:     make([]ruleAgg, len(p.Rules)),
 	}
-	e.p0 = base.Parent()
 	e.m = newMatcher(e.base)
 	for i, r := range p.Rules {
 		e.plans[i] = planRule(r)
@@ -342,11 +347,10 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 		// for no gain, and compile errors are rare shapes.
 	}
 	if e.compiled != nil {
-		e.idx = ob.Index()
-		e.x = newExecutor(e.base, e.idx)
+		e.x = newExecutor(e.base)
 	}
 	sp.SetAttr("plan", planAttr)
-	if err := e.initDeepest(); err != nil {
+	if err := e.seedDeepest(); err != nil {
 		return nil, err
 	}
 
@@ -373,11 +377,10 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	res.Result = e.base
 	copyStart := time.Now()
 	copySpan := sp.StartChild("copy")
-	res.Final = e.finalize()
-	if copySpan != nil {
-		copySpan.SetInt("objects", int64(len(res.Final.VersionsByObject())))
-		copySpan.End()
-	}
+	res.Final, res.Changes = e.finalize()
+	copySpan.SetInt("objects", int64(len(e.deepest)))
+	copySpan.SetInt("changed", int64(len(res.Changes)))
+	copySpan.End()
 	res.Stats.Copy = time.Since(copyStart)
 	res.Stats.Eval = time.Since(evalStart)
 	res.Fired = e.fired
@@ -402,33 +405,28 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// initDeepest seeds the per-object deepest-version map from the input base
-// and verifies the input itself is version-linear. A single unsorted pass
+// seedDeepest enters the input base's unsettled versions into the deepest-
+// version map and verifies the input itself is version-linear. Settled
+// objects need no entry, and an updated base ob' lists nothing, so the
+// seeding costs nothing on a repository head. A single unsorted pass
 // suffices: while no violation has been seen, every version of an object is
 // a prefix of the running deepest (or extends it), so any version
 // incomparable with some earlier one is also incomparable with the running
-// deepest and is caught when it arrives.
-func (e *engine) initDeepest() error {
-	var lerr *LinearityError
-	e.base.ForEachVID(func(v term.GVID) {
-		if lerr != nil {
-			return
-		}
+// deepest and is caught when it arrives. (The object itself is a prefix of
+// all its versions and cannot take part in a violation.)
+func (e *engine) seedDeepest() error {
+	for _, v := range e.p0.Unsettled() {
 		d, ok := e.deepest[v.Object]
 		if !ok {
 			e.deepest[v.Object] = v
-			return
+			continue
 		}
 		if !v.Comparable(d) {
-			lerr = &LinearityError{Object: v.Object, A: d, B: v}
-			return
+			return &LinearityError{Object: v.Object, A: d, B: v}
 		}
 		if v.Path.Len() > d.Path.Len() {
 			e.deepest[v.Object] = v
 		}
-	})
-	if lerr != nil {
-		return lerr
 	}
 	return nil
 }
@@ -784,6 +782,11 @@ func (e *engine) addRuleSpans(itSpan *obs.Span, tasks []fireTask, results [][]Up
 // collectAdded is set, which facts were added (for semi-naive deltas).
 func (e *engine) applyTargets(dirty []*targetUpdates, collectAdded bool) (bool, []term.Fact, error) {
 	slices.SortFunc(dirty, func(a, b *targetUpdates) int { return a.w.Compare(b.w) })
+	if len(e.deepest) == 0 {
+		// One entry per touched object at most; sized here, not from the
+		// input base, so an update pays for what it touches.
+		e.deepest = make(map[term.OID]term.GVID, len(dirty))
+	}
 
 	// Checks first (sequential, deterministic error reporting) ...
 	for _, tu := range dirty {
@@ -842,39 +845,38 @@ func (e *engine) applyTargets(dirty []*targetUpdates, collectAdded bool) (bool, 
 	return changed, added, nil
 }
 
-// finalize is Finalize specialized to a completed run: e.deepest already
-// maps every object in the result base to its deepest version (seeded by
-// initDeepest, maintained online by applyTargets), so the copy phase skips
-// the full version enumeration. Derived versions are never empty — the
-// exists method is forbidden in rule heads, so every state keeps at least
-// its exists facts — hence every deepest version is present in the base.
-func (e *engine) finalize() *objectbase.Base {
-	out := objectbase.NewSized(len(e.deepest))
-	// The updated base is handed to the caller for constraint checks, diffs
-	// and publication; none of those scan by (path, method), so the VID
-	// index is deferred to first use (Freeze builds it if nothing else did).
-	out.DeferVIDIndex()
+// finalize is the copy phase of Section 5 as a delta over the input base:
+// e.deepest holds every object whose final version is not simply the
+// object as the input has it (seeded by seedDeepest, maintained online by
+// applyTargets), so only those are copied; an object whose final state
+// turns out equal to its old one is left alone. Derived versions are never
+// empty — the exists method is forbidden in rule heads, so every state
+// keeps at least its exists facts — hence every deepest version is present
+// in the base. The result equals Finalize(e.base); everything untouched is
+// shared with the input (see objectbase.Derive).
+func (e *engine) finalize() (*objectbase.Base, []objectbase.Change) {
+	changes := make([]objectbase.Change, 0, len(e.deepest))
 	for o, final := range e.deepest {
-		st := e.base.StateOf(final)
-		if st == nil || st.OnlyExists() {
+		obj := term.GVID{Object: o}
+		old := e.p0.StateOf(obj)
+		var ns *objectbase.State
+		if st := e.base.StateOf(final); st != nil && !st.OnlyExists() {
+			ns = st.CloneFinal(o)
+			if old != nil && old.Equal(ns) {
+				continue
+			}
+		} else if old == nil {
 			continue
 		}
-		copyFinalState(out, o, st, &e.arena)
+		changes = append(changes, objectbase.Change{V: obj, Old: old, New: ns})
 	}
-	return out
-}
-
-// copyFinalState installs the non-exists applications of a final version's
-// state under the plain OID — as one bulk-cloned state, not per-fact
-// Inserts, so there is no per-application re-hashing and the path/method
-// registration runs once per state. The canonical exists application is
-// re-added to the clone directly (equivalent to EnsureObject, without the
-// extra per-object base lookup).
-func copyFinalState(out *objectbase.Base, o term.OID, st *objectbase.State, a *objectbase.StateArena) {
-	ns := a.CloneFinal(st, o)
-	// out is freshly built with one state per object, so every install is
-	// fresh by construction.
-	out.SetStateFresh(term.GVID{Object: o}, ns)
+	// ob' holds objects only: input versions proper go.
+	for _, v := range e.p0.Unsettled() {
+		if !v.IsObject() {
+			changes = append(changes, objectbase.Change{V: v, Old: e.p0.StateOf(v)})
+		}
+	}
+	return e.p0.Derive(changes), changes
 }
 
 // Finalize builds the updated object base ob' of Section 5 from a fixpoint
@@ -884,7 +886,6 @@ func copyFinalState(out *objectbase.Base, o term.OID, st *objectbase.State, a *o
 func Finalize(result *objectbase.Base) *objectbase.Base {
 	out := objectbase.New()
 	out.DeferVIDIndex()
-	var arena objectbase.StateArena
 	for o, versions := range result.VersionsByObject() {
 		final := term.GVID{Object: o}
 		found := false
@@ -900,7 +901,8 @@ func Finalize(result *objectbase.Base) *objectbase.Base {
 		if st == nil || st.OnlyExists() {
 			continue
 		}
-		copyFinalState(out, o, st, &arena)
+		// out gets one state per object, so every install is fresh.
+		out.SetStateFresh(term.GVID{Object: o}, st.CloneFinal(o))
 	}
 	return out
 }

@@ -28,11 +28,14 @@ import (
 // which is immutable after build.
 type executor struct {
 	base *objectbase.Base
-	// p0 is base's parent when base is an overlay, nil otherwise. During a
-	// fixpoint, rule heads only push onto paths, so the overlay's own layer
-	// never shadows a path-0 version: reads of path-0 VIDs can go straight
-	// to the parent, skipping the own-layer miss on the hottest lookups.
-	p0  *objectbase.Base
+	// p0 is base's parent, the frozen input of the run. During a fixpoint,
+	// rule heads only push onto paths, so the overlay's own layer never
+	// shadows a path-0 version: reads of path-0 VIDs can go straight to the
+	// parent, skipping the own-layer miss on the hottest lookups.
+	p0 *objectbase.Base
+	// idx is p0's literal index (exact for path-0 literals for the whole
+	// run), fetched on the first probe: plans that only look versions up by
+	// a bound base — every point update — never ask for it.
 	idx *objectbase.LiteralIndex
 
 	frames [][]term.OID
@@ -74,18 +77,40 @@ func (x *executor) stateFor(g term.GVID) *objectbase.State {
 	return s
 }
 
-func newExecutor(base *objectbase.Base, idx *objectbase.LiteralIndex) *executor {
-	return &executor{base: base, p0: base.Parent(), idx: idx}
+func newExecutor(base *objectbase.Base) *executor {
+	return &executor{base: base, p0: base.Parent()}
 }
 
 // readBase returns the base to read version g's state from: the overlay
 // parent directly for path-0 VIDs (never shadowed during a fixpoint), the
 // full overlay otherwise.
 func (x *executor) readBase(g term.GVID) *objectbase.Base {
-	if x.p0 != nil && g.Path.Len() == 0 {
+	if g.Path.Len() == 0 {
 		return x.p0
 	}
 	return x.base
+}
+
+// index returns the input base's literal index (see executor.idx).
+func (x *executor) index() *objectbase.LiteralIndex {
+	if x.idx == nil {
+		x.idx = x.p0.Index()
+	}
+	return x.idx
+}
+
+// probe runs the step on every live hit of an index probe.
+func (x *executor) probe(st *cstep, fr []term.OID, hits objectbase.Hits, k func() error) error {
+	for i, n := 0, hits.Len(); i < n; i++ {
+		g, ok := hits.At(i)
+		if !ok || !st.base.match(fr, g.Object) {
+			continue
+		}
+		if err := x.matchApp(st, fr, g, k); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (x *executor) getFrame(n int) []term.OID {
@@ -212,27 +237,11 @@ func (x *executor) execScan(st *cstep, fr []term.OID, delta []term.Fact, k func(
 
 	case accessProbeResult:
 		r := st.result.value(fr)
-		for _, g := range x.idx.VIDsWithResult(st.path, st.method, r) {
-			if !st.base.match(fr, g.Object) {
-				continue
-			}
-			if err := x.matchApp(st, fr, g, k); err != nil {
-				return err
-			}
-		}
-		return nil
+		return x.probe(st, fr, x.index().VIDsWithResult(st.path, st.method, r), k)
 
 	case accessProbeArg:
 		a0 := st.args[0].value(fr)
-		for _, g := range x.idx.VIDsWithArg(st.path, st.method, a0) {
-			if !st.base.match(fr, g.Object) {
-				continue
-			}
-			if err := x.matchApp(st, fr, g, k); err != nil {
-				return err
-			}
-		}
-		return nil
+		return x.probe(st, fr, x.index().VIDsWithArg(st.path, st.method, a0), k)
 
 	case accessAny:
 		cands := x.getVIDs()

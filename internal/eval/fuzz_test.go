@@ -1,10 +1,29 @@
 package eval
 
 import (
+	"fmt"
 	"testing"
 
+	"verlog/internal/objectbase"
+	"verlog/internal/objectbase/obtest"
 	"verlog/internal/parser"
 )
+
+// checkDelta holds the delta-shaped products of a run against their
+// oracles: the updated base, derived from the input by sharing, equals the
+// generic Finalize of the fixpoint; the changes the engine reports amount
+// to the diff Compute finds between input and updated base; and the
+// updated base's layered scans and index probes answer like a flat copy.
+func checkDelta(ob *objectbase.Base, res *Result) error {
+	if want := Finalize(res.Result); !res.Final.Equal(want) || !want.Equal(res.Final) {
+		return fmt.Errorf("Final is not Finalize(Result):\ngot:\n%swant:\n%s",
+			parser.FormatFacts(res.Final, true), parser.FormatFacts(want, true))
+	}
+	if u := res.Final.Unsettled(); len(u) != 0 {
+		return fmt.Errorf("the updated base lists unsettled versions %v", u)
+	}
+	return obtest.CheckDerived(ob, res.Final, res.Changes)
+}
 
 // fuzzBase is the fixed object base every fuzz input runs against: a small
 // isa-hierarchy with scalar and object-valued methods, enough population
@@ -27,7 +46,8 @@ d2.isa -> dept.  d2.loc -> south.
 // checks, or error in either engine are only checked for error agreement;
 // inputs both engines accept must produce identical fixpoints. The seeds
 // cover the plan shapes the compiler specializes: version probes, result
-// probes, joins, negation, comparisons and multi-path heads.
+// probes, joins, negation, comparisons and multi-path heads. Every accepted
+// input is also held against the delta oracles (checkDelta).
 func FuzzCompiledVsInterpreted(f *testing.F) {
 	seeds := []string{
 		`r1: ins[X].raised <- X.isa -> emp.`,
@@ -75,6 +95,12 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 		if !resC.Final.Equal(resI.Final) {
 			t.Errorf("final-base disagreement on %q\ncompiled:\n%s\ninterpreted:\n%s", src,
 				parser.FormatFacts(resC.Final, true), parser.FormatFacts(resI.Final, true))
+		}
+		if err := checkDelta(obC, resC); err != nil {
+			t.Errorf("compiled run of %q: %v", src, err)
+		}
+		if err := checkDelta(obI, resI); err != nil {
+			t.Errorf("interpreted run of %q: %v", src, err)
 		}
 	})
 }

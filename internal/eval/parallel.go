@@ -163,7 +163,7 @@ func (e *engine) collectFirings(si int, tasks []fireTask, delta []term.Fact, dir
 			defer wg.Done()
 			sw := &stepWorker{}
 			if e.compiled != nil {
-				sw.x = newExecutor(e.base, e.idx)
+				sw.x = newExecutor(e.base)
 			} else {
 				sw.m = newMatcher(e.base)
 			}

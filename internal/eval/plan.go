@@ -204,12 +204,21 @@ func statsCost(base *objectbase.Base) costEstimator {
 // as an index probe, so its cardinality is the probe bucket's size, not the
 // whole (path, method) population. Bound-variable results also probe at
 // run time, but their values are unknown at plan time, so they keep the
-// scan estimate.
-func indexedCost(base *objectbase.Base, idx *objectbase.LiteralIndex) costEstimator {
+// scan estimate. The literal index is fetched when the first such literal
+// shows up: programs that address every version by a bound base never
+// cause one to be built.
+func indexedCost(base *objectbase.Base) costEstimator {
 	scan := statsCost(base)
+	var idx *objectbase.LiteralIndex
+	index := func() *objectbase.LiteralIndex {
+		if idx == nil {
+			idx = base.Index()
+		}
+		return idx
+	}
 	return func(l term.Literal, baseBound bool) int {
 		c := scan(l, baseBound)
-		if baseBound || idx == nil {
+		if baseBound {
 			return c
 		}
 		a, ok := l.Atom.(term.VersionAtom)
@@ -217,13 +226,13 @@ func indexedCost(base *objectbase.Base, idx *objectbase.LiteralIndex) costEstima
 			return c
 		}
 		if r, isOID := a.App.Result.(term.OID); isOID {
-			if p := 1 + idx.CountVIDsWithResult(a.V.Path, a.App.Method, r); p < c {
+			if p := 1 + index().CountVIDsWithResult(a.V.Path, a.App.Method, r); p < c {
 				c = p
 			}
 		}
 		if len(a.App.Args) > 0 {
 			if a0, isOID := a.App.Args[0].(term.OID); isOID {
-				if p := 1 + idx.CountVIDsWithArg(a.V.Path, a.App.Method, a0); p < c {
+				if p := 1 + index().CountVIDsWithArg(a.V.Path, a.App.Method, a0); p < c {
 					c = p
 				}
 			}

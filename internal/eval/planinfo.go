@@ -97,7 +97,7 @@ func literalAccess(l term.Literal, bound map[term.Var]bool) string {
 func PlanLiterals(base *objectbase.Base, r term.Rule) []LiteralPlan {
 	est := staticCost
 	if base != nil {
-		est = indexedCost(base, base.Index())
+		est = indexedCost(base)
 	}
 	return planLiterals(r, est)
 }
@@ -191,7 +191,7 @@ func (rp RulePlan) HasIndexProbe() bool {
 // source-order planner instead), with index selectivity folded in exactly
 // as compilation does.
 func ExplainPlans(base *objectbase.Base, p *term.Program, static bool) []RulePlan {
-	est := indexedCost(base, base.Index())
+	est := indexedCost(base)
 	if static {
 		est = staticCost
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"verlog/internal/obs"
+	"verlog/internal/term"
 )
 
 // TestRuleStatsSumToFired pins the attribution invariant the tracing
@@ -161,5 +162,31 @@ func TestSpanNilIsUnchanged(t *testing.T) {
 		if a.Fired != b.Fired || a.Emitted != b.Emitted || a.Matched != b.Matched {
 			t.Errorf("rule %s stats diverged: %+v vs %+v", b.Rule, a, b)
 		}
+	}
+}
+
+// TestCopySpanCountsTouchedObjects: the copy span reports how many objects
+// the copy phase visited and how many it changed — numbers the run has at
+// hand — instead of grouping and sorting the whole updated base, so a
+// traced apply does the same work as an untraced one.
+func TestCopySpanCountsTouchedObjects(t *testing.T) {
+	tr := obs.NewTrace("apply")
+	ob := mustBase(t, enterpriseBase).Freeze()
+	p := mustProgram(t, `r: mod[bob].sal -> (S, S') <- bob.sal -> S, S' = S + 1.`)
+	res := mustRun(t, ob, p, Options{Span: tr.Root})
+	tr.Finish()
+	attrs := map[string]int64{}
+	for _, c := range tr.Root.Children {
+		if c.Name == "copy" {
+			for _, a := range c.Attrs {
+				attrs[a.Key] = a.Value.(int64)
+			}
+		}
+	}
+	if attrs["objects"] != 1 || attrs["changed"] != 1 || len(res.Changes) != 1 {
+		t.Errorf("copy span attrs = %v with %d changes, want one object visited and changed", attrs, len(res.Changes))
+	}
+	if res.Final.StateOf(term.GVID{Object: term.Sym("phil")}) != ob.StateOf(term.GVID{Object: term.Sym("phil")}) {
+		t.Errorf("the untouched object's state was copied, not shared with the input")
 	}
 }

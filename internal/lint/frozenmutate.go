@@ -6,10 +6,12 @@ import (
 )
 
 // frozenProducers are the calls that hand out a Freeze()d *objectbase.Base:
-// the repository accessors publish frozen snapshots, and Freeze itself
-// returns its (now immutable) receiver.
+// the repository accessors publish frozen snapshots, Freeze itself returns
+// its (now immutable) receiver, and Derive builds a frozen base that shares
+// states with the one it was derived from.
 var frozenProducers = map[string]bool{
 	"Freeze":   true,
+	"Derive":   true,
 	"Head":     true,
 	"Initial":  true,
 	"Snapshot": true,
@@ -26,15 +28,15 @@ var frozenMutators = map[string]bool{
 
 // Frozenmutate flags mutations of a frozen base outside the objectbase
 // package: a call to Insert/Remove/SetState/EnsureObject on a variable
-// that was assigned from Freeze(), Head(), Initial(), Snapshot() or
-// At() and never re-derived through Clone(). Such a call panics at
+// that was assigned from Freeze(), Derive(), Head(), Initial(), Snapshot()
+// or At() and never re-derived through Clone(). Such a call panics at
 // runtime ("mutation of a frozen base") — the linter moves the failure
 // to CI. The objectbase package itself is exempt: it implements the
 // freeze discipline.
 var Frozenmutate = &Analyzer{
 	Name: "frozenmutate",
 	Doc: "flag Insert/Remove/SetState/EnsureObject on a base obtained from " +
-		"Freeze/Head/Initial/Snapshot/At without an intervening Clone",
+		"Freeze/Derive/Head/Initial/Snapshot/At without an intervening Clone",
 	Run: runFrozenmutate,
 }
 

@@ -1,14 +1,14 @@
 package objectbase
 
-import "verlog/internal/term"
-
 // StateArena bulk-allocates State objects and their flat entry backing.
-// The evaluation engine's copy phases (target-state computation, the final
-// copy of Section 5) clone tens of thousands of small states per apply;
-// individually each clone is two heap objects, and the garbage collector's
-// mark cost on those dominates large fixpoints. An arena carves both the
-// structs and the entry slices out of chunked slabs, turning ~2n
-// allocations into ~2n/chunk and laying the states out contiguously.
+// The evaluation engine's target-state computation clones tens of
+// thousands of small states on a large apply; individually each clone is
+// two heap objects, and the garbage collector's mark cost on those
+// dominates large fixpoints. An arena carves both the structs and the entry
+// slices out of chunked slabs, turning ~2n allocations into ~2n/chunk and
+// laying the states out contiguously. Slabs start small and double up to
+// the chunk bounds, so an apply that clones one state pays for a handful,
+// not for a thousand.
 //
 // Arena-backed states are ordinary *State values: every entry slice is
 // capacity-clamped to its carve, so growing a state past its cloned size
@@ -17,21 +17,34 @@ import "verlog/internal/term"
 //
 // An arena is single-goroutine; concurrent cloners use one arena each. The
 // slabs stay reachable for as long as any state carved from them lives —
-// appropriate for the copy phases, which retain every clone they make.
+// appropriate for the versions of one fixpoint, which die together; states
+// that outlive the run (the final copy) are cloned onto the heap instead,
+// see State.CloneFinal.
 type StateArena struct {
 	states  []State
 	entries []appEntry
+	// nextStates and nextEntries are the sizes of the next slabs.
+	nextStates, nextEntries int
 }
 
 const (
 	arenaStateChunk = 1024
 	arenaEntryChunk = 8192
+	arenaFirstChunk = 4 // states in the first slab; entries get 8× that
 )
+
+// nextSlab returns the size of the next slab (at least need) and doubles the
+// one after it, up to limit.
+func nextSlab(next *int, first, limit, need int) int {
+	n := max(*next, first, need)
+	*next = min(2*n, limit)
+	return n
+}
 
 // newState carves one zeroed State.
 func (a *StateArena) newState() *State {
 	if len(a.states) == 0 {
-		a.states = make([]State, arenaStateChunk)
+		a.states = make([]State, nextSlab(&a.nextStates, arenaFirstChunk, arenaStateChunk, 1))
 	}
 	s := &a.states[0]
 	a.states = a.states[1:]
@@ -45,7 +58,7 @@ func (a *StateArena) carve(n int) []appEntry {
 		return make([]appEntry, 0, n)
 	}
 	if len(a.entries) < n {
-		a.entries = make([]appEntry, arenaEntryChunk)
+		a.entries = make([]appEntry, nextSlab(&a.nextEntries, 8*arenaFirstChunk, arenaEntryChunk, n))
 	}
 	out := a.entries[0:0:n]
 	a.entries = a.entries[n:]
@@ -68,30 +81,5 @@ func (a *StateArena) Clone(s *State) *State {
 	if len(s.entries) > 0 {
 		out.entries = append(a.carve(len(s.entries)), s.entries...)
 	}
-	return out
-}
-
-// CloneFinal clones s dropping every exists application and appending the
-// single canonical one (exists -> o) — the state shape the final base of
-// Section 5 stores per object. One carve covers both the surviving entries
-// and the appended exists application.
-func (a *StateArena) CloneFinal(s *State, o term.OID) *State {
-	existsKey := term.MethodKey{Method: term.ExistsMethod}
-	if !s.flat() {
-		out := a.newState()
-		*out = *s.CloneWithoutMethod(term.ExistsMethod)
-		out.Add(existsKey, o)
-		return out
-	}
-	out := a.newState()
-	entries := a.carve(len(s.entries) + 1)
-	for _, e := range s.entries {
-		if e.key.Method != term.ExistsMethod {
-			entries = append(entries, e)
-		}
-	}
-	entries = append(entries, appEntry{key: existsKey, r: o})
-	out.entries = entries
-	out.size = len(entries)
 	return out
 }

@@ -11,9 +11,10 @@ import (
 // TestConcurrentIndexSharing hammers the read-side structures that
 // concurrent applies share on one frozen head: the lazily built literal
 // index (Base.Index double-checks an atomic), the VID index behind
-// ForEachVIDWith (materialized by Freeze) and plain state reads. Run under
-// -race this pins the invariant that freezing a base makes every reader
-// path safe without external locking.
+// ForEachVIDWith (deferred on a copy, so the first of the racing readers
+// builds it) and plain state reads. Run under -race this pins the
+// invariant that freezing a base makes every reader path safe without
+// external locking.
 func TestConcurrentIndexSharing(t *testing.T) {
 	b := New()
 	for i := 0; i < 400; i++ {
@@ -22,7 +23,7 @@ func TestConcurrentIndexSharing(t *testing.T) {
 		b.Insert(fact(obj, "", "dept", term.Sym(fmt.Sprintf("d%d", i%7))))
 		b.Insert(fact(obj, "", "isa", term.Sym("emp")))
 	}
-	frozen := b.Freeze()
+	frozen := b.Clone().Freeze()
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -32,12 +33,12 @@ func TestConcurrentIndexSharing(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 50; round++ {
 				idx := frozen.Index()
-				if n := len(idx.VIDsWithResult("", "isa", term.Sym("emp"))); n != 400 {
+				if n := len(liveHits(idx.VIDsWithResult("", "isa", term.Sym("emp")))); n != 400 {
 					t.Errorf("isa probe: got %d vids, want 400", n)
 					return
 				}
 				d := term.Sym(fmt.Sprintf("d%d", (g+round)%7))
-				for _, v := range idx.VIDsWithResult("", "dept", d) {
+				for _, v := range liveHits(idx.VIDsWithResult("", "dept", d)) {
 					if frozen.StateOf(v) == nil {
 						t.Errorf("indexed vid %s has no state", v)
 						return
@@ -58,4 +59,15 @@ func TestConcurrentIndexSharing(t *testing.T) {
 	if frozen.Index() != frozen.Index() {
 		t.Errorf("frozen base rebuilt its index across calls")
 	}
+}
+
+// liveHits materializes the VIDs a probe answer yields.
+func liveHits(h Hits) []term.GVID {
+	var out []term.GVID
+	for i := 0; i < h.Len(); i++ {
+		if v, ok := h.At(i); ok {
+			out = append(out, v)
+		}
+	}
+	return out
 }

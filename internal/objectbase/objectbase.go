@@ -13,8 +13,11 @@
 //
 // A Base can be a copy-on-write overlay over a frozen parent (Overlay):
 // reads merge the two layers, writes land in the overlay only. The
-// evaluator uses overlays to avoid deep-copying the head snapshot on every
-// apply.
+// evaluator runs every apply on an overlay of its input, and the updated
+// base it publishes is again a layer — a frozen root plus at most one
+// frozen delta layer holding the states that changed since the root was
+// built (Derive). Every other state is shared by pointer between
+// successive heads, so publishing an update costs what it touched.
 package objectbase
 
 import (
@@ -37,6 +40,12 @@ type Base struct {
 	// that VID; an empty own state is a tombstone (version deleted).
 	parent *Base
 	states map[term.GVID]*State
+	// delta holds the own layer in place of states (which is then nil) on
+	// the delta layers Derive builds: a persistent map, so that the next
+	// Derive re-makes a path of it, not the layer. Such a base is born
+	// frozen, so the mutators, which work on states, never see one; readers
+	// go through own, ownLen and eachOwn.
+	delta pmap
 	// byPathMethod indexes, for every (VID path, method) pair, the set of
 	// VIDs that carry at least one application of that method. It serves
 	// body literals whose version-id-term has an unbound base, e.g.
@@ -56,30 +65,101 @@ type Base struct {
 	frozen bool
 	// vidStale marks byPathMethod as deferred: mutators skip index
 	// maintenance and the first reader rebuilds it in one pass over states.
-	// Bulk constructions (Flatten, the engine's copy phase) write thousands
-	// of states that are often read back only through direct state lookups;
-	// deferring turns the per-SetState index churn into at most one build.
-	vidStale bool
+	// Bulk constructions (Flatten, Derive, the engine's overlay) write
+	// thousands of states that are often read back only through direct state
+	// lookups; deferring turns the per-SetState index churn into at most one
+	// build. It is atomic because a frozen base may still be stale: the
+	// first of its concurrent readers builds under idxMu and clears the flag
+	// last, which publishes the index to the others.
+	vidStale atomic.Bool
+	// unsettled lists, on a frozen base, the versions Section 5's final copy
+	// would not leave as they are. See Unsettled.
+	unsettled []term.GVID
 
 	// idx caches the literal index of a frozen base so all snapshot
-	// readers share one build. idxMu serialises the build; idx is the
-	// lock-free fast path. Clone and Overlay deliberately do not carry
-	// the cache over.
+	// readers share one build. idxMu serialises that build and the deferred
+	// VID index build; idx is the lock-free fast path. Clone and Overlay
+	// deliberately do not carry the cache over.
 	idxMu sync.Mutex
 	idx   atomic.Pointer[LiteralIndex]
 }
 
+// own returns the own-layer entry of v, which may be a tombstone.
+func (b *Base) own(v term.GVID) (*State, bool) {
+	if b.states == nil {
+		return b.delta.get(v)
+	}
+	s, ok := b.states[v]
+	return s, ok
+}
+
+// ownLen returns the number of own-layer entries, tombstones included.
+func (b *Base) ownLen() int {
+	if b.states == nil {
+		return b.delta.len()
+	}
+	return len(b.states)
+}
+
+// eachOwn calls fn for every own-layer entry, tombstones included.
+func (b *Base) eachOwn(fn func(v term.GVID, s *State)) {
+	if b.states == nil {
+		b.delta.each(fn)
+		return
+	}
+	for v, s := range b.states {
+		fn(v, s)
+	}
+}
+
 // Freeze marks the base immutable and returns it. A frozen base is safe to
 // share across goroutines without locking: every mutating method panics,
-// so a published snapshot can never be changed under a reader's feet.
+// so a published snapshot can never be changed under a reader's feet. A
+// deferred VID index stays deferred — like the literal index it is built by
+// the first reader that scans, under idxMu, and shared by the rest.
+// Freezing a frozen base is a no-op.
 // Clone returns an unfrozen deep copy, and Overlay a copy-on-write child;
 // those are the ways to derive a mutable base from a frozen one.
 func (b *Base) Freeze() *Base {
-	// Readers must never trigger a rebuild on a shared frozen base, so any
-	// deferred VID index is materialized before publication.
-	b.ensureVIDIndex()
+	if b.frozen {
+		return b
+	}
+	b.unsettled = b.collectUnsettled()
 	b.frozen = true
 	return b
+}
+
+// Unsettled returns the versions of the base that the final copy of
+// Section 5 would not leave as they are: versions proper (path ≠ ε), and
+// objects whose state is not in final form (nothing but exists, or an
+// exists application other than the canonical one). The evaluator seeds its
+// deepest-version bookkeeping from this list instead of scanning the base;
+// it is recorded once, at Freeze, and is empty for every updated base ob'.
+// The returned slice is shared and must not be mutated.
+func (b *Base) Unsettled() []term.GVID {
+	if b.frozen {
+		return b.unsettled
+	}
+	return b.collectUnsettled()
+}
+
+// collectUnsettled scans the own layer and inherits what the parent
+// recorded for versions this layer does not shadow.
+func (b *Base) collectUnsettled() []term.GVID {
+	var out []term.GVID
+	b.eachOwn(func(v term.GVID, s *State) {
+		if !s.Empty() && !(v.IsObject() && s.settledFor(v.Object)) {
+			out = append(out, v)
+		}
+	})
+	if b.parent != nil {
+		for _, v := range b.parent.Unsettled() {
+			if _, shadowed := b.own(v); !shadowed {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
 }
 
 // Frozen reports whether the base has been frozen.
@@ -114,18 +194,19 @@ func Overlay(parent *Base) *Base {
 	if !parent.Frozen() {
 		panic("objectbase: Overlay of an unfrozen base")
 	}
-	return &Base{
+	b := &Base{
 		parent:          parent,
 		states:          make(map[term.GVID]*State),
 		byPathMethod:    make(map[pathMethod]map[term.GVID]struct{}),
 		overridesByPath: make(map[term.Path]int),
 		size:            parent.size,
 		depth:           parent.depth + 1,
-		// The own-layer VID index starts deferred: fixpoints whose body
-		// literals never scan derived (pushed-path) versions never build
-		// it. The first scan materializes it and maintenance turns eager.
-		vidStale: true,
 	}
+	// The own-layer VID index starts deferred: fixpoints whose body
+	// literals never scan derived (pushed-path) versions never build
+	// it. The first scan materializes it and maintenance turns eager.
+	b.vidStale.Store(true)
+	return b
 }
 
 // Parent returns the base this overlay shadows, or nil for root bases.
@@ -138,10 +219,10 @@ func (b *Base) Depth() int { return b.depth }
 
 // Flatten materialises the effective contents into a fresh root base,
 // cutting any overlay chain. The copy's VID index is deferred: it is built
-// on first use (or on Freeze), not during the copy.
+// on first use, not during the copy.
 func (b *Base) Flatten() *Base {
 	out := New()
-	out.vidStale = true
+	out.vidStale.Store(true)
 	b.forEachState(func(v term.GVID, s *State) {
 		cp := s.Clone()
 		out.states[v] = cp
@@ -160,7 +241,7 @@ func (b *Base) Clone() *Base {
 // version is absent or tombstoned.
 func (b *Base) stateOf(v term.GVID) *State {
 	for bb := b; bb != nil; bb = bb.parent {
-		if s, ok := bb.states[v]; ok {
+		if s, ok := bb.own(v); ok {
 			if s.Empty() {
 				return nil
 			}
@@ -173,33 +254,35 @@ func (b *Base) stateOf(v term.GVID) *State {
 // forEachState calls fn for every effective version state, merging overlay
 // layers (shadowed and tombstoned parent entries are skipped).
 func (b *Base) forEachState(fn func(v term.GVID, s *State)) {
-	if b.parent == nil {
-		for v, s := range b.states {
-			if !s.Empty() {
-				fn(v, s)
-			}
+	live := func(v term.GVID, s *State) {
+		if !s.Empty() {
+			fn(v, s)
 		}
+	}
+	if b.parent == nil {
+		b.eachOwn(live)
 		return
 	}
-	var shadow map[term.GVID]struct{}
+	if b.parent.parent == nil {
+		// Two layers — every published head — need no shadow set: the own
+		// layer is the shadow.
+		b.eachOwn(live)
+		b.parent.eachOwn(func(v term.GVID, s *State) {
+			if _, hidden := b.own(v); !hidden {
+				live(v, s)
+			}
+		})
+		return
+	}
+	shadow := make(map[term.GVID]struct{})
 	for bb := b; bb != nil; bb = bb.parent {
-		for v, s := range bb.states {
-			if shadow != nil {
-				if _, hidden := shadow[v]; hidden {
-					continue
-				}
+		bb.eachOwn(func(v term.GVID, s *State) {
+			if _, hidden := shadow[v]; !hidden {
+				live(v, s)
 			}
-			if !s.Empty() {
-				fn(v, s)
-			}
-		}
-		if bb.parent != nil && len(bb.states) > 0 {
-			if shadow == nil {
-				shadow = make(map[term.GVID]struct{}, len(bb.states))
-			}
-			for v := range bb.states {
-				shadow[v] = struct{}{}
-			}
+		})
+		if bb.parent != nil {
+			bb.eachOwn(func(v term.GVID, _ *State) { shadow[v] = struct{}{} })
 		}
 	}
 }
@@ -214,31 +297,35 @@ func (b *Base) DeferVIDIndex() {
 	if b.parent != nil {
 		panic("objectbase: DeferVIDIndex on an overlay")
 	}
-	b.vidStale = true
+	b.vidStale.Store(true)
 }
 
 // ensureVIDIndex rebuilds a deferred byPathMethod index. Rebuilding once,
 // with the full population known, replaces the incremental grow-and-rehash
 // cost of per-mutation maintenance.
 func (b *Base) ensureVIDIndex() {
-	if !b.vidStale {
+	if !b.vidStale.Load() {
 		return
 	}
-	b.vidStale = false
-	clear(b.byPathMethod)
-	for v, s := range b.states {
-		if s.Empty() {
-			continue
+	if b.frozen {
+		b.idxMu.Lock()
+		defer b.idxMu.Unlock()
+		if !b.vidStale.Load() {
+			return
 		}
-		s.forEachMethod(func(m string) { b.indexVID(v, m) })
 	}
+	clear(b.byPathMethod)
+	b.eachOwn(func(v term.GVID, s *State) {
+		s.forEachMethod(func(m string) { b.addVID(v, m) })
+	})
+	b.vidStale.Store(false)
 }
 
 // EnsureVIDIndex materializes a deferred VID index immediately. Callers
 // that expose a mutable base to phase-alternating concurrent readers (the
 // evaluator's parallel matchers scan between mutation phases) call it once
-// up front so later scans are pure reads. Frozen bases never need it:
-// Freeze materializes before publication.
+// up front so later scans are pure reads. Frozen bases never need it: their
+// readers synchronize on the build themselves.
 func (b *Base) EnsureVIDIndex() { b.ensureVIDIndex() }
 
 // VersionCount returns an upper bound on the number of versions carrying
@@ -248,16 +335,20 @@ func (b *Base) EnsureVIDIndex() { b.ensureVIDIndex() }
 func (b *Base) VersionCount() int {
 	n := 0
 	for bb := b; bb != nil; bb = bb.parent {
-		n += len(bb.states)
+		n += bb.ownLen()
 	}
 	return n
 }
 
-// indexVID registers v in byPathMethod for the given method.
+// indexVID registers v in byPathMethod for the given method, unless the
+// index is deferred.
 func (b *Base) indexVID(v term.GVID, method string) {
-	if b.vidStale {
-		return
+	if !b.vidStale.Load() {
+		b.addVID(v, method)
 	}
+}
+
+func (b *Base) addVID(v term.GVID, method string) {
 	pm := pathMethod{Path: v.Path, Method: method}
 	vs, ok := b.byPathMethod[pm]
 	if !ok {
@@ -269,7 +360,7 @@ func (b *Base) indexVID(v term.GVID, method string) {
 
 // unindexVID removes v from byPathMethod for the given method.
 func (b *Base) unindexVID(v term.GVID, method string) {
-	if b.vidStale {
+	if b.vidStale.Load() {
 		return
 	}
 	pm := pathMethod{Path: v.Path, Method: method}
@@ -453,8 +544,8 @@ func (b *Base) SetStateFresh(v term.GVID, st *State) {
 	if b.parent != nil {
 		b.overridesByPath[v.Path]++
 	}
-	if !b.vidStale {
-		st.forEachMethod(func(m string) { b.indexVID(v, m) })
+	if !b.vidStale.Load() {
+		st.forEachMethod(func(m string) { b.addVID(v, m) })
 	}
 }
 
@@ -500,7 +591,7 @@ func (b *Base) ForEachVIDWith(path term.Path, method string, fn func(v term.GVID
 		return
 	}
 	b.parent.ForEachVIDWith(path, method, func(v term.GVID) {
-		if _, shadowed := b.states[v]; !shadowed {
+		if _, shadowed := b.own(v); !shadowed {
 			fn(v)
 		}
 	})
@@ -536,12 +627,12 @@ func (b *Base) ForEachVIDWithMethod(method string, fn func(v term.GVID)) {
 	if b.parent == nil {
 		return
 	}
-	if len(b.states) == 0 {
+	if b.ownLen() == 0 {
 		b.parent.ForEachVIDWithMethod(method, fn)
 		return
 	}
 	b.parent.ForEachVIDWithMethod(method, func(v term.GVID) {
-		if _, shadowed := b.states[v]; !shadowed {
+		if _, shadowed := b.own(v); !shadowed {
 			fn(v)
 		}
 	})
@@ -572,7 +663,7 @@ func (b *Base) ForEachVID(fn func(v term.GVID)) {
 
 // Versions returns all VIDs carrying facts, sorted.
 func (b *Base) Versions() []term.GVID {
-	out := make([]term.GVID, 0, len(b.states))
+	out := make([]term.GVID, 0, b.ownLen())
 	b.forEachState(func(v term.GVID, _ *State) {
 		out = append(out, v)
 	})

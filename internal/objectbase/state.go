@@ -23,7 +23,7 @@ type appEntry struct {
 // grows past stateSpillThreshold it spills to the map-of-maps form and
 // stays there. The representation is invisible to callers.
 type State struct {
-	entries []appEntry                              // flat form (apps == nil)
+	entries []appEntry                               // flat form (apps == nil)
 	apps    map[term.MethodKey]map[term.OID]struct{} // spilled form
 	size    int
 }
@@ -100,6 +100,47 @@ func (s *State) CloneWithoutMethod(method string) *State {
 		out.size += len(rs)
 	}
 	return out
+}
+
+// CloneFinal returns a copy of the state with every exists application
+// dropped and the single canonical one (exists -> o) added — the state
+// shape the updated base of Section 5 stores per object. The copy lives on
+// the regular heap, never in a StateArena: final states are shared between
+// successive heads and outlive the apply that made them by an unbounded
+// time, so they must not pin an arena slab.
+func (s *State) CloneFinal(o term.OID) *State {
+	existsKey := term.MethodKey{Method: term.ExistsMethod}
+	if s.apps != nil {
+		out := s.CloneWithoutMethod(term.ExistsMethod)
+		out.Add(existsKey, o)
+		return out
+	}
+	entries := make([]appEntry, 0, len(s.entries)+1)
+	for _, e := range s.entries {
+		if e.key.Method != term.ExistsMethod {
+			entries = append(entries, e)
+		}
+	}
+	entries = append(entries, appEntry{key: existsKey, r: o})
+	return &State{entries: entries, size: len(entries)}
+}
+
+// settledFor reports whether CloneFinal(o) would reproduce the state and
+// the final copy would keep it: at least one application besides exists,
+// and exists -> o as the only exists application.
+func (s *State) settledFor(o term.OID) bool {
+	exists, other := 0, false
+	s.ForEach(func(k term.MethodKey, r term.OID) {
+		switch {
+		case k.Method != term.ExistsMethod:
+			other = true
+		case k.Args.Empty() && r == o:
+			exists++
+		default:
+			exists = 2 // a foreign exists application
+		}
+	})
+	return other && exists == 1
 }
 
 // Size returns the number of method applications in the state.

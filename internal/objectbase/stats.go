@@ -29,11 +29,11 @@ type Stats struct {
 	Methods []MethodStat
 }
 
-// CollectStats scans the base once.
+// CollectStats scans the base once, all layers merged.
 func CollectStats(b *Base) Stats {
 	s := Stats{Facts: b.Size()}
 	perMethod := map[string]*MethodStat{}
-	for v, st := range b.states {
+	b.forEachState(func(v term.GVID, st *State) {
 		s.Versions++
 		if v.IsObject() {
 			s.Objects++
@@ -54,7 +54,7 @@ func CollectStats(b *Base) Stats {
 				ms.Versions++
 			}
 		})
-	}
+	})
 	for _, ms := range perMethod {
 		s.Methods = append(s.Methods, *ms)
 	}

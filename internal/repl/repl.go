@@ -179,6 +179,11 @@ func (s *Session) printHelp() {
 // addInput parses the statement as facts first, then as rules.
 func (s *Session) addInput(stmt string) error {
 	if facts, err := parser.Facts(stmt, "repl"); err == nil {
+		if s.base.Frozen() {
+			// The base an apply leaves behind is frozen and shares states
+			// with its input; edit a private copy.
+			s.base = s.base.Clone()
+		}
 		for _, f := range facts {
 			s.base.Insert(f)
 			if f.V.IsObject() {

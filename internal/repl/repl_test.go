@@ -182,3 +182,20 @@ func TestReplExplainBeforeApply(t *testing.T) {
 		t.Errorf("missing guard:\n%s", out)
 	}
 }
+
+// TestReplFactsAfterApply: the base an apply leaves behind is frozen; adding
+// facts afterwards must edit a copy, not panic.
+func TestReplFactsAfterApply(t *testing.T) {
+	out := drive(t, `
+henry.isa -> empl / sal -> 250.
+raise: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S + 1.
+.apply
+bob.isa -> empl / sal -> 100.
+? E.sal -> S.
+`)
+	for _, want := range []string{"applied: 1 updates fired", "E=bob, S=100", "E=henry, S=251", "2 answer(s)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("transcript missing %q:\n%s", want, out)
+		}
+	}
+}

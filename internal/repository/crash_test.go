@@ -172,10 +172,14 @@ func TestCrashSweep(t *testing.T) {
 // the second Open of a repaired directory is clean.
 func TestCrashSweepReopenIsIdempotent(t *testing.T) {
 	progs := crashPrograms(t)
+	probe := fsio.NewFault()
+	if _, err := runCrashWorkload(t, t.TempDir()+"/probe", probe, progs); err != nil {
+		t.Fatalf("probe workload: %v", err)
+	}
 	// A fault point in the middle of the workload (inside some apply).
 	dir := t.TempDir() + "/repo"
 	f := fsio.NewFault()
-	f.FailAt(40, true)
+	f.FailAt(probe.Count()/2, true)
 	if _, err := runCrashWorkload(t, dir, f, progs); err == nil {
 		t.Fatal("workload survived")
 	}

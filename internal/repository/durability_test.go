@@ -93,55 +93,56 @@ func TestOpenRejectsCorruptMiddle(t *testing.T) {
 	}
 }
 
-// TestOpenRebuildsForkedHead: a head that lags the journal (the crash
-// window between journal append and head rewrite) is rebuilt on Open.
-func TestOpenRebuildsForkedHead(t *testing.T) {
-	r := newRepo(t, `henry.isa -> empl / sal -> 100.`)
-	applyRaises(t, r, 3)
-	stale, err := r.At(1)
-	if err != nil {
-		t.Fatal(err)
+// TestOpenRemovesLegacyHeadFile: a directory written before head.bin was
+// dropped (testdata/pr13-dir: two employees, three journaled raises, and
+// the head cache of that version) opens to the journal replay, loses the
+// file — reported like a stale temp — and is clean from then on.
+func TestOpenRemovesLegacyHeadFile(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"snapshot.bin", "journal.jsonl", "head.bin"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "pr13-dir", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "head.bin" {
+			// Nothing may read it: make it useless.
+			data = data[:len(data)/2]
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var buf bytes.Buffer
-	if err := storage.SaveBinaryAt(&buf, stale, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(r.Dir(), "head.bin"), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Open(r.Dir())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if rec := r2.Recovery(); !rec.HeadRebuilt {
-		t.Errorf("recovery = %s, want head rebuilt", rec)
-	}
-	if err := r2.Verify(); err != nil {
-		t.Errorf("Verify: %v", err)
-	}
-	head, _ := r2.Head()
-	if !head.Has(term.NewFact(term.GVID{Object: term.Sym("henry")}, "sal", term.Int(130))) {
-		t.Error("rebuilt head lost the journaled applies")
-	}
-}
-
-// TestOpenRebuildsMissingHead: head.bin is a cache; deleting it entirely
-// must not lose anything.
-func TestOpenRebuildsMissingHead(t *testing.T) {
-	r := newRepo(t, `henry.isa -> empl / sal -> 100.`)
-	applyRaises(t, r, 2)
-	if err := os.Remove(filepath.Join(r.Dir(), "head.bin")); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Open(r.Dir())
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if rec := r2.Recovery(); !rec.HeadRebuilt {
-		t.Errorf("recovery = %s, want head rebuilt", rec)
+	if rec := r.Recovery(); rec.StaleTemps != 1 || rec.Entries != 3 || rec.TornTail || rec.ObsoleteDropped != 0 {
+		t.Errorf("recovery = %s, want 3 entries and only the head file removed", rec)
 	}
-	if err := r2.Verify(); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "head.bin")); !os.IsNotExist(err) {
+		t.Errorf("head.bin survived Open (stat error %v)", err)
+	}
+	if err := r.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
+	}
+	head, _ := r.Head()
+	for obj, sal := range map[string]int64{"henry": 130, "bob": 120} {
+		if !head.Has(term.NewFact(term.GVID{Object: term.Sym(obj)}, "sal", term.Int(sal))) {
+			t.Errorf("head lacks %s.sal -> %d after replay", obj, sal)
+		}
+	}
+	applyRaises(t, r, 1)
+	r.Close()
+	r2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("second Open: %v", err)
+	}
+	if rec := r2.Recovery(); !rec.Clean() || rec.Entries != 4 {
+		t.Errorf("second recovery = %s, want clean with 4 entries", rec)
+	}
+	names, _ := os.ReadDir(dir)
+	if len(names) != 2 {
+		t.Errorf("directory holds %d files, want snapshot and journal only", len(names))
 	}
 }
 

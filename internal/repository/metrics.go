@@ -14,8 +14,6 @@ type Metrics struct {
 	AppendWrite *obs.Histogram
 	// AppendFsync is the journal fsync — the dominant durability cost.
 	AppendFsync *obs.Histogram
-	// HeadWrite is the head-cache replacement after a commit batch.
-	HeadWrite *obs.Histogram
 	// Compaction is the duration of Compact calls.
 	Compaction *obs.Histogram
 	// RecoverySeconds is the duration of the last recovery (open or repair).
@@ -57,7 +55,6 @@ func (r *Repository) Instrument(reg *obs.Registry) {
 	m := &Metrics{
 		AppendWrite:        reg.Histogram("verlog_journal_append_seconds", "Journal append write latency (excluding fsync)."),
 		AppendFsync:        reg.Histogram("verlog_journal_fsync_seconds", "Journal fsync latency."),
-		HeadWrite:          reg.Histogram("verlog_head_write_seconds", "Head cache replacement latency."),
 		Compaction:         reg.Histogram("verlog_compaction_seconds", "Compact duration."),
 		RecoverySeconds:    reg.Gauge("verlog_recovery_seconds", "Duration of the last open-time recovery."),
 		Applies:            reg.Counter("verlog_applies_total", "Committed updates (idempotent replays excluded)."),

@@ -47,9 +47,6 @@ func InitAtFS(dir string, base *objectbase.Base, seq int, fs fsio.FS) (*Reposito
 	if err := r.writeBase(snapshotFile, base, seq); err != nil {
 		return nil, err
 	}
-	if err := r.writeBase(headFile, base, seq); err != nil {
-		return nil, err
-	}
 	jf, err := fs.Create(filepath.Join(dir, journalFile))
 	if err != nil {
 		return nil, fmt.Errorf("repository: %w", err)
@@ -139,7 +136,6 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 	r.flushPendingLocked()
 	hs := r.published.Load()
 	base := hs.base
-	cloned := false
 	var buf []byte
 	newEntries := hs.entries
 	seq := hs.seq
@@ -155,11 +151,7 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 		if err != nil {
 			return err
 		}
-		if !cloned {
-			base = base.Clone()
-			cloned = true
-		}
-		d.Apply(base)
+		base = base.Derive(d.Changes(base))
 		payload, err := json.Marshal(e)
 		if err != nil {
 			return fmt.Errorf("repository: %w", err)
@@ -178,7 +170,7 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 		r.commitMu.Unlock()
 		return err
 	}
-	ns := &headState{snap: hs.snap, base: base.Freeze(), seq: seq, snapSeq: hs.snapSeq, entries: newEntries}
+	ns := &headState{snap: hs.snap, base: base, seq: seq, snapSeq: hs.snapSeq, entries: newEntries}
 	r.commitMu.Lock()
 	r.spec = ns
 	for _, e := range entries {
@@ -191,13 +183,6 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 	m := r.met()
 	m.ReplicaApplies.Add(int64(applied))
 	m.Applies.Add(int64(applied))
-	// The head cache rewrite is off the durability path, exactly as in the
-	// local commit flow: a failure here loses nothing, repair heals it.
-	if err := r.writeBase(headFile, ns.base, ns.seq); err != nil {
-		r.commitMu.Lock()
-		r.needRepair = true
-		r.commitMu.Unlock()
-	}
 	return nil
 }
 
@@ -232,11 +217,6 @@ func (r *Repository) ResetToSnapshot(base *objectbase.Base, seq int) error {
 	r.needRepair = false
 	r.commitMu.Unlock()
 	r.publish(ns)
-	if err := r.writeBase(headFile, ns.base, ns.seq); err != nil {
-		r.commitMu.Lock()
-		r.needRepair = true
-		r.commitMu.Unlock()
-	}
 	return nil
 }
 

@@ -7,19 +7,18 @@
 // Layout of a repository directory:
 //
 //	snapshot.bin  — the object base the journal starts from
-//	head.bin      — the current object base (a cache; see below)
 //	journal.jsonl — one checksummed record per applied program, with its diff
 //
 // Durability contract: an update is applied exactly when its journal
-// record has been written and fsynced. The head file is only a cache of
-// "snapshot + journal replay" and is reconstructed from those two files
-// whenever Open finds it missing, unreadable or out of date, so a crash
-// at any point between the journal append and the head rewrite cannot
-// fork the repository. Journal records carry a CRC32 checksum; a torn
-// final record (the signature of power loss mid-append) is truncated away
-// on Open, while corruption anywhere else is reported, never repaired
-// silently. All file writes go through internal/fsio, whose fault
-// injection drives the crash sweep in crash_test.go.
+// record has been written and fsynced. The current base exists in memory
+// only: it is "snapshot + journal replay" by definition, Open rebuilds it
+// that way, and a commit writes nothing but its journal record, so there
+// is no second copy on disk that a crash could leave out of step. Journal
+// records carry a CRC32 checksum; a torn final record (the signature of
+// power loss mid-append) is truncated away on Open, while corruption
+// anywhere else is reported, never repaired silently. All file writes go
+// through internal/fsio, whose fault injection drives the crash sweep in
+// crash_test.go.
 //
 // # Concurrency model
 //
@@ -32,6 +31,9 @@
 // Writes run in two phases. Evaluation — the expensive part — runs outside
 // any lock against a snapshot of the head; the paper's T_P is a pure
 // function from an old base to a new one, so a snapshot is all it needs.
+// Its product is a delta: the new head shares every state the program did
+// not change with the old one (objectbase.Derive), and the journal record
+// is computed from the changed states alone.
 // Commit is then a short critical section under commitMu: an optimistic
 // check that the snapshot is still the head (retrying the evaluation
 // otherwise), a seq assignment, and an append of the framed record to the
@@ -39,10 +41,7 @@
 // writer into a batch becomes its leader, writes every queued record in
 // one write+fsync, publishes the new head, and wakes the batch; later
 // writers piggyback on the batch their leader is about to flush, so under
-// contention one fsync commits many updates. The head-cache file is
-// rewritten once per batch, after the batch is already durable and
-// published, keeping it off the commit critical path (a failed rewrite is
-// healed by the same repair machinery a crash is).
+// contention one fsync commits many updates.
 package repository
 
 import (
@@ -68,10 +67,12 @@ import (
 
 const (
 	snapshotFile    = "snapshot.bin"
-	headFile        = "head.bin"
 	journalFile     = "journal.jsonl"
 	constraintsFile = "constraints.vlg"
 	epochFile       = "epoch"
+	// legacyHeadFile is the head cache earlier versions rewrote after every
+	// commit batch. Nothing reads it; Open removes a leftover one.
+	legacyHeadFile = "head.bin"
 )
 
 // Entry is one journal record: an applied program and its effect.
@@ -196,8 +197,8 @@ type Repository struct {
 	recovery   Recovery
 
 	// diskMu serializes every file operation: journal appends, snapshot
-	// and head rewrites, truncation, recovery. The published head only
-	// advances under it.
+	// rewrites, truncation, recovery. The published head only advances
+	// under it.
 	diskMu sync.Mutex
 
 	// planMu guards the compiled-plan cache: program hash → the plans the
@@ -297,10 +298,9 @@ type Recovery struct {
 	// ObsoleteDropped counts journal entries already folded into the
 	// snapshot that were dropped — the tail end of an interrupted Compact.
 	ObsoleteDropped int
-	// HeadRebuilt reports that head.bin was missing, unreadable or did not
-	// equal the journal replay and was rewritten from it.
-	HeadRebuilt bool
-	// StaleTemps counts leftover *.tmp files from crashed writers removed.
+	// StaleTemps counts leftover files removed: *.tmp files from crashed
+	// writers, and the head.bin cache of a directory written by an earlier
+	// version.
 	StaleTemps int
 	// Duration is how long the recovery pass took.
 	Duration time.Duration
@@ -308,7 +308,7 @@ type Recovery struct {
 
 // Clean reports whether Open found nothing to repair.
 func (rec Recovery) Clean() bool {
-	return !rec.TornTail && !rec.HeadRebuilt && rec.ObsoleteDropped == 0 && rec.StaleTemps == 0
+	return !rec.TornTail && rec.ObsoleteDropped == 0 && rec.StaleTemps == 0
 }
 
 // String renders the summary in one line, for server startup logs.
@@ -316,8 +316,8 @@ func (rec Recovery) String() string {
 	if rec.Clean() {
 		return fmt.Sprintf("clean (%d journal entries)", rec.Entries)
 	}
-	return fmt.Sprintf("recovered (%d journal entries, torn tail=%v cut %d bytes, obsolete entries dropped=%d, head rebuilt=%v, stale temps removed=%d)",
-		rec.Entries, rec.TornTail, rec.TruncatedBytes, rec.ObsoleteDropped, rec.HeadRebuilt, rec.StaleTemps)
+	return fmt.Sprintf("recovered (%d journal entries, torn tail=%v cut %d bytes, obsolete entries dropped=%d, stale temps removed=%d)",
+		rec.Entries, rec.TornTail, rec.TruncatedBytes, rec.ObsoleteDropped, rec.StaleTemps)
 }
 
 // Init creates a repository at dir holding the initial base.
@@ -338,9 +338,6 @@ func InitFS(dir string, initial *objectbase.Base, fs fsio.FS) (*Repository, erro
 		return nil, err
 	}
 	if err := r.writeBase(snapshotFile, initial, 0); err != nil {
-		return nil, err
-	}
-	if err := r.writeBase(headFile, initial, 0); err != nil {
 		return nil, err
 	}
 	jf, err := fs.Create(filepath.Join(dir, journalFile))
@@ -367,8 +364,8 @@ func InitFS(dir string, initial *objectbase.Base, fs fsio.FS) (*Repository, erro
 // Open opens an existing repository, recovering it to a consistent state:
 // a torn final journal record is truncated away, entries an interrupted
 // Compact already folded into the snapshot are dropped, stale temp files
-// are removed, and the head is rebuilt from the journal if it disagrees.
-// Recovery() reports what was done.
+// are removed, and the head is rebuilt by replaying the journal onto the
+// snapshot. Recovery() reports what was done.
 func Open(dir string) (*Repository, error) {
 	return OpenFS(dir, fsio.OS)
 }
@@ -397,14 +394,15 @@ func (r *Repository) Recovery() Recovery {
 	return r.recovery
 }
 
-// removeStaleTemps deletes leftover *.tmp files from crashed writers.
+// removeStaleTemps deletes leftover *.tmp files from crashed writers, and
+// the head cache file a directory written by an earlier version carries.
 func (r *Repository) removeStaleTemps(rec *Recovery) error {
 	names, err := r.fs.ReadDir(r.dir)
 	if err != nil {
 		return fmt.Errorf("repository: %w", err)
 	}
 	for _, name := range names {
-		if strings.HasSuffix(name, ".tmp") {
+		if strings.HasSuffix(name, ".tmp") || name == legacyHeadFile {
 			if err := r.fs.Remove(filepath.Join(r.dir, name)); err != nil {
 				return fmt.Errorf("repository: %w", err)
 			}
@@ -416,7 +414,7 @@ func (r *Repository) removeStaleTemps(rec *Recovery) error {
 	return nil
 }
 
-// recoverLocked reconciles the three files and rebuilds the in-memory
+// recoverLocked reconciles snapshot and journal and rebuilds the in-memory
 // published state from them. The caller must hold diskMu with commits
 // paused (or the repository not yet shared). See Open for what it
 // repairs.
@@ -472,8 +470,7 @@ func (r *Repository) recoverLocked() error {
 			return fmt.Errorf("repository: journal entry %d has seq %d, want %d; the repository is corrupted", i+1, e.Seq, snapSeq+1+i)
 		}
 	}
-	// Replay the journal onto a copy of the snapshot; that result, not
-	// head.bin, is the truth the head cache must match.
+	// Replay the journal onto a copy of the snapshot: the head.
 	state := snapState
 	if len(live) > 0 {
 		state = snapState.Clone()
@@ -484,14 +481,6 @@ func (r *Repository) recoverLocked() error {
 			return err
 		}
 		d.Apply(state)
-	}
-	seq := snapSeq + len(live)
-	head, _, herr := r.readBase(headFile)
-	if herr != nil || !head.Equal(state) {
-		if err := r.writeBase(headFile, state, seq); err != nil {
-			return err
-		}
-		rec.HeadRebuilt = true
 	}
 	cons, err := r.loadConstraints()
 	if err != nil {
@@ -512,7 +501,7 @@ func (r *Repository) recoverLocked() error {
 	hs := &headState{
 		snap:    snapState.Freeze(),
 		base:    state.Freeze(),
-		seq:     seq,
+		seq:     snapSeq + len(live),
 		snapSeq: snapSeq,
 		entries: live,
 	}
@@ -867,11 +856,6 @@ func (r *Repository) Apply(p *term.Program, opts ...core.Option) (*eval.Result, 
 // makes safe). The journal record is fsynced as part of a group-commit
 // batch shared with concurrent committers; ApplyKey returns only after
 // its record is durable.
-//
-// The update is durable (and will be answered as a replay) as soon as the
-// journal record is synced, even if the batch leader then fails writing
-// the head cache — the error says so, and the repository repairs the head
-// on its next operation.
 func (r *Repository) ApplyKey(p *term.Program, key string, opts ...core.Option) (*eval.Result, Entry, bool, error) {
 	for {
 		res, entry, replayed, retry, err := r.tryApply(p, key, opts)
@@ -954,8 +938,9 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (
 	commitStart := time.Now()
 	commitSpan := sp.StartChild("commit")
 	defer commitSpan.End()
-	diff := objectbase.Compute(snap.base, res.Final)
-	added, removed := storage.EncodeDiff(diff)
+	// The diff comes from the states the evaluation changed, not from a
+	// comparison of the two bases.
+	added, removed := storage.EncodeDiff(objectbase.DiffChanges(res.Changes))
 	entry := Entry{
 		Seq:     snap.seq + 1,
 		Program: parser.FormatProgram(p),
@@ -987,7 +972,7 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (
 	}
 	ns := &headState{
 		snap:    snap.snap,
-		base:    res.Final.Freeze(),
+		base:    res.Final,
 		seq:     entry.Seq,
 		snapSeq: snap.snapSeq,
 		entries: append(snap.entries, entry),
@@ -1009,10 +994,9 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (
 	r.commitMu.Unlock()
 
 	waitStart := time.Now()
-	var cacheErr error
 	if leader {
 		r.diskMu.Lock()
-		cacheErr = r.flushPendingLocked()
+		r.flushPendingLocked()
 		r.diskMu.Unlock()
 	}
 	<-b.done
@@ -1022,31 +1006,26 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (
 	}
 	r.met().Applies.Inc()
 	res.Stats.Commit = time.Since(commitStart)
-	if cacheErr != nil {
-		return nil, Entry{}, false, false, fmt.Errorf("repository: update %d is journaled but the head cache was not updated (repaired on the next operation): %w", entry.Seq, cacheErr)
-	}
 	return res, entry, false, false, nil
 }
 
 // flushPendingLocked seals the pending batch, writes all its records in
 // one append+fsync, publishes the new head and wakes the batch. The
-// caller must hold diskMu. The returned error is the (non-fatal)
-// head-cache rewrite failure; journal failures are delivered through the
-// batch itself.
-func (r *Repository) flushPendingLocked() error {
+// caller must hold diskMu. Failures are delivered through the batch.
+func (r *Repository) flushPendingLocked() {
 	r.commitMu.Lock()
 	b := r.pending
 	r.pending = nil
 	if b == nil {
 		r.commitMu.Unlock()
-		return nil
+		return
 	}
 	if r.needRepair {
 		b.err = errors.New("repository: commit aborted: the repository needs repair")
 		r.dropBatchKeysLocked(b)
 		r.commitMu.Unlock()
 		close(b.done)
-		return nil
+		return
 	}
 	buf, count, last := b.buf, b.count, b.last
 	r.commitMu.Unlock()
@@ -1061,7 +1040,7 @@ func (r *Repository) flushPendingLocked() error {
 		r.dropBatchKeysLocked(b)
 		r.commitMu.Unlock()
 		close(b.done)
-		return nil
+		return
 	}
 	// The records are durable: publish the head and release the batch.
 	r.commitMu.Lock()
@@ -1077,20 +1056,6 @@ func (r *Repository) flushPendingLocked() error {
 	m.CommitBatches.Inc()
 	m.CommitBatchRecords.Add(int64(count))
 	close(b.done)
-
-	// The head cache is rewritten after the batch is already durable and
-	// published — off the commit critical path. A failure here loses no
-	// data (the cache is rebuilt from snapshot+journal) but flags repair
-	// so the file converges.
-	headStart := time.Now()
-	if cerr := r.writeBase(headFile, last.base, last.seq); cerr != nil {
-		r.commitMu.Lock()
-		r.needRepair = true
-		r.commitMu.Unlock()
-		return cerr
-	}
-	r.met().HeadWrite.Observe(time.Since(headStart))
-	return nil
 }
 
 // dropBatchKeysLocked removes the idempotency keys a failed batch
@@ -1149,9 +1114,7 @@ func (r *Repository) Verify() error {
 	if err := r.repairDiskLocked(); err != nil {
 		return err
 	}
-	if err := r.flushPendingLocked(); err != nil {
-		return err
-	}
+	r.flushPendingLocked()
 	return r.verifyDiskLocked()
 }
 

@@ -52,7 +52,6 @@ func TestMetricsExposition(t *testing.T) {
 		"verlog_apply_seconds",
 		"verlog_journal_append_seconds",
 		"verlog_journal_fsync_seconds",
-		"verlog_head_write_seconds",
 	} {
 		if !strings.Contains(body, "# TYPE "+fam+" histogram") {
 			t.Errorf("metrics missing histogram %s", fam)
