@@ -7,6 +7,7 @@ package verlog
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -389,6 +390,55 @@ func BenchmarkE21PointUpdate(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkE23OpenBulkJournal — E23: what history costs. A repository of
+// 1 500 employees takes 100 bulk raises (3 000 changed facts each); the
+// benchmark times Open on it — read, check and replay the journal — and
+// reports the journal bytes per changed fact and the heap the resident
+// history holds per entry (live heap with the history minus live heap
+// after Compact dropped it).
+func BenchmarkE23OpenBulkJournal(b *testing.B) {
+	const applies = 100
+	dir := b.TempDir() + "/repo"
+	r, err := repository.Init(dir, workload.EnterpriseSpec{Employees: 1500, Seed: 23}.ObjectBase())
+	if err != nil {
+		b.Fatal(err)
+	}
+	raise := mustParseProgram(b, `r: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S + 1.`)
+	facts := 0
+	for i := 0; i < applies; i++ {
+		if _, err := r.Apply(raise); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, e := range r.Log() {
+		facts += e.Added.Len() + e.Removed.Len()
+	}
+	journal, _ := r.HistoryBytes()
+	r.Close()
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r, err = repository.Open(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	with := liveHeap()
+	snapshot, _ := r.Initial() // held across Compact, so that only the entries go
+	if err := r.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	without := liveHeap()
+	runtime.KeepAlive(snapshot)
+	b.ReportMetric(float64(journal)/float64(facts), "journal-B/fact")
+	b.ReportMetric((float64(with)-float64(without))/applies, "resident-B/entry")
 }
 
 // BenchmarkE16MixedReadWrite — E16: per-read latency of the published

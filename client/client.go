@@ -514,7 +514,8 @@ func (c *Client) Log(ctx context.Context) ([]LogEntry, error) {
 }
 
 // ApplyTimings are the server-reported per-stage timings of one apply, in
-// microseconds (see eval.Stats for the stage meanings).
+// microseconds (see eval.Stats for the stage meanings). Copy is part of
+// Eval; Encode and CommitWait are the two parts of Commit.
 type ApplyTimings struct {
 	ParseUS       int64   `json:"parse_us"`
 	SafetyUS      int64   `json:"safety_us"`
@@ -524,6 +525,8 @@ type ApplyTimings struct {
 	EvalUS        int64   `json:"eval_us"`
 	ConstraintsUS int64   `json:"constraints_us"`
 	CommitUS      int64   `json:"commit_us"`
+	EncodeUS      int64   `json:"encode_us"`
+	CommitWaitUS  int64   `json:"commit_wait_us"`
 	TotalUS       int64   `json:"total_us"`
 }
 

@@ -79,6 +79,8 @@ type NodeStatus struct {
 	HeadSeq         int              `json:"head_seq"`
 	SnapshotSeq     int              `json:"snapshot_seq"`
 	JournalSeq      int              `json:"journal_seq"`
+	JournalBytes    int64            `json:"journal_bytes"`
+	HistoryBytes    int64            `json:"resident_history_bytes"`
 	Ready           bool             `json:"ready"`
 	Checks          []HealthCheck    `json:"checks"`
 	Replication     *ReplStatus      `json:"replication"`

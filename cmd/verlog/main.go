@@ -858,7 +858,7 @@ func cmdRepo(args []string) error {
 		for _, e := range entries {
 			first := strings.SplitN(strings.TrimSpace(e.Program), "\n", 2)[0]
 			fmt.Printf("state %d: +%d -%d facts, %d fired, %d strata | %s\n",
-				e.Seq, len(e.Added), len(e.Removed), e.Fired, e.Strata, first)
+				e.Seq, e.Added.Len(), e.Removed.Len(), e.Fired, e.Strata, first)
 		}
 		return nil
 	case "verify":

@@ -63,7 +63,7 @@ bonus: ins[E].bonus -> 500 <- E.isa -> empl / dept -> accounts.`},
 		log.Fatal(err)
 	}
 	for _, e := range entries {
-		fmt.Printf("  state %d: +%d facts, -%d facts\n", e.Seq, len(e.Added), len(e.Removed))
+		fmt.Printf("  state %d: +%d facts, -%d facts\n", e.Seq, e.Added.Len(), e.Removed.Len())
 	}
 
 	fmt.Println("\n== time travel: henry's salary over time ==")

@@ -119,7 +119,8 @@ type StratumTiming struct {
 
 // Stats carries per-stage timings across the layers of one apply. eval.Run
 // fills Stratify, Strata, Copy and Eval; core.Apply adds Safety; the
-// repository adds ConstraintCheck and Commit; the server adds Parse. The
+// repository adds ConstraintCheck, Encode, CommitWait and Commit; the server
+// adds Parse. The
 // stage names follow the paper's pipeline: parse, safety, stratification,
 // per-stratum T_P fixpoints, the copy phase building ob', and the apply
 // phase committing the result.
@@ -141,9 +142,13 @@ type Stats struct {
 	// ConstraintCheck is the integrity-constraint verification of the
 	// updated base (repository layer).
 	ConstraintCheck time.Duration
-	// Commit is the apply phase: diff of the changed states, journal append
-	// (with fsync) and publication of the new head (repository layer).
-	Commit time.Duration
+	// Commit is the whole apply phase (repository layer). Its two parts:
+	// Encode turns the changed states into the journal record's bytes, and
+	// CommitWait is the time from joining a group-commit batch until the
+	// batch is fsynced and the new head published — queueing plus disk.
+	Commit     time.Duration
+	Encode     time.Duration
+	CommitWait time.Duration
 }
 
 // Result is the outcome of running an update-program.
@@ -158,7 +163,8 @@ type Result struct {
 	Final *objectbase.Base
 	// Changes lists the objects whose state differs between the input base
 	// and Final, each with its old and new state — the update as a delta.
-	// objectbase.DiffChanges turns it into the fact-level diff.
+	// objectbase.DiffChanges turns it into the fact-level diff (and sorts
+	// it by version, as does anything else that walks it in diff order).
 	Changes []objectbase.Change
 	// Assignment is the stratification used.
 	Assignment *strata.Assignment

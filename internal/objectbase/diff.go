@@ -1,7 +1,8 @@
 package objectbase
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"verlog/internal/term"
 )
@@ -15,7 +16,7 @@ type Diff struct {
 
 // Compute returns the diff that transforms from into to. It walks both
 // bases in full (all layers merged) and is the reference every cheaper way
-// of obtaining a diff is tested against; the commit path uses DiffChanges.
+// of obtaining a diff is tested against; the commit path uses ChangedFacts.
 // States the two bases share by pointer are skipped without comparing.
 func Compute(from, to *Base) Diff {
 	var changes []Change
@@ -32,36 +33,60 @@ func Compute(from, to *Base) Diff {
 	return DiffChanges(changes)
 }
 
-// DiffChanges returns the diff a set of changed versions amounts to: the
-// facts of each New state missing from its Old state, and vice versa,
-// sorted as Compute sorts them. When the changes are those a base was
-// derived with, the result equals Compute(base, derived) at the cost of the
-// changed states alone.
+// DiffChanges returns the diff a set of changed versions amounts to, as
+// fact lists: ChangedFacts collected. It sorts changes like ChangedFacts.
 func DiffChanges(changes []Change) Diff {
 	var d Diff
-	for _, c := range changes {
-		if c.New != nil {
-			c.New.ForEach(func(k term.MethodKey, r term.OID) {
-				if c.Old == nil || !c.Old.Has(k, r) {
-					d.Added = append(d.Added, term.Fact{V: c.V, Method: k.Method, Args: k.Args, Result: r})
-				}
-			})
-		}
-		if c.Old != nil {
-			c.Old.ForEach(func(k term.MethodKey, r term.OID) {
-				if c.New == nil || !c.New.Has(k, r) {
-					d.Removed = append(d.Removed, term.Fact{V: c.V, Method: k.Method, Args: k.Args, Result: r})
-				}
-			})
-		}
-	}
-	sortFacts(d.Added)
-	sortFacts(d.Removed)
+	ChangedFacts(changes,
+		func(f term.Fact) { d.Added = append(d.Added, f) },
+		func(f term.Fact) { d.Removed = append(d.Removed, f) })
 	return d
 }
 
-func sortFacts(fs []term.Fact) {
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Compare(fs[j]) < 0 })
+// ChangedFacts walks the diff a set of changed versions amounts to: it
+// calls added for the facts of each New state missing from its Old state
+// and removed for the reverse, each in the order Compute lists them (by
+// version, method, arguments, result). When the changes are those a base
+// was derived with, the two sequences equal Compute(base, derived) at the
+// cost of the changed states alone — which is how a commit writes its
+// journal record without building a Diff. changes is sorted by version in
+// place.
+func ChangedFacts(changes []Change, added, removed func(term.Fact)) {
+	byVersion := func(a, b Change) int { return a.V.Compare(b.V) }
+	if !slices.IsSortedFunc(changes, byVersion) {
+		slices.SortFunc(changes, byVersion)
+	}
+	var apps []appEntry
+	// only emits the applications of s that other lacks, sorted.
+	only := func(v term.GVID, s, other *State, emit func(term.Fact)) {
+		if s == nil {
+			return
+		}
+		apps = apps[:0]
+		s.ForEach(func(k term.MethodKey, r term.OID) {
+			if other == nil || !other.Has(k, r) {
+				apps = append(apps, appEntry{key: k, r: r})
+			}
+		})
+		if len(apps) > 1 {
+			slices.SortFunc(apps, func(a, b appEntry) int {
+				if c := strings.Compare(a.key.Method, b.key.Method); c != 0 {
+					return c
+				}
+				if c := a.key.Args.Compare(b.key.Args); c != 0 {
+					return c
+				}
+				return a.r.Compare(b.r)
+			})
+		}
+		for _, a := range apps {
+			emit(term.Fact{V: v, Method: a.key.Method, Args: a.key.Args, Result: a.r})
+		}
+	}
+	for _, c := range changes {
+		only(c.V, c.New, c.Old, added)
+		only(c.V, c.Old, c.New, removed)
+	}
 }
 
 // Empty reports whether the diff changes nothing.

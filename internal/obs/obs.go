@@ -78,29 +78,44 @@ var LatencyBuckets = []float64{
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// Histogram is a fixed-bucket latency histogram (LatencyBuckets plus +Inf).
+// SizeBuckets are the upper bounds, in bytes, of a size histogram: 64 B to
+// 64 MiB, one bucket per 4x — a point update's journal record sits near the
+// bottom, a bulk update's in the middle.
+var SizeBuckets = []float64{
+	64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10,
+	1 << 20, 4 << 20, 16 << 20, 64 << 20,
+}
+
+// Histogram is a fixed-bucket histogram (its bounds plus +Inf): of
+// latencies over LatencyBuckets, or of sizes in bytes over SizeBuckets.
 type Histogram struct {
-	counts   []atomic.Int64 // per-bucket (non-cumulative); last is +Inf
-	count    atomic.Int64
-	sumNanos atomic.Int64
+	bounds []float64
+	per    float64        // observed units per exposed unit: 1e9 ns per second, 1 byte per byte
+	counts []atomic.Int64 // per-bucket (non-cumulative); last is +Inf
+	count  atomic.Int64
+	sum    atomic.Int64 // nanoseconds, or bytes
 }
 
-func newHistogram() *Histogram {
-	return &Histogram{counts: make([]atomic.Int64, len(LatencyBuckets)+1)}
+func newHistogram(bounds []float64, per float64) *Histogram {
+	return &Histogram{bounds: bounds, per: per, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
+// Observe records one duration in a latency histogram.
+func (h *Histogram) Observe(d time.Duration) { h.observe(int64(d)) }
+
+// ObserveSize records one size, in bytes, in a size histogram.
+func (h *Histogram) ObserveSize(bytes int64) { h.observe(bytes) }
+
+func (h *Histogram) observe(v int64) {
 	if h == nil {
 		return
 	}
-	s := d.Seconds()
-	i := sort.SearchFloat64s(LatencyBuckets, s)
-	// SearchFloat64s finds the first bucket >= s; observations equal to a
-	// bound belong to that bucket (le is inclusive), which is what it gives.
-	h.counts[i].Add(1)
+	// SearchFloat64s finds the first bucket >= the value; observations equal
+	// to a bound belong to that bucket (le is inclusive), which is what it
+	// gives.
+	h.counts[sort.SearchFloat64s(h.bounds, float64(v)/h.per)].Add(1)
 	h.count.Add(1)
-	h.sumNanos.Add(int64(d))
+	h.sum.Add(v)
 }
 
 // Count returns how many observations were recorded (0 on nil).
@@ -111,12 +126,13 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of all observations (0 on nil).
+// Sum returns the sum of all observations of a latency histogram (0 on
+// nil).
 func (h *Histogram) Sum() time.Duration {
 	if h == nil {
 		return 0
 	}
-	return time.Duration(h.sumNanos.Load())
+	return time.Duration(h.sum.Load())
 }
 
 // metric is an instrument registered in a family.
@@ -235,7 +251,14 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // given labels.
 func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	f := r.family(name, help, "histogram")
-	return f.get(labelString(labels), func() metric { return newHistogram() }).(*Histogram)
+	return f.get(labelString(labels), func() metric { return newHistogram(LatencyBuckets, 1e9) }).(*Histogram)
+}
+
+// SizeHistogram returns the size histogram (bytes, over SizeBuckets) for
+// name and labels, creating it on first use.
+func (r *Registry) SizeHistogram(name, help string, labels ...string) *Histogram {
+	f := r.family(name, help, "histogram")
+	return f.get(labelString(labels), func() metric { return newHistogram(SizeBuckets, 1) }).(*Histogram)
 }
 
 // WritePrometheus renders every metric in the Prometheus text exposition
@@ -278,13 +301,13 @@ func writeHistogram(w io.Writer, name, labels string, h *Histogram) {
 		return labels[:len(labels)-1] + fmt.Sprintf(",le=%q}", le)
 	}
 	var cum int64
-	for i, ub := range LatencyBuckets {
+	for i, ub := range h.bounds {
 		cum += h.counts[i].Load()
 		fmt.Fprintf(w, "%s_bucket%s %d\n", name, withLE(formatFloat(ub)), cum)
 	}
-	cum += h.counts[len(LatencyBuckets)].Load()
+	cum += h.counts[len(h.bounds)].Load()
 	fmt.Fprintf(w, "%s_bucket%s %d\n", name, withLE("+Inf"), cum)
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, labels, h.Sum().Seconds())
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, labels, float64(h.sum.Load())/h.per)
 	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.Count())
 }
 

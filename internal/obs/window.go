@@ -66,7 +66,7 @@ func NewWindow(span, gran time.Duration) *Window {
 		span: span,
 		gran: gran,
 		now:  time.Now,
-		hist: newHistogram(),
+		hist: newHistogram(LatencyBuckets, 1e9),
 		ring: make([]winSnap, int(span/gran)+2),
 	}
 	// A zero baseline so the very first Stats call has something to diff

@@ -265,6 +265,12 @@ func TestFleetStatusTable(t *testing.T) {
 		t.Fatalf("roles = %q, %q; want primary, follower",
 			rows[0].Status.Role, rows[1].Status.Role)
 	}
+	// Both hold the same three records, on disk and resident.
+	if ps, fs := rows[0].Status, rows[1].Status; ps.JournalBytes == 0 || ps.HistoryBytes == 0 ||
+		ps.HistoryBytes >= ps.JournalBytes || ps.JournalBytes != fs.JournalBytes || ps.HistoryBytes != fs.HistoryBytes {
+		t.Fatalf("history sizes: primary %d on disk / %d resident, follower %d / %d; want equal, non-zero, resident below disk",
+			ps.JournalBytes, ps.HistoryBytes, fs.JournalBytes, fs.HistoryBytes)
+	}
 
 	table := client.FleetTable(rows)
 	lines := strings.Split(strings.TrimRight(table, "\n"), "\n")

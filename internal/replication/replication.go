@@ -13,7 +13,7 @@
 //	POST /v1/repl/promote          fence the old primary and take writes
 //
 // The stream body is the journal's own line format — "v1 <crc32c>
-// <payload>\n" per record, framed by storage.FrameJournalRecord — so a
+// <payload>\n" per record, written by repository.Entry.AppendRecord — so a
 // record is checksummed end to end: what the follower fsyncs is
 // byte-identical to what the primary fsynced. Responses carry
 // X-Verlog-Epoch and X-Verlog-Seq headers; the epoch is the fencing
@@ -325,18 +325,14 @@ func (n *Node) Stream(ctx context.Context, followerID string, after int, epoch u
 	if len(entries) > maxStreamBatch {
 		entries = entries[:maxStreamBatch]
 	}
-	var buf bytes.Buffer
+	var frames []byte
 	for _, e := range entries {
-		payload, err := json.Marshal(e)
-		if err != nil {
-			return nil, fmt.Errorf("replication: %w", err)
-		}
-		buf.Write(storage.FrameJournalRecord(payload))
+		frames = e.AppendRecord(frames)
 	}
 	if n.streamed != nil {
 		n.streamed.Add(int64(len(entries)))
 	}
-	batch := &StreamBatch{Frames: buf.Bytes(), Records: len(entries), HeadSeq: head, Epoch: n.repo.Epoch()}
+	batch := &StreamBatch{Frames: frames, Records: len(entries), HeadSeq: head, Epoch: n.repo.Epoch()}
 	if epoch < batch.Epoch {
 		batch.FenceSeq, batch.HasFence = n.repo.FenceSeq(epoch)
 	}

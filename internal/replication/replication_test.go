@@ -10,6 +10,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -741,5 +743,130 @@ func TestPromoteExplicitTarget(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("stale promote target returned %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestJournalsByteIdentical: a journal record is a function of its entry,
+// so after a mixed sequence — point updates under idempotency keys, bulk
+// raises, an object created, one deleted, an update that changes nothing —
+// the follower's journal file is the primary's, byte for byte.
+func TestJournalsByteIdentical(t *testing.T) {
+	p := startPrimary(t, replication.Config{})
+	f := startFollower(t, p.srv.URL)
+	steps := []string{
+		`raise: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S * 1.1 + 7.`,
+		`mod[bob].sal -> (S, S') <- bob.sal -> S, S' = S + 1.`,
+		"a: ins[w1].kind -> widget.\nb: ins[w1].label -> \"two; words/here <&> \\\"q\\\"\\n\".",
+		`mod[phil].sal -> (S, S') <- phil.sal -> S, S' = S - 0.25.`,
+		`a: ins[w1].kind -> widget.`,
+		`fire: del[E].* <- E.isa -> empl, E.pos -> mgr.`,
+		`raise: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S / 3.`,
+	}
+	for i, src := range steps {
+		prog, err := parser.Program(src, "step.vlg")
+		if err != nil {
+			t.Fatalf("step %d: %v", i+1, err)
+		}
+		key := ""
+		if i%2 == 1 {
+			key = fmt.Sprintf("key-%d", i)
+		}
+		if _, _, _, err := p.repo.ApplyKey(prog, key); err != nil {
+			t.Fatalf("step %d: %v", i+1, err)
+		}
+		if i == 2 {
+			waitConverged(t, p.repo, f.repo, 3) // some records arrive one by one, the rest as a batch
+		}
+	}
+	waitConverged(t, p.repo, f.repo, len(steps))
+	pj, err := os.ReadFile(filepath.Join(p.repo.Dir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fj, err := os.ReadFile(filepath.Join(f.repo.Dir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pj, fj) {
+		t.Errorf("journals differ:\nprimary:\n%s\nfollower:\n%s", pj, fj)
+	}
+	if bytes.Count(pj, []byte("\n")) != len(steps) || !bytes.Contains(pj, []byte(`"added":"bob.sal=`)) {
+		t.Errorf("primary journal does not hold %d compact records:\n%s", len(steps), pj)
+	}
+	if err := f.repo.Verify(); err != nil {
+		t.Errorf("follower Verify: %v", err)
+	}
+}
+
+// TestFollowerAppliesArrayFormFrames: a primary still running the version
+// before compact diffs streams records whose diffs are FactRecord arrays. A
+// follower reads them (upgrade followers first), applies them, and journals
+// them in the compact form.
+func TestFollowerAppliesArrayFormFrames(t *testing.T) {
+	src, err := repository.Init(t.TempDir()+"/src", testBase(t))
+	if err != nil {
+		t.Fatalf("Init src: %v", err)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := src.Apply(raiseProgram(t, i)); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+	}
+	entries, _, _ := src.EntriesAfter(0)
+	var frames bytes.Buffer
+	for _, e := range entries {
+		added, err := e.Added.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		removed, err := e.Removed.Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := map[string]any{"seq": e.Seq, "program": e.Program, "fired": e.Fired, "strata": e.Strata}
+		for name, facts := range map[string][]term.Fact{"added": added, "removed": removed} {
+			var recs []storage.FactRecord
+			for _, f := range facts {
+				recs = append(recs, storage.EncodeFact(f))
+			}
+			old[name] = recs
+		}
+		payload, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames.Write(storage.FrameJournalRecord(payload))
+	}
+	if !bytes.Contains(frames.Bytes(), []byte(`"added":[{"Object":`)) {
+		t.Fatalf("the frames are not in the array form:\n%s", frames.Bytes())
+	}
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasPrefix(r.URL.Path, "/v1/repl/stream") {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set(replication.HeaderEpoch, "1")
+		w.Header().Set(replication.HeaderSeq, "3")
+		if r.URL.Query().Get("after") == "0" {
+			w.Write(frames.Bytes())
+		}
+	}))
+	t.Cleanup(old.Close)
+
+	f := startFollower(t, old.URL)
+	waitConverged(t, src, f.repo, 3)
+	fj, err := os.ReadFile(filepath.Join(f.repo.Dir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sj, err := os.ReadFile(filepath.Join(src.Dir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fj, sj) {
+		t.Errorf("the follower journaled the old-form frames as\n%s\nwant the compact records\n%s", fj, sj)
+	}
+	if err := f.repo.Verify(); err != nil {
+		t.Errorf("follower Verify: %v", err)
 	}
 }

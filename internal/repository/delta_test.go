@@ -1,7 +1,7 @@
 package repository
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -55,10 +55,8 @@ func checkedApply(t *testing.T, r *Repository, p *term.Program, what string) err
 		Seq: entry.Seq, Program: parser.FormatProgram(p), Added: added, Removed: removed,
 		Fired: res.Fired, Strata: res.Assignment.NumStrata(),
 	}
-	gotJSON, _ := json.Marshal(entry)
-	wantJSON, _ := json.Marshal(want)
-	if string(gotJSON) != string(wantJSON) {
-		t.Fatalf("%s: journal entry differs from the one built with Compute:\n got %s\nwant %s", what, gotJSON, wantJSON)
+	if got, want := entry.AppendRecord(nil), want.AppendRecord(nil); !bytes.Equal(got, want) {
+		t.Fatalf("%s: journal record differs from the one built with Compute:\n got %swant %s", what, got, want)
 	}
 	if log := r.Log(); len(log) == 0 || log[len(log)-1].Seq != entry.Seq {
 		t.Fatalf("%s: entry %d is not the last of the resident log", what, entry.Seq)
@@ -194,6 +192,14 @@ func TestRandomApplySequenceCommitsAsDelta(t *testing.T) {
 	t.Logf("%d applies: %d new roots, %d delta layers, %d left the head as it was", steps, roots, layers, unchanged)
 	if roots < 5 || layers < 5*roots/2 {
 		t.Errorf("the sequence should cross the flatten threshold several times with delta layers in between: %d roots, %d layers", roots, layers)
+	}
+	// The journal file is the resident entries' records and nothing else.
+	var records []byte
+	for _, e := range r.Log() {
+		records = e.AppendRecord(records)
+	}
+	if onDisk, err := os.ReadFile(filepath.Join(r.Dir(), journalFile)); err != nil || !bytes.Equal(onDisk, records) {
+		t.Errorf("journal file (%d bytes, %v) is not the %d bytes the resident log encodes to", len(onDisk), err, len(records))
 	}
 	// What a restart rebuilds from disk is the same base.
 	head, _ := r.Head()

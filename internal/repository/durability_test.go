@@ -2,6 +2,7 @@ package repository
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -171,9 +172,10 @@ func TestOpenCleansStaleTemps(t *testing.T) {
 	}
 }
 
-// TestLegacyJournalCompat: a journal of bare-JSON lines (the pre-checksum
-// format) opens, verifies, and accepts new framed appends alongside.
-func TestLegacyJournalCompat(t *testing.T) {
+// TestOpenRejectsUnframedJournal: a journal of bare-JSON lines (the format
+// before records carried checksums, no longer read) is reported as
+// corrupted — not truncated to nothing as a torn tail would be.
+func TestOpenRejectsUnframedJournal(t *testing.T) {
 	r := newRepo(t, `henry.isa -> empl / sal -> 100.`)
 	applyRaises(t, r, 2)
 	jpath := filepath.Join(r.Dir(), "journal.jsonl")
@@ -181,37 +183,24 @@ func TestLegacyJournalCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Strip the framing from every line, reconstructing the old format.
-	var legacy bytes.Buffer
+	var bare bytes.Buffer
 	for i, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
 		payload, err := storage.ParseJournalLine(line, i+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy.Write(payload)
-		legacy.WriteByte('\n')
+		bare.Write(payload)
+		bare.WriteByte('\n')
 	}
-	if bytes.Contains(legacy.Bytes(), []byte("v1 ")) {
-		t.Fatal("legacy journal still framed")
-	}
-	if err := os.WriteFile(jpath, legacy.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(jpath, bare.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Open(r.Dir())
-	if err != nil {
-		t.Fatalf("Open legacy journal: %v", err)
+	var corrupt *storage.CorruptRecordError
+	if _, err := Open(r.Dir()); !errors.As(err, &corrupt) || corrupt.Line != 1 {
+		t.Fatalf("Open = %v, want a corrupt record at line 1", err)
 	}
-	if err := r2.Verify(); err != nil {
-		t.Errorf("Verify legacy journal: %v", err)
-	}
-	// New appends are framed; the mixed file still reads.
-	applyRaises(t, r2, 1)
-	entries, err := r2.Entries()
-	if err != nil || len(entries) != 3 {
-		t.Fatalf("mixed journal entries = %d, %v", len(entries), err)
-	}
-	if err := r2.Verify(); err != nil {
-		t.Errorf("Verify mixed journal: %v", err)
+	if after, _ := os.ReadFile(jpath); !bytes.Equal(after, bare.Bytes()) {
+		t.Error("Open modified a journal it refused")
 	}
 }
 

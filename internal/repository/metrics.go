@@ -35,6 +35,9 @@ type Metrics struct {
 	// CommitWait is how long an apply waits for its batch to become
 	// durable (from joining the batch to the fsync completing).
 	CommitWait *obs.Histogram
+	// RecordBytes is the size of each committed journal record, frame
+	// included: what one update costs on disk, in memory and on the wire.
+	RecordBytes *obs.Histogram
 	// HeadCacheHits counts reads served wait-free from the in-memory
 	// published head (Head, At, Initial, Log) — with the resident head,
 	// every read is a hit and none touches disk.
@@ -64,6 +67,7 @@ func (r *Repository) Instrument(reg *obs.Registry) {
 		CommitBatches:      reg.Counter("verlog_commit_batches_total", "Group-commit batches flushed (one fsync each)."),
 		CommitBatchRecords: reg.Counter("verlog_commit_batch_records_total", "Journal records flushed across all group-commit batches."),
 		CommitWait:         reg.Histogram("verlog_commit_wait_seconds", "Time an apply waits for its group-commit batch to become durable."),
+		RecordBytes:        reg.SizeHistogram("verlog_journal_record_bytes", "Size of committed journal records, frame included."),
 		HeadCacheHits:      reg.Counter("verlog_head_cache_hits_total", "Reads served wait-free from the in-memory published head."),
 		ReplicaApplies:     reg.Counter("verlog_replica_applies_total", "Journal entries applied from a replication stream."),
 		PlanCacheHits:      reg.Counter("verlog_plan_cache_hits_total", "Applies that reused cached compiled match plans."),

@@ -8,7 +8,6 @@ package repository
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -18,7 +17,6 @@ import (
 
 	"verlog/internal/fsio"
 	"verlog/internal/objectbase"
-	"verlog/internal/storage"
 )
 
 // InitAt creates a repository at dir whose snapshot is base stamped with
@@ -135,7 +133,6 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 	defer r.resumeCommits()
 	r.flushPendingLocked()
 	hs := r.published.Load()
-	base := hs.base
 	var buf []byte
 	newEntries := hs.entries
 	seq := hs.seq
@@ -147,22 +144,17 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 		if e.Seq != seq+1 {
 			return fmt.Errorf("%w: got seq %d, journal is at %d", ErrReplicaSeqGap, e.Seq, seq)
 		}
-		d, err := storage.DecodeDiff(e.Added, e.Removed)
-		if err != nil {
-			return err
-		}
-		base = base.Derive(d.Changes(base))
-		payload, err := json.Marshal(e)
-		if err != nil {
-			return fmt.Errorf("repository: %w", err)
-		}
-		buf = append(buf, storage.FrameJournalRecord(payload)...)
+		buf = e.AppendRecord(buf)
 		newEntries = append(newEntries, e)
 		seq = e.Seq
 		applied++
 	}
 	if applied == 0 {
 		return nil
+	}
+	base, err := replayDerived(hs.base, newEntries[len(newEntries)-applied:])
+	if err != nil {
+		return err
 	}
 	if err := r.appendJournal(buf); err != nil {
 		r.commitMu.Lock()

@@ -75,24 +75,6 @@ const (
 	legacyHeadFile = "head.bin"
 )
 
-// Entry is one journal record: an applied program and its effect.
-type Entry struct {
-	// Seq numbers applied programs from 1 and keeps counting across
-	// compactions (the snapshot records which seq it represents).
-	Seq int `json:"seq"`
-	// Program is the canonical text of the applied program.
-	Program string `json:"program"`
-	// Key is the idempotency key the update was committed under, if any.
-	Key string `json:"key,omitempty"`
-	// Added and Removed are the fact-level diff on the updated base.
-	Added   []storage.FactRecord `json:"added,omitempty"`
-	Removed []storage.FactRecord `json:"removed,omitempty"`
-	// Fired is the number of ground updates the evaluation fired.
-	Fired int `json:"fired"`
-	// Strata is the number of strata of the program.
-	Strata int `json:"strata"`
-}
-
 // headState is one published state of the repository: the frozen object
 // base after seq applied programs, together with the frozen snapshot base
 // and the journal entries that connect them. States form a chain — each
@@ -475,12 +457,8 @@ func (r *Repository) recoverLocked() error {
 	if len(live) > 0 {
 		state = snapState.Clone()
 	}
-	for _, e := range live {
-		d, err := storage.DecodeDiff(e.Added, e.Removed)
-		if err != nil {
-			return err
-		}
-		d.Apply(state)
+	if err := replay(state, live); err != nil {
+		return err
 	}
 	cons, err := r.loadConstraints()
 	if err != nil {
@@ -528,11 +506,7 @@ func (r *Repository) recoverLocked() error {
 func (r *Repository) rewriteJournal(entries []Entry) error {
 	var buf []byte
 	for _, e := range entries {
-		payload, err := json.Marshal(e)
-		if err != nil {
-			return fmt.Errorf("repository: %w", err)
-		}
-		buf = append(buf, storage.FrameJournalRecord(payload)...)
+		buf = e.AppendRecord(buf)
 	}
 	return r.writeFileDurable(journalFile, buf)
 }
@@ -670,18 +644,15 @@ func (r *Repository) readJournalRaw() ([]Entry, int64, error) {
 		return nil, 0, fmt.Errorf("repository: %w", err)
 	}
 	defer f.Close()
-	payloads, good, rerr := storage.ReadJournal(f, func(b []byte) error {
+	var out []Entry
+	_, good, rerr := storage.ReadJournal(f, func(payload []byte) error {
 		var e Entry
-		return json.Unmarshal(b, &e)
-	})
-	out := make([]Entry, 0, len(payloads))
-	for _, p := range payloads {
-		var e Entry
-		if err := json.Unmarshal(p, &e); err != nil {
-			return nil, 0, fmt.Errorf("repository: corrupted journal entry %d: %w", len(out)+1, err)
+		if err := json.Unmarshal(payload, &e); err != nil {
+			return err
 		}
 		out = append(out, e)
-	}
+		return nil
+	})
 	if rerr != nil {
 		return out, good, fmt.Errorf("repository: %w", rerr)
 	}
@@ -712,6 +683,20 @@ func (r *Repository) Log() []Entry {
 	hs := r.published.Load()
 	r.met().HeadCacheHits.Inc()
 	return hs.entries
+}
+
+// HistoryBytes reports what the history since the snapshot occupies: the
+// journal file on disk, and the resident entries' programs, keys and
+// encoded diffs in memory. Both fall to zero on Compact, which is what
+// they are for: they tell an operator when compacting is worth it.
+func (r *Repository) HistoryBytes() (journal, resident int64) {
+	if st, err := r.fs.Stat(filepath.Join(r.dir, journalFile)); err == nil {
+		journal = st.Size()
+	}
+	for _, e := range r.published.Load().entries {
+		resident += int64(e.size())
+	}
+	return journal, resident
 }
 
 // Len returns the number of applied programs since the snapshot.
@@ -830,7 +815,7 @@ func checkConstraints(base *objectbase.Base, cs []term.Constraint) error {
 
 // slimEntry strips the diff, which the idempotency cache does not need.
 func slimEntry(e Entry) Entry {
-	e.Added, e.Removed = nil, nil
+	e.Added, e.Removed = "", ""
 	return e
 }
 
@@ -938,9 +923,10 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (
 	commitStart := time.Now()
 	commitSpan := sp.StartChild("commit")
 	defer commitSpan.End()
-	// The diff comes from the states the evaluation changed, not from a
-	// comparison of the two bases.
-	added, removed := storage.EncodeDiff(objectbase.DiffChanges(res.Changes))
+	// The record is written straight from the states the evaluation
+	// changed: no comparison of the two bases, no fact lists in between.
+	encodeSpan := commitSpan.StartChild("encode")
+	added, removed := storage.EncodeChanges(res.Changes)
 	entry := Entry{
 		Seq:     snap.seq + 1,
 		Program: parser.FormatProgram(p),
@@ -950,11 +936,10 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (
 		Fired:   res.Fired,
 		Strata:  res.Assignment.NumStrata(),
 	}
-	payload, err := json.Marshal(entry)
-	if err != nil {
-		return nil, Entry{}, false, false, fmt.Errorf("repository: %w", err)
-	}
-	framed := storage.FrameJournalRecord(payload)
+	framed := entry.AppendRecord(make([]byte, 0, entry.size()+recordOverhead))
+	encodeSpan.SetInt("bytes", int64(len(framed)))
+	encodeSpan.End()
+	res.Stats.Encode = time.Since(commitStart)
 
 	// Phase 2: the short commit section — validate the snapshot is still
 	// the head, extend the speculative chain, join the pending batch.
@@ -983,7 +968,11 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (
 		b = &commitBatch{done: make(chan struct{})}
 		r.pending = b
 	}
-	b.buf = append(b.buf, framed...)
+	if leader {
+		b.buf = framed // the common batch of one is written from the record's own buffer
+	} else {
+		b.buf = append(b.buf, framed...)
+	}
 	b.count++
 	b.last = ns
 	if key != "" {
@@ -994,17 +983,21 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (
 	r.commitMu.Unlock()
 
 	waitStart := time.Now()
+	waitSpan := commitSpan.StartChild("wait")
 	if leader {
 		r.diskMu.Lock()
 		r.flushPendingLocked()
 		r.diskMu.Unlock()
 	}
 	<-b.done
-	r.met().CommitWait.Observe(time.Since(waitStart))
+	waitSpan.End()
+	res.Stats.CommitWait = time.Since(waitStart)
+	r.met().CommitWait.Observe(res.Stats.CommitWait)
 	if b.err != nil {
 		return nil, Entry{}, false, false, b.err
 	}
 	r.met().Applies.Inc()
+	r.met().RecordBytes.ObserveSize(int64(len(framed)))
 	res.Stats.Commit = time.Since(commitStart)
 	return res, entry, false, false, nil
 }
@@ -1130,15 +1123,11 @@ func (r *Repository) verifyDiskLocked() error {
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if e.Seq <= snapSeq {
-			continue
-		}
-		d, err := storage.DecodeDiff(e.Added, e.Removed)
-		if err != nil {
-			return err
-		}
-		d.Apply(state)
+	for len(entries) > 0 && entries[0].Seq <= snapSeq {
+		entries = entries[1:]
+	}
+	if err := replay(state, entries); err != nil {
+		return err
 	}
 	head := r.published.Load().base
 	if !state.Equal(head) {
@@ -1241,14 +1230,9 @@ func (r *Repository) Compact() error {
 	// Retention-preserving compact: fold entries snapSeq+1..floor into the
 	// snapshot; the suffix floor+1..seq stays in the journal for followers.
 	state := hs.snap.Clone()
-	fold := hs.entries[:floor-hs.snapSeq]
 	remaining := hs.entries[floor-hs.snapSeq:]
-	for _, e := range fold {
-		d, err := storage.DecodeDiff(e.Added, e.Removed)
-		if err != nil {
-			return err
-		}
-		d.Apply(state)
+	if err := replay(state, hs.entries[:floor-hs.snapSeq]); err != nil {
+		return err
 	}
 	if err := r.writeBase(snapshotFile, state, floor); err != nil {
 		return err
@@ -1333,12 +1317,8 @@ func (r *Repository) At(seq int) (*objectbase.Base, error) {
 		return nil, fmt.Errorf("%w: %d (journal has %d)", ErrNoSuchState, seq, len(hs.entries))
 	}
 	base := hs.snap.Clone()
-	for _, e := range hs.entries[:seq] {
-		d, err := storage.DecodeDiff(e.Added, e.Removed)
-		if err != nil {
-			return nil, err
-		}
-		d.Apply(base)
+	if err := replay(base, hs.entries[:seq]); err != nil {
+		return nil, err
 	}
 	return base, nil
 }

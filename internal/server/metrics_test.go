@@ -52,6 +52,7 @@ func TestMetricsExposition(t *testing.T) {
 		"verlog_apply_seconds",
 		"verlog_journal_append_seconds",
 		"verlog_journal_fsync_seconds",
+		"verlog_journal_record_bytes",
 	} {
 		if !strings.Contains(body, "# TYPE "+fam+" histogram") {
 			t.Errorf("metrics missing histogram %s", fam)
@@ -62,7 +63,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	// Per-stage timings: every pipeline stage has one observation.
-	for _, stage := range []string{"parse", "safety", "stratify", "eval", "copy", "constraints", "commit"} {
+	for _, stage := range []string{"parse", "safety", "stratify", "eval", "copy", "constraints", "commit", "encode", "commit_wait"} {
 		want := `verlog_eval_stage_seconds_count{stage="` + stage + `"} 1`
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

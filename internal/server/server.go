@@ -527,7 +527,7 @@ func (s *Server) handleLog(t *tenant.Tenant, w http.ResponseWriter, r *http.Requ
 			break
 		}
 		resp.Entries = append(resp.Entries, logEntry{
-			Seq: e.Seq, Added: len(e.Added), Removed: len(e.Removed),
+			Seq: e.Seq, Added: e.Added.Len(), Removed: e.Removed.Len(),
 			Fired: e.Fired, Strata: e.Strata, Program: e.Program,
 		})
 	}
@@ -817,6 +817,8 @@ type applyTimings struct {
 	EvalUS        int64   `json:"eval_us"`
 	ConstraintsUS int64   `json:"constraints_us"`
 	CommitUS      int64   `json:"commit_us"`
+	EncodeUS      int64   `json:"encode_us"`
+	CommitWaitUS  int64   `json:"commit_wait_us"`
 	TotalUS       int64   `json:"total_us"`
 }
 
@@ -830,6 +832,8 @@ func timingsFromStats(st eval.Stats, total time.Duration) *applyTimings {
 		EvalUS:        us(st.Eval),
 		ConstraintsUS: us(st.ConstraintCheck),
 		CommitUS:      us(st.Commit),
+		EncodeUS:      us(st.Encode),
+		CommitWaitUS:  us(st.CommitWait),
 		TotalUS:       us(total),
 	}
 	for _, s := range st.Strata {
@@ -869,7 +873,7 @@ func (s *Server) recordApplyStats(st eval.Stats, total time.Duration) {
 	s.applySeconds.Observe(total)
 	stage := func(name string, d time.Duration) {
 		s.reg.Histogram("verlog_eval_stage_seconds",
-			"Per-stage apply latency (parse, safety, stratify, eval, copy, constraints, commit).",
+			"Per-stage apply latency (parse, safety, stratify, eval, copy, constraints, commit = encode + commit_wait).",
 			"stage", name).Observe(d)
 	}
 	stage("parse", st.Parse)
@@ -879,6 +883,8 @@ func (s *Server) recordApplyStats(st eval.Stats, total time.Duration) {
 	stage("copy", st.Copy)
 	stage("constraints", st.ConstraintCheck)
 	stage("commit", st.Commit)
+	stage("encode", st.Encode)
+	stage("commit_wait", st.CommitWait)
 	for i, tm := range st.Strata {
 		s.reg.Histogram("verlog_eval_stratum_seconds",
 			"Per-stratum T_P fixpoint latency.", "stratum", stratumLabel(i)).Observe(tm.Duration)

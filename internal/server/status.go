@@ -195,7 +195,9 @@ type commitBatchStatus struct {
 // nodeStatus is the /v1/status payload: one self-describing snapshot per
 // node; the fleet table is N of these side by side. Mirrored by
 // client.NodeStatus — field changes must be reflected there and in
-// docs/API.md.
+// docs/API.md. JournalBytes is the default tenant's journal file size and
+// ResidentHistoryBytes what its entries since the snapshot hold in memory:
+// both grow with every update until Compact folds the history away.
 type nodeStatus struct {
 	Version         string              `json:"version"`
 	Commit          string              `json:"commit,omitempty"`
@@ -207,6 +209,8 @@ type nodeStatus struct {
 	HeadSeq         int                 `json:"head_seq"`
 	SnapshotSeq     int                 `json:"snapshot_seq"`
 	JournalSeq      int                 `json:"journal_seq"`
+	JournalBytes    int64               `json:"journal_bytes"`
+	HistoryBytes    int64               `json:"resident_history_bytes"`
 	Ready           bool                `json:"ready"`
 	Checks          []obs.CheckResult   `json:"checks"`
 	Replication     *replication.Status `json:"replication,omitempty"`
@@ -227,6 +231,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	snap := repo.SnapshotSeq()
 	n, _ := repo.Len()
 	resident, opens, evictions, maxResident := s.tenants.Stats()
+	journalBytes, historyBytes := repo.HistoryBytes()
 
 	results, ready := s.checks.Run()
 	if results == nil {
@@ -244,6 +249,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		HeadSeq:       snap + n,
 		SnapshotSeq:   snap,
 		JournalSeq:    snap + len(repo.Log()),
+		JournalBytes:  journalBytes,
+		HistoryBytes:  historyBytes,
 		Ready:         ready,
 		Checks:        results,
 		Tenants: tenantsStatus{

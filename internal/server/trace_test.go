@@ -69,7 +69,7 @@ func TestApplyTraced(t *testing.T) {
 		}
 	}
 	walk(ar.Trace.Root)
-	for _, k := range []string{"parse", "safety", "stratify", "stratum", "iteration", "rule", "copy", "constraints", "commit"} {
+	for _, k := range []string{"parse", "safety", "stratify", "stratum", "iteration", "rule", "copy", "constraints", "commit", "encode", "wait"} {
 		if kinds[k] == 0 {
 			t.Errorf("trace has no %s span: %v", k, kinds)
 		}

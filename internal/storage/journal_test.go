@@ -22,11 +22,16 @@ func TestFrameJournalRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseJournalLineLegacy(t *testing.T) {
-	legacy := []byte(`{"seq":3,"fired":2}`)
-	got, err := ParseJournalLine(legacy, 1)
-	if err != nil || string(got) != string(legacy) {
-		t.Fatalf("legacy line = %q, %v", got, err)
+// A line that is not framed — bare JSON, as journals older than the
+// checksummed format held — is a bad record like any other.
+func TestParseJournalLineRejectsUnframed(t *testing.T) {
+	for _, line := range []string{
+		`{"seq":3,"fired":2}`, "", "v1", "v1 0000000 {}", "v2 00000000 {}", "v1 0000000g {}", "v1 00000000{}",
+		"v1 2C6D6A2B {}", // upper-case digits: the writer never produces them
+	} {
+		if got, err := ParseJournalLine([]byte(line), 1); err == nil {
+			t.Errorf("line %q accepted as %q", line, got)
+		}
 	}
 }
 
@@ -46,18 +51,21 @@ func validateJSON(b []byte) error {
 	return json.Unmarshal(b, &v)
 }
 
-func TestReadJournalCleanMixedFormats(t *testing.T) {
+func TestReadJournalSkipsBlankLines(t *testing.T) {
 	var sb strings.Builder
-	sb.WriteString(`{"seq":1}` + "\n")                // legacy
-	sb.Write(FrameJournalRecord([]byte(`{"seq":2}`))) // framed
-	sb.WriteString("\n")                              // blank line, skipped
-	sb.Write(FrameJournalRecord([]byte(`{"seq":3}`)))
-	payloads, good, err := ReadJournal(strings.NewReader(sb.String()), validateJSON)
+	sb.Write(FrameJournalRecord([]byte(`{"seq":1}`)))
+	sb.WriteString("\n") // blank line, skipped
+	sb.Write(FrameJournalRecord([]byte(`{"seq":2}`)))
+	var seen []string
+	n, good, err := ReadJournal(strings.NewReader(sb.String()), func(p []byte) error {
+		seen = append(seen, string(p))
+		return validateJSON(p)
+	})
 	if err != nil {
 		t.Fatalf("ReadJournal: %v", err)
 	}
-	if len(payloads) != 3 || good != int64(sb.Len()) {
-		t.Fatalf("payloads = %d, good = %d (want 3, %d)", len(payloads), good, sb.Len())
+	if n != 2 || good != int64(sb.Len()) || strings.Join(seen, " ") != `{"seq":1} {"seq":2}` {
+		t.Fatalf("records = %d %q, good = %d (want 2, %d)", n, seen, good, sb.Len())
 	}
 }
 
@@ -77,12 +85,13 @@ func TestReadJournalTornAndCorruptTails(t *testing.T) {
 		{"complete json, no newline", rec1 + `{"seq":2}`, 1, int64(len(rec1)), true},
 		{"empty file", "", 0, 0, false},
 		{"corrupt middle", rec1 + "v1 00000000 " + `{"seq":2}` + "\n" + rec2, 1, int64(len(rec1)), false},
+		{"unframed middle", rec1 + `{"seq":2}` + "\n" + rec2, 1, int64(len(rec1)), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			payloads, good, err := ReadJournal(strings.NewReader(tc.data), validateJSON)
-			if len(payloads) != tc.want || good != tc.good {
-				t.Errorf("payloads = %d good = %d, want %d %d", len(payloads), good, tc.want, tc.good)
+			n, good, err := ReadJournal(strings.NewReader(tc.data), validateJSON)
+			if n != tc.want || good != tc.good {
+				t.Errorf("records = %d good = %d, want %d %d", n, good, tc.want, tc.good)
 			}
 			var torn *TornTailError
 			var corrupt *CorruptRecordError

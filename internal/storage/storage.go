@@ -6,8 +6,9 @@
 //     and diffable; exists facts are derivable and omitted.
 //   - Binary: a gob-encoded snapshot with a format header, for large
 //     bases; exists facts of plain objects are omitted and re-seeded.
-//   - Journal: a JSON-lines log of applied programs with their fact-level
-//     diffs, enabling replay and time travel (package repository).
+//   - Journal: a log of checksummed JSON lines, one per applied program,
+//     carrying its fact-level diff as compact encoded fact lists (Facts),
+//     enabling replay and time travel (package repository).
 package storage
 
 import (
@@ -37,7 +38,8 @@ func LoadText(r io.Reader, name string) (*objectbase.Base, error) {
 	return parser.ObjectBase(string(src), name)
 }
 
-// OIDRecord is a portable encoding of an OID.
+// OIDRecord is a portable encoding of an OID: the form the gob snapshot
+// and journal records written before the compact fact encoding (Facts) use.
 type OIDRecord struct {
 	Sort     uint8
 	Sym      string
@@ -192,35 +194,4 @@ func LoadBinaryAt(r io.Reader) (*objectbase.Base, int, error) {
 		facts = append(facts, f)
 	}
 	return objectbase.FromFacts(facts), snap.Seq, nil
-}
-
-// EncodeDiff converts a diff to portable records.
-func EncodeDiff(d objectbase.Diff) (added, removed []FactRecord) {
-	for _, f := range d.Added {
-		added = append(added, EncodeFact(f))
-	}
-	for _, f := range d.Removed {
-		removed = append(removed, EncodeFact(f))
-	}
-	return added, removed
-}
-
-// DecodeDiff converts portable records back to a diff.
-func DecodeDiff(added, removed []FactRecord) (objectbase.Diff, error) {
-	var d objectbase.Diff
-	for _, rec := range added {
-		f, err := DecodeFact(rec)
-		if err != nil {
-			return d, err
-		}
-		d.Added = append(d.Added, f)
-	}
-	for _, rec := range removed {
-		f, err := DecodeFact(rec)
-		if err != nil {
-			return d, err
-		}
-		d.Removed = append(d.Removed, f)
-	}
-	return d, nil
 }
