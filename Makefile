@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test vet lint verlog-lint staticcheck govulncheck race check bench bench-e2e soak clean
+.PHONY: all build test vet lint verlog-lint staticcheck govulncheck race guard check bench bench-e2e soak clean
 
 all: check
 
@@ -52,8 +52,14 @@ govulncheck:
 race:
 	$(GO) test -race ./...
 
+# The allocation and size guards (bytes per fired update, per point update,
+# per journaled fact; in-run ratios) skip under the race detector, which
+# allocates on its own account — so they get a run without it.
+guard:
+	$(GO) test -count=1 -run Guard . ./internal/...
+
 # The gate: everything a change must pass before it lands.
-check: build vet race
+check: build vet race guard
 
 # Two-process replication soak: builds verlog-server, runs a real
 # primary/follower pair over TCP with enterprise (Figure 2) traffic,

@@ -9,12 +9,16 @@ package verlog
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
 	"verlog/internal/bench"
+	"verlog/internal/core"
+	"verlog/internal/eval"
+	"verlog/internal/term"
 	"verlog/internal/workload"
 )
 
@@ -123,5 +127,103 @@ func TestPointUpdateScalingGuard(t *testing.T) {
 	}
 	if bigA > 2*smallA {
 		t.Errorf("a point update makes %.0f allocations on 10⁴ employees and %.0f on 10²: %.2fx, want ≤ 2x", bigA, smallA, bigA/smallA)
+	}
+}
+
+// bytesPerFired applies p to the frozen base ob five times and returns the
+// bytes one apply allocates per fired update. A first, unmeasured apply
+// builds what the head caches (the literal index).
+func bytesPerFired(t *testing.T, ob *ObjectBase, p *Program, opts ...Option) float64 {
+	t.Helper()
+	run := func() int {
+		res, err := Apply(ob, p, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Fired
+	}
+	const applies = 5
+	fired := run()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < applies; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / applies / float64(fired)
+}
+
+// TestClosureAllocGuard is the E24 guard (ROADMAP item 1): the apply the
+// server makes on recursive_closure — the ancestors program on a frozen head
+// that already holds the closure, cached plans, trace on — writes every
+// fired update once, so its cost per fired update is small and does not
+// grow with the genealogy. (It shrinks somewhat: ten generations fire eight
+// updates per version, six fire four, and what a run pays per version is
+// spread over them.) Counts and an in-run ratio only.
+func TestClosureAllocGuard(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race instrumentation allocates on its own account")
+	}
+	p, err := ParseProgram(workload.AncestorsProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(generations int) float64 {
+		open := workload.GenealogySpec{Generations: generations, Branching: 2}.ObjectBase()
+		first, err := Apply(open, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := first.Final
+		plans, err := eval.Compile(head, p, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytesPerFired(t, head, p, core.WithPlans(plans), WithTrace())
+	}
+	small, big := measure(6), measure(10)
+	t.Logf("generations=6: %.0f B per fired update; generations=10: %.0f B (%.2fx)", small, big, big/small)
+	for _, b := range []float64{small, big} {
+		if b > 1500 {
+			t.Errorf("a re-apply on a closed head allocates %.0f B per fired update, want ≤ 1500", b)
+		}
+	}
+	if big > 1.3*small {
+		t.Errorf("bytes per fired update grow %.2fx from 6 to 10 generations, want ≤ 1.3x", big/small)
+	}
+}
+
+// TestAccumulatorScalingGuard: one version that accumulates k facts over k
+// iterations — the reachability of a chain of k nodes collected on a single
+// object — is extended in place, so an iteration costs what it adds. An
+// engine that re-copies the accumulated state every iteration pays O(k) per
+// fired update and fails this by a wide margin (3.7x, measured).
+func TestAccumulatorScalingGuard(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race instrumentation allocates on its own account")
+	}
+	p, err := ParseProgram(`
+seed: ins[acc].reach -> Y <- acc.start -> X, X.next -> Y.
+step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(k int) float64 {
+		ob := NewObjectBase()
+		node := func(i int) OID { return Sym(fmt.Sprintf("n%d", i)) }
+		ob.Insert(term.NewFact(term.GVID{Object: Sym("acc")}, "start", node(0)))
+		ob.EnsureObject(Sym("acc"))
+		for i := 0; i < k; i++ {
+			ob.Insert(term.NewFact(term.GVID{Object: node(i)}, "next", node(i+1)))
+			ob.EnsureObject(node(i))
+		}
+		return bytesPerFired(t, ob.Freeze(), p)
+	}
+	small, big := measure(500), measure(2000)
+	t.Logf("k=500: %.0f B per fired update; k=2000: %.0f B (%.2fx)", small, big, big/small)
+	if big > 1.5*small {
+		t.Errorf("an accumulator of 2000 facts costs %.0f B per fired update and one of 500 costs %.0f B: %.2fx, want ≤ 1.5x", big, small, big/small)
 	}
 }

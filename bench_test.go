@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"verlog/internal/baseline"
+	"verlog/internal/core"
 	"verlog/internal/eval"
 	"verlog/internal/obs"
 	"verlog/internal/repository"
@@ -112,6 +113,29 @@ func BenchmarkE4Ancestors(b *testing.B) {
 				apply(b, ob, p)
 			}
 		})
+	}
+}
+
+// BenchmarkE24ClosedClosure — the apply the server makes on the
+// recursive_closure workload: the ancestors program on a frozen head that
+// already holds the closure (3 roots × 8 generations, 765 persons), cached
+// plans, trace on. Everything fires, nothing changes.
+func BenchmarkE24ClosedClosure(b *testing.B) {
+	p := mustParseProgram(b, workload.AncestorsProgram)
+	spec := workload.GenealogySpec{Generations: 8, Branching: 2, Roots: 3}
+	head := apply(b, spec.ObjectBase(), p).Final
+	plans, err := eval.Compile(head, p, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := apply(b, head, p, core.WithPlans(plans), WithTrace())
+		if res.Fired != spec.AncestorPairs() || len(res.Trace) != res.Fired || len(res.Changes) != 0 {
+			b.Fatalf("fired %d, trace %d, changes %d; want %d, %d, 0",
+				res.Fired, len(res.Trace), len(res.Changes), spec.AncestorPairs(), spec.AncestorPairs())
+		}
 	}
 }
 
@@ -254,20 +278,6 @@ func BenchmarkE11VsDirect(b *testing.B) {
 			baseline.DirectEnterprise(direct)
 		}
 	})
-}
-
-// BenchmarkE13Parallel — ablation: workers for matching and state copies.
-func BenchmarkE13Parallel(b *testing.B) {
-	p := mustParseProgram(b, workload.EnterpriseProgram)
-	ob := workload.EnterpriseSpec{Employees: 2000, Seed: 21}.ObjectBase().Freeze()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				apply(b, ob, p, WithParallelism(workers))
-			}
-		})
-	}
 }
 
 // BenchmarkE14Planner — ablation: static vs statistics join ordering.

@@ -1,7 +1,7 @@
 // Command verlog-bench runs the experiment suite of EXPERIMENTS.md and
 // prints one table per experiment. Every figure and worked example of the
 // paper has an experiment (E1-E5), plus the characterization and ablation
-// studies (E6-E13).
+// studies (E6 onwards).
 //
 // Usage:
 //

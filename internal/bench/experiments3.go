@@ -2,23 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"verlog/internal/eval"
 	"verlog/internal/parser"
 	"verlog/internal/term"
 	"verlog/internal/workload"
 )
-
-// --- E13: parallel evaluation ablation ---------------------------------------
-
-func init() {
-	register(Experiment{
-		ID:    "E13",
-		Title: "Ablation: parallel rule matching and state computation",
-		Run:   runE13,
-	})
-}
 
 // --- E14: join-planner ablation -----------------------------------------------
 
@@ -97,62 +86,5 @@ find: ins[X].flagged -> yes <- X.isa -> item, X.special -> yes, X.val -> V, V >=
 	eSame := eStatic.Result.Equal(eStats.Result)
 	t.AddRow("enterprise n=4000, 5% managers", "static (source order)", ms(eStaticTime), "1.00", pass(eSame))
 	t.AddRow("enterprise n=4000, 5% managers", "statistics", ms(eStatsTime), ratio(eStaticTime, eStatsTime), pass(eSame))
-	return t, nil
-}
-
-func runE13() (*Table, error) {
-	t := &Table{
-		ID:    "E13",
-		Title: "parallel evaluation (engine ablation)",
-		Note:  fmt.Sprintf("matching and state copies are read-only and fan out across workers; the fixpoint is identical by construction (same_result). GOMAXPROCS=%d — wall-clock speedups need multiple cores; on a single-CPU host timing differences are scheduler noise", runtime.GOMAXPROCS(0)),
-		Header: []string{
-			"workload", "workers", "time_ms", "speedup_vs_1", "same_result",
-		},
-	}
-	type wl struct {
-		name string
-		run  func(workers int) (*eval.Result, error)
-	}
-	enterprise := workload.EnterpriseSpec{Employees: 4000, Seed: 21}.ObjectBase()
-	enterpriseProg := mustProgram(workload.EnterpriseProgram)
-	touched := workload.TouchedSpec{Objects: 4000, Methods: 16}.ObjectBase()
-	touchProg := mustProgram(workload.TouchProgram(50))
-	workloads := []wl{
-		{"enterprise n=4000", func(workers int) (*eval.Result, error) {
-			return eval.Run(enterprise, enterpriseProg, eval.Options{Parallelism: workers})
-		}},
-		{"touch 50% of 4000x16", func(workers int) (*eval.Result, error) {
-			return eval.Run(touched, touchProg, eval.Options{Parallelism: workers})
-		}},
-	}
-	for _, w := range workloads {
-		// Warm up allocator and caches before the comparative sweep; on a
-		// single-CPU host the honest speedup is ~1.0.
-		if _, err := w.run(1); err != nil {
-			return nil, err
-		}
-		var baselineTime float64
-		var baselineRes *eval.Result
-		for _, workers := range []int{1, 2, 4, 8} {
-			var res *eval.Result
-			d, err := timedBest(2, func() error {
-				var err error
-				res, err = w.run(workers)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			same := true
-			if baselineRes == nil {
-				baselineRes = res
-				baselineTime = float64(d.Nanoseconds())
-			} else {
-				same = res.Result.Equal(baselineRes.Result)
-			}
-			t.AddRow(w.name, workers, ms(d),
-				fmt.Sprintf("%.2f", baselineTime/float64(d.Nanoseconds())), pass(same))
-		}
-	}
 	return t, nil
 }

@@ -39,10 +39,6 @@ func WithMaxIterations(n int) Option { return func(e *Engine) { e.opts.MaxIterat
 // base, restricting the language to exactly the paper's setting.
 func WithForbidNewObjects() Option { return func(e *Engine) { e.opts.ForbidNewObjects = true } }
 
-// WithParallelism evaluates rule matching and state computation on n
-// workers. The fixpoint is identical to sequential evaluation.
-func WithParallelism(n int) Option { return func(e *Engine) { e.opts.Parallelism = n } }
-
 // WithStaticPlanner disables statistics-based join ordering (ablation; the
 // fixpoint is identical).
 func WithStaticPlanner() Option { return func(e *Engine) { e.opts.StaticPlanner = true } }

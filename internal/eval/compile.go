@@ -4,7 +4,7 @@ package eval
 // fixpoint loop: each rule body, in the join order the statistics planner
 // picks, becomes a MatchPlan — a flat sequence of index-probe / scan /
 // filter / negation-check steps over numbered variable slots. The
-// executor (exec.go) runs plans against a base with a per-worker arena,
+// executor (exec.go) runs plans against a base with its own buffer arena,
 // replacing the map-based substitution + trail machinery of match.go on
 // the hot path. match.go remains as the reference interpreter
 // (Options.Interpreted), which the metamorphic suite diffs against.

@@ -1,10 +1,12 @@
 package eval
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"verlog/internal/objectbase"
@@ -45,11 +47,6 @@ type Options struct {
 	// ForbidNewObjects rejects inserts on objects unknown to the base
 	// (creating fresh objects is an extension beyond the paper).
 	ForbidNewObjects bool
-	// Parallelism sets the worker count for rule matching and state
-	// computation within an iteration (both read-only over the base).
-	// Values below 2 evaluate sequentially. The computed fixpoint is
-	// identical; only wall-clock time changes.
-	Parallelism int
 	// StaticPlanner disables statistics-based join ordering: bodies are
 	// evaluated with the source-order planner instead of ordering
 	// generators by index cardinality. The fixpoint is identical; this
@@ -105,7 +102,7 @@ type RuleStat struct {
 	// Iterations is how many T_P iterations evaluated the rule.
 	Iterations int `json:"iterations"`
 	// TimeUS is the wall-clock microseconds spent matching the rule,
-	// summed over its step-1 tasks (under parallelism, task times overlap).
+	// summed over its step-1 tasks.
 	TimeUS int64 `json:"time_us"`
 }
 
@@ -225,7 +222,7 @@ const defaultMaxIterations = 1_000_000
 
 // dedupSpill is the per-target list length past which fired-update
 // deduplication switches from linear scan to the spill map (see
-// runStratum).
+// stratumRun.collect).
 const dedupSpill = 16
 
 // engine carries the mutable evaluation state.
@@ -241,26 +238,27 @@ type engine struct {
 	// an entry is its own deepest version. The final copy visits exactly
 	// these entries.
 	deepest map[term.OID]term.GVID
-	trace   []TraceEvent
 	fired   int
 	// labels[ri] is rule ri's display label; agg[ri] its running stats.
 	labels []string
 	agg    []ruleAgg
-	// Compiled-plan state: compiled is nil on the interpreted path. x is
-	// the sequential executor; parallel workers build their own. buckets
-	// holds the current iteration's delta facts grouped by (path, method)
-	// for the delta-seeded plan variants.
+	// Compiled-plan state: compiled is nil on the interpreted path, x is
+	// the executor of the compiled one.
 	compiled *CompiledProgram
 	x        *executor
-	buckets  map[pmKey][]term.Fact
-	// arena backs the states cloned by the sequential target computation;
-	// parallel workers carve from their own.
+	// arena backs the private copies of version states (see own).
 	arena objectbase.StateArena
 	// p0 is the frozen input base, the parent of the overlay base. Heads
 	// always push paths, so path-0 versions are never shadowed by the
 	// overlay's own layer; reads of them can go straight to the parent and
 	// skip the guaranteed own-layer miss.
 	p0 *objectbase.Base
+	// ups holds every fired update of the run, written once, in firing
+	// order; targets every (stratum, target version) they were fired on.
+	// Result.Trace is assembled from ups at the end of Run.
+	ups     slab[firedUpdate]
+	targets slab[targetUpdates]
+	gone    []keyResult // extend's scratch
 }
 
 // readBase returns the base to read version g from (see engine.p0).
@@ -271,19 +269,68 @@ func (e *engine) readBase(g term.GVID) *objectbase.Base {
 	return e.base
 }
 
-// targetUpdates accumulates one target version's deduplicated updates over
-// a stratum. mark is the last iteration that appended to ups; runStratum
-// uses it to build the per-iteration dirty list without a second map.
-// ups starts as a view of ups0 (capacity-clamped, so growth reallocates):
-// the overwhelming majority of targets receive exactly one update, and the
-// inline slot spares them a heap allocation. Instances come from
-// per-iteration slabs, so a 10k-target iteration costs one allocation, not
-// 10k.
+// slab hands out zeroed values that never move, from chunks that double
+// from 2 to 512 entries: a run that needs one pays for two, one that needs
+// ten thousand makes two dozen allocations and leaves at most 511 unused,
+// and nothing is reserved on an estimate.
+type slab[T any] struct{ chunks [][]T }
+
+func (s *slab[T]) next() *T {
+	n := len(s.chunks)
+	if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
+		size := 2
+		if n > 0 {
+			size = min(2*cap(s.chunks[n-1]), 512)
+		}
+		s.chunks = append(s.chunks, make([]T, 0, size))
+		n++
+	}
+	c := &s.chunks[n-1]
+	*c = (*c)[:len(*c)+1]
+	return &(*c)[len(*c)-1]
+}
+
+// firedUpdate is one fired update: what it does to its target (the version
+// and the kind are the target's, see update), the rule and iteration that
+// derived it first, and the link to the target's next update.
+type firedUpdate struct {
+	tu         *targetUpdates
+	next       *firedUpdate
+	key        term.MethodKey
+	r, r2      term.OID
+	rule, iter int32
+}
+
+// update rebuilds the Update the entry was fired as.
+func (f *firedUpdate) update() Update {
+	w := f.tu.w
+	path, kind := w.Path.Pop()
+	return Update{Kind: kind, V: term.GVID{Object: w.Object, Path: path}, Key: f.key, R: f.r, R2: f.r2}
+}
+
+// targetUpdates is one target version w within a stratum: the deduplicated
+// updates fired on it, as a list through engine.ups in firing order, and
+// the state they have been applied to. This is step 2 of T_P with the
+// paper's footnote 4 taken literally: a version that is only relevant
+// shares the frozen state of v* (or, when w is already active, of w
+// itself) by pointer; the first update that changes anything copies it,
+// once, and from then on w is extended in place with the updates each
+// iteration adds. All updates of one target have the same kind and version:
+// w is kind(version).
 type targetUpdates struct {
-	w    term.GVID
-	ups  []Update
-	mark int
-	ups0 [1]Update
+	w           term.GVID
+	stratum     int
+	first, last *firedUpdate
+	fresh       *firedUpdate // the first update not yet applied to st
+	n           int          // list length
+	// st is w's state; nil until the target's first applyTargets. owned
+	// says it is a private copy, free to edit. appears marks a target the
+	// base does not hold yet (installed by appear); prev is then the state w
+	// had without being active — nil but for hand-written input versions
+	// that lack the exists method.
+	st, prev *objectbase.State
+	owned    bool
+	appears  bool
 }
 
 // ruleAgg is the always-on per-rule accumulator behind Result.RuleStats.
@@ -380,7 +427,9 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 			Duration: time.Since(stratumStart), Iterations: iters,
 		})
 	}
-	res.Result = e.base
+	// result(P) shares the states of versions no update changed with the
+	// input base: frozen, nobody can edit the input through it.
+	res.Result = e.base.Freeze()
 	copyStart := time.Now()
 	copySpan := sp.StartChild("copy")
 	res.Final, res.Changes = e.finalize()
@@ -391,24 +440,42 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	res.Stats.Eval = time.Since(evalStart)
 	res.Fired = e.fired
 	res.RuleStats = e.ruleStats()
-	// Candidate enumeration follows map order, so raw trace order within an
-	// iteration is arbitrary; sort it into a canonical order so runs are
-	// reproducible (parallel or not).
-	sort.Slice(e.trace, func(i, j int) bool {
-		a, b := e.trace[i], e.trace[j]
-		if a.Stratum != b.Stratum {
-			return a.Stratum < b.Stratum
-		}
-		if a.Iteration != b.Iteration {
-			return a.Iteration < b.Iteration
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		return a.Update.compare(b.Update) < 0
-	})
-	res.Trace = e.trace
+	res.Trace = e.buildTrace()
 	return res, nil
+}
+
+// buildTrace assembles Result.Trace, exactly sized, from the run's update
+// log. Candidate enumeration follows map order, so firing order within an
+// iteration is arbitrary; the events are sorted into a canonical order so
+// runs are reproducible.
+func (e *engine) buildTrace() []TraceEvent {
+	if !e.opts.Trace || e.fired == 0 {
+		return nil
+	}
+	trace := make([]TraceEvent, 0, e.fired)
+	for _, chunk := range e.ups.chunks {
+		for i := range chunk {
+			f := &chunk[i]
+			trace = append(trace, TraceEvent{
+				Stratum: f.tu.stratum, Iteration: int(f.iter),
+				Rule:   e.labels[f.rule],
+				Update: f.update(),
+			})
+		}
+	}
+	slices.SortFunc(trace, func(a, b TraceEvent) int {
+		if c := cmp.Compare(a.Stratum, b.Stratum); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Iteration, b.Iteration); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.Rule, b.Rule); c != 0 {
+			return c
+		}
+		return a.Update.compare(b.Update)
+	})
+	return trace
 }
 
 // seedDeepest enters the input base's unsettled versions into the deepest-
@@ -457,6 +524,112 @@ func (e *engine) ruleStats() []RuleStat {
 	return out
 }
 
+// bucket holds the facts of one (path, method) the last iteration added: the
+// semi-naive delta, in the one form both the compiled delta variants and the
+// interpreter's delta literals read. The storage is reused from iteration to
+// iteration; room is the capacity the coming fill may need.
+type bucket struct {
+	method string
+	facts  []term.Fact
+	room   int
+}
+
+// stratumRun is the working state of one stratum's fixpoint.
+type stratumRun struct {
+	e        *engine
+	si, iter int
+	// byTarget groups the updates fired so far (T¹ accumulated; within a
+	// stratum it only grows, see DESIGN.md on intra-stratum monotonicity)
+	// per target version, and doubles as the fired set: an update is known
+	// iff it is in its target's list. Small lists (the overwhelming
+	// majority) dedup by linear scan; once a list passes dedupSpill its
+	// updates move to the spill map, so accumulator targets (recursive
+	// closures collecting thousands of inserts on one version) keep O(1)
+	// membership checks without hashing every emitted update — the Update
+	// struct is large and hash-dominated — on the common path.
+	byTarget map[term.GVID]*targetUpdates
+	spill    map[Update]struct{}
+	// dirty lists the targets that received updates this iteration; only
+	// they change — everything else a state depends on (its source, its own
+	// update list) is fixed within the stratum. fresh counts the updates.
+	dirty []*targetUpdates
+	fresh int
+	// freshByRule feeds the per-rule iteration spans; nil unless tracing so
+	// the hot path stays map-free.
+	freshByRule map[int]int
+	// buckets holds one delta bucket per (path, method) some rule of the
+	// stratum can be seeded from, byPath the same buckets per path; both
+	// nil when no rule consumes a delta (or under Naive).
+	buckets map[pmKey]*bucket
+	byPath  map[term.Path][]*bucket
+}
+
+// deltaKeys returns the (path, method) buckets rule ri's delta-seeded
+// evaluations read, in the order of its variants (compiled) or delta
+// positions (interpreted).
+func (e *engine) deltaKeys(ri int) []pmKey {
+	if e.compiled != nil {
+		return e.compiled.rules[ri].deltaKeys
+	}
+	return e.plans[ri].deltaKeys
+}
+
+// collect is the one sink of step 1: it enters an emitted update into its
+// target's list unless it is known already.
+func (s *stratumRun) collect(ri int, u Update) {
+	e := s.e
+	w := u.Target()
+	tu := s.byTarget[w]
+	if tu == nil {
+		tu = e.targets.next()
+		tu.w, tu.stratum = w, s.si
+		if s.byTarget == nil {
+			s.byTarget = make(map[term.GVID]*targetUpdates)
+		}
+		s.byTarget[w] = tu
+	}
+	if tu.n <= dedupSpill {
+		for f := tu.first; f != nil; f = f.next {
+			if f.key == u.Key && f.r == u.R && f.r2 == u.R2 {
+				return
+			}
+		}
+		if tu.n == dedupSpill {
+			if s.spill == nil {
+				s.spill = make(map[Update]struct{}, 4*dedupSpill)
+			}
+			for f := tu.first; f != nil; f = f.next {
+				s.spill[f.update()] = struct{}{}
+			}
+			s.spill[u] = struct{}{}
+		}
+	} else {
+		if _, known := s.spill[u]; known {
+			return
+		}
+		s.spill[u] = struct{}{}
+	}
+	f := e.ups.next()
+	*f = firedUpdate{tu: tu, key: u.Key, r: u.R, r2: u.R2, rule: int32(ri), iter: int32(s.iter)}
+	if tu.last == nil {
+		tu.first = f
+	} else {
+		tu.last.next = f
+	}
+	tu.last = f
+	tu.n++
+	if tu.fresh == nil {
+		tu.fresh = f
+		s.dirty = append(s.dirty, tu)
+	}
+	s.fresh++
+	e.fired++
+	e.agg[ri].fired++
+	if s.freshByRule != nil {
+		s.freshByRule[ri]++
+	}
+}
+
 // runStratum iterates T_P over the given rules until the fixpoint,
 // recording iteration spans under stratumSpan when tracing.
 func (e *engine) runStratum(si int, ruleIdx []int, stratumSpan *obs.Span) (int, error) {
@@ -471,155 +644,59 @@ func (e *engine) runStratum(si int, ruleIdx []int, stratumSpan *obs.Span) (int, 
 			e.plans[ri] = planRuleCost(e.prog.Rules[ri], est)
 		}
 	}
-	// fired accumulates T¹ across iterations; within a stratum it only
-	// grows (see DESIGN.md on intra-stratum monotonicity). byTarget groups
-	// the accumulated updates per target version; only targets with fresh
-	// updates need their state recomputed in an iteration — everything a
-	// state depends on (the copy source, the target's own update set) is
-	// otherwise unchanged within the stratum.
+	s := &stratumRun{e: e, si: si}
+	if stratumSpan != nil {
+		s.freshByRule = make(map[int]int)
+	}
 	for _, ri := range ruleIdx {
 		e.agg[ri].stratum = si + 1
-	}
-	// wantDelta: semi-naive iteration only pays for delta collection when
-	// some rule in the stratum can actually consume a delta. Strata whose
-	// rules have no delta-seedable literal (every body literal reads facts
-	// frozen in-stratum) reach their fixpoint after one changing iteration,
-	// so added-fact collection and bucketing are skipped entirely.
-	wantDelta := false
-	if e.opts.Strategy != Naive {
-		for _, ri := range ruleIdx {
-			if e.compiled != nil {
-				if len(e.compiled.rules[ri].deltaKeys) > 0 {
-					wantDelta = true
-					break
-				}
-			} else if len(e.plans[ri].deltaPositions) > 0 {
-				wantDelta = true
-				break
+		// Semi-naive iteration only pays for a delta some rule of the
+		// stratum can consume, and only for the (path, method) keys its
+		// seeds read. A stratum without any — every body literal reads facts
+		// frozen in-stratum — reaches its fixpoint after one changing
+		// iteration.
+		if e.opts.Strategy == Naive {
+			continue
+		}
+		for _, key := range e.deltaKeys(ri) {
+			if s.buckets == nil {
+				s.buckets = make(map[pmKey]*bucket)
+				s.byPath = make(map[term.Path][]*bucket)
+			}
+			if s.buckets[key] == nil {
+				b := &bucket{method: key.Method}
+				s.buckets[key] = b
+				s.byPath[key.Path] = append(s.byPath[key.Path], b)
 			}
 		}
 	}
-	// byTarget doubles as the fired set: an update is known iff it is
-	// already in its target's list. Small lists (the overwhelming majority)
-	// dedup by linear scan; once a target's list passes dedupSpill its
-	// updates move to the spill map, so accumulator targets (recursive
-	// closures collecting thousands of inserts on one version) keep O(1)
-	// membership checks. This avoids hashing every emitted update — the
-	// Update struct is large and hash-dominated — on the common path.
-	// byTarget is sized lazily from the first iteration's emitted updates;
-	// the bulk of a stratum's updates arrive in iteration 1, and presizing
-	// avoids the incremental rehash-and-split cost on large runs.
-	var byTarget map[term.GVID]*targetUpdates
-	var spill map[Update]struct{}
-	var delta []term.Fact
 
-	for iter := 1; ; iter++ {
+	var tasks []fireTask
+	var stats []fireStat
+	added := 0 // facts the previous iteration added
+	for s.iter = 1; ; s.iter++ {
+		iter := s.iter
 		if iter > e.opts.MaxIterations {
 			return iter, &IterationLimitError{Stratum: si, Limit: e.opts.MaxIterations}
 		}
-		var dirty []*targetUpdates
-		var tuSlab []targetUpdates
-		fresh := 0
-		// freshByRule feeds the per-rule iteration spans; only kept when
-		// tracing so the hot path stays map-free.
-		var freshByRule map[int]int
-		if stratumSpan != nil {
-			freshByRule = make(map[int]int)
-		}
-		collect := func(ri int) func(Update) {
-			return func(u Update) {
-				w := u.Target()
-				tu := byTarget[w]
-				if tu == nil {
-					// Pointers into tuSlab stay valid: the slab never grows
-					// past its capacity (one new target per fresh update at
-					// most), and superseded slabs are kept alive by the
-					// byTarget entries pointing into them.
-					if len(tuSlab) < cap(tuSlab) {
-						tuSlab = tuSlab[:len(tuSlab)+1]
-						tu = &tuSlab[len(tuSlab)-1]
-					} else {
-						tu = &targetUpdates{}
-					}
-					tu.w = w
-					tu.ups = tu.ups0[:0:1]
-					byTarget[w] = tu
-				}
-				list := tu.ups
-				if len(list) <= dedupSpill {
-					for i := range list {
-						if list[i] == u {
-							return
-						}
-					}
-					if len(list) == dedupSpill {
-						if spill == nil {
-							spill = make(map[Update]struct{}, 4*dedupSpill)
-						}
-						for i := range list {
-							spill[list[i]] = struct{}{}
-						}
-						spill[u] = struct{}{}
-					}
-				} else {
-					if _, known := spill[u]; known {
-						return
-					}
-					spill[u] = struct{}{}
-				}
-				tu.ups = append(list, u)
-				if tu.mark != iter {
-					tu.mark = iter
-					dirty = append(dirty, tu)
-				}
-				fresh++
-				e.fired++
-				e.agg[ri].fired++
-				if freshByRule != nil {
-					freshByRule[ri]++
-				}
-				if e.opts.Trace {
-					e.trace = append(e.trace, TraceEvent{
-						Stratum: si, Iteration: iter,
-						Rule:   e.labels[ri],
-						Update: u,
-					})
-				}
-			}
-		}
-
-		var tasks []fireTask
-		lastRI := -1
-		addTask := func(t fireTask) {
-			tasks = append(tasks, t)
-			if t.ri != lastRI {
-				e.agg[t.ri].iterations++
-				lastRI = t.ri
-			}
-		}
+		tasks, stats = tasks[:0], stats[:0]
 		if iter == 1 || e.opts.Strategy == Naive {
 			for _, ri := range ruleIdx {
-				addTask(fireTask{ri: ri, pos: -1})
+				tasks = append(tasks, fireTask{ri: ri, pos: -1})
 			}
 		} else {
-			if len(delta) == 0 {
+			if added == 0 {
 				return iter - 1, nil
 			}
-			if e.compiled != nil {
-				// One task per delta plan variant whose (path, method)
-				// bucket received facts; pos indexes the variant.
-				for _, ri := range ruleIdx {
-					cr := e.compiled.rules[ri]
-					for vi, key := range cr.deltaKeys {
-						if len(e.buckets[key]) > 0 {
-							addTask(fireTask{ri: ri, pos: vi})
+			// One task per delta seed whose bucket received facts.
+			for _, ri := range ruleIdx {
+				for i, key := range e.deltaKeys(ri) {
+					if facts := s.buckets[key].facts; len(facts) > 0 {
+						pos := i
+						if e.compiled == nil {
+							pos = e.plans[ri].deltaPositions[i]
 						}
-					}
-				}
-			} else {
-				for _, ri := range ruleIdx {
-					for _, pos := range e.plans[ri].deltaPositions {
-						addTask(fireTask{ri: ri, pos: pos})
+						tasks = append(tasks, fireTask{ri: ri, pos: pos, delta: facts})
 					}
 				}
 			}
@@ -628,94 +705,46 @@ func (e *engine) runStratum(si int, ruleIdx []int, stratumSpan *obs.Span) (int, 
 		var itSpan *obs.Span
 		if stratumSpan != nil {
 			itSpan = stratumSpan.StartChild("iteration " + strconv.Itoa(iter))
-			itSpan.SetInt("delta_in", int64(len(delta)))
+			itSpan.SetInt("delta_in", int64(added))
+			clear(s.freshByRule)
 		}
-		// Sequential, untraced runs sink fired updates straight into collect,
-		// skipping the per-task result buffers and the merge pass; parallel
-		// and traced runs buffer per task so merge order (and span
-		// accounting) stays deterministic. The accumulators are presized
-		// from the planner's row estimates in direct mode and from the exact
-		// emitted count in buffered mode; a low estimate only costs append
-		// growth (collect never grows tuSlab past capacity — overflow
-		// targets allocate individually).
-		var results [][]Update
-		var stats []fireStat
-		var err error
-		if e.opts.Parallelism < 2 && stratumSpan == nil {
-			est := 0
-			if e.compiled != nil {
-				for _, t := range tasks {
-					cr := e.compiled.rules[t.ri]
-					if t.pos >= 0 {
-						est += len(e.buckets[cr.deltaKeys[t.pos]])
-						continue
-					}
-					for si := range cr.steps {
-						if r := cr.steps[si].estRows; r > 0 {
-							est += r
-							break
-						}
-					}
-				}
-				if est > 1<<17 {
-					est = 1 << 17
-				}
-			}
-			dirty = make([]*targetUpdates, 0, est)
-			tuSlab = make([]targetUpdates, 0, est)
-			if byTarget == nil {
-				byTarget = make(map[term.GVID]*targetUpdates, est)
-			}
-			_, stats, err = e.collectFirings(si, tasks, delta, func(ti int) func(Update) {
-				ri := tasks[ti].ri
-				inner := collect(ri)
-				return func(u Update) {
-					e.agg[ri].emitted++
-					inner(u)
-				}
+		s.fresh = 0
+		for ti, t := range tasks {
+			ri, emitted := t.ri, 0
+			st, err := e.step1(si, t, func(u Update) error {
+				emitted++
+				s.collect(ri, u)
+				return nil
 			})
-		} else {
-			results, stats, err = e.collectFirings(si, tasks, delta, nil)
-		}
-		if err != nil {
-			itSpan.End()
-			return iter, err
-		}
-		if results != nil {
-			total := 0
-			for _, ups := range results {
-				total += len(ups)
+			if err != nil {
+				itSpan.End()
+				return iter, err
 			}
-			dirty = make([]*targetUpdates, 0, total)
-			tuSlab = make([]targetUpdates, 0, total)
-			if byTarget == nil {
-				byTarget = make(map[term.GVID]*targetUpdates, total)
+			st.emitted = emitted
+			stats = append(stats, st)
+			a := &e.agg[ri]
+			a.emitted += emitted
+			a.matched += st.matched
+			a.time += st.dur
+			if ti == 0 || tasks[ti-1].ri != ri {
+				a.iterations++
 			}
-			for ti, ups := range results {
-				sink := collect(tasks[ti].ri)
-				for _, u := range ups {
-					sink(u)
-				}
-				e.agg[tasks[ti].ri].emitted += len(ups)
-			}
-		}
-		for ti := range tasks {
-			e.agg[tasks[ti].ri].matched += stats[ti].matched
-			e.agg[tasks[ti].ri].time += stats[ti].dur
 		}
 		if itSpan != nil {
-			e.addRuleSpans(itSpan, tasks, results, stats, freshByRule)
-			itSpan.SetInt("fresh_updates", int64(fresh))
+			e.addRuleSpans(itSpan, tasks, stats, s.freshByRule)
+			itSpan.SetInt("fresh_updates", int64(s.fresh))
 		}
-
-		if fresh == 0 {
+		if s.fresh == 0 {
 			itSpan.End()
 			return iter, nil
 		}
-		changed, added, err := e.applyTargets(dirty, wantDelta)
+		targets := len(s.dirty)
+		var changed bool
+		var err error
+		changed, added, err = s.applyTargets()
 		if itSpan != nil {
-			itSpan.SetInt("targets", int64(len(dirty)))
-			itSpan.SetInt("facts_added", int64(len(added)))
+			itSpan.SetInt("targets", int64(targets))
+			itSpan.SetInt("facts_added", int64(added))
 			itSpan.End()
 		}
 		if err != nil {
@@ -724,33 +753,18 @@ func (e *engine) runStratum(si int, ruleIdx []int, stratumSpan *obs.Span) (int, 
 		if !changed {
 			return iter, nil
 		}
-		if !wantDelta && e.opts.Strategy != Naive {
+		if s.buckets == nil && e.opts.Strategy != Naive {
 			// No rule here can fire from in-stratum additions, so a changing
 			// iteration is already the fixpoint.
 			return iter, nil
 		}
-		delta = added
-		if e.compiled != nil {
-			e.buckets = bucketDelta(added)
-		}
 	}
-}
-
-// bucketDelta groups an iteration's added facts by (path, method), the
-// granularity compiled delta variants join at.
-func bucketDelta(facts []term.Fact) map[pmKey][]term.Fact {
-	out := make(map[pmKey][]term.Fact, 8)
-	for _, f := range facts {
-		k := pmKey{Path: f.V.Path, Method: f.Method}
-		out[k] = append(out[k], f)
-	}
-	return out
 }
 
 // addRuleSpans attaches one child span per rule evaluated in the
 // iteration, aggregating its step-1 tasks (a rule can run several delta
 // tasks): earliest start, summed duration, match/emit/fired counts.
-func (e *engine) addRuleSpans(itSpan *obs.Span, tasks []fireTask, results [][]Update, stats []fireStat, freshByRule map[int]int) {
+func (e *engine) addRuleSpans(itSpan *obs.Span, tasks []fireTask, stats []fireStat, freshByRule map[int]int) {
 	type ruleIterAgg struct {
 		start   time.Time
 		dur     time.Duration
@@ -771,7 +785,7 @@ func (e *engine) addRuleSpans(itSpan *obs.Span, tasks []fireTask, results [][]Up
 		}
 		a.dur += stats[ti].dur
 		a.matched += stats[ti].matched
-		a.emitted += len(results[ti])
+		a.emitted += stats[ti].emitted
 	}
 	for _, ri := range order {
 		a := byRule[ri]
@@ -782,29 +796,48 @@ func (e *engine) addRuleSpans(itSpan *obs.Span, tasks []fireTask, results [][]Up
 	}
 }
 
-// applyTargets performs steps 2 and 3 of T_P for the given dirty target
-// versions, replacing each with the state computed from its full
-// accumulated update set. It returns whether the base changed and, when
-// collectAdded is set, which facts were added (for semi-naive deltas).
-func (e *engine) applyTargets(dirty []*targetUpdates, collectAdded bool) (bool, []term.Fact, error) {
+// deltaSink receives the facts an iteration adds to one version: it counts
+// them all and files those some rule can be seeded from in their buckets.
+type deltaSink struct {
+	w  term.GVID
+	bs []*bucket // the buckets of w's path
+	n  int
+}
+
+func (d *deltaSink) add(k term.MethodKey, r term.OID) {
+	d.n++
+	for _, b := range d.bs {
+		if b.method == k.Method {
+			b.facts = append(b.facts, term.Fact{V: d.w, Method: k.Method, Args: k.Args, Result: r})
+		}
+	}
+}
+
+// applyTargets performs steps 2 and 3 of T_P for the iteration's dirty
+// targets: a target the base does not hold yet is installed, sharing its
+// source's state; every target is then extended by its fresh updates. It
+// returns whether the base changed and how many facts were added; the added
+// facts some rule can be seeded from are left in the delta buckets.
+func (s *stratumRun) applyTargets() (changed bool, added int, err error) {
+	e, dirty := s.e, s.dirty
 	slices.SortFunc(dirty, func(a, b *targetUpdates) int { return a.w.Compare(b.w) })
 	if len(e.deepest) == 0 {
 		// One entry per touched object at most; sized here, not from the
 		// input base, so an update pays for what it touches.
 		e.deepest = make(map[term.OID]term.GVID, len(dirty))
 	}
+	for _, b := range s.buckets {
+		b.facts, b.room = b.facts[:0], 0
+	}
 
-	// Checks first (sequential, deterministic error reporting) ...
+	// Checks first, in target order (deterministic error reporting), along
+	// with where each new target starts from and how much room the delta
+	// buckets need — nothing is mutated until every target has passed.
 	for _, tu := range dirty {
 		w := tu.w
-		if len(tu.ups) > 1 {
-			ups := tu.ups
-			slices.SortFunc(ups, func(a, b Update) int { return a.compare(b) })
-		}
-		if e.opts.ForbidNewObjects && !e.base.Exists(w) {
-			v := term.GVID{Object: w.Object, Path: w.Path[:w.Path.Len()-1]}
-			if _, ok := e.base.VStar(v); !ok {
-				return false, nil, &NewObjectError{Update: tu.ups[0]}
+		if tu.st == nil {
+			if err := e.locate(tu); err != nil {
+				return false, 0, err
 			}
 		}
 		// Version-linearity, checked online as Section 5 suggests.
@@ -813,66 +846,218 @@ func (e *engine) applyTargets(dirty []*targetUpdates, collectAdded bool) (bool, 
 			d = term.GVID{Object: w.Object}
 		}
 		if !w.Comparable(d) {
-			return false, nil, &LinearityError{Object: w.Object, A: d, B: w}
+			return false, 0, &LinearityError{Object: w.Object, A: d, B: w}
 		}
 		if w.Path.Len() > d.Path.Len() {
 			e.deepest[w.Object] = w
 		}
-	}
-
-	// ... then state computation (read-only, parallelizable) ...
-	states := e.computeStates(dirty)
-
-	// ... then mutation, sequentially.
-	e.base.GrowStates(len(dirty))
-	changed := false
-	var added []term.Fact
-	for i, tu := range dirty {
-		w := tu.w
-		oldSt := e.base.StateOf(w)
-		newSt := states[i]
-		if oldSt == nil && newSt != nil && !newSt.Empty() {
-			// The common case — a version derived for the first time this
-			// iteration — skips SetState's redundant lookup/equality work.
-			e.base.SetStateFresh(w, newSt)
-		} else if !e.base.SetState(w, newSt) {
-			continue
-		}
-		changed = true
-		if !collectAdded {
-			continue
-		}
-		newSt.ForEach(func(k term.MethodKey, r term.OID) {
-			if oldSt == nil || !oldSt.Has(k, r) {
-				added = append(added, term.Fact{V: w, Method: k.Method, Args: k.Args, Result: r})
+		for _, b := range s.byPath[w.Path] {
+			if tu.appears {
+				tu.st.ForEachOfMethod(b.method, func(term.MethodKey, term.OID) { b.room++ })
 			}
-		})
+			if w.Path.Outer() != term.Del {
+				for f := tu.fresh; f != nil; f = f.next {
+					if f.key.Method == b.method {
+						b.room++
+					}
+				}
+			}
+		}
 	}
+	for _, b := range s.buckets {
+		b.facts = slices.Grow(b.facts, b.room)
+	}
+
+	e.base.GrowStates(len(dirty))
+	for _, tu := range dirty {
+		sink := deltaSink{w: tu.w, bs: s.byPath[tu.w.Path]}
+		if tu.appears {
+			changed = e.appear(tu, &sink) || changed
+		} else {
+			changed = e.extend(tu, &sink) || changed
+		}
+		added += sink.n
+		tu.fresh = nil
+	}
+	s.dirty = dirty[:0]
 	return changed, added, nil
+}
+
+// locate finds the state a target starts the stratum from: its own when the
+// version is active already, otherwise that of v* — shared, not copied — or,
+// for an object no version of which exists, a fresh state holding exists
+// (creation of new objects is an extension; see DESIGN.md).
+func (e *engine) locate(tu *targetUpdates) error {
+	w := tu.w
+	existsKey := term.MethodKey{Method: term.ExistsMethod}
+	cur := e.base.StateOf(w)
+	if cur != nil && cur.HasMethod(existsKey) {
+		tu.st = cur
+		return nil
+	}
+	tu.appears, tu.prev = true, cur
+	// Path-0 parents can be read straight from the frozen base: the
+	// overlay's own layer never holds path-0 versions (heads push), so
+	// readBase skips the guaranteed own-layer miss.
+	path, _ := w.Path.Pop()
+	v := term.GVID{Object: w.Object, Path: path}
+	if vstar, ok := e.readBase(v).VStar(v); ok {
+		tu.st = e.readBase(vstar).StateOf(vstar)
+		return nil
+	}
+	if e.opts.ForbidNewObjects {
+		first := tu.first.update()
+		for f := tu.first.next; f != nil; f = f.next {
+			if u := f.update(); u.compare(first) < 0 {
+				first = u
+			}
+		}
+		return &NewObjectError{Update: first}
+	}
+	tu.st, tu.owned = e.arena.New(), true
+	tu.st.Add(existsKey, w.Object)
+	return nil
+}
+
+// appear installs a target the base does not hold yet and applies its
+// updates. Every fact of the new version is new to the base.
+func (e *engine) appear(tu *targetUpdates, d *deltaSink) (changed bool) {
+	prev := tu.prev
+	tu.appears, tu.prev = false, nil
+	if prev == nil {
+		// The common case skips SetState's lookup and equality work.
+		e.base.SetStateFresh(tu.w, tu.st)
+		changed = true
+	} else {
+		changed = e.base.SetState(tu.w, tu.st)
+	}
+	var quiet deltaSink
+	changed = e.extend(tu, &quiet) || changed
+	if prev == nil && len(d.bs) == 0 {
+		d.n += tu.st.Size()
+		return changed
+	}
+	tu.st.ForEach(func(k term.MethodKey, r term.OID) {
+		if prev == nil || !prev.Has(k, r) {
+			d.add(k, r)
+		}
+	})
+	return changed
+}
+
+// own gives the target a private copy of its state, with room for the
+// updates that wait: the one copy step 2 of T_P makes of a version.
+func (e *engine) own(tu *targetUpdates, room int) {
+	tu.st = e.arena.Clone(tu.st, room)
+	tu.owned = true
+	e.base.Adopt(tu.w, tu.st)
+}
+
+// extend applies the target's fresh updates to its state, copying the state
+// first if it is still shared and an update changes it, and reports the
+// added facts to d. Insert and delete targets are monotone, so the fresh
+// updates are all there is to do. A modify target removes the fresh old
+// results and then re-adds every new result it has accumulated — a fresh
+// removal may have taken one out — which leaves the state equal to the
+// source minus all old results plus all new ones, what applying the whole
+// update set to a fresh copy of the source would give.
+func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
+	w := tu.w
+	switch w.Path.Outer() {
+	case term.Ins:
+		for f := tu.fresh; f != nil; f = f.next {
+			if !tu.owned {
+				if tu.st.Has(f.key, f.r) {
+					continue
+				}
+				room := 1
+				for g := f.next; g != nil; g = g.next {
+					room++
+				}
+				e.own(tu, room)
+			}
+			if e.base.AddTo(w, tu.st, f.key, f.r) {
+				changed = true
+				d.add(f.key, f.r)
+			}
+		}
+	case term.Del:
+		for f := tu.fresh; f != nil; f = f.next {
+			if !tu.owned {
+				if !tu.st.Has(f.key, f.r) {
+					continue
+				}
+				e.own(tu, 0)
+			}
+			changed = e.base.RemoveFrom(w, tu.st, f.key, f.r) || changed
+		}
+	case term.Mod:
+		if !tu.owned {
+			touches := false
+			for f := tu.fresh; f != nil && !touches; f = f.next {
+				touches = f.r != f.r2 && (tu.st.Has(f.key, f.r) || !tu.st.Has(f.key, f.r2))
+			}
+			if !touches {
+				return false
+			}
+			e.own(tu, 0) // a modify puts in what it takes out
+		}
+		gone := e.gone[:0]
+		for f := tu.fresh; f != nil; f = f.next {
+			if e.base.RemoveFrom(w, tu.st, f.key, f.r) {
+				gone = append(gone, keyResult{f.key, f.r})
+			}
+		}
+		lost := len(gone)
+		for f := tu.first; f != nil; f = f.next {
+			if !e.base.AddTo(w, tu.st, f.key, f.r2) {
+				continue
+			}
+			if slices.Contains(gone, keyResult{f.key, f.r2}) {
+				lost-- // was there before the iteration: not new
+			} else {
+				changed = true
+				d.add(f.key, f.r2)
+			}
+		}
+		changed = changed || lost > 0
+		e.gone = gone[:0]
+	}
+	return changed
 }
 
 // finalize is the copy phase of Section 5 as a delta over the input base:
 // e.deepest holds every object whose final version is not simply the
 // object as the input has it (seeded by seedDeepest, maintained online by
-// applyTargets), so only those are copied; an object whose final state
-// turns out equal to its old one is left alone. Derived versions are never
+// applyTargets), so only those are visited, and an object is copied only
+// after its final state is known to differ from its old one — a final
+// version no update changed still shares the old state, and FinalEquals
+// settles the rest without building anything. Derived versions are never
 // empty — the exists method is forbidden in rule heads, so every state
 // keeps at least its exists facts — hence every deepest version is present
 // in the base. The result equals Finalize(e.base); everything untouched is
 // shared with the input (see objectbase.Derive).
 func (e *engine) finalize() (*objectbase.Base, []objectbase.Change) {
-	changes := make([]objectbase.Change, 0, len(e.deepest))
+	var changes []objectbase.Change
+	left := len(e.deepest)
 	for o, final := range e.deepest {
+		left--
 		obj := term.GVID{Object: o}
 		old := e.p0.StateOf(obj)
 		var ns *objectbase.State
 		if st := e.base.StateOf(final); st != nil && !st.OnlyExists() {
-			ns = st.CloneFinal(o)
-			if old != nil && old.Equal(ns) {
+			if old != nil && st.FinalEquals(o, old) {
 				continue
 			}
+			ns = st.CloneFinal(o)
 		} else if old == nil {
 			continue
+		}
+		if changes == nil {
+			// Sized at the first object that did change: an apply that
+			// changes nothing reserves nothing, one that changes everything
+			// it touched allocates once.
+			changes = make([]objectbase.Change, 0, left+1)
 		}
 		changes = append(changes, objectbase.Change{V: obj, Old: old, New: ns})
 	}

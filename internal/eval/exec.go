@@ -2,7 +2,7 @@ package eval
 
 // exec.go runs compiled match plans (compile.go). An executor is the
 // compiled counterpart of matcher: single-goroutine state holding the
-// frame and candidate-buffer arena for one worker. Where the interpreter
+// frame and candidate-buffer arena of a run. Where the interpreter
 // threads a map-based substitution with a backtracking trail through
 // every literal, the executor works on a flat []term.OID frame indexed by
 // compile-time slots. No trail is needed: binding modes are static (the
@@ -164,8 +164,9 @@ func (x *executor) getKRs() []keyResult {
 func (x *executor) putKRs(buf []keyResult) { x.krs = append(x.krs, buf[:0]) }
 
 // run evaluates one compiled plan (the full steps or a delta variant) and
-// fires the head for every complete body match. delta is the (path,
-// method)-bucketed fact slice an accessDelta seed joins against.
+// fires the head for every complete body match. delta is the (path, method)
+// bucket an accessDelta seed joins against: every fact in it is on the
+// seed's path and method.
 func (x *executor) run(cr *compiledRule, steps []cstep, delta []term.Fact, matched *int64, onFire func(Update) error) error {
 	x.cacheN, x.cacheI = 0, 0
 	fr := x.getFrame(cr.nslots)
@@ -213,9 +214,6 @@ func (x *executor) execScan(st *cstep, fr []term.OID, delta []term.Fact, k func(
 	case accessDelta:
 		for i := range delta {
 			f := &delta[i]
-			if f.Method != st.method || f.V.Path != st.path {
-				continue
-			}
 			if !st.base.match(fr, f.V.Object) {
 				continue
 			}

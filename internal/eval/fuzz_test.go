@@ -41,6 +41,18 @@ d1.isa -> dept.  d1.loc -> north.
 d2.isa -> dept.  d2.loc -> south.
 `
 
+// fuzzSeeds is the fuzzer's seed corpus (programs over fuzzBase).
+var fuzzSeeds = []string{
+	`r1: ins[X].raised <- X.isa -> emp.`,
+	`r2: ins[X].sal -> S2 <- X.sal -> S, S2 = S + 100.`,
+	`r3: ins[X].peer -> Y <- X.dept -> D, Y.dept -> D, X != Y.`,
+	`r4: ins[X].low <- X.isa -> emp, not X.sal -> 3000.`,
+	`r5: ins[X].chain -> Z <- X.boss -> Y, Y.dept -> Z.`,
+	`a: ins[X].m1 <- X.isa -> emp. b: ins(X).m2 <- a(X).m1.`,
+	`t: ins[X].big <- X.sal -> S, S > 1500.`,
+	`d: del[X].sal -> S <- X.sal -> S, S < 2000.`,
+}
+
 // FuzzCompiledVsInterpreted feeds arbitrary program text through both body
 // evaluators. Inputs that fail to parse, fail the safety/stratification
 // checks, or error in either engine are only checked for error agreement;
@@ -49,17 +61,7 @@ d2.isa -> dept.  d2.loc -> south.
 // probes, joins, negation, comparisons and multi-path heads. Every accepted
 // input is also held against the delta oracles (checkDelta).
 func FuzzCompiledVsInterpreted(f *testing.F) {
-	seeds := []string{
-		`r1: ins[X].raised <- X.isa -> emp.`,
-		`r2: ins[X].sal -> S2 <- X.sal -> S, S2 = S + 100.`,
-		`r3: ins[X].peer -> Y <- X.dept -> D, Y.dept -> D, X != Y.`,
-		`r4: ins[X].low <- X.isa -> emp, not X.sal -> 3000.`,
-		`r5: ins[X].chain -> Z <- X.boss -> Y, Y.dept -> Z.`,
-		`a: ins[X].m1 <- X.isa -> emp. b: ins(X).m2 <- a(X).m1.`,
-		`t: ins[X].big <- X.sal -> S, S > 1500.`,
-		`d: del[X].sal -> S <- X.sal -> S, S < 2000.`,
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

@@ -28,7 +28,7 @@ var errStopEnum = errors.New("eval: stop enumeration")
 // Enumerations nest (the continuation matches the next literal), so the
 // free-lists work as stacks: an enumeration pops a buffer, recurses, and
 // pushes it back when done. A matcher is therefore single-goroutine
-// state; parallel rule matching gives each worker its own (newMatcher).
+// state.
 type matcher struct {
 	base *objectbase.Base
 	vids [][]term.GVID

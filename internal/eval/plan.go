@@ -19,7 +19,9 @@ type plan struct {
 	// whose facts can change within a stratum: version-terms over non-
 	// empty-path VIDs and ins-update-terms. Semi-naive evaluation seeds
 	// joins from these positions. Positions refer to the reordered body.
+	// deltaKeys[i] is the (path, method) delta bucket position i reads.
 	deltaPositions []int
+	deltaKeys      []pmKey
 }
 
 // binds returns the variables a positive occurrence of the literal binds.
@@ -260,9 +262,20 @@ func planRuleCost(r term.Rule, est costEstimator) plan {
 	for pos, i := range p.order {
 		if deltaSeedable(r.Body[i]) {
 			p.deltaPositions = append(p.deltaPositions, pos)
+			p.deltaKeys = append(p.deltaKeys, deltaKeyOf(r.Body[i]))
 		}
 	}
 	return p
+}
+
+// deltaKeyOf returns the (path, method) a delta-seedable literal's facts
+// live under: an ins-term reads the pushed version.
+func deltaKeyOf(l term.Literal) pmKey {
+	if u, ok := l.Atom.(term.UpdateAtom); ok {
+		return pmKey{Path: u.V.Path.Push(term.Ins), Method: u.App.Method}
+	}
+	a := l.Atom.(term.VersionAtom)
+	return pmKey{Path: a.V.Path, Method: a.App.Method}
 }
 
 // greedyOrder is the planner core: filters as soon as ready, then the

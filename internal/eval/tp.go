@@ -1,10 +1,13 @@
 package eval
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"slices"
+	"strconv"
+	"time"
 
-	"verlog/internal/objectbase"
 	"verlog/internal/term"
 	"verlog/internal/unify"
 )
@@ -31,7 +34,9 @@ func (u Update) String() string {
 	}
 }
 
-// compare orders updates for deterministic traces.
+// compare orders updates for deterministic traces; distinct updates never
+// compare equal. Argument tuples are ordered by their encodings — any total
+// order does, and this one decodes nothing.
 func (u Update) compare(v Update) int {
 	if c := u.V.Compare(v.V); c != 0 {
 		return c
@@ -48,6 +53,9 @@ func (u Update) compare(v Update) int {
 		}
 		return 1
 	}
+	if c := u.Key.Args.CompareEncoded(v.Key.Args); c != 0 {
+		return c
+	}
 	if c := u.R.Compare(v.R); c != 0 {
 		return c
 	}
@@ -58,8 +66,8 @@ func (u Update) compare(v Update) int {
 // every fired ground update that also passes the head-position truth test
 // of Section 3. The onFire callback receives the update (one per expanded
 // delete-all entry); matched counts complete body matches (i.e. fireHead
-// invocations) for the per-rule stats. m carries per-goroutine scratch
-// state, so concurrent callers must pass distinct matchers.
+// invocations) for the per-rule stats. With deltaPos >= 0, delta is the
+// bucket of facts the literal at that plan position reads (plan.deltaKeys).
 func (e *engine) step1Rule(m *matcher, ri int, deltaPos int, delta []term.Fact, matched *int64, onFire func(u Update) error) error {
 	r := e.prog.Rules[ri]
 	pl := e.plans[ri]
@@ -163,31 +171,30 @@ func (e *engine) fireHead(r term.Rule, s unify.Subst, onFire func(u Update) erro
 	return onFire(u)
 }
 
-// matchLiteralDelta matches a delta-seedable positive literal against the
-// facts added in the previous iteration instead of the full base.
+// matchLiteralDelta matches a delta-seedable positive literal against its
+// (path, method) bucket of the facts the previous iteration added, instead
+// of the full base.
 func (e *engine) matchLiteralDelta(l term.Literal, delta []term.Fact, s unify.Subst, tr *unify.Trail, k func() error) error {
-	var v term.VersionID
+	// The bucket fixes path and method; base, arguments and result remain.
+	var base term.ObjTerm
 	var app term.MethodApp
 	switch a := l.Atom.(type) {
 	case term.VersionAtom:
-		v, app = a.V, a.App
+		base, app = a.V.Base, a.App
 	case term.UpdateAtom:
 		if a.Kind != term.Ins {
 			return fmt.Errorf("eval: literal %s is not delta-seedable", l)
 		}
-		v, app = a.V.Push(term.Ins), a.App
+		base, app = a.V.Base, a.App
 	default:
 		return fmt.Errorf("eval: literal %s is not delta-seedable", l)
 	}
 	mark := tr.Mark()
 	for _, f := range delta {
-		if f.Method != app.Method || f.V.Path != v.Path {
-			continue
-		}
 		if len(app.Args) != f.Args.Len() {
 			continue
 		}
-		if tr.MatchObj(s, v.Base, f.V.Object) &&
+		if tr.MatchObj(s, base, f.V.Object) &&
 			tr.MatchArgs(s, app.Args, f.Args.Decode()) &&
 			tr.MatchObj(s, app.Result, f.Result) {
 			if err := k(); err != nil {
@@ -200,42 +207,52 @@ func (e *engine) matchLiteralDelta(l term.Literal, delta []term.Fact, s unify.Su
 	return nil
 }
 
-// computeState performs steps 2 and 3 of T_P for one target version w:
-// copy the state of w (if active) or of v* (if only relevant) — or seed a
-// fresh object — then apply the fired updates: removals first (del and the
-// old halves of mod), then additions (ins and the new halves of mod).
-func (e *engine) computeState(w term.GVID, ups []Update, a *objectbase.StateArena) *objectbase.State {
-	var st *objectbase.State
-	switch {
-	case e.base.Exists(w):
-		st = a.Clone(e.base.StateOf(w))
-	default:
-		v := term.GVID{Object: w.Object, Path: w.Path[:w.Path.Len()-1]}
-		// Path-0 parents can be read straight from the frozen base: the
-		// overlay's own layer never holds path-0 versions (heads push), so
-		// readBase skips the guaranteed own-layer miss.
-		if vstar, ok := e.readBase(v).VStar(v); ok {
-			st = a.Clone(e.readBase(vstar).StateOf(vstar))
-		} else {
-			// Creation of a new object (extension; see DESIGN.md): seed the
-			// exists method so later updates can address the version.
-			st = a.New()
-			st.Add(term.MethodKey{Method: term.ExistsMethod}, w.Object)
+// fireTask is one unit of step-1 matching: a rule evaluated in full
+// (pos < 0) or seeded from one of its delta buckets — pos is then the
+// compiled variant's index, or the interpreter's plan position, and delta
+// the bucket's facts.
+type fireTask struct {
+	ri, pos int
+	delta   []term.Fact
+}
+
+// fireStat is the cost of one step-1 task: when it started, how long the
+// matching took, how many complete body matches it enumerated and how many
+// updates it emitted (duplicates of known updates included).
+type fireStat struct {
+	start   time.Time
+	dur     time.Duration
+	matched int64
+	emitted int
+}
+
+// step1 runs one task, feeding every emitted update to onFire as it fires.
+// When tracing (Options.Span set) the task runs under runtime/pprof labels
+// (stratum, rule) so CPU profiles attribute samples to rules; the
+// allocation per task is acceptable because tracing is opt-in per run.
+func (e *engine) step1(si int, t fireTask, onFire func(Update) error) (fireStat, error) {
+	st := fireStat{start: time.Now()}
+	match := func() error {
+		if e.compiled == nil {
+			return e.step1Rule(e.m, t.ri, t.pos, t.delta, &st.matched, onFire)
 		}
-	}
-	for _, u := range ups {
-		switch u.Kind {
-		case term.Del, term.Mod:
-			st.Remove(u.Key, u.R)
+		cr := e.compiled.rules[t.ri]
+		steps := cr.steps
+		if t.pos >= 0 {
+			steps = cr.deltaSteps[t.pos]
 		}
-	}
-	for _, u := range ups {
-		switch u.Kind {
-		case term.Ins:
-			st.Add(u.Key, u.R)
-		case term.Mod:
-			st.Add(u.Key, u.R2)
+		if err := e.x.run(cr, steps, t.delta, &st.matched, onFire); err != nil {
+			return fmt.Errorf("eval: rule %s: %w", e.labels[t.ri], err)
 		}
+		return nil
 	}
-	return st
+	var err error
+	if e.opts.Span != nil {
+		labels := pprof.Labels("stratum", strconv.Itoa(si+1), "rule", e.labels[t.ri])
+		pprof.Do(context.Background(), labels, func(context.Context) { err = match() })
+	} else {
+		err = match()
+	}
+	st.dur = time.Since(st.start)
+	return st, err
 }

@@ -1,0 +1,232 @@
+package eval
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"verlog/internal/objectbase"
+	"verlog/internal/parser"
+	"verlog/internal/term"
+	"verlog/internal/workload"
+)
+
+// TestTraceOrderDeterministic: the canonical trace order must be total. A
+// rule firing many updates on one version that differ only in their
+// arguments is the case an order blind to arguments leaves to map order.
+func TestTraceOrderDeterministic(t *testing.T) {
+	var src strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&src, "n%d.isa -> node.\n", i)
+	}
+	p := mustProgram(t, `r: ins[hub].seen@X -> yes <- X.isa -> node.`)
+	render := func() string {
+		// A base of its own per run: the firing order follows the literal
+		// index, which is built in map order once per frozen base.
+		ob := mustBase(t, src.String())
+		var b strings.Builder
+		for _, ev := range mustRun(t, ob, p, Options{Trace: true}).Trace {
+			b.WriteString(ev.String())
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	first := render()
+	if n := strings.Count(first, "\n"); n != 40 {
+		t.Fatalf("trace has %d events, want 40:\n%s", n, first)
+	}
+	for i := 1; i < 20; i++ {
+		if got := render(); got != first {
+			t.Fatalf("run %d rendered another trace order:\n%s\nfirst:\n%s", i, got, first)
+		}
+	}
+}
+
+// closedGenealogy returns a frozen head that already holds the ancestors
+// closure, and the program.
+func closedGenealogy(t *testing.T, spec workload.GenealogySpec) (*objectbase.Base, *term.Program) {
+	t.Helper()
+	p := mustProgram(t, workload.AncestorsProgram)
+	return mustRun(t, spec.ObjectBase(), p, Options{}).Final, p
+}
+
+// TestReapplyOnClosedHeadCopiesNothing: every update of the ancestors
+// program fires on a head that holds the closure, and none changes
+// anything. The run must hand back the head it was given, every derived
+// version must share its object's state, and the copy phase must decide
+// "unchanged" without building a state to compare.
+func TestReapplyOnClosedHeadCopiesNothing(t *testing.T) {
+	spec := workload.GenealogySpec{Generations: 6, Branching: 2, Roots: 2}
+	head, p := closedGenealogy(t, spec)
+	res := mustRun(t, head, p, Options{Trace: true})
+	if res.Fired != spec.AncestorPairs() {
+		t.Fatalf("fired %d, want %d", res.Fired, spec.AncestorPairs())
+	}
+	if len(res.Changes) != 0 || res.Final != head {
+		t.Fatalf("%d changes, same head: %v; want none and the input head", len(res.Changes), res.Final == head)
+	}
+	e := &engine{p0: head, base: res.Result, deepest: map[term.OID]term.GVID{}}
+	for _, v := range res.Result.Versions() {
+		if v.IsObject() {
+			continue
+		}
+		e.deepest[v.Object] = v
+		if res.Result.StateOf(v) != head.StateOf(term.GVID{Object: v.Object}) {
+			t.Fatalf("%s has a state of its own although no update changed it", v)
+		}
+	}
+	if len(e.deepest) != spec.Persons()-spec.Roots {
+		t.Fatalf("%d derived versions, want one per person with a parent (%d)", len(e.deepest), spec.Persons()-spec.Roots)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if final, changes := e.finalize(); final != head || len(changes) != 0 {
+			t.Fatalf("finalize: %d changes", len(changes))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("the copy phase allocates %.0f times to find nothing changed, want 0 (no CloneFinal)", allocs)
+	}
+}
+
+// TestModTargetEqualsRecomputation pins the re-add rule of in-place
+// extension: a modify target that loses a result to a later iteration's
+// update which an earlier update had put in must end as the source minus
+// all old results plus all new ones, whatever the iteration the updates
+// arrive in.
+func TestModTargetEqualsRecomputation(t *testing.T) {
+	ob := mustBase(t, `o.m -> a / m -> b / go -> 1. trig.isa -> t.`)
+	// r1 fires in iteration 1 (a -> b). r2 (b -> c) fires only once the
+	// insert target of the same stratum exists, i.e. in iteration 2: it
+	// removes b — old result of r2, new result of r1 — which must come back.
+	p := mustProgram(t, `
+r0: ins[trig].on -> yes <- trig.isa -> t.
+r1: mod[o].m -> (a, b) <- o.go -> 1.
+r2: mod[o].m -> (b, c) <- ins(trig).on -> yes.
+`)
+	for _, opts := range []Options{{}, {Interpreted: true}, {Strategy: Naive}} {
+		res := mustRun(t, ob, p, opts)
+		st := res.Result.StateOf(term.GV(term.Sym("o"), term.Mod))
+		var got []string
+		st.ForEachResult(term.MethodKey{Method: "m"}, func(r term.OID) { got = append(got, r.String()) })
+		if len(got) != 2 || !st.Has(term.MethodKey{Method: "m"}, term.Sym("b")) || !st.Has(term.MethodKey{Method: "m"}, term.Sym("c")) {
+			t.Errorf("%+v: mod(o).m = %v, want {b, c}", opts, got)
+		}
+		if err := checkDelta(ob.Clone().Freeze(), mustRun(t, ob, p, opts)); err != nil {
+			t.Errorf("%+v: %v", opts, err)
+		}
+	}
+}
+
+// goldenSection cuts the named "-- name --" section out of a golden case.
+func goldenSection(src, name string) string {
+	_, rest, ok := strings.Cut(src, "-- "+name+" --\n")
+	if !ok {
+		return ""
+	}
+	body, _, _ := strings.Cut(rest, "\n-- ")
+	return body
+}
+
+// renderRun flattens everything observable about a result.
+func renderRun(res *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "fired %d iterations %v\n", res.Fired, res.Iterations)
+	d := objectbase.DiffChanges(res.Changes)
+	fmt.Fprintf(&b, "added %v\nremoved %v\n", d.Added, d.Removed)
+	for _, ev := range res.Trace {
+		fmt.Fprintln(&b, ev)
+	}
+	b.WriteString(parser.FormatFacts(res.Final, true))
+	return b.String()
+}
+
+// TestFrozenInputsStayFrozen polices the sharing step 2 of T_P now rests
+// on: a derived version holds the very *State of its source until an update
+// changes it, so a bug in the copy-before-write rule would edit a published
+// head. Over the golden corpus, the fuzz seeds and the standard workloads: a
+// run leaves its frozen input as it was; running again on the same input
+// gives the same Final, Changes, Fired and Trace; running on the previous
+// run's Final leaves both of that run's bases as they were; and result(P),
+// fed back as an input, evaluates like a flat copy of itself.
+func TestFrozenInputsStayFrozen(t *testing.T) {
+	type tc struct {
+		name, base, prog string
+		ob               *objectbase.Base
+	}
+	var cases []tc
+	files, err := filepath.Glob("../../testdata/golden/*.txt")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden cases found: %v", err)
+	}
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, tc{name: filepath.Base(file), base: goldenSection(string(raw), "base"), prog: goldenSection(string(raw), "program")})
+	}
+	for i, s := range fuzzSeeds {
+		cases = append(cases, tc{name: fmt.Sprintf("fuzz-seed-%d", i), base: fuzzBase, prog: s})
+	}
+	cases = append(cases,
+		tc{name: "enterprise", ob: workload.EnterpriseSpec{Employees: 120, Seed: 3}.ObjectBase(), prog: workload.EnterpriseProgram},
+		tc{name: "ancestors", ob: workload.GenealogySpec{Generations: 5, Branching: 2, Roots: 2}.ObjectBase(), prog: workload.AncestorsProgram},
+		tc{name: "chains", ob: workload.Items(40), prog: workload.ChainProgram(4)},
+	)
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			p, err := parser.Program(c.prog, c.name)
+			if err != nil {
+				t.Skipf("program does not parse (a rejection case): %v", err)
+			}
+			ob := c.ob
+			if ob == nil {
+				if ob, err = parser.ObjectBase(c.base, c.name); err != nil {
+					t.Fatalf("base: %v", err)
+				}
+			}
+			ob.Freeze()
+			for _, opts := range []Options{{Trace: true}, {Trace: true, Interpreted: true}} {
+				before := ob.Facts()
+				first, err := Run(ob, p, opts)
+				if err != nil {
+					return // rejected programs are the golden test's business
+				}
+				if !reflect.DeepEqual(ob.Facts(), before) {
+					t.Fatalf("%+v: the run changed its frozen input", opts)
+				}
+				again := mustRun(t, ob, p, opts)
+				if a, b := renderRun(first), renderRun(again); a != b {
+					t.Fatalf("%+v: two runs on one head differ:\n%s\n---\n%s", opts, a, b)
+				}
+				final, result := first.Final.Facts(), first.Result.Facts()
+				if _, err := Run(first.Final, p, opts); err != nil {
+					t.Fatalf("%+v: second apply: %v", opts, err)
+				}
+				if !reflect.DeepEqual(first.Final.Facts(), final) || !reflect.DeepEqual(first.Result.Facts(), result) {
+					t.Fatalf("%+v: applying to the previous Final changed the previous run's bases", opts)
+				}
+				if !reflect.DeepEqual(ob.Facts(), before) {
+					t.Fatalf("%+v: the second apply changed the first input", opts)
+				}
+				// result(P) comes back frozen (it shares states with the input)
+				// and must serve as an input exactly like a flat copy of itself.
+				onShared, errShared := Run(first.Result, p, opts)
+				onCopy, errCopy := Run(first.Result.Clone(), p, opts)
+				if (errShared == nil) != (errCopy == nil) {
+					t.Fatalf("%+v: result(P) as input: %v, its copy: %v", opts, errShared, errCopy)
+				}
+				if errShared == nil && renderRun(onShared) != renderRun(onCopy) {
+					t.Fatalf("%+v: result(P) as input evaluates unlike its copy", opts)
+				}
+				if !reflect.DeepEqual(first.Result.Facts(), result) {
+					t.Fatalf("%+v: evaluating on result(P) changed it", opts)
+				}
+			}
+		})
+	}
+}

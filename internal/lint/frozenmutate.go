@@ -20,22 +20,27 @@ var frozenProducers = map[string]bool{
 
 // frozenMutators are the Base methods that panic on a frozen receiver.
 var frozenMutators = map[string]bool{
-	"Insert":       true,
-	"Remove":       true,
-	"SetState":     true,
-	"EnsureObject": true,
+	"Insert":        true,
+	"Remove":        true,
+	"SetState":      true,
+	"SetStateFresh": true,
+	"Adopt":         true,
+	"AddTo":         true,
+	"RemoveFrom":    true,
+	"EnsureObject":  true,
 }
 
 // Frozenmutate flags mutations of a frozen base outside the objectbase
-// package: a call to Insert/Remove/SetState/EnsureObject on a variable
-// that was assigned from Freeze(), Derive(), Head(), Initial(), Snapshot()
-// or At() and never re-derived through Clone(). Such a call panics at
+// package: a call to a mutator (Insert, Remove, SetState, EnsureObject, the
+// in-place editors Adopt/AddTo/RemoveFrom, ...) on a variable that was
+// assigned from Freeze(), Derive(), Head(), Initial(), Snapshot() or At()
+// and never re-derived through Clone(). Such a call panics at
 // runtime ("mutation of a frozen base") — the linter moves the failure
 // to CI. The objectbase package itself is exempt: it implements the
 // freeze discipline.
 var Frozenmutate = &Analyzer{
 	Name: "frozenmutate",
-	Doc: "flag Insert/Remove/SetState/EnsureObject on a base obtained from " +
+	Doc: "flag Insert/Remove/SetState/AddTo/... on a base obtained from " +
 		"Freeze/Derive/Head/Initial/Snapshot/At without an intervening Clone",
 	Run: runFrozenmutate,
 }

@@ -69,17 +69,19 @@ func (a *StateArena) carve(n int) []appEntry {
 // entry storage on the regular heap, like a zero State.
 func (a *StateArena) New() *State { return a.newState() }
 
-// Clone is State.Clone with arena-backed storage for the flat form.
-func (a *StateArena) Clone(s *State) *State {
+// Clone is State.Clone with arena-backed storage for the flat form and room
+// for extra more applications before the first reallocation — the engine
+// copies a version's state once, at the moment an update first changes it,
+// and knows how many updates are waiting.
+func (a *StateArena) Clone(s *State, extra int) *State {
+	out := a.newState()
 	if !s.flat() {
-		out := a.newState()
 		*out = *s.Clone()
 		return out
 	}
-	out := a.newState()
 	out.size = s.size
-	if len(s.entries) > 0 {
-		out.entries = append(a.carve(len(s.entries)), s.entries...)
+	if n := len(s.entries) + extra; n > 0 {
+		out.entries = append(a.carve(min(n, stateSpillThreshold)), s.entries...)
 	}
 	return out
 }

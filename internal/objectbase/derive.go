@@ -49,9 +49,9 @@ func (b *Base) Derive(changes []Change) *Base {
 	out := &Base{
 		byPathMethod: make(map[pathMethod]map[term.GVID]struct{}),
 		size:         b.size,
-		unsettled:    b.unsettledAfter(changes),
 		frozen:       true,
 	}
+	out.unsettledOnce.Do(func() { out.unsettled = b.unsettledAfter(changes) })
 	out.vidStale.Store(true)
 	for _, c := range changes {
 		if c.Old != nil {
@@ -118,12 +118,12 @@ func (b *Base) Derive(changes []Change) *Base {
 // that are unsettled themselves.
 func (b *Base) unsettledAfter(changes []Change) []term.GVID {
 	var out []term.GVID
-	if len(b.unsettled) > 0 {
+	if unsettled := b.Unsettled(); len(unsettled) > 0 {
 		changed := make(map[term.GVID]struct{}, len(changes))
 		for _, c := range changes {
 			changed[c.V] = struct{}{}
 		}
-		for _, v := range b.unsettled {
+		for _, v := range unsettled {
 			if _, ok := changed[v]; !ok {
 				out = append(out, v)
 			}

@@ -73,8 +73,9 @@ type Base struct {
 	// last, which publishes the index to the others.
 	vidStale atomic.Bool
 	// unsettled lists, on a frozen base, the versions Section 5's final copy
-	// would not leave as they are. See Unsettled.
-	unsettled []term.GVID
+	// would not leave as they are; the first caller of Unsettled collects it.
+	unsettledOnce sync.Once
+	unsettled     []term.GVID
 
 	// idx caches the literal index of a frozen base so all snapshot
 	// readers share one build. idxMu serialises that build and the deferred
@@ -117,15 +118,13 @@ func (b *Base) eachOwn(fn func(v term.GVID, s *State)) {
 // so a published snapshot can never be changed under a reader's feet. A
 // deferred VID index stays deferred — like the literal index it is built by
 // the first reader that scans, under idxMu, and shared by the rest.
-// Freezing a frozen base is a no-op.
+// Freezing costs nothing and freezing a frozen base is a no-op.
 // Clone returns an unfrozen deep copy, and Overlay a copy-on-write child;
 // those are the ways to derive a mutable base from a frozen one.
 func (b *Base) Freeze() *Base {
-	if b.frozen {
-		return b
+	if !b.frozen { // no write to a base other goroutines may be reading
+		b.frozen = true
 	}
-	b.unsettled = b.collectUnsettled()
-	b.frozen = true
 	return b
 }
 
@@ -134,13 +133,16 @@ func (b *Base) Freeze() *Base {
 // objects whose state is not in final form (nothing but exists, or an
 // exists application other than the canonical one). The evaluator seeds its
 // deepest-version bookkeeping from this list instead of scanning the base;
-// it is recorded once, at Freeze, and is empty for every updated base ob'.
-// The returned slice is shared and must not be mutated.
+// a frozen base collects it once, when it is first asked for (a fixpoint
+// base frozen only to protect the states it shares never is), and it is
+// empty for every updated base ob'. The returned slice is shared and must
+// not be mutated.
 func (b *Base) Unsettled() []term.GVID {
-	if b.frozen {
-		return b.unsettled
+	if !b.frozen {
+		return b.collectUnsettled()
 	}
-	return b.collectUnsettled()
+	b.unsettledOnce.Do(func() { b.unsettled = b.collectUnsettled() })
+	return b.unsettled
 }
 
 // collectUnsettled scans the own layer and inherits what the parent
@@ -320,13 +322,6 @@ func (b *Base) ensureVIDIndex() {
 	})
 	b.vidStale.Store(false)
 }
-
-// EnsureVIDIndex materializes a deferred VID index immediately. Callers
-// that expose a mutable base to phase-alternating concurrent readers (the
-// evaluator's parallel matchers scan between mutation phases) call it once
-// up front so later scans are pure reads. Frozen bases never need it: their
-// readers synchronize on the build themselves.
-func (b *Base) EnsureVIDIndex() { b.ensureVIDIndex() }
 
 // VersionCount returns an upper bound on the number of versions carrying
 // facts: own-layer and parent states summed without discounting shadowed
@@ -558,6 +553,46 @@ func (b *Base) GrowStates(n int) {
 	if len(b.states) == 0 && n > 0 {
 		b.states = make(map[term.GVID]*State, n)
 	}
+}
+
+// Adopt installs st, a private copy of v's current state, as v's own-layer
+// entry. The contents are unchanged, so neither the fact count nor — when v
+// was already in the own layer — the VID index moves. It is how a version
+// that shared its state with another goes over to one it may edit in place
+// (AddTo, RemoveFrom).
+func (b *Base) Adopt(v term.GVID, st *State) {
+	b.mutable()
+	if _, own := b.states[v]; !own && b.parent != nil {
+		b.overridesByPath[v.Path]++
+		st.forEachMethod(func(m string) { b.indexVID(v, m) })
+	}
+	b.states[v] = st
+}
+
+// AddTo adds an application to st in place, reporting whether it was new.
+// st must be the state the own layer holds for v and must not be shared
+// with any other version or base (see Adopt).
+func (b *Base) AddTo(v term.GVID, st *State, key term.MethodKey, r term.OID) bool {
+	b.mutable()
+	if !st.Add(key, r) {
+		return false
+	}
+	b.size++
+	b.indexVID(v, key.Method)
+	return true
+}
+
+// RemoveFrom is the removing counterpart of AddTo.
+func (b *Base) RemoveFrom(v term.GVID, st *State, key term.MethodKey, r term.OID) bool {
+	b.mutable()
+	if !st.Remove(key, r) {
+		return false
+	}
+	b.size--
+	if !b.vidStale.Load() && !st.HasAnyOfMethod(key.Method) {
+		b.unindexVID(v, key.Method)
+	}
+	return true
 }
 
 // StateOf returns the state of v, or nil. The returned state may be shared

@@ -125,22 +125,29 @@ func (s *State) CloneFinal(o term.OID) *State {
 	return &State{entries: entries, size: len(entries)}
 }
 
+// FinalEquals reports whether s.CloneFinal(o) would equal t, without
+// building the copy: the applications of s besides exists are exactly those
+// of t besides its single exists -> o. With s == t it asks whether s is in
+// final form already (see settledFor), at the cost of one walk.
+func (s *State) FinalEquals(o term.OID, t *State) bool {
+	n, same := 1, true // the canonical exists application counts once
+	s.ForEach(func(k term.MethodKey, r term.OID) {
+		if k.Method == term.ExistsMethod {
+			return
+		}
+		n++
+		if same && s != t && !t.Has(k, r) {
+			same = false
+		}
+	})
+	return same && n == t.size && t.Has(term.MethodKey{Method: term.ExistsMethod}, o)
+}
+
 // settledFor reports whether CloneFinal(o) would reproduce the state and
 // the final copy would keep it: at least one application besides exists,
 // and exists -> o as the only exists application.
 func (s *State) settledFor(o term.OID) bool {
-	exists, other := 0, false
-	s.ForEach(func(k term.MethodKey, r term.OID) {
-		switch {
-		case k.Method != term.ExistsMethod:
-			other = true
-		case k.Args.Empty() && r == o:
-			exists++
-		default:
-			exists = 2 // a foreign exists application
-		}
-	})
-	return other && exists == 1
+	return !s.OnlyExists() && s.FinalEquals(o, s)
 }
 
 // Size returns the number of method applications in the state.

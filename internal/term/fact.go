@@ -119,6 +119,11 @@ func (a Args) First() (OID, bool) {
 	return a.Decode()[0], true
 }
 
+// CompareEncoded orders argument tuples by their encodings, bytewise: a
+// total order that costs no decoding, for callers that need determinism
+// rather than the order a human expects (see Compare).
+func (a Args) CompareEncoded(b Args) int { return strings.Compare(a.enc, b.enc) }
+
 // Compare orders argument tuples by length, then element-wise by OID order
 // — the order a human expects in sorted output (the raw encoding is
 // length-prefixed and would sort "plum" before "apple").

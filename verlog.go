@@ -72,9 +72,6 @@ var (
 	WithMaxIterations = core.WithMaxIterations
 	// WithForbidNewObjects restricts updates to objects already in the base.
 	WithForbidNewObjects = core.WithForbidNewObjects
-	// WithParallelism evaluates on n workers (same fixpoint, less wall
-	// clock).
-	WithParallelism = core.WithParallelism
 	// WithStaticPlanner disables statistics-based join ordering (ablation).
 	WithStaticPlanner = core.WithStaticPlanner
 	// WithInterpreted forces the map-substitution interpreter instead of
