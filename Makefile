@@ -85,9 +85,11 @@ bench:
 	@cat bench.out
 	# Refine the headline benches with a steady-state pass: the 1x sweep
 	# measures cold single shots (index builds, first-touch page faults);
-	# the interpreter-gap trajectory wants warm numbers. The converter
-	# keeps the last result per name, so these overwrite the smoke rows.
-	$(GO) test -bench 'E1SalaryRaise|E2Enterprise|E11VsDirect' -benchmem -benchtime 5x -run '^$$' . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	# the interpreter-gap trajectory wants warm numbers, and so does E25
+	# (queries against a warm head; its build rows are the cold ones). The
+	# converter keeps the last result per name, so these overwrite the
+	# smoke rows.
+	$(GO) test -bench 'E1SalaryRaise|E2Enterprise|E11VsDirect|E25QueryScaling' -benchmem -benchtime 5x -run '^$$' . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	$(GO) run ./cmd/verlog-bench -gobench-json bench.out > BENCH_10.json
 	@rm -f bench.out
 	$(GO) run ./cmd/verlog-bench -run E19 -table-json BENCH_7.json

@@ -18,6 +18,7 @@ import (
 	"verlog/internal/bench"
 	"verlog/internal/core"
 	"verlog/internal/eval"
+	"verlog/internal/objectbase"
 	"verlog/internal/term"
 	"verlog/internal/workload"
 )
@@ -225,5 +226,109 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 	t.Logf("k=500: %.0f B per fired update; k=2000: %.0f B (%.2fx)", small, big, big/small)
 	if big > 1.5*small {
 		t.Errorf("an accumulator of 2000 facts costs %.0f B per fired update and one of 500 costs %.0f B: %.2fx, want ≤ 1.5x", big, small, big/small)
+	}
+}
+
+// enterpriseHead returns a frozen head of n generated employees that has
+// served one bulk raise: the next writer's read of it, as on a server.
+func enterpriseHead(tb testing.TB, n int) *ObjectBase {
+	tb.Helper()
+	p, err := ParseProgram(workload.BulkRaiseProgram)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	head := workload.EnterpriseSpec{Employees: n, Seed: 21}.ObjectBase().Freeze()
+	if _, err := Apply(head, p); err != nil {
+		tb.Fatal(err)
+	}
+	return head
+}
+
+// bossQueries puts the two query shapes of the end-to-end workloads — the
+// point lookup and the result-constant join over a manager's reports — to
+// the head for the first twenty managers, and returns the rows the joins
+// answered.
+func bossQueries(tb testing.TB, head *ObjectBase) (rows int) {
+	tb.Helper()
+	for m := 0; m < 20; m++ {
+		if _, err := Query(head, fmt.Sprintf("e%d.sal -> S.", m)); err != nil {
+			tb.Fatal(err)
+		}
+		bs, err := Query(head, fmt.Sprintf("E.boss -> e%d, E.sal -> S.", m))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rows += len(bs)
+	}
+	return rows
+}
+
+// TestQueryAllocGuard is the E25 guard (ROADMAP item 3(a)): a read costs
+// what it returns. The queries of the end-to-end workloads run on the
+// compiled executor and probe the head's literal index, so on a warm head
+// what they allocate follows their answers, not the base — the interpreter
+// copied every boss carrier into a slice per query, 5x per row from 300 to
+// 3 000 employees. Counts and an in-run ratio. (That the head indexes only
+// what was asked for is TestPartitionsOnDemandGuard in internal/objectbase.)
+func TestQueryAllocGuard(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race instrumentation allocates on its own account")
+	}
+	measure := func(n int) float64 {
+		head := enterpriseHead(t, n)
+		rows := bossQueries(t, head) // builds the boss partition
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		bossQueries(t, head)
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(rows)
+	}
+	small, big := measure(300), measure(3000)
+	t.Logf("n=300: %.0f B per answered row; n=3000: %.0f B (%.2fx)", small, big, big/small)
+	if big > 1.5*small {
+		t.Errorf("the workload's queries allocate %.0f B per row on 3 000 employees and %.0f B on 300: %.2fx, want ≤ 1.5x", big, small, big/small)
+	}
+}
+
+// TestLayerScanAllocGuard: the delta layer Derive builds keeps no VID index
+// for its first reader to rebuild — a scan walks the layer, which the
+// flatten rule holds to a sixteenth of the root — so the first scan of a
+// fresh head allocates the same few words whether the layer holds one
+// version or a hundred.
+func TestLayerScanAllocGuard(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race instrumentation allocates on its own account")
+	}
+	root := workload.EnterpriseSpec{Employees: 3000, Seed: 21}.ObjectBase().Freeze()
+	root.ForEachVIDWith("", "sal", func(term.GVID) {}) // the root's own index is not the layer's
+	measure := func(versions int) (bytes, mallocs uint64) {
+		changes := make([]objectbase.Change, versions)
+		for i := range changes {
+			v := term.GVID{Object: Sym(fmt.Sprintf("e%d", i))}
+			old := root.StateOf(v)
+			ns := old.Clone()
+			ns.Add(term.MethodKey{Method: "note"}, Sym("touched"))
+			changes[i] = objectbase.Change{V: v, Old: old, New: ns}
+		}
+		head := root.Derive(changes)
+		if head.Parent() != root {
+			t.Fatalf("%d changes of 3000 versions did not leave a delta layer", versions)
+		}
+		seen := 0
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		head.ForEachVIDWith("", "sal", func(term.GVID) { seen++ })
+		runtime.ReadMemStats(&m1)
+		if seen != 3000 {
+			t.Fatalf("the scan saw %d versions, want 3000", seen)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+	}
+	oneB, oneA := measure(1)
+	manyB, manyA := measure(100)
+	t.Logf("first scan of a 1-version layer: %d B in %d allocations; of a 100-version layer: %d B in %d", oneB, oneA, manyB, manyA)
+	if manyA > oneA+2 || manyB > oneB+128 || manyA > 8 {
+		t.Errorf("the first scan of a fresh 100-version layer allocates %d B in %d allocations (1 version: %d B in %d), want O(1)", manyB, manyA, oneB, oneA)
 	}
 }

@@ -402,6 +402,46 @@ func BenchmarkE21PointUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkE25QueryScaling — ROADMAP item 3(a): a read costs what it
+// returns. The two query shapes of the end-to-end workloads — a point lookup
+// and the result-constant join over a manager's reports — against a warm
+// head of growing size: B/op and allocs/op stay flat from n = 300 to
+// n = 30 000 (a manager has nine reports whatever n is). The one-off cost a
+// head pays for being read — the first join builds the boss partition of its
+// literal index — is the build sub-benchmark.
+func BenchmarkE25QueryScaling(b *testing.B) {
+	for _, n := range []int{300, 3000, 30000} {
+		head := enterpriseHead(b, n)
+		bossQueries(b, head)
+		shapes := []struct{ name, format string }{
+			{"point", "e%d.sal -> S."},
+			{"join", "E.boss -> e%d, E.sal -> S."},
+		}
+		for _, q := range shapes {
+			b.Run(fmt.Sprintf("%s/n=%d", q.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Query(head, fmt.Sprintf(q.format, i%20)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("build/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fresh := head.Clone().Freeze()
+				fresh.ForEachVIDWith("", "boss", func(term.GVID) {}) // the VID index is not the literal index's cost
+				b.StartTimer()
+				if _, err := Query(fresh, "E.boss -> e7, E.sal -> S."); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkE23OpenBulkJournal — E23: what history costs. A repository of
 // 1 500 employees takes 100 bulk raises (3 000 changed facts each); the
 // benchmark times Open on it — read, check and replay the journal — and

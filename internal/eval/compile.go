@@ -6,15 +6,17 @@ package eval
 // filter / negation-check steps over numbered variable slots. The
 // executor (exec.go) runs plans against a base with its own buffer arena,
 // replacing the map-based substitution + trail machinery of match.go on
-// the hot path. match.go remains as the reference interpreter
-// (Options.Interpreted), which the metamorphic suite diffs against.
+// the hot path — of rules and, a query being a rule body without a head, of
+// Query. match.go remains as the reference interpreter (Options.Interpreted,
+// QueryInterpreted), which the metamorphic suite diffs against and a body
+// the compiler rejects falls back to.
 //
 // Index-probe soundness: rule heads always target versions with at least
 // one update-kind on their path (Update.Target pushes onto the path), so
 // path-0 facts never change during a fixpoint. Probe steps are therefore
-// only compiled for path-0 literals, where the input base's LiteralIndex
-// stays exact for the whole evaluation; literals over deeper paths scan
-// the live base.
+// only compiled for path-0 literals, where the partitions of the input
+// base's LiteralIndex stay exact for the whole evaluation; literals over
+// deeper paths scan the live base.
 
 import (
 	"fmt"

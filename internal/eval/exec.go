@@ -31,7 +31,8 @@ type executor struct {
 	// p0 is base's parent, the frozen input of the run. During a fixpoint,
 	// rule heads only push onto paths, so the overlay's own layer never
 	// shadows a path-0 version: reads of path-0 VIDs can go straight to the
-	// parent, skipping the own-layer miss on the hottest lookups.
+	// parent, skipping the own-layer miss on the hottest lookups. A query
+	// changes nothing, so there p0 is the queried base itself.
 	p0 *objectbase.Base
 	// idx is p0's literal index (exact for path-0 literals for the whole
 	// run), fetched on the first probe: plans that only look versions up by
@@ -168,14 +169,22 @@ func (x *executor) putKRs(buf []keyResult) { x.krs = append(x.krs, buf[:0]) }
 // bucket an accessDelta seed joins against: every fact in it is on the
 // seed's path and method.
 func (x *executor) run(cr *compiledRule, steps []cstep, delta []term.Fact, matched *int64, onFire func(Update) error) error {
+	return x.match(cr.nslots, steps, delta, func(fr []term.OID) error {
+		*matched++
+		return x.fire(&cr.head, fr, onFire)
+	})
+}
+
+// match enumerates the complete matches of the steps, calling k with the
+// frame of each; the frame is only valid during the call.
+func (x *executor) match(nslots int, steps []cstep, delta []term.Fact, k func(fr []term.OID) error) error {
 	x.cacheN, x.cacheI = 0, 0
-	fr := x.getFrame(cr.nslots)
+	fr := x.getFrame(nslots)
 	defer x.putFrame(fr)
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == len(steps) {
-			*matched++
-			return x.fire(&cr.head, fr, onFire)
+			return k(fr)
 		}
 		st := &steps[i]
 		err := x.exec(st, fr, delta, func() error { return rec(i + 1) })

@@ -2,11 +2,13 @@ package eval
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"verlog/internal/objectbase"
 	"verlog/internal/objectbase/obtest"
 	"verlog/internal/parser"
+	"verlog/internal/term"
 )
 
 // checkDelta holds the delta-shaped products of a run against their
@@ -23,6 +25,101 @@ func checkDelta(ob *objectbase.Base, res *Result) error {
 		return fmt.Errorf("the updated base lists unsettled versions %v", u)
 	}
 	return obtest.CheckDerived(ob, res.Final, res.Changes)
+}
+
+// sameQuery answers the body on the base with Query — compiled, probing the
+// base's own index — and with the interpreter on a flat copy of the base,
+// and compares the two: error for error, row for row, in order.
+func sameQuery(base *objectbase.Base, body []term.Literal) error {
+	got, errC := Query(base, body)
+	want, errI := QueryInterpreted(base.Clone(), body)
+	if (errC == nil) != (errI == nil) {
+		return fmt.Errorf("error disagreement: compiled=%v interpreted=%v", errC, errI)
+	}
+	if errC != nil {
+		return nil
+	}
+	render := func(bs []Binding) []string {
+		var out []string
+		for _, b := range bs {
+			out = append(out, b.String())
+		}
+		return out
+	}
+	if g, w := render(got), render(want); !reflect.DeepEqual(g, w) {
+		return fmt.Errorf("answers differ:\ncompiled:    %q\ninterpreted: %q", g, w)
+	}
+	return nil
+}
+
+// deltaHead returns a head derived from a frozen root holding ob's facts
+// (and enough padding for the flatten rule to leave a delta layer) in which
+// one object of ob is changed, one is deleted — a tombstone, so the root's
+// index hits for it are stale — and one is created. With fewer than two
+// objects in ob it returns nil.
+func deltaHead(ob *objectbase.Base) *objectbase.Base {
+	objs := ob.Objects()
+	if len(objs) < 2 {
+		return nil
+	}
+	root := ob.Clone()
+	for i := 0; i < 64; i++ {
+		pad := term.GVID{Object: term.Sym(fmt.Sprintf("pad%d", i))}
+		root.EnsureObject(pad.Object)
+		root.Insert(term.NewFact(pad, "isa", term.Sym("pad")))
+	}
+	root.Freeze()
+	changed, deleted := term.GVID{Object: objs[0]}, term.GVID{Object: objs[1]}
+	created := term.GVID{Object: term.Sym("created")}
+	old := root.StateOf(changed)
+	ns := old.Clone()
+	done := false
+	old.ForEach(func(k term.MethodKey, r term.OID) {
+		if done || k.Method == term.ExistsMethod {
+			return
+		}
+		done = true
+		ns.Remove(k, r)
+		if r.IsNum() {
+			ns.Add(k, term.FromRat(r.Rat().Add(term.Int(1).Rat())))
+		} else {
+			ns.Add(k, term.Sym(r.Name()+"_changed"))
+		}
+	})
+	gone := root.StateOf(deleted)
+	head := root.Derive([]objectbase.Change{
+		{V: changed, Old: old, New: ns},
+		{V: deleted, Old: gone},
+		{V: created, New: gone.CloneFinal(created.Object)},
+	})
+	if head.Parent() != root {
+		panic("deltaHead: the derived head is not a delta layer over its root")
+	}
+	return head
+}
+
+// checkQueries puts a body to every kind of base a query meets: the input
+// as parsed (unfrozen: a fresh index per query, partitions cut from the
+// contents at probe time), the same frozen (one cached index), result(P)
+// (deep versions, which scan), and a derived head (layered index, stale
+// inherited hits).
+func checkQueries(ob *objectbase.Base, res *Result, body []term.Literal) error {
+	bases := []struct {
+		name string
+		b    *objectbase.Base
+	}{
+		{"input", ob}, {"frozen input", ob.Clone().Freeze()}, {"result(P)", res.Result},
+		{"ob'", res.Final}, {"derived head", deltaHead(ob)},
+	}
+	for _, c := range bases {
+		if c.b == nil {
+			continue
+		}
+		if err := sameQuery(c.b, body); err != nil {
+			return fmt.Errorf("on the %s: %w", c.name, err)
+		}
+	}
+	return nil
 }
 
 // fuzzBase is the fixed object base every fuzz input runs against: a small
@@ -59,7 +156,9 @@ var fuzzSeeds = []string{
 // inputs both engines accept must produce identical fixpoints. The seeds
 // cover the plan shapes the compiler specializes: version probes, result
 // probes, joins, negation, comparisons and multi-path heads. Every accepted
-// input is also held against the delta oracles (checkDelta).
+// input is also held against the delta oracles (checkDelta), and each of its
+// rule bodies is put as a query to the compiled Query and to the interpreter
+// (checkQueries).
 func FuzzCompiledVsInterpreted(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -103,6 +202,13 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 		}
 		if err := checkDelta(obI, resI); err != nil {
 			t.Errorf("interpreted run of %q: %v", src, err)
+		}
+		// A rule body is a query: every body is answered by the compiled
+		// Query and by the interpreter, on every kind of base.
+		for ri, r := range p.Rules {
+			if err := checkQueries(obC, resC, r.Body); err != nil {
+				t.Errorf("body of %s in %q as a query %v", r.Label(ri), src, err)
+			}
 		}
 	})
 }

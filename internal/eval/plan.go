@@ -207,17 +207,23 @@ func statsCost(base *objectbase.Base) costEstimator {
 // whole (path, method) population. Bound-variable results also probe at
 // run time, but their values are unknown at plan time, so they keep the
 // scan estimate. The literal index is fetched when the first such literal
-// shows up: programs that address every version by a bound base never
-// cause one to be built.
+// shows up, and the estimate builds the one partition the literal names —
+// the partition its probe will read: programs that address every version by
+// a bound base never cause one to be built.
 func indexedCost(base *objectbase.Base) costEstimator {
-	scan := statsCost(base)
 	var idx *objectbase.LiteralIndex
-	index := func() *objectbase.LiteralIndex {
+	return indexedCostWith(base, func() *objectbase.LiteralIndex {
 		if idx == nil {
 			idx = base.Index()
 		}
 		return idx
-	}
+	})
+}
+
+// indexedCostWith is indexedCost reading the index the caller will probe
+// (on an unfrozen base every Index call returns a new one).
+func indexedCostWith(base *objectbase.Base, index func() *objectbase.LiteralIndex) costEstimator {
+	scan := statsCost(base)
 	return func(l term.Literal, baseBound bool) int {
 		c := scan(l, baseBound)
 		if baseBound {

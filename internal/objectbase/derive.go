@@ -16,13 +16,14 @@ type Change struct {
 // the next Derive builds a fresh root — the only O(|base|) step left on the
 // publish path, paid once per |root|/flattenDivisor changed versions, i.e.
 // flattenDivisor versions per change whatever the size of the base. What
-// the bound buys is that nothing derived from a delta layer (its indexes,
-// built per head when first scanned; the second lookup of every read) can
-// cost more than that fraction of the same work on the root. It is a
-// constant, not an option: both sides of the trade scale with the base, so
-// no workload wants a different ratio — an update touching a few versions
-// stays under it for many rounds, one touching most of the base is over it
-// at once and pays exactly what building ob' from scratch costs.
+// the bound buys is that nothing read off a delta layer (a scan, which walks
+// it; a literal-index partition, built per head when first probed; the
+// second lookup of every read) can cost more than that fraction of the same
+// work on the root. It is a constant, not an option: both sides of the trade
+// scale with the base, so no workload wants a different ratio — an update
+// touching a few versions stays under it for many rounds, one touching most
+// of the base is over it at once and pays exactly what building ob' from
+// scratch costs.
 const flattenDivisor = 16
 
 // tombstone is the empty state a delta layer stores for a version its root
@@ -46,13 +47,8 @@ func (b *Base) Derive(changes []Change) *Base {
 	if len(changes) == 0 {
 		return b
 	}
-	out := &Base{
-		byPathMethod: make(map[pathMethod]map[term.GVID]struct{}),
-		size:         b.size,
-		frozen:       true,
-	}
+	out := &Base{size: b.size, frozen: true}
 	out.unsettledOnce.Do(func() { out.unsettled = b.unsettledAfter(changes) })
-	out.vidStale.Store(true)
 	for _, c := range changes {
 		if c.Old != nil {
 			out.size -= c.Old.Size()
@@ -66,8 +62,11 @@ func (b *Base) Derive(changes []Change) *Base {
 		root, layer = b.parent, b.ownLen()+len(changes)
 	}
 	if root.parent != nil || layer*flattenDivisor > root.ownLen() {
-		// A new root: the changes first, then everything they left alone.
+		// A new root: the changes first, then everything they left alone. Its
+		// VID index is built by the first reader that scans.
 		out.states = make(map[term.GVID]*State, b.VersionCount())
+		out.byPathMethod = make(map[pathMethod]map[term.GVID]struct{})
+		out.vidStale.Store(true)
 		for _, c := range changes {
 			out.states[c.V] = c.New
 		}

@@ -44,13 +44,17 @@ type Base struct {
 	// the delta layers Derive builds: a persistent map, so that the next
 	// Derive re-makes a path of it, not the layer. Such a base is born
 	// frozen, so the mutators, which work on states, never see one; readers
-	// go through own, ownLen and eachOwn.
+	// go through own, ownLen, eachOwn and eachOwnWith.
 	delta pmap
 	// byPathMethod indexes, for every (VID path, method) pair, the set of
 	// VIDs that carry at least one application of that method. It serves
 	// body literals whose version-id-term has an unbound base, e.g.
 	// mod(E).sal -> S. On overlays it covers the own layer only; readers
-	// merge with the parent's.
+	// merge with the parent's. A delta layer built by Derive has none: the
+	// flatten rule keeps it to 1/16 of its root, so its scans walk delta and
+	// test each state for the method — a sixteenth of what the same scan
+	// reads of the root — and no commit leaves an index for its first
+	// reader to rebuild.
 	byPathMethod map[pathMethod]map[term.GVID]struct{}
 	// overridesByPath counts own-layer states (including tombstones) per
 	// path, so parent scans can skip the per-VID shadow check entirely for
@@ -65,10 +69,10 @@ type Base struct {
 	frozen bool
 	// vidStale marks byPathMethod as deferred: mutators skip index
 	// maintenance and the first reader rebuilds it in one pass over states.
-	// Bulk constructions (Flatten, Derive, the engine's overlay) write
-	// thousands of states that are often read back only through direct state
-	// lookups; deferring turns the per-SetState index churn into at most one
-	// build. It is atomic because a frozen base may still be stale: the
+	// Bulk constructions (Flatten, a new root of Derive, the engine's overlay)
+	// write thousands of states that are often read back only through direct
+	// state lookups; deferring turns the per-SetState index churn into at most
+	// one build. It is atomic because a frozen base may still be stale: the
 	// first of its concurrent readers builds under idxMu and clears the flag
 	// last, which publishes the index to the others.
 	vidStale atomic.Bool
@@ -78,9 +82,9 @@ type Base struct {
 	unsettled     []term.GVID
 
 	// idx caches the literal index of a frozen base so all snapshot
-	// readers share one build. idxMu serialises that build and the deferred
-	// VID index build; idx is the lock-free fast path. Clone and Overlay
-	// deliberately do not carry the cache over.
+	// readers share its partitions. idxMu serialises its creation and the
+	// deferred VID index build; idx is the lock-free fast path. Clone and
+	// Overlay deliberately do not carry the cache over.
 	idxMu sync.Mutex
 	idx   atomic.Pointer[LiteralIndex]
 }
@@ -110,6 +114,24 @@ func (b *Base) eachOwn(fn func(v term.GVID, s *State)) {
 	}
 	for v, s := range b.states {
 		fn(v, s)
+	}
+}
+
+// eachOwnWith calls fn for every own-layer version on the path that carries
+// an application of the method: read off the VID index, or — on a layer
+// Derive built, which has none — found by walking the layer.
+func (b *Base) eachOwnWith(path term.Path, method string, fn func(v term.GVID)) {
+	if b.states == nil {
+		b.delta.each(func(v term.GVID, s *State) {
+			if v.Path == path && s.HasAnyOfMethod(method) {
+				fn(v)
+			}
+		})
+		return
+	}
+	b.ensureVIDIndex()
+	for v := range b.byPathMethod[pathMethod{Path: path, Method: method}] {
+		fn(v)
 	}
 }
 
@@ -614,10 +636,7 @@ func (b *Base) ForEachFactOf(v term.GVID, fn func(f term.Fact)) {
 // least one application of the named method. It serves patterns with an
 // unbound version base.
 func (b *Base) ForEachVIDWith(path term.Path, method string, fn func(v term.GVID)) {
-	b.ensureVIDIndex()
-	for v := range b.byPathMethod[pathMethod{Path: path, Method: method}] {
-		fn(v)
-	}
+	b.eachOwnWith(path, method, fn)
 	if b.parent == nil {
 		return
 	}
@@ -638,8 +657,13 @@ func (b *Base) ForEachVIDWith(path term.Path, method string, fn func(v term.GVID
 // count may slightly overestimate (shadowed parent entries are not
 // discounted); it is an estimate, not a truth value.
 func (b *Base) CountVIDsWith(path term.Path, method string) int {
-	b.ensureVIDIndex()
-	n := len(b.byPathMethod[pathMethod{Path: path, Method: method}])
+	n := 0
+	if b.states == nil {
+		b.eachOwnWith(path, method, func(term.GVID) { n++ })
+	} else {
+		b.ensureVIDIndex()
+		n = len(b.byPathMethod[pathMethod{Path: path, Method: method}])
+	}
 	if b.parent != nil {
 		n += b.parent.CountVIDsWith(path, method)
 	}
@@ -650,13 +674,21 @@ func (b *Base) CountVIDsWith(path term.Path, method string) int {
 // at least one application of the named method. It serves the any(...)
 // version wildcard of queries.
 func (b *Base) ForEachVIDWithMethod(method string, fn func(v term.GVID)) {
-	b.ensureVIDIndex()
-	for pm, vs := range b.byPathMethod {
-		if pm.Method != method {
-			continue
-		}
-		for v := range vs {
-			fn(v)
+	if b.states == nil {
+		b.delta.each(func(v term.GVID, s *State) {
+			if s.HasAnyOfMethod(method) {
+				fn(v)
+			}
+		})
+	} else {
+		b.ensureVIDIndex()
+		for pm, vs := range b.byPathMethod {
+			if pm.Method != method {
+				continue
+			}
+			for v := range vs {
+				fn(v)
+			}
 		}
 	}
 	if b.parent == nil {

@@ -102,6 +102,12 @@ rule4: ins[mod(E)].isa -> hpe <-
     mod(E).isa -> empl / sal -> S, S > 4500, !del[mod(E)].isa -> empl.
 `
 
+// BulkRaiseProgram is the two-rule raise of the end-to-end bulk_raise
+// workload: additive, so salaries stay integers, and it touches every
+// employee, so the head it leaves is a new root.
+const BulkRaiseProgram = `mgr: mod[E].sal -> (S, S') <- E.isa -> empl / pos -> mgr / sal -> S, S' = S + 2.
+oth: mod[E].sal -> (S, S') <- E.isa -> empl / sal -> S, !E.pos -> mgr, S' = S + 1.`
+
 // SalaryRaiseProgram is the single-rule update of Section 2.1.
 const SalaryRaiseProgram = `
 raise: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S * 1.1.

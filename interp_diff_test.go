@@ -1,12 +1,33 @@
 package verlog_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"verlog"
+	"verlog/internal/eval"
+	"verlog/internal/objectbase"
+	"verlog/internal/parser"
+	"verlog/internal/term"
 )
+
+// sameQueryAnswers puts a body to the compiled eval.Query and to the
+// interpreter and compares them error for error and row for row.
+func sameQueryAnswers(base *objectbase.Base, body []term.Literal) error {
+	got, errC := eval.Query(base, body)
+	want, errI := eval.QueryInterpreted(base, body)
+	if (errC == nil) != (errI == nil) {
+		return fmt.Errorf("error disagreement: compiled=%v interpreted=%v", errC, errI)
+	}
+	if errC == nil && !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("answers differ:\ncompiled:    %v\ninterpreted: %v", got, want)
+	}
+	return nil
+}
 
 // TestGoldenCompiledVsInterpreted is the metamorphic counterpart of the
 // golden corpus: the compiled match plans and the map-substitution
@@ -14,7 +35,10 @@ import (
 // every corpus case they must agree — error for error, fact for fact, in
 // both the fixpoint base result(P) and the updated base ob'. Any plan
 // compiler bug that changes semantics (rather than speed) shows up here
-// as a divergence on whichever corpus case exercises the construct.
+// as a divergence on whichever corpus case exercises the construct. Queries
+// run on the same compiled plans, so the case's query and — a query being a
+// rule body without a head — every rule body of its program are answered
+// both ways too: on the input, on result(P) and on ob'.
 func TestGoldenCompiledVsInterpreted(t *testing.T) {
 	files, err := filepath.Glob("testdata/golden/*.txt")
 	if err != nil {
@@ -74,6 +98,25 @@ func TestGoldenCompiledVsInterpreted(t *testing.T) {
 			if !resC.Final.Equal(resI.Final) {
 				t.Errorf("final base disagreement\ncompiled:\n%s\ninterpreted:\n%s",
 					verlog.FormatObjectBase(resC.Final), verlog.FormatObjectBase(resI.Final))
+			}
+
+			bodies := map[string][]term.Literal{}
+			for ri, r := range prog.Rules {
+				bodies["body of "+r.Label(ri)] = r.Body
+			}
+			if q, ok := sections["query"]; ok {
+				body, err := parser.Query(strings.TrimSpace(q), file+":query")
+				if err != nil {
+					t.Fatalf("query: %v", err)
+				}
+				bodies["query"] = body
+			}
+			for name, body := range bodies {
+				for on, base := range map[string]*objectbase.Base{"the input": obC, "result(P)": resC.Result, "ob'": resC.Final} {
+					if err := sameQueryAnswers(base, body); err != nil {
+						t.Errorf("%s on %s: %v", name, on, err)
+					}
+				}
 			}
 		})
 	}
