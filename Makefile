@@ -29,7 +29,7 @@ vet:
 # from PATH.
 lint: vet verlog-lint staticcheck govulncheck
 
-# The engine's own analyzers: frozen-base mutation, diskMu->commitMu
+# The engine's own analyzers: frozen-base mutation, applyMu->diskMu->commitMu
 # lock order, bounded tenant metric labels, no wall-clock reads under
 # commitMu. See docs/ANALYSIS.md and internal/lint.
 verlog-lint:

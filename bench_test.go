@@ -538,7 +538,9 @@ func BenchmarkE16MixedReadWrite(b *testing.B) {
 
 // BenchmarkE17MultiWriter — E17: concurrent ApplyKey throughput. The
 // recs/fsync metric is the group-commit amortization: >1 means multiple
-// commits shared a single journal write+fsync.
+// commits shared a single journal write+fsync. evals/apply is evaluations
+// run per committed update; evaluation is serial, so anything but 1 means
+// an apply's work was thrown away and fails the benchmark.
 func BenchmarkE17MultiWriter(b *testing.B) {
 	raise := mustParseProgram(b, benchRepoRaise)
 	for _, writers := range []int{1, 4, 8} {
@@ -548,6 +550,9 @@ func BenchmarkE17MultiWriter(b *testing.B) {
 			r.Instrument(reg)
 			batches := reg.Counter("verlog_commit_batches_total", "Group-commit batches flushed (one fsync each).")
 			records := reg.Counter("verlog_commit_batch_records_total", "Journal records flushed across all group-commit batches.")
+			applies := reg.Counter("verlog_applies_total", "Committed updates (idempotent replays excluded).")
+			planHits := reg.Counter("verlog_plan_cache_hits_total", "Applies that reused cached compiled match plans.")
+			planMisses := reg.Counter("verlog_plan_cache_misses_total", "Applies that compiled match plans afresh.")
 			b.ReportAllocs()
 			b.ResetTimer()
 			var next atomic.Int64
@@ -572,6 +577,13 @@ func BenchmarkE17MultiWriter(b *testing.B) {
 			b.StopTimer()
 			if f := batches.Value(); f > 0 {
 				b.ReportMetric(float64(records.Value())/float64(f), "recs/fsync")
+			}
+			evals, committed := planHits.Value()+planMisses.Value(), applies.Value()
+			if committed > 0 {
+				b.ReportMetric(float64(evals)/float64(committed), "evals/apply")
+			}
+			if evals != committed {
+				b.Errorf("%d evaluations for %d committed applies, want one each", evals, committed)
 			}
 		})
 	}

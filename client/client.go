@@ -514,10 +514,12 @@ func (c *Client) Log(ctx context.Context) ([]LogEntry, error) {
 }
 
 // ApplyTimings are the server-reported per-stage timings of one apply, in
-// microseconds (see eval.Stats for the stage meanings). Copy is part of
-// Eval; Encode and CommitWait are the two parts of Commit.
+// microseconds (see eval.Stats for the stage meanings). Queue is the wait
+// for the applies ahead; Copy is part of Eval; Encode and CommitWait are
+// the two parts of Commit.
 type ApplyTimings struct {
 	ParseUS       int64   `json:"parse_us"`
+	QueueUS       int64   `json:"queue_us"`
 	SafetyUS      int64   `json:"safety_us"`
 	StratifyUS    int64   `json:"stratify_us"`
 	StrataUS      []int64 `json:"strata_us"`

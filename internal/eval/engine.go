@@ -116,8 +116,8 @@ type StratumTiming struct {
 
 // Stats carries per-stage timings across the layers of one apply. eval.Run
 // fills Stratify, Strata, Copy and Eval; core.Apply adds Safety; the
-// repository adds ConstraintCheck, Encode, CommitWait and Commit; the server
-// adds Parse. The
+// repository adds Queue, ConstraintCheck, Encode, CommitWait and Commit; the
+// server adds Parse. The
 // stage names follow the paper's pipeline: parse, safety, stratification,
 // per-stratum T_P fixpoints, the copy phase building ob', and the apply
 // phase committing the result.
@@ -125,6 +125,10 @@ type Stats struct {
 	// Parse is the time spent parsing the program text (callers that start
 	// from a parsed program leave it zero).
 	Parse time.Duration
+	// Queue is the time the apply waited for the applies ahead of it to
+	// evaluate and enqueue (repository layer: evaluation is serial). Zero,
+	// give or take a lock acquisition, when nothing else is writing.
+	Queue time.Duration
 	// Safety is the safety check over every rule.
 	Safety time.Duration
 	// Stratify is the stratification of the program.

@@ -3,7 +3,8 @@
 // code review keeps re-litigating:
 //
 //   - frozenmutate: no mutation of a Freeze()d base outside objectbase
-//   - lockorder: diskMu is never acquired while commitMu is held
+//   - lockorder: the repository's locks nest as applyMu -> diskMu ->
+//     commitMu, never the other way round
 //   - boundedlabels: tenant-labeled metrics go through obs.BoundedLabels
 //   - commitclock: no wall-clock reads inside the group-commit critical
 //     section (the journal append+fsync path is timed outside commitMu)

@@ -94,7 +94,41 @@ func bad(r *Repo) {
 	got = analyze(t, Lockorder, "verlog/internal/x", earlyExit)
 	wantFindings(t, got, "diskMu.Lock() while commitMu is held")
 
+	// The third level: applyMu is outermost, so taking it under either of
+	// the other two inverts the order — a quiescing operation holds applyMu
+	// while it waits for diskMu.
+	const underDisk = `package x
+func bad(r *Repo) {
+	r.diskMu.Lock()
+	defer r.diskMu.Unlock()
+	r.applyMu.Lock()     // finding: applyMu comes first
+	r.applyMu.Unlock()
+	r.commitMu.Lock()
+	r.applyMu.Lock()     // finding: under commitMu too (and still under diskMu)
+}`
+	got = analyze(t, Lockorder, "verlog/internal/x", underDisk)
+	wantFindings(t, got,
+		"applyMu.Lock() while diskMu is held",
+		"applyMu.Lock() while diskMu is held",
+		"applyMu.Lock() while commitMu is held")
+
 	const negative = `package x
+func quiesce(r *Repo) {
+	r.applyMu.Lock()     // the full order, outermost first
+	defer r.applyMu.Unlock()
+	r.diskMu.Lock()
+	defer r.diskMu.Unlock()
+	r.commitMu.Lock()
+	r.commitMu.Unlock()
+}
+func apply(r *Repo) {
+	r.applyMu.Lock()
+	r.commitMu.Lock()    // skipping a level keeps the order
+	r.commitMu.Unlock()
+	r.applyMu.Unlock()
+	r.diskMu.Lock()      // applyMu released before the flush
+	r.diskMu.Unlock()
+}
 func good(r *Repo) error {
 	r.commitMu.Lock()
 	if r.closed {

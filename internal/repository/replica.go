@@ -124,13 +124,13 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
 	r.diskMu.Lock()
 	defer r.diskMu.Unlock()
 	if err := r.repairDiskLocked(); err != nil {
 		return err
 	}
-	r.pauseCommits()
-	defer r.resumeCommits()
 	r.flushPendingLocked()
 	hs := r.published.Load()
 	var buf []byte
@@ -189,10 +189,10 @@ func (r *Repository) ResetToSnapshot(base *objectbase.Base, seq int) error {
 	if seq < 0 {
 		return fmt.Errorf("repository: negative snapshot seq %d", seq)
 	}
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
 	r.diskMu.Lock()
 	defer r.diskMu.Unlock()
-	r.pauseCommits()
-	defer r.resumeCommits()
 	r.flushPendingLocked()
 	if err := r.fs.Truncate(filepath.Join(r.dir, journalFile), 0); err != nil {
 		return fmt.Errorf("repository: %w", err)
@@ -205,7 +205,6 @@ func (r *Repository) ResetToSnapshot(base *objectbase.Base, seq int) error {
 	r.commitMu.Lock()
 	r.spec = ns
 	r.keys = make(map[string]*keyRecord)
-	r.gen++
 	r.needRepair = false
 	r.commitMu.Unlock()
 	r.publish(ns)

@@ -28,20 +28,29 @@
 // wait-free loads of that pointer: zero disk I/O, never blocked by an
 // in-flight apply, at most one committed update behind it.
 //
-// Writes run in two phases. Evaluation — the expensive part — runs outside
-// any lock against a snapshot of the head; the paper's T_P is a pure
-// function from an old base to a new one, so a snapshot is all it needs.
-// Its product is a delta: the new head shares every state the program did
-// not change with the old one (objectbase.Derive), and the journal record
-// is computed from the changed states alone.
-// Commit is then a short critical section under commitMu: an optimistic
-// check that the snapshot is still the head (retrying the evaluation
-// otherwise), a seq assignment, and an append of the framed record to the
-// pending group-commit batch. Disk I/O is serialized by diskMu: the first
-// writer into a batch becomes its leader, writes every queued record in
-// one write+fsync, publishes the new head, and wakes the batch; later
-// writers piggyback on the batch their leader is about to flush, so under
+// Writes are serial — an update-program is a function from one base to the
+// next and the journal is the sequence of those steps — and run in two
+// halves. Under applyMu, one apply at a time evaluates against the
+// speculative head, checks the constraints, encodes its journal record,
+// extends the speculative head and joins the pending group-commit batch;
+// no evaluation is ever discarded. Its product is a delta: the new head
+// shares every state the program did not change with the old one
+// (objectbase.Derive), and the record is computed from the changed states
+// alone. With applyMu released, the first writer into a batch leads it:
+// under diskMu it writes every queued record in one write+fsync, publishes
+// the new head and wakes the batch, while the others wait on the batch. So
+// apply k+1 evaluates while batch k's fsync is in flight, and under
 // contention one fsync commits many updates.
+//
+// Three locks, taken in the order applyMu -> diskMu -> commitMu: applyMu
+// serializes evaluate-and-enqueue, diskMu file operations and the advance
+// of the published head, commitMu the in-memory commit state for a few
+// pointer swaps at a time. An operation that needs the repository
+// quiescent (SetConstraints, Compact, Verify, Close, ApplyReplicaBatch,
+// ResetToSnapshot, repair) holds applyMu and diskMu and flushes the
+// pending batch: nothing is evaluating, nothing is in flight. The one
+// re-run is fault handling: an apply that finds a flush ahead of it failed
+// repairs the repository from disk and evaluates again.
 package repository
 
 import (
@@ -60,6 +69,7 @@ import (
 	"verlog/internal/eval"
 	"verlog/internal/fsio"
 	"verlog/internal/objectbase"
+	"verlog/internal/obs"
 	"verlog/internal/parser"
 	"verlog/internal/storage"
 	"verlog/internal/term"
@@ -103,9 +113,7 @@ type commitBatch struct {
 }
 
 // consState is the installed integrity-constraint set, kept resident so
-// applies never re-read or re-parse the constraints file. The pointer
-// identity doubles as a version: a commit whose evaluation saw an older
-// set retries.
+// applies never re-read or re-parse the constraints file.
 type consState struct {
 	src string
 	cs  []term.Constraint
@@ -122,7 +130,7 @@ type keyRecord struct {
 
 // Repository is an object base under journal control. All methods are
 // safe for concurrent use; see the package comment for the concurrency
-// model.
+// model. Lock order: applyMu -> diskMu -> commitMu.
 type Repository struct {
 	dir string
 	fs  fsio.FS
@@ -153,24 +161,29 @@ type Repository struct {
 	retentionMu sync.Mutex
 	retention   func() int
 
+	// applyMu makes evaluation serial: an apply holds it from reading spec
+	// and cons until it has extended spec and joined the pending batch, and
+	// releases it before the batch is flushed; whatever else replaces spec
+	// or cons holds it throughout. It also guards the compiled-plan cache,
+	// which only an evaluating apply touches: program hash → the plans the
+	// last apply of that program compiled, tagged with the seq class of the
+	// head they were planned against (see cachedPlans).
+	applyMu   sync.Mutex
+	planCache map[uint64]planEntry
+	planOrder []uint64
+
 	// commitMu guards the in-memory commit state: the speculative head
 	// chain, the pending batch, the idempotency-key map, and the repair
 	// flags. It is only ever held for pointer swaps and map updates —
 	// never across evaluation or disk I/O.
 	commitMu sync.Mutex
-	cond     *sync.Cond // signals paused committers; see pause/resume
-	paused   bool
 	// closed is set by Close: mutations and disk operations refuse from
 	// then on, while reads keep serving the last published state.
 	closed bool
 	// spec is the speculative head: published plus any commits that are
 	// queued in the pending batch but not yet durable. New evaluations
 	// start from it so commit N+1 can evaluate while commit N fsyncs.
-	spec *headState
-	// gen counts recoveries; a commit whose evaluation predates the
-	// current generation retries instead of committing onto a repaired
-	// chain.
-	gen     uint64
+	spec    *headState
 	keys    map[string]*keyRecord
 	pending *commitBatch
 	// needRepair is set when a flush failed after possibly touching disk;
@@ -182,13 +195,6 @@ type Repository struct {
 	// rewrites, truncation, recovery. The published head only advances
 	// under it.
 	diskMu sync.Mutex
-
-	// planMu guards the compiled-plan cache: program hash → the plans the
-	// last apply of that program compiled, tagged with the seq class of
-	// the head they were planned against. See cachedPlans.
-	planMu    sync.Mutex
-	planCache map[uint64]planEntry
-	planOrder []uint64
 }
 
 // planEntry is one compiled-plan cache slot.
@@ -212,8 +218,6 @@ const (
 // cachedPlans returns the cached compiled plans for a program hash, or nil
 // when absent or planned against an expired seq class.
 func (r *Repository) cachedPlans(hash uint64, seqClass int) *eval.CompiledProgram {
-	r.planMu.Lock()
-	defer r.planMu.Unlock()
 	e, ok := r.planCache[hash]
 	if !ok || e.seqClass != seqClass {
 		return nil
@@ -224,8 +228,6 @@ func (r *Repository) cachedPlans(hash uint64, seqClass int) *eval.CompiledProgra
 // storePlans caches freshly compiled plans, evicting FIFO past the slot
 // bound.
 func (r *Repository) storePlans(hash uint64, seqClass int, cp *eval.CompiledProgram) {
-	r.planMu.Lock()
-	defer r.planMu.Unlock()
 	if r.planCache == nil {
 		r.planCache = make(map[uint64]planEntry, planCacheSlots)
 	}
@@ -241,7 +243,6 @@ func (r *Repository) storePlans(hash uint64, seqClass int, cp *eval.CompiledProg
 
 func newRepository(dir string, fs fsio.FS) *Repository {
 	r := &Repository{dir: dir, fs: fs, keys: make(map[string]*keyRecord)}
-	r.cond = sync.NewCond(&r.commitMu)
 	r.cons.Store(&consState{})
 	r.epoch.Store(1)
 	r.notifyCh = make(chan struct{})
@@ -309,38 +310,7 @@ func Init(dir string, initial *objectbase.Base) (*Repository, error) {
 
 // InitFS is Init on an explicit filesystem (fault injection in tests).
 func InitFS(dir string, initial *objectbase.Base, fs fsio.FS) (*Repository, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("repository: %w", err)
-	}
-	if _, err := fs.Stat(filepath.Join(dir, snapshotFile)); err == nil {
-		return nil, fmt.Errorf("repository: %s already contains a repository", dir)
-	}
-	r := newRepository(dir, fs)
-	if err := r.removeStaleTemps(nil); err != nil {
-		return nil, err
-	}
-	if err := r.writeBase(snapshotFile, initial, 0); err != nil {
-		return nil, err
-	}
-	jf, err := fs.Create(filepath.Join(dir, journalFile))
-	if err != nil {
-		return nil, fmt.Errorf("repository: %w", err)
-	}
-	if err := jf.Sync(); err != nil {
-		jf.Close()
-		return nil, fmt.Errorf("repository: %w", err)
-	}
-	if err := jf.Close(); err != nil {
-		return nil, fmt.Errorf("repository: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return nil, fmt.Errorf("repository: %w", err)
-	}
-	base := initial.Clone().Freeze()
-	hs := &headState{snap: base, base: base}
-	r.spec = hs
-	r.publish(hs)
-	return r, nil
+	return InitAtFS(dir, initial, 0, fs)
 }
 
 // Open opens an existing repository, recovering it to a consistent state:
@@ -397,9 +367,8 @@ func (r *Repository) removeStaleTemps(rec *Recovery) error {
 }
 
 // recoverLocked reconciles snapshot and journal and rebuilds the in-memory
-// published state from them. The caller must hold diskMu with commits
-// paused (or the repository not yet shared). See Open for what it
-// repairs.
+// published state from them. The caller must hold applyMu and diskMu (or
+// the repository not yet shared). See Open for what it repairs.
 func (r *Repository) recoverLocked() error {
 	start := time.Now()
 	var rec Recovery
@@ -486,7 +455,6 @@ func (r *Repository) recoverLocked() error {
 	r.commitMu.Lock()
 	r.spec = hs
 	r.keys = keys
-	r.gen++
 	r.recovery = rec
 	r.needRepair = false
 	r.commitMu.Unlock()
@@ -528,32 +496,10 @@ func (r *Repository) loadConstraints() (*consState, error) {
 	return &consState{src: string(src), cs: cs}, nil
 }
 
-// pauseCommits stops new commits from entering the commit section; the
-// caller must hold diskMu and must call resumeCommits. While paused, the
-// speculative chain is quiescent: spec, keys and pending only change
-// under the pauser's control.
-func (r *Repository) pauseCommits() {
-	r.commitMu.Lock()
-	r.paused = true
-	r.commitMu.Unlock()
-}
-
-func (r *Repository) resumeCommits() {
-	r.commitMu.Lock()
-	r.paused = false
-	r.commitMu.Unlock()
-	r.cond.Broadcast()
-}
-
-// repair re-runs recovery if a previous flush failed partway. It drains
-// (and fails) any queued commits first so recovery sees a quiescent
-// repository.
-func (r *Repository) repair() error {
-	r.diskMu.Lock()
-	defer r.diskMu.Unlock()
-	return r.repairDiskLocked()
-}
-
+// repairDiskLocked re-runs recovery if a previous flush failed partway;
+// the caller must hold applyMu and diskMu. It fails any queued commits
+// first (needRepair is set, so the flush aborts them), leaving recovery
+// nothing in flight to race with.
 func (r *Repository) repairDiskLocked() error {
 	r.commitMu.Lock()
 	need := r.needRepair
@@ -561,24 +507,22 @@ func (r *Repository) repairDiskLocked() error {
 	if !need {
 		return nil
 	}
-	r.pauseCommits()
-	defer r.resumeCommits()
-	r.flushPendingLocked() // fails the batch: needRepair is set
+	r.flushPendingLocked()
 	return r.recoverLocked()
 }
 
-// writeBase atomically replaces name with a snapshot of b stamped seq:
-// unique temp file, write, fsync, rename, fsync the directory entry.
-func (r *Repository) writeBase(name string, b *objectbase.Base, seq int) error {
+// writeDurable atomically replaces name with what write puts into it:
+// unique temp file, write, fsync, close, rename, fsync the directory entry.
+func (r *Repository) writeDurable(name string, write func(fsio.File) error) error {
 	tmp := filepath.Join(r.dir, fmt.Sprintf("%s.%08x.tmp", name, rand.Uint32()))
 	f, err := r.fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("repository: %w", err)
 	}
-	if err := storage.SaveBinaryAt(f, b, seq); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		r.fs.Remove(tmp)
-		return err
+		return fmt.Errorf("repository: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -597,6 +541,16 @@ func (r *Repository) writeBase(name string, b *objectbase.Base, seq int) error {
 		return fmt.Errorf("repository: %w", err)
 	}
 	return nil
+}
+
+// writeBase durably replaces name with a snapshot of b stamped seq.
+func (r *Repository) writeBase(name string, b *objectbase.Base, seq int) error {
+	return r.writeDurable(name, func(f fsio.File) error { return storage.SaveBinaryAt(f, b, seq) })
+}
+
+// writeFileDurable durably replaces name with data.
+func (r *Repository) writeFileDurable(name string, data []byte) error {
+	return r.writeDurable(name, func(f fsio.File) error { _, err := f.Write(data); return err })
 }
 
 func (r *Repository) readBase(name string) (*objectbase.Base, int, error) {
@@ -731,15 +685,17 @@ func (e *ConstraintViolationError) Error() string {
 // SetConstraints installs integrity constraints (denial form, concrete
 // syntax; see parser.Constraints). Every subsequent Apply verifies the
 // updated base against them and refuses to commit on violation. The
-// current head must already satisfy them. Installation quiesces commits
-// so no update can slip between the validation and the switch; applies
-// whose evaluation saw the previous constraint set retry against the new
-// one.
+// current head must already satisfy them. Installation holds applyMu, so
+// no update can slip between the validation and the switch: every apply
+// evaluated under the previous set is durable (or has failed) before the
+// head is validated, and every later one reads the new set.
 func (r *Repository) SetConstraints(src string) error {
 	cs, err := parser.Constraints(src, constraintsFile)
 	if err != nil {
 		return err
 	}
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
 	r.diskMu.Lock()
 	defer r.diskMu.Unlock()
 	if err := r.closedErr(); err != nil {
@@ -748,8 +704,6 @@ func (r *Repository) SetConstraints(src string) error {
 	if err := r.repairDiskLocked(); err != nil {
 		return err
 	}
-	r.pauseCommits()
-	defer r.resumeCommits()
 	r.flushPendingLocked()
 	head := r.published.Load().base
 	if err := checkConstraints(head, cs); err != nil {
@@ -759,38 +713,6 @@ func (r *Repository) SetConstraints(src string) error {
 		return err
 	}
 	r.cons.Store(&consState{src: src, cs: cs})
-	return nil
-}
-
-// writeFileDurable atomically replaces name with data (tmp, fsync,
-// rename, dir fsync).
-func (r *Repository) writeFileDurable(name string, data []byte) error {
-	tmp := filepath.Join(r.dir, fmt.Sprintf("%s.%08x.tmp", name, rand.Uint32()))
-	f, err := r.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("repository: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		r.fs.Remove(tmp)
-		return fmt.Errorf("repository: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		r.fs.Remove(tmp)
-		return fmt.Errorf("repository: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		r.fs.Remove(tmp)
-		return fmt.Errorf("repository: %w", err)
-	}
-	if err := r.fs.Rename(tmp, filepath.Join(r.dir, name)); err != nil {
-		r.fs.Remove(tmp)
-		return fmt.Errorf("repository: %w", err)
-	}
-	if err := r.fs.SyncDir(r.dir); err != nil {
-		return fmt.Errorf("repository: %w", err)
-	}
 	return nil
 }
 
@@ -835,66 +757,101 @@ func (r *Repository) Apply(p *term.Program, opts ...core.Option) (*eval.Result, 
 // replayed=false. Keys are remembered as far back as the journal reaches;
 // Compact clears them along with the entries that held them.
 //
-// Evaluation runs outside any lock against a snapshot of the head; if
-// another update commits first, ApplyKey re-evaluates against the new
-// head and tries again (the optimistic retry the pure T_P of the paper
-// makes safe). The journal record is fsynced as part of a group-commit
-// batch shared with concurrent committers; ApplyKey returns only after
-// its record is durable.
+// Applies evaluate one at a time, each on the head the one before it left
+// (tryApply), so an evaluation that passes its checks is the one that
+// commits. The journal record is fsynced in a group-commit batch shared
+// with concurrent committers while the next apply already evaluates;
+// ApplyKey returns only after its record is durable.
 func (r *Repository) ApplyKey(p *term.Program, key string, opts ...core.Option) (*eval.Result, Entry, bool, error) {
+	start := time.Now()
 	for {
-		res, entry, replayed, retry, err := r.tryApply(p, key, opts)
+		a, retry, err := r.tryApply(p, key, opts, start)
+		if err != nil {
+			return nil, Entry{}, false, err
+		}
 		if retry {
 			continue
 		}
-		return res, entry, replayed, err
-	}
-}
-
-// tryApply is one optimistic attempt: snapshot, evaluate, commit if the
-// snapshot is still the head. retry=true means the attempt was invalidated
-// by a concurrent commit, repair or constraint change and must rerun.
-func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (_ *eval.Result, _ Entry, replayed, retry bool, _ error) {
-	r.commitMu.Lock()
-	if r.closed {
-		r.commitMu.Unlock()
-		return nil, Entry{}, false, false, ErrClosed
-	}
-	if r.needRepair {
-		r.commitMu.Unlock()
-		if err := r.repair(); err != nil {
-			return nil, Entry{}, false, false, err
-		}
-		return nil, Entry{}, false, true, nil
-	}
-	if key != "" {
-		if kr, ok := r.keys[key]; ok {
-			b, e := kr.batch, kr.entry
-			r.commitMu.Unlock()
-			if b != nil {
-				<-b.done
-				if b.err != nil {
+		if a.res == nil {
+			if a.batch != nil {
+				<-a.batch.done
+				if a.batch.err != nil {
 					// The update the key rode in never became durable (its
 					// key was dropped with the batch); apply afresh.
-					return nil, Entry{}, false, true, nil
+					continue
 				}
 			}
 			r.met().ReplayHits.Inc()
-			return nil, e, true, false, nil
+			return nil, a.entry, true, nil
 		}
+		waitStart := time.Now()
+		waitSpan := a.commitSpan.StartChild("wait")
+		if a.leader {
+			r.diskMu.Lock()
+			r.flushPendingLocked()
+			r.diskMu.Unlock()
+		}
+		<-a.batch.done
+		waitSpan.End()
+		a.commitSpan.End()
+		a.res.Stats.CommitWait = time.Since(waitStart)
+		a.res.Stats.Commit = a.res.Stats.Encode + a.res.Stats.CommitWait
+		r.met().CommitWait.Observe(a.res.Stats.CommitWait)
+		if a.batch.err != nil {
+			return nil, Entry{}, false, a.batch.err
+		}
+		r.met().Applies.Inc()
+		r.met().RecordBytes.ObserveSize(int64(a.recordBytes))
+		return a.res, a.entry, false, nil
 	}
-	snap := r.spec
-	gen := r.gen
-	cons := r.cons.Load()
-	r.commitMu.Unlock()
+}
 
-	// Phase 1: evaluate against the immutable snapshot, no locks held.
+// attempt is what the serial half of an apply hands to the waiting half.
+type attempt struct {
+	res         *eval.Result // nil when the key was already journaled
+	entry       Entry
+	batch       *commitBatch // the batch entry rides in; nil once it is durable
+	leader      bool         // this apply opened batch and flushes it
+	commitSpan  *obs.Span
+	recordBytes int
+}
+
+// tryApply is the serial half of an apply, run under applyMu: evaluate p
+// against the speculative head, check the constraints, encode the record,
+// extend the speculative head and join the pending batch. retry means a
+// group-commit flush ahead of this apply failed: the repository has been
+// or will be repaired from disk and the caller runs tryApply again.
+// queueStart is when ApplyKey was entered.
+func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, queueStart time.Time) (a attempt, retry bool, err error) {
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
+	queue := time.Since(queueStart)
+	r.commitMu.Lock()
+	if r.closed {
+		r.commitMu.Unlock()
+		return a, false, ErrClosed
+	}
+	if r.needRepair {
+		r.commitMu.Unlock()
+		r.diskMu.Lock()
+		defer r.diskMu.Unlock()
+		return a, true, r.repairDiskLocked()
+	}
+	if kr := r.keys[key]; kr != nil { // the empty key is never registered
+		a.entry, a.batch = kr.entry, kr.batch
+		r.commitMu.Unlock()
+		return a, false, nil
+	}
+	head := r.spec
+	r.commitMu.Unlock()
+	cons := r.cons.Load()
+
 	// Reuse compiled plans from a previous apply of the same program when
 	// they were planned against the current seq class; a mismatched cache
 	// entry just recompiles inside eval, so a false hit costs nothing but
 	// the lookup.
 	ph := eval.ProgramHash(p)
-	seqClass := snap.seq >> planSeqClassBits
+	seqClass := head.seq >> planSeqClassBits
 	if cp := r.cachedPlans(ph, seqClass); cp != nil {
 		opts = append(opts[:len(opts):len(opts)], core.WithPlans(cp))
 		r.met().PlanCacheHits.Inc()
@@ -902,14 +859,16 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (
 		r.met().PlanCacheMisses.Inc()
 	}
 	eng := core.New(opts...)
-	res, err := eng.Apply(snap.base, p)
+	sp := eng.Span()
+	sp.AddChild("queue", queueStart, queue)
+	res, err := eng.Apply(head.base, p)
 	if err != nil {
-		return nil, Entry{}, false, false, err
+		return a, false, err
 	}
+	res.Stats.Queue = queue
 	if res.Plans != nil {
 		r.storePlans(ph, seqClass, res.Plans)
 	}
-	sp := eng.Span()
 	constraintStart := time.Now()
 	constraintSpan := sp.StartChild("constraints")
 	err = checkConstraints(res.Final, cons.cs)
@@ -917,18 +876,17 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (
 	constraintSpan.End()
 	if err != nil {
 		r.met().ConstraintRejects.Inc()
-		return nil, Entry{}, false, false, err
+		return a, false, err
 	}
 	res.Stats.ConstraintCheck = time.Since(constraintStart)
 	commitStart := time.Now()
 	commitSpan := sp.StartChild("commit")
-	defer commitSpan.End()
 	// The record is written straight from the states the evaluation
 	// changed: no comparison of the two bases, no fact lists in between.
 	encodeSpan := commitSpan.StartChild("encode")
 	added, removed := storage.EncodeChanges(res.Changes)
 	entry := Entry{
-		Seq:     snap.seq + 1,
+		Seq:     head.seq + 1,
 		Program: parser.FormatProgram(p),
 		Key:     key,
 		Added:   added,
@@ -941,35 +899,29 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (
 	encodeSpan.End()
 	res.Stats.Encode = time.Since(commitStart)
 
-	// Phase 2: the short commit section — validate the snapshot is still
-	// the head, extend the speculative chain, join the pending batch.
+	// Nothing replaced the head meanwhile — that takes applyMu — so the
+	// result extends the speculative chain and joins the pending batch.
 	r.commitMu.Lock()
-	for r.paused {
-		r.cond.Wait()
-	}
-	if r.closed {
+	if r.needRepair {
+		// The flush of a batch ahead failed while this apply evaluated on
+		// top of it; the next attempt repairs and evaluates again.
 		r.commitMu.Unlock()
-		return nil, Entry{}, false, false, ErrClosed
-	}
-	if r.needRepair || r.gen != gen || r.spec != snap || r.cons.Load() != cons {
-		r.commitMu.Unlock()
-		return nil, Entry{}, false, true, nil
+		commitSpan.End()
+		return a, true, nil
 	}
 	ns := &headState{
-		snap:    snap.snap,
+		snap:    head.snap,
 		base:    res.Final,
 		seq:     entry.Seq,
-		snapSeq: snap.snapSeq,
-		entries: append(snap.entries, entry),
+		snapSeq: head.snapSeq,
+		entries: append(head.entries, entry),
 	}
 	b := r.pending
 	leader := b == nil
 	if leader {
-		b = &commitBatch{done: make(chan struct{})}
+		// The common batch of one is written from the record's own buffer.
+		b = &commitBatch{done: make(chan struct{}), buf: framed}
 		r.pending = b
-	}
-	if leader {
-		b.buf = framed // the common batch of one is written from the record's own buffer
 	} else {
 		b.buf = append(b.buf, framed...)
 	}
@@ -981,25 +933,7 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option) (
 	}
 	r.spec = ns
 	r.commitMu.Unlock()
-
-	waitStart := time.Now()
-	waitSpan := commitSpan.StartChild("wait")
-	if leader {
-		r.diskMu.Lock()
-		r.flushPendingLocked()
-		r.diskMu.Unlock()
-	}
-	<-b.done
-	waitSpan.End()
-	res.Stats.CommitWait = time.Since(waitStart)
-	r.met().CommitWait.Observe(res.Stats.CommitWait)
-	if b.err != nil {
-		return nil, Entry{}, false, false, b.err
-	}
-	r.met().Applies.Inc()
-	r.met().RecordBytes.ObserveSize(int64(len(framed)))
-	res.Stats.Commit = time.Since(commitStart)
-	return res, entry, false, false, nil
+	return attempt{res: res, entry: entry, batch: b, leader: leader, commitSpan: commitSpan, recordBytes: len(framed)}, false, nil
 }
 
 // flushPendingLocked seals the pending batch, writes all its records in
@@ -1099,6 +1033,8 @@ func (e *VerifyError) Error() string {
 // Verify replays the whole journal from the snapshot and checks that the
 // result equals the published head — the repository's integrity check.
 func (r *Repository) Verify() error {
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
 	r.diskMu.Lock()
 	defer r.diskMu.Unlock()
 	if err := r.closedErr(); err != nil {
@@ -1175,9 +1111,11 @@ func (r *Repository) compactFloor(hs *headState) int {
 // below the floor are folded in and the journal keeps the suffix — along
 // with the idempotency keys it holds. A crash between the snapshot
 // rewrite and the journal trim is healed by Open, which drops journal
-// entries the snapshot already contains. Commits are quiesced for the
-// duration; reads are not.
+// entries the snapshot already contains. Applies wait for the duration;
+// reads do not.
 func (r *Repository) Compact() error {
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
 	r.diskMu.Lock()
 	defer r.diskMu.Unlock()
 	if err := r.closedErr(); err != nil {
@@ -1188,17 +1126,9 @@ func (r *Repository) Compact() error {
 	if err := r.repairDiskLocked(); err != nil {
 		return err
 	}
-	r.pauseCommits()
-	defer r.resumeCommits()
 	r.flushPendingLocked()
-	r.commitMu.Lock()
-	if r.needRepair {
-		r.commitMu.Unlock()
-		if err := r.recoverLocked(); err != nil {
-			return err
-		}
-	} else {
-		r.commitMu.Unlock()
+	if err := r.repairDiskLocked(); err != nil { // the flush itself may have failed
+		return err
 	}
 	if err := r.verifyDiskLocked(); err != nil {
 		return err
@@ -1265,11 +1195,11 @@ var ErrNoSuchState = errors.New("repository: no such state")
 // serving the last published state; mutations and disk operations refuse.
 var ErrClosed = errors.New("repository: closed")
 
-// Close quiesces the repository and marks it closed: commits are paused,
-// the pending group-commit batch is flushed, and every later mutating or
-// disk-touching operation (ApplyKey, SetConstraints, Compact, Verify,
-// Entries) returns ErrClosed. Committers blocked in the commit section are
-// woken and fail with ErrClosed instead of writing to a repository whose
+// Close quiesces the repository and marks it closed: it waits for the
+// apply that is evaluating to enqueue, flushes the pending group-commit
+// batch, and every later mutating or disk-touching operation (ApplyKey,
+// SetConstraints, Compact, Verify, Entries) returns ErrClosed — applies
+// queued behind Close included, instead of writing to a repository whose
 // owner has moved on. Reads (Head, Snapshot, Log, At, ...) stay wait-free
 // against the last published state, so a racing reader never observes a
 // torn close. The directory is untouched — Close is how a tenant is
@@ -1277,15 +1207,14 @@ var ErrClosed = errors.New("repository: closed")
 // same state, including the journaled idempotency keys. Close is
 // idempotent.
 func (r *Repository) Close() error {
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
 	r.diskMu.Lock()
 	defer r.diskMu.Unlock()
-	r.pauseCommits()
 	r.flushPendingLocked()
 	r.commitMu.Lock()
 	r.closed = true
-	r.paused = false
 	r.commitMu.Unlock()
-	r.cond.Broadcast()
 	return nil
 }
 

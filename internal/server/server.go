@@ -810,6 +810,7 @@ func (s *Server) handleQuery(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 // applyTimings renders eval.Stats in microseconds for the apply response.
 type applyTimings struct {
 	ParseUS       int64   `json:"parse_us"`
+	QueueUS       int64   `json:"queue_us"`
 	SafetyUS      int64   `json:"safety_us"`
 	StratifyUS    int64   `json:"stratify_us"`
 	StrataUS      []int64 `json:"strata_us,omitempty"`
@@ -826,6 +827,7 @@ func timingsFromStats(st eval.Stats, total time.Duration) *applyTimings {
 	us := func(d time.Duration) int64 { return d.Microseconds() }
 	t := &applyTimings{
 		ParseUS:       us(st.Parse),
+		QueueUS:       us(st.Queue),
 		SafetyUS:      us(st.Safety),
 		StratifyUS:    us(st.Stratify),
 		CopyUS:        us(st.Copy),
@@ -873,10 +875,11 @@ func (s *Server) recordApplyStats(st eval.Stats, total time.Duration) {
 	s.applySeconds.Observe(total)
 	stage := func(name string, d time.Duration) {
 		s.reg.Histogram("verlog_eval_stage_seconds",
-			"Per-stage apply latency (parse, safety, stratify, eval, copy, constraints, commit = encode + commit_wait).",
+			"Per-stage apply latency (parse, queue, safety, stratify, eval, copy, constraints, commit = encode + commit_wait).",
 			"stage", name).Observe(d)
 	}
 	stage("parse", st.Parse)
+	stage("queue", st.Queue)
 	stage("safety", st.Safety)
 	stage("stratify", st.Stratify)
 	stage("eval", st.Eval)

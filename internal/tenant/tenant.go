@@ -6,9 +6,9 @@
 //
 // Residency is bounded: at most MaxOpen repositories are resident at once.
 // Opening a tenant past the cap evicts the least-recently-used idle one —
-// a clean close that quiesces the repository's commit pipeline (the
-// pause/resume condvar of DESIGN.md §9), drops the resident state, and
-// keeps the directory; the next Acquire recovers it through the normal
+// a clean close that quiesces the repository's commit pipeline (DESIGN.md
+// §9: it takes the apply and disk locks and flushes the pending batch),
+// drops the resident state, and keeps the directory; the next Acquire recovers it through the normal
 // Open path, journaled idempotency keys included. A tenant with requests
 // in flight (refs > 0) is never evicted; when every resident tenant is
 // busy, Acquire of a new one fails with ErrTooMany rather than exceeding
