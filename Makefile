@@ -76,7 +76,7 @@ soak:
 # broken benchmark can't rot unnoticed. The raw output is also converted
 # to machine-readable BENCH_10.json (including the derived E11
 # overhead_x metric) for CI to archive — the same file
-# TestBenchRegressionGuard reads as its 2× reference — and the
+# TestBenchRegressionGuard holds B/op and allocs/op against — and the
 # multi-tenant residency experiment (E19: 1000 tenants under a 64-tenant
 # cap) runs end-to-end, archiving its table as BENCH_7.json. Real
 # measurements want -benchtime to be raised.

@@ -1,11 +1,11 @@
 package verlog
 
 // Regression guard over the checked-in benchmark reference: the E1 and E2
-// apply at n=10000 must stay within 2× of the ns/op recorded in
-// BENCH_10.json. The 2× margin absorbs machine variance (the reference
-// and CI hosts differ); a genuine interpreter-gap regression — losing the
-// compiled plans, the literal indexes, or the arena — is an order of
-// magnitude, not a factor. `make bench` regenerates the reference.
+// apply at n=10000 must stay within 1.15× of the B/op and allocs/op recorded
+// in BENCH_10.json — counts, which the host the guard runs on cannot move,
+// unlike the ns/op beside them. Losing the compact ground terms, the single
+// copy of a changed state or the compiled plans costs far more than the
+// margin. `make bench` regenerates the reference.
 
 import (
 	"encoding/json"
@@ -13,36 +13,36 @@ import (
 	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"verlog/internal/bench"
 	"verlog/internal/core"
 	"verlog/internal/eval"
 	"verlog/internal/objectbase"
+	"verlog/internal/repository"
 	"verlog/internal/term"
 	"verlog/internal/workload"
 )
 
-// guardRef reads the reference ns/op for a benchmark result name.
-func guardRef(t *testing.T, rep *bench.GoBenchReport, name string) float64 {
+// guardRef reads one reference metric of a benchmark result.
+func guardRef(t *testing.T, rep *bench.GoBenchReport, name, metric string) float64 {
 	t.Helper()
 	for _, r := range rep.Results {
 		if r.Name == name {
-			if v := r.Metrics["ns/op"]; v > 0 {
+			if v := r.Metrics[metric]; v > 0 {
 				return v
 			}
 		}
 	}
-	t.Fatalf("BENCH_10.json has no ns/op for %s", name)
+	t.Fatalf("BENCH_10.json has no %s for %s", metric, name)
 	return 0
 }
 
 func TestBenchRegressionGuard(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regression guard times real applies; skipped in -short")
+		t.Skip("regression guard runs real applies on 10⁴ employees; skipped in -short")
 	}
 	if raceDetectorEnabled {
-		t.Skip("race instrumentation slows applies several-fold; the guard's 2× margin only holds uninstrumented")
+		t.Skip("race instrumentation allocates on its own account")
 	}
 	data, err := os.ReadFile("BENCH_10.json")
 	if err != nil {
@@ -62,30 +62,39 @@ func TestBenchRegressionGuard(t *testing.T) {
 		{"BenchmarkE2Enterprise/n=10000", workload.EnterpriseProgram, 7},
 	}
 	for _, c := range cases {
-		ref := guardRef(t, &rep, c.name)
 		p, err := ParseProgram(c.program)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ob := workload.EnterpriseSpec{Employees: 10000, Seed: c.seed}.ObjectBase().Freeze()
-		// Best of three: the guard asks "can the engine still do this
-		// fast", so one clean run beats an average polluted by GC or
-		// scheduler noise.
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
+		run := func() {
 			if _, err := Apply(ob, p); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
 		}
-		limit := time.Duration(2 * ref)
-		t.Logf("%s: best %v, reference %v, limit %v", c.name, best, time.Duration(ref), limit)
-		if best > limit {
-			t.Errorf("%s regressed: best of 3 = %v exceeds 2× reference %v",
-				c.name, best, time.Duration(ref))
+		// As in the benchmark, whose reference rows come from the warm pass:
+		// the first apply builds what the frozen base caches.
+		run()
+		const applies = 3
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < applies; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&m1)
+		for _, m := range []struct {
+			metric string
+			got    float64
+		}{
+			{"B/op", float64(m1.TotalAlloc-m0.TotalAlloc) / applies},
+			{"allocs/op", float64(m1.Mallocs-m0.Mallocs) / applies},
+		} {
+			ref := guardRef(t, &rep, c.name, m.metric)
+			t.Logf("%s: %.0f %s, reference %.0f (%.2fx)", c.name, m.got, m.metric, ref, m.got/ref)
+			if m.got > 1.15*ref {
+				t.Errorf("%s regressed: %.0f %s exceeds 1.15× the reference %.0f", c.name, m.got, m.metric, ref)
+			}
 		}
 	}
 }
@@ -186,8 +195,8 @@ func TestClosureAllocGuard(t *testing.T) {
 	small, big := measure(6), measure(10)
 	t.Logf("generations=6: %.0f B per fired update; generations=10: %.0f B (%.2fx)", small, big, big/small)
 	for _, b := range []float64{small, big} {
-		if b > 1500 {
-			t.Errorf("a re-apply on a closed head allocates %.0f B per fired update, want ≤ 1500", b)
+		if b > 900 { // measured: 706 B at six generations, 455 B at ten
+			t.Errorf("a re-apply on a closed head allocates %.0f B per fired update, want ≤ 900", b)
 		}
 	}
 	if big > 1.3*small {
@@ -330,5 +339,82 @@ func TestLayerScanAllocGuard(t *testing.T) {
 	t.Logf("first scan of a 1-version layer: %d B in %d allocations; of a 100-version layer: %d B in %d", oneB, oneA, manyB, manyA)
 	if manyA > oneA+2 || manyB > oneB+128 || manyA > 8 {
 		t.Errorf("the first scan of a fresh 100-version layer allocates %d B in %d allocations (1 version: %d B in %d), want O(1)", manyB, manyA, oneB, oneA)
+	}
+}
+
+// TestNewRootInheritsIndexesGuard (ROADMAP item 3(a)): a bulk apply leaves a
+// new root, and the root it replaces had its VID index and its boss
+// partition built by the queries before. A raise moves no version in or out
+// of a (path, method) set and rewrites no boss application, so the new root
+// is born with both: its first scan and its first boss probe allocate
+// nothing. An update that does move versions — one new method on about half
+// the employees — makes the first reader pay for nothing either: the new set
+// is there, the others still are.
+func TestNewRootInheritsIndexesGuard(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race instrumentation allocates on its own account")
+	}
+	r, err := repository.Init(t.TempDir()+"/repo", workload.EnterpriseSpec{Employees: 1500, Seed: 21}.ObjectBase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	raise, err := ParseProgram(workload.BulkRaiseProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(p *Program) *ObjectBase {
+		t.Helper()
+		if _, err := r.Apply(p); err != nil {
+			t.Fatal(err)
+		}
+		head, err := r.Head()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if head.Parent() != nil {
+			t.Fatalf("an update of most of the base left a delta layer")
+		}
+		return head
+	}
+	// firstReads is what the first reader of a head allocates for one scan
+	// and one boss probe, and what they found.
+	firstReads := func(head *ObjectBase, method string) (bytes uint64, scanned, reports int) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		head.ForEachVIDWith("", method, func(term.GVID) { scanned++ })
+		reports = head.Index().VIDsWithResult("", "boss", Sym("e7")).Len()
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc, scanned, reports
+	}
+	for i := 0; i < 2; i++ { // warm: the second head's predecessor has been read
+		bossQueries(t, apply(raise))
+	}
+	_, _, reports := firstReads(apply(raise), "sal")
+
+	bytes, scanned, got := firstReads(apply(raise), "sal")
+	t.Logf("after a bulk raise: first scan + first boss probe allocate %d B (%d versions, %d reports)", bytes, scanned, got)
+	if scanned != 1500 || got != reports || reports == 0 {
+		t.Fatalf("the scan saw %d versions and the probe %d reports, want 1500 and %d", scanned, got, reports)
+	}
+	if bytes > 512 {
+		t.Errorf("the first scan and boss probe of a new root allocate %d B, want nothing: the indexes are inherited", bytes)
+	}
+
+	flag, err := ParseProgram(`f: ins[E].flag -> yes <- E.isa -> empl, E.sal -> S, S >= 3100.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := apply(flag)
+	bytes, flagged, got := firstReads(head, "flag")
+	t.Logf("after flagging %d employees: first scan + first boss probe allocate %d B", flagged, bytes)
+	if flagged < 500 || flagged > 1000 || flagged != head.CountVIDsWith("", "flag") || got != reports {
+		t.Fatalf("the scan saw %d flagged versions (count %d) and the probe %d reports, want about half of 1500 and %d", flagged, head.CountVIDsWith("", "flag"), got, reports)
+	}
+	if n := head.CountVIDsWith("", "sal"); n != 1500 {
+		t.Errorf("CountVIDsWith sal = %d after the flags, want 1500", n)
+	}
+	if bytes > 512 {
+		t.Errorf("the first scan and boss probe after the flags allocate %d B, want nothing", bytes)
 	}
 }

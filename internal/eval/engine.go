@@ -250,8 +250,6 @@ type engine struct {
 	// the executor of the compiled one.
 	compiled *CompiledProgram
 	x        *executor
-	// arena backs the private copies of version states (see own).
-	arena objectbase.StateArena
 	// p0 is the frozen input base, the parent of the overlay base. Heads
 	// always push paths, so path-0 versions are never shadowed by the
 	// overlay's own layer; reads of them can go straight to the parent and
@@ -918,7 +916,7 @@ func (e *engine) locate(tu *targetUpdates) error {
 		}
 		return &NewObjectError{Update: first}
 	}
-	tu.st, tu.owned = e.arena.New(), true
+	tu.st, tu.owned = objectbase.NewState(), true
 	tu.st.Add(existsKey, w.Object)
 	return nil
 }
@@ -950,9 +948,11 @@ func (e *engine) appear(tu *targetUpdates, d *deltaSink) (changed bool) {
 }
 
 // own gives the target a private copy of its state, with room for the
-// updates that wait: the one copy step 2 of T_P makes of a version.
+// updates that wait: the one copy step 2 of T_P makes of a version — and,
+// for an object's deepest version, the only one the apply makes of that
+// state (see finalize).
 func (e *engine) own(tu *targetUpdates, room int) {
-	tu.st = e.arena.Clone(tu.st, room)
+	tu.st = tu.st.CloneWithRoom(room)
 	tu.owned = true
 	e.base.Adopt(tu.w, tu.st)
 }
@@ -1036,7 +1036,12 @@ func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 // applyTargets), so only those are visited, and an object is copied only
 // after its final state is known to differ from its old one — a final
 // version no update changed still shares the old state, and FinalEquals
-// settles the rest without building anything. Derived versions are never
+// settles the rest without building anything. A final state that differs is
+// not copied either when it is in final form already (the copy own made of
+// the object's state keeps its exists -> o): result(P) and ob' are both
+// frozen, so the object takes the version's state by pointer, the sharing
+// Derive does for everything untouched; only a state with a foreign exists
+// goes through CloneFinal. Derived versions are never
 // empty — the exists method is forbidden in rule heads, so every state
 // keeps at least its exists facts — hence every deepest version is present
 // in the base. The result equals Finalize(e.base); everything untouched is
@@ -1053,7 +1058,10 @@ func (e *engine) finalize() (*objectbase.Base, []objectbase.Change) {
 			if old != nil && st.FinalEquals(o, old) {
 				continue
 			}
-			ns = st.CloneFinal(o)
+			ns = st
+			if !st.FinalEquals(o, st) { // not in final form: a foreign exists
+				ns = st.CloneFinal(o)
+			}
 		} else if old == nil {
 			continue
 		}

@@ -1,6 +1,11 @@
 package objectbase
 
-import "verlog/internal/term"
+import (
+	"maps"
+	"slices"
+
+	"verlog/internal/term"
+)
 
 // Change is one version whose state differs between a base and the base
 // derived from it. Old is the state before (nil when the version is new),
@@ -40,6 +45,14 @@ var tombstone = &State{}
 // and a new root is built. The new states become part of a frozen base: the
 // caller must not mutate them afterwards. Derive with no changes returns b
 // itself.
+//
+// A new root inherits what readers built on the root it replaces (see
+// inheritIndexes): if that root's VID index is built, the new root is born
+// with its own — the old one, patched for the changed versions — and with
+// every partition of the old literal index the changes did not touch. If
+// nobody scanned the old root there is nothing to patch, and the new root
+// defers its VID index to its first scanning reader, as a Flatten does; nor
+// is anything inherited across a chain deeper than root plus one layer.
 func (b *Base) Derive(changes []Change) *Base {
 	if !b.frozen {
 		panic("objectbase: Derive of an unfrozen base")
@@ -62,11 +75,8 @@ func (b *Base) Derive(changes []Change) *Base {
 		root, layer = b.parent, b.ownLen()+len(changes)
 	}
 	if root.parent != nil || layer*flattenDivisor > root.ownLen() {
-		// A new root: the changes first, then everything they left alone. Its
-		// VID index is built by the first reader that scans.
+		// A new root: the changes first, then everything they left alone.
 		out.states = make(map[term.GVID]*State, b.VersionCount())
-		out.byPathMethod = make(map[pathMethod]map[term.GVID]struct{})
-		out.vidStale.Store(true)
 		for _, c := range changes {
 			out.states[c.V] = c.New
 		}
@@ -80,6 +90,14 @@ func (b *Base) Derive(changes []Change) *Base {
 				delete(out.states, c.V)
 			}
 		}
+		if root.parent != nil || root.vidStale.Load() {
+			// Nothing to inherit: the VID index is built by the first reader
+			// that scans, the partitions by the first that probes.
+			out.byPathMethod = make(map[pathMethod]map[term.GVID]struct{})
+			out.vidStale.Store(true)
+			return out
+		}
+		out.inheritIndexes(root, b, changes)
 		return out
 	}
 	out.parent, out.depth = root, 1
@@ -110,6 +128,88 @@ func (b *Base) Derive(changes []Change) *Base {
 		}
 	}
 	return out
+}
+
+// inheritIndexes gives out, the new root built from b by the changes, the
+// indexes of the root it replaces (b or b's parent), whose VID index is built,
+// patched for every version whose state may differ between the two: the
+// changes and, when b is root plus delta layer, the layer's entries, each
+// compared with what the old root holds (a version in both is visited twice,
+// which patches nothing the second time). The (path, method) sets no such version enters or leaves are shared with
+// the old root, the others copied and then patched; and every partition of
+// the old root's literal index whose method no changed version on its path
+// applies differently is carried over by pointer. Sets and partitions are
+// immutable once their base is frozen, so two roots may read one.
+func (out *Base) inheritIndexes(root, b *Base, changes []Change) {
+	out.byPathMethod = maps.Clone(root.byPathMethod)
+	var parts map[pathMethod]*partition
+	var carried []pathMethod // the keys of parts still in the running
+	if idx := root.idx.Load(); idx != nil {
+		if built := idx.parts.Load(); built != nil {
+			parts = *built
+			carried = slices.Collect(maps.Keys(parts))
+		}
+	}
+	// patch enters v into the set of its path and the method or takes it out,
+	// on a copy of the set the first time (private remembers which sets are
+	// copies).
+	var v term.GVID
+	var private map[pathMethod]struct{}
+	patch := func(method string, enter bool) {
+		pm := pathMethod{Path: v.Path, Method: method}
+		vs := out.byPathMethod[pm]
+		if _, listed := vs[v]; listed == enter {
+			return
+		}
+		if !enter && len(vs) == 1 {
+			delete(out.byPathMethod, pm)
+			delete(private, pm)
+			return
+		}
+		if _, mine := private[pm]; !mine {
+			if private == nil {
+				private = make(map[pathMethod]struct{})
+			}
+			private[pm] = struct{}{}
+			if vs == nil {
+				vs = make(map[term.GVID]struct{}, 1)
+			} else {
+				vs = maps.Clone(vs)
+			}
+			out.byPathMethod[pm] = vs
+		}
+		if enter {
+			vs[v] = struct{}{}
+		} else {
+			delete(vs, v)
+		}
+	}
+	visit := func(changed term.GVID, _ *State) {
+		v = changed
+		before, after := root.states[v], out.states[v]
+		if before == after {
+			return
+		}
+		methodsMoved(before, after, patch)
+		carried = slices.DeleteFunc(carried, func(pm pathMethod) bool {
+			return pm.Path == v.Path && !before.sameOfMethod(after, pm.Method)
+		})
+	}
+	for _, c := range changes {
+		visit(c.V, nil)
+	}
+	if b != root {
+		b.eachOwn(visit)
+	}
+	idx := &LiteralIndex{base: out}
+	if len(carried) > 0 {
+		kept := make(map[pathMethod]*partition, len(carried))
+		for _, pm := range carried {
+			kept[pm] = parts[pm]
+		}
+		idx.parts.Store(&kept)
+	}
+	out.idx.Store(idx)
 }
 
 // unsettledAfter returns the Unsettled list of the base derived from b by

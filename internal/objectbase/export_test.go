@@ -1,6 +1,7 @@
 package objectbase
 
 import (
+	"reflect"
 	"slices"
 
 	"verlog/internal/term"
@@ -36,4 +37,25 @@ func (ix *LiteralIndex) Partitions() []string {
 	}
 	slices.Sort(names)
 	return names
+}
+
+// VIDIndexDeferred reports whether the base's own VID index is still to be
+// built by its first scanning reader.
+func (b *Base) VIDIndexDeferred() bool { return b.vidStale.Load() }
+
+// VIDSetsSharedWith lists the (path, method) sets of the base's VID index,
+// as "path.method" names, split by whether the set is the very map other
+// holds for the pair (shared) or one of the base's own.
+func (b *Base) VIDSetsSharedWith(other *Base) (shared, own []string) {
+	for pm, vs := range b.byPathMethod {
+		name := string(pm.Path) + "." + pm.Method
+		if reflect.ValueOf(vs).Pointer() == reflect.ValueOf(other.byPathMethod[pm]).Pointer() {
+			shared = append(shared, name)
+		} else {
+			own = append(own, name)
+		}
+	}
+	slices.Sort(shared)
+	slices.Sort(own)
+	return shared, own
 }

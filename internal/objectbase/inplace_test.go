@@ -12,7 +12,7 @@ import (
 
 // TestInPlaceEditsAnswerLikeARebuild drives the surface the evaluator edits
 // version states through — a version shares another's state (SetStateFresh
-// of a foreign pointer), goes private (Adopt of an arena copy) and is then
+// of a foreign pointer), goes private (Adopt of a copy with room) and is then
 // edited in place (AddTo, RemoveFrom) — with random sequences over an
 // overlay, in both index modes, and holds the overlay against a base built
 // fact by fact: same facts, same size, same scans and probes, and the
@@ -30,7 +30,6 @@ func TestInPlaceEditsAnswerLikeARebuild(t *testing.T) {
 				ov.ForEachVIDWith(term.PathOf(term.Ins), "sal", func(term.GVID) {})
 			}
 			model := head.Clone()
-			var arena objectbase.StateArena
 			owned := map[term.GVID]*objectbase.State{}
 			methods := []string{"sal", "tag", "note"}
 			for step := 0; step < 600; step++ {
@@ -47,7 +46,7 @@ func TestInPlaceEditsAnswerLikeARebuild(t *testing.T) {
 				}
 				st := owned[w]
 				if st == nil {
-					st = arena.Clone(ov.StateOf(w), rng.Intn(3))
+					st = ov.StateOf(w).CloneWithRoom(rng.Intn(3))
 					ov.Adopt(w, st)
 					owned[w] = st
 				}

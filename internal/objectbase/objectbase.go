@@ -17,7 +17,12 @@
 // base it publishes is again a layer — a frozen root plus at most one
 // frozen delta layer holding the states that changed since the root was
 // built (Derive). Every other state is shared by pointer between
-// successive heads, so publishing an update costs what it touched.
+// successive heads, so publishing an update costs what it touched. The same
+// goes for what readers built on a head: when the delta layer outgrows its
+// share and Derive makes a new root, the new root inherits the VID index and
+// the literal-index partitions of the old one, patched for the changed
+// versions, sharing every (path, method) set and partition the changes left
+// alone (see Derive).
 package objectbase
 
 import (
@@ -69,12 +74,13 @@ type Base struct {
 	frozen bool
 	// vidStale marks byPathMethod as deferred: mutators skip index
 	// maintenance and the first reader rebuilds it in one pass over states.
-	// Bulk constructions (Flatten, a new root of Derive, the engine's overlay)
-	// write thousands of states that are often read back only through direct
-	// state lookups; deferring turns the per-SetState index churn into at most
-	// one build. It is atomic because a frozen base may still be stale: the
-	// first of its concurrent readers builds under idxMu and clears the flag
-	// last, which publishes the index to the others.
+	// Bulk constructions (Flatten, the engine's overlay, a new root of Derive
+	// that has no built index to inherit) write thousands of states that are
+	// often read back only through direct state lookups; deferring turns the
+	// per-SetState index churn into at most one build. It is atomic because a
+	// frozen base may still be stale: the first of its concurrent readers
+	// builds under idxMu and clears the flag last, which publishes the index
+	// to the others.
 	vidStale atomic.Bool
 	// unsettled lists, on a frozen base, the versions Section 5's final copy
 	// would not leave as they are; the first caller of Unsettled collects it.
@@ -329,6 +335,14 @@ func (b *Base) DeferVIDIndex() {
 // cost of per-mutation maintenance.
 func (b *Base) ensureVIDIndex() {
 	if !b.vidStale.Load() {
+		return
+	}
+	if !b.frozen && len(b.states) == 0 {
+		// Nothing to index yet. Staying deferred keeps the states that arrive
+		// from maintaining an index nobody may read: an evaluation overlay
+		// whose first iteration scans a derived path finds it empty, and the
+		// later, delta-seeded iterations never scan.
+		clear(b.byPathMethod)
 		return
 	}
 	if b.frozen {

@@ -49,12 +49,19 @@ func (s *State) spill() {
 }
 
 // Clone returns a deep copy of the state.
-func (s *State) Clone() *State {
+func (s *State) Clone() *State { return s.CloneWithRoom(0) }
+
+// CloneWithRoom is Clone with room for extra more applications before the
+// first reallocation of the flat form — the engine copies a version's state
+// once, at the moment an update first changes it, and knows how many updates
+// are waiting.
+func (s *State) CloneWithRoom(extra int) *State {
 	if s.apps == nil {
 		out := &State{size: s.size}
-		if len(s.entries) > 0 {
-			out.entries = make([]appEntry, len(s.entries))
-			copy(out.entries, s.entries)
+		if n := len(s.entries) + extra; n > 0 {
+			// Room past the spill threshold would never be used.
+			n = max(len(s.entries), min(n, stateSpillThreshold))
+			out.entries = append(make([]appEntry, 0, n), s.entries...)
 		}
 		return out
 	}
@@ -104,10 +111,10 @@ func (s *State) CloneWithoutMethod(method string) *State {
 
 // CloneFinal returns a copy of the state with every exists application
 // dropped and the single canonical one (exists -> o) added — the state
-// shape the updated base of Section 5 stores per object. The copy lives on
-// the regular heap, never in a StateArena: final states are shared between
-// successive heads and outlive the apply that made them by an unbounded
-// time, so they must not pin an arena slab.
+// shape the updated base of Section 5 stores per object. The copy phase
+// needs it only for a final version that is not in that shape already (it
+// carries a foreign exists); one that is becomes the object's state as it
+// stands, see FinalEquals.
 func (s *State) CloneFinal(o term.OID) *State {
 	existsKey := term.MethodKey{Method: term.ExistsMethod}
 	if s.apps != nil {
@@ -357,6 +364,65 @@ func (s *State) forEachMethod(fn func(method string)) {
 		seen[k.Method] = struct{}{}
 		fn(k.Method)
 	}
+}
+
+// methodsMoved calls moved(m, false) for every method name s applies and t
+// does not, and moved(m, true) for every one t applies and s does not —
+// possibly more than once per name. Either state may be nil, which applies
+// none. Two flat states are compared position by position first: a changed
+// state is nearly always an edited copy of the old one, most entries still
+// where they were, and only the names at the positions that differ need
+// looking for.
+func methodsMoved(s, t *State, moved func(method string, entered bool)) {
+	if s != nil && t != nil && s.flat() && t.flat() {
+		for i := 0; i < max(len(s.entries), len(t.entries)); i++ {
+			inS, inT := i < len(s.entries), i < len(t.entries)
+			if inS && inT && s.entries[i].key.Method == t.entries[i].key.Method {
+				continue
+			}
+			if inS && !t.HasAnyOfMethod(s.entries[i].key.Method) {
+				moved(s.entries[i].key.Method, false)
+			}
+			if inT && !s.HasAnyOfMethod(t.entries[i].key.Method) {
+				moved(t.entries[i].key.Method, true)
+			}
+		}
+		return
+	}
+	if s != nil {
+		s.forEachMethod(func(m string) {
+			if t == nil || !t.HasAnyOfMethod(m) {
+				moved(m, false)
+			}
+		})
+	}
+	if t != nil {
+		t.forEachMethod(func(m string) {
+			if s == nil || !s.HasAnyOfMethod(m) {
+				moved(m, true)
+			}
+		})
+	}
+}
+
+// sameOfMethod reports whether s and t hold the same applications of the
+// named method. Either may be nil, which holds none.
+func (s *State) sameOfMethod(t *State, method string) bool {
+	if s == t {
+		return true
+	}
+	// Every application of s is one of t's, and t has no more of them.
+	more, same := 0, true
+	if t != nil {
+		t.ForEachOfMethod(method, func(term.MethodKey, term.OID) { more++ })
+	}
+	if s != nil {
+		s.ForEachOfMethod(method, func(k term.MethodKey, r term.OID) {
+			more--
+			same = same && t != nil && t.Has(k, r)
+		})
+	}
+	return same && more == 0
 }
 
 // Equal reports whether two states hold the same applications.

@@ -4,15 +4,20 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unique"
 )
 
 // Args is a canonically encoded, comparable argument tuple. Most methods
 // take no arguments; the encoding keeps Fact a flat comparable value even
-// for methods with arguments.
-type Args struct{ enc string }
+// for methods with arguments. The encoding is interned (see OID), so a tuple
+// is one word and == on Args is equality of tuples.
+type Args struct{ h unique.Handle[string] }
 
 // NoArgs is the empty argument tuple.
 var NoArgs = Args{}
+
+// enc returns the canonical encoding, "" for the empty tuple.
+func (a Args) enc() string { return interned(a.h) }
 
 // EncodeArgs encodes a ground argument list. It panics if any argument is a
 // variable.
@@ -28,7 +33,7 @@ func EncodeArgs(args []ObjTerm) Args {
 		}
 		encodeOID(&b, o)
 	}
-	return Args{enc: b.String()}
+	return Args{h: intern(b.String())}
 }
 
 // EncodeOIDs encodes a ground argument list given directly as OIDs.
@@ -40,7 +45,7 @@ func EncodeOIDs(args []OID) Args {
 	for _, o := range args {
 		encodeOID(&b, o)
 	}
-	return Args{enc: b.String()}
+	return Args{h: intern(b.String())}
 }
 
 func encodeOID(b *strings.Builder, o OID) {
@@ -66,69 +71,81 @@ func encodeOID(b *strings.Builder, o OID) {
 }
 
 // Empty reports whether the tuple has no arguments.
-func (a Args) Empty() bool { return a.enc == "" }
+func (a Args) Empty() bool { return a == NoArgs }
 
-// Decode returns the argument OIDs. It panics on a corrupted encoding,
+// cutArg splits the first element off a non-empty encoding: its tag, its
+// payload and the encoding of the rest. It panics on a corrupted encoding,
 // which cannot arise from EncodeArgs/EncodeOIDs output.
-func (a Args) Decode() []OID {
-	if a.enc == "" {
-		return nil
+func cutArg(s string) (tag byte, payload, rest string) {
+	colon := strings.IndexByte(s, ':')
+	if colon < 2 {
+		panic("term: corrupted Args encoding " + strconv.Quote(s))
 	}
-	var out []OID
-	s := a.enc
-	for len(s) > 0 {
-		tag := s[0]
-		colon := strings.IndexByte(s, ':')
-		if colon < 2 {
-			panic("term: corrupted Args encoding " + strconv.Quote(a.enc))
-		}
-		n, err := strconv.Atoi(s[1:colon])
-		if err != nil || colon+1+n > len(s) {
-			panic("term: corrupted Args encoding " + strconv.Quote(a.enc))
-		}
-		payload := s[colon+1 : colon+1+n]
-		s = s[colon+1+n:]
-		switch tag {
-		case 'n':
-			slash := strings.IndexByte(payload, '/')
+	n, err := strconv.Atoi(s[1:colon])
+	if err != nil || n < 0 || colon+1+n > len(s) {
+		panic("term: corrupted Args encoding " + strconv.Quote(s))
+	}
+	return s[0], s[colon+1 : colon+1+n], s[colon+1+n:]
+}
+
+// decodeArg rebuilds one element from its tag and payload.
+func decodeArg(tag byte, payload string) OID {
+	switch tag {
+	case 'n':
+		if slash := strings.IndexByte(payload, '/'); slash >= 0 {
 			num, err1 := strconv.ParseInt(payload[:slash], 10, 64)
 			den, err2 := strconv.ParseInt(payload[slash+1:], 10, 64)
-			if slash < 0 || err1 != nil || err2 != nil {
-				panic("term: corrupted Args encoding " + strconv.Quote(a.enc))
+			if err1 == nil && err2 == nil && den != 0 {
+				return Num(num, den)
 			}
-			out = append(out, Num(num, den))
-		case 't':
-			out = append(out, Str(payload))
-		case 's':
-			out = append(out, Sym(payload))
-		default:
-			panic("term: corrupted Args encoding " + strconv.Quote(a.enc))
 		}
+	case 't':
+		return Str(payload)
+	case 's':
+		return Sym(payload)
+	}
+	panic("term: corrupted Args encoding element " + strconv.Quote(string(tag)+payload))
+}
+
+// Decode returns the argument OIDs.
+func (a Args) Decode() []OID {
+	var out []OID
+	for s := a.enc(); len(s) > 0; {
+		tag, payload, rest := cutArg(s)
+		out = append(out, decodeArg(tag, payload))
+		s = rest
 	}
 	return out
 }
 
-// Len returns the number of encoded arguments.
-func (a Args) Len() int { return len(a.Decode()) }
+// Len returns the number of encoded arguments. It decodes none of them.
+func (a Args) Len() int {
+	n := 0
+	for s := a.enc(); len(s) > 0; n++ {
+		_, _, s = cutArg(s)
+	}
+	return n
+}
 
-// First returns the first encoded argument, if any.
+// First returns the first encoded argument, if any, decoding only that one.
 func (a Args) First() (OID, bool) {
-	if a.enc == "" {
+	if a == NoArgs {
 		return OID{}, false
 	}
-	return a.Decode()[0], true
+	tag, payload, _ := cutArg(a.enc())
+	return decodeArg(tag, payload), true
 }
 
 // CompareEncoded orders argument tuples by their encodings, bytewise: a
 // total order that costs no decoding, for callers that need determinism
 // rather than the order a human expects (see Compare).
-func (a Args) CompareEncoded(b Args) int { return strings.Compare(a.enc, b.enc) }
+func (a Args) CompareEncoded(b Args) int { return strings.Compare(a.enc(), b.enc()) }
 
 // Compare orders argument tuples by length, then element-wise by OID order
 // — the order a human expects in sorted output (the raw encoding is
 // length-prefixed and would sort "plum" before "apple").
 func (a Args) Compare(b Args) int {
-	if a.enc == b.enc {
+	if a == b {
 		return 0
 	}
 	as, bs := a.Decode(), b.Decode()
