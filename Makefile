@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test vet lint verlog-lint staticcheck govulncheck race guard check bench bench-e2e soak clean
+.PHONY: all build test vet lint verlog-lint staticcheck govulncheck race guard fuzz check bench bench-e2e soak clean
 
 all: check
 
@@ -31,7 +31,9 @@ lint: vet verlog-lint staticcheck govulncheck
 
 # The engine's own analyzers: frozen-base mutation, applyMu->diskMu->commitMu
 # lock order, bounded tenant metric labels, no wall-clock reads under
-# commitMu. See docs/ANALYSIS.md and internal/lint.
+# commitMu, no arena buffer escaping its enumeration, no import of the spec
+# evaluator (internal/spec, the tests' oracle) from a file that ships. See
+# docs/ANALYSIS.md and internal/lint.
 verlog-lint:
 	$(GO) run ./cmd/verlog-lint .
 
@@ -57,6 +59,14 @@ race:
 # allocates on its own account — so they get a run without it.
 guard:
 	$(GO) test -count=1 -run Guard . ./internal/...
+
+# The two fuzz targets, 30 s each (as in CI) on top of the seed corpora that
+# `go test` always replays: the journal's diff codec (round trip, corruption
+# caught) and the engine against the spec evaluator (same refusal, or the
+# same result(P), ob' and fired updates).
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzDiffCodec -fuzztime 30s ./internal/storage
+	$(GO) test -run '^$$' -fuzz FuzzEngineVsSpec -fuzztime 30s ./internal/eval
 
 # The gate: everything a change must pass before it lands.
 check: build vet race guard

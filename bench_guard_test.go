@@ -275,9 +275,9 @@ func bossQueries(tb testing.TB, head *ObjectBase) (rows int) {
 // TestQueryAllocGuard is the E25 guard (ROADMAP item 3(a)): a read costs
 // what it returns. The queries of the end-to-end workloads run on the
 // compiled executor and probe the head's literal index, so on a warm head
-// what they allocate follows their answers, not the base — the interpreter
-// copied every boss carrier into a slice per query, 5x per row from 300 to
-// 3 000 employees. Counts and an in-run ratio. (That the head indexes only
+// what they allocate follows their answers, not the base (a scan copies
+// every boss carrier into a slice per query, 5x per row from 300 to 3 000
+// employees). Counts and an in-run ratio. (That the head indexes only
 // what was asked for is TestPartitionsOnDemandGuard in internal/objectbase.)
 func TestQueryAllocGuard(t *testing.T) {
 	if raceDetectorEnabled {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	verlog run    -ob BASE -prog PROG [-o OUT] [-result OUT] [-trace] [-naive]
+//	verlog run    -ob BASE -prog PROG [-o OUT] [-result OUT] [-trace]
 //	verlog trace  [-ob BASE] [-json] [-chrome FILE] [-top N] PROG
 //	verlog check  -prog PROG
 //	verlog vet    [-json] [-ob BASE] [-max-depth N] FILES...
@@ -151,7 +151,6 @@ func cmdRun(args []string) error {
 	outPath := fs.String("o", "", "write the updated object base here (default stdout)")
 	resultPath := fs.String("result", "", "also write the fixpoint result(P) with all versions")
 	trace := fs.Bool("trace", false, "print every fired update")
-	naive := fs.Bool("naive", false, "use naive instead of semi-naive iteration")
 	stats := fs.Bool("stats", false, "print evaluation statistics")
 	history := fs.String("history", "", "print the version history of the named object")
 	explain := fs.String("explain", "", "explain where the given fact (concrete syntax) came from")
@@ -170,9 +169,6 @@ func cmdRun(args []string) error {
 	var opts []core.Option
 	if *trace || *explain != "" {
 		opts = append(opts, core.WithTrace())
-	}
-	if *naive {
-		opts = append(opts, core.WithStrategy(eval.Naive))
 	}
 	res, err := core.New(opts...).Apply(ob, p)
 	if err != nil {
@@ -229,7 +225,6 @@ func cmdTrace(args []string) error {
 	asJSON := fs.Bool("json", false, "emit the trace as JSON instead of the tree")
 	chromePath := fs.String("chrome", "", "also write Chrome trace_event JSON here (chrome://tracing, Perfetto)")
 	top := fs.Int("top", 0, "limit the rule hot list to the N hottest rules")
-	naive := fs.Bool("naive", false, "use naive instead of semi-naive iteration")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("trace: usage: verlog trace [-ob BASE] [-json] [-chrome FILE] [-top N] PROG")
@@ -263,9 +258,6 @@ func cmdTrace(args []string) error {
 	parseSpan.SetInt("rules", int64(len(p.Rules)))
 
 	opts := []core.Option{core.WithSpan(tr.Root), core.WithTrace()}
-	if *naive {
-		opts = append(opts, core.WithStrategy(eval.Naive))
-	}
 	res, err := core.New(opts...).Apply(ob, p)
 	tr.Finish()
 	if err != nil {

@@ -196,8 +196,8 @@ func runGroup(base *objectbase.Base, p *term.Program, rules []int, limit int, on
 	}
 }
 
-// fireFlatRule enumerates body matches (via the verlog matcher, which the
-// flat fragment shares) and emits the head's flat updates.
+// fireFlatRule enumerates body matches (via eval.Query, which the flat
+// fragment shares) and emits the head's flat updates.
 func fireFlatRule(base *objectbase.Base, r term.Rule, ri int, emit func(flatUpdate)) error {
 	lits, err := eval.Query(base, r.Body)
 	if err != nil {

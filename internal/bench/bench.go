@@ -101,7 +101,7 @@ func All() []Experiment {
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		// E2 < E10 requires numeric comparison of the suffix.
+		// E2 < E11 requires numeric comparison of the suffix.
 		return expNum(out[i].ID) < expNum(out[j].ID)
 	})
 	return out

@@ -14,8 +14,8 @@ func TestAllExperimentsPass(t *testing.T) {
 		t.Skip("experiment suite is slow; skipped with -short")
 	}
 	exps := All()
-	if len(exps) != 16 {
-		t.Fatalf("registered %d experiments, want 16", len(exps))
+	if len(exps) != 15 {
+		t.Fatalf("registered %d experiments, want 15", len(exps))
 	}
 	for _, e := range exps {
 		e := e

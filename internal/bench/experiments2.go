@@ -251,46 +251,6 @@ func salOf(b *objectbase.Base, v term.GVID) string {
 	return out
 }
 
-// --- E10: semi-naive vs naive ablation ---------------------------------------
-
-func init() {
-	register(Experiment{
-		ID:    "E10",
-		Title: "Ablation: semi-naive vs naive fixpoint on recursive workloads",
-		Run:   runE10,
-	})
-}
-
-func runE10() (*Table, error) {
-	t := &Table{
-		ID:    "E10",
-		Title: "semi-naive vs naive iteration",
-		Note:  "both compute the same fixpoint; semi-naive re-derives only from last-iteration facts and wins as recursion depth grows",
-		Header: []string{
-			"generations", "persons", "iterations", "naive_ms", "seminaive_ms", "speedup", "same_result",
-		},
-	}
-	p := mustProgram(workload.AncestorsProgram)
-	for _, spec := range []workload.GenealogySpec{
-		{Generations: 5, Branching: 2},
-		{Generations: 7, Branching: 2},
-		{Generations: 9, Branching: 2},
-	} {
-		ob := spec.ObjectBase()
-		resN, dN, err := runBest(3, ob, p, eval.Options{Strategy: eval.Naive})
-		if err != nil {
-			return nil, err
-		}
-		resS, dS, err := runBest(3, ob, p, eval.Options{Strategy: eval.SemiNaive})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(spec.Generations, spec.Persons(), sum(resN.Iterations),
-			ms(dN), ms(dS), ratio(dN, dS), pass(resN.Result.Equal(resS.Result)))
-	}
-	return t, nil
-}
-
 // --- E11: overhead vs hand-coded updates -------------------------------------
 
 func init() {

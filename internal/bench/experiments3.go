@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"verlog/internal/eval"
+	"verlog/internal/objectbase"
 	"verlog/internal/parser"
 	"verlog/internal/term"
 	"verlog/internal/workload"
@@ -17,6 +18,16 @@ func init() {
 		Title: "Ablation: statistics-based vs static join ordering",
 		Run:   runE14,
 	})
+}
+
+// runStatic evaluates p with plans in source order: compiled with the
+// static planner and handed to the run like cached ones.
+func runStatic(ob *objectbase.Base, p *term.Program) (*eval.Result, error) {
+	plans, err := eval.Compile(ob, p, true)
+	if err != nil {
+		return nil, err
+	}
+	return eval.Run(ob, p, eval.Options{Plans: plans})
 }
 
 func runE14() (*Table, error) {
@@ -45,7 +56,7 @@ find: ins[X].flagged -> yes <- X.isa -> item, X.special -> yes, X.val -> V, V >=
 	var staticRes, statsRes *eval.Result
 	staticTime, err := timedBest(3, func() error {
 		var err error
-		staticRes, err = eval.Run(base, needle, eval.Options{StaticPlanner: true})
+		staticRes, err = runStatic(base, needle)
 		return err
 	})
 	if err != nil {
@@ -69,7 +80,7 @@ find: ins[X].flagged -> yes <- X.isa -> item, X.special -> yes, X.val -> V, V >=
 	var eStatic, eStats *eval.Result
 	eStaticTime, err := timedBest(3, func() error {
 		var err error
-		eStatic, err = eval.Run(ob, p, eval.Options{StaticPlanner: true})
+		eStatic, err = runStatic(ob, p)
 		return err
 	})
 	if err != nil {

@@ -118,7 +118,7 @@ func (rep *GoBenchReport) dedupe() {
 // DeriveOverhead appends the E11 overhead factor — verlog ns/op over the
 // hand-coded direct updater's ns/op — as a synthetic result with the
 // single metric overhead_x. Reporting the ratio as a first-class metric
-// keeps the interpreter-gap trajectory trackable per archived BENCH file
+// keeps the gap to hand-written code trackable per archived BENCH file
 // instead of eyeballed from two raw numbers. A report without both E11
 // sides is left unchanged.
 func (rep *GoBenchReport) DeriveOverhead() {

@@ -67,13 +67,14 @@ func evalExpr(e term.Expr, s unify.Subst) (term.OID, error) {
 		if err != nil {
 			return term.OID{}, err
 		}
-		return applyArith(x.Op, l, r)
+		return ApplyArith(x.Op, l, r)
 	default:
 		return term.OID{}, fmt.Errorf("builtin: unknown expression %T", e)
 	}
 }
 
-func applyArith(op term.ArithOp, l, r term.OID) (term.OID, error) {
+// ApplyArith applies an arithmetic operator to two ground OIDs.
+func ApplyArith(op term.ArithOp, l, r term.OID) (term.OID, error) {
 	if !l.IsNum() || !r.IsNum() {
 		return term.OID{}, &TypeError{Op: op.String(), Operands: []term.OID{l, r}}
 	}
@@ -100,26 +101,16 @@ func applyArith(op term.ArithOp, l, r term.OID) (term.OID, error) {
 // exactly one side being a single unbound variable, Solve evaluates the
 // other side and binds the variable in s (and reports true).
 func Solve(a term.BuiltinAtom, s unify.Subst) (bool, error) {
-	return SolveTrail(a, s, nil)
-}
-
-// SolveTrail is Solve with the binding recorded on tr (which may be nil),
-// so backtracking evaluation can undo it.
-func SolveTrail(a term.BuiltinAtom, s unify.Subst, tr *unify.Trail) (bool, error) {
 	if a.Op == term.OpEq {
-		if v, ok := unboundVar(a.L, s); ok {
-			r, err := EvalExpr(a.R, s)
-			if err != nil {
-				return false, err
+		for _, side := range [2][2]term.Expr{{a.L, a.R}, {a.R, a.L}} {
+			if v, ok := unboundVar(side[0], s); ok {
+				o, err := EvalExpr(side[1], s)
+				if err != nil {
+					return false, err
+				}
+				s[v] = o
+				return true, nil
 			}
-			return tr.Bind(s, v, r), nil
-		}
-		if v, ok := unboundVar(a.R, s); ok {
-			l, err := EvalExpr(a.L, s)
-			if err != nil {
-				return false, err
-			}
-			return tr.Bind(s, v, l), nil
 		}
 	}
 	l, err := EvalExpr(a.L, s)
@@ -130,22 +121,13 @@ func SolveTrail(a term.BuiltinAtom, s unify.Subst, tr *unify.Trail) (bool, error
 	if err != nil {
 		return false, err
 	}
-	return compare(a.Op, l, r)
+	return Compare(a.Op, l, r)
 }
 
-// ApplyArith applies an arithmetic operator to two ground OIDs. It is the
-// building block the compiled expression evaluator (internal/eval) uses to
-// run built-ins without a substitution.
-func ApplyArith(op term.ArithOp, l, r term.OID) (term.OID, error) {
-	return applyArith(op, l, r)
-}
-
-// Compare decides a comparison between two ground OIDs; see ApplyArith.
+// Compare decides a comparison between two ground OIDs; with ApplyArith it
+// is what the compiled expression evaluator (internal/eval) runs built-ins
+// on, without a substitution.
 func Compare(op term.CmpOp, l, r term.OID) (bool, error) {
-	return compare(op, l, r)
-}
-
-func compare(op term.CmpOp, l, r term.OID) (bool, error) {
 	switch op {
 	case term.OpEq:
 		return l == r, nil

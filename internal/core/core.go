@@ -17,17 +17,14 @@ import (
 )
 
 // Engine applies update-programs to object bases under fixed options.
-// The zero value is ready to use with defaults (semi-naive evaluation,
-// new-object creation allowed).
+// The zero value is ready to use with defaults (new-object creation
+// allowed).
 type Engine struct {
 	opts eval.Options
 }
 
 // Option configures an Engine.
 type Option func(*Engine)
-
-// WithStrategy selects naive or semi-naive fixpoint iteration.
-func WithStrategy(s eval.Strategy) Option { return func(e *Engine) { e.opts.Strategy = s } }
 
 // WithTrace records every fired update in Result.Trace.
 func WithTrace() Option { return func(e *Engine) { e.opts.Trace = true } }
@@ -39,19 +36,11 @@ func WithMaxIterations(n int) Option { return func(e *Engine) { e.opts.MaxIterat
 // base, restricting the language to exactly the paper's setting.
 func WithForbidNewObjects() Option { return func(e *Engine) { e.opts.ForbidNewObjects = true } }
 
-// WithStaticPlanner disables statistics-based join ordering (ablation; the
-// fixpoint is identical).
-func WithStaticPlanner() Option { return func(e *Engine) { e.opts.StaticPlanner = true } }
-
-// WithInterpreted forces the map-substitution interpreter instead of
-// compiled match plans (ablation and differential testing; the fixpoint
-// is identical).
-func WithInterpreted() Option { return func(e *Engine) { e.opts.Interpreted = true } }
-
 // WithPlans supplies pre-compiled match plans (eval.Compile, or the Plans
-// of a previous Result). Plans that do not match the applied program or
-// the planner mode are ignored and recompiled, so stale plans are a cache
-// miss, never an error.
+// of a previous Result). Plans compiled for another program are ignored
+// and the program is compiled afresh, so stale plans are a cache miss,
+// never an error. The planner ablation passes plans compiled with the
+// source-order planner (eval.Compile's static argument) this way.
 func WithPlans(cp *eval.CompiledProgram) Option { return func(e *Engine) { e.opts.Plans = cp } }
 
 // WithSpan collects the evaluation as a span tree under sp (see

@@ -72,15 +72,27 @@ func TestOptionsArePlumbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := New(WithTrace(), WithStrategy(eval.Naive), WithMaxIterations(50)).Apply(ob, p)
+	res, err := New(WithTrace(), WithMaxIterations(50)).Apply(ob, p)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	if len(res.Trace) == 0 {
 		t.Errorf("WithTrace not plumbed")
 	}
+	// WithPlans: plans compiled for the program are used, whichever planner
+	// ordered them; plans of another program are a cache miss.
+	static, err := eval.Compile(ob, p, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := New(WithPlans(static)).Apply(ob, p); err != nil || again.Plan != "cached" || !again.Final.Equal(res.Final) {
+		t.Errorf("WithPlans not plumbed: plan %q, err %v", again.Plan, err)
+	}
 	// ForbidNewObjects: an insert on a fresh OID errors.
 	p2, _ := parser.Program(`r: ins[brandnew].m -> X <- X.isa -> empl.`, "p2")
+	if res, err := New(WithPlans(static)).Apply(ob, p2); err != nil || res.Plan != "compiled" {
+		t.Errorf("plans of another program: plan %q, err %v", res.Plan, err)
+	}
 	if _, err := New(WithForbidNewObjects()).Apply(ob, p2); err == nil {
 		t.Errorf("WithForbidNewObjects not plumbed")
 	}

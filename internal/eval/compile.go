@@ -4,12 +4,10 @@ package eval
 // fixpoint loop: each rule body, in the join order the statistics planner
 // picks, becomes a MatchPlan — a flat sequence of index-probe / scan /
 // filter / negation-check steps over numbered variable slots. The
-// executor (exec.go) runs plans against a base with its own buffer arena,
-// replacing the map-based substitution + trail machinery of match.go on
-// the hot path — of rules and, a query being a rule body without a head, of
-// Query. match.go remains as the reference interpreter (Options.Interpreted,
-// QueryInterpreted), which the metamorphic suite diffs against and a body
-// the compiler rejects falls back to.
+// executor (exec.go) runs plans against a base with its own buffer arena —
+// the plans of rules and, a query being a rule body without a head, of
+// Query. It is the only evaluator that ships; the tests hold it against
+// internal/spec, the paper's definitions over a plain set of facts.
 //
 // Index-probe soundness: rule heads always target versions with at least
 // one update-kind on their path (Update.Target pushes onto the path), so
@@ -138,7 +136,6 @@ const (
 // executor.
 type cstep struct {
 	kind stepKind
-	src  int // source body index, for diagnostics and planinfo
 	acc  access
 
 	// Version pattern / update-term payload.
@@ -165,10 +162,6 @@ type cstep struct {
 	// bindSlots lists every slot this step may bind; the executor zeroes
 	// them when the step exhausts so parent candidates start clean.
 	bindSlots []int
-
-	// estRows is the planner's cardinality estimate for generator steps
-	// (surfaced through planinfo; not used at run time).
-	estRows int
 }
 
 // chead is the compiled rule head.
@@ -198,10 +191,9 @@ type compiledRule struct {
 	nslots int
 	steps  []cstep
 	head   chead
-	// deltaSrc lists the source body indices of delta-seedable literals;
-	// deltaSteps[i] is the variant with deltaSrc[i] joined first against
-	// the iteration delta, and deltaKeys[i] the bucket its seed reads.
-	deltaSrc   []int
+	// deltaSteps[i] is the variant with the i-th delta-seedable body literal
+	// joined first against the iteration delta, and deltaKeys[i] the bucket
+	// its seed reads.
 	deltaSteps [][]cstep
 	deltaKeys  []pmKey
 }
@@ -210,18 +202,16 @@ type compiledRule struct {
 // plans keyed by the program's hash, reusable across applies that share a
 // rule set (the repository caches one per head).
 type CompiledProgram struct {
-	hash   uint64
-	static bool
-	rules  []*compiledRule
+	hash  uint64
+	rules []*compiledRule
 }
 
-// Hash returns the program hash the plans were compiled for.
-func (cp *CompiledProgram) Hash() uint64 { return cp.hash }
-
-// Matches reports whether the compiled plans apply to p under the given
-// planner mode.
-func (cp *CompiledProgram) Matches(p *term.Program, static bool) bool {
-	return cp != nil && cp.static == static && cp.hash == ProgramHash(p)
+// Matches reports whether the plans were compiled for p. How they are
+// ordered is not part of the question: cached plans were ordered by the
+// statistics of an older head anyway, and a caller may supply plans
+// compiled with the source-order planner (the planner ablation does).
+func (cp *CompiledProgram) Matches(p *term.Program) bool {
+	return cp != nil && cp.hash == ProgramHash(p)
 }
 
 // ProgramHash fingerprints a program's rule set for plan-cache keying.
@@ -233,25 +223,36 @@ func ProgramHash(p *term.Program) uint64 {
 
 // Compile builds match plans for every rule of p against base: join orders
 // from the statistics planner refined with index selectivity, probe steps
-// for path-0 literals, and delta variants for semi-naive iteration. It
-// returns an error when a rule uses a shape the compiler does not support
-// (e.g. variables that are unbound where a ground value is required);
-// callers fall back to the interpreter then.
+// for path-0 literals, and delta variants for semi-naive iteration; static
+// selects the source-order planner instead (the planner ablation). A rule
+// with a variable unbound where a ground value is required — an unsafe rule
+// — is rejected with a *CompileError.
 func Compile(base *objectbase.Base, p *term.Program, static bool) (*CompiledProgram, error) {
 	est := indexedCost(base)
 	if static {
 		est = staticCost
 	}
-	cp := &CompiledProgram{hash: ProgramHash(p), static: static}
+	cp := &CompiledProgram{hash: ProgramHash(p)}
 	for ri, r := range p.Rules {
 		cr, err := compileRule(r, est)
 		if err != nil {
-			return nil, fmt.Errorf("eval: compile rule %s: %w", r.Label(ri), err)
+			return nil, &CompileError{Rule: r.Label(ri), Err: err}
 		}
 		cp.rules = append(cp.rules, cr)
 	}
 	return cp, nil
 }
+
+// CompileError reports a rule — or a query, under the label "query" — that
+// needs a ground value where a variable is still unbound: a head position,
+// an expression, a negated literal. Package safety rejects exactly these.
+type CompileError struct {
+	Rule string
+	Err  error
+}
+
+func (e *CompileError) Error() string { return fmt.Sprintf("eval: compile rule %s: %v", e.Rule, e.Err) }
+func (e *CompileError) Unwrap() error { return e.Err }
 
 // ruleCompiler carries the per-rule slot table; variants of the same rule
 // share the numbering so frames are interchangeable.
@@ -273,7 +274,7 @@ func (rc *ruleCompiler) slot(v term.Var) int {
 func compileRule(r term.Rule, est costEstimator) (*compiledRule, error) {
 	rc := &ruleCompiler{slots: map[term.Var]int{}}
 	order := greedyOrder(r, est, -1)
-	steps, bound, err := compileSteps(rc, r, order, -1, est)
+	steps, bound, err := compileSteps(rc, r, order, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -287,11 +288,10 @@ func compileRule(r term.Rule, est costEstimator) (*compiledRule, error) {
 			continue
 		}
 		dorder := greedyOrder(r, est, i)
-		dsteps, _, err := compileSteps(rc, r, dorder, i, est)
+		dsteps, _, err := compileSteps(rc, r, dorder, i)
 		if err != nil {
 			return nil, err
 		}
-		cr.deltaSrc = append(cr.deltaSrc, i)
 		cr.deltaSteps = append(cr.deltaSteps, dsteps)
 		cr.deltaKeys = append(cr.deltaKeys, pmKey{Path: dsteps[0].path, Method: dsteps[0].method})
 	}
@@ -388,30 +388,18 @@ func (lc *literalCompiler) compileApp(st *cstep, app term.MethodApp) error {
 // compileSteps compiles the body literals in the given order. deltaSrc >= 0
 // marks the source literal compiled as the delta seed (it must be first in
 // order). It returns the steps and the final bound-slot set (for the head).
-func compileSteps(rc *ruleCompiler, r term.Rule, order []int, deltaSrc int, est costEstimator) ([]cstep, map[int]bool, error) {
+func compileSteps(rc *ruleCompiler, r term.Rule, order []int, deltaSrc int) ([]cstep, map[int]bool, error) {
 	bound := map[int]bool{}
-	estBound := map[term.Var]bool{}
 	steps := make([]cstep, 0, len(order))
 	for pos, li := range order {
 		l := r.Body[li]
 		lc := &literalCompiler{rc: rc, bound: bound, prior: snapshot(bound)}
-		st := cstep{src: li}
+		var st cstep
 		isDelta := deltaSrc >= 0 && pos == 0
 		if err := compileLiteral(lc, &st, l, isDelta); err != nil {
 			return nil, nil, fmt.Errorf("literal %s: %w", l, err)
 		}
 		st.bindSlots = lc.binds
-		if st.kind == stepScan || st.kind == stepDel || st.kind == stepMod {
-			full := est(l, baseBound(l, estBound))
-			if st.acc == accessDelta {
-				st.estRows = deltaRowEstimate(full)
-			} else {
-				st.estRows = full
-			}
-		}
-		for _, v := range binds(l) {
-			estBound[v] = true
-		}
 		steps = append(steps, st)
 	}
 	return steps, bound, nil
@@ -520,7 +508,7 @@ func compileBuiltin(lc *literalCompiler, st *cstep, a term.BuiltinAtom, negated 
 	st.negate = negated
 	st.bindSlot = -1
 	if a.Op == term.OpEq && !negated {
-		// A binding equality: exactly the shapes SolveTrail binds.
+		// A binding equality: one side a bare variable without a binding yet.
 		if v, ok := bareUnboundVar(lc, a.L); ok {
 			rhs, err := compileExpr(lc, a.R)
 			if err != nil {

@@ -15,29 +15,8 @@ import (
 	"verlog/internal/term"
 )
 
-// Strategy selects the fixpoint iteration scheme within a stratum.
-type Strategy uint8
-
-const (
-	// SemiNaive re-derives, after the first iteration of a stratum, only
-	// rule firings supported by at least one fact added in the previous
-	// iteration. It is the default.
-	SemiNaive Strategy = iota
-	// Naive re-enumerates every rule against the full base each iteration.
-	Naive
-)
-
-func (s Strategy) String() string {
-	if s == Naive {
-		return "naive"
-	}
-	return "semi-naive"
-}
-
 // Options configures a run.
 type Options struct {
-	// Strategy selects naive or semi-naive iteration (default SemiNaive).
-	Strategy Strategy
 	// MaxIterations bounds the iterations per stratum; 0 means the default
 	// of 1_000_000. Safe stratified programs terminate on their own; the
 	// bound catches engine bugs and deliberately unsafe experiments.
@@ -47,19 +26,9 @@ type Options struct {
 	// ForbidNewObjects rejects inserts on objects unknown to the base
 	// (creating fresh objects is an extension beyond the paper).
 	ForbidNewObjects bool
-	// StaticPlanner disables statistics-based join ordering: bodies are
-	// evaluated with the source-order planner instead of ordering
-	// generators by index cardinality. The fixpoint is identical; this
-	// exists for the planner ablation experiment.
-	StaticPlanner bool
-	// Interpreted forces the map-substitution interpreter (match.go)
-	// instead of compiled match plans. The fixpoint is identical; the
-	// metamorphic suite diffs the two paths, and the flag doubles as an
-	// escape hatch.
-	Interpreted bool
 	// Plans supplies pre-compiled match plans (see Compile). They are used
-	// when they match the program and planner mode, skipping compilation;
-	// the repository caches one per published head and rule-set hash.
+	// when they were compiled for this program, skipping compilation; the
+	// repository caches one per published head and rule-set hash.
 	Plans *CompiledProgram
 	// Span, when non-nil, collects the evaluation as a span tree under it
 	// (see internal/obs): stratify → stratum[i] → iteration[j] → rule[k],
@@ -178,12 +147,11 @@ type Result struct {
 	// RuleStats aggregates per-rule firing counts, match work and wall
 	// time, hottest (most time) first. Always filled.
 	RuleStats []RuleStat
-	// Plan records how bodies were evaluated: "cached" (supplied compiled
-	// plans reused), "compiled" (plans built this run) or "interpreted"
-	// (match.go, forced or fallback).
+	// Plan records where the match plans came from: "cached" (the supplied
+	// Options.Plans) or "compiled" (built this run).
 	Plan string
-	// Plans holds the compiled plans the run used (nil when interpreted),
-	// so callers can cache them for the next apply against the same head.
+	// Plans holds the compiled plans the run used, so callers can cache them
+	// for the next apply against the same head.
 	Plans *CompiledProgram
 	// Stats holds per-stage timings for this run; layers above eval add
 	// their own stages (see Stats).
@@ -231,11 +199,8 @@ const dedupSpill = 16
 
 // engine carries the mutable evaluation state.
 type engine struct {
-	prog  *term.Program
-	base  *objectbase.Base
-	m     *matcher
-	plans []plan
-	opts  Options
+	base *objectbase.Base
+	opts Options
 	// deepest maps an object to its deepest version, for the objects that
 	// have one besides the object itself: those the input base lists as
 	// unsettled, and every target the fixpoint derives. An object without
@@ -246,8 +211,7 @@ type engine struct {
 	// labels[ri] is rule ri's display label; agg[ri] its running stats.
 	labels []string
 	agg    []ruleAgg
-	// Compiled-plan state: compiled is nil on the interpreted path, x is
-	// the executor of the compiled one.
+	// compiled holds the rules' match plans, x the executor that runs them.
 	compiled *CompiledProgram
 	x        *executor
 	// p0 is the frozen input base, the parent of the overlay base. Heads
@@ -349,7 +313,7 @@ type ruleAgg struct {
 // p, iterates T_P stratum by stratum to the fixpoint, checks version-
 // linearity online, and builds the updated object base. ob is not
 // modified. Callers wanting safety diagnostics run package safety first;
-// Run itself assumes nothing and surfaces unbound-variable errors lazily.
+// Run refuses an unsafe rule with the *CompileError of its match plan.
 func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	sp := opts.Span
 	evalStart := time.Now()
@@ -373,37 +337,23 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	if !ob.Frozen() {
 		ob = ob.Clone().Freeze()
 	}
-	e := &engine{
-		prog:    p,
-		base:    objectbase.Overlay(ob),
-		p0:      ob,
-		opts:    opts,
-		plans:   make([]plan, len(p.Rules)),
-		deepest: make(map[term.OID]term.GVID),
-		labels:  make([]string, len(p.Rules)),
-		agg:     make([]ruleAgg, len(p.Rules)),
-	}
-	e.m = newMatcher(e.base)
-	for i, r := range p.Rules {
-		e.plans[i] = planRule(r)
-		e.labels[i] = r.Label(i)
-	}
-	planAttr := "interpreted"
-	if !opts.Interpreted {
-		if opts.Plans.Matches(p, opts.StaticPlanner) {
-			e.compiled = opts.Plans
-			planAttr = "cached"
-		} else if cp, cerr := Compile(ob, p, opts.StaticPlanner); cerr == nil {
-			e.compiled = cp
-			planAttr = "compiled"
+	compiled, planAttr := opts.Plans, "cached"
+	if !compiled.Matches(p) {
+		if compiled, err = Compile(ob, p, false); err != nil {
+			return nil, err
 		}
-		// On a compile error the whole program runs interpreted: mixing the
-		// two paths within one fixpoint would complicate the delta plumbing
-		// for no gain, and compile errors are rare shapes.
+		planAttr = "compiled"
 	}
-	if e.compiled != nil {
-		e.x = newExecutor(e.base)
+	e := &engine{
+		base:     objectbase.Overlay(ob),
+		p0:       ob,
+		opts:     opts,
+		deepest:  make(map[term.OID]term.GVID),
+		labels:   p.RuleLabels(),
+		agg:      make([]ruleAgg, len(p.Rules)),
+		compiled: compiled,
 	}
+	e.x = newExecutor(e.base)
 	sp.SetAttr("plan", planAttr)
 	if err := e.seedDeepest(); err != nil {
 		return nil, err
@@ -527,9 +477,9 @@ func (e *engine) ruleStats() []RuleStat {
 }
 
 // bucket holds the facts of one (path, method) the last iteration added: the
-// semi-naive delta, in the one form both the compiled delta variants and the
-// interpreter's delta literals read. The storage is reused from iteration to
-// iteration; room is the capacity the coming fill may need.
+// semi-naive delta, as the compiled delta variants read it. The storage is
+// reused from iteration to iteration; room is the capacity the coming fill
+// may need.
 type bucket struct {
 	method string
 	facts  []term.Fact
@@ -561,19 +511,9 @@ type stratumRun struct {
 	freshByRule map[int]int
 	// buckets holds one delta bucket per (path, method) some rule of the
 	// stratum can be seeded from, byPath the same buckets per path; both
-	// nil when no rule consumes a delta (or under Naive).
+	// nil when no rule consumes a delta.
 	buckets map[pmKey]*bucket
 	byPath  map[term.Path][]*bucket
-}
-
-// deltaKeys returns the (path, method) buckets rule ri's delta-seeded
-// evaluations read, in the order of its variants (compiled) or delta
-// positions (interpreted).
-func (e *engine) deltaKeys(ri int) []pmKey {
-	if e.compiled != nil {
-		return e.compiled.rules[ri].deltaKeys
-	}
-	return e.plans[ri].deltaKeys
 }
 
 // collect is the one sink of step 1: it enters an emitted update into its
@@ -635,17 +575,6 @@ func (s *stratumRun) collect(ri int, u Update) {
 // runStratum iterates T_P over the given rules until the fixpoint,
 // recording iteration spans under stratumSpan when tracing.
 func (e *engine) runStratum(si int, ruleIdx []int, stratumSpan *obs.Span) (int, error) {
-	// Re-plan this stratum's rules against current statistics: version
-	// populations change as lower strata run, so cardinalities measured
-	// now reflect what the joins will actually scan. Compiled plans are
-	// built once against the input base (with index selectivity folded
-	// in); only the interpreted path re-plans per stratum.
-	if e.compiled == nil && !e.opts.StaticPlanner {
-		est := statsCost(e.base)
-		for _, ri := range ruleIdx {
-			e.plans[ri] = planRuleCost(e.prog.Rules[ri], est)
-		}
-	}
 	s := &stratumRun{e: e, si: si}
 	if stratumSpan != nil {
 		s.freshByRule = make(map[int]int)
@@ -657,10 +586,7 @@ func (e *engine) runStratum(si int, ruleIdx []int, stratumSpan *obs.Span) (int, 
 		// seeds read. A stratum without any — every body literal reads facts
 		// frozen in-stratum — reaches its fixpoint after one changing
 		// iteration.
-		if e.opts.Strategy == Naive {
-			continue
-		}
-		for _, key := range e.deltaKeys(ri) {
+		for _, key := range e.compiled.rules[ri].deltaKeys {
 			if s.buckets == nil {
 				s.buckets = make(map[pmKey]*bucket)
 				s.byPath = make(map[term.Path][]*bucket)
@@ -682,7 +608,7 @@ func (e *engine) runStratum(si int, ruleIdx []int, stratumSpan *obs.Span) (int, 
 			return iter, &IterationLimitError{Stratum: si, Limit: e.opts.MaxIterations}
 		}
 		tasks, stats = tasks[:0], stats[:0]
-		if iter == 1 || e.opts.Strategy == Naive {
+		if iter == 1 {
 			for _, ri := range ruleIdx {
 				tasks = append(tasks, fireTask{ri: ri, pos: -1})
 			}
@@ -692,13 +618,9 @@ func (e *engine) runStratum(si int, ruleIdx []int, stratumSpan *obs.Span) (int, 
 			}
 			// One task per delta seed whose bucket received facts.
 			for _, ri := range ruleIdx {
-				for i, key := range e.deltaKeys(ri) {
+				for i, key := range e.compiled.rules[ri].deltaKeys {
 					if facts := s.buckets[key].facts; len(facts) > 0 {
-						pos := i
-						if e.compiled == nil {
-							pos = e.plans[ri].deltaPositions[i]
-						}
-						tasks = append(tasks, fireTask{ri: ri, pos: pos, delta: facts})
+						tasks = append(tasks, fireTask{ri: ri, pos: i, delta: facts})
 					}
 				}
 			}
@@ -755,7 +677,7 @@ func (e *engine) runStratum(si int, ruleIdx []int, stratumSpan *obs.Span) (int, 
 		if !changed {
 			return iter, nil
 		}
-		if s.buckets == nil && e.opts.Strategy != Naive {
+		if s.buckets == nil {
 			// No rule here can fire from in-stratum additions, so a changing
 			// iteration is already the fixpoint.
 			return iter, nil

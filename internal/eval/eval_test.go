@@ -109,41 +109,37 @@ bob.isa -> empl / boss -> phil / sal -> 4200.
 // to 4600 and joins hpe; bob is raised to 4620, out-earns his boss, and is
 // fired (vanishes from the new object base).
 func TestEnterpriseFigure2(t *testing.T) {
-	for _, strategy := range []Strategy{Naive, SemiNaive} {
-		t.Run(strategy.String(), func(t *testing.T) {
-			ob := mustBase(t, enterpriseBase)
-			res := mustRun(t, ob, mustProgram(t, enterpriseProgram), Options{Strategy: strategy})
-
-			// Figure 2, intermediate versions in result(P):
-			wantFact(t, res.Result, `
+	ob, p := mustBase(t, enterpriseBase), mustProgram(t, enterpriseProgram)
+	eachEvaluator(t, ob, p, func(t *testing.T, result, final *objectbase.Base) {
+		// Figure 2, intermediate versions in result(P):
+		wantFact(t, result, `
 mod(phil).sal -> 4600. mod(phil).isa -> empl. mod(phil).pos -> mgr.
 mod(bob).sal -> 4620.  mod(bob).isa -> empl.  mod(bob).boss -> phil.
 ins(mod(phil)).isa -> hpe. ins(mod(phil)).isa -> empl. ins(mod(phil)).sal -> 4600.
 `)
-			// del(mod(bob)) exists but holds nothing beyond exists.
-			delBob := term.GV(term.Sym("bob"), term.Mod, term.Del)
-			if !res.Result.Exists(delBob) {
-				t.Errorf("version %s should exist", delBob)
-			}
-			if st := res.Result.StateOf(delBob); st == nil || !st.OnlyExists() {
-				t.Errorf("state of %s should hold only exists", delBob)
-			}
-			wantNoFact(t, res.Result, `del(mod(bob)).isa -> empl. del(mod(bob)).sal -> 4620.`)
-			// No hpe for bob.
-			wantNoFact(t, res.Result, `ins(mod(bob)).isa -> hpe.`)
+		// del(mod(bob)) exists but holds nothing beyond exists.
+		delBob := term.GV(term.Sym("bob"), term.Mod, term.Del)
+		if !result.Exists(delBob) {
+			t.Errorf("version %s should exist", delBob)
+		}
+		if st := result.StateOf(delBob); st == nil || !st.OnlyExists() {
+			t.Errorf("state of %s should hold only exists", delBob)
+		}
+		wantNoFact(t, result, `del(mod(bob)).isa -> empl. del(mod(bob)).sal -> 4620.`)
+		// No hpe for bob.
+		wantNoFact(t, result, `ins(mod(bob)).isa -> hpe.`)
 
-			// New object base ob': phil updated, bob gone.
-			wantFact(t, res.Final, `
+		// New object base ob': phil updated, bob gone.
+		wantFact(t, final, `
 phil.isa -> empl / isa -> hpe / pos -> mgr / sal -> 4600.
 `)
-			if got := res.Final.VersionsOf(term.Sym("bob")); len(got) != 0 {
-				t.Errorf("bob should be gone from ob', has versions %v", got)
-			}
-			// Exactly three strata, as the paper derives in Section 4.
-			if res.Assignment.NumStrata() != 3 {
-				t.Errorf("NumStrata = %d, want 3", res.Assignment.NumStrata())
-			}
-		})
+		if got := final.VersionsOf(term.Sym("bob")); len(got) != 0 {
+			t.Errorf("bob should be gone from ob', has versions %v", got)
+		}
+	})
+	// Exactly three strata, as the paper derives in Section 4.
+	if res := mustRun(t, ob, p, Options{}); res.Assignment.NumStrata() != 3 {
+		t.Errorf("NumStrata = %d, want 3", res.Assignment.NumStrata())
 	}
 }
 
@@ -218,27 +214,25 @@ step: ins[X].anc -> P <- ins(X).isa -> person / anc -> A,
 // TestRecursiveAncestors computes the transitive parents closure with the
 // paper's recursive insert rules; anc and parents are set-valued.
 func TestRecursiveAncestors(t *testing.T) {
-	for _, strategy := range []Strategy{Naive, SemiNaive} {
-		t.Run(strategy.String(), func(t *testing.T) {
-			ob := mustBase(t, `
+	ob := mustBase(t, `
 alice.isa -> person / parents -> bob / parents -> carol.
 bob.isa -> person / parents -> dave.
 carol.isa -> person / parents -> erin.
 dave.isa -> person.
 erin.isa -> person.
 `)
-			res := mustRun(t, ob, mustProgram(t, ancestorsProgram), Options{Strategy: strategy})
-			wantFact(t, res.Final, `
+	p := mustProgram(t, ancestorsProgram)
+	eachEvaluator(t, ob, p, func(t *testing.T, _, final *objectbase.Base) {
+		wantFact(t, final, `
 alice.anc -> bob / anc -> carol / anc -> dave / anc -> erin.
 bob.anc -> dave.
 carol.anc -> erin.
 `)
-			wantNoFact(t, res.Final, `alice.anc -> alice. dave.anc -> dave.`)
-			// One stratum; the recursion happens inside it.
-			if res.Assignment.NumStrata() != 1 {
-				t.Errorf("NumStrata = %d, want 1", res.Assignment.NumStrata())
-			}
-		})
+		wantNoFact(t, final, `alice.anc -> alice. dave.anc -> dave.`)
+	})
+	// One stratum; the recursion happens inside it.
+	if res := mustRun(t, ob, p, Options{}); res.Assignment.NumStrata() != 1 {
+		t.Errorf("NumStrata = %d, want 1", res.Assignment.NumStrata())
 	}
 }
 
@@ -372,17 +366,12 @@ func TestDeleteAllKeepsExists(t *testing.T) {
 
 // --- Determinism and equivalence of strategies ---------------------------
 
+// TestStrategiesAgree: the engine's semi-naive fixpoint over shared states is
+// the one naive iteration of T_P over a plain fact set reaches — result(P),
+// ob' and the fired updates.
 func TestStrategiesAgree(t *testing.T) {
-	ob1 := mustBase(t, enterpriseBase)
-	ob2 := mustBase(t, enterpriseBase)
-	r1 := mustRun(t, ob1, mustProgram(t, enterpriseProgram), Options{Strategy: Naive})
-	r2 := mustRun(t, ob2, mustProgram(t, enterpriseProgram), Options{Strategy: SemiNaive})
-	if !r1.Result.Equal(r2.Result) {
-		t.Errorf("naive and semi-naive fixpoints differ:\nnaive:\n%s\nsemi-naive:\n%s",
-			parser.FormatFacts(r1.Result, true), parser.FormatFacts(r2.Result, true))
-	}
-	if !r1.Final.Equal(r2.Final) {
-		t.Errorf("naive and semi-naive finals differ")
+	if _, err := runsLikeSpec(mustBase(t, enterpriseBase), mustProgram(t, enterpriseProgram), Options{}); err != nil {
+		t.Error(err)
 	}
 }
 

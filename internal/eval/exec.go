@@ -1,15 +1,14 @@
 package eval
 
-// exec.go runs compiled match plans (compile.go). An executor is the
-// compiled counterpart of matcher: single-goroutine state holding the
-// frame and candidate-buffer arena of a run. Where the interpreter
-// threads a map-based substitution with a backtracking trail through
-// every literal, the executor works on a flat []term.OID frame indexed by
-// compile-time slots. No trail is needed: binding modes are static (the
-// first occurrence of a variable writes, later ones compare), a failed
-// candidate's partial bindings are overwritten by the next candidate
-// before anything reads them, and each step zeroes the slots it binds
-// when it exhausts so outer candidates start clean.
+// exec.go runs compiled match plans (compile.go). An executor is single-
+// goroutine state holding the frame and candidate-buffer arena of a run. It
+// works on a flat []term.OID frame indexed by compile-time slots and needs
+// no undo trail: binding modes are static (the first occurrence of a
+// variable writes, later ones compare), a failed candidate's partial
+// bindings are overwritten by the next candidate before anything reads
+// them, and each step zeroes the slots it binds when it exhausts so outer
+// candidates start clean. The body-position truth definitions of Section 3
+// are the exec* methods, the head-position ones fire.
 
 import (
 	"fmt"
@@ -20,12 +19,19 @@ import (
 	"verlog/internal/term"
 )
 
+// keyResult is one (method key, result) application collected while
+// scanning a method with unbound arguments.
+type keyResult struct {
+	key term.MethodKey
+	r   term.OID
+}
+
 // executor evaluates compiled rules against a base. Candidate buffers are
-// arena free-lists working as stacks across the nested step enumerations,
-// exactly like matcher's (scans must collect before recursing: the
-// objectbase iterators cannot early-exit or propagate errors). Index
-// probes skip collection entirely — they iterate the shared index slice,
-// which is immutable after build.
+// arena free-lists working as stacks across the nested step enumerations:
+// an enumeration pops a buffer, recurses, and pushes it back when done
+// (scans must collect before recursing: the objectbase iterators cannot
+// early-exit or propagate errors). Index probes skip collection entirely —
+// they iterate the shared index slice, which is immutable after build.
 type executor struct {
 	base *objectbase.Base
 	// p0 is base's parent, the frozen input of the run. During a fixpoint,
@@ -43,7 +49,7 @@ type executor struct {
 	vids   [][]term.GVID
 	oids   [][]term.OID
 	krs    [][]keyResult
-	ups    []Update   // fireHead delete-all scratch
+	ups    []Update   // fire's delete-all scratch
 	args   []term.OID // resolveKey scratch, consumed before any recursion
 
 	// Two-entry state cache. Plans touch the same candidate VIDs in several
@@ -323,8 +329,7 @@ func (x *executor) matchFactArgs(st *cstep, fr []term.OID, args term.Args) bool 
 	return true
 }
 
-// matchApp enumerates matches of the step's application on the ground VID
-// g — the compiled counterpart of matcher.matchApp.
+// matchApp enumerates matches of the step's application on the ground VID g.
 func (x *executor) matchApp(st *cstep, fr []term.OID, g term.GVID, k func() error) error {
 	return x.matchAppKR(st, fr, g, func(term.MethodKey, term.OID) error { return k() })
 }
@@ -557,8 +562,8 @@ func (x *executor) execNegAny(st *cstep, fr []term.OID, k func() error) error {
 	return k()
 }
 
-// execNegUpd checks a negated (fully ground) del- or mod-term, mirroring
-// the interpreter's groundUpdateTruth.
+// execNegUpd checks a negated (fully ground) del- or mod-term against the
+// body-position truth definitions execDel and execMod enumerate by.
 func (x *executor) execNegUpd(st *cstep, fr []term.OID, k func() error) error {
 	v := term.GVID{Object: st.base.value(fr), Path: st.path}
 	w := term.GVID{Object: v.Object, Path: st.tpath}
@@ -587,8 +592,9 @@ func (x *executor) execNegUpd(st *cstep, fr []term.OID, k func() error) error {
 }
 
 // fire grounds the compiled head against the frame, applies the
-// head-position truth definitions, and emits the resulting updates — the
-// compiled counterpart of engine.fireHead.
+// head-position truth definitions of Section 3, and emits the resulting
+// updates: an insert always; a delete or modify iff v*.m -> r is in the
+// base; del[v].* one delete per application of v* other than exists.
 func (x *executor) fire(h *chead, fr []term.OID, onFire func(Update) error) error {
 	v := term.GVID{Object: h.base.value(fr), Path: h.path}
 	if h.all {

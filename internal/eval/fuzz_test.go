@@ -1,13 +1,17 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
-	"reflect"
+	"strings"
 	"testing"
 
+	"verlog/internal/builtin"
 	"verlog/internal/objectbase"
 	"verlog/internal/objectbase/obtest"
 	"verlog/internal/parser"
+	"verlog/internal/safety"
+	"verlog/internal/spec"
 	"verlog/internal/term"
 )
 
@@ -25,31 +29,6 @@ func checkDelta(ob *objectbase.Base, res *Result) error {
 		return fmt.Errorf("the updated base lists unsettled versions %v", u)
 	}
 	return obtest.CheckDerived(ob, res.Final, res.Changes)
-}
-
-// sameQuery answers the body on the base with Query — compiled, probing the
-// base's own index — and with the interpreter on a flat copy of the base,
-// and compares the two: error for error, row for row, in order.
-func sameQuery(base *objectbase.Base, body []term.Literal) error {
-	got, errC := Query(base, body)
-	want, errI := QueryInterpreted(base.Clone(), body)
-	if (errC == nil) != (errI == nil) {
-		return fmt.Errorf("error disagreement: compiled=%v interpreted=%v", errC, errI)
-	}
-	if errC != nil {
-		return nil
-	}
-	render := func(bs []Binding) []string {
-		var out []string
-		for _, b := range bs {
-			out = append(out, b.String())
-		}
-		return out
-	}
-	if g, w := render(got), render(want); !reflect.DeepEqual(g, w) {
-		return fmt.Errorf("answers differ:\ncompiled:    %q\ninterpreted: %q", g, w)
-	}
-	return nil
 }
 
 // deltaHead returns a head derived from a frozen root holding ob's facts
@@ -115,7 +94,7 @@ func checkQueries(ob *objectbase.Base, res *Result, body []term.Literal) error {
 		if c.b == nil {
 			continue
 		}
-		if err := sameQuery(c.b, body); err != nil {
+		if err := sameQueryAsSpec(c.b, body); err != nil {
 			return fmt.Errorf("on the %s: %w", c.name, err)
 		}
 	}
@@ -125,7 +104,7 @@ func checkQueries(ob *objectbase.Base, res *Result, body []term.Literal) error {
 // fuzzBase is the fixed object base every fuzz input runs against: a small
 // isa-hierarchy with scalar and object-valued methods, enough population
 // for index probes and joins to take different code paths in the compiled
-// executor and the interpreter.
+// executor.
 const fuzzBase = `
 emp.isa -> class.
 mgr.isa -> class.
@@ -140,73 +119,101 @@ d2.isa -> dept.  d2.loc -> south.
 
 // fuzzSeeds is the fuzzer's seed corpus (programs over fuzzBase).
 var fuzzSeeds = []string{
-	`r1: ins[X].raised <- X.isa -> emp.`,
+	`r1: ins[X].raised -> yes <- X.isa -> emp.`,
 	`r2: ins[X].sal -> S2 <- X.sal -> S, S2 = S + 100.`,
 	`r3: ins[X].peer -> Y <- X.dept -> D, Y.dept -> D, X != Y.`,
-	`r4: ins[X].low <- X.isa -> emp, not X.sal -> 3000.`,
+	`r4: ins[X].low -> yes <- X.isa -> emp, not X.sal -> 3000.`,
 	`r5: ins[X].chain -> Z <- X.boss -> Y, Y.dept -> Z.`,
-	`a: ins[X].m1 <- X.isa -> emp. b: ins(X).m2 <- a(X).m1.`,
-	`t: ins[X].big <- X.sal -> S, S > 1500.`,
+	`a: ins[X].m1 -> 1 <- X.isa -> emp. b: ins[ins(X)].m2 -> V <- ins(X).m1 -> V.`,
+	`t: ins[X].big -> S <- X.sal -> S, S > 1500.`,
 	`d: del[X].sal -> S <- X.sal -> S, S < 2000.`,
 }
 
-// FuzzCompiledVsInterpreted feeds arbitrary program text through both body
-// evaluators. Inputs that fail to parse, fail the safety/stratification
-// checks, or error in either engine are only checked for error agreement;
-// inputs both engines accept must produce identical fixpoints. The seeds
-// cover the plan shapes the compiler specializes: version probes, result
-// probes, joins, negation, comparisons and multi-path heads. Every accepted
+// oneSidedFault is a seed the evaluators may differ on (orderDecides): Y + 1
+// is ill-typed for every emp, but the engine starts from the empty X.isa ->
+// nothing and evaluates it for none.
+const oneSidedFault = `o: ins[Y].m -> Z <- Y.isa -> emp, Z = Y + 1, X.isa -> nothing.`
+
+// builtinFault reports the error of a built-in meeting an instance it cannot
+// evaluate: operands of the wrong sort, a zero divisor, rational overflow.
+func builtinFault(err error) bool {
+	var te *builtin.TypeError
+	return errors.As(err, &te) || errors.Is(err, term.ErrRatOverflow) ||
+		err != nil && strings.Contains(err.Error(), "division by zero")
+}
+
+// orderDecides reports whether err is the one disagreement not held against
+// either evaluator: a built-in fault on one side only, over a body in which
+// the built-in stands beside another literal. Whether the faulty instance is
+// reached at all then depends on which of the two runs first — `X.isa -> emp,
+// 1 = 1 / 0` fails if the built-in runs first, or if some X is an emp — and
+// the paper orders no body. A fault where nothing can run ahead of the built-in,
+// and any other one-sided refusal, stay errors.
+func orderDecides(err error, rules ...term.Rule) bool {
+	var m *classMismatch
+	if !errors.As(err, &m) || builtinFault(m.engine) == builtinFault(m.spec) {
+		return false
+	}
+	for _, r := range rules {
+		for _, l := range r.Body {
+			if _, ok := l.Atom.(term.BuiltinAtom); ok && len(r.Body) > 1 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// FuzzEngineVsSpec feeds arbitrary program text to the engine and to the
+// spec evaluator (internal/spec: the paper's definitions over a plain set of
+// facts). A safe program must be refused by both for the same class of reason
+// — not stratifiable, not version-linear, no fixpoint within the bound — or
+// produce the same result(P), the same ob' and the same set of fired updates;
+// a program package safety passes must never fail to compile. Every accepted
 // input is also held against the delta oracles (checkDelta), and each of its
-// rule bodies is put as a query to the compiled Query and to the interpreter
-// (checkQueries).
-func FuzzCompiledVsInterpreted(f *testing.F) {
+// rule bodies is put as a query to Query and to the spec's enumerator on
+// every kind of base (checkQueries). Two things are left open, because the
+// paper is silent on them: what an unsafe program means, and which instances
+// of a built-in get evaluated at all (orderDecides).
+func FuzzEngineVsSpec(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
+	f.Add(oneSidedFault)
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := parser.Program(src, "fuzz.vlg")
 		if err != nil {
 			return
 		}
-		obC, err := parser.ObjectBase(fuzzBase, "fuzz-ob.vlg")
+		ob, err := parser.ObjectBase(fuzzBase, "fuzz-ob.vlg")
 		if err != nil {
 			t.Fatal(err)
 		}
-		obI, err := parser.ObjectBase(fuzzBase, "fuzz-ob.vlg")
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Bound iterations: fuzzed recursion through arithmetic can diverge,
-		// and both engines must hit the same bound.
-		resC, errC := Run(obC, p, Options{MaxIterations: 50})
-		resI, errI := Run(obI, p, Options{MaxIterations: 50, Interpreted: true})
-		if (errC == nil) != (errI == nil) {
-			t.Fatalf("error disagreement on %q:\ncompiled:    %v\ninterpreted: %v", src, errC, errI)
-		}
-		if errC != nil {
+		if safety.Program(p) != nil {
+			Run(ob, p, Options{MaxIterations: 50}) // must not panic
 			return
 		}
-		if resC.Fired != resI.Fired {
-			t.Errorf("fired disagreement on %q: compiled=%d interpreted=%d", src, resC.Fired, resI.Fired)
+		// Bound iterations: fuzzed recursion through arithmetic can diverge,
+		// and both evaluators must hit the bound.
+		res, rerr, err := sameAsSpec(ob, p, Options{MaxIterations: 50})
+		if classOf(rerr) == spec.ErrUnsafe {
+			t.Fatalf("safe program %q does not compile: %v", src, rerr)
 		}
-		if !resC.Result.Equal(resI.Result) {
-			t.Errorf("fixpoint disagreement on %q\ncompiled:\n%s\ninterpreted:\n%s", src,
-				parser.FormatFacts(resC.Result, true), parser.FormatFacts(resI.Result, true))
+		if orderDecides(err, p.Rules...) {
+			t.Logf("%q: not held against either: %v", src, err)
+		} else if err != nil {
+			t.Fatalf("%q: %v", src, err)
 		}
-		if !resC.Final.Equal(resI.Final) {
-			t.Errorf("final-base disagreement on %q\ncompiled:\n%s\ninterpreted:\n%s", src,
-				parser.FormatFacts(resC.Final, true), parser.FormatFacts(resI.Final, true))
+		if rerr != nil || err != nil {
+			return
 		}
-		if err := checkDelta(obC, resC); err != nil {
-			t.Errorf("compiled run of %q: %v", src, err)
+		if err := checkDelta(ob, res); err != nil {
+			t.Errorf("run of %q: %v", src, err)
 		}
-		if err := checkDelta(obI, resI); err != nil {
-			t.Errorf("interpreted run of %q: %v", src, err)
-		}
-		// A rule body is a query: every body is answered by the compiled
-		// Query and by the interpreter, on every kind of base.
 		for ri, r := range p.Rules {
-			if err := checkQueries(obC, resC, r.Body); err != nil {
+			if err := checkQueries(ob, res, r.Body); orderDecides(err, r) {
+				t.Logf("body of %s in %q as a query, not held against either: %v", r.Label(ri), src, err)
+			} else if err != nil {
 				t.Errorf("body of %s in %q as a query %v", r.Label(ri), src, err)
 			}
 		}

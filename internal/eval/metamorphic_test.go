@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"maps"
 	"testing"
 
 	"verlog/internal/objectbase"
@@ -141,5 +142,121 @@ func TestMetamorphicRenaming(t *testing.T) {
 				t.Errorf("fired: %d vs %d", plain.Fired, renamed.Fired)
 			}
 		})
+	}
+}
+
+// The properties below are about sequences of updates and hold for the
+// language, not for an implementation, so each is checked on the engine and
+// on the spec evaluator (evaluators): the update-sequence postulates of
+// Eiter/Fink/Sabbatini/Tompits that make sense without a preference order —
+// the empty update is the identity, a repeated ground update is idempotent,
+// updates to unrelated objects commute — and U-Datalog's reading of rule
+// order (Bertino/Catania/Gori): the updates one evaluation collects do not
+// depend on the order the rules are written in.
+
+// sequenceInputs are the object bases the sequence properties run on.
+func sequenceInputs(t *testing.T) map[string]*objectbase.Base {
+	return map[string]*objectbase.Base{
+		"paper":      mustBase(t, enterpriseBase),
+		"enterprise": workload.EnterpriseSpec{Employees: 40, Seed: 17}.ObjectBase(),
+		"ancestors":  workload.GenealogySpec{Generations: 4, Branching: 2}.ObjectBase(),
+	}
+}
+
+func TestSequenceEmptyProgramIsIdentity(t *testing.T) {
+	for name, ob := range sequenceInputs(t) {
+		for _, ev := range evaluators {
+			out, err := ev.run(ob, &term.Program{})
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, ev.name, err)
+			}
+			if !out.final.Equal(ob) || !out.result.Equal(ob) || len(out.fired) != 0 {
+				t.Errorf("%s, %s: the empty program changed the base or fired %d updates", name, ev.name, len(out.fired))
+			}
+		}
+	}
+}
+
+// TestSequenceGroundUpdateIsIdempotent: update-facts that insert, delete and
+// modify (no modify putting in what another takes out) bring the base to a
+// state on which applying them again changes nothing.
+func TestSequenceGroundUpdateIsIdempotent(t *testing.T) {
+	p := mustProgram(t, `
+a: ins[phil].badge -> gold.
+b: del[bob].boss -> phil.
+c: mod[ins(phil)].sal -> (4000, 4100).
+d: ins[carl].isa -> empl.
+e: del[bob].sal -> 1.
+`)
+	for _, ev := range evaluators {
+		once, err := ev.run(mustBase(t, enterpriseBase), p)
+		if err != nil {
+			t.Fatalf("%s: %v", ev.name, err)
+		}
+		twice, err := ev.run(once.final, p)
+		if err != nil {
+			t.Fatalf("%s, second apply: %v", ev.name, err)
+		}
+		if !twice.final.Equal(once.final) {
+			t.Errorf("%s: applying the ground update again changed ob'", ev.name)
+		}
+		wantFact(t, once.final, `phil.badge -> gold. phil.sal -> 4100. carl.isa -> empl. bob.sal -> 4200.`)
+		wantNoFact(t, once.final, `bob.boss -> phil. phil.sal -> 4000.`)
+	}
+}
+
+// TestSequenceRuleOrderIsImmaterial: a program is a set of rules. Reversing
+// and rotating them leaves the fired updates, result(P) and ob' as they were.
+func TestSequenceRuleOrderIsImmaterial(t *testing.T) {
+	programs := map[string]string{"paper": enterpriseProgram, "enterprise": workload.EnterpriseProgram, "ancestors": workload.AncestorsProgram}
+	for name, ob := range sequenceInputs(t) {
+		p := mustProgram(t, programs[name])
+		n := len(p.Rules)
+		reversed, rotated := &term.Program{}, &term.Program{}
+		for i := range p.Rules {
+			reversed.Rules = append(reversed.Rules, p.Rules[n-1-i])
+			rotated.Rules = append(rotated.Rules, p.Rules[(i+1)%n])
+		}
+		for _, ev := range evaluators {
+			want, err := ev.run(ob, p)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, ev.name, err)
+			}
+			for order, q := range map[string]*term.Program{"reversed": reversed, "rotated": rotated} {
+				got, err := ev.run(ob, q)
+				if err != nil {
+					t.Fatalf("%s, %s, %s: %v", name, ev.name, order, err)
+				}
+				if !got.result.Equal(want.result) || !got.final.Equal(want.final) || !maps.Equal(got.fired, want.fired) {
+					t.Errorf("%s, %s: the %s program evaluates differently", name, ev.name, order)
+				}
+			}
+		}
+	}
+}
+
+// TestSequenceUnrelatedUpdatesCommute: one program raises the managers, the
+// other flags everybody else; neither reads what the other writes, so the
+// order they are applied in does not show in the final base.
+func TestSequenceUnrelatedUpdatesCommute(t *testing.T) {
+	raise := mustProgram(t, `r: mod[E].sal -> (S, S2) <- E.isa -> empl, E.pos -> mgr, E.sal -> S, S2 = S + 1.`)
+	flag := mustProgram(t, `f: ins[E].staff -> yes <- E.isa -> empl, !E.pos -> mgr.`)
+	for name, ob := range sequenceInputs(t) {
+		for _, ev := range evaluators {
+			then := func(first, second *term.Program) *objectbase.Base {
+				mid, err := ev.run(ob, first)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", name, ev.name, err)
+				}
+				end, err := ev.run(mid.final, second)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", name, ev.name, err)
+				}
+				return end.final
+			}
+			if a, b := then(raise, flag), then(flag, raise); !a.Equal(b) {
+				t.Errorf("%s, %s: raise-then-flag and flag-then-raise end in different bases", name, ev.name)
+			}
+		}
 	}
 }

@@ -1,28 +1,16 @@
 // Package eval implements the bottom-up evaluation of update-programs:
 // the truth relations of Section 3, the three-step immediate consequence
-// operator T_P, stratum-wise naive and semi-naive fixpoint iteration
-// (Section 4), the version-linearity run-time check and the construction
-// of the updated object base (Section 5).
+// operator T_P, stratum-wise semi-naive fixpoint iteration (Section 4), the
+// version-linearity run-time check and the construction of the updated
+// object base (Section 5). One evaluator: rule bodies are compiled into
+// match plans (compile.go) in the order this file's planner picks, and run
+// by the executor (exec.go).
 package eval
 
 import (
 	"verlog/internal/objectbase"
 	"verlog/internal/term"
 )
-
-// plan is a per-rule evaluation order for body literals, computed once.
-// The order guarantees that negated literals and comparisons are evaluated
-// only when their variables are bound, which safe rules always allow.
-type plan struct {
-	order []int
-	// deltaPositions lists positions (into order) of positive literals
-	// whose facts can change within a stratum: version-terms over non-
-	// empty-path VIDs and ins-update-terms. Semi-naive evaluation seeds
-	// joins from these positions. Positions refer to the reordered body.
-	// deltaKeys[i] is the (path, method) delta bucket position i reads.
-	deltaPositions []int
-	deltaKeys      []pmKey
-}
 
 // binds returns the variables a positive occurrence of the literal binds.
 func binds(l term.Literal) []term.Var {
@@ -256,36 +244,9 @@ func indexedCostWith(base *objectbase.Base, index func() *objectbase.LiteralInde
 // distinction. The exact size is unknowable at plan time.
 func deltaRowEstimate(full int) int { return 1 + full/16 }
 
-// planRule orders the body with the static estimator.
-func planRule(r term.Rule) plan { return planRuleCost(r, staticCost) }
-
-// planRuleCost orders the body greedily: filters run as soon as their
-// variables are bound; among generators the cheapest (per the estimator)
-// runs first, with source order breaking ties.
-func planRuleCost(r term.Rule, est costEstimator) plan {
-	var p plan
-	p.order = greedyOrder(r, est, -1)
-	for pos, i := range p.order {
-		if deltaSeedable(r.Body[i]) {
-			p.deltaPositions = append(p.deltaPositions, pos)
-			p.deltaKeys = append(p.deltaKeys, deltaKeyOf(r.Body[i]))
-		}
-	}
-	return p
-}
-
-// deltaKeyOf returns the (path, method) a delta-seedable literal's facts
-// live under: an ins-term reads the pushed version.
-func deltaKeyOf(l term.Literal) pmKey {
-	if u, ok := l.Atom.(term.UpdateAtom); ok {
-		return pmKey{Path: u.V.Path.Push(term.Ins), Method: u.App.Method}
-	}
-	a := l.Atom.(term.VersionAtom)
-	return pmKey{Path: a.V.Path, Method: a.App.Method}
-}
-
-// greedyOrder is the planner core: filters as soon as ready, then the
-// cheapest generator, source order breaking ties. When seed >= 0 that
+// greedyOrder is the planner: filters run as soon as their variables are
+// bound — which safe rules always allow — then the cheapest generator (per
+// the estimator), source order breaking ties. When seed >= 0 that
 // body literal is forced first (the semi-naive delta seed) and the rest
 // are ordered given its bindings — so a delta-restricted evaluation gets
 // an order chosen for delta-sized input, not the full-scan order with one

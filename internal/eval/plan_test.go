@@ -7,14 +7,16 @@ import (
 	"verlog/internal/term"
 )
 
-func planOf(t *testing.T, ruleSrc string) (term.Rule, plan) {
+// planOf returns the first rule of the source and the order the source-order
+// planner evaluates its body in.
+func planOf(t *testing.T, ruleSrc string) (term.Rule, []int) {
 	t.Helper()
 	p, err := parser.Program(ruleSrc, "plan.vlg")
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	r := p.Rules[0]
-	return r, planRule(r)
+	return r, greedyOrder(r, staticCost, -1)
 }
 
 // TestPlanNegationAfterBinder: a negated literal written first must still
@@ -23,11 +25,11 @@ func TestPlanNegationAfterBinder(t *testing.T) {
 	r, pl := planOf(t, `r: ins[X].m -> a <- !X.skip -> yes, X.t -> 1.`)
 	// Order must put body[1] (the binder) before body[0] (the negation).
 	pos := map[int]int{}
-	for where, li := range pl.order {
+	for where, li := range pl {
 		pos[li] = where
 	}
 	if pos[1] > pos[0] {
-		t.Errorf("negation evaluated before its binder: order %v for %s", pl.order, r)
+		t.Errorf("negation evaluated before its binder: order %v for %s", pl, r)
 	}
 }
 
@@ -35,11 +37,11 @@ func TestPlanNegationAfterBinder(t *testing.T) {
 func TestPlanComparisonAfterBinding(t *testing.T) {
 	_, pl := planOf(t, `r: ins[X].f -> y <- S > 4500, X.sal -> S.`)
 	pos := map[int]int{}
-	for where, li := range pl.order {
+	for where, li := range pl {
 		pos[li] = where
 	}
 	if pos[1] > pos[0] {
-		t.Errorf("comparison before binder: %v", pl.order)
+		t.Errorf("comparison before binder: %v", pl)
 	}
 }
 
@@ -48,11 +50,11 @@ func TestPlanComparisonAfterBinding(t *testing.T) {
 func TestPlanEqualityChain(t *testing.T) {
 	_, pl := planOf(t, `r: ins[X].m -> C <- C = B * 2, B = A + 1, X.t -> A.`)
 	pos := map[int]int{}
-	for where, li := range pl.order {
+	for where, li := range pl {
 		pos[li] = where
 	}
 	if !(pos[2] < pos[1] && pos[1] < pos[0]) {
-		t.Errorf("equality chain misordered: %v", pl.order)
+		t.Errorf("equality chain misordered: %v", pl)
 	}
 }
 
@@ -77,22 +79,17 @@ y.t -> 1.
 // TestPlanDeltaPositions: only version-terms over versions and positive
 // ins-update-terms are delta-seedable.
 func TestPlanDeltaPositions(t *testing.T) {
-	_, pl := planOf(t, `
+	r, _ := planOf(t, `
 r: ins[X].m -> a <- X.t -> 1, ins(X).k -> b, ins[X].m2 -> c, mod[X].s -> (A, B), !ins(X).z -> q.`)
 	// Body literals: 0: X.t->1 (plain object, not seedable)
 	//                1: ins(X).k->b (seedable)
 	//                2: ins[X].m2->c (seedable)
 	//                3: mod[X].s->(A,B) (frozen in-stratum, not seedable)
 	//                4: !ins(X).z->q (negated, not seedable)
-	seedable := map[int]bool{}
-	for _, pos := range pl.deltaPositions {
-		seedable[pl.order[pos]] = true
-	}
 	want := map[int]bool{1: true, 2: true}
-	for li := 0; li < 5; li++ {
-		if seedable[li] != want[li] {
-			t.Errorf("literal %d seedable = %v, want %v (plan %v, deltas %v)",
-				li, seedable[li], want[li], pl.order, pl.deltaPositions)
+	for li, l := range r.Body {
+		if deltaSeedable(l) != want[li] {
+			t.Errorf("literal %d (%s) seedable = %v, want %v", li, l, deltaSeedable(l), want[li])
 		}
 	}
 }
@@ -110,25 +107,35 @@ d.isa -> item / val -> 4 / rare -> yes.
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := planRuleCost(p.Rules[0], statsCost(ob))
+	pl := greedyOrder(p.Rules[0], statsCost(ob), -1)
 	// Literal 1 (rare: 1 candidate) must precede literal 0 (isa: 4).
 	pos := map[int]int{}
-	for where, li := range pl.order {
+	for where, li := range pl {
 		pos[li] = where
 	}
 	if pos[1] > pos[0] {
-		t.Errorf("selective literal not first: order %v", pl.order)
+		t.Errorf("selective literal not first: order %v", pl)
 	}
 }
 
-// TestStaticPlannerOptionAgrees: both planners compute the same fixpoint.
+// TestStaticPlannerOptionAgrees: both planners compute the same fixpoint —
+// the paper's. The source-order plans reach the run the way cached plans do.
 func TestStaticPlannerOptionAgrees(t *testing.T) {
 	ob := mustBase(t, enterpriseBase)
 	p := mustProgram(t, enterpriseProgram)
-	a := mustRun(t, ob, p, Options{})
-	b := mustRun(t, ob, p, Options{StaticPlanner: true})
-	if !a.Result.Equal(b.Result) || !a.Final.Equal(b.Final) {
-		t.Errorf("planners disagree on the fixpoint")
+	static, err := Compile(ob, p, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{{}, {Plans: static}} {
+		res, err := runsLikeSpec(ob, p, opts)
+		if err != nil {
+			t.Errorf("plans %v: %v", opts.Plans != nil, err)
+			continue
+		}
+		if want := map[bool]string{false: "compiled", true: "cached"}[opts.Plans != nil]; res.Plan != want {
+			t.Errorf("plans %v: the run reports Plan = %q, want %q", opts.Plans != nil, res.Plan, want)
+		}
 	}
 }
 
@@ -139,10 +146,10 @@ func TestPlanBoundBasePreferred(t *testing.T) {
 	// Literal 0 binds X and Y; literal 1 then has a bound base. Both
 	// orders are correct; the planner must simply produce a permutation.
 	seen := map[int]bool{}
-	for _, li := range pl.order {
+	for _, li := range pl {
 		seen[li] = true
 	}
 	if len(seen) != 2 {
-		t.Errorf("order %v is not a permutation", pl.order)
+		t.Errorf("order %v is not a permutation", pl)
 	}
 }

@@ -103,18 +103,14 @@ func PlanLiterals(base *objectbase.Base, r term.Rule) []LiteralPlan {
 }
 
 func planLiterals(r term.Rule, est costEstimator) []LiteralPlan {
-	pl := planRuleCost(r, est)
-	delta := map[int]bool{}
-	for _, pos := range pl.deltaPositions {
-		delta[pos] = true
-	}
-	out := make([]LiteralPlan, 0, len(pl.order))
+	order := greedyOrder(r, est, -1)
+	out := make([]LiteralPlan, 0, len(order))
 	// Recompute per-literal estimates in plan order, tracking bound
 	// variables exactly as the planner does.
 	bound := map[term.Var]bool{}
-	for pos, li := range pl.order {
+	for _, li := range order {
 		l := r.Body[li]
-		lp := LiteralPlan{Literal: l.String(), Source: li, Delta: delta[pos]}
+		lp := LiteralPlan{Literal: l.String(), Source: li, Delta: deltaSeedable(l)}
 		switch {
 		case l.Neg:
 			lp.Kind = KindNegation
@@ -124,7 +120,7 @@ func planLiterals(r term.Rule, est costEstimator) []LiteralPlan {
 			lp.Kind = KindGenerator
 			lp.Access = literalAccess(l, bound)
 			lp.EstRows = est(l, baseBound(l, bound))
-			if delta[pos] {
+			if lp.Delta {
 				// Semi-naive iterations join this literal against the
 				// per-iteration delta, not the full population.
 				lp.DeltaRows = deltaRowEstimate(lp.EstRows)
@@ -172,18 +168,6 @@ func (rp RulePlan) String() string {
 		fmt.Fprintf(&b, "  %d. %s %-40s %-12s (est %d)\n", i+1, marker, l, access, rp.Costs[i])
 	}
 	return b.String()
-}
-
-// HasIndexProbe reports whether any literal of the plan executes as an
-// index probe or bound-base lookup (as opposed to a population scan).
-func (rp RulePlan) HasIndexProbe() bool {
-	for _, a := range rp.Access {
-		switch a {
-		case AccessLookup, AccessProbeResult, AccessProbeArg:
-			return true
-		}
-	}
-	return false
 }
 
 // ExplainPlans reports the evaluation order the statistics planner picks

@@ -1,12 +1,12 @@
 package eval
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"verlog/internal/objectbase"
 	"verlog/internal/term"
-	"verlog/internal/unify"
 )
 
 // Binding is one answer to a query: the bindings of the query's variables.
@@ -14,34 +14,11 @@ type Binding map[term.Var]term.OID
 
 // String renders the binding deterministically, e.g. "E=phil, S=4600".
 func (b Binding) String() string {
-	keys := make([]string, 0, len(b))
-	for v := range b {
-		keys = append(keys, string(v))
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + b[term.Var(k)].String()
+	parts := make([]string, 0, len(b))
+	for _, v := range slices.Sorted(maps.Keys(b)) {
+		parts = append(parts, string(v)+"="+b[v].String())
 	}
 	return strings.Join(parts, ", ")
-}
-
-// sortedAnswers returns the distinct answers of a query, collected under
-// their rendering (Binding.String, made once per answer), in its order.
-func sortedAnswers(rows map[string]Binding) []Binding {
-	if len(rows) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Binding, len(keys))
-	for i, k := range keys {
-		out[i] = rows[k]
-	}
-	return out
 }
 
 // Query evaluates a conjunction of body literals against an object base
@@ -56,85 +33,77 @@ func sortedAnswers(rows map[string]Binding) []Binding {
 // would get, and run by the executor against the base itself — which a
 // query does not change, so the base is its own frozen input — probing the
 // base's literal index where a rule would. The answers are read off the
-// frame. A body the compiler rejects falls back to the interpreter, the
-// rule Run follows.
+// frame. A body the compiler rejects — a variable unbound where a ground
+// value is required — is refused with its *CompileError, as Run refuses a
+// rule.
 func Query(base *objectbase.Base, body []term.Literal) ([]Binding, error) {
+	vars, rows, err := QueryRows(base, body)
+	if err != nil || len(rows) == 0 {
+		return nil, err
+	}
+	out := make([]Binding, len(rows))
+	for i, row := range rows {
+		out[i] = make(Binding, len(vars))
+		for j, v := range vars {
+			out[i][v] = row[j]
+		}
+	}
+	return out, nil
+}
+
+// QueryRows is Query with the answers left as a table: the query's
+// variables in sorted order and, per distinct answer, their values in that
+// order, the rows sorted as Query sorts (by Binding.String). A reader that
+// serves many answers reads them here, at a slice per answer where a
+// Binding is a map.
+func QueryRows(base *objectbase.Base, body []term.Literal) (vars []term.Var, rows [][]term.OID, err error) {
 	rule := term.Rule{Body: body, Name: "query"}
 	x := &executor{base: base, p0: base}
 	est := indexedCostWith(base, x.index)
 	rc := &ruleCompiler{slots: map[term.Var]int{}}
-	steps, _, err := compileSteps(rc, rule, greedyOrder(rule, est, -1), -1, est)
+	steps, _, err := compileSteps(rc, rule, greedyOrder(rule, est, -1), -1)
 	if err != nil {
-		return QueryInterpreted(base, body)
+		return nil, nil, &CompileError{Rule: rule.Name, Err: err}
 	}
-	names := make([]string, 0, len(rc.slots))
-	for v := range rc.slots {
-		names = append(names, string(v))
+	vars = slices.Sorted(maps.Keys(rc.slots))
+	slots := make([]int, len(vars))
+	for i, v := range vars {
+		slots[i] = rc.slots[v]
 	}
-	sort.Strings(names)
-	slots := make([]int, len(names))
-	for i, n := range names {
-		slots[i] = rc.slots[term.Var(n)]
-	}
-	rows := map[string]Binding{}
+	// The distinct answers, collected under their rendering (made once per
+	// answer) and returned in its order.
+	seen := map[string][]term.OID{}
 	var key []byte
 	err = x.match(rc.n, steps, nil, func(fr []term.OID) error {
 		key = key[:0]
-		for i, n := range names {
+		for i, v := range vars {
 			if i > 0 {
 				key = append(key, ", "...)
 			}
-			key = append(key, n...)
+			key = append(key, v...)
 			key = append(key, '=')
 			key = append(key, fr[slots[i]].String()...)
 		}
-		if _, dup := rows[string(key)]; !dup {
-			b := make(Binding, len(names))
-			for i, n := range names {
-				b[term.Var(n)] = fr[slots[i]]
+		if _, dup := seen[string(key)]; !dup {
+			row := make([]term.OID, len(vars))
+			for i, slot := range slots {
+				row[i] = fr[slot]
 			}
-			rows[string(key)] = b
+			seen[string(key)] = row
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return sortedAnswers(rows), nil
-}
-
-// QueryInterpreted answers a query with the map-substitution interpreter
-// and the source-order planner: what Query falls back to, and the reference
-// the differential tests hold Query against.
-func QueryInterpreted(base *objectbase.Base, body []term.Literal) ([]Binding, error) {
-	rule := term.Rule{Body: body, Name: "query"}
-	pl := planRule(rule)
-	m := newMatcher(base)
-	vars := rule.Vars()
-
-	rows := map[string]Binding{}
-	s := unify.Subst{}
-	var tr unify.Trail
-	var rec func(step int) error
-	rec = func(step int) error {
-		if step == len(pl.order) {
-			// Materialize the answer now: the shared substitution is
-			// rolled back as matching backtracks.
-			b := Binding{}
-			for v := range vars {
-				if o, ok := s.Lookup(v); ok {
-					b[v] = o
-				}
-			}
-			rows[b.String()] = b
-			return nil
-		}
-		return m.matchLiteral(body[pl.order[step]], s, &tr, func() error {
-			return rec(step + 1)
-		})
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
 	}
-	if err := rec(0); err != nil {
-		return nil, err
+	slices.Sort(keys)
+	rows = make([][]term.OID, len(keys))
+	for i, k := range keys {
+		rows[i] = seen[k]
 	}
-	return sortedAnswers(rows), nil
+	return vars, rows, nil
 }

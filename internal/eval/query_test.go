@@ -1,9 +1,12 @@
 package eval
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"verlog/internal/parser"
+	"verlog/internal/safety"
 	"verlog/internal/term"
 )
 
@@ -25,7 +28,9 @@ hire:  ins[e9].isa -> emp <- e1.isa -> emp.
 `
 
 // TestQueryCompiledVsInterpreted puts one query of every shape the compiler
-// knows to the compiled Query and to the interpreter, on every kind of base
+// knows to the compiled Query and to the spec's enumerator (internal/spec,
+// which reads the truth definitions of Section 3 off a plain set of facts),
+// on every kind of base
 // (checkQueries), and checks that the shapes named after an access really
 // compile to it.
 func TestQueryCompiledVsInterpreted(t *testing.T) {
@@ -72,8 +77,7 @@ func TestQueryCompiledVsInterpreted(t *testing.T) {
 		}
 		if c.acc != accessLookup {
 			rule := term.Rule{Body: body}
-			est := indexedCost(res.Result)
-			steps, _, err := compileSteps(&ruleCompiler{slots: map[term.Var]int{}}, rule, greedyOrder(rule, est, -1), -1, est)
+			steps, _, err := compileSteps(&ruleCompiler{slots: map[term.Var]int{}}, rule, greedyOrder(rule, indexedCost(res.Result), -1), -1)
 			if err != nil {
 				t.Fatalf("%s: %v", c.query, err)
 			}
@@ -87,17 +91,54 @@ func TestQueryCompiledVsInterpreted(t *testing.T) {
 	}
 }
 
-// TestQueryFallsBackToInterpreter: a body the compiler rejects is answered —
-// here with the interpreter's error — by the fallback, as in Run.
-func TestQueryFallsBackToInterpreter(t *testing.T) {
+// TestCompileRejectsWhatSafetyRejects walks every rejection compile.go can
+// produce on input the parser lets through: a variable still unbound where a
+// ground value is required. Each is a safety violation — package safety
+// rejects the same rule — and is refused, not handed to another evaluator:
+// Run and Query return the *CompileError, naming the rule (a query goes by
+// "query"); the spec refuses it as unsafe too.
+func TestCompileRejectsWhatSafetyRejects(t *testing.T) {
 	ob := mustBase(t, fuzzBase)
-	body, err := parser.Query(`E.isa -> emp, !E.boss -> B.`, "q")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, rule, want string
+	}{
+		{"unbound head result", `r: ins[X].m -> Y <- X.isa -> emp.`, "variable Y unbound where a ground value is required"},
+		{"unbound head argument", `r: ins[X].m@A -> 1 <- X.isa -> emp.`, "variable A unbound where a ground value is required"},
+		{"unbound head base", `r: ins[X].m -> 1 <- e1.isa -> emp.`, "variable X unbound where a ground value is required"},
+		{"unbound new result of a modify", `r: mod[X].sal -> (S, T) <- X.sal -> S.`, "variable T unbound where a ground value is required"},
+		{"unbound variable in an expression", `r: ins[X].m -> 1 <- X.isa -> emp, S > 5.`, "variable S unbound in expression"},
+		{"unbound variable in a binding equality", `r: ins[X].m -> T <- X.isa -> emp, T = S + 1.`, "variable S unbound in expression"},
+		{"unbound variable under negation", `r: ins[X].m -> 1 <- X.isa -> emp, !X.boss -> B.`, "variable B unbound where a ground value is required"},
+		{"unbound variable under a negated update-term", `r: ins[X].m -> 1 <- X.isa -> emp, !mod[X].sal -> (S, 7).`, "variable S unbound where a ground value is required"},
+		{"unbound variable under a negated built-in", `r: ins[X].m -> 1 <- X.isa -> emp, !S = 5.`, "variable S unbound in expression"},
 	}
-	_, errC := Query(ob, body)
-	_, errI := QueryInterpreted(ob, body)
-	if errC == nil || errI == nil || errC.Error() != errI.Error() {
-		t.Errorf("unbound variable under negation: Query says %v, the interpreter %v", errC, errI)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p := mustProgram(t, c.rule)
+			if safety.Program(p) == nil {
+				t.Errorf("package safety accepts %s", c.rule)
+			}
+			res, err, diff := sameAsSpec(ob, p, Options{})
+			var ce *CompileError
+			if res != nil || !errors.As(err, &ce) || ce.Rule != "r" || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Run(%s) = %v, %v; want a CompileError for rule r saying %q", c.rule, res, err, c.want)
+			}
+			if diff != nil {
+				t.Error(diff)
+			}
+			// The body as a query: refused the same way when the body is where
+			// the variable is missing, answered when only the head was at fault.
+			_, qerr := Query(ob, p.Rules[0].Body)
+			if bodyAtFault := !strings.Contains(c.name, "head") && !strings.Contains(c.name, "new result"); bodyAtFault {
+				if !errors.As(qerr, &ce) || ce.Rule != "query" || !strings.Contains(qerr.Error(), c.want) {
+					t.Errorf("Query(body of %s) = %v; want a CompileError for the query saying %q", c.rule, qerr, c.want)
+				}
+			} else if qerr != nil {
+				t.Errorf("Query(body of %s) = %v", c.rule, qerr)
+			}
+			if err := sameQueryAsSpec(ob, p.Rules[0].Body); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

@@ -106,17 +106,20 @@ r0: ins[trig].on -> yes <- trig.isa -> t.
 r1: mod[o].m -> (a, b) <- o.go -> 1.
 r2: mod[o].m -> (b, c) <- ins(trig).on -> yes.
 `)
-	for _, opts := range []Options{{}, {Interpreted: true}, {Strategy: Naive}} {
-		res := mustRun(t, ob, p, opts)
-		st := res.Result.StateOf(term.GV(term.Sym("o"), term.Mod))
+	eachEvaluator(t, ob, p, func(t *testing.T, result, _ *objectbase.Base) {
+		st := result.StateOf(term.GV(term.Sym("o"), term.Mod))
 		var got []string
 		st.ForEachResult(term.MethodKey{Method: "m"}, func(r term.OID) { got = append(got, r.String()) })
 		if len(got) != 2 || !st.Has(term.MethodKey{Method: "m"}, term.Sym("b")) || !st.Has(term.MethodKey{Method: "m"}, term.Sym("c")) {
-			t.Errorf("%+v: mod(o).m = %v, want {b, c}", opts, got)
+			t.Errorf("mod(o).m = %v, want {b, c}", got)
 		}
-		if err := checkDelta(ob.Clone().Freeze(), mustRun(t, ob, p, opts)); err != nil {
-			t.Errorf("%+v: %v", opts, err)
-		}
+	})
+	res, err := runsLikeSpec(ob, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkDelta(ob.Clone().Freeze(), res); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -150,7 +153,9 @@ func renderRun(res *Result) string {
 // run leaves its frozen input as it was; running again on the same input
 // gives the same Final, Changes, Fired and Trace; running on the previous
 // run's Final leaves both of that run's bases as they were; and result(P),
-// fed back as an input, evaluates like a flat copy of itself.
+// fed back as an input, evaluates like a flat copy of itself. The first run
+// and the run on result(P) — an input full of versions — are held against
+// the spec evaluator on the way.
 func TestFrozenInputsStayFrozen(t *testing.T) {
 	type tc struct {
 		name, base, prog string
@@ -190,42 +195,47 @@ func TestFrozenInputsStayFrozen(t *testing.T) {
 				}
 			}
 			ob.Freeze()
-			for _, opts := range []Options{{Trace: true}, {Trace: true, Interpreted: true}} {
-				before := ob.Facts()
-				first, err := Run(ob, p, opts)
-				if err != nil {
-					return // rejected programs are the golden test's business
-				}
-				if !reflect.DeepEqual(ob.Facts(), before) {
-					t.Fatalf("%+v: the run changed its frozen input", opts)
-				}
-				again := mustRun(t, ob, p, opts)
-				if a, b := renderRun(first), renderRun(again); a != b {
-					t.Fatalf("%+v: two runs on one head differ:\n%s\n---\n%s", opts, a, b)
-				}
-				final, result := first.Final.Facts(), first.Result.Facts()
-				if _, err := Run(first.Final, p, opts); err != nil {
-					t.Fatalf("%+v: second apply: %v", opts, err)
-				}
-				if !reflect.DeepEqual(first.Final.Facts(), final) || !reflect.DeepEqual(first.Result.Facts(), result) {
-					t.Fatalf("%+v: applying to the previous Final changed the previous run's bases", opts)
-				}
-				if !reflect.DeepEqual(ob.Facts(), before) {
-					t.Fatalf("%+v: the second apply changed the first input", opts)
-				}
-				// result(P) comes back frozen (it shares states with the input)
-				// and must serve as an input exactly like a flat copy of itself.
-				onShared, errShared := Run(first.Result, p, opts)
-				onCopy, errCopy := Run(first.Result.Clone(), p, opts)
-				if (errShared == nil) != (errCopy == nil) {
-					t.Fatalf("%+v: result(P) as input: %v, its copy: %v", opts, errShared, errCopy)
-				}
-				if errShared == nil && renderRun(onShared) != renderRun(onCopy) {
-					t.Fatalf("%+v: result(P) as input evaluates unlike its copy", opts)
-				}
-				if !reflect.DeepEqual(first.Result.Facts(), result) {
-					t.Fatalf("%+v: evaluating on result(P) changed it", opts)
-				}
+			opts := Options{Trace: true}
+			before := ob.Facts()
+			first, err, diff := sameAsSpec(ob, p, opts)
+			if diff != nil {
+				t.Error(diff)
+			}
+			if err != nil {
+				return // rejected programs are the golden test's business
+			}
+			if !reflect.DeepEqual(ob.Facts(), before) {
+				t.Fatalf("the run changed its frozen input")
+			}
+			again := mustRun(t, ob, p, opts)
+			if a, b := renderRun(first), renderRun(again); a != b {
+				t.Fatalf("two runs on one head differ:\n%s\n---\n%s", a, b)
+			}
+			final, result := first.Final.Facts(), first.Result.Facts()
+			if _, err := Run(first.Final, p, opts); err != nil {
+				t.Fatalf("second apply: %v", err)
+			}
+			if !reflect.DeepEqual(first.Final.Facts(), final) || !reflect.DeepEqual(first.Result.Facts(), result) {
+				t.Fatalf("applying to the previous Final changed the previous run's bases")
+			}
+			if !reflect.DeepEqual(ob.Facts(), before) {
+				t.Fatalf("the second apply changed the first input")
+			}
+			// result(P) comes back frozen (it shares states with the input)
+			// and must serve as an input exactly like a flat copy of itself.
+			onShared, errShared, diff := sameAsSpec(first.Result, p, opts)
+			if diff != nil {
+				t.Errorf("result(P) as input: %v", diff)
+			}
+			onCopy, errCopy := Run(first.Result.Clone(), p, opts)
+			if (errShared == nil) != (errCopy == nil) {
+				t.Fatalf("result(P) as input: %v, its copy: %v", errShared, errCopy)
+			}
+			if errShared == nil && renderRun(onShared) != renderRun(onCopy) {
+				t.Fatalf("result(P) as input evaluates unlike its copy")
+			}
+			if !reflect.DeepEqual(first.Result.Facts(), result) {
+				t.Fatalf("evaluating on result(P) changed it")
 			}
 		})
 	}

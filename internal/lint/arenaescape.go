@@ -6,8 +6,8 @@ import (
 )
 
 // arenaGetters are the free-list/arena pop calls that hand out scratch
-// buffers: the compiled executor's frame arena and the interpreter
-// matcher's candidate free-lists. A popped buffer is only valid until its
+// buffers: the executor's frame arena and its candidate free-lists
+// (internal/eval/exec.go). A popped buffer is only valid until its
 // matching put* pushes it back at the end of the enclosing enumeration —
 // the lists are reused across fixpoint iterations, so a buffer that
 // escapes into longer-lived storage is aliased and silently overwritten

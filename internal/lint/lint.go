@@ -8,6 +8,10 @@
 //   - boundedlabels: tenant-labeled metrics go through obs.BoundedLabels
 //   - commitclock: no wall-clock reads inside the group-commit critical
 //     section (the journal append+fsync path is timed outside commitMu)
+//   - arenaescape: no scratch buffer of the executor's arena outlives the
+//     enumeration it was popped for
+//   - specimport: internal/spec, the oracle the tests hold the engine
+//     against, is imported by _test.go files only
 //
 // The framework is deliberately stdlib-only (go/ast, go/parser, go/token):
 // the analyzers are syntactic, which keeps them dependency-free and fast,
@@ -84,7 +88,7 @@ type Package struct {
 }
 
 // All lists every analyzer, in reporting order.
-var All = []*Analyzer{Frozenmutate, Lockorder, Boundedlabels, Commitclock, Arenaescape}
+var All = []*Analyzer{Frozenmutate, Lockorder, Boundedlabels, Commitclock, Arenaescape, Specimport}
 
 // Load walks the module rooted at dir and parses every package directory
 // (skipping testdata, vendored and hidden trees). The module path is read

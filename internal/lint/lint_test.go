@@ -12,8 +12,14 @@ import (
 // and returns the findings of one analyzer.
 func analyze(t *testing.T, a *Analyzer, path, src string) []Finding {
 	t.Helper()
+	return analyzeFile(t, a, path, "fixture.go", src)
+}
+
+// analyzeFile is analyze for a fixture that goes by the given file name.
+func analyzeFile(t *testing.T, a *Analyzer, path, filename, src string) []Finding {
+	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "fixture.go", src, parser.SkipObjectResolution)
+	f, err := parser.ParseFile(fset, filename, src, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatalf("fixture does not parse: %v", err)
 	}
@@ -254,5 +260,25 @@ func good(x *executor) []OID {
 }`
 	if got := analyze(t, Arenaescape, "verlog/internal/x", negative); len(got) != 0 {
 		t.Fatalf("unexpected findings: %v", got)
+	}
+}
+
+func TestSpecimport(t *testing.T) {
+	const src = `package x
+import (
+	"verlog/internal/spec"
+	"verlog/internal/term"
+)
+var _ = spec.Run
+var _ term.Fact`
+	got := analyzeFile(t, Specimport, "verlog/internal/x", "x.go", src)
+	wantFindings(t, got, "verlog/internal/spec is imported by a file that ships")
+	if got := analyzeFile(t, Specimport, "verlog/internal/x", "x_test.go", src); len(got) != 0 {
+		t.Errorf("a test file importing the spec is flagged: %v", got)
+	}
+	const unrelated = `package x
+import "verlog/internal/specimen"`
+	if got := analyzeFile(t, Specimport, "verlog/internal/x", "x.go", unrelated); len(got) != 0 {
+		t.Errorf("an unrelated import is flagged: %v", got)
 	}
 }

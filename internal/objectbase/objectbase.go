@@ -735,13 +735,6 @@ func (b *Base) ForEachOfMethod(v term.GVID, method string, fn func(key term.Meth
 	}
 }
 
-// ForEachVID calls fn for every VID carrying facts, in unspecified order.
-// It is the allocation-free form of Versions/VersionsByObject for callers
-// that fold over versions without needing them sorted or grouped.
-func (b *Base) ForEachVID(fn func(v term.GVID)) {
-	b.forEachState(func(v term.GVID, _ *State) { fn(v) })
-}
-
 // Versions returns all VIDs carrying facts, sorted.
 func (b *Base) Versions() []term.GVID {
 	out := make([]term.GVID, 0, b.ownLen())

@@ -140,3 +140,26 @@ func sameFacts(a, b []term.Fact) bool {
 	}
 	return true
 }
+
+// FactSet returns the facts of b as a plain set: the form the spec evaluator
+// (internal/spec) reads a base in and hands its results out in.
+func FactSet(b *objectbase.Base) map[term.Fact]bool {
+	set := make(map[term.Fact]bool, b.Size())
+	for _, f := range b.Facts() {
+		set[f] = true
+	}
+	return set
+}
+
+// DiffSets names an element that only one of two sets holds — facts of two
+// bases, or the updates two evaluators fired — or returns nil.
+func DiffSets[K comparable](what string, got, want map[K]bool) error {
+	for _, set := range []map[K]bool{got, want} {
+		for k := range set {
+			if got[k] != want[k] {
+				return fmt.Errorf("%s differ on %v (got: %v, want: %v)", what, k, got[k], want[k])
+			}
+		}
+	}
+	return nil
+}

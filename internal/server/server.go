@@ -776,10 +776,6 @@ func (s *Server) handleCheck(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 	writeJSON(w, resp)
 }
 
-type queryResponse struct {
-	Rows []map[string]string `json:"rows"`
-}
-
 func (s *Server) handleQuery(t *tenant.Tenant, w http.ResponseWriter, r *http.Request) {
 	src, ok := readBodyOr400(w, r)
 	if !ok {
@@ -791,20 +787,59 @@ func (s *Server) handleQuery(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 		writeError(w, r, err)
 		return
 	}
-	bindings, err := core.Query(head, src)
+	lits, err := parser.Query(src, "query")
 	if err != nil {
 		writeError(w, r, err)
 		return
 	}
-	resp := queryResponse{Rows: make([]map[string]string, len(bindings))}
-	for i, b := range bindings {
-		row := map[string]string{}
-		for v, o := range b {
-			row[string(v)] = o.String()
-		}
-		resp.Rows[i] = row
+	vars, rows, err := eval.QueryRows(head, lits)
+	if err != nil {
+		writeError(w, r, err)
+		return
 	}
-	writeJSON(w, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(appendRows(nil, vars, rows))
+}
+
+// appendRows renders the answers of a query as {"rows":[{"E":"bob","S":"4200"}]}
+// and a newline: byte for byte what writeJSON makes of a []map[string]string
+// (variables in sorted order), without a map and a reflection walk per
+// answer — in bytes allocated, most of what an answer used to cost to serve.
+func appendRows(buf []byte, vars []term.Var, rows [][]term.OID) []byte {
+	buf = append(buf, `{"rows":[`...)
+	for i, row := range rows {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, '{')
+		for j, v := range vars {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = appendJSONString(buf, string(v))
+			buf = append(buf, ':')
+			buf = appendJSONString(buf, row[j].String())
+		}
+		buf = append(buf, '}')
+	}
+	return append(buf, "]}\n"...)
+}
+
+// appendJSONString appends s as a JSON string. Printable ASCII needs only
+// the quotes; anything else is left to encoding/json's escaping rules.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' {
+			var sb strings.Builder
+			enc := json.NewEncoder(&sb)
+			enc.SetEscapeHTML(false)
+			enc.Encode(s)
+			return append(buf, strings.TrimSuffix(sb.String(), "\n")...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // applyTimings renders eval.Stats in microseconds for the apply response.

@@ -10,6 +10,7 @@ import (
 
 	"verlog/internal/parser"
 	"verlog/internal/repository"
+	"verlog/internal/term"
 )
 
 func newTestServer(t *testing.T, opts ...Option) (*httptest.Server, *repository.Repository) {
@@ -592,5 +593,40 @@ func TestServerCheckDeep(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(body), &dr); err != nil || dr.Facts == nil || len(dr.Facts.Rules) != 4 {
 		t.Errorf("tenant deep check facts: %s (%v)", body, err)
+	}
+}
+
+// The query response is written by hand; it must stay the document
+// encoding/json makes of the rows as maps, escapes included.
+func TestAppendRowsMatchesEncodingJSON(t *testing.T) {
+	for _, a := range []struct {
+		vars []term.Var
+		rows [][]term.OID
+	}{
+		{},
+		{rows: [][]term.OID{{}}}, // a ground query that holds: one answer, no variables
+		{[]term.Var{"E", "S"}, [][]term.OID{
+			{term.Sym("bob"), term.Int(4200)},
+			{term.Sym("phil"), term.Num(9, 2)},
+		}},
+		{[]term.Var{"X"}, [][]term.OID{
+			{term.Str(`a "quoted" \ <b> & -> c`)},
+			{term.Str("tab\there, é, \u2028, \x7f and \xff")},
+		}},
+	} {
+		rows := make([]map[string]string, len(a.rows))
+		for i, row := range a.rows {
+			rows[i] = map[string]string{}
+			for j, v := range a.vars {
+				rows[i][string(v)] = row[j].String()
+			}
+		}
+		rec := httptest.NewRecorder()
+		writeJSON(rec, struct {
+			Rows []map[string]string `json:"rows"`
+		}{rows})
+		if got, want := string(appendRows(nil, a.vars, a.rows)), rec.Body.String(); got != want {
+			t.Errorf("appendRows = %s, encoding/json gives %s", got, want)
+		}
 	}
 }

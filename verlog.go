@@ -56,27 +56,14 @@ type (
 	Diff = objectbase.Diff
 )
 
-// Evaluation strategies for WithStrategy.
-const (
-	SemiNaive = eval.SemiNaive
-	Naive     = eval.Naive
-)
-
 // Re-exported options.
 var (
-	// WithStrategy selects naive or semi-naive fixpoint iteration.
-	WithStrategy = core.WithStrategy
 	// WithTrace records every fired update in Result.Trace.
 	WithTrace = core.WithTrace
 	// WithMaxIterations bounds T_P applications per stratum.
 	WithMaxIterations = core.WithMaxIterations
 	// WithForbidNewObjects restricts updates to objects already in the base.
 	WithForbidNewObjects = core.WithForbidNewObjects
-	// WithStaticPlanner disables statistics-based join ordering (ablation).
-	WithStaticPlanner = core.WithStaticPlanner
-	// WithInterpreted forces the map-substitution interpreter instead of
-	// compiled match plans (ablation; identical fixpoint).
-	WithInterpreted = core.WithInterpreted
 	// WithSpan collects the evaluation as a span tree under the given span:
 	// safety, stratification, every stratum's iterations down to per-rule
 	// matching, and the copy phase. Use NewSpanTrace to build the tree.
