@@ -116,10 +116,12 @@ func BenchmarkE4Ancestors(b *testing.B) {
 	}
 }
 
-// BenchmarkE24ClosedClosure — the apply the server makes on the
-// recursive_closure workload: the ancestors program on a frozen head that
-// already holds the closure (3 roots × 8 generations, 765 persons), cached
-// plans, trace on. Everything fires, nothing changes.
+// BenchmarkE24ClosedClosure — the evaluation behind the recursive_closure
+// workload: the ancestors program on a frozen head that already holds the
+// closure (3 roots × 8 generations, 765 persons), cached plans. Everything
+// fires, nothing changes. "apply" is what every server apply runs, without
+// a trace; "replay" adds the trace, which is what history and explain pay,
+// once per state they are asked about (Repository.Replay).
 func BenchmarkE24ClosedClosure(b *testing.B) {
 	p := mustParseProgram(b, workload.AncestorsProgram)
 	spec := workload.GenealogySpec{Generations: 8, Branching: 2, Roots: 3}
@@ -128,14 +130,24 @@ func BenchmarkE24ClosedClosure(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := apply(b, head, p, core.WithPlans(plans), WithTrace())
-		if res.Fired != spec.AncestorPairs() || len(res.Trace) != res.Fired || len(res.Changes) != 0 {
-			b.Fatalf("fired %d, trace %d, changes %d; want %d, %d, 0",
-				res.Fired, len(res.Trace), len(res.Changes), spec.AncestorPairs(), spec.AncestorPairs())
-		}
+	for _, c := range []struct {
+		name  string
+		opts  []Option
+		trace int
+	}{
+		{"apply", []Option{core.WithPlans(plans)}, 0},
+		{"replay", []Option{core.WithPlans(plans), WithTrace()}, spec.AncestorPairs()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := apply(b, head, p, c.opts...)
+				if res.Fired != spec.AncestorPairs() || len(res.Trace) != c.trace || len(res.Changes) != 0 {
+					b.Fatalf("fired %d, trace %d, changes %d; want %d, %d, 0",
+						res.Fired, len(res.Trace), len(res.Changes), spec.AncestorPairs(), c.trace)
+				}
+			}
+		})
 	}
 }
 

@@ -71,6 +71,10 @@ type Client struct {
 	// endpoints (/v1/repl/*, /v1/debug/*, /metrics) never take the prefix.
 	prefix string
 
+	// state is the journaled state History and the Explain calls ask
+	// about (see AtState); 0 leaves it to the server, which takes the newest.
+	state int
+
 	// st is the mutable failover state, shared by every handle of this
 	// client family.
 	st *clientState
@@ -151,6 +155,27 @@ func (c *Client) Tenant(name string) *Client {
 	t := *c
 	t.prefix = "/v1/t/" + name
 	return &t
+}
+
+// AtState returns a handle whose History, HistoryPage, Explain and
+// ExplainVersion ask about the apply that led to journaled state n — the
+// State of that apply's ApplyResult, the n of State — instead of the newest
+// one. The server recomputes the answer from its journal, so any node that
+// holds the entry can serve it, restarted or not; a state the journal does
+// not reach answers not_found. Other calls ignore the setting, and like
+// Tenant the handle shares everything else with c.
+func (c *Client) AtState(n int) *Client {
+	t := *c
+	t.state = n
+	return &t
+}
+
+// stateParam renders the AtState selection as a query parameter, led by sep.
+func (c *Client) stateParam(sep string) string {
+	if c.state == 0 {
+		return ""
+	}
+	return sep + "state=" + strconv.Itoa(c.state)
 }
 
 // api scopes a repository endpoint suffix ("/apply", "/head?n=1", ...)
@@ -697,11 +722,11 @@ type HistoryStep struct {
 }
 
 // HistoryPage returns one page of the version history of an object from
-// the most recent apply: up to limit steps starting at offset after
-// (limit <= 0 uses the server default). next is the offset of the
-// following page, or 0 when this page was the last.
+// the most recent apply (or the one AtState selected): up to limit steps
+// starting at offset after (limit <= 0 uses the server default). next is
+// the offset of the following page, or 0 when this page was the last.
 func (c *Client) HistoryPage(ctx context.Context, object string, limit, after int) (steps []HistoryStep, next int, err error) {
-	q := c.api("/history?object=" + object)
+	q := c.api("/history?object="+url.QueryEscape(object)) + c.stateParam("&")
 	if limit > 0 {
 		q += "&limit=" + strconv.Itoa(limit)
 	}
@@ -724,7 +749,7 @@ func (c *Client) HistoryPage(ctx context.Context, object string, limit, after in
 }
 
 // History returns the full version history of an object from the most
-// recent apply on this server, following pagination cursors.
+// recent apply (or the one AtState selected), following pagination cursors.
 func (c *Client) History(ctx context.Context, object string) ([]HistoryStep, error) {
 	var all []HistoryStep
 	after := 0
@@ -788,7 +813,7 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	return &out, json.Unmarshal(b, &out)
 }
 
-// ExplainEntry is the provenance of one fact in the last apply's fixpoint.
+// ExplainEntry is the provenance of one fact in an apply's fixpoint.
 type ExplainEntry struct {
 	Fact        string `json:"fact"`
 	Provenance  string `json:"provenance"` // input, update, copy, unknown
@@ -796,9 +821,9 @@ type ExplainEntry struct {
 }
 
 // Explain reports where facts (fact syntax, period-terminated) in the most
-// recent apply's fixpoint came from.
+// recent apply's fixpoint (or that of the one AtState selected) came from.
 func (c *Client) Explain(ctx context.Context, facts string) ([]ExplainEntry, error) {
-	b, err := c.do(ctx, http.MethodPost, c.api("/explain"), facts)
+	b, err := c.do(ctx, http.MethodPost, c.api("/explain")+c.stateParam("?"), facts)
 	if err != nil {
 		return nil, err
 	}
@@ -933,11 +958,11 @@ type ExplainChain struct {
 }
 
 // ExplainVersion reports the provenance of every fact vid.method -> ...
-// in the most recent apply's fixpoint, each walked back through the copy
-// chain to the version that introduced it.
+// in the most recent apply's fixpoint (or that of the one AtState selected),
+// each walked back through the copy chain to the version that introduced it.
 func (c *Client) ExplainVersion(ctx context.Context, vid, method string) ([]ExplainChain, error) {
 	b, err := c.do(ctx, http.MethodGet,
-		c.api("/explain?vid="+url.QueryEscape(vid)+"&method="+url.QueryEscape(method)), "")
+		c.api("/explain?vid="+url.QueryEscape(vid)+"&method="+url.QueryEscape(method))+c.stateParam("&"), "")
 	if err != nil {
 		return nil, err
 	}

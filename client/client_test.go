@@ -7,9 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"verlog/internal/objectbase"
 	"verlog/internal/parser"
 	"verlog/internal/repository"
 	"verlog/internal/server"
+	"verlog/internal/term"
 )
 
 func newClient(t *testing.T) *Client {
@@ -187,6 +189,84 @@ func TestClientStatsAndExplain(t *testing.T) {
 	entries, err := c.Explain(ctx, "ins(mod(phil)).isa -> hpe.")
 	if err != nil || len(entries) != 1 || entries[0].Provenance != "update" {
 		t.Fatalf("Explain = %+v (%v)", entries, err)
+	}
+}
+
+// TestClientHistoryEscapesObject: an object name goes into the query string
+// escaped, so one holding & + % or # asks for itself and not for whatever
+// precedes its first delimiter.
+func TestClientHistoryEscapesObject(t *testing.T) {
+	const name = "r&d+50%#1"
+	obj := term.GVID{Object: term.Sym(name)}
+	initial := objectbase.New()
+	initial.Insert(term.NewFact(obj, "isa", term.Sym("dept")))
+	initial.Insert(term.NewFact(obj, "budget", term.Int(10)))
+	initial.EnsureObject(obj.Object)
+	// A decoy the unescaped request would have found: "r", cut at the &.
+	initial.Insert(term.NewFact(term.GVID{Object: term.Sym("r")}, "isa", term.Sym("dept")))
+	initial.EnsureObject(term.Sym("r"))
+	repo, err := repository.Init(t.TempDir()+"/repo", initial)
+	if err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	ts := httptest.NewServer(server.New(repo))
+	t.Cleanup(ts.Close)
+	c := New(ts.URL)
+	ctx := context.Background()
+	if _, err := c.Apply(ctx, `grow: mod[D].budget -> (B, B') <- D.isa -> dept, D.budget -> B, B' = B * 2.`); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	steps, err := c.History(ctx, name)
+	if err != nil || len(steps) != 2 || steps[1].Version != "mod("+name+")" {
+		t.Fatalf("History(%q) = %+v (%v)", name, steps, err)
+	}
+	page, next, err := c.AtState(1).HistoryPage(ctx, name, 1, 1)
+	if err != nil || len(page) != 1 || page[0].Version != "mod("+name+")" || next != 0 {
+		t.Fatalf("HistoryPage(%q) at state 1 = %+v next=%d (%v)", name, page, next, err)
+	}
+}
+
+// TestClientAtState: AtState points History, Explain and ExplainVersion at
+// an earlier apply and leaves everything else, and the parent handle, alone.
+func TestClientAtState(t *testing.T) {
+	c := newClient(t)
+	ctx := context.Background()
+	if _, err := c.Apply(ctx, update); err != nil { // state 1: bob leaves, phil is an hpe
+		t.Fatal(err)
+	}
+	res, err := c.Apply(ctx, `r: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S + 1.`)
+	if err != nil || res.State != 2 {
+		t.Fatalf("second apply = %+v (%v)", res, err)
+	}
+	first, newest := c.AtState(1), c.AtState(res.State)
+
+	hist, err := first.History(ctx, "bob")
+	if err != nil || len(hist) != 3 || hist[2].Version != "del(mod(bob))" {
+		t.Errorf("History of bob at state 1 = %+v (%v)", hist, err)
+	}
+	if hist, err := c.History(ctx, "bob"); err != nil || len(hist) != 0 {
+		t.Errorf("History of bob, newest = %+v (%v), want none: bob left in state 1", hist, err)
+	}
+	entries, err := first.Explain(ctx, "ins(mod(phil)).isa -> hpe.")
+	if err != nil || len(entries) != 1 || entries[0].Provenance != "update" {
+		t.Errorf("Explain at state 1 = %+v (%v)", entries, err)
+	}
+	if entries, err := newest.Explain(ctx, "ins(mod(phil)).isa -> hpe."); err != nil || len(entries) != 1 || entries[0].Provenance != "unknown" {
+		t.Errorf("Explain at state 2 = %+v (%v), want unknown: no such version there", entries, err)
+	}
+	for handle, want := range map[*Client]string{first: "mod[phil].sal -> (4000, 4600)", newest: "mod[phil].sal -> (4600, 4601)", c: "mod[phil].sal -> (4600, 4601)"} {
+		facts, err := handle.ExplainVersion(ctx, "mod(phil)", "sal")
+		if err != nil || len(facts) != 1 || facts[0].Chain[0].Update != want {
+			t.Errorf("ExplainVersion at state %d = %+v (%v), want %s", handle.state, facts, err, want)
+		}
+	}
+	var ae *APIError
+	if _, err := c.AtState(3).History(ctx, "phil"); !errors.As(err, &ae) || ae.Code != "not_found" {
+		t.Errorf("History at a state the journal does not reach = %v, want not_found", err)
+	}
+	// The selection is for provenance only: other reads take no notice.
+	if head, err := first.Head(ctx); err != nil || !strings.Contains(head, "phil.sal -> 4601.") {
+		t.Errorf("Head through an AtState handle = %q (%v)", head, err)
 	}
 }
 

@@ -227,7 +227,8 @@ func scribble(b *objectbase.Base) {
 // TestPublishedHeadsNeverChange is the aliasing test: heads share states
 // with their successors, so a reader holding head k must see exactly the
 // same facts after a thousand further applies as before them, and writing
-// to anything derived from a published head (Clone, At) must stay private.
+// to a clone of published state (the head, a past state At hands out
+// frozen) must stay private.
 // Run under -race, the concurrent readers also prove the sharing needs no
 // synchronization.
 func TestPublishedHeadsNeverChange(t *testing.T) {
@@ -283,14 +284,18 @@ func TestPublishedHeadsNeverChange(t *testing.T) {
 		}
 		if i%250 == 0 {
 			// Scribble over private copies of published state: a clone of
-			// the head, and a past state (At replays onto a copy).
+			// the head, and one of a past state (which shares its states
+			// with the snapshot and is frozen for that reason).
 			h, _ := r.Head()
 			scribble(h.Clone())
-			at, err := r.At(i)
+			at, err := r.At(i - 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scribble(at)
+			if !at.Frozen() {
+				t.Fatalf("At(%d) returned a mutable base", i-3)
+			}
+			scribble(at.Clone())
 		}
 	}
 	close(stop)

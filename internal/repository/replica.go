@@ -152,7 +152,12 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 	if applied == 0 {
 		return nil
 	}
-	base, err := replayDerived(hs.base, newEntries[len(newEntries)-applied:])
+	fresh := newEntries[len(newEntries)-applied:]
+	prev, err := replayDerived(hs.base, fresh[:applied-1])
+	if err != nil {
+		return err
+	}
+	base, err := replayDerived(prev, fresh[applied-1:])
 	if err != nil {
 		return err
 	}
@@ -162,7 +167,7 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 		r.commitMu.Unlock()
 		return err
 	}
-	ns := &headState{snap: hs.snap, base: base, seq: seq, snapSeq: hs.snapSeq, entries: newEntries}
+	ns := &headState{snap: hs.snap, base: base, prev: prev, seq: seq, snapSeq: hs.snapSeq, entries: newEntries}
 	r.commitMu.Lock()
 	r.spec = ns
 	for _, e := range entries {

@@ -24,9 +24,9 @@
 //
 // The current state lives in memory as an immutable (frozen) object base
 // behind an atomic pointer, published only after its journal record is
-// durable. Reads (Head, At, Initial, Log, Len, Constraints, ...) are
-// wait-free loads of that pointer: zero disk I/O, never blocked by an
-// in-flight apply, at most one committed update behind it.
+// durable. Reads (Head, At, Replay, Initial, Log, Len, Constraints, ...)
+// work on one wait-free load of that pointer: zero disk I/O, never blocked
+// by an in-flight apply, at most one committed update behind it.
 //
 // Writes are serial — an update-program is a function from one base to the
 // next and the journal is the sequence of those steps — and run in two
@@ -92,11 +92,31 @@ const (
 // built, so a reader holding one sees a perfectly consistent view no
 // matter what commits land after its load.
 type headState struct {
-	snap    *objectbase.Base // frozen snapshot base (state snapSeq)
-	base    *objectbase.Base // frozen current base (state seq)
+	snap *objectbase.Base // frozen snapshot base (state snapSeq)
+	base *objectbase.Base // frozen current base (state seq)
+	// prev is the frozen base of state seq-1, the one the last entry was
+	// evaluated on, so that explaining the newest state replays nothing
+	// (see Replay). It is a base, not the head state it came from: no chain
+	// of old heads stays reachable. Nil when there is no entry, and after
+	// recovery, which rebuilds the head without passing through it.
+	prev    *objectbase.Base
 	seq     int
 	snapSeq int
 	entries []Entry // journal entries snapSeq+1..seq, in order
+}
+
+// at returns the frozen base after the first n entries, sharing with the
+// snapshot every state they leave alone; the caller has checked 0 <= n <=
+// len(entries). The two newest states are resident, the others are replayed
+// from the snapshot.
+func (hs *headState) at(n int) (*objectbase.Base, error) {
+	switch {
+	case n == len(hs.entries):
+		return hs.base, nil
+	case n == len(hs.entries)-1 && hs.prev != nil:
+		return hs.prev, nil
+	}
+	return replayDerived(hs.snap, hs.entries[:n])
 }
 
 // commitBatch is one group-commit batch: the framed journal records of
@@ -195,6 +215,11 @@ type Repository struct {
 	// rewrites, truncation, recovery. The published head only advances
 	// under it.
 	diskMu sync.Mutex
+
+	// replayMu guards lastReplay and makes replays serial (see Replay). It
+	// is a leaf: nothing else is taken while it is held.
+	replayMu   sync.Mutex
+	lastReplay *replayed
 }
 
 // planEntry is one compiled-plan cache slot.
@@ -912,6 +937,7 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	ns := &headState{
 		snap:    head.snap,
 		base:    res.Final,
+		prev:    head.base,
 		seq:     entry.Seq,
 		snapSeq: head.snapSeq,
 		entries: append(head.entries, entry),
@@ -1167,7 +1193,7 @@ func (r *Repository) Compact() error {
 	if err := r.writeBase(snapshotFile, state, floor); err != nil {
 		return err
 	}
-	ns := &headState{snap: state.Freeze(), base: hs.base, seq: hs.seq, snapSeq: floor, entries: remaining}
+	ns := &headState{snap: state.Freeze(), base: hs.base, prev: hs.prev, seq: hs.seq, snapSeq: floor, entries: remaining}
 	keys := make(map[string]*keyRecord)
 	for _, e := range remaining {
 		if e.Key != "" {
@@ -1230,24 +1256,76 @@ func (r *Repository) closedErr() error {
 
 // At reconstructs the object base after the first seq programs since the
 // snapshot (seq 0 is the snapshot itself) by replaying the resident
-// journal diffs — wait-free with respect to writers, no disk I/O. For
-// seq 0 the returned base is the frozen shared snapshot; otherwise it is
-// a private mutable copy.
+// journal diffs — wait-free with respect to writers, no disk I/O. The
+// returned base is frozen and shares with the snapshot every state the
+// replayed programs left alone: Clone it before mutating.
 func (r *Repository) At(seq int) (*objectbase.Base, error) {
-	if seq < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchState, seq)
-	}
 	hs := r.published.Load()
 	r.met().HeadCacheHits.Inc()
-	if seq == 0 {
-		return hs.snap, nil
-	}
-	if seq > len(hs.entries) {
+	if seq < 0 || seq > len(hs.entries) {
 		return nil, fmt.Errorf("%w: %d (journal has %d)", ErrNoSuchState, seq, len(hs.entries))
 	}
-	base := hs.snap.Clone()
-	if err := replay(base, hs.entries[:seq]); err != nil {
+	return hs.at(seq)
+}
+
+// Newest asks Replay for the newest journaled state.
+const Newest = -1
+
+// replayed is the one-slot cache of Replay: the traced evaluation of the
+// journal entry seq. A journal only grows while its snapshot base stays
+// the same one, so (snap, seq) names an entry for good — a reset, a repair
+// or a compaction installs another snapshot pointer and the slot misses.
+type replayed struct {
+	snap *objectbase.Base
+	seq  int
+	res  *eval.Result
+}
+
+// Replay re-evaluates, with tracing on, the program that led to state n
+// (numbered as in At; Newest for the last one) on the base of state n-1,
+// and returns that evaluation: result(P), the fired updates and the trace
+// an apply made with core.WithTrace would have returned. Evaluation is a
+// pure function of (base, program) and the journal holds the program of
+// every state, so provenance is recomputed when somebody asks instead of
+// being built and kept by every apply; it needs the resident journal only,
+// which is the same on a primary, on a follower, after a restart and after
+// a tenant was evicted and reopened. Rules are labelled as the journaled
+// text labels them (an unnamed rule by its line there, which is the text
+// Log returns).
+//
+// Like every read it works on one load of the published head, takes
+// neither applyMu nor diskMu and touches no file. The last evaluation is
+// kept, so a burst of questions about one state evaluates it once; replays
+// run one at a time. The result is shared: callers must not modify it.
+// State 0 (the snapshot) and states outside the journal are ErrNoSuchState.
+func (r *Repository) Replay(n int) (*eval.Result, error) {
+	hs := r.published.Load()
+	switch {
+	case len(hs.entries) == 0:
+		return nil, fmt.Errorf("%w: the journal holds no applied program", ErrNoSuchState)
+	case n == Newest:
+		n = len(hs.entries)
+	case n < 1 || n > len(hs.entries):
+		return nil, fmt.Errorf("%w: %d (the journal holds the programs of states 1..%d)", ErrNoSuchState, n, len(hs.entries))
+	}
+	entry := hs.entries[n-1]
+	r.replayMu.Lock()
+	defer r.replayMu.Unlock()
+	if c := r.lastReplay; c != nil && c.snap == hs.snap && c.seq == entry.Seq {
+		return c.res, nil
+	}
+	before, err := hs.at(n - 1)
+	if err != nil {
 		return nil, err
 	}
-	return base, nil
+	p, err := parser.Program(entry.Program, journalFile)
+	if err != nil {
+		return nil, fmt.Errorf("repository: journal entry %d: %w", entry.Seq, err)
+	}
+	res, err := eval.Run(before, p, eval.Options{Trace: true})
+	if err != nil {
+		return nil, fmt.Errorf("repository: journal entry %d: %w", entry.Seq, err)
+	}
+	r.lastReplay = &replayed{snap: hs.snap, seq: entry.Seq, res: res}
+	return res, nil
 }

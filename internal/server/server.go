@@ -10,16 +10,17 @@
 //	GET    /v1/t/{tenant}/head                  the tenant's current object base
 //	GET    /v1/t/{tenant}/state?n=N             the base after the first N programs
 //	GET    /v1/t/{tenant}/log?limit=&after=     journal summary, paginated
-//	GET    /v1/t/{tenant}/history?object=NAME   version history of the last run
+//	GET    /v1/t/{tenant}/history?object=NAME   version history within one apply
+//	                                            (&state=K; default the newest)
 //	GET    /v1/t/{tenant}/stats                 head-base summary
-//	POST   /v1/t/{tenant}/explain               provenance of facts in the last run
+//	POST   /v1/t/{tenant}/explain               provenance of facts in one apply (?state=K)
 //	GET    /v1/t/{tenant}/constraints           installed constraints
 //	POST   /v1/t/{tenant}/constraints           install constraints (text body)
 //	POST   /v1/t/{tenant}/check                 analyze a program -> diagnostics
 //	POST   /v1/t/{tenant}/query                 evaluate a query -> bindings
 //	POST   /v1/t/{tenant}/apply                 apply an update-program;
 //	                                            ?trace=1 returns the span tree
-//	GET    /v1/t/{tenant}/explain?vid=&method=  provenance chain of a fact
+//	GET    /v1/t/{tenant}/explain?vid=&method=  provenance chain of a fact (&state=K)
 //	GET    /v1/tenants                          list tenants (+ seq/size)
 //	DELETE /v1/t/{tenant}                       delete a tenant (-allow-tenant-delete)
 //	GET    /v1/debug/slow            recent slow requests (server-wide)
@@ -54,6 +55,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -562,10 +564,8 @@ func (s *Server) handleHistory(t *tenant.Tenant, w http.ResponseWriter, r *http.
 		writeErrorCode(w, r, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	last := t.LastApply.Load()
-	if last == nil {
-		writeErrorCode(w, r, http.StatusNotFound, CodeNotFound,
-			errors.New("server: no apply has run in this session; history needs the fixpoint of the last update"))
+	last, ok := replayOr4xx(t, w, r)
+	if !ok {
 		return
 	}
 	steps := eval.History(last.Result, term.Sym(object))
@@ -588,6 +588,36 @@ func (s *Server) handleHistory(t *tenant.Tenant, w http.ResponseWriter, r *http.
 		resp.Steps = append(resp.Steps, h)
 	}
 	writeJSON(w, resp)
+}
+
+// replayOr4xx returns the traced evaluation the history and explain routes
+// answer from: that of the journaled apply ?state=K names (K as in the
+// apply response's "state" and in /state?n=), by default the newest. The
+// evaluation is recomputed from the journal (repository.Replay), so the
+// routes answer the same on a follower, after a restart and for any state
+// the journal still reaches. A malformed K is 400, a K without a journaled
+// program — 0, beyond the journal, or any before the first apply — 404.
+func replayOr4xx(t *tenant.Tenant, w http.ResponseWriter, r *http.Request) (*eval.Result, bool) {
+	state := repository.Newest
+	if v := r.URL.Query().Get("state"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			writeErrorCode(w, r, http.StatusBadRequest, CodeBadRequest,
+				fmt.Errorf("server: bad state number %q", v))
+			return nil, false
+		}
+		if n < 0 { // Newest is not for callers to spell
+			writeError(w, r, fmt.Errorf("%w: %d", repository.ErrNoSuchState, n))
+			return nil, false
+		}
+		state = n
+	}
+	res, err := t.Repo().Replay(state)
+	if err != nil {
+		writeError(w, r, err)
+		return nil, false
+	}
+	return res, true
 }
 
 func factStrings(fs []term.Fact) []string {
@@ -641,7 +671,7 @@ type explainResponse struct {
 }
 
 // handleExplain explains facts (text body, fact syntax) against the
-// fixpoint of the most recent apply.
+// fixpoint of the apply ?state= names (default: the most recent one).
 func (s *Server) handleExplain(t *tenant.Tenant, w http.ResponseWriter, r *http.Request) {
 	src, ok := readBodyOr400(w, r)
 	if !ok {
@@ -652,10 +682,8 @@ func (s *Server) handleExplain(t *tenant.Tenant, w http.ResponseWriter, r *http.
 		writeError(w, r, err)
 		return
 	}
-	last := t.LastApply.Load()
-	if last == nil {
-		writeErrorCode(w, r, http.StatusNotFound, CodeNotFound,
-			errors.New("server: no apply has run in this session; explain needs the traced fixpoint of the last update"))
+	last, ok := replayOr4xx(t, w, r)
+	if !ok {
 		return
 	}
 	resp := explainResponse{Entries: make([]explainEntry, 0, len(facts))}
@@ -1010,11 +1038,11 @@ func (s *Server) handleApply(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 	parseSpan.SetInt("rules", int64(len(p.Rules)))
 	parseDur := time.Since(parseStart)
 	key := r.Header.Get("Idempotency-Key")
-	// Trace events so that /v1/history and /v1/explain can answer for this
-	// run; the span tree rides along only when requested. ApplyKey is safe
-	// for concurrent use: the repository evaluates against a snapshot and
-	// group-commits, so requests are not serialized here.
-	res, entry, replayed, err := t.Repo().ApplyKey(p, key, core.WithTrace(), core.WithSpan(root))
+	// No fired-update trace and nothing kept past the response: history and
+	// explain recompute theirs from the journal (replayOr4xx). The span tree
+	// rides along only when requested. ApplyKey is safe for concurrent use:
+	// the repository evaluates one apply at a time and group-commits.
+	res, entry, replayed, err := t.Repo().ApplyKey(p, key, core.WithSpan(root))
 	if err != nil {
 		finishTrace("error")
 		writeError(w, r, err)
@@ -1040,7 +1068,6 @@ func (s *Server) handleApply(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 	// Len(): under concurrency the published head may already be past it.
 	n := entry.Seq - t.Repo().SnapshotSeq()
 	res.Stats.Parse = parseDur
-	t.LastApply.Store(res)
 	total := time.Since(start)
 	s.recordApplyStats(res.Stats, total)
 	s.recordRuleStats(res.RuleStats)
@@ -1173,9 +1200,9 @@ type explainVersionResponse struct {
 	Facts  []explainChain `json:"facts"`
 }
 
-// handleExplainVersion explains every fact vid.method -> ... of the last
-// apply's fixpoint, walking each copy chain back to the version that
-// introduced the fact (an update or the input base).
+// handleExplainVersion explains every fact vid.method -> ... of an apply's
+// fixpoint (?state=, default the last apply), walking each copy chain back
+// to the version that introduced the fact (an update or the input base).
 func (s *Server) handleExplainVersion(t *tenant.Tenant, w http.ResponseWriter, r *http.Request) {
 	vid := strings.TrimSpace(r.URL.Query().Get("vid"))
 	method := strings.TrimSpace(r.URL.Query().Get("method"))
@@ -1184,30 +1211,23 @@ func (s *Server) handleExplainVersion(t *tenant.Tenant, w http.ResponseWriter, r
 			errors.New("server: missing ?vid= or ?method= (e.g. /v1/explain?vid=mod(bob)&method=sal)"))
 		return
 	}
-	res := t.LastApply.Load()
-	if res == nil {
-		writeErrorCode(w, r, http.StatusNotFound, CodeNotFound,
-			errors.New("server: no apply has run in this session; explain needs the traced fixpoint of the last update"))
+	res, ok := replayOr4xx(t, w, r)
+	if !ok {
 		return
 	}
-	// Find the version by its canonical rendering — no VID parser needed,
-	// and the caller can copy ids verbatim from history or trace output.
+	// The caller copies ids verbatim from history or trace output, so the
+	// version is the one that renders as vid: read it back, look it up.
 	var facts []term.Fact
-	for _, versions := range res.Result.VersionsByObject() {
-		for _, v := range versions {
-			if v.String() != vid {
-				continue
+	if v := parseVID(vid); v.String() == vid {
+		res.Result.ForEachFactOf(v, func(f term.Fact) {
+			if f.Method == method {
+				facts = append(facts, f)
 			}
-			res.Result.ForEachFactOf(v, func(f term.Fact) {
-				if f.Method == method {
-					facts = append(facts, f)
-				}
-			})
-		}
+		})
 	}
 	if len(facts) == 0 {
 		writeErrorCode(w, r, http.StatusNotFound, CodeNotFound,
-			fmt.Errorf("server: no fact %s.%s -> ... in the last apply's fixpoint", vid, method))
+			fmt.Errorf("server: no fact %s.%s -> ... in that apply's fixpoint", vid, method))
 		return
 	}
 	sort.Slice(facts, func(i, j int) bool { return facts[i].String() < facts[j].String() })
@@ -1216,6 +1236,29 @@ func (s *Server) handleExplainVersion(t *tenant.Tenant, w http.ResponseWriter, r
 		resp.Facts = append(resp.Facts, explainChain{Fact: f.String(), Chain: provenanceChain(res, f)})
 	}
 	writeJSON(w, resp)
+}
+
+// parseVID reads a version id back from the way GVID.String renders it:
+// update kinds around an object identity, mod(del(o)). Text that is not
+// such a rendering yields a version that renders differently.
+func parseVID(vid string) term.GVID {
+	kindOf := map[string]term.UpdateKind{"ins(": term.Ins, "del(": term.Del, "mod(": term.Mod}
+	var kinds []term.UpdateKind // outermost first
+	for len(vid) > 4 && vid[len(vid)-1] == ')' {
+		k, ok := kindOf[vid[:4]]
+		if !ok {
+			break
+		}
+		kinds, vid = append(kinds, k), vid[4:len(vid)-1]
+	}
+	slices.Reverse(kinds)
+	v := term.GVID{Object: term.Sym(vid), Path: term.PathOf(kinds...)}
+	if s, err := strconv.Unquote(vid); err == nil && vid[0] == '"' {
+		v.Object = term.Str(s)
+	} else if q, err := term.ParseRat(vid); err == nil {
+		v.Object = term.FromRat(q)
+	}
+	return v
 }
 
 // provenanceChain walks a fact's provenance back to its introduction: each

@@ -30,7 +30,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"verlog/internal/eval"
 	"verlog/internal/fsio"
 	"verlog/internal/objectbase"
 	"verlog/internal/obs"
@@ -63,16 +62,12 @@ var (
 	ErrNoRoot = errors.New("tenant: no tenants root configured")
 )
 
-// Tenant is one resident namespace: its repository plus the server-scoped
-// state that lives and dies with residency.
+// Tenant is one resident namespace: a name and its repository. Nothing
+// about a tenant lives outside the repository directory, so eviction loses
+// nothing a reopen does not bring back.
 type Tenant struct {
 	name string
 	repo *repository.Repository
-
-	// LastApply retains the most recent apply's fixpoint for the
-	// history/explain endpoints. It is resident state: eviction drops it
-	// with the rest of the tenant.
-	LastApply atomic.Pointer[eval.Result]
 
 	// Everything below is owned by the Manager and guarded by its mu.
 	refs    int

@@ -137,7 +137,9 @@ func checkProgramLikeSpec(t *testing.T, ob *objectbase.Base, p *term.Program, qu
 // and the spec must agree — on the class of a rejection, or fact for fact on
 // result(P) and ob' and update for update on what fired — and on the answers
 // to the case's query and to every rule body put as a query, on the input, on
-// result(P) and on ob'. No case is skipped.
+// result(P) and on ob'. No case is skipped. Each case the engine accepts
+// also goes through the provenance differential, journal replay against a
+// traced apply (checkReplayLikeTracedApply).
 func TestGoldenCompiledVsInterpreted(t *testing.T) {
 	files, err := filepath.Glob("testdata/golden/*.txt")
 	if err != nil {
@@ -169,12 +171,13 @@ func TestGoldenCompiledVsInterpreted(t *testing.T) {
 				}
 			}
 			checkProgramLikeSpec(t, ob, prog, queries)
+			checkReplayLikeTracedApply(t, ob, prog)
 		})
 	}
 }
 
 // TestExamplesEngineVsSpec puts every program under examples/ through the
-// same differential: the .vlg pairs, and every string literal of an
+// same two differentials: the .vlg pairs, and every string literal of an
 // example's main.go that parses as an update-program, against every literal
 // of the same file that parses as an object base.
 func TestExamplesEngineVsSpec(t *testing.T) {
@@ -188,7 +191,10 @@ func TestExamplesEngineVsSpec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		t.Run(name, func(t *testing.T) { checkProgramLikeSpec(t, ob, p, nil) })
+		t.Run(name, func(t *testing.T) {
+			checkProgramLikeSpec(t, ob, p, nil)
+			checkReplayLikeTracedApply(t, ob, p)
+		})
 		ran++
 	}
 	progs, _ := filepath.Glob("examples/*/update.vlg")
