@@ -1,10 +1,11 @@
 package verlog
 
 // Regression guard over the checked-in benchmark reference: the E1 and E2
-// apply at n=10000 must stay within 1.15× of the B/op and allocs/op recorded
-// in BENCH_10.json — counts, which the host the guard runs on cannot move,
-// unlike the ns/op beside them. Losing the compact ground terms, the single
-// copy of a changed state or the compiled plans costs far more than the
+// apply at n=10000 and the E24 re-apply on a closed genealogy head must stay
+// within 1.15× of the B/op and allocs/op recorded in BENCH_10.json — counts,
+// which the host the guard runs on cannot move, unlike the ns/op beside
+// them. Losing the compact ground terms, the single copy of a changed state,
+// the compiled plans or the delta by reference costs far more than the
 // margin. `make bench` regenerates the reference.
 
 import (
@@ -53,22 +54,44 @@ func TestBenchRegressionGuard(t *testing.T) {
 		t.Fatalf("parse BENCH_10.json: %v", err)
 	}
 
-	cases := []struct {
-		name    string
-		program string
-		seed    int64
-	}{
-		{"BenchmarkE1SalaryRaise/n=10000", workload.SalaryRaiseProgram, 42},
-		{"BenchmarkE2Enterprise/n=10000", workload.EnterpriseProgram, 7},
+	// Each case sets up what its benchmark sets up: the head, the program
+	// and the options of the apply the benchmark times.
+	enterprise := func(program string, seed int64) func() (*ObjectBase, *Program, []Option) {
+		return func() (*ObjectBase, *Program, []Option) {
+			p, err := ParseProgram(program)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return workload.EnterpriseSpec{Employees: 10000, Seed: seed}.ObjectBase().Freeze(), p, nil
+		}
 	}
-	for _, c := range cases {
-		p, err := ParseProgram(c.program)
+	closedClosure := func() (*ObjectBase, *Program, []Option) {
+		p, err := ParseProgram(workload.AncestorsProgram)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ob := workload.EnterpriseSpec{Employees: 10000, Seed: c.seed}.ObjectBase().Freeze()
+		first, err := Apply(workload.GenealogySpec{Generations: 8, Branching: 2, Roots: 3}.ObjectBase(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans, err := eval.Compile(first.Final, p, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return first.Final, p, []Option{core.WithPlans(plans)}
+	}
+	cases := []struct {
+		name  string
+		setup func() (*ObjectBase, *Program, []Option)
+	}{
+		{"BenchmarkE1SalaryRaise/n=10000", enterprise(workload.SalaryRaiseProgram, 42)},
+		{"BenchmarkE2Enterprise/n=10000", enterprise(workload.EnterpriseProgram, 7)},
+		{"BenchmarkE24ClosedClosure/apply", closedClosure},
+	}
+	for _, c := range cases {
+		ob, p, opts := c.setup()
 		run := func() {
-			if _, err := Apply(ob, p); err != nil {
+			if _, err := Apply(ob, p, opts...); err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 		}
@@ -168,10 +191,13 @@ func bytesPerFired(t *testing.T, ob *ObjectBase, p *Program, opts ...Option) flo
 // server makes on recursive_closure — the ancestors program on a frozen head
 // that already holds the closure, cached plans, no trace (the server builds
 // one only when history or explain ask, by replaying the journal) — writes
-// every fired update once, so its cost per fired update is small and does
-// not grow with the genealogy. (It shrinks somewhat: ten generations fire eight
-// updates per version, six fire four, and what a run pays per version is
-// spread over them.) Counts and an in-run ratio only.
+// every fired update once, and copies none of the facts the versions it fires
+// them on enter with (a version that appears is entered into the semi-naive
+// delta by reference), so its cost per fired update is small and does not
+// grow with the genealogy. (It shrinks: ten generations fire eight updates per
+// version, six fire four, and what a run pays per version — its target
+// record, its entry in the table of touched objects, its slot in the overlay
+// — is spread over them.) Counts and an in-run ratio only.
 func TestClosureAllocGuard(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race instrumentation allocates on its own account")
@@ -196,8 +222,8 @@ func TestClosureAllocGuard(t *testing.T) {
 	small, big := measure(6), measure(10)
 	t.Logf("generations=6: %.0f B per fired update; generations=10: %.0f B (%.2fx)", small, big, big/small)
 	for _, b := range []float64{small, big} {
-		if b > 630 { // measured × 1.15: 545 B at six generations, 302 B at ten (706 and 455 with the trace)
-			t.Errorf("a re-apply on a closed head allocates %.0f B per fired update, want ≤ 630", b)
+		if b > 407 { // measured × 1.15: 354 B at six generations, 170 B at ten (545 and 302 when appearing versions were copied into the delta)
+			t.Errorf("a re-apply on a closed head allocates %.0f B per fired update, want ≤ 407", b)
 		}
 	}
 	if big > 1.3*small {

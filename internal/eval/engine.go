@@ -201,13 +201,17 @@ const dedupSpill = 16
 type engine struct {
 	base *objectbase.Base
 	opts Options
-	// deepest maps an object to its deepest version, for the objects that
-	// have one besides the object itself: those the input base lists as
-	// unsettled, and every target the fixpoint derives. An object without
-	// an entry is its own deepest version. The final copy visits exactly
-	// these entries.
-	deepest map[term.OID]term.GVID
-	fired   int
+	// objs is the one table of the objects the run touches: those the input
+	// base lists as unsettled, and every object some fired update targets.
+	// An object's record carries the path of its deepest version and the
+	// updates fired on its versions (see touched); an object without an
+	// entry is its own deepest version and has no updates. The final copy
+	// visits exactly these entries. The records come from touchedRecs and
+	// never move; the table is not sized from the base, so an apply pays for
+	// what it touches.
+	objs        map[term.OID]*touched
+	touchedRecs slab[touched]
+	fired       int
 	// labels[ri] is rule ri's display label; agg[ri] its running stats.
 	labels []string
 	agg    []ruleAgg
@@ -220,8 +224,9 @@ type engine struct {
 	// skip the guaranteed own-layer miss.
 	p0 *objectbase.Base
 	// ups holds every fired update of the run, written once, in firing
-	// order; targets every (stratum, target version) they were fired on.
-	// Result.Trace is assembled from ups at the end of Run.
+	// order; targets every (stratum, target version) they were fired on, each
+	// heading the list of its updates. Result.Trace is assembled from targets
+	// at the end of Run.
 	ups     slab[firedUpdate]
 	targets slab[targetUpdates]
 	gone    []keyResult // extend's scratch
@@ -256,22 +261,45 @@ func (s *slab[T]) next() *T {
 	return &(*c)[len(*c)-1]
 }
 
+// touched is the run's record of one object: the path of its deepest
+// version so far (version-linearity makes every other version of the object
+// a prefix of it) and the targets updates were fired on, newest first,
+// linked through targetUpdates.older. Strata run in order, so the targets of
+// the current stratum head the list, and linearity keeps it to a handful.
+type touched struct {
+	deepest term.Path
+	updates *targetUpdates
+}
+
+// touch returns o's record, entering it on first sight: the object is then
+// its own deepest version.
+func (e *engine) touch(o term.OID) *touched {
+	obj := e.objs[o]
+	if obj == nil {
+		obj = e.touchedRecs.next()
+		if e.objs == nil {
+			e.objs = make(map[term.OID]*touched)
+		}
+		e.objs[o] = obj
+	}
+	return obj
+}
+
 // firedUpdate is one fired update: what it does to its target (the version
-// and the kind are the target's, see update), the rule and iteration that
-// derived it first, and the link to the target's next update.
+// and the kind are the target's, which is where every list is reached from,
+// see update), the rule and iteration that derived it first, and the link
+// to the target's next update.
 type firedUpdate struct {
-	tu         *targetUpdates
 	next       *firedUpdate
 	key        term.MethodKey
 	r, r2      term.OID
 	rule, iter int32
 }
 
-// update rebuilds the Update the entry was fired as.
-func (f *firedUpdate) update() Update {
-	w := f.tu.w
-	path, kind := w.Path.Pop()
-	return Update{Kind: kind, V: term.GVID{Object: w.Object, Path: path}, Key: f.key, R: f.r, R2: f.r2}
+// update rebuilds the Update the entry was fired as on the target tu.
+func (f *firedUpdate) update(tu *targetUpdates) Update {
+	path, kind := tu.w.Path.Pop()
+	return Update{Kind: kind, V: term.GVID{Object: tu.w.Object, Path: path}, Key: f.key, R: f.r, R2: f.r2}
 }
 
 // targetUpdates is one target version w within a stratum: the deduplicated
@@ -284,11 +312,15 @@ func (f *firedUpdate) update() Update {
 // iteration adds. All updates of one target have the same kind and version:
 // w is kind(version).
 type targetUpdates struct {
-	w           term.GVID
-	stratum     int
+	w term.GVID
+	// obj is the record of w's object, older the object's previous target
+	// (see touched).
+	obj         *touched
+	older       *targetUpdates
 	first, last *firedUpdate
 	fresh       *firedUpdate // the first update not yet applied to st
-	n           int          // list length
+	stratum     int32
+	n           int32 // list length
 	// st is w's state; nil until the target's first applyTargets. owned
 	// says it is a private copy, free to edit. appears marks a target the
 	// base does not hold yet (installed by appear); prev is then the state w
@@ -344,16 +376,7 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 		}
 		planAttr = "compiled"
 	}
-	e := &engine{
-		base:     objectbase.Overlay(ob),
-		p0:       ob,
-		opts:     opts,
-		deepest:  make(map[term.OID]term.GVID),
-		labels:   p.RuleLabels(),
-		agg:      make([]ruleAgg, len(p.Rules)),
-		compiled: compiled,
-	}
-	e.x = newExecutor(e.base)
+	e := newEngine(ob, p, compiled, opts)
 	sp.SetAttr("plan", planAttr)
 	if err := e.seedDeepest(); err != nil {
 		return nil, err
@@ -368,7 +391,7 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 			stratumSpan = sp.StartChild("stratum " + strconv.Itoa(si+1))
 			stratumSpan.SetInt("rules", int64(len(stratum)))
 		}
-		iters, err := e.runStratum(si, stratum, stratumSpan)
+		iters, err := e.newStratumRun(si, stratum, stratumSpan).run()
 		stratumSpan.SetInt("iterations", int64(iters))
 		stratumSpan.End()
 		if err != nil {
@@ -385,7 +408,7 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	copyStart := time.Now()
 	copySpan := sp.StartChild("copy")
 	res.Final, res.Changes = e.finalize()
-	copySpan.SetInt("objects", int64(len(e.deepest)))
+	copySpan.SetInt("objects", int64(len(e.objs)))
 	copySpan.SetInt("changed", int64(len(res.Changes)))
 	copySpan.End()
 	res.Stats.Copy = time.Since(copyStart)
@@ -396,23 +419,39 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// newEngine sets up the evaluation of p, compiled, over the frozen base ob.
+func newEngine(ob *objectbase.Base, p *term.Program, compiled *CompiledProgram, opts Options) *engine {
+	e := &engine{
+		base:     objectbase.Overlay(ob),
+		p0:       ob,
+		opts:     opts,
+		labels:   p.RuleLabels(),
+		agg:      make([]ruleAgg, len(p.Rules)),
+		compiled: compiled,
+	}
+	e.x = newExecutor(e.base)
+	return e
+}
+
 // buildTrace assembles Result.Trace, exactly sized, from the run's update
-// log. Candidate enumeration follows map order, so firing order within an
-// iteration is arbitrary; the events are sorted into a canonical order so
-// runs are reproducible.
+// log, target by target. Candidate enumeration follows map order, so firing
+// order within an iteration is arbitrary; the events are sorted into a
+// canonical order so runs are reproducible.
 func (e *engine) buildTrace() []TraceEvent {
 	if !e.opts.Trace || e.fired == 0 {
 		return nil
 	}
 	trace := make([]TraceEvent, 0, e.fired)
-	for _, chunk := range e.ups.chunks {
+	for _, chunk := range e.targets.chunks {
 		for i := range chunk {
-			f := &chunk[i]
-			trace = append(trace, TraceEvent{
-				Stratum: f.tu.stratum, Iteration: int(f.iter),
-				Rule:   e.labels[f.rule],
-				Update: f.update(),
-			})
+			tu := &chunk[i]
+			for f := tu.first; f != nil; f = f.next {
+				trace = append(trace, TraceEvent{
+					Stratum: int(tu.stratum), Iteration: int(f.iter),
+					Rule:   e.labels[f.rule],
+					Update: f.update(tu),
+				})
+			}
 		}
 	}
 	slices.SortFunc(trace, func(a, b TraceEvent) int {
@@ -430,8 +469,8 @@ func (e *engine) buildTrace() []TraceEvent {
 	return trace
 }
 
-// seedDeepest enters the input base's unsettled versions into the deepest-
-// version map and verifies the input itself is version-linear. Settled
+// seedDeepest enters the input base's unsettled versions into the table of
+// touched objects and verifies the input itself is version-linear. Settled
 // objects need no entry, and an updated base ob' lists nothing, so the
 // seeding costs nothing on a repository head. A single unsorted pass
 // suffices: while no violation has been seen, every version of an object is
@@ -441,17 +480,23 @@ func (e *engine) buildTrace() []TraceEvent {
 // all its versions and cannot take part in a violation.)
 func (e *engine) seedDeepest() error {
 	for _, v := range e.p0.Unsettled() {
-		d, ok := e.deepest[v.Object]
-		if !ok {
-			e.deepest[v.Object] = v
-			continue
+		if err := e.touch(v.Object).deepen(v); err != nil {
+			return err
 		}
-		if !v.Comparable(d) {
-			return &LinearityError{Object: v.Object, A: d, B: v}
-		}
-		if v.Path.Len() > d.Path.Len() {
-			e.deepest[v.Object] = v
-		}
+	}
+	return nil
+}
+
+// deepen holds version w of the object against its deepest version so far
+// — the online version-linearity check Section 5 suggests — and makes w
+// the deepest when it extends it.
+func (obj *touched) deepen(w term.GVID) error {
+	d := obj.deepest
+	if !w.Path.HasPrefix(d) && !d.HasPrefix(w.Path) {
+		return &LinearityError{Object: w.Object, A: term.GVID{Object: w.Object, Path: d}, B: w}
+	}
+	if w.Path.Len() > d.Len() {
+		obj.deepest = w.Path
 	}
 	return nil
 }
@@ -476,31 +521,82 @@ func (e *engine) ruleStats() []RuleStat {
 	return out
 }
 
-// bucket holds the facts of one (path, method) the last iteration added: the
-// semi-naive delta, as the compiled delta variants read it. The storage is
-// reused from iteration to iteration; room is the capacity the coming fill
-// may need.
+// deltaFact is one fact an iteration added to a version that existed
+// before it, as a delta join reads it: the path and the method are the
+// bucket's.
+type deltaFact struct {
+	object term.OID
+	args   term.Args
+	result term.OID
+}
+
+// wholeVersion is a version that appeared in the last iteration, entered
+// into a bucket by reference: every fact of it is new to the base, so the
+// delta it contributes is its state, and the join matches the seed's
+// application on that state (executor.matchOn) instead of on a copy of its
+// facts.
+type wholeVersion struct {
+	object term.OID
+	st     *objectbase.State
+}
+
+// bucket holds what the last iteration added under one (path, method): the
+// semi-naive delta, as the compiled delta variants read it — the versions
+// that appeared (whole) and the facts added to versions that were there
+// (facts). A whole entry stays valid until the bucket is reset: nothing
+// edits a state between one applyTargets and the end of the next step 1, and
+// applyTargets resets every bucket, dropping the state pointers, before it
+// edits anything. The storage is reused from iteration to iteration; room
+// and wholeRoom are the lengths the coming fill will reach, counted before
+// anything is edited (see reserve).
 type bucket struct {
-	method string
-	facts  []term.Fact
-	room   int
+	method    string
+	facts     []deltaFact
+	whole     []wholeVersion
+	room      int
+	wholeRoom int
+}
+
+// empty reports whether the last iteration left nothing to join against.
+func (b *bucket) empty() bool { return len(b.facts) == 0 && len(b.whole) == 0 }
+
+// reset empties the bucket for the next fill.
+func (b *bucket) reset() {
+	clear(b.whole) // the states are not the bucket's to keep alive
+	b.facts, b.whole, b.room, b.wholeRoom = b.facts[:0], b.whole[:0], 0, 0
+}
+
+// spillKey identifies a fired update within a stratum: its target and what
+// it does there.
+type spillKey struct {
+	tu    *targetUpdates
+	key   term.MethodKey
+	r, r2 term.OID
 }
 
 // stratumRun is the working state of one stratum's fixpoint.
 type stratumRun struct {
 	e        *engine
 	si, iter int
-	// byTarget groups the updates fired so far (T¹ accumulated; within a
-	// stratum it only grows, see DESIGN.md on intra-stratum monotonicity)
-	// per target version, and doubles as the fired set: an update is known
-	// iff it is in its target's list. Small lists (the overwhelming
-	// majority) dedup by linear scan; once a list passes dedupSpill its
-	// updates move to the spill map, so accumulator targets (recursive
-	// closures collecting thousands of inserts on one version) keep O(1)
-	// membership checks without hashing every emitted update — the Update
-	// struct is large and hash-dominated — on the common path.
-	byTarget map[term.GVID]*targetUpdates
-	spill    map[Update]struct{}
+	rules    []int
+	span     *obs.Span // nil unless tracing
+	// tasks and stats are the step-1 work of the current iteration and what
+	// it cost, reused from one to the next; added counts the facts the
+	// previous iteration added.
+	tasks []fireTask
+	stats []fireStat
+	added int
+	// The updates fired so far (T¹ accumulated; within a stratum it only
+	// grows, see DESIGN.md on intra-stratum monotonicity) are grouped per
+	// target version in the engine's table of touched objects, which doubles
+	// as the fired set: an update is known iff it is in its target's list.
+	// Small lists (the overwhelming majority) dedup by linear scan; once a
+	// list passes dedupSpill its updates move to the spill map, so
+	// accumulator targets (recursive closures collecting thousands of inserts
+	// on one version) keep O(1) membership checks without hashing every
+	// emitted update — the key is large and hash-dominated — on the common
+	// path.
+	spill map[spillKey]struct{}
 	// dirty lists the targets that received updates this iteration; only
 	// they change — everything else a state depends on (its source, its own
 	// update list) is fixed within the stratum. fresh counts the updates.
@@ -516,20 +612,29 @@ type stratumRun struct {
 	byPath  map[term.Path][]*bucket
 }
 
+// target returns the stratum's record of the version u produces, entering
+// it on the first update fired on that version: one lookup in the table of
+// touched objects, then the object's targets of this stratum, which head
+// its list.
+func (s *stratumRun) target(u Update) *targetUpdates {
+	obj := s.e.touch(u.V.Object)
+	inner := u.V.Path.Len()
+	for tu := obj.updates; tu != nil && int(tu.stratum) == s.si; tu = tu.older {
+		if p := tu.w.Path; p.Len() == inner+1 && p.Outer() == u.Kind && p[:inner] == u.V.Path {
+			return tu
+		}
+	}
+	tu := s.e.targets.next()
+	tu.w, tu.stratum = u.Target(), int32(s.si)
+	tu.obj, tu.older, obj.updates = obj, obj.updates, tu
+	return tu
+}
+
 // collect is the one sink of step 1: it enters an emitted update into its
 // target's list unless it is known already.
 func (s *stratumRun) collect(ri int, u Update) {
 	e := s.e
-	w := u.Target()
-	tu := s.byTarget[w]
-	if tu == nil {
-		tu = e.targets.next()
-		tu.w, tu.stratum = w, s.si
-		if s.byTarget == nil {
-			s.byTarget = make(map[term.GVID]*targetUpdates)
-		}
-		s.byTarget[w] = tu
-	}
+	tu := s.target(u)
 	if tu.n <= dedupSpill {
 		for f := tu.first; f != nil; f = f.next {
 			if f.key == u.Key && f.r == u.R && f.r2 == u.R2 {
@@ -538,21 +643,22 @@ func (s *stratumRun) collect(ri int, u Update) {
 		}
 		if tu.n == dedupSpill {
 			if s.spill == nil {
-				s.spill = make(map[Update]struct{}, 4*dedupSpill)
+				s.spill = make(map[spillKey]struct{}, 4*dedupSpill)
 			}
 			for f := tu.first; f != nil; f = f.next {
-				s.spill[f.update()] = struct{}{}
+				s.spill[spillKey{tu, f.key, f.r, f.r2}] = struct{}{}
 			}
-			s.spill[u] = struct{}{}
+			s.spill[spillKey{tu, u.Key, u.R, u.R2}] = struct{}{}
 		}
 	} else {
-		if _, known := s.spill[u]; known {
+		k := spillKey{tu, u.Key, u.R, u.R2}
+		if _, known := s.spill[k]; known {
 			return
 		}
-		s.spill[u] = struct{}{}
+		s.spill[k] = struct{}{}
 	}
 	f := e.ups.next()
-	*f = firedUpdate{tu: tu, key: u.Key, r: u.R, r2: u.R2, rule: int32(ri), iter: int32(s.iter)}
+	*f = firedUpdate{key: u.Key, r: u.R, r2: u.R2, rule: int32(ri), iter: int32(s.iter)}
 	if tu.last == nil {
 		tu.first = f
 	} else {
@@ -572,10 +678,10 @@ func (s *stratumRun) collect(ri int, u Update) {
 	}
 }
 
-// runStratum iterates T_P over the given rules until the fixpoint,
+// newStratumRun sets up the fixpoint of stratum si over the given rules,
 // recording iteration spans under stratumSpan when tracing.
-func (e *engine) runStratum(si int, ruleIdx []int, stratumSpan *obs.Span) (int, error) {
-	s := &stratumRun{e: e, si: si}
+func (e *engine) newStratumRun(si int, ruleIdx []int, stratumSpan *obs.Span) *stratumRun {
+	s := &stratumRun{e: e, si: si, rules: ruleIdx, span: stratumSpan}
 	if stratumSpan != nil {
 		s.freshByRule = make(map[int]int)
 	}
@@ -598,91 +704,104 @@ func (e *engine) runStratum(si int, ruleIdx []int, stratumSpan *obs.Span) (int, 
 			}
 		}
 	}
+	return s
+}
 
-	var tasks []fireTask
-	var stats []fireStat
-	added := 0 // facts the previous iteration added
-	for s.iter = 1; ; s.iter++ {
-		iter := s.iter
-		if iter > e.opts.MaxIterations {
-			return iter, &IterationLimitError{Stratum: si, Limit: e.opts.MaxIterations}
+// run iterates T_P until the stratum's fixpoint and returns the number of
+// iterations it took.
+func (s *stratumRun) run() (int, error) {
+	for {
+		if n, err := s.iterate(); n > 0 {
+			return n, err
 		}
-		tasks, stats = tasks[:0], stats[:0]
-		if iter == 1 {
-			for _, ri := range ruleIdx {
-				tasks = append(tasks, fireTask{ri: ri, pos: -1})
-			}
-		} else {
-			if added == 0 {
-				return iter - 1, nil
-			}
-			// One task per delta seed whose bucket received facts.
-			for _, ri := range ruleIdx {
-				for i, key := range e.compiled.rules[ri].deltaKeys {
-					if facts := s.buckets[key].facts; len(facts) > 0 {
-						tasks = append(tasks, fireTask{ri: ri, pos: i, delta: facts})
-					}
+	}
+}
+
+// iterate applies T_P once more. It returns 0 to go on, or — at the
+// fixpoint and on an error — the number of iterations the stratum took.
+func (s *stratumRun) iterate() (int, error) {
+	e := s.e
+	s.iter++
+	iter := s.iter
+	if iter > e.opts.MaxIterations {
+		return iter, &IterationLimitError{Stratum: s.si, Limit: e.opts.MaxIterations}
+	}
+	tasks, stats := s.tasks[:0], s.stats[:0]
+	if iter == 1 {
+		for _, ri := range s.rules {
+			tasks = append(tasks, fireTask{ri: ri, pos: -1})
+		}
+	} else {
+		if s.added == 0 {
+			return iter - 1, nil
+		}
+		// One task per delta seed whose bucket received something.
+		for _, ri := range s.rules {
+			for i, key := range e.compiled.rules[ri].deltaKeys {
+				if b := s.buckets[key]; !b.empty() {
+					tasks = append(tasks, fireTask{ri: ri, pos: i, delta: b})
 				}
 			}
 		}
+	}
 
-		var itSpan *obs.Span
-		if stratumSpan != nil {
-			itSpan = stratumSpan.StartChild("iteration " + strconv.Itoa(iter))
-			itSpan.SetInt("delta_in", int64(added))
-			clear(s.freshByRule)
-		}
-		s.fresh = 0
-		for ti, t := range tasks {
-			ri, emitted := t.ri, 0
-			st, err := e.step1(si, t, func(u Update) error {
-				emitted++
-				s.collect(ri, u)
-				return nil
-			})
-			if err != nil {
-				itSpan.End()
-				return iter, err
-			}
-			st.emitted = emitted
-			stats = append(stats, st)
-			a := &e.agg[ri]
-			a.emitted += emitted
-			a.matched += st.matched
-			a.time += st.dur
-			if ti == 0 || tasks[ti-1].ri != ri {
-				a.iterations++
-			}
-		}
-		if itSpan != nil {
-			e.addRuleSpans(itSpan, tasks, stats, s.freshByRule)
-			itSpan.SetInt("fresh_updates", int64(s.fresh))
-		}
-		if s.fresh == 0 {
-			itSpan.End()
-			return iter, nil
-		}
-		targets := len(s.dirty)
-		var changed bool
-		var err error
-		changed, added, err = s.applyTargets()
-		if itSpan != nil {
-			itSpan.SetInt("targets", int64(targets))
-			itSpan.SetInt("facts_added", int64(added))
-			itSpan.End()
-		}
+	var itSpan *obs.Span
+	if s.span != nil {
+		itSpan = s.span.StartChild("iteration " + strconv.Itoa(iter))
+		itSpan.SetInt("delta_in", int64(s.added))
+		clear(s.freshByRule)
+	}
+	s.fresh = 0
+	for ti, t := range tasks {
+		ri, emitted := t.ri, 0
+		st, err := e.step1(s.si, t, func(u Update) error {
+			emitted++
+			s.collect(ri, u)
+			return nil
+		})
 		if err != nil {
+			itSpan.End()
 			return iter, err
 		}
-		if !changed {
-			return iter, nil
-		}
-		if s.buckets == nil {
-			// No rule here can fire from in-stratum additions, so a changing
-			// iteration is already the fixpoint.
-			return iter, nil
+		st.emitted = emitted
+		stats = append(stats, st)
+		a := &e.agg[ri]
+		a.emitted += emitted
+		a.matched += st.matched
+		a.time += st.dur
+		if ti == 0 || tasks[ti-1].ri != ri {
+			a.iterations++
 		}
 	}
+	s.tasks, s.stats = tasks, stats
+	if itSpan != nil {
+		e.addRuleSpans(itSpan, tasks, stats, s.freshByRule)
+		itSpan.SetInt("fresh_updates", int64(s.fresh))
+	}
+	if s.fresh == 0 {
+		itSpan.End()
+		return iter, nil
+	}
+	targets := len(s.dirty)
+	changed, added, err := s.applyTargets()
+	s.added = added
+	if itSpan != nil {
+		itSpan.SetInt("targets", int64(targets))
+		itSpan.SetInt("facts_added", int64(added))
+		itSpan.End()
+	}
+	if err != nil {
+		return iter, err
+	}
+	if !changed {
+		return iter, nil
+	}
+	if s.buckets == nil {
+		// No rule here can fire from in-stratum additions, so a changing
+		// iteration is already the fixpoint.
+		return iter, nil
+	}
+	return 0, nil
 }
 
 // addRuleSpans attaches one child span per rule evaluated in the
@@ -720,8 +839,9 @@ func (e *engine) addRuleSpans(itSpan *obs.Span, tasks []fireTask, stats []fireSt
 	}
 }
 
-// deltaSink receives the facts an iteration adds to one version: it counts
-// them all and files those some rule can be seeded from in their buckets.
+// deltaSink receives the facts an iteration adds to one version that was
+// there before it: it counts them all and files those some rule can be
+// seeded from in their buckets.
 type deltaSink struct {
 	w  term.GVID
 	bs []*bucket // the buckets of w's path
@@ -732,7 +852,7 @@ func (d *deltaSink) add(k term.MethodKey, r term.OID) {
 	d.n++
 	for _, b := range d.bs {
 		if b.method == k.Method {
-			b.facts = append(b.facts, term.Fact{V: d.w, Method: k.Method, Args: k.Args, Result: r})
+			b.facts = append(b.facts, deltaFact{object: d.w.Object, args: k.Args, result: r})
 		}
 	}
 }
@@ -740,56 +860,34 @@ func (d *deltaSink) add(k term.MethodKey, r term.OID) {
 // applyTargets performs steps 2 and 3 of T_P for the iteration's dirty
 // targets: a target the base does not hold yet is installed, sharing its
 // source's state; every target is then extended by its fresh updates. It
-// returns whether the base changed and how many facts were added; the added
-// facts some rule can be seeded from are left in the delta buckets.
+// returns whether the base changed and how many facts were added; what was
+// added that some rule can be seeded from is left in the delta buckets.
 func (s *stratumRun) applyTargets() (changed bool, added int, err error) {
 	e, dirty := s.e, s.dirty
 	slices.SortFunc(dirty, func(a, b *targetUpdates) int { return a.w.Compare(b.w) })
-	if len(e.deepest) == 0 {
-		// One entry per touched object at most; sized here, not from the
-		// input base, so an update pays for what it touches.
-		e.deepest = make(map[term.OID]term.GVID, len(dirty))
-	}
 	for _, b := range s.buckets {
-		b.facts, b.room = b.facts[:0], 0
+		b.reset()
 	}
 
 	// Checks first, in target order (deterministic error reporting), along
 	// with where each new target starts from and how much room the delta
-	// buckets need — nothing is mutated until every target has passed.
+	// buckets need — no state is edited until every target has passed.
 	for _, tu := range dirty {
-		w := tu.w
 		if tu.st == nil {
 			if err := e.locate(tu); err != nil {
 				return false, 0, err
 			}
 		}
-		// Version-linearity, checked online as Section 5 suggests.
-		d, ok := e.deepest[w.Object]
-		if !ok {
-			d = term.GVID{Object: w.Object}
+		if err := tu.obj.deepen(tu.w); err != nil {
+			return false, 0, err
 		}
-		if !w.Comparable(d) {
-			return false, 0, &LinearityError{Object: w.Object, A: d, B: w}
-		}
-		if w.Path.Len() > d.Path.Len() {
-			e.deepest[w.Object] = w
-		}
-		for _, b := range s.byPath[w.Path] {
-			if tu.appears {
-				tu.st.ForEachOfMethod(b.method, func(term.MethodKey, term.OID) { b.room++ })
-			}
-			if w.Path.Outer() != term.Del {
-				for f := tu.fresh; f != nil; f = f.next {
-					if f.key.Method == b.method {
-						b.room++
-					}
-				}
-			}
+		for _, b := range s.byPath[tu.w.Path] {
+			tu.reserve(b)
 		}
 	}
 	for _, b := range s.buckets {
 		b.facts = slices.Grow(b.facts, b.room)
+		b.whole = slices.Grow(b.whole, b.wholeRoom)
 	}
 
 	e.base.GrowStates(len(dirty))
@@ -805,6 +903,35 @@ func (s *stratumRun) applyTargets() (changed bool, added int, err error) {
 	}
 	s.dirty = dirty[:0]
 	return changed, added, nil
+}
+
+// reserve counts, before anything is edited, what the target's fresh
+// updates will leave in bucket b of its path. Its fresh updates of the
+// method each add a fact, except that an insert on a state the target still
+// shares adds none when the state has it, and a delete never does. A target
+// that appears with every fact new to the base takes one whole entry instead
+// if it will carry the method; one with a prev may file any application of
+// the method it starts with.
+func (tu *targetUpdates) reserve(b *bucket) {
+	kind := tu.w.Path.Outer()
+	adds := 0
+	if kind != term.Del {
+		for f := tu.fresh; f != nil; f = f.next {
+			if f.key.Method == b.method && !(kind == term.Ins && !tu.owned && tu.st.Has(f.key, f.r)) {
+				adds++
+			}
+		}
+	}
+	if tu.appears && tu.prev == nil {
+		if adds > 0 || tu.st.HasAnyOfMethod(b.method) {
+			b.wholeRoom++
+		}
+		return
+	}
+	if tu.appears {
+		tu.st.ForEachOfMethod(b.method, func(term.MethodKey, term.OID) { b.room++ })
+	}
+	b.room += adds
 }
 
 // locate finds the state a target starts the stratum from: its own when the
@@ -830,9 +957,9 @@ func (e *engine) locate(tu *targetUpdates) error {
 		return nil
 	}
 	if e.opts.ForbidNewObjects {
-		first := tu.first.update()
+		first := tu.first.update(tu)
 		for f := tu.first.next; f != nil; f = f.next {
-			if u := f.update(); u.compare(first) < 0 {
+			if u := f.update(tu); u.compare(first) < 0 {
 				first = u
 			}
 		}
@@ -844,25 +971,30 @@ func (e *engine) locate(tu *targetUpdates) error {
 }
 
 // appear installs a target the base does not hold yet and applies its
-// updates. Every fact of the new version is new to the base.
+// updates. Without a prev every fact of the new version is new to the base:
+// the version enters the buckets whose method it carries as it stands, by
+// reference. With one (a hand-written input version that lacks exists) the
+// facts prev did not have are filed one by one.
 func (e *engine) appear(tu *targetUpdates, d *deltaSink) (changed bool) {
 	prev := tu.prev
 	tu.appears, tu.prev = false, nil
+	var quiet deltaSink
 	if prev == nil {
 		// The common case skips SetState's lookup and equality work.
 		e.base.SetStateFresh(tu.w, tu.st)
-		changed = true
-	} else {
-		changed = e.base.SetState(tu.w, tu.st)
-	}
-	var quiet deltaSink
-	changed = e.extend(tu, &quiet) || changed
-	if prev == nil && len(d.bs) == 0 {
+		e.extend(tu, &quiet)
 		d.n += tu.st.Size()
-		return changed
+		for _, b := range d.bs {
+			if tu.st.HasAnyOfMethod(b.method) {
+				b.whole = append(b.whole, wholeVersion{object: tu.w.Object, st: tu.st})
+			}
+		}
+		return true
 	}
+	changed = e.base.SetState(tu.w, tu.st)
+	changed = e.extend(tu, &quiet) || changed
 	tu.st.ForEach(func(k term.MethodKey, r term.OID) {
-		if prev == nil || !prev.Has(k, r) {
+		if !prev.Has(k, r) {
 			d.add(k, r)
 		}
 	})
@@ -953,9 +1085,9 @@ func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 }
 
 // finalize is the copy phase of Section 5 as a delta over the input base:
-// e.deepest holds every object whose final version is not simply the
-// object as the input has it (seeded by seedDeepest, maintained online by
-// applyTargets), so only those are visited, and an object is copied only
+// the table of touched objects holds every object whose final version is not
+// simply the object as the input has it (seeded by seedDeepest, deepened
+// online by applyTargets), so only those are visited, and an object is copied only
 // after its final state is known to differ from its old one — a final
 // version no update changed still shares the old state, and FinalEquals
 // settles the rest without building anything. A final state that differs is
@@ -970,13 +1102,13 @@ func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 // shared with the input (see objectbase.Derive).
 func (e *engine) finalize() (*objectbase.Base, []objectbase.Change) {
 	var changes []objectbase.Change
-	left := len(e.deepest)
-	for o, final := range e.deepest {
+	left := len(e.objs)
+	for o, rec := range e.objs {
 		left--
 		obj := term.GVID{Object: o}
 		old := e.p0.StateOf(obj)
 		var ns *objectbase.State
-		if st := e.base.StateOf(final); st != nil && !st.OnlyExists() {
+		if st := e.base.StateOf(term.GVID{Object: o, Path: rec.deepest}); st != nil && !st.OnlyExists() {
 			if old != nil && st.FinalEquals(o, old) {
 				continue
 			}

@@ -172,9 +172,9 @@ func (x *executor) putKRs(buf []keyResult) { x.krs = append(x.krs, buf[:0]) }
 
 // run evaluates one compiled plan (the full steps or a delta variant) and
 // fires the head for every complete body match. delta is the (path, method)
-// bucket an accessDelta seed joins against: every fact in it is on the
-// seed's path and method.
-func (x *executor) run(cr *compiledRule, steps []cstep, delta []term.Fact, matched *int64, onFire func(Update) error) error {
+// bucket an accessDelta seed joins against: everything in it is on the
+// seed's path and method. It is nil when the steps have no such seed.
+func (x *executor) run(cr *compiledRule, steps []cstep, delta *bucket, matched *int64, onFire func(Update) error) error {
 	return x.match(cr.nslots, steps, delta, func(fr []term.OID) error {
 		*matched++
 		return x.fire(&cr.head, fr, onFire)
@@ -183,7 +183,7 @@ func (x *executor) run(cr *compiledRule, steps []cstep, delta []term.Fact, match
 
 // match enumerates the complete matches of the steps, calling k with the
 // frame of each; the frame is only valid during the call.
-func (x *executor) match(nslots int, steps []cstep, delta []term.Fact, k func(fr []term.OID) error) error {
+func (x *executor) match(nslots int, steps []cstep, delta *bucket, k func(fr []term.OID) error) error {
 	x.cacheN, x.cacheI = 0, 0
 	fr := x.getFrame(nslots)
 	defer x.putFrame(fr)
@@ -202,7 +202,7 @@ func (x *executor) match(nslots int, steps []cstep, delta []term.Fact, k func(fr
 	return rec(0)
 }
 
-func (x *executor) exec(st *cstep, fr []term.OID, delta []term.Fact, k func() error) error {
+func (x *executor) exec(st *cstep, fr []term.OID, delta *bucket, k func() error) error {
 	switch st.kind {
 	case stepScan:
 		return x.execScan(st, fr, delta, k)
@@ -224,21 +224,33 @@ func (x *executor) exec(st *cstep, fr []term.OID, delta []term.Fact, k func() er
 }
 
 // execScan enumerates a positive version pattern via the step's access.
-func (x *executor) execScan(st *cstep, fr []term.OID, delta []term.Fact, k func() error) error {
+func (x *executor) execScan(st *cstep, fr []term.OID, delta *bucket, k func() error) error {
 	switch st.acc {
 	case accessDelta:
-		for i := range delta {
-			f := &delta[i]
-			if !st.base.match(fr, f.V.Object) {
+		for i := range delta.facts {
+			f := &delta.facts[i]
+			if !st.base.match(fr, f.object) {
 				continue
 			}
-			if !x.matchFactArgs(st, fr, f.Args) {
+			if !x.matchFactArgs(st, fr, f.args) {
 				continue
 			}
-			if !st.result.match(fr, f.Result) {
+			if !st.result.match(fr, f.result) {
 				continue
 			}
 			if err := k(); err != nil {
+				return err
+			}
+		}
+		// A version that appeared is its own delta: the step's application is
+		// matched on the state it entered with, as a lookup matches it on the
+		// state of a version it is given.
+		onApp := func(term.MethodKey, term.OID) error { return k() }
+		for _, v := range delta.whole {
+			if !st.base.match(fr, v.object) {
+				continue
+			}
+			if err := x.matchOn(st, fr, v.st, onApp); err != nil {
 				return err
 			}
 		}
@@ -282,6 +294,13 @@ func (x *executor) execScan(st *cstep, fr []term.OID, delta []term.Fact, k func(
 
 	default: // accessScan
 		cands := x.getVIDs()
+		if x.p0.Parent() == nil {
+			// Over a root the number of candidates is two map lengths (the
+			// root's set and the overlay's own), so the buffer — new with
+			// every run — is reserved in one step instead of doubling up to
+			// it. A layer Derive built would have to be walked to be counted.
+			cands = slices.Grow(cands, x.base.CountVIDsWith(st.path, st.method))
+		}
 		x.base.ForEachVIDWith(st.path, st.method, func(g term.GVID) { cands = append(cands, g) })
 		for _, g := range cands {
 			if !st.base.match(fr, g.Object) {
@@ -341,6 +360,12 @@ func (x *executor) matchAppKR(st *cstep, fr []term.OID, g term.GVID, k func(key 
 	if s == nil {
 		return nil
 	}
+	return x.matchOn(st, fr, s, k)
+}
+
+// matchOn enumerates matches of the step's application on the state s of
+// some version.
+func (x *executor) matchOn(st *cstep, fr []term.OID, s *objectbase.State, k func(key term.MethodKey, r term.OID) error) error {
 	if !st.argsBind {
 		key := x.resolveKey(st.keyStatic, st.key, st.method, st.args, fr)
 		if st.result.mode != oBind {

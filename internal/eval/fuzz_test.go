@@ -104,14 +104,16 @@ func checkQueries(ob *objectbase.Base, res *Result, body []term.Literal) error {
 // fuzzBase is the fixed object base every fuzz input runs against: a small
 // isa-hierarchy with scalar and object-valued methods, enough population
 // for index probes and joins to take different code paths in the compiled
-// executor.
+// executor. The chain of command is two deep (e1 -> m1 -> m2), without and
+// with an argument (boss, dist@), so that a closure over either starts from
+// versions that inherit facts of the method it recurses through.
 const fuzzBase = `
 emp.isa -> class.
 mgr.isa -> class.
-e1.isa -> emp.   e1.sal -> 1000.  e1.dept -> d1.  e1.boss -> m1.
+e1.isa -> emp.   e1.sal -> 1000.  e1.dept -> d1.  e1.boss -> m1.  e1.dist@m1 -> 1.
 e2.isa -> emp.   e2.sal -> 2000.  e2.dept -> d1.  e2.boss -> m1.
 e3.isa -> emp.   e3.sal -> 3000.  e3.dept -> d2.  e3.boss -> m2.
-m1.isa -> mgr.   m1.sal -> 5000.  m1.dept -> d1.
+m1.isa -> mgr.   m1.sal -> 5000.  m1.dept -> d1.  m1.boss -> m2.  m1.dist@m2 -> 2.
 m2.isa -> mgr.   m2.sal -> 6000.  m2.dept -> d2.
 d1.isa -> dept.  d1.loc -> north.
 d2.isa -> dept.  d2.loc -> south.
@@ -127,6 +129,13 @@ var fuzzSeeds = []string{
 	`a: ins[X].m1 -> 1 <- X.isa -> emp. b: ins[ins(X)].m2 -> V <- ins(X).m1 -> V.`,
 	`t: ins[X].big -> S <- X.sal -> S, S > 1500.`,
 	`d: del[X].sal -> S <- X.sal -> S, S < 2000.`,
+	// Recursive closures whose delta starts from whole versions: ins(e1)
+	// appears sharing e1's state, the inherited boss -> m1 (dist@m1 -> 1)
+	// included, and the next iteration is seeded from that state by
+	// reference — without and with method arguments the seed literal binds.
+	`b: ins[X].boss -> Y <- X.boss -> Y. c: ins[X].boss -> Z <- ins(X).boss -> Y, Y.boss -> Z.`,
+	`s: ins[X].dist@Y -> D <- X.dist@Y -> D. t: ins[X].dist@Z -> D2 <- ins(X).dist@Y -> D, Y.dist@Z -> D1, D2 = D + D1.`,
+	`u: ins[X].via@m1 -> Y <- X.boss -> Y. v: ins[X].via@Y -> Z <- ins(X).via@m1 -> Y, Y.boss -> Z.`,
 }
 
 // oneSidedFault is a seed the evaluators may differ on (orderDecides): Y + 1

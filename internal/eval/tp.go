@@ -62,10 +62,10 @@ func (u Update) compare(v Update) int {
 
 // fireTask is one unit of step-1 matching: a rule evaluated in full
 // (pos < 0) or seeded from one of its delta buckets — pos is then the index
-// of the delta variant and delta the bucket's facts.
+// of the delta variant and delta its bucket.
 type fireTask struct {
 	ri, pos int
-	delta   []term.Fact
+	delta   *bucket
 }
 
 // fireStat is the cost of one step-1 task: when it started, how long the

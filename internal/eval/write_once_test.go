@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"verlog/internal/objectbase"
 	"verlog/internal/parser"
@@ -68,18 +69,18 @@ func TestReapplyOnClosedHeadCopiesNothing(t *testing.T) {
 	if len(res.Changes) != 0 || res.Final != head {
 		t.Fatalf("%d changes, same head: %v; want none and the input head", len(res.Changes), res.Final == head)
 	}
-	e := &engine{p0: head, base: res.Result, deepest: map[term.OID]term.GVID{}}
+	e := &engine{p0: head, base: res.Result}
 	for _, v := range res.Result.Versions() {
 		if v.IsObject() {
 			continue
 		}
-		e.deepest[v.Object] = v
+		e.touch(v.Object).deepest = v.Path
 		if res.Result.StateOf(v) != head.StateOf(term.GVID{Object: v.Object}) {
 			t.Fatalf("%s has a state of its own although no update changed it", v)
 		}
 	}
-	if len(e.deepest) != spec.Persons()-spec.Roots {
-		t.Fatalf("%d derived versions, want one per person with a parent (%d)", len(e.deepest), spec.Persons()-spec.Roots)
+	if len(e.objs) != spec.Persons()-spec.Roots {
+		t.Fatalf("%d derived versions, want one per person with a parent (%d)", len(e.objs), spec.Persons()-spec.Roots)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		if final, changes := e.finalize(); final != head || len(changes) != 0 {
@@ -88,6 +89,94 @@ func TestReapplyOnClosedHeadCopiesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("the copy phase allocates %.0f times to find nothing changed, want 0 (no CloneFinal)", allocs)
+	}
+}
+
+// TestAppearingVersionsAreTheirOwnDelta drives a re-apply on a closed
+// genealogy head iteration by iteration. Every target there appears sharing
+// its object's state and no update changes it, so the semi-naive delta is
+// those versions themselves: each bucket holds one whole version per person
+// with a parent and never a copied fact, and the engine's one table of
+// touched objects has one record per such person, found by every update
+// fired on it.
+func TestAppearingVersionsAreTheirOwnDelta(t *testing.T) {
+	spec := workload.GenealogySpec{Generations: 6, Branching: 2, Roots: 2}
+	head, p := closedGenealogy(t, spec)
+	compiled, err := Compile(head, p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MaxIterations: defaultMaxIterations}
+	e := newEngine(head, p, compiled, opts)
+	rules := make([]int, len(p.Rules))
+	for i := range rules {
+		rules[i] = i // the ancestors program is one stratum
+	}
+	s := e.newStratumRun(0, rules, nil)
+	if len(s.buckets) == 0 {
+		t.Fatal("the ancestors program has no delta seed")
+	}
+	derived := spec.Persons() - spec.Roots
+	iters := 0
+	for iters == 0 {
+		if iters, err = s.iterate(); err != nil {
+			t.Fatal(err)
+		}
+		for key, b := range s.buckets {
+			if len(b.facts) != 0 || cap(b.facts) != 0 {
+				t.Fatalf("iteration %d: bucket %v holds %d copied facts (room for %d), want none ever", s.iter, key, len(b.facts), cap(b.facts))
+			}
+			want := 0
+			if s.iter == 1 {
+				want = derived
+			}
+			if len(b.whole) != want {
+				t.Fatalf("iteration %d: bucket %v holds %d whole versions, want %d", s.iter, key, len(b.whole), want)
+			}
+			for _, v := range b.whole {
+				if v.st != head.StateOf(term.GVID{Object: v.object}) {
+					t.Fatalf("iteration %d: ins(%s) entered bucket %v with a state of its own", s.iter, v.object, key)
+				}
+			}
+		}
+	}
+	if iters != 2 || e.fired != spec.AncestorPairs() {
+		t.Fatalf("%d iterations, %d fired; want 2 and %d", iters, e.fired, spec.AncestorPairs())
+	}
+	if len(e.objs) != derived {
+		t.Fatalf("%d touched objects, want one per person with a parent (%d)", len(e.objs), derived)
+	}
+	fired := 0
+	for o, rec := range e.objs {
+		tu := rec.updates
+		if rec.deepest != term.PathOf(term.Ins) || tu == nil || tu.older != nil || tu.obj != rec || tu.w != term.GV(o, term.Ins) {
+			t.Fatalf("%s: deepest %q, targets %+v; want the one target ins(%s)", o, rec.deepest, tu, o)
+		}
+		fired += int(tu.n)
+	}
+	if fired != e.fired {
+		t.Fatalf("the targets of the touched objects list %d updates, %d fired", fired, e.fired)
+	}
+}
+
+// TestFixpointRecordSizes pins the sizes of what an evaluation keeps per
+// fired update, per delta entry, per target and per touched object (DESIGN.md
+// §4 quotes them).
+func TestFixpointRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"firedUpdate", unsafe.Sizeof(firedUpdate{}), 88},
+		{"spillKey", unsafe.Sizeof(spillKey{}), 80},
+		{"deltaFact", unsafe.Sizeof(deltaFact{}), 56},
+		{"wholeVersion", unsafe.Sizeof(wholeVersion{}), 32},
+		{"touched", unsafe.Sizeof(touched{}), 24},
+		{"targetUpdates", unsafe.Sizeof(targetUpdates{}), 112},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 
