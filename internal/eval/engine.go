@@ -3,6 +3,7 @@ package eval
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -229,7 +230,56 @@ type engine struct {
 	// at the end of Run.
 	ups     slab[firedUpdate]
 	targets slab[targetUpdates]
+	// methods numbers the methods updates were fired on, in order of first
+	// use: a fired update names its method by position here. A program fires
+	// on a handful, so the table is searched linearly, and the names are
+	// mostly the compiled heads' own strings, where the comparison ends at
+	// the pointer. It is the run's and not the compiled program's because a
+	// del[v].* head takes its methods from the facts of v*, and because the
+	// compiled program is shared, immutable, with the evaluations beside
+	// this one.
+	methods []string
 	gone    []keyResult // extend's scratch
+}
+
+// methodNumber returns the run's number for the named method, or -1 when no
+// update has been fired on it.
+func (e *engine) methodNumber(name string) int32 {
+	for i, m := range e.methods {
+		if m == name {
+			return int32(i)
+		}
+	}
+	return -1
+}
+
+// method returns the run's number for the named method, numbering it on
+// first use.
+func (e *engine) method(name string) int32 {
+	m := e.methodNumber(name)
+	if m < 0 {
+		m = int32(len(e.methods))
+		e.methods = append(e.methods, name)
+	}
+	return m
+}
+
+// up returns the fired update at the 1-based position pos of the log, nil
+// for position zero (the end of every list).
+func (e *engine) up(pos int32) *firedUpdate {
+	if pos == 0 {
+		return nil
+	}
+	return e.ups.at(int(pos) - 1)
+}
+
+// newResult returns the new result of the modify at position pos: the r of
+// the slot after it (see firedUpdate).
+func (e *engine) newResult(pos int32) term.OID { return e.ups.at(int(pos)).r }
+
+// key rebuilds the method key the update was fired with.
+func (e *engine) key(f *firedUpdate) term.MethodKey {
+	return term.MethodKey{Method: e.methods[f.method], Args: f.args}
 }
 
 // readBase returns the base to read version g from (see engine.p0).
@@ -243,22 +293,49 @@ func (e *engine) readBase(g term.GVID) *objectbase.Base {
 // slab hands out zeroed values that never move, from chunks that double
 // from 2 to 512 entries: a run that needs one pays for two, one that needs
 // ten thousand makes two dozen allocations and leaves at most 511 unused,
-// and nothing is reserved on an estimate.
-type slab[T any] struct{ chunks [][]T }
+// and nothing is reserved on an estimate. The geometry is fixed, so the i-th
+// value handed out is found again from i alone (at): a list through a slab
+// links 4-byte positions instead of pointers.
+type slab[T any] struct {
+	chunks [][]T
+	n      int // values handed out
+}
+
+// The first slabSmall chunks hold 2, 4, …, slabChunk/2 entries — slabHead
+// together — and every later one slabChunk.
+const (
+	slabShift = 9
+	slabChunk = 1 << slabShift
+	slabSmall = slabShift - 1
+	slabHead  = slabChunk - 2
+)
 
 func (s *slab[T]) next() *T {
 	n := len(s.chunks)
 	if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
 		size := 2
 		if n > 0 {
-			size = min(2*cap(s.chunks[n-1]), 512)
+			size = min(2*cap(s.chunks[n-1]), slabChunk)
 		}
 		s.chunks = append(s.chunks, make([]T, 0, size))
 		n++
 	}
 	c := &s.chunks[n-1]
 	*c = (*c)[:len(*c)+1]
+	s.n++
 	return &(*c)[len(*c)-1]
+}
+
+// at returns the value next handed out as its (i+1)-th. Chunk k of the
+// doubling head starts at 2^(k+1) - 2, so the bit length of i+2 names the
+// chunk; past the head it is a shift and a mask.
+func (s *slab[T]) at(i int) *T {
+	if i < slabHead {
+		k := bits.Len(uint(i+2)) - 2
+		return &s.chunks[k][i+2-(2<<k)]
+	}
+	i -= slabHead
+	return &s.chunks[slabSmall+(i>>slabShift)][i&(slabChunk-1)]
 }
 
 // touched is the run's record of one object: the path of its deepest
@@ -285,21 +362,32 @@ func (e *engine) touch(o term.OID) *touched {
 	return obj
 }
 
-// firedUpdate is one fired update: what it does to its target (the version
-// and the kind are the target's, which is where every list is reached from,
-// see update), the rule and iteration that derived it first, and the link
-// to the target's next update.
+// firedUpdate is one fired update, 48 bytes of the log engine.ups: the
+// arguments and the result it was fired with, its method as a number of the
+// run's (engine.methods), the rule and iteration that derived it first, and
+// the position of its target's next update (1-based, zero at the end). The
+// version and the kind are the target's, which is where every list is
+// reached from (see update). A modify carries a second result: the slot
+// after its entry holds it in r and nothing else, so that inserts and
+// deletes — all but a few of the updates of most runs — do not carry an
+// empty one. All updates of a target have one kind, so the target says
+// which form its list has.
 type firedUpdate struct {
-	next       *firedUpdate
-	key        term.MethodKey
-	r, r2      term.OID
-	rule, iter int32
+	r                        term.OID
+	args                     term.Args
+	next, method, rule, iter int32
 }
 
-// update rebuilds the Update the entry was fired as on the target tu.
-func (f *firedUpdate) update(tu *targetUpdates) Update {
+// update rebuilds the Update the entry at position pos was fired as on the
+// target tu.
+func (e *engine) update(tu *targetUpdates, pos int32) Update {
+	f := e.up(pos)
 	path, kind := tu.w.Path.Pop()
-	return Update{Kind: kind, V: term.GVID{Object: tu.w.Object, Path: path}, Key: f.key, R: f.r, R2: f.r2}
+	u := Update{Kind: kind, V: term.GVID{Object: tu.w.Object, Path: path}, Key: e.key(f), R: f.r}
+	if kind == term.Mod {
+		u.R2 = e.newResult(pos)
+	}
+	return u
 }
 
 // targetUpdates is one target version w within a stratum: the deduplicated
@@ -310,25 +398,28 @@ func (f *firedUpdate) update(tu *targetUpdates) Update {
 // itself) by pointer; the first update that changes anything copies it,
 // once, and from then on w is extended in place with the updates each
 // iteration adds. All updates of one target have the same kind and version:
-// w is kind(version).
+// w is kind(version). 96 bytes: the pointers first, then the five int32s and
+// the two bools together — an int32 or a bool between two pointers costs a
+// word of padding each time.
 type targetUpdates struct {
 	w term.GVID
 	// obj is the record of w's object, older the object's previous target
 	// (see touched).
-	obj         *touched
-	older       *targetUpdates
-	first, last *firedUpdate
-	fresh       *firedUpdate // the first update not yet applied to st
-	stratum     int32
-	n           int32 // list length
+	obj   *touched
+	older *targetUpdates
 	// st is w's state; nil until the target's first applyTargets. owned
 	// says it is a private copy, free to edit. appears marks a target the
 	// base does not hold yet (installed by appear); prev is then the state w
 	// had without being active — nil but for hand-written input versions
 	// that lack the exists method.
 	st, prev *objectbase.State
-	owned    bool
-	appears  bool
+	// first and last are the ends of the list, fresh its first update not
+	// yet applied to st: positions in engine.ups, zero for none.
+	first, last, fresh int32
+	stratum            int32
+	n                  int32 // list length
+	owned              bool
+	appears            bool
 }
 
 // ruleAgg is the always-on per-rule accumulator behind Result.RuleStats.
@@ -445,12 +536,14 @@ func (e *engine) buildTrace() []TraceEvent {
 	for _, chunk := range e.targets.chunks {
 		for i := range chunk {
 			tu := &chunk[i]
-			for f := tu.first; f != nil; f = f.next {
+			for pos := tu.first; pos != 0; {
+				f := e.up(pos)
 				trace = append(trace, TraceEvent{
 					Stratum: int(tu.stratum), Iteration: int(f.iter),
 					Rule:   e.labels[f.rule],
-					Update: f.update(tu),
+					Update: e.update(tu, pos),
 				})
+				pos = f.next
 			}
 		}
 	}
@@ -567,11 +660,12 @@ func (b *bucket) reset() {
 }
 
 // spillKey identifies a fired update within a stratum: its target and what
-// it does there.
+// it does there, the method by its number (72 bytes).
 type spillKey struct {
-	tu    *targetUpdates
-	key   term.MethodKey
-	r, r2 term.OID
+	tu     *targetUpdates
+	r, r2  term.OID
+	args   term.Args
+	method int32
 }
 
 // stratumRun is the working state of one stratum's fixpoint.
@@ -631,43 +725,57 @@ func (s *stratumRun) target(u Update) *targetUpdates {
 }
 
 // collect is the one sink of step 1: it enters an emitted update into its
-// target's list unless it is known already.
+// target's list unless it is known already. Two updates on one target are
+// the same when method number, arguments and result agree — and, on a modify
+// target, the new result in the slot after the entry.
 func (s *stratumRun) collect(ri int, u Update) {
 	e := s.e
 	tu := s.target(u)
+	m, mod := e.method(u.Key.Method), u.Kind == term.Mod
 	if tu.n <= dedupSpill {
-		for f := tu.first; f != nil; f = f.next {
-			if f.key == u.Key && f.r == u.R && f.r2 == u.R2 {
+		for pos := tu.first; pos != 0; {
+			f := e.up(pos)
+			if f.method == m && f.args == u.Key.Args && f.r == u.R && (!mod || e.newResult(pos) == u.R2) {
 				return
 			}
+			pos = f.next
 		}
 		if tu.n == dedupSpill {
 			if s.spill == nil {
 				s.spill = make(map[spillKey]struct{}, 4*dedupSpill)
 			}
-			for f := tu.first; f != nil; f = f.next {
-				s.spill[spillKey{tu, f.key, f.r, f.r2}] = struct{}{}
+			for pos := tu.first; pos != 0; {
+				f := e.up(pos)
+				k := spillKey{tu: tu, r: f.r, args: f.args, method: f.method}
+				if mod {
+					k.r2 = e.newResult(pos)
+				}
+				s.spill[k] = struct{}{}
+				pos = f.next
 			}
-			s.spill[spillKey{tu, u.Key, u.R, u.R2}] = struct{}{}
+			s.spill[spillKey{tu, u.R, u.R2, u.Key.Args, m}] = struct{}{}
 		}
 	} else {
-		k := spillKey{tu, u.Key, u.R, u.R2}
+		k := spillKey{tu, u.R, u.R2, u.Key.Args, m}
 		if _, known := s.spill[k]; known {
 			return
 		}
 		s.spill[k] = struct{}{}
 	}
-	f := e.ups.next()
-	*f = firedUpdate{key: u.Key, r: u.R, r2: u.R2, rule: int32(ri), iter: int32(s.iter)}
-	if tu.last == nil {
-		tu.first = f
-	} else {
-		tu.last.next = f
+	*e.ups.next() = firedUpdate{r: u.R, args: u.Key.Args, method: m, rule: int32(ri), iter: int32(s.iter)}
+	pos := int32(e.ups.n)
+	if mod {
+		e.ups.next().r = u.R2
 	}
-	tu.last = f
+	if tu.last == 0 {
+		tu.first = pos
+	} else {
+		e.up(tu.last).next = pos
+	}
+	tu.last = pos
 	tu.n++
-	if tu.fresh == nil {
-		tu.fresh = f
+	if tu.fresh == 0 {
+		tu.fresh = pos
 		s.dirty = append(s.dirty, tu)
 	}
 	s.fresh++
@@ -882,7 +990,7 @@ func (s *stratumRun) applyTargets() (changed bool, added int, err error) {
 			return false, 0, err
 		}
 		for _, b := range s.byPath[tu.w.Path] {
-			tu.reserve(b)
+			e.reserve(tu, b)
 		}
 	}
 	for _, b := range s.buckets {
@@ -899,7 +1007,7 @@ func (s *stratumRun) applyTargets() (changed bool, added int, err error) {
 			changed = e.extend(tu, &sink) || changed
 		}
 		added += sink.n
-		tu.fresh = nil
+		tu.fresh = 0
 	}
 	s.dirty = dirty[:0]
 	return changed, added, nil
@@ -912,12 +1020,12 @@ func (s *stratumRun) applyTargets() (changed bool, added int, err error) {
 // that appears with every fact new to the base takes one whole entry instead
 // if it will carry the method; one with a prev may file any application of
 // the method it starts with.
-func (tu *targetUpdates) reserve(b *bucket) {
+func (e *engine) reserve(tu *targetUpdates, b *bucket) {
 	kind := tu.w.Path.Outer()
 	adds := 0
-	if kind != term.Del {
-		for f := tu.fresh; f != nil; f = f.next {
-			if f.key.Method == b.method && !(kind == term.Ins && !tu.owned && tu.st.Has(f.key, f.r)) {
+	if m := e.methodNumber(b.method); m >= 0 && kind != term.Del {
+		for f := e.up(tu.fresh); f != nil; f = e.up(f.next) {
+			if f.method == m && !(kind == term.Ins && !tu.owned && tu.st.Has(e.key(f), f.r)) {
 				adds++
 			}
 		}
@@ -957,9 +1065,9 @@ func (e *engine) locate(tu *targetUpdates) error {
 		return nil
 	}
 	if e.opts.ForbidNewObjects {
-		first := tu.first.update(tu)
-		for f := tu.first.next; f != nil; f = f.next {
-			if u := f.update(tu); u.compare(first) < 0 {
+		first := e.update(tu, tu.first)
+		for pos := e.up(tu.first).next; pos != 0; pos = e.up(pos).next {
+			if u := e.update(tu, pos); u.compare(first) < 0 {
 				first = u
 			}
 		}
@@ -1018,42 +1126,50 @@ func (e *engine) own(tu *targetUpdates, room int) {
 // results and then re-adds every new result it has accumulated — a fresh
 // removal may have taken one out — which leaves the state equal to the
 // source minus all old results plus all new ones, what applying the whole
-// update set to a fresh copy of the source would give.
+// update set to a fresh copy of the source would give. The log keeps a
+// method as a number and a modify's new result in the slot after its entry:
+// the method key is rebuilt from the run's table (engine.key), and a modify
+// list is walked by position, which is what finds that slot.
 func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 	w := tu.w
 	switch w.Path.Outer() {
 	case term.Ins:
-		for f := tu.fresh; f != nil; f = f.next {
+		for f := e.up(tu.fresh); f != nil; f = e.up(f.next) {
+			key := e.key(f)
 			if !tu.owned {
-				if tu.st.Has(f.key, f.r) {
+				if tu.st.Has(key, f.r) {
 					continue
 				}
 				room := 1
-				for g := f.next; g != nil; g = g.next {
+				for g := e.up(f.next); g != nil; g = e.up(g.next) {
 					room++
 				}
 				e.own(tu, room)
 			}
-			if e.base.AddTo(w, tu.st, f.key, f.r) {
+			if e.base.AddTo(w, tu.st, key, f.r) {
 				changed = true
-				d.add(f.key, f.r)
+				d.add(key, f.r)
 			}
 		}
 	case term.Del:
-		for f := tu.fresh; f != nil; f = f.next {
+		for f := e.up(tu.fresh); f != nil; f = e.up(f.next) {
+			key := e.key(f)
 			if !tu.owned {
-				if !tu.st.Has(f.key, f.r) {
+				if !tu.st.Has(key, f.r) {
 					continue
 				}
 				e.own(tu, 0)
 			}
-			changed = e.base.RemoveFrom(w, tu.st, f.key, f.r) || changed
+			changed = e.base.RemoveFrom(w, tu.st, key, f.r) || changed
 		}
 	case term.Mod:
 		if !tu.owned {
 			touches := false
-			for f := tu.fresh; f != nil && !touches; f = f.next {
-				touches = f.r != f.r2 && (tu.st.Has(f.key, f.r) || !tu.st.Has(f.key, f.r2))
+			for pos := tu.fresh; pos != 0 && !touches; {
+				f, r2 := e.up(pos), e.newResult(pos)
+				key := e.key(f)
+				touches = f.r != r2 && (tu.st.Has(key, f.r) || !tu.st.Has(key, r2))
+				pos = f.next
 			}
 			if !touches {
 				return false
@@ -1061,21 +1177,24 @@ func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 			e.own(tu, 0) // a modify puts in what it takes out
 		}
 		gone := e.gone[:0]
-		for f := tu.fresh; f != nil; f = f.next {
-			if e.base.RemoveFrom(w, tu.st, f.key, f.r) {
-				gone = append(gone, keyResult{f.key, f.r})
+		for f := e.up(tu.fresh); f != nil; f = e.up(f.next) {
+			if key := e.key(f); e.base.RemoveFrom(w, tu.st, key, f.r) {
+				gone = append(gone, keyResult{key, f.r})
 			}
 		}
 		lost := len(gone)
-		for f := tu.first; f != nil; f = f.next {
-			if !e.base.AddTo(w, tu.st, f.key, f.r2) {
+		for pos := tu.first; pos != 0; {
+			f, r2 := e.up(pos), e.newResult(pos)
+			pos = f.next
+			key := e.key(f)
+			if !e.base.AddTo(w, tu.st, key, r2) {
 				continue
 			}
-			if slices.Contains(gone, keyResult{f.key, f.r2}) {
+			if slices.Contains(gone, keyResult{key, r2}) {
 				lost-- // was there before the iteration: not new
 			} else {
 				changed = true
-				d.add(f.key, f.r2)
+				d.add(key, r2)
 			}
 		}
 		changed = changed || lost > 0

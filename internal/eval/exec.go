@@ -28,10 +28,13 @@ type keyResult struct {
 
 // executor evaluates compiled rules against a base. Candidate buffers are
 // arena free-lists working as stacks across the nested step enumerations:
-// an enumeration pops a buffer, recurses, and pushes it back when done
-// (scans must collect before recursing: the objectbase iterators cannot
-// early-exit or propagate errors). Index probes skip collection entirely —
-// they iterate the shared index slice, which is immutable after build.
+// an enumeration pops a buffer, recurses, and pushes it back when done.
+// The objectbase iterators cannot early-exit or propagate errors; the
+// enumerations that collect do so to stop at the first one. Two kinds skip
+// collection entirely: index probes iterate the shared index slice, which
+// is immutable after build, and the (path, method) scan of a version
+// pattern — the one whose candidates number with the base — matches inside
+// the walk and latches the first error (execScan).
 type executor struct {
 	base *objectbase.Base
 	// p0 is base's parent, the frozen input of the run. During a fixpoint,
@@ -137,6 +140,10 @@ func (x *executor) getFrame(n int) []term.OID {
 
 func (x *executor) putFrame(fr []term.OID) { x.frames = append(x.frames, fr) }
 
+// getVIDs pops a candidate buffer for the enumerations that still collect:
+// any(...) patterns and the del[...] / mod[...] body terms with an unbound
+// base. A buffer is new with every run (the executor is), which is why the
+// accessScan arm of execScan does without one.
 func (x *executor) getVIDs() []term.GVID {
 	if n := len(x.vids); n > 0 {
 		buf := x.vids[n-1]
@@ -293,26 +300,17 @@ func (x *executor) execScan(st *cstep, fr []term.OID, delta *bucket, k func() er
 		return nil
 
 	default: // accessScan
-		cands := x.getVIDs()
-		if x.p0.Parent() == nil {
-			// Over a root the number of candidates is two map lengths (the
-			// root's set and the overlay's own), so the buffer — new with
-			// every run — is reserved in one step instead of doubling up to
-			// it. A layer Derive built would have to be walked to be counted.
-			cands = slices.Grow(cands, x.base.CountVIDsWith(st.path, st.method))
-		}
-		x.base.ForEachVIDWith(st.path, st.method, func(g term.GVID) { cands = append(cands, g) })
-		for _, g := range cands {
-			if !st.base.match(fr, g.Object) {
-				continue
+		// No candidate buffer: matching only reads the base (step 1 logs its
+		// updates and a query changes nothing), so each candidate is matched
+		// as the walk hands it out. The walk cannot stop early; the first
+		// error latches and the remaining callbacks return at once.
+		var err error
+		x.base.ForEachVIDWith(st.path, st.method, func(g term.GVID) {
+			if err == nil && st.base.match(fr, g.Object) {
+				err = x.matchApp(st, fr, g, k)
 			}
-			if err := x.matchApp(st, fr, g, k); err != nil {
-				x.putVIDs(cands)
-				return err
-			}
-		}
-		x.putVIDs(cands)
-		return nil
+		})
+		return err
 	}
 }
 

@@ -106,7 +106,10 @@ func checkQueries(ob *objectbase.Base, res *Result, body []term.Literal) error {
 // for index probes and joins to take different code paths in the compiled
 // executor. The chain of command is two deep (e1 -> m1 -> m2), without and
 // with an argument (boss, dist@), so that a closure over either starts from
-// versions that inherit facts of the method it recurses through.
+// versions that inherit facts of the method it recurses through. The hub h
+// carries 18 applications of three methods, more than the dedupSpill = 16 a
+// target's update list deduplicates by scanning: a del[h].* fires past it in
+// one head instantiation, and a modify per slot and new result does.
 const fuzzBase = `
 emp.isa -> class.
 mgr.isa -> class.
@@ -117,6 +120,8 @@ m1.isa -> mgr.   m1.sal -> 5000.  m1.dept -> d1.  m1.boss -> m2.  m1.dist@m2 -> 
 m2.isa -> mgr.   m2.sal -> 6000.  m2.dept -> d2.
 d1.isa -> dept.  d1.loc -> north.
 d2.isa -> dept.  d2.loc -> south.
+h.isa -> hub.    h.tag -> t1 / tag -> t2 / tag -> t3 / tag -> t4 / tag -> t5 / tag -> t6 / tag -> t7 / tag -> t8.
+h.slot@1 -> a / slot@2 -> a / slot@3 -> a / slot@4 -> a / slot@5 -> a / slot@6 -> a / slot@7 -> a / slot@8 -> a / slot@9 -> a.
 `
 
 // fuzzSeeds is the fuzzer's seed corpus (programs over fuzzBase).
@@ -136,6 +141,16 @@ var fuzzSeeds = []string{
 	`b: ins[X].boss -> Y <- X.boss -> Y. c: ins[X].boss -> Z <- ins(X).boss -> Y, Y.boss -> Z.`,
 	`s: ins[X].dist@Y -> D <- X.dist@Y -> D. t: ins[X].dist@Z -> D2 <- ins(X).dist@Y -> D, Y.dist@Z -> D1, D2 = D + D1.`,
 	`u: ins[X].via@m1 -> Y <- X.boss -> Y. v: ins[X].via@Y -> Z <- ins(X).via@m1 -> Y, Y.boss -> Z.`,
+	// The two arms of the update log that only a long list reaches. 18 and
+	// then 27 modifies on mod(h), over two iterations: per slot, one per
+	// location (same method, arguments and old result; the new result alone
+	// tells them apart, in the list and past the spill) and, once ins(d1)
+	// exists, one more that n derives and o derives again.
+	`m: mod[h].slot@K -> (a, T) <- h.slot@K -> a, D.loc -> T. i: ins[d1].on -> yes <- d1.isa -> dept. n: mod[h].slot@K -> (a, b) <- ins(d1).on -> yes, h.slot@K -> a. o: mod[h].slot@1 -> (a, b) <- ins(d1).on -> yes.`,
+	// del[X].* takes the methods of its 18 deletes from the facts of h,
+	// beside heads that name methods of their own; a derives the set again
+	// an iteration later.
+	`s: ins[Y].seen -> X <- Y.dept -> X. w: del[X].* <- X.isa -> hub. t: ins[d2].on -> yes <- d2.isa -> dept. a: del[X].* <- ins(d2).on -> yes, X.isa -> hub.`,
 }
 
 // oneSidedFault is a seed the evaluators may differ on (orderDecides): Y + 1

@@ -84,6 +84,7 @@ func sameAsSpec(ob *objectbase.Base, p *term.Program, opts Options) (*Result, er
 		return res, err, m
 	}
 	return res, nil, errors.Join(
+		traceIsASet(res),
 		obtest.DiffSets("result(P) and the spec's", obtest.FactSet(res.Result), want.Result),
 		obtest.DiffSets("ob' and the spec's", obtest.FactSet(res.Final), want.Final),
 		obtest.DiffSets("the fired updates and the spec's", firedSet(res), want.Fired))
@@ -97,6 +98,28 @@ func runsLikeSpec(ob *objectbase.Base, p *term.Program, opts Options) (res *Resu
 		return nil, err
 	}
 	return res, nil
+}
+
+// traceIsASet checks what the comparison of fired sets cannot see: within a
+// stratum the engine logs an update once, however many rules and iterations
+// derive it, and Fired counts the log.
+func traceIsASet(res *Result) error {
+	type logged struct {
+		stratum int
+		u       Update
+	}
+	seen := map[logged]bool{}
+	for _, ev := range res.Trace {
+		if k := (logged{ev.Stratum, ev.Update}); seen[k] {
+			return fmt.Errorf("stratum %d logs %s twice", ev.Stratum+1, ev.Update)
+		} else {
+			seen[k] = true
+		}
+	}
+	if res.Fired != len(res.Trace) {
+		return fmt.Errorf("fired %d, traced %d", res.Fired, len(res.Trace))
+	}
+	return nil
 }
 
 // firedSet reads the set of fired updates off a traced run.

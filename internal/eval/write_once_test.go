@@ -1,10 +1,12 @@
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -161,22 +163,166 @@ func TestAppearingVersionsAreTheirOwnDelta(t *testing.T) {
 
 // TestFixpointRecordSizes pins the sizes of what an evaluation keeps per
 // fired update, per delta entry, per target and per touched object (DESIGN.md
-// §4 quotes them).
+// §4 quotes them). targetUpdates is 96 only with its int32s and bools laid
+// out together after the pointers: every narrow field that sits between two
+// pointers pads to a word, and putting the three positions where the three
+// pointers were gives 104.
 func TestFixpointRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"firedUpdate", unsafe.Sizeof(firedUpdate{}), 88},
-		{"spillKey", unsafe.Sizeof(spillKey{}), 80},
+		{"firedUpdate", unsafe.Sizeof(firedUpdate{}), 48},
+		{"spillKey", unsafe.Sizeof(spillKey{}), 72},
 		{"deltaFact", unsafe.Sizeof(deltaFact{}), 56},
 		{"wholeVersion", unsafe.Sizeof(wholeVersion{}), 32},
 		{"touched", unsafe.Sizeof(touched{}), 24},
-		{"targetUpdates", unsafe.Sizeof(targetUpdates{}), 112},
+		{"targetUpdates", unsafe.Sizeof(targetUpdates{}), 96},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
 		}
+	}
+	// The lists through the log link positions: nothing in a record points
+	// at another.
+	ft := reflect.TypeOf(firedUpdate{})
+	for i := 0; i < ft.NumField(); i++ {
+		if k := ft.Field(i).Type.Kind(); k == reflect.Pointer || k == reflect.UnsafePointer {
+			t.Errorf("firedUpdate.%s is a pointer", ft.Field(i).Name)
+		}
+	}
+}
+
+// slabAddresses checks that at(i) is the pointer next handed out as its
+// (i+1)-th, for every i up to n, and that the slab's geometry is the one at
+// counts on: chunks of 2, 4, …, 256 and then 512.
+func slabAddresses[T any](t *testing.T, n int) {
+	t.Helper()
+	var s slab[T]
+	handed := make([]*T, 0, n)
+	for i := 0; i < n; i++ {
+		handed = append(handed, s.next())
+		if s.n != i+1 {
+			t.Fatalf("after %d values the slab counts %d", i+1, s.n)
+		}
+		// Checked as the slab grows, not only at the end: a position must be
+		// good from the moment it is handed out.
+		if got := s.at(i); got != handed[i] {
+			t.Fatalf("at(%d) = %p right after next() = %p", i, got, handed[i])
+		}
+	}
+	for i, want := range handed {
+		if got := s.at(i); got != want {
+			t.Fatalf("at(%d) = %p, next() handed out %p", i, got, want)
+		}
+	}
+	for k, c := range s.chunks {
+		if want := min(2<<k, slabChunk); cap(c) != want {
+			t.Fatalf("chunk %d holds %d, want %d", k, cap(c), want)
+		}
+	}
+	if len(s.chunks) < slabSmall+3 {
+		t.Fatalf("%d values filled %d chunks, want the doubling head and three of %d", n, len(s.chunks), slabChunk)
+	}
+}
+
+// TestSlabAtFindsWhatNextHandedOut covers the 2 → 512 doubling and three
+// full-size chunks, for the two records that are addressed by position or
+// could be.
+func TestSlabAtFindsWhatNextHandedOut(t *testing.T) {
+	if slabHead != 2<<slabSmall-2 || slabChunk != 2<<slabSmall {
+		t.Fatalf("slab constants disagree: head %d, small %d, chunk %d", slabHead, slabSmall, slabChunk)
+	}
+	t.Run("firedUpdate", func(t *testing.T) { slabAddresses[firedUpdate](t, slabHead+3*slabChunk+7) })
+	t.Run("targetUpdates", func(t *testing.T) { slabAddresses[targetUpdates](t, slabHead+3*slabChunk+7) })
+	// A slab still starts at two entries: a run that fires one update pays
+	// for two slots.
+	var s slab[firedUpdate]
+	s.next()
+	if len(s.chunks) != 1 || cap(s.chunks[0]) != 2 {
+		t.Fatalf("the first chunk holds %d", cap(s.chunks[0]))
+	}
+}
+
+// longestList returns the most updates a run logged on one target of the
+// given kind within one stratum.
+func longestList(res *Result, kind term.UpdateKind) int {
+	type target struct {
+		stratum int
+		w       term.GVID
+	}
+	n, longest := map[target]int{}, 0
+	for _, ev := range res.Trace {
+		if ev.Update.Kind == kind {
+			k := target{ev.Stratum, ev.Update.Target()}
+			n[k]++
+			longest = max(longest, n[k])
+		}
+	}
+	return longest
+}
+
+// TestLongListsAreReached keeps the inputs that are there for the two arms
+// of the update log only a list past dedupSpill reaches — a modify's new
+// result in the slot after its entry, method numbers taken from the facts a
+// del[v].* deletes — long enough to reach them: the two golden cases and the
+// two fuzz seeds, which is where `make fuzz` and CI start from.
+func TestLongListsAreReached(t *testing.T) {
+	modBase, modProg := goldenCase(t, "36-modifies-past-the-spill.txt")
+	delBase, delProg := goldenCase(t, "37-delete-all-past-the-spill.txt")
+	n := len(fuzzSeeds)
+	for _, c := range []struct {
+		name, base, prog string
+		kind             term.UpdateKind
+		iterations       int // the least the longest stratum takes
+	}{
+		{"golden 36", modBase, modProg, term.Mod, 3},
+		{"golden 37", delBase, delProg, term.Del, 2},
+		{"fuzz seed, modifies", fuzzBase, fuzzSeeds[n-2], term.Mod, 3},
+		{"fuzz seed, delete-all", fuzzBase, fuzzSeeds[n-1], term.Del, 2},
+	} {
+		res, err := runsLikeSpec(mustBase(t, c.base), mustProgram(t, c.prog), Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := longestList(res, c.kind); got <= dedupSpill {
+			t.Errorf("%s: the longest %s list holds %d updates, want more than dedupSpill = %d", c.name, c.kind, got, dedupSpill)
+		}
+		if got := slices.Max(res.Iterations); got < c.iterations {
+			t.Errorf("%s: %v iterations, want a stratum of at least %d: the list has to be met again after it was built", c.name, res.Iterations, c.iterations)
+		}
+	}
+}
+
+// TestNewObjectErrorNamesSmallestUpdate runs golden case 38 the way the
+// corpus cannot: with new objects forbidden. The error names the smallest of
+// the updates fired on the unknown object — found by walking the target's
+// list and rebuilding each update, method name included — not the first one
+// fired, and the same one on every run.
+func TestNewObjectErrorNamesSmallestUpdate(t *testing.T) {
+	base, prog := goldenCase(t, "38-inserts-on-an-unknown-object.txt")
+	ob, p := mustBase(t, base), mustProgram(t, prog)
+	want := Update{Kind: term.Ins, V: term.GVID{Object: term.Sym("log")}, Key: term.MethodKey{Method: "about"}, R: term.Sym("nodes")}
+	for i := 0; i < 5; i++ {
+		_, err := Run(ob, p, Options{ForbidNewObjects: true})
+		var ne *NewObjectError
+		if !errors.As(err, &ne) {
+			t.Fatalf("err = %v, want a NewObjectError", err)
+		}
+		if ne.Update != want {
+			t.Fatalf("the error names %s, want the smallest update %s", ne.Update, want)
+		}
+	}
+	// With the arguments deciding: without r2 and r3 the smallest is
+	// seen@n1 -> 0, which r4 fires last.
+	p.Rules = []term.Rule{p.Rules[0], p.Rules[3]}
+	_, err := Run(ob, p, Options{ForbidNewObjects: true})
+	var ne *NewObjectError
+	if !errors.As(err, &ne) {
+		t.Fatalf("err = %v, want a NewObjectError", err)
+	}
+	if got, want := ne.Update.String(), "ins[log].seen@n1 -> 0"; got != want {
+		t.Fatalf("the error names %s, want %s", got, want)
 	}
 }
 
@@ -220,6 +366,16 @@ func goldenSection(src, name string) string {
 	}
 	body, _, _ := strings.Cut(rest, "\n-- ")
 	return body
+}
+
+// goldenCase reads the base and the program of a case of the golden corpus.
+func goldenCase(t *testing.T, name string) (base, prog string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("../../testdata/golden", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return goldenSection(string(raw), "base"), goldenSection(string(raw), "program")
 }
 
 // renderRun flattens everything observable about a result.

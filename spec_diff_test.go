@@ -66,12 +66,21 @@ func applyLikeSpec(ob *objectbase.Base, p *term.Program) (*verlog.Result, error)
 	if err != nil {
 		return nil, nil
 	}
-	fired := map[spec.Update]bool{}
+	// The trace is the engine's log of fired updates: within a stratum it
+	// holds an update once, however many rules and iterations derive it — a
+	// repeat the comparison of sets below would not see.
+	fired, logged := map[spec.Update]bool{}, map[eval.TraceEvent]bool{}
+	var repeat error
 	for _, ev := range res.Trace {
 		u := ev.Update
 		fired[spec.Update{Kind: u.Kind, V: u.V, Method: u.Key.Method, Args: u.Key.Args, R: u.R, R2: u.R2}] = true
+		once := eval.TraceEvent{Stratum: ev.Stratum, Update: u}
+		if logged[once] {
+			repeat = fmt.Errorf("stratum %d logs %s twice", ev.Stratum+1, u)
+		}
+		logged[once] = true
 	}
-	return res, errors.Join(
+	return res, errors.Join(repeat,
 		obtest.DiffSets("result(P) and the spec's", obtest.FactSet(res.Result), want.Result),
 		obtest.DiffSets("ob' and the spec's", obtest.FactSet(res.Final), want.Final),
 		obtest.DiffSets("the fired updates and the spec's", fired, want.Fired))
