@@ -96,10 +96,13 @@ bench:
 	# Refine the headline benches with a steady-state pass: the 1x sweep
 	# measures cold single shots (index builds, first-touch page faults);
 	# the interpreter-gap trajectory wants warm numbers, and so does E25
-	# (queries against a warm head; its build rows are the cold ones). The
-	# converter keeps the last result per name, so these overwrite the
-	# smoke rows.
-	$(GO) test -bench 'E1SalaryRaise|E2Enterprise|E11VsDirect|E25QueryScaling' -benchmem -benchtime 5x -run '^$$' . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	# (queries against a warm head; its build rows are the cold ones), and so
+	# do the fixpoint-bound ones (E4, E5, E24): a single shot buys the
+	# evaluation's working memory, which every apply but the first after a
+	# collection finds parked — of the five counted here one buys it, as the
+	# runner collects before it counts. The converter keeps the last result
+	# per name, so these overwrite the smoke rows.
+	$(GO) test -bench 'E1SalaryRaise|E2Enterprise|E4Ancestors|E5VersionChains|E11VsDirect|E24ClosedClosure|E25QueryScaling' -benchmem -benchtime 5x -run '^$$' . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	$(GO) run ./cmd/verlog-bench -gobench-json bench.out > BENCH_10.json
 	@rm -f bench.out
 	$(GO) run ./cmd/verlog-bench -run E19 -table-json BENCH_7.json

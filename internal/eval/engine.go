@@ -8,7 +8,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
+	"weak"
 
 	"verlog/internal/objectbase"
 	"verlog/internal/obs"
@@ -198,21 +200,14 @@ const defaultMaxIterations = 1_000_000
 // stratumRun.collect).
 const dedupSpill = 16
 
-// engine carries the mutable evaluation state.
+// engine carries the mutable evaluation state: what the run keeps (the
+// overlay base, the per-rule accumulators) as its own fields, and the working
+// memory no field of Result refers to in its scratch.
 type engine struct {
-	base *objectbase.Base
-	opts Options
-	// objs is the one table of the objects the run touches: those the input
-	// base lists as unsettled, and every object some fired update targets.
-	// An object's record carries the path of its deepest version and the
-	// updates fired on its versions (see touched); an object without an
-	// entry is its own deepest version and has no updates. The final copy
-	// visits exactly these entries. The records come from touchedRecs and
-	// never move; the table is not sized from the base, so an apply pays for
-	// what it touches.
-	objs        map[term.OID]*touched
-	touchedRecs slab[touched]
-	fired       int
+	*scratch
+	base  *objectbase.Base
+	opts  Options
+	fired int
 	// labels[ri] is rule ri's display label; agg[ri] its running stats.
 	labels []string
 	agg    []ruleAgg
@@ -224,6 +219,29 @@ type engine struct {
 	// overlay's own layer; reads of them can go straight to the parent and
 	// skip the guaranteed own-layer miss.
 	p0 *objectbase.Base
+}
+
+// scratch is an evaluation's working memory: everything a run writes that is
+// garbage the moment it returns. It outlives the run instead — Run takes the
+// parked one (takeScratch), gives it back emptied (park), and the next run
+// writes over the same storage. A run that finds none parked starts from the
+// zero scratch, which is ready to use: there is one code path, and how old
+// the storage is shows nowhere but in the allocation count.
+//
+// Nothing a run returns may point into it: Result.Trace holds copies of the
+// updates (buildTrace), the errors carry values, result(P) is the overlay
+// base, which is the run's own, and Changes is finalize's own slice.
+type scratch struct {
+	// objs is the one table of the objects the run touches: those the input
+	// base lists as unsettled, and every object some fired update targets.
+	// An object's record carries the path of its deepest version and the
+	// updates fired on its versions (see touched); an object without an
+	// entry is its own deepest version and has no updates. The final copy
+	// visits exactly these entries. The records come from touchedRecs and
+	// never move; the table is not sized from the base, so an apply pays for
+	// what it touches.
+	objs        map[term.OID]*touched
+	touchedRecs slab[touched]
 	// ups holds every fired update of the run, written once, in firing
 	// order; targets every (stratum, target version) they were fired on, each
 	// heading the list of its updates. Result.Trace is assembled from targets
@@ -240,6 +258,113 @@ type engine struct {
 	// this one.
 	methods []string
 	gone    []keyResult // extend's scratch
+	// spill is the membership table of the update lists past dedupSpill (see
+	// collect). Its keys name their target, a record of one stratum, so the
+	// strata of a run share it without meeting each other's entries.
+	spill map[spillKey]struct{}
+	// dirty lists the targets that received updates in the current
+	// iteration; tasks and stats are its step-1 work and what that cost. One
+	// stratum runs at a time, so one of each serves them all.
+	dirty []*targetUpdates
+	tasks []fireTask
+	stats []fireStat
+	// buckets is the storage of the delta buckets: a stratum takes as many
+	// as it has delta keys, from the front (see bucket), and bucketsUsed is
+	// the most one stratum of the run took.
+	buckets     []*bucket
+	bucketsUsed int
+	// objsMost and spillMost are the most entries the two maps have held
+	// since they were made (see emptied).
+	objsMost, spillMost int
+}
+
+// parked is the one process-wide slot a finished run leaves its scratch in
+// for the next, behind a weak pointer: the collector may take a parked
+// scratch at any cycle, so an idle process retains nothing, every repository
+// of a process shares the one, and the heap goal never counts it — and
+// between two collections every run reuses it. (A sync.Pool would keep one
+// per P strongly reachable across a cycle: every mark counts it live and the
+// pacer doubles it. DESIGN.md §4 has the numbers.) The mutex is a leaf: it
+// is held for two assignments and no call is made under it.
+var parked struct {
+	mu sync.Mutex
+	p  weak.Pointer[scratch]
+}
+
+// takeScratch empties the slot and returns what it held, or a new scratch
+// when it held nothing (no run has parked one, a run beside this one has
+// taken it, or the collector has). The run owns what it gets: runs beside
+// each other never share one.
+func takeScratch() *scratch {
+	parked.mu.Lock()
+	sc := parked.p.Value()
+	parked.p = weak.Pointer[scratch]{}
+	parked.mu.Unlock()
+	if sc == nil {
+		sc = new(scratch)
+	}
+	return sc
+}
+
+// park empties the scratch and leaves it in the slot, in place of whatever
+// a run beside this one has left there.
+func (sc *scratch) park() {
+	sc.empty()
+	p := weak.Make(sc)
+	parked.mu.Lock()
+	parked.p = p
+	parked.mu.Unlock()
+}
+
+// empty makes the scratch what the next run expects — every value a slab
+// hands out zero, every map and slice empty — and leaves nothing of the
+// finished run reachable through it: the states its targets held, the
+// interned terms of its log, the strings of its program. Slices are cleared
+// up to their capacity, not their length: applyTargets truncates dirty
+// without clearing it, and a stale *targetUpdates in the backing array would
+// pin a state for as long as the scratch is parked.
+//
+// What stays allocated follows this run, not the largest the process has
+// seen: a slab keeps the chunks the run reached (slab.reset), a map that
+// the run filled to less than an eighth of the most it has held is dropped
+// (emptied), and so are the buckets no stratum took.
+func (sc *scratch) empty() {
+	sc.ups.reset()
+	sc.targets.reset()
+	sc.touchedRecs.reset()
+	sc.objs = emptied(sc.objs, &sc.objsMost)
+	sc.spill = emptied(sc.spill, &sc.spillMost)
+	sc.methods = zeroed(sc.methods)
+	sc.gone = zeroed(sc.gone)
+	sc.dirty = zeroed(sc.dirty)
+	sc.tasks = zeroed(sc.tasks)
+	sc.stats = zeroed(sc.stats)
+	clear(sc.buckets[sc.bucketsUsed:])
+	sc.buckets, sc.bucketsUsed = sc.buckets[:sc.bucketsUsed], 0
+	for _, b := range sc.buckets {
+		*b = bucket{facts: zeroed(b.facts), whole: zeroed(b.whole)}
+	}
+}
+
+// zeroed returns s with no elements and nothing left in its backing array.
+func zeroed[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// emptied returns m without its entries, or nil — the next run makes a new
+// one — when the run filled it to less than an eighth of *most, the most it
+// has held: a Go map does not shrink, and clearing one costs what it once
+// held, not what the run put in.
+func emptied[K comparable, V any](m map[K]V, most *int) map[K]V {
+	n := len(m)
+	if 8*n < *most {
+		*most = 0
+		return nil
+	}
+	*most = max(*most, n)
+	clear(m)
+	return m
 }
 
 // methodNumber returns the run's number for the named method, or -1 when no
@@ -295,10 +420,13 @@ func (e *engine) readBase(g term.GVID) *objectbase.Base {
 // ten thousand makes two dozen allocations and leaves at most 511 unused,
 // and nothing is reserved on an estimate. The geometry is fixed, so the i-th
 // value handed out is found again from i alone (at): a list through a slab
-// links 4-byte positions instead of pointers.
+// links 4-byte positions instead of pointers. A slab that has been reset
+// hands out the same values again, from the chunks it has before it buys
+// another.
 type slab[T any] struct {
-	chunks [][]T
-	n      int // values handed out
+	chunks [][]T // each as long as what it has handed out
+	cur    int   // the chunk being filled: those before it are full
+	n      int   // values handed out
 }
 
 // The first slabSmall chunks hold 2, 4, …, slabChunk/2 entries — slabHead
@@ -311,19 +439,36 @@ const (
 )
 
 func (s *slab[T]) next() *T {
-	n := len(s.chunks)
-	if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
-		size := 2
-		if n > 0 {
-			size = min(2*cap(s.chunks[n-1]), slabChunk)
+	if s.cur == len(s.chunks) {
+		size := slabChunk
+		if s.cur < slabSmall {
+			size = 2 << s.cur
 		}
 		s.chunks = append(s.chunks, make([]T, 0, size))
-		n++
 	}
-	c := &s.chunks[n-1]
+	c := &s.chunks[s.cur]
 	*c = (*c)[:len(*c)+1]
+	if len(*c) == cap(*c) {
+		s.cur++
+	}
 	s.n++
 	return &(*c)[len(*c)-1]
+}
+
+// reset takes back everything handed out, zeroed, and lets go of the chunks
+// that were not reached since the last reset: what the slab keeps is what
+// its last use needed.
+func (s *slab[T]) reset() {
+	reached := s.cur
+	if reached < len(s.chunks) && len(s.chunks[reached]) > 0 {
+		reached++
+	}
+	for i, c := range s.chunks[:reached] {
+		clear(c)
+		s.chunks[i] = c[:0]
+	}
+	clear(s.chunks[reached:])
+	s.chunks, s.cur, s.n = s.chunks[:reached], 0, 0
 }
 
 // at returns the value next handed out as its (i+1)-th. Chunk k of the
@@ -467,15 +612,30 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 		}
 		planAttr = "compiled"
 	}
-	e := newEngine(ob, p, compiled, opts)
 	sp.SetAttr("plan", planAttr)
-	if err := e.seedDeepest(); err != nil {
+	res := &Result{Assignment: assignment, Plan: planAttr, Plans: compiled}
+	res.Stats.Stratify = stratifyDur
+	// The evaluation writes into the scratch the last one parked and parks it
+	// again once nothing reads it any more — after buildTrace and ruleStats,
+	// on a refusal as on a result. A panic passes the park by: a scratch
+	// abandoned half-way is in no state to hand on, and the collector has it.
+	e := newEngine(ob, p, compiled, opts, takeScratch())
+	err = e.evaluate(res, evalStart)
+	e.park()
+	if err != nil {
 		return nil, err
 	}
+	return res, nil
+}
 
-	res := &Result{Assignment: assignment, Plan: planAttr, Plans: e.compiled}
-	res.Stats.Stratify = stratifyDur
-	for si, stratum := range assignment.Strata {
+// evaluate runs the strata of res.Assignment in order and the copy phase
+// after them, and fills in res.
+func (e *engine) evaluate(res *Result, evalStart time.Time) error {
+	sp := e.opts.Span
+	if err := e.seedDeepest(); err != nil {
+		return err
+	}
+	for si, stratum := range res.Assignment.Strata {
 		stratumStart := time.Now()
 		var stratumSpan *obs.Span
 		if sp != nil {
@@ -486,7 +646,7 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 		stratumSpan.SetInt("iterations", int64(iters))
 		stratumSpan.End()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res.Iterations = append(res.Iterations, iters)
 		res.Stats.Strata = append(res.Stats.Strata, StratumTiming{
@@ -507,12 +667,14 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	res.Fired = e.fired
 	res.RuleStats = e.ruleStats()
 	res.Trace = e.buildTrace()
-	return res, nil
+	return nil
 }
 
-// newEngine sets up the evaluation of p, compiled, over the frozen base ob.
-func newEngine(ob *objectbase.Base, p *term.Program, compiled *CompiledProgram, opts Options) *engine {
+// newEngine sets up the evaluation of p, compiled, over the frozen base ob,
+// with sc, empty, as its working memory.
+func newEngine(ob *objectbase.Base, p *term.Program, compiled *CompiledProgram, opts Options, sc *scratch) *engine {
 	e := &engine{
+		scratch:  sc,
 		base:     objectbase.Overlay(ob),
 		p0:       ob,
 		opts:     opts,
@@ -641,7 +803,9 @@ type wholeVersion struct {
 // applyTargets resets every bucket, dropping the state pointers, before it
 // edits anything. The storage is reused from iteration to iteration; room
 // and wholeRoom are the lengths the coming fill will reach, counted before
-// anything is edited (see reserve).
+// anything is edited (see reserve). The storage is the scratch's: a stratum
+// takes its buckets from scratch.buckets and the next one, of this run or a
+// later one, fills the same slices.
 type bucket struct {
 	method    string
 	facts     []deltaFact
@@ -659,6 +823,19 @@ func (b *bucket) reset() {
 	b.facts, b.whole, b.room, b.wholeRoom = b.facts[:0], b.whole[:0], 0, 0
 }
 
+// bucket returns the i-th delta bucket of the stratum that asks, empty and
+// filed under method.
+func (sc *scratch) bucket(i int, method string) *bucket {
+	if i == len(sc.buckets) {
+		sc.buckets = append(sc.buckets, new(bucket))
+	}
+	sc.bucketsUsed = max(sc.bucketsUsed, i+1)
+	b := sc.buckets[i]
+	b.reset()
+	b.method = method
+	return b
+}
+
 // spillKey identifies a fired update within a stratum: its target and what
 // it does there, the method by its number (72 bytes).
 type spillKey struct {
@@ -674,11 +851,7 @@ type stratumRun struct {
 	si, iter int
 	rules    []int
 	span     *obs.Span // nil unless tracing
-	// tasks and stats are the step-1 work of the current iteration and what
-	// it cost, reused from one to the next; added counts the facts the
-	// previous iteration added.
-	tasks []fireTask
-	stats []fireStat
+	// added counts the facts the previous iteration added.
 	added int
 	// The updates fired so far (T¹ accumulated; within a stratum it only
 	// grows, see DESIGN.md on intra-stratum monotonicity) are grouped per
@@ -689,12 +862,11 @@ type stratumRun struct {
 	// accumulator targets (recursive closures collecting thousands of inserts
 	// on one version) keep O(1) membership checks without hashing every
 	// emitted update — the key is large and hash-dominated — on the common
-	// path.
-	spill map[spillKey]struct{}
-	// dirty lists the targets that received updates this iteration; only
-	// they change — everything else a state depends on (its source, its own
+	// path. (The map is the scratch's spill.)
+	//
+	// Only the targets that received updates this iteration (the scratch's
+	// dirty) change — everything else a state depends on (its source, its own
 	// update list) is fixed within the stratum. fresh counts the updates.
-	dirty []*targetUpdates
 	fresh int
 	// freshByRule feeds the per-rule iteration spans; nil unless tracing so
 	// the hot path stays map-free.
@@ -741,8 +913,8 @@ func (s *stratumRun) collect(ri int, u Update) {
 			pos = f.next
 		}
 		if tu.n == dedupSpill {
-			if s.spill == nil {
-				s.spill = make(map[spillKey]struct{}, 4*dedupSpill)
+			if e.spill == nil {
+				e.spill = make(map[spillKey]struct{}, 4*dedupSpill)
 			}
 			for pos := tu.first; pos != 0; {
 				f := e.up(pos)
@@ -750,17 +922,17 @@ func (s *stratumRun) collect(ri int, u Update) {
 				if mod {
 					k.r2 = e.newResult(pos)
 				}
-				s.spill[k] = struct{}{}
+				e.spill[k] = struct{}{}
 				pos = f.next
 			}
-			s.spill[spillKey{tu, u.R, u.R2, u.Key.Args, m}] = struct{}{}
+			e.spill[spillKey{tu, u.R, u.R2, u.Key.Args, m}] = struct{}{}
 		}
 	} else {
 		k := spillKey{tu, u.R, u.R2, u.Key.Args, m}
-		if _, known := s.spill[k]; known {
+		if _, known := e.spill[k]; known {
 			return
 		}
-		s.spill[k] = struct{}{}
+		e.spill[k] = struct{}{}
 	}
 	*e.ups.next() = firedUpdate{r: u.R, args: u.Key.Args, method: m, rule: int32(ri), iter: int32(s.iter)}
 	pos := int32(e.ups.n)
@@ -776,7 +948,7 @@ func (s *stratumRun) collect(ri int, u Update) {
 	tu.n++
 	if tu.fresh == 0 {
 		tu.fresh = pos
-		s.dirty = append(s.dirty, tu)
+		e.dirty = append(e.dirty, tu)
 	}
 	s.fresh++
 	e.fired++
@@ -806,7 +978,7 @@ func (e *engine) newStratumRun(si int, ruleIdx []int, stratumSpan *obs.Span) *st
 				s.byPath = make(map[term.Path][]*bucket)
 			}
 			if s.buckets[key] == nil {
-				b := &bucket{method: key.Method}
+				b := e.bucket(len(s.buckets), key.Method)
 				s.buckets[key] = b
 				s.byPath[key.Path] = append(s.byPath[key.Path], b)
 			}
@@ -834,7 +1006,7 @@ func (s *stratumRun) iterate() (int, error) {
 	if iter > e.opts.MaxIterations {
 		return iter, &IterationLimitError{Stratum: s.si, Limit: e.opts.MaxIterations}
 	}
-	tasks, stats := s.tasks[:0], s.stats[:0]
+	tasks, stats := e.tasks[:0], e.stats[:0]
 	if iter == 1 {
 		for _, ri := range s.rules {
 			tasks = append(tasks, fireTask{ri: ri, pos: -1})
@@ -881,7 +1053,7 @@ func (s *stratumRun) iterate() (int, error) {
 			a.iterations++
 		}
 	}
-	s.tasks, s.stats = tasks, stats
+	e.tasks, e.stats = tasks, stats
 	if itSpan != nil {
 		e.addRuleSpans(itSpan, tasks, stats, s.freshByRule)
 		itSpan.SetInt("fresh_updates", int64(s.fresh))
@@ -890,7 +1062,7 @@ func (s *stratumRun) iterate() (int, error) {
 		itSpan.End()
 		return iter, nil
 	}
-	targets := len(s.dirty)
+	targets := len(e.dirty)
 	changed, added, err := s.applyTargets()
 	s.added = added
 	if itSpan != nil {
@@ -971,7 +1143,7 @@ func (d *deltaSink) add(k term.MethodKey, r term.OID) {
 // returns whether the base changed and how many facts were added; what was
 // added that some rule can be seeded from is left in the delta buckets.
 func (s *stratumRun) applyTargets() (changed bool, added int, err error) {
-	e, dirty := s.e, s.dirty
+	e, dirty := s.e, s.e.dirty
 	slices.SortFunc(dirty, func(a, b *targetUpdates) int { return a.w.Compare(b.w) })
 	for _, b := range s.buckets {
 		b.reset()
@@ -1009,7 +1181,7 @@ func (s *stratumRun) applyTargets() (changed bool, added int, err error) {
 		added += sink.n
 		tu.fresh = 0
 	}
-	s.dirty = dirty[:0]
+	e.dirty = dirty[:0]
 	return changed, added, nil
 }
 

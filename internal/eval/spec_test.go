@@ -68,6 +68,17 @@ func mismatch(err, werr error) error {
 // and the set of fired updates. The engine's result and error come back for
 // further checks.
 func sameAsSpec(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error, error) {
+	res, err, want, m := engineAndSpec(ob, p, opts)
+	if m != nil || err != nil {
+		return res, err, m
+	}
+	return res, nil, agreesWith(res, want)
+}
+
+// engineAndSpec runs p on ob with the engine, traced, and with the spec
+// evaluator, and returns what each made of it and, when they disagree on
+// whether or why to refuse, the mismatch.
+func engineAndSpec(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error, *spec.Outcome, error) {
 	opts.Trace = true
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = 200
@@ -80,10 +91,13 @@ func sameAsSpec(ob *objectbase.Base, p *term.Program, opts Options) (*Result, er
 		// when no rule can consume the last delta.
 		want, werr = spec.Run(in, p, opts.MaxIterations+1)
 	}
-	if m := mismatch(err, werr); m != nil || err != nil {
-		return res, err, m
-	}
-	return res, nil, errors.Join(
+	return res, err, want, mismatch(err, werr)
+}
+
+// agreesWith compares a traced result of the engine with the spec's outcome
+// on the same input: result(P), ob' and the set of fired updates.
+func agreesWith(res *Result, want *spec.Outcome) error {
+	return errors.Join(
 		traceIsASet(res),
 		obtest.DiffSets("result(P) and the spec's", obtest.FactSet(res.Result), want.Result),
 		obtest.DiffSets("ob' and the spec's", obtest.FactSet(res.Final), want.Final),

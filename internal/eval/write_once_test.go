@@ -71,7 +71,7 @@ func TestReapplyOnClosedHeadCopiesNothing(t *testing.T) {
 	if len(res.Changes) != 0 || res.Final != head {
 		t.Fatalf("%d changes, same head: %v; want none and the input head", len(res.Changes), res.Final == head)
 	}
-	e := &engine{p0: head, base: res.Result}
+	e := &engine{scratch: new(scratch), p0: head, base: res.Result}
 	for _, v := range res.Result.Versions() {
 		if v.IsObject() {
 			continue
@@ -109,7 +109,7 @@ func TestAppearingVersionsAreTheirOwnDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{MaxIterations: defaultMaxIterations}
-	e := newEngine(head, p, compiled, opts)
+	e := newEngine(head, p, compiled, opts, takeScratch())
 	rules := make([]int, len(p.Rules))
 	for i := range rules {
 		rules[i] = i // the ancestors program is one stratum
@@ -125,8 +125,10 @@ func TestAppearingVersionsAreTheirOwnDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 		for key, b := range s.buckets {
-			if len(b.facts) != 0 || cap(b.facts) != 0 {
-				t.Fatalf("iteration %d: bucket %v holds %d copied facts (room for %d), want none ever", s.iter, key, len(b.facts), cap(b.facts))
+			// The length, not the capacity: a bucket whose storage an earlier
+			// run filled has room, and "no fact was copied" is that none is in.
+			if len(b.facts) != 0 {
+				t.Fatalf("iteration %d: bucket %v holds %d copied facts, want none ever", s.iter, key, len(b.facts))
 			}
 			want := 0
 			if s.iter == 1 {
@@ -193,15 +195,22 @@ func TestFixpointRecordSizes(t *testing.T) {
 	}
 }
 
-// slabAddresses checks that at(i) is the pointer next handed out as its
-// (i+1)-th, for every i up to n, and that the slab's geometry is the one at
-// counts on: chunks of 2, 4, …, 256 and then 512.
-func slabAddresses[T any](t *testing.T, n int) {
+// fillSlab takes n values from the slab and checks, as it grows and again at
+// the end, that every one is zero when handed out, that at(i) is the pointer
+// next handed out as its (i+1)-th, and that the geometry is the one at counts
+// on: chunks of 2, 4, …, 256 and then 512. mark leaves something in every
+// value, so that a reset which forgets to clear shows on the next fill.
+func fillSlab[T comparable](t *testing.T, s *slab[T], n int, mark func(*T)) {
 	t.Helper()
-	var s slab[T]
+	var zero T
 	handed := make([]*T, 0, n)
 	for i := 0; i < n; i++ {
-		handed = append(handed, s.next())
+		v := s.next()
+		if *v != zero {
+			t.Fatalf("value %d was handed out holding %+v, want zero", i, *v)
+		}
+		mark(v)
+		handed = append(handed, v)
 		if s.n != i+1 {
 			t.Fatalf("after %d values the slab counts %d", i+1, s.n)
 		}
@@ -221,20 +230,69 @@ func slabAddresses[T any](t *testing.T, n int) {
 			t.Fatalf("chunk %d holds %d, want %d", k, cap(c), want)
 		}
 	}
-	if len(s.chunks) < slabSmall+3 {
-		t.Fatalf("%d values filled %d chunks, want the doubling head and three of %d", n, len(s.chunks), slabChunk)
+}
+
+// slabAddresses fills a slab past the doubling head and three full chunks,
+// then resets it and fills it again short of its old end and past it: a
+// slab that is used again must be indistinguishable, but for what it
+// allocates, from a new one.
+func slabAddresses[T comparable](t *testing.T, mark func(*T)) {
+	t.Helper()
+	const n = slabHead + 3*slabChunk + 7
+	var s slab[T]
+	fillSlab(t, &s, n, mark)
+	full := len(s.chunks)
+	if full != slabSmall+4 {
+		t.Fatalf("%d values filled %d chunks, want the doubling head, three of %d and one begun", n, full, slabChunk)
+	}
+	first := s.at(0)
+	for _, again := range []int{slabHead + slabChunk, 1, n + 2*slabChunk} {
+		s.reset()
+		if s.n != 0 || s.cur != 0 {
+			t.Fatalf("a reset slab counts %d values, fills chunk %d", s.n, s.cur)
+		}
+		fillSlab(t, &s, again, mark)
+		if s.at(0) != first {
+			t.Fatalf("refilled to %d: the first value moved", again)
+		}
+	}
+	// Short of the old end: the reset after lets the chunks not reached go.
+	s.reset()
+	fillSlab(t, &s, slabHead+1, mark)
+	s.reset()
+	if len(s.chunks) != slabSmall+1 || cap(s.chunks[0]) != 2 {
+		t.Fatalf("a slab that last handed out %d values keeps %d chunks, want %d", slabHead+1, len(s.chunks), slabSmall+1)
+	}
+	for _, c := range s.chunks[:cap(s.chunks)][len(s.chunks):] {
+		if c != nil {
+			t.Fatal("a chunk the slab let go is still in the backing array")
+		}
+	}
+	// An exactly full chunk is reached; the one after it is not.
+	fillSlab(t, &s, 2, mark)
+	s.reset()
+	if len(s.chunks) != 1 {
+		t.Fatalf("a slab that last handed out 2 values keeps %d chunks, want 1", len(s.chunks))
+	}
+	s.reset()
+	if len(s.chunks) != 0 {
+		t.Fatalf("a slab that handed out nothing keeps %d chunks", len(s.chunks))
 	}
 }
 
 // TestSlabAtFindsWhatNextHandedOut covers the 2 → 512 doubling and three
-// full-size chunks, for the two records that are addressed by position or
-// could be.
+// full-size chunks, new and reset, for the two records that are addressed by
+// position or could be.
 func TestSlabAtFindsWhatNextHandedOut(t *testing.T) {
 	if slabHead != 2<<slabSmall-2 || slabChunk != 2<<slabSmall {
 		t.Fatalf("slab constants disagree: head %d, small %d, chunk %d", slabHead, slabSmall, slabChunk)
 	}
-	t.Run("firedUpdate", func(t *testing.T) { slabAddresses[firedUpdate](t, slabHead+3*slabChunk+7) })
-	t.Run("targetUpdates", func(t *testing.T) { slabAddresses[targetUpdates](t, slabHead+3*slabChunk+7) })
+	t.Run("firedUpdate", func(t *testing.T) {
+		slabAddresses(t, func(f *firedUpdate) { *f = firedUpdate{r: term.Sym("r"), next: 7, rule: 1} })
+	})
+	t.Run("targetUpdates", func(t *testing.T) {
+		slabAddresses(t, func(tu *targetUpdates) { *tu = targetUpdates{st: objectbase.NewState(), older: tu, n: 3} })
+	})
 	// A slab still starts at two entries: a run that fires one update pays
 	// for two slots.
 	var s slab[firedUpdate]
@@ -391,6 +449,55 @@ func renderRun(res *Result) string {
 	return b.String()
 }
 
+// corpusCase is one (base, program) pair of the corpus: the base as text or
+// as built by a workload.
+type corpusCase struct {
+	name, base, prog string
+	ob               *objectbase.Base
+}
+
+// corpus lists every golden case, the fuzz seeds and the standard workloads.
+func corpus(t *testing.T) []corpusCase {
+	t.Helper()
+	var cases []corpusCase
+	files, err := filepath.Glob("../../testdata/golden/*.txt")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden cases found: %v", err)
+	}
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, corpusCase{name: filepath.Base(file), base: goldenSection(string(raw), "base"), prog: goldenSection(string(raw), "program")})
+	}
+	for i, s := range fuzzSeeds {
+		cases = append(cases, corpusCase{name: fmt.Sprintf("fuzz-seed-%d", i), base: fuzzBase, prog: s})
+	}
+	return append(cases,
+		corpusCase{name: "enterprise", ob: workload.EnterpriseSpec{Employees: 120, Seed: 3}.ObjectBase(), prog: workload.EnterpriseProgram},
+		corpusCase{name: "ancestors", ob: workload.GenealogySpec{Generations: 5, Branching: 2, Roots: 2}.ObjectBase(), prog: workload.AncestorsProgram},
+		corpusCase{name: "chains", ob: workload.Items(40), prog: workload.ChainProgram(4)},
+	)
+}
+
+// parse returns the case's base and program; a program that does not parse
+// (a rejection case of the golden corpus) skips the test.
+func (c corpusCase) parse(t *testing.T) (*objectbase.Base, *term.Program) {
+	t.Helper()
+	p, err := parser.Program(c.prog, c.name)
+	if err != nil {
+		t.Skipf("program does not parse (a rejection case): %v", err)
+	}
+	ob := c.ob
+	if ob == nil {
+		if ob, err = parser.ObjectBase(c.base, c.name); err != nil {
+			t.Fatalf("base: %v", err)
+		}
+	}
+	return ob, p
+}
+
 // TestFrozenInputsStayFrozen polices the sharing step 2 of T_P now rests
 // on: a derived version holds the very *State of its source until an update
 // changes it, so a bug in the copy-before-write rule would edit a published
@@ -402,43 +509,9 @@ func renderRun(res *Result) string {
 // and the run on result(P) — an input full of versions — are held against
 // the spec evaluator on the way.
 func TestFrozenInputsStayFrozen(t *testing.T) {
-	type tc struct {
-		name, base, prog string
-		ob               *objectbase.Base
-	}
-	var cases []tc
-	files, err := filepath.Glob("../../testdata/golden/*.txt")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no golden cases found: %v", err)
-	}
-	for _, file := range files {
-		raw, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, tc{name: filepath.Base(file), base: goldenSection(string(raw), "base"), prog: goldenSection(string(raw), "program")})
-	}
-	for i, s := range fuzzSeeds {
-		cases = append(cases, tc{name: fmt.Sprintf("fuzz-seed-%d", i), base: fuzzBase, prog: s})
-	}
-	cases = append(cases,
-		tc{name: "enterprise", ob: workload.EnterpriseSpec{Employees: 120, Seed: 3}.ObjectBase(), prog: workload.EnterpriseProgram},
-		tc{name: "ancestors", ob: workload.GenealogySpec{Generations: 5, Branching: 2, Roots: 2}.ObjectBase(), prog: workload.AncestorsProgram},
-		tc{name: "chains", ob: workload.Items(40), prog: workload.ChainProgram(4)},
-	)
-	for _, c := range cases {
-		c := c
+	for _, c := range corpus(t) {
 		t.Run(c.name, func(t *testing.T) {
-			p, err := parser.Program(c.prog, c.name)
-			if err != nil {
-				t.Skipf("program does not parse (a rejection case): %v", err)
-			}
-			ob := c.ob
-			if ob == nil {
-				if ob, err = parser.ObjectBase(c.base, c.name); err != nil {
-					t.Fatalf("base: %v", err)
-				}
-			}
+			ob, p := c.parse(t)
 			ob.Freeze()
 			opts := Options{Trace: true}
 			before := ob.Facts()

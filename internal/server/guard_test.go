@@ -3,6 +3,7 @@ package server
 import (
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"verlog/internal/parser"
@@ -11,31 +12,38 @@ import (
 )
 
 // TestApplyBuildsNoTraceGuard holds the request path to what the repository
-// pays for an untraced apply: N HTTP applies of the ancestors program on a
-// closed genealogy (the recursive_closure workload) may allocate at most
-// 1.15x the bytes of N direct Repository.ApplyKey calls, request and response
-// included. A fired-update trace on the request path reads 1.49x (152 B for
-// each of the 4 614 updates of a 1.5 MB apply), so one creeping back fails
-// here on a count, in one run, whatever the host is doing.
+// pays for an untraced apply: an HTTP apply of the ancestors program on a
+// closed genealogy (the recursive_closure workload) may allocate at most 96 kB
+// more than a direct Repository.ApplyKey call, request and response included
+// (measured: 21 to 27 kB, 48 kB under the race detector). A fired-update trace on the request path is 152 B for
+// each of the 4 614 updates, 700 kB and seven times the bound, so one creeping back fails here on a
+// count, in one run, whatever the host is doing. A difference and not a
+// ratio: what the evaluation itself allocates depends on whether the
+// working memory the last one parked is still there (eval.Run), tenfold, and
+// the request path's share of it says nothing.
 func TestApplyBuildsNoTraceGuard(t *testing.T) {
 	const applies = 8
 	p, err := parser.Program(workload.AncestorsProgram, "ancestors")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// measure returns the bytes allocated by applies calls of apply, after
-	// two that close the genealogy and fill the plan cache and the indexes.
-	measure := func(apply func()) uint64 {
+	// measure returns the bytes allocated per call by applies calls of apply,
+	// after two that close the genealogy and fill the plan cache and the
+	// indexes. The collector is off while it counts, so both sides buy the
+	// evaluation's working memory once, on the first call after the
+	// collection, and reuse it seven times.
+	measure := func(apply func()) float64 {
 		apply()
 		apply()
 		var m0, m1 runtime.MemStats
 		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		runtime.ReadMemStats(&m0)
 		for i := 0; i < applies; i++ {
 			apply()
 		}
 		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / applies
 	}
 	newRepo := func() *repository.Repository {
 		repo, err := repository.Init(t.TempDir()+"/repo", workload.GenealogySpec{Generations: 8, Branching: 2, Roots: 3}.ObjectBase())
@@ -57,9 +65,9 @@ func TestApplyBuildsNoTraceGuard(t *testing.T) {
 			t.Fatalf("apply: %d %s", code, body)
 		}
 	})
-	ratio := float64(httpBytes) / float64(repoBytes)
-	t.Logf("%d applies: %d B over HTTP, %d B on the repository (%.3fx)", applies, httpBytes, repoBytes, ratio)
-	if ratio > 1.15 {
-		t.Errorf("an HTTP apply allocates %.3fx what Repository.ApplyKey does, want ≤ 1.15x: is the request path building a trace?", ratio)
+	t.Logf("per apply: %.0f B over HTTP, %.0f B on the repository (%+.0f B)", httpBytes, repoBytes, httpBytes-repoBytes)
+	const bound = 96 << 10
+	if httpBytes-repoBytes > bound {
+		t.Errorf("an HTTP apply allocates %.0f B more than Repository.ApplyKey, want ≤ %d: is the request path building a trace?", httpBytes-repoBytes, bound)
 	}
 }

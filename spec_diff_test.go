@@ -1,6 +1,7 @@
 package verlog_test
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -8,6 +9,8 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,14 +61,31 @@ func refusal(err error) error {
 // (safety check, then evaluation), and with the spec evaluator, and compares
 // the class of a refusal or else result(P), ob' and the set of fired updates.
 func applyLikeSpec(ob *objectbase.Base, p *term.Program) (*verlog.Result, error) {
+	res, want, err := applyAndSpec(ob, p)
+	if res == nil || err != nil {
+		return nil, err
+	}
+	return res, agreesWithSpec(res, want)
+}
+
+// applyAndSpec applies p to ob with the engine, traced, and with the spec
+// evaluator. A refusal both share is (nil, nil, nil); one they do not share
+// is the error.
+func applyAndSpec(ob *objectbase.Base, p *term.Program) (*verlog.Result, *spec.Outcome, error) {
 	res, err := verlog.Apply(ob, p, verlog.WithTrace(), verlog.WithMaxIterations(200))
 	want, werr := spec.Run(spec.Facts(obtest.FactSet(ob)), p, 200)
 	if refusal(err) != refusal(werr) {
-		return nil, fmt.Errorf("the engine says %v, the spec %v", err, werr)
+		return nil, nil, fmt.Errorf("the engine says %v, the spec %v", err, werr)
 	}
 	if err != nil {
-		return nil, nil
+		return nil, nil, nil
 	}
+	return res, want, nil
+}
+
+// agreesWithSpec compares a traced result of the engine with the spec's
+// outcome on the same input.
+func agreesWithSpec(res *verlog.Result, want *spec.Outcome) error {
 	// The trace is the engine's log of fired updates: within a stratum it
 	// holds an update once, however many rules and iterations derive it — a
 	// repeat the comparison of sets below would not see.
@@ -80,7 +100,7 @@ func applyLikeSpec(ob *objectbase.Base, p *term.Program) (*verlog.Result, error)
 		}
 		logged[once] = true
 	}
-	return res, errors.Join(repeat,
+	return errors.Join(repeat,
 		obtest.DiffSets("result(P) and the spec's", obtest.FactSet(res.Result), want.Result),
 		obtest.DiffSets("ob' and the spec's", obtest.FactSet(res.Final), want.Final),
 		obtest.DiffSets("the fired updates and the spec's", fired, want.Fired))
@@ -190,8 +210,29 @@ func TestGoldenCompiledVsInterpreted(t *testing.T) {
 // example's main.go that parses as an update-program, against every literal
 // of the same file that parses as an object base.
 func TestExamplesEngineVsSpec(t *testing.T) {
-	ran := 0
-	check := func(name string, baseSrc, progSrc string) {
+	for _, c := range examplePairs(t) {
+		t.Run(c.name, func(t *testing.T) {
+			checkProgramLikeSpec(t, c.ob, c.p, nil)
+			checkReplayLikeTracedApply(t, c.ob, c.p)
+		})
+	}
+}
+
+// programPair is an update-program and a base to apply it to.
+type programPair struct {
+	name string
+	ob   *objectbase.Base
+	p    *term.Program
+}
+
+// examplePairs lists every program under examples/ with its bases: the .vlg
+// pairs, and every string literal of an example's main.go that parses as an
+// update-program, against every literal of the same file that parses as an
+// object base.
+func examplePairs(t *testing.T) []programPair {
+	t.Helper()
+	var pairs []programPair
+	add := func(name string, baseSrc, progSrc string) {
 		p, err := verlog.ParseProgramFile(progSrc, name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -200,11 +241,7 @@ func TestExamplesEngineVsSpec(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		t.Run(name, func(t *testing.T) {
-			checkProgramLikeSpec(t, ob, p, nil)
-			checkReplayLikeTracedApply(t, ob, p)
-		})
-		ran++
+		pairs = append(pairs, programPair{name, ob, p})
 	}
 	progs, _ := filepath.Glob("examples/*/update.vlg")
 	for _, prog := range progs {
@@ -216,7 +253,7 @@ func TestExamplesEngineVsSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(prog, string(baseSrc), string(progSrc))
+		add(prog, string(baseSrc), string(progSrc))
 	}
 	mains, _ := filepath.Glob("examples/*/main.go")
 	for _, file := range mains {
@@ -243,11 +280,106 @@ func TestExamplesEngineVsSpec(t *testing.T) {
 		})
 		for pi, progSrc := range programs {
 			for bi, baseSrc := range bases {
-				check(fmt.Sprintf("%s/program-%d/base-%d", filepath.Dir(file), pi+1, bi+1), baseSrc, progSrc)
+				add(fmt.Sprintf("%s/program-%d/base-%d", filepath.Dir(file), pi+1, bi+1), baseSrc, progSrc)
 			}
 		}
 	}
-	if ran < 10 {
-		t.Errorf("only %d (program, base) pairs found under examples/", ran)
+	if len(pairs) < 10 {
+		t.Errorf("only %d (program, base) pairs found under examples/", len(pairs))
+	}
+	return pairs
+}
+
+// goldenPairs lists the cases of the golden corpus whose program and base
+// parse.
+func goldenPairs(t *testing.T) []programPair {
+	t.Helper()
+	files, err := filepath.Glob("testdata/golden/*.txt")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden cases found: %v", err)
+	}
+	var pairs []programPair
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sections := splitSections(string(raw))
+		p, err := verlog.ParseProgramFile(sections["program"], file+":program")
+		if err != nil {
+			continue // a rejection case
+		}
+		ob, err := verlog.ParseObjectBaseFile(sections["base"], file+":base")
+		if err != nil {
+			t.Fatalf("%s: base: %v", file, err)
+		}
+		pairs = append(pairs, programPair{filepath.Base(file), ob, p})
+	}
+	return pairs
+}
+
+// renderApplied flattens everything a caller can read off a result but the
+// clock: the trace, the changes, the per-rule counts, result(P) and ob'.
+func renderApplied(res *verlog.Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "fired %d iterations %v plan %s\n", res.Fired, res.Iterations, res.Plan)
+	for _, ev := range res.Trace {
+		fmt.Fprintln(&b, ev)
+	}
+	d := objectbase.DiffChanges(res.Changes)
+	fmt.Fprintf(&b, "added %v\nremoved %v\n", d.Added, d.Removed)
+	// RuleStats lists the rules hottest first: by name here, without the time.
+	stats := append([]eval.RuleStat(nil), res.RuleStats...)
+	for i := range stats {
+		stats[i].TimeUS = 0
+	}
+	slices.SortFunc(stats, func(a, b eval.RuleStat) int {
+		return cmp.Or(strings.Compare(a.Rule, b.Rule), cmp.Compare(a.Stratum, b.Stratum), cmp.Compare(a.Fired, b.Fired))
+	})
+	fmt.Fprintf(&b, "rules %+v\n", stats)
+	b.WriteString(parser.FormatFacts(res.Result, true))
+	b.WriteString(parser.FormatFacts(res.Final, true))
+	return b.String()
+}
+
+// TestResultsOweNothingToTheRunsAfter: an evaluation writes into the working
+// memory the one before it left behind (eval.Run), so nothing it returns may
+// live there. Every golden case and every example program the engine accepts
+// is applied, traced, and its Result kept; once the whole corpus has gone
+// through — the collector off, so that every run takes what the run before it
+// parked — each kept Result still renders byte for byte as it did when its
+// apply returned, and still agrees with the spec evaluator's outcome.
+func TestResultsOweNothingToTheRunsAfter(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	type kept struct {
+		name     string
+		res      *verlog.Result
+		rendered string
+		want     *spec.Outcome
+	}
+	var all []kept
+	for _, c := range append(goldenPairs(t), examplePairs(t)...) {
+		res, want, err := applyAndSpec(c.ob, c.p)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if res == nil {
+			continue
+		}
+		if err := agreesWithSpec(res, want); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		all = append(all, kept{c.name, res, renderApplied(res), want})
+	}
+	if len(all) < 40 {
+		t.Fatalf("only %d results kept", len(all))
+	}
+	for _, k := range all {
+		if got := renderApplied(k.res); got != k.rendered {
+			t.Errorf("%s: the result changed after its apply returned:\n%s\n--- was ---\n%s", k.name, got, k.rendered)
+		}
+		if err := agreesWithSpec(k.res, k.want); err != nil {
+			t.Errorf("%s, after the corpus: %v", k.name, err)
+		}
 	}
 }
