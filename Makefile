@@ -98,10 +98,10 @@ bench:
 	# the interpreter-gap trajectory wants warm numbers, and so does E25
 	# (queries against a warm head; its build rows are the cold ones), and so
 	# do the fixpoint-bound ones (E4, E5, E24): a single shot buys the
-	# evaluation's working memory, which every apply but the first after a
-	# collection finds parked — of the five counted here one buys it, as the
-	# runner collects before it counts. The converter keeps the last result
-	# per name, so these overwrite the smoke rows.
+	# evaluation's working memory, which every apply after it finds parked —
+	# the collection the runner makes before it counts leaves it there. The
+	# converter keeps the last result per name, so these overwrite the smoke
+	# rows.
 	$(GO) test -bench 'E1SalaryRaise|E2Enterprise|E4Ancestors|E5VersionChains|E11VsDirect|E24ClosedClosure|E25QueryScaling' -benchmem -benchtime 5x -run '^$$' . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	$(GO) run ./cmd/verlog-bench -gobench-json bench.out > BENCH_10.json
 	@rm -f bench.out

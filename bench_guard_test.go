@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"verlog/internal/bench"
 	"verlog/internal/core"
@@ -97,6 +98,7 @@ func TestBenchRegressionGuard(t *testing.T) {
 		{"BenchmarkE2Enterprise/n=10000", enterprise(workload.EnterpriseProgram, 7)},
 		{"BenchmarkE24ClosedClosure/apply", closedClosure},
 	}
+	const applies = 5
 	for _, c := range cases {
 		ob, p, opts := c.setup()
 		run := func() {
@@ -105,19 +107,23 @@ func TestBenchRegressionGuard(t *testing.T) {
 			}
 		}
 		// As in the benchmark, whose reference rows come from the warm pass
-		// (-benchtime 5x): a first apply builds what the frozen base caches,
-		// the collection the benchmark runner makes before it counts takes the
-		// evaluation's parked working memory away, and of the five applies
-		// counted the first buys it anew and four reuse it.
-		run()
-		const applies = 5
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < applies; i++ {
+		// (-benchtime 5x): a first apply builds what the frozen base caches
+		// and leaves the evaluation's working memory in the slot, the
+		// collection the benchmark runner makes before it counts finds it used
+		// and leaves it there, and the five applies counted all reuse it. The
+		// collector is off from the first apply on, so that no collection of
+		// its own comes between and the count repeats.
+		m0, m1 := func() (m0, m1 runtime.MemStats) {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			run()
-		}
-		runtime.ReadMemStats(&m1)
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < applies; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&m1)
+			return m0, m1
+		}()
 		for _, m := range []struct {
 			metric string
 			got    float64
@@ -177,11 +183,11 @@ func TestPointUpdateScalingGuard(t *testing.T) {
 
 // bytesPerFired applies p to the frozen base ob five times and returns the
 // bytes one apply allocates per fired update. A first, unmeasured apply
-// builds what the head caches (the literal index) and parks the evaluation's
-// working memory; the collector, which would take that away whenever it
-// happened to run, is off from before that apply to after the last, so what is
-// measured is the apply a busy server makes between two collections — the
-// same count on every run. (What the first apply after a collection costs is
+// builds what the head caches (the literal index) and leaves the evaluation's
+// working memory in the slot for the five measured ones. The collector is off
+// from before that apply to after the last: a collection between two applies
+// leaves that memory where it is, but its own allocations would be counted.
+// (What the first apply after an idle process let go of it costs is
 // TestScratchReuseGuard's.)
 func bytesPerFired(t *testing.T, ob *ObjectBase, p *Program, opts ...Option) float64 {
 	t.Helper()
@@ -240,11 +246,12 @@ func TestClosureAllocGuard(t *testing.T) {
 
 // TestScratchReuseGuard: an evaluation leaves its working memory — the update
 // log, the targets, the table of touched objects, the delta buckets — to the
-// next one, and the collector may take it in between. On the closed genealogy
-// of recursive_closure, where that memory is nearly all an apply allocates,
-// the third apply in a row must allocate at most a quarter of what the first
-// apply after a collection does (measured: 0.11x; 1.0x when every run buys
-// its own). Two applies of one run, the collector off in between: counts.
+// next one, and an idle process lets go of it. On the closed genealogy of
+// recursive_closure, where that memory is nearly all an apply allocates, the
+// third apply in a row must allocate at most a quarter of what the first
+// apply after the slot was emptied does (measured: 0.11x; 1.0x when every run
+// buys its own). The slot is emptied by collections with no apply between
+// them, made until it is; then three applies, the collector off: counts.
 func TestScratchReuseGuard(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race instrumentation allocates on its own account")
@@ -260,15 +267,25 @@ func TestScratchReuseGuard(t *testing.T) {
 		return m1.TotalAlloc - m0.TotalAlloc
 	}
 	apply() // the head's literal index
-	runtime.GC()
-	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// The second sweep after the apply drops the scratch; a sweep runs after
+	// a collection, on its own goroutine, so each collection is given time to
+	// be swept before the next.
+	for deadline := time.Now().Add(10 * time.Second); eval.ScratchHeld(); {
+		if time.Now().After(deadline) {
+			t.Fatal("ten seconds of collections with no apply between them left the evaluation's working memory in its slot")
+		}
+		runtime.GC()
+		for wait := time.Now().Add(100 * time.Millisecond); eval.ScratchHeld() && time.Now().Before(wait); {
+			time.Sleep(time.Millisecond)
+		}
+	}
 	cold := apply()
 	apply()
 	warm := apply()
-	t.Logf("the first apply after a collection allocates %d B, the third %d B (%.2fx)", cold, warm, float64(warm)/float64(cold))
+	t.Logf("the first apply after the slot was emptied allocates %d B, the third %d B (%.2fx)", cold, warm, float64(warm)/float64(cold))
 	if 4*warm > cold {
-		t.Errorf("the third apply in a row allocates %d B, the first after a collection %d B: %.2fx, want ≤ 0.25x — is the working memory of one evaluation reaching the next?", warm, cold, float64(warm)/float64(cold))
+		t.Errorf("the third apply in a row allocates %d B, the first after the slot was emptied %d B: %.2fx, want ≤ 0.25x — is the working memory of one evaluation reaching the next?", warm, cold, float64(warm)/float64(cold))
 	}
 }
 

@@ -4,13 +4,13 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
-	"weak"
 
 	"verlog/internal/objectbase"
 	"verlog/internal/obs"
@@ -279,26 +279,55 @@ type scratch struct {
 }
 
 // parked is the one process-wide slot a finished run leaves its scratch in
-// for the next, behind a weak pointer: the collector may take a parked
-// scratch at any cycle, so an idle process retains nothing, every repository
-// of a process shares the one, and the heap goal never counts it — and
-// between two collections every run reuses it. (A sync.Pool would keep one
-// per P strongly reachable across a cycle: every mark counts it live and the
-// pacer doubles it. DESIGN.md §4 has the numbers.) The mutex is a leaf: it
-// is held for two assignments and no call is made under it.
+// for the next. It holds the scratch strongly while runs keep coming: used
+// says a run has parked in the slot since the last collection, and the sweep
+// that follows every collection drops a scratch that no run has used since
+// the one before. The mark is set when a run parks, not when it takes: a run
+// in flight across a sweep has used the slot after it. A busy process never
+// buys its working memory twice; an idle one drops it at its second
+// collection and frees it at its third. Every repository of a process shares
+// the one. (A sync.Pool would keep one per P, each counted live at every
+// mark; a weak pointer lets every collection take it, so that what an apply
+// allocates follows the collector's timing. DESIGN.md §4 has the numbers.)
+// The mutex is a leaf: it is held for a few assignments and no call is made
+// under it.
 var parked struct {
-	mu sync.Mutex
-	p  weak.Pointer[scratch]
+	mu   sync.Mutex
+	sc   *scratch
+	used bool
+}
+
+func init() { armSweep() }
+
+// sweepSentinel is what a sweep waits on: nothing points to it, so the next
+// collection finds it unreachable and runs its cleanup. It holds a pointer so
+// that the allocator never batches it with a live object.
+type sweepSentinel struct{ _ *byte }
+
+// armSweep registers the sweep that follows the next collection.
+func armSweep() { runtime.AddCleanup(new(sweepSentinel), sweep, struct{}{}) }
+
+// sweep runs once per collection, on the cleanup goroutine: it re-arms itself
+// for the next one, drops the parked scratch unless a run has parked in the
+// slot since the last sweep, and clears the mark.
+func sweep(struct{}) {
+	armSweep()
+	parked.mu.Lock()
+	if !parked.used {
+		parked.sc = nil
+	}
+	parked.used = false
+	parked.mu.Unlock()
 }
 
 // takeScratch empties the slot and returns what it held, or a new scratch
 // when it held nothing (no run has parked one, a run beside this one has
-// taken it, or the collector has). The run owns what it gets: runs beside
-// each other never share one.
+// taken it, or the sweep has dropped it). The run owns what it gets: runs
+// beside each other never share one.
 func takeScratch() *scratch {
 	parked.mu.Lock()
-	sc := parked.p.Value()
-	parked.p = weak.Pointer[scratch]{}
+	sc := parked.sc
+	parked.sc = nil
 	parked.mu.Unlock()
 	if sc == nil {
 		sc = new(scratch)
@@ -307,48 +336,67 @@ func takeScratch() *scratch {
 }
 
 // park empties the scratch and leaves it in the slot, in place of whatever
-// a run beside this one has left there.
+// a run beside this one has left there, and marks the slot used.
 func (sc *scratch) park() {
 	sc.empty()
-	p := weak.Make(sc)
 	parked.mu.Lock()
-	parked.p = p
+	parked.sc, parked.used = sc, true
 	parked.mu.Unlock()
+}
+
+// ScratchHeld reports whether the slot holds a finished run's working memory
+// for the next run: tests poll it to wait for an idle process to let go.
+func ScratchHeld() bool {
+	parked.mu.Lock()
+	defer parked.mu.Unlock()
+	return parked.sc != nil
 }
 
 // empty makes the scratch what the next run expects — every value a slab
 // hands out zero, every map and slice empty — and leaves nothing of the
 // finished run reachable through it: the states its targets held, the
-// interned terms of its log, the strings of its program. Slices are cleared
-// up to their capacity, not their length: applyTargets truncates dirty
-// without clearing it, and a stale *targetUpdates in the backing array would
-// pin a state for as long as the scratch is parked.
+// interned terms of its log, the strings of its program.
 //
 // What stays allocated follows this run, not the largest the process has
 // seen: a slab keeps the chunks the run reached (slab.reset), a map that
 // the run filled to less than an eighth of the most it has held is dropped
-// (emptied), and so are the buckets no stratum took.
+// (emptied), so is a slice the run used to less than an eighth of its
+// capacity (trimmed), and so are the buckets no stratum took.
 func (sc *scratch) empty() {
 	sc.ups.reset()
 	sc.targets.reset()
 	sc.touchedRecs.reset()
 	sc.objs = emptied(sc.objs, &sc.objsMost)
 	sc.spill = emptied(sc.spill, &sc.spillMost)
-	sc.methods = zeroed(sc.methods)
-	sc.gone = zeroed(sc.gone)
-	sc.dirty = zeroed(sc.dirty)
-	sc.tasks = zeroed(sc.tasks)
-	sc.stats = zeroed(sc.stats)
+	sc.methods = trimmed(sc.methods)
+	sc.gone = trimmed(sc.gone)
+	sc.dirty = trimmed(sc.dirty)
+	sc.tasks = trimmed(sc.tasks)
+	sc.stats = trimmed(sc.stats)
 	clear(sc.buckets[sc.bucketsUsed:])
 	sc.buckets, sc.bucketsUsed = sc.buckets[:sc.bucketsUsed], 0
 	for _, b := range sc.buckets {
-		*b = bucket{facts: zeroed(b.facts), whole: zeroed(b.whole)}
+		*b = bucket{facts: trimmed(b.facts), whole: trimmed(b.whole)}
 	}
 }
 
-// zeroed returns s with no elements and nothing left in its backing array.
-func zeroed[T any](s []T) []T {
-	clear(s[:cap(s)])
+// trimmed returns s with no elements and nothing left in its backing array,
+// or nil when the run used less than an eighth of its capacity. What the run
+// used reaches to the last element that is not zero: a run truncates these
+// slices without clearing them, and every run leaves the whole backing array
+// zero, so past what the run wrote there is nothing. Clearing stops there
+// too; it would cost the capacity, not what the run used.
+func trimmed[T comparable](s []T) []T {
+	s = s[:cap(s)]
+	var zero T
+	n := len(s)
+	for n > 0 && s[n-1] == zero {
+		n--
+	}
+	if 8*n < len(s) {
+		return nil
+	}
+	clear(s[:n])
 	return s[:0]
 }
 
@@ -817,9 +865,10 @@ type bucket struct {
 // empty reports whether the last iteration left nothing to join against.
 func (b *bucket) empty() bool { return len(b.facts) == 0 && len(b.whole) == 0 }
 
-// reset empties the bucket for the next fill.
+// reset empties the bucket for the next fill. What the last fill left in the
+// backing arrays stays until the run parks its scratch (scratch.empty): the
+// states it points to are result(P)'s, alive until the run returns.
 func (b *bucket) reset() {
-	clear(b.whole) // the states are not the bucket's to keep alive
 	b.facts, b.whole, b.room, b.wholeRoom = b.facts[:0], b.whole[:0], 0, 0
 }
 

@@ -27,13 +27,13 @@ fire:  del[mod(e2)].* <- mod(e2).isa -> emp.
 hire:  ins[e9].isa -> emp <- e1.isa -> emp.
 `
 
-// TestQueryCompiledVsInterpreted puts one query of every shape the compiler
+// TestQueryEngineVsSpec puts one query of every shape the compiler
 // knows to the compiled Query and to the spec's enumerator (internal/spec,
 // which reads the truth definitions of Section 3 off a plain set of facts),
 // on every kind of base
 // (checkQueries), and checks that the shapes named after an access really
 // compile to it.
-func TestQueryCompiledVsInterpreted(t *testing.T) {
+func TestQueryEngineVsSpec(t *testing.T) {
 	ob := mustBase(t, queryShapesBase)
 	res, err := Run(ob, mustProgram(t, queryShapesProgram), Options{})
 	if err != nil {

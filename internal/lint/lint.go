@@ -4,7 +4,8 @@
 //
 //   - frozenmutate: no mutation of a Freeze()d base outside objectbase
 //   - lockorder: the repository's locks nest as applyMu -> diskMu ->
-//     commitMu, never the other way round
+//     commitMu, never the other way round, and nothing is called under a
+//     leaf lock
 //   - boundedlabels: tenant-labeled metrics go through obs.BoundedLabels
 //   - commitclock: no wall-clock reads inside the group-commit critical
 //     section (the journal append+fsync path is timed outside commitMu)

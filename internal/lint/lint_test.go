@@ -156,6 +156,32 @@ func alsoGood(r *Repo) {
 	if got := analyze(t, Lockorder, "verlog/internal/x", negative); len(got) != 0 {
 		t.Errorf("negative fixture flagged: %v", got)
 	}
+
+	// A leaf lock is held for assignments only: a call under it, a Lock of
+	// another mutex included, is a finding.
+	const underLeaf = `package x
+func bad(r *Repo) {
+	parked.mu.Lock()
+	parked.sc = newScratch() // finding
+	r.applyMu.Lock()         // finding
+	parked.mu.Unlock()
+	r.applyMu.Unlock()
+}
+func sweep() {
+	arm()                    // before the lock: fine
+	parked.mu.Lock()
+	defer parked.mu.Unlock()
+	if !parked.used {
+		parked.sc = nil
+	}
+	parked.used = false
+	other.mu.Lock()          // finding: still held through the defer
+}`
+	got = analyze(t, Lockorder, "verlog/internal/x", underLeaf)
+	wantFindings(t, got,
+		"call while parked.mu is held in bad",
+		"call while parked.mu is held in bad",
+		"call while parked.mu is held in sweep")
 }
 
 func TestCommitclock(t *testing.T) {

@@ -10,15 +10,25 @@ import (
 // in-memory commit section, held for nanoseconds).
 var lockOrder = []string{"applyMu", "diskMu", "commitMu"}
 
+// leafLocks are mutexes held for a few assignments with no call made under
+// them, so no other lock can be taken inside one and none can take part in a
+// deadlock. parked.mu guards the slot an evaluation leaves its working memory
+// in (internal/eval): every run takes it, and so does the sweep that follows
+// each collection, on the runtime's cleanup goroutine, whatever locks the
+// other goroutines hold.
+var leafLocks = []string{"parked.mu"}
+
 // Lockorder enforces that hierarchy: a mutex is never acquired while one
 // that comes after it is held. diskMu.Lock() under commitMu deadlocks
 // against the group-commit leader, which takes diskMu first and then
 // briefly re-enters commitMu to seal the batch; applyMu.Lock() under
 // diskMu or commitMu deadlocks against an operation that quiesces the
-// repository, which holds applyMu while it waits for diskMu.
+// repository, which holds applyMu while it waits for diskMu. A leaf lock
+// (leafLocks) comes after all of them: any call made while it is held is a
+// finding.
 var Lockorder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "flag a Lock() that inverts the order applyMu -> diskMu -> commitMu",
+	Doc:  "flag a Lock() that inverts the order applyMu -> diskMu -> commitMu, and any call under a leaf lock",
 	Run:  runLockorder,
 }
 
@@ -34,6 +44,12 @@ func runLockorder(p *Pass) {
 							mu, inner, name, inner)
 					}
 				}
+			}}
+			scan.scanBody(body)
+		}
+		for _, leaf := range leafLocks {
+			scan := &lockScan{mutex: leaf, onHeld: func(call *ast.CallExpr) {
+				p.Reportf(call.Pos(), "call while %s is held in %s: it is a leaf lock, held for assignments only", leaf, name)
 			}}
 			scan.scanBody(body)
 		}

@@ -15,12 +15,11 @@ import (
 // pays for an untraced apply: an HTTP apply of the ancestors program on a
 // closed genealogy (the recursive_closure workload) may allocate at most 96 kB
 // more than a direct Repository.ApplyKey call, request and response included
-// (measured: 21 to 27 kB, 48 kB under the race detector). A fired-update trace on the request path is 152 B for
+// (measured: 15 to 19 kB, 39 kB under the race detector). A fired-update trace on the request path is 152 B for
 // each of the 4 614 updates, 700 kB and seven times the bound, so one creeping back fails here on a
 // count, in one run, whatever the host is doing. A difference and not a
-// ratio: what the evaluation itself allocates depends on whether the
-// working memory the last one parked is still there (eval.Run), tenfold, and
-// the request path's share of it says nothing.
+// ratio: the bound is on what the request path adds to an apply, a trace's
+// worth of bytes, whatever the evaluation under it costs.
 func TestApplyBuildsNoTraceGuard(t *testing.T) {
 	const applies = 8
 	p, err := parser.Program(workload.AncestorsProgram, "ancestors")
@@ -29,15 +28,16 @@ func TestApplyBuildsNoTraceGuard(t *testing.T) {
 	}
 	// measure returns the bytes allocated per call by applies calls of apply,
 	// after two that close the genealogy and fill the plan cache and the
-	// indexes. The collector is off while it counts, so both sides buy the
-	// evaluation's working memory once, on the first call after the
-	// collection, and reuse it seven times.
+	// indexes. Every counted call reuses the evaluation's working memory the
+	// one before it left (eval.Run): the collection before the count finds it
+	// used and leaves it, and the collector is off from the first call on, so
+	// that no collection of its own comes between.
 	measure := func(apply func()) float64 {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		apply()
 		apply()
 		var m0, m1 runtime.MemStats
 		runtime.GC()
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		runtime.ReadMemStats(&m0)
 		for i := 0; i < applies; i++ {
 			apply()
