@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test vet lint verlog-lint staticcheck govulncheck race guard fuzz check bench bench-e2e soak clean
+.PHONY: all build test vet fmt lint verlog-lint staticcheck govulncheck race guard fuzz check bench bench-e2e soak clean
 
 all: check
 
@@ -20,14 +20,19 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond go vet. verlog-lint is the repo's own
-# invariant checker (stdlib-only, always runs). staticcheck and
+# Static analysis beyond go vet. fmt fails when gofmt would change a
+# tracked .go file. verlog-lint is the repo's own invariant checker
+# (stdlib-only, always runs). staticcheck and
 # govulncheck run at the pinned versions above through `go run`, the
 # identical command locally and in CI; the probe only skips them when
 # the pinned module itself cannot be resolved (hermetic sandboxes with
 # no module cache and no network) — never because a binary is missing
 # from PATH.
-lint: vet verlog-lint staticcheck govulncheck
+lint: fmt vet verlog-lint staticcheck govulncheck
+
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 # The engine's own analyzers: frozen-base mutation, applyMu->diskMu->commitMu
 # lock order, bounded tenant metric labels, no wall-clock reads under

@@ -65,10 +65,9 @@ type Client struct {
 	backoff   time.Duration
 
 	// prefix is the tenant-scoped route prefix repository endpoints are
-	// issued under: "/v1/t/<name>" for tenant handles, "/v1" for the
-	// default handle (the deprecated-but-stable legacy form, kept so the
-	// default client works against older servers too). Server-global
-	// endpoints (/v1/repl/*, /v1/debug/*, /metrics) never take the prefix.
+	// issued under: "/v1/t/<name>", "/v1/t/default" for the handle New
+	// returns. Server-global endpoints (/v1/repl/*, /v1/debug/*, /metrics)
+	// never take the prefix.
 	prefix string
 
 	// state is the journaled state History and the Explain calls ask
@@ -123,7 +122,7 @@ func NewMulti(endpoints []string, opts ...Option) *Client {
 		http:    &http.Client{Timeout: DefaultTimeout},
 		retries: DefaultRetries + len(endpoints) - 1,
 		backoff: DefaultBackoff,
-		prefix:  "/v1",
+		prefix:  "/v1/t/default",
 		st:      &clientState{},
 	}
 	for _, e := range endpoints {
@@ -149,8 +148,7 @@ func (c *Client) Endpoints() []string { return append([]string(nil), c.endpoints
 // any handle retargets them all. The name is validated by the server
 // ([a-z0-9][a-z0-9-_]{0,63}); an invalid one answers invalid_tenant.
 //
-// Tenant("default") addresses the same namespace as the top-level
-// methods, through the successor route form.
+// Tenant("default") is the handle New returns.
 func (c *Client) Tenant(name string) *Client {
 	t := *c
 	t.prefix = "/v1/t/" + name
@@ -222,8 +220,7 @@ func (c *Client) setPrimary(p string) {
 
 // mutating reports whether a request can be answered read_only on a
 // follower and should therefore start at the learned primary. The check
-// is on the path's suffix so it holds for both the tenant-prefixed form
-// (/v1/t/acme/apply) and the legacy one (/v1/apply).
+// is on the path's suffix, whatever the tenant (/v1/t/acme/apply).
 func mutating(method, path string) bool {
 	if i := strings.IndexByte(path, '?'); i >= 0 {
 		path = path[:i]
@@ -423,28 +420,22 @@ func (c *Client) attempt(ctx context.Context, base, method, path, body, idemKey,
 		if ae.RequestID == "" {
 			ae.RequestID = reqID
 		}
-		// The v1 envelope: {"error":{"code":"...","message":"..."}}; older
-		// servers and proxies send a flat {"error":"..."} or plain text.
+		// The v1 envelope: {"error":{"code":"...","message":"..."}}. Any
+		// other body (a proxy's page, plain text) is the message verbatim.
 		var envelope struct {
-			Error json.RawMessage `json:"error"`
-		}
-		if json.Unmarshal(data, &envelope) == nil && len(envelope.Error) > 0 {
-			var inner struct {
+			Error struct {
 				Code      string    `json:"code"`
 				Message   string    `json:"message"`
 				Position  *Position `json:"position"`
 				Primary   string    `json:"primary"`
 				RequestID string    `json:"request_id"`
-			}
-			var flat string
-			switch {
-			case json.Unmarshal(envelope.Error, &inner) == nil && inner.Message != "":
-				ae.Code, ae.Message, ae.Position, ae.Primary = inner.Code, inner.Message, inner.Position, inner.Primary
-				if inner.RequestID != "" {
-					ae.RequestID = inner.RequestID
-				}
-			case json.Unmarshal(envelope.Error, &flat) == nil && flat != "":
-				ae.Message = flat
+			} `json:"error"`
+		}
+		if json.Unmarshal(data, &envelope) == nil && envelope.Error.Message != "" {
+			inner := envelope.Error
+			ae.Code, ae.Message, ae.Position, ae.Primary = inner.Code, inner.Message, inner.Position, inner.Primary
+			if inner.RequestID != "" {
+				ae.RequestID = inner.RequestID
 			}
 		}
 		return nil, ae
@@ -452,7 +443,7 @@ func (c *Client) attempt(ctx context.Context, base, method, path, body, idemKey,
 	return data, nil
 }
 
-// baseEnvelope is the JSON shape of /v1/head and /v1/state.
+// baseEnvelope is the JSON shape of the head and state routes.
 type baseEnvelope struct {
 	Facts int    `json:"facts"`
 	Text  string `json:"text"`

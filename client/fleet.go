@@ -90,7 +90,6 @@ type NodeStatus struct {
 	QueryWindow     WindowStats      `json:"query_window"`
 	HTTPWindow      WindowStats      `json:"http_window"`
 	HotRules        []HotRule        `json:"hot_rules"`
-	Deprecated      int64            `json:"deprecated_requests"`
 	SlowTotal       int64            `json:"slow_total"`
 	SlowThresholdMS float64          `json:"slow_threshold_ms"`
 }

@@ -147,10 +147,10 @@ func TestClientDoesNotRetryDomainErrors(t *testing.T) {
 	if attempts != 1 {
 		t.Errorf("4xx was attempted %d times, want 1", attempts)
 	}
-	// The legacy flat envelope {"error":"msg"} still parses (no code).
+	// A body that is not the v1 envelope is the message verbatim, no code.
 	var ae *APIError
-	if !errors.As(err, &ae) || ae.Message != "parse error" || ae.Code != "" {
-		t.Errorf("flat envelope parsed as %+v", ae)
+	if !errors.As(err, &ae) || ae.Message != `{"error":"parse error"}` || ae.Code != "" {
+		t.Errorf("non-envelope body parsed as %+v", ae)
 	}
 }
 

@@ -154,3 +154,28 @@ func TestClientTenantRedirectCarriesPrefix(t *testing.T) {
 		t.Errorf("sibling handle writeTarget = %q, want learned primary %q", got, primary.URL)
 	}
 }
+
+// TestClientDefaultHandleIsTenantDefault: New's handle issues repository
+// calls under /v1/t/default, the same paths as Tenant("default").
+func TestClientDefaultHandleIsTenantDefault(t *testing.T) {
+	var mu sync.Mutex
+	var paths []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		paths = append(paths, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		fmt.Fprint(w, `{"state":1,"fired":1}`)
+	}))
+	t.Cleanup(srv.Close)
+	c := New(srv.URL, WithRetry(0, 0))
+	for _, h := range []*Client{c, c.Tenant("default")} {
+		if _, err := h.Apply(context.Background(), `ins[x].k -> v.`); err != nil {
+			t.Fatalf("apply: %v", err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := "POST /v1/t/default/apply"; len(paths) != 2 || paths[0] != want || paths[1] != want {
+		t.Fatalf("server saw %v, want [%s %s]", paths, want, want)
+	}
+}

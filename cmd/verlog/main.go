@@ -218,7 +218,7 @@ func cmdRun(args []string) error {
 // cmdTrace applies a program with full evaluation tracing and prints the
 // span tree (parse, safety, stratification, every stratum's iterations
 // down to per-rule matching, the copy phase) plus the per-rule hot list —
-// the same tree POST /v1/apply?trace=1 returns.
+// the same tree POST /v1/t/{tenant}/apply?trace=1 returns.
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	obPath := fs.String("ob", "", "object base file (default: base.vlg next to PROG if present, else empty)")

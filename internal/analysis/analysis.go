@@ -15,8 +15,8 @@
 // dependency cycle, the conflicting rule pair).
 //
 // The analyzer is surfaced as the `verlog vet` CLI subcommand, the
-// POST /v1/check server endpoint, and the diagnostics attached to /v1/apply
-// rejections.
+// POST /v1/t/{tenant}/check server endpoint, and the diagnostics attached
+// to apply rejections.
 package analysis
 
 import (

@@ -280,7 +280,7 @@ p1.b -> v. p2.b -> v.
 }
 
 // TestFactsJSONRoundTrip: the Facts structure survives JSON encode/decode
-// unchanged — the contract for /v1/check?deep=1 consumers.
+// unchanged — the contract for /v1/t/{tenant}/check?deep=1 consumers.
 func TestFactsJSONRoundTrip(t *testing.T) {
 	b := mustBaseSrc(t, paperBase)
 	_, f := deepString(t, workload.EnterpriseProgram, Options{Base: b})

@@ -4,7 +4,7 @@ package analysis
 // class/sort sets inferred for every rule variable, the planner's join
 // order with per-literal cardinality estimates, and per-rule/per-stratum
 // cost rollups. It is the input contract for compiled-match-plan join
-// ordering (see ROADMAP) and is served by POST /v1/check?deep=1.
+// ordering (see ROADMAP) and is served by POST /v1/t/{tenant}/check?deep=1.
 //
 // The structure round-trips through JSON: every field is a plain value and
 // all slices are emitted in deterministic order (rules in program order,

@@ -57,7 +57,7 @@ func runE19() (*Table, error) {
 	t := &Table{
 		ID:    "E19",
 		Title: "multi-tenant residency (LRU eviction + reopen)",
-		Note: fmt.Sprintf("%d tenants, %d resident cap: residency must never exceed the cap, evictions must occur, and every revisited tenant must still hold its round-1 state after its repository was closed and reopened", tenants, maxOpen),
+		Note:  fmt.Sprintf("%d tenants, %d resident cap: residency must never exceed the cap, evictions must occur, and every revisited tenant must still hold its round-1 state after its repository was closed and reopened", tenants, maxOpen),
 		Header: []string{
 			"tenants", "max_open", "applies", "queries", "time_ms", "evictions", "max_resident", "check",
 		},

@@ -196,7 +196,7 @@ func TestTraceparent(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"",
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331", // missing flags
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331",    // missing flags
 		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", // forbidden version
 		"00-00000000000000000000000000000000-b7ad6b7169203331-01", // zero trace id
 		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01", // zero parent id

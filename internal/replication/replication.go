@@ -402,10 +402,10 @@ type FollowerStatus struct {
 
 // Status is the /v1/repl/status payload.
 type Status struct {
-	Role        string           `json:"role"` // "primary" or "follower"
-	Epoch       uint64           `json:"epoch"`
-	HeadSeq     int              `json:"head_seq"`
-	SnapshotSeq int              `json:"snapshot_seq"`
+	Role        string `json:"role"` // "primary" or "follower"
+	Epoch       uint64 `json:"epoch"`
+	HeadSeq     int    `json:"head_seq"`
+	SnapshotSeq int    `json:"snapshot_seq"`
 	// Follower side: the upstream, whether the stream is currently
 	// healthy, and how stale this replica is.
 	Primary    string  `json:"primary,omitempty"`

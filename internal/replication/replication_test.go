@@ -176,7 +176,7 @@ func TestFollowerConverges(t *testing.T) {
 	waitConverged(t, p.repo, f.repo, 4)
 
 	// The follower serves reads over HTTP from its replicated head.
-	resp, err := http.Post(f.srv.URL+"/v1/query", "text/plain",
+	resp, err := http.Post(f.srv.URL+"/v1/t/default/query", "text/plain",
 		strings.NewReader(`phil.sal -> S.`))
 	if err != nil {
 		t.Fatalf("query follower: %v", err)
@@ -223,7 +223,7 @@ func TestFollowerRejectsWrites(t *testing.T) {
 	}
 	waitConverged(t, p.repo, f.repo, 1)
 
-	resp, err := http.Post(f.srv.URL+"/v1/apply", "application/json",
+	resp, err := http.Post(f.srv.URL+"/v1/t/default/apply", "application/json",
 		strings.NewReader(`{"program":"raise: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S + 1."}`))
 	if err != nil {
 		t.Fatalf("apply on follower: %v", err)
@@ -255,7 +255,7 @@ func TestFollowerRejectsWrites(t *testing.T) {
 		st := getStatus(t, f.srv.URL)
 		return !st.Connected && st.LastError != ""
 	})
-	resp, err = http.Get(f.srv.URL + "/v1/head")
+	resp, err = http.Get(f.srv.URL + "/v1/t/default/head")
 	if err != nil {
 		t.Fatalf("head on disconnected follower: %v", err)
 	}

@@ -24,7 +24,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if code, body := post(t, ts.URL+"/v1/apply", raise); code != 200 {
+				if code, body := post(t, ts.URL+"/v1/t/default/apply", raise); code != 200 {
 					errs <- fmt.Errorf("apply: %d %s", code, body)
 					return
 				}
@@ -36,11 +36,11 @@ func TestServerConcurrentClients(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if code, body := post(t, ts.URL+"/v1/query", `phil.sal -> S.`); code != 200 {
+				if code, body := post(t, ts.URL+"/v1/t/default/query", `phil.sal -> S.`); code != 200 {
 					errs <- fmt.Errorf("query: %d %s", code, body)
 					return
 				}
-				if code, _ := get(t, ts.URL+"/v1/log"); code != 200 {
+				if code, _ := get(t, ts.URL+"/v1/t/default/log"); code != 200 {
 					errs <- fmt.Errorf("log: %d", code)
 					return
 				}
@@ -58,7 +58,7 @@ func TestServerConcurrentClients(t *testing.T) {
 	if err != nil || n != appliers*rounds {
 		t.Fatalf("journal length = %d (%v), want %d", n, err, appliers*rounds)
 	}
-	code, body := get(t, ts.URL+"/v1/head")
+	code, body := get(t, ts.URL+"/v1/t/default/head")
 	want := fmt.Sprintf("phil.sal -> %d.", 4000+10*appliers*rounds)
 	if code != 200 || !strings.Contains(body, want) {
 		t.Errorf("head missing %q:\n%s", want, body)

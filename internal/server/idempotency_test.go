@@ -34,7 +34,7 @@ func TestApplyIdempotencyKey(t *testing.T) {
 	ts, repo := newTestServer(t)
 	raise := `r: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S + 100.`
 
-	code, body := postWithKey(t, ts.URL+"/v1/apply", raise, "req-42")
+	code, body := postWithKey(t, ts.URL+"/v1/t/default/apply", raise, "req-42")
 	if code != 200 {
 		t.Fatalf("first apply: %d %s", code, body)
 	}
@@ -47,7 +47,7 @@ func TestApplyIdempotencyKey(t *testing.T) {
 		t.Fatalf("first apply response: %s (%v)", body, err)
 	}
 
-	code, body = postWithKey(t, ts.URL+"/v1/apply", raise, "req-42")
+	code, body = postWithKey(t, ts.URL+"/v1/t/default/apply", raise, "req-42")
 	if code != 200 {
 		t.Fatalf("retried apply: %d %s", code, body)
 	}
@@ -75,7 +75,7 @@ func TestApplyIdempotencyKey(t *testing.T) {
 	}
 
 	// A different key commits a second entry.
-	if code, body := postWithKey(t, ts.URL+"/v1/apply", raise, "req-43"); code != 200 || strings.Contains(body, `"replayed":true`) {
+	if code, body := postWithKey(t, ts.URL+"/v1/t/default/apply", raise, "req-43"); code != 200 || strings.Contains(body, `"replayed":true`) {
 		t.Fatalf("fresh key: %d %s", code, body)
 	}
 	if entries, _ := repo.Entries(); len(entries) != 2 {

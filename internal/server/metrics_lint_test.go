@@ -18,7 +18,7 @@ import (
 )
 
 // This test lints the whole /metrics exposition of a server that served
-// realistic traffic — replicated, multi-tenant, with errors and legacy
+// realistic traffic — replicated, multi-tenant, with errors and unknown
 // routes — so any future metric wired in sloppily (bad name, unbounded
 // label, incoherent histogram) fails here rather than in a dashboard.
 
@@ -128,25 +128,24 @@ bob.isa -> empl / boss -> phil / sal -> 4200.
 		WithSlowThreshold(0)))
 	t.Cleanup(ts.Close)
 
-	// Traffic: applies and queries on the legacy (deprecated) routes and
-	// the tenant-prefixed ones, real tenants past the residency cap,
-	// client errors, an unknown route, and far more distinct tenant names
-	// than the label cap admits.
-	if code, body := post(t, ts.URL+"/v1/apply", `raise: mod[E].sal -> (S, S') <- E.sal -> S, S' = S + 1.`); code != 200 {
-		t.Fatalf("legacy apply: %d %s", code, body)
+	// Traffic: applies and queries on the default tenant and on others,
+	// real tenants past the residency cap, client errors, an unknown
+	// route, and far more distinct tenant names than the label cap admits.
+	if code, body := post(t, ts.URL+"/v1/t/default/apply", `raise: mod[E].sal -> (S, S') <- E.sal -> S, S' = S + 1.`); code != 200 {
+		t.Fatalf("default apply: %d %s", code, body)
 	}
-	if code, body := post(t, ts.URL+"/v1/query", `phil.sal -> S.`); code != 200 {
-		t.Fatalf("legacy query: %d %s", code, body)
+	if code, body := post(t, ts.URL+"/v1/t/default/query", `phil.sal -> S.`); code != 200 {
+		t.Fatalf("default query: %d %s", code, body)
 	}
 	for _, tn := range []string{"lint-a", "lint-b", "lint-c"} {
 		if code, body := post(t, ts.URL+"/v1/t/"+tn+"/apply", `ins[x].kind -> widget.`); code != 200 {
 			t.Fatalf("tenant %s apply: %d %s", tn, code, body)
 		}
 	}
-	post(t, ts.URL+"/v1/apply", `this is not a program`) // 400
-	post(t, ts.URL+"/v1/t/lint-a/query", `broken ->`)    // 400
-	get(t, ts.URL+"/v1/no/such/route")                   // 404
-	for i := 0; i < tenantLabelCap+10; i++ {             // label-cap pressure
+	post(t, ts.URL+"/v1/t/default/apply", `this is not a program`) // 400
+	post(t, ts.URL+"/v1/t/lint-a/query", `broken ->`)              // 400
+	get(t, ts.URL+"/v1/no/such/route")                             // 404
+	for i := 0; i < tenantLabelCap+10; i++ {                       // label-cap pressure
 		get(t, ts.URL+fmt.Sprintf("/v1/t/lint-ghost-%d/head", i)) // 404s, still labeled
 	}
 

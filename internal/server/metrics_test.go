@@ -17,7 +17,7 @@ func TestMetricsExposition(t *testing.T) {
 
 	// One committed apply and one replay of it.
 	for i := 0; i < 2; i++ {
-		req, _ := http.NewRequest("POST", ts.URL+"/v1/apply", strings.NewReader(enterpriseUpdate))
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/t/default/apply", strings.NewReader(enterpriseUpdate))
 		req.Header.Set("Idempotency-Key", "metrics-test-key")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -39,7 +39,7 @@ func TestMetricsExposition(t *testing.T) {
 	for _, line := range []string{
 		"verlog_applies_total 1",
 		"verlog_idempotency_replays_total 1",
-		`verlog_http_requests_total{route="/v1/apply",code="200"} 2`,
+		`verlog_http_requests_total{route="/v1/t/{tenant}/apply",code="200"} 2`,
 	} {
 		if !strings.Contains(body, line) {
 			t.Errorf("metrics missing %q", line)

@@ -15,7 +15,7 @@ import (
 // when the caller sends none.
 func TestRequestIDAssigned(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/head")
+	resp, err := http.Get(ts.URL + "/v1/t/default/head")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestRequestIDPropagated(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	ts, _ := newTestServer(t, WithLogger(logger))
 
-	req, err := http.NewRequest("GET", ts.URL+"/v1/state?n=abc", nil)
+	req, err := http.NewRequest("GET", ts.URL+"/v1/t/default/state?n=abc", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +59,14 @@ func TestRequestIDPropagated(t *testing.T) {
 	}
 	// The structured log line has the id, the path, and the 400 status.
 	line := buf.String()
-	for _, want := range []string{`"request_id":"caller-trace-77"`, `"path":"/v1/state"`, `"status":400`, `"duration"`} {
+	for _, want := range []string{`"request_id":"caller-trace-77"`, `"path":"/v1/t/default/state"`, `"status":400`, `"duration"`} {
 		if !strings.Contains(line, want) {
 			t.Errorf("log line missing %s:\n%s", want, line)
 		}
 	}
 	// An over-long id is replaced, not echoed.
 	long := strings.Repeat("x", 200)
-	req2, _ := http.NewRequest("GET", ts.URL+"/v1/head", nil)
+	req2, _ := http.NewRequest("GET", ts.URL+"/v1/t/default/head", nil)
 	req2.Header.Set("X-Request-Id", long)
 	resp2, err := http.DefaultClient.Do(req2)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestValidRequestID(t *testing.T) {
 func TestSlowLog(t *testing.T) {
 	ts, _ := newTestServer(t, WithSlowThreshold(0))
 
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/query", strings.NewReader("phil.sal -> S."))
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/t/default/query", strings.NewReader("phil.sal -> S."))
 	req.Header.Set("X-Request-Id", "slow-join-1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -136,7 +136,7 @@ func TestSlowLog(t *testing.T) {
 		t.Fatalf("slow log empty: %s", body)
 	}
 	e := slow.Entries[0] // newest first: the query we just sent
-	if e.RequestID != "slow-join-1" || e.Method != "POST" || e.Path != "/v1/query" || e.Status != 200 {
+	if e.RequestID != "slow-join-1" || e.Method != "POST" || e.Path != "/v1/t/default/query" || e.Status != 200 {
 		t.Errorf("slow entry = %+v", e)
 	}
 	if !strings.Contains(e.Detail, "phil.sal") {
@@ -147,7 +147,7 @@ func TestSlowLog(t *testing.T) {
 // TestSlowLogDisabled: a negative threshold records nothing.
 func TestSlowLogDisabled(t *testing.T) {
 	ts, _ := newTestServer(t, WithSlowThreshold(-1))
-	get(t, ts.URL+"/v1/head")
+	get(t, ts.URL+"/v1/t/default/head")
 	code, body := get(t, ts.URL+"/v1/debug/slow")
 	if code != 200 {
 		t.Fatalf("slow: %d %s", code, body)

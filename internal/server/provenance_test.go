@@ -47,8 +47,8 @@ func withState(path, state string) string {
 	return path + sep + "state=" + state
 }
 
-// provenanceAnswers sends the five requests to prefix (a /v1 or
-// /v1/t/{tenant} URL) about state ("" = the newest) and returns the bodies.
+// provenanceAnswers sends the five requests to prefix (a /v1/t/{tenant}
+// URL) about state ("" = the newest) and returns the bodies.
 func provenanceAnswers(t *testing.T, prefix, state string) []string {
 	t.Helper()
 	out := make([]string, len(provenanceRequests))
@@ -93,10 +93,10 @@ const raiseAll = `raise: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' 
 // the stored trace of the last apply used to give.
 func TestProvenanceNewestState(t *testing.T) {
 	ts, _ := newTestServer(t)
-	if code, body := post(t, ts.URL+"/v1/apply", enterpriseUpdate); code != 200 {
+	if code, body := post(t, ts.URL+"/v1/t/default/apply", enterpriseUpdate); code != 200 {
 		t.Fatalf("apply: %d %s", code, body)
 	}
-	checkProvenance(t, ts.URL+"/v1", "")
+	checkProvenance(t, ts.URL+"/v1/t/default", "")
 	checkProvenance(t, ts.URL+"/v1/t/default", "1")
 }
 
@@ -104,7 +104,7 @@ func TestProvenanceNewestState(t *testing.T) {
 // from the journal it opened.
 func TestProvenanceAfterRestart(t *testing.T) {
 	ts, repo := newTestServer(t)
-	if code, body := post(t, ts.URL+"/v1/apply", enterpriseUpdate); code != 200 {
+	if code, body := post(t, ts.URL+"/v1/t/default/apply", enterpriseUpdate); code != 200 {
 		t.Fatalf("apply: %d %s", code, body)
 	}
 	ts.Close()
@@ -117,12 +117,12 @@ func TestProvenanceAfterRestart(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(New(reopened))
 	defer ts2.Close()
-	checkProvenance(t, ts2.URL+"/v1", "")
+	checkProvenance(t, ts2.URL+"/v1/t/default", "")
 	// The next apply moves the default on; the restarted state stays.
-	if code, body := post(t, ts2.URL+"/v1/apply", raiseAll); code != 200 {
+	if code, body := post(t, ts2.URL+"/v1/t/default/apply", raiseAll); code != 200 {
 		t.Fatalf("apply after restart: %d %s", code, body)
 	}
-	checkProvenance(t, ts2.URL+"/v1", "1")
+	checkProvenance(t, ts2.URL+"/v1/t/default", "1")
 }
 
 // TestProvenanceAfterEviction: a tenant evicted from residency and reopened
@@ -165,7 +165,7 @@ func TestProvenanceOnFollower(t *testing.T) {
 	defer func() { fnode.Stop(); fsrv.Close() }()
 
 	for _, src := range []string{enterpriseUpdate, raiseAll} {
-		if code, body := post(t, psrv.URL+"/v1/apply", src); code != 200 {
+		if code, body := post(t, psrv.URL+"/v1/t/default/apply", src); code != 200 {
 			t.Fatalf("apply on the primary: %d %s", code, body)
 		}
 	}
@@ -179,12 +179,12 @@ func TestProvenanceOnFollower(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if code, body := post(t, fsrv.URL+"/v1/apply", raiseAll); code != 403 {
+	if code, body := post(t, fsrv.URL+"/v1/t/default/apply", raiseAll); code != 403 {
 		t.Fatalf("the follower accepted a write: %d %s", code, body)
 	}
-	checkProvenance(t, fsrv.URL+"/v1", "1")
+	checkProvenance(t, fsrv.URL+"/v1/t/default", "1")
 	// Both nodes say the same about the newest state, too.
-	for _, path := range []string{"/v1/history?object=phil", "/v1/explain?vid=mod(phil)&method=sal"} {
+	for _, path := range []string{"/v1/t/default/history?object=phil", "/v1/t/default/explain?vid=mod(phil)&method=sal"} {
 		pcode, onPrimary := get(t, psrv.URL+path)
 		fcode, onFollower := get(t, fsrv.URL+path)
 		if pcode != 200 || fcode != 200 || onPrimary != onFollower || !strings.Contains(onFollower, "4607") {
@@ -198,24 +198,24 @@ func TestProvenanceOnFollower(t *testing.T) {
 func TestProvenanceOlderState(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for _, src := range []string{enterpriseUpdate, raiseAll, raiseAll} {
-		if code, body := post(t, ts.URL+"/v1/apply", src); code != 200 {
+		if code, body := post(t, ts.URL+"/v1/t/default/apply", src); code != 200 {
 			t.Fatalf("apply: %d %s", code, body)
 		}
 	}
-	checkProvenance(t, ts.URL+"/v1", "1")
+	checkProvenance(t, ts.URL+"/v1/t/default", "1")
 	// bob left in state 1; states 2 and 3 raise phil from 4600.
 	for state, want := range map[string]string{"2": "mod(phil).sal -> 4607", "3": "mod(phil).sal -> 4614", "": "mod(phil).sal -> 4614"} {
-		code, body := get(t, ts.URL+withState("/v1/history?object=phil", state))
+		code, body := get(t, ts.URL+withState("/v1/t/default/history?object=phil", state))
 		if code != 200 || !strings.Contains(body, want) || strings.Contains(body, "ins(mod(phil))") {
 			t.Errorf("history of phil in state %q: %d %s, want %s", state, code, body, want)
 		}
-		code, body = get(t, ts.URL+withState("/v1/explain?vid=mod(phil)&method=sal", state))
+		code, body = get(t, ts.URL+withState("/v1/t/default/explain?vid=mod(phil)&method=sal", state))
 		if code != 200 || !strings.Contains(body, want) || !strings.Contains(body, `"rule":"raise"`) {
 			t.Errorf("explain mod(phil).sal in state %q: %d %s, want %s", state, code, body, want)
 		}
 	}
 	// Asking twice about one state is one evaluation: the same bytes.
-	if a, b := provenanceAnswers(t, ts.URL+"/v1", "1"), provenanceAnswers(t, ts.URL+"/v1", "1"); strings.Join(a, "") != strings.Join(b, "") {
+	if a, b := provenanceAnswers(t, ts.URL+"/v1/t/default", "1"), provenanceAnswers(t, ts.URL+"/v1/t/default", "1"); strings.Join(a, "") != strings.Join(b, "") {
 		t.Errorf("two rounds about state 1 differ")
 	}
 }
@@ -228,7 +228,7 @@ func TestProvenanceStateParam(t *testing.T) {
 	check := func(state string, wantCode int, wantErr string) {
 		t.Helper()
 		for _, rq := range provenanceRequests {
-			url := ts.URL + "/v1" + withState(rq.path, state)
+			url := ts.URL + "/v1/t/default" + withState(rq.path, state)
 			code, body := 0, ""
 			if rq.method == "GET" {
 				code, body = get(t, url)
@@ -243,7 +243,7 @@ func TestProvenanceStateParam(t *testing.T) {
 	check("", 404, CodeNotFound)
 	check("1", 404, CodeNotFound)
 	check("abc", 400, CodeBadRequest)
-	if code, body := post(t, ts.URL+"/v1/apply", enterpriseUpdate); code != 200 {
+	if code, body := post(t, ts.URL+"/v1/t/default/apply", enterpriseUpdate); code != 200 {
 		t.Fatalf("apply: %d %s", code, body)
 	}
 	for _, state := range []string{"0", "2", "-1", "99999999"} {
@@ -252,7 +252,7 @@ func TestProvenanceStateParam(t *testing.T) {
 	for _, state := range []string{"abc", "1.5", "1x"} {
 		check(state, 400, CodeBadRequest)
 	}
-	checkProvenance(t, ts.URL+"/v1", "1")
+	checkProvenance(t, ts.URL+"/v1/t/default", "1")
 }
 
 // TestExplainVersionIDs: the version is found by reading the id back, for
@@ -260,19 +260,19 @@ func TestProvenanceStateParam(t *testing.T) {
 // spells it finds anything.
 func TestExplainVersionIDs(t *testing.T) {
 	ts, _ := newTestServer(t)
-	if code, body := post(t, ts.URL+"/v1/apply", `
+	if code, body := post(t, ts.URL+"/v1/t/default/apply", `
 ins[7].size -> 1. ins[2.5].size -> 2. ins["a(b) c"].size -> 3. ins[plain].size -> 4.
 `); code != 200 {
 		t.Fatalf("apply: %d %s", code, body)
 	}
 	for _, vid := range []string{`ins(7)`, `ins(2.5)`, `ins("a(b) c")`, `ins(plain)`} {
-		code, body := get(t, ts.URL+"/v1/explain?method=size&vid="+strings.ReplaceAll(vid, " ", "%20"))
+		code, body := get(t, ts.URL+"/v1/t/default/explain?method=size&vid="+strings.ReplaceAll(vid, " ", "%20"))
 		if code != 200 || !strings.Contains(body, `"provenance":"update"`) {
 			t.Errorf("explain %s: %d %s", vid, code, body)
 		}
 	}
 	for _, vid := range []string{`ins( 7 )`, `ins(07)`, `ins(2.50)`, `ins(plain`, `ins()`, `ins(ins(plain))`, `INS(plain)`, `)`} {
-		code, body := get(t, ts.URL+"/v1/explain?method=size&vid="+strings.ReplaceAll(vid, " ", "%20"))
+		code, body := get(t, ts.URL+"/v1/t/default/explain?method=size&vid="+strings.ReplaceAll(vid, " ", "%20"))
 		if code != 404 || errCode(t, body) != CodeNotFound {
 			t.Errorf("explain %s: %d %s, want 404 not_found", vid, code, body)
 		}
@@ -287,7 +287,7 @@ func TestExplainBesideApplies(t *testing.T) {
 	ts, _ := newTestServer(t)
 	const applies = 40
 	bump := `bump: mod[phil].sal -> (S, S') <- phil.sal -> S, S' = S + 1.`
-	if code, body := post(t, ts.URL+"/v1/apply", bump); code != 200 {
+	if code, body := post(t, ts.URL+"/v1/t/default/apply", bump); code != 200 {
 		t.Fatalf("apply: %d %s", code, body)
 	}
 	// stateOf reads the k an answer speaks of, checking its parts agree.
@@ -343,7 +343,7 @@ func TestExplainBesideApplies(t *testing.T) {
 				default:
 				}
 				// The newest state only moves forward ...
-				k, err := stateOf(fetch("/v1/history?object=phil"), "")
+				k, err := stateOf(fetch("/v1/t/default/history?object=phil"), "")
 				if err != nil || k < newest {
 					t.Errorf("the newest state read %d after %d (%v)", k, newest, err)
 					return
@@ -351,8 +351,8 @@ func TestExplainBesideApplies(t *testing.T) {
 				newest = k
 				// ... and a pinned one answers for itself on both routes.
 				state := strconv.Itoa(1 + (i*7+g)%newest)
-				k, err = stateOf(fetch(withState("/v1/history?object=phil", state)),
-					fetch(withState("/v1/explain?vid=mod(phil)&method=sal", state)))
+				k, err = stateOf(fetch(withState("/v1/t/default/history?object=phil", state)),
+					fetch(withState("/v1/t/default/explain?vid=mod(phil)&method=sal", state)))
 				if err != nil || strconv.Itoa(k) != state {
 					t.Errorf("asked about state %s, answered about %d (%v)", state, k, err)
 					return
@@ -361,14 +361,14 @@ func TestExplainBesideApplies(t *testing.T) {
 		}(g)
 	}
 	for i := 2; i <= applies; i++ {
-		if code, body := post(t, ts.URL+"/v1/apply", bump); code != 200 {
+		if code, body := post(t, ts.URL+"/v1/t/default/apply", bump); code != 200 {
 			t.Errorf("apply %d: %d %s", i, code, body)
 			break
 		}
 	}
 	close(stop)
 	wg.Wait()
-	_, history := get(t, ts.URL+"/v1/history?object=phil")
+	_, history := get(t, ts.URL+"/v1/t/default/history?object=phil")
 	if k, err := stateOf(history, ""); err != nil || k != applies {
 		t.Errorf("after %d applies the newest state reads %d (%v)", applies, k, err)
 	}

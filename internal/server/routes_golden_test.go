@@ -2,7 +2,9 @@ package server
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,10 +22,27 @@ import (
 //	| GET    | `/v1/t/{tenant}/state?n=N`   | ... |
 var docRouteRow = regexp.MustCompile("^\\|\\s*(GET|POST|PUT|DELETE)\\s*\\|\\s*`([^`]+)`")
 
+// docPath matches a /v1/... path named anywhere in a document; the
+// query, a "[?...]" option and trailing prose fall outside the match.
+// docTenant matches the tenant segment of a tenant route, whatever name
+// it gives.
+var (
+	docPath   = regexp.MustCompile(`/v1/[A-Za-z0-9_{}/*-]*`)
+	docTenant = regexp.MustCompile(`^/v1/t/[^/]+`)
+)
+
+// pathDocs are the documents whose /v1/... paths must name registered
+// routes. CHANGES.md and ROADMAP.md are history and may name routes that
+// are gone.
+var pathDocs = []string{"README.md", "DESIGN.md", "docs/*.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
 // TestRoutesMatchAPIDocs is the route-inventory golden test: every
 // (method, path) the server registers must appear in docs/API.md's route
 // tables, and vice versa. Adding a route without documenting it — or
-// documenting one that does not exist — fails here.
+// documenting one that does not exist — fails here. Beyond the tables,
+// every /v1/... path the documents name must resolve to a registered
+// route, once a concrete tenant name reads {tenant}; a trailing /* names
+// every route under it.
 func TestRoutesMatchAPIDocs(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/API.md")
 	if err != nil {
@@ -86,11 +105,42 @@ func TestRoutesMatchAPIDocs(t *testing.T) {
 	if len(registered) == 0 {
 		t.Fatal("empty route inventory")
 	}
+	checkDocPaths(t, srv.Routes())
+
 	// Sanity: the inventory carries the placeholder, never a literal name.
 	for k := range registered {
 		if strings.HasPrefix(k[strings.IndexByte(k, ' ')+1:], "/v1/t/") &&
 			!strings.Contains(k, "{tenant}") {
 			t.Errorf("tenant route without placeholder in inventory: %s", k)
+		}
+	}
+}
+
+// checkDocPaths fails for every /v1/... path named in pathDocs that no
+// route in inventory answers.
+func checkDocPaths(t *testing.T, inventory []Route) {
+	t.Helper()
+	for _, pat := range pathDocs {
+		files, _ := filepath.Glob("../../" + pat)
+		if len(files) == 0 {
+			t.Fatalf("no document matches %s", pat)
+		}
+		for _, f := range files {
+			doc, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatalf("read %s: %v", f, err)
+			}
+			for i, line := range strings.Split(string(doc), "\n") {
+				for _, path := range docPath.FindAllString(line, -1) {
+					path = docTenant.ReplaceAllString(path, "/v1/t/{tenant}")
+					prefix, under := strings.CutSuffix(path, "/*")
+					if !slices.ContainsFunc(inventory, func(rt Route) bool {
+						return rt.Path == path || under && strings.HasPrefix(rt.Path, prefix+"/")
+					}) {
+						t.Errorf("%s:%d names %s, which is no registered route", f[len("../../"):], i+1, path)
+					}
+				}
+			}
 		}
 	}
 }

@@ -3,36 +3,14 @@
 // update-programs and queries in the concrete syntax and receive JSON.
 //
 // The v1 surface is multi-tenant: every repository-scoped route lives
-// under /v1/t/{tenant}/..., one namespace per tenant with its own
-// journal, constraints and idempotency keys (see docs/API.md for the
-// full reference):
-//
-//	GET    /v1/t/{tenant}/head                  the tenant's current object base
-//	GET    /v1/t/{tenant}/state?n=N             the base after the first N programs
-//	GET    /v1/t/{tenant}/log?limit=&after=     journal summary, paginated
-//	GET    /v1/t/{tenant}/history?object=NAME   version history within one apply
-//	                                            (&state=K; default the newest)
-//	GET    /v1/t/{tenant}/stats                 head-base summary
-//	POST   /v1/t/{tenant}/explain               provenance of facts in one apply (?state=K)
-//	GET    /v1/t/{tenant}/constraints           installed constraints
-//	POST   /v1/t/{tenant}/constraints           install constraints (text body)
-//	POST   /v1/t/{tenant}/check                 analyze a program -> diagnostics
-//	POST   /v1/t/{tenant}/query                 evaluate a query -> bindings
-//	POST   /v1/t/{tenant}/apply                 apply an update-program;
-//	                                            ?trace=1 returns the span tree
-//	GET    /v1/t/{tenant}/explain?vid=&method=  provenance chain of a fact (&state=K)
-//	GET    /v1/tenants                          list tenants (+ seq/size)
-//	DELETE /v1/t/{tenant}                       delete a tenant (-allow-tenant-delete)
-//	GET    /v1/debug/slow            recent slow requests (server-wide)
-//	GET    /v1/debug/traces          ring of recent apply traces (?id=, &format=chrome)
-//	GET    /metrics                  Prometheus text exposition (incl. runtime health)
-//	GET    /debug/vars               expvar JSON
-//
-// The unprefixed forms (/v1/head, /v1/apply, ...) still serve the
-// "default" tenant byte-identically, marked with Deprecation: true and a
-// Link to the successor route. POST apply/constraints create a tenant on
-// first use; reads of a tenant that does not exist answer 404
-// tenant_not_found. Tenant names match [a-z0-9][a-z0-9-_]{0,63}.
+// under /v1/t/{tenant}/... and nowhere else, one namespace per tenant
+// with its own journal, constraints and idempotency keys; server-wide
+// routes (/v1/tenants, /v1/status, /v1/debug/*, /v1/repl/*, /metrics)
+// take no prefix. docs/API.md is the route reference, held to Routes()
+// by TestRoutesMatchAPIDocs. The repository New is given is the
+// "default" tenant. POST apply/constraints create a tenant on first use;
+// reads of a tenant that does not exist answer 404 tenant_not_found.
+// Tenant names match [a-z0-9][a-z0-9-_]{0,63}.
 //
 // Every response is JSON (the /metrics exposition excepted); every error is
 // the envelope {"error":{"code":"...","message":"...","request_id":"..."}}
@@ -78,7 +56,7 @@ import (
 // maxBodySize bounds request bodies (programs, queries, constraints).
 const maxBodySize = 16 << 20
 
-// Pagination bounds for /v1/log and /v1/history.
+// Pagination bounds for the log and history routes.
 const (
 	defaultPageLimit = 1000
 	maxPageLimit     = 10000
@@ -124,16 +102,15 @@ const hotRuleCap = 128
 type Server struct {
 	tenants *tenant.Manager
 	// def is the adopted "default" tenant — the repository New was given.
-	// The unprefixed /v1/* routes serve it directly (it is pinned, so no
-	// Acquire/Release is needed), as do the replication endpoints.
+	// The replication endpoints and /v1/status serve it directly (it is
+	// pinned, so no Acquire/Release is needed).
 	def    *tenant.Tenant
 	repl   *replication.Node // nil when replication is not configured
 	mux    *http.ServeMux
-	routes map[string]bool // registered paths, for the route metric label
+	routes map[string]bool // literal registered paths, for the route metric label
 	// tenantRoutes maps a route suffix ("apply", "head", ...) to its
 	// per-method tenant handlers; one dispatcher under /v1/t/ serves them
-	// all, so every repository route gains its tenant-prefixed form from
-	// a single table.
+	// all from this table.
 	tenantRoutes map[string]tmethods
 	// inventory records every (method, path-pattern) pair the server
 	// answers, in registration order — the route golden test diffs it
@@ -162,7 +139,6 @@ type Server struct {
 	httpWin     *obs.Window
 	applyWin    *obs.Window
 	queryWin    *obs.Window
-	deprecated  *obs.Counter
 
 	// hotRules accumulates per-rule eval stats across applies (bounded;
 	// the long tail collapses into one "other" row).
@@ -256,8 +232,6 @@ func New(repo *repository.Repository, opts ...Option) *Server {
 	obs.RegisterRuntimeMetrics(s.reg)
 	s.applySeconds = s.reg.Histogram("verlog_apply_seconds",
 		"End-to-end apply latency (parse through commit).")
-	s.deprecated = s.reg.Counter("verlog_deprecated_requests_total",
-		"Requests answered with Deprecation: true (legacy unprefixed /v1 routes).")
 	s.registerChecks()
 
 	s.tenantRoute("head", tmethods{"GET": s.handleHead})
@@ -273,7 +247,6 @@ func New(repo *repository.Repository, opts ...Option) *Server {
 	// One dispatcher parses /v1/t/{tenant}/..., acquires the tenant and
 	// serves the suffix from the table above.
 	s.mux.HandleFunc("/v1/t/", s.dispatchTenant)
-	s.routes["/v1/t/{tenant}"] = true
 	s.inventory = append(s.inventory, Route{"DELETE", "/v1/t/{tenant}"})
 	s.route("/v1/tenants", methods{"GET": s.handleTenants})
 	if s.repl != nil {
@@ -306,8 +279,8 @@ func New(repo *repository.Repository, opts ...Option) *Server {
 type methods map[string]http.HandlerFunc
 
 // tmethods maps an HTTP method to its tenant-scoped handler: the same
-// handler serves /v1/t/{tenant}/x for every tenant and /v1/x for the
-// default one; which repository it works on rides in the first argument.
+// handler serves /v1/t/{tenant}/x for every tenant; which repository it
+// works on rides in the first argument.
 type tmethods map[string]func(*tenant.Tenant, http.ResponseWriter, *http.Request)
 
 // allowHeader renders a deterministic Allow header for a method map.
@@ -318,6 +291,14 @@ func allowHeader[H any](m map[string]H) string {
 	}
 	sort.Strings(allow)
 	return strings.Join(allow, ", ")
+}
+
+// writeMethodNotAllowed answers a method the route at path does not serve:
+// the 405 envelope, with the methods it does serve in the Allow header.
+func writeMethodNotAllowed(w http.ResponseWriter, r *http.Request, path, allow string) {
+	w.Header().Set("Allow", allow)
+	writeErrorCode(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+		fmt.Errorf("server: %s does not allow %s (allowed: %s)", path, r.Method, allow))
 }
 
 // route registers path with per-method dispatch: a request with a method
@@ -332,47 +313,22 @@ func (s *Server) route(path string, m methods) {
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		h, ok := m[r.Method]
 		if !ok {
-			w.Header().Set("Allow", allow)
-			writeErrorCode(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
-				fmt.Errorf("server: %s does not allow %s (allowed: %s)", path, r.Method, allow))
+			writeMethodNotAllowed(w, r, path, allow)
 			return
 		}
 		h(w, r)
 	})
 }
 
-// tenantRoute registers one repository-scoped route twice: the pattern
-// form /v1/t/{tenant}/suffix in the dispatcher's table, and the legacy
-// unprefixed form /v1/suffix, which serves the default tenant
-// byte-identically plus Deprecation/Link headers pointing at the
-// successor route.
+// tenantRoute adds one repository-scoped route, /v1/t/{tenant}/suffix, to
+// the dispatcher's table and to the inventory.
 func (s *Server) tenantRoute(suffix string, m tmethods) {
 	s.tenantRoutes[suffix] = m
-	legacy := "/v1/" + suffix
-	pattern := "/v1/t/{tenant}/" + suffix
-	s.routes[legacy] = true
-	s.routes[pattern] = true
 	for _, meth := range []string{"GET", "POST", "PUT", "DELETE"} { // inventory in stable order
 		if _, ok := m[meth]; ok {
-			s.inventory = append(s.inventory, Route{meth, pattern}, Route{meth, legacy})
+			s.inventory = append(s.inventory, Route{meth, "/v1/t/{tenant}/" + suffix})
 		}
 	}
-	allow := allowHeader(m)
-	s.mux.HandleFunc(legacy, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1/t/default/%s>; rel=\"successor-version\"", suffix))
-		s.deprecated.Inc()
-		h, ok := m[r.Method]
-		if !ok {
-			w.Header().Set("Allow", allow)
-			writeErrorCode(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
-				fmt.Errorf("server: %s does not allow %s (allowed: %s)", legacy, r.Method, allow))
-			return
-		}
-		// The default tenant is pinned (never evicted), so the legacy path
-		// needs no Acquire/Release.
-		h(s.def, w, r)
-	})
 }
 
 // Routes returns every (method, path-pattern) pair the server serves, in
@@ -462,7 +418,7 @@ func pageParams(r *http.Request) (limit, after int, err error) {
 // baseResponse renders an object base.
 type baseResponse struct {
 	// State is the journal position the base corresponds to (absent on
-	// /v1/head, which always reflects the newest state).
+	// head, which always reflects the newest state).
 	State *int `json:"state,omitempty"`
 	Facts int  `json:"facts"`
 	// Text is the base in concrete text syntax.
@@ -1193,7 +1149,7 @@ type explainChain struct {
 	Chain []explainStep `json:"chain"`
 }
 
-// explainVersionResponse answers GET /v1/explain?vid=&method=.
+// explainVersionResponse answers GET /v1/t/{tenant}/explain?vid=&method=.
 type explainVersionResponse struct {
 	VID    string         `json:"vid"`
 	Method string         `json:"method"`

@@ -83,7 +83,7 @@ func TestServerLifecycle(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// Head shows the initial base, as JSON.
-	code, body := get(t, ts.URL+"/v1/head")
+	code, body := get(t, ts.URL+"/v1/t/default/head")
 	if code != 200 || !strings.Contains(body, "phil.sal -> 4000.") {
 		t.Fatalf("head: %d %s", code, body)
 	}
@@ -96,7 +96,7 @@ func TestServerLifecycle(t *testing.T) {
 	}
 
 	// Check the program.
-	code, body = post(t, ts.URL+"/v1/check", enterpriseUpdate)
+	code, body = post(t, ts.URL+"/v1/t/default/check", enterpriseUpdate)
 	if code != 200 {
 		t.Fatalf("check: %d %s", code, body)
 	}
@@ -109,7 +109,7 @@ func TestServerLifecycle(t *testing.T) {
 	}
 
 	// Apply it; the response carries per-stage timings.
-	code, body = post(t, ts.URL+"/v1/apply", enterpriseUpdate)
+	code, body = post(t, ts.URL+"/v1/t/default/apply", enterpriseUpdate)
 	if code != 200 {
 		t.Fatalf("apply: %d %s", code, body)
 	}
@@ -128,34 +128,34 @@ func TestServerLifecycle(t *testing.T) {
 	}
 
 	// Head now reflects the update; bob is gone.
-	code, body = get(t, ts.URL+"/v1/head")
+	code, body = get(t, ts.URL+"/v1/t/default/head")
 	if code != 200 || !strings.Contains(body, "phil.sal -> 4600.") || strings.Contains(body, "bob") {
 		t.Errorf("head after apply: %d %s", code, body)
 	}
 
 	// Query through the server.
-	code, body = post(t, ts.URL+"/v1/query", `E.isa -> hpe.`)
+	code, body = post(t, ts.URL+"/v1/t/default/query", `E.isa -> hpe.`)
 	if code != 200 || !strings.Contains(body, `"E":"phil"`) || !strings.Contains(body, `"rows"`) {
 		t.Errorf("query: %d %s", code, body)
 	}
 
 	// Time travel.
-	code, body = get(t, ts.URL+"/v1/state?n=0")
+	code, body = get(t, ts.URL+"/v1/t/default/state?n=0")
 	if code != 200 || !strings.Contains(body, "bob.sal -> 4200.") {
 		t.Errorf("state 0: %d %s", code, body)
 	}
-	if code, body := get(t, ts.URL+"/v1/state?n=7"); code != 404 || errCode(t, body) != CodeNotFound {
+	if code, body := get(t, ts.URL+"/v1/t/default/state?n=7"); code != 404 || errCode(t, body) != CodeNotFound {
 		t.Errorf("state 7 = %d %s, want 404 not_found", code, body)
 	}
 
 	// Log.
-	code, body = get(t, ts.URL+"/v1/log")
+	code, body = get(t, ts.URL+"/v1/t/default/log")
 	if code != 200 || !strings.Contains(body, `"seq":1`) || !strings.Contains(body, `"entries"`) {
 		t.Errorf("log: %d %s", code, body)
 	}
 
 	// History of the last run.
-	code, body = get(t, ts.URL+"/v1/history?object=bob")
+	code, body = get(t, ts.URL+"/v1/t/default/history?object=bob")
 	if code != 200 || !strings.Contains(body, "del(mod(bob))") {
 		t.Errorf("history: %d %s", code, body)
 	}
@@ -165,37 +165,37 @@ func TestServerErrorEnvelope(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// Syntax error -> 400 parse_error.
-	code, body := post(t, ts.URL+"/v1/apply", "ins[X].m -> ")
+	code, body := post(t, ts.URL+"/v1/t/default/apply", "ins[X].m -> ")
 	if code != 400 || errCode(t, body) != CodeParseError {
 		t.Errorf("syntax error = %d %s", code, body)
 	}
 	// Unsafe program -> 400 unsafe_rule.
-	code, body = post(t, ts.URL+"/v1/apply", "r: ins[X].m -> Y <- X.isa -> empl.")
+	code, body = post(t, ts.URL+"/v1/t/default/apply", "r: ins[X].m -> Y <- X.isa -> empl.")
 	if code != 400 || errCode(t, body) != CodeUnsafeRule {
 		t.Errorf("unsafe program = %d %s", code, body)
 	}
 	// Bad query -> 400 parse_error.
-	code, body = post(t, ts.URL+"/v1/query", "E.sal -> ")
+	code, body = post(t, ts.URL+"/v1/t/default/query", "E.sal -> ")
 	if code != 400 || errCode(t, body) != CodeParseError {
 		t.Errorf("bad query = %d %s", code, body)
 	}
 	// History before any apply -> 404 not_found.
-	code, body = get(t, ts.URL+"/v1/history?object=phil")
+	code, body = get(t, ts.URL+"/v1/t/default/history?object=phil")
 	if code != 404 || errCode(t, body) != CodeNotFound {
 		t.Errorf("history without apply = %d %s", code, body)
 	}
 	// Missing object param -> 400 bad_request.
-	code, body = get(t, ts.URL+"/v1/history")
+	code, body = get(t, ts.URL+"/v1/t/default/history")
 	if code != 400 || errCode(t, body) != CodeBadRequest {
 		t.Errorf("history without object = %d %s", code, body)
 	}
 	// Bad state number -> 400 bad_request.
-	code, body = get(t, ts.URL+"/v1/state?n=abc")
+	code, body = get(t, ts.URL+"/v1/t/default/state?n=abc")
 	if code != 400 || errCode(t, body) != CodeBadRequest {
 		t.Errorf("bad state = %d %s", code, body)
 	}
 	// Empty POST body -> 400 bad_request.
-	code, body = post(t, ts.URL+"/v1/apply", "   ")
+	code, body = post(t, ts.URL+"/v1/t/default/apply", "   ")
 	if code != 400 || errCode(t, body) != CodeBadRequest {
 		t.Errorf("empty body = %d %s", code, body)
 	}
@@ -205,23 +205,24 @@ func TestServerErrorEnvelope(t *testing.T) {
 		t.Errorf("unknown route = %d %s", code, body)
 	}
 	// Wrong method -> 405 envelope with Allow header.
-	resp, err := http.Get(ts.URL + "/v1/apply")
+	resp, err := http.Get(ts.URL + "/v1/t/default/apply")
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != 405 || errCode(t, string(b)) != CodeMethodNotAllowed {
-		t.Errorf("GET /v1/apply = %d %s", resp.StatusCode, b)
+		t.Errorf("GET /v1/t/default/apply = %d %s", resp.StatusCode, b)
 	}
 	if resp.Header.Get("Allow") != "POST" {
 		t.Errorf("Allow = %q, want POST", resp.Header.Get("Allow"))
 	}
 }
 
-// TestServerDiagnostics: /v1/check reports a defective program as a
-// successful analysis (200, ok:false, positioned diagnostics), and /v1/apply
-// rejections carry the offending position in the error envelope.
+// TestServerDiagnostics: /v1/t/{tenant}/check reports a defective program
+// as a successful analysis (200, ok:false, positioned diagnostics), and
+// /v1/t/{tenant}/apply rejections carry the offending position in the
+// error envelope.
 func TestServerDiagnostics(t *testing.T) {
 	ts, _ := newTestServer(t)
 
@@ -246,7 +247,7 @@ func TestServerDiagnostics(t *testing.T) {
 
 	// A defective program is still a successful check: HTTP 200 with the
 	// defects as diagnostics.
-	code, body := post(t, ts.URL+"/v1/check", "r1: ins[X].t -> Y <- X.t -> w.")
+	code, body := post(t, ts.URL+"/v1/t/default/check", "r1: ins[X].t -> Y <- X.t -> w.")
 	if code != 200 {
 		t.Fatalf("check defective = %d %s, want 200", code, body)
 	}
@@ -266,7 +267,7 @@ func TestServerDiagnostics(t *testing.T) {
 	}
 
 	// A syntax error becomes one V0007 diagnostic, still HTTP 200.
-	code, body = post(t, ts.URL+"/v1/check", "r: ins[X].m -> ")
+	code, body = post(t, ts.URL+"/v1/t/default/check", "r: ins[X].m -> ")
 	if code != 200 {
 		t.Fatalf("check unparsable = %d %s, want 200", code, body)
 	}
@@ -279,7 +280,7 @@ func TestServerDiagnostics(t *testing.T) {
 	}
 
 	// A clean program: ok:true, strata, empty (non-null) diagnostics array.
-	code, body = post(t, ts.URL+"/v1/check", enterpriseUpdate)
+	code, body = post(t, ts.URL+"/v1/t/default/check", enterpriseUpdate)
 	if code != 200 {
 		t.Fatalf("check clean = %d %s", code, body)
 	}
@@ -294,14 +295,14 @@ func TestServerDiagnostics(t *testing.T) {
 		t.Errorf("diagnostics should serialize as [], not null: %s", body)
 	}
 
-	// /v1/apply rejections point at the offending rule.
+	// /v1/t/{tenant}/apply rejections point at the offending rule.
 	var env struct {
 		Error struct {
 			Code     string `json:"code"`
 			Position *pos   `json:"position"`
 		} `json:"error"`
 	}
-	code, body = post(t, ts.URL+"/v1/apply", "ok: ins[bob].mark -> y <- bob.isa -> empl.\nbad: ins[X].m -> Y <- X.isa -> empl.")
+	code, body = post(t, ts.URL+"/v1/t/default/apply", "ok: ins[bob].mark -> y <- bob.isa -> empl.\nbad: ins[X].m -> Y <- X.isa -> empl.")
 	if code != 400 {
 		t.Fatalf("apply unsafe = %d %s", code, body)
 	}
@@ -313,7 +314,7 @@ func TestServerDiagnostics(t *testing.T) {
 	}
 
 	env.Error.Position = nil
-	code, body = post(t, ts.URL+"/v1/apply", "r: ins[X].m -> ")
+	code, body = post(t, ts.URL+"/v1/t/default/apply", "r: ins[X].m -> ")
 	if code != 400 {
 		t.Fatalf("apply unparsable = %d %s", code, body)
 	}
@@ -331,19 +332,19 @@ func TestServerContentType(t *testing.T) {
 	checks := []struct {
 		method, path, body string
 	}{
-		{"GET", "/v1/head", ""},
-		{"GET", "/v1/state?n=0", ""},
-		{"GET", "/v1/state?n=99", ""}, // error path
-		{"GET", "/v1/log", ""},
-		{"GET", "/v1/stats", ""},
-		{"GET", "/v1/constraints", ""},
-		{"GET", "/v1/history", ""}, // error path
+		{"GET", "/v1/t/default/head", ""},
+		{"GET", "/v1/t/default/state?n=0", ""},
+		{"GET", "/v1/t/default/state?n=99", ""}, // error path
+		{"GET", "/v1/t/default/log", ""},
+		{"GET", "/v1/t/default/stats", ""},
+		{"GET", "/v1/t/default/constraints", ""},
+		{"GET", "/v1/t/default/history", ""}, // error path
 		{"GET", "/v1/debug/slow", ""},
-		{"POST", "/v1/query", "phil.sal -> S."},
-		{"POST", "/v1/check", "r: ins[x].m -> a <- x.isa -> t."},
-		{"POST", "/v1/apply", "broken"}, // error path
-		{"GET", "/v1/nope", ""},         // 404 path
-		{"PUT", "/v1/apply", "x"},       // 405 path
+		{"POST", "/v1/t/default/query", "phil.sal -> S."},
+		{"POST", "/v1/t/default/check", "r: ins[x].m -> a <- x.isa -> t."},
+		{"POST", "/v1/t/default/apply", "broken"}, // error path
+		{"GET", "/v1/nope", ""},                   // 404 path
+		{"PUT", "/v1/t/default/apply", "x"},       // 405 path
 	}
 	for _, c := range checks {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
@@ -366,7 +367,7 @@ func TestServerPagination(t *testing.T) {
 	ts, _ := newTestServer(t)
 	raise := `r: mod[E].sal -> (S, S') <- E.isa -> empl / pos -> mgr, E.sal -> S, S' = S + 1.`
 	for i := 0; i < 5; i++ {
-		if code, body := post(t, ts.URL+"/v1/apply", raise); code != 200 {
+		if code, body := post(t, ts.URL+"/v1/t/default/apply", raise); code != 200 {
 			t.Fatalf("apply %d: %d %s", i, code, body)
 		}
 	}
@@ -377,7 +378,7 @@ func TestServerPagination(t *testing.T) {
 		NextAfter *int `json:"next_after"`
 	}
 	// First page of 2.
-	code, body := get(t, ts.URL+"/v1/log?limit=2")
+	code, body := get(t, ts.URL+"/v1/t/default/log?limit=2")
 	if code != 200 {
 		t.Fatalf("log: %d %s", code, body)
 	}
@@ -388,7 +389,7 @@ func TestServerPagination(t *testing.T) {
 		t.Fatalf("page 1 = %s", body)
 	}
 	// Continue from the cursor.
-	code, body = get(t, ts.URL+"/v1/log?limit=2&after=2")
+	code, body = get(t, ts.URL+"/v1/t/default/log?limit=2&after=2")
 	if code != 200 {
 		t.Fatalf("log p2: %d %s", code, body)
 	}
@@ -400,7 +401,7 @@ func TestServerPagination(t *testing.T) {
 		t.Fatalf("page 2 = %s", body)
 	}
 	// Final page has no cursor.
-	code, body = get(t, ts.URL+"/v1/log?limit=2&after=4")
+	code, body = get(t, ts.URL+"/v1/t/default/log?limit=2&after=4")
 	page.NextAfter = nil
 	if err := json.Unmarshal([]byte(body), &page); err != nil {
 		t.Fatal(err)
@@ -409,15 +410,15 @@ func TestServerPagination(t *testing.T) {
 		t.Fatalf("page 3 = %d %s", code, body)
 	}
 	// Bad params are envelope errors.
-	if code, body := get(t, ts.URL+"/v1/log?limit=0"); code != 400 || errCode(t, body) != CodeBadRequest {
+	if code, body := get(t, ts.URL+"/v1/t/default/log?limit=0"); code != 400 || errCode(t, body) != CodeBadRequest {
 		t.Errorf("limit=0 = %d %s", code, body)
 	}
-	if code, body := get(t, ts.URL+"/v1/log?after=-1"); code != 400 || errCode(t, body) != CodeBadRequest {
+	if code, body := get(t, ts.URL+"/v1/t/default/log?after=-1"); code != 400 || errCode(t, body) != CodeBadRequest {
 		t.Errorf("after=-1 = %d %s", code, body)
 	}
 
 	// History pagination: the enterprise update gives bob 3 steps.
-	if code, body := post(t, ts.URL+"/v1/apply", enterpriseUpdate); code != 409 && code != 200 {
+	if code, body := post(t, ts.URL+"/v1/t/default/apply", enterpriseUpdate); code != 409 && code != 200 {
 		t.Fatalf("enterprise apply: %d %s", code, body)
 	}
 	var hist struct {
@@ -426,7 +427,7 @@ func TestServerPagination(t *testing.T) {
 		} `json:"steps"`
 		NextAfter *int `json:"next_after"`
 	}
-	code, body = get(t, ts.URL+"/v1/history?object=bob&limit=2")
+	code, body = get(t, ts.URL+"/v1/t/default/history?object=bob&limit=2")
 	if code != 200 {
 		t.Fatalf("history: %d %s", code, body)
 	}
@@ -436,7 +437,7 @@ func TestServerPagination(t *testing.T) {
 	if len(hist.Steps) != 2 || hist.NextAfter == nil || *hist.NextAfter != 2 {
 		t.Fatalf("history page 1 = %s", body)
 	}
-	code, body = get(t, ts.URL+"/v1/history?object=bob&limit=2&after=2")
+	code, body = get(t, ts.URL+"/v1/t/default/history?object=bob&limit=2&after=2")
 	hist.NextAfter = nil
 	if err := json.Unmarshal([]byte(body), &hist); err != nil {
 		t.Fatal(err)
@@ -449,21 +450,21 @@ func TestServerPagination(t *testing.T) {
 func TestServerConstraints(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	code, body := post(t, ts.URL+"/v1/constraints", `nonneg: E.isa -> empl, E.sal -> S, S < 0.`)
+	code, body := post(t, ts.URL+"/v1/t/default/constraints", `nonneg: E.isa -> empl, E.sal -> S, S < 0.`)
 	if code != 200 || !strings.Contains(body, `"installed":1`) {
 		t.Fatalf("set constraints: %d %s", code, body)
 	}
-	code, body = get(t, ts.URL+"/v1/constraints")
+	code, body = get(t, ts.URL+"/v1/t/default/constraints")
 	if code != 200 || !strings.Contains(body, "nonneg:") || !strings.Contains(body, `"count":1`) {
 		t.Errorf("get constraints: %d %s", code, body)
 	}
 	// A violating update is rejected with 409 constraint_violation and not
 	// committed.
-	code, body = post(t, ts.URL+"/v1/apply", `r: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S - 99999.`)
+	code, body = post(t, ts.URL+"/v1/t/default/apply", `r: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S - 99999.`)
 	if code != 409 || errCode(t, body) != CodeConstraintViolation {
 		t.Errorf("violating apply = %d %s, want 409 constraint_violation", code, body)
 	}
-	code, body = get(t, ts.URL+"/v1/head")
+	code, body = get(t, ts.URL+"/v1/t/default/head")
 	if code != 200 || !strings.Contains(body, "phil.sal -> 4000.") {
 		t.Errorf("head changed after rejected apply: %s", body)
 	}
@@ -471,7 +472,7 @@ func TestServerConstraints(t *testing.T) {
 
 func TestServerLinearityViolation(t *testing.T) {
 	ts, _ := newTestServer(t)
-	code, body := post(t, ts.URL+"/v1/apply", `
+	code, body := post(t, ts.URL+"/v1/t/default/apply", `
 ra: mod[X].sal -> (S, S) <- X.isa -> empl, X.sal -> S.
 rb: del[X].sal -> S <- X.isa -> empl, X.sal -> S.
 `)
@@ -482,18 +483,18 @@ rb: del[X].sal -> S <- X.isa -> empl, X.sal -> S.
 
 func TestServerStatsAndExplain(t *testing.T) {
 	ts, _ := newTestServer(t)
-	code, body := get(t, ts.URL+"/v1/stats")
+	code, body := get(t, ts.URL+"/v1/t/default/stats")
 	if code != 200 || !strings.Contains(body, `"objects":2`) {
 		t.Fatalf("stats: %d %s", code, body)
 	}
 	// Explain before any apply: 404.
-	if code, body := post(t, ts.URL+"/v1/explain", "phil.sal -> 4000."); code != 404 || errCode(t, body) != CodeNotFound {
+	if code, body := post(t, ts.URL+"/v1/t/default/explain", "phil.sal -> 4000."); code != 404 || errCode(t, body) != CodeNotFound {
 		t.Errorf("explain without apply = %d %s", code, body)
 	}
-	if code, body := post(t, ts.URL+"/v1/apply", enterpriseUpdate); code != 200 {
+	if code, body := post(t, ts.URL+"/v1/t/default/apply", enterpriseUpdate); code != 200 {
 		t.Fatalf("apply: %d %s", code, body)
 	}
-	code, body = post(t, ts.URL+"/v1/explain", "ins(mod(phil)).isa -> hpe. ins(mod(phil)).pos -> mgr.")
+	code, body = post(t, ts.URL+"/v1/t/default/explain", "ins(mod(phil)).isa -> hpe. ins(mod(phil)).pos -> mgr.")
 	if code != 200 {
 		t.Fatalf("explain: %d %s", code, body)
 	}
@@ -512,13 +513,13 @@ func TestServerStatsAndExplain(t *testing.T) {
 		t.Errorf("entry 1 = %+v", resp.Entries[1])
 	}
 	// Bad fact syntax: 400.
-	if code, body := post(t, ts.URL+"/v1/explain", "broken ->"); code != 400 || errCode(t, body) != CodeParseError {
+	if code, body := post(t, ts.URL+"/v1/t/default/explain", "broken ->"); code != 400 || errCode(t, body) != CodeParseError {
 		t.Errorf("bad explain body = %d %s", code, body)
 	}
 }
 
-// TestServerCheckDeep: ?deep=1 on /v1/check adds the semantic tier's
-// Facts to the response — on the default route and on tenant routes —
+// TestServerCheckDeep: ?deep=1 on /v1/t/{tenant}/check adds the semantic
+// tier's Facts to the response — on the default tenant and on others —
 // while a plain check keeps the old shape (no facts key).
 func TestServerCheckDeep(t *testing.T) {
 	ts, _ := newTenantServer(t, nil)
@@ -529,9 +530,9 @@ func TestServerCheckDeep(t *testing.T) {
 		Diagnostics []json.RawMessage `json:"diagnostics"`
 		Facts       *struct {
 			Rules []struct {
-				Rule    string  `json:"rule"`
-				Stratum int     `json:"stratum"`
-				Cost    float64 `json:"cost"`
+				Rule     string  `json:"rule"`
+				Stratum  int     `json:"stratum"`
+				Cost     float64 `json:"cost"`
 				Literals []struct {
 					Kind string `json:"kind"`
 				} `json:"literals"`
@@ -547,13 +548,13 @@ func TestServerCheckDeep(t *testing.T) {
 	}
 
 	// Plain check: no facts key at all.
-	code, body := post(t, ts.URL+"/v1/check", enterpriseUpdate)
+	code, body := post(t, ts.URL+"/v1/t/default/check", enterpriseUpdate)
 	if code != 200 || strings.Contains(body, `"facts"`) {
 		t.Fatalf("plain check leaked facts: %d %s", code, body)
 	}
 
-	// Deep check on the default route.
-	code, body = post(t, ts.URL+"/v1/check?deep=1", enterpriseUpdate)
+	// Deep check on the default tenant.
+	code, body = post(t, ts.URL+"/v1/t/default/check?deep=1", enterpriseUpdate)
 	if code != 200 {
 		t.Fatalf("deep check: %d %s", code, body)
 	}
@@ -574,7 +575,7 @@ func TestServerCheckDeep(t *testing.T) {
 
 	// The deep tier only adds warnings/infos: a broken program keeps
 	// ok=false with facts still present for the parsed rules.
-	code, body = post(t, ts.URL+"/v1/check?deep=1", "r1: ins[X].t -> Y <- X.t -> w.")
+	code, body = post(t, ts.URL+"/v1/t/default/check?deep=1", "r1: ins[X].t -> Y <- X.t -> w.")
 	if code != 200 {
 		t.Fatalf("deep check unsafe: %d %s", code, body)
 	}

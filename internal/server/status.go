@@ -220,7 +220,6 @@ type nodeStatus struct {
 	QueryWindow     obs.WindowStats     `json:"query_window"`
 	HTTPWindow      obs.WindowStats     `json:"http_window"`
 	HotRules        []hotRule           `json:"hot_rules,omitempty"`
-	Deprecated      int64               `json:"deprecated_requests"`
 	SlowTotal       int64               `json:"slow_total"`
 	SlowThresholdMS float64             `json:"slow_threshold_ms"`
 }
@@ -266,7 +265,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		QueryWindow:     s.queryWin.Stats(),
 		HTTPWindow:      s.httpWin.Stats(),
 		HotRules:        s.topRules(20),
-		Deprecated:      s.deprecated.Value(),
 		SlowTotal:       s.slow.Total(),
 		SlowThresholdMS: float64(s.slowThreshold) / float64(time.Millisecond),
 	}

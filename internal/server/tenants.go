@@ -11,10 +11,10 @@ import (
 
 // Tenant routing. One dispatcher owns the /v1/t/ subtree: it parses
 // /v1/t/{tenant}[/{suffix}], validates the name, acquires the tenant
-// (creating it on first write), and serves the suffix from the same
-// handler table the legacy unprefixed routes use. The route label
-// recorded for metrics is always the pattern form — never a concrete
-// tenant name — so route cardinality stays fixed.
+// (creating it on first write), and serves the suffix from the handler
+// table tenantRoute fills. The route label recorded for metrics is always
+// the pattern form — never a concrete tenant name — so route cardinality
+// stays fixed.
 
 // dispatchTenant serves every /v1/t/{tenant}/... request.
 func (s *Server) dispatchTenant(w http.ResponseWriter, r *http.Request) {
@@ -29,9 +29,7 @@ func (s *Server) dispatchTenant(w http.ResponseWriter, r *http.Request) {
 		// Bare /v1/t/{tenant}: only the management verb lives here.
 		s.setRoute(r, "/v1/t/{tenant}", name)
 		if r.Method != http.MethodDelete {
-			w.Header().Set("Allow", "DELETE")
-			writeErrorCode(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
-				fmt.Errorf("server: /v1/t/{tenant} does not allow %s (allowed: DELETE)", r.Method))
+			writeMethodNotAllowed(w, r, "/v1/t/{tenant}", "DELETE")
 			return
 		}
 		s.handleTenantDelete(name, w, r)
@@ -46,9 +44,7 @@ func (s *Server) dispatchTenant(w http.ResponseWriter, r *http.Request) {
 	s.setRoute(r, "/v1/t/{tenant}/"+suffix, name)
 	h, ok := m[r.Method]
 	if !ok {
-		w.Header().Set("Allow", allowHeader(m))
-		writeErrorCode(w, r, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
-			fmt.Errorf("server: /v1/t/{tenant}/%s does not allow %s (allowed: %s)", suffix, r.Method, allowHeader(m)))
+		writeMethodNotAllowed(w, r, "/v1/t/{tenant}/"+suffix, allowHeader(m))
 		return
 	}
 	// Only a first write creates a tenant; reads of an unknown one 404.

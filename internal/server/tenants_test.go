@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -21,27 +22,20 @@ func newTenantServer(t *testing.T, mgrOpts []tenant.Option, opts ...Option) (*ht
 	return ts, mgr
 }
 
-func del(t *testing.T, url string) (int, string) {
+// send issues one request and returns its status and body.
+func send(t *testing.T, method, url, body string) (int, string) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodDelete, url, nil)
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("NewRequest: %v", err)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("DELETE %s: %v", url, err)
+		t.Fatalf("%s %s: %v", method, url, err)
 	}
 	defer resp.Body.Close()
-	var b strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := resp.Body.Read(buf)
-		b.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	return resp.StatusCode, b.String()
+	b, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(b)
 }
 
 // TestTenantIsolation: two tenants created by first write hold disjoint
@@ -63,48 +57,38 @@ func TestTenantIsolation(t *testing.T) {
 		t.Fatalf("globex head: %d %s", code, body)
 	}
 	// The default tenant still serves the seed base, with no x object.
-	code, body = get(t, ts.URL+"/v1/head")
+	code, body = get(t, ts.URL+"/v1/t/default/head")
 	if code != 200 || !strings.Contains(body, "phil.sal -> 4000.") || strings.Contains(body, "owner") {
 		t.Fatalf("default head: %d %s", code, body)
 	}
 }
 
-// TestTenantDefaultAliases: /v1/t/default/... and the unprefixed /v1/...
-// address the same namespace; only the legacy form carries the
-// deprecation headers.
-func TestTenantDefaultAliases(t *testing.T) {
-	ts, _ := newTenantServer(t, nil)
-	if code, body := post(t, ts.URL+"/v1/apply", enterpriseUpdate); code != 200 {
-		t.Fatalf("legacy apply: %d %s", code, body)
+// TestUnprefixedRoutesAreGone: the default tenant lives at
+// /v1/t/default/* only. Every (method, path) pair the unprefixed alias
+// used to serve answers the 404 envelope and is labelled route="other"
+// like any unknown path, and an apply sent there commits nothing.
+func TestUnprefixedRoutesAreGone(t *testing.T) {
+	ts, repo := newTestServer(t)
+	gone := []struct{ method, path string }{
+		{"GET", "/v1/head"}, {"GET", "/v1/state"}, {"GET", "/v1/log"},
+		{"GET", "/v1/history"}, {"GET", "/v1/stats"},
+		{"POST", "/v1/explain"}, {"GET", "/v1/explain"},
+		{"GET", "/v1/constraints"}, {"POST", "/v1/constraints"},
+		{"POST", "/v1/check"}, {"POST", "/v1/query"}, {"POST", "/v1/apply"},
 	}
-	legacyCode, legacyBody := get(t, ts.URL+"/v1/head")
-	prefixedCode, prefixedBody := get(t, ts.URL+"/v1/t/default/head")
-	if legacyCode != 200 || prefixedCode != 200 || legacyBody != prefixedBody {
-		t.Fatalf("alias mismatch:\nlegacy %d %s\nprefixed %d %s", legacyCode, legacyBody, prefixedCode, prefixedBody)
+	for _, g := range gone {
+		code, body := send(t, g.method, ts.URL+g.path, enterpriseUpdate)
+		if code != 404 || errCode(t, body) != CodeNotFound {
+			t.Errorf("%s %s: %d %s, want 404 %s", g.method, g.path, code, body, CodeNotFound)
+		}
 	}
-	// History (served from the tenant's last apply) also aliases.
-	if code, body := get(t, ts.URL+"/v1/t/default/history?object=bob"); code != 200 {
-		t.Fatalf("prefixed history after legacy apply: %d %s", code, body)
+	if n, err := repo.Len(); err != nil || n != 0 {
+		t.Errorf("default tenant holds %d applies (%v); POST /v1/apply committed", n, err)
 	}
-
-	resp, err := http.Get(ts.URL + "/v1/head")
-	if err != nil {
-		t.Fatalf("GET: %v", err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Errorf("legacy route missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/t/default/head") {
-		t.Errorf("legacy route Link = %q", link)
-	}
-	resp, err = http.Get(ts.URL + "/v1/t/default/head")
-	if err != nil {
-		t.Fatalf("GET: %v", err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Errorf("successor route carries a Deprecation header")
+	_, metrics := get(t, ts.URL+"/metrics")
+	want := fmt.Sprintf(`verlog_http_requests_total{route="other",code="404"} %d`, len(gone))
+	if !strings.Contains(metrics, want) {
+		t.Errorf("/metrics lacks %s", want)
 	}
 }
 
@@ -155,21 +139,21 @@ func TestTenantTooMany(t *testing.T) {
 func TestTenantDelete(t *testing.T) {
 	ts, _ := newTenantServer(t, nil) // deletion NOT enabled
 	post(t, ts.URL+"/v1/t/acme/apply", `ins[x].k -> v.`)
-	code, body := del(t, ts.URL+"/v1/t/acme")
+	code, body := send(t, "DELETE", ts.URL+"/v1/t/acme", "")
 	if code != 403 || errCode(t, body) != CodeForbidden {
 		t.Fatalf("delete disabled: %d %s", code, body)
 	}
 
 	ts2, _ := newTenantServer(t, nil, WithTenantDelete(true))
 	post(t, ts2.URL+"/v1/t/acme/apply", `ins[x].k -> v.`)
-	if code, body = del(t, ts2.URL+"/v1/t/acme"); code != 200 || !strings.Contains(body, `"deleted":"acme"`) {
+	if code, body = send(t, "DELETE", ts2.URL+"/v1/t/acme", ""); code != 200 || !strings.Contains(body, `"deleted":"acme"`) {
 		t.Fatalf("delete: %d %s", code, body)
 	}
 	if code, body = get(t, ts2.URL+"/v1/t/acme/head"); code != 404 || errCode(t, body) != CodeTenantNotFound {
 		t.Fatalf("head after delete: %d %s", code, body)
 	}
 	// The adopted default tenant is pinned: 409 conflict.
-	if code, body = del(t, ts2.URL+"/v1/t/default"); code != 409 || errCode(t, body) != CodeConflict {
+	if code, body = send(t, "DELETE", ts2.URL+"/v1/t/default", ""); code != 409 || errCode(t, body) != CodeConflict {
 		t.Fatalf("delete default: %d %s", code, body)
 	}
 	// GET on the bare tenant path is not a route.

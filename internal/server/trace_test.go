@@ -37,11 +37,12 @@ type spanJSON struct {
 	Children []*spanJSON `json:"children"`
 }
 
-// TestApplyTraced: POST /v1/apply?trace=1 returns the span tree and the
-// per-rule hot list, whose fired counts sum to the response's fired total.
+// TestApplyTraced: POST /v1/t/{tenant}/apply?trace=1 returns the span tree
+// and the per-rule hot list, whose fired counts sum to the response's
+// fired total.
 func TestApplyTraced(t *testing.T) {
 	ts, _ := newTestServer(t)
-	code, body := post(t, ts.URL+"/v1/apply?trace=1", enterpriseUpdate)
+	code, body := post(t, ts.URL+"/v1/t/default/apply?trace=1", enterpriseUpdate)
 	if code != 200 {
 		t.Fatalf("apply: %d %s", code, body)
 	}
@@ -87,7 +88,7 @@ func TestApplyTraced(t *testing.T) {
 	}
 
 	// An untraced apply carries neither field.
-	code, body = post(t, ts.URL+"/v1/apply", "ins[phil].note -> checked <- phil.isa -> empl.")
+	code, body = post(t, ts.URL+"/v1/t/default/apply", "ins[phil].note -> checked <- phil.isa -> empl.")
 	if code != 200 {
 		t.Fatalf("apply: %d %s", code, body)
 	}
@@ -101,9 +102,9 @@ func TestApplyTraced(t *testing.T) {
 func TestTraceRingEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 	// An untraced apply must not enter the ring.
-	post(t, ts.URL+"/v1/apply", "ins[phil].note -> zero <- phil.isa -> empl.")
-	post(t, ts.URL+"/v1/apply?trace=1", "ins[phil].note -> one <- phil.isa -> empl.")
-	post(t, ts.URL+"/v1/apply?trace=true", "ins[phil].note -> two <- phil.isa -> empl.")
+	post(t, ts.URL+"/v1/t/default/apply", "ins[phil].note -> zero <- phil.isa -> empl.")
+	post(t, ts.URL+"/v1/t/default/apply?trace=1", "ins[phil].note -> one <- phil.isa -> empl.")
+	post(t, ts.URL+"/v1/t/default/apply?trace=true", "ins[phil].note -> two <- phil.isa -> empl.")
 
 	code, body := get(t, ts.URL+"/v1/debug/traces")
 	if code != 200 {
@@ -186,7 +187,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	ts, _ := newTestServer(t, WithLogger(slog.New(slog.NewJSONHandler(&buf, nil))))
 
 	const callerTrace = "4bf92f3577b34da6a3ce929d0e0e4736"
-	req, _ := http.NewRequest("POST", ts.URL+"/v1/apply?trace=1",
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/t/default/apply?trace=1",
 		strings.NewReader("ins[phil].note -> traced <- phil.isa -> empl."))
 	req.Header.Set("traceparent", "00-"+callerTrace+"-00f067aa0ba902b7-01")
 	resp, err := http.DefaultClient.Do(req)
@@ -221,7 +222,7 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 
 	// Malformed traceparent: replaced, not echoed.
-	req2, _ := http.NewRequest("GET", ts.URL+"/v1/head", nil)
+	req2, _ := http.NewRequest("GET", ts.URL+"/v1/t/default/head", nil)
 	req2.Header.Set("traceparent", "garbage")
 	resp2, err := http.DefaultClient.Do(req2)
 	if err != nil {
@@ -235,23 +236,23 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 }
 
-// TestExplainVersionEndpoint: GET /v1/explain walks a fact's provenance
-// chain back to the input base.
+// TestExplainVersionEndpoint: GET /v1/t/{tenant}/explain walks a fact's
+// provenance chain back to the input base.
 func TestExplainVersionEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t)
 
 	// Before any apply: 404.
-	if code, body := get(t, ts.URL+"/v1/explain?vid=mod(phil)&method=sal"); code != 404 || errCode(t, body) != "not_found" {
+	if code, body := get(t, ts.URL+"/v1/t/default/explain?vid=mod(phil)&method=sal"); code != 404 || errCode(t, body) != "not_found" {
 		t.Fatalf("explain before apply: %d %s", code, body)
 	}
 
-	code, body := post(t, ts.URL+"/v1/apply", enterpriseUpdate)
+	code, body := post(t, ts.URL+"/v1/t/default/apply", enterpriseUpdate)
 	if code != 200 {
 		t.Fatalf("apply: %d %s", code, body)
 	}
 
 	// mod(phil).sal -> 4600 was produced by rule1's modify.
-	code, body = get(t, ts.URL+"/v1/explain?vid=mod(phil)&method=sal")
+	code, body = get(t, ts.URL+"/v1/t/default/explain?vid=mod(phil)&method=sal")
 	if code != 200 {
 		t.Fatalf("explain: %d %s", code, body)
 	}
@@ -290,7 +291,7 @@ func TestExplainVersionEndpoint(t *testing.T) {
 
 	// A copied fact walks back to the input: mod(phil).isa -> empl was
 	// inherited from phil (input provenance at the end of the chain).
-	code, body = get(t, ts.URL+"/v1/explain?vid=mod(phil)&method=isa")
+	code, body = get(t, ts.URL+"/v1/t/default/explain?vid=mod(phil)&method=isa")
 	if code != 200 {
 		t.Fatalf("explain isa: %d %s", code, body)
 	}
@@ -313,10 +314,10 @@ func TestExplainVersionEndpoint(t *testing.T) {
 	}
 
 	// Missing params: 400. No such fact: 404.
-	if code, body := get(t, ts.URL+"/v1/explain?vid=mod(phil)"); code != 400 || errCode(t, body) != "bad_request" {
+	if code, body := get(t, ts.URL+"/v1/t/default/explain?vid=mod(phil)"); code != 400 || errCode(t, body) != "bad_request" {
 		t.Errorf("missing method: %d %s", code, body)
 	}
-	if code, body := get(t, ts.URL+"/v1/explain?vid=nobody&method=sal"); code != 404 || errCode(t, body) != "not_found" {
+	if code, body := get(t, ts.URL+"/v1/t/default/explain?vid=nobody&method=sal"); code != 404 || errCode(t, body) != "not_found" {
 		t.Errorf("unknown fact: %d %s", code, body)
 	}
 }
@@ -327,8 +328,8 @@ func TestExplainVersionEndpoint(t *testing.T) {
 // along on each entry.
 func TestSlowLogThresholdFiltering(t *testing.T) {
 	high, _ := newTestServer(t, WithSlowThreshold(time.Hour))
-	get(t, high.URL+"/v1/head")
-	post(t, high.URL+"/v1/apply", "ins[phil].note -> fast <- phil.isa -> empl.")
+	get(t, high.URL+"/v1/t/default/head")
+	post(t, high.URL+"/v1/t/default/apply", "ins[phil].note -> fast <- phil.isa -> empl.")
 	code, body := get(t, high.URL+"/v1/debug/slow")
 	var slow struct {
 		ThresholdMS float64 `json:"threshold_ms"`
@@ -348,7 +349,7 @@ func TestSlowLogThresholdFiltering(t *testing.T) {
 	}
 
 	all, _ := newTestServer(t, WithSlowThreshold(0))
-	get(t, all.URL+"/v1/head")
+	get(t, all.URL+"/v1/t/default/head")
 	code, body = get(t, all.URL+"/v1/debug/slow")
 	if code != 200 || json.Unmarshal([]byte(body), &slow) != nil {
 		t.Fatalf("slow: %d %s", code, body)

@@ -154,7 +154,7 @@ func HasErrors(ds []Diagnostic) bool { return analysis.HasErrors(ds) }
 // AnalysisFacts is the machine-readable result of deep analysis: inferred
 // class/sort sets per variable, the planner's join order with cardinality
 // estimates, and per-rule/per-stratum cost rollups. It round-trips through
-// JSON and is served by POST /v1/check?deep=1.
+// JSON and is served by POST /v1/t/{tenant}/check?deep=1.
 type AnalysisFacts = analysis.Facts
 
 // AnalyzeDeep runs the full pipeline of Analyze plus the semantic tier:
