@@ -14,6 +14,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,12 +143,14 @@ func TestBenchRegressionGuard(t *testing.T) {
 }
 
 // TestPointUpdateScalingGuard is the E21 guard (ROADMAP item 1): what a
-// one-object update allocates through repository.Apply must not depend on
-// the size of the base. It compares allocation counters of the same stream
-// of applies on 10⁴ and on 10² employees, in one process — deterministic
-// counts and an in-run ratio, nothing the host's mood can move. The stream
-// is long enough for the larger head to outgrow its delta layer and
-// flatten twice, so the one O(|base|) step left is averaged in.
+// one-object update allocates through repository.Apply, together with the
+// first boss probe of the head it publishes, must not depend on the size of
+// the base. It compares allocation counters of the same stream of applies
+// on 10⁴ and on 10² employees, in one process — deterministic counts and an
+// in-run ratio, nothing the host's mood can move. The stream is long enough
+// for the larger head to outgrow its delta layer and flatten twice, so the
+// one O(|base|) step left is averaged in; the probe reads a layer of up to
+// 625 salary-changed versions there, and of up to 6 on 10² employees.
 func TestPointUpdateScalingGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1280 journaled applies per base; skipped in -short")
@@ -158,6 +162,16 @@ func TestPointUpdateScalingGuard(t *testing.T) {
 	measure := func(n int) (bytesPerOp, allocsPerOp float64) {
 		r, progs := pointUpdateRepo(t, n, 64)
 		defer r.Close()
+		probe := func() {
+			head, err := r.Head()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if head.Index().VIDsWithResult("", "boss", Sym("e0")).Len() == 0 {
+				t.Fatal("the boss probe found no reports of e0")
+			}
+		}
+		probe() // builds the root's boss partition, which new roots inherit
 		var m0, m1 runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
@@ -165,6 +179,7 @@ func TestPointUpdateScalingGuard(t *testing.T) {
 			if _, err := r.Apply(progs[(64+i)%len(progs)]); err != nil {
 				t.Fatal(err)
 			}
+			probe()
 		}
 		runtime.ReadMemStats(&m1)
 		return float64(m1.TotalAlloc-m0.TotalAlloc) / applies, float64(m1.Mallocs-m0.Mallocs) / applies
@@ -174,10 +189,10 @@ func TestPointUpdateScalingGuard(t *testing.T) {
 	t.Logf("n=100:   %.0f B/op, %.0f allocs/op", smallB, smallA)
 	t.Logf("n=10000: %.0f B/op, %.0f allocs/op (%.2fx, %.2fx)", bigB, bigA, bigB/smallB, bigA/smallA)
 	if bigB > 2*smallB {
-		t.Errorf("a point update allocates %.0f B on 10⁴ employees and %.0f B on 10²: %.2fx, want ≤ 2x", bigB, smallB, bigB/smallB)
+		t.Errorf("a point update and a boss probe allocate %.0f B on 10⁴ employees and %.0f B on 10²: %.2fx, want ≤ 2x", bigB, smallB, bigB/smallB)
 	}
 	if bigA > 2*smallA {
-		t.Errorf("a point update makes %.0f allocations on 10⁴ employees and %.0f on 10²: %.2fx, want ≤ 2x", bigA, smallA, bigA/smallA)
+		t.Errorf("a point update and a boss probe make %.0f allocations on 10⁴ employees and %.0f on 10²: %.2fx, want ≤ 2x", bigA, smallA, bigA/smallA)
 	}
 }
 
@@ -424,6 +439,71 @@ func TestLayerScanAllocGuard(t *testing.T) {
 	t.Logf("first scan of a 1-version layer: %d B in %d allocations; of a 100-version layer: %d B in %d", oneB, oneA, manyB, manyA)
 	if manyA > oneA+2 || manyB > oneB+128 || manyA > 8 {
 		t.Errorf("the first scan of a fresh 100-version layer allocates %d B in %d allocations (1 version: %d B in %d), want O(1)", manyB, manyA, oneB, oneA)
+	}
+}
+
+// TestLayerProbeAllocGuard: a delta head's literal index lists, for a
+// method, only the layer versions that changed it. The layer of a stream of
+// raises changes salaries and no boss, so the first boss probe of a fresh
+// head builds an empty own partition — the same few words whether the layer
+// holds one version or a hundred — over the root's, and answers like a flat
+// rebuild; a sal probe finds each changed version under its new salary, in
+// the layer, and no longer under its old one.
+func TestLayerProbeAllocGuard(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race instrumentation allocates on its own account")
+	}
+	root := workload.EnterpriseSpec{Employees: 3000, Seed: 21}.ObjectBase().Freeze()
+	root.Index().VIDsWithResult("", "boss", Sym("e7")) // the root's partition is not the layer's
+	live := func(h objectbase.Hits) []term.GVID {
+		var out []term.GVID
+		for i := 0; i < h.Len(); i++ {
+			if v, ok := h.At(i); ok {
+				out = append(out, v)
+			}
+		}
+		slices.SortFunc(out, func(a, b term.GVID) int { return strings.Compare(a.String(), b.String()) })
+		return out
+	}
+	sal := func(i int) term.OID { return term.Int(int64(1_000_000 + i)) }
+	measure := func(versions int) (bytes, mallocs uint64) {
+		changes := make([]objectbase.Change, versions)
+		for i := range changes {
+			v := term.GVID{Object: Sym(fmt.Sprintf("e%d", i))}
+			old := root.StateOf(v)
+			ns := old.CloneWithoutMethod("sal")
+			ns.Add(term.MethodKey{Method: "sal"}, sal(i))
+			changes[i] = objectbase.Change{V: v, Old: old, New: ns}
+		}
+		head := root.Derive(changes)
+		if head.Parent() != root {
+			t.Fatalf("%d changes of 3000 versions did not leave a delta layer", versions)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		hits := head.Index().VIDsWithResult("", "boss", Sym("e7"))
+		runtime.ReadMemStats(&m1)
+		got, want := live(hits), live(head.Clone().Freeze().Index().VIDsWithResult("", "boss", Sym("e7")))
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("%d-version layer: the boss probe reports %v, a flat rebuild %v", versions, got, want)
+		}
+		for i, c := range changes {
+			if got := live(head.Index().VIDsWithResult("", "sal", sal(i))); !slices.Equal(got, []term.GVID{c.V}) {
+				t.Errorf("%d-version layer: the probe of %s's new salary reports %v", versions, c.V, got)
+			}
+			c.Old.ForEachResult(term.MethodKey{Method: "sal"}, func(old term.OID) {
+				if slices.Contains(live(head.Index().VIDsWithResult("", "sal", old)), c.V) {
+					t.Errorf("%d-version layer: the probe of %s's old salary still reports it", versions, c.V)
+				}
+			})
+		}
+		return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+	}
+	oneB, oneA := measure(1)
+	manyB, manyA := measure(100)
+	t.Logf("first boss probe of a 1-version layer: %d B in %d allocations; of a 100-version layer: %d B in %d", oneB, oneA, manyB, manyA)
+	if manyA > oneA+2 || manyB > oneB+128 || manyB > 1024 {
+		t.Errorf("the first boss probe of a fresh 100-version layer allocates %d B in %d allocations (1 version: %d B in %d), want O(1)", manyB, manyA, oneB, oneA)
 	}
 }
 

@@ -22,9 +22,10 @@ type Change struct {
 // publish path, paid once per |root|/flattenDivisor changed versions, i.e.
 // flattenDivisor versions per change whatever the size of the base. What
 // the bound buys is that nothing read off a delta layer (a scan, which walks
-// it; a literal-index partition, built per head when first probed; the
-// second lookup of every read) can cost more than that fraction of the same
-// work on the root. It is a constant, not an option: both sides of the trade
+// it; the walk that builds a literal-index partition, per head when first
+// probed, which allocates only for the versions that changed the probed
+// method; the second lookup of every read) can take longer than that
+// fraction of the same work on the root. It is a constant, not an option: both sides of the trade
 // scale with the base, so no workload wants a different ratio — an update
 // touching a few versions stays under it for many rounds, one touching most
 // of the base is over it at once and pays exactly what building ob' from

@@ -87,12 +87,17 @@ func (p *partition) fill(v term.GVID, s *State, method string) {
 // evaluation. Frozen bases cache their index (see Base.Index) so all
 // snapshot readers of one published head share every partition build.
 //
-// The index of a delta layer over a root is itself layered: its partitions
-// hold the own layer's entries, and a probe adds the hits of the same
-// partition of the root's cached index, skipping the versions the own layer
-// shadows — the same merge ForEachVIDWith performs on the scan. Successive
-// heads over one root therefore share the root's partitions and build only
-// the delta's.
+// The index of a delta layer over a root is itself layered, by the rule
+// inheritIndexes applies between roots: a layer entry shadows the root only
+// for the methods it changed. The layer's partition of (path, m) lists the
+// own versions on the path whose applications of m differ from the root's,
+// and a probe adds the hits of the same partition of the root's cached
+// index, skipping those whose layer entry (a tombstone included) changed m.
+// Every live hit is listed once: a version either keeps the root's
+// applications of m, and the root lists it, or has new ones, and the layer
+// lists it. Successive heads over one root therefore share the root's
+// partitions, and a head's own partition of a method its layer never
+// changed is empty, however many versions the layer holds.
 //
 // Locking: mu serialises partition builds and is a leaf — a build reads
 // states only and acquires nothing. The only order mu takes part in is
@@ -104,7 +109,8 @@ type LiteralIndex struct {
 	// partition has been built (BuildIndex); a miss is then empty.
 	base *Base
 	// parent is the root's index when this one covers a delta layer only,
-	// whose own entries (tombstones included) shadow the parent's hits.
+	// whose own entries (tombstones included) shadow the parent's hits of
+	// the methods they changed.
 	parent *LiteralIndex
 	mu     sync.Mutex
 	// parts is replaced, never edited: a build publishes a copy with the new
@@ -113,25 +119,35 @@ type LiteralIndex struct {
 	parts atomic.Pointer[map[pathMethod]*partition]
 }
 
-// Hits is the answer to an index probe: the VIDs of the own layer, and
-// those inherited from the root's index that the own layer may shadow.
-// Iterate with Len and At; the backing slices are shared and immutable.
+// Hits is the answer to an index probe of a method: the VIDs of the own
+// layer, and those inherited from the root's index that the own layer may
+// shadow. Iterate with Len and At; the backing slices are shared and
+// immutable.
 type Hits struct {
 	inherited, own []term.GVID
 	layer          *Base
+	method         string
 }
 
 // Len returns the number of positions to visit (shadowed ones included).
 func (h Hits) Len() int { return len(h.inherited) + len(h.own) }
 
-// At returns the i-th VID, and false when it is a stale inherited hit.
+// At returns the i-th VID, and false when it is a stale inherited hit: one
+// whose layer entry changed the method.
 func (h Hits) At(i int) (term.GVID, bool) {
 	if i < len(h.inherited) {
 		g := h.inherited[i]
-		_, stale := h.layer.own(g)
-		return g, !stale
+		return g, !h.layer.changedOfMethod(g, h.method)
 	}
 	return h.own[i-len(h.inherited)], true
+}
+
+// changedOfMethod reports whether the delta layer b holds an entry for v —
+// a tombstone counts — whose applications of the method differ from those
+// of its root.
+func (b *Base) changedOfMethod(v term.GVID, method string) bool {
+	s, ok := b.own(v)
+	return ok && !b.parent.stateOf(v).sameOfMethod(s, method)
 }
 
 // BuildIndex constructs a flat literal index over the base's current
@@ -210,16 +226,17 @@ func (ix *LiteralIndex) part(pm pathMethod) *partition {
 		return p
 	}
 	// The carriers are found by walking the states — of the own layer under
-	// a layered index, of the merged layers otherwise — not read off the VID
-	// index: every carrier's state is read anyway, and a base nobody has
-	// scanned yet is not made to build one.
+	// a layered index, keeping the versions that changed the method, of the
+	// merged layers otherwise — not read off the VID index: every carrier's
+	// state is read anyway, and a base nobody has scanned yet is not made to
+	// build one.
 	walk := b.forEachState
 	if ix.parent != nil {
 		walk = b.eachOwn
 	}
 	carriers := func(fn func(v term.GVID, s *State)) {
 		walk(func(v term.GVID, s *State) {
-			if v.Path == pm.Path && s.HasAnyOfMethod(pm.Method) {
+			if v.Path == pm.Path && s.HasAnyOfMethod(pm.Method) && (ix.parent == nil || b.changedOfMethod(v, pm.Method)) {
 				fn(v, s)
 			}
 		})
@@ -250,14 +267,14 @@ func (ix *LiteralIndex) both(pm pathMethod) (own, root *partition) {
 // method@... -> result, for any argument tuple.
 func (ix *LiteralIndex) VIDsWithResult(path term.Path, method string, result term.OID) Hits {
 	own, root := ix.both(pathMethod{Path: path, Method: method})
-	return Hits{own: own.list(own.byResult[result]), inherited: root.list(root.byResult[result]), layer: ix.base}
+	return Hits{own: own.list(own.byResult[result]), inherited: root.list(root.byResult[result]), layer: ix.base, method: method}
 }
 
 // VIDsWithArg returns the VIDs on the given path carrying an application of
 // method whose first argument is the given constant.
 func (ix *LiteralIndex) VIDsWithArg(path term.Path, method string, arg term.OID) Hits {
 	own, root := ix.both(pathMethod{Path: path, Method: method})
-	return Hits{own: own.list(own.byArg[arg]), inherited: root.list(root.byArg[arg]), layer: ix.base}
+	return Hits{own: own.list(own.byArg[arg]), inherited: root.list(root.byArg[arg]), layer: ix.base, method: method}
 }
 
 // CountVIDsWithResult returns the selectivity estimate for a

@@ -103,7 +103,8 @@ func (h *history) note(b *objectbase.Base) {
 }
 
 // check holds got against want, a flat rebuild of it, on everything the
-// history knows.
+// history knows. Probe answers are compared as multisets: a live hit
+// reported twice is a difference.
 func (h *history) check(got, want *objectbase.Base) error {
 	for pm := range h.pairs {
 		if err := obtest.SameScans(got, want, term.Path(pm[0]), pm[1]); err != nil {
@@ -111,11 +112,11 @@ func (h *history) check(got, want *objectbase.Base) error {
 		}
 	}
 	ig, iw := got.Index(), want.Index()
-	set := func(hits objectbase.Hits) map[term.GVID]bool {
-		out := map[term.GVID]bool{}
+	set := func(hits objectbase.Hits) map[term.GVID]int {
+		out := map[term.GVID]int{}
 		for i := 0; i < hits.Len(); i++ {
 			if v, ok := hits.At(i); ok {
-				out[v] = true
+				out[v]++
 			}
 		}
 		return out

@@ -16,6 +16,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -185,26 +186,26 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// labelString renders alternating key, value pairs into the canonical
-// `{k="v",...}` form ("" when empty). Pairs must come in a fixed order per
-// call site so repeated lookups hit the same series.
-func labelString(kv []string) string {
+// appendLabels appends the canonical `{k="v",...}` form of alternating key,
+// value pairs to buf (nothing when there are none). Pairs must come in a
+// fixed order per call site so repeated lookups hit the same series.
+func appendLabels(buf []byte, kv []string) []byte {
 	if len(kv) == 0 {
-		return ""
+		return buf
 	}
 	if len(kv)%2 != 0 {
 		panic("obs: odd number of label arguments")
 	}
-	var b strings.Builder
-	b.WriteByte('{')
+	buf = append(buf, '{')
 	for i := 0; i < len(kv); i += 2 {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", kv[i], kv[i+1])
+		buf = append(buf, kv[i]...)
+		buf = append(buf, '=')
+		buf = strconv.AppendQuote(buf, kv[i+1])
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(buf, '}')
 }
 
 func (r *Registry) family(name, help, typ string) *family {
@@ -221,14 +222,20 @@ func (r *Registry) family(name, help, typ string) *family {
 	return f
 }
 
-func (f *family) get(labels string, mk func() metric) metric {
+// get returns the series of the label pairs, made by mk on first use. The
+// key is rendered into a stack buffer, so a lookup of an existing series
+// allocates nothing; only a new series copies its key.
+func (f *family) get(labels []string, mk func() metric) metric {
+	var buf [128]byte
+	key := appendLabels(buf[:0], labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m, ok := f.series[labels]
+	m, ok := f.series[string(key)]
 	if !ok {
 		m = mk()
-		f.series[labels] = m
-		f.order = append(f.order, labels)
+		ls := string(key)
+		f.series[ls] = m
+		f.order = append(f.order, ls)
 	}
 	return m
 }
@@ -237,28 +244,28 @@ func (f *family) get(labels string, mk func() metric) metric {
 // alternating key, value label pairs.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	f := r.family(name, help, "counter")
-	return f.get(labelString(labels), func() metric { return &Counter{} }).(*Counter)
+	return f.get(labels, func() metric { return &Counter{} }).(*Counter)
 }
 
 // Gauge returns (creating on first use) the gauge name with the given
 // labels.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	f := r.family(name, help, "gauge")
-	return f.get(labelString(labels), func() metric { return &Gauge{} }).(*Gauge)
+	return f.get(labels, func() metric { return &Gauge{} }).(*Gauge)
 }
 
 // Histogram returns (creating on first use) the histogram name with the
 // given labels.
 func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	f := r.family(name, help, "histogram")
-	return f.get(labelString(labels), func() metric { return newHistogram(LatencyBuckets, 1e9) }).(*Histogram)
+	return f.get(labels, func() metric { return newHistogram(LatencyBuckets, 1e9) }).(*Histogram)
 }
 
 // SizeHistogram returns the size histogram (bytes, over SizeBuckets) for
 // name and labels, creating it on first use.
 func (r *Registry) SizeHistogram(name, help string, labels ...string) *Histogram {
 	f := r.family(name, help, "histogram")
-	return f.get(labelString(labels), func() metric { return newHistogram(SizeBuckets, 1) }).(*Histogram)
+	return f.get(labels, func() metric { return newHistogram(SizeBuckets, 1) }).(*Histogram)
 }
 
 // WritePrometheus renders every metric in the Prometheus text exposition

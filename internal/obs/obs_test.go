@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -33,6 +34,29 @@ func TestCounterGaugeBasics(t *testing.T) {
 	a.Inc()
 	if b.Value() != 0 {
 		t.Error("label series not independent")
+	}
+}
+
+// TestLabelledLookupAllocatesNothing: a labelled series, once created, is
+// found again without rendering its key on the heap, and the key is the
+// canonical `{k="v",...}` form, values quoted as %q quotes them.
+func TestLabelledLookupAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("verlog_http_requests_total", "reqs", "route", "/v1/t/{tenant}/apply", "code", "200")
+	h := r.Histogram("verlog_http_request_seconds", "latency", "route", "/v1/t/{tenant}/apply")
+	if n := testing.AllocsPerRun(100, func() {
+		r.Counter("verlog_http_requests_total", "reqs", "route", "/v1/t/{tenant}/apply", "code", "200").Inc()
+		r.Histogram("verlog_http_request_seconds", "latency", "route", "/v1/t/{tenant}/apply").Observe(time.Millisecond)
+	}); n != 0 {
+		t.Errorf("a repeated labelled lookup allocates %.0f times, want 0", n)
+	}
+	if c.Value() != 101 || h.Count() != 101 {
+		t.Errorf("lookups reached %d and %d observations, want 101 each: a lookup made a new series", c.Value(), h.Count())
+	}
+	odd := "a \"b\"\n\x00é"
+	r.Gauge("verlog_odd", "odd", "k", odd)
+	if want := fmt.Sprintf("{k=%q}", odd); r.families["verlog_odd"].order[0] != want {
+		t.Errorf("label key %s, want %s", r.families["verlog_odd"].order[0], want)
 	}
 }
 

@@ -1164,7 +1164,7 @@ func (s *Server) handleExplainVersion(t *tenant.Tenant, w http.ResponseWriter, r
 	method := strings.TrimSpace(r.URL.Query().Get("method"))
 	if vid == "" || method == "" {
 		writeErrorCode(w, r, http.StatusBadRequest, CodeBadRequest,
-			errors.New("server: missing ?vid= or ?method= (e.g. /v1/explain?vid=mod(bob)&method=sal)"))
+			fmt.Errorf("server: missing ?vid= or ?method= (e.g. /v1/t/%s/explain?vid=mod(bob)&method=sal)", t.Name()))
 		return
 	}
 	res, ok := replayOr4xx(t, w, r)

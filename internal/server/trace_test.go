@@ -316,6 +316,13 @@ func TestExplainVersionEndpoint(t *testing.T) {
 	// Missing params: 400. No such fact: 404.
 	if code, body := get(t, ts.URL+"/v1/t/default/explain?vid=mod(phil)"); code != 400 || errCode(t, body) != "bad_request" {
 		t.Errorf("missing method: %d %s", code, body)
+	} else {
+		var env struct {
+			Error struct{ Message string } `json:"error"`
+		}
+		if err := json.Unmarshal([]byte(body), &env); err != nil || !strings.Contains(env.Error.Message, "e.g. /v1/t/default/explain?vid=") {
+			t.Errorf("missing method: the message %q does not cite the tenant's explain route", env.Error.Message)
+		}
 	}
 	if code, body := get(t, ts.URL+"/v1/t/default/explain?vid=nobody&method=sal"); code != 404 || errCode(t, body) != "not_found" {
 		t.Errorf("unknown fact: %d %s", code, body)
