@@ -36,11 +36,11 @@ func WithMaxIterations(n int) Option { return func(e *Engine) { e.opts.MaxIterat
 // base, restricting the language to exactly the paper's setting.
 func WithForbidNewObjects() Option { return func(e *Engine) { e.opts.ForbidNewObjects = true } }
 
-// WithPlans supplies pre-compiled match plans (eval.Compile, or the Plans
-// of a previous Result). Plans compiled for another program are ignored
-// and the program is compiled afresh, so stale plans are a cache miss,
-// never an error. The planner ablation passes plans compiled with the
-// source-order planner (eval.Compile's static argument) this way.
+// WithPlans supplies pre-compiled match plans (eval.Compile or
+// eval.PlanProgram). Plans that do not serve the program are ignored and
+// the program is compiled afresh, so stale plans are a cache miss, never an
+// error. The planner ablation passes plans compiled with the source-order
+// planner (eval.Compile's static argument) this way.
 func WithPlans(cp *eval.CompiledProgram) Option { return func(e *Engine) { e.opts.Plans = cp } }
 
 // WithSpan collects the evaluation as a span tree under sp (see

@@ -18,9 +18,12 @@ package eval
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
+	"time"
 
 	"verlog/internal/objectbase"
+	"verlog/internal/obs"
+	"verlog/internal/strata"
 	"verlog/internal/term"
 )
 
@@ -199,26 +202,54 @@ type compiledRule struct {
 }
 
 // CompiledProgram is the compiled form of an update-program: per-rule match
-// plans keyed by the program's hash, reusable across applies that share a
-// rule set (the repository caches one per head).
+// plans and the program they were compiled for, reusable across applies
+// that run it (the repository caches them by shape). Lifted plans compile
+// the program's shape parameters (shape.go) as pre-bound frame slots and
+// serve every program of its shape; the others compile its constants in
+// and serve the program alone.
 type CompiledProgram struct {
-	hash  uint64
-	rules []*compiledRule
+	rules  []*compiledRule
+	prog   *term.Program
+	params []term.OID // prog's shape parameters when lifted
+	lifted bool
+	// strata is the stratification the plans go with (PlanProgram's), so a
+	// run given them does not stratify; nil for Compile's plans.
+	strata *strata.Assignment
 }
 
-// Matches reports whether the plans were compiled for p. How they are
-// ordered is not part of the question: cached plans were ordered by the
-// statistics of an older head anyway, and a caller may supply plans
-// compiled with the source-order planner (the planner ablation does).
-func (cp *CompiledProgram) Matches(p *term.Program) bool {
-	return cp != nil && cp.hash == ProgramHash(p)
+// Lifted reports whether the plans serve every program of their shape
+// rather than one text.
+func (cp *CompiledProgram) Lifted() bool { return cp.lifted }
+
+// Serves reports whether the plans serve p, whose shape parameters are
+// params (ProgramShape): p is, position by position, the program they were
+// compiled for or, for lifted plans, a program of its shape. Rule labels
+// are not compared, and neither is how the plans were ordered: cached plans
+// were ordered by the statistics of an older head, or for other parameter
+// values, and a caller may supply plans compiled with the source-order
+// planner (the planner ablation does).
+func (cp *CompiledProgram) Serves(p *term.Program, params []term.OID) bool {
+	if cp == nil {
+		return false
+	}
+	if !cp.lifted {
+		return shapeCmp{}.program(cp.prog, p)
+	}
+	return shapeCmp{pa: cp.params, pb: params}.program(cp.prog, p)
 }
 
-// ProgramHash fingerprints a program's rule set for plan-cache keying.
-func ProgramHash(p *term.Program) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(p.String()))
-	return h.Sum64()
+// bind returns the parameter values the plans run p with, and whether they
+// serve p at all.
+func (cp *CompiledProgram) bind(p *term.Program) ([]term.OID, bool) {
+	if cp == nil || !cp.lifted {
+		return nil, cp.Serves(p, nil)
+	}
+	var buf [MaxParams]term.OID
+	_, params := ProgramShape(p, buf[:0])
+	if !cp.Serves(p, params) {
+		return nil, false
+	}
+	return slices.Clone(params), true
 }
 
 // Compile builds match plans for every rule of p against base: join orders
@@ -226,15 +257,58 @@ func ProgramHash(p *term.Program) uint64 {
 // for path-0 literals, and delta variants for semi-naive iteration; static
 // selects the source-order planner instead (the planner ablation). A rule
 // with a variable unbound where a ground value is required — an unsafe rule
-// — is rejected with a *CompileError.
+// — is rejected with a *CompileError. The plans serve p alone.
 func Compile(base *objectbase.Base, p *term.Program, static bool) (*CompiledProgram, error) {
+	return compileProgram(base, p, nil, false, static)
+}
+
+// PlanProgram plans p for a cache keyed by shape. It stratifies p's lift
+// (strata.StratifyLifted) and, when that is one stratum, compiles p with
+// its shape parameters as pre-bound slots: plans every program of the
+// shape can run, in the join order p's own constants pick. Any other
+// program is planned by itself — its own stratification, its constants
+// compiled in — until it is settled whether the stratification chosen can
+// change result(P). The plans carry their stratification, so a run given
+// them does not stratify. The stratification is timed as the "stratify"
+// child of sp (nil: untraced), as a run times its own; the duration comes
+// back. A program that cannot be stratified is refused with Stratify's
+// error, an unsafe one with its *CompileError.
+func PlanProgram(base *objectbase.Base, p *term.Program, sp *obs.Span) (*CompiledProgram, time.Duration, error) {
+	start := time.Now()
+	span := sp.StartChild("stratify")
+	_, params := ProgramShape(p, nil)
+	a, err := strata.StratifyLifted(p)
+	lifted := err == nil && (a.NumStrata() == 1 || len(params) == 0)
+	if !lifted && len(params) > 0 {
+		a, err = strata.Stratify(p)
+	}
+	span.End()
+	d := time.Since(start)
+	if err != nil {
+		return nil, d, err
+	}
+	span.SetInt("strata", int64(len(a.Strata)))
+	if !lifted {
+		params = nil
+	}
+	cp, err := compileProgram(base, p, params, lifted, false)
+	if err != nil {
+		return nil, d, err
+	}
+	cp.strata = a
+	return cp, d, nil
+}
+
+// compileProgram compiles p's rules; lifted plans take params, p's shape
+// parameters, as pre-bound slots.
+func compileProgram(base *objectbase.Base, p *term.Program, params []term.OID, lifted, static bool) (*CompiledProgram, error) {
 	est := indexedCost(base)
 	if static {
 		est = staticCost
 	}
-	cp := &CompiledProgram{hash: ProgramHash(p)}
+	cp := &CompiledProgram{prog: p, params: params, lifted: lifted}
 	for ri, r := range p.Rules {
-		cr, err := compileRule(r, est)
+		cr, err := compileRule(r, est, params)
 		if err != nil {
 			return nil, &CompileError{Rule: r.Label(ri), Err: err}
 		}
@@ -255,10 +329,14 @@ func (e *CompileError) Error() string { return fmt.Sprintf("eval: compile rule %
 func (e *CompileError) Unwrap() error { return e.Err }
 
 // ruleCompiler carries the per-rule slot table; variants of the same rule
-// share the numbering so frames are interchangeable.
+// share the numbering so frames are interchangeable. The first len(params)
+// slots are the parameters': a constant among params compiles to its slot,
+// which the executor fills before the first step runs, so it is bound
+// before every literal and never in a step's bindSlots.
 type ruleCompiler struct {
-	slots map[term.Var]int
-	n     int
+	slots  map[term.Var]int
+	n      int
+	params []term.OID
 }
 
 func (rc *ruleCompiler) slot(v term.Var) int {
@@ -271,8 +349,8 @@ func (rc *ruleCompiler) slot(v term.Var) int {
 	return s
 }
 
-func compileRule(r term.Rule, est costEstimator) (*compiledRule, error) {
-	rc := &ruleCompiler{slots: map[term.Var]int{}}
+func compileRule(r term.Rule, est costEstimator, params []term.OID) (*compiledRule, error) {
+	rc := &ruleCompiler{slots: map[term.Var]int{}, n: len(params), params: params}
 	order := greedyOrder(r, est, -1)
 	steps, bound, err := compileSteps(rc, r, order, -1)
 	if err != nil {
@@ -311,6 +389,9 @@ type literalCompiler struct {
 func (lc *literalCompiler) operand(t term.ObjTerm) (operand, error) {
 	switch x := t.(type) {
 	case term.OID:
+		if i := paramIndex(lc.rc.params, x); i >= 0 {
+			return operand{mode: oCheck, slot: i}, nil
+		}
 		return operand{mode: oConst, c: x}, nil
 	case term.Var:
 		s := lc.rc.slot(x)

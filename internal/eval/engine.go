@@ -29,9 +29,10 @@ type Options struct {
 	// ForbidNewObjects rejects inserts on objects unknown to the base
 	// (creating fresh objects is an extension beyond the paper).
 	ForbidNewObjects bool
-	// Plans supplies pre-compiled match plans (see Compile). They are used
-	// when they were compiled for this program, skipping compilation; the
-	// repository caches one per published head and rule-set hash.
+	// Plans supplies pre-compiled match plans (Compile, PlanProgram). They
+	// are used when they serve this program (CompiledProgram.Serves),
+	// skipping compilation, and their stratification, when they carry one,
+	// skips Stratify too; the repository caches them by program shape.
 	Plans *CompiledProgram
 	// Span, when non-nil, collects the evaluation as a span tree under it
 	// (see internal/obs): stratify → stratum[i] → iteration[j] → rule[k],
@@ -103,14 +104,17 @@ type Stats struct {
 	Queue time.Duration
 	// Safety is the safety check over every rule.
 	Safety time.Duration
-	// Stratify is the stratification of the program.
+	// Stratify is the stratification of the program: zero when the run's
+	// plans carried one, unless the repository planned them for this apply
+	// (its plan cache missed), which then reports its own.
 	Stratify time.Duration
 	// Strata is the per-stratum fixpoint cost, in stratum order.
 	Strata []StratumTiming
 	// Copy is the copy phase: deriving the updated object base ob' from the
 	// input base and the fixpoint's final versions.
 	Copy time.Duration
-	// Eval is the total time inside eval.Run (stratify through copy).
+	// Eval is the total time inside eval.Run (stratify through copy), with
+	// the planning the repository did for the apply on a plan-cache miss.
 	Eval time.Duration
 	// ConstraintCheck is the integrity-constraint verification of the
 	// updated base (repository layer).
@@ -151,11 +155,9 @@ type Result struct {
 	// time, hottest (most time) first. Always filled.
 	RuleStats []RuleStat
 	// Plan records where the match plans came from: "cached" (the supplied
-	// Options.Plans) or "compiled" (built this run).
+	// Options.Plans) or "compiled" (built this run, or by the repository
+	// for this apply).
 	Plan string
-	// Plans holds the compiled plans the run used, so callers can cache them
-	// for the next apply against the same head.
-	Plans *CompiledProgram
 	// Stats holds per-stage timings for this run; layers above eval add
 	// their own stages (see Stats).
 	Stats Stats
@@ -633,14 +635,27 @@ type ruleAgg struct {
 func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	sp := opts.Span
 	evalStart := time.Now()
-	stratifySpan := sp.StartChild("stratify")
-	assignment, err := strata.Stratify(p)
-	stratifySpan.End()
-	if err != nil {
-		return nil, err
+	// Plans that serve p and carry their stratification (PlanProgram's)
+	// spare the run its own.
+	compiled, planAttr := opts.Plans, "cached"
+	params, served := compiled.bind(p)
+	var assignment *strata.Assignment
+	if served {
+		assignment = compiled.strata
 	}
-	stratifySpan.SetInt("strata", int64(len(assignment.Strata)))
-	stratifyDur := time.Since(evalStart)
+	var stratifyDur time.Duration
+	if assignment == nil {
+		stratifyStart := time.Now()
+		stratifySpan := sp.StartChild("stratify")
+		var err error
+		assignment, err = strata.Stratify(p)
+		stratifySpan.End()
+		if err != nil {
+			return nil, err
+		}
+		stratifySpan.SetInt("strata", int64(len(assignment.Strata)))
+		stratifyDur = time.Since(stratifyStart)
+	}
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = defaultMaxIterations
 	}
@@ -653,22 +668,23 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	if !ob.Frozen() {
 		ob = ob.Clone().Freeze()
 	}
-	compiled, planAttr := opts.Plans, "cached"
-	if !compiled.Matches(p) {
+	if !served {
+		var err error
 		if compiled, err = Compile(ob, p, false); err != nil {
 			return nil, err
 		}
 		planAttr = "compiled"
 	}
 	sp.SetAttr("plan", planAttr)
-	res := &Result{Assignment: assignment, Plan: planAttr, Plans: compiled}
+	res := &Result{Assignment: assignment, Plan: planAttr}
 	res.Stats.Stratify = stratifyDur
 	// The evaluation writes into the scratch the last one parked and parks it
 	// again once nothing reads it any more — after buildTrace and ruleStats,
 	// on a refusal as on a result. A panic passes the park by: a scratch
 	// abandoned half-way is in no state to hand on, and the collector has it.
 	e := newEngine(ob, p, compiled, opts, takeScratch())
-	err = e.evaluate(res, evalStart)
+	e.x.params = params
+	err := e.evaluate(res, evalStart)
 	e.park()
 	if err != nil {
 		return nil, err

@@ -47,6 +47,9 @@ type executor struct {
 	// run), fetched on the first probe: plans that only look versions up by
 	// a bound base — every point update — never ask for it.
 	idx *objectbase.LiteralIndex
+	// params are the values of a lifted plan's parameter slots (the first
+	// len(params) of every frame), written when a frame is taken.
+	params []term.OID
 
 	frames [][]term.OID
 	vids   [][]term.GVID
@@ -54,6 +57,11 @@ type executor struct {
 	krs    [][]keyResult
 	ups    []Update   // fire's delete-all scratch
 	args   []term.OID // resolveKey scratch, consumed before any recursion
+	// lastKey and lastArgs are the key resolveKey built last and its
+	// argument values: a tuple of constants and parameters, the same for
+	// every candidate of a run, is encoded once.
+	lastKey  term.MethodKey
+	lastArgs []term.OID
 
 	// Two-entry state cache. Plans touch the same candidate VIDs in several
 	// consecutive steps (the scan driver, then one lookup per further body
@@ -193,6 +201,7 @@ func (x *executor) run(cr *compiledRule, steps []cstep, delta *bucket, matched *
 func (x *executor) match(nslots int, steps []cstep, delta *bucket, k func(fr []term.OID) error) error {
 	x.cacheN, x.cacheI = 0, 0
 	fr := x.getFrame(nslots)
+	copy(fr, x.params)
 	defer x.putFrame(fr)
 	var rec func(i int) error
 	rec = func(i int) error {
@@ -325,7 +334,12 @@ func (x *executor) resolveKey(keyStatic bool, key term.MethodKey, method string,
 	for _, op := range args {
 		x.args = append(x.args, op.value(fr))
 	}
-	return term.MethodKey{Method: method, Args: term.EncodeOIDs(x.args)}
+	if method == x.lastKey.Method && slices.Equal(x.args, x.lastArgs) {
+		return x.lastKey
+	}
+	x.lastKey = term.MethodKey{Method: method, Args: term.EncodeOIDs(x.args)}
+	x.lastArgs = append(x.lastArgs[:0], x.args...)
+	return x.lastKey
 }
 
 // matchFactArgs unifies the step's argument operands with a fact's encoded

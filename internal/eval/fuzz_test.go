@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,8 +98,45 @@ func checkQueries(ob *objectbase.Base, res *Result, body []term.Literal) error {
 		if err := sameQueryAsSpec(c.b, body); err != nil {
 			return fmt.Errorf("on the %s: %w", c.name, err)
 		}
+		if err := samePlannedQuery(ob, c.b, body); err != nil {
+			return fmt.Errorf("on the %s: %w", c.name, err)
+		}
 	}
 	return nil
+}
+
+// samePlannedQuery holds the plan a shape-keyed cache keeps for body —
+// lifted, planned on the base plannedOn, bound to body's own constants —
+// against the uncached QueryRows on base.
+func samePlannedQuery(plannedOn, base *objectbase.Base, body []term.Literal) error {
+	vars, rows, err := QueryRows(base, body)
+	q, perr := PlanQuery(plannedOn, body)
+	if perr != nil {
+		if classOf(perr) != classOf(err) {
+			return fmt.Errorf("PlanQuery refuses the body (%v), QueryRows says %v", perr, err)
+		}
+		return nil
+	}
+	_, params := QueryShape(body, nil)
+	if !q.Serves(body, params) {
+		return fmt.Errorf("the plan of the body does not serve it")
+	}
+	pvars, prows, err2 := q.Rows(base, params)
+	if m := mismatch(err2, err); m != nil || err != nil {
+		return m
+	}
+	if !slices.Equal(pvars, vars) || !slices.EqualFunc(prows, rows, slices.Equal) {
+		return fmt.Errorf("the cached plan answers %v %v, QueryRows %v %v", pvars, prows, vars, rows)
+	}
+	return nil
+}
+
+// liftedPlans compiles p as a shape-keyed cache would for every program of
+// its shape — its constants pre-bound parameter slots — whatever its lift's
+// stratification; Run binds them to p's own constants.
+func liftedPlans(ob *objectbase.Base, p *term.Program) (*CompiledProgram, error) {
+	_, params := ProgramShape(p, nil)
+	return compileProgram(ob, p, params, true, false)
 }
 
 // fuzzBase is the fixed object base every fuzz input runs against: a small
@@ -194,9 +232,12 @@ func orderDecides(err error, rules ...term.Rule) bool {
 // — not stratifiable, not version-linear, no fixpoint within the bound — or
 // produce the same result(P), the same ob' and the same set of fired updates;
 // a program package safety passes must never fail to compile. Every accepted
-// input is also held against the delta oracles (checkDelta), and each of its
-// rule bodies is put as a query to Query and to the spec's enumerator on
-// every kind of base (checkQueries). Two things are left open, because the
+// input also runs on its lifted plan — the plan a shape-keyed cache keeps for
+// every program of its shape, bound to the input's own constants — and is
+// held against the spec again; it is held against the delta oracles
+// (checkDelta), and each of its rule bodies is put as a query to Query, to
+// the spec's enumerator and, on its cached plan, against QueryRows on every
+// kind of base (checkQueries). Two things are left open, because the
 // paper is silent on them: what an unsafe program means, and which instances
 // of a built-in get evaluated at all (orderDecides).
 func FuzzEngineVsSpec(f *testing.F) {
@@ -228,12 +269,26 @@ func FuzzEngineVsSpec(f *testing.F) {
 		} else if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
+		// The same program on its lifted plan, whatever its lift's strata.
+		lifted, lerr := liftedPlans(ob, p)
+		if lerr != nil {
+			t.Fatalf("safe program %q: the lifted plan does not compile: %v", src, lerr)
+		}
+		lres, lrerr, lerr := sameAsSpec(ob, p, Options{MaxIterations: 50, Plans: lifted})
+		if orderDecides(lerr, p.Rules...) {
+			t.Logf("%q on its lifted plan: not held against either: %v", src, lerr)
+		} else if lerr != nil {
+			t.Errorf("%q on its lifted plan: %v", src, lerr)
+		} else if lrerr == nil && lres.Plan != "cached" {
+			t.Errorf("%q: the run did not take its lifted plan (plan %q)", src, lres.Plan)
+		}
 		if rerr != nil || err != nil {
 			return
 		}
 		if err := checkDelta(ob, res); err != nil {
 			t.Errorf("run of %q: %v", src, err)
 		}
+
 		for ri, r := range p.Rules {
 			if err := checkQueries(ob, res, r.Body); orderDecides(err, r) {
 				t.Logf("body of %s in %q as a query, not held against either: %v", r.Label(ri), src, err)

@@ -260,3 +260,51 @@ func TestSequenceUnrelatedUpdatesCommute(t *testing.T) {
 		}
 	}
 }
+
+// TestShapePlansCommuteWithRenaming: the plans a shape-keyed cache keeps
+// for a program serve its image under an OID bijection, applied to the
+// program and the base alike — a hit for every program whose lift is one
+// stratum, the rest planned by text and so a miss — and the run on them
+// returns the renamed result(P) and ob'.
+func TestShapePlansCommuteWithRenaming(t *testing.T) {
+	base := workload.EnterpriseSpec{Employees: 60, Seed: 5}.ObjectBase().Freeze()
+	cases := []struct {
+		prog string
+		hit  bool
+	}{
+		{`mod[e5].sal -> (S, S') <- e5.sal -> S, S' = S + 1.`, true},
+		{`ins[E].peer -> e3 <- E.boss -> e7, e3.boss -> B, E.boss -> B.`, true},
+		{`del[e9].* <- e9.isa -> empl.`, true},
+		{workload.BulkRaiseProgram, true},
+		{workload.AncestorsProgram, true},
+		// Stratified in three by its constants; planned by its text.
+		{workload.EnterpriseProgram, false},
+	}
+	for _, c := range cases {
+		prog := mustProgram(t, c.prog)
+		plain := mustRun(t, base, prog, Options{})
+		cp, _, err := PlanProgram(base, prog, nil)
+		if err != nil {
+			t.Fatalf("%s: PlanProgram: %v", c.prog, err)
+		}
+		renamedProg, renamedBase := renameProgram(prog), renameBase(base).Freeze()
+		shape, _ := ProgramShape(prog, nil)
+		rshape, rparams := ProgramShape(renamedProg, nil)
+		if shape != rshape {
+			t.Errorf("%s: renaming changed the shape", c.prog)
+		}
+		if got := cp.Serves(renamedProg, rparams); got != c.hit || cp.Lifted() != c.hit {
+			t.Errorf("%s: the plans serve the renamed program: %v, lifted %v; want %v", c.prog, got, cp.Lifted(), c.hit)
+		}
+		renamed := mustRun(t, renamedBase, renamedProg, Options{Plans: cp})
+		if want := map[bool]string{true: "cached", false: "compiled"}[c.hit]; renamed.Plan != want {
+			t.Errorf("%s: the renamed run's plans were %s, want %s", c.prog, renamed.Plan, want)
+		}
+		if !renameBase(plain.Result).Equal(renamed.Result) || !renameBase(plain.Final).Equal(renamed.Final) {
+			t.Errorf("%s: the renamed run is not the renamed result", c.prog)
+		}
+		if plain.Fired != renamed.Fired || plain.Assignment.NumStrata() != renamed.Assignment.NumStrata() {
+			t.Errorf("%s: fired %d, %d strata; renamed %d, %d", c.prog, plain.Fired, plain.Assignment.NumStrata(), renamed.Fired, renamed.Assignment.NumStrata())
+		}
+	}
+}

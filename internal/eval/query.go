@@ -57,24 +57,74 @@ func Query(base *objectbase.Base, body []term.Literal) ([]Binding, error) {
 // serves many answers reads them here, at a slice per answer where a
 // Binding is a map.
 func QueryRows(base *objectbase.Base, body []term.Literal) (vars []term.Var, rows [][]term.OID, err error) {
-	rule := term.Rule{Body: body, Name: "query"}
 	x := &executor{base: base, p0: base}
-	est := indexedCostWith(base, x.index)
-	rc := &ruleCompiler{slots: map[term.Var]int{}}
+	q, err := compileQuery(x, body, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return q.rows(x)
+}
+
+// CompiledQuery is a query body's match plan with its shape parameters
+// (shape.go) as pre-bound slots: it serves every body of the shape.
+type CompiledQuery struct {
+	body   []term.Literal
+	params []term.OID
+	nslots int
+	steps  []cstep
+	vars   []term.Var // the answer variables, sorted
+	slots  []int      // their slots
+}
+
+// PlanQuery compiles body against base for a cache keyed by shape, in the
+// join order body's own constants pick. A body the compiler rejects is
+// refused as QueryRows refuses it.
+func PlanQuery(base *objectbase.Base, body []term.Literal) (*CompiledQuery, error) {
+	_, params := QueryShape(body, nil)
+	return compileQuery(&executor{base: base, p0: base}, body, params)
+}
+
+// Serves reports whether q serves body, whose shape parameters are params
+// (QueryShape): body is, position by position, a body of q's shape.
+func (q *CompiledQuery) Serves(body []term.Literal, params []term.OID) bool {
+	return q != nil && shapeCmp{pa: q.params, pb: params}.body(q.body, body)
+}
+
+// Rows is QueryRows on q's plan, for a body q serves with the shape
+// parameters params. The variables returned are q's: callers must not
+// modify them.
+func (q *CompiledQuery) Rows(base *objectbase.Base, params []term.OID) ([]term.Var, [][]term.OID, error) {
+	return q.rows(&executor{base: base, p0: base, params: slices.Clone(params)})
+}
+
+// compileQuery compiles body as a rule body without a head, with the
+// statistics planner reading the index x will probe (on an unfrozen base
+// every Index call builds a new one); params become pre-bound slots.
+func compileQuery(x *executor, body []term.Literal, params []term.OID) (*CompiledQuery, error) {
+	rule := term.Rule{Body: body, Name: "query"}
+	est := indexedCostWith(x.base, x.index)
+	rc := &ruleCompiler{slots: map[term.Var]int{}, n: len(params), params: params}
 	steps, _, err := compileSteps(rc, rule, greedyOrder(rule, est, -1), -1)
 	if err != nil {
-		return nil, nil, &CompileError{Rule: rule.Name, Err: err}
+		return nil, &CompileError{Rule: rule.Name, Err: err}
 	}
-	vars = slices.Sorted(maps.Keys(rc.slots))
-	slots := make([]int, len(vars))
-	for i, v := range vars {
-		slots[i] = rc.slots[v]
+	q := &CompiledQuery{body: body, params: params, nslots: rc.n, steps: steps}
+	q.vars = slices.Sorted(maps.Keys(rc.slots))
+	q.slots = make([]int, len(q.vars))
+	for i, v := range q.vars {
+		q.slots[i] = rc.slots[v]
 	}
+	return q, nil
+}
+
+// rows runs q with x and collects the distinct answers.
+func (q *CompiledQuery) rows(x *executor) (vars []term.Var, rows [][]term.OID, err error) {
+	vars, slots := q.vars, q.slots
 	// The distinct answers, collected under their rendering (made once per
 	// answer) and returned in its order.
 	seen := map[string][]term.OID{}
 	var key []byte
-	err = x.match(rc.n, steps, nil, func(fr []term.OID) error {
+	err = x.match(q.nslots, q.steps, nil, func(fr []term.OID) error {
 		key = key[:0]
 		for i, v := range vars {
 			if i > 0 {

@@ -182,6 +182,28 @@ func sweep() {
 		"call while parked.mu is held in bad",
 		"call while parked.mu is held in bad",
 		"call while parked.mu is held in sweep")
+
+	// The plan cache's lock is held for the slot read and the store; a
+	// compile under it would make every query wait for another's planning.
+	const planCache = `package x
+func compileUnder(r *Repo, key uint64) {
+	r.planMu.Lock()
+	e := r.plans[key&31].ways[0]
+	if e == nil {
+		e = &planEntry{query: eval.PlanQuery(r.head, r.body)} // finding
+	}
+	r.plans[key&31].ways[0] = e
+	r.planMu.Unlock()
+}
+func storeOnly(r *Repo, e *planEntry) {
+	q := eval.PlanQuery(r.head, r.body) // before the lock: fine
+	r.planMu.Lock()
+	r.plans[e.key&31].ways[0] = e
+	r.planMu.Unlock()
+	use(q)
+}`
+	got = analyze(t, Lockorder, "verlog/internal/x", planCache)
+	wantFindings(t, got, "call while planMu is held in compileUnder")
 }
 
 func TestCommitclock(t *testing.T) {

@@ -15,8 +15,10 @@ var lockOrder = []string{"applyMu", "diskMu", "commitMu"}
 // deadlock. parked.mu guards the slot an evaluation leaves its working memory
 // in (internal/eval): every run takes it, and so does the sweep that follows
 // each collection, on the runtime's cleanup goroutine, whatever locks the
-// other goroutines hold.
-var leafLocks = []string{"parked.mu"}
+// other goroutines hold. planMu guards the repository's plan cache, which
+// applies read and fill under applyMu and queries under no lock at all: it
+// is held for a slot read or a store, never across a compile.
+var leafLocks = []string{"parked.mu", "planMu"}
 
 // Lockorder enforces that hierarchy: a mutex is never acquired while one
 // that comes after it is held. diskMu.Lock() under commitMu deadlocks

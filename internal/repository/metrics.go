@@ -45,33 +45,39 @@ type Metrics struct {
 	// ReplicaApplies counts journal entries applied from a replication
 	// stream (follower mode) rather than evaluated locally.
 	ReplicaApplies *obs.Counter
-	// PlanCacheHits counts applies that reused compiled match plans from
-	// the per-program plan cache; PlanCacheMisses counts applies that had
-	// to compile (first sight of a program, or an expired seq class).
+	// PlanCacheHits counts applies whose program the plan cache served;
+	// PlanCacheMisses counts applies that planned afresh (first sight of a
+	// shape, or an expired seq class). Applies only: their sum is the
+	// number of evaluations.
 	PlanCacheHits   *obs.Counter
 	PlanCacheMisses *obs.Counter
+	// QueryPlanCacheHits and QueryPlanCacheMisses are the same for queries.
+	QueryPlanCacheHits   *obs.Counter
+	QueryPlanCacheMisses *obs.Counter
 }
 
 // Instrument wires the repository to the registry under the standard
 // verlog_* metric names and records the recovery the last Open performed.
 func (r *Repository) Instrument(reg *obs.Registry) {
 	m := &Metrics{
-		AppendWrite:        reg.Histogram("verlog_journal_append_seconds", "Journal append write latency (excluding fsync)."),
-		AppendFsync:        reg.Histogram("verlog_journal_fsync_seconds", "Journal fsync latency."),
-		Compaction:         reg.Histogram("verlog_compaction_seconds", "Compact duration."),
-		RecoverySeconds:    reg.Gauge("verlog_recovery_seconds", "Duration of the last open-time recovery."),
-		Applies:            reg.Counter("verlog_applies_total", "Committed updates (idempotent replays excluded)."),
-		ReplayHits:         reg.Counter("verlog_idempotency_replays_total", "Applies answered from the idempotency-key cache."),
-		ConstraintRejects:  reg.Counter("verlog_constraint_rejects_total", "Updates refused by integrity constraints."),
-		CommitBatchSize:    reg.Gauge("verlog_commit_batch_size", "Journal records in the last group-commit batch."),
-		CommitBatches:      reg.Counter("verlog_commit_batches_total", "Group-commit batches flushed (one fsync each)."),
-		CommitBatchRecords: reg.Counter("verlog_commit_batch_records_total", "Journal records flushed across all group-commit batches."),
-		CommitWait:         reg.Histogram("verlog_commit_wait_seconds", "Time an apply waits for its group-commit batch to become durable."),
-		RecordBytes:        reg.SizeHistogram("verlog_journal_record_bytes", "Size of committed journal records, frame included."),
-		HeadCacheHits:      reg.Counter("verlog_head_cache_hits_total", "Reads served wait-free from the in-memory published head."),
-		ReplicaApplies:     reg.Counter("verlog_replica_applies_total", "Journal entries applied from a replication stream."),
-		PlanCacheHits:      reg.Counter("verlog_plan_cache_hits_total", "Applies that reused cached compiled match plans."),
-		PlanCacheMisses:    reg.Counter("verlog_plan_cache_misses_total", "Applies that compiled match plans afresh."),
+		AppendWrite:          reg.Histogram("verlog_journal_append_seconds", "Journal append write latency (excluding fsync)."),
+		AppendFsync:          reg.Histogram("verlog_journal_fsync_seconds", "Journal fsync latency."),
+		Compaction:           reg.Histogram("verlog_compaction_seconds", "Compact duration."),
+		RecoverySeconds:      reg.Gauge("verlog_recovery_seconds", "Duration of the last open-time recovery."),
+		Applies:              reg.Counter("verlog_applies_total", "Committed updates (idempotent replays excluded)."),
+		ReplayHits:           reg.Counter("verlog_idempotency_replays_total", "Applies answered from the idempotency-key cache."),
+		ConstraintRejects:    reg.Counter("verlog_constraint_rejects_total", "Updates refused by integrity constraints."),
+		CommitBatchSize:      reg.Gauge("verlog_commit_batch_size", "Journal records in the last group-commit batch."),
+		CommitBatches:        reg.Counter("verlog_commit_batches_total", "Group-commit batches flushed (one fsync each)."),
+		CommitBatchRecords:   reg.Counter("verlog_commit_batch_records_total", "Journal records flushed across all group-commit batches."),
+		CommitWait:           reg.Histogram("verlog_commit_wait_seconds", "Time an apply waits for its group-commit batch to become durable."),
+		RecordBytes:          reg.SizeHistogram("verlog_journal_record_bytes", "Size of committed journal records, frame included."),
+		HeadCacheHits:        reg.Counter("verlog_head_cache_hits_total", "Reads served wait-free from the in-memory published head."),
+		ReplicaApplies:       reg.Counter("verlog_replica_applies_total", "Journal entries applied from a replication stream."),
+		PlanCacheHits:        reg.Counter("verlog_plan_cache_hits_total", "Applies that reused cached compiled match plans."),
+		PlanCacheMisses:      reg.Counter("verlog_plan_cache_misses_total", "Applies that compiled match plans afresh."),
+		QueryPlanCacheHits:   reg.Counter("verlog_query_plan_cache_hits_total", "Queries that reused cached compiled match plans."),
+		QueryPlanCacheMisses: reg.Counter("verlog_query_plan_cache_misses_total", "Queries that compiled match plans afresh."),
 	}
 	r.metricsP.Store(m)
 	// The seq gauges read the published head at scrape time: head_seq is

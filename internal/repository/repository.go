@@ -184,13 +184,14 @@ type Repository struct {
 	// applyMu makes evaluation serial: an apply holds it from reading spec
 	// and cons until it has extended spec and joined the pending batch, and
 	// releases it before the batch is flushed; whatever else replaces spec
-	// or cons holds it throughout. It also guards the compiled-plan cache,
-	// which only an evaluating apply touches: program hash → the plans the
-	// last apply of that program compiled, tagged with the seq class of the
-	// head they were planned against (see cachedPlans).
-	applyMu   sync.Mutex
-	planCache map[uint64]planEntry
-	planOrder []uint64
+	// or cons holds it throughout.
+	applyMu sync.Mutex
+
+	// planMu guards plans, the plan cache of applies and queries (plans.go).
+	// It is a leaf: nothing else is taken, and no call made, while it is
+	// held.
+	planMu sync.Mutex
+	plans  [planSets]planSet
 
 	// commitMu guards the in-memory commit state: the speculative head
 	// chain, the pending batch, the idempotency-key map, and the repair
@@ -220,50 +221,6 @@ type Repository struct {
 	// is a leaf: nothing else is taken while it is held.
 	replayMu   sync.Mutex
 	lastReplay *replayed
-}
-
-// planEntry is one compiled-plan cache slot.
-type planEntry struct {
-	cp       *eval.CompiledProgram
-	seqClass int
-}
-
-// Plan-cache sizing: plans are keyed by (program hash, head seq class).
-// The seq class advances every 2^planSeqClassBits commits, bounding how
-// stale the join-order statistics behind a reused plan can get — plans
-// stay correct regardless (estimates only pick the order), so the class
-// is a freshness knob, not a correctness one. planCacheSlots bounds
-// residency; eviction is FIFO, which is enough for the expected shape
-// (a handful of hot programs applied repeatedly).
-const (
-	planSeqClassBits = 6
-	planCacheSlots   = 64
-)
-
-// cachedPlans returns the cached compiled plans for a program hash, or nil
-// when absent or planned against an expired seq class.
-func (r *Repository) cachedPlans(hash uint64, seqClass int) *eval.CompiledProgram {
-	e, ok := r.planCache[hash]
-	if !ok || e.seqClass != seqClass {
-		return nil
-	}
-	return e.cp
-}
-
-// storePlans caches freshly compiled plans, evicting FIFO past the slot
-// bound.
-func (r *Repository) storePlans(hash uint64, seqClass int, cp *eval.CompiledProgram) {
-	if r.planCache == nil {
-		r.planCache = make(map[uint64]planEntry, planCacheSlots)
-	}
-	if _, ok := r.planCache[hash]; !ok {
-		if len(r.planOrder) >= planCacheSlots {
-			delete(r.planCache, r.planOrder[0])
-			r.planOrder = r.planOrder[1:]
-		}
-		r.planOrder = append(r.planOrder, hash)
-	}
-	r.planCache[hash] = planEntry{cp: cp, seqClass: seqClass}
 }
 
 func newRepository(dir string, fs fsio.FS) *Repository {
@@ -871,17 +828,27 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	r.commitMu.Unlock()
 	cons := r.cons.Load()
 
-	// Reuse compiled plans from a previous apply of the same program when
-	// they were planned against the current seq class; a mismatched cache
-	// entry just recompiles inside eval, so a false hit costs nothing but
-	// the lookup.
-	ph := eval.ProgramHash(p)
+	// Plans of p's shape, planned against the current seq class, serve it.
+	// On a miss p is planned by shape here; a program that cannot be
+	// planned runs without plans, and the run refuses it, after the safety
+	// check, as it would any apply.
 	seqClass := head.seq >> planSeqClassBits
-	if cp := r.cachedPlans(ph, seqClass); cp != nil {
-		opts = append(opts[:len(opts):len(opts)], core.WithPlans(cp))
-		r.met().PlanCacheHits.Inc()
-	} else {
+	cp := r.programPlans(p, seqClass)
+	planned := cp == nil
+	var plan, stratify time.Duration
+	if planned {
 		r.met().PlanCacheMisses.Inc()
+		planStart := time.Now()
+		cp, stratify, _ = eval.PlanProgram(head.base, p, core.New(opts...).Span())
+		if cp != nil {
+			r.storeProgramPlans(p, seqClass, cp)
+		}
+		plan = time.Since(planStart)
+	} else {
+		r.met().PlanCacheHits.Inc()
+	}
+	if cp != nil {
+		opts = append(opts[:len(opts):len(opts)], core.WithPlans(cp))
 	}
 	eng := core.New(opts...)
 	sp := eng.Span()
@@ -891,8 +858,11 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 		return a, false, err
 	}
 	res.Stats.Queue = queue
-	if res.Plans != nil {
-		r.storePlans(ph, seqClass, res.Plans)
+	if planned {
+		// The plans were made for this apply: it stratified and compiled.
+		res.Plan = "compiled"
+		res.Stats.Stratify = stratify
+		res.Stats.Eval += plan
 	}
 	constraintStart := time.Now()
 	constraintSpan := sp.StartChild("constraints")
@@ -1221,6 +1191,11 @@ var ErrNoSuchState = errors.New("repository: no such state")
 // serving the last published state; mutations and disk operations refuse.
 var ErrClosed = errors.New("repository: closed")
 
+// ErrDiverged reports a journal entry whose program, re-evaluated on the
+// state before it, yields another diff than the entry holds: the state the
+// journal records is not the one this evaluator derives (see Replay).
+var ErrDiverged = errors.New("repository: journal diverged")
+
 // Close quiesces the repository and marks it closed: it waits for the
 // apply that is evaluating to enqueue, flushes the pending group-commit
 // batch, and every later mutating or disk-touching operation (ApplyKey,
@@ -1298,6 +1273,12 @@ type replayed struct {
 // kept, so a burst of questions about one state evaluates it once; replays
 // run one at a time. The result is shared: callers must not modify it.
 // State 0 (the snapshot) and states outside the journal are ErrNoSuchState.
+//
+// The diff the evaluation derives is held against the one the entry
+// journaled: an entry whose program no longer yields its own diff is
+// ErrDiverged, naming its seq, and nothing about it is explained. Applies
+// run on plans cached by shape; a replay plans its text afresh, so every
+// replay cross-checks an apply against an independent evaluation.
 func (r *Repository) Replay(n int) (*eval.Result, error) {
 	hs := r.published.Load()
 	switch {
@@ -1325,6 +1306,10 @@ func (r *Repository) Replay(n int) (*eval.Result, error) {
 	res, err := eval.Run(before, p, eval.Options{Trace: true})
 	if err != nil {
 		return nil, fmt.Errorf("repository: journal entry %d: %w", entry.Seq, err)
+	}
+	if added, removed := storage.EncodeChanges(res.Changes); added != entry.Added || removed != entry.Removed {
+		return nil, fmt.Errorf("%w: entry %d: its program derives added %q, removed %q; the journal holds added %q, removed %q",
+			ErrDiverged, entry.Seq, added, removed, entry.Added, entry.Removed)
 	}
 	r.lastReplay = &replayed{snap: hs.snap, seq: entry.Seq, res: res}
 	return res, nil

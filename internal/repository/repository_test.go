@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"verlog/internal/obs"
 	"verlog/internal/parser"
 	"verlog/internal/term"
 )
@@ -130,61 +129,5 @@ func TestApplyRejectsBadProgram(t *testing.T) {
 	n, err := r.Len()
 	if err != nil || n != 0 {
 		t.Errorf("Len = %d, %v; want 0", n, err)
-	}
-}
-
-// TestPlanCache: repeated applies of the same program reuse its compiled
-// match plans; a different program and a correct answer after reuse show
-// the cache never changes results.
-func TestPlanCache(t *testing.T) {
-	dir := t.TempDir() + "/repo"
-	initial, err := parser.ObjectBase(`henry.isa -> empl / sal -> 1000.`, "init.vlg")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	r, err := Init(dir, initial)
-	if err != nil {
-		t.Fatalf("Init: %v", err)
-	}
-	defer r.Close()
-	reg := obs.NewRegistry()
-	r.Instrument(reg)
-
-	raise, err := parser.Program(
-		`raise: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S * 2.`, "raise.vlg")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := r.Apply(raise); err != nil {
-			t.Fatalf("Apply %d: %v", i, err)
-		}
-	}
-	m := r.met()
-	if got := m.PlanCacheMisses.Value(); got != 1 {
-		t.Errorf("plan cache misses = %d, want 1", got)
-	}
-	if got := m.PlanCacheHits.Value(); got != 2 {
-		t.Errorf("plan cache hits = %d, want 2", got)
-	}
-
-	other, err := parser.Program(`hire: ins[bob].isa -> empl.`, "hire.vlg")
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if _, err := r.Apply(other); err != nil {
-		t.Fatalf("Apply other: %v", err)
-	}
-	if got := m.PlanCacheMisses.Value(); got != 2 {
-		t.Errorf("plan cache misses after second program = %d, want 2", got)
-	}
-
-	head, err := r.Head()
-	if err != nil {
-		t.Fatalf("Head: %v", err)
-	}
-	want := term.NewFact(term.GVID{Object: term.Sym("henry")}, "sal", term.Int(8000))
-	if !head.Has(want) {
-		t.Errorf("head missing %s:\n%s", want, parser.FormatFacts(head, true))
 	}
 }

@@ -57,6 +57,9 @@ const (
 	// CodeSnapshotRequired: the requested replication resume point
 	// predates the primary's snapshot; bootstrap via /v1/repl/snapshot.
 	CodeSnapshotRequired = "snapshot_required"
+	// CodeDiverged: a journal entry's program, re-evaluated for history or
+	// explain, derives another diff than the journal holds.
+	CodeDiverged = "journal_diverged"
 	// CodeInternal: an unexpected server-side failure.
 	CodeInternal = "internal"
 )
@@ -106,6 +109,8 @@ func classify(err error) (int, string) {
 		return http.StatusConflict, CodeConstraintViolation
 	case errors.Is(err, repository.ErrNoSuchState):
 		return http.StatusNotFound, CodeNotFound
+	case errors.Is(err, repository.ErrDiverged):
+		return http.StatusInternalServerError, CodeDiverged
 	default:
 		return http.StatusInternalServerError, CodeInternal
 	}

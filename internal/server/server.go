@@ -766,17 +766,12 @@ func (s *Server) handleQuery(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 		return
 	}
 	setDetail(r, src)
-	head, err := t.Repo().Head()
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
 	lits, err := parser.Query(src, "query")
 	if err != nil {
 		writeError(w, r, err)
 		return
 	}
-	vars, rows, err := eval.QueryRows(head, lits)
+	vars, rows, err := t.Repo().QueryRows(lits)
 	if err != nil {
 		writeError(w, r, err)
 		return

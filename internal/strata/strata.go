@@ -222,6 +222,15 @@ func Stratify(p *term.Program) (*Assignment, error) {
 	return a, nil
 }
 
+// StratifyLifted is Stratify of p's lift: every OID base of a
+// version-id-term read as a variable, which unifies with more than the
+// constant did. Its edges include those of every program p's OID constants
+// can be replaced with, so a stratification of the lift is valid for each
+// of them (Section 4, conditions (a)-(d)).
+func StratifyLifted(p *term.Program) (*Assignment, error) {
+	return Solve(len(p.Rules), buildEdges(p, true), p.RuleLabels())
+}
+
 // Violations returns every strongly connected component of p's constraint
 // graph that contains a strict edge — i.e. all independent reasons the
 // program is not stratifiable — instead of failing on the first. An empty
@@ -257,11 +266,24 @@ func condBit(c Cond) uint8 {
 // order is identical to a per-observer scan over all rules in index order:
 // for each observer, condition (a) over the head subterms, then per body
 // version-id-term conditions (b)/(c) and (d), producers ascending.
-func BuildEdges(p *term.Program) []Edge {
+func BuildEdges(p *term.Program) []Edge { return buildEdges(p, false) }
+
+// liftedBase stands for every OID base of a lifted program.
+var liftedBase term.ObjTerm = term.Var("_")
+
+// buildEdges is BuildEdges, of p's lift when lift is set: an OID base of a
+// version-id-term then unifies like a variable.
+func buildEdges(p *term.Program, lift bool) []Edge {
 	n := len(p.Rules)
+	vid := func(v term.VersionID) term.VersionID {
+		if lift && term.IsGround(v.Base) {
+			v.Base = liftedBase
+		}
+		return v
+	}
 	heads := make([]term.VersionID, n)
 	for i, r := range p.Rules {
-		heads[i] = headVID(r)
+		heads[i] = vid(headVID(r))
 	}
 	ix := NewHeadIndex(heads)
 
@@ -305,10 +327,11 @@ func BuildEdges(p *term.Program) []Edge {
 	for to, r := range p.Rules {
 		cur++
 		// (a): producers of any subterm of the head's V strictly below.
-		for _, sub := range r.Head.V.Subterms() {
+		for _, sub := range vid(r.Head.V).Subterms() {
 			ix.Matches(sub, func(from int) { add(from, to, true, CondA) })
 		}
 		for _, bv := range bodyVIDs(r) {
+			bv.v = vid(bv.v)
 			// (b)/(c): producers of any subterm of a body VID.
 			for _, sub := range bv.v.Subterms() {
 				ix.Matches(sub, func(from int) { add(from, to, bv.neg, condBC(bv.neg)) })
