@@ -59,11 +59,13 @@ govulncheck:
 race:
 	$(GO) test -race ./...
 
-# The allocation and size guards (bytes per fired update, per point update,
-# per journaled fact; in-run ratios) skip under the race detector, which
-# allocates on its own account — so they get a run without it.
+# The allocation and size guards (bytes per journaled fact, per first read;
+# in-run ratios) and TestCostLaws, the table of fitted cost exponents (bytes
+# and time against the work an operation does), skip under the race
+# detector, which allocates and slows on its own account — so they get a run
+# without it.
 guard:
-	$(GO) test -count=1 -run Guard . ./internal/...
+	$(GO) test -count=1 -run 'Guard|CostLaws' . ./internal/...
 
 # The two fuzz targets, 30 s each (as in CI) on top of the seed corpora that
 # `go test` always replays: the journal's diff codec (round trip, corruption

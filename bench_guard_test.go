@@ -11,6 +11,7 @@ package verlog
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -100,162 +101,23 @@ func TestBenchRegressionGuard(t *testing.T) {
 		{"BenchmarkE2Enterprise/n=10000", enterprise(workload.EnterpriseProgram, 7)},
 		{"BenchmarkE24ClosedClosure/apply", closedClosure},
 	}
-	const applies = 5
 	for _, c := range cases {
-		ob, p, opts := c.setup()
-		run := func() {
-			if _, err := Apply(ob, p, opts...); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-		}
 		// As in the benchmark, whose reference rows come from the warm pass
 		// (-benchtime 5x): a first apply builds what the frozen base caches
-		// and leaves the evaluation's working memory in the slot, the
-		// collection the benchmark runner makes before it counts finds it used
-		// and leaves it there, and the five applies counted all reuse it. The
-		// collector is off from the first apply on, so that no collection of
-		// its own comes between and the count repeats.
-		m0, m1 := func() (m0, m1 runtime.MemStats) {
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			run()
-			runtime.GC()
-			runtime.ReadMemStats(&m0)
-			for i := 0; i < applies; i++ {
-				run()
-			}
-			runtime.ReadMemStats(&m1)
-			return m0, m1
-		}()
+		// and leaves the evaluation's working memory in the slot, and the five
+		// applies counted all reuse it.
+		ob, p, opts := c.setup()
+		_, bytes, allocs, _ := measure(applyRun(t, ob, p, opts...), 5, true)
 		for _, m := range []struct {
 			metric string
 			got    float64
-		}{
-			{"B/op", float64(m1.TotalAlloc-m0.TotalAlloc) / applies},
-			{"allocs/op", float64(m1.Mallocs-m0.Mallocs) / applies},
-		} {
+		}{{"B/op", bytes}, {"allocs/op", allocs}} {
 			ref := guardRef(t, &rep, c.name, m.metric)
 			t.Logf("%s: %.0f %s, reference %.0f (%.2fx)", c.name, m.got, m.metric, ref, m.got/ref)
 			if m.got > 1.15*ref {
 				t.Errorf("%s regressed: %.0f %s exceeds 1.15× the reference %.0f", c.name, m.got, m.metric, ref)
 			}
 		}
-	}
-}
-
-// TestPointUpdateScalingGuard is the E21 guard (ROADMAP item 1): what a
-// one-object update allocates through repository.Apply, together with the
-// first boss probe of the head it publishes, must not depend on the size of
-// the base. It compares allocation counters of the same stream of applies
-// on 10⁴ and on 10² employees, in one process — deterministic counts and an
-// in-run ratio, nothing the host's mood can move. The stream is long enough
-// for the larger head to outgrow its delta layer and flatten twice, so the
-// one O(|base|) step left is averaged in; the probe reads a layer of up to
-// 625 salary-changed versions there, and of up to 6 on 10² employees.
-func TestPointUpdateScalingGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("1280 journaled applies per base; skipped in -short")
-	}
-	if raceDetectorEnabled {
-		t.Skip("race instrumentation allocates on its own account")
-	}
-	const applies = 1280
-	measure := func(n int) (bytesPerOp, allocsPerOp float64) {
-		r, progs := pointUpdateRepo(t, n, 64)
-		defer r.Close()
-		probe := func() {
-			head, err := r.Head()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if head.Index().VIDsWithResult("", "boss", Sym("e0")).Len() == 0 {
-				t.Fatal("the boss probe found no reports of e0")
-			}
-		}
-		probe() // builds the root's boss partition, which new roots inherit
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < applies; i++ {
-			if _, err := r.Apply(progs[(64+i)%len(progs)]); err != nil {
-				t.Fatal(err)
-			}
-			probe()
-		}
-		runtime.ReadMemStats(&m1)
-		return float64(m1.TotalAlloc-m0.TotalAlloc) / applies, float64(m1.Mallocs-m0.Mallocs) / applies
-	}
-	smallB, smallA := measure(100)
-	bigB, bigA := measure(10000)
-	t.Logf("n=100:   %.0f B/op, %.0f allocs/op", smallB, smallA)
-	t.Logf("n=10000: %.0f B/op, %.0f allocs/op (%.2fx, %.2fx)", bigB, bigA, bigB/smallB, bigA/smallA)
-	if bigB > 2*smallB {
-		t.Errorf("a point update and a boss probe allocate %.0f B on 10⁴ employees and %.0f B on 10²: %.2fx, want ≤ 2x", bigB, smallB, bigB/smallB)
-	}
-	if bigA > 2*smallA {
-		t.Errorf("a point update and a boss probe make %.0f allocations on 10⁴ employees and %.0f on 10²: %.2fx, want ≤ 2x", bigA, smallA, bigA/smallA)
-	}
-}
-
-// bytesPerFired applies p to the frozen base ob five times and returns the
-// bytes one apply allocates per fired update. A first, unmeasured apply
-// builds what the head caches (the literal index) and leaves the evaluation's
-// working memory in the slot for the five measured ones. The collector is off
-// from before that apply to after the last: a collection between two applies
-// leaves that memory where it is, but its own allocations would be counted.
-// (What the first apply after an idle process let go of it costs is
-// TestScratchReuseGuard's.)
-func bytesPerFired(t *testing.T, ob *ObjectBase, p *Program, opts ...Option) float64 {
-	t.Helper()
-	run := func() int {
-		res, err := Apply(ob, p, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Fired
-	}
-	const applies = 5
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	fired := run()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < applies; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.TotalAlloc-m0.TotalAlloc) / applies / float64(fired)
-}
-
-// TestClosureAllocGuard is the E24 guard (ROADMAP item 1): the apply the
-// server makes on recursive_closure — the ancestors program on a frozen head
-// that already holds the closure, cached plans, no trace (the server builds
-// one only when history or explain ask, by replaying the journal) — writes
-// every fired update once, in 48 bytes (its method a number of the run's, its
-// list link a position in the log) of a log the apply before it left behind,
-// and copies none of the facts the versions it fires them on enter with (a
-// version that appears is entered into the semi-naive delta by reference, and
-// a scan matches its candidates as the walk hands them out), so its cost per
-// fired update is small and does not grow with the genealogy. (It shrinks: ten
-// generations fire eight updates per version, six fire four, and what a run
-// pays per version — its slot in the overlay and in the overlay's version
-// index — is spread over them.) Counts and an in-run ratio only.
-func TestClosureAllocGuard(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("race instrumentation allocates on its own account")
-	}
-	measure := func(generations int) float64 {
-		head, p, opts := closedGenealogy(t, workload.GenealogySpec{Generations: generations, Branching: 2})
-		return bytesPerFired(t, head, p, opts...)
-	}
-	small, big := measure(6), measure(10)
-	t.Logf("generations=6: %.0f B per fired update; generations=10: %.0f B (%.2fx)", small, big, big/small)
-	for _, b := range []float64{small, big} {
-		if b > 63 { // measured × 1.15: 55 B at six generations, 15 B at ten (257 and 118 when every apply bought its working memory anew)
-			t.Errorf("a re-apply on a closed head allocates %.0f B per fired update, want ≤ 63", b)
-		}
-	}
-	if big > 1.3*small {
-		t.Errorf("bytes per fired update grow %.2fx from 6 to 10 generations, want ≤ 1.3x", big/small)
 	}
 }
 
@@ -304,40 +166,6 @@ func TestScratchReuseGuard(t *testing.T) {
 	}
 }
 
-// TestAccumulatorScalingGuard: one version that accumulates k facts over k
-// iterations — the reachability of a chain of k nodes collected on a single
-// object — is extended in place, so an iteration costs what it adds. An
-// engine that re-copies the accumulated state every iteration pays O(k) per
-// fired update and fails this by a wide margin (3.7x, measured).
-func TestAccumulatorScalingGuard(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("race instrumentation allocates on its own account")
-	}
-	p, err := ParseProgram(`
-seed: ins[acc].reach -> Y <- acc.start -> X, X.next -> Y.
-step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(k int) float64 {
-		ob := NewObjectBase()
-		node := func(i int) OID { return Sym(fmt.Sprintf("n%d", i)) }
-		ob.Insert(term.NewFact(term.GVID{Object: Sym("acc")}, "start", node(0)))
-		ob.EnsureObject(Sym("acc"))
-		for i := 0; i < k; i++ {
-			ob.Insert(term.NewFact(term.GVID{Object: node(i)}, "next", node(i+1)))
-			ob.EnsureObject(node(i))
-		}
-		return bytesPerFired(t, ob.Freeze(), p)
-	}
-	small, big := measure(500), measure(2000)
-	t.Logf("k=500: %.0f B per fired update; k=2000: %.0f B (%.2fx)", small, big, big/small)
-	if big > 1.5*small {
-		t.Errorf("an accumulator of 2000 facts costs %.0f B per fired update and one of 500 costs %.0f B: %.2fx, want ≤ 1.5x", big, small, big/small)
-	}
-}
-
 // enterpriseHead returns a frozen head of n generated employees that has
 // served one bulk raise: the next writer's read of it, as on a server.
 func enterpriseHead(tb testing.TB, n int) *ObjectBase {
@@ -355,11 +183,11 @@ func enterpriseHead(tb testing.TB, n int) *ObjectBase {
 
 // bossQueries puts the two query shapes of the end-to-end workloads — the
 // point lookup and the result-constant join over a manager's reports — to
-// the head for the first twenty managers, and returns the rows the joins
+// the head for the first few managers, and returns the rows the joins
 // answered.
-func bossQueries(tb testing.TB, head *ObjectBase) (rows int) {
+func bossQueries(tb testing.TB, head *ObjectBase, managers int) (rows int) {
 	tb.Helper()
-	for m := 0; m < 20; m++ {
+	for m := 0; m < managers; m++ {
 		if _, err := Query(head, fmt.Sprintf("e%d.sal -> S.", m)); err != nil {
 			tb.Fatal(err)
 		}
@@ -372,31 +200,200 @@ func bossQueries(tb testing.TB, head *ObjectBase) (rows int) {
 	return rows
 }
 
-// TestQueryAllocGuard is the E25 guard (ROADMAP item 3(a)): a read costs
-// what it returns. The queries of the end-to-end workloads run on the
-// compiled executor and probe the head's literal index, so on a warm head
-// what they allocate follows their answers, not the base (a scan copies
-// every boss carrier into a slice per query, 5x per row from 300 to 3 000
-// employees). Counts and an in-run ratio. (That the head indexes only
-// what was asked for is TestPartitionsOnDemandGuard in internal/objectbase.)
-func TestQueryAllocGuard(t *testing.T) {
+// costLaw is one row of TestCostLaws: an operation swept over sizes, and
+// the largest exponents its costs may grow with in x, the work a run
+// reports (0 asserts nothing; only a row with nsExp is timed).
+type costLaw struct {
+	name                       string
+	sizes                      []int
+	reps                       int // runs per measurement (1 if unset)
+	prepare                    func(t *testing.T, size int) (run func() (x int))
+	bytesExp, allocsExp, nsExp float64
+	bytesPerX                  float64 // a cap on bytes per unit of x at every size; 0: none
+}
+
+// fitExponent is the least-squares slope of log y against log x.
+func fitExponent(xs, ys []float64) float64 {
+	var mx, my, sxy, sxx float64
+	for i := range xs {
+		mx += math.Log(xs[i]) / float64(len(xs))
+		my += math.Log(ys[i]) / float64(len(xs))
+	}
+	for i := range xs {
+		dx := math.Log(xs[i]) - mx
+		sxy += dx * (math.Log(ys[i]) - my)
+		sxx += dx * dx
+	}
+	return sxy / sxx
+}
+
+// applyRun is the run of one apply of p to head; its x is the fired updates.
+func applyRun(t *testing.T, head *ObjectBase, p *Program, opts ...Option) func() int {
+	return func() int {
+		res, err := Apply(head, p, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Fired
+	}
+}
+
+// measure makes reps runs after a collection, with the collector off (a
+// collection of its own would be counted; what it keeps would not change),
+// and returns the last x and the bytes, allocations and ns per run. A warm
+// measurement makes a first, unmeasured run: it builds what the head caches
+// and leaves the evaluation's working memory in the slot for the others.
+func measure(run func() int, reps int, warm bool) (x, bytes, allocs, ns float64) {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if warm {
+		run()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	for range reps {
+		x = float64(run())
+	}
+	d := time.Since(start)
+	runtime.ReadMemStats(&m1)
+	per := func(n uint64) float64 { return float64(n) / float64(reps) }
+	return x, per(m1.TotalAlloc - m0.TotalAlloc), per(m1.Mallocs - m0.Mallocs), per(uint64(d))
+}
+
+func (law costLaw) check(t *testing.T) {
+	reps, n := max(law.reps, 1), len(law.sizes)
+	runs, xs, bytes, allocs, ns := make([]func() int, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for i, size := range law.sizes {
+		runs[i] = law.prepare(t, size)
+		xs[i], bytes[i], allocs[i], ns[i] = measure(runs[i], reps, true)
+	}
+	// Best of three rounds, each timing every size once: a burst of load on
+	// the host slows a round of all sizes, not every run of one.
+	for round := 0; law.nsExp > 0 && round < 3; round++ {
+		for i := range runs {
+			if _, _, _, d := measure(runs[i], reps, false); round == 0 || d < ns[i] {
+				ns[i] = d
+			}
+		}
+	}
+	for i, size := range law.sizes {
+		t.Logf("size %d: x = %.0f; per run %.0f B (%.1f per x), %.0f allocs, %.3f ms", size, xs[i], bytes[i], bytes[i]/xs[i], allocs[i], ns[i]/1e6)
+		if law.bytesPerX > 0 && bytes[i]/xs[i] > law.bytesPerX {
+			t.Errorf("size %d: %.1f B per unit of x, want ≤ %.0f", size, bytes[i]/xs[i], law.bytesPerX)
+		}
+	}
+	for _, l := range []struct {
+		cost  string
+		ys    []float64
+		bound float64
+	}{{"bytes", bytes, law.bytesExp}, {"allocations", allocs, law.allocsExp}, {"ns", ns, law.nsExp}} {
+		if l.bound == 0 {
+			continue
+		}
+		exp := fitExponent(xs, l.ys)
+		t.Logf("%s per run grow as x^%.2f (law: ≤ %.2f)", l.cost, exp, l.bound)
+		if exp > l.bound {
+			t.Errorf("%s per run grow as x^%.2f, want an exponent ≤ %.2f", l.cost, exp, l.bound)
+		}
+	}
+}
+
+// TestCostLaws holds each operation to the exponents of its costs, fitted
+// by least squares to log cost against log work over three sizes at least
+// 4× apart, in one process: an in-run shape, which a change that makes every
+// size dearer alike does not move and a change in how a cost grows fails, on
+// any host. Bytes and allocations are counted with the collector off after a
+// warm run and repeat; ns is the best of three. Time is what sees an
+// accumulator go quadratic when its state loses O(1) membership.
+func TestCostLaws(t *testing.T) {
 	if raceDetectorEnabled {
-		t.Skip("race instrumentation allocates on its own account")
+		t.Skip("race instrumentation allocates and slows on its own account")
 	}
-	measure := func(n int) float64 {
-		head := enterpriseHead(t, n)
-		rows := bossQueries(t, head) // builds the boss partition
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		bossQueries(t, head)
-		runtime.ReadMemStats(&m1)
-		return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(rows)
+	acc, err := ParseProgram(`
+seed: ins[acc].reach -> Y <- acc.start -> X, X.next -> Y.
+step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
+`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	small, big := measure(300), measure(3000)
-	t.Logf("n=300: %.0f B per answered row; n=3000: %.0f B (%.2fx)", small, big, big/small)
-	if big > 1.5*small {
-		t.Errorf("the workload's queries allocate %.0f B per row on 3 000 employees and %.0f B on 300: %.2fx, want ≤ 1.5x", big, small, big/small)
+	laws := []costLaw{{
+		// One version collects the reachability of a chain of k nodes over k
+		// iterations. It is extended in place, and past 24 entries its
+		// membership test is a probe of its position index, so an iteration
+		// costs what it adds. Re-copying the state per iteration costs O(k)
+		// bytes per fired update; scanning it, O(k) time and no bytes.
+		name:  "accumulator",
+		sizes: []int{1000, 4000, 16000},
+		prepare: func(t *testing.T, k int) func() int {
+			ob := NewObjectBase()
+			node := func(i int) OID { return Sym(fmt.Sprintf("n%d", i)) }
+			ob.Insert(term.NewFact(term.GVID{Object: Sym("acc")}, "start", node(0)))
+			ob.EnsureObject(Sym("acc"))
+			for i := 0; i < k; i++ {
+				ob.Insert(term.NewFact(term.GVID{Object: node(i)}, "next", node(i+1)))
+				ob.EnsureObject(node(i))
+			}
+			return applyRun(t, ob.Freeze(), acc)
+		},
+		bytesExp: 1.1, nsExp: 1.3,
+	}, {
+		// The apply of recursive_closure: the ancestors program on a head
+		// that holds the closure, cached plans, no trace. It logs each fired
+		// update in 48 bytes of the log the apply before it left and copies
+		// no facts of the versions it fires on, so its bytes per fired update
+		// are small and do not grow with the genealogy (what a run pays per
+		// version is spread over more updates). A trace breaks the cap.
+		name:  "closed closure",
+		sizes: []int{6, 8, 10}, // generations
+		prepare: func(t *testing.T, generations int) func() int {
+			head, p, opts := closedGenealogy(t, workload.GenealogySpec{Generations: generations, Branching: 2})
+			return applyRun(t, head, p, opts...)
+		},
+		bytesExp: 1.0, nsExp: 1.3,
+		bytesPerX: 63, // measured × 1.2: 52 B per fired update at six generations, 15 B at ten
+	}, {
+		// A one-object update through repository.Apply and the first boss
+		// probe of the head it publishes cost the same on any base. The
+		// largest head outgrows its delta layer and flattens twice in the
+		// stream (every |base|/16 applies): that O(|base|) step, averaged in,
+		// is why bytes may grow as |base|^0.15 (2× over 100×).
+		name:  "point apply",
+		sizes: []int{100, 1000, 10000}, // employees; x is the size
+		reps:  1280,
+		prepare: func(t *testing.T, n int) func() int {
+			r, progs := pointUpdateRepo(t, n, 64)
+			t.Cleanup(func() { r.Close() })
+			i := 64
+			return func() int {
+				i++
+				if _, err := r.Apply(progs[i%len(progs)]); err != nil {
+					t.Fatal(err)
+				}
+				head, err := r.Head()
+				if err != nil || head.Index().VIDsWithResult("", "boss", Sym("e0")).Len() == 0 {
+					t.Fatalf("the boss probe of the new head found no reports of e0 (%v)", err)
+				}
+				return n
+			}
+		},
+		bytesExp: 0.15, allocsExp: 0.1,
+	}, {
+		// A read costs what it returns: on a warm head the workload queries
+		// probe the literal index and follow their answers, not the base. A
+		// manager has nine reports on any base, so a run asks about the first
+		// n/15 managers; a query that scanned the base (copying every boss
+		// carrier: 5× per row from 300 to 3 000 employees) grows as rows².
+		name:  "workload queries",
+		sizes: []int{300, 1200, 4800}, // employees
+		prepare: func(t *testing.T, n int) func() int {
+			head := enterpriseHead(t, n)
+			return func() int { return bossQueries(t, head, n/15) }
+		},
+		bytesExp: 1.1, nsExp: 1.3,
+	}}
+	for _, law := range laws {
+		t.Run(law.name, law.check)
 	}
 }
 
@@ -553,7 +550,7 @@ func TestNewRootInheritsIndexesGuard(t *testing.T) {
 		return m1.TotalAlloc - m0.TotalAlloc, scanned, reports
 	}
 	for i := 0; i < 2; i++ { // warm: the second head's predecessor has been read
-		bossQueries(t, apply(raise))
+		bossQueries(t, apply(raise), 20)
 	}
 	_, _, reports := firstReads(apply(raise), "sal")
 

@@ -412,7 +412,7 @@ func BenchmarkE21PointUpdate(b *testing.B) {
 func BenchmarkE25QueryScaling(b *testing.B) {
 	for _, n := range []int{300, 3000, 30000} {
 		head := enterpriseHead(b, n)
-		bossQueries(b, head)
+		bossQueries(b, head, 20)
 		shapes := []struct{ name, format string }{
 			{"point", "e%d.sal -> S."},
 			{"join", "E.boss -> e%d, E.sal -> S."},

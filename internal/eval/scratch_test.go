@@ -282,9 +282,9 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.`, Options{MaxIter
 	}
 }
 
-// accumulator returns the program of TestAccumulatorScalingGuard and a base
-// for it: the reachability of a chain of k nodes collected on one object, k
-// updates on one target in k iterations.
+// accumulator returns the program of the accumulator row of TestCostLaws
+// and a base for it: the reachability of a chain of k nodes collected on one
+// object, k updates on one target in k iterations.
 func accumulator(t *testing.T, k int) (*objectbase.Base, *term.Program) {
 	t.Helper()
 	ob := objectbase.New()

@@ -100,7 +100,7 @@ func TestFinalEquals(t *testing.T) {
 		s.Add(term.MethodKey{Method: "m"}, term.Int(1))
 		s.Add(term.MethodKey{Method: "m"}, term.Int(2))
 	})
-	big := mk(func(s *objectbase.State) { // spilled form
+	big := mk(func(s *objectbase.State) { // past the index threshold
 		s.Add(exists, o)
 		for i := 0; i < 40; i++ {
 			s.Add(term.MethodKey{Method: "m"}, term.Int(int64(i)))

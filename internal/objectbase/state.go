@@ -1,17 +1,20 @@
 package objectbase
 
-import "verlog/internal/term"
+import (
+	"slices"
 
-// stateSpillThreshold is the number of applications beyond which a State
-// switches from the flat entry slice to the map-of-maps representation.
-// Profiles of the apply hot path (E1/E2) show the overwhelming majority of
-// states hold a handful of applications — for those, a flat slice clones
-// with a single allocation and scans faster than any map walk, while large
-// accumulator states (e.g. recursive closures) spill to maps and keep
-// their O(1) membership tests.
-const stateSpillThreshold = 24
+	"verlog/internal/term"
+)
 
-// appEntry is one method application in the flat representation.
+// stateIndexThreshold is the number of applications beyond which a State
+// keeps a position index beside its entries. Profiles of the apply hot path
+// (E1/E2) show the overwhelming majority of states hold a handful of
+// applications — for those, a flat slice clones with a single allocation and
+// scans faster than any map probe — while large accumulator states (e.g.
+// recursive closures) need O(1) membership tests to stay linear.
+const stateIndexThreshold = 24
+
+// appEntry is one method application.
 type appEntry struct {
 	key term.MethodKey
 	r   term.OID
@@ -19,92 +22,73 @@ type appEntry struct {
 
 // State is the state of one version: all its method applications.
 //
-// Small states (the common case) are a flat slice of entries; once a state
-// grows past stateSpillThreshold it spills to the map-of-maps form and
-// stays there. The representation is invisible to callers.
+// The entries are the only truth. A state holding more than
+// stateIndexThreshold of them also carries pos, each entry's position, so
+// that Has, Add and Remove stay O(1). Only the mutators (Add, Remove and the
+// Clone family) build and keep pos, never a read: a frozen state is read by
+// many goroutines at once.
 type State struct {
-	entries []appEntry                               // flat form (apps == nil)
-	apps    map[term.MethodKey]map[term.OID]struct{} // spilled form
-	size    int
+	entries []appEntry
+	pos     map[appEntry]int32 // nil while len(entries) <= stateIndexThreshold
 }
+
+// emptyState stands in for a nil state, which applies nothing.
+var emptyState State
 
 // NewState returns an empty state.
 func NewState() *State { return &State{} }
 
-// flat reports whether the state is in the flat-entry representation.
-func (s *State) flat() bool { return s.apps == nil }
+// stateOfEntries returns the state holding entries, indexed if it is large.
+func stateOfEntries(entries []appEntry) *State {
+	s := &State{entries: entries}
+	s.reindex()
+	return s
+}
 
-// spill converts the flat representation to the map form.
-func (s *State) spill() {
-	s.apps = make(map[term.MethodKey]map[term.OID]struct{}, len(s.entries))
-	for _, e := range s.entries {
-		rs, ok := s.apps[e.key]
-		if !ok {
-			rs = make(map[term.OID]struct{}, 1)
-			s.apps[e.key] = rs
+// reindex builds pos if the state has grown past stateIndexThreshold.
+func (s *State) reindex() {
+	if len(s.entries) > stateIndexThreshold {
+		s.pos = make(map[appEntry]int32, len(s.entries))
+		for i, e := range s.entries {
+			s.pos[e] = int32(i)
 		}
-		rs[e.r] = struct{}{}
 	}
-	s.entries = nil
+}
+
+// find returns the position of e among the entries, or -1.
+func (s *State) find(e appEntry) int {
+	if s.pos != nil {
+		if i, ok := s.pos[e]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	return slices.Index(s.entries, e)
 }
 
 // Clone returns a deep copy of the state.
 func (s *State) Clone() *State { return s.CloneWithRoom(0) }
 
 // CloneWithRoom is Clone with room for extra more applications before the
-// first reallocation of the flat form — the engine copies a version's state
-// once, at the moment an update first changes it, and knows how many updates
-// are waiting.
+// first reallocation — the engine copies a version's state once, at the
+// moment an update first changes it, and knows how many updates are waiting.
 func (s *State) CloneWithRoom(extra int) *State {
-	if s.apps == nil {
-		out := &State{size: s.size}
-		if n := len(s.entries) + extra; n > 0 {
-			// Room past the spill threshold would never be used.
-			n = max(len(s.entries), min(n, stateSpillThreshold))
-			out.entries = append(make([]appEntry, 0, n), s.entries...)
-		}
-		return out
-	}
-	out := &State{apps: make(map[term.MethodKey]map[term.OID]struct{}, len(s.apps)), size: s.size}
-	for k, rs := range s.apps {
-		cp := make(map[term.OID]struct{}, len(rs))
-		for r := range rs {
-			cp[r] = struct{}{}
-		}
-		out.apps[k] = cp
-	}
-	return out
+	return stateOfEntries(append(make([]appEntry, 0, len(s.entries)+extra), s.entries...))
 }
 
 // CloneWithoutMethod returns a deep copy of the state with every
-// application of the named method dropped. It is the bulk form of
-// clone-then-delete the copy phase uses: flat states copy with one
-// allocation and spilled states avoid per-fact membership re-hashing.
+// application of the named method dropped: the bulk form of
+// clone-then-delete the copy phase uses, one allocation for the entries.
 func (s *State) CloneWithoutMethod(method string) *State {
-	if s.apps == nil {
-		out := &State{}
-		if len(s.entries) > 0 {
-			out.entries = make([]appEntry, 0, len(s.entries))
-			for _, e := range s.entries {
-				if e.key.Method != method {
-					out.entries = append(out.entries, e)
-				}
-			}
-			out.size = len(out.entries)
+	return stateOfEntries(s.appendWithout(make([]appEntry, 0, len(s.entries)), method))
+}
+
+// appendWithout appends the entries not of the named method to out.
+func (s *State) appendWithout(out []appEntry, method string) []appEntry {
+	for _, e := range s.entries {
+		if e.key.Method != method {
+			out = append(out, e)
 		}
-		return out
-	}
-	out := &State{apps: make(map[term.MethodKey]map[term.OID]struct{}, len(s.apps))}
-	for k, rs := range s.apps {
-		if k.Method == method || len(rs) == 0 {
-			continue
-		}
-		cp := make(map[term.OID]struct{}, len(rs))
-		for r := range rs {
-			cp[r] = struct{}{}
-		}
-		out.apps[k] = cp
-		out.size += len(rs)
 	}
 	return out
 }
@@ -116,20 +100,8 @@ func (s *State) CloneWithoutMethod(method string) *State {
 // carries a foreign exists); one that is becomes the object's state as it
 // stands, see FinalEquals.
 func (s *State) CloneFinal(o term.OID) *State {
-	existsKey := term.MethodKey{Method: term.ExistsMethod}
-	if s.apps != nil {
-		out := s.CloneWithoutMethod(term.ExistsMethod)
-		out.Add(existsKey, o)
-		return out
-	}
-	entries := make([]appEntry, 0, len(s.entries)+1)
-	for _, e := range s.entries {
-		if e.key.Method != term.ExistsMethod {
-			entries = append(entries, e)
-		}
-	}
-	entries = append(entries, appEntry{key: existsKey, r: o})
-	return &State{entries: entries, size: len(entries)}
+	entries := s.appendWithout(make([]appEntry, 0, len(s.entries)+1), term.ExistsMethod)
+	return stateOfEntries(append(entries, appEntry{key: term.MethodKey{Method: term.ExistsMethod}, r: o}))
 }
 
 // FinalEquals reports whether s.CloneFinal(o) would equal t, without
@@ -138,16 +110,16 @@ func (s *State) CloneFinal(o term.OID) *State {
 // final form already (see settledFor), at the cost of one walk.
 func (s *State) FinalEquals(o term.OID, t *State) bool {
 	n, same := 1, true // the canonical exists application counts once
-	s.ForEach(func(k term.MethodKey, r term.OID) {
-		if k.Method == term.ExistsMethod {
-			return
+	for _, e := range s.entries {
+		if e.key.Method == term.ExistsMethod {
+			continue
 		}
 		n++
-		if same && s != t && !t.Has(k, r) {
+		if same && s != t && !t.Has(e.key, e.r) {
 			same = false
 		}
-	})
-	return same && n == t.size && t.Has(term.MethodKey{Method: term.ExistsMethod}, o)
+	}
+	return same && n == len(t.entries) && t.Has(term.MethodKey{Method: term.ExistsMethod}, o)
 }
 
 // settledFor reports whether CloneFinal(o) would reproduce the state and
@@ -158,24 +130,16 @@ func (s *State) settledFor(o term.OID) bool {
 }
 
 // Size returns the number of method applications in the state.
-func (s *State) Size() int { return s.size }
+func (s *State) Size() int { return len(s.entries) }
 
 // Empty reports whether the state holds no method applications at all.
-func (s *State) Empty() bool { return s.size == 0 }
+func (s *State) Empty() bool { return len(s.entries) == 0 }
 
 // OnlyExists reports whether the state holds nothing but exists
 // applications — the "fully deleted" shape of Section 5.
 func (s *State) OnlyExists() bool {
-	if s.apps == nil {
-		for _, e := range s.entries {
-			if e.key.Method != term.ExistsMethod {
-				return false
-			}
-		}
-		return true
-	}
-	for k, rs := range s.apps {
-		if k.Method != term.ExistsMethod && len(rs) > 0 {
+	for _, e := range s.entries {
+		if e.key.Method != term.ExistsMethod {
 			return false
 		}
 	}
@@ -184,44 +148,24 @@ func (s *State) OnlyExists() bool {
 
 // Has reports whether the state contains the application key -> result.
 func (s *State) Has(key term.MethodKey, result term.OID) bool {
-	if s.apps == nil {
-		for _, e := range s.entries {
-			if e.key == key && e.r == result {
-				return true
-			}
-		}
-		return false
-	}
-	_, ok := s.apps[key][result]
-	return ok
+	return s.find(appEntry{key: key, r: result}) >= 0
 }
 
 // HasMethod reports whether any application of the given key is present.
 func (s *State) HasMethod(key term.MethodKey) bool {
-	if s.apps == nil {
-		for _, e := range s.entries {
-			if e.key == key {
-				return true
-			}
+	for _, e := range s.entries {
+		if e.key == key {
+			return true
 		}
-		return false
 	}
-	return len(s.apps[key]) > 0
+	return false
 }
 
 // HasAnyOfMethod reports whether the state has any application of the named
 // method, under any argument tuple.
 func (s *State) HasAnyOfMethod(method string) bool {
-	if s.apps == nil {
-		for _, e := range s.entries {
-			if e.key.Method == method {
-				return true
-			}
-		}
-		return false
-	}
-	for k, rs := range s.apps {
-		if k.Method == method && len(rs) > 0 {
+	for _, e := range s.entries {
+		if e.key.Method == method {
 			return true
 		}
 	}
@@ -230,178 +174,123 @@ func (s *State) HasAnyOfMethod(method string) bool {
 
 // Add inserts an application, reporting whether it was new.
 func (s *State) Add(key term.MethodKey, result term.OID) bool {
-	if s.apps == nil {
-		for _, e := range s.entries {
-			if e.key == key && e.r == result {
-				return false
-			}
-		}
-		if len(s.entries) >= stateSpillThreshold {
-			s.spill()
-			return s.Add(key, result)
-		}
-		s.entries = append(s.entries, appEntry{key: key, r: result})
-		s.size++
-		return true
-	}
-	rs, ok := s.apps[key]
-	if !ok {
-		rs = make(map[term.OID]struct{}, 1)
-		s.apps[key] = rs
-	}
-	if _, dup := rs[result]; dup {
+	e := appEntry{key: key, r: result}
+	if s.find(e) >= 0 {
 		return false
 	}
-	rs[result] = struct{}{}
-	s.size++
+	if s.pos != nil && len(s.entries) == cap(s.entries) {
+		// Double, as the index does: append's own growth past 256 entries
+		// (1.25×) would allocate five times the final slice.
+		s.entries = append(make([]appEntry, 0, 2*len(s.entries)), s.entries...)
+	}
+	s.entries = append(s.entries, e)
+	if s.pos != nil {
+		s.pos[e] = int32(len(s.entries) - 1)
+	} else {
+		s.reindex()
+	}
 	return true
 }
 
-// Remove deletes an application, reporting whether it was present.
+// Remove deletes an application, reporting whether it was present. The
+// last entry takes the place of the removed one.
 func (s *State) Remove(key term.MethodKey, result term.OID) bool {
-	if s.apps == nil {
-		for i, e := range s.entries {
-			if e.key == key && e.r == result {
-				last := len(s.entries) - 1
-				s.entries[i] = s.entries[last]
-				s.entries = s.entries[:last]
-				s.size--
-				return true
-			}
+	e := appEntry{key: key, r: result}
+	i := s.find(e)
+	if i < 0 {
+		return false
+	}
+	last := len(s.entries) - 1
+	moved := s.entries[last]
+	s.entries[i] = moved
+	s.entries = s.entries[:last]
+	if last <= stateIndexThreshold {
+		s.pos = nil
+	} else {
+		delete(s.pos, e)
+		if i < last {
+			s.pos[moved] = int32(i)
 		}
-		return false
 	}
-	rs, ok := s.apps[key]
-	if !ok {
-		return false
-	}
-	if _, present := rs[result]; !present {
-		return false
-	}
-	delete(rs, result)
-	if len(rs) == 0 {
-		delete(s.apps, key)
-	}
-	s.size--
 	return true
 }
 
 // ForEach calls fn for every application in the state. Iteration order is
 // unspecified.
 func (s *State) ForEach(fn func(key term.MethodKey, result term.OID)) {
-	if s.apps == nil {
-		for _, e := range s.entries {
-			fn(e.key, e.r)
-		}
-		return
-	}
-	for k, rs := range s.apps {
-		for r := range rs {
-			fn(k, r)
-		}
+	for _, e := range s.entries {
+		fn(e.key, e.r)
 	}
 }
 
 // ForEachOfMethod calls fn for every application of the named method,
 // across all argument tuples.
 func (s *State) ForEachOfMethod(method string, fn func(key term.MethodKey, result term.OID)) {
-	if s.apps == nil {
-		for _, e := range s.entries {
-			if e.key.Method == method {
-				fn(e.key, e.r)
-			}
-		}
-		return
-	}
-	for k, rs := range s.apps {
-		if k.Method != method {
-			continue
-		}
-		for r := range rs {
-			fn(k, r)
+	for _, e := range s.entries {
+		if e.key.Method == method {
+			fn(e.key, e.r)
 		}
 	}
 }
 
 // ForEachResult calls fn for every result of the exact method key.
 func (s *State) ForEachResult(key term.MethodKey, fn func(result term.OID)) {
-	if s.apps == nil {
-		for _, e := range s.entries {
-			if e.key == key {
-				fn(e.r)
-			}
+	for _, e := range s.entries {
+		if e.key == key {
+			fn(e.r)
 		}
-		return
-	}
-	for r := range s.apps[key] {
-		fn(r)
 	}
 }
 
-// forEachMethodKey calls fn once per distinct method name in the state.
-// Duplicated names across argument tuples are suppressed.
+// forEachMethod calls fn once per distinct method name in the state, in one
+// walk that checks each name against the few seen before it.
 func (s *State) forEachMethod(fn func(method string)) {
-	if s.apps == nil {
-		for i, e := range s.entries {
-			dup := false
-			for _, p := range s.entries[:i] {
-				if p.key.Method == e.key.Method {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				fn(e.key.Method)
-			}
+	var buf [8]string
+	seen := buf[:0]
+	for _, e := range s.entries {
+		if !slices.Contains(seen, e.key.Method) {
+			seen = append(seen, e.key.Method)
+			fn(e.key.Method)
 		}
-		return
-	}
-	seen := make(map[string]struct{}, len(s.apps))
-	for k := range s.apps {
-		if _, ok := seen[k.Method]; ok {
-			continue
-		}
-		seen[k.Method] = struct{}{}
-		fn(k.Method)
 	}
 }
 
 // methodsMoved calls moved(m, false) for every method name s applies and t
-// does not, and moved(m, true) for every one t applies and s does not —
-// possibly more than once per name. Either state may be nil, which applies
-// none. Two flat states are compared position by position first: a changed
-// state is nearly always an edited copy of the old one, most entries still
-// where they were, and only the names at the positions that differ need
-// looking for.
+// does not, and moved(m, true) for every one t applies and s does not, once
+// per name. Either state may be nil, which applies none. The states are
+// compared position by position: a changed state is nearly always an edited
+// copy of the old one, most entries still where they were, and only the
+// names at the positions that differ need looking for — each once, so the
+// walk costs O(size × distinct names) however many positions differ.
 func methodsMoved(s, t *State, moved func(method string, entered bool)) {
-	if s != nil && t != nil && s.flat() && t.flat() {
-		for i := 0; i < max(len(s.entries), len(t.entries)); i++ {
-			inS, inT := i < len(s.entries), i < len(t.entries)
-			if inS && inT && s.entries[i].key.Method == t.entries[i].key.Method {
-				continue
-			}
-			if inS && !t.HasAnyOfMethod(s.entries[i].key.Method) {
-				moved(s.entries[i].key.Method, false)
-			}
-			if inT && !s.HasAnyOfMethod(t.entries[i].key.Method) {
-				moved(t.entries[i].key.Method, true)
-			}
+	if s == nil {
+		s = &emptyState
+	}
+	if t == nil {
+		t = &emptyState
+	}
+	var buf [8]string
+	checked := buf[:0]
+	check := func(m string) {
+		if slices.Contains(checked, m) {
+			return
 		}
-		return
+		checked = append(checked, m)
+		if inS, inT := s.HasAnyOfMethod(m), t.HasAnyOfMethod(m); inS != inT {
+			moved(m, inT)
+		}
 	}
-	if s != nil {
-		s.forEachMethod(func(m string) {
-			if t == nil || !t.HasAnyOfMethod(m) {
-				moved(m, false)
-			}
-		})
-	}
-	if t != nil {
-		t.forEachMethod(func(m string) {
-			if s == nil || !s.HasAnyOfMethod(m) {
-				moved(m, true)
-			}
-		})
+	for i := range max(len(s.entries), len(t.entries)) {
+		inS, inT := i < len(s.entries), i < len(t.entries)
+		if inS && inT && s.entries[i].key.Method == t.entries[i].key.Method {
+			continue
+		}
+		if inS {
+			check(s.entries[i].key.Method)
+		}
+		if inT {
+			check(t.entries[i].key.Method)
+		}
 	}
 }
 
@@ -411,38 +300,37 @@ func (s *State) sameOfMethod(t *State, method string) bool {
 	if s == t {
 		return true
 	}
+	if s == nil {
+		s = &emptyState
+	}
+	if t == nil {
+		t = &emptyState
+	}
 	// Every application of s is one of t's, and t has no more of them.
-	more, same := 0, true
-	if t != nil {
-		t.ForEachOfMethod(method, func(term.MethodKey, term.OID) { more++ })
+	more := 0
+	for _, e := range t.entries {
+		if e.key.Method == method {
+			more++
+		}
 	}
-	if s != nil {
-		s.ForEachOfMethod(method, func(k term.MethodKey, r term.OID) {
-			more--
-			same = same && t != nil && t.Has(k, r)
-		})
+	for _, e := range s.entries {
+		if e.key.Method == method {
+			if more--; !t.Has(e.key, e.r) {
+				return false
+			}
+		}
 	}
-	return same && more == 0
+	return more == 0
 }
 
 // Equal reports whether two states hold the same applications.
 func (s *State) Equal(t *State) bool {
-	if s.size != t.size {
+	if len(s.entries) != len(t.entries) {
 		return false
 	}
-	if s.apps == nil {
-		for _, e := range s.entries {
-			if !t.Has(e.key, e.r) {
-				return false
-			}
-		}
-		return true
-	}
-	for k, rs := range s.apps {
-		for r := range rs {
-			if !t.Has(k, r) {
-				return false
-			}
+	for _, e := range s.entries {
+		if !t.Has(e.key, e.r) {
+			return false
 		}
 	}
 	return true
