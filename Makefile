@@ -68,9 +68,9 @@ guard:
 	$(GO) test -count=1 -run 'Guard|CostLaws' . ./internal/...
 
 # The two fuzz targets, 30 s each (as in CI) on top of the seed corpora that
-# `go test` always replays: the journal's diff codec (round trip, corruption
-# caught) and the engine against the spec evaluator (same refusal, or the
-# same result(P), ob' and fired updates).
+# `go test` always replays: the journal and snapshot codec (round trip,
+# corruption caught) and the engine against the spec evaluator (same
+# refusal, or the same result(P), ob' and fired updates).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDiffCodec -fuzztime 30s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzEngineVsSpec -fuzztime 30s ./internal/eval

@@ -120,7 +120,7 @@ commands:
   stats   summarize an object base (facts, versions, methods)
   plan    show the join order the planner picks per rule
   explain-plan  per-rule cost tables from the deep analysis tier
-  convert convert an object base between text and binary snapshots
+  convert convert an object base between text and framed snapshots
   status  one-line-per-node fleet table from each server's /v1/status
   top     live console over one server: rates, hot rules, slow requests
 
@@ -565,16 +565,16 @@ func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	inPath := fs.String("in", "", "input object base, text or binary (required)")
 	outPath := fs.String("o", "", "output file (required); format chosen by -to")
-	to := fs.String("to", "bin", "output format: bin (gob snapshot) or text")
+	to := fs.String("to", "bin", "output format: bin (framed snapshot, as in a repository's snapshot.bin) or text")
 	fs.Parse(args)
 	if *inPath == "" || *outPath == "" {
 		return fmt.Errorf("convert: -in and -o are required")
 	}
-	// Sniff the input: binary snapshots never start with printable fact
-	// syntax, so try binary first and fall back to text.
+	// Sniff the input: a snapshot starts with a checksummed record header,
+	// which no fact syntax does, so try a snapshot first and fall back to text.
 	var base *objectbase.Base
 	if f, err := os.Open(*inPath); err == nil {
-		base, err = storage.LoadBinary(f)
+		base, _, err = storage.LoadBinaryAt(f)
 		f.Close()
 		if err != nil {
 			base = nil
@@ -593,7 +593,7 @@ func cmdConvert(args []string) error {
 	}
 	switch *to {
 	case "bin":
-		err = storage.SaveBinary(out, base)
+		err = storage.SaveBinaryAt(out, base, 0)
 	case "text":
 		err = storage.SaveText(out, base)
 	default:

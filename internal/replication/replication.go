@@ -9,7 +9,7 @@
 // internal/server, which delegates to a Node):
 //
 //	GET  /v1/repl/stream?after=N   long-poll for framed records with seq > N
-//	GET  /v1/repl/snapshot         binary snapshot bootstrap (base + seq)
+//	GET  /v1/repl/snapshot         framed snapshot bootstrap (base + seq)
 //	POST /v1/repl/promote          fence the old primary and take writes
 //
 // The stream body is the journal's own line format — "v1 <crc32c>

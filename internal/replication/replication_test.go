@@ -797,76 +797,3 @@ func TestJournalsByteIdentical(t *testing.T) {
 		t.Errorf("follower Verify: %v", err)
 	}
 }
-
-// TestFollowerAppliesArrayFormFrames: a primary still running the version
-// before compact diffs streams records whose diffs are FactRecord arrays. A
-// follower reads them (upgrade followers first), applies them, and journals
-// them in the compact form.
-func TestFollowerAppliesArrayFormFrames(t *testing.T) {
-	src, err := repository.Init(t.TempDir()+"/src", testBase(t))
-	if err != nil {
-		t.Fatalf("Init src: %v", err)
-	}
-	for i := 1; i <= 3; i++ {
-		if _, err := src.Apply(raiseProgram(t, i)); err != nil {
-			t.Fatalf("Apply: %v", err)
-		}
-	}
-	entries, _, _ := src.EntriesAfter(0)
-	var frames bytes.Buffer
-	for _, e := range entries {
-		added, err := e.Added.Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		removed, err := e.Removed.Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := map[string]any{"seq": e.Seq, "program": e.Program, "fired": e.Fired, "strata": e.Strata}
-		for name, facts := range map[string][]term.Fact{"added": added, "removed": removed} {
-			var recs []storage.FactRecord
-			for _, f := range facts {
-				recs = append(recs, storage.EncodeFact(f))
-			}
-			old[name] = recs
-		}
-		payload, err := json.Marshal(old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames.Write(storage.FrameJournalRecord(payload))
-	}
-	if !bytes.Contains(frames.Bytes(), []byte(`"added":[{"Object":`)) {
-		t.Fatalf("the frames are not in the array form:\n%s", frames.Bytes())
-	}
-	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/v1/repl/stream") {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set(replication.HeaderEpoch, "1")
-		w.Header().Set(replication.HeaderSeq, "3")
-		if r.URL.Query().Get("after") == "0" {
-			w.Write(frames.Bytes())
-		}
-	}))
-	t.Cleanup(old.Close)
-
-	f := startFollower(t, old.URL)
-	waitConverged(t, src, f.repo, 3)
-	fj, err := os.ReadFile(filepath.Join(f.repo.Dir(), "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := os.ReadFile(filepath.Join(src.Dir(), "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fj, sj) {
-		t.Errorf("the follower journaled the old-form frames as\n%s\nwant the compact records\n%s", fj, sj)
-	}
-	if err := f.repo.Verify(); err != nil {
-		t.Errorf("follower Verify: %v", err)
-	}
-}

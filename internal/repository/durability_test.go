@@ -94,56 +94,35 @@ func TestOpenRejectsCorruptMiddle(t *testing.T) {
 	}
 }
 
-// TestOpenRemovesLegacyHeadFile: a directory written before head.bin was
-// dropped (testdata/pr13-dir: two employees, three journaled raises, and
-// the head cache of that version) opens to the journal replay, loses the
-// file — reported like a stale temp — and is clean from then on.
-func TestOpenRemovesLegacyHeadFile(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"snapshot.bin", "journal.jsonl", "head.bin"} {
-		data, err := os.ReadFile(filepath.Join("testdata", "pr13-dir", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == "head.bin" {
-			// Nothing may read it: make it useless.
-			data = data[:len(data)/2]
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if rec := r.Recovery(); rec.StaleTemps != 1 || rec.Entries != 3 || rec.TornTail || rec.ObsoleteDropped != 0 {
-		t.Errorf("recovery = %s, want 3 entries and only the head file removed", rec)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "head.bin")); !os.IsNotExist(err) {
-		t.Errorf("head.bin survived Open (stat error %v)", err)
-	}
-	if err := r.Verify(); err != nil {
-		t.Errorf("Verify: %v", err)
-	}
-	head, _ := r.Head()
-	for obj, sal := range map[string]int64{"henry": 130, "bob": 120} {
-		if !head.Has(term.NewFact(term.GVID{Object: term.Sym(obj)}, "sal", term.Int(sal))) {
-			t.Errorf("head lacks %s.sal -> %d after replay", obj, sal)
-		}
-	}
-	applyRaises(t, r, 1)
-	r.Close()
-	r2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("second Open: %v", err)
-	}
-	if rec := r2.Recovery(); !rec.Clean() || rec.Entries != 4 {
-		t.Errorf("second recovery = %s, want clean with 4 entries", rec)
-	}
-	names, _ := os.ReadDir(dir)
-	if len(names) != 2 {
-		t.Errorf("directory holds %d files, want snapshot and journal only", len(names))
+// TestOpenKeepsRefusedTailRecord: a complete final record whose checksum
+// holds but whose payload is no entry — a wrong-typed field, or a diff in
+// the array form of earlier versions — was written whole and acknowledged:
+// Open refuses the journal instead of cutting the record away.
+func TestOpenKeepsRefusedTailRecord(t *testing.T) {
+	for name, payload := range map[string]string{
+		"wrong-typed diff": `{"seq":3,"program":"x.","added":7,"fired":1,"strata":1}`,
+		"array-form diff":  `{"seq":3,"program":"x.","added":[{"Object":{"Sort":0,"Sym":"henry"},"Method":"sal","Result":{"Sort":1,"Num":130,"Den":1}}],"fired":1,"strata":1}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newRepo(t, `henry.isa -> empl / sal -> 100.`)
+			applyRaises(t, r, 2)
+			jpath := filepath.Join(r.Dir(), "journal.jsonl")
+			valid, err := os.ReadFile(jpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := append(valid, storage.FrameJournalRecord([]byte(payload))...)
+			if err := os.WriteFile(jpath, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var corrupt *storage.CorruptRecordError
+			if _, err := Open(r.Dir()); !errors.As(err, &corrupt) || corrupt.Line != 3 {
+				t.Fatalf("Open = %v, want a corrupt record at line 3", err)
+			}
+			if after, _ := os.ReadFile(jpath); !bytes.Equal(after, data) {
+				t.Errorf("Open cut the journal from %d to %d bytes", len(data), len(after))
+			}
+		})
 	}
 }
 

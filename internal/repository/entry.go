@@ -72,6 +72,7 @@ func (e Entry) diff() (objectbase.Diff, error) {
 }
 
 // replay applies the diffs of entries, in order, to the mutable base.
+// Recovery uses it, not replayDerived: derived, each bulk entry builds a new root (E23).
 func replay(base *objectbase.Base, entries []Entry) error {
 	for _, e := range entries {
 		d, err := e.diff()

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"verlog/internal/parser"
 	"verlog/internal/storage"
 	"verlog/internal/workload"
 )
@@ -64,119 +63,26 @@ func copyFixture(t *testing.T, name string, files ...string) string {
 	return dir
 }
 
-// TestOpenDirectoryOfPreviousVersion: testdata/pr14-dir was written by the
-// commit before journal diffs became compact fact lists — eight records
-// whose diffs are arrays of FactRecord objects, among them two bulk raises
-// (one leaving rationals), an object created, one deleted, a version proper
-// folded away, method arguments, a string OID full of separators and an
-// empty diff — together with states.txt, every At(k) as that commit's code
-// rendered it. The directory must open, time-travel to exactly those
-// states, take new-form records on top of the old ones, and survive
-// reopening, both kinds of Compact and Verify.
-func TestOpenDirectoryOfPreviousVersion(t *testing.T) {
-	dir := copyFixture(t, "pr14-dir", "snapshot.bin", "journal.jsonl")
-	raw, err := os.ReadFile(filepath.Join("testdata", "pr14-dir", "states.txt"))
-	if err != nil {
-		t.Fatal(err)
+// TestOpenRefusesPreviousFormat: testdata/pr14-dir was written by an
+// earlier version — a gob snapshot and a journal whose diffs are arrays of
+// fact objects. Open refuses it, naming the snapshot and the format it
+// wants, and leaves every byte of the directory as it was.
+func TestOpenRefusesPreviousFormat(t *testing.T) {
+	files := []string{"snapshot.bin", "journal.jsonl"}
+	dir := copyFixture(t, "pr14-dir", files...)
+	_, err := Open(dir)
+	if err == nil || !strings.Contains(err.Error(), snapshotFile) || !strings.Contains(err.Error(), "Facts records") {
+		t.Fatalf("Open = %v, want a refusal naming %s and its format", err, snapshotFile)
 	}
-	want := strings.Split(string(raw), "== state ")[1:]
-	for k := range want {
-		_, want[k], _ = strings.Cut(want[k], " ==\n")
+	entries, _ := os.ReadDir(dir)
+	if len(entries) != len(files) {
+		t.Errorf("the directory holds %d files after Open, want %d", len(entries), len(files))
 	}
-	checkStates := func(r *Repository, from int) {
-		t.Helper()
-		for k := from; k < len(want); k++ {
-			b, err := r.At(k - from)
-			if err != nil {
-				t.Fatalf("At(%d): %v", k-from, err)
-			}
-			if got := parser.FormatFacts(b, true); got != want[k] {
-				t.Errorf("state %d differs from the one the previous version reconstructed:\n got:\n%swant:\n%s", k, got, want[k])
-			}
+	for _, f := range files {
+		want, _ := os.ReadFile(filepath.Join("testdata", "pr14-dir", f))
+		if got, err := os.ReadFile(filepath.Join(dir, f)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s changed: %d bytes, want %d (%v)", f, len(got), len(want), err)
 		}
-	}
-
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if rec := r.Recovery(); !rec.Clean() || rec.Entries != 8 {
-		t.Fatalf("recovery = %s, want clean with 8 entries", rec)
-	}
-	if len(want) != 9 {
-		t.Fatalf("states.txt holds %d states, want 9", len(want))
-	}
-	checkStates(r, 0)
-	if err := r.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	log := r.Log()
-	if log[0].Added.Len() != 42 || log[0].Removed.Len() != 43 || log[6].Added != "" || log[6].Key != "noop" {
-		t.Errorf("entries read as +%d -%d facts (want +42 -43: 41 raises, and mod(v1) folded into v1), no-op %+v",
-			log[0].Added.Len(), log[0].Removed.Len(), log[6])
-	}
-	if _, e, replayed, err := r.ApplyKey(prog(t, `x: ins[w9].kind -> widget.`), "create-1"); err != nil || !replayed || e.Seq != 2 {
-		t.Errorf("idempotency key of an old record: entry %d, replayed %v, %v", e.Seq, replayed, err)
-	}
-
-	// New records on top: a bulk update, an object created, one deleted.
-	for _, src := range []string{
-		`raise: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S + 1.`,
-		"a: ins[w2].kind -> widget.\nb: ins[w2].label -> \"two; words/here\".",
-		`gone: del[w1].* <- w1.kind -> widget.`,
-	} {
-		if _, err := r.Apply(prog(t, src)); err != nil {
-			t.Fatalf("apply %q: %v", src, err)
-		}
-		b, _ := r.Head()
-		want = append(want, parser.FormatFacts(b, true))
-	}
-	journal, err := os.ReadFile(filepath.Join(dir, journalFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(journal), "\n")
-	if !strings.Contains(lines[0], `"added":[{"Object":`) || !strings.Contains(lines[8], `"added":"e1.sal=`) {
-		t.Fatalf("the journal should now mix array-form and compact records:\n%.200s\n%.200s", lines[0], lines[8])
-	}
-	r.Close()
-
-	if r, err = Open(dir); err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if rec := r.Recovery(); !rec.Clean() || rec.Entries != 11 {
-		t.Fatalf("second recovery = %s, want clean with 11 entries", rec)
-	}
-	checkStates(r, 0)
-	if err := r.Verify(); err != nil {
-		t.Fatalf("Verify of the mixed journal: %v", err)
-	}
-
-	// A retention-preserving Compact folds five old records into the
-	// snapshot and rewrites the rest — old ones included — in the new form.
-	r.SetRetention(func() int { return 5 })
-	if err := r.Compact(); err != nil {
-		t.Fatalf("partial Compact: %v", err)
-	}
-	checkStates(r, 5)
-	if journal, _ = os.ReadFile(filepath.Join(dir, journalFile)); bytes.Contains(journal, []byte(`"Object"`)) || bytes.Count(journal, []byte("\n")) != 6 {
-		t.Errorf("the rewritten journal should hold six compact records:\n%.300s", journal)
-	}
-	r.Close()
-	if r, err = Open(dir); err != nil {
-		t.Fatalf("reopen after partial Compact: %v", err)
-	}
-	checkStates(r, 5)
-	if err := r.Verify(); err != nil {
-		t.Fatalf("Verify after partial Compact: %v", err)
-	}
-	r.SetRetention(nil)
-	if err := r.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	checkStates(r, 11)
-	if err := r.Verify(); err != nil {
-		t.Fatalf("Verify after Compact: %v", err)
 	}
 }
 
@@ -190,29 +96,17 @@ func TestJournalBytesGuard(t *testing.T) {
 		e := log[len(log)-1]
 		return e, len(e.AppendRecord(nil))
 	}
-	// What the record cost before diffs were compact, for comparison.
+	// What the record cost in the array form of earlier versions, when its
+	// diff is empty: the fields without the diff's.
 	oldSize := func(e Entry) int {
 		t.Helper()
-		d, err := e.diff()
-		if err != nil {
-			t.Fatal(err)
-		}
-		old := struct {
-			Seq     int                  `json:"seq"`
-			Program string               `json:"program"`
-			Key     string               `json:"key,omitempty"`
-			Added   []storage.FactRecord `json:"added,omitempty"`
-			Removed []storage.FactRecord `json:"removed,omitempty"`
-			Fired   int                  `json:"fired"`
-			Strata  int                  `json:"strata"`
-		}{Seq: e.Seq, Program: e.Program, Key: e.Key, Fired: e.Fired, Strata: e.Strata}
-		for _, f := range d.Added {
-			old.Added = append(old.Added, storage.EncodeFact(f))
-		}
-		for _, f := range d.Removed {
-			old.Removed = append(old.Removed, storage.EncodeFact(f))
-		}
-		payload, err := json.Marshal(old)
+		payload, err := json.Marshal(struct {
+			Seq     int    `json:"seq"`
+			Program string `json:"program"`
+			Key     string `json:"key,omitempty"`
+			Fired   int    `json:"fired"`
+			Strata  int    `json:"strata"`
+		}{e.Seq, e.Program, e.Key, e.Fired, e.Strata})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +127,7 @@ func TestJournalBytesGuard(t *testing.T) {
 		t.Fatalf("the raise changed %d facts, want two per employee", facts)
 	}
 	perFact := float64(size) / float64(facts)
-	t.Logf("E1 n=1000: %d changed facts in a %d-byte record, %.1f B/fact (array form: %.1f)", facts, size, perFact, float64(oldSize(e))/float64(facts))
+	t.Logf("E1 n=1000: %d changed facts in a %d-byte record, %.1f B/fact", facts, size, perFact)
 	if perFact > 24 {
 		t.Errorf("bulk update: %.1f journal bytes per changed fact, want <= 24", perFact)
 	}
@@ -243,7 +137,7 @@ func TestJournalBytesGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, size = lastRecord(ent)
-	t.Logf("point update: %d-byte record (array form: %d)", size, oldSize(e))
+	t.Logf("point update: %d-byte record", size)
 	if e.Added.Len() != 1 || e.Removed.Len() != 1 || size > 256 {
 		t.Errorf("point update: +%d -%d facts in %d bytes, want one each in <= 256", e.Added.Len(), e.Removed.Len(), size)
 	}

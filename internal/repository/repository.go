@@ -80,9 +80,6 @@ const (
 	journalFile     = "journal.jsonl"
 	constraintsFile = "constraints.vlg"
 	epochFile       = "epoch"
-	// legacyHeadFile is the head cache earlier versions rewrote after every
-	// commit batch. Nothing reads it; Open removes a leftover one.
-	legacyHeadFile = "head.bin"
 )
 
 // headState is one published state of the repository: the frozen object
@@ -263,9 +260,7 @@ type Recovery struct {
 	// ObsoleteDropped counts journal entries already folded into the
 	// snapshot that were dropped — the tail end of an interrupted Compact.
 	ObsoleteDropped int
-	// StaleTemps counts leftover files removed: *.tmp files from crashed
-	// writers, and the head.bin cache of a directory written by an earlier
-	// version.
+	// StaleTemps counts the leftover *.tmp files of crashed writers removed.
 	StaleTemps int
 	// Duration is how long the recovery pass took.
 	Duration time.Duration
@@ -328,15 +323,14 @@ func (r *Repository) Recovery() Recovery {
 	return r.recovery
 }
 
-// removeStaleTemps deletes leftover *.tmp files from crashed writers, and
-// the head cache file a directory written by an earlier version carries.
+// removeStaleTemps deletes leftover *.tmp files from crashed writers.
 func (r *Repository) removeStaleTemps(rec *Recovery) error {
 	names, err := r.fs.ReadDir(r.dir)
 	if err != nil {
 		return fmt.Errorf("repository: %w", err)
 	}
 	for _, name := range names {
-		if strings.HasSuffix(name, ".tmp") || name == legacyHeadFile {
+		if strings.HasSuffix(name, ".tmp") {
 			if err := r.fs.Remove(filepath.Join(r.dir, name)); err != nil {
 				return fmt.Errorf("repository: %w", err)
 			}
@@ -353,22 +347,23 @@ func (r *Repository) removeStaleTemps(rec *Recovery) error {
 // the repository not yet shared). See Open for what it repairs.
 func (r *Repository) recoverLocked() error {
 	start := time.Now()
+	// The snapshot is ground truth; if it cannot be read nothing can. A
+	// directory that is refused is left as it was found.
+	snapState, snapSeq, err := r.readBase(snapshotFile)
+	if err != nil {
+		return err
+	}
+	jpath := filepath.Join(r.dir, journalFile)
+	entries, _, jerr := r.readJournalRaw()
+	var torn *storage.TornTailError
+	if jerr != nil && !errors.As(jerr, &torn) {
+		return jerr
+	}
 	var rec Recovery
 	if err := r.removeStaleTemps(&rec); err != nil {
 		return err
 	}
-	// The snapshot is ground truth; if it cannot be read nothing can.
-	snapState, snapSeq, err := r.readBase(snapshotFile)
-	if err != nil {
-		return fmt.Errorf("repository: unreadable snapshot: %w", err)
-	}
-	jpath := filepath.Join(r.dir, journalFile)
-	entries, _, jerr := r.readJournalRaw()
-	if jerr != nil {
-		var torn *storage.TornTailError
-		if !errors.As(jerr, &torn) {
-			return jerr
-		}
+	if torn != nil {
 		st, err := r.fs.Stat(jpath)
 		if err != nil {
 			return fmt.Errorf("repository: %w", err)
@@ -541,7 +536,11 @@ func (r *Repository) readBase(name string) (*objectbase.Base, int, error) {
 		return nil, 0, fmt.Errorf("repository: %w", err)
 	}
 	defer f.Close()
-	return storage.LoadBinaryAt(f)
+	b, seq, err := storage.LoadBinaryAt(f)
+	if err != nil {
+		return nil, 0, fmt.Errorf("repository: %s: %w", name, err)
+	}
+	return b, seq, nil
 }
 
 // Head returns the current object base: a wait-free load of the published

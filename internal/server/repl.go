@@ -106,7 +106,7 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplSnapshot serves GET /v1/repl/snapshot: the published head as
-// a binary snapshot (base + seq) for follower bootstrap. The stamped seq
+// a framed snapshot (base + seq) for follower bootstrap. The stamped seq
 // is the resume point the follower streams from afterwards.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	base, seq := s.def.Repo().Snapshot()

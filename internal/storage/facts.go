@@ -45,31 +45,13 @@ func (f Facts) Len() int {
 }
 
 // UnmarshalJSON reads the list from a journal record: a JSON string holding
-// the compact encoding, or — in records written before it existed — an
-// array of FactRecord objects, which is re-encoded. This is the one place
-// that form is still read.
+// the compact encoding.
 func (f *Facts) UnmarshalJSON(data []byte) error {
 	if len(data) >= 2 && data[0] == '"' && bytes.IndexByte(data, '\\') < 0 {
 		*f = Facts(data[1 : len(data)-1]) // no escapes: the common case, one copy
 		return nil
 	}
-	if len(data) == 0 || data[0] != '[' {
-		return json.Unmarshal(data, (*string)(f))
-	}
-	var recs []FactRecord
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return err
-	}
-	var enc factEncoder
-	for _, rec := range recs {
-		fact, err := DecodeFact(rec)
-		if err != nil {
-			return err
-		}
-		enc.add(fact)
-	}
-	*f = enc.facts()
-	return nil
+	return json.Unmarshal(data, (*string)(f))
 }
 
 // EncodeFacts encodes a fact list.

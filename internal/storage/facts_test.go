@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -173,59 +174,6 @@ func TestEncodeChangesMatchesCompute(t *testing.T) {
 	}
 }
 
-// TestFactsReadsArrayForm: a record written before the compact encoding
-// carries its diff as an array of FactRecord objects; reading it yields the
-// list those facts encode to.
-func TestFactsReadsArrayForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		facts := nastyFacts(rng, rng.Intn(8))
-		for i := range facts { // what JSON cannot carry, the old form never held
-			facts[i] = toValidUTF8(facts[i])
-		}
-		var recs []FactRecord
-		for _, f := range facts {
-			recs = append(recs, EncodeFact(f))
-		}
-		var got Facts
-		if err := json.Unmarshal(mustMarshal(t, recs), &got); err != nil {
-			t.Fatal(err)
-		}
-		if want := EncodeFacts(facts); got != want {
-			t.Fatalf("array form read as %q, want %q", got, want)
-		}
-	}
-	var f Facts
-	if err := json.Unmarshal([]byte(`[{"Object":{"Sort":1,"Num":1,"Den":0},"Method":"m","Result":{"Sort":0,"Sym":"x"}}]`), &f); err == nil {
-		t.Error("array form with a zero denominator accepted")
-	}
-	if err := json.Unmarshal([]byte(`null`), &f); err != nil || f != "" {
-		t.Errorf("null read as %q, %v", f, err)
-	}
-}
-
-func toValidUTF8(f term.Fact) term.Fact {
-	fix := func(o term.OID) term.OID {
-		switch o.Sort() {
-		case term.SortSym:
-			return term.Sym(strings.ToValidUTF8(o.Name(), "?"))
-		case term.SortStr:
-			return term.Str(strings.ToValidUTF8(o.Name(), "?"))
-		}
-		return o
-	}
-	args := f.Args.Decode()
-	for i := range args {
-		args[i] = fix(args[i])
-	}
-	return term.Fact{
-		V:      term.GVID{Object: fix(f.V.Object), Path: f.V.Path},
-		Method: strings.ToValidUTF8(f.Method, "?"),
-		Args:   term.EncodeOIDs(args),
-		Result: fix(f.Result),
-	}
-}
-
 func TestFactsDecodeRejectsMalformed(t *testing.T) {
 	for _, s := range []string{
 		";", "a", "a.", "a.m", "a.m=", "a.m=1;", "a.m=1/", ".m=1", "a.m=1,2", "a..m=1", "a.m==1",
@@ -281,10 +229,11 @@ func TestAppendJSONString(t *testing.T) {
 }
 
 // FuzzDiffCodec: decode∘encode is the identity on fact lists built from
-// arbitrary bytes; an arbitrary string decodes or is refused, never
-// panics, and what it decodes to survives a round trip; and one corrupted
-// byte anywhere in a framed record is always caught — it never reads as a
-// record with a different diff.
+// arbitrary bytes, and so is a snapshot of the base they make; an arbitrary
+// string decodes or is refused, never panics, and what it decodes to
+// survives a round trip; and one corrupted byte anywhere in a framed record
+// or a snapshot is always caught — it never reads as a record with a
+// different diff, or as a different base.
 func FuzzDiffCodec(f *testing.F) {
 	f.Add([]byte("e12.sal=4213"), uint16(3), byte(1))
 	f.Add([]byte("e1.isa=empl/sal=4000;e2^md.cell@1,'k'=-652r7;$'7 up'.'odd m'='x%3by'"), uint16(20), byte(0x40))
@@ -303,6 +252,11 @@ func FuzzDiffCodec(f *testing.F) {
 			}
 		}
 
+		snap, err := snapshotRoundTrip(facts)
+		if err != nil {
+			t.Fatal(err)
+		}
+
 		payload := append(AppendJSONString([]byte(`{"seq":1,"added":`), string(enc)), '}')
 		line := FrameJournalRecord(payload)
 		if n, _, err := ReadJournal(bytes.NewReader(line), nil); n != 1 || err != nil {
@@ -319,7 +273,29 @@ func FuzzDiffCodec(f *testing.F) {
 		if n != 0 || err == nil {
 			t.Fatalf("corrupted record %q: %d records, err %v", line, n, err)
 		}
+		snap[int(pos)%len(snap)] ^= flip
+		if _, _, err := LoadBinaryAt(bytes.NewReader(snap)); err == nil {
+			t.Fatalf("corrupted snapshot %q loaded", snap)
+		}
 	})
+}
+
+// snapshotRoundTrip saves the base of facts as a snapshot, checks that it
+// loads back as that base, and returns it.
+func snapshotRoundTrip(facts []term.Fact) ([]byte, error) {
+	b := objectbase.FromFacts(facts)
+	var buf bytes.Buffer
+	if err := SaveBinaryAt(&buf, b, len(facts)); err != nil {
+		return nil, err
+	}
+	got, seq, err := LoadBinaryAt(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		return nil, fmt.Errorf("snapshot %q: %w", buf.Bytes(), err)
+	}
+	if seq != len(facts) || !got.Equal(b) {
+		return nil, fmt.Errorf("snapshot %q loads as seq %d and\n%v, want seq %d and\n%v", buf.Bytes(), seq, got.Facts(), len(facts), b.Facts())
+	}
+	return buf.Bytes(), nil
 }
 
 // factsFromBytes turns fuzz input into a fact list: every string in it is

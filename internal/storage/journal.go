@@ -3,6 +3,7 @@ package storage
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -154,52 +155,44 @@ func ParseJournalLine(data []byte, line int) ([]byte, error) {
 // a journal entry); nil accepts everything. It returns the number of
 // records in the longest valid prefix and that prefix's byte length.
 //
-// A record that fails its check, or that accept refuses, is classified by
-// position: if it is the last thing in the stream (including a final line
-// with no newline) the error is a *TornTailError and the caller may
-// truncate to Offset; if valid data follows, the error is a
-// *CorruptRecordError and the journal is genuinely damaged. Empty lines are
-// skipped.
+// A record that fails its frame check (no newline, a bad header or a
+// checksum mismatch) is classified by position: if it is the last thing in
+// the stream the error is a *TornTailError and the caller may truncate to
+// Offset; if valid data follows, the error is a *CorruptRecordError and the
+// journal is genuinely damaged. A complete record that accept refuses was
+// written whole, so it is a *CorruptRecordError wherever it sits. Empty
+// lines are skipped.
 func ReadJournal(r io.Reader, accept func(payload []byte) error) (records int, good int64, err error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	line := 0
-	for {
+	for line := 1; ; line++ {
 		data, err := br.ReadBytes('\n')
-		if len(data) == 0 {
-			if err == io.EOF {
-				return records, good, nil
-			}
-			if err != nil {
-				return records, good, fmt.Errorf("storage: read journal: %w", err)
-			}
-		}
-		line++
-		complete := err == nil
 		if err != nil && err != io.EOF {
 			return records, good, fmt.Errorf("storage: read journal: %w", err)
 		}
-		text := bytes.TrimSuffix(data, []byte("\n"))
-		var recErr error
+		if len(data) == 0 {
+			return records, good, nil
+		}
+		text, complete := bytes.CutSuffix(data, []byte("\n"))
+		if complete && len(text) == 0 {
+			good++
+			continue
+		}
+		payload, err := ParseJournalLine(text, line)
 		if !complete {
-			recErr = fmt.Errorf("record has no trailing newline")
+			err = errors.New("record has no trailing newline")
 		}
-		if recErr == nil && len(text) > 0 {
-			var payload []byte
-			payload, recErr = ParseJournalLine(text, line)
-			if recErr == nil && accept != nil {
-				recErr = accept(payload)
+		if err != nil {
+			if _, peekErr := br.Peek(1); !complete || peekErr == io.EOF {
+				return records, good, &TornTailError{Offset: good, Line: line, Reason: err}
 			}
+			return records, good, &CorruptRecordError{Line: line, Reason: err}
 		}
-		if recErr != nil {
-			_, peekErr := br.Peek(1)
-			if last := !complete || peekErr == io.EOF; last {
-				return records, good, &TornTailError{Offset: good, Line: line, Reason: recErr}
+		if accept != nil {
+			if err := accept(payload); err != nil {
+				return records, good, &CorruptRecordError{Line: line, Reason: err}
 			}
-			return records, good, &CorruptRecordError{Line: line, Reason: recErr}
 		}
 		good += int64(len(data))
-		if len(text) > 0 {
-			records++
-		}
+		records++
 	}
 }

@@ -83,6 +83,7 @@ func TestReadJournalTornAndCorruptTails(t *testing.T) {
 		{"bad crc at tail", rec1 + "v1 00000000 " + `{"seq":2}` + "\n", 1, int64(len(rec1)), true},
 		{"legacy torn json tail", rec1 + `{"seq":2`, 1, int64(len(rec1)), true},
 		{"complete json, no newline", rec1 + `{"seq":2}`, 1, int64(len(rec1)), true},
+		{"refused payload at tail", rec1 + string(FrameJournalRecord([]byte(`{"seq":`))), 1, int64(len(rec1)), false},
 		{"empty file", "", 0, 0, false},
 		{"corrupt middle", rec1 + "v1 00000000 " + `{"seq":2}` + "\n" + rec2, 1, int64(len(rec1)), false},
 		{"unframed middle", rec1 + `{"seq":2}` + "\n" + rec2, 1, int64(len(rec1)), false},

@@ -45,19 +45,19 @@ func randomBase(rng *rand.Rand) *objectbase.Base {
 	return b
 }
 
-// TestPropertyBinaryRoundTrip: SaveBinary/LoadBinary is the identity on
+// TestPropertyBinaryRoundTrip: SaveBinaryAt/LoadBinaryAt is the identity on
 // arbitrary bases.
 func TestPropertyBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 50; trial++ {
 		b := randomBase(rng)
 		var buf bytes.Buffer
-		if err := SaveBinary(&buf, b); err != nil {
+		if err := SaveBinaryAt(&buf, b, trial); err != nil {
 			t.Fatalf("trial %d: save: %v", trial, err)
 		}
-		got, err := LoadBinary(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("trial %d: load: %v", trial, err)
+		got, seq, err := LoadBinaryAt(bytes.NewReader(buf.Bytes()))
+		if err != nil || seq != trial {
+			t.Fatalf("trial %d: load: seq %d, %v", trial, seq, err)
 		}
 		// FromFacts seeds exists for plain-object subjects; the original
 		// may lack them, so compare the original's facts as a subset and

@@ -1,19 +1,17 @@
-// Package storage persists object bases and update journals.
-//
-// Three formats are provided:
+// Package storage persists object bases and update journals in two
+// formats:
 //
 //   - Text: the canonical concrete syntax (one fact per line), readable
 //     and diffable; exists facts are derivable and omitted.
-//   - Binary: a gob-encoded snapshot with a format header, for large
-//     bases; exists facts of plain objects are omitted and re-seeded.
-//   - Journal: a log of checksummed JSON lines, one per applied program,
-//     carrying its fact-level diff as compact encoded fact lists (Facts),
-//     enabling replay and time travel (package repository).
+//   - Framed: checksummed lines (see journal.go), one record each. A
+//     journal is one JSON record per applied program, carrying its
+//     fact-level diff as compact fact lists (Facts); it enables replay and
+//     time travel (package repository). A snapshot is a JSON header record
+//     followed by the base's facts as Facts records.
 package storage
 
 import (
-	"bufio"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -38,160 +36,74 @@ func LoadText(r io.Reader, name string) (*objectbase.Base, error) {
 	return parser.ObjectBase(string(src), name)
 }
 
-// OIDRecord is a portable encoding of an OID: the form the gob snapshot
-// and journal records written before the compact fact encoding (Facts) use.
-type OIDRecord struct {
-	Sort     uint8
-	Sym      string
-	Num, Den int64
-}
-
-// EncodeOID converts an OID to its portable record.
-func EncodeOID(o term.OID) OIDRecord {
-	switch o.Sort() {
-	case term.SortNum:
-		r := o.Rat()
-		return OIDRecord{Sort: uint8(term.SortNum), Num: r.Num(), Den: r.Den()}
-	case term.SortStr:
-		return OIDRecord{Sort: uint8(term.SortStr), Sym: o.Name()}
-	default:
-		return OIDRecord{Sort: uint8(term.SortSym), Sym: o.Name()}
-	}
-}
-
-// DecodeOID converts a record back to an OID.
-func DecodeOID(r OIDRecord) (term.OID, error) {
-	switch term.Sort(r.Sort) {
-	case term.SortNum:
-		if r.Den == 0 {
-			return term.OID{}, errors.New("storage: corrupted numeric OID with zero denominator")
-		}
-		return term.Num(r.Num, r.Den), nil
-	case term.SortStr:
-		return term.Str(r.Sym), nil
-	case term.SortSym:
-		return term.Sym(r.Sym), nil
-	default:
-		return term.OID{}, fmt.Errorf("storage: unknown OID sort %d", r.Sort)
-	}
-}
-
-// FactRecord is a portable encoding of a fact.
-type FactRecord struct {
-	Object OIDRecord
-	Path   string
-	Method string
-	Args   []OIDRecord
-	Result OIDRecord
-}
-
-// EncodeFact converts a fact to its portable record.
-func EncodeFact(f term.Fact) FactRecord {
-	args := f.Args.Decode()
-	rec := FactRecord{
-		Object: EncodeOID(f.V.Object),
-		Path:   string(f.V.Path),
-		Method: f.Method,
-		Result: EncodeOID(f.Result),
-	}
-	for _, a := range args {
-		rec.Args = append(rec.Args, EncodeOID(a))
-	}
-	return rec
-}
-
-// DecodeFact converts a record back to a fact.
-func DecodeFact(rec FactRecord) (term.Fact, error) {
-	obj, err := DecodeOID(rec.Object)
-	if err != nil {
-		return term.Fact{}, err
-	}
-	res, err := DecodeOID(rec.Result)
-	if err != nil {
-		return term.Fact{}, err
-	}
-	for _, k := range rec.Path {
-		if !term.UpdateKind(k).Valid() {
-			return term.Fact{}, fmt.Errorf("storage: corrupted version path %q", rec.Path)
-		}
-	}
-	var args []term.OID
-	for _, a := range rec.Args {
-		o, err := DecodeOID(a)
-		if err != nil {
-			return term.Fact{}, err
-		}
-		args = append(args, o)
-	}
-	return term.Fact{
-		V:      term.GVID{Object: obj, Path: term.Path(rec.Path)},
-		Method: rec.Method,
-		Args:   term.EncodeOIDs(args),
-		Result: res,
-	}, nil
-}
-
-// snapshot is the gob payload of a binary snapshot. Seq records which
-// journal sequence number the snapshot represents (0 for the state before
-// any program): journal entries with Seq at most this value are already
-// folded into the snapshot. Snapshots written before the field existed
-// decode as Seq 0, which is exactly what they mean.
-type snapshot struct {
-	Magic   string
-	Version int
-	Seq     int
-	Facts   []FactRecord
-}
-
+// A snapshot is framed records: first the header
+//
+//	{"snapshot":2,"seq":N,"facts":K}
+//
+// where N is the journal sequence number the snapshot represents (0 for the
+// state before any program: entries with Seq at most N are folded into it)
+// and K the number of facts; then the base's facts, exists facts included
+// so that even fully-deleted versions survive, in sorted order as Facts
+// records of about snapshotChunk bytes each.
 const (
-	snapshotMagic   = "verlog-snapshot"
-	snapshotVersion = 1
+	snapshotVersion = 2 // the gob snapshots of earlier versions were 1
+	snapshotChunk   = 64 << 10
 )
 
-// SaveBinary writes a gob snapshot of the base, including exists facts so
-// that even fully-deleted versions survive the round trip.
-func SaveBinary(w io.Writer, b *objectbase.Base) error { return SaveBinaryAt(w, b, 0) }
+type snapshotHeader struct {
+	Snapshot int `json:"snapshot"`
+	Seq      int `json:"seq"`
+	Facts    int `json:"facts"`
+}
 
-// SaveBinaryAt writes a snapshot stamped with the journal sequence number
-// it represents (see the snapshot type).
+// SaveBinaryAt writes a snapshot of the base stamped with the journal
+// sequence number it represents.
 func SaveBinaryAt(w io.Writer, b *objectbase.Base, seq int) error {
-	snap := snapshot{Magic: snapshotMagic, Version: snapshotVersion, Seq: seq}
-	for _, f := range b.Facts() {
-		snap.Facts = append(snap.Facts, EncodeFact(f))
-	}
-	bw := bufio.NewWriter(w)
-	if err := gob.NewEncoder(bw).Encode(snap); err != nil {
-		return fmt.Errorf("storage: encode snapshot: %w", err)
-	}
-	return bw.Flush()
-}
-
-// LoadBinary reads a gob snapshot.
-func LoadBinary(r io.Reader) (*objectbase.Base, error) {
-	b, _, err := LoadBinaryAt(r)
-	return b, err
-}
-
-// LoadBinaryAt reads a gob snapshot together with its journal sequence
-// stamp (0 for snapshots written before the stamp existed).
-func LoadBinaryAt(r io.Reader) (*objectbase.Base, int, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&snap); err != nil {
-		return nil, 0, fmt.Errorf("storage: decode snapshot: %w", err)
-	}
-	if snap.Magic != snapshotMagic {
-		return nil, 0, fmt.Errorf("storage: not a verlog snapshot (magic %q)", snap.Magic)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, 0, fmt.Errorf("storage: unsupported snapshot version %d", snap.Version)
-	}
-	facts := make([]term.Fact, 0, len(snap.Facts))
-	for _, rec := range snap.Facts {
-		f, err := DecodeFact(rec)
-		if err != nil {
-			return nil, 0, err
+	facts := b.Facts()
+	hdr, _ := json.Marshal(snapshotHeader{snapshotVersion, seq, len(facts)}) // ints only: cannot fail
+	out := FrameJournalRecord(hdr)
+	var enc factEncoder
+	for len(facts) > 0 {
+		for enc.buf = enc.buf[:0]; len(facts) > 0 && len(enc.buf) < snapshotChunk; facts = facts[1:] {
+			enc.add(facts[0])
 		}
-		facts = append(facts, f)
+		out = AppendJournalRecord(out, func(dst []byte) []byte { return append(dst, enc.buf...) })
 	}
-	return objectbase.FromFacts(facts), snap.Seq, nil
+	if _, err := w.Write(out); err != nil {
+		return fmt.Errorf("storage: write snapshot: %w", err)
+	}
+	return nil
+}
+
+// LoadBinaryAt reads a snapshot together with its journal sequence stamp.
+// Anything but a complete, intact snapshot is an error.
+func LoadBinaryAt(r io.Reader) (*objectbase.Base, int, error) {
+	var hdr snapshotHeader
+	var facts []term.Fact
+	_, _, err := ReadJournal(r, func(payload []byte) error {
+		if hdr.Snapshot == 0 {
+			if json.Unmarshal(payload, &hdr) != nil || hdr.Snapshot != snapshotVersion || hdr.Seq < 0 || hdr.Facts < 0 {
+				return fmt.Errorf("no snapshot header: %.40q", payload)
+			}
+			facts = make([]term.Fact, 0, min(hdr.Facts, 1<<20))
+			return nil
+		}
+		chunk, err := Facts(payload).Decode()
+		if err == nil && len(chunk) == 0 {
+			err = errors.New("empty facts record")
+		}
+		facts = append(facts, chunk...)
+		return err
+	})
+	switch {
+	case err != nil:
+	case hdr.Snapshot == 0:
+		err = errors.New("no header record")
+	case len(facts) != hdr.Facts:
+		err = fmt.Errorf("%d facts, the header says %d", len(facts), hdr.Facts)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("storage: not an intact snapshot (want a framed header record, then framed Facts records): %w", err)
+	}
+	return objectbase.FromFacts(facts), hdr.Seq, nil
 }

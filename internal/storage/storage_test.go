@@ -2,12 +2,16 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"verlog/internal/objectbase"
 	"verlog/internal/parser"
 	"verlog/internal/term"
+	"verlog/internal/workload"
 )
 
 func sampleBase(t *testing.T) *objectbase.Base {
@@ -48,63 +52,103 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 }
 
+func saveSnapshot(t *testing.T, b *objectbase.Base, seq int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveBinaryAt(&buf, b, seq); err != nil {
+		t.Fatalf("SaveBinaryAt: %v", err)
+	}
+	return buf.Bytes()
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	b := sampleBase(t)
-	var buf bytes.Buffer
-	if err := SaveBinary(&buf, b); err != nil {
-		t.Fatalf("SaveBinary: %v", err)
+	snap := saveSnapshot(t, b, 7)
+	header := fmt.Sprintf(`{"snapshot":2,"seq":7,"facts":%d}`, len(b.Facts()))
+	if first, _, _ := bytes.Cut(snap, []byte("\n")); !bytes.HasSuffix(first, []byte(" "+header)) {
+		t.Errorf("first record %q, want the header %s", first, header)
 	}
-	got, err := LoadBinary(bytes.NewReader(buf.Bytes()))
+	got, seq, err := LoadBinaryAt(bytes.NewReader(snap))
 	if err != nil {
-		t.Fatalf("LoadBinary: %v", err)
+		t.Fatalf("LoadBinaryAt: %v", err)
 	}
-	if !got.Equal(b) {
-		t.Errorf("binary round trip differs:\nwant:\n%s\ngot:\n%s",
-			parser.FormatFacts(b, true), parser.FormatFacts(got, true))
+	if seq != 7 || !got.Equal(b) {
+		t.Errorf("binary round trip differs (seq %d):\nwant:\n%s\ngot:\n%s",
+			seq, parser.FormatFacts(b, true), parser.FormatFacts(got, true))
 	}
 }
 
+// TestBinaryRejectsGarbage: files of other formats are refused, and so is
+// a snapshot missing, repeating or adding a record, or one whose header
+// miscounts. The snapshot spliced is a large base's, written as several
+// Facts records of about snapshotChunk bytes.
 func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := LoadBinary(strings.NewReader("not a snapshot")); err == nil {
-		t.Errorf("garbage accepted")
+	b := workload.EnterpriseSpec{Employees: 3000, Seed: 1}.ObjectBase()
+	snap := saveSnapshot(t, b, 3)
+	recs := bytes.SplitAfter(snap, []byte("\n"))
+	recs = recs[:len(recs)-1] // the empty remainder after the last newline
+	if len(recs) < 4 {
+		t.Fatalf("a %d-byte snapshot in %d records, want several", len(snap), len(recs))
 	}
-}
-
-func TestFactRecordRoundTrip(t *testing.T) {
-	facts := []term.Fact{
-		term.NewFact(term.GV(term.Sym("henry")), "sal", term.Int(250)),
-		term.NewFact(term.GV(term.Sym("henry"), term.Mod), "sal", term.Num(551, 2)),
-		term.NewFact(term.GV(term.Sym("x"), term.Mod, term.Del, term.Ins), "note", term.Str("a b c")),
-		{
-			V:      term.GV(term.Str("weird name")),
-			Method: "m",
-			Args:   term.EncodeOIDs([]term.OID{term.Int(-3), term.Str(""), term.Sym("k")}),
-			Result: term.Num(-7, 3),
-		},
-	}
-	for _, f := range facts {
-		rec := EncodeFact(f)
-		back, err := DecodeFact(rec)
-		if err != nil {
-			t.Fatalf("DecodeFact(%v): %v", rec, err)
-		}
-		if back != f {
-			t.Errorf("round trip: got %v, want %v", back, f)
+	for i, rec := range recs[1:] {
+		if len(rec) > journalHeaderLen+snapshotChunk+64 {
+			t.Errorf("facts record %d holds %d bytes, want about %d", i+1, len(rec), snapshotChunk)
 		}
 	}
-}
+	got, seq, err := LoadBinaryAt(bytes.NewReader(snap))
+	if err != nil || seq != 3 || !got.Equal(b) {
+		t.Fatalf("round trip: seq %d, equal %v, %v", seq, err == nil && got.Equal(b), err)
+	}
 
-func TestDecodeFactRejectsCorruptPath(t *testing.T) {
-	rec := EncodeFact(term.NewFact(term.GV(term.Sym("x")), "m", term.Int(1)))
-	rec.Path = "xyz"
-	if _, err := DecodeFact(rec); err == nil {
-		t.Errorf("corrupt path accepted")
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	rest := join(recs[1:]...)
+	miscounted := FrameJournalRecord(fmt.Appendf(nil, `{"snapshot":2,"seq":3,"facts":%d}`, len(b.Facts())+1))
+	gob, err := os.ReadFile(filepath.Join("testdata", "gob-snapshot.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := FrameJournalRecord([]byte(`{"seq":1,"program":"p.","added":"a.m=1","fired":1,"strata":1}`))
+	for name, data := range map[string][]byte{
+		"empty":               nil,
+		"garbage":             []byte("not a snapshot"),
+		"gob snapshot":        gob,
+		"journal":             journal,
+		"no header":           rest,
+		"header only":         recs[0],
+		"record missing":      join(recs[0], recs[1], join(recs[3:]...)),
+		"record repeated":     join(snap, recs[len(recs)-1]),
+		"header repeated":     join(recs[0], recs[0], rest),
+		"header miscounts":    join(miscounted, rest),
+		"empty facts record":  join(snap, FrameJournalRecord(nil)),
+		"version 1 header":    join(FrameJournalRecord([]byte(`{"snapshot":1,"seq":3}`)), rest),
+		"negative count":      FrameJournalRecord([]byte(`{"snapshot":2,"seq":0,"facts":-1}`)),
+		"journal after facts": join(snap, journal),
+	} {
+		if _, _, err := LoadBinaryAt(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "not an intact snapshot") {
+			t.Errorf("%s: LoadBinaryAt = %v, want a refusal naming the format", name, err)
+		}
 	}
 }
 
-func TestDecodeOIDRejectsZeroDen(t *testing.T) {
-	if _, err := DecodeOID(OIDRecord{Sort: uint8(term.SortNum), Num: 1, Den: 0}); err == nil {
-		t.Errorf("zero denominator accepted")
+// TestSnapshotDamageRefused: every single-bit flip of a snapshot, and every
+// cut of it, at a record boundary or inside a record, is refused, never
+// read as a different base.
+func TestSnapshotDamageRefused(t *testing.T) {
+	snap := saveSnapshot(t, workload.EnterpriseSpec{Employees: 20, Seed: 1}.ObjectBase(), 5)
+	refused := func(what string, data []byte) {
+		t.Helper()
+		if _, _, err := LoadBinaryAt(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted", what)
+		}
+	}
+	damaged := make([]byte, len(snap))
+	for i := range snap {
+		for bit := 0; bit < 8; bit++ {
+			copy(damaged, snap)
+			damaged[i] ^= 1 << bit
+			refused(fmt.Sprintf("bit %d of byte %d flipped", bit, i), damaged)
+		}
+		refused(fmt.Sprintf("cut at byte %d", i), snap[:i])
 	}
 }
 
