@@ -24,6 +24,7 @@ import (
 	"verlog/internal/core"
 	"verlog/internal/eval"
 	"verlog/internal/objectbase"
+	"verlog/internal/parser"
 	"verlog/internal/repository"
 	"verlog/internal/term"
 	"verlog/internal/workload"
@@ -46,7 +47,7 @@ func guardRef(t *testing.T, rep *bench.GoBenchReport, name, metric string) float
 // closedGenealogy returns a frozen head that already holds the ancestors
 // closure of the generated genealogy, the ancestors program and its cached
 // plans: the apply the server makes on recursive_closure.
-func closedGenealogy(t *testing.T, spec workload.GenealogySpec) (*ObjectBase, *Program, []Option) {
+func closedGenealogy(t testing.TB, spec workload.GenealogySpec) (*ObjectBase, *Program, []Option) {
 	t.Helper()
 	p, err := ParseProgram(workload.AncestorsProgram)
 	if err != nil {
@@ -198,6 +199,28 @@ func bossQueries(tb testing.TB, head *ObjectBase, managers int) (rows int) {
 		rows += len(bs)
 	}
 	return rows
+}
+
+// cachedQuery plans query on head as the repository's plan cache does and
+// returns a run of the plan on head: the answers a cache hit reads.
+func cachedQuery(tb testing.TB, head *ObjectBase, query string) func() (vars []term.Var, rows [][]term.OID) {
+	tb.Helper()
+	body, err := parser.Query(query, "query")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q, err := eval.PlanQuery(head, body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, params := eval.QueryShape(body, nil)
+	return func() ([]term.Var, [][]term.OID) {
+		vars, rows, err := q.Rows(head, params)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return vars, rows
+	}
 }
 
 // costLaw is one row of TestCostLaws: an operation swept over sizes, and
@@ -391,6 +414,23 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 			return func() int { return bossQueries(t, head, n/15) }
 		},
 		bytesExp: 1.1, nsExp: 1.3,
+	}, {
+		// A query answer costs its cells: the cached-plan closure query
+		// copies each match's two cells into chunks that double in size,
+		// and sorts one row header per answer by its rendering, with no
+		// map entry, key string or slice of its own.
+		name:  "query rows",
+		sizes: []int{6, 8, 10}, // generations; x is the answers
+		prepare: func(t *testing.T, generations int) func() int {
+			head, _, _ := closedGenealogy(t, workload.GenealogySpec{Generations: generations, Branching: 2})
+			rows := cachedQuery(t, head, "X.anc -> A.")
+			return func() int {
+				_, r := rows()
+				return len(r)
+			}
+		},
+		bytesExp: 1.1, allocsExp: 0.2, // a chunk per doubling
+		bytesPerX: 160, // measured × 1.2: 134 B per answer at six generations, 95 at eight, 122 at ten
 	}}
 	for _, law := range laws {
 		t.Run(law.name, law.check)
@@ -417,19 +457,19 @@ func TestLayerScanAllocGuard(t *testing.T) {
 			ns.Add(term.MethodKey{Method: "note"}, Sym("touched"))
 			changes[i] = objectbase.Change{V: v, Old: old, New: ns}
 		}
-		head := root.Derive(changes)
+		var head *ObjectBase
+		seen := 0
+		bytes, mallocs = firstUseAllocs(3, func() func() {
+			head, seen = root.Derive(changes), 0
+			return func() { head.ForEachVIDWith("", "sal", func(term.GVID) { seen++ }) }
+		})
 		if head.Parent() != root {
 			t.Fatalf("%d changes of 3000 versions did not leave a delta layer", versions)
 		}
-		seen := 0
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		head.ForEachVIDWith("", "sal", func(term.GVID) { seen++ })
-		runtime.ReadMemStats(&m1)
 		if seen != 3000 {
 			t.Fatalf("the scan saw %d versions, want 3000", seen)
 		}
-		return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+		return bytes, mallocs
 	}
 	oneB, oneA := measure(1)
 	manyB, manyA := measure(100)
@@ -437,6 +477,29 @@ func TestLayerScanAllocGuard(t *testing.T) {
 	if manyA > oneA+2 || manyB > oneB+128 || manyA > 8 {
 		t.Errorf("the first scan of a fresh 100-version layer allocates %d B in %d allocations (1 version: %d B in %d), want O(1)", manyB, manyA, oneB, oneA)
 	}
+}
+
+// firstUseAllocs counts what a first use costs: reps times, prepare builds
+// a fresh subject and returns its first use, which is run with the
+// collector off after a collection, as measure runs; the least bytes and
+// allocations of the reps are returned. A collection that ends during a
+// use would count what the runtime's cleanup goroutine allocates after it
+// (the eval sweep re-arms itself with a new sentinel), and that goroutine
+// may still be running when runtime.GC returns, so one use is not enough.
+func firstUseAllocs(reps int, prepare func() (use func())) (bytes, mallocs uint64) {
+	bytes, mallocs = math.MaxUint64, math.MaxUint64
+	for range reps {
+		use := prepare()
+		runtime.GC()
+		gc := debug.SetGCPercent(-1)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		use()
+		runtime.ReadMemStats(&m1)
+		debug.SetGCPercent(gc)
+		bytes, mallocs = min(bytes, m1.TotalAlloc-m0.TotalAlloc), min(mallocs, m1.Mallocs-m0.Mallocs)
+	}
+	return bytes, mallocs
 }
 
 // TestLayerProbeAllocGuard: a delta head's literal index lists, for a
@@ -472,14 +535,17 @@ func TestLayerProbeAllocGuard(t *testing.T) {
 			ns.Add(term.MethodKey{Method: "sal"}, sal(i))
 			changes[i] = objectbase.Change{V: v, Old: old, New: ns}
 		}
-		head := root.Derive(changes)
+		// The first probe of a fresh head, three times over: the least is
+		// its cost (see firstUseAllocs).
+		var head *ObjectBase
+		var hits objectbase.Hits
+		bytes, mallocs = firstUseAllocs(3, func() func() {
+			head = root.Derive(changes)
+			return func() { hits = head.Index().VIDsWithResult("", "boss", Sym("e7")) }
+		})
 		if head.Parent() != root {
 			t.Fatalf("%d changes of 3000 versions did not leave a delta layer", versions)
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		hits := head.Index().VIDsWithResult("", "boss", Sym("e7"))
-		runtime.ReadMemStats(&m1)
 		got, want := live(hits), live(head.Clone().Freeze().Index().VIDsWithResult("", "boss", Sym("e7")))
 		if len(want) == 0 || !slices.Equal(got, want) {
 			t.Fatalf("%d-version layer: the boss probe reports %v, a flat rebuild %v", versions, got, want)
@@ -494,7 +560,7 @@ func TestLayerProbeAllocGuard(t *testing.T) {
 				}
 			})
 		}
-		return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+		return bytes, mallocs
 	}
 	oneB, oneA := measure(1)
 	manyB, manyA := measure(100)

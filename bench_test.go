@@ -442,6 +442,32 @@ func BenchmarkE25QueryScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkE26QueryRows: what a cached-plan query pays per answer, on the
+// two reads of the end-to-end workloads that return many: the closure
+// (X.anc -> A. on one genealogy of 8 generations, 1 538 answers) and a
+// manager's reports on 3 000 employees.
+func BenchmarkE26QueryRows(b *testing.B) {
+	closure, _, _ := closedGenealogy(b, workload.GenealogySpec{Generations: 8, Branching: 2})
+	for _, c := range []struct {
+		name, query string
+		head        *ObjectBase
+	}{
+		{"closure", "X.anc -> A.", closure},
+		{"boss", "E.boss -> e0, E.sal -> S.", enterpriseHead(b, 3000)},
+	} {
+		rows := cachedQuery(b, c.head, c.query)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			n := 0
+			for i := 0; i < b.N; i++ {
+				_, r := rows()
+				n = len(r)
+			}
+			b.ReportMetric(float64(n), "answers")
+		})
+	}
+}
+
 // BenchmarkE23OpenBulkJournal — E23: what history costs. A repository of
 // 1 500 employees takes 100 bulk raises (3 000 changed facts each); the
 // benchmark times Open on it — read, check and replay the journal — and

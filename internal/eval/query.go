@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"maps"
 	"slices"
 	"strings"
@@ -54,8 +55,8 @@ func Query(base *objectbase.Base, body []term.Literal) ([]Binding, error) {
 // QueryRows is Query with the answers left as a table: the query's
 // variables in sorted order and, per distinct answer, their values in that
 // order, the rows sorted as Query sorts (by Binding.String). A reader that
-// serves many answers reads them here, at a slice per answer where a
-// Binding is a map.
+// serves many answers reads them here, at its cells and a row header per
+// answer where a Binding is a map.
 func QueryRows(base *objectbase.Base, body []term.Literal) (vars []term.Var, rows [][]term.OID, err error) {
 	x := &executor{base: base, p0: base}
 	q, err := compileQuery(x, body, nil)
@@ -74,6 +75,9 @@ type CompiledQuery struct {
 	steps  []cstep
 	vars   []term.Var // the answer variables, sorted
 	slots  []int      // their slots
+	// prefixes[i] precedes variable i's value in an answer's rendering:
+	// "A=", then ", X=" (Binding.String).
+	prefixes [][]byte
 }
 
 // PlanQuery compiles body against base for a cache keyed by shape, in the
@@ -111,49 +115,137 @@ func compileQuery(x *executor, body []term.Literal, params []term.OID) (*Compile
 	q := &CompiledQuery{body: body, params: params, nslots: rc.n, steps: steps}
 	q.vars = slices.Sorted(maps.Keys(rc.slots))
 	q.slots = make([]int, len(q.vars))
+	q.prefixes = make([][]byte, len(q.vars))
 	for i, v := range q.vars {
 		q.slots[i] = rc.slots[v]
+		if i > 0 {
+			q.prefixes[i] = []byte(", ")
+		}
+		q.prefixes[i] = append(append(q.prefixes[i], v...), '=')
 	}
 	return q, nil
 }
 
-// rows runs q with x and collects the distinct answers.
+// rows runs q with x and collects the distinct answers, in the order of
+// their renderings. A match copies its cells out of the frame into chunks
+// that double in size and never move; the rows are then one slice over the
+// chunks, sorted by renderOrder, and of rows that render alike the least
+// by OID.Compare is kept. An answer costs its cells and a row header: no
+// map entry, no key.
 func (q *CompiledQuery) rows(x *executor) (vars []term.Var, rows [][]term.OID, err error) {
-	vars, slots := q.vars, q.slots
-	// The distinct answers, collected under their rendering (made once per
-	// answer) and returned in its order.
-	seen := map[string][]term.OID{}
-	var key []byte
+	vars, slots, w := q.vars, q.slots, len(q.slots)
+	var chunks [][]term.OID
+	var cur []term.OID
+	n := 0
 	err = x.match(q.nslots, q.steps, nil, func(fr []term.OID) error {
-		key = key[:0]
-		for i, v := range vars {
-			if i > 0 {
-				key = append(key, ", "...)
-			}
-			key = append(key, v...)
-			key = append(key, '=')
-			key = append(key, fr[slots[i]].String()...)
+		n++
+		if len(cur)+w > cap(cur) {
+			chunks = append(chunks, cur)
+			cur = make([]term.OID, 0, max(2*cap(cur), w))
 		}
-		if _, dup := seen[string(key)]; !dup {
-			row := make([]term.OID, len(vars))
-			for i, slot := range slots {
-				row[i] = fr[slot]
-			}
-			seen[string(key)] = row
+		for _, slot := range slots {
+			cur = append(cur, fr[slot])
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
+	if w == 0 && n > 0 { // a body without variables holds: one empty answer
+		return vars, [][]term.OID{{}}, nil
 	}
-	slices.Sort(keys)
-	rows = make([][]term.OID, len(keys))
-	for i, k := range keys {
-		rows[i] = seen[k]
+	rows = make([][]term.OID, 0, n)
+	for _, c := range append(chunks, cur) {
+		for i := 0; i < len(c); i += w {
+			rows = append(rows, c[i:i+w:i+w])
+		}
 	}
-	return vars, rows, nil
+	ord := renderOrder{prefixes: q.prefixes}
+	slices.SortFunc(rows, func(a, b []term.OID) int {
+		if c := ord.compare(a, b); c != 0 {
+			return c
+		}
+		return slices.CompareFunc(a, b, term.OID.Compare)
+	})
+	rows = slices.CompactFunc(rows, func(a, b []term.OID) bool { return ord.compare(a, b) == 0 })
+	return vars, slices.Clip(rows), nil
+}
+
+// renderOrder orders rows of a query's answers as their renderings
+// "A=…, X=…" (Binding.String) compare, without making them: it walks two
+// rows' renderings from their first differing cell up to the first byte in
+// which they differ, rendering each cell on its way into a buffer of its
+// row's side.
+type renderOrder struct {
+	prefixes [][]byte // what precedes each cell in a rendering
+	a, b     renderTail
+}
+
+func (o *renderOrder) compare(a, b []term.OID) int {
+	j := 0
+	for j < len(a) && a[j] == b[j] {
+		j++
+	}
+	if j == len(a) {
+		return 0
+	}
+	// The renderings agree up to cell j's prefix: equal cells render alike.
+	// Two symbols render as their names, which mostly differ early.
+	if a[j].Sort() == term.SortSym && b[j].Sort() == term.SortSym {
+		na, nb := a[j].Name(), b[j].Name()
+		n := min(len(na), len(nb))
+		if c := strings.Compare(na[:n], nb[:n]); c != 0 {
+			return c
+		}
+	}
+	o.a.start(a, o.prefixes, j)
+	o.b.start(b, o.prefixes, j)
+	for {
+		ma, mb := o.a.more(), o.b.more()
+		switch {
+		case !ma && !mb:
+			return 0
+		case !ma:
+			return -1
+		case !mb:
+			return 1
+		}
+		n := min(len(o.a.rest), len(o.b.rest))
+		if c := bytes.Compare(o.a.rest[:n], o.b.rest[:n]); c != 0 {
+			return c
+		}
+		o.a.rest, o.b.rest = o.a.rest[n:], o.b.rest[n:]
+	}
+}
+
+// renderTail reads a row's rendering from one of its cells on, a piece at
+// a time: a cell's prefix, then the cell.
+type renderTail struct {
+	row      []term.OID
+	prefixes [][]byte
+	piece    int    // the next: cell piece/2's prefix when even, the cell when odd
+	rest     []byte // the unread part of the current piece
+	buf      []byte // the current cell's rendering
+}
+
+func (t *renderTail) start(row []term.OID, prefixes [][]byte, cell int) {
+	t.row, t.prefixes, t.piece, t.rest = row, prefixes, 2*cell+1, nil
+}
+
+// more reads pieces until one has bytes left to read, and reports whether
+// one had.
+func (t *renderTail) more() bool {
+	for len(t.rest) == 0 {
+		if t.piece == 2*len(t.row) {
+			return false
+		}
+		if j := t.piece / 2; t.piece%2 == 0 {
+			t.rest = t.prefixes[j]
+		} else {
+			t.buf = t.row[j].AppendTo(t.buf[:0])
+			t.rest = t.buf
+		}
+		t.piece++
+	}
+	return true
 }

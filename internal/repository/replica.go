@@ -198,7 +198,11 @@ func (r *Repository) ResetToSnapshot(base *objectbase.Base, seq int) error {
 	defer r.applyMu.Unlock()
 	r.diskMu.Lock()
 	defer r.diskMu.Unlock()
+	if err := r.unwritableErr(); err != nil {
+		return err
+	}
 	r.flushPendingLocked()
+	r.journalLen = -1
 	if err := r.fs.Truncate(filepath.Join(r.dir, journalFile), 0); err != nil {
 		return fmt.Errorf("repository: %w", err)
 	}

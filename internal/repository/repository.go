@@ -207,12 +207,22 @@ type Repository struct {
 	// needRepair is set when a flush failed after possibly touching disk;
 	// the next write operation re-runs recovery before proceeding.
 	needRepair bool
+	// unwritable is set when a failed journal append could not be undone:
+	// the journal may hold bytes no apply committed, so recovery must not
+	// read them, and every write fails with ErrJournalUnwritable until the
+	// repository is reopened.
+	unwritable bool
 	recovery   Recovery
 
 	// diskMu serializes every file operation: journal appends, snapshot
 	// rewrites, truncation, recovery. The published head only advances
 	// under it.
 	diskMu sync.Mutex
+	// journalLen is the journal's durable length, its length after the
+	// last fsync that succeeded, or -1 when it is to be read off the file
+	// before the next append (after open and after a rewrite). diskMu
+	// guards it.
+	journalLen int64
 
 	// replayMu guards lastReplay and makes replays serial (see Replay). It
 	// is a leaf: nothing else is taken while it is held.
@@ -221,7 +231,7 @@ type Repository struct {
 }
 
 func newRepository(dir string, fs fsio.FS) *Repository {
-	r := &Repository{dir: dir, fs: fs, keys: make(map[string]*keyRecord)}
+	r := &Repository{dir: dir, fs: fs, keys: make(map[string]*keyRecord), journalLen: -1}
 	r.cons.Store(&consState{})
 	r.epoch.Store(1)
 	r.notifyCh = make(chan struct{})
@@ -363,6 +373,7 @@ func (r *Repository) recoverLocked() error {
 	if err := r.removeStaleTemps(&rec); err != nil {
 		return err
 	}
+	r.journalLen = -1 // what recovery leaves of the journal is what is durable
 	if torn != nil {
 		st, err := r.fs.Stat(jpath)
 		if err != nil {
@@ -453,6 +464,7 @@ func (r *Repository) rewriteJournal(entries []Entry) error {
 	for _, e := range entries {
 		buf = e.AppendRecord(buf)
 	}
+	r.journalLen = -1
 	return r.writeFileDurable(journalFile, buf)
 }
 
@@ -478,6 +490,9 @@ func (r *Repository) loadConstraints() (*consState, error) {
 // first (needRepair is set, so the flush aborts them), leaving recovery
 // nothing in flight to race with.
 func (r *Repository) repairDiskLocked() error {
+	if err := r.unwritableErr(); err != nil {
+		return err
+	}
 	r.commitMu.Lock()
 	need := r.needRepair
 	r.commitMu.Unlock()
@@ -486,6 +501,17 @@ func (r *Repository) repairDiskLocked() error {
 	}
 	r.flushPendingLocked()
 	return r.recoverLocked()
+}
+
+// unwritableErr is ErrJournalUnwritable once a failed append could not be
+// cut away (see appendJournal), nil before.
+func (r *Repository) unwritableErr() error {
+	r.commitMu.Lock()
+	defer r.commitMu.Unlock()
+	if r.unwritable {
+		return ErrJournalUnwritable
+	}
+	return nil
 }
 
 // writeDurable atomically replaces name with what write puts into it:
@@ -603,6 +629,9 @@ func (r *Repository) Entries() ([]Entry, error) {
 	defer r.diskMu.Unlock()
 	if err := r.closedErr(); err != nil {
 		return nil, err
+	}
+	if err := r.unwritableErr(); err != nil {
+		return nil, err // the journal may end in a record no apply committed
 	}
 	entries, _, err := r.readJournalRaw()
 	if err != nil {
@@ -991,28 +1020,53 @@ func (r *Repository) dropBatchKeysLocked(b *commitBatch) {
 }
 
 // appendJournal appends the framed records and fsyncs them; diskMu must
-// be held.
+// be held. An append that fails is undone before recovery or a reader can
+// see its bytes: the journal is cut back to its durable length (a failed
+// fsync is not retried — its pages may be gone while the bytes still read
+// back). If the cut fails too, the repository turns unwritable.
 func (r *Repository) appendJournal(buf []byte) error {
-	jf, err := r.fs.Append(filepath.Join(r.dir, journalFile))
+	path := filepath.Join(r.dir, journalFile)
+	if r.journalLen < 0 {
+		st, err := r.fs.Stat(path)
+		if err != nil {
+			return fmt.Errorf("repository: %w", err)
+		}
+		r.journalLen = st.Size()
+	}
+	jf, err := r.fs.Append(path)
 	if err != nil {
 		return fmt.Errorf("repository: %w", err)
 	}
 	writeStart := time.Now()
 	if _, err := jf.Write(buf); err != nil {
 		jf.Close()
-		return fmt.Errorf("repository: %w", err)
+		return r.undoAppend(path, err)
 	}
 	r.met().AppendWrite.Observe(time.Since(writeStart))
 	syncStart := time.Now()
 	if err := jf.Sync(); err != nil {
 		jf.Close()
-		return fmt.Errorf("repository: %w", err)
+		return r.undoAppend(path, err)
 	}
 	r.met().AppendFsync.Observe(time.Since(syncStart))
 	if err := jf.Close(); err != nil {
-		return fmt.Errorf("repository: %w", err)
+		return r.undoAppend(path, err)
 	}
+	r.journalLen += int64(len(buf))
 	return nil
+}
+
+// undoAppend truncates the journal at path back to its durable length
+// after an append failed with cause, and returns the error the append
+// fails with; diskMu must be held.
+func (r *Repository) undoAppend(path string, cause error) error {
+	if err := r.fs.Truncate(path, r.journalLen); err != nil {
+		r.commitMu.Lock()
+		r.unwritable = true
+		r.commitMu.Unlock()
+		return fmt.Errorf("%w: appending failed (%w), and cutting the append away failed (%w)", ErrJournalUnwritable, cause, err)
+	}
+	return fmt.Errorf("repository: %w", cause)
 }
 
 // VerifyError reports a repository whose journal replay does not
@@ -1144,6 +1198,7 @@ func (r *Repository) Compact() error {
 		r.keys = make(map[string]*keyRecord)
 		r.commitMu.Unlock()
 		r.publish(ns)
+		r.journalLen = -1
 		if err := r.fs.Truncate(filepath.Join(r.dir, journalFile), 0); err != nil {
 			r.commitMu.Lock()
 			r.needRepair = true
@@ -1182,6 +1237,13 @@ func (r *Repository) Compact() error {
 	}
 	return nil
 }
+
+// ErrJournalUnwritable reports a repository whose journal append failed
+// and could not be cut back to its durable length: the journal may end in
+// bytes no apply committed. Reads keep serving the published head; writes
+// fail until the repository is reopened, whose recovery reads the journal
+// as the disk kept it.
+var ErrJournalUnwritable = errors.New("repository: journal unwritable")
 
 // ErrNoSuchState reports a time-travel target beyond the journal.
 var ErrNoSuchState = errors.New("repository: no such state")

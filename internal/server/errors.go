@@ -60,6 +60,9 @@ const (
 	// CodeDiverged: a journal entry's program, re-evaluated for history or
 	// explain, derives another diff than the journal holds.
 	CodeDiverged = "journal_diverged"
+	// CodeJournalUnwritable: a journal append failed and could not be cut
+	// back; the tenant serves reads and refuses writes until it is reopened.
+	CodeJournalUnwritable = "journal_unwritable"
 	// CodeInternal: an unexpected server-side failure.
 	CodeInternal = "internal"
 )
@@ -111,6 +114,8 @@ func classify(err error) (int, string) {
 		return http.StatusNotFound, CodeNotFound
 	case errors.Is(err, repository.ErrDiverged):
 		return http.StatusInternalServerError, CodeDiverged
+	case errors.Is(err, repository.ErrJournalUnwritable):
+		return http.StatusServiceUnavailable, CodeJournalUnwritable
 	default:
 		return http.StatusInternalServerError, CodeInternal
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"verlog/internal/eval"
 	"verlog/internal/parser"
 	"verlog/internal/repository"
 	"verlog/internal/term"
@@ -628,6 +629,89 @@ func TestAppendRowsMatchesEncodingJSON(t *testing.T) {
 		}{rows})
 		if got, want := string(appendRows(nil, a.vars, a.rows)), rec.Body.String(); got != want {
 			t.Errorf("appendRows = %s, encoding/json gives %s", got, want)
+		}
+	}
+}
+
+// A /query response is, byte for byte, what writeJSON makes of the answers
+// as a []map[string]string (as appendRows promises), over values of every
+// sort: symbols, integers, decimals and other rationals, strings that need
+// escapes, and a ground query that holds and one that does not.
+func TestQueryResponseMatchesWriteJSON(t *testing.T) {
+	initial, err := parser.ObjectBase(`
+phil.isa -> empl / sal -> 4000 / rate -> 0.5 / share -> 1r3 / note -> "says \"hi\"\tand \\ é".
+bob.isa -> empl / sal -> 4200 / rate -> 1.25 / share -> 2r3 / note -> "<b> & ->".
+ann.isa -> empl / sal -> -7 / rate -> 0.125 / share -> 10 / note -> "plain".
+`, "init.vlg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, err := repository.Init(t.TempDir()+"/repo", initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(repo))
+	defer ts.Close()
+	head, err := repo.Head()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`E.isa -> empl, E.sal -> S, E.rate -> R, E.share -> H.`,
+		`E.note -> N.`,
+		`E.sal -> S, S > 0.`,
+		`phil.isa -> empl.`,
+		`phil.isa -> boss.`,
+		`E.isa -> nobody.`,
+	} {
+		body, err := parser.Query(q, "q")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bindings, err := eval.Query(head, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]map[string]string, 0, len(bindings))
+		for _, b := range bindings {
+			row := map[string]string{}
+			for v, o := range b {
+				row[string(v)] = o.String()
+			}
+			rows = append(rows, row)
+		}
+		rec := httptest.NewRecorder()
+		writeJSON(rec, struct {
+			Rows []map[string]string `json:"rows"`
+		}{rows})
+		code, got := post(t, ts.URL+"/v1/t/default/query", q)
+		if code != http.StatusOK || got != rec.Body.String() {
+			t.Errorf("POST /query %s = %d %s, writeJSON gives %s", q, code, got, rec.Body.String())
+		}
+	}
+}
+
+// readBody reads a body of known length into a buffer of that length, and
+// refuses one that declares more than the limit without reading it.
+func TestReadBodyByContentLength(t *testing.T) {
+	for _, c := range []struct {
+		body   string
+		length int64
+		status int
+		src    string
+	}{
+		{"phil.sal -> S.", -1, http.StatusOK, "phil.sal -> S."}, // chunked: no length
+		{"phil.sal -> S.", 14, http.StatusOK, "phil.sal -> S."},
+		{"phil.sal", 14, http.StatusBadRequest, ""}, // shorter than it says
+		{"  \n", 3, http.StatusBadRequest, ""},
+		{"x.", maxBodySize + 1, http.StatusRequestEntityTooLarge, ""},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/t/default/query", strings.NewReader(c.body))
+		r.ContentLength = c.length
+		rec := httptest.NewRecorder()
+		src, ok := readBodyOr400(rec, r)
+		if status := map[bool]int{true: http.StatusOK, false: rec.Code}[ok]; status != c.status || src != c.src {
+			t.Errorf("%q with length %d: %d %q, want %d %q", c.body, c.length, status, src, c.status, c.src)
 		}
 	}
 }

@@ -158,13 +158,23 @@ func (o OID) IsZero() bool { return o == OID{} }
 
 // String renders the OID in the concrete syntax of the language.
 func (o OID) String() string {
+	if o.d == 0 {
+		return interned(o.sym) // a symbol is its name
+	}
+	var b [48]byte
+	return string(o.AppendTo(b[:0]))
+}
+
+// AppendTo appends the rendering String returns to dst: rendering into a
+// buffer with room allocates nothing.
+func (o OID) AppendTo(dst []byte) []byte {
 	switch o.Sort() {
 	case SortNum:
-		return o.Rat().String()
+		return o.Rat().AppendTo(dst)
 	case SortStr:
-		return strconv.Quote(o.Name())
+		return strconv.AppendQuote(dst, o.Name())
 	default:
-		return o.Name()
+		return append(dst, o.Name()...)
 	}
 }
 

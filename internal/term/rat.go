@@ -272,20 +272,29 @@ func (r Rat) Compare(s Rat) int {
 // parseable "NrD" form (652r7 = 652/7). A slash would collide with the
 // '/'-conjunction shorthand of the concrete syntax.
 func (r Rat) String() string {
-	r = r.norm()
-	if r.d == 1 {
-		return strconv.FormatInt(r.n, 10)
-	}
-	if s, ok := r.decimalString(); ok {
-		return s
-	}
-	return strconv.FormatInt(r.n, 10) + "r" + strconv.FormatInt(r.d, 10)
+	var b [48]byte
+	return string(r.AppendTo(b[:0]))
 }
 
-// decimalString renders the rational as an exact decimal if possible.
-func (r Rat) decimalString() (string, bool) {
+// AppendTo appends the rendering String returns to dst: rendering into a
+// buffer with room allocates nothing.
+func (r Rat) AppendTo(dst []byte) []byte {
+	r = r.norm()
+	if r.d == 1 {
+		return strconv.AppendInt(dst, r.n, 10)
+	}
+	if digits, ok := r.decimalDigits(); ok {
+		return r.appendDecimal(dst, digits)
+	}
+	dst = strconv.AppendInt(dst, r.n, 10)
+	dst = append(dst, 'r')
+	return strconv.AppendInt(dst, r.d, 10)
+}
+
+// decimalDigits reports how many decimal places the rational's exact
+// decimal expansion takes, if it has one of at most 18.
+func (r Rat) decimalDigits() (int, bool) {
 	den := r.d
-	pow := int64(1)
 	digits := 0
 	for den > 1 && digits < 18 {
 		switch {
@@ -296,31 +305,45 @@ func (r Rat) decimalString() (string, bool) {
 		case den%2 == 0:
 			den /= 2
 		default:
-			return "", false
+			return 0, false
 		}
-		pow *= 10
 		digits++
 	}
-	if den != 1 {
-		return "", false
+	return digits, den == 1
+}
+
+// appendDecimal appends the rational as an exact decimal of the given
+// number of places, less its trailing zeros.
+func (r Rat) appendDecimal(dst []byte, digits int) []byte {
+	pow := int64(1)
+	for range digits {
+		pow *= 10
 	}
 	// n*pow/d is exact because d divides pow by construction.
 	scaled := r.n * (pow / r.d)
-	neg := scaled < 0
-	if neg {
+	if scaled < 0 {
+		dst = append(dst, '-')
 		scaled = -scaled
 	}
-	s := strconv.FormatInt(scaled, 10)
-	for len(s) <= digits {
-		s = "0" + s
+	// The digits, padded with leading zeros to more than the places.
+	var num [20]byte
+	s := strconv.AppendInt(num[:0], scaled, 10)
+	var padded [40]byte
+	p := padded[:0]
+	for range digits + 1 - len(s) {
+		p = append(p, '0')
 	}
-	out := s[:len(s)-digits] + "." + s[len(s)-digits:]
-	out = strings.TrimRight(out, "0")
-	out = strings.TrimSuffix(out, ".")
-	if neg {
-		out = "-" + out
+	p = append(p, s...)
+	dst = append(dst, p[:len(p)-digits]...)
+	dst = append(dst, '.')
+	dst = append(dst, p[len(p)-digits:]...)
+	for dst[len(dst)-1] == '0' {
+		dst = dst[:len(dst)-1]
 	}
-	return out, true
+	if dst[len(dst)-1] == '.' {
+		dst = dst[:len(dst)-1]
+	}
+	return dst
 }
 
 func gcd64(a, b int64) int64 {

@@ -3,6 +3,9 @@ package term
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -249,5 +252,85 @@ func TestRationalLiteralRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseRat("r3"); err == nil {
 		t.Errorf("missing numerator accepted")
+	}
+}
+
+// stringBeforeAppend is how Rat.String rendered before it was defined
+// through AppendTo: the reference the append form must reproduce.
+func stringBeforeAppend(r Rat) string {
+	r = r.norm()
+	if r.d == 1 {
+		return strconv.FormatInt(r.n, 10)
+	}
+	den, pow, digits := r.d, int64(1), 0
+	for den > 1 && digits < 18 {
+		switch {
+		case den%10 == 0:
+			den /= 10
+		case den%5 == 0:
+			den /= 5
+		case den%2 == 0:
+			den /= 2
+		default:
+			return strconv.FormatInt(r.n, 10) + "r" + strconv.FormatInt(r.d, 10)
+		}
+		pow *= 10
+		digits++
+	}
+	if den != 1 {
+		return strconv.FormatInt(r.n, 10) + "r" + strconv.FormatInt(r.d, 10)
+	}
+	scaled := r.n * (pow / r.d)
+	neg := scaled < 0
+	if neg {
+		scaled = -scaled
+	}
+	s := strconv.FormatInt(scaled, 10)
+	for len(s) <= digits {
+		s = "0" + s
+	}
+	out := strings.TrimSuffix(strings.TrimRight(s[:len(s)-digits]+"."+s[len(s)-digits:], "0"), ".")
+	if neg {
+		out = "-" + out
+	}
+	return out
+}
+
+// Rat.AppendTo, and so String, renders every rational as String did when
+// it built its result from strings: integers, decimals with leading and
+// trailing zeros, the NrD form, and the extremes of int64.
+func TestRatAppendToMatchesString(t *testing.T) {
+	rats := []Rat{{}, RatInt(0), RatInt(math.MaxInt64), RatInt(math.MinInt64 + 1),
+		MakeRat(1, 2), MakeRat(-1, 2), MakeRat(1, 1<<18), MakeRat(3, 1000), MakeRat(-7, 3125),
+		MakeRat(123456789, 1000), MakeRat(math.MaxInt64, 1<<20), MakeRat(1, 3), MakeRat(-652, 7),
+		MakeRat(math.MaxInt64, math.MaxInt64-1), MakeRat(1, 1<<62)}
+	rng := rand.New(rand.NewPCG(4, 6))
+	for range 5000 {
+		num := rng.Int64N(2_000_001) - 1_000_000
+		den := []int64{1, 2, 4, 5, 8, 10, 16, 20, 25, 40, 125, 1000, 3, 7, 12, 1 << 20}[rng.IntN(16)] * (rng.Int64N(3) + 1)
+		rats = append(rats, MakeRat(num, den))
+	}
+	for _, r := range rats {
+		want := stringBeforeAppend(r)
+		if got := r.String(); got != want {
+			t.Errorf("%d/%d: String() = %q, want %q", r.Num(), r.Den(), got, want)
+		}
+		if got := string(r.AppendTo([]byte("x="))); got != "x="+want {
+			t.Errorf("%d/%d: AppendTo = %q, want %q", r.Num(), r.Den(), got, "x="+want)
+		}
+		if got := FromRat(r).String(); got != want {
+			t.Errorf("%d/%d: OID String() = %q, want %q", r.Num(), r.Den(), got, want)
+		}
+	}
+}
+
+// Rendering a number into a buffer with room allocates nothing: a query's
+// comparator and the server's response writer render every numeric answer.
+func TestAppendToAllocatesNothing(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	for _, o := range []OID{Int(4200), Int(-7), Num(9, 2), Num(-1, 3), Num(123456789, 1000), Sym("bob"), Str(`a "b"`)} {
+		if n := testing.AllocsPerRun(100, func() { buf = o.AppendTo(buf[:0]) }); n != 0 {
+			t.Errorf("%s.AppendTo allocates %.0f times, want 0", o, n)
+		}
 	}
 }
