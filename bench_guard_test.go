@@ -376,6 +376,33 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		bytesExp: 1.0, nsExp: 1.3,
 		bytesPerX: 63, // measured × 1.2: 52 B per fired update at six generations, 15 B at ten
 	}, {
+		// The same re-apply as a server commits it: through repository.Apply,
+		// which returns no result(P), so the fixpoint's own layer is the
+		// working memory the apply before it left, like the log and the
+		// targets. What is left grows with the journal record, not with the
+		// versions the run derives (measured: 5.8, 6.0 and 7.1 kB per apply,
+		// x^0.06; x^0.65 when every apply buys its own layer, x^0.79 when it
+		// buys its whole working memory).
+		name:  "committed closure",
+		sizes: []int{6, 8, 10}, // generations
+		reps:  4,
+		prepare: func(t *testing.T, generations int) func() int {
+			head, p, _ := closedGenealogy(t, workload.GenealogySpec{Generations: generations, Branching: 2})
+			r, err := repository.Init(t.TempDir()+"/repo", head)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { r.Close() })
+			return func() int {
+				res, err := r.Apply(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Fired
+			}
+		},
+		bytesExp: 0.15,
+	}, {
 		// A one-object update through repository.Apply and the first boss
 		// probe of the head it publishes cost the same on any base. The
 		// largest head outgrows its delta layer and flattens twice in the

@@ -119,9 +119,11 @@ func BenchmarkE4Ancestors(b *testing.B) {
 // BenchmarkE24ClosedClosure — the evaluation behind the recursive_closure
 // workload: the ancestors program on a frozen head that already holds the
 // closure (3 roots × 8 generations, 765 persons), cached plans. Everything
-// fires, nothing changes. "apply" is what every server apply runs, without
-// a trace; "replay" adds the trace, which is what history and explain pay,
-// once per state they are asked about (Repository.Replay).
+// fires, nothing changes. "commit" is the evaluation every server apply
+// runs: no trace, and no result(P) (core.WithDropResult), its fixpoint built
+// in the working memory the run before it left. "apply" keeps result(P), as
+// verlog.Apply does; "replay" adds the trace, which is what history and
+// explain pay, once per state they are asked about (Repository.Replay).
 func BenchmarkE24ClosedClosure(b *testing.B) {
 	p := mustParseProgram(b, workload.AncestorsProgram)
 	spec := workload.GenealogySpec{Generations: 8, Branching: 2, Roots: 3}
@@ -135,6 +137,7 @@ func BenchmarkE24ClosedClosure(b *testing.B) {
 		opts  []Option
 		trace int
 	}{
+		{"commit", []Option{core.WithPlans(plans), core.WithDropResult()}, 0},
 		{"apply", []Option{core.WithPlans(plans)}, 0},
 		{"replay", []Option{core.WithPlans(plans), WithTrace()}, spec.AncestorPairs()},
 	} {

@@ -49,6 +49,13 @@ func WithPlans(cp *eval.CompiledProgram) Option { return func(e *Engine) { e.opt
 // disables tracing (the default).
 func WithSpan(sp *obs.Span) Option { return func(e *Engine) { e.opts.Span = sp } }
 
+// WithDropResult says the caller will not read result(P): Result.Result is
+// nil, and the evaluation builds its fixpoint in working memory the next
+// evaluation reuses (eval.Options.DropResult). The repository's commit sets
+// it, and nothing else that ships (verlog-lint's dropresult check): a
+// caller that wants result(P) runs without it, or replays the apply.
+func WithDropResult() Option { return func(e *Engine) { e.opts.DropResult = true } }
+
 // New returns an Engine with the given options.
 func New(opts ...Option) *Engine {
 	e := &Engine{}
@@ -73,8 +80,8 @@ func (e *Engine) Check(p *term.Program) (*strata.Assignment, error) {
 }
 
 // Apply checks p and evaluates it on ob, returning the full result
-// (fixpoint base, updated object base, stratification, statistics).
-// ob is not modified.
+// (fixpoint base unless WithDropResult, updated object base,
+// stratification, statistics). ob is not modified.
 func (e *Engine) Apply(ob *objectbase.Base, p *term.Program) (*eval.Result, error) {
 	safetyStart := time.Now()
 	safetySpan := e.opts.Span.StartChild("safety")

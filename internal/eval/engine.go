@@ -40,6 +40,13 @@ type Options struct {
 	// runtime/pprof labels (stratum, rule) set around rule matching so CPU
 	// profiles attribute to rules. Nil (the default) skips all of it.
 	Span *obs.Span
+	// DropResult says the caller will not read result(P): Result.Result is
+	// nil, and the own layer of the overlay the fixpoint is built in is the
+	// run's working memory (see scratch), emptied when the run ends. Final,
+	// Changes, the counters and the trace are what they are without it. A
+	// commit sets it; whoever reads result(P) — history, explain, the CLI —
+	// leaves it unset.
+	DropResult bool
 }
 
 // TraceEvent records one fired update during evaluation.
@@ -131,7 +138,7 @@ type Stats struct {
 // Result is the outcome of running an update-program.
 type Result struct {
 	// Result is result(P): the fixpoint object base holding every version
-	// derived during evaluation.
+	// derived during evaluation. Nil when Options.DropResult was set.
 	Result *objectbase.Base
 	// Final is the updated object base ob' of Section 5, built from each
 	// object's final version. It is frozen and shares the state of every
@@ -231,8 +238,11 @@ type engine struct {
 // the storage is shows nowhere but in the allocation count.
 //
 // Nothing a run returns may point into it: Result.Trace holds copies of the
-// updates (buildTrace), the errors carry values, result(P) is the overlay
-// base, which is the run's own, and Changes is finalize's own slice.
+// updates (buildTrace), the errors carry values, and Changes is finalize's
+// own slice. result(P) is the overlay base: its own layer is the run's when
+// the caller keeps result(P), and the scratch's (layer) when it does not
+// (Options.DropResult) — a run then returns no result(P), and Final and
+// Changes hold the overlay's states by pointer, never its maps.
 type scratch struct {
 	// objs is the one table of the objects the run touches: those the input
 	// base lists as unsettled, and every object some fired update targets.
@@ -275,9 +285,16 @@ type scratch struct {
 	// the most one stratum of the run took.
 	buckets     []*bucket
 	bucketsUsed int
-	// objsMost and spillMost are the most entries the two maps have held
-	// since they were made (see emptied).
-	objsMost, spillMost int
+	// layer holds the maps of the overlay's own layer — its states, its
+	// per-path override counts, its VID index — on a run that returns no
+	// result(P) (Options.DropResult): objectbase.Overlay writes into them,
+	// and the run after it into the same storage. A run that keeps result(P)
+	// leaves them empty.
+	layer objectbase.Layer
+	// objsMost, spillMost and the three after them are the most entries the
+	// maps have held since they were made (see emptied).
+	objsMost, spillMost                  int
+	statesMost, overridesMost, indexMost int
 }
 
 // parked is the one process-wide slot a finished run leaves its scratch in
@@ -370,6 +387,9 @@ func (sc *scratch) empty() {
 	sc.touchedRecs.reset()
 	sc.objs = emptied(sc.objs, &sc.objsMost)
 	sc.spill = emptied(sc.spill, &sc.spillMost)
+	sc.layer.States = emptied(sc.layer.States, &sc.statesMost)
+	sc.layer.Overrides = emptied(sc.layer.Overrides, &sc.overridesMost)
+	sc.layer.Index = emptied(sc.layer.Index, &sc.indexMost)
 	sc.methods = trimmed(sc.methods)
 	sc.gone = trimmed(sc.gone)
 	sc.dirty = trimmed(sc.dirty)
@@ -719,7 +739,9 @@ func (e *engine) evaluate(res *Result, evalStart time.Time) error {
 	}
 	// result(P) shares the states of versions no update changed with the
 	// input base: frozen, nobody can edit the input through it.
-	res.Result = e.base.Freeze()
+	if !e.opts.DropResult {
+		res.Result = e.base.Freeze()
+	}
 	copyStart := time.Now()
 	copySpan := sp.StartChild("copy")
 	res.Final, res.Changes = e.finalize()
@@ -735,11 +757,16 @@ func (e *engine) evaluate(res *Result, evalStart time.Time) error {
 }
 
 // newEngine sets up the evaluation of p, compiled, over the frozen base ob,
-// with sc, empty, as its working memory.
+// with sc, empty, as its working memory: the overlay's own layer too, when
+// the caller will not read result(P).
 func newEngine(ob *objectbase.Base, p *term.Program, compiled *CompiledProgram, opts Options, sc *scratch) *engine {
+	var lent *objectbase.Layer
+	if opts.DropResult {
+		lent = &sc.layer
+	}
 	e := &engine{
 		scratch:  sc,
-		base:     objectbase.Overlay(ob),
+		base:     objectbase.Overlay(ob, lent),
 		p0:       ob,
 		opts:     opts,
 		labels:   p.RuleLabels(),

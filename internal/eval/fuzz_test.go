@@ -32,6 +32,38 @@ func checkDelta(ob *objectbase.Base, res *Result) error {
 	return obtest.CheckDerived(ob, res.Final, res.Changes)
 }
 
+// checkCommitted runs p on ob through the commit path (Options.DropResult)
+// right after another program of the seeds has run through it, on the
+// scratch that run parked, and holds what a commit reads — Final, Changes
+// and Fired — against res, the run of p that kept result(P).
+func checkCommitted(ob *objectbase.Base, p *term.Program, src string, res *Result) error {
+	opts := Options{DropResult: true, MaxIterations: 50}
+	other := fuzzSeeds[len(src)%len(fuzzSeeds)]
+	if other == src {
+		other = fuzzSeeds[(len(src)+1)%len(fuzzSeeds)]
+	}
+	if op, err := parser.Program(other, "other.vlg"); err == nil {
+		Run(ob, op, opts) // whatever it makes of it, it leaves the scratch
+	}
+	got, err := Run(ob, p, opts)
+	if err != nil {
+		return fmt.Errorf("through the commit path: %v", err)
+	}
+	if got.Result != nil {
+		return errors.New("the commit path returned result(P)")
+	}
+	if g, w := committedView(got), committedView(res); g != w {
+		return fmt.Errorf("the commit path differs from the run that keeps result(P):\n%s\n--- keeping it ---\n%s", g, w)
+	}
+	return nil
+}
+
+// committedView renders what a commit reads off a result.
+func committedView(res *Result) string {
+	d := objectbase.DiffChanges(res.Changes)
+	return fmt.Sprintf("fired %d\nadded %v\nremoved %v\n%s", res.Fired, d.Added, d.Removed, parser.FormatFacts(res.Final, true))
+}
+
 // deltaHead returns a head derived from a frozen root holding ob's facts
 // (and enough padding for the flatten rule to leave a delta layer) in which
 // one object of ob is changed, one is deleted — a tombstone, so the root's
@@ -235,7 +267,8 @@ func orderDecides(err error, rules ...term.Rule) bool {
 // input also runs on its lifted plan — the plan a shape-keyed cache keeps for
 // every program of its shape, bound to the input's own constants — and is
 // held against the spec again; it is held against the delta oracles
-// (checkDelta), and each of its rule bodies is put as a query to Query, to
+// (checkDelta) and against the commit path after another program
+// (checkCommitted), and each of its rule bodies is put as a query to Query, to
 // the spec's enumerator and, on its cached plan, against QueryRows on every
 // kind of base (checkQueries). Two things are left open, because the
 // paper is silent on them: what an unsafe program means, and which instances
@@ -286,6 +319,9 @@ func FuzzEngineVsSpec(f *testing.F) {
 			return
 		}
 		if err := checkDelta(ob, res); err != nil {
+			t.Errorf("run of %q: %v", src, err)
+		}
+		if err := checkCommitted(ob, p, src, res); err != nil {
 			t.Errorf("run of %q: %v", src, err)
 		}
 

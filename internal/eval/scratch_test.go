@@ -118,6 +118,9 @@ func (sc *scratch) checkEmpty() error {
 	if len(sc.objs) != 0 || len(sc.spill) != 0 {
 		errs = append(errs, fmt.Errorf("objs holds %d entries, spill %d", len(sc.objs), len(sc.spill)))
 	}
+	if l := sc.layer; len(l.States) != 0 || len(l.Overrides) != 0 || len(l.Index) != 0 {
+		errs = append(errs, fmt.Errorf("the overlay's own layer holds %d states, %d override counts, %d index entries", len(l.States), len(l.Overrides), len(l.Index)))
+	}
 	for name, ok := range map[string]bool{
 		"methods": len(sc.methods) == 0 && allZero(sc.methods),
 		"gone":    len(sc.gone) == 0 && allZero(sc.gone),
@@ -210,6 +213,71 @@ func TestResultOwesNothingToTheScratch(t *testing.T) {
 		}
 		if err := agreesWith(k.res, k.want); err != nil {
 			t.Errorf("%s, after the corpus: %v", k.name, err)
+		}
+	}
+}
+
+// TestDroppedResultOwesNothingToTheScratch: the corpus again, through the
+// commit path (Options.DropResult), where the maps of result(P)'s own layer
+// are the scratch's as well and the runs after each one clear them and fill
+// them anew. Every kept Final, Changes and Fired renders at the end as it did
+// when its run returned — ob' and the changes hold the overlay's states by
+// pointer, never its maps — and as the run that keeps result(P) renders it.
+// No such run returns a result(P).
+func TestDroppedResultOwesNothingToTheScratch(t *testing.T) {
+	collectorOff(t)
+	type kept struct {
+		name     string
+		ob       *objectbase.Base
+		p        *term.Program
+		res      *Result
+		rendered string
+	}
+	var all []kept
+	var slot *scratch
+	lent := false // some run left the maps of its own layer in the scratch
+	opts := Options{DropResult: true, MaxIterations: 200}
+	for _, c := range corpus(t) {
+		t.Run(c.name, func(t *testing.T) {
+			ob, p := c.parse(t)
+			ob.Freeze()
+			res, err := Run(ob, p, opts)
+			sc := parkedScratch()
+			if sc == nil {
+				t.Fatal("the run parked no scratch")
+			}
+			if slot != nil && sc != slot {
+				t.Fatal("the run did not take the scratch the run before it parked")
+			}
+			slot = sc
+			lent = lent || sc.layer.States != nil
+			if err := sc.checkEmpty(); err != nil {
+				t.Fatalf("the parked scratch: %v", err)
+			}
+			if err != nil {
+				return
+			}
+			if res.Result != nil {
+				t.Fatal("a run that drops result(P) returned one")
+			}
+			all = append(all, kept{c.name, ob, p, res, renderRun(res)})
+		})
+	}
+	if len(all) < 30 {
+		t.Fatalf("only %d results kept", len(all))
+	}
+	if !lent {
+		t.Fatal("no run left the maps of its own layer in the scratch")
+	}
+	for _, k := range all {
+		if got := renderRun(k.res); got != k.rendered {
+			t.Errorf("%s: the result changed after its run returned:\n%s\n--- was ---\n%s", k.name, got, k.rendered)
+		}
+		kept, err := Run(k.ob, k.p, Options{MaxIterations: opts.MaxIterations})
+		if err != nil {
+			t.Errorf("%s: the run that keeps result(P) fails: %v", k.name, err)
+		} else if want := renderRun(kept); want != k.rendered {
+			t.Errorf("%s: dropping result(P) changed the result:\n%s\n--- keeping it ---\n%s", k.name, k.rendered, want)
 		}
 	}
 }

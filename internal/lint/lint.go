@@ -13,6 +13,8 @@
 //     enumeration it was popped for
 //   - specimport: internal/spec, the oracle the tests hold the engine
 //     against, is imported by _test.go files only
+//   - dropresult: core.WithDropResult, the commit's switch to build no
+//     result(P), is built in internal/repository and _test.go files only
 //
 // The framework is deliberately stdlib-only (go/ast, go/parser, go/token):
 // the analyzers are syntactic, which keeps them dependency-free and fast,
@@ -89,7 +91,7 @@ type Package struct {
 }
 
 // All lists every analyzer, in reporting order.
-var All = []*Analyzer{Frozenmutate, Lockorder, Boundedlabels, Commitclock, Arenaescape, Specimport}
+var All = []*Analyzer{Frozenmutate, Lockorder, Boundedlabels, Commitclock, Arenaescape, Specimport, Dropresult}
 
 // Load walks the module rooted at dir and parses every package directory
 // (skipping testdata, vendored and hidden trees). The module path is read

@@ -330,3 +330,28 @@ import "verlog/internal/specimen"`
 		t.Errorf("an unrelated import is flagged: %v", got)
 	}
 }
+
+func TestDropresult(t *testing.T) {
+	const src = `package x
+import "verlog/internal/core"
+var opts = []core.Option{core.WithDropResult(), core.WithTrace()}
+func commit() *core.Engine { return core.New(core.WithDropResult) }`
+	got := analyzeFile(t, Dropresult, "verlog/internal/x", "x.go", src)
+	wantFindings(t, got, "WithDropResult outside internal/repository", "WithDropResult outside internal/repository")
+	if got := analyzeFile(t, Dropresult, "verlog/internal/repository", "repository.go", src); len(got) != 0 {
+		t.Errorf("the repository's commit is flagged: %v", got)
+	}
+	if got := analyzeFile(t, Dropresult, "verlog", "bench_test.go", src); len(got) != 0 {
+		t.Errorf("a test file building the option is flagged: %v", got)
+	}
+	const definition = `package core
+func WithDropResult() Option { return func(e *Engine) { e.opts.DropResult = true } }
+func WithTrace() Option { return func(e *Engine) { e.opts.Trace = true } }`
+	if got := analyzeFile(t, Dropresult, "verlog/internal/core", "core.go", definition); len(got) != 0 {
+		t.Errorf("the option's definition is flagged: %v", got)
+	}
+	const inCore = `package core
+func commitEngine() *Engine { return New(WithDropResult()) }`
+	got = analyzeFile(t, Dropresult, "verlog/internal/core", "core.go", inCore)
+	wantFindings(t, got, "WithDropResult outside internal/repository")
+}

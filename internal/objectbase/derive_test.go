@@ -41,11 +41,11 @@ func withSal(head *objectbase.Base, name string, sal int64) objectbase.Change {
 // that lives in (or is hidden from) a parent layer.
 func TestComputeWalksAllLayers(t *testing.T) {
 	root := employees(4)
-	from := objectbase.Overlay(root)
+	from := objectbase.Overlay(root, nil)
 	from.Insert(term.NewFact(obj("e0"), "note", term.Sym("a")))
 	from.Remove(term.NewFact(obj("e1"), "sal", term.Int(101)))
 	from.Freeze()
-	to := objectbase.Overlay(root)
+	to := objectbase.Overlay(root, nil)
 	to.Insert(term.NewFact(obj("e2"), "note", term.Sym("b")))
 	to.SetState(obj("e3"), nil)
 	to.Freeze()
@@ -241,7 +241,7 @@ func TestUnsettled(t *testing.T) {
 	if u := d.Unsettled(); len(u) != 0 {
 		t.Errorf("derived base still lists %v", u)
 	}
-	over := objectbase.Overlay(b)
+	over := objectbase.Overlay(b, nil)
 	over.SetState(ver, nil)
 	over.Freeze()
 	if u := over.Unsettled(); len(u) != 2 {

@@ -23,7 +23,7 @@ func TestInPlaceEditsAnswerLikeARebuild(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			head := employees(12)
 			before := head.Facts()
-			ov := objectbase.Overlay(head)
+			ov := objectbase.Overlay(head, nil)
 			if liveIndex {
 				// The first scan builds the deferred own-layer index and turns
 				// its maintenance eager.

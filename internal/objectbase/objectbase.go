@@ -69,6 +69,9 @@ type Base struct {
 	// included).
 	size  int
 	depth int // overlay chain length; 0 for root bases
+	// lent marks an overlay whose own-layer maps are its creator's (see
+	// Layer): nothing replaces them, GrowStates included.
+	lent bool
 	// frozen marks a base published for concurrent readers; every mutator
 	// panics on it. See Freeze.
 	frozen bool
@@ -219,24 +222,55 @@ func NewSized(n int) *Base {
 // Overlay returns a mutable copy-on-write view of parent: reads see the
 // parent's facts, writes land only in the overlay. The parent must be
 // frozen — the overlay holds a reference, and a later mutation of the
-// parent would change the overlay's view under its feet.
-func Overlay(parent *Base) *Base {
+// parent would change the overlay's view under its feet. The own layer is
+// kept in maps of the overlay's own, or, when lent is not nil, in lent's
+// (see Layer), which must be empty.
+func Overlay(parent *Base, lent *Layer) *Base {
 	if !parent.Frozen() {
 		panic("objectbase: Overlay of an unfrozen base")
 	}
+	l := lent
+	if l == nil {
+		l = new(Layer)
+	} else if len(l.States) != 0 || len(l.Overrides) != 0 || len(l.Index) != 0 {
+		panic("objectbase: Overlay on a lent layer that is not empty")
+	}
+	if l.States == nil {
+		l.States = make(map[term.GVID]*State)
+	}
+	if l.Overrides == nil {
+		l.Overrides = make(map[term.Path]int)
+	}
+	if l.Index == nil {
+		l.Index = make(map[pathMethod]map[term.GVID]struct{})
+	}
 	b := &Base{
 		parent:          parent,
-		states:          make(map[term.GVID]*State),
-		byPathMethod:    make(map[pathMethod]map[term.GVID]struct{}),
-		overridesByPath: make(map[term.Path]int),
+		states:          l.States,
+		byPathMethod:    l.Index,
+		overridesByPath: l.Overrides,
 		size:            parent.size,
 		depth:           parent.depth + 1,
+		lent:            lent != nil,
 	}
 	// The own-layer VID index starts deferred: fixpoints whose body
 	// literals never scan derived (pushed-path) versions never build
 	// it. The first scan materializes it and maintenance turns eager.
 	b.vidStale.Store(true)
 	return b
+}
+
+// Layer is the storage of an overlay's own layer — its states, its per-path
+// override counts and its VID index — lent to Overlay by a caller that keeps
+// it past the overlay: the evaluator's working memory, on a run whose
+// fixpoint base nobody reads. The overlay writes into the maps it finds
+// here, makes and leaves here those it does not find, and never replaces
+// one. The lender empties them for the next overlay once nothing reads this
+// one any more; the states the maps pointed to are not touched.
+type Layer struct {
+	States    map[term.GVID]*State
+	Overrides map[term.Path]int
+	Index     map[pathMethod]map[term.GVID]struct{}
 }
 
 // Parent returns the base this overlay shadows, or nil for root bases.
@@ -583,10 +617,11 @@ func (b *Base) SetStateFresh(v term.GVID, st *State) {
 // GrowStates hints that about n versions are about to receive their first
 // state. When the layer's own state map is still empty it is re-made with
 // that capacity, so a bulk apply pays one table allocation instead of the
-// incremental grow-and-rehash ladder. A no-op once any state exists.
+// incremental grow-and-rehash ladder. A no-op once any state exists, and on
+// a lent layer (see Layer), whose map has the room an earlier overlay grew.
 func (b *Base) GrowStates(n int) {
 	b.mutable()
-	if len(b.states) == 0 && n > 0 {
+	if len(b.states) == 0 && n > 0 && !b.lent {
 		b.states = make(map[term.GVID]*State, n)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"verlog/internal/core"
+	"verlog/internal/eval"
 	"verlog/internal/fsio"
 	"verlog/internal/obs"
 	"verlog/internal/parser"
@@ -662,5 +665,117 @@ func TestBulkApplyBesideWriterStreamGuard(t *testing.T) {
 	evals := m.PlanCacheHits.Value() + m.PlanCacheMisses.Value()
 	if commits := m.Applies.Value() + m.ConstraintRejects.Value(); evals != commits {
 		t.Errorf("%d evaluations for %d applies: %d were discarded, want none", evals, commits, evals-commits)
+	}
+}
+
+// TestQueryRowsBesideCommittedApplies: readers answer queries from the plan
+// cache (QueryRows) and from a head they hold on to while a writer commits
+// raises of every employee. A commit builds its fixpoint in working memory
+// the next commit clears and fills again, and the head it publishes holds
+// states of that fixpoint by pointer: every answer must come from one
+// committed state (all salaries raised alike), and a head a reader holds
+// answers the same however many commits follow it. Meant for -race
+// -count=10 as much as for a plain run.
+func TestQueryRowsBesideCommittedApplies(t *testing.T) {
+	const n, readers, applies = 60, 4, 40
+	r, err := Init(t.TempDir()+"/repo", workload.EnterpriseSpec{Employees: n, Seed: 5}.ObjectBase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	body, err := parser.Query("E.isa -> empl, E.sal -> S.", "query")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sum adds up the salaries of an answer; it must hold one row per
+	// employee.
+	sum := func(vars []term.Var, rows [][]term.OID) (int, error) {
+		if len(rows) != n {
+			return 0, fmt.Errorf("%d rows, want %d", len(rows), n)
+		}
+		col := slices.Index(vars, term.Var("S"))
+		total := 0
+		for _, row := range rows {
+			s, err := strconv.Atoi(row[col].String())
+			if err != nil {
+				return 0, err
+			}
+			total += s
+		}
+		return total, nil
+	}
+	vars0, rows0, err := r.QueryRows(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum0, err := sum(vars0, rows0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			held, _ := r.Head()
+			vars, rows, err := eval.QueryRows(held, body)
+			if err != nil {
+				errs <- err
+				return
+			}
+			first := fmt.Sprint(vars, rows)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				vars, rows, err := r.QueryRows(body)
+				if err == nil {
+					var total int
+					if total, err = sum(vars, rows); err == nil && (total-sum0)%n != 0 {
+						err = fmt.Errorf("salaries sum to %d: not %d plus a whole number of raises of %d employees", total, sum0, n)
+					}
+				}
+				if err == nil {
+					vars, rows, err = eval.QueryRows(held, body)
+					if again := fmt.Sprint(vars, rows); err == nil && again != first {
+						err = fmt.Errorf("a held head answers\n%s\nafter answering\n%s", again, first)
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	p, err := parser.Program("r: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S + 1.", "p.vlg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < applies; i++ {
+		res, err := r.Apply(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Result != nil || len(res.Changes) != n {
+			t.Fatalf("apply %d: result(P) returned %v, %d objects changed (want none, %d)", i, res.Result != nil, len(res.Changes), n)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	vars, rows, err := r.QueryRows(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total, err := sum(vars, rows); err != nil || total != sum0+applies*n {
+		t.Fatalf("after %d raises the salaries sum to %d (%v), want %d", applies, total, err, sum0+applies*n)
 	}
 }

@@ -754,7 +754,10 @@ func slimEntry(e Entry) Entry {
 // Apply evaluates p on the current head, verifies the installed integrity
 // constraints against the result, appends the journal entry (fsynced) and
 // advances the head to the updated object base. On a constraint violation
-// nothing is committed. It returns the full evaluation result.
+// nothing is committed. It returns the evaluation result without result(P):
+// Result.Result is nil (the commit builds it in working memory the next
+// apply reuses). Replay recomputes it for a journaled apply, as
+// verlog.Apply computes it for a program and a base.
 func (r *Repository) Apply(p *term.Program, opts ...core.Option) (*eval.Result, error) {
 	res, _, _, err := r.ApplyKey(p, "", opts...)
 	return res, err
@@ -763,9 +766,10 @@ func (r *Repository) Apply(p *term.Program, opts ...core.Option) (*eval.Result, 
 // ApplyKey is Apply under an idempotency key. If key is non-empty and a
 // journaled entry already carries it, nothing is re-evaluated: ApplyKey
 // returns (nil, that entry with its diff stripped, true, nil). Otherwise
-// the update is applied, journaled with the key, and returned with
-// replayed=false. Keys are remembered as far back as the journal reaches;
-// Compact clears them along with the entries that held them.
+// the update is applied, journaled with the key, and returned as Apply
+// returns it (without result(P)) with replayed=false. Keys are remembered
+// as far back as the journal reaches; Compact clears them along with the
+// entries that held them.
 //
 // Applies evaluate one at a time, each on the head the one before it left
 // (tryApply), so an evaluation that passes its checks is the one that
@@ -875,8 +879,11 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	} else {
 		r.met().PlanCacheHits.Inc()
 	}
+	// The commit reads Final, Changes and the counters, never result(P): the
+	// fixpoint is built in working memory the next apply reuses.
+	opts = append(opts[:len(opts):len(opts)], core.WithDropResult())
 	if cp != nil {
-		opts = append(opts[:len(opts):len(opts)], core.WithPlans(cp))
+		opts = append(opts, core.WithPlans(cp))
 	}
 	eng := core.New(opts...)
 	sp := eng.Span()

@@ -30,7 +30,8 @@ type (
 	// GVID is a ground version identity.
 	GVID = term.GVID
 	// Result is the outcome of applying a program: the fixpoint base with
-	// all versions, the updated object base, and run statistics.
+	// all versions (nil from Repository.Apply), the updated object base,
+	// and run statistics.
 	Result = eval.Result
 	// Binding is one answer to a Query.
 	Binding = eval.Binding
@@ -241,7 +242,10 @@ func CheckSchema(s *Schema, base *ObjectBase) []SchemaViolation {
 // Repository is an object base on disk under journal control: every
 // applied program is logged with its diff, and any past state can be
 // reconstructed (long-term evolution versioning, complementary to the
-// per-update versions — see Section 1 of the paper).
+// per-update versions — see Section 1 of the paper). Its Apply and ApplyKey
+// return the updated base, the changes and the statistics, but no fixpoint
+// base: Result.Result is nil. Replay recomputes result(P) for a journaled
+// apply; Apply, the function, computes it for any base and program.
 type Repository = repository.Repository
 
 // RepositoryEntry is one journal record of a Repository.
