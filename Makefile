@@ -36,9 +36,10 @@ fmt:
 
 # The engine's own analyzers: frozen-base mutation, applyMu->diskMu->commitMu
 # lock order, bounded tenant metric labels, no wall-clock reads under
-# commitMu, no arena buffer escaping its enumeration, no import of the spec
-# evaluator (internal/spec, the tests' oracle) from a file that ships. See
-# docs/ANALYSIS.md and internal/lint.
+# commitMu, no import of the spec evaluator (internal/spec, the tests'
+# oracle) from a file that ships, and no commit-only switch to drop result(P)
+# (core.WithDropResult) outside internal/repository. See docs/ANALYSIS.md
+# and internal/lint.
 verlog-lint:
 	$(GO) run ./cmd/verlog-lint .
 

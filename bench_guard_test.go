@@ -474,7 +474,8 @@ func TestLayerScanAllocGuard(t *testing.T) {
 		t.Skip("race instrumentation allocates on its own account")
 	}
 	root := workload.EnterpriseSpec{Employees: 3000, Seed: 21}.ObjectBase().Freeze()
-	root.ForEachVIDWith("", "sal", func(term.GVID) {}) // the root's own index is not the layer's
+	for range root.VIDsWith("", "sal") { // the root's own index is not the layer's
+	}
 	measure := func(versions int) (bytes, mallocs uint64) {
 		changes := make([]objectbase.Change, versions)
 		for i := range changes {
@@ -488,7 +489,11 @@ func TestLayerScanAllocGuard(t *testing.T) {
 		seen := 0
 		bytes, mallocs = firstUseAllocs(3, func() func() {
 			head, seen = root.Derive(changes), 0
-			return func() { head.ForEachVIDWith("", "sal", func(term.GVID) { seen++ }) }
+			return func() {
+				for range head.VIDsWith("", "sal") {
+					seen++
+				}
+			}
 		})
 		if head.Parent() != root {
 			t.Fatalf("%d changes of 3000 versions did not leave a delta layer", versions)
@@ -581,11 +586,11 @@ func TestLayerProbeAllocGuard(t *testing.T) {
 			if got := live(head.Index().VIDsWithResult("", "sal", sal(i))); !slices.Equal(got, []term.GVID{c.V}) {
 				t.Errorf("%d-version layer: the probe of %s's new salary reports %v", versions, c.V, got)
 			}
-			c.Old.ForEachResult(term.MethodKey{Method: "sal"}, func(old term.OID) {
+			for old := range c.Old.Results(term.MethodKey{Method: "sal"}) {
 				if slices.Contains(live(head.Index().VIDsWithResult("", "sal", old)), c.V) {
 					t.Errorf("%d-version layer: the probe of %s's old salary still reports it", versions, c.V)
 				}
-			})
+			}
 		}
 		return bytes, mallocs
 	}
@@ -637,7 +642,9 @@ func TestNewRootInheritsIndexesGuard(t *testing.T) {
 	firstReads := func(head *ObjectBase, method string) (bytes uint64, scanned, reports int) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		head.ForEachVIDWith("", method, func(term.GVID) { scanned++ })
+		for range head.VIDsWith("", method) {
+			scanned++
+		}
 		reports = head.Index().VIDsWithResult("", "boss", Sym("e7")).Len()
 		runtime.ReadMemStats(&m1)
 		return m1.TotalAlloc - m0.TotalAlloc, scanned, reports

@@ -435,7 +435,8 @@ func BenchmarkE25QueryScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				fresh := head.Clone().Freeze()
-				fresh.ForEachVIDWith("", "boss", func(term.GVID) {}) // the VID index is not the literal index's cost
+				for range fresh.VIDsWith("", "boss") { // the VID index is not the literal index's cost
+				}
 				b.StartTimer()
 				if _, err := Query(fresh, "E.boss -> e7, E.sal -> S."); err != nil {
 					b.Fatal(err)

@@ -78,8 +78,6 @@ func main() {
 		err = cmdSchema(os.Args[2:])
 	case "stats":
 		err = cmdStats(os.Args[2:])
-	case "plan":
-		err = cmdPlan(os.Args[2:])
 	case "explain-plan":
 		err = cmdExplainPlan(os.Args[2:])
 	case "convert":
@@ -118,8 +116,7 @@ commands:
   repl    interactive session (facts, staged rules, queries)
   schema  check an object base against class signatures
   stats   summarize an object base (facts, versions, methods)
-  plan    show the join order the planner picks per rule
-  explain-plan  per-rule cost tables from the deep analysis tier
+  explain-plan  per-rule join order, access paths and cost tables
   convert convert an object base between text and framed snapshots
   status  one-line-per-node fleet table from each server's /v1/status
   top     live console over one server: rates, hot rules, slow requests
@@ -607,29 +604,6 @@ func cmdConvert(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d facts)\n", *outPath, base.Size())
-	return nil
-}
-
-func cmdPlan(args []string) error {
-	fs := flag.NewFlagSet("plan", flag.ExitOnError)
-	obPath := fs.String("ob", "", "object base file (required; supplies the statistics)")
-	progPath := fs.String("prog", "", "update-program file (required)")
-	static := fs.Bool("static", false, "show the source-order planner instead")
-	fs.Parse(args)
-	if *obPath == "" || *progPath == "" {
-		return fmt.Errorf("plan: -ob and -prog are required")
-	}
-	ob, err := loadBase(*obPath)
-	if err != nil {
-		return err
-	}
-	p, err := loadProgram(*progPath)
-	if err != nil {
-		return err
-	}
-	for _, rp := range eval.ExplainPlans(ob, p, *static) {
-		fmt.Print(rp)
-	}
 	return nil
 }
 

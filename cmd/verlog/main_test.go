@@ -259,21 +259,6 @@ func TestCmdStats(t *testing.T) {
 	}
 }
 
-func TestCmdPlan(t *testing.T) {
-	dir := t.TempDir()
-	ob := writeFile(t, dir, "ob.vlg", testBase)
-	prog := writeFile(t, dir, "prog.vlg", testProg)
-	out, err := capture(t, func() error { return cmdPlan([]string{"-ob", ob, "-prog", prog}) })
-	if err != nil {
-		t.Fatalf("cmdPlan: %v", err)
-	}
-	for _, want := range []string{"rule1:", "rule4:", "(est", "Δ"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("plan output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestCmdVetDeep(t *testing.T) {
 	dir := t.TempDir()
 	ob := writeFile(t, dir, "ob.vlg", testBase)
@@ -343,7 +328,7 @@ func TestCmdExplainPlan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("explain-plan: %v\n%s", err, out)
 	}
-	for _, want := range []string{"rule1", "[stratum 1]", "cost ", "fanout ", "generator", "filter", "strata:"} {
+	for _, want := range []string{"rule rule1", "rule rule4", "[stratum 1]", "cost ", "fanout ", "generator", "filter", "probe-result", "est 2", "(Δ 1)", "strata:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain-plan misses %q:\n%s", want, out)
 		}

@@ -517,12 +517,8 @@ func (in *inference) checkGroundReceiver(c *ctx, ri int, l term.Literal, a term.
 	if !ok || a.App.Method == term.ExistsMethod || !defined[a.App.Method] {
 		return
 	}
-	found := false
-	c.opts.Base.ForEachOfMethod(term.GVID{Object: oid}, a.App.Method, func(term.MethodKey, term.OID) {
-		found = true
-	})
-	if found {
-		return
+	for range c.opts.Base.OfMethod(term.GVID{Object: oid}, a.App.Method) {
+		return // the receiver carries the method
 	}
 	c.add(Diagnostic{
 		Code:     CodeNoClass,

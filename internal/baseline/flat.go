@@ -232,11 +232,11 @@ func groundFlatHead(base *objectbase.Base, r term.Rule, b eval.Binding, emit fun
 	}
 	v := term.GVID{Object: obj}
 	if r.Head.All {
-		base.ForEachFactOf(v, func(f term.Fact) {
+		for f := range base.FactsOf(v) {
 			if !f.IsExists() {
 				emit(flatUpdate{del: true, fact: f})
 			}
-		})
+		}
 		return nil
 	}
 	args := make([]term.OID, len(r.Head.App.Args))

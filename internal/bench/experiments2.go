@@ -247,7 +247,9 @@ func philSal(b *objectbase.Base) string {
 
 func salOf(b *objectbase.Base, v term.GVID) string {
 	out := "?"
-	b.ForEachResult(v, term.MethodKey{Method: "sal"}, func(r term.OID) { out = r.String() })
+	for r := range b.Results(v, term.MethodKey{Method: "sal"}) {
+		out = r.String()
+	}
 	return out
 }
 

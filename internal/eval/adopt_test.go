@@ -19,7 +19,9 @@ func TestFinalAdoptsTheEnginesCopy(t *testing.T) {
 	sal := map[term.GVID]term.OID{}
 	for _, v := range head.Versions() {
 		before[v] = head.StateOf(v)
-		head.ForEachResult(v, term.MethodKey{Method: "sal"}, func(r term.OID) { sal[v] = r })
+		for r := range head.Results(v, term.MethodKey{Method: "sal"}) {
+			sal[v] = r
+		}
 	}
 	res := mustRun(t, head, p, Options{Trace: true})
 	if len(res.Changes) != 200 {

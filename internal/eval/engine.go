@@ -1301,7 +1301,9 @@ func (e *engine) reserve(tu *targetUpdates, b *bucket) {
 		return
 	}
 	if tu.appears {
-		tu.st.ForEachOfMethod(b.method, func(term.MethodKey, term.OID) { b.room++ })
+		for range tu.st.OfMethod(b.method) {
+			b.room++
+		}
 	}
 	b.room += adds
 }
@@ -1365,11 +1367,11 @@ func (e *engine) appear(tu *targetUpdates, d *deltaSink) (changed bool) {
 	}
 	changed = e.base.SetState(tu.w, tu.st)
 	changed = e.extend(tu, &quiet) || changed
-	tu.st.ForEach(func(k term.MethodKey, r term.OID) {
+	for k, r := range tu.st.All() {
 		if !prev.Has(k, r) {
 			d.add(k, r)
 		}
-	})
+	}
 	return changed
 }
 
@@ -1381,6 +1383,12 @@ func (e *engine) own(tu *targetUpdates, room int) {
 	tu.st = tu.st.CloneWithRoom(room)
 	tu.owned = true
 	e.base.Adopt(tu.w, tu.st)
+}
+
+// keyResult is one (method key, result) application extend took out.
+type keyResult struct {
+	key term.MethodKey
+	r   term.OID
 }
 
 // extend applies the target's fresh updates to its state, copying the state

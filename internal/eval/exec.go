@@ -1,13 +1,12 @@
 package eval
 
 // exec.go runs compiled match plans (compile.go). An executor is single-
-// goroutine state holding the frame and candidate-buffer arena of a run. It
-// works on a flat []term.OID frame indexed by compile-time slots and needs
-// no undo trail: binding modes are static (the first occurrence of a
-// variable writes, later ones compare), a failed candidate's partial
-// bindings are overwritten by the next candidate before anything reads
-// them, and each step zeroes the slots it binds when it exhausts so outer
-// candidates start clean. The body-position truth definitions of Section 3
+// goroutine state holding the frame of a run: a flat []term.OID indexed by
+// compile-time slots. It needs no undo trail: binding modes are static (the
+// first occurrence of a variable writes, later ones compare), a failed
+// candidate's partial bindings are overwritten by the next candidate before
+// anything reads them, and each step zeroes the slots it binds when it
+// exhausts so outer candidates start clean. The body-position truth definitions of Section 3
 // are the exec* methods, the head-position ones fire.
 
 import (
@@ -19,22 +18,11 @@ import (
 	"verlog/internal/term"
 )
 
-// keyResult is one (method key, result) application collected while
-// scanning a method with unbound arguments.
-type keyResult struct {
-	key term.MethodKey
-	r   term.OID
-}
-
-// executor evaluates compiled rules against a base. Candidate buffers are
-// arena free-lists working as stacks across the nested step enumerations:
-// an enumeration pops a buffer, recurses, and pushes it back when done.
-// The objectbase iterators cannot early-exit or propagate errors; the
-// enumerations that collect do so to stop at the first one. Two kinds skip
-// collection entirely: index probes iterate the shared index slice, which
-// is immutable after build, and the (path, method) scan of a version
-// pattern — the one whose candidates number with the base — matches inside
-// the walk and latches the first error (execScan).
+// executor evaluates compiled rules against a base. Every enumeration
+// matches each candidate as the base's iterator hands it out and returns
+// the first error, which stops the walk: matching only reads the base (step
+// 1 of T_P logs its updates, and a query changes nothing), so nothing it
+// walks changes under it.
 type executor struct {
 	base *objectbase.Base
 	// p0 is base's parent, the frozen input of the run. During a fixpoint,
@@ -48,15 +36,16 @@ type executor struct {
 	// a bound base — every point update — never ask for it.
 	idx *objectbase.LiteralIndex
 	// params are the values of a lifted plan's parameter slots (the first
-	// len(params) of every frame), written when a frame is taken.
+	// len(params) of the frame), written when a match starts.
 	params []term.OID
 
-	frames [][]term.OID
-	vids   [][]term.GVID
-	oids   [][]term.OID
-	krs    [][]keyResult
-	ups    []Update   // fire's delete-all scratch
-	args   []term.OID // resolveKey scratch, consumed before any recursion
+	// frame is the frame of the match under way, kept for the next. match
+	// is not re-entrant — no continuation it calls, neither a rule's onFire
+	// nor a query's row collection, calls match on the same executor — so
+	// one frame serves every match of the executor.
+	frame []term.OID
+	ups   []Update   // fire's delete-all scratch
+	args  []term.OID // resolveKey scratch, consumed before any recursion
 	// lastKey and lastArgs are the key resolveKey built last and its
 	// argument values: a tuple of constants and parameters, the same for
 	// every candidate of a run, is encoded once.
@@ -131,60 +120,6 @@ func (x *executor) probe(st *cstep, fr []term.OID, hits objectbase.Hits, k func(
 	return nil
 }
 
-func (x *executor) getFrame(n int) []term.OID {
-	if l := len(x.frames); l > 0 {
-		fr := x.frames[l-1]
-		x.frames = x.frames[:l-1]
-		if cap(fr) >= n {
-			fr = fr[:n]
-			for i := range fr {
-				fr[i] = term.OID{}
-			}
-			return fr
-		}
-	}
-	return make([]term.OID, n)
-}
-
-func (x *executor) putFrame(fr []term.OID) { x.frames = append(x.frames, fr) }
-
-// getVIDs pops a candidate buffer for the enumerations that still collect:
-// any(...) patterns and the del[...] / mod[...] body terms with an unbound
-// base. A buffer is new with every run (the executor is), which is why the
-// accessScan arm of execScan does without one.
-func (x *executor) getVIDs() []term.GVID {
-	if n := len(x.vids); n > 0 {
-		buf := x.vids[n-1]
-		x.vids = x.vids[:n-1]
-		return buf
-	}
-	return nil
-}
-
-func (x *executor) putVIDs(buf []term.GVID) { x.vids = append(x.vids, buf[:0]) }
-
-func (x *executor) getOIDs() []term.OID {
-	if n := len(x.oids); n > 0 {
-		buf := x.oids[n-1]
-		x.oids = x.oids[:n-1]
-		return buf
-	}
-	return nil
-}
-
-func (x *executor) putOIDs(buf []term.OID) { x.oids = append(x.oids, buf[:0]) }
-
-func (x *executor) getKRs() []keyResult {
-	if n := len(x.krs); n > 0 {
-		buf := x.krs[n-1]
-		x.krs = x.krs[:n-1]
-		return buf
-	}
-	return nil
-}
-
-func (x *executor) putKRs(buf []keyResult) { x.krs = append(x.krs, buf[:0]) }
-
 // run evaluates one compiled plan (the full steps or a delta variant) and
 // fires the head for every complete body match. delta is the (path, method)
 // bucket an accessDelta seed joins against: everything in it is on the
@@ -200,9 +135,12 @@ func (x *executor) run(cr *compiledRule, steps []cstep, delta *bucket, matched *
 // frame of each; the frame is only valid during the call.
 func (x *executor) match(nslots int, steps []cstep, delta *bucket, k func(fr []term.OID) error) error {
 	x.cacheN, x.cacheI = 0, 0
-	fr := x.getFrame(nslots)
+	if cap(x.frame) < nslots {
+		x.frame = make([]term.OID, nslots)
+	}
+	fr := x.frame[:nslots]
+	clear(fr)
 	copy(fr, x.params)
-	defer x.putFrame(fr)
 	var rec func(i int) error
 	rec = func(i int) error {
 		if i == len(steps) {
@@ -285,41 +223,28 @@ func (x *executor) execScan(st *cstep, fr []term.OID, delta *bucket, k func() er
 		return x.probe(st, fr, x.index().VIDsWithArg(st.path, st.method, a0), k)
 
 	case accessAny:
-		cands := x.getVIDs()
-		if st.base.mode != oBind {
-			o := st.base.value(fr)
-			x.base.ForEachVIDWithMethod(st.method, func(g term.GVID) {
-				if g.Object == o {
-					cands = append(cands, g)
-				}
-			})
-		} else {
-			x.base.ForEachVIDWithMethod(st.method, func(g term.GVID) { cands = append(cands, g) })
-		}
-		for _, g := range cands {
+		// Each loop ranges over the iterator itself, not over an iter.Seq
+		// passed in: the iterator inlines, and the loop body stays on the stack.
+		for g := range x.base.VIDsWithMethod(st.method) {
 			if !st.base.match(fr, g.Object) {
 				continue
 			}
 			if err := x.matchApp(st, fr, g, k); err != nil {
-				x.putVIDs(cands)
 				return err
 			}
 		}
-		x.putVIDs(cands)
 		return nil
 
 	default: // accessScan
-		// No candidate buffer: matching only reads the base (step 1 logs its
-		// updates and a query changes nothing), so each candidate is matched
-		// as the walk hands it out. The walk cannot stop early; the first
-		// error latches and the remaining callbacks return at once.
-		var err error
-		x.base.ForEachVIDWith(st.path, st.method, func(g term.GVID) {
-			if err == nil && st.base.match(fr, g.Object) {
-				err = x.matchApp(st, fr, g, k)
+		for g := range x.base.VIDsWith(st.path, st.method) {
+			if !st.base.match(fr, g.Object) {
+				continue
 			}
-		})
-		return err
+			if err := x.matchApp(st, fr, g, k); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }
 
@@ -387,37 +312,24 @@ func (x *executor) matchOn(st *cstep, fr []term.OID, s *objectbase.State, k func
 			}
 			return nil
 		}
-		results := x.getOIDs()
-		s.ForEachResult(key, func(r term.OID) { results = append(results, r) })
-		for _, r := range results {
+		for r := range s.Results(key) {
 			fr[st.result.slot] = r
 			if err := k(key, r); err != nil {
-				x.putOIDs(results)
 				return err
 			}
 		}
-		x.putOIDs(results)
 		return nil
 	}
 	// Arguments contain binding slots: scan all applications of the method
 	// on g and unify per candidate.
-	apps := x.getKRs()
-	s.ForEachOfMethod(st.method, func(key term.MethodKey, r term.OID) {
-		apps = append(apps, keyResult{key, r})
-	})
-	for _, a := range apps {
-		if !x.matchFactArgs(st, fr, a.key.Args) {
+	for key, r := range s.OfMethod(st.method) {
+		if !x.matchFactArgs(st, fr, key.Args) || !st.result.match(fr, r) {
 			continue
 		}
-		if !st.result.match(fr, a.r) {
-			continue
-		}
-		if err := k(a.key, a.r); err != nil {
-			x.putKRs(apps)
+		if err := k(key, r); err != nil {
 			return err
 		}
 	}
-	x.putKRs(apps)
 	return nil
 }
 
@@ -428,18 +340,14 @@ func (x *executor) execDel(st *cstep, fr []term.OID, k func() error) error {
 		w := term.GVID{Object: st.base.value(fr), Path: st.tpath}
 		return x.delOn(st, fr, w, k)
 	}
-	cands := x.getVIDs()
-	x.base.ForEachVIDWith(st.tpath, term.ExistsMethod, func(g term.GVID) { cands = append(cands, g) })
-	for _, w := range cands {
+	for w := range x.base.VIDsWith(st.tpath, term.ExistsMethod) {
 		if !st.base.match(fr, w.Object) {
 			continue
 		}
 		if err := x.delOn(st, fr, w, k); err != nil {
-			x.putVIDs(cands)
 			return err
 		}
 	}
-	x.putVIDs(cands)
 	return nil
 }
 
@@ -468,18 +376,14 @@ func (x *executor) execMod(st *cstep, fr []term.OID, k func() error) error {
 		w := term.GVID{Object: st.base.value(fr), Path: st.tpath}
 		return x.modOn(st, fr, w, k)
 	}
-	cands := x.getVIDs()
-	x.base.ForEachVIDWith(st.tpath, st.method, func(g term.GVID) { cands = append(cands, g) })
-	for _, w := range cands {
+	for w := range x.base.VIDsWith(st.tpath, st.method) {
 		if !st.base.match(fr, w.Object) {
 			continue
 		}
 		if err := x.modOn(st, fr, w, k); err != nil {
-			x.putVIDs(cands)
 			return err
 		}
 	}
-	x.putVIDs(cands)
 	return nil
 }
 
@@ -490,9 +394,7 @@ func (x *executor) modOn(st *cstep, fr []term.OID, w term.GVID, k func() error) 
 		return nil
 	}
 	return x.matchAppKR(st, fr, vstar, func(key term.MethodKey, r term.OID) error {
-		newResults := x.getOIDs()
-		x.base.ForEachResult(w, key, func(o term.OID) { newResults = append(newResults, o) })
-		for _, rp := range newResults {
+		for rp := range x.base.Results(w, key) {
 			if !st.newResult.match(fr, rp) {
 				continue
 			}
@@ -500,11 +402,9 @@ func (x *executor) modOn(st *cstep, fr []term.OID, w term.GVID, k func() error) 
 				continue
 			}
 			if err := k(); err != nil {
-				x.putOIDs(newResults)
 				return err
 			}
 		}
-		x.putOIDs(newResults)
 		return nil
 	})
 }
@@ -584,17 +484,10 @@ func (x *executor) execNegAny(st *cstep, fr []term.OID, k func() error) error {
 	o := st.base.value(fr)
 	key := x.resolveKey(st.keyStatic, st.key, st.method, st.args, fr)
 	r := st.result.value(fr)
-	found := false
-	x.base.ForEachVIDWithMethod(st.method, func(g term.GVID) {
-		if found || g.Object != o {
-			return
+	for g := range x.base.VIDsWithMethod(st.method) {
+		if g.Object == o && x.base.Has(term.Fact{V: g, Method: key.Method, Args: key.Args, Result: r}) {
+			return nil
 		}
-		if x.base.Has(term.Fact{V: g, Method: key.Method, Args: key.Args, Result: r}) {
-			found = true
-		}
-	})
-	if found {
-		return nil
 	}
 	return k()
 }
@@ -640,12 +533,11 @@ func (x *executor) fire(h *chead, fr []term.OID, onFire func(Update) error) erro
 			return nil
 		}
 		ups := x.ups[:0]
-		x.base.ForEachFactOf(vstar, func(f term.Fact) {
-			if f.IsExists() {
-				return
+		for f := range x.base.FactsOf(vstar) {
+			if !f.IsExists() {
+				ups = append(ups, Update{Kind: term.Del, V: v, Key: f.Key(), R: f.Result})
 			}
-			ups = append(ups, Update{Kind: term.Del, V: v, Key: f.Key(), R: f.Result})
-		})
+		}
 		slices.SortFunc(ups, func(a, b Update) int { return a.compare(b) })
 		x.ups = ups[:0]
 		for _, u := range ups {

@@ -85,19 +85,18 @@ func deltaHead(ob *objectbase.Base) *objectbase.Base {
 	created := term.GVID{Object: term.Sym("created")}
 	old := root.StateOf(changed)
 	ns := old.Clone()
-	done := false
-	old.ForEach(func(k term.MethodKey, r term.OID) {
-		if done || k.Method == term.ExistsMethod {
-			return
+	for k, r := range old.All() {
+		if k.Method == term.ExistsMethod {
+			continue
 		}
-		done = true
 		ns.Remove(k, r)
 		if r.IsNum() {
 			ns.Add(k, term.FromRat(r.Rat().Add(term.Int(1).Rat())))
 		} else {
 			ns.Add(k, term.Sym(r.Name()+"_changed"))
 		}
-	})
+		break
+	}
 	gone := root.StateOf(deleted)
 	head := root.Derive([]objectbase.Change{
 		{V: changed, Old: old, New: ns},

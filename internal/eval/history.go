@@ -93,11 +93,11 @@ type appKey struct {
 
 func stateFacts(b *objectbase.Base, v term.GVID) []term.Fact {
 	var out []term.Fact
-	b.ForEachFactOf(v, func(f term.Fact) {
+	for f := range b.FactsOf(v) {
 		if !f.IsExists() {
 			out = append(out, f)
 		}
-	})
+	}
 	sortFactSlice(out)
 	return out
 }

@@ -1,9 +1,6 @@
 package eval
 
 import (
-	"fmt"
-	"strings"
-
 	"verlog/internal/objectbase"
 	"verlog/internal/term"
 )
@@ -130,65 +127,6 @@ func planLiterals(r term.Rule, est costEstimator) []LiteralPlan {
 		for _, v := range binds(l) {
 			bound[v] = true
 		}
-	}
-	return out
-}
-
-// RulePlan describes how the engine will evaluate one rule's body: the
-// literal order the planner chose, the access path per literal, and, for
-// semi-naive iteration, which positions are delta-seedable.
-type RulePlan struct {
-	Rule string
-	// Literals holds the body literals in evaluation order.
-	Literals []string
-	// Access holds the compiled access path per literal, aligned with
-	// Literals ("" for filters and negations).
-	Access []string
-	// Costs holds the planner's cardinality estimate per literal, aligned
-	// with Literals (0 for filters and bound-base lookups).
-	Costs []int
-	// DeltaLiterals marks, aligned with Literals, the positions semi-naive
-	// iteration seeds from.
-	DeltaLiterals []bool
-}
-
-// String renders the plan compactly.
-func (rp RulePlan) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:\n", rp.Rule)
-	for i, l := range rp.Literals {
-		marker := " "
-		if rp.DeltaLiterals[i] {
-			marker = "Δ"
-		}
-		access := rp.Access[i]
-		if access == "" {
-			access = "-"
-		}
-		fmt.Fprintf(&b, "  %d. %s %-40s %-12s (est %d)\n", i+1, marker, l, access, rp.Costs[i])
-	}
-	return b.String()
-}
-
-// ExplainPlans reports the evaluation order the statistics planner picks
-// for every rule of p against the given base (set static to see the
-// source-order planner instead), with index selectivity folded in exactly
-// as compilation does.
-func ExplainPlans(base *objectbase.Base, p *term.Program, static bool) []RulePlan {
-	est := indexedCost(base)
-	if static {
-		est = staticCost
-	}
-	out := make([]RulePlan, 0, len(p.Rules))
-	for ri, r := range p.Rules {
-		rp := RulePlan{Rule: r.Label(ri)}
-		for _, lp := range planLiterals(r, est) {
-			rp.Literals = append(rp.Literals, lp.Literal)
-			rp.Access = append(rp.Access, lp.Access)
-			rp.Costs = append(rp.Costs, lp.EstRows)
-			rp.DeltaLiterals = append(rp.DeltaLiterals, lp.Delta)
-		}
-		out = append(out, rp)
 	}
 	return out
 }

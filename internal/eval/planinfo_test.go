@@ -1,111 +1,154 @@
 package eval
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"verlog/internal/parser"
 )
 
-func TestExplainPlans(t *testing.T) {
-	ob := mustBase(t, `
+func TestPlanLiterals(t *testing.T) {
+	t.Run("order and kinds", func(t *testing.T) {
+		ob := mustBase(t, `a.isa -> thing. b.isa -> thing. c.isa -> thing. c.rare -> yes.`)
+		p := mustProgram(t, `
+find: ins[X].hit -> R <- X.isa -> thing, X.rare -> R, !X.skip -> yes, R = yes.
+`)
+		lps := PlanLiterals(ob, p.Rules[0])
+		if len(lps) != 4 {
+			t.Fatalf("PlanLiterals = %+v", lps)
+		}
+		// The binding equality runs immediately; then the rare generator with
+		// its index estimate; the isa scan follows bound (0 rows); the negation
+		// runs once X is bound.
+		if lps[0].Kind != KindFilter || lps[0].Source != 3 {
+			t.Errorf("first = %+v", lps[0])
+		}
+		if lps[1].Kind != KindGenerator || !strings.Contains(lps[1].Literal, "rare") || lps[1].EstRows != 2 || lps[1].Source != 1 {
+			t.Errorf("second = %+v", lps[1])
+		}
+		kinds := map[string]int{}
+		for _, lp := range lps {
+			kinds[lp.Kind]++
+		}
+		if kinds[KindGenerator] != 2 || kinds[KindNegation] != 1 || kinds[KindFilter] != 1 {
+			t.Errorf("kinds = %v", kinds)
+		}
+		// Nil base selects the static planner: generators in source order
+		// after the ready equality, isa first.
+		static := PlanLiterals(nil, p.Rules[0])
+		if !strings.Contains(static[1].Literal, "isa") || static[1].Source != 0 {
+			t.Errorf("static second = %+v", static[1])
+		}
+	})
+
+	t.Run("statistics first", func(t *testing.T) {
+		ob := mustBase(t, `
 a.isa -> item / val -> 1.
 b.isa -> item / val -> 2.
 c.isa -> item / val -> 3 / rare -> yes.
 `)
-	p := mustProgram(t, `
+		p := mustProgram(t, `
 find: ins[X].hit -> yes <- X.isa -> item, X.rare -> yes, X.val -> V.
 `)
-	plans := ExplainPlans(ob, p, false)
-	if len(plans) != 1 {
-		t.Fatalf("plans = %v", plans)
-	}
-	rp := plans[0]
-	if rp.Rule != "find" || len(rp.Literals) != 3 {
-		t.Fatalf("plan = %+v", rp)
-	}
-	// Statistics: the rare literal (1 candidate) runs first.
-	if !strings.Contains(rp.Literals[0], "rare") {
-		t.Errorf("statistics plan starts with %q", rp.Literals[0])
-	}
-	if rp.Costs[0] != 2 { // 1 + index count 1
-		t.Errorf("first cost = %d", rp.Costs[0])
-	}
-	// Static: source order, isa first.
-	static := ExplainPlans(ob, p, true)
-	if !strings.Contains(static[0].Literals[0], "isa") {
-		t.Errorf("static plan starts with %q", static[0].Literals[0])
-	}
-	// Rendering includes the estimates.
-	if out := rp.String(); !strings.Contains(out, "find:") || !strings.Contains(out, "(est") {
-		t.Errorf("String = %s", out)
-	}
-}
+		// Statistics: the rare literal (1 candidate) runs first, estimated at
+		// 1 + its index count 1.
+		lps := PlanLiterals(ob, p.Rules[0])
+		if len(lps) != 3 || !strings.Contains(lps[0].Literal, "rare") || lps[0].EstRows != 2 {
+			t.Errorf("statistics plan = %+v", lps)
+		}
+		// Static: source order, isa first.
+		if static := PlanLiterals(nil, p.Rules[0]); !strings.Contains(static[0].Literal, "isa") {
+			t.Errorf("static plan starts with %+v", static[0])
+		}
+	})
 
-func TestExplainPlansDeltaMarkers(t *testing.T) {
-	ob := mustBase(t, `x.isa -> person / parents -> y. y.isa -> person.`)
-	p := mustProgram(t, `
+	t.Run("delta markers", func(t *testing.T) {
+		ob := mustBase(t, `x.isa -> person / parents -> y. y.isa -> person.`)
+		p := mustProgram(t, `
 step: ins[X].anc -> P <- ins(X).isa -> person / anc -> A, A.isa -> person / parents -> P.
 `)
-	rp := ExplainPlans(ob, p, false)[0]
-	deltas := 0
-	for _, d := range rp.DeltaLiterals {
-		if d {
-			deltas++
+		var deltas []string
+		for _, lp := range PlanLiterals(ob, p.Rules[0]) {
+			if lp.Delta {
+				deltas = append(deltas, lp.Literal)
+				if lp.DeltaRows == 0 {
+					t.Errorf("delta-seedable %s has no delta estimate", lp.Literal)
+				}
+			}
+		}
+		if len(deltas) != 2 || !strings.HasPrefix(deltas[0], "ins(X)") || !strings.HasPrefix(deltas[1], "ins(X)") {
+			t.Errorf("delta positions = %v, want the two ins(X) literals", deltas)
+		}
+	})
+}
+
+// TestPlanLiteralsAgreesWithCompiler holds the plan reporter's access choice
+// (literalAccess) to the compiler's (compilePattern, compileDelMod): for
+// every rule of the corpus and of the shipped examples, on its base, each
+// literal PlanLiterals reports has the access of the step compiled for it.
+func TestPlanLiteralsAgreesWithCompiler(t *testing.T) {
+	// One rule per access path, the ones the corpus lacks among them.
+	cases := append(corpus(t), corpusCase{name: "access paths", base: `a.isa -> item / rate@1 -> 10. b.isa -> item / rate@2 -> 20.`, prog: `
+anyscan: ins[X].h -> y <- any(X).isa -> item.
+probearg: ins[X].h -> R <- X.rate@1 -> R.
+proberesult: ins[X].h -> y <- X.isa -> item.
+bound: ins[X].g -> R <- ins(X).h -> R, X.isa -> item, del[X].isa -> item, mod[X].rate@A -> (R, S).
+delscan: ins[X].g -> y <- del[X].isa -> item.
+modscan: ins[X].g -> S <- mod[X].rate@A -> (R, S).
+`})
+	progs, err := filepath.Glob("../../examples/*/update.vlg")
+	if err != nil || len(progs) == 0 {
+		t.Fatalf("no example programs found (%v)", err)
+	}
+	for _, prog := range progs {
+		src, err := os.ReadFile(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := os.ReadFile(filepath.Join(filepath.Dir(prog), "base.vlg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, corpusCase{name: prog, base: string(base), prog: string(src)})
+	}
+	seen := map[string]int{}
+	for _, c := range cases {
+		p, err := parser.Program(c.prog, c.name)
+		if err != nil {
+			continue // a rejection case of the golden corpus
+		}
+		ob := c.ob
+		if ob == nil {
+			if ob, err = parser.ObjectBase(c.base, c.name); err != nil {
+				t.Fatalf("%s: base: %v", c.name, err)
+			}
+		}
+		for ri, r := range p.Rules {
+			cr, err := compileRule(r, indexedCost(ob), nil)
+			if err != nil {
+				continue // an unsafe rule: the compiler refuses it, nothing to agree on
+			}
+			lps := PlanLiterals(ob, r)
+			if len(lps) != len(cr.steps) {
+				t.Fatalf("%s, rule %s: %d literals reported, %d steps compiled", c.name, r.Label(ri), len(lps), len(cr.steps))
+			}
+			for i, lp := range lps {
+				want := ""
+				if lp.Kind == KindGenerator {
+					want = cr.steps[i].acc.name()
+					seen[want]++
+				}
+				if lp.Access != want {
+					t.Errorf("%s, rule %s, %s: reported access %q, compiled %q", c.name, r.Label(ri), lp.Literal, lp.Access, want)
+				}
+			}
 		}
 	}
-	if deltas != 2 { // the two ins(X) literals
-		t.Errorf("delta positions = %v", rp.DeltaLiterals)
-	}
-}
-
-func TestPlanLiterals(t *testing.T) {
-	ob := mustBase(t, `a.isa -> thing. b.isa -> thing. c.isa -> thing. c.rare -> yes.`)
-	p := mustProgram(t, `
-find: ins[X].hit -> R <- X.isa -> thing, X.rare -> R, !X.skip -> yes, R = yes.
-`)
-	lps := PlanLiterals(ob, p.Rules[0])
-	if len(lps) != 4 {
-		t.Fatalf("PlanLiterals = %+v", lps)
-	}
-	// The binding equality runs immediately; then the rare generator with
-	// its index estimate; the isa scan follows bound (0 rows); the negation
-	// runs once X is bound.
-	if lps[0].Kind != KindFilter || lps[0].Source != 3 {
-		t.Errorf("first = %+v", lps[0])
-	}
-	if lps[1].Kind != KindGenerator || !strings.Contains(lps[1].Literal, "rare") || lps[1].EstRows != 2 || lps[1].Source != 1 {
-		t.Errorf("second = %+v", lps[1])
-	}
-	kinds := map[string]int{}
-	for _, lp := range lps {
-		kinds[lp.Kind]++
-	}
-	if kinds[KindGenerator] != 2 || kinds[KindNegation] != 1 || kinds[KindFilter] != 1 {
-		t.Errorf("kinds = %v", kinds)
-	}
-	// Nil base selects the static planner: generators in source order
-	// after the ready equality, isa first.
-	static := PlanLiterals(nil, p.Rules[0])
-	if !strings.Contains(static[1].Literal, "isa") || static[1].Source != 0 {
-		t.Errorf("static second = %+v", static[1])
-	}
-}
-
-// TestPlanLiteralsAgreesWithExplain pins ExplainPlans to its PlanLiterals
-// underpinning: same order, same estimates, same delta markers.
-func TestPlanLiteralsAgreesWithExplain(t *testing.T) {
-	ob := mustBase(t, `x.isa -> person / parents -> y. y.isa -> person.`)
-	p := mustProgram(t, `
-step: ins[X].anc -> P <- ins(X).isa -> person / anc -> A, A.isa -> person / parents -> P.
-`)
-	rp := ExplainPlans(ob, p, false)[0]
-	lps := PlanLiterals(ob, p.Rules[0])
-	if len(lps) != len(rp.Literals) {
-		t.Fatalf("length mismatch: %d vs %d", len(lps), len(rp.Literals))
-	}
-	for i, lp := range lps {
-		if lp.Literal != rp.Literals[i] || lp.EstRows != rp.Costs[i] || lp.Delta != rp.DeltaLiterals[i] {
-			t.Errorf("[%d] PlanLiterals %+v vs RulePlan (%q, %d, %v)",
-				i, lp, rp.Literals[i], rp.Costs[i], rp.DeltaLiterals[i])
+	for _, acc := range []string{AccessLookup, AccessProbeResult, AccessProbeArg, AccessScan, AccessAnyScan} {
+		if seen[acc] == 0 {
+			t.Errorf("no literal compiled to %s: the agreement is not checked there (seen %v)", acc, seen)
 		}
 	}
 }

@@ -402,7 +402,9 @@ r2: mod[o].m -> (b, c) <- ins(trig).on -> yes.
 	eachEvaluator(t, ob, p, func(t *testing.T, result, _ *objectbase.Base) {
 		st := result.StateOf(term.GV(term.Sym("o"), term.Mod))
 		var got []string
-		st.ForEachResult(term.MethodKey{Method: "m"}, func(r term.OID) { got = append(got, r.String()) })
+		for r := range st.Results(term.MethodKey{Method: "m"}) {
+			got = append(got, r.String())
+		}
 		if len(got) != 2 || !st.Has(term.MethodKey{Method: "m"}, term.Sym("b")) || !st.Has(term.MethodKey{Method: "m"}, term.Sym("c")) {
 			t.Errorf("mod(o).m = %v, want {b, c}", got)
 		}

@@ -279,38 +279,6 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-func TestArenaescape(t *testing.T) {
-	const positive = `package x
-func bad(x *executor) []OID {
-	fr := x.getFrame(4)
-	x.saved = fr                // finding: field store
-	cache[k] = append(fr, v)    // finding: append keeps fr's backing array
-	return fr                   // finding: returned past the enumeration
-}`
-	got := analyze(t, Arenaescape, "verlog/internal/x", positive)
-	wantFindings(t, got,
-		"stored into x.saved",
-		"stored into a map/slice element",
-		"is returned")
-
-	const negative = `package x
-func good(x *executor) []OID {
-	fr := x.getFrame(4)
-	fr = append(fr, v)          // growing the tracked buffer is fine
-	out := make([]OID, len(fr))
-	copy(out, fr)               // copying the contents out is the idiom
-	x.putFrame(fr)              // pushing it back is the contract
-	fr = nil                    // unbound: later stores are not findings
-	x.saved = fr
-	buf := m.getVIDs()
-	m.putVIDs(buf)
-	return out
-}`
-	if got := analyze(t, Arenaescape, "verlog/internal/x", negative); len(got) != 0 {
-		t.Fatalf("unexpected findings: %v", got)
-	}
-}
-
 func TestSpecimport(t *testing.T) {
 	const src = `package x
 import (

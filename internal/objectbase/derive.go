@@ -81,11 +81,11 @@ func (b *Base) Derive(changes []Change) *Base {
 		for _, c := range changes {
 			out.states[c.V] = c.New
 		}
-		b.forEachState(func(v term.GVID, s *State) {
+		for v, s := range b.eachState {
 			if _, changed := out.states[v]; !changed {
 				out.states[v] = s
 			}
-		})
+		}
 		for _, c := range changes {
 			if c.New == nil || c.New.Empty() {
 				delete(out.states, c.V)
@@ -185,16 +185,17 @@ func (out *Base) inheritIndexes(root, b *Base, changes []Change) {
 			delete(vs, v)
 		}
 	}
-	visit := func(changed term.GVID, _ *State) {
+	visit := func(changed term.GVID, _ *State) bool {
 		v = changed
 		before, after := root.states[v], out.states[v]
 		if before == after {
-			return
+			return true
 		}
 		methodsMoved(before, after, patch)
 		carried = slices.DeleteFunc(carried, func(pm pathMethod) bool {
 			return pm.Path == v.Path && !before.sameOfMethod(after, pm.Method)
 		})
+		return true
 	}
 	for _, c := range changes {
 		visit(c.V, nil)

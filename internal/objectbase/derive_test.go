@@ -31,7 +31,9 @@ func withSal(head *objectbase.Base, name string, sal int64) objectbase.Change {
 	v := obj(name)
 	old := head.StateOf(v)
 	ns := old.Clone()
-	old.ForEachResult(term.MethodKey{Method: "sal"}, func(r term.OID) { ns.Remove(term.MethodKey{Method: "sal"}, r) })
+	for r := range old.Results(term.MethodKey{Method: "sal"}) {
+		ns.Remove(term.MethodKey{Method: "sal"}, r)
+	}
 	ns.Add(term.MethodKey{Method: "sal"}, term.Int(sal))
 	return objectbase.Change{V: v, Old: old, New: ns}
 }

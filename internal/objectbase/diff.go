@@ -20,16 +20,16 @@ type Diff struct {
 // States the two bases share by pointer are skipped without comparing.
 func Compute(from, to *Base) Diff {
 	var changes []Change
-	to.forEachState(func(v term.GVID, s *State) {
+	for v, s := range to.eachState {
 		if old := from.stateOf(v); old != s {
 			changes = append(changes, Change{V: v, Old: old, New: s})
 		}
-	})
-	from.forEachState(func(v term.GVID, s *State) {
+	}
+	for v, s := range from.eachState {
 		if to.stateOf(v) == nil {
 			changes = append(changes, Change{V: v, Old: s})
 		}
-	})
+	}
 	return DiffChanges(changes)
 }
 
@@ -63,11 +63,11 @@ func ChangedFacts(changes []Change, added, removed func(term.Fact)) {
 			return
 		}
 		apps = apps[:0]
-		s.ForEach(func(k term.MethodKey, r term.OID) {
+		for k, r := range s.All() {
 			if other == nil || !other.Has(k, r) {
 				apps = append(apps, appEntry{key: k, r: r})
 			}
-		})
+		}
 		if len(apps) > 1 {
 			slices.SortFunc(apps, func(a, b appEntry) int {
 				if c := strings.Compare(a.key.Method, b.key.Method); c != 0 {

@@ -1,6 +1,7 @@
 package objectbase
 
 import (
+	"iter"
 	"maps"
 	"sync"
 	"sync/atomic"
@@ -31,12 +32,12 @@ func (p *partition) list(s span) []term.GVID { return p.vids[s.off : s.off+s.n] 
 // each calls fn with the list — its map and its constant — every application
 // of the method in the state belongs to.
 func (p *partition) each(s *State, method string, fn func(m map[term.OID]span, k term.OID)) {
-	s.ForEachOfMethod(method, func(k term.MethodKey, r term.OID) {
+	for k, r := range s.OfMethod(method) {
 		fn(p.byResult, r)
 		if a0, ok := k.Args.First(); ok {
 			fn(p.byArg, a0)
 		}
-	})
+	}
 }
 
 // count makes room for one version's applications of the method.
@@ -156,7 +157,7 @@ func (b *Base) changedOfMethod(v term.GVID, method string) bool {
 // root's index on delta layers.
 func BuildIndex(b *Base) *LiteralIndex {
 	parts := make(map[pathMethod]*partition)
-	b.forEachState(func(v term.GVID, s *State) {
+	for v, s := range b.eachState {
 		s.forEachMethod(func(m string) {
 			pm := pathMethod{Path: v.Path, Method: m}
 			if parts[pm] == nil {
@@ -164,13 +165,13 @@ func BuildIndex(b *Base) *LiteralIndex {
 			}
 			parts[pm].count(s, m)
 		})
-	})
+	}
 	for _, p := range parts {
 		p.alloc()
 	}
-	b.forEachState(func(v term.GVID, s *State) {
+	for v, s := range b.eachState {
 		s.forEachMethod(func(m string) { parts[pathMethod{Path: v.Path, Method: m}].fill(v, s, m) })
-	})
+	}
 	ix := &LiteralIndex{}
 	ix.parts.Store(&parts)
 	return ix
@@ -230,21 +231,25 @@ func (ix *LiteralIndex) part(pm pathMethod) *partition {
 	// merged layers otherwise — not read off the VID index: every carrier's
 	// state is read anyway, and a base nobody has scanned yet is not made to
 	// build one.
-	walk := b.forEachState
+	var walk iter.Seq2[term.GVID, *State] = b.eachState
 	if ix.parent != nil {
-		walk = b.eachOwn
+		walk = func(yield func(term.GVID, *State) bool) { b.eachOwn(yield) }
 	}
-	carriers := func(fn func(v term.GVID, s *State)) {
-		walk(func(v term.GVID, s *State) {
-			if v.Path == pm.Path && s.HasAnyOfMethod(pm.Method) && (ix.parent == nil || b.changedOfMethod(v, pm.Method)) {
-				fn(v, s)
+	carriers := func(yield func(v term.GVID, s *State) bool) {
+		for v, s := range walk {
+			if v.Path == pm.Path && s.HasAnyOfMethod(pm.Method) && (ix.parent == nil || b.changedOfMethod(v, pm.Method)) && !yield(v, s) {
+				return
 			}
-		})
+		}
 	}
 	p := newPartition()
-	carriers(func(_ term.GVID, s *State) { p.count(s, pm.Method) })
+	for _, s := range carriers {
+		p.count(s, pm.Method)
+	}
 	p.alloc()
-	carriers(func(v term.GVID, s *State) { p.fill(v, s, pm.Method) })
+	for v, s := range carriers {
+		p.fill(v, s, pm.Method)
+	}
 	parts := map[pathMethod]*partition{pm: p}
 	if old := ix.parts.Load(); old != nil {
 		maps.Copy(parts, *old)

@@ -3,6 +3,7 @@ package objectbase_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -100,7 +101,7 @@ func liveSet(t *testing.T, h objectbase.Hits) map[term.GVID]bool {
 // head over it: the lazily created literal index (Base.Index double-checks
 // an atomic), its partitions (each built by the first probe that names it,
 // under the index's own lock, and published by copy), the root's deferred
-// VID index behind ForEachVIDWith (the first of the racing readers builds
+// VID index behind VIDsWith (the first of the racing readers builds
 // it, under idxMu — which a partition build never asks for) and plain state
 // reads. Eight readers each start on a
 // different partition and then visit the others while evaluations run on the
@@ -134,7 +135,7 @@ func TestConcurrentIndexSharing(t *testing.T) {
 		flat := b.Clone()
 		pb := probed{base: b, oracle: objectbase.BuildIndex(flat)}
 		for i := 0; i <= 400; i += 10 { // a sample that includes the changed and the created version
-			flat.ForEachFactOf(obj(fmt.Sprintf("e%d", i)), func(f term.Fact) { pb.facts = append(pb.facts, f) })
+			pb.facts = slices.AppendSeq(pb.facts, flat.FactsOf(obj(fmt.Sprintf("e%d", i))))
 		}
 		bases = append(bases, pb)
 	}
@@ -172,10 +173,8 @@ func TestConcurrentIndexSharing(t *testing.T) {
 					builds[key][id] = true
 					mu.Unlock()
 				}
-				seen := 0
-				head.ForEachVIDWith("", "sal", func(term.GVID) { seen++ })
-				if seen != 400 {
-					t.Errorf("ForEachVIDWith sal on the head: got %d vids, want 400", seen)
+				if seen := len(slices.Collect(head.VIDsWith("", "sal"))); seen != 400 {
+					t.Errorf("VIDsWith sal on the head: got %d vids, want 400", seen)
 					return
 				}
 			}

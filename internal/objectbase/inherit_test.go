@@ -77,7 +77,8 @@ func randomChanges(rng *rand.Rand, head *objectbase.Base, n, step int, drawn map
 // VID index).
 func readSome(rng *rand.Rand, head *objectbase.Base, pairs map[[2]string]bool, scan bool) {
 	if scan {
-		head.ForEachVIDWith("", "isa", func(term.GVID) {})
+		for range head.VIDsWith("", "isa") {
+		}
 	}
 	for pm := range pairs {
 		if rng.Intn(2) == 0 {

@@ -27,7 +27,8 @@ func TestInPlaceEditsAnswerLikeARebuild(t *testing.T) {
 			if liveIndex {
 				// The first scan builds the deferred own-layer index and turns
 				// its maintenance eager.
-				ov.ForEachVIDWith(term.PathOf(term.Ins), "sal", func(term.GVID) {})
+				for range ov.VIDsWith(term.PathOf(term.Ins), "sal") {
+				}
 			}
 			model := head.Clone()
 			owned := map[term.GVID]*objectbase.State{}
@@ -39,9 +40,9 @@ func TestInPlaceEditsAnswerLikeARebuild(t *testing.T) {
 					// w appears sharing its object's frozen state.
 					src := head.StateOf(term.GVID{Object: o})
 					ov.SetStateFresh(w, src)
-					src.ForEach(func(k term.MethodKey, r term.OID) {
+					for k, r := range src.All() {
 						model.Insert(term.Fact{V: w, Method: k.Method, Args: k.Args, Result: r})
-					})
+					}
 					continue
 				}
 				st := owned[w]

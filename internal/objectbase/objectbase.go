@@ -26,6 +26,7 @@
 package objectbase
 
 import (
+	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -115,33 +116,38 @@ func (b *Base) ownLen() int {
 	return len(b.states)
 }
 
-// eachOwn calls fn for every own-layer entry, tombstones included.
-func (b *Base) eachOwn(fn func(v term.GVID, s *State)) {
+// eachOwn calls yield for every own-layer entry, tombstones included, until
+// it returns false; it reports whether the walk ran to the end. Every walk
+// of the package has this form, so a walk through several layers stops in
+// whichever layer its caller does.
+func (b *Base) eachOwn(yield func(v term.GVID, s *State) bool) bool {
 	if b.states == nil {
-		b.delta.each(fn)
-		return
+		return b.delta.each(yield)
 	}
 	for v, s := range b.states {
-		fn(v, s)
+		if !yield(v, s) {
+			return false
+		}
 	}
+	return true
 }
 
-// eachOwnWith calls fn for every own-layer version on the path that carries
-// an application of the method: read off the VID index, or — on a layer
-// Derive built, which has none — found by walking the layer.
-func (b *Base) eachOwnWith(path term.Path, method string, fn func(v term.GVID)) {
+// eachOwnWith calls yield for every own-layer version on the path that
+// carries an application of the method: read off the VID index, or — on a
+// layer Derive built, which has none — found by walking the layer.
+func (b *Base) eachOwnWith(path term.Path, method string, yield func(v term.GVID) bool) bool {
 	if b.states == nil {
-		b.delta.each(func(v term.GVID, s *State) {
-			if v.Path == path && s.HasAnyOfMethod(method) {
-				fn(v)
-			}
+		return b.delta.each(func(v term.GVID, s *State) bool {
+			return v.Path != path || !s.HasAnyOfMethod(method) || yield(v)
 		})
-		return
 	}
 	b.ensureVIDIndex()
 	for v := range b.byPathMethod[pathMethod{Path: path, Method: method}] {
-		fn(v)
+		if !yield(v) {
+			return false
+		}
 	}
+	return true
 }
 
 // Freeze marks the base immutable and returns it. A frozen base is safe to
@@ -180,10 +186,11 @@ func (b *Base) Unsettled() []term.GVID {
 // recorded for versions this layer does not shadow.
 func (b *Base) collectUnsettled() []term.GVID {
 	var out []term.GVID
-	b.eachOwn(func(v term.GVID, s *State) {
+	b.eachOwn(func(v term.GVID, s *State) bool {
 		if !s.Empty() && !(v.IsObject() && s.settledFor(v.Object)) {
 			out = append(out, v)
 		}
+		return true
 	})
 	if b.parent != nil {
 		for _, v := range b.parent.Unsettled() {
@@ -287,11 +294,11 @@ func (b *Base) Depth() int { return b.depth }
 func (b *Base) Flatten() *Base {
 	out := New()
 	out.vidStale.Store(true)
-	b.forEachState(func(v term.GVID, s *State) {
+	for v, s := range b.eachState {
 		cp := s.Clone()
 		out.states[v] = cp
 		out.size += cp.Size()
-	})
+	}
 	return out
 }
 
@@ -315,14 +322,10 @@ func (b *Base) stateOf(v term.GVID) *State {
 	return nil
 }
 
-// forEachState calls fn for every effective version state, merging overlay
-// layers (shadowed and tombstoned parent entries are skipped).
-func (b *Base) forEachState(fn func(v term.GVID, s *State)) {
-	live := func(v term.GVID, s *State) {
-		if !s.Empty() {
-			fn(v, s)
-		}
-	}
+// eachState yields every effective version state, merging overlay layers
+// (shadowed and tombstoned parent entries are skipped): an iter.Seq2.
+func (b *Base) eachState(yield func(v term.GVID, s *State) bool) {
+	live := func(v term.GVID, s *State) bool { return s.Empty() || yield(v, s) }
 	if b.parent == nil {
 		b.eachOwn(live)
 		return
@@ -330,30 +333,31 @@ func (b *Base) forEachState(fn func(v term.GVID, s *State)) {
 	if b.parent.parent == nil {
 		// Two layers — every published head — need no shadow set: the own
 		// layer is the shadow.
-		b.eachOwn(live)
-		b.parent.eachOwn(func(v term.GVID, s *State) {
-			if _, hidden := b.own(v); !hidden {
-				live(v, s)
-			}
-		})
+		if b.eachOwn(live) {
+			b.parent.eachOwn(func(v term.GVID, s *State) bool {
+				_, hidden := b.own(v)
+				return hidden || live(v, s)
+			})
+		}
 		return
 	}
 	shadow := make(map[term.GVID]struct{})
 	for bb := b; bb != nil; bb = bb.parent {
-		bb.eachOwn(func(v term.GVID, s *State) {
-			if _, hidden := shadow[v]; !hidden {
-				live(v, s)
-			}
-		})
+		if !bb.eachOwn(func(v term.GVID, s *State) bool {
+			_, hidden := shadow[v]
+			return hidden || live(v, s)
+		}) {
+			return
+		}
 		if bb.parent != nil {
-			bb.eachOwn(func(v term.GVID, _ *State) { shadow[v] = struct{}{} })
+			bb.eachOwn(func(v term.GVID, _ *State) bool { shadow[v] = struct{}{}; return true })
 		}
 	}
 }
 
 // DeferVIDIndex switches the base to deferred VID indexing: subsequent
 // mutations skip byPathMethod maintenance, and the first scan-style reader
-// (ForEachVIDWith and friends) rebuilds the index in a single pass. Only
+// (VIDsWith and friends) rebuilds the index in a single pass. Only
 // root bases defer — overlays keep their per-path override bookkeeping
 // live — and bases that are never scanned never pay for the index at all.
 func (b *Base) DeferVIDIndex() {
@@ -387,8 +391,9 @@ func (b *Base) ensureVIDIndex() {
 		}
 	}
 	clear(b.byPathMethod)
-	b.eachOwn(func(v term.GVID, s *State) {
+	b.eachOwn(func(v term.GVID, s *State) bool {
 		s.forEachMethod(func(m string) { b.addVID(v, m) })
+		return true
 	})
 	b.vidStale.Store(false)
 }
@@ -670,33 +675,45 @@ func (b *Base) RemoveFrom(v term.GVID, st *State, key term.MethodKey, r term.OID
 // with a parent layer and must not be mutated by callers; use Clone first.
 func (b *Base) StateOf(v term.GVID) *State { return b.stateOf(v) }
 
-// ForEachFactOf calls fn for every fact of version v.
-func (b *Base) ForEachFactOf(v term.GVID, fn func(f term.Fact)) {
-	s := b.stateOf(v)
-	if s == nil {
-		return
-	}
-	s.ForEach(func(k term.MethodKey, r term.OID) {
-		fn(term.Fact{V: v, Method: k.Method, Args: k.Args, Result: r})
-	})
+// The iterators below stop at the first yield that returns false, in
+// whichever layer of an overlay chain it comes. Each is an inlinable wrapper
+// over a worker that takes yield, so that the body of a ranging loop stays
+// on its caller's stack.
+
+// FactsOf yields every fact of version v.
+func (b *Base) FactsOf(v term.GVID) iter.Seq[term.Fact] {
+	return func(yield func(term.Fact) bool) { b.factsOf(v, yield) }
 }
 
-// ForEachVIDWith calls fn for every VID with the given path that carries at
-// least one application of the named method. It serves patterns with an
-// unbound version base.
-func (b *Base) ForEachVIDWith(path term.Path, method string, fn func(v term.GVID)) {
-	b.eachOwnWith(path, method, fn)
-	if b.parent == nil {
-		return
-	}
-	if b.overridesByPath[path] == 0 {
-		b.parent.ForEachVIDWith(path, method, fn)
-		return
-	}
-	b.parent.ForEachVIDWith(path, method, func(v term.GVID) {
-		if _, shadowed := b.own(v); !shadowed {
-			fn(v)
+func (b *Base) factsOf(v term.GVID, yield func(term.Fact) bool) {
+	if s := b.stateOf(v); s != nil {
+		for _, e := range s.entries {
+			if !yield(term.Fact{V: v, Method: e.key.Method, Args: e.key.Args, Result: e.r}) {
+				return
+			}
 		}
+	}
+}
+
+// VIDsWith yields every VID with the given path that carries at least one
+// application of the named method. It serves patterns with an unbound
+// version base.
+func (b *Base) VIDsWith(path term.Path, method string) iter.Seq[term.GVID] {
+	return func(yield func(term.GVID) bool) { b.vidsWith(path, method, yield) }
+}
+
+func (b *Base) vidsWith(path term.Path, method string, yield func(term.GVID) bool) bool {
+	switch {
+	case !b.eachOwnWith(path, method, yield):
+		return false
+	case b.parent == nil:
+		return true
+	case b.overridesByPath[path] == 0:
+		return b.parent.vidsWith(path, method, yield)
+	}
+	return b.parent.vidsWith(path, method, func(v term.GVID) bool {
+		_, shadowed := b.own(v)
+		return shadowed || yield(v)
 	})
 }
 
@@ -708,7 +725,7 @@ func (b *Base) ForEachVIDWith(path term.Path, method string, fn func(v term.GVID
 func (b *Base) CountVIDsWith(path term.Path, method string) int {
 	n := 0
 	if b.states == nil {
-		b.eachOwnWith(path, method, func(term.GVID) { n++ })
+		b.eachOwnWith(path, method, func(term.GVID) bool { n++; return true })
 	} else {
 		b.ensureVIDIndex()
 		n = len(b.byPathMethod[pathMethod{Path: path, Method: method}])
@@ -719,16 +736,17 @@ func (b *Base) CountVIDsWith(path term.Path, method string) int {
 	return n
 }
 
-// ForEachVIDWithMethod calls fn for every VID, on any path, that carries
-// at least one application of the named method. It serves the any(...)
-// version wildcard of queries.
-func (b *Base) ForEachVIDWithMethod(method string, fn func(v term.GVID)) {
+// VIDsWithMethod yields every VID, on any path, that carries at least one
+// application of the named method. It serves the any(...) version wildcard.
+func (b *Base) VIDsWithMethod(method string) iter.Seq[term.GVID] {
+	return func(yield func(term.GVID) bool) { b.vidsWithMethod(method, yield) }
+}
+
+func (b *Base) vidsWithMethod(method string, yield func(term.GVID) bool) bool {
 	if b.states == nil {
-		b.delta.each(func(v term.GVID, s *State) {
-			if s.HasAnyOfMethod(method) {
-				fn(v)
-			}
-		})
+		if !b.delta.each(func(v term.GVID, s *State) bool { return !s.HasAnyOfMethod(method) || yield(v) }) {
+			return false
+		}
 	} else {
 		b.ensureVIDIndex()
 		for pm, vs := range b.byPathMethod {
@@ -736,46 +754,49 @@ func (b *Base) ForEachVIDWithMethod(method string, fn func(v term.GVID)) {
 				continue
 			}
 			for v := range vs {
-				fn(v)
+				if !yield(v) {
+					return false
+				}
 			}
 		}
 	}
-	if b.parent == nil {
-		return
+	switch {
+	case b.parent == nil:
+		return true
+	case b.ownLen() == 0:
+		return b.parent.vidsWithMethod(method, yield)
 	}
-	if b.ownLen() == 0 {
-		b.parent.ForEachVIDWithMethod(method, fn)
-		return
-	}
-	b.parent.ForEachVIDWithMethod(method, func(v term.GVID) {
-		if _, shadowed := b.own(v); !shadowed {
-			fn(v)
-		}
+	return b.parent.vidsWithMethod(method, func(v term.GVID) bool {
+		_, shadowed := b.own(v)
+		return shadowed || yield(v)
 	})
 }
 
-// ForEachResult calls fn for each result r with v.method@args -> r in the
-// base.
-func (b *Base) ForEachResult(v term.GVID, key term.MethodKey, fn func(r term.OID)) {
-	if s := b.stateOf(v); s != nil {
-		s.ForEachResult(key, fn)
+// Results yields each result r with v.method@args -> r in the base.
+func (b *Base) Results(v term.GVID, key term.MethodKey) iter.Seq[term.OID] {
+	return func(yield func(term.OID) bool) {
+		if s := b.stateOf(v); s != nil {
+			s.results(key, yield)
+		}
 	}
 }
 
-// ForEachOfMethod calls fn for every application of the named method on v,
-// across argument tuples.
-func (b *Base) ForEachOfMethod(v term.GVID, method string, fn func(key term.MethodKey, r term.OID)) {
-	if s := b.stateOf(v); s != nil {
-		s.ForEachOfMethod(method, fn)
+// OfMethod yields every application of the named method on v, across
+// argument tuples.
+func (b *Base) OfMethod(v term.GVID, method string) iter.Seq2[term.MethodKey, term.OID] {
+	return func(yield func(term.MethodKey, term.OID) bool) {
+		if s := b.stateOf(v); s != nil {
+			s.ofMethod(method, yield)
+		}
 	}
 }
 
 // Versions returns all VIDs carrying facts, sorted.
 func (b *Base) Versions() []term.GVID {
 	out := make([]term.GVID, 0, b.ownLen())
-	b.forEachState(func(v term.GVID, _ *State) {
+	for v := range b.eachState {
 		out = append(out, v)
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
@@ -783,11 +804,11 @@ func (b *Base) Versions() []term.GVID {
 // Objects returns the OIDs of all objects: VIDs with empty path, sorted.
 func (b *Base) Objects() []term.OID {
 	var out []term.OID
-	b.forEachState(func(v term.GVID, _ *State) {
+	for v := range b.eachState {
 		if v.IsObject() {
 			out = append(out, v.Object)
 		}
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
@@ -797,9 +818,9 @@ func (b *Base) Objects() []term.OID {
 // as versions, e.g. freshly inserted ones), sorted.
 func (b *Base) ObjectsWithVersions() []term.OID {
 	seen := map[term.OID]bool{}
-	b.forEachState(func(v term.GVID, _ *State) {
+	for v := range b.eachState {
 		seen[v.Object] = true
-	})
+	}
 	out := make([]term.OID, 0, len(seen))
 	for o := range seen {
 		out = append(out, o)
@@ -813,9 +834,9 @@ func (b *Base) ObjectsWithVersions() []term.OID {
 // prefer it over per-object VersionsOf calls in loops.
 func (b *Base) VersionsByObject() map[term.OID][]term.GVID {
 	out := make(map[term.OID][]term.GVID)
-	b.forEachState(func(v term.GVID, _ *State) {
+	for v := range b.eachState {
 		out[v.Object] = append(out[v.Object], v)
-	})
+	}
 	for _, vs := range out {
 		sort.Slice(vs, func(i, j int) bool { return vs[i].Compare(vs[j]) < 0 })
 	}
@@ -826,11 +847,11 @@ func (b *Base) VersionsByObject() map[term.OID][]term.GVID {
 // deep.
 func (b *Base) VersionsOf(o term.OID) []term.GVID {
 	var out []term.GVID
-	b.forEachState(func(v term.GVID, _ *State) {
+	for v := range b.eachState {
 		if v.Object == o {
 			out = append(out, v)
 		}
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
@@ -838,11 +859,11 @@ func (b *Base) VersionsOf(o term.OID) []term.GVID {
 // Facts returns every fact in the base, sorted for deterministic output.
 func (b *Base) Facts() []term.Fact {
 	out := make([]term.Fact, 0, b.size)
-	b.forEachState(func(v term.GVID, s *State) {
-		s.ForEach(func(k term.MethodKey, r term.OID) {
-			out = append(out, term.Fact{V: v, Method: k.Method, Args: k.Args, Result: r})
-		})
-	})
+	for v, s := range b.eachState {
+		for _, e := range s.entries {
+			out = append(out, term.Fact{V: v, Method: e.key.Method, Args: e.key.Args, Result: e.r})
+		}
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
@@ -852,17 +873,12 @@ func (b *Base) Equal(c *Base) bool {
 	if b.size != c.size {
 		return false
 	}
-	equal := true
-	b.forEachState(func(v term.GVID, s *State) {
-		if !equal {
-			return
+	for v, s := range b.eachState {
+		if t := c.stateOf(v); t == nil || !s.Equal(t) {
+			return false
 		}
-		t := c.stateOf(v)
-		if t == nil || !s.Equal(t) {
-			equal = false
-		}
-	})
-	return equal
+	}
+	return true
 }
 
 // FromFacts builds a base from facts and seeds exists for every object that

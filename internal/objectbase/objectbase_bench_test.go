@@ -70,7 +70,9 @@ func BenchmarkBaseForEachVIDWith(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		base.ForEachVIDWith("", "val", func(term.GVID) { count++ })
+		for range base.VIDsWith("", "val") {
+			count++
+		}
 		if count != 4096 {
 			b.Fatalf("count = %d", count)
 		}

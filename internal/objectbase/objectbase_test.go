@@ -2,6 +2,7 @@ package objectbase
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -49,9 +50,9 @@ func TestSetValuedMethods(t *testing.T) {
 	b.Insert(term.NewFact(v, "parents", term.Sym("bob")))
 	b.Insert(term.NewFact(v, "parents", term.Sym("carol")))
 	var results []string
-	b.ForEachResult(v, term.MethodKey{Method: "parents"}, func(r term.OID) {
+	for r := range b.Results(v, term.MethodKey{Method: "parents"}) {
 		results = append(results, r.String())
-	})
+	}
 	sort.Strings(results)
 	if fmt.Sprint(results) != "[bob carol]" {
 		t.Errorf("results = %v", results)
@@ -90,19 +91,19 @@ func TestForEachVIDWith(t *testing.T) {
 	b.Insert(fact("c", term.PathOf(term.Del), "sal", term.Int(3)))
 	b.Insert(fact("d", term.PathOf(term.Mod), "age", term.Int(4)))
 	var got []string
-	b.ForEachVIDWith(term.PathOf(term.Mod), "sal", func(v term.GVID) {
+	for v := range b.VIDsWith(term.PathOf(term.Mod), "sal") {
 		got = append(got, v.Object.String())
-	})
+	}
 	sort.Strings(got)
 	if fmt.Sprint(got) != "[a b]" {
-		t.Errorf("ForEachVIDWith = %v", got)
+		t.Errorf("VIDsWith = %v", got)
 	}
 	// Removing the last sal fact of a drops it from the index.
 	b.Remove(fact("a", term.PathOf(term.Mod), "sal", term.Int(1)))
 	got = nil
-	b.ForEachVIDWith(term.PathOf(term.Mod), "sal", func(v term.GVID) {
+	for v := range b.VIDsWith(term.PathOf(term.Mod), "sal") {
 		got = append(got, v.Object.String())
-	})
+	}
 	if fmt.Sprint(got) != "[b]" {
 		t.Errorf("after removal = %v", got)
 	}
@@ -133,9 +134,7 @@ func TestSetState(t *testing.T) {
 	if b.Has(fact("x", term.PathOf(term.Mod), "k", term.Int(2))) {
 		t.Errorf("old fact survived replacement")
 	}
-	found := false
-	b.ForEachVIDWith(term.PathOf(term.Mod), "k", func(term.GVID) { found = true })
-	if found {
+	for range b.VIDsWith(term.PathOf(term.Mod), "k") {
 		t.Errorf("index kept dropped method")
 	}
 	// Nil/empty state removes the version.
@@ -304,17 +303,19 @@ func TestForEachFactOfAndOfMethod(t *testing.T) {
 	b.Insert(term.Fact{V: v, Method: "rate", Args: term.EncodeOIDs([]term.OID{term.Int(2)}), Result: term.Int(20)})
 	b.Insert(term.NewFact(v, "other", term.Int(0)))
 	count := 0
-	b.ForEachOfMethod(v, "rate", func(k term.MethodKey, r term.OID) { count++ })
+	for range b.OfMethod(v, "rate") {
+		count++
+	}
 	if count != 2 {
-		t.Errorf("ForEachOfMethod count = %d", count)
+		t.Errorf("OfMethod count = %d", count)
 	}
-	total := 0
-	b.ForEachFactOf(v, func(term.Fact) { total++ })
-	if total != 3 {
-		t.Errorf("ForEachFactOf count = %d", total)
+	if total := len(slices.Collect(b.FactsOf(v))); total != 3 {
+		t.Errorf("FactsOf count = %d", total)
 	}
-	// Unknown version: no calls.
-	b.ForEachFactOf(term.GV(term.Sym("ghost")), func(term.Fact) { t.Errorf("ghost fact") })
+	// Unknown version: nothing.
+	for range b.FactsOf(term.GV(term.Sym("ghost"))) {
+		t.Errorf("ghost fact")
+	}
 }
 
 func TestCollectStats(t *testing.T) {

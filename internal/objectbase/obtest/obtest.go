@@ -7,6 +7,7 @@ package obtest
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 
 	"verlog/internal/objectbase"
@@ -82,22 +83,18 @@ func SameAnswers(a, b *objectbase.Base) error {
 // bases hold facts of; a caller that knows of pairs they no longer hold asks
 // for those.
 func SameScans(a, b *objectbase.Base, path term.Path, method string) error {
-	var va, vb []term.GVID
-	a.ForEachVIDWith(path, method, func(v term.GVID) { va = append(va, v) })
-	b.ForEachVIDWith(path, method, func(v term.GVID) { vb = append(vb, v) })
+	va, vb := slices.Collect(a.VIDsWith(path, method)), slices.Collect(b.VIDsWith(path, method))
 	if !sameVIDs(va, vb) {
-		return fmt.Errorf("ForEachVIDWith(%q, %s): %v vs %v", path, method, va, vb)
+		return fmt.Errorf("VIDsWith(%q, %s): %v vs %v", path, method, va, vb)
 	}
 	if a.Parent() == nil && b.Parent() == nil {
 		if na, nb := a.CountVIDsWith(path, method), b.CountVIDsWith(path, method); na != nb || na != len(va) {
 			return fmt.Errorf("CountVIDsWith(%q, %s): %d vs %d, the scan yields %d", path, method, na, nb, len(va))
 		}
 	}
-	va, vb = nil, nil
-	a.ForEachVIDWithMethod(method, func(v term.GVID) { va = append(va, v) })
-	b.ForEachVIDWithMethod(method, func(v term.GVID) { vb = append(vb, v) })
+	va, vb = slices.Collect(a.VIDsWithMethod(method)), slices.Collect(b.VIDsWithMethod(method))
 	if !sameVIDs(va, vb) {
-		return fmt.Errorf("ForEachVIDWithMethod(%s): %v vs %v", method, va, vb)
+		return fmt.Errorf("VIDsWithMethod(%s): %v vs %v", method, va, vb)
 	}
 	return nil
 }

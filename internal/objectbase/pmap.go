@@ -109,20 +109,24 @@ func (m pmap) without(k term.GVID) pmap {
 	return m
 }
 
-// each calls fn for every entry, in unspecified order.
-func (m pmap) each(fn func(k term.GVID, v *State)) { m.root.each(fn) }
+// each calls yield for every entry, in unspecified order, until it returns
+// false; it reports whether the walk ran to the end.
+func (m pmap) each(yield func(k term.GVID, v *State) bool) bool { return m.root.each(yield) }
 
-func (n *pnode) each(fn func(k term.GVID, v *State)) {
+func (n *pnode) each(yield func(k term.GVID, v *State) bool) bool {
 	if n == nil {
-		return
+		return true
 	}
 	for i := range n.slots {
 		if s := &n.slots[i]; s.child != nil {
-			s.child.each(fn)
-		} else {
-			fn(s.key, s.val)
+			if !s.child.each(yield) {
+				return false
+			}
+		} else if !yield(s.key, s.val) {
+			return false
 		}
 	}
+	return true
 }
 
 // edit returns a copy of n with room for the slot at i: the existing one

@@ -78,11 +78,12 @@ func checkPmap(t *testing.T, what string, m pmap, ref map[term.GVID]*State) {
 		t.Fatalf("%s: found a key never inserted", what)
 	}
 	seen := 0
-	m.each(func(k term.GVID, v *State) {
+	m.each(func(k term.GVID, v *State) bool {
 		seen++
 		if ref[k] != v {
 			t.Fatalf("%s: each yields %s -> %p, want %p", what, k, v, ref[k])
 		}
+		return true
 	})
 	if seen != len(ref) {
 		t.Fatalf("%s: each yields %d entries, want %d", what, seen, len(ref))

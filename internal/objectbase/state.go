@@ -1,6 +1,7 @@
 package objectbase
 
 import (
+	"iter"
 	"slices"
 
 	"verlog/internal/term"
@@ -215,29 +216,42 @@ func (s *State) Remove(key term.MethodKey, result term.OID) bool {
 	return true
 }
 
-// ForEach calls fn for every application in the state. Iteration order is
-// unspecified.
-func (s *State) ForEach(fn func(key term.MethodKey, result term.OID)) {
-	for _, e := range s.entries {
-		fn(e.key, e.r)
-	}
+// All yields every application in the state, in unspecified order.
+func (s *State) All() iter.Seq2[term.MethodKey, term.OID] {
+	return func(yield func(term.MethodKey, term.OID) bool) { s.all(yield) }
 }
 
-// ForEachOfMethod calls fn for every application of the named method,
-// across all argument tuples.
-func (s *State) ForEachOfMethod(method string, fn func(key term.MethodKey, result term.OID)) {
+func (s *State) all(yield func(term.MethodKey, term.OID) bool) {
 	for _, e := range s.entries {
-		if e.key.Method == method {
-			fn(e.key, e.r)
+		if !yield(e.key, e.r) {
+			return
 		}
 	}
 }
 
-// ForEachResult calls fn for every result of the exact method key.
-func (s *State) ForEachResult(key term.MethodKey, fn func(result term.OID)) {
+// OfMethod yields every application of the named method, across all
+// argument tuples.
+func (s *State) OfMethod(method string) iter.Seq2[term.MethodKey, term.OID] {
+	return func(yield func(term.MethodKey, term.OID) bool) { s.ofMethod(method, yield) }
+}
+
+func (s *State) ofMethod(method string, yield func(term.MethodKey, term.OID) bool) {
 	for _, e := range s.entries {
-		if e.key == key {
-			fn(e.r)
+		if e.key.Method == method && !yield(e.key, e.r) {
+			return
+		}
+	}
+}
+
+// Results yields every result of the exact method key.
+func (s *State) Results(key term.MethodKey) iter.Seq[term.OID] {
+	return func(yield func(term.OID) bool) { s.results(key, yield) }
+}
+
+func (s *State) results(key term.MethodKey, yield func(term.OID) bool) {
+	for _, e := range s.entries {
+		if e.key == key && !yield(e.r) {
+			return
 		}
 	}
 }

@@ -35,15 +35,15 @@ func checkModel(t *testing.T, s *State, ref map[appEntry]bool) {
 		t.Fatalf("Size %d, Empty %v; the model holds %d", s.Size(), s.Empty(), len(ref))
 	}
 	seen := map[appEntry]bool{}
-	s.ForEach(func(k term.MethodKey, r term.OID) {
+	for k, r := range s.All() {
 		e := appEntry{k, r}
 		if seen[e] || !ref[e] {
-			t.Fatalf("ForEach yields %v twice or outside the model", e)
+			t.Fatalf("All yields %v twice or outside the model", e)
 		}
 		seen[e] = true
-	})
+	}
 	if len(seen) != len(ref) {
-		t.Fatalf("ForEach yields %d applications, the model holds %d", len(seen), len(ref))
+		t.Fatalf("All yields %d applications, the model holds %d", len(seen), len(ref))
 	}
 	if (s.pos != nil) != (len(s.entries) > stateIndexThreshold) {
 		t.Fatalf("%d entries with index %v, want an index exactly past %d", len(s.entries), s.pos != nil, stateIndexThreshold)
@@ -78,14 +78,14 @@ func checkModel(t *testing.T, s *State, ref map[appEntry]bool) {
 	}
 	for _, m := range modelMethods {
 		n := 0
-		s.ForEachOfMethod(m, func(k term.MethodKey, r term.OID) {
+		for k, r := range s.OfMethod(m) {
 			if k.Method != m || !ref[appEntry{k, r}] {
-				t.Fatalf("ForEachOfMethod(%q) yields %v -> %v", m, k, r)
+				t.Fatalf("OfMethod(%q) yields %v -> %v", m, k, r)
 			}
 			n++
-		})
+		}
 		if n != methods[m] || s.HasAnyOfMethod(m) != (n > 0) {
-			t.Fatalf("ForEachOfMethod(%q) yields %d, HasAnyOfMethod %v; the model holds %d", m, n, s.HasAnyOfMethod(m), methods[m])
+			t.Fatalf("OfMethod(%q) yields %d, HasAnyOfMethod %v; the model holds %d", m, n, s.HasAnyOfMethod(m), methods[m])
 		}
 	}
 }
@@ -103,14 +103,14 @@ func probe(t *testing.T, s *State, ref map[appEntry]bool, e appEntry) {
 		}
 	}
 	n := 0
-	s.ForEachResult(e.key, func(r term.OID) {
+	for r := range s.Results(e.key) {
 		if !ref[appEntry{e.key, r}] {
-			t.Fatalf("ForEachResult(%v) yields %v outside the model", e.key, r)
+			t.Fatalf("Results(%v) yields %v outside the model", e.key, r)
 		}
 		n++
-	})
+	}
 	if n != want || s.HasMethod(e.key) != (want > 0) {
-		t.Fatalf("ForEachResult(%v) yields %d, HasMethod %v; the model holds %d", e.key, n, s.HasMethod(e.key), want)
+		t.Fatalf("Results(%v) yields %d, HasMethod %v; the model holds %d", e.key, n, s.HasMethod(e.key), want)
 	}
 }
 
@@ -309,7 +309,8 @@ func TestStateConcurrentReads(t *testing.T) {
 				e := probes[(g+i)%len(probes)]
 				frozen.Has(e.key, e.r)
 				frozen.HasMethod(e.key)
-				frozen.ForEachResult(e.key, func(term.OID) {})
+				for range frozen.Results(e.key) {
+				}
 				frozen.forEachMethod(func(string) {})
 				frozen.sameOfMethod(want, e.key.Method)
 				methodsMoved(frozen, want, func(string, bool) {})

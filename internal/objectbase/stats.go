@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"verlog/internal/term"
 )
 
 // MethodStat summarizes one method's population in a base.
@@ -33,7 +31,7 @@ type Stats struct {
 func CollectStats(b *Base) Stats {
 	s := Stats{Facts: b.Size()}
 	perMethod := map[string]*MethodStat{}
-	b.forEachState(func(v term.GVID, st *State) {
+	for v, st := range b.eachState {
 		s.Versions++
 		if v.IsObject() {
 			s.Objects++
@@ -42,7 +40,7 @@ func CollectStats(b *Base) Stats {
 			s.MaxDepth = v.Path.Len()
 		}
 		seen := map[string]bool{}
-		st.ForEach(func(k term.MethodKey, _ term.OID) {
+		for k := range st.All() {
 			ms, ok := perMethod[k.Method]
 			if !ok {
 				ms = &MethodStat{Method: k.Method}
@@ -53,8 +51,8 @@ func CollectStats(b *Base) Stats {
 				seen[k.Method] = true
 				ms.Versions++
 			}
-		})
-	})
+		}
+	}
 	for _, ms := range perMethod {
 		s.Methods = append(s.Methods, *ms)
 	}

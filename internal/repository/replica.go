@@ -290,9 +290,8 @@ func (r *Repository) FenceSeq(since uint64) (fence int, ok bool) {
 
 // loadEpoch reads the persisted epoch and its adoption history (epoch 1
 // with no history when the file is absent, as in every repository that
-// predates replication). Each line is "<epoch> <seq>"; a bare "<epoch>"
-// line (the format before adoption seqs existed) is read as adopted at
-// seq 0, the conservative fence.
+// predates replication). Each line is "<epoch> <seq>", epochs growing;
+// any other line makes the file corrupt.
 func (r *Repository) loadEpoch() (uint64, []EpochMark, error) {
 	data, err := r.fs.ReadFile(filepath.Join(r.dir, epochFile))
 	if errors.Is(err, os.ErrNotExist) {
@@ -309,15 +308,16 @@ func (r *Repository) loadEpoch() (uint64, []EpochMark, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		e, err := strconv.ParseUint(fields[0], 10, 64)
-		if err != nil || e == 0 || e < epoch || len(fields) > 2 {
+		if len(fields) != 2 {
 			return 0, nil, fmt.Errorf("repository: corrupt epoch file line %q", line)
 		}
-		seq := 0
-		if len(fields) == 2 {
-			if seq, err = strconv.Atoi(fields[1]); err != nil || seq < 0 {
-				return 0, nil, fmt.Errorf("repository: corrupt epoch file line %q", line)
-			}
+		e, err := strconv.ParseUint(fields[0], 10, 64)
+		if err != nil || e == 0 || e < epoch {
+			return 0, nil, fmt.Errorf("repository: corrupt epoch file line %q", line)
+		}
+		seq, err := strconv.Atoi(fields[1])
+		if err != nil || seq < 0 {
+			return 0, nil, fmt.Errorf("repository: corrupt epoch file line %q", line)
 		}
 		epoch = e
 		hist = append(hist, EpochMark{Epoch: e, Seq: seq})

@@ -3,6 +3,9 @@ package repository
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -259,6 +262,37 @@ func TestEpochFencing(t *testing.T) {
 	// The adoption history survives reopen, so fences do too.
 	if fence, ok := reopened.FenceSeq(1); !ok || fence != 7 {
 		t.Fatalf("FenceSeq(1) after reopen = %d, %v; want 7", fence, ok)
+	}
+}
+
+// TestEpochFileRefusesOtherLines: an epoch file holds "<epoch> <seq>"
+// lines with growing epochs. A bare "<epoch>" line, an epoch lower than the
+// one before it and a seq that is not a number each make Open fail, naming
+// the line, and leave the file as it was; a valid history loads.
+func TestEpochFileRefusesOtherLines(t *testing.T) {
+	dir := t.TempDir() + "/repo"
+	replTestInit(t, dir)
+	path := filepath.Join(dir, epochFile)
+	for _, bad := range []string{"3\n", "2 0\n4\n", "3 7\n2 9\n", "3 seven\n"} {
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt epoch file line") {
+			t.Errorf("epoch file %q: Open = %v, want a corrupt epoch file line", bad, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != bad {
+			t.Errorf("epoch file %q reads %q after the refused Open (%v)", bad, got, err)
+		}
+	}
+	if err := os.WriteFile(path, []byte("3 7\n5 11\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatalf("a valid epoch file: %v", err)
+	}
+	if fence, ok := r.FenceSeq(3); r.Epoch() != 5 || !ok || fence != 11 {
+		t.Errorf("epoch %d, FenceSeq(3) = %d, %v; want 5, 11, true", r.Epoch(), fence, ok)
 	}
 }
 

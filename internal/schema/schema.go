@@ -141,23 +141,22 @@ func (s *Schema) Check(base *objectbase.Base, opts Options) []Violation {
 	for _, o := range base.Objects() {
 		v := term.GVID{Object: o}
 		var classes []string
-		base.ForEachResult(v, term.MethodKey{Method: "isa"}, func(r term.OID) {
+		for r := range base.Results(v, term.MethodKey{Method: "isa"}) {
 			if r.Sort() == term.SortSym {
 				if _, ok := s.classes[r.Name()]; ok {
 					classes = append(classes, r.Name())
 				}
 			}
-		})
+		}
 		if len(classes) == 0 {
 			continue
 		}
 		sort.Strings(classes)
-		base.ForEachFactOf(v, func(f term.Fact) {
-			if f.Method == term.ExistsMethod || f.Method == "isa" {
-				return
+		for f := range base.FactsOf(v) {
+			if f.Method != term.ExistsMethod && f.Method != "isa" {
+				out = append(out, s.checkApp(base, classes, f, opts)...)
 			}
-			out = append(out, s.checkApp(base, classes, f, opts)...)
-		})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
@@ -252,11 +251,11 @@ func populatedMethods(base *objectbase.Base, class string) map[string]bool {
 		if !base.Has(term.NewFact(v, "isa", term.Sym(class))) {
 			continue
 		}
-		base.ForEachFactOf(v, func(f term.Fact) {
+		for f := range base.FactsOf(v) {
 			if f.Method != term.ExistsMethod && f.Method != "isa" {
 				out[f.Method] = true
 			}
-		})
+		}
 	}
 	return out
 }

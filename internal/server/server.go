@@ -1217,11 +1217,11 @@ func (s *Server) handleExplainVersion(t *tenant.Tenant, w http.ResponseWriter, r
 	// version is the one that renders as vid: read it back, look it up.
 	var facts []term.Fact
 	if v := parseVID(vid); v.String() == vid {
-		res.Result.ForEachFactOf(v, func(f term.Fact) {
+		for f := range res.Result.FactsOf(v) {
 			if f.Method == method {
 				facts = append(facts, f)
 			}
-		})
+		}
 	}
 	if len(facts) == 0 {
 		writeErrorCode(w, r, http.StatusNotFound, CodeNotFound,
