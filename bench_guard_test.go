@@ -403,6 +403,37 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		},
 		bytesExp: 0.15,
 	}, {
+		// A bulk commit pays for what it changes and for nothing per change
+		// besides: the states of the raised employees, Derive's new root and
+		// one journal record, its diff rendered from the changed states
+		// straight into the record. The list of changes is working memory the
+		// commit before it left (measured: 376-417 B per changed employee;
+		// 465-502 B when every commit buys its list and renders its diff three
+		// times).
+		name:  "committed bulk raise",
+		sizes: []int{500, 1500, 4500}, // employees; x is the changed objects
+		reps:  4,
+		prepare: func(t *testing.T, n int) func() int {
+			r, err := repository.Init(t.TempDir()+"/repo", workload.EnterpriseSpec{Employees: n, Seed: 1}.ObjectBase())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { r.Close() })
+			p, err := ParseProgram(workload.BulkRaiseProgram)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() int {
+				_, e, _, err := r.ApplyKey(p, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return strings.Count(string(e.Added), ";") + 1 // a raised salary per changed employee
+			}
+		},
+		bytesExp:  1.1,
+		bytesPerX: 440,
+	}, {
 		// A one-object update through repository.Apply and the first boss
 		// probe of the head it publishes cost the same on any base. The
 		// largest head outgrows its delta layer and flattens twice in the

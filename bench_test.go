@@ -120,10 +120,11 @@ func BenchmarkE4Ancestors(b *testing.B) {
 // workload: the ancestors program on a frozen head that already holds the
 // closure (3 roots × 8 generations, 765 persons), cached plans. Everything
 // fires, nothing changes. "commit" is the evaluation every server apply
-// runs: no trace, and no result(P) (core.WithDropResult), its fixpoint built
-// in the working memory the run before it left. "apply" keeps result(P), as
-// verlog.Apply does; "replay" adds the trace, which is what history and
-// explain pay, once per state they are asked about (Repository.Replay).
+// runs: no trace, and no result(P) (core.WithDropResult), its fixpoint and
+// its change list built in the working memory the run before it left.
+// "apply" keeps result(P), as verlog.Apply does; "replay" adds the trace,
+// which is what history and explain pay, once per state they are asked
+// about (Repository.Replay).
 func BenchmarkE24ClosedClosure(b *testing.B) {
 	p := mustParseProgram(b, workload.AncestorsProgram)
 	spec := workload.GenealogySpec{Generations: 8, Branching: 2, Roots: 3}
@@ -149,6 +150,7 @@ func BenchmarkE24ClosedClosure(b *testing.B) {
 					b.Fatalf("fired %d, trace %d, changes %d; want %d, %d, 0",
 						res.Fired, len(res.Trace), len(res.Changes), spec.AncestorPairs(), c.trace)
 				}
+				res.Release() // as the commit does once its record is written
 			}
 		})
 	}

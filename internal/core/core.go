@@ -51,7 +51,8 @@ func WithSpan(sp *obs.Span) Option { return func(e *Engine) { e.opts.Span = sp }
 
 // WithDropResult says the caller will not read result(P): Result.Result is
 // nil, and the evaluation builds its fixpoint in working memory the next
-// evaluation reuses (eval.Options.DropResult). The repository's commit sets
+// evaluation reuses (eval.Options.DropResult); Result.Changes lives there
+// too, until Result.Release gives it back. The repository's commit sets
 // it, and nothing else that ships (verlog-lint's dropresult check): a
 // caller that wants result(P) runs without it, or replays the apply.
 func WithDropResult() Option { return func(e *Engine) { e.opts.DropResult = true } }

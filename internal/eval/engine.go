@@ -43,9 +43,10 @@ type Options struct {
 	// DropResult says the caller will not read result(P): Result.Result is
 	// nil, and the own layer of the overlay the fixpoint is built in is the
 	// run's working memory (see scratch), emptied when the run ends. Final,
-	// Changes, the counters and the trace are what they are without it. A
-	// commit sets it; whoever reads result(P) — history, explain, the CLI —
-	// leaves it unset.
+	// the counters and the trace are what they are without it. Changes is
+	// the working memory's too, lent to the Result until Result.Release
+	// gives it back. A commit sets it; whoever reads result(P) — history,
+	// explain, the CLI — leaves it unset.
 	DropResult bool
 }
 
@@ -149,6 +150,8 @@ type Result struct {
 	// and Final, each with its old and new state — the update as a delta.
 	// objectbase.DiffChanges turns it into the fact-level diff (and sorts
 	// it by version, as does anything else that walks it in diff order).
+	// Under Options.DropResult it is the run's working memory, valid until
+	// Release.
 	Changes []objectbase.Change
 	// Assignment is the stratification used.
 	Assignment *strata.Assignment
@@ -168,6 +171,23 @@ type Result struct {
 	// Stats holds per-stage timings for this run; layers above eval add
 	// their own stages (see Stats).
 	Stats Stats
+	// lent is the working memory Changes lives in, held from the run until
+	// Release parks it; nil unless Options.DropResult was set.
+	lent *scratch
+}
+
+// Release gives the working memory a run under Options.DropResult lent its
+// Changes back to the next run, and sets Changes to nil: the caller is done
+// with the changed states. It is the commit's to call, once the record is
+// written; a result it is not called on leaves its working memory to the
+// collector, and the next run buys its own. On any other result it does
+// nothing.
+func (res *Result) Release() {
+	if res.lent == nil {
+		return
+	}
+	res.lent.park()
+	res.lent, res.Changes = nil, nil
 }
 
 // LinearityError reports a violation of version-linearity (Section 5): two
@@ -237,12 +257,14 @@ type engine struct {
 // zero scratch, which is ready to use: there is one code path, and how old
 // the storage is shows nowhere but in the allocation count.
 //
-// Nothing a run returns may point into it: Result.Trace holds copies of the
-// updates (buildTrace), the errors carry values, and Changes is finalize's
-// own slice. result(P) is the overlay base: its own layer is the run's when
-// the caller keeps result(P), and the scratch's (layer) when it does not
-// (Options.DropResult) — a run then returns no result(P), and Final and
-// Changes hold the overlay's states by pointer, never its maps.
+// Nothing a run returns may point into it once it is parked: Result.Trace
+// holds copies of the updates (buildTrace), the errors carry values, and
+// Changes is finalize's own slice. result(P) is the overlay base: its own
+// layer is the run's when the caller keeps result(P), and the scratch's
+// (layer) when it does not (Options.DropResult) — a run then returns no
+// result(P), Final holds the overlay's states by pointer, never its maps,
+// and Changes is the scratch's (changes), so the Result holds the scratch,
+// unparked, until Release.
 type scratch struct {
 	// objs is the one table of the objects the run touches: those the input
 	// base lists as unsettled, and every object some fired update targets.
@@ -291,6 +313,10 @@ type scratch struct {
 	// and the run after it into the same storage. A run that keeps result(P)
 	// leaves them empty.
 	layer objectbase.Layer
+	// changes is the list finalize writes a run's changes into when it
+	// returns no result(P) (Options.DropResult): the Result lends it as
+	// Changes until Release. A run that keeps result(P) leaves it empty.
+	changes []objectbase.Change
 	// objsMost, spillMost and the three after them are the most entries the
 	// maps have held since they were made (see emptied).
 	objsMost, spillMost                  int
@@ -395,6 +421,7 @@ func (sc *scratch) empty() {
 	sc.dirty = trimmed(sc.dirty)
 	sc.tasks = trimmed(sc.tasks)
 	sc.stats = trimmed(sc.stats)
+	sc.changes = trimmed(sc.changes)
 	clear(sc.buckets[sc.bucketsUsed:])
 	sc.buckets, sc.bucketsUsed = sc.buckets[:sc.bucketsUsed], 0
 	for _, b := range sc.buckets {
@@ -700,14 +727,19 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	res.Stats.Stratify = stratifyDur
 	// The evaluation writes into the scratch the last one parked and parks it
 	// again once nothing reads it any more — after buildTrace and ruleStats,
-	// on a refusal as on a result. A panic passes the park by: a scratch
-	// abandoned half-way is in no state to hand on, and the collector has it.
+	// on a refusal as on a result, and, on a result whose Changes it lends,
+	// at Release. A panic passes the park by: a scratch abandoned half-way is
+	// in no state to hand on, and the collector has it.
 	e := newEngine(ob, p, compiled, opts, takeScratch())
 	e.x.params = params
-	err := e.evaluate(res, evalStart)
-	e.park()
-	if err != nil {
+	if err := e.evaluate(res, evalStart); err != nil {
+		e.park()
 		return nil, err
+	}
+	if opts.DropResult {
+		res.lent = e.scratch
+	} else {
+		e.park()
 	}
 	return res, nil
 }
@@ -1493,6 +1525,9 @@ func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 // shared with the input (see objectbase.Derive).
 func (e *engine) finalize() (*objectbase.Base, []objectbase.Change) {
 	var changes []objectbase.Change
+	if e.opts.DropResult {
+		changes = e.changes[:0] // the scratch's, lent to the Result
+	}
 	left := len(e.objs)
 	for o, rec := range e.objs {
 		left--
@@ -1510,10 +1545,10 @@ func (e *engine) finalize() (*objectbase.Base, []objectbase.Change) {
 		} else if old == nil {
 			continue
 		}
-		if changes == nil {
-			// Sized at the first object that did change: an apply that
-			// changes nothing reserves nothing, one that changes everything
-			// it touched allocates once.
+		if len(changes) == 0 && cap(changes) <= left {
+			// Sized at the first object that did change, unless the lent list
+			// holds them all: an apply that changes nothing reserves nothing,
+			// one that changes everything it touched allocates once at most.
 			changes = make([]objectbase.Change, 0, left+1)
 		}
 		changes = append(changes, objectbase.Change{V: obj, Old: old, New: ns})
@@ -1523,6 +1558,9 @@ func (e *engine) finalize() (*objectbase.Base, []objectbase.Change) {
 		if !v.IsObject() {
 			changes = append(changes, objectbase.Change{V: v, Old: e.p0.StateOf(v)})
 		}
+	}
+	if e.opts.DropResult {
+		e.changes = changes
 	}
 	return e.p0.Derive(changes), changes
 }

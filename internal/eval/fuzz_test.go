@@ -43,12 +43,17 @@ func checkCommitted(ob *objectbase.Base, p *term.Program, src string, res *Resul
 		other = fuzzSeeds[(len(src)+1)%len(fuzzSeeds)]
 	}
 	if op, err := parser.Program(other, "other.vlg"); err == nil {
-		Run(ob, op, opts) // whatever it makes of it, it leaves the scratch
+		// Whatever it makes of it, it leaves the scratch: at once on a
+		// refusal, at Release on a result.
+		if res, err := Run(ob, op, opts); err == nil {
+			res.Release()
+		}
 	}
 	got, err := Run(ob, p, opts)
 	if err != nil {
 		return fmt.Errorf("through the commit path: %v", err)
 	}
+	defer got.Release()
 	if got.Result != nil {
 		return errors.New("the commit path returned result(P)")
 	}

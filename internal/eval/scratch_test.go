@@ -127,6 +127,7 @@ func (sc *scratch) checkEmpty() error {
 		"dirty":   len(sc.dirty) == 0 && allZero(sc.dirty),
 		"tasks":   len(sc.tasks) == 0 && allZero(sc.tasks),
 		"stats":   len(sc.stats) == 0 && allZero(sc.stats),
+		"changes": len(sc.changes) == 0 && allZero(sc.changes),
 		"buckets": sc.bucketsUsed == 0 && allZero(sc.buckets[len(sc.buckets):]),
 	} {
 		if !ok {
@@ -220,10 +221,13 @@ func TestResultOwesNothingToTheScratch(t *testing.T) {
 // TestDroppedResultOwesNothingToTheScratch: the corpus again, through the
 // commit path (Options.DropResult), where the maps of result(P)'s own layer
 // are the scratch's as well and the runs after each one clear them and fill
-// them anew. Every kept Final, Changes and Fired renders at the end as it did
-// when its run returned — ob' and the changes hold the overlay's states by
-// pointer, never its maps — and as the run that keeps result(P) renders it.
-// No such run returns a result(P).
+// them anew. Changes is the scratch's too: the run lends it, holding the
+// scratch unparked, and it must list what the run that keeps result(P)
+// lists; Release parks the scratch with the list cleared and takes Changes
+// back. Every kept Final and Fired renders at the end as it did when its
+// run returned — ob' holds the overlay's states by pointer, never its maps —
+// and as the run that keeps result(P) renders it. No such run returns a
+// result(P).
 func TestDroppedResultOwesNothingToTheScratch(t *testing.T) {
 	collectorOff(t)
 	type kept struct {
@@ -231,17 +235,40 @@ func TestDroppedResultOwesNothingToTheScratch(t *testing.T) {
 		ob       *objectbase.Base
 		p        *term.Program
 		res      *Result
-		rendered string
+		rendered string // with the changes it lent
+		released string // after Release, without them
 	}
 	var all []kept
 	var slot *scratch
-	lent := false // some run left the maps of its own layer in the scratch
+	lent := false   // some run left the maps of its own layer in the scratch
+	reused := false // some run wrote its changes into a list a run before it left
 	opts := Options{DropResult: true, MaxIterations: 200}
 	for _, c := range corpus(t) {
 		t.Run(c.name, func(t *testing.T) {
 			ob, p := c.parse(t)
 			ob.Freeze()
+			var left []objectbase.Change // the list the run before this one left
+			if prev := parkedScratch(); prev != nil {
+				left = prev.changes[:cap(prev.changes)]
+			}
 			res, err := Run(ob, p, opts)
+			var rendered, released string
+			if err == nil {
+				if parkedScratch() != nil || res.lent == nil {
+					t.Fatal("the run parked the scratch its result lends Changes from")
+				}
+				if res.Result != nil {
+					t.Fatal("a run that drops result(P) returned one")
+				}
+				reused = reused || len(res.Changes) > 0 && len(left) > 0 && &res.Changes[0] == &left[0]
+				rendered = renderRun(res)
+				res.Release()
+				if res.Changes != nil || res.lent != nil {
+					t.Fatal("Release left the result its changes")
+				}
+				res.Release() // a second Release does nothing
+				released = renderRun(res)
+			}
 			sc := parkedScratch()
 			if sc == nil {
 				t.Fatal("the run parked no scratch")
@@ -257,10 +284,7 @@ func TestDroppedResultOwesNothingToTheScratch(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if res.Result != nil {
-				t.Fatal("a run that drops result(P) returned one")
-			}
-			all = append(all, kept{c.name, ob, p, res, renderRun(res)})
+			all = append(all, kept{c.name, ob, p, res, rendered, released})
 		})
 	}
 	if len(all) < 30 {
@@ -269,9 +293,12 @@ func TestDroppedResultOwesNothingToTheScratch(t *testing.T) {
 	if !lent {
 		t.Fatal("no run left the maps of its own layer in the scratch")
 	}
+	if !reused {
+		t.Fatal("no run wrote its changes into the list a run before it left")
+	}
 	for _, k := range all {
-		if got := renderRun(k.res); got != k.rendered {
-			t.Errorf("%s: the result changed after its run returned:\n%s\n--- was ---\n%s", k.name, got, k.rendered)
+		if got := renderRun(k.res); got != k.released {
+			t.Errorf("%s: the result changed after its run returned:\n%s\n--- was ---\n%s", k.name, got, k.released)
 		}
 		kept, err := Run(k.ob, k.p, Options{MaxIterations: opts.MaxIterations})
 		if err != nil {

@@ -49,8 +49,8 @@ func DiffChanges(changes []Change) Diff {
 // version, method, arguments, result). When the changes are those a base
 // was derived with, the two sequences equal Compute(base, derived) at the
 // cost of the changed states alone — which is how a commit writes its
-// journal record without building a Diff. changes is sorted by version in
-// place.
+// journal record without building a Diff. A nil added or removed skips its
+// side. changes is sorted by version in place.
 func ChangedFacts(changes []Change, added, removed func(term.Fact)) {
 	byVersion := func(a, b Change) int { return a.V.Compare(b.V) }
 	if !slices.IsSortedFunc(changes, byVersion) {
@@ -59,7 +59,7 @@ func ChangedFacts(changes []Change, added, removed func(term.Fact)) {
 	var apps []appEntry
 	// only emits the applications of s that other lacks, sorted.
 	only := func(v term.GVID, s, other *State, emit func(term.Fact)) {
-		if s == nil {
+		if s == nil || emit == nil {
 			return
 		}
 		apps = apps[:0]

@@ -15,6 +15,7 @@ import (
 	"verlog/internal/core"
 	"verlog/internal/eval"
 	"verlog/internal/fsio"
+	"verlog/internal/objectbase"
 	"verlog/internal/obs"
 	"verlog/internal/parser"
 	"verlog/internal/term"
@@ -757,12 +758,23 @@ func TestQueryRowsBesideCommittedApplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < applies; i++ {
-		res, err := r.Apply(p)
+		before, _ := r.Head()
+		res, entry, _, err := r.ApplyKey(p, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Result != nil || len(res.Changes) != n {
-			t.Fatalf("apply %d: result(P) returned %v, %d objects changed (want none, %d)", i, res.Result != nil, len(res.Changes), n)
+		if res.Result != nil || res.Changes != nil {
+			t.Fatalf("apply %d returned result(P) %v, changes %v; want neither", i, res.Result != nil, res.Changes != nil)
+		}
+		// Every employee's salary changed: the journaled diff says so, and
+		// it is what the two heads differ by.
+		d, err := entry.diff()
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, _ := r.Head()
+		if want := objectbase.Compute(before, after); len(d.Added) != n || !slices.Equal(d.Added, want.Added) || !slices.Equal(d.Removed, want.Removed) {
+			t.Fatalf("apply %d journaled +%v -%v; the heads differ by +%v -%v (want %d changed salaries)", i, d.Added, d.Removed, want.Added, want.Removed, n)
 		}
 	}
 	close(done)

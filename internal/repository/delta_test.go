@@ -25,14 +25,29 @@ import (
 // generic Finalize, Compute over both bases, a flat deep copy, a journal
 // replay from disk — after every single apply.
 
-// checkedApply applies p and verifies the commit against its oracles. It
-// returns the apply's own error (rejected programs are part of the corpus).
-func checkedApply(t *testing.T, r *Repository, p *term.Program, what string) error {
+// checkedApply applies p under key and verifies the commit against its
+// oracles. It returns the apply's own error (rejected programs are part of
+// the corpus).
+func checkedApply(t *testing.T, r *Repository, p *term.Program, key, what string) error {
 	t.Helper()
 	before, _ := r.Head()
-	res, entry, _, err := r.ApplyKey(p, "")
+	journal := filepath.Join(r.Dir(), journalFile)
+	st, err := os.Stat(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, entry, _, err := r.ApplyKey(p, key)
 	if err != nil {
 		return err
+	}
+	// The commit renders its diff straight into the record it appends; the
+	// record is byte for byte the one the entry it returns writes.
+	onDisk, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := onDisk[st.Size():], entry.AppendRecord(nil); !bytes.Equal(got, want) {
+		t.Fatalf("%s: the commit appended\n%s\nits entry writes\n%s", what, got, want)
 	}
 	after, _ := r.Head()
 	if after != res.Final {
@@ -54,14 +69,24 @@ func checkedApply(t *testing.T, r *Repository, p *term.Program, what string) err
 		t.Fatalf("%s: head is not Finalize(result(P)):\ngot:\n%swant:\n%s", what,
 			parser.FormatFacts(after, true), parser.FormatFacts(want, true))
 	}
-	if err := obtest.CheckDerived(before, after, res.Changes); err != nil {
+	// The changes went back to the evaluation's working memory with the
+	// record written; the diff journaled is what the two heads differ by,
+	// and what every read of the new head answers after it.
+	if res.Changes != nil {
+		t.Fatalf("%s: the commit returned its changes", what)
+	}
+	d, err := entry.diff()
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if err := obtest.CheckDerived(before, after, d.Changes(before)); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 	// The journaled record is byte for byte the one Compute would have
 	// produced: same facts, same order, same counters.
 	added, removed := storage.EncodeDiff(objectbase.Compute(before, after))
 	want := Entry{
-		Seq: entry.Seq, Program: parser.FormatProgram(p), Added: added, Removed: removed,
+		Seq: entry.Seq, Program: parser.FormatProgram(p), Key: key, Added: added, Removed: removed,
 		Fired: res.Fired, Strata: res.Assignment.NumStrata(),
 	}
 	if got, want := entry.AppendRecord(nil), want.AppendRecord(nil); !bytes.Equal(got, want) {
@@ -116,7 +141,7 @@ func TestGoldenCorpusCommitsAsDelta(t *testing.T) {
 				t.Fatal(err)
 			}
 			for round := 1; round <= 2; round++ {
-				if err := checkedApply(t, r, p, fmt.Sprintf("apply %d", round)); err != nil {
+				if err := checkedApply(t, r, p, "", fmt.Sprintf("apply %d", round)); err != nil {
 					return // rejected by safety, stratification or linearity
 				}
 				applied++
@@ -125,6 +150,41 @@ func TestGoldenCorpusCommitsAsDelta(t *testing.T) {
 	}
 	if applied < 16 {
 		t.Errorf("only %d golden applies committed; the corpus should yield at least 16", applied)
+	}
+}
+
+// TestWorkloadCommitsAsDelta runs the programs of the four end-to-end
+// workloads through checkedApply: point updates, bulk raises, the closure
+// (a diff, then none) and keyed point updates.
+func TestWorkloadCommitsAsDelta(t *testing.T) {
+	point := func(k int) string { return fmt.Sprintf("mod[e%d].sal -> (S, S') <- e%d.sal -> S, S' = S + 1.", k, k) }
+	for _, w := range []struct {
+		name  string
+		base  *objectbase.Base
+		progs []string
+		keyed bool
+	}{
+		{"point_update", workload.EnterpriseSpec{Employees: 120, Seed: 3}.ObjectBase(), []string{point(7), point(7), point(80)}, false},
+		{"bulk_raise", workload.EnterpriseSpec{Employees: 120, Seed: 4}.ObjectBase(), []string{workload.BulkRaiseProgram, workload.BulkRaiseProgram}, false},
+		{"recursive_closure", workload.GenealogySpec{Generations: 4, Branching: 2}.ObjectBase(), []string{workload.AncestorsProgram, workload.AncestorsProgram}, false},
+		{"mixed_rw", workload.EnterpriseSpec{Employees: 120, Seed: 5}.ObjectBase(), []string{point(3), point(44), point(3)}, true},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			r, err := Init(t.TempDir()+"/repo", w.base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for i, src := range w.progs {
+				key := ""
+				if w.keyed {
+					key = fmt.Sprintf("k%d", i)
+				}
+				if err := checkedApply(t, r, prog(t, src), key, fmt.Sprintf("apply %d", i+1)); err != nil {
+					t.Fatalf("apply %d: %v", i+1, err)
+				}
+			}
+		})
 	}
 }
 
@@ -176,7 +236,7 @@ func TestRandomApplySequenceCommitsAsDelta(t *testing.T) {
 	var prev *objectbase.Base
 	for step := 1; step <= steps; step++ {
 		src := randomProgram(rng, n, step)
-		if err := checkedApply(t, r, prog(t, src), fmt.Sprintf("step %d (%s)", step, src)); err != nil {
+		if err := checkedApply(t, r, prog(t, src), "", fmt.Sprintf("step %d (%s)", step, src)); err != nil {
 			t.Fatalf("step %d (%s): %v", step, src, err)
 		}
 		head, _ := r.Head()

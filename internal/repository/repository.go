@@ -754,10 +754,11 @@ func slimEntry(e Entry) Entry {
 // Apply evaluates p on the current head, verifies the installed integrity
 // constraints against the result, appends the journal entry (fsynced) and
 // advances the head to the updated object base. On a constraint violation
-// nothing is committed. It returns the evaluation result without result(P):
-// Result.Result is nil (the commit builds it in working memory the next
-// apply reuses). Replay recomputes it for a journaled apply, as
-// verlog.Apply computes it for a program and a base.
+// nothing is committed. It returns the evaluation result without result(P)
+// and without its changes: Result.Result and Result.Changes are nil (the
+// commit builds them in working memory the next apply reuses; the entry
+// ApplyKey returns holds the diff). Replay recomputes them for a journaled
+// apply, as verlog.Apply computes them for a program and a base.
 func (r *Repository) Apply(p *term.Program, opts ...core.Option) (*eval.Result, error) {
 	res, _, _, err := r.ApplyKey(p, "", opts...)
 	return res, err
@@ -767,7 +768,7 @@ func (r *Repository) Apply(p *term.Program, opts ...core.Option) (*eval.Result, 
 // journaled entry already carries it, nothing is re-evaluated: ApplyKey
 // returns (nil, that entry with its diff stripped, true, nil). Otherwise
 // the update is applied, journaled with the key, and returned as Apply
-// returns it (without result(P)) with replayed=false. Keys are remembered
+// returns it (without result(P) and changes) with replayed=false. Keys are remembered
 // as far back as the journal reaches; Compact clears them along with the
 // entries that held them.
 //
@@ -892,6 +893,9 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	if err != nil {
 		return a, false, err
 	}
+	// Changes is the evaluation's working memory too: it goes back once the
+	// record is written, or the apply refused or retried.
+	defer res.Release()
 	res.Stats.Queue = queue
 	if planned {
 		// The plans were made for this apply: it stratified and compiled.
@@ -914,17 +918,14 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	// The record is written straight from the states the evaluation
 	// changed: no comparison of the two bases, no fact lists in between.
 	encodeSpan := commitSpan.StartChild("encode")
-	added, removed := storage.EncodeChanges(res.Changes)
 	entry := Entry{
 		Seq:     head.seq + 1,
 		Program: parser.FormatProgram(p),
 		Key:     key,
-		Added:   added,
-		Removed: removed,
 		Fired:   res.Fired,
 		Strata:  res.Assignment.NumStrata(),
 	}
-	framed := entry.AppendRecord(make([]byte, 0, entry.size()+recordOverhead))
+	framed := entry.appendCommit(make([]byte, 0, entry.size()+recordOverhead+changeBytes*len(res.Changes)), res.Changes)
 	encodeSpan.SetInt("bytes", int64(len(framed)))
 	encodeSpan.End()
 	res.Stats.Encode = time.Since(commitStart)
@@ -1375,7 +1376,10 @@ func (r *Repository) Replay(n int) (*eval.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repository: journal entry %d: %w", entry.Seq, err)
 	}
-	if added, removed := storage.EncodeChanges(res.Changes); added != entry.Added || removed != entry.Removed {
+	derived := storage.AppendAdded(nil, res.Changes)
+	split := len(derived)
+	derived = storage.AppendRemoved(derived, res.Changes)
+	if added, removed := derived[:split], derived[split:]; string(added) != string(entry.Added) || string(removed) != string(entry.Removed) {
 		return nil, fmt.Errorf("%w: entry %d: its program derives added %q, removed %q; the journal holds added %q, removed %q",
 			ErrDiverged, entry.Seq, added, removed, entry.Added, entry.Removed)
 	}

@@ -45,13 +45,25 @@ func (f Facts) Len() int {
 }
 
 // UnmarshalJSON reads the list from a journal record: a JSON string holding
-// the compact encoding.
+// the compact encoding. A record writes a list between its quotes as it is,
+// so a string that decodes to a byte JSON escapes was not written as a list,
+// and is refused.
 func (f *Facts) UnmarshalJSON(data []byte) error {
 	if len(data) >= 2 && data[0] == '"' && bytes.IndexByte(data, '\\') < 0 {
 		*f = Facts(data[1 : len(data)-1]) // no escapes: the common case, one copy
 		return nil
 	}
-	return json.Unmarshal(data, (*string)(f))
+	var s string
+	if err := json.Unmarshal(data, &s); err != nil {
+		return err
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c == '"' || c == '\\' {
+			return fmt.Errorf("storage: a fact list holds %q, which JSON escapes and no list holds", c)
+		}
+	}
+	*f = Facts(s)
+	return nil
 }
 
 // EncodeFacts encodes a fact list.
@@ -68,16 +80,21 @@ func EncodeDiff(d objectbase.Diff) (added, removed Facts) {
 	return EncodeFacts(d.Added), EncodeFacts(d.Removed)
 }
 
-// EncodeChanges encodes the diff a set of changed versions amounts to,
-// straight from the changed states: the result equals
-// EncodeDiff(objectbase.DiffChanges(changes)) without the fact lists in
-// between. changes is sorted by version in place.
-func EncodeChanges(changes []objectbase.Change) (added, removed Facts) {
-	// A changed version mostly swaps one fact for another of about 16 bytes.
-	a := factEncoder{buf: make([]byte, 0, 16*len(changes))}
-	r := factEncoder{buf: make([]byte, 0, 16*len(changes))}
-	objectbase.ChangedFacts(changes, a.add, r.add)
-	return a.facts(), r.facts()
+// AppendAdded appends to dst, encoded, the added list of the diff a set of
+// changed versions amounts to, straight from the changed states: the bytes
+// of the first list EncodeDiff(objectbase.DiffChanges(changes)) returns,
+// without the fact lists in between. changes is sorted by version in place.
+func AppendAdded(dst []byte, changes []objectbase.Change) []byte {
+	e := factEncoder{buf: dst, start: len(dst)}
+	objectbase.ChangedFacts(changes, e.add, nil)
+	return e.buf
+}
+
+// AppendRemoved is AppendAdded for the removed list.
+func AppendRemoved(dst []byte, changes []objectbase.Change) []byte {
+	e := factEncoder{buf: dst, start: len(dst)}
+	objectbase.ChangedFacts(changes, nil, e.add)
+	return e.buf
 }
 
 // DecodeDiff decodes two encoded fact lists into a diff.
@@ -91,20 +108,21 @@ func DecodeDiff(added, removed Facts) (d objectbase.Diff, err error) {
 	return d, nil
 }
 
-// factEncoder appends facts to one buffer.
+// factEncoder appends facts to one buffer, as a list starting at start.
 type factEncoder struct {
-	buf  []byte
-	prev term.GVID // version of the fact before, valid once buf is non-empty
+	buf   []byte
+	start int
+	prev  term.GVID // version of the fact before, valid once the list is non-empty
 }
 
 func (e *factEncoder) facts() Facts { return Facts(e.buf) }
 
 func (e *factEncoder) add(f term.Fact) {
 	b := e.buf
-	if len(b) > 0 && f.V == e.prev {
+	if len(b) > e.start && f.V == e.prev {
 		b = append(b, '/')
 	} else {
-		if len(b) > 0 {
+		if len(b) > e.start {
 			b = append(b, ';')
 		}
 		b = appendOID(b, f.V.Object)
