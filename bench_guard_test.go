@@ -17,6 +17,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -263,9 +264,10 @@ func applyRun(t *testing.T, head *ObjectBase, p *Program, opts ...Option) func()
 
 // measure makes reps runs after a collection, with the collector off (a
 // collection of its own would be counted; what it keeps would not change),
-// and returns the last x and the bytes, allocations and ns per run. A warm
-// measurement makes a first, unmeasured run: it builds what the head caches
-// and leaves the evaluation's working memory in the slot for the others.
+// and returns the last x and the bytes, allocations and CPU ns per run. A
+// warm measurement makes a first, unmeasured run: it builds what the head
+// caches and leaves the evaluation's working memory in the slot for the
+// others.
 func measure(run func() int, reps int, warm bool) (x, bytes, allocs, ns float64) {
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -274,14 +276,27 @@ func measure(run func() int, reps int, warm bool) (x, bytes, allocs, ns float64)
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	start := time.Now()
+	start := cpuTime()
 	for range reps {
 		x = float64(run())
 	}
-	d := time.Since(start)
+	d := cpuTime() - start
 	runtime.ReadMemStats(&m1)
 	per := func(n uint64) float64 { return float64(n) / float64(reps) }
 	return x, per(m1.TotalAlloc - m0.TotalAlloc), per(m1.Mallocs - m0.Mallocs), per(uint64(d))
+}
+
+// cpuTime is the CPU time the process has used, user and system. Unlike the
+// wall clock it stands still while the process waits for a CPU, so other
+// processes on the host — the other test binaries of `go test ./...` — do
+// not add to a measurement; with the collector off, and no goroutine of its
+// own, a run's CPU time is its own work.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func (law costLaw) check(t *testing.T) {
@@ -327,7 +342,8 @@ func (law costLaw) check(t *testing.T) {
 // 4× apart, in one process: an in-run shape, which a change that makes every
 // size dearer alike does not move and a change in how a cost grows fails, on
 // any host. Bytes and allocations are counted with the collector off after a
-// warm run and repeat; ns is the best of three. Time is what sees an
+// warm run and repeat; ns is the process's CPU time, the best of three
+// rounds, so a loaded host does not bend the fit. Time is what sees an
 // accumulator go quadratic when its state loses O(1) membership.
 func TestCostLaws(t *testing.T) {
 	if raceDetectorEnabled {

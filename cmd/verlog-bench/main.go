@@ -1,7 +1,8 @@
-// Command verlog-bench runs the experiment suite of EXPERIMENTS.md and
-// prints one table per experiment. Every figure and worked example of the
-// paper has an experiment (E1-E5), plus the characterization and ablation
-// studies (E6 onwards).
+// Command verlog-bench prints the tables of the paper experiments of
+// EXPERIMENTS.md (E1-E9: every figure and worked example of the paper),
+// counts and correctness checks with no times — the times of the same runs
+// come from `go test -bench`. It also converts `go test -bench` output to
+// JSON, the form of the BENCH_10.json reference.
 //
 // Usage:
 //
@@ -9,7 +10,6 @@
 //	verlog-bench -run E2,E9           # run selected experiments
 //	verlog-bench -list                # list experiments
 //	verlog-bench -gobench-json FILE   # convert `go test -bench` output to JSON
-//	verlog-bench -table-json FILE     # also write the result tables as JSON
 package main
 
 import (
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"verlog/internal/bench"
@@ -34,7 +35,6 @@ func run(args []string, out, errOut io.Writer) int {
 	runList := fs.String("run", "", "comma-separated experiment IDs (default: all)")
 	list := fs.Bool("list", false, "list experiments and exit")
 	gobenchJSON := fs.String("gobench-json", "", "parse `go test -bench` output from FILE (- for stdin) and print JSON")
-	tableJSON := fs.String("table-json", "", "write the result tables of the selected experiments as JSON to FILE")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -65,30 +65,29 @@ func run(args []string, out, errOut io.Writer) int {
 		return 0
 	}
 
+	all := bench.All()
 	if *list {
-		for _, e := range bench.All() {
+		for _, e := range all {
 			fmt.Fprintf(out, "%-4s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
 
-	var selected []bench.Experiment
-	if *runList == "" {
-		selected = bench.All()
-	} else {
+	selected := all
+	if *runList != "" {
+		selected = nil
 		for _, id := range strings.Split(*runList, ",") {
 			id = strings.TrimSpace(id)
-			e, ok := bench.Get(id)
-			if !ok {
+			i := slices.IndexFunc(all, func(e bench.Experiment) bool { return e.ID == id })
+			if i < 0 {
 				fmt.Fprintf(errOut, "verlog-bench: unknown experiment %q (try -list)\n", id)
 				return 2
 			}
-			selected = append(selected, e)
+			selected = append(selected, all[i])
 		}
 	}
 
 	failed := false
-	var tables []*bench.Table
 	for i, e := range selected {
 		if i > 0 {
 			fmt.Fprintln(out)
@@ -99,21 +98,9 @@ func run(args []string, out, errOut io.Writer) int {
 			failed = true
 			continue
 		}
-		tables = append(tables, tbl)
 		tbl.Fprint(out)
 		if strings.Contains(tbl.String(), "FAIL") {
 			failed = true
-		}
-	}
-	if *tableJSON != "" {
-		data, err := json.MarshalIndent(tables, "", "  ")
-		if err != nil {
-			fmt.Fprintf(errOut, "verlog-bench: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(*tableJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(errOut, "verlog-bench: %v\n", err)
-			return 1
 		}
 	}
 	if failed {

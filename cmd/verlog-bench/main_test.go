@@ -10,7 +10,7 @@ func TestList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("code = %d, stderr = %s", code, errOut.String())
 	}
-	for _, want := range []string{"E1", "E2", "E14", "Figure 2"} {
+	for _, want := range []string{"E1", "E2", "E9", "Figure 2"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("list missing %q:\n%s", want, out.String())
 		}

@@ -1,17 +1,16 @@
-// Package bench implements the experiment suite of EXPERIMENTS.md: one
-// experiment per figure/worked example of the paper plus the
-// characterization and ablation studies DESIGN.md lists (E1-E12). The
-// cmd/verlog-bench binary runs them and prints their tables; bench_test.go
-// at the module root exposes each as a testing.B benchmark.
+// Package bench implements the paper experiments of EXPERIMENTS.md, one per
+// figure or worked example (E1-E9). Each experiment builds a table of counts
+// and correctness checks, never of times: the tables are deterministic, and
+// the golden test holds each one against testdata/E<n>.txt. The times of the
+// same runs come from the Go benchmarks BenchmarkE1…E9 in bench_test.go at
+// the module root. The cmd/verlog-bench binary prints the tables and turns
+// `go test -bench` output into JSON.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"strings"
-	"time"
 )
 
 // Table is one experiment's result table.
@@ -88,77 +87,19 @@ type Experiment struct {
 	Run   func() (*Table, error)
 }
 
-var registry = map[string]Experiment{}
-
-func register(e Experiment) {
-	registry[e.ID] = e
-}
-
-// All returns every registered experiment, ordered by ID.
+// All returns the experiments in order, E1 to E9.
 func All() []Experiment {
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
+	return []Experiment{
+		{"E1", "Section 2.1 salary raise: one modify per employee, scaling", runE1},
+		{"E2", "Figure 2 / Section 2.3 enterprise update (exact trace + scaling)", runE2},
+		{"E3", "Section 2.3 hypothetical raise: would peter be the richest?", runE3},
+		{"E4", "Section 2.3 recursive ancestors closure over genealogies", runE4},
+		{"E5", "Figure 1: k consecutive update groups build the VID chain", runE5},
+		{"E6", "Section 4 stratification: conditions (a)-(d) over program size", runE6},
+		{"E7", "Section 5 version-linearity: online check accepts chains, rejects branches", runE7},
+		{"E8", "Section 3 frame problem: copy cost scales with touched objects, not base size", runE8},
+		{"E9", "Section 2.4 control: versioned vs inflationary vs manually ordered flat rules", runE9},
 	}
-	sort.Slice(out, func(i, j int) bool {
-		// E2 < E11 requires numeric comparison of the suffix.
-		return expNum(out[i].ID) < expNum(out[j].ID)
-	})
-	return out
-}
-
-func expNum(id string) int {
-	n := 0
-	for _, c := range id {
-		if c >= '0' && c <= '9' {
-			n = n*10 + int(c-'0')
-		}
-	}
-	return n
-}
-
-// Get returns the experiment with the given ID.
-func Get(id string) (Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
-}
-
-// timed measures one execution of fn, collecting garbage first so that
-// allocation debt from earlier experiments does not distort the sample.
-func timed(fn func() error) (time.Duration, error) {
-	runtime.GC()
-	start := time.Now()
-	err := fn()
-	return time.Since(start), err
-}
-
-// timedBest measures fn rounds times and returns the fastest sample — the
-// usual way to suppress scheduler and GC noise in comparative tables.
-func timedBest(rounds int, fn func() error) (time.Duration, error) {
-	best := time.Duration(0)
-	for i := 0; i < rounds; i++ {
-		d, err := timed(fn)
-		if err != nil {
-			return d, err
-		}
-		if i == 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-// ms renders a duration in milliseconds with three decimals.
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.3f", float64(d.Nanoseconds())/1e6)
-}
-
-// ratio renders a/b with two decimals, or "-" when b is zero.
-func ratio(a, b time.Duration) string {
-	if b == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2f", float64(a)/float64(b))
 }
 
 // pass renders a boolean check.

@@ -4,7 +4,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"verlog/internal/eval"
@@ -98,20 +97,6 @@ func (e *Engine) Apply(ob *objectbase.Base, p *term.Program) (*eval.Result, erro
 	}
 	res.Stats.Safety = safetyDur
 	return res, nil
-}
-
-// ApplySource parses, checks and evaluates program text against object-base
-// text. The names are used in error messages.
-func (e *Engine) ApplySource(obSrc, obName, progSrc, progName string) (*eval.Result, error) {
-	ob, err := parser.ObjectBase(obSrc, obName)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	p, err := parser.Program(progSrc, progName)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return e.Apply(ob, p)
 }
 
 // Query evaluates a query (a conjunction of body literals in concrete

@@ -21,25 +21,22 @@ rule4: ins[mod(E)].isa -> hpe <- mod(E).isa -> empl / sal -> S, S > 4500, !del[m
 `
 )
 
-func TestApplySource(t *testing.T) {
-	res, err := New().ApplySource(obSrc, "ob.vlg", progSrc, "prog.vlg")
+func TestApplyFigure2(t *testing.T) {
+	ob, err := parser.ObjectBase(obSrc, "ob.vlg")
 	if err != nil {
-		t.Fatalf("ApplySource: %v", err)
+		t.Fatal(err)
+	}
+	p, err := parser.Program(progSrc, "prog.vlg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := New().Apply(ob, p)
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
 	}
 	out := parser.FormatFacts(res.Final, false)
 	if !strings.Contains(out, "phil.sal -> 4600.") {
 		t.Errorf("output:\n%s", out)
-	}
-}
-
-func TestApplySourceParseErrors(t *testing.T) {
-	if _, err := New().ApplySource("x.m -> .", "bad-ob.vlg", progSrc, "p"); err == nil ||
-		!strings.Contains(err.Error(), "bad-ob.vlg") {
-		t.Errorf("bad base: %v", err)
-	}
-	if _, err := New().ApplySource(obSrc, "ob", "ins[X].m -> ", "bad-prog.vlg"); err == nil ||
-		!strings.Contains(err.Error(), "bad-prog.vlg") {
-		t.Errorf("bad program: %v", err)
 	}
 }
 

@@ -473,17 +473,23 @@ func compileSteps(rc *ruleCompiler, r term.Rule, order []int, deltaSrc int) ([]c
 	bound := map[int]bool{}
 	steps := make([]cstep, 0, len(order))
 	for pos, li := range order {
-		l := r.Body[li]
-		lc := &literalCompiler{rc: rc, bound: bound, prior: snapshot(bound)}
-		var st cstep
-		isDelta := deltaSrc >= 0 && pos == 0
-		if err := compileLiteral(lc, &st, l, isDelta); err != nil {
-			return nil, nil, fmt.Errorf("literal %s: %w", l, err)
+		st, err := compileStep(rc, bound, r.Body[li], deltaSrc >= 0 && pos == 0)
+		if err != nil {
+			return nil, nil, fmt.Errorf("literal %s: %w", r.Body[li], err)
 		}
-		st.bindSlots = lc.binds
 		steps = append(steps, st)
 	}
 	return steps, bound, nil
+}
+
+// compileStep compiles body literal l, given the slots bound before it, and
+// adds the slots it binds to bound.
+func compileStep(rc *ruleCompiler, bound map[int]bool, l term.Literal, isDelta bool) (cstep, error) {
+	lc := &literalCompiler{rc: rc, bound: bound, prior: snapshot(bound)}
+	var st cstep
+	err := compileLiteral(lc, &st, l, isDelta)
+	st.bindSlots = lc.binds
+	return st, err
 }
 
 func snapshot(m map[int]bool) map[int]bool {

@@ -42,49 +42,6 @@ type LiteralPlan struct {
 	DeltaRows int `json:"delta_rows,omitempty"`
 }
 
-// literalAccess reports the access path a compiled plan uses for a positive
-// generator literal given the variables bound before it runs — the same
-// decision compilePattern makes, made statically for plan reporting.
-func literalAccess(l term.Literal, bound map[term.Var]bool) string {
-	ground := func(t term.ObjTerm) bool {
-		switch x := t.(type) {
-		case term.OID:
-			return true
-		case term.Var:
-			return bound[x]
-		default:
-			return false
-		}
-	}
-	switch a := l.Atom.(type) {
-	case term.VersionAtom:
-		switch {
-		case a.V.Any:
-			return AccessAnyScan
-		case ground(a.V.Base):
-			return AccessLookup
-		case a.V.Path.Len() == 0 && ground(a.App.Result):
-			return AccessProbeResult
-		case a.V.Path.Len() == 0 && len(a.App.Args) > 0 && ground(a.App.Args[0]):
-			return AccessProbeArg
-		default:
-			return AccessScan
-		}
-	case term.UpdateAtom:
-		// Update-terms address pushed paths (length ≥ 1), which the
-		// literal index never covers.
-		if a.V.Any {
-			return AccessAnyScan
-		}
-		if ground(a.V.Base) {
-			return AccessLookup
-		}
-		return AccessScan
-	default:
-		return ""
-	}
-}
-
 // PlanLiterals reports the join order the statistics planner picks for r's
 // body against base, with the same per-literal cardinality estimates the
 // planner used — index selectivity included, since the compiled plans
@@ -102,11 +59,16 @@ func PlanLiterals(base *objectbase.Base, r term.Rule) []LiteralPlan {
 func planLiterals(r term.Rule, est costEstimator) []LiteralPlan {
 	order := greedyOrder(r, est, -1)
 	out := make([]LiteralPlan, 0, len(order))
-	// Recompute per-literal estimates in plan order, tracking bound
-	// variables exactly as the planner does.
+	// Compile each literal in plan order as compileRule does, for the access
+	// path of its step, and recompute its estimate, tracking bound variables
+	// exactly as the planner does. A literal the compiler refuses reports no
+	// access; the literals after it are still reported.
+	rc := &ruleCompiler{slots: map[term.Var]int{}}
+	slots := map[int]bool{}
 	bound := map[term.Var]bool{}
 	for _, li := range order {
 		l := r.Body[li]
+		st, err := compileStep(rc, slots, l, false)
 		lp := LiteralPlan{Literal: l.String(), Source: li, Delta: deltaSeedable(l)}
 		switch {
 		case l.Neg:
@@ -115,7 +77,9 @@ func planLiterals(r term.Rule, est costEstimator) []LiteralPlan {
 			lp.Kind = KindFilter
 		default:
 			lp.Kind = KindGenerator
-			lp.Access = literalAccess(l, bound)
+			if err == nil {
+				lp.Access = st.acc.name()
+			}
 			lp.EstRows = est(l, baseBound(l, bound))
 			if lp.Delta {
 				// Semi-naive iterations join this literal against the

@@ -84,10 +84,12 @@ step: ins[X].anc -> P <- ins(X).isa -> person / anc -> A, A.isa -> person / pare
 	})
 }
 
-// TestPlanLiteralsAgreesWithCompiler holds the plan reporter's access choice
-// (literalAccess) to the compiler's (compilePattern, compileDelMod): for
-// every rule of the corpus and of the shipped examples, on its base, each
-// literal PlanLiterals reports has the access of the step compiled for it.
+// TestPlanLiteralsAgreesWithCompiler holds the plan reporter to the plan a
+// run executes: PlanLiterals compiles each literal for its access, but plans
+// the join order on its own, so for every rule of the corpus and of the
+// shipped examples, on its base, the literal it reports at position i must
+// have the access of compileRule's step i — the same order from the same
+// estimator. The case list reaches every access path.
 func TestPlanLiteralsAgreesWithCompiler(t *testing.T) {
 	// One rule per access path, the ones the corpus lacks among them.
 	cases := append(corpus(t), corpusCase{name: "access paths", base: `a.isa -> item / rate@1 -> 10. b.isa -> item / rate@2 -> 20.`, prog: `

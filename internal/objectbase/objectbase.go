@@ -214,14 +214,8 @@ func (b *Base) mutable() {
 
 // New returns an empty object base.
 func New() *Base {
-	return NewSized(0)
-}
-
-// NewSized returns an empty object base with room for about n versions
-// pre-allocated, sparing bulk constructions the incremental map growth.
-func NewSized(n int) *Base {
 	return &Base{
-		states:       make(map[term.GVID]*State, n),
+		states:       make(map[term.GVID]*State),
 		byPathMethod: make(map[pathMethod]map[term.GVID]struct{}),
 	}
 }

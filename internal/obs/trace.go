@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -392,16 +391,4 @@ func isLowerHex(s string) bool {
 		}
 	}
 	return true
-}
-
-// SortAttrs orders a span's attributes by key, recursively — test helper
-// for deterministic comparisons; live code preserves insertion order.
-func (s *Span) SortAttrs() {
-	if s == nil {
-		return
-	}
-	sort.Slice(s.Attrs, func(i, j int) bool { return s.Attrs[i].Key < s.Attrs[j].Key })
-	for _, c := range s.Children {
-		c.SortAttrs()
-	}
 }

@@ -165,10 +165,6 @@ type Option func(*Server)
 // WithLogger sets the structured logger for request logs (default: discard).
 func WithLogger(l *slog.Logger) Option { return func(s *Server) { s.logger = l } }
 
-// WithRegistry sets the metrics registry (default: a fresh one). The
-// repository is instrumented into it either way.
-func WithRegistry(r *obs.Registry) Option { return func(s *Server) { s.reg = r } }
-
 // WithSlowThreshold sets the latency above which requests enter the slow
 // log at /v1/debug/slow. Zero records every request; negative disables the
 // log.
@@ -201,6 +197,7 @@ func WithReadyMaxLag(maxSeq int, maxAge time.Duration) Option {
 func New(repo *repository.Repository, opts ...Option) *Server {
 	s := &Server{
 		mux:           http.NewServeMux(),
+		reg:           obs.NewRegistry(),
 		routes:        make(map[string]bool),
 		tenantRoutes:  make(map[string]tmethods),
 		tenantLabels:  obs.NewBoundedLabels(tenantLabelCap),
@@ -220,9 +217,6 @@ func New(repo *repository.Repository, opts ...Option) *Server {
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.reg == nil {
-		s.reg = obs.NewRegistry()
 	}
 	if s.tenants == nil {
 		s.tenants = tenant.NewManager("")

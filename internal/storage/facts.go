@@ -221,7 +221,9 @@ func appendQuoted(b []byte, s string) []byte {
 }
 
 // Decode parses the list. The facts share no memory with it, so a base they
-// are inserted into does not keep the record they came from alive.
+// are inserted into does not keep the record they came from alive. Only the
+// bytes the encoder writes decode: a list that decodes re-encodes to itself,
+// so two lists of the same facts compare equal byte for byte.
 func (f Facts) Decode() ([]term.Fact, error) {
 	if f == "" {
 		return nil, nil
@@ -231,10 +233,14 @@ func (f Facts) Decode() ([]term.Fact, error) {
 	var fact term.Fact
 	for sep := byte(';'); ; d.i++ {
 		if sep == ';' {
+			prev := fact.V
 			fact.V = term.GVID{Object: d.oid()}
 			if d.peek() == '^' {
 				d.i++
 				fact.V.Path = d.kinds()
+			}
+			if len(out) > 0 && fact.V == prev {
+				d.fail("the version before repeated after ;, not continued with /")
 			}
 			d.expect('.')
 		}
@@ -310,7 +316,7 @@ func (d *factDecoder) span(set *[256]bool) string {
 func (d *factDecoder) name(prev string) string {
 	c := d.peek()
 	if c == '\'' {
-		return d.quoted()
+		return d.quotedName()
 	}
 	tok := d.span(&nameByte)
 	if tok == "" || c >= '0' && c <= '9' {
@@ -329,7 +335,7 @@ func (d *factDecoder) oid() term.OID {
 		return term.Str(d.quoted())
 	case c == '$':
 		d.i++
-		return term.Sym(d.quoted())
+		return term.Sym(d.quotedName())
 	case c == '-' || c >= '0' && c <= '9':
 		start := d.i
 		d.i++
@@ -337,16 +343,20 @@ func (d *factDecoder) oid() term.OID {
 		n, err := strconv.ParseInt(d.s[start:d.i], 10, 64)
 		den := int64(1)
 		if err == nil && d.peek() == 'r' {
-			start = d.i + 1
 			d.i++
-			d.span(&digitByte)
-			den, err = strconv.ParseInt(d.s[start:d.i], 10, 64)
+			den, err = strconv.ParseInt(d.span(&digitByte), 10, 64)
 		}
 		if err != nil || den <= 0 {
 			d.fail("malformed number")
 			return term.OID{}
 		}
-		return term.Num(n, den)
+		o := term.Num(n, den)
+		var buf [48]byte
+		if string(appendOID(buf[:0], o)) != d.s[start:d.i] {
+			d.fail("a number not in lowest terms, or with a leading zero")
+			return term.OID{}
+		}
+		return o
 	default:
 		tok := d.span(&nameByte)
 		if tok == "" {
@@ -365,8 +375,20 @@ func (d *factDecoder) kinds() term.Path {
 	return term.Path(strings.Clone(p))
 }
 
-// quoted reads 'text' and undoes its escapes.
+// quotedName reads a quoted name: one the encoder writes bare is refused.
+func (d *factDecoder) quotedName() string {
+	s := d.quoted()
+	if isName(s) {
+		d.fail("a plain name quoted")
+	}
+	return s
+}
+
+// quoted reads 'text' and undoes its escapes. Text the encoder writes
+// otherwise is refused: a raw byte it escapes, invalid UTF-8, an escape of a
+// byte it writes raw.
 func (d *factDecoder) quoted() string {
+	start := d.i
 	d.expect('\'')
 	end := strings.IndexByte(d.s[d.i:], '\'')
 	if end < 0 {
@@ -374,31 +396,36 @@ func (d *factDecoder) quoted() string {
 		return ""
 	}
 	text := d.s[d.i : d.i+end]
-	if strings.ContainsAny(text, ";/") {
-		d.fail("a raw separator inside quotes")
+	d.i += end + 1
+	s := text
+	if strings.IndexByte(text, '%') >= 0 {
+		out := make([]byte, 0, len(text))
+		for i := 0; i < len(text); i++ {
+			c := text[i]
+			if c == '%' {
+				if i+2 >= len(text) {
+					d.fail("truncated escape")
+					return ""
+				}
+				hi, lo := strings.IndexByte(lowerHex, text[i+1]), strings.IndexByte(lowerHex, text[i+2])
+				if hi < 0 || lo < 0 {
+					d.fail("malformed escape")
+					return ""
+				}
+				c = byte(hi<<4 | lo)
+				i += 2
+			}
+			out = append(out, c)
+		}
+		s = string(out)
+	}
+	var buf [64]byte
+	if string(appendQuoted(buf[:0], s)) != d.s[start:d.i] {
+		d.fail("quoted text not as the encoder writes it")
 		return ""
 	}
-	d.i += end + 1
-	if strings.IndexByte(text, '%') < 0 {
-		return strings.Clone(text)
+	if len(s) == len(text) {
+		return strings.Clone(s) // no escapes: s is a slice of the list
 	}
-	out := make([]byte, 0, len(text))
-	for i := 0; i < len(text); i++ {
-		c := text[i]
-		if c == '%' {
-			if i+2 >= len(text) {
-				d.fail("truncated escape")
-				return ""
-			}
-			hi, lo := strings.IndexByte(lowerHex, text[i+1]), strings.IndexByte(lowerHex, text[i+2])
-			if hi < 0 || lo < 0 {
-				d.fail("malformed escape")
-				return ""
-			}
-			c = byte(hi<<4 | lo)
-			i += 2
-		}
-		out = append(out, c)
-	}
-	return string(out)
+	return s
 }

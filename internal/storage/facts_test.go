@@ -188,14 +188,14 @@ func TestAppendChangesMatchesCompute(t *testing.T) {
 
 // TestFactsRefuseJSONEscapes: a list read from a record holds no byte JSON
 // escapes, since a record writes its lists between their quotes as they
-// are. Escapes of bytes a list may hold raw — what an HTML-escaping or
+// are. Escapes of bytes a list may hold raw — a quote, or what a
 // U+2028-escaping writer escapes — still read.
 func TestFactsRefuseJSONEscapes(t *testing.T) {
 	for data, want := range map[string]Facts{
-		`"x.m='a\u003cb'"`:   "x.m='a<b'",
-		`"x.m='\u2028'"`:     "x.m='\u2028'",
-		`"x.m='\u00e9'/n=1"`: "x.m='é'/n=1",
-		`"x.m=1;y.m=2"`:      "x.m=1;y.m=2",
+		`"x.m=\u0027a\u0027"`: "x.m='a'",
+		`"x.m='\u2028'"`:      "x.m='\u2028'",
+		`"x.m='\u00e9'/n=1"`:  "x.m='é'/n=1",
+		`"x.m=1;y.m=2"`:       "x.m=1;y.m=2",
 	} {
 		var f Facts
 		if err := f.UnmarshalJSON([]byte(data)); err != nil || f != want {
@@ -219,6 +219,36 @@ func TestFactsDecodeRejectsMalformed(t *testing.T) {
 	} {
 		if facts, err := Facts(s).Decode(); err == nil {
 			t.Errorf("Decode(%q) = %v, want an error", s, facts)
+		}
+	}
+}
+
+// TestFactsDecodeOnlyWhatTheEncoderWrites: a list of facts has one
+// encoding, so two lists of the same facts are equal byte for byte (Replay's
+// divergence check compares them so). Each refused string here decodes to
+// facts the encoder writes otherwise; each accepted one is canonical.
+func TestFactsDecodeOnlyWhatTheEncoderWrites(t *testing.T) {
+	for _, s := range []string{
+		`x.m='a"b'`, "x.m='a<b'", "x.m='a\nb'", "x.m='%61'", // raw bytes it escapes, an escape of one it does not
+		"x.m='a>b'", "x.m='a&b'", "x.m='a\\b'", "x.m='\xff'", "x.m='\xc3'", "x.m='a%'", // raw; cut escape
+		"x.m='%c3%a9'", "x.m='%e2%80%a8'", // a valid rune, escaped
+		"x.m=$'abc'", "x.'isa'=1", "x.m@$'k'=1", "$'x'.m=1", // plain names quoted
+		"x.m=007", "x.m=-0", "x.m=1r1", "x.m=2r4", "x.m=1r02", // numbers not as written
+		"x.a=1;x.b=2", "x^m.a=1;x^m.b=2", // a version repeated after ;
+	} {
+		if facts, err := Facts(s).Decode(); err == nil {
+			t.Errorf("Decode(%q) = %v, want an error", s, facts)
+		}
+	}
+	for _, s := range []string{
+		"x.m='%3c'", "x.m='%c3'", "x.m='%c3é'", "x.m='é\u2028'", "x.m=$'7 up'", "x.m=$''", "x.'odd m'=1",
+		"x.m=-652r7", "x.m=0", "x.a=1/b=2;x^m.a=1;x.c=3", "x.m='%3b%2f%25%27'",
+	} {
+		facts, err := Facts(s).Decode()
+		if err != nil {
+			t.Errorf("Decode(%q): %v", s, err)
+		} else if re := EncodeFacts(facts); re != Facts(s) {
+			t.Errorf("Decode(%q) re-encodes as %q", s, re)
 		}
 	}
 }
@@ -280,6 +310,9 @@ func FuzzDiffCodec(f *testing.F) {
 		enc := checkRoundTrip(t, facts)
 
 		if direct, err := Facts(data).Decode(); err == nil {
+			if re := EncodeFacts(direct); re != Facts(data) {
+				t.Fatalf("%q decodes, but re-encodes as %q", data, re)
+			}
 			checkRoundTrip(t, direct)
 			if Facts(data).Len() != len(direct) {
 				t.Fatalf("%q: Len = %d, Decode yields %d facts", data, Facts(data).Len(), len(direct))

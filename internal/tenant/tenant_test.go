@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"verlog/internal/core"
 	"verlog/internal/fsio"
 	"verlog/internal/parser"
 	"verlog/internal/repository"
@@ -157,6 +159,84 @@ func TestLRUEviction(t *testing.T) {
 	want := term.NewFact(term.GVID{Object: term.Sym("x")}, "owner", term.Sym("a"))
 	if !head.Has(want) {
 		t.Fatalf("reopened tenant lost its data:\n%s", parser.FormatFacts(head, true))
+	}
+}
+
+// TestFleetUnderResidencyCap: a worker pool, the way verlog-server drives
+// the manager, visits a fleet of tenants twice in the same order under a cap
+// a fifth of the fleet, with fewer workers than the cap (so no Acquire may
+// answer ErrTooMany). The first round creates each tenant and commits its own
+// fact; by the second, all but the most recent cap tenants were evicted, and
+// each must reopen from disk still holding that fact. Residency never
+// exceeds the cap, evictions occur, and every apply and query succeeds.
+func TestFleetUnderResidencyCap(t *testing.T) {
+	const (
+		tenants = 40
+		maxOpen = 8
+		workers = 4
+	)
+	m := tenant.NewManager(t.TempDir(), tenant.WithMaxOpen(maxOpen))
+	defer m.Close()
+	own := func(i int) term.Fact {
+		return term.NewFact(term.GVID{Object: term.Sym(fmt.Sprintf("t%d", i))}, "seeded", term.Int(int64(i)))
+	}
+	raise := prog(t, `r: mod[E].sal -> (S, S') <- E.sal -> S, S' = S + 1.`)
+	var applies, queries atomic.Int64
+	visit := func(i, round int) {
+		name := fmt.Sprintf("tenant-%02d", i)
+		tn, err := m.Acquire(name, round == 0)
+		if err != nil {
+			t.Errorf("Acquire(%s) round %d: %v", name, round, err)
+			return
+		}
+		defer m.Release(tn)
+		p := raise
+		if round == 0 {
+			p = prog(t, fmt.Sprintf(`ins[t%d].seeded -> %d. ins[t%d].sal -> 100.`, i, i, i))
+		} else if head, err := tn.Repo().Head(); err != nil || !head.Has(own(i)) {
+			t.Errorf("%s lost its state across eviction (err %v)", name, err)
+			return
+		}
+		if _, err := tn.Repo().Apply(p); err != nil {
+			t.Errorf("%s apply round %d: %v", name, round, err)
+			return
+		}
+		applies.Add(1)
+		base, _ := tn.Repo().Snapshot()
+		bs, err := core.Query(base, `E.seeded -> N / sal -> S.`)
+		if err != nil || len(bs) != 1 {
+			t.Errorf("%s query round %d: %d answers, %v", name, round, len(bs), err)
+			return
+		}
+		queries.Add(1)
+	}
+	for round := 0; round < 2; round++ {
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range jobs {
+					visit(i, round)
+				}
+			}()
+		}
+		for i := 0; i < tenants; i++ {
+			jobs <- i
+		}
+		close(jobs)
+		wg.Wait()
+	}
+	resident, _, evictions, maxResident := m.Stats()
+	if resident > maxOpen || maxResident > maxOpen {
+		t.Errorf("resident %d, at most %d; cap %d", resident, maxResident, maxOpen)
+	}
+	if evictions == 0 {
+		t.Error("no tenant was evicted")
+	}
+	if applies.Load() != 2*tenants || queries.Load() != 2*tenants {
+		t.Errorf("%d applies and %d queries succeeded, want %d each", applies.Load(), queries.Load(), 2*tenants)
 	}
 }
 
