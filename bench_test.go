@@ -565,7 +565,7 @@ func BenchmarkE23OpenBulkJournal(b *testing.B) {
 	}
 	b.StopTimer()
 	with := liveHeap()
-	snapshot, _ := r.Initial() // held across Compact, so that only the entries go
+	snapshot, _ := r.At(0) // held across Compact, so that only the entries go
 	if err := r.Compact(); err != nil {
 		b.Fatal(err)
 	}

@@ -61,7 +61,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -70,7 +69,6 @@ import (
 	"verlog/internal/replication"
 	"verlog/internal/repository"
 	"verlog/internal/server"
-	"verlog/internal/storage"
 	"verlog/internal/tenant"
 )
 
@@ -127,12 +125,19 @@ func main() {
 		logger.Info("initialized repository", "dir", *dir, "facts", ob.Size())
 	}
 	// An empty directory under -follow bootstraps from the primary's
-	// snapshot, so a fresh follower needs no -init and no shared disk.
+	// snapshot, so a fresh follower needs no -init and no shared disk; the
+	// first stream request resumes from the transferred seq.
 	if *follow != "" {
 		if _, err := os.Stat(filepath.Join(*dir, "snapshot.bin")); errors.Is(err, os.ErrNotExist) {
-			if err := bootstrapFollower(logger, *dir, *follow); err != nil {
+			logger.Info("bootstrapping follower from primary snapshot", "primary", *follow)
+			snap, _, err := replication.FetchSnapshot(context.Background(), http.DefaultClient, *follow)
+			if err == nil {
+				_, err = repository.InitAt(*dir, snap)
+			}
+			if err != nil {
 				fatal(logger, err)
 			}
+			logger.Info("follower bootstrapped", "seq", snap.Seq, "facts", snap.Base.Size())
 		}
 	}
 	repo, err := repository.Open(*dir)
@@ -244,30 +249,6 @@ func debugMux(api *server.Server) *http.ServeMux {
 	mux.Handle("/metrics", api.Registry().Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
-}
-
-// bootstrapFollower initializes an empty follower directory from the
-// primary's snapshot transfer, so the first stream request resumes from
-// the transferred seq instead of replaying history from zero.
-func bootstrapFollower(logger *slog.Logger, dir, primary string) error {
-	logger.Info("bootstrapping follower from primary snapshot", "primary", primary)
-	resp, err := http.Get(strings.TrimRight(primary, "/") + "/v1/repl/snapshot")
-	if err != nil {
-		return fmt.Errorf("fetching primary snapshot: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("primary snapshot returned %d", resp.StatusCode)
-	}
-	base, seq, err := storage.LoadBinaryAt(resp.Body)
-	if err != nil {
-		return fmt.Errorf("decoding primary snapshot: %w", err)
-	}
-	if _, err := repository.InitAt(dir, base, seq); err != nil {
-		return err
-	}
-	logger.Info("follower bootstrapped", "seq", seq, "facts", base.Size())
-	return nil
 }
 
 func fatal(logger *slog.Logger, err error) {

@@ -571,10 +571,10 @@ func cmdConvert(args []string) error {
 	// which no fact syntax does, so try a snapshot first and fall back to text.
 	var base *objectbase.Base
 	if f, err := os.Open(*inPath); err == nil {
-		base, _, err = storage.LoadBinaryAt(f)
+		snap, err := storage.LoadSnapshot(f)
 		f.Close()
-		if err != nil {
-			base = nil
+		if err == nil {
+			base = snap.Base
 		}
 	}
 	if base == nil {
@@ -590,7 +590,7 @@ func cmdConvert(args []string) error {
 	}
 	switch *to {
 	case "bin":
-		err = storage.SaveBinaryAt(out, base, 0)
+		err = storage.Snapshot{Base: base}.Save(out)
 	case "text":
 		err = storage.SaveText(out, base)
 	default:
@@ -817,12 +817,11 @@ func cmdRepo(args []string) error {
 		if err != nil {
 			return err
 		}
-		entries, err := r.Entries()
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
+		for _, e := range r.Log() {
 			first := strings.SplitN(strings.TrimSpace(e.Program), "\n", 2)[0]
+			if e.Constraints != nil {
+				first = "constraints: " + strings.Join(strings.Fields(*e.Constraints), " ")
+			}
 			fmt.Printf("state %d: +%d -%d facts, %d fired, %d strata | %s\n",
 				e.Seq, e.Added.Len(), e.Removed.Len(), e.Fired, e.Strata, first)
 		}
@@ -864,8 +863,7 @@ func cmdRepo(args []string) error {
 		if err := r.SetConstraints(string(src)); err != nil {
 			return err
 		}
-		cs, _ := r.Constraints()
-		fmt.Printf("installed %d constraint(s)\n", len(cs))
+		fmt.Printf("installed %d constraint(s)\n", len(r.Constraints()))
 		return nil
 	case "at":
 		if *state < 0 {

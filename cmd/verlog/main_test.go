@@ -222,6 +222,11 @@ func TestCmdRepoConstrain(t *testing.T) {
 	if !strings.Contains(out, "installed 1 constraint") {
 		t.Errorf("constrain output: %s", out)
 	}
+	// The install is a state of its own, with no firing and no diff.
+	logOut, err := capture(t, func() error { return cmdRepo([]string{"log", "-dir", repo}) })
+	if want := "state 1: +0 -0 facts, 0 fired, 0 strata | constraints: nonneg: E.isa -> empl, E.sal -> S, S < 0.\n"; err != nil || logOut != want {
+		t.Errorf("repo log = %q (%v), want %q", logOut, err, want)
+	}
 	if _, err := capture(t, func() error { return cmdRepo([]string{"apply", "-dir", repo, "-prog", cut}) }); err == nil {
 		t.Errorf("violating apply accepted")
 	}

@@ -58,11 +58,7 @@ bonus: ins[E].bonus -> 500 <- E.isa -> empl / dept -> accounts.`},
 	}
 
 	fmt.Println("\n== journal ==")
-	entries, err := repo.Entries()
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, e := range entries {
+	for _, e := range repo.Log() {
 		fmt.Printf("  state %d: +%d facts, -%d facts\n", e.Seq, e.Added.Len(), e.Removed.Len())
 	}
 

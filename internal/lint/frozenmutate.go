@@ -13,7 +13,6 @@ var frozenProducers = map[string]bool{
 	"Freeze":   true,
 	"Derive":   true,
 	"Head":     true,
-	"Initial":  true,
 	"Snapshot": true,
 	"At":       true,
 }
@@ -33,7 +32,7 @@ var frozenMutators = map[string]bool{
 // Frozenmutate flags mutations of a frozen base outside the objectbase
 // package: a call to a mutator (Insert, Remove, SetState, EnsureObject, the
 // in-place editors Adopt/AddTo/RemoveFrom, ...) on a variable that was
-// assigned from Freeze(), Derive(), Head(), Initial(), Snapshot() or At()
+// assigned from Freeze(), Derive(), Head(), Snapshot() or At()
 // and never re-derived through Clone(). Such a call panics at
 // runtime ("mutation of a frozen base") — the linter moves the failure
 // to CI. The objectbase package itself is exempt: it implements the
@@ -41,7 +40,7 @@ var frozenMutators = map[string]bool{
 var Frozenmutate = &Analyzer{
 	Name: "frozenmutate",
 	Doc: "flag Insert/Remove/SetState/AddTo/... on a base obtained from " +
-		"Freeze/Derive/Head/Initial/Snapshot/At without an intervening Clone",
+		"Freeze/Derive/Head/Snapshot/At without an intervening Clone",
 	Run: runFrozenmutate,
 }
 

@@ -155,12 +155,8 @@ func runFailover(t *testing.T, point int, mode string, progs []*term.Program, ke
 	if err := frepo.Verify(); err != nil {
 		t.Fatalf("point %d %s: promoted follower Verify: %v", point, mode, err)
 	}
-	entries, err := frepo.Entries()
-	if err != nil {
-		t.Fatalf("point %d %s: Entries: %v", point, mode, err)
-	}
 	seen := map[string]int{}
-	for _, e := range entries {
+	for _, e := range frepo.Log() {
 		if e.Key != "" {
 			seen[e.Key]++
 		}
@@ -174,7 +170,7 @@ func runFailover(t *testing.T, point int, mode string, progs []*term.Program, ke
 	if err != nil {
 		t.Fatalf("point %d %s: init reference: %v", point, mode, err)
 	}
-	if err := ref.ApplyReplicaBatch(entries); err != nil {
+	if err := ref.ApplyReplicaBatch(frepo.Log()); err != nil {
 		t.Fatalf("point %d %s: reference replay: %v", point, mode, err)
 	}
 	rh, rseq := ref.Snapshot()

@@ -9,13 +9,16 @@
 // internal/server, which delegates to a Node):
 //
 //	GET  /v1/repl/stream?after=N   long-poll for framed records with seq > N
-//	GET  /v1/repl/snapshot         framed snapshot bootstrap (base + seq)
+//	GET  /v1/repl/snapshot         framed snapshot bootstrap (base, seq, constraints)
 //	POST /v1/repl/promote          fence the old primary and take writes
 //
 // The stream body is the journal's own line format — "v1 <crc32c>
 // <payload>\n" per record, written by repository.Entry.AppendRecord — so a
 // record is checksummed end to end: what the follower fsyncs is
-// byte-identical to what the primary fsynced. Responses carry
+// byte-identical to what the primary fsynced. An installed constraint set
+// is a record of the journal like an apply, and the snapshot carries the
+// set in force at its seq, so a follower enforces its primary's set and
+// keeps enforcing it once promoted. Responses carry
 // X-Verlog-Epoch and X-Verlog-Seq headers; the epoch is the fencing
 // token. A follower only applies records from an epoch at least as new
 // as its own, so a deposed primary (older epoch) cannot roll back a
@@ -42,7 +45,6 @@ package replication
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -602,7 +604,7 @@ func (n *Node) syncOnce(ctx context.Context) error {
 		// usable; the CRC framing below cuts at the tear.
 		n.logger.Warn("stream body truncated", slog.String("error", rerr.Error()))
 	}
-	entries, perr := decodeFrames(body)
+	entries, perr := repository.ReadEntries(bytes.NewReader(body))
 	if perr != nil {
 		// Torn or corrupt frame: count it, apply the valid prefix only, and
 		// let the next poll re-request from the new durable seq. A partial
@@ -648,20 +650,7 @@ func (n *Node) syncOnce(ctx context.Context) error {
 func (n *Node) bootstrap(ctx context.Context) error {
 	rctx, cancel := context.WithTimeout(ctx, 5*time.Minute)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet, n.primary+"/v1/repl/snapshot", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := n.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("replication: snapshot returned %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	epoch, _, _, err := parseReplHeaders(resp.Header)
+	snap, epoch, err := FetchSnapshot(rctx, n.httpc, n.primary)
 	if err != nil {
 		return err
 	}
@@ -671,25 +660,49 @@ func (n *Node) bootstrap(ctx context.Context) error {
 		}
 		return fmt.Errorf("%w (upstream %d, ours %d)", ErrStaleEpoch, epoch, own)
 	}
-	base, seq, err := storage.LoadBinaryAt(resp.Body)
-	if err != nil {
-		return fmt.Errorf("replication: decoding snapshot: %w", err)
-	}
-	if err := n.repo.ResetToSnapshot(base, seq); err != nil {
+	if err := n.repo.ResetToSnapshot(snap); err != nil {
 		return err
 	}
 	if epoch > n.repo.Epoch() {
 		// The whole repository is now the new primary's history; the epoch
 		// starts for us at the snapshot seq.
-		if err := n.repo.AdvanceEpoch(epoch, seq); err != nil {
+		if err := n.repo.AdvanceEpoch(epoch, snap.Seq); err != nil {
 			return err
 		}
 	}
 	if n.snapshotLoads != nil {
 		n.snapshotLoads.Inc()
 	}
-	n.logger.Info("bootstrapped from primary snapshot", slog.Int("seq", seq))
+	n.logger.Info("bootstrapped from primary snapshot", slog.Int("seq", snap.Seq))
 	return nil
+}
+
+// FetchSnapshot fetches and decodes the snapshot the primary at base URL
+// primary serves at /v1/repl/snapshot: its published head, seq and
+// constraint set, and the epoch it serves them under.
+func FetchSnapshot(ctx context.Context, client *http.Client, primary string) (storage.Snapshot, uint64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(primary, "/")+"/v1/repl/snapshot", nil)
+	if err != nil {
+		return storage.Snapshot{}, 0, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return storage.Snapshot{}, 0, fmt.Errorf("replication: fetching snapshot: %w", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return storage.Snapshot{}, 0, fmt.Errorf("replication: snapshot returned %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+	}
+	epoch, _, _, err := parseReplHeaders(resp.Header)
+	if err != nil {
+		return storage.Snapshot{}, 0, err
+	}
+	snap, err := storage.LoadSnapshot(resp.Body)
+	if err != nil {
+		return storage.Snapshot{}, 0, fmt.Errorf("replication: decoding snapshot: %w", err)
+	}
+	return snap, epoch, nil
 }
 
 // parseReplHeaders reads the epoch, seq and optional fence-seq headers of
@@ -712,23 +725,4 @@ func parseReplHeaders(h http.Header) (epoch uint64, seq, fence int, err error) {
 		}
 	}
 	return epoch, seq, fence, nil
-}
-
-// decodeFrames parses a stream body of CRC-framed journal records into
-// entries, returning the longest valid prefix. The error, when non-nil,
-// reports the torn or corrupt frame the prefix stops at; entries before
-// it are intact (each passed its checksum and decoded) and safe to apply.
-func decodeFrames(body []byte) ([]repository.Entry, error) {
-	var entries []repository.Entry
-	_, _, err := storage.ReadJournal(bytes.NewReader(body), func(p []byte) error {
-		// Capture each entry as it validates: ReadJournal keeps exactly the
-		// payloads this callback accepts, so entries is the valid prefix.
-		var e repository.Entry
-		if derr := json.Unmarshal(p, &e); derr != nil {
-			return derr
-		}
-		entries = append(entries, e)
-		return nil
-	})
-	return entries, err
 }

@@ -5,7 +5,9 @@ package replication_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -84,6 +86,12 @@ func startFollower(t *testing.T, primaryURL string) *testNode {
 	if err != nil {
 		t.Fatalf("Init follower: %v", err)
 	}
+	return followOn(t, repo, primaryURL)
+}
+
+// followOn starts repo following primaryURL, as startFollower does.
+func followOn(t *testing.T, repo *repository.Repository, primaryURL string) *testNode {
+	t.Helper()
 	n := replication.NewNode(repo, replication.Config{
 		PrimaryURL: primaryURL,
 		FollowerID: "follower-under-test",
@@ -748,8 +756,9 @@ func TestPromoteExplicitTarget(t *testing.T) {
 
 // TestJournalsByteIdentical: a journal record is a function of its entry,
 // so after a mixed sequence — point updates under idempotency keys, bulk
-// raises, an object created, one deleted, an update that changes nothing —
-// the follower's journal file is the primary's, byte for byte.
+// raises, an object created, one deleted, an update that changes nothing,
+// a constraint set installed — the follower's journal file is the
+// primary's, byte for byte.
 func TestJournalsByteIdentical(t *testing.T) {
 	p := startPrimary(t, replication.Config{})
 	f := startFollower(t, p.srv.URL)
@@ -771,6 +780,11 @@ func TestJournalsByteIdentical(t *testing.T) {
 		if i%2 == 1 {
 			key = fmt.Sprintf("key-%d", i)
 		}
+		if i == 4 {
+			if err := p.repo.SetConstraints("nonneg: E.isa -> empl, E.sal -> S,\n\tS < 0. % \"never\"\n"); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if _, _, _, err := p.repo.ApplyKey(prog, key); err != nil {
 			t.Fatalf("step %d: %v", i+1, err)
 		}
@@ -778,7 +792,8 @@ func TestJournalsByteIdentical(t *testing.T) {
 			waitConverged(t, p.repo, f.repo, 3) // some records arrive one by one, the rest as a batch
 		}
 	}
-	waitConverged(t, p.repo, f.repo, len(steps))
+	records := len(steps) + 1
+	waitConverged(t, p.repo, f.repo, records)
 	pj, err := os.ReadFile(filepath.Join(p.repo.Dir(), "journal.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -790,10 +805,119 @@ func TestJournalsByteIdentical(t *testing.T) {
 	if !bytes.Equal(pj, fj) {
 		t.Errorf("journals differ:\nprimary:\n%s\nfollower:\n%s", pj, fj)
 	}
-	if bytes.Count(pj, []byte("\n")) != len(steps) || !bytes.Contains(pj, []byte(`"added":"bob.sal=`)) {
-		t.Errorf("primary journal does not hold %d compact records:\n%s", len(steps), pj)
+	if bytes.Count(pj, []byte("\n")) != records || !bytes.Contains(pj, []byte(`"added":"bob.sal=`)) || !bytes.Contains(pj, []byte(`"constraints":"nonneg:`)) {
+		t.Errorf("primary journal does not hold %d compact records:\n%s", records, pj)
 	}
 	if err := f.repo.Verify(); err != nil {
 		t.Errorf("follower Verify: %v", err)
 	}
+}
+
+// capSrc is a primary's constraint set; raiseProgram(t, 2000) violates it.
+const capSrc = `cap: E.isa -> empl, E.sal -> S, S > 5000.`
+
+// checkEnforces requires repo to hold the constraint set of primary, and,
+// when that set is capSrc, to refuse the raise it refuses, as a follower
+// must once promoted.
+func checkEnforces(t *testing.T, primary, repo *repository.Repository) {
+	t.Helper()
+	if got, want := repo.Export().Constraints, primary.Export().Constraints; got != want {
+		t.Fatalf("constraint set %q, the primary's is %q", got, want)
+	}
+	if got, want := len(repo.Constraints()), len(primary.Constraints()); got != want {
+		t.Fatalf("%d constraints in force, the primary has %d", got, want)
+	}
+	if primary.Export().Constraints != capSrc {
+		return
+	}
+	for _, r := range []*repository.Repository{primary, repo} {
+		var cv *repository.ConstraintViolationError
+		if _, err := r.Apply(raiseProgram(t, 2000)); !errors.As(err, &cv) || cv.Constraint != "cap" {
+			t.Fatalf("the raise over the cap: %v, want a ConstraintViolationError of cap", err)
+		}
+	}
+}
+
+// TestFollowerEnforcesPrimaryConstraints: the constraint set is part of
+// the replicated state. A follower holds its primary's set, whether it
+// streamed the install, bootstrapped from a snapshot that folded it in, or
+// restarted, and once promoted it refuses what the primary refused. A
+// later clear of the set reaches it the same way.
+func TestFollowerEnforcesPrimaryConstraints(t *testing.T) {
+	promote := func(t *testing.T, f *testNode) {
+		t.Helper()
+		if _, err := f.node.Promote(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("stream", func(t *testing.T) {
+		p := startPrimary(t, replication.Config{})
+		f := startFollower(t, p.srv.URL)
+		for seq, src := range []string{capSrc, "", capSrc} {
+			if err := p.repo.SetConstraints(src); err != nil {
+				t.Fatal(err)
+			}
+			waitConverged(t, p.repo, f.repo, seq+1)
+			checkEnforces(t, p.repo, f.repo)
+		}
+		promote(t, f)
+		checkEnforces(t, p.repo, f.repo)
+	})
+	t.Run("snapshot", func(t *testing.T) {
+		p := startPrimary(t, replication.Config{})
+		if err := p.repo.SetConstraints(capSrc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.repo.Apply(raiseProgram(t, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.repo.Compact(); err != nil || p.repo.SnapshotSeq() != 2 {
+			t.Fatalf("Compact: %v, snapshot at %d, want 2", err, p.repo.SnapshotSeq())
+		}
+		// The snapshot as the server fetches it for an empty -dir.
+		snap, _, err := replication.FetchSnapshot(context.Background(), http.DefaultClient, p.srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := repository.InitAt(t.TempDir()+"/fresh", snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEnforces(t, p.repo, fresh)
+		// A follower behind the snapshot bootstraps from it.
+		f := startFollower(t, p.srv.URL)
+		waitConverged(t, p.repo, f.repo, 2)
+		promote(t, f)
+		checkEnforces(t, p.repo, f.repo)
+	})
+	t.Run("restart", func(t *testing.T) {
+		p := startPrimary(t, replication.Config{})
+		f := startFollower(t, p.srv.URL)
+		if err := p.repo.SetConstraints(capSrc); err != nil {
+			t.Fatal(err)
+		}
+		waitConverged(t, p.repo, f.repo, 1)
+		f.node.Stop()
+		f.srv.Close()
+		if err := f.repo.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := repository.Open(f.repo.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEnforces(t, p.repo, reopened)
+		f = followOn(t, reopened, p.srv.URL)
+		if err := p.repo.SetConstraints(""); err != nil {
+			t.Fatal(err)
+		}
+		waitConverged(t, p.repo, f.repo, 2)
+		checkEnforces(t, p.repo, f.repo)
+		if err := p.repo.SetConstraints(capSrc); err != nil {
+			t.Fatal(err)
+		}
+		waitConverged(t, p.repo, f.repo, 3)
+		promote(t, f)
+		checkEnforces(t, p.repo, f.repo)
+	})
 }

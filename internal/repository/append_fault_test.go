@@ -2,70 +2,125 @@ package repository
 
 import (
 	"errors"
-	"path/filepath"
+	"fmt"
 	"sync"
 	"syscall"
 	"testing"
 
 	"verlog/internal/fsio"
 	"verlog/internal/parser"
+	"verlog/internal/term"
 )
 
-// journalFaultFS is the real filesystem with failures armed for the next
-// journal append — its Write lands half its bytes and fails, or its Sync
-// fails after every byte was written — and, while truncErr is set, for
-// every Truncate. Nothing else fails, and the process goes on: a disk that
-// refused one operation, not a machine that died (fsio.Fault).
-type journalFaultFS struct {
-	fsio.FS
-	mu                          sync.Mutex
-	writeErr, syncErr, truncErr error
+// faultFS is fsio.Fault with survivable failures: the armed durable
+// operations fail with err, and the process goes on — a disk that refused
+// an operation, not a machine that died. Operations are counted from 1 over
+// every Create, Append, Write, Sync, Rename, Remove, Truncate and SyncDir.
+// A failing Write lands half its bytes first, a failing Sync leaves its
+// bytes in the file but not durable, and the others do nothing. Since the
+// Fault underneath tracks what is durable, a crash afterwards (crash) still
+// drops every byte no fsync made durable.
+type faultFS struct {
+	*fsio.Fault
+	mu    sync.Mutex
+	ops   int
+	armed map[int]error
 }
 
-func (f *journalFaultFS) Append(name string) (fsio.File, error) {
-	file, err := f.FS.Append(name)
-	if err != nil || filepath.Base(name) != journalFile {
-		return file, err
-	}
+func newFaultFS() *faultFS { return &faultFS{Fault: fsio.NewFault(), armed: map[int]error{}} }
+
+// arm fails the operations next[i] places after the last one passed.
+func (f *faultFS) arm(err error, next ...int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	armed := &faultyAppend{File: file, writeErr: f.writeErr, syncErr: f.syncErr}
-	f.writeErr, f.syncErr = nil, nil
-	return armed, nil
+	for _, k := range next {
+		f.armed[f.ops+k] = err
+	}
 }
 
-func (f *journalFaultFS) Truncate(name string, size int64) error {
+// pass passes one operation and returns the error it is armed with.
+func (f *faultFS) pass() error {
 	f.mu.Lock()
-	err := f.truncErr
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	f.ops++
+	return f.armed[f.ops]
+}
+
+// crash cuts the power: every byte no fsync made durable is lost, and the
+// filesystem is dead from then on.
+func (f *faultFS) crash(t *testing.T) {
+	f.Fault.FailAt(1, false)
+	if err := f.Fault.SyncDir(t.TempDir()); !errors.Is(err, fsio.ErrInjected) {
+		t.Fatalf("crash: %v", err)
+	}
+}
+
+func (f *faultFS) Create(name string) (fsio.File, error) {
+	if err := f.pass(); err != nil {
+		return nil, err
+	}
+	file, err := f.Fault.Create(name)
 	if err != nil {
+		return nil, err
+	}
+	return &faultFile{file, f}, nil
+}
+
+func (f *faultFS) Append(name string) (fsio.File, error) {
+	if err := f.pass(); err != nil {
+		return nil, err
+	}
+	file, err := f.Fault.Append(name)
+	if err != nil {
+		return nil, err
+	}
+	return &faultFile{file, f}, nil
+}
+
+func (f *faultFS) Rename(oldpath, newpath string) error {
+	if err := f.pass(); err != nil {
 		return err
 	}
-	return f.FS.Truncate(name, size)
+	return f.Fault.Rename(oldpath, newpath)
 }
 
-func (f *journalFaultFS) arm(writeErr, syncErr, truncErr error) {
-	f.mu.Lock()
-	f.writeErr, f.syncErr, f.truncErr = writeErr, syncErr, truncErr
-	f.mu.Unlock()
+func (f *faultFS) Remove(name string) error {
+	if err := f.pass(); err != nil {
+		return err
+	}
+	return f.Fault.Remove(name)
 }
 
-type faultyAppend struct {
+func (f *faultFS) Truncate(name string, size int64) error {
+	if err := f.pass(); err != nil {
+		return err
+	}
+	return f.Fault.Truncate(name, size)
+}
+
+func (f *faultFS) SyncDir(dir string) error {
+	if err := f.pass(); err != nil {
+		return err
+	}
+	return f.Fault.SyncDir(dir)
+}
+
+type faultFile struct {
 	fsio.File
-	writeErr, syncErr error
+	fs *faultFS
 }
 
-func (w *faultyAppend) Write(p []byte) (int, error) {
-	if w.writeErr != nil {
+func (w *faultFile) Write(p []byte) (int, error) {
+	if err := w.fs.pass(); err != nil {
 		n, _ := w.File.Write(p[:len(p)/2])
-		return n, w.writeErr
+		return n, err
 	}
 	return w.File.Write(p)
 }
 
-func (w *faultyAppend) Sync() error {
-	if w.syncErr != nil {
-		return w.syncErr
+func (w *faultFile) Sync() error {
+	if err := w.fs.pass(); err != nil {
+		return err
 	}
 	return w.File.Sync()
 }
@@ -84,19 +139,26 @@ func henrySal(t *testing.T, r *Repository) string {
 	return rows[0][0].String()
 }
 
-func faultRepo(t *testing.T) (*Repository, *journalFaultFS) {
+func faultRepo(t *testing.T) (*Repository, *faultFS) {
 	t.Helper()
 	initial, err := parser.ObjectBase(`henry.isa -> empl / sal -> 1000.`, "init.vlg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := &journalFaultFS{FS: fsio.OS}
+	fs := newFaultFS()
 	r, err := InitFS(t.TempDir()+"/repo", initial, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r, fs
 }
+
+// The operations of an apply's journal append, counted from the apply's
+// start: Append, Write, Sync. The cut after a failure comes next.
+const (
+	appendWrite = 2
+	appendSync  = 3
+)
 
 var (
 	timesTwo   = `x2: mod[henry].sal -> (S, S2) <- henry.sal -> S, S2 = S * 2.`
@@ -108,7 +170,7 @@ var (
 // and neither the next apply's repair nor a reopen reads the record back.
 func TestFailedJournalSyncIsNotCommitted(t *testing.T) {
 	r, fs := faultRepo(t)
-	fs.arm(nil, syscall.EIO, nil)
+	fs.arm(syscall.EIO, appendSync)
 	if _, err := r.Apply(prog(t, timesTwo)); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("apply ×2 with a failing fsync: %v, want EIO", err)
 	}
@@ -134,7 +196,7 @@ func TestFailedJournalSyncIsNotCommitted(t *testing.T) {
 // cut away and the next apply commits.
 func TestJournalWriteENOSPCFailsOnlyItsBatch(t *testing.T) {
 	r, fs := faultRepo(t)
-	fs.arm(syscall.ENOSPC, nil, nil)
+	fs.arm(syscall.ENOSPC, appendWrite)
 	if _, err := r.Apply(prog(t, timesTwo)); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("apply ×2 on a full disk: %v, want ENOSPC", err)
 	}
@@ -158,19 +220,18 @@ func TestJournalWriteENOSPCFailsOnlyItsBatch(t *testing.T) {
 // recovery reads the uncommitted bytes — until it is reopened.
 func TestUnrecoverableAppendTurnsUnwritable(t *testing.T) {
 	r, fs := faultRepo(t)
-	fs.arm(nil, syscall.EIO, syscall.EIO)
+	fs.arm(syscall.EIO, appendSync, appendSync+1)
 	if _, err := r.Apply(prog(t, timesTwo)); !errors.Is(err, ErrJournalUnwritable) || !errors.Is(err, syscall.EIO) {
 		t.Fatalf("apply ×2 with a failing fsync and truncate: %v, want ErrJournalUnwritable wrapping EIO", err)
 	}
-	fs.arm(nil, nil, nil)
 	if _, err := r.Apply(prog(t, timesThree)); !errors.Is(err, ErrJournalUnwritable) {
 		t.Fatalf("apply ×3 after it: %v, want ErrJournalUnwritable", err)
 	}
 	if err := r.Compact(); !errors.Is(err, ErrJournalUnwritable) {
 		t.Fatalf("compact after it: %v, want ErrJournalUnwritable", err)
 	}
-	if _, err := r.Entries(); !errors.Is(err, ErrJournalUnwritable) {
-		t.Fatalf("the journal read from disk after it: %v, want ErrJournalUnwritable", err)
+	if err := r.Verify(); !errors.Is(err, ErrJournalUnwritable) {
+		t.Fatalf("verify, which reads the journal from disk, after it: %v, want ErrJournalUnwritable", err)
 	}
 	if got := henrySal(t, r); got != "1000" {
 		t.Errorf("henry.sal read from the unwritable repository = %s, want 1000", got)
@@ -181,5 +242,92 @@ func TestUnrecoverableAppendTurnsUnwritable(t *testing.T) {
 	}
 	if _, err := r2.Apply(prog(t, timesThree)); err != nil {
 		t.Fatalf("apply on the reopened repository: %v", err)
+	}
+}
+
+// sweepCap is the constraint set the survivable sweep installs; no apply of
+// the workload violates it.
+const sweepCap = `cap: E.isa -> empl, E.sal -> S, S > 100000.`
+
+// acked records which calls of the survivable workload returned nil.
+type acked struct {
+	applies       int
+	cons, epoched bool
+}
+
+// runSurvivableWorkload runs TestCrashSweep's workload on fs, going on past
+// every error, with a SetConstraints before its compact and an AdvanceEpoch
+// at its end. It returns the repository, nil when Init failed, and what was
+// acknowledged.
+func runSurvivableWorkload(t *testing.T, dir string, fs fsio.FS, progs []*term.Program) (*Repository, acked) {
+	t.Helper()
+	var a acked
+	initial, err := parser.ObjectBase(crashBase, "init.vlg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := InitFS(dir, initial, fs)
+	if err != nil {
+		return nil, a
+	}
+	for i, p := range progs {
+		if i == compactAfter {
+			a.cons = r.SetConstraints(sweepCap) == nil
+			r.Compact()
+		}
+		if _, err := r.Apply(p); err == nil {
+			a.applies++
+		}
+	}
+	a.epoched = r.AdvanceEpoch(2, len(progs)+1) == nil
+	return r, a
+}
+
+// checkAcked holds r to the invariants of a survivable failure: every
+// acknowledged call is in effect, and no call that returned an error is.
+func checkAcked(t *testing.T, when string, r *Repository, a acked) {
+	t.Helper()
+	if got, want := henrySal(t, r), fmt.Sprint(100+10*a.applies); got != want {
+		t.Errorf("%s: henry.sal = %s, want %s (%d applies acknowledged)", when, got, want, a.applies)
+	}
+	if n := len(r.Constraints()); (n == 1) != a.cons {
+		t.Errorf("%s: %d constraints in force, SetConstraints acknowledged = %v", when, n, a.cons)
+	}
+	if e := r.Epoch(); (e == 2) != a.epoched {
+		t.Errorf("%s: epoch %d, AdvanceEpoch(2) acknowledged = %v", when, e, a.epoched)
+	}
+}
+
+// TestSurvivableFaultSweep fails each durable operation of the workload in
+// turn with EIO, once and survivably, then cuts the power and reopens: no
+// call that returned an error is in effect, before the crash or after the
+// reopen, and every acknowledged one is. A failed fsync is never retried,
+// and nothing it wrote counts as committed.
+func TestSurvivableFaultSweep(t *testing.T) {
+	progs := crashPrograms(t)
+	probe := newFaultFS()
+	if _, a := runSurvivableWorkload(t, t.TempDir()+"/probe", probe, progs); a != (acked{len(progs), true, true}) {
+		t.Fatalf("fault-free workload acknowledged %+v", a)
+	}
+	total := probe.ops
+	t.Logf("sweeping %d fault points", total)
+	for i := 1; i <= total; i++ {
+		dir := t.TempDir() + "/repo"
+		fs := newFaultFS()
+		fs.arm(syscall.EIO, i)
+		r, a := runSurvivableWorkload(t, dir, fs, progs)
+		if r == nil {
+			continue // Init failed: there is no repository to hold to anything
+		}
+		checkAcked(t, fmt.Sprintf("point %d, before the crash", i), r, a)
+		fs.crash(t)
+		r, err := Open(dir)
+		if err != nil {
+			t.Fatalf("point %d: Open after the crash: %v", i, err)
+		}
+		if err := r.Verify(); err != nil {
+			t.Fatalf("point %d: Verify: %v", i, err)
+		}
+		checkAcked(t, fmt.Sprintf("point %d, after the crash", i), r, a)
 	}
 }

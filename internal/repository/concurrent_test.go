@@ -18,6 +18,7 @@ import (
 	"verlog/internal/objectbase"
 	"verlog/internal/obs"
 	"verlog/internal/parser"
+	"verlog/internal/storage"
 	"verlog/internal/term"
 	"verlog/internal/workload"
 )
@@ -30,7 +31,7 @@ func salFact(v int64) term.Fact {
 }
 
 // TestConcurrentApplyReadersSnapshotConsistency hammers parallel ApplyKey
-// against wait-free readers (Head, Snapshot, Log, At, Entries) and checks
+// against wait-free readers (Head, Snapshot, Log, At) and Verify and checks
 // the invariants of the commit pipeline: seq is strictly monotonic, every
 // published snapshot is internally consistent (salary matches seq), and a
 // contended idempotency key commits exactly once.
@@ -91,8 +92,8 @@ func TestConcurrentApplyReadersSnapshotConsistency(t *testing.T) {
 						return
 					}
 				}
-				if _, err := r.Entries(); err != nil {
-					errs <- fmt.Errorf("Entries during applies: %w", err)
+				if err := r.Verify(); err != nil {
+					errs <- fmt.Errorf("Verify during applies: %w", err)
 					return
 				}
 			}
@@ -374,7 +375,7 @@ func TestConcurrentApplyWithQuiescers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := r.ResetToSnapshot(base, 1000); err != nil {
+				if err := r.ResetToSnapshot(storage.Snapshot{Base: base, Seq: 1000}); err != nil {
 					t.Fatalf("ResetToSnapshot: %v", err)
 				}
 				return 1000

@@ -8,7 +8,8 @@ import (
 	"verlog/internal/storage"
 )
 
-// Entry is one journal record: an applied program and its effect.
+// Entry is one journal record: an applied program and its effect, or the
+// installation of a constraint set, which has no program and no diff.
 type Entry struct {
 	// Seq numbers applied programs from 1 and keeps counting across
 	// compactions (the snapshot records which seq it represents).
@@ -17,6 +18,9 @@ type Entry struct {
 	Program string `json:"program"`
 	// Key is the idempotency key the update was committed under, if any.
 	Key string `json:"key,omitempty"`
+	// Constraints is the source of the constraint set a constraints record
+	// installs (empty clears the set); nil in an apply's record.
+	Constraints *string `json:"constraints,omitempty"`
 	// Added and Removed are the fact-level diff on the updated base, in the
 	// compact encoding they are journaled in. They stay encoded in memory
 	// and on the replication wire; replay decodes them.
@@ -82,6 +86,9 @@ func (e *Entry) appendRecord(dst []byte, added, removed func([]byte) []byte) (re
 		if e.Key != "" {
 			b = storage.AppendJSONString(append(b, `,"key":`...), e.Key)
 		}
+		if e.Constraints != nil {
+			b = storage.AppendJSONString(append(b, `,"constraints":`...), *e.Constraints)
+		}
 		b, a = appendList(b, `,"added":"`, added)
 		b, r = appendList(b, `,"removed":"`, removed)
 		b = strconv.AppendInt(append(b, `,"fired":`...), int64(e.Fired), 10)
@@ -114,7 +121,11 @@ const changeBytes = 32
 
 // size is what the entry's strings hold in memory.
 func (e Entry) size() int {
-	return len(e.Program) + len(e.Key) + len(e.Added) + len(e.Removed)
+	n := len(e.Program) + len(e.Key) + len(e.Added) + len(e.Removed)
+	if e.Constraints != nil {
+		n += len(*e.Constraints)
+	}
+	return n
 }
 
 // diff decodes the entry's diff — the only place one is.

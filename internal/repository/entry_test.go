@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,13 +16,16 @@ import (
 
 // TestAppendRecordIsEncodingJSON: the hand-written record payload is what
 // encoding/json writes for the entry with HTML escaping off, and reads back
-// as the entry.
+// as the entry; an apply's record and a constraints record alike.
 func TestAppendRecordIsEncodingJSON(t *testing.T) {
+	src := func(s string) *string { return &s }
 	for _, e := range []Entry{
 		{},
 		{Seq: 1, Program: "r: mod[E].sal -> (S, S') <- E.sal -> S, S' = S + 1.\n", Fired: 3, Strata: 1},
 		{Seq: 1 << 40, Program: "p.", Key: `k "quoted" \ <&> π`, Added: "e1.sal=2", Removed: "e1.sal=1/note='a b'", Fired: -1, Strata: 2},
 		{Seq: 7, Program: "a\tb\r\n\x00\x1f\x7f", Key: "日本語 𝔘", Added: "x.m=1"},
+		{Seq: 8, Constraints: src("cap: E.isa -> empl, E.sal -> S, S > 5000.\nnonneg: E.sal -> S, S < 0. % \"q\" \\ <&>\n")},
+		{Seq: 9, Constraints: src("")},
 	} {
 		line := e.AppendRecord([]byte("kept"))
 		if !bytes.HasPrefix(line, []byte("kept")) {
@@ -41,7 +45,7 @@ func TestAppendRecordIsEncodingJSON(t *testing.T) {
 			t.Errorf("payload\n got %s\nwant %s", payload, want.String())
 		}
 		var back Entry
-		if err := json.Unmarshal(payload, &back); err != nil || back != e {
+		if err := json.Unmarshal(payload, &back); err != nil || !reflect.DeepEqual(back, e) {
 			t.Errorf("payload %s reads back as %+v, %v", payload, back, err)
 		}
 	}
@@ -84,6 +88,43 @@ func TestOpenRefusesPreviousFormat(t *testing.T) {
 			t.Errorf("%s changed: %d bytes, want %d (%v)", f, len(got), len(want), err)
 		}
 	}
+}
+
+// TestOpenRefusesConstraintsFile: earlier versions kept the constraint set
+// in constraints.vlg, beside the journal that now holds it. Open refuses a
+// directory still holding that file, naming it, rather than open it without
+// its set, and leaves every byte of the directory as it was.
+func TestOpenRefusesConstraintsFile(t *testing.T) {
+	r := newRepo(t, `henry.isa -> empl / sal -> 100.`)
+	applyRaises(t, r, 1)
+	if err := os.WriteFile(filepath.Join(r.Dir(), "constraints.vlg"), []byte("nonneg: E.sal -> S, S < 0.\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := readDir(t, r.Dir())
+	if _, err := Open(r.Dir()); err == nil || !strings.Contains(err.Error(), "constraints.vlg") {
+		t.Fatalf("Open = %v, want a refusal naming constraints.vlg", err)
+	}
+	if after := readDir(t, r.Dir()); !reflect.DeepEqual(after, before) {
+		t.Errorf("Open changed the directory:\nbefore %q\nafter  %q", before, after)
+	}
+}
+
+// readDir returns the contents of every file in dir, by name.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
 }
 
 // TestJournalBytesGuard pins what an update costs in the journal — exact

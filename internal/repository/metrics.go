@@ -38,10 +38,6 @@ type Metrics struct {
 	// RecordBytes is the size of each committed journal record, frame
 	// included: what one update costs on disk, in memory and on the wire.
 	RecordBytes *obs.Histogram
-	// HeadCacheHits counts reads served wait-free from the in-memory
-	// published head (Head, At, Initial, Log) — with the resident head,
-	// every read is a hit and none touches disk.
-	HeadCacheHits *obs.Counter
 	// ReplicaApplies counts journal entries applied from a replication
 	// stream (follower mode) rather than evaluated locally.
 	ReplicaApplies *obs.Counter
@@ -72,7 +68,6 @@ func (r *Repository) Instrument(reg *obs.Registry) {
 		CommitBatchRecords:   reg.Counter("verlog_commit_batch_records_total", "Journal records flushed across all group-commit batches."),
 		CommitWait:           reg.Histogram("verlog_commit_wait_seconds", "Time an apply waits for its group-commit batch to become durable."),
 		RecordBytes:          reg.SizeHistogram("verlog_journal_record_bytes", "Size of committed journal records, frame included."),
-		HeadCacheHits:        reg.Counter("verlog_head_cache_hits_total", "Reads served wait-free from the in-memory published head."),
 		ReplicaApplies:       reg.Counter("verlog_replica_applies_total", "Journal entries applied from a replication stream."),
 		PlanCacheHits:        reg.Counter("verlog_plan_cache_hits_total", "Applies that reused cached compiled match plans."),
 		PlanCacheMisses:      reg.Counter("verlog_plan_cache_misses_total", "Applies that compiled match plans afresh."),

@@ -112,7 +112,6 @@ func (r *Repository) storeProgramPlans(p *term.Program, seqClass int, cp *eval.C
 // returned are shared with the cache: callers must not modify them.
 func (r *Repository) QueryRows(body []term.Literal) ([]term.Var, [][]term.OID, error) {
 	hs := r.published.Load()
-	r.met().HeadCacheHits.Inc()
 	seqClass := hs.seq >> planSeqClassBits
 	var buf [eval.MaxParams]term.OID
 	key, params := eval.QueryShape(body, buf[:0])

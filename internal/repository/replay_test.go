@@ -11,6 +11,7 @@ import (
 	"verlog/internal/eval"
 	"verlog/internal/objectbase"
 	"verlog/internal/parser"
+	"verlog/internal/storage"
 	"verlog/internal/workload"
 )
 
@@ -216,14 +217,14 @@ func TestReplayFollowsTheJournal(t *testing.T) {
 	// A divergent history at the same seq: back to state 1, then times 5.
 	state1, _ := r.At(1)
 	other := replTestInit(t, t.TempDir()+"/other")
-	if err := other.ResetToSnapshot(state1, 1); err != nil {
+	if err := other.ResetToSnapshot(storage.Snapshot{Base: state1, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := other.Apply(replTestProgram(t, "5")); err != nil {
 		t.Fatal(err)
 	}
 	entries, _, _ := other.EntriesAfter(1)
-	if err := r.ResetToSnapshot(state1, 1); err != nil {
+	if err := r.ResetToSnapshot(storage.Snapshot{Base: state1, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Replay(Newest); !errors.Is(err, ErrNoSuchState) {

@@ -7,30 +7,32 @@
 package repository
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"verlog/internal/fsio"
-	"verlog/internal/objectbase"
+	"verlog/internal/storage"
 )
 
-// InitAt creates a repository at dir whose snapshot is base stamped with
-// journal seq — the bootstrap path for a replication follower that starts
-// from a primary's snapshot transfer rather than from seq 0. Init is
-// InitAt with seq 0.
-func InitAt(dir string, base *objectbase.Base, seq int) (*Repository, error) {
-	return InitAtFS(dir, base, seq, fsio.OS)
+// InitAt creates a repository at dir whose snapshot is snap: its base at
+// journal seq snap.Seq, under its constraint set — the bootstrap path for a
+// replication follower that starts from a primary's snapshot transfer
+// rather than from seq 0. Init is InitAt with seq 0 and no constraints.
+func InitAt(dir string, snap storage.Snapshot) (*Repository, error) {
+	return InitAtFS(dir, snap, fsio.OS)
 }
 
 // InitAtFS is InitAt on an explicit filesystem (fault injection in tests).
-func InitAtFS(dir string, base *objectbase.Base, seq int, fs fsio.FS) (*Repository, error) {
-	if seq < 0 {
-		return nil, fmt.Errorf("repository: negative snapshot seq %d", seq)
+func InitAtFS(dir string, snap storage.Snapshot, fs fsio.FS) (*Repository, error) {
+	hs, err := snapHead(snap)
+	if err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("repository: %w", err)
@@ -42,28 +44,28 @@ func InitAtFS(dir string, base *objectbase.Base, seq int, fs fsio.FS) (*Reposito
 	if err := r.removeStaleTemps(nil); err != nil {
 		return nil, err
 	}
-	if err := r.writeBase(snapshotFile, base, seq); err != nil {
+	if err := r.writeDurable(snapshotFile, snap.Save); err != nil {
 		return nil, err
 	}
-	jf, err := fs.Create(filepath.Join(dir, journalFile))
-	if err != nil {
-		return nil, fmt.Errorf("repository: %w", err)
+	if err := r.writeDurable(journalFile, func(io.Writer) error { return nil }); err != nil {
+		return nil, err
 	}
-	if err := jf.Sync(); err != nil {
-		jf.Close()
-		return nil, fmt.Errorf("repository: %w", err)
-	}
-	if err := jf.Close(); err != nil {
-		return nil, fmt.Errorf("repository: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return nil, fmt.Errorf("repository: %w", err)
-	}
-	frozen := base.Clone().Freeze()
-	hs := &headState{snap: frozen, base: frozen, seq: seq, snapSeq: seq}
 	r.spec = hs
 	r.publish(hs)
 	return r, nil
+}
+
+// snapHead returns the head state of a repository that is snap alone.
+func snapHead(snap storage.Snapshot) (*headState, error) {
+	if snap.Seq < 0 {
+		return nil, fmt.Errorf("repository: negative snapshot seq %d", snap.Seq)
+	}
+	cons, err := parseCons(snap.Constraints, snapshotFile)
+	if err != nil {
+		return nil, err
+	}
+	frozen := snap.Base.Clone().Freeze()
+	return &headState{snap: frozen, base: frozen, seq: snap.Seq, snapSeq: snap.Seq, cons: cons, snapCons: cons}, nil
 }
 
 // EntriesAfter returns the resident journal entries with seq > after, the
@@ -116,7 +118,8 @@ var ErrReplicaSeqGap = errors.New("repository: replicated entry does not extend 
 // the journal exactly as a local commit would be (one write+fsync for the
 // whole batch — followers group-commit too), its diff replayed onto the
 // head, and the new state published for the same wait-free reads a
-// primary serves. Entries at or below the published seq are skipped
+// primary serves. A constraints record installs its set here as it did on
+// the primary. Entries at or below the published seq are skipped
 // (idempotent re-delivery); an entry beyond published+1 fails with
 // ErrReplicaSeqGap and nothing is written. Idempotency keys ride along,
 // so a client retry after a failover is still answered as a replay.
@@ -128,10 +131,10 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 	defer r.applyMu.Unlock()
 	r.diskMu.Lock()
 	defer r.diskMu.Unlock()
+	r.flushPendingLocked() // a flush that failed is repaired before anything is appended
 	if err := r.repairDiskLocked(); err != nil {
 		return err
 	}
-	r.flushPendingLocked()
 	hs := r.published.Load()
 	var buf []byte
 	newEntries := hs.entries
@@ -161,13 +164,15 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 	if err != nil {
 		return err
 	}
-	if err := r.appendJournal(buf); err != nil {
-		r.commitMu.Lock()
-		r.needRepair = true
-		r.commitMu.Unlock()
+	cons, err := consAfter(hs.cons, fresh)
+	if err != nil {
 		return err
 	}
-	ns := &headState{snap: hs.snap, base: base, prev: prev, seq: seq, snapSeq: hs.snapSeq, entries: newEntries}
+	if err := r.appendJournal(buf); err != nil {
+		return err
+	}
+	ns := &headState{snap: hs.snap, base: base, prev: prev, seq: seq, snapSeq: hs.snapSeq, entries: newEntries,
+		cons: cons, snapCons: hs.snapCons}
 	r.commitMu.Lock()
 	r.spec = ns
 	for _, e := range entries {
@@ -183,16 +188,17 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 	return nil
 }
 
-// ResetToSnapshot replaces the repository's contents with base at journal
-// seq: the journal is emptied, base becomes both snapshot and head, and
-// every idempotency key is forgotten. It is the follower's catch-up path
-// when the primary has compacted past the follower's position. The
-// journal is truncated before the snapshot is replaced, so a crash
-// between the two leaves a consistent (merely stale) repository that the
-// next bootstrap attempt overwrites.
-func (r *Repository) ResetToSnapshot(base *objectbase.Base, seq int) error {
-	if seq < 0 {
-		return fmt.Errorf("repository: negative snapshot seq %d", seq)
+// ResetToSnapshot replaces the repository's contents with snap: the
+// journal is emptied, snap's base becomes both snapshot and head, its
+// constraint set the one in force, and every idempotency key is
+// forgotten. It is the follower's catch-up path when the primary has
+// compacted past the follower's position. The journal is truncated before
+// the snapshot is replaced, so a crash between the two leaves a consistent
+// (merely stale) repository that the next bootstrap attempt overwrites.
+func (r *Repository) ResetToSnapshot(snap storage.Snapshot) error {
+	ns, err := snapHead(snap)
+	if err != nil {
+		return err
 	}
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
@@ -206,11 +212,9 @@ func (r *Repository) ResetToSnapshot(base *objectbase.Base, seq int) error {
 	if err := r.fs.Truncate(filepath.Join(r.dir, journalFile), 0); err != nil {
 		return fmt.Errorf("repository: %w", err)
 	}
-	if err := r.writeBase(snapshotFile, base, seq); err != nil {
+	if err := r.writeDurable(snapshotFile, snap.Save); err != nil {
 		return err
 	}
-	frozen := base.Clone().Freeze()
-	ns := &headState{snap: frozen, base: frozen, seq: seq, snapSeq: seq}
 	r.commitMu.Lock()
 	r.spec = ns
 	r.keys = make(map[string]*keyRecord)
@@ -241,8 +245,11 @@ type EpochMark struct {
 // AdvanceEpoch durably raises the repository's epoch to e, recording that
 // it was adopted at journal seq atSeq. Advancing to the current epoch is
 // a no-op; moving backwards is an error — epochs only grow, which is what
-// makes them a fence. The adoption history is persisted alongside the
-// epoch (one line per adoption) and survives reopen.
+// makes them a fence. The adoption history is the epoch file, one line
+// appended per adoption, and survives reopen. An append that fails is cut
+// away (appendDurable), and the epoch and history in memory are always
+// what the file reads back: a failed adoption is in effect neither before
+// nor after a reopen.
 func (r *Repository) AdvanceEpoch(e uint64, atSeq int) error {
 	r.diskMu.Lock()
 	defer r.diskMu.Unlock()
@@ -253,21 +260,21 @@ func (r *Repository) AdvanceEpoch(e uint64, atSeq int) error {
 	if e < cur {
 		return fmt.Errorf("repository: epoch may not move backwards (%d -> %d)", cur, e)
 	}
-	r.epochMu.Lock()
-	hist := append(append([]EpochMark(nil), r.epochHist...), EpochMark{Epoch: e, Seq: atSeq})
-	r.epochMu.Unlock()
-	var buf strings.Builder
-	for _, m := range hist {
-		fmt.Fprintf(&buf, "%d %d\n", m.Epoch, m.Seq)
+	size, err := r.loadEpoch()
+	switch {
+	case err != nil:
+	case size < 0:
+		size, err = 0, r.writeDurable(epochFile, func(io.Writer) error { return nil })
+	default: // cut away a line a crash left short
+		err = r.fs.Truncate(filepath.Join(r.dir, epochFile), size)
 	}
-	if err := r.writeFileDurable(epochFile, []byte(buf.String())); err != nil {
-		return err
+	if err == nil {
+		_, err = r.appendDurable(epochFile, &size, fmt.Appendf(nil, "%d %d\n", e, atSeq), &zeroMetrics)
 	}
-	r.epochMu.Lock()
-	r.epochHist = hist
-	r.epochMu.Unlock()
-	r.epoch.Store(e)
-	return nil
+	if _, lerr := r.loadEpoch(); lerr != nil {
+		return errors.Join(err, lerr)
+	}
+	return err
 }
 
 // FenceSeq returns the earliest journal seq at which an epoch newer than
@@ -288,39 +295,39 @@ func (r *Repository) FenceSeq(since uint64) (fence int, ok bool) {
 	return fence, ok
 }
 
-// loadEpoch reads the persisted epoch and its adoption history (epoch 1
-// with no history when the file is absent, as in every repository that
-// predates replication). Each line is "<epoch> <seq>", epochs growing;
-// any other line makes the file corrupt.
-func (r *Repository) loadEpoch() (uint64, []EpochMark, error) {
+// loadEpoch makes the epoch and its adoption history what the epoch file
+// reads back (epoch 1 and no history when there is no file, as in every
+// repository that never saw a promotion), and returns the length of the
+// file's complete lines, -1 when there is no file. Each line is
+// "<epoch> <seq>", epochs growing; a last line without its newline is an
+// append a crash cut short and is not read. Any other line makes the file
+// corrupt.
+func (r *Repository) loadEpoch() (int64, error) {
 	data, err := r.fs.ReadFile(filepath.Join(r.dir, epochFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return 1, nil, nil
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return 0, fmt.Errorf("repository: %w", err)
 	}
+	size := int64(bytes.LastIndexByte(data, '\n') + 1)
 	if err != nil {
-		return 0, nil, fmt.Errorf("repository: %w", err)
+		size = -1
 	}
 	epoch := uint64(1)
 	var hist []EpochMark
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
+	for _, line := range strings.Split(string(data[:max(size, 0)]), "\n") {
+		if strings.TrimSpace(line) == "" {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return 0, nil, fmt.Errorf("repository: corrupt epoch file line %q", line)
+		var m EpochMark
+		var extra string
+		if n, _ := fmt.Sscan(line, &m.Epoch, &m.Seq, &extra); n != 2 || m.Epoch < epoch || m.Seq < 0 {
+			return 0, fmt.Errorf("repository: corrupt epoch file line %q", line)
 		}
-		e, err := strconv.ParseUint(fields[0], 10, 64)
-		if err != nil || e == 0 || e < epoch {
-			return 0, nil, fmt.Errorf("repository: corrupt epoch file line %q", line)
-		}
-		seq, err := strconv.Atoi(fields[1])
-		if err != nil || seq < 0 {
-			return 0, nil, fmt.Errorf("repository: corrupt epoch file line %q", line)
-		}
-		epoch = e
-		hist = append(hist, EpochMark{Epoch: e, Seq: seq})
+		epoch = m.Epoch
+		hist = append(hist, m)
 	}
-	return epoch, hist, nil
+	r.epochMu.Lock()
+	r.epochHist = hist
+	r.epochMu.Unlock()
+	r.epoch.Store(epoch)
+	return size, nil
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"verlog/internal/parser"
+	"verlog/internal/storage"
 	"verlog/internal/term"
 )
 
@@ -296,6 +297,32 @@ func TestEpochFileRefusesOtherLines(t *testing.T) {
 	}
 }
 
+// TestEpochFileTornLine: an adoption is a line appended to the epoch file,
+// so a crash may leave the last one without its newline. That line was
+// never acknowledged: Open does not read it, and the next adoption cuts it
+// away before appending its own.
+func TestEpochFileTornLine(t *testing.T) {
+	dir := t.TempDir() + "/repo"
+	replTestInit(t, dir)
+	path := filepath.Join(dir, epochFile)
+	if err := os.WriteFile(path, []byte("3 7\n5 1"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Epoch() != 3 {
+		t.Fatalf("Open with a torn last line: epoch %d, want 3", r.Epoch())
+	}
+	if err := r.AdvanceEpoch(5, 11); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "3 7\n5 11\n" {
+		t.Errorf("epoch file %q (%v), want the torn line replaced", got, err)
+	}
+}
+
 // TestInitAtAndReset checks the snapshot-bootstrap path: a follower
 // initialized from a primary snapshot at seq N continues the stream from
 // N, and ResetToSnapshot re-bases an existing follower the same way.
@@ -317,7 +344,7 @@ func TestInitAtAndReset(t *testing.T) {
 
 	// Bootstrap a follower directly from the primary's head at seq 3.
 	fdir := t.TempDir() + "/follower"
-	follower, err := InitAt(fdir, ph.Clone(), 3)
+	follower, err := InitAt(fdir, storage.Snapshot{Base: ph.Clone(), Seq: 3})
 	if err != nil {
 		t.Fatalf("InitAt: %v", err)
 	}
@@ -347,7 +374,7 @@ func TestInitAtAndReset(t *testing.T) {
 
 	// Reset a stale follower (fresh at seq 0) onto the primary's state.
 	stale := replTestInit(t, t.TempDir()+"/stale")
-	if err := stale.ResetToSnapshot(ph.Clone(), 4); err != nil {
+	if err := stale.ResetToSnapshot(storage.Snapshot{Base: ph.Clone(), Seq: 4}); err != nil {
 		t.Fatalf("ResetToSnapshot: %v", err)
 	}
 	sh, _ := stale.Head()

@@ -6,8 +6,12 @@
 //
 // Layout of a repository directory:
 //
-//	snapshot.bin  — the object base the journal starts from
-//	journal.jsonl — one checksummed record per applied program, with its diff
+//	snapshot.bin  — the object base the journal starts from, with the
+//	                constraint set in force there
+//	journal.jsonl — one checksummed record per applied program, with its
+//	                diff, or per constraint set installed
+//	epoch         — the replication epochs adopted, after the first
+//	                promotion (replica.go)
 //
 // Durability contract: an update is applied exactly when its journal
 // record has been written and fsynced. The current base exists in memory
@@ -24,7 +28,7 @@
 //
 // The current state lives in memory as an immutable (frozen) object base
 // behind an atomic pointer, published only after its journal record is
-// durable. Reads (Head, At, Replay, Initial, Log, Len, Constraints, ...)
+// durable. Reads (Head, At, Replay, Log, Len, Constraints, ...)
 // work on one wait-free load of that pointer: zero disk I/O, never blocked
 // by an in-flight apply, at most one committed update behind it.
 //
@@ -57,8 +61,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -76,10 +80,9 @@ import (
 )
 
 const (
-	snapshotFile    = "snapshot.bin"
-	journalFile     = "journal.jsonl"
-	constraintsFile = "constraints.vlg"
-	epochFile       = "epoch"
+	snapshotFile = "snapshot.bin"
+	journalFile  = "journal.jsonl"
+	epochFile    = "epoch"
 )
 
 // headState is one published state of the repository: the frozen object
@@ -100,6 +103,8 @@ type headState struct {
 	seq     int
 	snapSeq int
 	entries []Entry // journal entries snapSeq+1..seq, in order
+	// cons and snapCons are the constraint sets in force at seq and snapSeq.
+	cons, snapCons *consState
 }
 
 // at returns the frozen base after the first n entries, sharing with the
@@ -129,11 +134,31 @@ type commitBatch struct {
 	err   error
 }
 
-// consState is the installed integrity-constraint set, kept resident so
-// applies never re-read or re-parse the constraints file.
+// consState is a constraint set: its source, as journaled, and its parse.
 type consState struct {
 	src string
 	cs  []term.Constraint
+}
+
+// consAfter returns the constraint set in force after entries, given cons,
+// the set in force before them: that of the last constraints record among
+// them.
+func consAfter(cons *consState, entries []Entry) (*consState, error) {
+	for i := len(entries) - 1; i >= 0; i-- {
+		if src := entries[i].Constraints; src != nil {
+			return parseCons(*src, journalFile)
+		}
+	}
+	return cons, nil
+}
+
+// parseCons parses the source of a constraint set; file labels its errors.
+func parseCons(src, file string) (*consState, error) {
+	cs, err := parser.Constraints(src, file)
+	if err != nil {
+		return nil, fmt.Errorf("repository: %w", err)
+	}
+	return &consState{src: src, cs: cs}, nil
 }
 
 // keyRecord is one idempotency-key cache entry. batch is the commit batch
@@ -155,8 +180,6 @@ type Repository struct {
 	// published is the durable head: the state after the last fsynced
 	// journal record. Readers load it wait-free.
 	published atomic.Pointer[headState]
-	// cons is the resident constraint set (never nil after init/open).
-	cons atomic.Pointer[consState]
 	// metricsP holds nil-safe instruments; see Instrument.
 	metricsP atomic.Pointer[Metrics]
 	// epoch is the replication generation this repository last accepted
@@ -179,9 +202,9 @@ type Repository struct {
 	retention   func() int
 
 	// applyMu makes evaluation serial: an apply holds it from reading spec
-	// and cons until it has extended spec and joined the pending batch, and
-	// releases it before the batch is flushed; whatever else replaces spec
-	// or cons holds it throughout.
+	// until it has extended spec and joined the pending batch, and releases
+	// it before the batch is flushed; whatever else replaces spec holds it
+	// throughout.
 	applyMu sync.Mutex
 
 	// planMu guards plans, the plan cache of applies and queries (plans.go).
@@ -232,7 +255,6 @@ type Repository struct {
 
 func newRepository(dir string, fs fsio.FS) *Repository {
 	r := &Repository{dir: dir, fs: fs, keys: make(map[string]*keyRecord), journalLen: -1}
-	r.cons.Store(&consState{})
 	r.epoch.Store(1)
 	r.notifyCh = make(chan struct{})
 	return r
@@ -297,14 +319,16 @@ func Init(dir string, initial *objectbase.Base) (*Repository, error) {
 
 // InitFS is Init on an explicit filesystem (fault injection in tests).
 func InitFS(dir string, initial *objectbase.Base, fs fsio.FS) (*Repository, error) {
-	return InitAtFS(dir, initial, 0, fs)
+	return InitAtFS(dir, storage.Snapshot{Base: initial}, fs)
 }
 
 // Open opens an existing repository, recovering it to a consistent state:
 // a torn final journal record is truncated away, entries an interrupted
 // Compact already folded into the snapshot are dropped, stale temp files
 // are removed, and the head is rebuilt by replaying the journal onto the
-// snapshot. Recovery() reports what was done.
+// snapshot. Recovery() reports what was done. A directory holding
+// constraints.vlg, where earlier versions kept the constraint set, is
+// refused and left as it is.
 func Open(dir string) (*Repository, error) {
 	return OpenFS(dir, fsio.OS)
 }
@@ -315,6 +339,9 @@ func OpenFS(dir string, fs fsio.FS) (*Repository, error) {
 		if _, err := fs.Stat(filepath.Join(dir, f)); err != nil {
 			return nil, fmt.Errorf("repository: %s is not a repository (missing %s)", dir, f)
 		}
+	}
+	if _, err := fs.Stat(filepath.Join(dir, "constraints.vlg")); err == nil {
+		return nil, fmt.Errorf("repository: %s holds constraints.vlg, which this version does not read: the constraint set is a journal record now; move the file away, open the repository and install its set again (verlog repo constrain)", dir)
 	}
 	r := newRepository(dir, fs)
 	if err := r.recoverLocked(); err != nil {
@@ -359,12 +386,12 @@ func (r *Repository) recoverLocked() error {
 	start := time.Now()
 	// The snapshot is ground truth; if it cannot be read nothing can. A
 	// directory that is refused is left as it was found.
-	snapState, snapSeq, err := r.readBase(snapshotFile)
+	snap, err := r.readSnapshot()
 	if err != nil {
 		return err
 	}
 	jpath := filepath.Join(r.dir, journalFile)
-	entries, _, jerr := r.readJournalRaw()
+	entries, jerr := r.readJournal()
 	var torn *storage.TornTailError
 	if jerr != nil && !errors.As(jerr, &torn) {
 		return jerr
@@ -391,7 +418,7 @@ func (r *Repository) recoverLocked() error {
 	// obsolete prefix and keeps the live suffix. Contiguity of what remains
 	// is still enforced below, so genuine corruption keeps being reported.
 	live := entries
-	for len(live) > 0 && live[0].Seq <= snapSeq {
+	for len(live) > 0 && live[0].Seq <= snap.Seq {
 		live = live[1:]
 	}
 	if dropped := len(entries) - len(live); dropped > 0 {
@@ -405,24 +432,27 @@ func (r *Repository) recoverLocked() error {
 		rec.ObsoleteDropped = dropped
 	}
 	for i, e := range live {
-		if e.Seq != snapSeq+1+i {
-			return fmt.Errorf("repository: journal entry %d has seq %d, want %d; the repository is corrupted", i+1, e.Seq, snapSeq+1+i)
+		if e.Seq != snap.Seq+1+i {
+			return fmt.Errorf("repository: journal entry %d has seq %d, want %d; the repository is corrupted", i+1, e.Seq, snap.Seq+1+i)
 		}
 	}
 	// Replay the journal onto a copy of the snapshot: the head.
-	state := snapState
+	state := snap.Base
 	if len(live) > 0 {
-		state = snapState.Clone()
+		state = snap.Base.Clone()
 	}
 	if err := replay(state, live); err != nil {
 		return err
 	}
-	cons, err := r.loadConstraints()
+	snapCons, err := parseCons(snap.Constraints, snapshotFile)
 	if err != nil {
 		return err
 	}
-	epoch, epochHist, err := r.loadEpoch()
+	cons, err := consAfter(snapCons, live)
 	if err != nil {
+		return err
+	}
+	if _, err := r.loadEpoch(); err != nil {
 		return err
 	}
 	keys := make(map[string]*keyRecord)
@@ -434,11 +464,13 @@ func (r *Repository) recoverLocked() error {
 	rec.Entries = len(live)
 	rec.Duration = time.Since(start)
 	hs := &headState{
-		snap:    snapState.Freeze(),
-		base:    state.Freeze(),
-		seq:     snapSeq + len(live),
-		snapSeq: snapSeq,
-		entries: live,
+		snap:     snap.Base.Freeze(),
+		base:     state.Freeze(),
+		seq:      snap.Seq + len(live),
+		snapSeq:  snap.Seq,
+		entries:  live,
+		cons:     cons,
+		snapCons: snapCons,
 	}
 	r.commitMu.Lock()
 	r.spec = hs
@@ -447,11 +479,6 @@ func (r *Repository) recoverLocked() error {
 	r.needRepair = false
 	r.commitMu.Unlock()
 	r.publish(hs)
-	r.cons.Store(cons)
-	r.epochMu.Lock()
-	r.epochHist = epochHist
-	r.epochMu.Unlock()
-	r.epoch.Store(epoch)
 	r.met().RecoverySeconds.SetDuration(rec.Duration)
 	return nil
 }
@@ -465,24 +492,7 @@ func (r *Repository) rewriteJournal(entries []Entry) error {
 		buf = e.AppendRecord(buf)
 	}
 	r.journalLen = -1
-	return r.writeFileDurable(journalFile, buf)
-}
-
-// loadConstraints reads and parses the constraints file (empty set when
-// absent).
-func (r *Repository) loadConstraints() (*consState, error) {
-	src, err := r.fs.ReadFile(filepath.Join(r.dir, constraintsFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return &consState{}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("repository: %w", err)
-	}
-	cs, err := parser.Constraints(string(src), constraintsFile)
-	if err != nil {
-		return nil, err
-	}
-	return &consState{src: string(src), cs: cs}, nil
+	return r.writeDurable(journalFile, func(w io.Writer) error { _, err := w.Write(buf); return err })
 }
 
 // repairDiskLocked re-runs recovery if a previous flush failed partway;
@@ -516,7 +526,7 @@ func (r *Repository) unwritableErr() error {
 
 // writeDurable atomically replaces name with what write puts into it:
 // unique temp file, write, fsync, close, rename, fsync the directory entry.
-func (r *Repository) writeDurable(name string, write func(fsio.File) error) error {
+func (r *Repository) writeDurable(name string, write func(io.Writer) error) error {
 	tmp := filepath.Join(r.dir, fmt.Sprintf("%s.%08x.tmp", name, rand.Uint32()))
 	f, err := r.fs.Create(tmp)
 	if err != nil {
@@ -546,27 +556,28 @@ func (r *Repository) writeDurable(name string, write func(fsio.File) error) erro
 	return nil
 }
 
-// writeBase durably replaces name with a snapshot of b stamped seq.
-func (r *Repository) writeBase(name string, b *objectbase.Base, seq int) error {
-	return r.writeDurable(name, func(f fsio.File) error { return storage.SaveBinaryAt(f, b, seq) })
-}
-
-// writeFileDurable durably replaces name with data.
-func (r *Repository) writeFileDurable(name string, data []byte) error {
-	return r.writeDurable(name, func(f fsio.File) error { _, err := f.Write(data); return err })
-}
-
-func (r *Repository) readBase(name string) (*objectbase.Base, int, error) {
+// readFile decodes the repository's file name with decode.
+func (r *Repository) readFile(name string, decode func(io.Reader) error) error {
 	f, err := r.fs.Open(filepath.Join(r.dir, name))
 	if err != nil {
-		return nil, 0, fmt.Errorf("repository: %w", err)
+		return fmt.Errorf("repository: %w", err)
 	}
 	defer f.Close()
-	b, seq, err := storage.LoadBinaryAt(f)
-	if err != nil {
-		return nil, 0, fmt.Errorf("repository: %s: %w", name, err)
+	if err := decode(f); err != nil {
+		return fmt.Errorf("repository: %s: %w", name, err)
 	}
-	return b, seq, nil
+	return nil
+}
+
+func (r *Repository) readSnapshot() (s storage.Snapshot, err error) {
+	err = r.readFile(snapshotFile, func(f io.Reader) (err error) { s, err = storage.LoadSnapshot(f); return err })
+	return s, err
+}
+
+// readJournal reads the journal file (ReadEntries).
+func (r *Repository) readJournal() (entries []Entry, err error) {
+	err = r.readFile(journalFile, func(f io.Reader) (err error) { entries, err = ReadEntries(f); return err })
+	return entries, err
 }
 
 // Head returns the current object base: a wait-free load of the published
@@ -575,38 +586,31 @@ func (r *Repository) readBase(name string) (*objectbase.Base, int, error) {
 // may trail an in-flight apply by one seq (an update is published the
 // moment its journal record is fsynced).
 func (r *Repository) Head() (*objectbase.Base, error) {
-	hs := r.published.Load()
-	r.met().HeadCacheHits.Inc()
-	return hs.base, nil
+	return r.published.Load().base, nil
 }
 
 // Snapshot returns the published head base together with its seq, as one
 // consistent wait-free load.
 func (r *Repository) Snapshot() (*objectbase.Base, int) {
 	hs := r.published.Load()
-	r.met().HeadCacheHits.Inc()
 	return hs.base, hs.seq
 }
 
-// Initial returns the object base the journal starts from (the snapshot).
-// Like Head it is a wait-free load of resident state; the returned base
-// is frozen and shared.
-func (r *Repository) Initial() (*objectbase.Base, error) {
+// Export returns the published head as a snapshot: its base, its seq and
+// the constraint set in force there, as one consistent wait-free load. It
+// is what a follower bootstraps from.
+func (r *Repository) Export() storage.Snapshot {
 	hs := r.published.Load()
-	r.met().HeadCacheHits.Inc()
-	return hs.snap, nil
+	return storage.Snapshot{Base: hs.base, Seq: hs.seq, Constraints: hs.cons.src}
 }
 
-// readJournalRaw parses the journal file. The error may be a
-// *storage.TornTailError (recoverable by truncation) or a hard one.
-func (r *Repository) readJournalRaw() ([]Entry, int64, error) {
-	f, err := r.fs.Open(filepath.Join(r.dir, journalFile))
-	if err != nil {
-		return nil, 0, fmt.Errorf("repository: %w", err)
-	}
-	defer f.Close()
+// ReadEntries decodes the framed journal records r holds, a journal file
+// or a replication stream body: the entries of its longest valid prefix,
+// and the error of the record it stops at (a *storage.TornTailError when
+// that is the last thing in r), if any.
+func ReadEntries(r io.Reader) ([]Entry, error) {
 	var out []Entry
-	_, good, rerr := storage.ReadJournal(f, func(payload []byte) error {
+	_, _, err := storage.ReadJournal(r, func(payload []byte) error {
 		var e Entry
 		if err := json.Unmarshal(payload, &e); err != nil {
 			return err
@@ -614,39 +618,14 @@ func (r *Repository) readJournalRaw() ([]Entry, int64, error) {
 		out = append(out, e)
 		return nil
 	})
-	if rerr != nil {
-		return out, good, fmt.Errorf("repository: %w", rerr)
-	}
-	return out, good, nil
-}
-
-// Entries reads the full journal from disk — the integrity-checking read:
-// unlike Log it surfaces a torn tail or checksum damage as an error
-// rather than silently dropping records. It serializes with in-flight
-// flushes; use Log for the wait-free view.
-func (r *Repository) Entries() ([]Entry, error) {
-	r.diskMu.Lock()
-	defer r.diskMu.Unlock()
-	if err := r.closedErr(); err != nil {
-		return nil, err
-	}
-	if err := r.unwritableErr(); err != nil {
-		return nil, err // the journal may end in a record no apply committed
-	}
-	entries, _, err := r.readJournalRaw()
-	if err != nil {
-		return nil, err
-	}
-	return entries, nil
+	return out, err
 }
 
 // Log returns the journal entries of the published head (those since the
 // snapshot), wait-free and without disk I/O. The slice is shared and must
 // not be mutated. It may trail an in-flight apply by one entry.
 func (r *Repository) Log() []Entry {
-	hs := r.published.Load()
-	r.met().HeadCacheHits.Inc()
-	return hs.entries
+	return r.published.Load().entries
 }
 
 // HistoryBytes reports what the history since the snapshot occupies: the
@@ -693,14 +672,17 @@ func (e *ConstraintViolationError) Error() string {
 }
 
 // SetConstraints installs integrity constraints (denial form, concrete
-// syntax; see parser.Constraints). Every subsequent Apply verifies the
-// updated base against them and refuses to commit on violation. The
-// current head must already satisfy them. Installation holds applyMu, so
-// no update can slip between the validation and the switch: every apply
+// syntax; see parser.Constraints), replacing the set in force; an empty
+// source clears it. Every subsequent Apply verifies the updated base
+// against them and refuses to commit on violation. The current head must
+// already satisfy them. The set is installed by a journal record of its
+// own, with the next seq, no program and no diff, so it reaches followers
+// with the stream and the snapshot. Installation holds applyMu, so no
+// update can slip between the validation and the switch: every apply
 // evaluated under the previous set is durable (or has failed) before the
 // head is validated, and every later one reads the new set.
 func (r *Repository) SetConstraints(src string) error {
-	cs, err := parser.Constraints(src, constraintsFile)
+	cons, err := parseCons(src, "constraints")
 	if err != nil {
 		return err
 	}
@@ -711,25 +693,31 @@ func (r *Repository) SetConstraints(src string) error {
 	if err := r.closedErr(); err != nil {
 		return err
 	}
+	r.flushPendingLocked() // a flush that failed is repaired before anything is appended
 	if err := r.repairDiskLocked(); err != nil {
 		return err
 	}
-	r.flushPendingLocked()
-	head := r.published.Load().base
-	if err := checkConstraints(head, cs); err != nil {
+	hs := r.published.Load()
+	if err := checkConstraints(hs.base, cons.cs); err != nil {
 		return fmt.Errorf("repository: current head already violates constraints: %w", err)
 	}
-	if err := r.writeFileDurable(constraintsFile, []byte(src)); err != nil {
+	entry := Entry{Seq: hs.seq + 1, Constraints: &src}
+	if err := r.appendJournal(entry.AppendRecord(nil)); err != nil {
 		return err
 	}
-	r.cons.Store(&consState{src: src, cs: cs})
+	ns := &headState{snap: hs.snap, base: hs.base, prev: hs.base, seq: entry.Seq, snapSeq: hs.snapSeq,
+		entries: append(hs.entries, entry), cons: cons, snapCons: hs.snapCons}
+	r.commitMu.Lock()
+	r.spec = ns
+	r.commitMu.Unlock()
+	r.publish(ns)
 	return nil
 }
 
-// Constraints returns the installed constraints (nil if none), from the
-// resident set — wait-free, no disk I/O.
-func (r *Repository) Constraints() ([]term.Constraint, error) {
-	return r.cons.Load().cs, nil
+// Constraints returns the constraints in force at the published head (nil
+// if none) — wait-free, no disk I/O.
+func (r *Repository) Constraints() []term.Constraint {
+	return r.published.Load().cons.cs
 }
 
 func checkConstraints(base *objectbase.Base, cs []term.Constraint) error {
@@ -859,7 +847,7 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	}
 	head := r.spec
 	r.commitMu.Unlock()
-	cons := r.cons.Load()
+	cons := head.cons
 
 	// Plans of p's shape, planned against the current seq class, serve it.
 	// On a miss p is planned by shape here; a program that cannot be
@@ -941,12 +929,14 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 		return a, true, nil
 	}
 	ns := &headState{
-		snap:    head.snap,
-		base:    res.Final,
-		prev:    head.base,
-		seq:     entry.Seq,
-		snapSeq: head.snapSeq,
-		entries: append(head.entries, entry),
+		snap:     head.snap,
+		base:     res.Final,
+		prev:     head.base,
+		seq:      entry.Seq,
+		snapSeq:  head.snapSeq,
+		entries:  append(head.entries, entry),
+		cons:     cons,
+		snapCons: head.snapCons,
 	}
 	b := r.pending
 	leader := b == nil
@@ -992,9 +982,6 @@ func (r *Repository) flushPendingLocked() {
 	err := r.appendJournal(buf)
 	if err != nil {
 		r.commitMu.Lock()
-		// The speculative chain now runs ahead of a disk state we no
-		// longer trust; recovery rebuilds both before the next commit.
-		r.needRepair = true
 		b.err = err
 		r.dropBatchKeysLocked(b)
 		r.commitMu.Unlock()
@@ -1027,54 +1014,64 @@ func (r *Repository) dropBatchKeysLocked(b *commitBatch) {
 	}
 }
 
-// appendJournal appends the framed records and fsyncs them; diskMu must
-// be held. An append that fails is undone before recovery or a reader can
-// see its bytes: the journal is cut back to its durable length (a failed
-// fsync is not retried — its pages may be gone while the bytes still read
-// back). If the cut fails too, the repository turns unwritable.
+// appendJournal appends the framed records to the journal and fsyncs them
+// (appendDurable); diskMu must be held. After a failure the speculative
+// chain runs ahead of a disk state we no longer trust, so recovery rebuilds
+// both before the next write; if the failed append could not be cut away,
+// the repository turns unwritable.
 func (r *Repository) appendJournal(buf []byte) error {
-	path := filepath.Join(r.dir, journalFile)
-	if r.journalLen < 0 {
-		st, err := r.fs.Stat(path)
-		if err != nil {
-			return fmt.Errorf("repository: %w", err)
-		}
-		r.journalLen = st.Size()
-	}
-	jf, err := r.fs.Append(path)
+	kept, err := r.appendDurable(journalFile, &r.journalLen, buf, r.met())
 	if err != nil {
-		return fmt.Errorf("repository: %w", err)
+		r.commitMu.Lock()
+		r.needRepair = true
+		r.unwritable = r.unwritable || kept
+		r.commitMu.Unlock()
+		if kept {
+			return fmt.Errorf("%w: %w", ErrJournalUnwritable, err)
+		}
 	}
-	writeStart := time.Now()
-	if _, err := jf.Write(buf); err != nil {
-		jf.Close()
-		return r.undoAppend(path, err)
-	}
-	r.met().AppendWrite.Observe(time.Since(writeStart))
-	syncStart := time.Now()
-	if err := jf.Sync(); err != nil {
-		jf.Close()
-		return r.undoAppend(path, err)
-	}
-	r.met().AppendFsync.Observe(time.Since(syncStart))
-	if err := jf.Close(); err != nil {
-		return r.undoAppend(path, err)
-	}
-	r.journalLen += int64(len(buf))
-	return nil
+	return err
 }
 
-// undoAppend truncates the journal at path back to its durable length
-// after an append failed with cause, and returns the error the append
-// fails with; diskMu must be held.
-func (r *Repository) undoAppend(path string, cause error) error {
-	if err := r.fs.Truncate(path, r.journalLen); err != nil {
-		r.commitMu.Lock()
-		r.unwritable = true
-		r.commitMu.Unlock()
-		return fmt.Errorf("%w: appending failed (%w), and cutting the append away failed (%w)", ErrJournalUnwritable, cause, err)
+// appendDurable appends buf to the file name and fsyncs it; diskMu must be
+// held. *durable is the file's durable length, its length after the last
+// fsync that succeeded, or -1 to read it off the file. An append that
+// fails is undone before recovery or a reader can see its bytes: the file
+// is cut back to its durable length (a failed fsync is not retried — its
+// pages may be gone while the bytes still read back). kept reports that
+// the cut failed too, so the file may end in the failed append.
+func (r *Repository) appendDurable(name string, durable *int64, buf []byte, m *Metrics) (kept bool, err error) {
+	path := filepath.Join(r.dir, name)
+	if *durable < 0 {
+		st, err := r.fs.Stat(path)
+		if err != nil {
+			return false, fmt.Errorf("repository: %w", err)
+		}
+		*durable = st.Size()
 	}
-	return fmt.Errorf("repository: %w", cause)
+	f, err := r.fs.Append(path)
+	if err != nil {
+		return false, fmt.Errorf("repository: %w", err)
+	}
+	writeStart := time.Now()
+	if _, err = f.Write(buf); err == nil {
+		m.AppendWrite.Observe(time.Since(writeStart))
+		syncStart := time.Now()
+		if err = f.Sync(); err == nil {
+			m.AppendFsync.Observe(time.Since(syncStart))
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		*durable += int64(len(buf))
+		return false, nil
+	}
+	if terr := r.fs.Truncate(path, *durable); terr != nil {
+		return true, fmt.Errorf("appending to %s failed (%w), and cutting the append away failed (%w)", name, err, terr)
+	}
+	return false, fmt.Errorf("repository: %w", err)
 }
 
 // VerifyError reports a repository whose journal replay does not
@@ -1108,15 +1105,16 @@ func (r *Repository) Verify() error {
 // head; diskMu must be held with the pending batch flushed, so disk and
 // published agree unless something is corrupted.
 func (r *Repository) verifyDiskLocked() error {
-	entries, _, err := r.readJournalRaw()
+	entries, err := r.readJournal()
 	if err != nil {
 		return err
 	}
-	state, snapSeq, err := r.readBase(snapshotFile)
+	snap, err := r.readSnapshot()
 	if err != nil {
 		return err
 	}
-	for len(entries) > 0 && entries[0].Seq <= snapSeq {
+	state := snap.Base
+	for len(entries) > 0 && entries[0].Seq <= snap.Seq {
 		entries = entries[1:]
 	}
 	if err := replay(state, entries); err != nil {
@@ -1197,10 +1195,10 @@ func (r *Repository) Compact() error {
 	}
 	if floor == hs.seq {
 		// Full compact: the head becomes the snapshot, the journal empties.
-		if err := r.writeBase(snapshotFile, hs.base, hs.seq); err != nil {
+		if err := r.writeDurable(snapshotFile, storage.Snapshot{Base: hs.base, Seq: hs.seq, Constraints: hs.cons.src}.Save); err != nil {
 			return err
 		}
-		ns := &headState{snap: hs.base, base: hs.base, seq: hs.seq, snapSeq: hs.seq}
+		ns := &headState{snap: hs.base, base: hs.base, seq: hs.seq, snapSeq: hs.seq, cons: hs.cons, snapCons: hs.cons}
 		r.commitMu.Lock()
 		r.spec = ns
 		r.keys = make(map[string]*keyRecord)
@@ -1218,14 +1216,19 @@ func (r *Repository) Compact() error {
 	// Retention-preserving compact: fold entries snapSeq+1..floor into the
 	// snapshot; the suffix floor+1..seq stays in the journal for followers.
 	state := hs.snap.Clone()
-	remaining := hs.entries[floor-hs.snapSeq:]
-	if err := replay(state, hs.entries[:floor-hs.snapSeq]); err != nil {
+	folded, remaining := hs.entries[:floor-hs.snapSeq], hs.entries[floor-hs.snapSeq:]
+	if err := replay(state, folded); err != nil {
 		return err
 	}
-	if err := r.writeBase(snapshotFile, state, floor); err != nil {
+	snapCons, err := consAfter(hs.snapCons, folded)
+	if err != nil {
 		return err
 	}
-	ns := &headState{snap: state.Freeze(), base: hs.base, prev: hs.prev, seq: hs.seq, snapSeq: floor, entries: remaining}
+	if err := r.writeDurable(snapshotFile, storage.Snapshot{Base: state, Seq: floor, Constraints: snapCons.src}.Save); err != nil {
+		return err
+	}
+	ns := &headState{snap: state.Freeze(), base: hs.base, prev: hs.prev, seq: hs.seq, snapSeq: floor,
+		entries: remaining, cons: hs.cons, snapCons: snapCons}
 	keys := make(map[string]*keyRecord)
 	for _, e := range remaining {
 		if e.Key != "" {
@@ -1268,7 +1271,7 @@ var ErrDiverged = errors.New("repository: journal diverged")
 // Close quiesces the repository and marks it closed: it waits for the
 // apply that is evaluating to enqueue, flushes the pending group-commit
 // batch, and every later mutating or disk-touching operation (ApplyKey,
-// SetConstraints, Compact, Verify, Entries) returns ErrClosed — applies
+// SetConstraints, Compact, Verify) returns ErrClosed — applies
 // queued behind Close included, instead of writing to a repository whose
 // owner has moved on. Reads (Head, Snapshot, Log, At, ...) stay wait-free
 // against the last published state, so a racing reader never observes a
@@ -1305,7 +1308,6 @@ func (r *Repository) closedErr() error {
 // replayed programs left alone: Clone it before mutating.
 func (r *Repository) At(seq int) (*objectbase.Base, error) {
 	hs := r.published.Load()
-	r.met().HeadCacheHits.Inc()
 	if seq < 0 || seq > len(hs.entries) {
 		return nil, fmt.Errorf("%w: %d (journal has %d)", ErrNoSuchState, seq, len(hs.entries))
 	}

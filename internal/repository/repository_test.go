@@ -45,10 +45,7 @@ func TestRepositoryLifecycle(t *testing.T) {
 	}
 
 	// Journal has two entries with programs and diffs.
-	entries, err := r.Entries()
-	if err != nil {
-		t.Fatalf("Entries: %v", err)
-	}
+	entries := r.Log()
 	if len(entries) != 2 || entries[0].Seq != 1 || entries[1].Seq != 2 {
 		t.Fatalf("entries = %+v", entries)
 	}

@@ -39,10 +39,7 @@ func TestDivergedJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, err := repo.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := repo.Log()
 	if err := repo.Close(); err != nil {
 		t.Fatal(err)
 	}

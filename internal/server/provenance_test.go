@@ -154,7 +154,7 @@ func TestProvenanceOnFollower(t *testing.T) {
 	psrv := httptest.NewServer(New(prepo, WithReplication(pnode)))
 	defer psrv.Close()
 
-	initial, _ := prepo.Initial()
+	initial, _ := prepo.At(0)
 	frepo, err := repository.Init(t.TempDir()+"/follower", initial)
 	if err != nil {
 		t.Fatalf("Init follower: %v", err)

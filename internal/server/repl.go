@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"verlog/internal/replication"
-	"verlog/internal/storage"
 )
 
 // Replication endpoints. These are thin HTTP shims over the replication
@@ -106,15 +105,16 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplSnapshot serves GET /v1/repl/snapshot: the published head as
-// a framed snapshot (base + seq) for follower bootstrap. The stamped seq
-// is the resume point the follower streams from afterwards.
+// a framed snapshot (base, seq and the constraint set in force) for
+// follower bootstrap. The stamped seq is the resume point the follower
+// streams from afterwards.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
-	base, seq := s.def.Repo().Snapshot()
+	snap := s.def.Repo().Export()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(s.def.Repo().Epoch(), 10))
-	w.Header().Set(replication.HeaderSeq, strconv.Itoa(seq))
+	w.Header().Set(replication.HeaderSeq, strconv.Itoa(snap.Seq))
 	w.WriteHeader(http.StatusOK)
-	if err := storage.SaveBinaryAt(w, base, seq); err != nil {
+	if err := snap.Save(w); err != nil {
 		// Headers are out; all we can do is log via the middleware status.
 		s.logger.Error("snapshot transfer failed", "error", err.Error())
 	}

@@ -456,14 +456,16 @@ func (s *Server) handleState(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 	writeJSON(w, baseResponse{State: &n, Facts: base.Size(), Text: parser.FormatFacts(base, false)})
 }
 
-// logEntry is the journal summary row.
+// logEntry is the journal summary row. Constraints is present on the row
+// of a constraints record: the source of the set it installs.
 type logEntry struct {
-	Seq     int    `json:"seq"`
-	Added   int    `json:"added"`
-	Removed int    `json:"removed"`
-	Fired   int    `json:"fired"`
-	Strata  int    `json:"strata"`
-	Program string `json:"program"`
+	Seq         int     `json:"seq"`
+	Added       int     `json:"added"`
+	Removed     int     `json:"removed"`
+	Fired       int     `json:"fired"`
+	Strata      int     `json:"strata"`
+	Program     string  `json:"program"`
+	Constraints *string `json:"constraints,omitempty"`
 }
 
 // logResponse is one page of the journal. NextAfter is present when more
@@ -493,7 +495,7 @@ func (s *Server) handleLog(t *tenant.Tenant, w http.ResponseWriter, r *http.Requ
 		}
 		resp.Entries = append(resp.Entries, logEntry{
 			Seq: e.Seq, Added: e.Added.Len(), Removed: e.Removed.Len(),
-			Fired: e.Fired, Strata: e.Strata, Program: e.Program,
+			Fired: e.Fired, Strata: e.Strata, Program: e.Program, Constraints: e.Constraints,
 		})
 	}
 	writeJSON(w, resp)
@@ -668,11 +670,7 @@ type constraintsResponse struct {
 }
 
 func (s *Server) handleGetConstraints(t *tenant.Tenant, w http.ResponseWriter, r *http.Request) {
-	cs, err := t.Repo().Constraints()
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
+	cs := t.Repo().Constraints()
 	var b strings.Builder
 	for _, c := range cs {
 		if c.Name != "" {
@@ -695,8 +693,7 @@ func (s *Server) handleSetConstraints(t *tenant.Tenant, w http.ResponseWriter, r
 		writeError(w, r, err)
 		return
 	}
-	cs, _ := t.Repo().Constraints()
-	writeJSON(w, map[string]int{"installed": len(cs)})
+	writeJSON(w, map[string]int{"installed": len(t.Repo().Constraints())})
 }
 
 // checkResponse reports a program's static analysis: the full diagnostic

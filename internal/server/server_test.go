@@ -459,6 +459,15 @@ func TestServerConstraints(t *testing.T) {
 	if code != 200 || !strings.Contains(body, "nonneg:") || !strings.Contains(body, `"count":1`) {
 		t.Errorf("get constraints: %d %s", code, body)
 	}
+	// The install is state 1 of the log: no firing, an empty diff.
+	code, body = get(t, ts.URL+"/v1/t/default/log")
+	if want := `{"entries":[{"seq":1,"added":0,"removed":0,"fired":0,"strata":0,"program":"","constraints":"nonneg: E.isa -> empl, E.sal -> S, S < 0."}]}`; code != 200 || strings.TrimSpace(body) != want {
+		t.Errorf("log = %d %s, want %s", code, body, want)
+	}
+	code, body = post(t, ts.URL+"/v1/t/default/explain?state=1", "phil.sal -> 4000.")
+	if code != 200 || !strings.Contains(body, `"provenance":"input"`) {
+		t.Errorf("explain of the install = %d %s, want the fact from the input base", code, body)
+	}
 	// A violating update is rejected with 409 constraint_violation and not
 	// committed.
 	code, body = post(t, ts.URL+"/v1/t/default/apply", `r: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S - 99999.`)

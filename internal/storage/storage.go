@@ -38,29 +38,38 @@ func LoadText(r io.Reader, name string) (*objectbase.Base, error) {
 
 // A snapshot is framed records: first the header
 //
-//	{"snapshot":2,"seq":N,"facts":K}
+//	{"snapshot":2,"seq":N,"facts":K,"constraints":"..."}
 //
 // where N is the journal sequence number the snapshot represents (0 for the
-// state before any program: entries with Seq at most N are folded into it)
-// and K the number of facts; then the base's facts, exists facts included
-// so that even fully-deleted versions survive, in sorted order as Facts
-// records of about snapshotChunk bytes each.
+// state before any program: entries with Seq at most N are folded into it),
+// K the number of facts and constraints the source of the integrity
+// constraints in force at N (absent when there are none); then the base's
+// facts, exists facts included so that even fully-deleted versions survive,
+// in sorted order as Facts records of about snapshotChunk bytes each.
 const (
 	snapshotVersion = 2 // the gob snapshots of earlier versions were 1
 	snapshotChunk   = 64 << 10
 )
 
 type snapshotHeader struct {
-	Snapshot int `json:"snapshot"`
-	Seq      int `json:"seq"`
-	Facts    int `json:"facts"`
+	Snapshot    int    `json:"snapshot"`
+	Seq         int    `json:"seq"`
+	Facts       int    `json:"facts"`
+	Constraints string `json:"constraints,omitempty"`
 }
 
-// SaveBinaryAt writes a snapshot of the base stamped with the journal
-// sequence number it represents.
-func SaveBinaryAt(w io.Writer, b *objectbase.Base, seq int) error {
-	facts := b.Facts()
-	hdr, _ := json.Marshal(snapshotHeader{snapshotVersion, seq, len(facts)}) // ints only: cannot fail
+// Snapshot is what a snapshot holds: a base, the journal sequence number it
+// represents and the source of the constraint set in force there.
+type Snapshot struct {
+	Base        *objectbase.Base
+	Seq         int
+	Constraints string
+}
+
+// Save writes the snapshot.
+func (s Snapshot) Save(w io.Writer) error {
+	facts := s.Base.Facts()
+	hdr, _ := json.Marshal(snapshotHeader{snapshotVersion, s.Seq, len(facts), s.Constraints}) // cannot fail
 	out := FrameJournalRecord(hdr)
 	var enc factEncoder
 	for len(facts) > 0 {
@@ -75,9 +84,9 @@ func SaveBinaryAt(w io.Writer, b *objectbase.Base, seq int) error {
 	return nil
 }
 
-// LoadBinaryAt reads a snapshot together with its journal sequence stamp.
-// Anything but a complete, intact snapshot is an error.
-func LoadBinaryAt(r io.Reader) (*objectbase.Base, int, error) {
+// LoadSnapshot reads a snapshot. Anything but a complete, intact snapshot
+// is an error.
+func LoadSnapshot(r io.Reader) (Snapshot, error) {
 	var hdr snapshotHeader
 	var facts []term.Fact
 	_, _, err := ReadJournal(r, func(payload []byte) error {
@@ -103,7 +112,18 @@ func LoadBinaryAt(r io.Reader) (*objectbase.Base, int, error) {
 		err = fmt.Errorf("%d facts, the header says %d", len(facts), hdr.Facts)
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("storage: not an intact snapshot (want a framed header record, then framed Facts records): %w", err)
+		return Snapshot{}, fmt.Errorf("storage: not an intact snapshot (want a framed header record, then framed Facts records): %w", err)
 	}
-	return objectbase.FromFacts(facts), hdr.Seq, nil
+	return Snapshot{objectbase.FromFacts(facts), hdr.Seq, hdr.Constraints}, nil
+}
+
+// SaveBinaryAt and LoadBinaryAt are Save and LoadSnapshot without a
+// constraint set, kept for the load benchmark, which calls them.
+func SaveBinaryAt(w io.Writer, b *objectbase.Base, seq int) error {
+	return Snapshot{Base: b, Seq: seq}.Save(w)
+}
+
+func LoadBinaryAt(r io.Reader) (*objectbase.Base, int, error) {
+	s, err := LoadSnapshot(r)
+	return s.Base, s.Seq, err
 }

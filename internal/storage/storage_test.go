@@ -78,6 +78,25 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotCarriesConstraints: the constraint set rides in the header,
+// which leaves the field out when there is none, as the snapshots of
+// earlier versions were written.
+func TestSnapshotCarriesConstraints(t *testing.T) {
+	b := sampleBase(t)
+	want := Snapshot{Base: b, Seq: 3, Constraints: "cap: E.sal -> S, S > 5000.\n% \"q\" \\ <&> π\n"}
+	var buf bytes.Buffer
+	if err := want.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadSnapshot(&buf)
+	if err != nil || got.Seq != want.Seq || got.Constraints != want.Constraints || !got.Base.Equal(b) {
+		t.Fatalf("LoadSnapshot = seq %d, constraints %q, %v; want seq 3, %q and the base", got.Seq, got.Constraints, err, want.Constraints)
+	}
+	if snap := saveSnapshot(t, b, 3); bytes.Contains(snap, []byte("constraints")) {
+		t.Errorf("a snapshot without constraints names the field: %.80q", snap)
+	}
+}
+
 // TestBinaryRejectsGarbage: files of other formats are refused, and so is
 // a snapshot missing, repeating or adding a record, or one whose header
 // miscounts. The snapshot spliced is a large base's, written as several

@@ -501,8 +501,8 @@ func TestRepositoryClose(t *testing.T) {
 	if err := r.Compact(); !errors.Is(err, repository.ErrClosed) {
 		t.Fatalf("Compact after Close = %v, want ErrClosed", err)
 	}
-	if _, err := r.Entries(); !errors.Is(err, repository.ErrClosed) {
-		t.Fatalf("Entries after Close = %v, want ErrClosed", err)
+	if err := r.Verify(); !errors.Is(err, repository.ErrClosed) {
+		t.Fatalf("Verify after Close = %v, want ErrClosed", err)
 	}
 	head, err := r.Head()
 	if err != nil {
