@@ -10,6 +10,7 @@ package verlog
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"verlog/internal/baseline"
 	"verlog/internal/core"
 	"verlog/internal/eval"
+	"verlog/internal/fsio"
 	"verlog/internal/obs"
 	"verlog/internal/repository"
 	"verlog/internal/strata"
@@ -541,6 +543,7 @@ func BenchmarkE23OpenBulkJournal(b *testing.B) {
 	}
 	raise := mustParseProgram(b, `r: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S + 1.`)
 	facts := 0
+	checkpoint, _ := r.HistoryBytes() // the journal's head, which is no history
 	for i := 0; i < applies; i++ {
 		if _, err := r.Apply(raise); err != nil {
 			b.Fatal(err)
@@ -571,8 +574,74 @@ func BenchmarkE23OpenBulkJournal(b *testing.B) {
 	}
 	without := liveHeap()
 	runtime.KeepAlive(snapshot)
-	b.ReportMetric(float64(journal)/float64(facts), "journal-B/fact")
+	b.ReportMetric(float64(journal-checkpoint)/float64(facts), "journal-B/fact")
 	b.ReportMetric((float64(with)-float64(without))/applies, "resident-B/entry")
+}
+
+// BenchmarkE32Checkpoint — E32: what a Compact costs. A repository of 3 000
+// employees takes 20 point updates, built outside the timer; each iteration
+// compacts a fresh one, in full or keeping a retention tail of 10 entries.
+// Besides B/op and allocs/op it reports, per Compact, the journal's bytes
+// after it (journal-B), the bytes of every file the directory then holds
+// (dir-B: a Compact rewrites every file it leaves, so this is what it
+// wrote) and the durable operations it made (durable-ops: fsio.Fault's
+// count of creates, writes, fsyncs, renames, removes, truncates and
+// directory syncs).
+func BenchmarkE32Checkpoint(b *testing.B) {
+	const employees, applies = 3000, 20
+	base := workload.EnterpriseSpec{Employees: employees, Seed: 32}.ObjectBase()
+	var progs []*Program
+	for i := range applies {
+		e := fmt.Sprintf("e%d", i*employees/applies)
+		progs = append(progs, mustParseProgram(b, fmt.Sprintf(`r: mod[%s].sal -> (S, S') <- %s.sal -> S, S' = S + 1.`, e, e)))
+	}
+	for _, tail := range []int{0, 10} {
+		b.Run(map[int]string{0: "full", 10: "retain=10"}[tail], func(b *testing.B) {
+			b.ReportAllocs()
+			var ops, journal, dir int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				fs := fsio.NewFault()
+				r, err := repository.InitFS(fmt.Sprintf("%s/%d", b.TempDir(), i), base, fs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range progs {
+					if _, err := r.Apply(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				r.SetRetention(func() int { return applies - tail })
+				before := fs.Count()
+				b.StartTimer()
+				if err := r.Compact(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if r.Len() != tail {
+					b.Fatalf("%d entries after the compact, want %d", r.Len(), tail)
+				}
+				ops += int64(fs.Count() - before)
+				files, err := os.ReadDir(r.Dir())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, f := range files {
+					info, err := f.Info()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if dir += info.Size(); f.Name() == "journal.jsonl" {
+						journal += info.Size()
+					}
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(ops)/float64(b.N), "durable-ops")
+			b.ReportMetric(float64(journal)/float64(b.N), "journal-B")
+			b.ReportMetric(float64(dir)/float64(b.N), "dir-B")
+		})
+	}
 }
 
 // BenchmarkE16MixedReadWrite — E16: per-read latency of the published

@@ -124,23 +124,20 @@ func main() {
 		}
 		logger.Info("initialized repository", "dir", *dir, "facts", ob.Size())
 	}
-	// An empty directory under -follow bootstraps from the primary's
-	// snapshot, so a fresh follower needs no -init and no shared disk; the
-	// first stream request resumes from the transferred seq.
-	if *follow != "" {
-		if _, err := os.Stat(filepath.Join(*dir, "snapshot.bin")); errors.Is(err, os.ErrNotExist) {
-			logger.Info("bootstrapping follower from primary snapshot", "primary", *follow)
-			snap, _, err := replication.FetchSnapshot(context.Background(), http.DefaultClient, *follow)
-			if err == nil {
-				_, err = repository.InitAt(*dir, snap)
-			}
-			if err != nil {
-				fatal(logger, err)
-			}
+	repo, err := repository.Open(*dir)
+	// A directory without a repository under -follow bootstraps from the
+	// primary's snapshot, so a fresh follower needs no -init and no shared
+	// disk; the first stream request resumes from the transferred seq.
+	if *follow != "" && errors.Is(err, os.ErrNotExist) {
+		logger.Info("bootstrapping follower from primary snapshot", "primary", *follow)
+		snap, _, ferr := replication.FetchSnapshot(context.Background(), http.DefaultClient, *follow)
+		if err = ferr; err == nil {
+			repo, err = repository.InitAt(*dir, snap)
+		}
+		if err == nil {
 			logger.Info("follower bootstrapped", "seq", snap.Seq, "facts", snap.Base.Size())
 		}
 	}
-	repo, err := repository.Open(*dir)
 	if err != nil {
 		fatal(logger, err)
 	}

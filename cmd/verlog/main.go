@@ -562,7 +562,7 @@ func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	inPath := fs.String("in", "", "input object base, text or binary (required)")
 	outPath := fs.String("o", "", "output file (required); format chosen by -to")
-	to := fs.String("to", "bin", "output format: bin (framed snapshot, as in a repository's snapshot.bin) or text")
+	to := fs.String("to", "bin", "output format: bin (framed snapshot, the checkpoint that heads a repository's journal.jsonl) or text")
 	fs.Parse(args)
 	if *inPath == "" || *outPath == "" {
 		return fmt.Errorf("convert: -in and -o are required")
@@ -808,9 +808,8 @@ func cmdRepo(args []string) error {
 		if err != nil {
 			return err
 		}
-		n, _ := r.Len()
 		fmt.Printf("applied as state %d: %d updates fired, ob' has %d facts\n",
-			n, res.Fired, res.Final.Size())
+			r.Len(), res.Fired, res.Final.Size())
 		return nil
 	case "log":
 		r, err := repository.Open(*dir)
@@ -834,15 +833,14 @@ func cmdRepo(args []string) error {
 		if err := r.Verify(); err != nil {
 			return err
 		}
-		n, _ := r.Len()
-		fmt.Printf("ok: %d journaled state(s) replay to the head\n", n)
+		fmt.Printf("ok: %d journaled state(s) replay to the head\n", r.Len())
 		return nil
 	case "compact":
 		r, err := repository.Open(*dir)
 		if err != nil {
 			return err
 		}
-		n, _ := r.Len()
+		n := r.Len()
 		if err := r.Compact(); err != nil {
 			return err
 		}

@@ -63,7 +63,7 @@ bonus: ins[E].bonus -> 500 <- E.isa -> empl / dept -> accounts.`},
 	}
 
 	fmt.Println("\n== time travel: henry's salary over time ==")
-	n, _ := repo.Len()
+	n := repo.Len()
 	for s := 0; s <= n; s++ {
 		at, err := repo.At(s)
 		if err != nil {

@@ -85,11 +85,7 @@ oops: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S * 100.`)
 	fmt.Print(verlog.FormatObjectBase(head))
 
 	// The rejected program left no trace in the journal.
-	n, err := repo.Len()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\njournal: %d committed state(s)\n", n)
+	fmt.Printf("\njournal: %d committed state(s)\n", repo.Len())
 	if err := repo.Verify(); err != nil {
 		log.Fatal(err)
 	}

@@ -805,8 +805,10 @@ func TestJournalsByteIdentical(t *testing.T) {
 	if !bytes.Equal(pj, fj) {
 		t.Errorf("journals differ:\nprimary:\n%s\nfollower:\n%s", pj, fj)
 	}
-	if bytes.Count(pj, []byte("\n")) != records || !bytes.Contains(pj, []byte(`"added":"bob.sal=`)) || !bytes.Contains(pj, []byte(`"constraints":"nonneg:`)) {
-		t.Errorf("primary journal does not hold %d compact records:\n%s", records, pj)
+	checkpoint := storage.Snapshot{Base: testBase(t)}.Append(nil)
+	if !bytes.HasPrefix(pj, checkpoint) || bytes.Count(pj, []byte("\n")) != bytes.Count(checkpoint, []byte("\n"))+records ||
+		!bytes.Contains(pj, []byte(`"added":"bob.sal=`)) || !bytes.Contains(pj, []byte(`"constraints":"nonneg:`)) {
+		t.Errorf("primary journal does not hold the initial checkpoint and %d compact records:\n%s", records, pj)
 	}
 	if err := f.repo.Verify(); err != nil {
 		t.Errorf("follower Verify: %v", err)

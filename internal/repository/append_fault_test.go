@@ -1,14 +1,17 @@
 package repository
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"syscall"
 	"testing"
 
 	"verlog/internal/fsio"
 	"verlog/internal/parser"
+	"verlog/internal/storage"
 	"verlog/internal/term"
 )
 
@@ -187,8 +190,8 @@ func TestFailedJournalSyncIsNotCommitted(t *testing.T) {
 	if got := henrySal(t, r2); got != "3000" {
 		t.Errorf("henry.sal after a reopen = %s, want 3000", got)
 	}
-	if n, err := r2.Len(); err != nil || n != 1 {
-		t.Errorf("the reopened journal holds %d entries (%v), want 1", n, err)
+	if n := r2.Len(); n != 1 {
+		t.Errorf("the reopened journal holds %d entries, want 1", n)
 	}
 }
 
@@ -298,11 +301,41 @@ func checkAcked(t *testing.T, when string, r *Repository, a acked) {
 	}
 }
 
+// records returns the framed records of entries.
+func records(entries []Entry) []byte {
+	var buf []byte
+	for _, e := range entries {
+		buf = e.AppendRecord(buf)
+	}
+	return buf
+}
+
+// checkAsReopened holds r to a copy of its directory opened afresh: what r
+// publishes, after a failed call too, is what a reopen without a crash
+// reads — the same snapshot seq and the same log.
+func checkAsReopened(t *testing.T, when string, r *Repository) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(r.Dir())); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("%s: Open of a copy: %v", when, err)
+	}
+	if r.SnapshotSeq() != r2.SnapshotSeq() || r.Len() != r2.Len() || !bytes.Equal(records(r.Log()), records(r2.Log())) {
+		t.Errorf("%s: snapshot seq %d and %d entries in memory, %d and %d reopened (logs equal: %v)", when,
+			r.SnapshotSeq(), r.Len(), r2.SnapshotSeq(), r2.Len(), bytes.Equal(records(r.Log()), records(r2.Log())))
+	}
+}
+
 // TestSurvivableFaultSweep fails each durable operation of the workload in
 // turn with EIO, once and survivably, then cuts the power and reopens: no
 // call that returned an error is in effect, before the crash or after the
 // reopen, and every acknowledged one is. A failed fsync is never retried,
-// and nothing it wrote counts as committed.
+// and nothing it wrote counts as committed. Before the crash, what the
+// repository publishes is what a reopen of its directory reads: a failed
+// Compact may or may not have compacted, but memory and disk agree.
 func TestSurvivableFaultSweep(t *testing.T) {
 	progs := crashPrograms(t)
 	probe := newFaultFS()
@@ -320,6 +353,7 @@ func TestSurvivableFaultSweep(t *testing.T) {
 			continue // Init failed: there is no repository to hold to anything
 		}
 		checkAcked(t, fmt.Sprintf("point %d, before the crash", i), r, a)
+		checkAsReopened(t, fmt.Sprintf("point %d, before the crash", i), r)
 		fs.crash(t)
 		r, err := Open(dir)
 		if err != nil {
@@ -329,5 +363,25 @@ func TestSurvivableFaultSweep(t *testing.T) {
 			t.Fatalf("point %d: Verify: %v", i, err)
 		}
 		checkAcked(t, fmt.Sprintf("point %d, after the crash", i), r, a)
+	}
+}
+
+// TestFailedResetPublishesTheDisk: a ResetToSnapshot whose journal
+// replacement fails at any of its operations returns the error, and what
+// the repository publishes is then what a reopen reads: the old journal
+// when the rename did not land, the new one when it did and only the
+// directory sync failed.
+func TestFailedResetPublishesTheDisk(t *testing.T) {
+	for op := 1; op <= 5; op++ { // create, write, fsync, rename, directory sync
+		r, fs := faultRepo(t)
+		if _, err := r.Apply(prog(t, timesTwo)); err != nil {
+			t.Fatal(err)
+		}
+		head, _ := r.Head()
+		fs.arm(syscall.EIO, op)
+		if err := r.ResetToSnapshot(storage.Snapshot{Base: head, Seq: 7}); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("operation %d: ResetToSnapshot = %v, want EIO", op, err)
+		}
+		checkAsReopened(t, fmt.Sprintf("operation %d failed", op), r)
 	}
 }

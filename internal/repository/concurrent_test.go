@@ -138,7 +138,7 @@ func TestConcurrentApplyReadersSnapshotConsistency(t *testing.T) {
 	if got := committed.Load(); got != wantCommits {
 		t.Errorf("non-replayed commits = %d, want %d (idempotency key committed twice or never)", got, wantCommits)
 	}
-	if n, _ := r.Len(); n != wantCommits {
+	if n := r.Len(); n != wantCommits {
 		t.Errorf("Len = %d, want %d", n, wantCommits)
 	}
 	head, _ := r.Head()

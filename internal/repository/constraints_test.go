@@ -64,7 +64,7 @@ nonneg: E.isa -> empl, E.sal -> S, S < 0.
 	if !head.Has(term.NewFact(term.GVID{Object: term.Sym("henry")}, "sal", term.Int(150))) {
 		t.Errorf("head changed despite violation:\n%s", parser.FormatFacts(head, false))
 	}
-	if n, _ := r.Len(); n != 2 {
+	if n := r.Len(); n != 2 {
 		t.Errorf("journal length = %d, want 2", n)
 	}
 }
@@ -160,15 +160,15 @@ func TestConstraintsAreJournalRecords(t *testing.T) {
 		if r = reopen(r); len(r.Constraints()) != 1 || r.SnapshotSeq() != floor {
 			t.Fatalf("after a compact to %d and a reopen: %d constraints, snapshot at %d", floor, len(r.Constraints()), r.SnapshotSeq())
 		}
-		// The snapshot holds the set in force at its own seq.
-		f, err := os.Open(filepath.Join(r.Dir(), snapshotFile))
+		// The journal's checkpoint holds the set in force at its own seq.
+		f, err := os.Open(filepath.Join(r.Dir(), journalFile))
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := storage.LoadSnapshot(f)
+		snap, err := storage.ReadLog(f, func([]byte) error { return nil })
 		f.Close()
 		if want := map[int]string{1: "", 2: src}[floor]; err != nil || snap.Constraints != want {
-			t.Fatalf("the snapshot at %d holds the set %q (%v), want %q", floor, snap.Constraints, err, want)
+			t.Fatalf("the checkpoint at %d holds the set %q (%v), want %q", floor, snap.Constraints, err, want)
 		}
 	}
 	if err := r.SetConstraints(""); err != nil {

@@ -262,13 +262,15 @@ func TestRandomApplySequenceCommitsAsDelta(t *testing.T) {
 	if roots < 5 || layers < 5*roots/2 {
 		t.Errorf("the sequence should cross the flatten threshold several times with delta layers in between: %d roots, %d layers", roots, layers)
 	}
-	// The journal file is the resident entries' records and nothing else.
-	var records []byte
+	// The journal file is the checkpoint of state 0 and the resident
+	// entries' records, and nothing else.
+	at0, _ := r.At(0)
+	records := storage.Snapshot{Base: at0, Seq: r.SnapshotSeq()}.Append(nil)
 	for _, e := range r.Log() {
 		records = e.AppendRecord(records)
 	}
 	if onDisk, err := os.ReadFile(filepath.Join(r.Dir(), journalFile)); err != nil || !bytes.Equal(onDisk, records) {
-		t.Errorf("journal file (%d bytes, %v) is not the %d bytes the resident log encodes to", len(onDisk), err, len(records))
+		t.Errorf("journal file (%d bytes, %v) is not the %d bytes the checkpoint and the resident log encode to", len(onDisk), err, len(records))
 	}
 	// What a restart rebuilds from disk is the same base.
 	head, _ := r.Head()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestOpenRecoversTornJournalTails(t *testing.T) {
 			if err := r2.Verify(); err != nil {
 				t.Errorf("Verify after recovery: %v", err)
 			}
-			if n, _ := r2.Len(); n != 2 {
+			if n := r2.Len(); n != 2 {
 				t.Errorf("Len = %d, want 2", n)
 			}
 			// And work continues.
@@ -116,8 +117,8 @@ func TestOpenKeepsRefusedTailRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			var corrupt *storage.CorruptRecordError
-			if _, err := Open(r.Dir()); !errors.As(err, &corrupt) || corrupt.Line != 3 {
-				t.Fatalf("Open = %v, want a corrupt record at line 3", err)
+			if _, err := Open(r.Dir()); !errors.As(err, &corrupt) || corrupt.Line != bytes.Count(data, []byte("\n")) {
+				t.Fatalf("Open = %v, want a corrupt record at the last line", err)
 			}
 			if after, _ := os.ReadFile(jpath); !bytes.Equal(after, data) {
 				t.Errorf("Open cut the journal from %d to %d bytes", len(data), len(after))
@@ -201,7 +202,7 @@ func TestApplyKeyIdempotent(t *testing.T) {
 	if entry2.Seq != 1 || entry2.Fired != entry.Fired {
 		t.Errorf("replayed entry = %+v, want the original", entry2)
 	}
-	if n, _ := r.Len(); n != 1 {
+	if n := r.Len(); n != 1 {
 		t.Fatalf("Len = %d after retried apply, want 1", n)
 	}
 
@@ -213,7 +214,7 @@ func TestApplyKeyIdempotent(t *testing.T) {
 	if _, _, replayed, err := r2.ApplyKey(p, "key-1"); err != nil || !replayed {
 		t.Fatalf("reopened ApplyKey replayed = %v, %v", replayed, err)
 	}
-	if n, _ := r2.Len(); n != 1 {
+	if n := r2.Len(); n != 1 {
 		t.Errorf("Len = %d after reopen retry, want 1", n)
 	}
 
@@ -270,10 +271,94 @@ func TestRepositoryConcurrentApply(t *testing.T) {
 	if !head.Has(want) {
 		t.Fatalf("head missing %s — some applies were lost or doubled", want)
 	}
-	if n, _ := r.Len(); n != workers*rounds {
+	if n := r.Len(); n != workers*rounds {
 		t.Errorf("Len = %d, want %d", n, workers*rounds)
 	}
 	if err := r.Verify(); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
+}
+
+// TestCheckpointDamageRefused: a journal cut, or with one byte flipped,
+// anywhere inside its checkpoint is refused by Open, which leaves every
+// byte as it was: a checkpoint is written whole, so damage to it is never
+// cut away as a torn tail. Journals with entries after the checkpoint and
+// without.
+func TestCheckpointDamageRefused(t *testing.T) {
+	for _, applies := range []int{0, 2} {
+		r := newRepo(t, "henry.isa -> empl / sal -> 100.\nmary.isa -> empl / sal -> 200.")
+		applyRaises(t, r, applies)
+		path := filepath.Join(r.Dir(), journalFile)
+		journal, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused := func(what string, data []byte) {
+			t.Helper()
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var torn *storage.TornTailError
+			if _, err := Open(r.Dir()); err == nil || errors.As(err, &torn) {
+				t.Errorf("%d applies, %s: Open = %v, want a refusal", applies, what, err)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+				t.Errorf("%d applies, %s: Open cut the journal from %d to %d bytes", applies, what, len(data), len(after))
+			}
+		}
+		damaged := make([]byte, len(journal))
+		for i := range len(journal) - len(records(r.Log())) {
+			copy(damaged, journal)
+			damaged[i] ^= 0xff
+			refused(fmt.Sprintf("byte %d flipped", i), damaged)
+			refused(fmt.Sprintf("cut at byte %d", i), journal[:i])
+		}
+	}
+}
+
+// TestDirectoryHoldsTheLogOnly: after Init, InitAt, ResetToSnapshot and
+// both kinds of Compact a repository directory holds journal.jsonl, and
+// the epoch file beside it once an epoch was adopted; nothing else.
+func TestDirectoryHoldsTheLogOnly(t *testing.T) {
+	holds := func(what string, r *Repository, want ...string) {
+		t.Helper()
+		entries, err := os.ReadDir(r.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("after %s the directory holds %q, want %q", what, got, want)
+		}
+	}
+	r := newRepo(t, `henry.isa -> empl / sal -> 100.`)
+	holds("Init", r, journalFile)
+	applyRaises(t, r, 3)
+	r.SetRetention(func() int { return 1 })
+	if err := r.Compact(); err != nil || r.SnapshotSeq() != 1 {
+		t.Fatalf("Compact to 1: %v, snapshot at %d", err, r.SnapshotSeq())
+	}
+	holds("a Compact that keeps a tail", r, journalFile)
+	r.SetRetention(nil)
+	if err := r.Compact(); err != nil || r.Len() != 0 {
+		t.Fatalf("full Compact: %v, %d entries left", err, r.Len())
+	}
+	holds("a full Compact", r, journalFile)
+	if err := r.AdvanceEpoch(2, 3); err != nil {
+		t.Fatal(err)
+	}
+	holds("AdvanceEpoch", r, epochFile, journalFile)
+	head, _ := r.Head()
+	if err := r.ResetToSnapshot(storage.Snapshot{Base: head, Seq: 9}); err != nil {
+		t.Fatal(err)
+	}
+	holds("ResetToSnapshot", r, epochFile, journalFile)
+	at, err := InitAt(t.TempDir()+"/at", r.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	holds("InitAt", at, journalFile)
 }

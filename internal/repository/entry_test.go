@@ -69,14 +69,14 @@ func copyFixture(t *testing.T, name string, files ...string) string {
 
 // TestOpenRefusesPreviousFormat: testdata/pr14-dir was written by an
 // earlier version — a gob snapshot and a journal whose diffs are arrays of
-// fact objects. Open refuses it, naming the snapshot and the format it
-// wants, and leaves every byte of the directory as it was.
+// fact objects. Open refuses it, naming the snapshot file and the
+// migration, and leaves every byte of the directory as it was.
 func TestOpenRefusesPreviousFormat(t *testing.T) {
 	files := []string{"snapshot.bin", "journal.jsonl"}
 	dir := copyFixture(t, "pr14-dir", files...)
 	_, err := Open(dir)
-	if err == nil || !strings.Contains(err.Error(), snapshotFile) || !strings.Contains(err.Error(), "Facts records") {
-		t.Fatalf("Open = %v, want a refusal naming %s and its format", err, snapshotFile)
+	if err == nil || !strings.Contains(err.Error(), "holds snapshot.bin") || !strings.Contains(err.Error(), "cat snapshot.bin journal.jsonl") {
+		t.Fatalf("Open = %v, want a refusal naming snapshot.bin and the migration", err)
 	}
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != len(files) {
@@ -198,5 +198,59 @@ func TestJournalBytesGuard(t *testing.T) {
 	t.Logf("empty-diff re-apply: %d-byte record (before: %d)", size, oldSize(e))
 	if e.Added != "" || e.Removed != "" || size > oldSize(e) {
 		t.Errorf("empty-diff record: %d bytes with diff %q/%q, want none and at most the %d of the previous format", size, e.Added, e.Removed, oldSize(e))
+	}
+}
+
+// TestOpenRefusesSnapshotFile: directories of the previous layout kept the
+// checkpoint in snapshot.bin, byte for byte the records that now head the
+// journal. Open refuses such a directory, naming the file, and changes
+// nothing; after the migration README gives (cat snapshot.bin
+// journal.jsonl) it opens to the repository it was split from.
+func TestOpenRefusesSnapshotFile(t *testing.T) {
+	r := newRepo(t, `henry.isa -> empl / sal -> 100.`)
+	applyRaises(t, r, 2)
+	if err := r.SetConstraints(sweepCap); err != nil {
+		t.Fatal(err)
+	}
+	r.SetRetention(func() int { return 3 })
+	if err := r.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	applyRaises(t, r, 1)
+	journal, err := os.ReadFile(filepath.Join(r.Dir(), journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := len(journal) - len(records(r.Log()))
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{"snapshot.bin": journal[:split], journalFile: journal[split:]} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := readDir(t, dir)
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "holds snapshot.bin") {
+		t.Fatalf("Open = %v, want a refusal naming snapshot.bin", err)
+	}
+	if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("Open changed the directory:\nbefore %q\nafter  %q", before, after)
+	}
+	// cat snapshot.bin journal.jsonl > journal.new && mv journal.new journal.jsonl && rm snapshot.bin
+	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(before["snapshot.bin"]+before[journalFile]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "snapshot.bin")); err != nil {
+		t.Fatal(err)
+	}
+	migrated, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open after the migration: %v", err)
+	}
+	head, _ := r.Head()
+	got, _ := migrated.Head()
+	if !got.Equal(head) || migrated.SnapshotSeq() != 3 || !bytes.Equal(records(migrated.Log()), records(r.Log())) ||
+		migrated.Export().Constraints != sweepCap || len(migrated.Constraints()) != 1 {
+		t.Errorf("the migrated repository differs: snapshot at %d, %d entries, constraints %q; want 3, %d, %q",
+			migrated.SnapshotSeq(), migrated.Len(), migrated.Export().Constraints, r.Len(), sweepCap)
 	}
 }

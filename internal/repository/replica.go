@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,10 +19,11 @@ import (
 	"verlog/internal/storage"
 )
 
-// InitAt creates a repository at dir whose snapshot is snap: its base at
-// journal seq snap.Seq, under its constraint set — the bootstrap path for a
-// replication follower that starts from a primary's snapshot transfer
-// rather than from seq 0. Init is InitAt with seq 0 and no constraints.
+// InitAt creates a repository at dir whose journal is snap alone, as its
+// checkpoint: its base at journal seq snap.Seq, under its constraint set —
+// the bootstrap path for a replication follower that starts from a
+// primary's snapshot transfer rather than from seq 0. Init is InitAt with
+// seq 0 and no constraints.
 func InitAt(dir string, snap storage.Snapshot) (*Repository, error) {
 	return InitAtFS(dir, snap, fsio.OS)
 }
@@ -37,17 +37,14 @@ func InitAtFS(dir string, snap storage.Snapshot, fs fsio.FS) (*Repository, error
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("repository: %w", err)
 	}
-	if _, err := fs.Stat(filepath.Join(dir, snapshotFile)); err == nil {
+	if _, err := fs.Stat(filepath.Join(dir, journalFile)); err == nil {
 		return nil, fmt.Errorf("repository: %s already contains a repository", dir)
 	}
 	r := newRepository(dir, fs)
 	if err := r.removeStaleTemps(nil); err != nil {
 		return nil, err
 	}
-	if err := r.writeDurable(snapshotFile, snap.Save); err != nil {
-		return nil, err
-	}
-	if err := r.writeDurable(journalFile, func(io.Writer) error { return nil }); err != nil {
+	if err := r.writeLog(snap, nil); err != nil {
 		return nil, err
 	}
 	r.spec = hs
@@ -60,7 +57,7 @@ func snapHead(snap storage.Snapshot) (*headState, error) {
 	if snap.Seq < 0 {
 		return nil, fmt.Errorf("repository: negative snapshot seq %d", snap.Seq)
 	}
-	cons, err := parseCons(snap.Constraints, snapshotFile)
+	cons, err := parseCons(snap.Constraints, "snapshot")
 	if err != nil {
 		return nil, err
 	}
@@ -189,12 +186,12 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 }
 
 // ResetToSnapshot replaces the repository's contents with snap: the
-// journal is emptied, snap's base becomes both snapshot and head, its
+// journal becomes snap alone, its base both checkpoint and head, its
 // constraint set the one in force, and every idempotency key is
 // forgotten. It is the follower's catch-up path when the primary has
-// compacted past the follower's position. The journal is truncated before
-// the snapshot is replaced, so a crash between the two leaves a consistent
-// (merely stale) repository that the next bootstrap attempt overwrites.
+// compacted past the follower's position. The journal is replaced with one
+// rename, so a crash leaves the old repository or the new one; after a
+// failure the published head is what the disk holds.
 func (r *Repository) ResetToSnapshot(snap storage.Snapshot) error {
 	ns, err := snapHead(snap)
 	if err != nil {
@@ -208,12 +205,8 @@ func (r *Repository) ResetToSnapshot(snap storage.Snapshot) error {
 		return err
 	}
 	r.flushPendingLocked()
-	r.journalLen = -1
-	if err := r.fs.Truncate(filepath.Join(r.dir, journalFile), 0); err != nil {
-		return fmt.Errorf("repository: %w", err)
-	}
-	if err := r.writeDurable(snapshotFile, snap.Save); err != nil {
-		return err
+	if err := r.writeLog(snap, nil); err != nil {
+		return r.reread(err)
 	}
 	r.commitMu.Lock()
 	r.spec = ns
@@ -264,7 +257,7 @@ func (r *Repository) AdvanceEpoch(e uint64, atSeq int) error {
 	switch {
 	case err != nil:
 	case size < 0:
-		size, err = 0, r.writeDurable(epochFile, func(io.Writer) error { return nil })
+		size, err = 0, r.writeDurable(epochFile, nil)
 	default: // cut away a line a crash left short
 		err = r.fs.Truncate(filepath.Join(r.dir, epochFile), size)
 	}

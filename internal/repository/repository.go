@@ -6,23 +6,26 @@
 //
 // Layout of a repository directory:
 //
-//	snapshot.bin  — the object base the journal starts from, with the
-//	                constraint set in force there
-//	journal.jsonl — one checksummed record per applied program, with its
-//	                diff, or per constraint set installed
+//	journal.jsonl — the log: first a checkpoint, the object base the
+//	                entries start from with the constraint set in force
+//	                there (storage.Snapshot's records), then one checksummed
+//	                record per applied program, with its diff, or per
+//	                constraint set installed
 //	epoch         — the replication epochs adopted, after the first
 //	                promotion (replica.go)
 //
 // Durability contract: an update is applied exactly when its journal
 // record has been written and fsynced. The current base exists in memory
-// only: it is "snapshot + journal replay" by definition, Open rebuilds it
+// only: it is "checkpoint + entry replay" by definition, Open rebuilds it
 // that way, and a commit writes nothing but its journal record, so there
-// is no second copy on disk that a crash could leave out of step. Journal
-// records carry a CRC32 checksum; a torn final record (the signature of
+// is no second copy on disk that a crash could leave out of step. Records
+// carry a CRC32 checksum; a torn final entry record (the signature of
 // power loss mid-append) is truncated away on Open, while corruption
-// anywhere else is reported, never repaired silently. All file writes go
-// through internal/fsio, whose fault injection drives the crash sweep in
-// crash_test.go.
+// anywhere else, the checkpoint included, is reported, never repaired
+// silently. Init, Compact and ResetToSnapshot replace the whole log with
+// one atomic rename (writeLog), so no crash leaves a checkpoint out of
+// step with its entries. All file writes go through internal/fsio, whose
+// fault injection drives the crash sweep in crash_test.go.
 //
 // # Concurrency model
 //
@@ -64,6 +67,7 @@ import (
 	"io"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,17 +84,16 @@ import (
 )
 
 const (
-	snapshotFile = "snapshot.bin"
-	journalFile  = "journal.jsonl"
-	epochFile    = "epoch"
+	journalFile = "journal.jsonl"
+	epochFile   = "epoch"
 )
 
 // headState is one published state of the repository: the frozen object
-// base after seq applied programs, together with the frozen snapshot base
-// and the journal entries that connect them. States form a chain — each
-// commit derives the next from the previous — and are immutable once
-// built, so a reader holding one sees a perfectly consistent view no
-// matter what commits land after its load.
+// base after seq applied programs, together with the frozen base of the
+// journal's checkpoint (the snapshot) and the journal entries that connect
+// them. States form a chain — each commit derives the next from the
+// previous — and are immutable once built, so a reader holding one sees a
+// perfectly consistent view no matter what commits land after its load.
 type headState struct {
 	snap *objectbase.Base // frozen snapshot base (state snapSeq)
 	base *objectbase.Base // frozen current base (state seq)
@@ -237,8 +240,8 @@ type Repository struct {
 	unwritable bool
 	recovery   Recovery
 
-	// diskMu serializes every file operation: journal appends, snapshot
-	// rewrites, truncation, recovery. The published head only advances
+	// diskMu serializes every file operation: journal appends, journal
+	// replacements, truncation, recovery. The published head only advances
 	// under it.
 	diskMu sync.Mutex
 	// journalLen is the journal's durable length, its length after the
@@ -289,9 +292,6 @@ type Recovery struct {
 	// mid-append) was truncated away; TruncatedBytes is how much was cut.
 	TornTail       bool
 	TruncatedBytes int64
-	// ObsoleteDropped counts journal entries already folded into the
-	// snapshot that were dropped — the tail end of an interrupted Compact.
-	ObsoleteDropped int
 	// StaleTemps counts the leftover *.tmp files of crashed writers removed.
 	StaleTemps int
 	// Duration is how long the recovery pass took.
@@ -300,7 +300,7 @@ type Recovery struct {
 
 // Clean reports whether Open found nothing to repair.
 func (rec Recovery) Clean() bool {
-	return !rec.TornTail && rec.ObsoleteDropped == 0 && rec.StaleTemps == 0
+	return !rec.TornTail && rec.StaleTemps == 0
 }
 
 // String renders the summary in one line, for server startup logs.
@@ -308,8 +308,8 @@ func (rec Recovery) String() string {
 	if rec.Clean() {
 		return fmt.Sprintf("clean (%d journal entries)", rec.Entries)
 	}
-	return fmt.Sprintf("recovered (%d journal entries, torn tail=%v cut %d bytes, obsolete entries dropped=%d, stale temps removed=%d)",
-		rec.Entries, rec.TornTail, rec.TruncatedBytes, rec.ObsoleteDropped, rec.StaleTemps)
+	return fmt.Sprintf("recovered (%d journal entries, torn tail=%v cut %d bytes, stale temps removed=%d)",
+		rec.Entries, rec.TornTail, rec.TruncatedBytes, rec.StaleTemps)
 }
 
 // Init creates a repository at dir holding the initial base.
@@ -323,25 +323,26 @@ func InitFS(dir string, initial *objectbase.Base, fs fsio.FS) (*Repository, erro
 }
 
 // Open opens an existing repository, recovering it to a consistent state:
-// a torn final journal record is truncated away, entries an interrupted
-// Compact already folded into the snapshot are dropped, stale temp files
-// are removed, and the head is rebuilt by replaying the journal onto the
-// snapshot. Recovery() reports what was done. A directory holding
-// constraints.vlg, where earlier versions kept the constraint set, is
-// refused and left as it is.
+// a torn final journal record is truncated away, stale temp files are
+// removed, and the head is rebuilt by replaying the journal's entries onto
+// its checkpoint. Recovery() reports what was done. A directory without a
+// journal is an error that wraps fs.ErrNotExist. A directory holding
+// snapshot.bin or constraints.vlg, where earlier versions kept the
+// checkpoint and the constraint set, is refused and left as it is.
 func Open(dir string) (*Repository, error) {
 	return OpenFS(dir, fsio.OS)
 }
 
 // OpenFS is Open on an explicit filesystem (fault injection in tests).
 func OpenFS(dir string, fs fsio.FS) (*Repository, error) {
-	for _, f := range []string{snapshotFile, journalFile} {
-		if _, err := fs.Stat(filepath.Join(dir, f)); err != nil {
-			return nil, fmt.Errorf("repository: %s is not a repository (missing %s)", dir, f)
-		}
+	if _, err := fs.Stat(filepath.Join(dir, "snapshot.bin")); err == nil {
+		return nil, fmt.Errorf("repository: %s holds snapshot.bin, which this version does not read: the checkpoint heads journal.jsonl now; a framed snapshot.bin (it starts with \"v1 \") is one, so run `cat snapshot.bin journal.jsonl > journal.new && mv journal.new journal.jsonl && rm snapshot.bin` there (README)", dir)
 	}
 	if _, err := fs.Stat(filepath.Join(dir, "constraints.vlg")); err == nil {
 		return nil, fmt.Errorf("repository: %s holds constraints.vlg, which this version does not read: the constraint set is a journal record now; move the file away, open the repository and install its set again (verlog repo constrain)", dir)
+	}
+	if _, err := fs.Stat(filepath.Join(dir, journalFile)); err != nil {
+		return nil, fmt.Errorf("repository: %s is not a repository: %w", dir, err)
 	}
 	r := newRepository(dir, fs)
 	if err := r.recoverLocked(); err != nil {
@@ -379,22 +380,17 @@ func (r *Repository) removeStaleTemps(rec *Recovery) error {
 	return nil
 }
 
-// recoverLocked reconciles snapshot and journal and rebuilds the in-memory
-// published state from them. The caller must hold applyMu and diskMu (or
-// the repository not yet shared). See Open for what it repairs.
+// recoverLocked reads the journal and rebuilds the in-memory published
+// state from it. The caller must hold applyMu and diskMu (or the repository
+// not yet shared). See Open for what it repairs.
 func (r *Repository) recoverLocked() error {
 	start := time.Now()
-	// The snapshot is ground truth; if it cannot be read nothing can. A
-	// directory that is refused is left as it was found.
-	snap, err := r.readSnapshot()
-	if err != nil {
-		return err
-	}
-	jpath := filepath.Join(r.dir, journalFile)
-	entries, jerr := r.readJournal()
+	// A journal whose checkpoint cannot be read is refused, never cut: the
+	// directory is left as it was found.
+	snap, entries, err := r.readLog()
 	var torn *storage.TornTailError
-	if jerr != nil && !errors.As(jerr, &torn) {
-		return jerr
+	if err != nil && !errors.As(err, &torn) {
+		return err
 	}
 	var rec Recovery
 	if err := r.removeStaleTemps(&rec); err != nil {
@@ -402,6 +398,7 @@ func (r *Repository) recoverLocked() error {
 	}
 	r.journalLen = -1 // what recovery leaves of the journal is what is durable
 	if torn != nil {
+		jpath := filepath.Join(r.dir, journalFile)
 		st, err := r.fs.Stat(jpath)
 		if err != nil {
 			return fmt.Errorf("repository: %w", err)
@@ -411,70 +408,44 @@ func (r *Repository) recoverLocked() error {
 		}
 		rec.TornTail, rec.TruncatedBytes = true, st.Size()-torn.Offset
 	}
-	// Entries at or below the snapshot's seq are the residue of a Compact
-	// that crashed between rewriting the snapshot and trimming the
-	// journal; finish the job. A full overlap is truncated away; a partial
-	// one (a retention-preserving Compact that died mid-way) drops just the
-	// obsolete prefix and keeps the live suffix. Contiguity of what remains
-	// is still enforced below, so genuine corruption keeps being reported.
-	live := entries
-	for len(live) > 0 && live[0].Seq <= snap.Seq {
-		live = live[1:]
-	}
-	if dropped := len(entries) - len(live); dropped > 0 {
-		if len(live) == 0 {
-			if err := r.fs.Truncate(jpath, 0); err != nil {
-				return fmt.Errorf("repository: dropping pre-snapshot journal entries: %w", err)
-			}
-		} else if err := r.rewriteJournal(live); err != nil {
-			return fmt.Errorf("repository: dropping pre-snapshot journal prefix: %w", err)
-		}
-		rec.ObsoleteDropped = dropped
-	}
-	for i, e := range live {
+	for i, e := range entries {
 		if e.Seq != snap.Seq+1+i {
 			return fmt.Errorf("repository: journal entry %d has seq %d, want %d; the repository is corrupted", i+1, e.Seq, snap.Seq+1+i)
 		}
 	}
-	// Replay the journal onto a copy of the snapshot: the head.
+	// Replay the entries onto a copy of the checkpoint: the head.
 	state := snap.Base
-	if len(live) > 0 {
+	if len(entries) > 0 {
 		state = snap.Base.Clone()
 	}
-	if err := replay(state, live); err != nil {
+	if err := replay(state, entries); err != nil {
 		return err
 	}
-	snapCons, err := parseCons(snap.Constraints, snapshotFile)
+	snapCons, err := parseCons(snap.Constraints, journalFile)
 	if err != nil {
 		return err
 	}
-	cons, err := consAfter(snapCons, live)
+	cons, err := consAfter(snapCons, entries)
 	if err != nil {
 		return err
 	}
 	if _, err := r.loadEpoch(); err != nil {
 		return err
 	}
-	keys := make(map[string]*keyRecord)
-	for _, e := range live {
-		if e.Key != "" {
-			keys[e.Key] = &keyRecord{entry: slimEntry(e)}
-		}
-	}
-	rec.Entries = len(live)
+	rec.Entries = len(entries)
 	rec.Duration = time.Since(start)
 	hs := &headState{
 		snap:     snap.Base.Freeze(),
 		base:     state.Freeze(),
-		seq:      snap.Seq + len(live),
+		seq:      snap.Seq + len(entries),
 		snapSeq:  snap.Seq,
-		entries:  live,
+		entries:  entries,
 		cons:     cons,
 		snapCons: snapCons,
 	}
 	r.commitMu.Lock()
 	r.spec = hs
-	r.keys = keys
+	r.keys = keysOf(entries)
 	r.recovery = rec
 	r.needRepair = false
 	r.commitMu.Unlock()
@@ -483,16 +454,42 @@ func (r *Repository) recoverLocked() error {
 	return nil
 }
 
-// rewriteJournal durably replaces the journal with the framed records of
-// entries (tmp, fsync, rename, dir fsync). Used by the retention-preserving
-// Compact and by recovery when only a prefix of the journal is obsolete.
-func (r *Repository) rewriteJournal(entries []Entry) error {
-	var buf []byte
+// keysOf returns the idempotency-key cache of entries.
+func keysOf(entries []Entry) map[string]*keyRecord {
+	keys := make(map[string]*keyRecord)
+	for _, e := range entries {
+		if e.Key != "" {
+			keys[e.Key] = &keyRecord{entry: slimEntry(e)}
+		}
+	}
+	return keys
+}
+
+// writeLog durably replaces the journal with the log of snap and entries:
+// the checkpoint's records, then the entries' (one writeDurable); diskMu
+// must be held. A failure may come after the rename landed: the caller
+// rereads the disk (reread).
+func (r *Repository) writeLog(snap storage.Snapshot, entries []Entry) error {
+	buf := snap.Append(nil)
 	for _, e := range entries {
 		buf = e.AppendRecord(buf)
 	}
 	r.journalLen = -1
-	return r.writeDurable(journalFile, func(w io.Writer) error { _, err := w.Write(buf); return err })
+	if err := r.writeDurable(journalFile, buf); err != nil {
+		return err
+	}
+	r.journalLen = int64(len(buf))
+	return nil
+}
+
+// reread makes the published head what the disk holds after writeLog
+// failed, the old log or the new one, so that it is what a reopen reads,
+// and returns err; applyMu and diskMu must be held.
+func (r *Repository) reread(err error) error {
+	r.commitMu.Lock()
+	r.needRepair = true
+	r.commitMu.Unlock()
+	return errors.Join(err, r.repairDiskLocked())
 }
 
 // repairDiskLocked re-runs recovery if a previous flush failed partway;
@@ -524,29 +521,24 @@ func (r *Repository) unwritableErr() error {
 	return nil
 }
 
-// writeDurable atomically replaces name with what write puts into it:
-// unique temp file, write, fsync, close, rename, fsync the directory entry.
-func (r *Repository) writeDurable(name string, write func(io.Writer) error) error {
+// writeDurable atomically replaces name with data: unique temp file,
+// write, fsync, close, rename, fsync the directory entry.
+func (r *Repository) writeDurable(name string, data []byte) error {
 	tmp := filepath.Join(r.dir, fmt.Sprintf("%s.%08x.tmp", name, rand.Uint32()))
 	f, err := r.fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("repository: %w", err)
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		r.fs.Remove(tmp)
-		return fmt.Errorf("repository: %w", err)
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		r.fs.Remove(tmp)
-		return fmt.Errorf("repository: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		r.fs.Remove(tmp)
-		return fmt.Errorf("repository: %w", err)
+	if err == nil {
+		err = r.fs.Rename(tmp, filepath.Join(r.dir, name))
 	}
-	if err := r.fs.Rename(tmp, filepath.Join(r.dir, name)); err != nil {
+	if err != nil {
 		r.fs.Remove(tmp)
 		return fmt.Errorf("repository: %w", err)
 	}
@@ -556,35 +548,26 @@ func (r *Repository) writeDurable(name string, write func(io.Writer) error) erro
 	return nil
 }
 
-// readFile decodes the repository's file name with decode.
-func (r *Repository) readFile(name string, decode func(io.Reader) error) error {
-	f, err := r.fs.Open(filepath.Join(r.dir, name))
+// readLog reads the journal file: its checkpoint and its entries, with
+// the error of the record it stops at (storage.ReadLog).
+func (r *Repository) readLog() (snap storage.Snapshot, entries []Entry, err error) {
+	f, err := r.fs.Open(filepath.Join(r.dir, journalFile))
 	if err != nil {
-		return fmt.Errorf("repository: %w", err)
+		return snap, nil, fmt.Errorf("repository: %w", err)
 	}
 	defer f.Close()
-	if err := decode(f); err != nil {
-		return fmt.Errorf("repository: %s: %w", name, err)
+	if snap, err = storage.ReadLog(f, appendEntry(&entries)); err != nil {
+		err = fmt.Errorf("repository: %s: %w", journalFile, err)
 	}
-	return nil
-}
-
-func (r *Repository) readSnapshot() (s storage.Snapshot, err error) {
-	err = r.readFile(snapshotFile, func(f io.Reader) (err error) { s, err = storage.LoadSnapshot(f); return err })
-	return s, err
-}
-
-// readJournal reads the journal file (ReadEntries).
-func (r *Repository) readJournal() (entries []Entry, err error) {
-	err = r.readFile(journalFile, func(f io.Reader) (err error) { entries, err = ReadEntries(f); return err })
-	return entries, err
+	return snap, entries, err
 }
 
 // Head returns the current object base: a wait-free load of the published
 // in-memory head, with zero disk I/O. The returned base is frozen and
 // shared — Clone it before mutating. It reflects every durable update and
 // may trail an in-flight apply by one seq (an update is published the
-// moment its journal record is fsynced).
+// moment its journal record is fsynced). Its error is always nil; it
+// stays because benchmarks/load calls Head with two results.
 func (r *Repository) Head() (*objectbase.Base, error) {
 	return r.published.Load().base, nil
 }
@@ -610,15 +593,20 @@ func (r *Repository) Export() storage.Snapshot {
 // that is the last thing in r), if any.
 func ReadEntries(r io.Reader) ([]Entry, error) {
 	var out []Entry
-	_, _, err := storage.ReadJournal(r, func(payload []byte) error {
+	_, _, err := storage.ReadJournal(r, appendEntry(&out))
+	return out, err
+}
+
+// appendEntry returns a record consumer that decodes an entry onto out.
+func appendEntry(out *[]Entry) func(payload []byte) error {
+	return func(payload []byte) error {
 		var e Entry
 		if err := json.Unmarshal(payload, &e); err != nil {
 			return err
 		}
-		out = append(out, e)
+		*out = append(*out, e)
 		return nil
-	})
-	return out, err
+	}
 }
 
 // Log returns the journal entries of the published head (those since the
@@ -628,10 +616,11 @@ func (r *Repository) Log() []Entry {
 	return r.published.Load().entries
 }
 
-// HistoryBytes reports what the history since the snapshot occupies: the
-// journal file on disk, and the resident entries' programs, keys and
-// encoded diffs in memory. Both fall to zero on Compact, which is what
-// they are for: they tell an operator when compacting is worth it.
+// HistoryBytes reports what the history occupies: the journal file on
+// disk, its checkpoint included, and the resident entries' programs, keys
+// and encoded diffs in memory. Compact empties the second and rewrites the
+// first as the checkpoint of its floor and the entries after it, so
+// together they tell an operator when compacting is worth it.
 func (r *Repository) HistoryBytes() (journal, resident int64) {
 	if st, err := r.fs.Stat(filepath.Join(r.dir, journalFile)); err == nil {
 		journal = st.Size()
@@ -642,10 +631,10 @@ func (r *Repository) HistoryBytes() (journal, resident int64) {
 	return journal, resident
 }
 
-// Len returns the number of applied programs since the snapshot.
-func (r *Repository) Len() (int, error) {
+// Len returns the number of journal entries since the snapshot.
+func (r *Repository) Len() int {
 	hs := r.published.Load()
-	return hs.seq - hs.snapSeq, nil
+	return hs.seq - hs.snapSeq
 }
 
 // SnapshotSeq returns the journal sequence number the snapshot
@@ -1084,8 +1073,8 @@ func (e *VerifyError) Error() string {
 	return fmt.Sprintf("repository: journal replay (%d facts) does not reproduce the head (%d facts); the repository is corrupted", e.Replayed, e.Head)
 }
 
-// Verify replays the whole journal from the snapshot and checks that the
-// result equals the published head — the repository's integrity check.
+// Verify replays the journal's entries onto its checkpoint and checks that
+// the result equals the published head — the repository's integrity check.
 func (r *Repository) Verify() error {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
@@ -1105,18 +1094,11 @@ func (r *Repository) Verify() error {
 // head; diskMu must be held with the pending batch flushed, so disk and
 // published agree unless something is corrupted.
 func (r *Repository) verifyDiskLocked() error {
-	entries, err := r.readJournal()
-	if err != nil {
-		return err
-	}
-	snap, err := r.readSnapshot()
+	snap, entries, err := r.readLog()
 	if err != nil {
 		return err
 	}
 	state := snap.Base
-	for len(entries) > 0 && entries[0].Seq <= snap.Seq {
-		entries = entries[1:]
-	}
 	if err := replay(state, entries); err != nil {
 		return err
 	}
@@ -1158,16 +1140,18 @@ func (r *Repository) compactFloor(hs *headState) int {
 	return floor
 }
 
-// Compact collapses the repository onto its current head: the head becomes
-// the new snapshot and the journal is emptied. Earlier states are no
-// longer reconstructable and idempotency keys are forgotten; Verify is run
-// first so a corrupted repository is never compacted. When a retention
-// hook (SetRetention) pins a floor below the head, only entries at or
-// below the floor are folded in and the journal keeps the suffix — along
-// with the idempotency keys it holds. A crash between the snapshot
-// rewrite and the journal trim is healed by Open, which drops journal
-// entries the snapshot already contains. Applies wait for the duration;
-// reads do not.
+// Compact collapses the repository onto its current head: the journal is
+// replaced by a checkpoint of the head, earlier states are no longer
+// reconstructable and idempotency keys are forgotten; Verify is run first
+// so a corrupted repository is never compacted. When a retention hook
+// (SetRetention) pins a floor below the head, the checkpoint is of the
+// floor's state and the journal keeps the entries after it, along with the
+// idempotency keys they hold. The new journal replaces the old one with one
+// rename, so a crash leaves one or the other. Compact changes no
+// acknowledged state (base, seq, constraints, epoch), only where the
+// journal starts; a Compact that fails may or may not have compacted, and
+// the published head is then what the disk holds. Applies wait for the
+// duration; reads do not.
 func (r *Repository) Compact() error {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
@@ -1193,59 +1177,28 @@ func (r *Repository) Compact() error {
 	if floor == hs.snapSeq {
 		return nil // every entry is still needed; nothing to fold
 	}
-	if floor == hs.seq {
-		// Full compact: the head becomes the snapshot, the journal empties.
-		if err := r.writeDurable(snapshotFile, storage.Snapshot{Base: hs.base, Seq: hs.seq, Constraints: hs.cons.src}.Save); err != nil {
-			return err
-		}
-		ns := &headState{snap: hs.base, base: hs.base, seq: hs.seq, snapSeq: hs.seq, cons: hs.cons, snapCons: hs.cons}
-		r.commitMu.Lock()
-		r.spec = ns
-		r.keys = make(map[string]*keyRecord)
-		r.commitMu.Unlock()
-		r.publish(ns)
-		r.journalLen = -1
-		if err := r.fs.Truncate(filepath.Join(r.dir, journalFile), 0); err != nil {
-			r.commitMu.Lock()
-			r.needRepair = true
-			r.commitMu.Unlock()
-			return fmt.Errorf("repository: %w", err)
-		}
-		return nil
-	}
-	// Retention-preserving compact: fold entries snapSeq+1..floor into the
-	// snapshot; the suffix floor+1..seq stays in the journal for followers.
-	state := hs.snap.Clone()
-	folded, remaining := hs.entries[:floor-hs.snapSeq], hs.entries[floor-hs.snapSeq:]
-	if err := replay(state, folded); err != nil {
-		return err
-	}
-	snapCons, err := consAfter(hs.snapCons, folded)
+	n := floor - hs.snapSeq
+	snap, err := hs.at(n)
 	if err != nil {
 		return err
 	}
-	if err := r.writeDurable(snapshotFile, storage.Snapshot{Base: state, Seq: floor, Constraints: snapCons.src}.Save); err != nil {
+	snapCons, err := consAfter(hs.snapCons, hs.entries[:n])
+	if err != nil {
 		return err
 	}
-	ns := &headState{snap: state.Freeze(), base: hs.base, prev: hs.prev, seq: hs.seq, snapSeq: floor,
-		entries: remaining, cons: hs.cons, snapCons: snapCons}
-	keys := make(map[string]*keyRecord)
-	for _, e := range remaining {
-		if e.Key != "" {
-			keys[e.Key] = &keyRecord{entry: slimEntry(e)}
-		}
+	remaining := slices.Clone(hs.entries[n:]) // the folded entries go with the old array
+	if err := r.writeLog(storage.Snapshot{Base: snap, Seq: floor, Constraints: snapCons.src}, remaining); err != nil {
+		return r.reread(err)
+	}
+	ns := &headState{snap: snap, base: hs.base, seq: hs.seq, snapSeq: floor, entries: remaining, cons: hs.cons, snapCons: snapCons}
+	if len(remaining) > 0 {
+		ns.prev = hs.prev
 	}
 	r.commitMu.Lock()
 	r.spec = ns
-	r.keys = keys
+	r.keys = keysOf(remaining)
 	r.commitMu.Unlock()
 	r.publish(ns)
-	if err := r.rewriteJournal(remaining); err != nil {
-		r.commitMu.Lock()
-		r.needRepair = true
-		r.commitMu.Unlock()
-		return err
-	}
 	return nil
 }
 

@@ -84,9 +84,8 @@ func TestRepositoryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	n, err := r2.Len()
-	if err != nil || n != 2 {
-		t.Fatalf("Len = %d, %v", n, err)
+	if n := r2.Len(); n != 2 {
+		t.Fatalf("Len = %d", n)
 	}
 }
 
@@ -123,8 +122,7 @@ func TestApplyRejectsBadProgram(t *testing.T) {
 		t.Fatalf("unsafe program accepted")
 	}
 	// The head must be unchanged and the journal empty.
-	n, err := r.Len()
-	if err != nil || n != 0 {
-		t.Errorf("Len = %d, %v; want 0", n, err)
+	if n := r.Len(); n != 0 {
+		t.Errorf("Len = %d; want 0", n)
 	}
 }

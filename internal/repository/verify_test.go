@@ -1,6 +1,7 @@
 package repository
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -30,19 +31,17 @@ func TestVerifyCleanRepository(t *testing.T) {
 func TestVerifyDetectsCorruption(t *testing.T) {
 	r := newRepo(t, `henry.isa -> empl / sal -> 100.`)
 	applyRaises(t, r, 2)
-	// Corrupt the journal: drop its first line.
+	// Corrupt the journal: drop its first entry, the record after the
+	// checkpoint.
 	path := filepath.Join(r.Dir(), "journal.jsonl")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range data {
-		if b == '\n' {
-			if err := os.WriteFile(path, data[i+1:], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
+	start := bytes.LastIndexByte(data[:bytes.Index(data, []byte(`{"seq":1,`))], '\n') + 1
+	end := start + bytes.IndexByte(data[start:], '\n') + 1
+	if err := os.WriteFile(path, append(data[:start:start], data[end:]...), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	err = r.Verify()
 	var ve *VerifyError
@@ -63,7 +62,7 @@ func TestCompact(t *testing.T) {
 	}
 	// The journal is empty, the snapshot equals the old head, history is
 	// reduced to state 0.
-	if n, _ := r.Len(); n != 0 {
+	if n := r.Len(); n != 0 {
 		t.Errorf("Len = %d after compact", n)
 	}
 	at0, err := r.At(0)
@@ -102,13 +101,16 @@ func TestEntriesRejectCorruptJSON(t *testing.T) {
 func TestCompactRefusesCorrupted(t *testing.T) {
 	r := newRepo(t, `henry.isa -> empl / sal -> 100.`)
 	applyRaises(t, r, 1)
-	// Corrupt the snapshot by replacing it with a different base's one.
+	// Corrupt the checkpoint by replacing it with a different base's one.
 	other := newRepo(t, `mary.isa -> empl / sal -> 7.`)
-	data, err := os.ReadFile(filepath.Join(other.Dir(), "snapshot.bin"))
+	data, err := os.ReadFile(filepath.Join(other.Dir(), journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(r.Dir(), "snapshot.bin"), data, 0o644); err != nil {
+	for _, e := range r.Log() {
+		data = e.AppendRecord(data)
+	}
+	if err := os.WriteFile(filepath.Join(r.Dir(), journalFile), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Compact(); err == nil {

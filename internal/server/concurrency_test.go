@@ -54,9 +54,8 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 
 	// Every apply committed exactly once.
-	n, err := repo.Len()
-	if err != nil || n != appliers*rounds {
-		t.Fatalf("journal length = %d (%v), want %d", n, err, appliers*rounds)
+	if n := repo.Len(); n != appliers*rounds {
+		t.Fatalf("journal length = %d, want %d", n, appliers*rounds)
 	}
 	code, body := get(t, ts.URL+"/v1/t/default/head")
 	want := fmt.Sprintf("phil.sal -> %d.", 4000+10*appliers*rounds)

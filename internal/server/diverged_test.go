@@ -45,7 +45,7 @@ func TestDivergedJournal(t *testing.T) {
 	}
 	// phil's raise journaled as 4101 instead of 4100.
 	entries[1].Added = storage.Facts(strings.Replace(string(entries[1].Added), "phil.sal=4100", "phil.sal=4101", 1))
-	var journal []byte
+	journal := storage.Snapshot{Base: initial}.Append(nil)
 	for _, e := range entries {
 		journal = e.AppendRecord(journal)
 	}

@@ -66,7 +66,7 @@ func TestApplyIdempotencyKey(t *testing.T) {
 		t.Errorf("retry = %+v, want the original %+v", second, first)
 	}
 
-	if n, _ := repo.Len(); n != 1 {
+	if n := repo.Len(); n != 1 {
 		t.Fatalf("journal has %d entries after a retried apply, want 1", n)
 	}
 
@@ -74,7 +74,7 @@ func TestApplyIdempotencyKey(t *testing.T) {
 	if code, body := postWithKey(t, ts.URL+"/v1/t/default/apply", raise, "req-43"); code != 200 || strings.Contains(body, `"replayed":true`) {
 		t.Fatalf("fresh key: %d %s", code, body)
 	}
-	if n, _ := repo.Len(); n != 2 {
+	if n := repo.Len(); n != 2 {
 		t.Fatalf("journal has %d entries, want 2", n)
 	}
 }

@@ -228,7 +228,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	version, commit := obs.BuildInfo()
 	repo := s.def.Repo()
 	snap := repo.SnapshotSeq()
-	n, _ := repo.Len()
+	n := repo.Len()
 	resident, opens, evictions, maxResident := s.tenants.Stats()
 	journalBytes, historyBytes := repo.HistoryBytes()
 

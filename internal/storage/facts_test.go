@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -329,6 +330,20 @@ func FuzzDiffCodec(f *testing.F) {
 		if n, _, err := ReadJournal(bytes.NewReader(line), nil); n != 1 || err != nil {
 			t.Fatalf("intact record: %d records, %v", n, err)
 		}
+		// A log: the snapshot as its checkpoint, then the record.
+		log := append(snap[:len(snap):len(snap)], line...)
+		var delivered [][]byte
+		readLog := func() error {
+			delivered = nil
+			_, err := ReadLog(bytes.NewReader(log), func(p []byte) error {
+				delivered = append(delivered, p)
+				return nil
+			})
+			return err
+		}
+		if err := readLog(); err != nil || len(delivered) != 1 || !bytes.Equal(delivered[0], payload) {
+			t.Fatalf("intact log %q: %v, delivered %q", log, err, delivered)
+		}
 		if flip == 0 {
 			return
 		}
@@ -340,9 +355,15 @@ func FuzzDiffCodec(f *testing.F) {
 		if n != 0 || err == nil {
 			t.Fatalf("corrupted record %q: %d records, err %v", line, n, err)
 		}
-		snap[int(pos)%len(snap)] ^= flip
-		if _, _, err := LoadBinaryAt(bytes.NewReader(snap)); err == nil {
-			t.Fatalf("corrupted snapshot %q loaded", snap)
+		at := int(pos) % len(log)
+		log[at] ^= flip
+		err = readLog()
+		var torn *TornTailError
+		switch {
+		case at < len(snap) && (err == nil || errors.As(err, &torn)):
+			t.Fatalf("log %q with byte %d of its checkpoint flipped: %v, want an error that is no torn tail", log, at, err)
+		case at >= len(snap) && (err == nil || len(delivered) > 0):
+			t.Fatalf("log %q with byte %d of its record flipped: %v, delivered %q", log, at, err, delivered)
 		}
 	})
 }

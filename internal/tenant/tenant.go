@@ -308,13 +308,14 @@ func (m *Manager) open(name string, create bool) (*repository.Repository, error)
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	dir := m.dirOf(name)
-	if _, err := m.fs.Stat(filepath.Join(dir, "snapshot.bin")); err != nil {
-		if !create {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-		}
-		return repository.InitFS(dir, objectbase.New(), m.fs)
+	r, err := repository.OpenFS(dir, m.fs)
+	switch {
+	case !errors.Is(err, os.ErrNotExist):
+		return r, err
+	case !create:
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return repository.OpenFS(dir, m.fs)
+	return repository.InitFS(dir, objectbase.New(), m.fs)
 }
 
 // Release returns a reference taken by Acquire. The tenant becomes
