@@ -586,7 +586,8 @@ func BenchmarkE23OpenBulkJournal(b *testing.B) {
 // (dir-B: a Compact rewrites every file it leaves, so this is what it
 // wrote) and the durable operations it made (durable-ops: fsio.Fault's
 // count of creates, writes, fsyncs, renames, removes, truncates and
-// directory syncs).
+// directory syncs). The verify case runs Verify alone on the same head,
+// the check every Compact makes first.
 func BenchmarkE32Checkpoint(b *testing.B) {
 	const employees, applies = 3000, 20
 	base := workload.EnterpriseSpec{Employees: employees, Seed: 32}.ObjectBase()
@@ -642,6 +643,26 @@ func BenchmarkE32Checkpoint(b *testing.B) {
 			b.ReportMetric(float64(dir)/float64(b.N), "dir-B")
 		})
 	}
+	// Verify alone on the same head: what every Compact spends before it
+	// writes a byte.
+	b.Run("verify", func(b *testing.B) {
+		r, err := repository.Init(b.TempDir()+"/repo", base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range progs {
+			if _, err := r.Apply(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := r.Verify(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkE16MixedReadWrite — E16: per-read latency of the published

@@ -1,25 +1,17 @@
-// Package builtin evaluates the arithmetic built-in predicates of the
-// verlog language: the comparisons <, <=, >, >=, =, != over expressions
-// built from +, -, *, / on numeric OIDs.
-//
-// The equality predicate doubles as a binding construct, as in classical
-// Datalog with arithmetic: in S' = S*1.1 + 200 the variable S' is bound to
-// the value of the right-hand side when it is not yet bound. All arithmetic
-// is exact rational arithmetic (see term.Rat).
+// Package builtin is the arithmetic of the verlog language's built-in
+// predicates: the operators +, -, *, / on numeric OIDs and the comparisons
+// <, <=, >, >=, =, != between ground OIDs. All arithmetic is exact rational
+// arithmetic (see term.Rat). The engine's compiled expressions
+// (internal/eval) and the spec oracle's substitution evaluator
+// (internal/spec) both compute with it; how a built-in binds a variable is
+// each evaluator's own.
 package builtin
 
 import (
-	"errors"
 	"fmt"
 
 	"verlog/internal/term"
-	"verlog/internal/unify"
 )
-
-// ErrUnbound reports a built-in that cannot be evaluated because a variable
-// is unbound at evaluation time. A correct literal ordering (see package
-// safety and the evaluator's planner) never triggers it.
-var ErrUnbound = errors.New("builtin: unbound variable")
 
 // TypeError reports a built-in applied to OIDs of the wrong sort, e.g.
 // henry * 2.
@@ -30,47 +22,6 @@ type TypeError struct {
 
 func (e *TypeError) Error() string {
 	return fmt.Sprintf("builtin: operator %s not applicable to %v", e.Op, e.Operands)
-}
-
-// EvalExpr evaluates e under the substitution s to a ground OID. Rational
-// overflow is reported as term.ErrRatOverflow, never as silent wraparound.
-func EvalExpr(e term.Expr, s unify.Subst) (_ term.OID, err error) {
-	defer term.RecoverOverflow(&err)
-	return evalExpr(e, s)
-}
-
-func evalExpr(e term.Expr, s unify.Subst) (term.OID, error) {
-	switch x := e.(type) {
-	case term.ConstExpr:
-		return x.OID, nil
-	case term.VarExpr:
-		o, ok := s.Lookup(x.V)
-		if !ok {
-			return term.OID{}, fmt.Errorf("%w: %s", ErrUnbound, x.V)
-		}
-		return o, nil
-	case term.NegExpr:
-		v, err := evalExpr(x.E, s)
-		if err != nil {
-			return term.OID{}, err
-		}
-		if !v.IsNum() {
-			return term.OID{}, &TypeError{Op: "-", Operands: []term.OID{v}}
-		}
-		return term.FromRat(v.Rat().Neg()), nil
-	case term.BinExpr:
-		l, err := evalExpr(x.L, s)
-		if err != nil {
-			return term.OID{}, err
-		}
-		r, err := evalExpr(x.R, s)
-		if err != nil {
-			return term.OID{}, err
-		}
-		return ApplyArith(x.Op, l, r)
-	default:
-		return term.OID{}, fmt.Errorf("builtin: unknown expression %T", e)
-	}
 }
 
 // ApplyArith applies an arithmetic operator to two ground OIDs.
@@ -97,36 +48,7 @@ func ApplyArith(op term.ArithOp, l, r term.OID) (term.OID, error) {
 	}
 }
 
-// Solve decides a built-in atom under s. For the equality operator with
-// exactly one side being a single unbound variable, Solve evaluates the
-// other side and binds the variable in s (and reports true).
-func Solve(a term.BuiltinAtom, s unify.Subst) (bool, error) {
-	if a.Op == term.OpEq {
-		for _, side := range [2][2]term.Expr{{a.L, a.R}, {a.R, a.L}} {
-			if v, ok := unboundVar(side[0], s); ok {
-				o, err := EvalExpr(side[1], s)
-				if err != nil {
-					return false, err
-				}
-				s[v] = o
-				return true, nil
-			}
-		}
-	}
-	l, err := EvalExpr(a.L, s)
-	if err != nil {
-		return false, err
-	}
-	r, err := EvalExpr(a.R, s)
-	if err != nil {
-		return false, err
-	}
-	return Compare(a.Op, l, r)
-}
-
-// Compare decides a comparison between two ground OIDs; with ApplyArith it
-// is what the compiled expression evaluator (internal/eval) runs built-ins
-// on, without a substitution.
+// Compare decides a comparison between two ground OIDs.
 func Compare(op term.CmpOp, l, r term.OID) (bool, error) {
 	switch op {
 	case term.OpEq:
@@ -152,16 +74,4 @@ func Compare(op term.CmpOp, l, r term.OID) (bool, error) {
 	default:
 		return false, fmt.Errorf("builtin: unknown comparison %v", op)
 	}
-}
-
-// unboundVar reports whether e is a bare variable with no binding in s.
-func unboundVar(e term.Expr, s unify.Subst) (term.Var, bool) {
-	v, ok := e.(term.VarExpr)
-	if !ok {
-		return "", false
-	}
-	if _, bound := s.Lookup(v.V); bound {
-		return "", false
-	}
-	return v.V, true
 }

@@ -2,161 +2,112 @@ package builtin
 
 import (
 	"errors"
+	"math"
+	"math/big"
+	"math/rand/v2"
 	"testing"
 
 	"verlog/internal/term"
-	"verlog/internal/unify"
 )
 
-func num(s string) term.OID {
-	r, err := term.ParseRat(s)
-	if err != nil {
-		panic(err)
-	}
-	return term.FromRat(r)
-}
+// edges are the int64 values at which rational arithmetic breaks when it
+// breaks: 0, ±1, the ends of the range, and the magnitudes whose products
+// or squares just cross it.
+var edges = []int64{0, 1, -1, math.MaxInt64, -math.MaxInt64, math.MinInt64, 1 << 62, 3_037_000_500, -3_037_000_500}
 
-func c(s string) term.Expr   { return term.ConstExpr{OID: num(s)} }
-func v(n string) term.Expr   { return term.VarExpr{V: term.Var(n)} }
-func sym(n string) term.Expr { return term.ConstExpr{OID: term.Sym(n)} }
-
-func bin(op term.ArithOp, l, r term.Expr) term.Expr { return term.BinExpr{Op: op, L: l, R: r} }
-
-func TestEvalExprArithmetic(t *testing.T) {
-	s := unify.Subst{"S": term.Int(4000)}
-	// S * 1.1 + 200 = 4600, exactly.
-	e := bin(term.OpAdd, bin(term.OpMul, v("S"), c("1.1")), c("200"))
-	got, err := EvalExpr(e, s)
-	if err != nil {
-		t.Fatalf("EvalExpr: %v", err)
+// randNum draws a numeric OID and its exact value: numerator and
+// denominator an edge value a quarter of the time, else random of a random
+// bit length. Fractions term.MakeRat refuses are drawn again.
+func randNum(rng *rand.Rand) (term.OID, *big.Rat) {
+	draw := func() int64 {
+		if rng.IntN(4) == 0 {
+			return edges[rng.IntN(len(edges))]
+		}
+		v := int64(rng.Uint64() >> rng.IntN(64))
+		if rng.IntN(2) == 0 {
+			v = -v
+		}
+		return v
 	}
-	if got != term.Int(4600) {
-		t.Errorf("got %s, want 4600 exactly", got)
-	}
-	cases := []struct {
-		e    term.Expr
-		want term.OID
-	}{
-		{bin(term.OpSub, c("7"), c("9")), term.Int(-2)},
-		{bin(term.OpDiv, c("7"), c("2")), num("3.5")},
-		{term.NegExpr{E: c("5")}, term.Int(-5)},
-		{bin(term.OpMul, c("1.5"), c("2")), term.Int(3)},
-	}
-	for i, cse := range cases {
-		got, err := EvalExpr(cse.e, nil)
-		if err != nil {
-			t.Errorf("case %d: %v", i, err)
+	for {
+		n, d := draw(), draw()
+		if d == 0 {
 			continue
 		}
-		if got != cse.want {
-			t.Errorf("case %d: got %s, want %s", i, got, cse.want)
+		var r term.Rat
+		var err error
+		func() {
+			defer term.RecoverOverflow(&err)
+			r = term.MakeRat(n, d)
+		}()
+		if err == nil {
+			return term.FromRat(r), new(big.Rat).SetFrac(big.NewInt(n), big.NewInt(d))
 		}
 	}
 }
 
-func TestEvalExprErrors(t *testing.T) {
-	if _, err := EvalExpr(v("X"), nil); !errors.Is(err, ErrUnbound) {
-		t.Errorf("unbound: err = %v", err)
-	}
-	var te *TypeError
-	if _, err := EvalExpr(bin(term.OpMul, sym("henry"), c("2")), nil); !errors.As(err, &te) {
-		t.Errorf("type error: err = %v", err)
-	}
-	if _, err := EvalExpr(term.NegExpr{E: sym("a")}, nil); !errors.As(err, &te) {
-		t.Errorf("neg type error: err = %v", err)
-	}
-	if _, err := EvalExpr(bin(term.OpDiv, c("1"), c("0")), nil); err == nil {
-		t.Errorf("division by zero succeeded")
-	}
+// applyArith is ApplyArith with overflow reported as term.ErrRatOverflow,
+// as the evaluators report it.
+func applyArith(op term.ArithOp, l, r term.OID) (o term.OID, err error) {
+	defer term.RecoverOverflow(&err)
+	return ApplyArith(op, l, r)
 }
 
-func TestEvalExprOverflowReported(t *testing.T) {
-	e := bin(term.OpMul, c("9223372036854775807"), c("9223372036854775807"))
-	_, err := EvalExpr(e, nil)
-	if !errors.Is(err, term.ErrRatOverflow) {
-		t.Errorf("err = %v, want ErrRatOverflow", err)
-	}
-	// Overflow inside Solve is reported too, not panicking.
-	_, err = Solve(term.BuiltinAtom{Op: term.OpEq, L: v("X"), R: e}, unify.Subst{})
-	if !errors.Is(err, term.ErrRatOverflow) {
-		t.Errorf("Solve err = %v, want ErrRatOverflow", err)
-	}
-}
-
-func TestSolveBindsEquality(t *testing.T) {
-	s := unify.Subst{"S": term.Int(100)}
-	// S' = S * 1.1 binds S'.
-	ok, err := Solve(term.BuiltinAtom{
-		Op: term.OpEq, L: v("S'"),
-		R: bin(term.OpMul, v("S"), c("1.1")),
-	}, s)
-	if err != nil || !ok {
-		t.Fatalf("Solve: %v, %v", ok, err)
-	}
-	if s["S'"] != term.Int(110) {
-		t.Errorf("S' = %s", s["S'"])
-	}
-	// Reversed orientation binds too.
-	s2 := unify.Subst{"S": term.Int(100)}
-	ok, err = Solve(term.BuiltinAtom{Op: term.OpEq, L: v("S"), R: v("T")}, s2)
-	if err != nil || !ok || s2["T"] != term.Int(100) {
-		t.Errorf("var=var binding: %v %v %v", ok, err, s2)
-	}
-	s3 := unify.Subst{"T": term.Int(5)}
-	ok, err = Solve(term.BuiltinAtom{Op: term.OpEq, L: bin(term.OpAdd, v("T"), c("1")), R: v("U")}, s3)
-	if err != nil || !ok || s3["U"] != term.Int(6) {
-		t.Errorf("reverse binding: %v %v %v", ok, err, s3)
-	}
-}
-
-func TestSolveComparisons(t *testing.T) {
-	s := unify.Subst{"A": term.Int(1), "B": term.Int(2)}
-	cases := []struct {
-		op   term.CmpOp
-		want bool
+// TestApplyArithAndCompareAgreeWithMathBig holds the built-ins' arithmetic
+// against math/big on 10⁵ random pairs, edge values among them: every sum,
+// difference, product and quotient equals big.Rat's, every one that does not
+// reduce into int64 over int64 is refused with term.ErrRatOverflow, division
+// by zero is an error, and the six comparisons agree with big.Rat.Cmp. A
+// refusal of a result that fits is allowed, counted and logged.
+func TestApplyArithAndCompareAgreeWithMathBig(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	const pairs = 100_000
+	ops := []struct {
+		op   term.ArithOp
+		want func(z, x, y *big.Rat) *big.Rat
 	}{
-		{term.OpLt, true}, {term.OpLe, true}, {term.OpGt, false},
-		{term.OpGe, false}, {term.OpEq, false}, {term.OpNe, true},
+		{term.OpAdd, (*big.Rat).Add}, {term.OpSub, (*big.Rat).Sub},
+		{term.OpMul, (*big.Rat).Mul}, {term.OpDiv, (*big.Rat).Quo},
 	}
-	for _, cse := range cases {
-		ok, err := Solve(term.BuiltinAtom{Op: cse.op, L: v("A"), R: v("B")}, s)
-		if err != nil {
-			t.Fatalf("%v: %v", cse.op, err)
+	cmps := []struct {
+		op   term.CmpOp
+		want func(c int) bool
+	}{
+		{term.OpEq, func(c int) bool { return c == 0 }}, {term.OpNe, func(c int) bool { return c != 0 }},
+		{term.OpLt, func(c int) bool { return c < 0 }}, {term.OpLe, func(c int) bool { return c <= 0 }},
+		{term.OpGt, func(c int) bool { return c > 0 }}, {term.OpGe, func(c int) bool { return c >= 0 }},
+	}
+	spurious := map[term.ArithOp]int{}
+	for range pairs {
+		l, x := randNum(rng)
+		r, y := randNum(rng)
+		for _, o := range ops {
+			got, err := applyArith(o.op, l, r)
+			if o.op == term.OpDiv && y.Sign() == 0 {
+				if err == nil {
+					t.Fatalf("%v / 0 = %v, want an error", l, got)
+				}
+				continue
+			}
+			want := o.want(new(big.Rat), x, y)
+			fits := want.Num().IsInt64() && want.Denom().IsInt64()
+			switch {
+			case err != nil && !errors.Is(err, term.ErrRatOverflow):
+				t.Fatalf("%v %v %v: %v", l, o.op, r, err)
+			case err != nil && fits:
+				spurious[o.op]++
+			case err == nil && !(fits && got.Rat().Num() == want.Num().Int64() && got.Rat().Den() == want.Denom().Int64()):
+				t.Fatalf("%v %v %v = %v, want %s", l, o.op, r, got, want)
+			}
 		}
-		if ok != cse.want {
-			t.Errorf("1 %v 2 = %v, want %v", cse.op, ok, cse.want)
+		c := x.Cmp(y)
+		for _, cmp := range cmps {
+			if got, err := Compare(cmp.op, l, r); err != nil || got != cmp.want(c) {
+				t.Fatalf("%v %v %v = %v, %v; want %v", l, cmp.op, r, got, err, cmp.want(c))
+			}
 		}
 	}
-}
-
-func TestSolveEqualityOnSymbolsAndStrings(t *testing.T) {
-	s := unify.Subst{"X": term.Sym("mgr")}
-	ok, err := Solve(term.BuiltinAtom{Op: term.OpEq, L: v("X"), R: sym("mgr")}, s)
-	if err != nil || !ok {
-		t.Errorf("symbol equality: %v %v", ok, err)
-	}
-	ok, err = Solve(term.BuiltinAtom{Op: term.OpNe, L: v("X"), R: sym("empl")}, s)
-	if err != nil || !ok {
-		t.Errorf("symbol inequality: %v %v", ok, err)
-	}
-	// Ordering two symbols is lexicographic; ordering across sorts errors.
-	ok, err = Solve(term.BuiltinAtom{Op: term.OpLt, L: sym("a"), R: sym("b")}, nil)
-	if err != nil || !ok {
-		t.Errorf("symbol < symbol: %v %v", ok, err)
-	}
-	var te *TypeError
-	if _, err := Solve(term.BuiltinAtom{Op: term.OpLt, L: sym("a"), R: c("1")}, nil); !errors.As(err, &te) {
-		t.Errorf("cross-sort ordering: err = %v", err)
-	}
-}
-
-func TestSolveEqualityBothBoundDoesNotRebind(t *testing.T) {
-	s := unify.Subst{"A": term.Int(1), "B": term.Int(2)}
-	ok, err := Solve(term.BuiltinAtom{Op: term.OpEq, L: v("A"), R: v("B")}, s)
-	if err != nil || ok {
-		t.Errorf("1 = 2 reported %v, %v", ok, err)
-	}
-	if s["A"] != term.Int(1) || s["B"] != term.Int(2) {
-		t.Errorf("bindings changed: %v", s)
+	for _, o := range ops {
+		t.Logf("%v: %d of %d refusals of a result that fits", o.op, spurious[o.op], pairs)
 	}
 }

@@ -156,20 +156,6 @@ step: X.anc -> P <- X.anc -> A, A.parent -> P.
 	}
 }
 
-func TestDerivedProgramRoundTrip(t *testing.T) {
-	src := `senior: E.rank -> senior <- E.isa -> empl, E.sal -> S, S > 4000.
-junior: E.rank -> junior <- E.isa -> empl, !E.rank -> senior.
-`
-	p := mustDerived(t, src)
-	if got := parser.FormatDerived(p); got != src {
-		t.Errorf("FormatDerived:\n got %q\nwant %q", got, src)
-	}
-	p2 := mustDerived(t, parser.FormatDerived(p))
-	if parser.FormatDerived(p2) != parser.FormatDerived(p) {
-		t.Errorf("round trip unstable")
-	}
-}
-
 func TestDerivedArgsAndVersionHeads(t *testing.T) {
 	base := mustBase(t, `x.rate@2025 -> 10.`)
 	p := mustDerived(t, `

@@ -166,6 +166,12 @@ func TestOverflowSurfacesNotPanics(t *testing.T) {
 	if !errors.Is(err, term.ErrRatOverflow) {
 		t.Errorf("err = %v, want ErrRatOverflow", err)
 	}
+	// -(-2⁶³) is not an int64 either, whether negated or subtracted from 0.
+	ob = mustBase(t, `e.v -> -9223372036854775807.`)
+	p = mustProgram(t, `r: mod[e].v -> (X, Z) <- e.v -> X, Y = X - 1, Z = 0 - Y.`)
+	if _, err := Run(ob, p, Options{}); !errors.Is(err, term.ErrRatOverflow) {
+		t.Errorf("0 - (-2⁶³): err = %v, want ErrRatOverflow", err)
+	}
 }
 
 func TestIterationLimit(t *testing.T) {

@@ -131,6 +131,3 @@ func (d Diff) Changes(b *Base) []Change {
 	}
 	return changes
 }
-
-// Invert returns the reverse diff.
-func (d Diff) Invert() Diff { return Diff{Added: d.Removed, Removed: d.Added} }

@@ -807,22 +807,6 @@ func (b *Base) Objects() []term.OID {
 	return out
 }
 
-// ObjectsWithVersions returns the OIDs of all objects that have at least
-// one version fact anywhere in the base (including objects that only exist
-// as versions, e.g. freshly inserted ones), sorted.
-func (b *Base) ObjectsWithVersions() []term.OID {
-	seen := map[term.OID]bool{}
-	for v := range b.eachState {
-		seen[v.Object] = true
-	}
-	out := make([]term.OID, 0, len(seen))
-	for o := range seen {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
 // VersionsByObject returns every VID carrying facts, grouped by object,
 // each group sorted shallow to deep. It makes a single pass over the base;
 // prefer it over per-object VersionsOf calls in loops.

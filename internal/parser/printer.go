@@ -23,21 +23,6 @@ func FormatProgram(p *term.Program) string {
 	return b.String()
 }
 
-// FormatDerived renders a derived program in canonical concrete syntax,
-// including rule labels.
-func FormatDerived(p *term.DerivedProgram) string {
-	var b strings.Builder
-	for _, r := range p.Rules {
-		if r.Name != "" {
-			b.WriteString(r.Name)
-			b.WriteString(": ")
-		}
-		b.WriteString(r.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // FormatFacts renders an object base in canonical concrete syntax, one fact
 // per line, sorted. Facts of the reserved exists method are omitted unless
 // withExists is set: they are derivable (every object o carries

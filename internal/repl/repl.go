@@ -56,9 +56,6 @@ func New(out io.Writer) *Session {
 // SetBase replaces the session's object base.
 func (s *Session) SetBase(b *objectbase.Base) { s.base = b }
 
-// Base returns the current object base.
-func (s *Session) Base() *objectbase.Base { return s.base }
-
 // Run drives the session from r until EOF or .quit. When interactive is
 // set, a prompt is printed before every statement.
 func (s *Session) Run(r io.Reader, interactive bool) error {

@@ -18,19 +18,24 @@ import (
 // faultFS is fsio.Fault with survivable failures: the armed durable
 // operations fail with err, and the process goes on — a disk that refused
 // an operation, not a machine that died. Operations are counted from 1 over
-// every Create, Append, Write, Sync, Rename, Remove, Truncate and SyncDir.
-// A failing Write lands half its bytes first, a failing Sync leaves its
-// bytes in the file but not durable, and the others do nothing. Since the
-// Fault underneath tracks what is durable, a crash afterwards (crash) still
+// every Create, Append, Write, Sync, Rename, Remove, Truncate and SyncDir,
+// and kinds names each one passed. A failing Write lands land(len) of its
+// bytes first (half unless set), a failing Sync leaves its bytes in the
+// file but not durable, and the others do nothing. Since the Fault
+// underneath tracks what is durable, a crash afterwards (crash) still
 // drops every byte no fsync made durable.
 type faultFS struct {
 	*fsio.Fault
 	mu    sync.Mutex
 	ops   int
+	kinds []string
 	armed map[int]error
+	land  func(n int) int
 }
 
-func newFaultFS() *faultFS { return &faultFS{Fault: fsio.NewFault(), armed: map[int]error{}} }
+func newFaultFS() *faultFS {
+	return &faultFS{Fault: fsio.NewFault(), armed: map[int]error{}, land: func(n int) int { return n / 2 }}
+}
 
 // arm fails the operations next[i] places after the last one passed.
 func (f *faultFS) arm(err error, next ...int) {
@@ -41,11 +46,13 @@ func (f *faultFS) arm(err error, next ...int) {
 	}
 }
 
-// pass passes one operation and returns the error it is armed with.
-func (f *faultFS) pass() error {
+// pass passes one operation of the given kind and returns the error it is
+// armed with.
+func (f *faultFS) pass(kind string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ops++
+	f.kinds = append(f.kinds, kind)
 	return f.armed[f.ops]
 }
 
@@ -59,7 +66,7 @@ func (f *faultFS) crash(t *testing.T) {
 }
 
 func (f *faultFS) Create(name string) (fsio.File, error) {
-	if err := f.pass(); err != nil {
+	if err := f.pass("Create"); err != nil {
 		return nil, err
 	}
 	file, err := f.Fault.Create(name)
@@ -70,7 +77,7 @@ func (f *faultFS) Create(name string) (fsio.File, error) {
 }
 
 func (f *faultFS) Append(name string) (fsio.File, error) {
-	if err := f.pass(); err != nil {
+	if err := f.pass("Append"); err != nil {
 		return nil, err
 	}
 	file, err := f.Fault.Append(name)
@@ -81,28 +88,28 @@ func (f *faultFS) Append(name string) (fsio.File, error) {
 }
 
 func (f *faultFS) Rename(oldpath, newpath string) error {
-	if err := f.pass(); err != nil {
+	if err := f.pass("Rename"); err != nil {
 		return err
 	}
 	return f.Fault.Rename(oldpath, newpath)
 }
 
 func (f *faultFS) Remove(name string) error {
-	if err := f.pass(); err != nil {
+	if err := f.pass("Remove"); err != nil {
 		return err
 	}
 	return f.Fault.Remove(name)
 }
 
 func (f *faultFS) Truncate(name string, size int64) error {
-	if err := f.pass(); err != nil {
+	if err := f.pass("Truncate"); err != nil {
 		return err
 	}
 	return f.Fault.Truncate(name, size)
 }
 
 func (f *faultFS) SyncDir(dir string) error {
-	if err := f.pass(); err != nil {
+	if err := f.pass("SyncDir"); err != nil {
 		return err
 	}
 	return f.Fault.SyncDir(dir)
@@ -114,15 +121,15 @@ type faultFile struct {
 }
 
 func (w *faultFile) Write(p []byte) (int, error) {
-	if err := w.fs.pass(); err != nil {
-		n, _ := w.File.Write(p[:len(p)/2])
+	if err := w.fs.pass("Write"); err != nil {
+		n, _ := w.File.Write(p[:w.fs.land(len(p))])
 		return n, err
 	}
 	return w.File.Write(p)
 }
 
 func (w *faultFile) Sync() error {
-	if err := w.fs.pass(); err != nil {
+	if err := w.fs.pass("Sync"); err != nil {
 		return err
 	}
 	return w.File.Sync()
@@ -260,30 +267,101 @@ type acked struct {
 
 // runSurvivableWorkload runs TestCrashSweep's workload on fs, going on past
 // every error, with a SetConstraints before its compact and an AdvanceEpoch
-// at its end. It returns the repository, nil when Init failed, and what was
-// acknowledged.
-func runSurvivableWorkload(t *testing.T, dir string, fs fsio.FS, progs []*term.Program) (*Repository, acked) {
+// at its end. It returns the repository, nil when Init failed, what was
+// acknowledged, and the states acknowledged, which every call is held to as
+// soon as it returns (ackedStates.check).
+func runSurvivableWorkload(t *testing.T, dir string, fs fsio.FS, progs []*term.Program) (*Repository, acked, *ackedStates) {
 	t.Helper()
 	var a acked
+	states := &ackedStates{heads: map[int]string{}, records: map[int][]byte{}}
 	initial, err := parser.ObjectBase(crashBase, "init.vlg")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r, err := InitFS(dir, initial, fs)
 	if err != nil {
-		return nil, a
+		return nil, a, states
 	}
+	step := func(call string, err error) bool {
+		if err == nil {
+			states.ack(r)
+		}
+		states.check(t, "after "+call, r)
+		return err == nil
+	}
+	step("Init", nil)
 	for i, p := range progs {
 		if i == compactAfter {
-			a.cons = r.SetConstraints(sweepCap) == nil
-			r.Compact()
+			a.cons = step("SetConstraints", r.SetConstraints(sweepCap))
+			step("Compact", r.Compact())
 		}
-		if _, err := r.Apply(p); err == nil {
+		if _, err := r.Apply(p); step(fmt.Sprintf("apply %d", i+1), err) {
 			a.applies++
 		}
 	}
-	a.epoched = r.AdvanceEpoch(2, len(progs)+1) == nil
-	return r, a
+	a.epoched = step("AdvanceEpoch", r.AdvanceEpoch(2, len(progs)+1))
+	return r, a, states
+}
+
+// ackedStates is what the survivable workload saw acknowledged: the head
+// at every acknowledged seq, the journal record of every acknowledged
+// entry, and the constraint set in force.
+type ackedStates struct {
+	heads   map[int]string
+	records map[int][]byte
+	cons    string
+	newest  int
+}
+
+// ack records r's newest state, which a call has just acknowledged.
+func (h *ackedStates) ack(r *Repository) {
+	base, _ := r.Head()
+	h.newest = r.SnapshotSeq() + r.Len()
+	h.heads[h.newest] = parser.FormatFacts(base, true)
+	if log := r.Log(); len(log) > 0 && log[len(log)-1].Seq == h.newest {
+		h.records[h.newest] = log[len(log)-1].AppendRecord(nil)
+	}
+	h.cons = fmt.Sprint(r.Constraints())
+}
+
+// check holds r to every acknowledged state: Head is the newest, every
+// acknowledged seq the journal still holds reads back through At as it
+// was, Log holds exactly the acknowledged records after the snapshot, and
+// Constraints is the acknowledged set.
+func (h *ackedStates) check(t *testing.T, when string, r *Repository) {
+	t.Helper()
+	snap := r.SnapshotSeq()
+	if base, _ := r.Head(); snap+r.Len() != h.newest || parser.FormatFacts(base, true) != h.heads[h.newest] {
+		t.Errorf("%s: the head is seq %d, %q; the newest acknowledged is seq %d, %q",
+			when, snap+r.Len(), parser.FormatFacts(base, true), h.newest, h.heads[h.newest])
+		return
+	}
+	for seq, want := range h.heads {
+		if seq < snap {
+			continue // compacted into the checkpoint
+		}
+		if base, err := r.At(seq - snap); err != nil || parser.FormatFacts(base, true) != want {
+			t.Errorf("%s: At(%d - %d) = %v, %v; acknowledged %q", when, seq, snap, base, err, want)
+		}
+	}
+	log := r.Log()
+	kept := 0
+	for seq := range h.records {
+		if seq > snap {
+			kept++
+		}
+	}
+	for _, e := range log {
+		if want, ok := h.records[e.Seq]; !ok || !bytes.Equal(e.AppendRecord(nil), want) {
+			t.Errorf("%s: Log has entry %d as %q; acknowledged %q", when, e.Seq, e.AppendRecord(nil), want)
+		}
+	}
+	if len(log) != kept {
+		t.Errorf("%s: Log holds %d entries after the snapshot at %d, %d were acknowledged", when, len(log), snap, kept)
+	}
+	if got := fmt.Sprint(r.Constraints()); got != h.cons {
+		t.Errorf("%s: constraints %s, acknowledged %s", when, got, h.cons)
+	}
 }
 
 // checkAcked holds r to the invariants of a survivable failure: every
@@ -329,41 +407,70 @@ func checkAsReopened(t *testing.T, when string, r *Repository) {
 	}
 }
 
+// landings are how much of its buffer a failing Write lands before it
+// returns the error.
+var landings = []struct {
+	name string
+	n    func(len int) int
+}{
+	{"no byte", func(int) int { return 0 }},
+	{"one byte", func(n int) int { return min(n, 1) }},
+	{"half", func(n int) int { return n / 2 }},
+	{"all but one byte", func(n int) int { return max(n-1, 0) }},
+	{"every byte", func(n int) int { return n }},
+}
+
 // TestSurvivableFaultSweep fails each durable operation of the workload in
-// turn with EIO, once and survivably, then cuts the power and reopens: no
-// call that returned an error is in effect, before the crash or after the
-// reopen, and every acknowledged one is. A failed fsync is never retried,
-// and nothing it wrote counts as committed. Before the crash, what the
+// turn, once with EIO and once with ENOSPC, survivably, then cuts the power
+// and reopens; a failing Write lands none, one, half, all but one or all of
+// its bytes. No call that returned an error is in effect, before the crash
+// or after the reopen, and every acknowledged one is. After every call, and
+// after the reopen, every acknowledged state reads back by its seq as it
+// was (Head, At, Log, Constraints). A failed fsync is never retried, and
+// nothing it wrote counts as committed. Before the crash, what the
 // repository publishes is what a reopen of its directory reads: a failed
 // Compact may or may not have compacted, but memory and disk agree.
 func TestSurvivableFaultSweep(t *testing.T) {
 	progs := crashPrograms(t)
 	probe := newFaultFS()
-	if _, a := runSurvivableWorkload(t, t.TempDir()+"/probe", probe, progs); a != (acked{len(progs), true, true}) {
+	if _, a, _ := runSurvivableWorkload(t, t.TempDir()+"/probe", probe, progs); a != (acked{len(progs), true, true}) {
 		t.Fatalf("fault-free workload acknowledged %+v", a)
 	}
-	total := probe.ops
-	t.Logf("sweeping %d fault points", total)
-	for i := 1; i <= total; i++ {
-		dir := t.TempDir() + "/repo"
-		fs := newFaultFS()
-		fs.arm(syscall.EIO, i)
-		r, a := runSurvivableWorkload(t, dir, fs, progs)
-		if r == nil {
-			continue // Init failed: there is no repository to hold to anything
+	t.Logf("sweeping %d fault points", probe.ops)
+	runs := 0
+	for i, kind := range probe.kinds {
+		ls := landings[2:3] // only a Write lands bytes
+		if kind == "Write" {
+			ls = landings
 		}
-		checkAcked(t, fmt.Sprintf("point %d, before the crash", i), r, a)
-		checkAsReopened(t, fmt.Sprintf("point %d, before the crash", i), r)
-		fs.crash(t)
-		r, err := Open(dir)
-		if err != nil {
-			t.Fatalf("point %d: Open after the crash: %v", i, err)
+		for _, errno := range []error{syscall.EIO, syscall.ENOSPC} {
+			for _, land := range ls {
+				point := fmt.Sprintf("point %d (%s, %v, %s)", i+1, kind, errno, land.name)
+				dir := t.TempDir() + "/repo"
+				fs := newFaultFS()
+				fs.land = land.n
+				fs.arm(errno, i+1)
+				runs++
+				r, a, states := runSurvivableWorkload(t, dir, fs, progs)
+				if r == nil {
+					continue // Init failed: there is no repository to hold to anything
+				}
+				checkAcked(t, point+", before the crash", r, a)
+				checkAsReopened(t, point+", before the crash", r)
+				fs.crash(t)
+				r, err := Open(dir)
+				if err != nil {
+					t.Fatalf("%s: Open after the crash: %v", point, err)
+				}
+				if err := r.Verify(); err != nil {
+					t.Fatalf("%s: Verify: %v", point, err)
+				}
+				checkAcked(t, point+", after the crash", r, a)
+				states.check(t, point+", after the crash", r)
+			}
 		}
-		if err := r.Verify(); err != nil {
-			t.Fatalf("point %d: Verify: %v", i, err)
-		}
-		checkAcked(t, fmt.Sprintf("point %d, after the crash", i), r, a)
 	}
+	t.Logf("%d runs", runs)
 }
 
 // TestFailedResetPublishesTheDisk: a ResetToSnapshot whose journal

@@ -78,9 +78,6 @@ func Program(p *term.Program) error {
 	return errors.Join(errs...)
 }
 
-// Rule checks a single rule.
-func Rule(r term.Rule) error { return check(r, 0) }
-
 // check wraps RuleViolations into the classic error form: the first
 // structural violation alone, or every unlimited variable aggregated.
 func check(r term.Rule, index int) error {
@@ -104,7 +101,7 @@ func check(r term.Rule, index int) error {
 // RuleViolations collects every safety violation in r: all structural
 // problems in source order, then every unlimited variable (sorted by
 // name). An empty result means the rule is safe. This is the shared core
-// behind Rule/Program and the analysis package's diagnostic pass.
+// behind Program and the analysis package's diagnostic pass.
 func RuleViolations(r term.Rule) []Violation {
 	var vs []Violation
 	structural := func(kind ViolationKind, pos term.Pos, format string, args ...any) {

@@ -72,7 +72,7 @@ func TestStructuralChecksOnBuiltPrograms(t *testing.T) {
 		V:    term.NewVersionID(term.Sym("o")),
 		App:  term.MethodApp{Method: term.ExistsMethod, Result: term.Sym("o")},
 	}}
-	if err := Rule(existsHead); err == nil || !strings.Contains(err.Error(), "exists") {
+	if err := checkRule(existsHead); err == nil || !strings.Contains(err.Error(), "exists") {
 		t.Errorf("exists head: %v", err)
 	}
 
@@ -81,7 +81,7 @@ func TestStructuralChecksOnBuiltPrograms(t *testing.T) {
 		V:    term.NewVersionID(term.Sym("o")),
 		App:  term.MethodApp{Method: "m", Result: term.Sym("a")},
 	}}
-	if err := Rule(modWithoutPair); err == nil || !strings.Contains(err.Error(), "result pair") {
+	if err := checkRule(modWithoutPair); err == nil || !strings.Contains(err.Error(), "result pair") {
 		t.Errorf("mod without pair: %v", err)
 	}
 
@@ -91,7 +91,7 @@ func TestStructuralChecksOnBuiltPrograms(t *testing.T) {
 		App:       term.MethodApp{Method: "m", Result: term.Sym("a")},
 		NewResult: term.Sym("b"),
 	}}
-	if err := Rule(insWithPair); err == nil || !strings.Contains(err.Error(), "result pair") {
+	if err := checkRule(insWithPair); err == nil || !strings.Contains(err.Error(), "result pair") {
 		t.Errorf("ins with pair: %v", err)
 	}
 
@@ -100,7 +100,7 @@ func TestStructuralChecksOnBuiltPrograms(t *testing.T) {
 		V:    term.NewVersionID(term.Sym("o")),
 		All:  true,
 	}}
-	if err := Rule(insAll); err == nil || !strings.Contains(err.Error(), "delete-all") {
+	if err := checkRule(insAll); err == nil || !strings.Contains(err.Error(), "delete-all") {
 		t.Errorf("ins delete-all: %v", err)
 	}
 
@@ -109,10 +109,13 @@ func TestStructuralChecksOnBuiltPrograms(t *testing.T) {
 			App: term.MethodApp{Method: "m", Result: term.Sym("a")}},
 		Body: []term.Literal{{Atom: term.UpdateAtom{Kind: term.Del, V: term.NewVersionID(term.Sym("o")), All: true}}},
 	}
-	if err := Rule(allInBody); err == nil || !strings.Contains(err.Error(), "rule heads") {
+	if err := checkRule(allInBody); err == nil || !strings.Contains(err.Error(), "rule heads") {
 		t.Errorf("delete-all in body: %v", err)
 	}
 }
+
+// checkRule checks a program of the one rule r.
+func checkRule(r term.Rule) error { return Program(&term.Program{Rules: []term.Rule{r}}) }
 
 func TestProgramAggregatesErrors(t *testing.T) {
 	p := parse(t, `

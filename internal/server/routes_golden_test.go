@@ -71,7 +71,7 @@ func TestRoutesMatchAPIDocs(t *testing.T) {
 	srv := New(repo, WithReplication(node), WithTenantManager(mgr), WithTenantDelete(true))
 
 	registered := map[string]bool{}
-	for _, rt := range srv.Routes() {
+	for _, rt := range srv.inventory {
 		registered[rt.Method+" "+rt.Path] = true
 	}
 
@@ -105,7 +105,7 @@ func TestRoutesMatchAPIDocs(t *testing.T) {
 	if len(registered) == 0 {
 		t.Fatal("empty route inventory")
 	}
-	checkDocPaths(t, srv.Routes())
+	checkDocPaths(t, srv.inventory)
 
 	// Sanity: the inventory carries the placeholder, never a literal name.
 	for k := range registered {
@@ -118,7 +118,7 @@ func TestRoutesMatchAPIDocs(t *testing.T) {
 
 // checkDocPaths fails for every /v1/... path named in pathDocs that no
 // route in inventory answers.
-func checkDocPaths(t *testing.T, inventory []Route) {
+func checkDocPaths(t *testing.T, inventory []route) {
 	t.Helper()
 	for _, pat := range pathDocs {
 		files, _ := filepath.Glob("../../" + pat)
@@ -134,7 +134,7 @@ func checkDocPaths(t *testing.T, inventory []Route) {
 				for _, path := range docPath.FindAllString(line, -1) {
 					path = docTenant.ReplaceAllString(path, "/v1/t/{tenant}")
 					prefix, under := strings.CutSuffix(path, "/*")
-					if !slices.ContainsFunc(inventory, func(rt Route) bool {
+					if !slices.ContainsFunc(inventory, func(rt route) bool {
 						return rt.Path == path || under && strings.HasPrefix(rt.Path, prefix+"/")
 					}) {
 						t.Errorf("%s:%d names %s, which is no registered route", f[len("../../"):], i+1, path)

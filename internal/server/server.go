@@ -6,10 +6,11 @@
 // under /v1/t/{tenant}/... and nowhere else, one namespace per tenant
 // with its own journal, constraints and idempotency keys; server-wide
 // routes (/v1/tenants, /v1/status, /v1/debug/*, /v1/repl/*, /metrics)
-// take no prefix. docs/API.md is the route reference, held to Routes()
-// by TestRoutesMatchAPIDocs. The repository New is given is the
-// "default" tenant. POST apply/constraints create a tenant on first use;
-// reads of a tenant that does not exist answer 404 tenant_not_found.
+// take no prefix. docs/API.md is the route reference, held to the
+// server's route inventory by TestRoutesMatchAPIDocs. The repository New
+// is given is the "default" tenant. POST apply/constraints create a tenant
+// on first use; reads of a tenant that does not exist answer 404
+// tenant_not_found.
 // Tenant names match [a-z0-9][a-z0-9-_]{0,63}.
 //
 // Every response is JSON (the /metrics exposition excepted); every error is
@@ -116,7 +117,7 @@ type Server struct {
 	// inventory records every (method, path-pattern) pair the server
 	// answers, in registration order — the route golden test diffs it
 	// against the table in docs/API.md.
-	inventory []Route
+	inventory []route
 
 	allowDelete  bool
 	tenantLabels *obs.BoundedLabels
@@ -152,9 +153,9 @@ type Server struct {
 	tenantReqs  map[string]*obs.Counter
 }
 
-// Route is one registered (method, path-pattern) pair of the server's
+// route is one registered (method, path-pattern) pair of the server's
 // inventory; tenant routes carry the {tenant} placeholder, never a name.
-type Route struct {
+type route struct {
 	Method string
 	Path   string
 }
@@ -242,7 +243,7 @@ func New(repo *repository.Repository, opts ...Option) *Server {
 	// One dispatcher parses /v1/t/{tenant}/..., acquires the tenant and
 	// serves the suffix from the table above.
 	s.mux.HandleFunc("/v1/t/", s.dispatchTenant)
-	s.inventory = append(s.inventory, Route{"DELETE", "/v1/t/{tenant}"})
+	s.inventory = append(s.inventory, route{"DELETE", "/v1/t/{tenant}"})
 	s.route("/v1/tenants", methods{"GET": s.handleTenants})
 	if s.repl != nil {
 		s.route("/v1/repl/stream", methods{"GET": s.handleReplStream})
@@ -257,10 +258,10 @@ func New(repo *repository.Repository, opts ...Option) *Server {
 	s.route("/v1/debug/slow", methods{"GET": s.handleSlow})
 	s.route("/v1/debug/traces", methods{"GET": s.handleTraces})
 	s.routes["/metrics"] = true
-	s.inventory = append(s.inventory, Route{"GET", "/metrics"})
+	s.inventory = append(s.inventory, route{"GET", "/metrics"})
 	s.mux.Handle("/metrics", s.reg.Handler())
 	s.routes["/debug/vars"] = true
-	s.inventory = append(s.inventory, Route{"GET", "/debug/vars"})
+	s.inventory = append(s.inventory, route{"GET", "/debug/vars"})
 	s.mux.Handle("/debug/vars", expvar.Handler())
 	// Unknown paths get the JSON envelope, not the mux's plain-text 404.
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -302,7 +303,7 @@ func writeMethodNotAllowed(w http.ResponseWriter, r *http.Request, path, allow s
 func (s *Server) route(path string, m methods) {
 	s.routes[path] = true
 	for meth := range m {
-		s.inventory = append(s.inventory, Route{meth, path})
+		s.inventory = append(s.inventory, route{meth, path})
 	}
 	allow := allowHeader(m)
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
@@ -321,16 +322,9 @@ func (s *Server) tenantRoute(suffix string, m tmethods) {
 	s.tenantRoutes[suffix] = m
 	for _, meth := range []string{"GET", "POST", "PUT", "DELETE"} { // inventory in stable order
 		if _, ok := m[meth]; ok {
-			s.inventory = append(s.inventory, Route{meth, "/v1/t/{tenant}/" + suffix})
+			s.inventory = append(s.inventory, route{meth, "/v1/t/{tenant}/" + suffix})
 		}
 	}
-}
-
-// Routes returns every (method, path-pattern) pair the server serves, in
-// registration order. The docs/API.md golden test diffs this inventory
-// against the documented route table.
-func (s *Server) Routes() []Route {
-	return append([]Route(nil), s.inventory...)
 }
 
 // ServeHTTP implements http.Handler, wrapping the routes in the

@@ -1,5 +1,6 @@
 // Package spec is the paper written down, for tests to hold the engine
-// against: the truth of version- and update-terms (§3), the three-step T_P
+// against: the truth of version- and update-terms under a substitution
+// (§3; the substitution and its built-ins are in subst.go), the three-step T_P
 // applied naively stratum by stratum (§3–§4), the version-linearity check and
 // the updated object base ob' (§5), over a plain set of facts. Every question
 // is answered by walking that set: no index, overlay, shared state, delta or
@@ -13,7 +14,6 @@ import (
 	"maps"
 	"slices"
 
-	"verlog/internal/builtin"
 	"verlog/internal/strata"
 	"verlog/internal/term"
 	"verlog/internal/unify"
@@ -35,7 +35,7 @@ var (
 // vstar is v*, the largest subterm of v whose version exists, i.e. has exists.
 func (I Facts) vstar(v term.GVID) (vs term.GVID, ok bool) {
 	for f := range I {
-		if f.IsExists() && f.V.IsSubtermOf(v) && (!ok || f.V.Path.Len() > vs.Path.Len()) {
+		if f.IsExists() && isSubtermOf(f.V, v) && (!ok || f.V.Path.Len() > vs.Path.Len()) {
 			vs, ok = f.V, true
 		}
 	}
@@ -43,28 +43,28 @@ func (I Facts) vstar(v term.GVID) (vs term.GVID, ok bool) {
 }
 
 // ground instantiates v.m@args -> r under s.
-func ground(v term.GVID, app term.MethodApp, s unify.Subst) term.Fact {
+func ground(v term.GVID, app term.MethodApp, s subst) term.Fact {
 	args := make([]term.OID, len(app.Args))
 	for i, a := range app.Args {
-		args[i], _ = s.ResolveOID(a)
+		args[i], _ = s.resolveOID(a)
 	}
-	r, _ := s.ResolveOID(app.Result)
+	r, _ := s.resolveOID(app.Result)
 	return term.Fact{V: v, Method: app.Method, Args: term.EncodeOIDs(args), Result: r}
 }
 
 // holds decides a body atom all of whose variables s binds, by §3's truth in
 // body position (a binding equality X = e is the exception: it extends s).
-func (I Facts) holds(a term.Atom, s unify.Subst) (bool, error) {
+func (I Facts) holds(a term.Atom, s subst) (bool, error) {
 	switch a := a.(type) {
 	case term.BuiltinAtom:
-		return builtin.Solve(a, s)
+		return solveBuiltin(a, s)
 	case term.VersionAtom:
-		if o, _ := s.ResolveOID(a.V.Base); !a.V.Any {
+		if o, _ := s.resolveOID(a.V.Base); !a.V.Any {
 			return I[ground(term.GVID{Object: o, Path: a.V.Path}, a.App, s)], nil
 		}
 		return len(I.candidates(a, s)) > 0, nil // any(o): some version of o
 	case term.UpdateAtom:
-		v, _ := s.ResolveVID(a.V)
+		v, _ := s.resolveVID(a.V)
 		w := v.Push(a.Kind)
 		f := ground(w, a.App, s) // kind(v).m -> r
 		if a.Kind == term.Ins {
@@ -78,7 +78,7 @@ func (I Facts) holds(a term.Atom, s unify.Subst) (bool, error) {
 			return ws == w && !I[f], nil // del(v) exists, without r
 		}
 		g := f
-		g.Result, _ = s.ResolveOID(a.NewResult)
+		g.Result, _ = s.resolveOID(a.NewResult)
 		return I[g] && (g == f || !I[f]), nil // mod(v).m -> r', and r gone unless r = r'
 	}
 	return false, nil
@@ -86,7 +86,7 @@ func (I Facts) holds(a term.Atom, s unify.Subst) (bool, error) {
 
 // candidates lists the extensions of s binding the variables of a positive
 // version- or update-term to what a fact of I offers; holds says which are true.
-func (I Facts) candidates(a term.Atom, s unify.Subst) (out []unify.Subst) {
+func (I Facts) candidates(a term.Atom, s subst) (out []subst) {
 	if u, ok := a.(term.UpdateAtom); ok && u.Kind == term.Ins {
 		a = term.VersionAtom{V: u.Target(), App: u.App}
 	} else if ok { // del, mod: v* is some version of the object, and so is what has r'
@@ -104,7 +104,7 @@ func (I Facts) candidates(a term.Atom, s unify.Subst) (out []unify.Subst) {
 		if f.Method != p.App.Method || !p.V.Any && f.V.Path != p.V.Path {
 			continue
 		}
-		if t := s.Clone(); t.MatchObj(p.V.Base, f.V.Object) && t.MatchArgs(p.App.Args, f.Args.Decode()) && t.MatchObj(p.App.Result, f.Result) {
+		if t := s.clone(); t.matchObj(p.V.Base, f.V.Object) && t.matchArgs(p.App.Args, f.Args.Decode()) && t.matchObj(p.App.Result, f.Result) {
 			out = append(out, t)
 		}
 	}
@@ -156,12 +156,12 @@ func schedule(body []term.Literal) ([]int, error) {
 
 // solve lists the extensions of s that make body[order[0]], body[order[1]], …
 // true with respect to I, one per way of doing so.
-func (I Facts) solve(body []term.Literal, order []int, s unify.Subst) (rows []unify.Subst, err error) {
+func (I Facts) solve(body []term.Literal, order []int, s subst) (rows []subst, err error) {
 	if len(order) == 0 {
-		return []unify.Subst{s}, nil
+		return []subst{s}, nil
 	}
 	l := body[order[0]]
-	cands := []unify.Subst{s.Clone()}
+	cands := []subst{s.clone()}
 	if !isFilter(l) {
 		cands = I.candidates(l.Atom, s)
 	}
@@ -180,12 +180,12 @@ func (I Facts) solve(body []term.Literal, order []int, s unify.Subst) (rows []un
 }
 
 // Query answers a conjunction of literals: a substitution per way it is true.
-func Query(I Facts, body []term.Literal) ([]unify.Subst, error) {
+func Query(I Facts, body []term.Literal) ([]subst, error) {
 	order, err := schedule(body)
 	if err != nil {
 		return nil, err
 	}
-	return I.solve(body, order, unify.Subst{})
+	return I.solve(body, order, subst{})
 }
 
 // Update is a fired ground update-term of T¹_P(I); a modify takes R to R2.
@@ -213,12 +213,12 @@ func (I Facts) step1(rules []term.Rule, stratum []int) (map[Update]bool, error) 
 			return nil, fmt.Errorf("rule %s: %w", rules[ri].Label(ri), err)
 		}
 		for _, s := range rows {
-			v, _ := s.ResolveVID(h.V)
+			v, _ := s.resolveVID(h.V)
 			vs, live := I.vstar(v)
 			f := ground(vs, h.App, s)
 			u := Update{Kind: h.Kind, V: v, Method: f.Method, Args: f.Args, R: f.Result}
 			if h.Kind == term.Mod {
-				u.R2, _ = s.ResolveOID(h.NewResult)
+				u.R2, _ = s.resolveOID(h.NewResult)
 			}
 			if !h.All && (h.Kind == term.Ins || live && I[f]) {
 				T1[u] = true
@@ -283,7 +283,7 @@ func (I Facts) apply(T1 map[Update]bool) Facts {
 func (I Facts) linear() error {
 	for f := range I {
 		for g := range I {
-			if f.V.Object == g.V.Object && !f.V.Comparable(g.V) {
+			if f.V.Object == g.V.Object && !subtermComparable(f.V, g.V) {
 				return fmt.Errorf("%w: %s and %s are not subterm-comparable", ErrLinearity, f.V, g.V)
 			}
 		}

@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"verlog/internal/objectbase"
@@ -85,7 +84,7 @@ func TestPropertyTextRoundTrip(t *testing.T) {
 		if err := SaveText(&buf, b); err != nil {
 			t.Fatalf("save: %v", err)
 		}
-		got, err := LoadText(strings.NewReader(buf.String()), "roundtrip")
+		got, err := parser.ObjectBase(buf.String(), "roundtrip")
 		if err != nil {
 			t.Fatalf("trial %d: load: %v\n%s", trial, err, buf.String())
 		}

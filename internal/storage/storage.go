@@ -27,15 +27,6 @@ func SaveText(w io.Writer, b *objectbase.Base) error {
 	return err
 }
 
-// LoadText reads a base in text format; name labels parse errors.
-func LoadText(r io.Reader, name string) (*objectbase.Base, error) {
-	src, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("storage: read %s: %w", name, err)
-	}
-	return parser.ObjectBase(string(src), name)
-}
-
 // A snapshot is framed records: first the header
 //
 //	{"snapshot":2,"seq":N,"facts":K,"constraints":"..."}

@@ -35,9 +35,9 @@ func TestTextRoundTrip(t *testing.T) {
 	if err := SaveText(&buf, b); err != nil {
 		t.Fatalf("SaveText: %v", err)
 	}
-	got, err := LoadText(strings.NewReader(buf.String()), "roundtrip")
+	got, err := parser.ObjectBase(buf.String(), "roundtrip")
 	if err != nil {
-		t.Fatalf("LoadText: %v", err)
+		t.Fatalf("parser.ObjectBase: %v", err)
 	}
 	// Text format drops derivable exists facts; compare the rest. The
 	// version fact mod(phil) does not re-seed an exists for its own VID,

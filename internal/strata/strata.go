@@ -231,21 +231,6 @@ func StratifyLifted(p *term.Program) (*Assignment, error) {
 	return Solve(len(p.Rules), buildEdges(p, true), p.RuleLabels())
 }
 
-// Violations returns every strongly connected component of p's constraint
-// graph that contains a strict edge — i.e. all independent reasons the
-// program is not stratifiable — instead of failing on the first. An empty
-// result means Stratify succeeds.
-func Violations(p *term.Program) []*NotStratifiableError {
-	n := len(p.Rules)
-	edges := BuildEdges(p)
-	comp, _ := sccOf(n, edges)
-	out := violations(n, edges, comp, p.RuleLabels())
-	for _, v := range out {
-		v.Pos = p.Rules[v.Strict.To].Pos
-	}
-	return out
-}
-
 // condBit maps a condition to a dedup-mask bit.
 func condBit(c Cond) uint8 {
 	switch c {
@@ -349,9 +334,10 @@ func buildEdges(p *term.Program, lift bool) []Edge {
 }
 
 // Compute builds the constraint edges once and returns either a
-// stratification or the full violation list (never both). It is the
-// single-pass entry point for callers that want Stratify and Violations
-// together without constructing the edge set twice.
+// stratification or the full violation list (never both): every strongly
+// connected component of p's constraint graph that contains a strict edge,
+// i.e. all independent reasons the program is not stratifiable, instead of
+// the first one Stratify reports.
 func Compute(p *term.Program) (*Assignment, []*NotStratifiableError) {
 	n := len(p.Rules)
 	edges := BuildEdges(p)

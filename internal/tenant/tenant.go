@@ -131,9 +131,6 @@ func NewManager(root string, opts ...Option) *Manager {
 	return m
 }
 
-// Root returns the tenants root directory ("" when adopted-only).
-func (m *Manager) Root() string { return m.root }
-
 // MaxOpen returns the resident-repository bound (0 = unbounded).
 func (m *Manager) MaxOpen() int { return m.maxOpen }
 

@@ -57,14 +57,14 @@ func TestInvalidNames(t *testing.T) {
 }
 
 func TestAcquireMissingTenant(t *testing.T) {
-	m := tenant.NewManager(t.TempDir())
+	root := t.TempDir()
+	m := tenant.NewManager(root)
 	defer m.Close()
 	if _, err := m.Acquire("ghost", false); !errors.Is(err, tenant.ErrNotFound) {
 		t.Fatalf("Acquire(ghost) = %v, want ErrNotFound", err)
 	}
 	// Creating it makes later non-create acquires succeed, even after the
 	// manager forgets it (fresh manager over the same root).
-	root := m.Root()
 	tn, err := m.Acquire("ghost", true)
 	if err != nil {
 		t.Fatalf("create: %v", err)

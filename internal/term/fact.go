@@ -19,23 +19,6 @@ var NoArgs = Args{}
 // enc returns the canonical encoding, "" for the empty tuple.
 func (a Args) enc() string { return interned(a.h) }
 
-// EncodeArgs encodes a ground argument list. It panics if any argument is a
-// variable.
-func EncodeArgs(args []ObjTerm) Args {
-	if len(args) == 0 {
-		return NoArgs
-	}
-	var b strings.Builder
-	for _, a := range args {
-		o, ok := a.(OID)
-		if !ok {
-			panic("term: EncodeArgs on non-ground argument " + a.String())
-		}
-		encodeOID(&b, o)
-	}
-	return Args{h: intern(b.String())}
-}
-
 // EncodeOIDs encodes a ground argument list given directly as OIDs.
 func EncodeOIDs(args []OID) Args {
 	if len(args) == 0 {
@@ -75,7 +58,7 @@ func (a Args) Empty() bool { return a == NoArgs }
 
 // cutArg splits the first element off a non-empty encoding: its tag, its
 // payload and the encoding of the rest. It panics on a corrupted encoding,
-// which cannot arise from EncodeArgs/EncodeOIDs output.
+// which cannot arise from EncodeOIDs output.
 func cutArg(s string) (tag byte, payload, rest string) {
 	colon := strings.IndexByte(s, ':')
 	if colon < 2 {

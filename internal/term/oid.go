@@ -153,9 +153,6 @@ func (o OID) Name() string {
 	return interned(o.sym)
 }
 
-// IsZero reports whether o is the (invalid) zero OID.
-func (o OID) IsZero() bool { return o == OID{} }
-
 // String renders the OID in the concrete syntax of the language.
 func (o OID) String() string {
 	if o.d == 0 {

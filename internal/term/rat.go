@@ -3,6 +3,7 @@ package term
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 	"strings"
@@ -82,22 +83,30 @@ type Rat struct {
 func RatInt(i int64) Rat { return Rat{n: i, d: 1} }
 
 // MakeRat returns n/d in lowest terms. It panics if d is zero, and with
-// the overflow sentinel if a magnitude is not representable.
+// the overflow sentinel if the reduced fraction is not representable.
 func MakeRat(n, d int64) Rat {
+	if d > 0 && n != math.MinInt64 {
+		if g := gcd64(n, d); g > 1 {
+			n, d = n/g, d/g
+		}
+		return Rat{n: n, d: d}
+	}
 	if d == 0 {
 		panic("term: rational with zero denominator")
 	}
-	if d < 0 {
-		if n == -n && n != 0 || d == -d { // MinInt64 cannot be negated
-			panic(ratOverflowPanic{})
-		}
-		n, d = -n, -d
+	// A negative denominator or a numerator of -2⁶³: reduce the magnitudes,
+	// which include 2⁶³, then sign.
+	un, ud := magnitude(n), magnitude(d)
+	g := gcdMag(un, ud)
+	un, ud = un/g, ud/g
+	neg := (n < 0) != (d < 0)
+	if ud > math.MaxInt64 || un > math.MaxInt64 && !neg {
+		panic(ratOverflowPanic{})
 	}
-	g := gcd64(abs64(n), d)
-	if g > 1 {
-		n, d = n/g, d/g
+	if neg {
+		return Rat{n: int64(-un), d: int64(ud)} // -2⁶³ wraps to MinInt64, as it should
 	}
-	return Rat{n: n, d: d}
+	return Rat{n: int64(un), d: int64(ud)}
 }
 
 // ParseRat parses an integer literal ("250", "-3"), a decimal literal
@@ -176,14 +185,10 @@ func (r Rat) Int() int64 {
 	return r.n
 }
 
-// Float returns the nearest float64, for reporting only.
-func (r Rat) Float() float64 {
-	r = r.norm()
-	return float64(r.n) / float64(r.d)
-}
-
 // Add returns r + s. It panics with an overflow sentinel (convertible via
-// RecoverOverflow) when the exact result exceeds int64 precision.
+// RecoverOverflow) when the exact result exceeds int64 precision, and also,
+// rarely, when the reduced result fits but a cross product on the way to it
+// does not: a refusal, never a wrong value.
 func (r Rat) Add(s Rat) Rat {
 	r, s = r.norm(), s.norm()
 	// Reduce cross terms by the gcd of the denominators first, shrinking
@@ -200,8 +205,8 @@ func (r Rat) Sub(s Rat) Rat { return r.Add(s.Neg()) }
 func (r Rat) Mul(s Rat) Rat {
 	r, s = r.norm(), s.norm()
 	// Cross-reduce before multiplying to shrink intermediates.
-	g1 := gcd64(abs64(r.n), s.d)
-	g2 := gcd64(abs64(s.n), r.d)
+	g1 := gcd64(r.n, s.d)
+	g2 := gcd64(s.n, r.d)
 	return MakeRat(mulChecked(r.n/g1, s.n/g2), mulChecked(r.d/g2, s.d/g1))
 }
 
@@ -226,9 +231,12 @@ func (r Rat) withSign(x int64) Rat {
 	return r
 }
 
-// Neg returns -r.
+// Neg returns -r; overflow behaves as in Add (-(-2⁶³) is not an int64).
 func (r Rat) Neg() Rat {
 	r = r.norm()
+	if r.n == math.MinInt64 {
+		panic(ratOverflowPanic{})
+	}
 	return Rat{n: -r.n, d: r.d}
 }
 
@@ -283,8 +291,8 @@ func (r Rat) AppendTo(dst []byte) []byte {
 	if r.d == 1 {
 		return strconv.AppendInt(dst, r.n, 10)
 	}
-	if digits, ok := r.decimalDigits(); ok {
-		return r.appendDecimal(dst, digits)
+	if digits, scaled, ok := r.decimalDigits(); ok {
+		return appendDecimal(dst, scaled, digits)
 	}
 	dst = strconv.AppendInt(dst, r.n, 10)
 	dst = append(dst, 'r')
@@ -292,10 +300,10 @@ func (r Rat) AppendTo(dst []byte) []byte {
 }
 
 // decimalDigits reports how many decimal places the rational's exact
-// decimal expansion takes, if it has one of at most 18.
-func (r Rat) decimalDigits() (int, bool) {
-	den := r.d
-	digits := 0
+// decimal expansion takes, if it has one of at most 18, and its digits read
+// as one integer (r × 10^digits), if that fits in an int64.
+func (r Rat) decimalDigits() (digits int, scaled int64, ok bool) {
+	den, pow := r.d, int64(1)
 	for den > 1 && digits < 18 {
 		switch {
 		case den%10 == 0:
@@ -305,22 +313,25 @@ func (r Rat) decimalDigits() (int, bool) {
 		case den%2 == 0:
 			den /= 2
 		default:
-			return 0, false
+			return 0, 0, false
 		}
 		digits++
-	}
-	return digits, den == 1
-}
-
-// appendDecimal appends the rational as an exact decimal of the given
-// number of places, less its trailing zeros.
-func (r Rat) appendDecimal(dst []byte, digits int) []byte {
-	pow := int64(1)
-	for range digits {
 		pow *= 10
 	}
-	// n*pow/d is exact because d divides pow by construction.
-	scaled := r.n * (pow / r.d)
+	// n*pow/d is exact because d divides pow.
+	hi, lo := bits.Mul64(magnitude(r.n), uint64(pow/r.d))
+	if den != 1 || hi != 0 || lo > math.MaxInt64 {
+		return 0, 0, false
+	}
+	if r.n < 0 {
+		return digits, -int64(lo), true
+	}
+	return digits, int64(lo), true
+}
+
+// appendDecimal appends scaled ÷ 10^digits as an exact decimal, less its
+// trailing zeros.
+func appendDecimal(dst []byte, scaled int64, digits int) []byte {
 	if scaled < 0 {
 		dst = append(dst, '-')
 		scaled = -scaled
@@ -346,7 +357,12 @@ func (r Rat) appendDecimal(dst []byte, digits int) []byte {
 	return dst
 }
 
-func gcd64(a, b int64) int64 {
+// gcd64 returns the greatest common divisor of |a| and |b|, 1 if both are
+// zero. One of them is a denominator, so the result fits.
+func gcd64(a, b int64) int64 { return int64(gcdMag(magnitude(a), magnitude(b))) }
+
+// gcdMag returns the greatest common divisor of a and b, 1 if both are zero.
+func gcdMag(a, b uint64) uint64 {
 	for b != 0 {
 		a, b = b, a%b
 	}

@@ -3,6 +3,7 @@ package term
 import (
 	"errors"
 	"math"
+	"math/big"
 	"math/rand/v2"
 	"strconv"
 	"strings"
@@ -227,15 +228,116 @@ func TestRecoverOverflowRepanicsOthers(t *testing.T) {
 	panic("boom")
 }
 
-func TestRatFloat(t *testing.T) {
-	if f := MakeRat(1, 2).Float(); f != 0.5 {
-		t.Errorf("Float = %v", f)
+// ratEdges are the int64 values at which rational arithmetic breaks when
+// it breaks: 0, ±1, the ends of the range, and the magnitudes whose
+// products or squares just cross it.
+var ratEdges = []int64{0, 1, -1, math.MaxInt64, -math.MaxInt64, math.MinInt64, 1 << 62, 3_037_000_500, -3_037_000_500}
+
+// randInt64 draws an edge value a quarter of the time, else a random value
+// of a random bit length, so that every magnitude is about as likely.
+func randInt64(rng *rand.Rand) int64 {
+	if rng.IntN(4) == 0 {
+		return ratEdges[rng.IntN(len(ratEdges))]
 	}
-	if !RatInt(3).IsInt() || RatInt(3).Int() != 3 {
-		t.Errorf("IsInt/Int broken")
+	v := int64(rng.Uint64() >> rng.IntN(64))
+	if rng.IntN(2) == 0 {
+		v = -v
 	}
-	if MakeRat(1, 2).IsInt() {
-		t.Errorf("1/2 reported as int")
+	return v
+}
+
+// randRat draws a rational from randInt64's numerators and denominators,
+// and its exact value as a big.Rat; it skips fractions MakeRat refuses
+// (d = -2⁶³ with n odd: the denominator 2⁶³ is not an int64).
+func randRat(t *testing.T, rng *rand.Rand) (Rat, *big.Rat) {
+	for {
+		n, d := randInt64(rng), randInt64(rng)
+		if d == 0 {
+			continue
+		}
+		want := new(big.Rat).SetFrac(big.NewInt(n), big.NewInt(d))
+		r, err := tryRat(func() Rat { return MakeRat(n, d) })
+		if err != nil {
+			if fitsInt64(want) {
+				t.Fatalf("MakeRat(%d, %d) refused %s, which fits: %v", n, d, want, err)
+			}
+			continue
+		}
+		return r, want
+	}
+}
+
+// tryRat runs an operation, reporting overflow as ErrRatOverflow.
+func tryRat(op func() Rat) (r Rat, err error) {
+	defer RecoverOverflow(&err)
+	return op(), nil
+}
+
+func fitsInt64(x *big.Rat) bool { return x.Num().IsInt64() && x.Denom().IsInt64() }
+
+// sameRat reports whether r is exactly x, in lowest terms (big.Rat keeps
+// its values reduced with a positive denominator, as Rat must).
+func sameRat(r Rat, x *big.Rat) bool {
+	return x.Num().IsInt64() && x.Denom().IsInt64() && r.Num() == x.Num().Int64() && r.Den() == x.Denom().Int64()
+}
+
+// TestRatAgreesWithMathBig holds Rat against math/big on 10⁵ random pairs,
+// edge values among them: MakeRat, Neg, Add, Sub, Mul, Div, Compare, IsInt
+// and Int equal big.Rat's results, every result's rendering parses back to
+// it, and every result big.Rat cannot reduce
+// into int64 over int64 is refused with ErrRatOverflow, never wrapped. A
+// refusal of a result that fits (a cross product on the way overflowed) is
+// allowed, counted and logged.
+func TestRatAgreesWithMathBig(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	const pairs = 100_000
+	spurious := map[string]int{}
+	check := func(name string, a, b Rat, got Rat, err error, want *big.Rat) {
+		t.Helper()
+		switch {
+		case err != nil && !errors.Is(err, ErrRatOverflow):
+			t.Fatalf("%s(%v, %v): %v", name, a, b, err)
+		case err != nil && fitsInt64(want):
+			spurious[name]++
+		case err == nil && !sameRat(got, want):
+			t.Fatalf("%s(%v, %v) = %d/%d, want %s", name, a, b, got.Num(), got.Den(), want)
+		case err == nil:
+			if back, err := ParseRat(got.String()); err != nil || back != got {
+				t.Fatalf("%s(%v, %v) = %d/%d renders as %s, which parses to %v, %v", name, a, b, got.Num(), got.Den(), got, back, err)
+			}
+		}
+	}
+	for range pairs {
+		a, x := randRat(t, rng)
+		b, y := randRat(t, rng)
+		r, err := tryRat(a.Neg)
+		check("Neg", a, Rat{}, r, err, new(big.Rat).Neg(x))
+		r, err = tryRat(func() Rat { return a.Add(b) })
+		check("Add", a, b, r, err, new(big.Rat).Add(x, y))
+		r, err = tryRat(func() Rat { return a.Sub(b) })
+		check("Sub", a, b, r, err, new(big.Rat).Sub(x, y))
+		r, err = tryRat(func() Rat { return a.Mul(b) })
+		check("Mul", a, b, r, err, new(big.Rat).Mul(x, y))
+		if y.Sign() == 0 {
+			if _, ok := a.Div(b); ok {
+				t.Fatalf("Div(%v, 0) succeeded", a)
+			}
+		} else {
+			r, err = tryRat(func() Rat { q, _ := a.Div(b); return q })
+			check("Div", a, b, r, err, new(big.Rat).Quo(x, y))
+		}
+		if got, want := a.Compare(b), x.Cmp(y); got != want {
+			t.Fatalf("Compare(%v, %v) = %d, want %d", a, b, got, want)
+		}
+		if a.IsInt() != x.IsInt() || a.IsInt() && a.Int() != x.Num().Int64() {
+			t.Fatalf("IsInt/Int of %v disagree with %s", a, x)
+		}
+	}
+	for _, name := range []string{"Neg", "Add", "Sub", "Mul", "Div"} {
+		t.Logf("%s: %d of %d refusals of a result that fits", name, spurious[name], pairs)
+	}
+	if spurious["Neg"] != 0 {
+		t.Errorf("Neg refused a negation that fits")
 	}
 }
 

@@ -32,9 +32,6 @@ func (r Rule) PosOf(v Var) Pos {
 	return r.Pos
 }
 
-// IsFact reports whether the rule has an empty body.
-func (r Rule) IsFact() bool { return len(r.Body) == 0 }
-
 // Label returns the rule's name, or a positional fallback.
 func (r Rule) Label(index int) string {
 	if r.Name != "" {

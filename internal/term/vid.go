@@ -83,15 +83,6 @@ func (p Path) Len() int { return len(p) }
 // equal bases). Every path is a prefix of itself.
 func (p Path) HasPrefix(q Path) bool { return strings.HasPrefix(string(p), string(q)) }
 
-// Kinds returns the kinds of the path, innermost first.
-func (p Path) Kinds() []UpdateKind {
-	out := make([]UpdateKind, len(p))
-	for i := 0; i < len(p); i++ {
-		out[i] = UpdateKind(p[i])
-	}
-	return out
-}
-
 // Var is a variable of the language. Variables quantify over the set O of
 // OIDs only — never over version identities; this restriction is what keeps
 // bottom-up evaluation of safe programs terminating (Section 2.1).
@@ -211,18 +202,6 @@ func (g GVID) Push(k UpdateKind) GVID { return GVID{Object: g.Object, Path: g.Pa
 
 // IsObject reports whether the VID is a plain OID (path empty).
 func (g GVID) IsObject() bool { return g.Path.Len() == 0 }
-
-// IsSubtermOf reports whether g is a subterm of h: same object and g's path
-// an inner prefix of h's.
-func (g GVID) IsSubtermOf(h GVID) bool {
-	return g.Object == h.Object && h.Path.HasPrefix(g.Path)
-}
-
-// Comparable reports whether g and h are subterm-ordered either way
-// (the version-linearity relation of Section 5).
-func (g GVID) Comparable(h GVID) bool {
-	return g.IsSubtermOf(h) || h.IsSubtermOf(g)
-}
 
 // String renders the VID, e.g. "del(mod(bob))".
 func (g GVID) String() string { return g.VersionID().String() }

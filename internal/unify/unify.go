@@ -1,5 +1,4 @@
-// Package unify implements sorted unification and substitutions for the
-// verlog language.
+// Package unify implements sorted unification for the verlog language.
 //
 // Unification here is *sorted*: variables quantify over the set O of OIDs
 // only (Section 2.1 of the paper), so a variable unifies with a variable or
@@ -28,96 +27,4 @@ func ObjTerms(a, b term.ObjTerm) bool {
 // path is non-empty, because the variable can only denote an OID.
 func VersionIDs(a, b term.VersionID) bool {
 	return a.Path == b.Path && ObjTerms(a.Base, b.Base)
-}
-
-// Subst is a substitution binding variables to OIDs. The nil map is the
-// empty substitution.
-type Subst map[term.Var]term.OID
-
-// Clone returns an independent copy of the substitution with room for a few
-// extra bindings.
-func (s Subst) Clone() Subst {
-	out := make(Subst, len(s)+4)
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-// Lookup returns the binding for v, if any.
-func (s Subst) Lookup(v term.Var) (term.OID, bool) {
-	o, ok := s[v]
-	return o, ok
-}
-
-// ResolveObj applies the substitution to an object-id-term. The second
-// result reports whether the outcome is ground.
-func (s Subst) ResolveObj(t term.ObjTerm) (term.ObjTerm, bool) {
-	switch x := t.(type) {
-	case term.OID:
-		return x, true
-	case term.Var:
-		if o, ok := s[x]; ok {
-			return o, true
-		}
-		return x, false
-	default:
-		return t, false
-	}
-}
-
-// ResolveOID applies the substitution expecting a ground result; ok is
-// false when the term is an unbound variable.
-func (s Subst) ResolveOID(t term.ObjTerm) (term.OID, bool) {
-	r, ground := s.ResolveObj(t)
-	if !ground {
-		return term.OID{}, false
-	}
-	return r.(term.OID), true
-}
-
-// ResolveVID applies the substitution to a version-id-term, returning the
-// ground VID; ok is false when the base is an unbound variable or the term
-// is an any(...) wildcard, which never denotes a single version.
-func (s Subst) ResolveVID(v term.VersionID) (term.GVID, bool) {
-	if v.Any {
-		return term.GVID{}, false
-	}
-	o, ok := s.ResolveOID(v.Base)
-	if !ok {
-		return term.GVID{}, false
-	}
-	return term.GVID{Object: o, Path: v.Path}, true
-}
-
-// MatchObj unifies pattern t (under s) with the ground OID o, extending s
-// in place. It reports success; on failure s is unchanged.
-func (s Subst) MatchObj(t term.ObjTerm, o term.OID) bool {
-	switch x := t.(type) {
-	case term.OID:
-		return x == o
-	case term.Var:
-		if bound, ok := s[x]; ok {
-			return bound == o
-		}
-		s[x] = o
-		return true
-	default:
-		return false
-	}
-}
-
-// MatchArgs unifies a slice of argument patterns with ground argument OIDs,
-// extending s in place. It reports success; on failure s may hold partial
-// bindings, so callers match against a clone when backtracking.
-func (s Subst) MatchArgs(pats []term.ObjTerm, args []term.OID) bool {
-	if len(pats) != len(args) {
-		return false
-	}
-	for i, p := range pats {
-		if !s.MatchObj(p, args[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -55,77 +55,6 @@ func TestVersionIDsSorted(t *testing.T) {
 	}
 }
 
-func TestSubstResolve(t *testing.T) {
-	s := Subst{"E": term.Sym("phil"), "S": term.Int(4000)}
-	if o, ok := s.ResolveOID(term.Var("E")); !ok || o != term.Sym("phil") {
-		t.Errorf("ResolveOID bound var")
-	}
-	if _, ok := s.ResolveOID(term.Var("Z")); ok {
-		t.Errorf("ResolveOID unbound var succeeded")
-	}
-	if o, ok := s.ResolveOID(term.Int(5)); !ok || o != term.Int(5) {
-		t.Errorf("ResolveOID ground")
-	}
-	v, ok := s.ResolveVID(term.NewVersionID(term.Var("E"), term.Mod))
-	if !ok || v != term.GV(term.Sym("phil"), term.Mod) {
-		t.Errorf("ResolveVID = %v, %v", v, ok)
-	}
-	if _, ok := s.ResolveVID(term.NewVersionID(term.Var("Z"), term.Mod)); ok {
-		t.Errorf("ResolveVID unbound succeeded")
-	}
-	rt, ground := s.ResolveObj(term.Var("Z"))
-	if ground || rt != term.Var("Z") {
-		t.Errorf("ResolveObj unbound = %v, %v", rt, ground)
-	}
-}
-
-func TestSubstMatchObj(t *testing.T) {
-	s := Subst{}
-	if !s.MatchObj(term.Var("X"), term.Sym("a")) {
-		t.Fatalf("fresh bind failed")
-	}
-	if !s.MatchObj(term.Var("X"), term.Sym("a")) {
-		t.Errorf("consistent rebind failed")
-	}
-	if s.MatchObj(term.Var("X"), term.Sym("b")) {
-		t.Errorf("conflicting rebind succeeded")
-	}
-	if !s.MatchObj(term.Sym("k"), term.Sym("k")) || s.MatchObj(term.Sym("k"), term.Sym("l")) {
-		t.Errorf("ground match broken")
-	}
-}
-
-func TestSubstMatchArgs(t *testing.T) {
-	s := Subst{}
-	pats := []term.ObjTerm{term.Var("A"), term.Int(2), term.Var("A")}
-	if !s.MatchArgs(pats, []term.OID{term.Int(1), term.Int(2), term.Int(1)}) {
-		t.Errorf("repeated-var args failed")
-	}
-	s2 := Subst{}
-	if s2.MatchArgs(pats, []term.OID{term.Int(1), term.Int(2), term.Int(3)}) {
-		t.Errorf("inconsistent repeated var succeeded")
-	}
-	if (Subst{}).MatchArgs(pats, []term.OID{term.Int(1)}) {
-		t.Errorf("arity mismatch succeeded")
-	}
-}
-
-func TestSubstCloneIndependent(t *testing.T) {
-	s := Subst{"X": term.Int(1)}
-	c := s.Clone()
-	c["Y"] = term.Int(2)
-	if _, ok := s["Y"]; ok {
-		t.Errorf("clone not independent")
-	}
-	if c["X"] != term.Int(1) {
-		t.Errorf("clone lost binding")
-	}
-	var nilSubst Subst
-	if got := nilSubst.Clone(); got == nil || len(got) != 0 {
-		t.Errorf("nil clone = %v", got)
-	}
-}
-
 // TestUnifyReflexiveOnGround: any ground version-id-term unifies with
 // itself and unification over ground terms coincides with equality.
 func TestUnifyReflexiveOnGround(t *testing.T) {

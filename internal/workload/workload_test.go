@@ -76,9 +76,9 @@ func TestEnterpriseBaseRunsProgram(t *testing.T) {
 		t.Fatalf("no employees survived")
 	}
 	for _, b := range bindings {
-		s := b[term.Var("S")].Rat().Float()
-		if s < 1100 { // min salary 1000 * 1.1
-			t.Errorf("employee %s salary %.1f below any possible raise", b[term.Var("E")], s)
+		s := b[term.Var("S")].Rat()
+		if s.Compare(term.RatInt(1100)) < 0 { // min salary 1000 * 1.1
+			t.Errorf("employee %s salary %s below any possible raise", b[term.Var("E")], s)
 		}
 	}
 }
