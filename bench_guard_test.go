@@ -27,6 +27,7 @@ import (
 	"verlog/internal/objectbase"
 	"verlog/internal/parser"
 	"verlog/internal/repository"
+	"verlog/internal/storage"
 	"verlog/internal/term"
 	"verlog/internal/workload"
 )
@@ -109,7 +110,7 @@ func TestBenchRegressionGuard(t *testing.T) {
 		// and leaves the evaluation's working memory in the slot, and the five
 		// applies counted all reuse it.
 		ob, p, opts := c.setup()
-		_, bytes, allocs, _ := measure(applyRun(t, ob, p, opts...), 5, true)
+		_, bytes, allocs, _ := measure(applyRun(t, ob, p, opts...), nil, 5, true)
 		for _, m := range []struct {
 			metric string
 			got    float64
@@ -228,10 +229,12 @@ func cachedQuery(tb testing.TB, head *ObjectBase, query string) func() (vars []t
 // the largest exponents its costs may grow with in x, the work a run
 // reports (0 asserts nothing; only a row with nsExp is timed).
 type costLaw struct {
-	name                       string
-	sizes                      []int
-	reps                       int // runs per measurement (1 if unset)
-	prepare                    func(t *testing.T, size int) (run func() (x int))
+	name  string
+	sizes []int
+	reps  int // runs per measurement (1 if unset)
+	// prepare returns the run, and an edit (nil: none) that precedes every
+	// run outside the count.
+	prepare                    func(t *testing.T, size int) (edit func(), run func() (x int))
 	bytesExp, allocsExp, nsExp float64
 	bytesPerX                  float64 // a cap on bytes per unit of x at every size; 0: none
 }
@@ -251,6 +254,40 @@ func fitExponent(xs, ys []float64) float64 {
 	return sxy / sxx
 }
 
+// committedClosure returns a repository whose head holds the closure of a
+// genealogy of the given generations, and the ancestors program.
+func committedClosure(t *testing.T, generations int) (*repository.Repository, *Program) {
+	head, p, _ := closedGenealogy(t, workload.GenealogySpec{Generations: generations, Branching: 2})
+	r, err := repository.Init(t.TempDir()+"/repo", head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r, p
+}
+
+// toggleRootIsa returns an edit of r, a repository of a genealogy, that
+// toggles the isa of its root p0_0_0 between person and human: the base
+// changes, so the next apply of the ancestors program is not proved a no-op
+// and is evaluated, and no pair of its closure changes (the root has no
+// parents). r takes the edit's journal entry as a follower takes its
+// primary's (ApplyReplicaBatch), so no evaluation comes between two applies
+// of the program to empty the working memory the first leaves the second.
+func toggleRootIsa(t testing.TB, r *repository.Repository) func() {
+	isa := [2]string{"person", "human"}
+	edits := 0
+	return func() {
+		from, to := isa[edits%2], isa[(edits+1)%2]
+		edits++
+		_, seq := r.Snapshot()
+		e := repository.Entry{Seq: seq + 1, Program: fmt.Sprintf("mod[p0_0_0].isa -> (%s, %s).", from, to),
+			Added: storage.Facts("p0_0_0.isa=" + to), Removed: storage.Facts("p0_0_0.isa=" + from), Fired: 1, Strata: 1}
+		if err := r.ApplyReplicaBatch([]repository.Entry{e}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // applyRun is the run of one apply of p to head; its x is the fired updates.
 func applyRun(t *testing.T, head *ObjectBase, p *Program, opts ...Option) func() int {
 	return func() int {
@@ -267,23 +304,39 @@ func applyRun(t *testing.T, head *ObjectBase, p *Program, opts ...Option) func()
 // and returns the last x and the bytes, allocations and CPU ns per run. A
 // warm measurement makes a first, unmeasured run: it builds what the head
 // caches and leaves the evaluation's working memory in the slot for the
-// others.
-func measure(run func() int, reps int, warm bool) (x, bytes, allocs, ns float64) {
+// others. A non-nil edit runs before every run, outside the count.
+func measure(run func() int, edit func(), reps int, warm bool) (x, bytes, allocs, ns float64) {
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if warm {
+		if edit != nil {
+			edit()
+		}
 		run()
 	}
 	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := cpuTime()
-	for range reps {
-		x = float64(run())
+	var b, a uint64
+	var d time.Duration
+	count := func(runs int) {
+		runtime.ReadMemStats(&m0)
+		start := cpuTime()
+		for range runs {
+			x = float64(run())
+		}
+		d += cpuTime() - start
+		runtime.ReadMemStats(&m1)
+		b, a = b+m1.TotalAlloc-m0.TotalAlloc, a+m1.Mallocs-m0.Mallocs
 	}
-	d := cpuTime() - start
-	runtime.ReadMemStats(&m1)
+	if edit == nil {
+		count(reps)
+	} else {
+		for range reps {
+			edit()
+			count(1)
+		}
+	}
 	per := func(n uint64) float64 { return float64(n) / float64(reps) }
-	return x, per(m1.TotalAlloc - m0.TotalAlloc), per(m1.Mallocs - m0.Mallocs), per(uint64(d))
+	return x, per(b), per(a), per(uint64(d))
 }
 
 // cpuTime is the CPU time the process has used, user and system. Unlike the
@@ -301,16 +354,16 @@ func cpuTime() time.Duration {
 
 func (law costLaw) check(t *testing.T) {
 	reps, n := max(law.reps, 1), len(law.sizes)
-	runs, xs, bytes, allocs, ns := make([]func() int, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	runs, edits, xs, bytes, allocs, ns := make([]func() int, n), make([]func(), n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 	for i, size := range law.sizes {
-		runs[i] = law.prepare(t, size)
-		xs[i], bytes[i], allocs[i], ns[i] = measure(runs[i], reps, true)
+		edits[i], runs[i] = law.prepare(t, size)
+		xs[i], bytes[i], allocs[i], ns[i] = measure(runs[i], edits[i], reps, true)
 	}
 	// Best of three rounds, each timing every size once: a burst of load on
 	// the host slows a round of all sizes, not every run of one.
 	for round := 0; law.nsExp > 0 && round < 3; round++ {
 		for i := range runs {
-			if _, _, _, d := measure(runs[i], reps, false); round == 0 || d < ns[i] {
+			if _, _, _, d := measure(runs[i], edits[i], reps, false); round == 0 || d < ns[i] {
 				ns[i] = d
 			}
 		}
@@ -364,7 +417,7 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		// bytes per fired update; scanning it, O(k) time and no bytes.
 		name:  "accumulator",
 		sizes: []int{1000, 4000, 16000},
-		prepare: func(t *testing.T, k int) func() int {
+		prepare: func(t *testing.T, k int) (func(), func() int) {
 			ob := NewObjectBase()
 			node := func(i int) OID { return Sym(fmt.Sprintf("n%d", i)) }
 			ob.Insert(term.NewFact(term.GVID{Object: Sym("acc")}, "start", node(0)))
@@ -373,7 +426,7 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 				ob.Insert(term.NewFact(term.GVID{Object: node(i)}, "next", node(i+1)))
 				ob.EnsureObject(node(i))
 			}
-			return applyRun(t, ob.Freeze(), acc)
+			return nil, applyRun(t, ob.Freeze(), acc)
 		},
 		bytesExp: 1.1, nsExp: 1.3,
 	}, {
@@ -385,9 +438,9 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		// version is spread over more updates). A trace breaks the cap.
 		name:  "closed closure",
 		sizes: []int{6, 8, 10}, // generations
-		prepare: func(t *testing.T, generations int) func() int {
+		prepare: func(t *testing.T, generations int) (func(), func() int) {
 			head, p, opts := closedGenealogy(t, workload.GenealogySpec{Generations: generations, Branching: 2})
-			return applyRun(t, head, p, opts...)
+			return nil, applyRun(t, head, p, opts...)
 		},
 		bytesExp: 1.0, nsExp: 1.3,
 		bytesPerX: 63, // measured × 1.2: 52 B per fired update at six generations, 15 B at ten
@@ -398,26 +451,51 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		// targets. What is left grows with the journal record, not with the
 		// versions the run derives (measured: 5.8, 6.0 and 7.1 kB per apply,
 		// x^0.06; x^0.65 when every apply buys its own layer, x^0.79 when it
-		// buys its whole working memory).
+		// buys its whole working memory). Each apply follows, outside the
+		// count, an edit of the base that changes none of its pairs
+		// (toggleRootIsa): no apply is proved a no-op.
 		name:  "committed closure",
 		sizes: []int{6, 8, 10}, // generations
 		reps:  4,
-		prepare: func(t *testing.T, generations int) func() int {
-			head, p, _ := closedGenealogy(t, workload.GenealogySpec{Generations: generations, Branching: 2})
-			r, err := repository.Init(t.TempDir()+"/repo", head)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { r.Close() })
-			return func() int {
+		prepare: func(t *testing.T, generations int) (func(), func() int) {
+			r, p := committedClosure(t, generations)
+			return toggleRootIsa(t, r), func() int {
 				res, err := r.Apply(p)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if res.Plan == "proved" {
+					t.Fatal("an apply after an edit of the base was proved a no-op")
 				}
 				return res.Fired
 			}
 		},
 		bytesExp: 0.15,
+	}, {
+		// The re-apply once an apply of it changed nothing: proved a no-op
+		// (the repository's no-op record), not evaluated. It pays for its
+		// journal record and the new head state, whatever the base (x is
+		// its facts).
+		name:  "proved no-op",
+		sizes: []int{6, 8, 10}, // generations
+		reps:  4,
+		prepare: func(t *testing.T, generations int) (func(), func() int) {
+			r, p := committedClosure(t, generations)
+			if _, err := r.Apply(p); err != nil { // changes nothing: the record
+				t.Fatal(err)
+			}
+			return nil, func() int {
+				res, err := r.Apply(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Plan != "proved" {
+					t.Fatal("the re-apply of a program that changed nothing on the same head was evaluated")
+				}
+				return res.Final.Size()
+			}
+		},
+		bytesExp: 0.1,
 	}, {
 		// A bulk commit pays for what it changes and for nothing per change
 		// besides: the states of the raised employees, Derive's new root and
@@ -429,7 +507,7 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		name:  "committed bulk raise",
 		sizes: []int{500, 1500, 4500}, // employees; x is the changed objects
 		reps:  4,
-		prepare: func(t *testing.T, n int) func() int {
+		prepare: func(t *testing.T, n int) (func(), func() int) {
 			r, err := repository.Init(t.TempDir()+"/repo", workload.EnterpriseSpec{Employees: n, Seed: 1}.ObjectBase())
 			if err != nil {
 				t.Fatal(err)
@@ -439,7 +517,7 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 			if err != nil {
 				t.Fatal(err)
 			}
-			return func() int {
+			return nil, func() int {
 				_, e, _, err := r.ApplyKey(p, "")
 				if err != nil {
 					t.Fatal(err)
@@ -458,11 +536,11 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		name:  "point apply",
 		sizes: []int{100, 1000, 10000}, // employees; x is the size
 		reps:  1280,
-		prepare: func(t *testing.T, n int) func() int {
+		prepare: func(t *testing.T, n int) (func(), func() int) {
 			r, progs := pointUpdateRepo(t, n, 64)
 			t.Cleanup(func() { r.Close() })
 			i := 64
-			return func() int {
+			return nil, func() int {
 				i++
 				if _, err := r.Apply(progs[i%len(progs)]); err != nil {
 					t.Fatal(err)
@@ -483,9 +561,9 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		// carrier: 5× per row from 300 to 3 000 employees) grows as rows².
 		name:  "workload queries",
 		sizes: []int{300, 1200, 4800}, // employees
-		prepare: func(t *testing.T, n int) func() int {
+		prepare: func(t *testing.T, n int) (func(), func() int) {
 			head := enterpriseHead(t, n)
-			return func() int { return bossQueries(t, head, n/15) }
+			return nil, func() int { return bossQueries(t, head, n/15) }
 		},
 		bytesExp: 1.1, nsExp: 1.3,
 	}, {
@@ -495,10 +573,10 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		// map entry, key string or slice of its own.
 		name:  "query rows",
 		sizes: []int{6, 8, 10}, // generations; x is the answers
-		prepare: func(t *testing.T, generations int) func() int {
+		prepare: func(t *testing.T, generations int) (func(), func() int) {
 			head, _, _ := closedGenealogy(t, workload.GenealogySpec{Generations: generations, Branching: 2})
 			rows := cachedQuery(t, head, "X.anc -> A.")
-			return func() int {
+			return nil, func() int {
 				_, r := rows()
 				return len(r)
 			}

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"verlog/internal/baseline"
 	"verlog/internal/core"
@@ -27,7 +28,7 @@ import (
 	"verlog/internal/workload"
 )
 
-func mustParseProgram(b *testing.B, src string) *Program {
+func mustParseProgram(b testing.TB, src string) *Program {
 	b.Helper()
 	p, err := ParseProgram(src)
 	if err != nil {
@@ -156,6 +157,67 @@ func BenchmarkE24ClosedClosure(b *testing.B) {
 						res.Fired, len(res.Trace), len(res.Changes), spec.AncestorPairs(), c.trace)
 				}
 				res.Release() // as the commit does once its record is written
+			}
+		})
+	}
+}
+
+// BenchmarkE33ChangingClosure — the recursive_closure apply on a genealogy
+// that changes between applies: the ancestors program committed on the
+// closed head of E24, each apply following, outside the timer, a commit that
+// gives a leaf a new child, so that every apply evaluates and adds the
+// child's eight ancestors. "evaluated" times those applies. "proved" times
+// the apply after the one that found nothing more to add: the repository
+// proves it a no-op instead of evaluating it, and the benchmark reports its
+// CPU time against that of the evaluated apply that changed nothing
+// (proved/evaluated), a ratio of two measurements of one run.
+func BenchmarkE33ChangingClosure(b *testing.B) {
+	p := mustParseProgram(b, workload.AncestorsProgram)
+	spec := workload.GenealogySpec{Generations: 8, Branching: 2, Roots: 3}
+	head := apply(b, spec.ObjectBase(), p).Final
+	for _, arm := range []string{"evaluated", "proved"} {
+		b.Run(arm, func(b *testing.B) {
+			r, err := repository.Init(b.TempDir()+"/repo", head)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer r.Close()
+			// closure applies p, checks whether it changed something and whether
+			// it was proved, and returns its CPU time.
+			closure := func(changes, wantProved bool) time.Duration {
+				start := cpuTime()
+				res, e, _, err := r.ApplyKey(p, "")
+				d := cpuTime() - start
+				if err != nil {
+					b.Fatal(err)
+				}
+				if (e.Added != "") != changes || (res.Plan == "proved") != wantProved {
+					b.Fatalf("closure apply %d: added %q, plan %s", e.Seq, e.Added, res.Plan)
+				}
+				return d
+			}
+			var evaluated, proved time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				child := mustParseProgram(b, fmt.Sprintf("ins[c%d].isa -> person. ins[c%d].parents -> p0_7_254.", i, i))
+				if _, err := r.Apply(child); err != nil {
+					b.Fatal(err)
+				}
+				if arm == "evaluated" {
+					b.StartTimer()
+					closure(true, false)
+					continue
+				}
+				closure(true, false)
+				evaluated += closure(false, false)
+				b.StartTimer()
+				proved += closure(false, true)
+			}
+			b.StopTimer()
+			if arm == "proved" {
+				b.ReportMetric(float64(proved)/float64(evaluated), "proved/evaluated")
 			}
 		})
 	}

@@ -70,6 +70,16 @@ func New(opts ...Option) *Engine {
 // commit — hang their own children off the same tree.
 func (e *Engine) Span() *obs.Span { return e.opts.Span }
 
+// Provable reports whether an apply under the engine's options asks for its
+// outcome alone, no fired-update trace and no span tree, and is evaluated as
+// every plain apply is: the default iteration bound, new objects allowed.
+// The repository may answer such an apply of a program it has seen change
+// nothing by proof, without evaluating it (its no-op record); any other
+// apply is evaluated, so a traced one reports the rules that ran.
+func (e *Engine) Provable() bool {
+	return !e.opts.Trace && e.opts.Span == nil && e.opts.MaxIterations == 0 && !e.opts.ForbidNewObjects
+}
+
 // Check validates a program without running it: safety of every rule and
 // existence of a stratification fulfilling conditions (a)-(d).
 func (e *Engine) Check(p *term.Program) (*strata.Assignment, error) {

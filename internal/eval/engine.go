@@ -166,7 +166,9 @@ type Result struct {
 	RuleStats []RuleStat
 	// Plan records where the match plans came from: "cached" (the supplied
 	// Options.Plans) or "compiled" (built this run, or by the repository
-	// for this apply).
+	// for this apply); "proved" on the result of an apply the repository
+	// proved a no-op without running it, which carries no RuleStats, Trace
+	// or stage timings of an evaluation.
 	Plan string
 	// Stats holds per-stage timings for this run; layers above eval add
 	// their own stages (see Stats).

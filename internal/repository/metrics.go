@@ -41,12 +41,16 @@ type Metrics struct {
 	// ReplicaApplies counts journal entries applied from a replication
 	// stream (follower mode) rather than evaluated locally.
 	ReplicaApplies *obs.Counter
-	// PlanCacheHits counts applies whose program the plan cache served;
-	// PlanCacheMisses counts applies that planned afresh (first sight of a
-	// shape, or an expired seq class). Applies only: their sum is the
-	// number of evaluations.
+	// PlanCacheHits counts applies whose program the plan cache served, on
+	// its plans or by the no-op record beside them; PlanCacheMisses counts
+	// applies that planned afresh (first sight of a shape, or an expired seq
+	// class). Applies only: their sum, less ProvedNoops, is the number of
+	// evaluations.
 	PlanCacheHits   *obs.Counter
 	PlanCacheMisses *obs.Counter
+	// ProvedNoops counts applies proved by their no-op record (noop.go) to
+	// change nothing, and not evaluated; each is a plan-cache hit.
+	ProvedNoops *obs.Counter
 	// QueryPlanCacheHits and QueryPlanCacheMisses are the same for queries.
 	QueryPlanCacheHits   *obs.Counter
 	QueryPlanCacheMisses *obs.Counter
@@ -71,6 +75,7 @@ func (r *Repository) Instrument(reg *obs.Registry) {
 		ReplicaApplies:       reg.Counter("verlog_replica_applies_total", "Journal entries applied from a replication stream."),
 		PlanCacheHits:        reg.Counter("verlog_plan_cache_hits_total", "Applies that reused cached compiled match plans."),
 		PlanCacheMisses:      reg.Counter("verlog_plan_cache_misses_total", "Applies that compiled match plans afresh."),
+		ProvedNoops:          reg.Counter("verlog_applies_proved_noop_total", "Applies proved to change nothing by a no-op record, not evaluated (counted as plan-cache hits too)."),
 		QueryPlanCacheHits:   reg.Counter("verlog_query_plan_cache_hits_total", "Queries that reused cached compiled match plans."),
 		QueryPlanCacheMisses: reg.Counter("verlog_query_plan_cache_misses_total", "Queries that compiled match plans afresh."),
 	}

@@ -29,12 +29,15 @@ const (
 	planSets         = 32
 )
 
-// planEntry is one cached plan: a program's or a query's.
+// planEntry is one cached plan: a program's or a query's. noop is the
+// no-op record applies of the program's shape leave beside its plans
+// (noop.go); applyMu guards it, and queries never read it.
 type planEntry struct {
 	key      uint64
 	seqClass int
 	prog     *eval.CompiledProgram
 	query    *eval.CompiledQuery
+	noop     *noopRecord
 }
 
 // planSet is one set of the cache; next is the way the next store takes.
@@ -75,35 +78,36 @@ func (r *Repository) storePlans(e *planEntry) {
 	r.planMu.Unlock()
 }
 
-// programPlans returns cached plans that serve p for the seq class, or nil.
-// The shape key is looked up first, then the text key.
-func (r *Repository) programPlans(p *term.Program, seqClass int) *eval.CompiledProgram {
-	var buf [eval.MaxParams]term.OID
-	shape, params := eval.ProgramShape(p, buf[:0])
-	if cp := r.programPlansAt(shape, p, params, seqClass); cp != nil {
-		return cp
+// programPlans returns the entry whose plans serve p, whose shape is shape
+// and whose shape parameters are params (eval.ProgramShape), for the seq
+// class, or nil. The shape key is looked up first, then the text key.
+func (r *Repository) programPlans(p *term.Program, shape uint64, params []term.OID, seqClass int) *planEntry {
+	if e := r.programPlansAt(shape, p, params, seqClass); e != nil {
+		return e
 	}
 	return r.programPlansAt(eval.TextKey(shape, params), p, params, seqClass)
 }
 
-// programPlansAt returns the plans cached under key if they serve p, whose
-// shape parameters are params, for the seq class.
-func (r *Repository) programPlansAt(key uint64, p *term.Program, params []term.OID, seqClass int) *eval.CompiledProgram {
+// programPlansAt returns the entry cached under key if its plans serve p,
+// whose shape parameters are params, for the seq class.
+func (r *Repository) programPlansAt(key uint64, p *term.Program, params []term.OID, seqClass int) *planEntry {
 	e := r.findPlans(key)
 	if e == nil || e.seqClass != seqClass || !e.prog.Serves(p, params) {
 		return nil
 	}
-	return e.prog
+	return e
 }
 
-// storeProgramPlans caches plans PlanProgram made for p.
-func (r *Repository) storeProgramPlans(p *term.Program, seqClass int, cp *eval.CompiledProgram) {
-	var buf [eval.MaxParams]term.OID
-	key, params := eval.ProgramShape(p, buf[:0])
+// storeProgramPlans caches plans PlanProgram made for a program of the
+// shape and parameters given, and returns their entry.
+func (r *Repository) storeProgramPlans(shape uint64, params []term.OID, seqClass int, cp *eval.CompiledProgram) *planEntry {
+	key := shape
 	if !cp.Lifted() {
-		key = eval.TextKey(key, params)
+		key = eval.TextKey(shape, params)
 	}
-	r.storePlans(&planEntry{key: key, seqClass: seqClass, prog: cp})
+	e := &planEntry{key: key, seqClass: seqClass, prog: cp}
+	r.storePlans(e)
+	return e
 }
 
 // QueryRows answers a query body against the published head, as

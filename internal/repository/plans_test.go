@@ -159,7 +159,7 @@ func TestPlanCacheKeyCollision(t *testing.T) {
 	key, _ := eval.ProgramShape(a, nil)
 	r.storePlans(&planEntry{key: key, prog: cp})
 	_, params := eval.ProgramShape(a, nil)
-	if r.programPlansAt(key, a, params, 0) != cp {
+	if e := r.programPlansAt(key, a, params, 0); e == nil || e.prog != cp {
 		t.Fatal("the program's own plans are not found under its key")
 	}
 	_, params = eval.ProgramShape(b, nil)

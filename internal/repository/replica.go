@@ -170,6 +170,7 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 	}
 	ns := &headState{snap: hs.snap, base: base, prev: prev, seq: seq, snapSeq: hs.snapSeq, entries: newEntries,
 		cons: cons, snapCons: hs.snapCons}
+	r.baseGen++
 	r.commitMu.Lock()
 	r.spec = ns
 	for _, e := range entries {
@@ -205,6 +206,7 @@ func (r *Repository) ResetToSnapshot(snap storage.Snapshot) error {
 		return err
 	}
 	r.flushPendingLocked()
+	r.baseGen++
 	if err := r.writeLog(snap, nil); err != nil {
 		return r.reread(err)
 	}

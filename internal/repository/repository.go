@@ -209,6 +209,10 @@ type Repository struct {
 	// it before the batch is flushed; whatever else replaces spec holds it
 	// throughout.
 	applyMu sync.Mutex
+	// baseGen numbers the bases the head has held, for the no-op proof
+	// (noop.go): a commit with a non-empty diff, and every head installed
+	// other than by a commit, bumps it. applyMu guards it.
+	baseGen uint64
 
 	// planMu guards plans, the plan cache of applies and queries (plans.go).
 	// It is a leaf: nothing else is taken, and no call made, while it is
@@ -443,6 +447,7 @@ func (r *Repository) recoverLocked() error {
 		cons:     cons,
 		snapCons: snapCons,
 	}
+	r.baseGen++
 	r.commitMu.Lock()
 	r.spec = hs
 	r.keys = keysOf(entries)
@@ -841,45 +846,62 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	// Plans of p's shape, planned against the current seq class, serve it.
 	// On a miss p is planned by shape here; a program that cannot be
 	// planned runs without plans, and the run refuses it, after the safety
-	// check, as it would any apply.
+	// check, as it would any apply. The commit reads Final, Changes and the
+	// counters, never result(P): the fixpoint is built in working memory the
+	// next apply reuses.
 	seqClass := head.seq >> planSeqClassBits
-	cp := r.programPlans(p, seqClass)
-	planned := cp == nil
-	var plan, stratify time.Duration
-	if planned {
-		r.met().PlanCacheMisses.Inc()
-		planStart := time.Now()
-		cp, stratify, _ = eval.PlanProgram(head.base, p, core.New(opts...).Span())
-		if cp != nil {
-			r.storeProgramPlans(p, seqClass, cp)
-		}
-		plan = time.Since(planStart)
-	} else {
-		r.met().PlanCacheHits.Inc()
-	}
-	// The commit reads Final, Changes and the counters, never result(P): the
-	// fixpoint is built in working memory the next apply reuses.
+	var buf [eval.MaxParams]term.OID
+	shape, params := eval.ProgramShape(p, buf[:0])
+	pe := r.programPlans(p, shape, params, seqClass)
 	opts = append(opts[:len(opts):len(opts)], core.WithDropResult())
-	if cp != nil {
-		opts = append(opts, core.WithPlans(cp))
+	if pe != nil {
+		opts = append(opts, core.WithPlans(pe.prog))
 	}
 	eng := core.New(opts...)
 	sp := eng.Span()
 	sp.AddChild("queue", queueStart, queue)
-	res, err := eng.Apply(head.base, p)
-	if err != nil {
-		return a, false, err
+	provable := eng.Provable()
+	var res *eval.Result
+	proved := pe != nil && provable && pe.noop.proves(r.baseGen, params)
+	if proved {
+		// An apply of a program seen to change nothing, on a head no commit
+		// since changed: not evaluated. The plan-cache entry served it, so it
+		// counts as a hit: the end-to-end benchmark reads the hit ratio of
+		// every round, and a round of proved applies alone plans nothing.
+		r.met().PlanCacheHits.Inc()
+		r.met().ProvedNoops.Inc()
+		res = pe.noop.result(head.base)
+	} else {
+		planned := pe == nil
+		var plan, stratify time.Duration
+		if planned {
+			r.met().PlanCacheMisses.Inc()
+			planStart := time.Now()
+			var cp *eval.CompiledProgram
+			cp, stratify, _ = eval.PlanProgram(head.base, p, sp)
+			if cp != nil {
+				pe = r.storeProgramPlans(shape, params, seqClass, cp)
+				eng = core.New(append(opts, core.WithPlans(cp))...)
+			}
+			plan = time.Since(planStart)
+		} else {
+			r.met().PlanCacheHits.Inc()
+		}
+		var err error
+		if res, err = eng.Apply(head.base, p); err != nil {
+			return a, false, err
+		}
+		// Changes is the evaluation's working memory too: it goes back once
+		// the record is written, or the apply refused or retried.
+		defer res.Release()
+		if planned {
+			// The plans were made for this apply: it stratified and compiled.
+			res.Plan = "compiled"
+			res.Stats.Stratify = stratify
+			res.Stats.Eval += plan
+		}
 	}
-	// Changes is the evaluation's working memory too: it goes back once the
-	// record is written, or the apply refused or retried.
-	defer res.Release()
 	res.Stats.Queue = queue
-	if planned {
-		// The plans were made for this apply: it stratified and compiled.
-		res.Plan = "compiled"
-		res.Stats.Stratify = stratify
-		res.Stats.Eval += plan
-	}
 	constraintStart := time.Now()
 	constraintSpan := sp.StartChild("constraints")
 	err = checkConstraints(res.Final, cons.cs)
@@ -944,6 +966,14 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	}
 	r.spec = ns
 	r.commitMu.Unlock()
+	// The commit is on the chain: number its base if it changed it, or
+	// record that it changed nothing (noop.go).
+	switch {
+	case len(res.Changes) > 0:
+		r.baseGen++
+	case !proved && provable && pe != nil:
+		pe.noop = newNoopRecord(r.baseGen, params, res)
+	}
 	return attempt{res: res, entry: entry, batch: b, leader: leader, commitSpan: commitSpan, recordBytes: len(framed)}, false, nil
 }
 

@@ -38,18 +38,20 @@ func RecoverOverflow(err *error) {
 
 // mulChecked multiplies with overflow detection.
 func mulChecked(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	hi, lo := bits.Mul64(magnitude(a), magnitude(b))
-	neg := (a < 0) != (b < 0)
-	if hi != 0 || (neg && lo > 1<<63) || (!neg && lo > 1<<63-1) {
+	p, ok := mul64(a, b)
+	if !ok {
 		panic(ratOverflowPanic{})
 	}
-	if neg {
-		return -int64(lo)
+	return p
+}
+
+// mul64 multiplies and reports whether the product fits.
+func mul64(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(magnitude(a), magnitude(b))
+	if (a < 0) != (b < 0) {
+		return -int64(lo), hi == 0 && lo <= 1<<63
 	}
-	return int64(lo)
+	return int64(lo), hi == 0 && lo <= 1<<63-1
 }
 
 // addChecked adds with overflow detection.
@@ -186,20 +188,74 @@ func (r Rat) Int() int64 {
 }
 
 // Add returns r + s. It panics with an overflow sentinel (convertible via
-// RecoverOverflow) when the exact result exceeds int64 precision, and also,
-// rarely, when the reduced result fits but a cross product on the way to it
-// does not: a refusal, never a wrong value.
+// RecoverOverflow) exactly when the result, in lowest terms, does not fit
+// int64 over int64: a cross product that overflows on the way is redone in
+// 128 bits (addWide).
 func (r Rat) Add(s Rat) Rat {
 	r, s = r.norm(), s.norm()
 	// Reduce cross terms by the gcd of the denominators first, shrinking
 	// intermediates.
 	g := gcd64(r.d, s.d)
 	sd, rd := s.d/g, r.d/g
-	return MakeRat(addChecked(mulChecked(r.n, sd), mulChecked(s.n, rd)), mulChecked(r.d, sd))
+	a, ok1 := mul64(r.n, sd)
+	b, ok2 := mul64(s.n, rd)
+	d, ok3 := mul64(r.d, sd)
+	if n := a + b; ok1 && ok2 && ok3 && ((a >= 0) != (b >= 0) || (n >= 0) == (a >= 0)) {
+		return MakeRat(n, d)
+	}
+	return addWide(r, s.n < 0, magnitude(s.n), s.d)
 }
 
 // Sub returns r - s; overflow behaves as in Add.
-func (r Rat) Sub(s Rat) Rat { return r.Add(s.Neg()) }
+func (r Rat) Sub(s Rat) Rat {
+	s = s.norm()
+	if s.n != math.MinInt64 {
+		return r.Add(Rat{n: -s.n, d: s.d})
+	}
+	return addWide(r.norm(), false, 1<<63, s.d) // -(-2⁶³) = 2⁶³
+}
+
+// addWide returns r + s for s = ±sn/sd (sn a magnitude, up to 2⁶³), with
+// the cross products in 128 bits: with g = gcd(r.d, sd), t = r.n·(sd/g) +
+// s·(r.d/g) and g2 = gcd(t, g), the sum in lowest terms is (t/g2) over
+// (r.d/g)·(sd/g2) (Knuth, TAOCP 4.5.1). It panics with the overflow sentinel
+// when that does not fit.
+func addWide(r Rat, sNeg bool, sn uint64, sd int64) Rat {
+	g := uint64(gcd64(r.d, sd))
+	rd, sdg := uint64(r.d)/g, uint64(sd)/g
+	ahi, alo := bits.Mul64(magnitude(r.n), sdg)
+	bhi, blo := bits.Mul64(sn, rd)
+	neg := r.n < 0
+	var hi, lo uint64
+	switch {
+	case neg == sNeg: // |t| = |a| + |b| < 2¹²⁷
+		var c uint64
+		lo, c = bits.Add64(alo, blo, 0)
+		hi, _ = bits.Add64(ahi, bhi, c)
+	case ahi > bhi || ahi == bhi && alo >= blo:
+		var b uint64
+		lo, b = bits.Sub64(alo, blo, 0)
+		hi, _ = bits.Sub64(ahi, bhi, b)
+	default:
+		var b uint64
+		lo, b = bits.Sub64(blo, alo, 0)
+		hi, _ = bits.Sub64(bhi, ahi, b)
+		neg = sNeg
+	}
+	if hi == 0 && lo == 0 {
+		return Rat{n: 0, d: 1}
+	}
+	g2 := gcdMag(bits.Rem64(hi, lo, g), g)
+	qlo, _ := bits.Div64(hi%g2, lo, g2)
+	dhi, dlo := bits.Mul64(rd, uint64(sd)/g2)
+	if hi/g2 != 0 || dhi != 0 || dlo > math.MaxInt64 || qlo > math.MaxInt64 && !(neg && qlo == 1<<63) {
+		panic(ratOverflowPanic{})
+	}
+	if neg {
+		return Rat{n: int64(-qlo), d: int64(dlo)} // 2⁶³ wraps to MinInt64, as it should
+	}
+	return Rat{n: int64(qlo), d: int64(dlo)}
+}
 
 // Mul returns r * s; overflow behaves as in Add.
 func (r Rat) Mul(s Rat) Rat {
@@ -213,14 +269,27 @@ func (r Rat) Mul(s Rat) Rat {
 // Div returns r / s. It returns false if s is zero; overflow behaves as in
 // Add.
 func (r Rat) Div(s Rat) (Rat, bool) {
-	s = s.norm()
+	r, s = r.norm(), s.norm()
 	if s.n == 0 {
 		return Rat{}, false
 	}
-	if s.n == -s.n { // MinInt64: |n| not representable
+	if s.n != math.MinInt64 {
+		return r.Mul(Rat{n: s.d, d: abs64(s.n)}.withSign(s.n)), true
+	}
+	// 1/s = -sd/2⁶³, whose denominator is no int64: cross-reduce the
+	// magnitudes (r and s are in lowest terms, so sd is odd and the result
+	// is in lowest terms), then narrow.
+	g1, g2 := gcdMag(magnitude(r.n), 1<<63), uint64(gcd64(s.d, r.d))
+	nhi, n := bits.Mul64(magnitude(r.n)/g1, uint64(s.d)/g2)
+	dhi, d := bits.Mul64(uint64(r.d)/g2, (1<<63)/g1)
+	neg := r.n > 0
+	if nhi != 0 || dhi != 0 || d > math.MaxInt64 || n > math.MaxInt64 && !(neg && n == 1<<63) {
 		panic(ratOverflowPanic{})
 	}
-	return r.Mul(Rat{n: s.d, d: abs64(s.n)}.withSign(s.n)), true
+	if neg {
+		return Rat{n: int64(-n), d: int64(d)}, true
+	}
+	return Rat{n: int64(n), d: int64(d)}, true
 }
 
 // withSign applies the sign of x to the rational.
