@@ -11,6 +11,7 @@ package verlog
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 	"verlog/internal/fsio"
 	"verlog/internal/obs"
 	"verlog/internal/repository"
+	"verlog/internal/storage"
 	"verlog/internal/strata"
 	"verlog/internal/term"
 	"verlog/internal/workload"
@@ -638,6 +640,78 @@ func BenchmarkE23OpenBulkJournal(b *testing.B) {
 	runtime.KeepAlive(snapshot)
 	b.ReportMetric(float64(journal-checkpoint)/float64(facts), "journal-B/fact")
 	b.ReportMetric((float64(with)-float64(without))/applies, "resident-B/entry")
+}
+
+// BenchmarkE31RecoverByReevaluation — E31: what recovery by evaluation
+// costs. On E23's history (1 500 employees, 100 bulk raises) each iteration
+// times Open, which evaluates every journaled program and checks its digest,
+// and then the same head rebuilt the way recovery rebuilt it when records
+// carried their diffs: the checkpoint read back, and each resident entry's
+// diff decoded and applied to it. It reports the ratio of the two times
+// (evaluate/replay, two measurements of one run), the journal bytes per entry
+// and the resident bytes of each entry's program, key and diff.
+func BenchmarkE31RecoverByReevaluation(b *testing.B) {
+	const applies = 100
+	dir := b.TempDir() + "/repo"
+	r, err := repository.Init(dir, workload.EnterpriseSpec{Employees: 1500, Seed: 23}.ObjectBase())
+	if err != nil {
+		b.Fatal(err)
+	}
+	raise := mustParseProgram(b, `r: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S + 1.`)
+	checkpoint, _ := r.HistoryBytes()
+	for i := 0; i < applies; i++ {
+		if _, err := r.Apply(raise); err != nil {
+			b.Fatal(err)
+		}
+	}
+	journal, resident := r.HistoryBytes()
+	entries := r.Log()
+	want, _ := r.Head()
+	r.Close()
+	var evaluate, replay time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		r, err := repository.Open(dir)
+		evaluate += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if head, _ := r.Head(); !head.Equal(want) {
+			b.Fatal("Open rebuilt another head")
+		}
+		r.Close()
+		b.StartTimer()
+
+		start = time.Now()
+		f, err := os.Open(filepath.Join(dir, "journal.jsonl"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		snap, err := storage.ReadLog(f, func([]byte) error { return nil })
+		f.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range entries {
+			d, err := storage.DecodeDiff(e.Added, e.Removed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d.Apply(snap.Base)
+		}
+		replay += time.Since(start)
+		b.StopTimer()
+		if !snap.Base.Equal(want) {
+			b.Fatal("the diff replay rebuilt another head")
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(evaluate)/float64(replay), "evaluate/replay")
+	b.ReportMetric(float64(journal-checkpoint)/applies, "journal-B/entry")
+	b.ReportMetric(float64(resident)/applies, "resident-B/entry")
 }
 
 // BenchmarkE32Checkpoint — E32: what a Compact costs. A repository of 3 000

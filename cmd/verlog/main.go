@@ -833,7 +833,7 @@ func cmdRepo(args []string) error {
 		if err := r.Verify(); err != nil {
 			return err
 		}
-		fmt.Printf("ok: %d journaled state(s) replay to the head\n", r.Len())
+		fmt.Printf("ok: %d journaled state(s) evaluate to the head\n", r.Len())
 		return nil
 	case "compact":
 		r, err := repository.Open(*dir)

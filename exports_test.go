@@ -31,6 +31,7 @@ var testSupport = map[string]string{
 	"objectbase.State.CloneWithoutMethod": "the state edit the objectbase and eval tests build inputs with",
 	"eval.ScratchHeld":                    "how the tests observe the process-wide working-memory slot (ROADMAP item 24 removes both)",
 	"workload.BulkRaiseProgram":           "the bulk_raise program of the root package's guards and the repository tests",
+	"objectbase.Diff.Apply":               "the diff replay E31 holds recovery by evaluation against, and the storage tests' round trip",
 }
 
 // notShipping are the module's packages whose non-test Go serves the tests

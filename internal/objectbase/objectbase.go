@@ -834,6 +834,21 @@ func (b *Base) VersionsOf(o term.OID) []term.GVID {
 	return out
 }
 
+// AllFacts yields every fact in the base, in no particular order: Facts
+// without the slice and the sort, for a reader whose result does not
+// depend on the order.
+func (b *Base) AllFacts() iter.Seq[term.Fact] {
+	return func(yield func(term.Fact) bool) {
+		for v, s := range b.eachState {
+			for _, e := range s.entries {
+				if !yield(term.Fact{V: v, Method: e.key.Method, Args: e.key.Args, Result: e.r}) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // Facts returns every fact in the base, sorted for deterministic output.
 func (b *Base) Facts() []term.Fact {
 	out := make([]term.Fact, 0, b.size)

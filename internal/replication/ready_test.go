@@ -271,6 +271,26 @@ func TestFleetStatusTable(t *testing.T) {
 		t.Fatalf("history sizes: primary %d on disk / %d resident, follower %d / %d; want equal, non-zero, resident below disk",
 			ps.JournalBytes, ps.HistoryBytes, fs.JournalBytes, fs.HistoryBytes)
 	}
+	// And the same state: the follower's head digest is its primary's.
+	var digests []string
+	for _, ep := range []string{p.srv.URL, f.srv.URL} {
+		resp, err := http.Get(ep + "/v1/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			HeadDigest string `json:"head_digest"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, st.HeadDigest)
+	}
+	if want := p.repo.Digest().String(); digests[0] != want || digests[1] != want {
+		t.Fatalf("head_digest: primary %q, follower %q; want %q on both", digests[0], digests[1], want)
+	}
 
 	table := client.FleetTable(rows)
 	lines := strings.Split(strings.TrimRight(table, "\n"), "\n")

@@ -1,9 +1,10 @@
 // Package replication implements journal-shipping replication for a
 // verlog repository. A base is a deterministic function of its snapshot
 // plus the ordered journal (a program is one mapping from old to new
-// object base), so a follower that replays the primary's CRC-framed
-// journal records through the recovery code holds a base provably equal
-// to the primary's at the same seq.
+// object base), so a follower that evaluates the primary's CRC-framed
+// journal records as recovery does, checking each state against the
+// digest the primary recorded, holds the primary's base at the same seq
+// or refuses the record.
 //
 // The wire protocol is three HTTP endpoints on the primary (served by
 // internal/server, which delegates to a Node):

@@ -82,15 +82,25 @@ func checkedApply(t *testing.T, r *Repository, p *term.Program, key, what string
 	if err := obtest.CheckDerived(before, after, d.Changes(before)); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	// The journaled record is byte for byte the one Compute would have
-	// produced: same facts, same order, same counters.
+	// The resident diff is byte for byte the one Compute would have
+	// produced, same facts, same order; the digest the head keeps from the
+	// diffs is the one a fresh hash of its facts gives; and the journaled
+	// record is the request, the counters and that digest, left out when
+	// the state's digest is the one before it.
 	added, removed := storage.EncodeDiff(objectbase.Compute(before, after))
-	want := Entry{
-		Seq: entry.Seq, Program: parser.FormatProgram(p), Key: key, Added: added, Removed: removed,
-		Fired: res.Fired, Strata: res.Assignment.NumStrata(),
+	if entry.Added != added || entry.Removed != removed {
+		t.Fatalf("%s: the resident diff differs from Compute's:\n got +%q -%q\nwant +%q -%q", what, entry.Added, entry.Removed, added, removed)
+	}
+	digest := storage.BaseDigest(after)
+	if r.Digest() != digest {
+		t.Fatalf("%s: the head's digest is %s, a fresh hash of its facts %s", what, r.Digest(), digest)
+	}
+	want := Entry{Seq: entry.Seq, Program: parser.FormatProgram(p), Key: key, Fired: res.Fired, Strata: res.Assignment.NumStrata()}
+	if digest != storage.BaseDigest(before) {
+		want.Digest = &digest
 	}
 	if got, want := entry.AppendRecord(nil), want.AppendRecord(nil); !bytes.Equal(got, want) {
-		t.Fatalf("%s: journal record differs from the one built with Compute:\n got %swant %s", what, got, want)
+		t.Fatalf("%s: journal record differs from the one built with Compute and a fresh digest:\n got %swant %s", what, got, want)
 	}
 	if log := r.Log(); len(log) == 0 || log[len(log)-1].Seq != entry.Seq {
 		t.Fatalf("%s: entry %d is not the last of the resident log", what, entry.Seq)
@@ -256,6 +266,9 @@ func TestRandomApplySequenceCommitsAsDelta(t *testing.T) {
 			if err := r.Compact(); err != nil {
 				t.Fatalf("step %d: Compact: %v", step, err)
 			}
+			if r.Digest() != storage.BaseDigest(head) {
+				t.Fatalf("step %d: after Compact the head's digest is %s, a fresh hash of its facts %s", step, r.Digest(), storage.BaseDigest(head))
+			}
 		}
 	}
 	t.Logf("%d applies: %d new roots, %d delta layers, %d left the head as it was", steps, roots, layers, unchanged)
@@ -265,7 +278,7 @@ func TestRandomApplySequenceCommitsAsDelta(t *testing.T) {
 	// The journal file is the checkpoint of state 0 and the resident
 	// entries' records, and nothing else.
 	at0, _ := r.At(0)
-	records := storage.Snapshot{Base: at0, Seq: r.SnapshotSeq()}.Append(nil)
+	records := storage.Snapshot{Base: at0, Seq: r.SnapshotSeq(), Semantics: eval.Semantics}.Append(nil)
 	for _, e := range r.Log() {
 		records = e.AppendRecord(records)
 	}
@@ -281,6 +294,9 @@ func TestRandomApplySequenceCommitsAsDelta(t *testing.T) {
 	}
 	if reopened, _ := r2.Head(); !reopened.Equal(head) || !head.Equal(reopened) {
 		t.Errorf("the reopened head differs from the one the sequence ended on")
+	}
+	if r2.Digest() != storage.BaseDigest(head) {
+		t.Errorf("the reopened head's digest is %s, a fresh hash of its facts %s", r2.Digest(), storage.BaseDigest(head))
 	}
 }
 

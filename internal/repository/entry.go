@@ -1,6 +1,8 @@
 package repository
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -8,8 +10,11 @@ import (
 	"verlog/internal/storage"
 )
 
-// Entry is one journal record: an applied program and its effect, or the
-// installation of a constraint set, which has no program and no diff.
+// Entry is one journal record: an applied program, or the installation of a
+// constraint set, which has no program. The record holds the request and
+// the digest of the state it leads to, not its effect: a state is a
+// function of the state before it and the program (§3–§5), so recovery and
+// followers derive it again by evaluation and check it against the digest.
 type Entry struct {
 	// Seq numbers applied programs from 1 and keeps counting across
 	// compactions (the snapshot records which seq it represents).
@@ -22,14 +27,20 @@ type Entry struct {
 	// installs (empty clears the set); nil in an apply's record.
 	Constraints *string `json:"constraints,omitempty"`
 	// Added and Removed are the fact-level diff on the updated base, in the
-	// compact encoding they are journaled in. They stay encoded in memory
-	// and on the replication wire; replay decodes them.
-	Added   storage.Facts `json:"added,omitempty"`
-	Removed storage.Facts `json:"removed,omitempty"`
+	// compact encoding. They are resident only, never journaled: the commit
+	// renders them from its changes, recovery and followers from the
+	// evaluation they check the record with. History reads them (At, Log,
+	// HistoryBytes).
+	Added   storage.Facts `json:"-"`
+	Removed storage.Facts `json:"-"`
 	// Fired is the number of ground updates the evaluation fired.
 	Fired int `json:"fired"`
 	// Strata is the number of strata of the program.
 	Strata int `json:"strata"`
+	// Digest is the digest of the state the entry leads to; nil when that
+	// is the digest of the state before it, the state the entry left as it
+	// was (a constraints record, an apply that changed nothing).
+	Digest *storage.Digest `json:"digest,omitempty"`
 }
 
 // AppendRecord appends the entry's framed journal record to dst: the bytes
@@ -38,49 +49,7 @@ type Entry struct {
 // followers are byte-identical. The payload is the entry as encoding/json
 // would write it with HTML escaping off.
 func (e Entry) AppendRecord(dst []byte) []byte {
-	rec, _, _ := e.appendRecord(dst,
-		func(b []byte) []byte { return append(b, e.Added...) },
-		func(b []byte) []byte { return append(b, e.Removed...) })
-	return rec
-}
-
-// appendCommit appends the record of an apply whose evaluation changed the
-// versions changes lists to dst, and sets e's Added and Removed: the diff is
-// rendered once, from the changed states straight into the record, and both
-// lists are substrings of one copy of it. changes is sorted by version in
-// place.
-func (e *Entry) appendCommit(dst []byte, changes []objectbase.Change) []byte {
-	rec, added, removed := e.appendRecord(dst,
-		func(b []byte) []byte { return storage.AppendAdded(b, changes) },
-		func(b []byte) []byte { return storage.AppendRemoved(b, changes) })
-	switch {
-	case added.empty() && removed.empty():
-		e.Added, e.Removed = "", ""
-	case removed.empty():
-		e.Added, e.Removed = storage.Facts(rec[added.from:added.to]), ""
-	case added.empty():
-		e.Added, e.Removed = "", storage.Facts(rec[removed.from:removed.to])
-	default:
-		both := string(rec[added.from:removed.to])
-		e.Added = storage.Facts(both[:added.to-added.from])
-		e.Removed = storage.Facts(both[removed.from-added.from:])
-	}
-	return rec
-}
-
-// span is where a fact list lies in a record.
-type span struct{ from, to int }
-
-func (s span) empty() bool { return s.from == s.to }
-
-// appendRecord is the one writer of a journal record: it appends e's
-// framed record to dst, with the two fact lists appended by added and
-// removed, and returns it with the spans the lists take in it. A list left
-// empty is left out, as encoding/json leaves out an empty field. A list is
-// written between its quotes as it is: a fact list never holds a byte JSON
-// escapes (storage.Facts).
-func (e *Entry) appendRecord(dst []byte, added, removed func([]byte) []byte) (rec []byte, a, r span) {
-	rec = storage.AppendJournalRecord(dst, func(b []byte) []byte {
+	return storage.AppendJournalRecord(dst, func(b []byte) []byte {
 		b = strconv.AppendInt(append(b, `{"seq":`...), int64(e.Seq), 10)
 		b = storage.AppendJSONString(append(b, `,"program":`...), e.Program)
 		if e.Key != "" {
@@ -89,35 +58,24 @@ func (e *Entry) appendRecord(dst []byte, added, removed func([]byte) []byte) (re
 		if e.Constraints != nil {
 			b = storage.AppendJSONString(append(b, `,"constraints":`...), *e.Constraints)
 		}
-		b, a = appendList(b, `,"added":"`, added)
-		b, r = appendList(b, `,"removed":"`, removed)
 		b = strconv.AppendInt(append(b, `,"fired":`...), int64(e.Fired), 10)
 		b = strconv.AppendInt(append(b, `,"strata":`...), int64(e.Strata), 10)
+		if e.Digest != nil {
+			b = append(e.Digest.AppendHex(append(b, `,"digest":"`...)), '"')
+		}
 		return append(b, '}')
 	})
-	return rec, a, r
 }
 
-// appendList appends a fact list field, its name and opening quote first,
-// and returns where the list lies; an empty list leaves b as it was.
-func appendList(b []byte, field string, list func([]byte) []byte) ([]byte, span) {
-	n := len(b)
-	b = append(b, field...)
-	s := span{from: len(b)}
-	b = list(b)
-	if s.to = len(b); s.empty() {
-		return b[:n], span{}
+// recordCap is room for the entry's framed record: its strings, and a bound
+// on the frame header, field names, three integers and the digest field.
+func (e Entry) recordCap() int {
+	n := len(e.Program) + len(e.Key) + 96
+	if e.Digest != nil {
+		n += len(`,"digest":""`) + 32
 	}
-	return append(b, '"'), s
+	return n
 }
-
-// recordOverhead bounds what a framed record holds besides the entry's
-// strings: frame header, field names, three integers.
-const recordOverhead = 96
-
-// changeBytes is what a changed version mostly costs a record: one fact
-// swapped for another, about 14 bytes a side.
-const changeBytes = 32
 
 // size is what the entry's strings hold in memory.
 func (e Entry) size() int {
@@ -128,7 +86,28 @@ func (e Entry) size() int {
 	return n
 }
 
-// diff decodes the entry's diff — the only place one is.
+// errDiffRecord refuses a record that carries its diff: the journals of
+// earlier versions did, and they are not read by evaluation.
+var errDiffRecord = errors.New("the record carries a diff (\"added\"/\"removed\"): it was written by a version that journaled diffs, which this one does not read. " +
+	"Run `verlog repo compact` on the directory with the binary that wrote it; that leaves a checkpoint with no records, which this version opens (README)")
+
+// decodeEntry decodes a record's payload.
+func decodeEntry(payload []byte) (Entry, error) {
+	var rec struct {
+		Entry
+		OldAdded   json.RawMessage `json:"added"`
+		OldRemoved json.RawMessage `json:"removed"`
+	}
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return Entry{}, err
+	}
+	if rec.OldAdded != nil || rec.OldRemoved != nil {
+		return Entry{}, errDiffRecord
+	}
+	return rec.Entry, nil
+}
+
+// diff decodes the entry's resident diff.
 func (e Entry) diff() (objectbase.Diff, error) {
 	d, err := storage.DecodeDiff(e.Added, e.Removed)
 	if err != nil {
@@ -137,21 +116,9 @@ func (e Entry) diff() (objectbase.Diff, error) {
 	return d, nil
 }
 
-// replay applies the diffs of entries, in order, to the mutable base.
-// Recovery uses it, not replayDerived: derived, each bulk entry builds a new root (E23).
-func replay(base *objectbase.Base, entries []Entry) error {
-	for _, e := range entries {
-		d, err := e.diff()
-		if err != nil {
-			return err
-		}
-		d.Apply(base)
-	}
-	return nil
-}
-
-// replayDerived is replay onto a frozen head: it returns the frozen base
-// the entries lead to, sharing with head every state they leave alone.
+// replayDerived applies the resident diffs of entries, in order, to a
+// frozen head: it returns the frozen base the entries lead to, sharing with
+// head every state they leave alone.
 func replayDerived(head *objectbase.Base, entries []Entry) (*objectbase.Base, error) {
 	for _, e := range entries {
 		d, err := e.diff()

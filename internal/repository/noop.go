@@ -13,15 +13,17 @@ import (
 // program (§3–§5). So an apply of a program that was seen to change nothing
 // changes nothing again on the same base: its evaluation would fire the same
 // updates over the same iterations and derive ob' = the head. Such an apply
-// is not evaluated. Its commit runs as any other: the constraints are
-// checked, and the same journal record is written.
+// is not evaluated. Its commit runs as any other that changed nothing: the
+// same journal record is written, and no constraint is checked, since the
+// head it republishes satisfies the set in force.
 //
 // An apply that changed nothing leaves a noopRecord beside the plans it ran
 // on, naming the base it ran on by Repository.baseGen. A commit whose diff is
 // empty, or a constraint install, leaves the base as it was; every other way
 // of moving the head — a commit that changed something, recovery, a repair
 // after a failed flush, a replica batch, a reset to a snapshot — bumps
-// baseGen, which ends every record.
+// baseGen, which ends every record. Recovery and a replica batch evaluate
+// records as commits do (derive), keeping the books the same way as they go.
 
 // noopRecord is what an apply that changed nothing leaves in its plan-cache
 // entry: the base it ran on, the program's shape parameters, and what its

@@ -191,9 +191,11 @@ func TestNoopProofJournalsTheSameRecord(t *testing.T) {
 }
 
 // TestNoopProofChecksConstraints: a constraint install changes no base, so
-// the record made before it proves the next apply, and that proved apply
-// still checks the set in force; an apply with a span tree is evaluated, so
-// a traced apply reports the rules that ran.
+// the record made before it proves the next apply. That apply changed
+// nothing, so it checks no constraint: every published head satisfies the
+// set in force, the head SetConstraints checked included. An apply with a
+// span tree is evaluated, so a traced apply reports the rules that ran; it
+// changes nothing either, and its tree has no constraints stage.
 func TestNoopProofChecksConstraints(t *testing.T) {
 	r := noopRepo(t, nil)
 	if err := r.SetConstraints(`c1: X.anc -> X. c2: X.parents -> X.`); err != nil {
@@ -207,7 +209,7 @@ func TestNoopProofChecksConstraints(t *testing.T) {
 	if res.Plan != "proved" || m.ProvedNoops.Value() != 1 {
 		t.Fatalf("the apply after a constraint install: plan %s, %d proved", res.Plan, m.ProvedNoops.Value())
 	}
-	if res.Stats.ConstraintCheck == 0 || res.Stats.Eval != 0 || len(res.Stats.Strata) != 0 || res.Stats.Commit == 0 {
+	if res.Stats.ConstraintCheck != 0 || res.Stats.Eval != 0 || len(res.Stats.Strata) != 0 || res.Stats.Commit == 0 {
 		t.Errorf("the proved apply's stages: constraints %v, eval %v, strata %v, commit %v", res.Stats.ConstraintCheck, res.Stats.Eval, res.Stats.Strata, res.Stats.Commit)
 	}
 	if res.Fired != 34 || res.Assignment.NumStrata() != 1 || len(res.Iterations) != 1 {
@@ -220,10 +222,32 @@ func TestNoopProofChecksConstraints(t *testing.T) {
 	}
 	var checked bool
 	for _, c := range root.Children {
-		checked = checked || c.Name == "constraints" && len(c.Attrs) == 1 && c.Attrs[0].Value == int64(2)
+		checked = checked || c.Name == "constraints"
 	}
-	if res.Plan == "proved" || m.ProvedNoops.Value() != 1 || !checked || len(res.RuleStats) == 0 {
-		t.Errorf("the traced apply: plan %s, %d proved, checked 2 constraints %v, rule stats %v", res.Plan, m.ProvedNoops.Value(), checked, res.RuleStats)
+	if res.Plan == "proved" || m.ProvedNoops.Value() != 1 || checked || res.Stats.ConstraintCheck != 0 || len(res.RuleStats) == 0 {
+		t.Errorf("the traced apply: plan %s, %d proved, a constraints stage %v (%v), rule stats %v", res.Plan, m.ProvedNoops.Value(), checked, res.Stats.ConstraintCheck, res.RuleStats)
+	}
+}
+
+// TestChangeAfterConstraintsChecked: an apply that changes something right
+// after SetConstraints is checked against the set just installed, and one
+// that breaks it is refused and commits nothing; one that keeps it commits.
+func TestChangeAfterConstraintsChecked(t *testing.T) {
+	r := newRepo(t, `henry.isa -> empl / sal -> 100.`)
+	if err := r.SetConstraints(`cap: E.isa -> empl, E.sal -> S, S > 105.`); err != nil {
+		t.Fatal(err)
+	}
+	seq := r.Len()
+	var cv *ConstraintViolationError
+	if _, err := r.Apply(prog(t, `mod[henry].sal -> (S, S') <- henry.sal -> S, S' = S + 10.`)); !errors.As(err, &cv) || cv.Constraint != "cap" {
+		t.Fatalf("an apply breaking the set just installed: %v, want a violation of cap", err)
+	}
+	if r.Len() != seq {
+		t.Fatalf("the refused apply committed: %d entries, want %d", r.Len(), seq)
+	}
+	res, err := r.Apply(prog(t, `mod[henry].sal -> (S, S') <- henry.sal -> S, S' = S + 5.`))
+	if err != nil || res.Stats.ConstraintCheck == 0 {
+		t.Fatalf("an apply keeping the set: %v, constraints checked in %v", err, res.Stats.ConstraintCheck)
 	}
 }
 

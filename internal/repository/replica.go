@@ -1,9 +1,10 @@
 // Replication support: the repository-side primitives journal shipping is
 // built from. A base is a deterministic function of its snapshot plus the
 // ordered journal (the paper's T_P is pure), so a follower that appends
-// the primary's records through ApplyReplicaBatch — the same diff-replay
-// code recovery uses — holds a base provably equal to the primary's at the
-// same seq. internal/replication wires these primitives to HTTP.
+// the primary's records through ApplyReplicaBatch — evaluating each one as
+// recovery does, and checking the state it derives against the digest the
+// primary recorded — holds the primary's base at the same seq, or refuses
+// the record. internal/replication wires these primitives to HTTP.
 package repository
 
 import (
@@ -16,6 +17,7 @@ import (
 	"strings"
 
 	"verlog/internal/fsio"
+	"verlog/internal/objectbase"
 	"verlog/internal/storage"
 )
 
@@ -30,10 +32,11 @@ func InitAt(dir string, snap storage.Snapshot) (*Repository, error) {
 
 // InitAtFS is InitAt on an explicit filesystem (fault injection in tests).
 func InitAtFS(dir string, snap storage.Snapshot, fs fsio.FS) (*Repository, error) {
-	hs, err := snapHead(snap)
+	hs, err := snapHead(snap, snap.Base.Clone().Freeze())
 	if err != nil {
 		return nil, err
 	}
+	snap.Digest = hs.digest
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("repository: %w", err)
 	}
@@ -52,8 +55,10 @@ func InitAtFS(dir string, snap storage.Snapshot, fs fsio.FS) (*Repository, error
 	return r, nil
 }
 
-// snapHead returns the head state of a repository that is snap alone.
-func snapHead(snap storage.Snapshot) (*headState, error) {
+// snapHead returns the head state of a repository that is snap alone, with
+// frozen, a frozen base no one else may change, as snap's base. A snapshot
+// without a digest has its digest computed.
+func snapHead(snap storage.Snapshot, frozen *objectbase.Base) (*headState, error) {
 	if snap.Seq < 0 {
 		return nil, fmt.Errorf("repository: negative snapshot seq %d", snap.Seq)
 	}
@@ -61,8 +66,12 @@ func snapHead(snap storage.Snapshot) (*headState, error) {
 	if err != nil {
 		return nil, err
 	}
-	frozen := snap.Base.Clone().Freeze()
-	return &headState{snap: frozen, base: frozen, seq: snap.Seq, snapSeq: snap.Seq, cons: cons, snapCons: cons}, nil
+	digest := snap.Digest
+	if digest == (storage.Digest{}) {
+		digest = storage.BaseDigest(frozen)
+	}
+	return &headState{snap: frozen, base: frozen, seq: snap.Seq, snapSeq: snap.Seq, cons: cons, snapCons: cons,
+		digest: digest, snapDigest: digest}, nil
 }
 
 // EntriesAfter returns the resident journal entries with seq > after, the
@@ -110,14 +119,18 @@ func (r *Repository) WaitPublished(ctx context.Context, after int) error {
 // follower's last durable seq.
 var ErrReplicaSeqGap = errors.New("repository: replicated entry does not extend the journal contiguously")
 
-// ApplyReplicaBatch appends already-evaluated journal entries received
-// from a replication stream: each record is CRC-framed and fsynced into
-// the journal exactly as a local commit would be (one write+fsync for the
-// whole batch — followers group-commit too), its diff replayed onto the
-// head, and the new state published for the same wait-free reads a
-// primary serves. A constraints record installs its set here as it did on
-// the primary. Entries at or below the published seq are skipped
-// (idempotent re-delivery); an entry beyond published+1 fails with
+// ApplyReplicaBatch appends journal entries received from a replication
+// stream: each record's program is evaluated on the state before it, as
+// recovery evaluates it (plan cache and no-op proof included), the state it
+// derives is checked against the digest, fired count and strata the
+// primary recorded, and the records are CRC-framed and fsynced into the
+// journal exactly as a local commit would write them (one write+fsync for
+// the whole batch — followers group-commit too), then the new state is
+// published for the same wait-free reads a primary serves. A record its
+// program does not reproduce fails the batch with ErrDiverged, naming its
+// seq, and nothing is written. A constraints record installs its set here
+// as it did on the primary. Entries at or below the published seq are
+// skipped (idempotent re-delivery); an entry beyond published+1 fails with
 // ErrReplicaSeqGap and nothing is written. Idempotency keys ride along,
 // so a client retry after a failover is still answered as a replay.
 func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
@@ -133,10 +146,8 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 		return err
 	}
 	hs := r.published.Load()
-	var buf []byte
-	newEntries := hs.entries
 	seq := hs.seq
-	applied := 0
+	var fresh []Entry
 	for _, e := range entries {
 		if e.Seq <= seq {
 			continue // already durable here
@@ -144,42 +155,34 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 		if e.Seq != seq+1 {
 			return fmt.Errorf("%w: got seq %d, journal is at %d", ErrReplicaSeqGap, e.Seq, seq)
 		}
-		buf = e.AppendRecord(buf)
-		newEntries = append(newEntries, e)
+		fresh = append(fresh, e)
 		seq = e.Seq
-		applied++
 	}
-	if applied == 0 {
+	if len(fresh) == 0 {
 		return nil
 	}
-	fresh := newEntries[len(newEntries)-applied:]
-	prev, err := replayDerived(hs.base, fresh[:applied-1])
+	ns, err := r.advance(hs, fresh, false, r.met())
+	r.baseGen++ // whatever the outcome: the no-op records made meanwhile end here
 	if err != nil {
 		return err
 	}
-	base, err := replayDerived(prev, fresh[applied-1:])
-	if err != nil {
-		return err
-	}
-	cons, err := consAfter(hs.cons, fresh)
-	if err != nil {
-		return err
+	var buf []byte
+	for _, e := range ns.entries[len(hs.entries):] {
+		buf = e.AppendRecord(buf)
 	}
 	if err := r.appendJournal(buf); err != nil {
 		return err
 	}
-	ns := &headState{snap: hs.snap, base: base, prev: prev, seq: seq, snapSeq: hs.snapSeq, entries: newEntries,
-		cons: cons, snapCons: hs.snapCons}
-	r.baseGen++
 	r.commitMu.Lock()
 	r.spec = ns
-	for _, e := range entries {
+	for _, e := range fresh {
 		if e.Key != "" {
 			r.keys[e.Key] = &keyRecord{entry: slimEntry(e)}
 		}
 	}
 	r.commitMu.Unlock()
 	r.publish(ns)
+	applied := len(fresh)
 	m := r.met()
 	m.ReplicaApplies.Add(int64(applied))
 	m.Applies.Add(int64(applied))
@@ -194,10 +197,11 @@ func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 // rename, so a crash leaves the old repository or the new one; after a
 // failure the published head is what the disk holds.
 func (r *Repository) ResetToSnapshot(snap storage.Snapshot) error {
-	ns, err := snapHead(snap)
+	ns, err := snapHead(snap, snap.Base.Clone().Freeze())
 	if err != nil {
 		return err
 	}
+	snap.Digest = ns.digest
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
 	r.diskMu.Lock()

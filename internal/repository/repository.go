@@ -2,27 +2,29 @@
 // of update-programs applied to it. It implements the long-term-evolution
 // side of versioning that Section 1 of the paper calls complementary to
 // the per-update versions: each applied program is one evolution step, and
-// any past state can be reconstructed by replaying the journal.
+// any past state can be reconstructed by evaluating the journal's programs
+// in turn.
 //
 // Layout of a repository directory:
 //
 //	journal.jsonl — the log: first a checkpoint, the object base the
 //	                entries start from with the constraint set in force
 //	                there (storage.Snapshot's records), then one checksummed
-//	                record per applied program, with its diff, or per
-//	                constraint set installed
+//	                record per applied program, with the digest of the
+//	                state it leads to, or per constraint set installed
 //	epoch         — the replication epochs adopted, after the first
 //	                promotion (replica.go)
 //
 // Durability contract: an update is applied exactly when its journal
 // record has been written and fsynced. The current base exists in memory
-// only: it is "checkpoint + entry replay" by definition, Open rebuilds it
-// that way, and a commit writes nothing but its journal record, so there
-// is no second copy on disk that a crash could leave out of step. Records
-// carry a CRC32 checksum; a torn final entry record (the signature of
-// power loss mid-append) is truncated away on Open, while corruption
-// anywhere else, the checkpoint included, is reported, never repaired
-// silently. Init, Compact and ResetToSnapshot replace the whole log with
+// only: it is "checkpoint + the journaled programs, evaluated in turn" by
+// definition, Open rebuilds it that way, checking each state it derives
+// against the digest its record holds, and a commit writes nothing but its
+// journal record, so there is no second copy on disk that a crash could
+// leave out of step. Records carry a CRC32 checksum; a torn final entry
+// record (the signature of power loss mid-append) is truncated away on
+// Open, while corruption anywhere else, the checkpoint included, is
+// reported, never repaired silently. Init, Compact and ResetToSnapshot replace the whole log with
 // one atomic rename (writeLog), so no crash leaves a checkpoint out of
 // step with its entries. All file writes go through internal/fsio, whose
 // fault injection drives the crash sweep in crash_test.go.
@@ -42,12 +44,12 @@
 // extends the speculative head and joins the pending group-commit batch;
 // no evaluation is ever discarded. Its product is a delta: the new head
 // shares every state the program did not change with the old one
-// (objectbase.Derive), and the record is computed from the changed states
-// alone. With applyMu released, the first writer into a batch leads it:
-// under diskMu it writes every queued record in one write+fsync, publishes
-// the new head and wakes the batch, while the others wait on the batch. So
-// apply k+1 evaluates while batch k's fsync is in flight, and under
-// contention one fsync commits many updates.
+// (objectbase.Derive), and its resident diff and digest are computed from
+// the changed states alone. With applyMu released, the first writer into a
+// batch leads it: under diskMu it writes every queued record in one
+// write+fsync, publishes the new head and wakes the batch, while the others
+// wait on the batch. So apply k+1 evaluates while batch k's fsync is in
+// flight, and under contention one fsync commits many updates.
 //
 // Three locks, taken in the order applyMu -> diskMu -> commitMu: applyMu
 // serializes evaluate-and-enqueue, diskMu file operations and the advance
@@ -61,7 +63,7 @@
 package repository
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -101,13 +103,28 @@ type headState struct {
 	// evaluated on, so that explaining the newest state replays nothing
 	// (see Replay). It is a base, not the head state it came from: no chain
 	// of old heads stays reachable. Nil when there is no entry, and after
-	// recovery, which rebuilds the head without passing through it.
+	// recovery, which keeps no base besides the head and the snapshot.
 	prev    *objectbase.Base
 	seq     int
 	snapSeq int
 	entries []Entry // journal entries snapSeq+1..seq, in order
 	// cons and snapCons are the constraint sets in force at seq and snapSeq.
 	cons, snapCons *consState
+	// digest and snapDigest are the digests of base and snap
+	// (storage.Digest); each entry that changes the digest records the new
+	// one, so the chain from snapDigest through the entries ends at digest.
+	digest, snapDigest storage.Digest
+}
+
+// digestAt returns the digest of the state after the first n entries.
+func (hs *headState) digestAt(n int) storage.Digest {
+	d := hs.snapDigest
+	for _, e := range hs.entries[:n] {
+		if e.Digest != nil {
+			d = *e.Digest
+		}
+	}
+	return d
 }
 
 // at returns the frozen base after the first n entries, sharing with the
@@ -213,6 +230,10 @@ type Repository struct {
 	// (noop.go): a commit with a non-empty diff, and every head installed
 	// other than by a commit, bumps it. applyMu guards it.
 	baseGen uint64
+	// shapeParams holds the shape parameters of the program derive
+	// evaluates, and diffBuf the diff it renders; applyMu guards both.
+	shapeParams [eval.MaxParams]term.OID
+	diffBuf     []byte
 
 	// planMu guards plans, the plan cache of applies and queries (plans.go).
 	// It is a leaf: nothing else is taken, and no call made, while it is
@@ -328,11 +349,19 @@ func InitFS(dir string, initial *objectbase.Base, fs fsio.FS) (*Repository, erro
 
 // Open opens an existing repository, recovering it to a consistent state:
 // a torn final journal record is truncated away, stale temp files are
-// removed, and the head is rebuilt by replaying the journal's entries onto
-// its checkpoint. Recovery() reports what was done. A directory without a
-// journal is an error that wraps fs.ErrNotExist. A directory holding
-// snapshot.bin or constraints.vlg, where earlier versions kept the
-// checkpoint and the constraint set, is refused and left as it is.
+// removed, and the head is rebuilt by evaluating the journal's programs in
+// turn from its checkpoint, each state checked against the digest, fired
+// count and strata its record holds. A record its program does not
+// reproduce is refused like a corrupt record in the middle of the journal:
+// Open fails naming its seq, and leaves the directory as it found it.
+// Recovery() reports what was done. A directory without a journal is an
+// error that wraps fs.ErrNotExist. A directory holding snapshot.bin or
+// constraints.vlg, where earlier versions kept the checkpoint and the
+// constraint set, is refused and left as it is; so is a journal whose
+// records carry diffs, as earlier versions wrote them, or whose checkpoint
+// names another evaluator semantics (eval.Semantics) with records after it.
+// A checkpoint of another semantics with no record after it is written
+// again under this one.
 func Open(dir string) (*Repository, error) {
 	return OpenFS(dir, fsio.OS)
 }
@@ -396,6 +425,33 @@ func (r *Repository) recoverLocked() error {
 	if err != nil && !errors.As(err, &torn) {
 		return err
 	}
+	if err := seqsFollow(snap, entries); err != nil {
+		return fmt.Errorf("repository: %w; the repository is corrupted", err)
+	}
+	if snap.Semantics != eval.Semantics && len(entries) > 0 {
+		return fmt.Errorf("repository: %s: the checkpoint was written under evaluator semantics %d, and this version evaluates its %d records under semantics %d; "+
+			"run `verlog repo compact` on the directory with the binary that wrote it, which leaves a checkpoint with no records (README)",
+			journalFile, snap.Semantics, len(entries), eval.Semantics)
+	}
+	// The head: the checkpoint's base, then each record's program evaluated
+	// on the state before it. Nothing is written before every record checks.
+	hs, err := snapHead(snap, snap.Base.Freeze())
+	if err != nil {
+		return err
+	}
+	// The checkpoint is a base of its own number, and whatever the outcome
+	// the no-op records made on the way end with it.
+	r.baseGen++
+	hs, err = r.advance(hs, entries, false, &zeroMetrics)
+	r.baseGen++
+	if err != nil {
+		return fmt.Errorf("repository: %s: %w", journalFile, err)
+	}
+	// The base before the last entry goes: recovery keeps the head and the
+	// snapshot resident, no third base, and Replay derives that state when
+	// it is asked about.
+	hs.prev = nil
+
 	var rec Recovery
 	if err := r.removeStaleTemps(&rec); err != nil {
 		return err
@@ -412,42 +468,18 @@ func (r *Repository) recoverLocked() error {
 		}
 		rec.TornTail, rec.TruncatedBytes = true, st.Size()-torn.Offset
 	}
-	for i, e := range entries {
-		if e.Seq != snap.Seq+1+i {
-			return fmt.Errorf("repository: journal entry %d has seq %d, want %d; the repository is corrupted", i+1, e.Seq, snap.Seq+1+i)
+	if snap.Semantics != eval.Semantics {
+		// No record follows: the checkpoint is stamped with the semantics
+		// the records appended from now on are written under.
+		if err := r.writeLog(snap, nil); err != nil {
+			return err
 		}
-	}
-	// Replay the entries onto a copy of the checkpoint: the head.
-	state := snap.Base
-	if len(entries) > 0 {
-		state = snap.Base.Clone()
-	}
-	if err := replay(state, entries); err != nil {
-		return err
-	}
-	snapCons, err := parseCons(snap.Constraints, journalFile)
-	if err != nil {
-		return err
-	}
-	cons, err := consAfter(snapCons, entries)
-	if err != nil {
-		return err
 	}
 	if _, err := r.loadEpoch(); err != nil {
 		return err
 	}
 	rec.Entries = len(entries)
 	rec.Duration = time.Since(start)
-	hs := &headState{
-		snap:     snap.Base.Freeze(),
-		base:     state.Freeze(),
-		seq:      snap.Seq + len(entries),
-		snapSeq:  snap.Seq,
-		entries:  entries,
-		cons:     cons,
-		snapCons: snapCons,
-	}
-	r.baseGen++
 	r.commitMu.Lock()
 	r.spec = hs
 	r.keys = keysOf(entries)
@@ -456,6 +488,16 @@ func (r *Repository) recoverLocked() error {
 	r.commitMu.Unlock()
 	r.publish(hs)
 	r.met().RecoverySeconds.SetDuration(rec.Duration)
+	return nil
+}
+
+// seqsFollow checks that entries number the states after snap's, in order.
+func seqsFollow(snap storage.Snapshot, entries []Entry) error {
+	for i, e := range entries {
+		if e.Seq != snap.Seq+1+i {
+			return fmt.Errorf("journal entry %d has seq %d, want %d", i+1, e.Seq, snap.Seq+1+i)
+		}
+	}
 	return nil
 }
 
@@ -471,10 +513,11 @@ func keysOf(entries []Entry) map[string]*keyRecord {
 }
 
 // writeLog durably replaces the journal with the log of snap and entries:
-// the checkpoint's records, then the entries' (one writeDurable); diskMu
-// must be held. A failure may come after the rename landed: the caller
-// rereads the disk (reread).
+// the checkpoint's records, stamped with this evaluator's semantics, then
+// the entries' (one writeDurable); diskMu must be held. A failure may come
+// after the rename landed: the caller rereads the disk (reread).
 func (r *Repository) writeLog(snap storage.Snapshot, entries []Entry) error {
+	snap.Semantics = eval.Semantics
 	buf := snap.Append(nil)
 	for _, e := range entries {
 		buf = e.AppendRecord(buf)
@@ -584,12 +627,17 @@ func (r *Repository) Snapshot() (*objectbase.Base, int) {
 	return hs.base, hs.seq
 }
 
-// Export returns the published head as a snapshot: its base, its seq and
-// the constraint set in force there, as one consistent wait-free load. It
-// is what a follower bootstraps from.
+// Export returns the published head as a snapshot: its base, its seq, the
+// constraint set in force there and its digest, as one consistent
+// wait-free load. It is what a follower bootstraps from.
 func (r *Repository) Export() storage.Snapshot {
 	hs := r.published.Load()
-	return storage.Snapshot{Base: hs.base, Seq: hs.seq, Constraints: hs.cons.src}
+	return storage.Snapshot{Base: hs.base, Seq: hs.seq, Constraints: hs.cons.src, Semantics: eval.Semantics, Digest: hs.digest}
+}
+
+// Digest returns the digest of the published head (storage.Digest), wait-free.
+func (r *Repository) Digest() storage.Digest {
+	return r.published.Load().digest
 }
 
 // ReadEntries decodes the framed journal records r holds, a journal file
@@ -605,8 +653,8 @@ func ReadEntries(r io.Reader) ([]Entry, error) {
 // appendEntry returns a record consumer that decodes an entry onto out.
 func appendEntry(out *[]Entry) func(payload []byte) error {
 	return func(payload []byte) error {
-		var e Entry
-		if err := json.Unmarshal(payload, &e); err != nil {
+		e, err := decodeEntry(payload)
+		if err != nil {
 			return err
 		}
 		*out = append(*out, e)
@@ -700,7 +748,7 @@ func (r *Repository) SetConstraints(src string) error {
 		return err
 	}
 	ns := &headState{snap: hs.snap, base: hs.base, prev: hs.base, seq: entry.Seq, snapSeq: hs.snapSeq,
-		entries: append(hs.entries, entry), cons: cons, snapCons: hs.snapCons}
+		entries: append(hs.entries, entry), cons: cons, snapCons: hs.snapCons, digest: hs.digest, snapDigest: hs.snapDigest}
 	r.commitMu.Lock()
 	r.spec = ns
 	r.commitMu.Unlock()
@@ -843,91 +891,38 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	r.commitMu.Unlock()
 	cons := head.cons
 
-	// Plans of p's shape, planned against the current seq class, serve it.
-	// On a miss p is planned by shape here; a program that cannot be
-	// planned runs without plans, and the run refuses it, after the safety
-	// check, as it would any apply. The commit reads Final, Changes and the
-	// counters, never result(P): the fixpoint is built in working memory the
-	// next apply reuses.
-	seqClass := head.seq >> planSeqClassBits
-	var buf [eval.MaxParams]term.OID
-	shape, params := eval.ProgramShape(p, buf[:0])
-	pe := r.programPlans(p, shape, params, seqClass)
-	opts = append(opts[:len(opts):len(opts)], core.WithDropResult())
-	if pe != nil {
-		opts = append(opts, core.WithPlans(pe.prog))
-	}
-	eng := core.New(opts...)
-	sp := eng.Span()
-	sp.AddChild("queue", queueStart, queue)
-	provable := eng.Provable()
-	var res *eval.Result
-	proved := pe != nil && provable && pe.noop.proves(r.baseGen, params)
-	if proved {
-		// An apply of a program seen to change nothing, on a head no commit
-		// since changed: not evaluated. The plan-cache entry served it, so it
-		// counts as a hit: the end-to-end benchmark reads the hit ratio of
-		// every round, and a round of proved applies alone plans nothing.
-		r.met().PlanCacheHits.Inc()
-		r.met().ProvedNoops.Inc()
-		res = pe.noop.result(head.base)
-	} else {
-		planned := pe == nil
-		var plan, stratify time.Duration
-		if planned {
-			r.met().PlanCacheMisses.Inc()
-			planStart := time.Now()
-			var cp *eval.CompiledProgram
-			cp, stratify, _ = eval.PlanProgram(head.base, p, sp)
-			if cp != nil {
-				pe = r.storeProgramPlans(shape, params, seqClass, cp)
-				eng = core.New(append(opts, core.WithPlans(cp))...)
-			}
-			plan = time.Since(planStart)
-		} else {
-			r.met().PlanCacheHits.Inc()
-		}
-		var err error
-		if res, err = eng.Apply(head.base, p); err != nil {
-			return a, false, err
-		}
-		// Changes is the evaluation's working memory too: it goes back once
-		// the record is written, or the apply refused or retried.
-		defer res.Release()
-		if planned {
-			// The plans were made for this apply: it stratified and compiled.
-			res.Plan = "compiled"
-			res.Stats.Stratify = stratify
-			res.Stats.Eval += plan
-		}
-	}
-	res.Stats.Queue = queue
-	constraintStart := time.Now()
-	constraintSpan := sp.StartChild("constraints")
-	err = checkConstraints(res.Final, cons.cs)
-	constraintSpan.SetInt("constraints", int64(len(cons.cs)))
-	constraintSpan.End()
+	entry := Entry{Seq: head.seq + 1, Program: parser.FormatProgram(p), Key: key}
+	d, err := r.derive(head, &entry, p, opts, false, r.met())
 	if err != nil {
-		r.met().ConstraintRejects.Inc()
 		return a, false, err
 	}
-	res.Stats.ConstraintCheck = time.Since(constraintStart)
+	res, sp := d.res, d.span
+	sp.AddChild("queue", queueStart, queue)
+	res.Stats.Queue = queue
+	// Every published head satisfies head.cons: SetConstraints checks the
+	// head it installs a set on, and every commit the ob' it publishes. An
+	// apply that changed nothing publishes the head it ran on again, so it
+	// has nothing to check.
+	if d.changed {
+		constraintStart := time.Now()
+		constraintSpan := sp.StartChild("constraints")
+		err = checkConstraints(res.Final, cons.cs)
+		constraintSpan.SetInt("constraints", int64(len(cons.cs)))
+		constraintSpan.End()
+		if err != nil {
+			r.met().ConstraintRejects.Inc()
+			return a, false, err
+		}
+		res.Stats.ConstraintCheck = time.Since(constraintStart)
+	}
 	commitStart := time.Now()
 	commitSpan := sp.StartChild("commit")
-	// The record is written straight from the states the evaluation
-	// changed: no comparison of the two bases, no fact lists in between.
+	// The record is the request and the digest of the state it leads to.
 	encodeSpan := commitSpan.StartChild("encode")
-	entry := Entry{
-		Seq:     head.seq + 1,
-		Program: parser.FormatProgram(p),
-		Key:     key,
-		Fired:   res.Fired,
-		Strata:  res.Assignment.NumStrata(),
-	}
-	framed := entry.appendCommit(make([]byte, 0, entry.size()+recordOverhead+changeBytes*len(res.Changes)), res.Changes)
+	framed := entry.AppendRecord(make([]byte, 0, entry.recordCap()))
 	encodeSpan.SetInt("bytes", int64(len(framed)))
 	encodeSpan.End()
-	res.Stats.Encode = time.Since(commitStart)
+	res.Stats.Encode += time.Since(commitStart)
 
 	// Nothing replaced the head meanwhile — that takes applyMu — so the
 	// result extends the speculative chain and joins the pending batch.
@@ -940,14 +935,16 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 		return a, true, nil
 	}
 	ns := &headState{
-		snap:     head.snap,
-		base:     res.Final,
-		prev:     head.base,
-		seq:      entry.Seq,
-		snapSeq:  head.snapSeq,
-		entries:  append(head.entries, entry),
-		cons:     cons,
-		snapCons: head.snapCons,
+		snap:       head.snap,
+		base:       res.Final,
+		prev:       head.base,
+		seq:        entry.Seq,
+		snapSeq:    head.snapSeq,
+		entries:    append(head.entries, entry),
+		cons:       cons,
+		snapCons:   head.snapCons,
+		digest:     d.digest,
+		snapDigest: head.snapDigest,
 	}
 	b := r.pending
 	leader := b == nil
@@ -966,14 +963,7 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	}
 	r.spec = ns
 	r.commitMu.Unlock()
-	// The commit is on the chain: number its base if it changed it, or
-	// record that it changed nothing (noop.go).
-	switch {
-	case len(res.Changes) > 0:
-		r.baseGen++
-	case !proved && provable && pe != nil:
-		pe.noop = newNoopRecord(r.baseGen, params, res)
-	}
+	r.settle(d)
 	return attempt{res: res, entry: entry, batch: b, leader: leader, commitSpan: commitSpan, recordBytes: len(framed)}, false, nil
 }
 
@@ -1093,18 +1083,29 @@ func (r *Repository) appendDurable(name string, durable *int64, buf []byte, m *M
 	return false, fmt.Errorf("repository: %w", err)
 }
 
-// VerifyError reports a repository whose journal replay does not
-// reproduce its head — corruption of one of the files.
+// VerifyError reports a repository whose journal does not reproduce its
+// head — corruption of the journal, or a head that went wrong in memory.
 type VerifyError struct {
 	Replayed, Head int // fact counts, for the message
+	// Reason is the first thing found out of step — a record its program
+	// does not reproduce, a seq out of order, a digest — when there is one.
+	Reason error
 }
 
 func (e *VerifyError) Error() string {
+	if e.Reason != nil {
+		return fmt.Sprintf("repository: the journal does not reproduce the head: %v; the repository is corrupted", e.Reason)
+	}
 	return fmt.Sprintf("repository: journal replay (%d facts) does not reproduce the head (%d facts); the repository is corrupted", e.Replayed, e.Head)
 }
 
-// Verify replays the journal's entries onto its checkpoint and checks that
-// the result equals the published head — the repository's integrity check.
+func (e *VerifyError) Unwrap() error { return e.Reason }
+
+// Verify reads the journal back and evaluates every record on its
+// checkpoint afresh, with no cached plan and no no-op proof (derive), each
+// state checked against its record, and checks that the result equals the
+// published head, fact for fact and digest for digest — the repository's
+// integrity check, independent of every evaluation the head was built by.
 func (r *Repository) Verify() error {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
@@ -1117,24 +1118,66 @@ func (r *Repository) Verify() error {
 		return err
 	}
 	r.flushPendingLocked()
-	return r.verifyDiskLocked()
-}
-
-// verifyDiskLocked replays disk state and compares it to the published
-// head; diskMu must be held with the pending batch flushed, so disk and
-// published agree unless something is corrupted.
-func (r *Repository) verifyDiskLocked() error {
 	snap, entries, err := r.readLog()
 	if err != nil {
 		return err
 	}
-	state := snap.Base
-	if err := replay(state, entries); err != nil {
+	if err := seqsFollow(snap, entries); err != nil {
+		return &VerifyError{Reason: err}
+	}
+	state, err := snapHead(snap, snap.Base.Freeze())
+	if err == nil {
+		state, err = r.advance(state, entries, true, &zeroMetrics)
+	}
+	if errors.Is(err, ErrDiverged) {
+		return &VerifyError{Reason: err}
+	} else if err != nil {
 		return err
 	}
-	head := r.published.Load().base
-	if !state.Equal(head) {
-		return &VerifyError{Replayed: state.Size(), Head: head.Size()}
+	hs := r.published.Load()
+	if !state.base.Equal(hs.base) {
+		return &VerifyError{Replayed: state.base.Size(), Head: hs.base.Size()}
+	}
+	if state.digest != hs.digest {
+		return &VerifyError{Reason: fmt.Errorf("the journal leads to digest %s, the head holds %s", state.digest, hs.digest)}
+	}
+	return nil
+}
+
+// checkDiskLocked checks that the journal on disk is the published head's
+// without evaluating or decoding it: every record passes its checksum, the
+// checkpoint's facts records hash to the digest its header and the resident
+// snapshot hold, every record after it is byte for byte the record of the
+// resident entry of its seq, and the chain of digests from the snapshot
+// through the entries ends at the head's. diskMu must be held with the
+// pending batch flushed, so that disk and memory agree unless something is
+// corrupted. A mismatch is a *VerifyError.
+func (r *Repository) checkDiskLocked() error {
+	data, err := r.fs.ReadFile(filepath.Join(r.dir, journalFile))
+	if err != nil {
+		return fmt.Errorf("repository: %w", err)
+	}
+	hs := r.published.Load()
+	seq, digest, rest, err := storage.SkipCheckpoint(data)
+	switch {
+	case err != nil:
+		return fmt.Errorf("repository: %s: %w", journalFile, err)
+	case seq != hs.snapSeq || digest != hs.snapDigest:
+		return &VerifyError{Reason: fmt.Errorf("the checkpoint is of seq %d, digest %s; the resident snapshot of seq %d, digest %s", seq, digest, hs.snapSeq, hs.snapDigest)}
+	}
+	var rec []byte
+	for _, e := range hs.entries {
+		rec = e.AppendRecord(rec[:0])
+		if !bytes.HasPrefix(rest, rec) {
+			return &VerifyError{Reason: fmt.Errorf("the journal's record of seq %d is not the resident entry's", e.Seq)}
+		}
+		rest = rest[len(rec):]
+	}
+	if len(rest) > 0 {
+		return &VerifyError{Reason: fmt.Errorf("the journal holds %d bytes after the record of seq %d", len(rest), hs.seq)}
+	}
+	if d := hs.digestAt(len(hs.entries)); d != hs.digest {
+		return &VerifyError{Reason: fmt.Errorf("the records' digests end at %s, the head's is %s", d, hs.digest)}
 	}
 	return nil
 }
@@ -1172,12 +1215,13 @@ func (r *Repository) compactFloor(hs *headState) int {
 
 // Compact collapses the repository onto its current head: the journal is
 // replaced by a checkpoint of the head, earlier states are no longer
-// reconstructable and idempotency keys are forgotten; Verify is run first
-// so a corrupted repository is never compacted. When a retention hook
-// (SetRetention) pins a floor below the head, the checkpoint is of the
-// floor's state and the journal keeps the entries after it, along with the
-// idempotency keys they hold. The new journal replaces the old one with one
-// rename, so a crash leaves one or the other. Compact changes no
+// reconstructable and idempotency keys are forgotten. The journal is first
+// checked against the resident history by digests and bytes
+// (checkDiskLocked), so a corrupted repository is never compacted. When a
+// retention hook (SetRetention) pins a floor below the head, the checkpoint
+// is of the floor's state and the journal keeps the entries after it, along
+// with the idempotency keys they hold. The new journal replaces the old one
+// with one rename, so a crash leaves one or the other. Compact changes no
 // acknowledged state (base, seq, constraints, epoch), only where the
 // journal starts; a Compact that fails may or may not have compacted, and
 // the published head is then what the disk holds. Applies wait for the
@@ -1199,7 +1243,7 @@ func (r *Repository) Compact() error {
 	if err := r.repairDiskLocked(); err != nil { // the flush itself may have failed
 		return err
 	}
-	if err := r.verifyDiskLocked(); err != nil {
+	if err := r.checkDiskLocked(); err != nil {
 		return err
 	}
 	hs := r.published.Load()
@@ -1216,11 +1260,13 @@ func (r *Repository) Compact() error {
 	if err != nil {
 		return err
 	}
+	snapDigest := hs.digestAt(n)
 	remaining := slices.Clone(hs.entries[n:]) // the folded entries go with the old array
-	if err := r.writeLog(storage.Snapshot{Base: snap, Seq: floor, Constraints: snapCons.src}, remaining); err != nil {
+	if err := r.writeLog(storage.Snapshot{Base: snap, Seq: floor, Constraints: snapCons.src, Digest: snapDigest}, remaining); err != nil {
 		return r.reread(err)
 	}
-	ns := &headState{snap: snap, base: hs.base, seq: hs.seq, snapSeq: floor, entries: remaining, cons: hs.cons, snapCons: snapCons}
+	ns := &headState{snap: snap, base: hs.base, seq: hs.seq, snapSeq: floor, entries: remaining, cons: hs.cons, snapCons: snapCons,
+		digest: hs.digest, snapDigest: snapDigest}
 	if len(remaining) > 0 {
 		ns.prev = hs.prev
 	}
@@ -1246,9 +1292,11 @@ var ErrNoSuchState = errors.New("repository: no such state")
 // serving the last published state; mutations and disk operations refuse.
 var ErrClosed = errors.New("repository: closed")
 
-// ErrDiverged reports a journal entry whose program, re-evaluated on the
-// state before it, yields another diff than the entry holds: the state the
-// journal records is not the one this evaluator derives (see Replay).
+// ErrDiverged reports a journal entry whose program, evaluated on the state
+// before it, does not yield what the entry holds: another digest, fired
+// count or number of strata than its record (recovery, a follower's batch,
+// Verify), or another diff than the resident entry (Replay). The state the
+// journal records is not the one this evaluator derives.
 var ErrDiverged = errors.New("repository: journal diverged")
 
 // Close quiesces the repository and marks it closed: it waits for the
@@ -1285,8 +1333,8 @@ func (r *Repository) closedErr() error {
 }
 
 // At reconstructs the object base after the first seq programs since the
-// snapshot (seq 0 is the snapshot itself) by replaying the resident
-// journal diffs — wait-free with respect to writers, no disk I/O. The
+// snapshot (seq 0 is the snapshot itself) by replaying the entries'
+// resident diffs — wait-free with respect to writers, no disk I/O. The
 // returned base is frozen and shares with the snapshot every state the
 // replayed programs left alone: Clone it before mutating.
 func (r *Repository) At(seq int) (*objectbase.Base, error) {
@@ -1328,11 +1376,12 @@ type replayed struct {
 // run one at a time. The result is shared: callers must not modify it.
 // State 0 (the snapshot) and states outside the journal are ErrNoSuchState.
 //
-// The diff the evaluation derives is held against the one the entry
-// journaled: an entry whose program no longer yields its own diff is
-// ErrDiverged, naming its seq, and nothing about it is explained. Applies
-// run on plans cached by shape; a replay plans its text afresh, so every
-// replay cross-checks an apply against an independent evaluation.
+// The diff the evaluation derives is held against the one the resident
+// entry holds: an entry whose program no longer yields its own diff is
+// ErrDiverged, naming its seq, and nothing about it is explained. Applies,
+// recovery and followers run on plans cached by shape; a replay plans its
+// text afresh, so every replay cross-checks them against an independent
+// evaluation.
 func (r *Repository) Replay(n int) (*eval.Result, error) {
 	hs := r.published.Load()
 	switch {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,10 +15,11 @@ import (
 	"verlog/internal/storage"
 )
 
-// TestDivergedJournal: a journal record whose diff its program does not
-// derive — framed and checksummed, so the repository opens it — is refused
-// by every read that re-evaluates it, history and explain, with a stable
-// code, while the record before it still explains.
+// TestDivergedJournal: a journal record whose digest its program does not
+// derive — framed and checksummed — is refused by Open, naming its seq, and
+// the file is left as it was. A resident entry whose diff its program does
+// not derive is refused by every read that re-evaluates it, history and
+// explain, with a stable code, while the entry before it still explains.
 func TestDivergedJournal(t *testing.T) {
 	dir := t.TempDir() + "/repo"
 	initial, err := parser.ObjectBase("phil.isa -> empl / sal -> 4000.\nbob.isa -> empl / sal -> 4200.\n", "init.vlg")
@@ -39,24 +42,53 @@ func TestDivergedJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries := repo.Log()
 	if err := repo.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// phil's raise journaled as 4101 instead of 4100.
-	entries[1].Added = storage.Facts(strings.Replace(string(entries[1].Added), "phil.sal=4100", "phil.sal=4101", 1))
-	journal := storage.Snapshot{Base: initial}.Append(nil)
-	for _, e := range entries {
-		journal = e.AppendRecord(journal)
+	path := filepath.Join(dir, "journal.jsonl")
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), journal, 0o644); err != nil {
+	// Entry 2's digest with its first digit changed, under a checksum that
+	// holds.
+	lines := bytes.SplitAfter(journal, []byte("\n"))
+	last := len(lines) - 2 // the empty string after the final newline is last
+	payload, err := storage.ParseJournalLine(bytes.TrimSuffix(lines[last], []byte("\n")), last+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(payload, []byte(`"digest":"`)) + len(`"digest":"`)
+	if at < len(`"digest":"`) {
+		t.Fatalf("entry 2 carries no digest: %s", payload)
+	}
+	forged := bytes.Clone(payload)
+	const hex = "0123456789abcdef"
+	forged[at] = hex[(strings.IndexByte(hex, forged[at])+1)%16]
+	lines[last] = storage.FrameJournalRecord(forged)
+	tampered := bytes.Join(lines, nil)
+	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repository.Open(dir); !errors.Is(err, repository.ErrDiverged) || !strings.Contains(err.Error(), "entry 2") {
+		t.Fatalf("Open of a journal whose entry 2 has a forged digest = %v, want ErrDiverged naming entry 2", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, tampered) {
+		t.Fatalf("Open changed the journal it refused: %d bytes, were %d", len(after), len(tampered))
+	}
+
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	repo, err = repository.Open(dir)
 	if err != nil {
-		t.Fatalf("the tampered journal does not open: %v", err)
+		t.Fatalf("the journal does not open: %v", err)
 	}
 	defer repo.Close()
+	// phil's raise resident as 4101 instead of 4100, as memory gone wrong
+	// would leave it.
+	entries := repo.Log()
+	entries[1].Added = storage.Facts(strings.Replace(string(entries[1].Added), "phil.sal=4100", "phil.sal=4101", 1))
 	ts := httptest.NewServer(New(repo))
 	defer ts.Close()
 

@@ -198,6 +198,8 @@ type commitBatchStatus struct {
 // docs/API.md. JournalBytes is the default tenant's journal file size and
 // ResidentHistoryBytes what its entries since the snapshot hold in memory:
 // both grow with every update until Compact folds the history away.
+// HeadDigest is the digest of the default tenant's head (storage.Digest):
+// a primary and its followers show the same one at the same seq.
 type nodeStatus struct {
 	Version         string              `json:"version"`
 	Commit          string              `json:"commit,omitempty"`
@@ -207,6 +209,7 @@ type nodeStatus struct {
 	Role            string              `json:"role"` // primary | follower | standalone
 	Epoch           uint64              `json:"epoch"`
 	HeadSeq         int                 `json:"head_seq"`
+	HeadDigest      string              `json:"head_digest"`
 	SnapshotSeq     int                 `json:"snapshot_seq"`
 	JournalSeq      int                 `json:"journal_seq"`
 	JournalBytes    int64               `json:"journal_bytes"`
@@ -246,6 +249,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Role:          "standalone",
 		Epoch:         repo.Epoch(),
 		HeadSeq:       snap + n,
+		HeadDigest:    repo.Digest().String(),
 		SnapshotSeq:   snap,
 		JournalSeq:    snap + len(repo.Log()),
 		JournalBytes:  journalBytes,

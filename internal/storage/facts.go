@@ -12,11 +12,11 @@ import (
 	"verlog/internal/term"
 )
 
-// Facts is a fact list in the journal's compact encoding: the form a diff
-// is built in, written in, kept resident in and shipped to followers in.
-// It is a plain string — no pointers for the collector to trace, no
-// newline, nothing JSON has to escape — and is decoded only where a diff is
-// replayed. The empty string is the empty list.
+// Facts is a fact list in a compact encoding: the form a diff is built in
+// and kept resident in, and a snapshot's facts are written in. It is a
+// plain string — no pointers for the collector to trace, no newline,
+// nothing JSON has to escape — and is decoded only where a diff is
+// replayed or a snapshot read. The empty string is the empty list.
 //
 //	facts  = fact { ";" fact | "/" method-part }
 //	fact   = vid "." method-part

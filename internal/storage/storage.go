@@ -4,17 +4,19 @@
 //   - Text: the canonical concrete syntax (one fact per line), readable
 //     and diffable; exists facts are derivable and omitted.
 //   - Framed: checksummed lines (see journal.go), one record each. A
-//     journal is one JSON record per applied program, carrying its
-//     fact-level diff as compact fact lists (Facts); it enables replay and
-//     time travel (package repository). A snapshot is a JSON header record
-//     followed by the base's facts as Facts records.
+//     journal is one JSON record per applied program, carrying the program
+//     and the Digest of the state it leads to (package repository). A
+//     snapshot is a JSON header record followed by the base's facts as
+//     Facts records.
 package storage
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"verlog/internal/objectbase"
 	"verlog/internal/parser"
@@ -29,14 +31,17 @@ func SaveText(w io.Writer, b *objectbase.Base) error {
 
 // A snapshot is framed records: first the header
 //
-//	{"snapshot":2,"seq":N,"facts":K,"constraints":"..."}
+//	{"snapshot":2,"seq":N,"facts":K,"constraints":"...","semantics":V,"digest":"..."}
 //
 // where N is the journal sequence number the snapshot represents (0 for the
 // state before any program: entries with Seq at most N are folded into it),
-// K the number of facts and constraints the source of the integrity
-// constraints in force at N (absent when there are none); then the base's
-// facts, exists facts included so that even fully-deleted versions survive,
-// in sorted order as Facts records of about snapshotChunk bytes each.
+// K the number of facts, constraints the source of the integrity
+// constraints in force at N (absent when there are none), V the evaluator
+// semantics the records after it were written under (eval.Semantics) and
+// digest the base's Digest; then the base's facts, exists facts included so
+// that even fully-deleted versions survive, in sorted order as Facts records
+// of about snapshotChunk bytes each. Snapshots of earlier versions have no
+// semantics and no digest: the digest is computed when they are read.
 //
 // A log is a snapshot, its checkpoint, followed by journal records: the
 // entries applied since N. A repository's journal file is one.
@@ -46,24 +51,35 @@ const (
 )
 
 type snapshotHeader struct {
-	Snapshot    int    `json:"snapshot"`
-	Seq         int    `json:"seq"`
-	Facts       int    `json:"facts"`
-	Constraints string `json:"constraints,omitempty"`
+	Snapshot    int     `json:"snapshot"`
+	Seq         int     `json:"seq"`
+	Facts       int     `json:"facts"`
+	Constraints string  `json:"constraints,omitempty"`
+	Semantics   int     `json:"semantics,omitempty"`
+	Digest      *Digest `json:"digest,omitempty"`
 }
 
 // Snapshot is what a snapshot holds: a base, the journal sequence number it
-// represents and the source of the constraint set in force there.
+// represents, the source of the constraint set in force there, the
+// evaluator semantics its journal's records were written under and the
+// base's digest.
 type Snapshot struct {
 	Base        *objectbase.Base
 	Seq         int
 	Constraints string
+	Semantics   int
+	// Digest is the digest of Base. ReadLog sets it; Append computes it
+	// when it is zero, which is then the digest of Base or of no facts.
+	Digest Digest
 }
 
 // Append appends the snapshot's framed records to dst.
 func (s Snapshot) Append(dst []byte) []byte {
 	facts := s.Base.Facts()
-	hdr, _ := json.Marshal(snapshotHeader{snapshotVersion, s.Seq, len(facts), s.Constraints}) // cannot fail
+	if s.Digest == (Digest{}) {
+		s.Digest = digestOf(slices.Values(facts))
+	}
+	hdr, _ := json.Marshal(snapshotHeader{snapshotVersion, s.Seq, len(facts), s.Constraints, s.Semantics, &s.Digest}) // cannot fail
 	dst = AppendJournalRecord(dst, func(b []byte) []byte { return append(b, hdr...) })
 	var enc factEncoder
 	for len(facts) > 0 {
@@ -89,10 +105,13 @@ func (s Snapshot) Save(w io.Writer) error {
 // *TornTailError: a checkpoint is written whole, so truncation cannot repair
 // it. The records after it are read as ReadJournal reads them, and the
 // checkpoint is returned with their error. LoadSnapshot is ReadLog with a
-// nil entry: a snapshot alone, which no record may follow.
+// nil entry: a snapshot alone, which no record may follow. The digest of
+// the facts records, hashed as they stream, must be the header's, when it
+// has one.
 func ReadLog(r io.Reader, entry func(payload []byte) error) (Snapshot, error) {
 	var hdr snapshotHeader
 	var facts []term.Fact
+	var digest Digest
 	_, _, err := ReadJournal(r, func(payload []byte) error {
 		switch {
 		case hdr.Snapshot == 0:
@@ -108,6 +127,10 @@ func ReadLog(r io.Reader, entry func(payload []byte) error) (Snapshot, error) {
 				err = errors.New("empty facts record")
 			}
 			facts = append(facts, chunk...)
+			digest = digest.Add(FactsDigest(payload))
+			if err == nil && len(facts) == hdr.Facts && hdr.Digest != nil && *hdr.Digest != digest {
+				err = fmt.Errorf("the facts hash to digest %s, the header says %s", digest, *hdr.Digest)
+			}
 			return err
 		case entry == nil:
 			return errors.New("a record after the snapshot's facts")
@@ -119,6 +142,8 @@ func ReadLog(r io.Reader, entry func(payload []byte) error) (Snapshot, error) {
 		err = errors.New("no header record")
 	case len(facts) != hdr.Facts && err == nil:
 		err = fmt.Errorf("%d facts, the header says %d", len(facts), hdr.Facts)
+	case hdr.Facts == 0 && hdr.Digest != nil && *hdr.Digest != digest && err == nil:
+		err = fmt.Errorf("no facts, the header says digest %s", *hdr.Digest)
 	}
 	if hdr.Snapshot == 0 || len(facts) != hdr.Facts || (err != nil && entry == nil) {
 		var torn *TornTailError
@@ -127,7 +152,43 @@ func ReadLog(r io.Reader, entry func(payload []byte) error) (Snapshot, error) {
 		}
 		return Snapshot{}, fmt.Errorf("storage: not an intact snapshot (want a framed header record, then framed Facts records): %w", err)
 	}
-	return Snapshot{objectbase.FromFacts(facts), hdr.Seq, hdr.Constraints}, err
+	return Snapshot{objectbase.FromFacts(facts), hdr.Seq, hdr.Constraints, hdr.Semantics, digest}, err
+}
+
+// SkipCheckpoint reads the checkpoint that heads a log held in memory
+// without decoding it: it checks the frame of each of its records, hashes
+// the facts records as they stand (FactsDigest) and returns the
+// checkpoint's seq, the digest of its facts, which must be the one its
+// header holds when it holds one, and the records that follow it.
+func SkipCheckpoint(log []byte) (seq int, digest Digest, rest []byte, err error) {
+	var hdr snapshotHeader
+	facts := 0
+	for line := 1; hdr.Snapshot == 0 || facts < hdr.Facts; line++ {
+		end := bytes.IndexByte(log, '\n')
+		if end < 0 {
+			return 0, Digest{}, nil, fmt.Errorf("storage: the checkpoint is cut short at line %d", line)
+		}
+		payload, err := ParseJournalLine(log[:end], line)
+		if err != nil {
+			return 0, Digest{}, nil, err
+		}
+		log = log[end+1:]
+		if hdr.Snapshot == 0 {
+			if json.Unmarshal(payload, &hdr) != nil || hdr.Snapshot != snapshotVersion || hdr.Seq < 0 || hdr.Facts < 0 {
+				return 0, Digest{}, nil, fmt.Errorf("storage: no snapshot header: %.40q", payload)
+			}
+			continue
+		}
+		facts += 1 + bytes.Count(payload, []byte{';'}) + bytes.Count(payload, []byte{'/'})
+		digest = digest.Add(FactsDigest(payload))
+	}
+	switch {
+	case facts != hdr.Facts:
+		return 0, Digest{}, nil, fmt.Errorf("storage: the checkpoint holds %d facts, its header says %d", facts, hdr.Facts)
+	case hdr.Digest != nil && *hdr.Digest != digest:
+		return 0, Digest{}, nil, fmt.Errorf("storage: the checkpoint's facts hash to digest %s, its header says %s", digest, *hdr.Digest)
+	}
+	return hdr.Seq, digest, log, nil
 }
 
 // LoadSnapshot reads a snapshot. Anything but a complete, intact snapshot

@@ -64,7 +64,7 @@ func saveSnapshot(t *testing.T, b *objectbase.Base, seq int) []byte {
 func TestBinaryRoundTrip(t *testing.T) {
 	b := sampleBase(t)
 	snap := saveSnapshot(t, b, 7)
-	header := fmt.Sprintf(`{"snapshot":2,"seq":7,"facts":%d}`, len(b.Facts()))
+	header := fmt.Sprintf(`{"snapshot":2,"seq":7,"facts":%d,"digest":"%s"}`, len(b.Facts()), BaseDigest(b))
 	if first, _, _ := bytes.Cut(snap, []byte("\n")); !bytes.HasSuffix(first, []byte(" "+header)) {
 		t.Errorf("first record %q, want the header %s", first, header)
 	}
