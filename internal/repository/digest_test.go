@@ -343,4 +343,21 @@ func TestDigestFollowsEveryHead(t *testing.T) {
 	if err := r.Compact(); !errors.As(err, &ve) {
 		t.Errorf("Compact of a forged digest = %v, want a VerifyError", err)
 	}
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A head that went wrong in memory, its journal and digests intact: the
+	// checkpoint Compact would write from it does not hash to its digest.
+	hs := r.published.Load()
+	good := hs.base
+	hs.base = mustAt(t, r, 0)
+	if err := r.Compact(); !errors.As(err, &ve) || !strings.Contains(err.Error(), "hashes to") {
+		t.Errorf("Compact of a head whose base is not its digest's = %v, want a VerifyError", err)
+	}
+	hs.base = good
+	if err := r.Compact(); err != nil {
+		t.Errorf("Compact of the repository put right: %v", err)
+	}
+	check("the last Compact", r)
 }

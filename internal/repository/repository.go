@@ -1260,7 +1260,13 @@ func (r *Repository) Compact() error {
 	if err != nil {
 		return err
 	}
+	// The digests follow the diffs, the checkpoint is written from the base:
+	// they disagree only when a base in memory holds other states than its
+	// diffs name, which no check of the journal sees.
 	snapDigest := hs.digestAt(n)
+	if d := storage.BaseDigest(snap); d != snapDigest {
+		return &VerifyError{Reason: fmt.Errorf("the state of seq %d hashes to %s, its records' digests say %s", floor, d, snapDigest)}
+	}
 	remaining := slices.Clone(hs.entries[n:]) // the folded entries go with the old array
 	if err := r.writeLog(storage.Snapshot{Base: snap, Seq: floor, Constraints: snapCons.src, Digest: snapDigest}, remaining); err != nil {
 		return r.reread(err)
