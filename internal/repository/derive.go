@@ -111,8 +111,7 @@ func (r *Repository) derive(head *headState, e *Entry, p *term.Program, opts []c
 	e.Added, e.Removed, e.Digest = "", "", nil
 	d.digest = head.digest
 	if len(buf) > 0 {
-		both := string(buf)
-		e.Added, e.Removed = storage.Facts(both[:split]), storage.Facts(both[split:])
+		e.Added, e.Removed = storage.Facts(buf[:split]), storage.Facts(buf[split:])
 		d.digest = head.digest.Add(storage.FactsDigest(buf[:split])).Sub(storage.FactsDigest(buf[split:]))
 		if d.digest != head.digest {
 			digest := d.digest
