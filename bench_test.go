@@ -225,6 +225,33 @@ func BenchmarkE33ChangingClosure(b *testing.B) {
 	}
 }
 
+// BenchmarkE34BulkApply commits workload.BulkRaiseProgram through
+// repository.ApplyKey on 1 500 employees, as bulk_raise does end to end: the
+// bytes are the states of the raised employees, Derive's new root and the
+// resident diff (EXPERIMENTS.md, E34). Five applies first, so that the
+// evaluation's working memory is parked and the repository's buffers grown.
+func BenchmarkE34BulkApply(b *testing.B) {
+	r, err := repository.Init(b.TempDir()+"/repo", workload.EnterpriseSpec{Employees: 1500, Seed: 1}.ObjectBase())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	p := mustParseProgram(b, workload.BulkRaiseProgram)
+	commit := func() {
+		if _, e, _, err := r.ApplyKey(p, ""); err != nil || e.Added == "" {
+			b.Fatalf("bulk raise: %v, added %q", err, e.Added)
+		}
+	}
+	for range 5 {
+		commit()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		commit()
+	}
+}
+
 // BenchmarkE5VersionChains — Figure 1: k consecutive update groups.
 func BenchmarkE5VersionChains(b *testing.B) {
 	for _, k := range []int{1, 4, 8, 12} {

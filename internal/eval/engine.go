@@ -291,8 +291,10 @@ type scratch struct {
 	// the pointer. It is the run's and not the compiled program's because a
 	// del[v].* head takes its methods from the facts of v*, and because the
 	// compiled program is shared, immutable, with the evaluations beside
-	// this one.
+	// this one. keys holds, per method, the key last interned for it (see
+	// intern).
 	methods []string
+	keys    []term.Key
 	gone    []keyResult // extend's scratch
 	// spill is the membership table of the update lists past dedupSpill (see
 	// collect). Its keys name their target, a record of one stratum, so the
@@ -419,6 +421,7 @@ func (sc *scratch) empty() {
 	sc.layer.Overrides = emptied(sc.layer.Overrides, &sc.overridesMost)
 	sc.layer.Index = emptied(sc.layer.Index, &sc.indexMost)
 	sc.methods = trimmed(sc.methods)
+	sc.keys = trimmed(sc.keys)
 	sc.gone = trimmed(sc.gone)
 	sc.dirty = trimmed(sc.dirty)
 	sc.tasks = trimmed(sc.tasks)
@@ -484,8 +487,19 @@ func (e *engine) method(name string) int32 {
 	if m < 0 {
 		m = int32(len(e.methods))
 		e.methods = append(e.methods, name)
+		e.keys = append(e.keys, term.Key{})
 	}
 	return m
+}
+
+// intern returns k, the key of method number m, interned. The run keeps the
+// key it last interned per method, which the updates fired on a method
+// nearly always share, so that a fired update seldom hashes its key.
+func (e *engine) intern(m int32, k term.MethodKey) term.Key {
+	if ik := e.keys[m]; ik == (term.Key{}) || ik.MethodKey().Args != k.Args {
+		e.keys[m] = k.Intern()
+	}
+	return e.keys[m]
 }
 
 // up returns the fired update at the 1-based position pos of the log, nil
@@ -500,11 +514,6 @@ func (e *engine) up(pos int32) *firedUpdate {
 // newResult returns the new result of the modify at position pos: the r of
 // the slot after it (see firedUpdate).
 func (e *engine) newResult(pos int32) term.OID { return e.ups.at(int(pos)).r }
-
-// key rebuilds the method key the update was fired with.
-func (e *engine) key(f *firedUpdate) term.MethodKey {
-	return term.MethodKey{Method: e.methods[f.method], Args: f.args}
-}
 
 // readBase returns the base to read version g from (see engine.p0).
 func (e *engine) readBase(g term.GVID) *objectbase.Base {
@@ -607,18 +616,18 @@ func (e *engine) touch(o term.OID) *touched {
 }
 
 // firedUpdate is one fired update, 48 bytes of the log engine.ups: the
-// arguments and the result it was fired with, its method as a number of the
-// run's (engine.methods), the rule and iteration that derived it first, and
-// the position of its target's next update (1-based, zero at the end). The
-// version and the kind are the target's, which is where every list is
-// reached from (see update). A modify carries a second result: the slot
-// after its entry holds it in r and nothing else, so that inserts and
-// deletes — all but a few of the updates of most runs — do not carry an
-// empty one. All updates of a target have one kind, so the target says
-// which form its list has.
+// method key (interned, see engine.intern) and the result it was fired
+// with, its method as a number of the run's (engine.methods), the rule and
+// iteration that derived it first, and the position of its target's next
+// update (1-based, zero at the end). The version and the kind are the
+// target's, which is where every list is reached from (see update). A
+// modify carries a second result: the slot after its entry holds it in r
+// and nothing else, so that inserts and deletes — all but a few of the
+// updates of most runs — do not carry an empty one. All updates of a
+// target have one kind, so the target says which form its list has.
 type firedUpdate struct {
 	r                        term.OID
-	args                     term.Args
+	key                      term.Key
 	next, method, rule, iter int32
 }
 
@@ -627,7 +636,7 @@ type firedUpdate struct {
 func (e *engine) update(tu *targetUpdates, pos int32) Update {
 	f := e.up(pos)
 	path, kind := tu.w.Path.Pop()
-	u := Update{Kind: kind, V: term.GVID{Object: tu.w.Object, Path: path}, Key: e.key(f), R: f.r}
+	u := Update{Kind: kind, V: term.GVID{Object: tu.w.Object, Path: path}, Key: f.key.MethodKey(), R: f.r}
 	if kind == term.Mod {
 		u.R2 = e.newResult(pos)
 	}
@@ -963,12 +972,11 @@ func (sc *scratch) bucket(i int, method string) *bucket {
 }
 
 // spillKey identifies a fired update within a stratum: its target and what
-// it does there, the method by its number (72 bytes).
+// it does there (64 bytes).
 type spillKey struct {
-	tu     *targetUpdates
-	r, r2  term.OID
-	args   term.Args
-	method int32
+	tu    *targetUpdates
+	r, r2 term.OID
+	key   term.Key
 }
 
 // stratumRun is the working state of one stratum's fixpoint.
@@ -1030,10 +1038,11 @@ func (s *stratumRun) collect(ri int, u Update) {
 	e := s.e
 	tu := s.target(u)
 	m, mod := e.method(u.Key.Method), u.Kind == term.Mod
+	key := e.intern(m, u.Key)
 	if tu.n <= dedupSpill {
 		for pos := tu.first; pos != 0; {
 			f := e.up(pos)
-			if f.method == m && f.args == u.Key.Args && f.r == u.R && (!mod || e.newResult(pos) == u.R2) {
+			if f.key == key && f.r == u.R && (!mod || e.newResult(pos) == u.R2) {
 				return
 			}
 			pos = f.next
@@ -1044,23 +1053,23 @@ func (s *stratumRun) collect(ri int, u Update) {
 			}
 			for pos := tu.first; pos != 0; {
 				f := e.up(pos)
-				k := spillKey{tu: tu, r: f.r, args: f.args, method: f.method}
+				k := spillKey{tu: tu, r: f.r, key: f.key}
 				if mod {
 					k.r2 = e.newResult(pos)
 				}
 				e.spill[k] = struct{}{}
 				pos = f.next
 			}
-			e.spill[spillKey{tu, u.R, u.R2, u.Key.Args, m}] = struct{}{}
+			e.spill[spillKey{tu, u.R, u.R2, key}] = struct{}{}
 		}
 	} else {
-		k := spillKey{tu, u.R, u.R2, u.Key.Args, m}
+		k := spillKey{tu, u.R, u.R2, key}
 		if _, known := e.spill[k]; known {
 			return
 		}
 		e.spill[k] = struct{}{}
 	}
-	*e.ups.next() = firedUpdate{r: u.R, args: u.Key.Args, method: m, rule: int32(ri), iter: int32(s.iter)}
+	*e.ups.next() = firedUpdate{r: u.R, key: key, method: m, rule: int32(ri), iter: int32(s.iter)}
 	pos := int32(e.ups.n)
 	if mod {
 		e.ups.next().r = u.R2
@@ -1323,7 +1332,7 @@ func (e *engine) reserve(tu *targetUpdates, b *bucket) {
 	adds := 0
 	if m := e.methodNumber(b.method); m >= 0 && kind != term.Del {
 		for f := e.up(tu.fresh); f != nil; f = e.up(f.next) {
-			if f.method == m && !(kind == term.Ins && !tu.owned && tu.st.Has(e.key(f), f.r)) {
+			if f.method == m && !(kind == term.Ins && !tu.owned && tu.st.HasKey(f.key, f.r)) {
 				adds++
 			}
 		}
@@ -1421,7 +1430,7 @@ func (e *engine) own(tu *targetUpdates, room int) {
 
 // keyResult is one (method key, result) application extend took out.
 type keyResult struct {
-	key term.MethodKey
+	key term.Key
 	r   term.OID
 }
 
@@ -1433,17 +1442,16 @@ type keyResult struct {
 // removal may have taken one out — which leaves the state equal to the
 // source minus all old results plus all new ones, what applying the whole
 // update set to a fresh copy of the source would give. The log keeps a
-// method as a number and a modify's new result in the slot after its entry:
-// the method key is rebuilt from the run's table (engine.key), and a modify
-// list is walked by position, which is what finds that slot.
+// method key interned (engine.intern) and a modify's new result in the slot
+// after its entry: a modify list is walked by position, which is what finds
+// that slot.
 func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 	w := tu.w
 	switch w.Path.Outer() {
 	case term.Ins:
 		for f := e.up(tu.fresh); f != nil; f = e.up(f.next) {
-			key := e.key(f)
 			if !tu.owned {
-				if tu.st.Has(key, f.r) {
+				if tu.st.HasKey(f.key, f.r) {
 					continue
 				}
 				room := 1
@@ -1452,29 +1460,27 @@ func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 				}
 				e.own(tu, room)
 			}
-			if e.base.AddTo(w, tu.st, key, f.r) {
+			if e.base.AddTo(w, tu.st, f.key, f.r) {
 				changed = true
-				d.add(key, f.r)
+				d.add(f.key.MethodKey(), f.r)
 			}
 		}
 	case term.Del:
 		for f := e.up(tu.fresh); f != nil; f = e.up(f.next) {
-			key := e.key(f)
 			if !tu.owned {
-				if !tu.st.Has(key, f.r) {
+				if !tu.st.HasKey(f.key, f.r) {
 					continue
 				}
 				e.own(tu, 0)
 			}
-			changed = e.base.RemoveFrom(w, tu.st, key, f.r) || changed
+			changed = e.base.RemoveFrom(w, tu.st, f.key, f.r) || changed
 		}
 	case term.Mod:
 		if !tu.owned {
 			touches := false
 			for pos := tu.fresh; pos != 0 && !touches; {
 				f, r2 := e.up(pos), e.newResult(pos)
-				key := e.key(f)
-				touches = f.r != r2 && (tu.st.Has(key, f.r) || !tu.st.Has(key, r2))
+				touches = f.r != r2 && (tu.st.HasKey(f.key, f.r) || !tu.st.HasKey(f.key, r2))
 				pos = f.next
 			}
 			if !touches {
@@ -1484,23 +1490,22 @@ func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 		}
 		gone := e.gone[:0]
 		for f := e.up(tu.fresh); f != nil; f = e.up(f.next) {
-			if key := e.key(f); e.base.RemoveFrom(w, tu.st, key, f.r) {
-				gone = append(gone, keyResult{key, f.r})
+			if e.base.RemoveFrom(w, tu.st, f.key, f.r) {
+				gone = append(gone, keyResult{f.key, f.r})
 			}
 		}
 		lost := len(gone)
 		for pos := tu.first; pos != 0; {
 			f, r2 := e.up(pos), e.newResult(pos)
 			pos = f.next
-			key := e.key(f)
-			if !e.base.AddTo(w, tu.st, key, r2) {
+			if !e.base.AddTo(w, tu.st, f.key, r2) {
 				continue
 			}
-			if slices.Contains(gone, keyResult{key, r2}) {
+			if slices.Contains(gone, keyResult{f.key, r2}) {
 				lost-- // was there before the iteration: not new
 			} else {
 				changed = true
-				d.add(key, r2)
+				d.add(f.key.MethodKey(), r2)
 			}
 		}
 		changed = changed || lost > 0

@@ -123,6 +123,7 @@ func (sc *scratch) checkEmpty() error {
 	}
 	for name, ok := range map[string]bool{
 		"methods": len(sc.methods) == 0 && allZero(sc.methods),
+		"keys":    len(sc.keys) == 0 && allZero(sc.keys),
 		"gone":    len(sc.gone) == 0 && allZero(sc.gone),
 		"dirty":   len(sc.dirty) == 0 && allZero(sc.dirty),
 		"tasks":   len(sc.tasks) == 0 && allZero(sc.tasks),

@@ -175,7 +175,7 @@ func TestFixpointRecordSizes(t *testing.T) {
 		got, want uintptr
 	}{
 		{"firedUpdate", unsafe.Sizeof(firedUpdate{}), 48},
-		{"spillKey", unsafe.Sizeof(spillKey{}), 72},
+		{"spillKey", unsafe.Sizeof(spillKey{}), 64},
 		{"deltaFact", unsafe.Sizeof(deltaFact{}), 56},
 		{"wholeVersion", unsafe.Sizeof(wholeVersion{}), 32},
 		{"touched", unsafe.Sizeof(touched{}), 24},

@@ -63,24 +63,25 @@ func ChangedFacts(changes []Change, added, removed func(term.Fact)) {
 			return
 		}
 		apps = apps[:0]
-		for k, r := range s.All() {
-			if other == nil || !other.Has(k, r) {
-				apps = append(apps, appEntry{key: k, r: r})
+		for _, e := range s.entries {
+			if other == nil || other.find(e) < 0 {
+				apps = append(apps, e)
 			}
 		}
 		if len(apps) > 1 {
 			slices.SortFunc(apps, func(a, b appEntry) int {
-				if c := strings.Compare(a.key.Method, b.key.Method); c != 0 {
+				ak, bk := a.key(), b.key()
+				if c := strings.Compare(ak.Method, bk.Method); c != 0 {
 					return c
 				}
-				if c := a.key.Args.Compare(b.key.Args); c != 0 {
+				if c := ak.Args.Compare(bk.Args); c != 0 {
 					return c
 				}
 				return a.r.Compare(b.r)
 			})
 		}
 		for _, a := range apps {
-			emit(term.Fact{V: v, Method: a.key.Method, Args: a.key.Args, Result: a.r})
+			emit(a.fact(v))
 		}
 	}
 	for _, c := range changes {

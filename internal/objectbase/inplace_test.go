@@ -55,11 +55,11 @@ func TestInPlaceEditsAnswerLikeARebuild(t *testing.T) {
 				r := term.Int(int64(rng.Intn(40))) // past the spill threshold now and then
 				f := term.Fact{V: w, Method: key.Method, Result: r}
 				if rng.Intn(3) > 0 {
-					if got, want := ov.AddTo(w, st, key, r), model.Insert(f); got != want {
+					if got, want := ov.AddTo(w, st, key.Intern(), r), model.Insert(f); got != want {
 						t.Fatalf("step %d: AddTo %s = %v, model says %v", step, f, got, want)
 					}
 				} else {
-					if got, want := ov.RemoveFrom(w, st, key, r), model.Remove(f); got != want {
+					if got, want := ov.RemoveFrom(w, st, key.Intern(), r), model.Remove(f); got != want {
 						t.Fatalf("step %d: RemoveFrom %s = %v, model says %v", step, f, got, want)
 					}
 				}

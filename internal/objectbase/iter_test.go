@@ -41,7 +41,7 @@ func iterBases(t *testing.T) map[string]*Base {
 
 	changes := []Change{
 		{V: term.GV(term.Sym("o5")), Old: root.StateOf(term.GV(term.Sym("o5")))},
-		{V: term.GV(term.Sym("n2"), term.Mod), New: stateOfEntries([]appEntry{{key: term.MethodKey{Method: "sal"}, r: term.Int(8)}})},
+		{V: term.GV(term.Sym("n2"), term.Mod), New: stateOfEntries([]appEntry{{term.MethodKey{Method: "sal"}.Intern(), term.Int(8)}})},
 	}
 	for i := 10; i < 30; i++ {
 		v := term.GV(term.Sym(fmt.Sprintf("o%d", i)))

@@ -642,25 +642,25 @@ func (b *Base) Adopt(v term.GVID, st *State) {
 // AddTo adds an application to st in place, reporting whether it was new.
 // st must be the state the own layer holds for v and must not be shared
 // with any other version or base (see Adopt).
-func (b *Base) AddTo(v term.GVID, st *State, key term.MethodKey, r term.OID) bool {
+func (b *Base) AddTo(v term.GVID, st *State, key term.Key, r term.OID) bool {
 	b.mutable()
-	if !st.Add(key, r) {
+	if !st.add(appEntry{key, r}) {
 		return false
 	}
 	b.size++
-	b.indexVID(v, key.Method)
+	b.indexVID(v, key.MethodKey().Method)
 	return true
 }
 
 // RemoveFrom is the removing counterpart of AddTo.
-func (b *Base) RemoveFrom(v term.GVID, st *State, key term.MethodKey, r term.OID) bool {
+func (b *Base) RemoveFrom(v term.GVID, st *State, key term.Key, r term.OID) bool {
 	b.mutable()
-	if !st.Remove(key, r) {
+	if !st.removeAt(st.find(appEntry{key, r})) {
 		return false
 	}
 	b.size--
-	if !b.vidStale.Load() && !st.HasAnyOfMethod(key.Method) {
-		b.unindexVID(v, key.Method)
+	if m := key.MethodKey().Method; !b.vidStale.Load() && !st.HasAnyOfMethod(m) {
+		b.unindexVID(v, m)
 	}
 	return true
 }
@@ -682,7 +682,7 @@ func (b *Base) FactsOf(v term.GVID) iter.Seq[term.Fact] {
 func (b *Base) factsOf(v term.GVID, yield func(term.Fact) bool) {
 	if s := b.stateOf(v); s != nil {
 		for _, e := range s.entries {
-			if !yield(term.Fact{V: v, Method: e.key.Method, Args: e.key.Args, Result: e.r}) {
+			if !yield(e.fact(v)) {
 				return
 			}
 		}
@@ -841,7 +841,7 @@ func (b *Base) AllFacts() iter.Seq[term.Fact] {
 	return func(yield func(term.Fact) bool) {
 		for v, s := range b.eachState {
 			for _, e := range s.entries {
-				if !yield(term.Fact{V: v, Method: e.key.Method, Args: e.key.Args, Result: e.r}) {
+				if !yield(e.fact(v)) {
 					return
 				}
 			}
@@ -854,7 +854,7 @@ func (b *Base) Facts() []term.Fact {
 	out := make([]term.Fact, 0, b.size)
 	for v, s := range b.eachState {
 		for _, e := range s.entries {
-			out = append(out, term.Fact{V: v, Method: e.key.Method, Args: e.key.Args, Result: e.r})
+			out = append(out, e.fact(v))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })

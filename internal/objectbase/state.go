@@ -15,10 +15,26 @@ import (
 // recursive closures) need O(1) membership tests to stay linear.
 const stateIndexThreshold = 24
 
-// appEntry is one method application.
+// appEntry is one method application, 32 bytes: its key interned, so that
+// a copied state holds one word per key. Interning hashes the key, so only
+// Add (the loader's way in) and a lookup in an indexed state pay for it; a
+// read of a scanned state compares keys by value, and entries compare by
+// handle.
 type appEntry struct {
-	key term.MethodKey
-	r   term.OID
+	k term.Key
+	r term.OID
+}
+
+// existsKey is the interned key of exists, which every final state holds.
+var existsKey = term.MethodKey{Method: term.ExistsMethod}.Intern()
+
+// key returns the entry's method key.
+func (e appEntry) key() term.MethodKey { return e.k.MethodKey() }
+
+// fact returns the entry as a fact of version v.
+func (e appEntry) fact(v term.GVID) term.Fact {
+	k := e.k.MethodKey()
+	return term.Fact{V: v, Method: k.Method, Args: k.Args, Result: e.r}
 }
 
 // State is the state of one version: all its method applications.
@@ -67,6 +83,19 @@ func (s *State) find(e appEntry) int {
 	return slices.Index(s.entries, e)
 }
 
+// findKey is find for a key not interned: it interns only to probe pos.
+func (s *State) findKey(key term.MethodKey, r term.OID) int {
+	if s.pos != nil {
+		return s.find(appEntry{key.Intern(), r})
+	}
+	for i, e := range s.entries {
+		if e.r == r && e.key() == key {
+			return i
+		}
+	}
+	return -1
+}
+
 // Clone returns a deep copy of the state.
 func (s *State) Clone() *State { return s.CloneWithRoom(0) }
 
@@ -87,7 +116,7 @@ func (s *State) CloneWithoutMethod(method string) *State {
 // appendWithout appends the entries not of the named method to out.
 func (s *State) appendWithout(out []appEntry, method string) []appEntry {
 	for _, e := range s.entries {
-		if e.key.Method != method {
+		if e.key().Method != method {
 			out = append(out, e)
 		}
 	}
@@ -102,7 +131,7 @@ func (s *State) appendWithout(out []appEntry, method string) []appEntry {
 // stands, see FinalEquals.
 func (s *State) CloneFinal(o term.OID) *State {
 	entries := s.appendWithout(make([]appEntry, 0, len(s.entries)+1), term.ExistsMethod)
-	return stateOfEntries(append(entries, appEntry{key: term.MethodKey{Method: term.ExistsMethod}, r: o}))
+	return stateOfEntries(append(entries, appEntry{existsKey, o}))
 }
 
 // FinalEquals reports whether s.CloneFinal(o) would equal t, without
@@ -112,15 +141,15 @@ func (s *State) CloneFinal(o term.OID) *State {
 func (s *State) FinalEquals(o term.OID, t *State) bool {
 	n, same := 1, true // the canonical exists application counts once
 	for _, e := range s.entries {
-		if e.key.Method == term.ExistsMethod {
+		if e.key().Method == term.ExistsMethod {
 			continue
 		}
 		n++
-		if same && s != t && !t.Has(e.key, e.r) {
+		if same && s != t && t.find(e) < 0 {
 			same = false
 		}
 	}
-	return same && n == len(t.entries) && t.Has(term.MethodKey{Method: term.ExistsMethod}, o)
+	return same && n == len(t.entries) && t.find(appEntry{existsKey, o}) >= 0
 }
 
 // settledFor reports whether CloneFinal(o) would reproduce the state and
@@ -140,7 +169,7 @@ func (s *State) Empty() bool { return len(s.entries) == 0 }
 // applications — the "fully deleted" shape of Section 5.
 func (s *State) OnlyExists() bool {
 	for _, e := range s.entries {
-		if e.key.Method != term.ExistsMethod {
+		if e.key().Method != term.ExistsMethod {
 			return false
 		}
 	}
@@ -149,13 +178,18 @@ func (s *State) OnlyExists() bool {
 
 // Has reports whether the state contains the application key -> result.
 func (s *State) Has(key term.MethodKey, result term.OID) bool {
-	return s.find(appEntry{key: key, r: result}) >= 0
+	return s.findKey(key, result) >= 0
+}
+
+// HasKey is Has for a key interned already: it hashes nothing.
+func (s *State) HasKey(key term.Key, result term.OID) bool {
+	return s.find(appEntry{key, result}) >= 0
 }
 
 // HasMethod reports whether any application of the given key is present.
 func (s *State) HasMethod(key term.MethodKey) bool {
 	for _, e := range s.entries {
-		if e.key == key {
+		if e.key() == key {
 			return true
 		}
 	}
@@ -166,7 +200,7 @@ func (s *State) HasMethod(key term.MethodKey) bool {
 // method, under any argument tuple.
 func (s *State) HasAnyOfMethod(method string) bool {
 	for _, e := range s.entries {
-		if e.key.Method == method {
+		if e.key().Method == method {
 			return true
 		}
 	}
@@ -175,7 +209,10 @@ func (s *State) HasAnyOfMethod(method string) bool {
 
 // Add inserts an application, reporting whether it was new.
 func (s *State) Add(key term.MethodKey, result term.OID) bool {
-	e := appEntry{key: key, r: result}
+	return s.add(appEntry{key.Intern(), result})
+}
+
+func (s *State) add(e appEntry) bool {
 	if s.find(e) >= 0 {
 		return false
 	}
@@ -196,11 +233,15 @@ func (s *State) Add(key term.MethodKey, result term.OID) bool {
 // Remove deletes an application, reporting whether it was present. The
 // last entry takes the place of the removed one.
 func (s *State) Remove(key term.MethodKey, result term.OID) bool {
-	e := appEntry{key: key, r: result}
-	i := s.find(e)
+	return s.removeAt(s.findKey(key, result))
+}
+
+// removeAt deletes the entry at position i, if i is one.
+func (s *State) removeAt(i int) bool {
 	if i < 0 {
 		return false
 	}
+	e := s.entries[i]
 	last := len(s.entries) - 1
 	moved := s.entries[last]
 	s.entries[i] = moved
@@ -223,7 +264,7 @@ func (s *State) All() iter.Seq2[term.MethodKey, term.OID] {
 
 func (s *State) all(yield func(term.MethodKey, term.OID) bool) {
 	for _, e := range s.entries {
-		if !yield(e.key, e.r) {
+		if !yield(e.key(), e.r) {
 			return
 		}
 	}
@@ -237,7 +278,7 @@ func (s *State) OfMethod(method string) iter.Seq2[term.MethodKey, term.OID] {
 
 func (s *State) ofMethod(method string, yield func(term.MethodKey, term.OID) bool) {
 	for _, e := range s.entries {
-		if e.key.Method == method && !yield(e.key, e.r) {
+		if k := e.key(); k.Method == method && !yield(k, e.r) {
 			return
 		}
 	}
@@ -250,7 +291,7 @@ func (s *State) Results(key term.MethodKey) iter.Seq[term.OID] {
 
 func (s *State) results(key term.MethodKey, yield func(term.OID) bool) {
 	for _, e := range s.entries {
-		if e.key == key && !yield(e.r) {
+		if e.key() == key && !yield(e.r) {
 			return
 		}
 	}
@@ -262,9 +303,9 @@ func (s *State) forEachMethod(fn func(method string)) {
 	var buf [8]string
 	seen := buf[:0]
 	for _, e := range s.entries {
-		if !slices.Contains(seen, e.key.Method) {
-			seen = append(seen, e.key.Method)
-			fn(e.key.Method)
+		if m := e.key().Method; !slices.Contains(seen, m) {
+			seen = append(seen, m)
+			fn(m)
 		}
 	}
 }
@@ -296,14 +337,14 @@ func methodsMoved(s, t *State, moved func(method string, entered bool)) {
 	}
 	for i := range max(len(s.entries), len(t.entries)) {
 		inS, inT := i < len(s.entries), i < len(t.entries)
-		if inS && inT && s.entries[i].key.Method == t.entries[i].key.Method {
+		if inS && inT && s.entries[i].key().Method == t.entries[i].key().Method {
 			continue
 		}
 		if inS {
-			check(s.entries[i].key.Method)
+			check(s.entries[i].key().Method)
 		}
 		if inT {
-			check(t.entries[i].key.Method)
+			check(t.entries[i].key().Method)
 		}
 	}
 }
@@ -323,13 +364,13 @@ func (s *State) sameOfMethod(t *State, method string) bool {
 	// Every application of s is one of t's, and t has no more of them.
 	more := 0
 	for _, e := range t.entries {
-		if e.key.Method == method {
+		if e.key().Method == method {
 			more++
 		}
 	}
 	for _, e := range s.entries {
-		if e.key.Method == method {
-			if more--; !t.Has(e.key, e.r) {
+		if e.key().Method == method {
+			if more--; t.find(e) < 0 {
 				return false
 			}
 		}
@@ -343,7 +384,7 @@ func (s *State) Equal(t *State) bool {
 		return false
 	}
 	for _, e := range s.entries {
-		if !t.Has(e.key, e.r) {
+		if t.find(e) < 0 {
 			return false
 		}
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"maps"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"verlog/internal/term"
 )
@@ -15,28 +17,36 @@ import (
 
 var modelMethods = []string{"a", "b", "c", term.ExistsMethod}
 
+// app is one application as the model holds it: its key by value, not
+// interned as a State holds it.
+type app struct {
+	key term.MethodKey
+	r   term.OID
+}
+
 // randomEntry draws from 4 methods × 2 argument tuples × 40 results: room
 // for a state of a few hundred applications, and enough repeats that Add
-// meets its duplicates and Remove its absentees.
-func randomEntry(rng *rand.Rand) appEntry {
-	k := term.MethodKey{Method: modelMethods[rng.IntN(len(modelMethods))]}
+// meets its duplicates and Remove its absentees. Each method name is a
+// fresh copy, so that a key never equals another by its string's pointer.
+func randomEntry(rng *rand.Rand) app {
+	k := term.MethodKey{Method: strings.Clone(modelMethods[rng.IntN(len(modelMethods))])}
 	if rng.IntN(2) == 0 {
 		k.Args = term.EncodeOIDs([]term.OID{term.Int(1)})
 	}
-	return appEntry{key: k, r: term.Int(int64(rng.IntN(40)))}
+	return app{key: k, r: term.Int(int64(rng.IntN(40)))}
 }
 
 // checkModel fails unless s holds exactly the applications of ref, once
 // each, and its index is there exactly when it is large and points at every
 // entry.
-func checkModel(t *testing.T, s *State, ref map[appEntry]bool) {
+func checkModel(t *testing.T, s *State, ref map[app]bool) {
 	t.Helper()
 	if s.Size() != len(ref) || s.Empty() != (len(ref) == 0) {
 		t.Fatalf("Size %d, Empty %v; the model holds %d", s.Size(), s.Empty(), len(ref))
 	}
-	seen := map[appEntry]bool{}
+	seen := map[app]bool{}
 	for k, r := range s.All() {
-		e := appEntry{k, r}
+		e := app{k, r}
 		if seen[e] || !ref[e] {
 			t.Fatalf("All yields %v twice or outside the model", e)
 		}
@@ -79,7 +89,7 @@ func checkModel(t *testing.T, s *State, ref map[appEntry]bool) {
 	for _, m := range modelMethods {
 		n := 0
 		for k, r := range s.OfMethod(m) {
-			if k.Method != m || !ref[appEntry{k, r}] {
+			if k.Method != m || !ref[app{k, r}] {
 				t.Fatalf("OfMethod(%q) yields %v -> %v", m, k, r)
 			}
 			n++
@@ -91,9 +101,9 @@ func checkModel(t *testing.T, s *State, ref map[appEntry]bool) {
 }
 
 // probe compares the point reads of s on one drawn application.
-func probe(t *testing.T, s *State, ref map[appEntry]bool, e appEntry) {
+func probe(t *testing.T, s *State, ref map[app]bool, e app) {
 	t.Helper()
-	if s.Has(e.key, e.r) != ref[e] {
+	if s.Has(e.key, e.r) != ref[e] || s.HasKey(e.key.Intern(), e.r) != ref[e] {
 		t.Fatalf("Has(%v) = %v, want %v", e, !ref[e], ref[e])
 	}
 	want := 0
@@ -104,7 +114,7 @@ func probe(t *testing.T, s *State, ref map[appEntry]bool, e appEntry) {
 	}
 	n := 0
 	for r := range s.Results(e.key) {
-		if !ref[appEntry{e.key, r}] {
+		if !ref[app{e.key, r}] {
 			t.Fatalf("Results(%v) yields %v outside the model", e.key, r)
 		}
 		n++
@@ -116,21 +126,21 @@ func probe(t *testing.T, s *State, ref map[appEntry]bool, e appEntry) {
 
 // checkClones builds every Clone variant of s and holds each to the model's
 // transformation; mutating a clone leaves s as it was.
-func checkClones(t *testing.T, rng *rand.Rand, s *State, ref map[appEntry]bool) {
+func checkClones(t *testing.T, rng *rand.Rand, s *State, ref map[app]bool) {
 	t.Helper()
-	drop := func(method string) map[appEntry]bool {
+	drop := func(method string) map[app]bool {
 		out := maps.Clone(ref)
-		maps.DeleteFunc(out, func(e appEntry, _ bool) bool { return e.key.Method == method })
+		maps.DeleteFunc(out, func(e app, _ bool) bool { return e.key.Method == method })
 		return out
 	}
 	method := modelMethods[rng.IntN(len(modelMethods))]
 	o := term.Int(int64(rng.IntN(3)))
 	final := drop(term.ExistsMethod)
-	final[appEntry{term.MethodKey{Method: term.ExistsMethod}, o}] = true
+	final[app{term.MethodKey{Method: term.ExistsMethod}, o}] = true
 	for _, c := range []struct {
 		name string
 		s    *State
-		want map[appEntry]bool
+		want map[app]bool
 	}{
 		{"Clone", s.Clone(), ref},
 		{"CloneWithRoom", s.CloneWithRoom(rng.IntN(50)), ref},
@@ -163,7 +173,7 @@ func checkClones(t *testing.T, rng *rand.Rand, s *State, ref map[appEntry]bool) 
 // Clone variant at intervals.
 func TestStateAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	s, ref := NewState(), map[appEntry]bool{}
+	s, ref := NewState(), map[app]bool{}
 	crossed := 0
 	for cycle := 0; cycle < 2; cycle++ {
 		for _, grow := range []bool{true, false} {
@@ -173,7 +183,8 @@ func TestStateAgainstModel(t *testing.T) {
 				}
 				e := randomEntry(rng)
 				if !grow && len(ref) > 0 && rng.IntN(4) != 0 {
-					e = s.entries[rng.IntN(len(s.entries))] // present, if the state is right
+					in := s.entries[rng.IntN(len(s.entries))] // present, if the state is right
+					e = app{in.key(), in.r}
 				}
 				before := len(ref) > stateIndexThreshold
 				if add := grow == (rng.IntN(5) != 0); add {
@@ -209,8 +220,8 @@ func TestStateAgainstModel(t *testing.T) {
 // and a nil state, which applies nothing.
 func TestStatePairsAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
-	build := func(n int) (*State, map[appEntry]bool) {
-		s, ref := NewState(), map[appEntry]bool{}
+	build := func(n int) (*State, map[app]bool) {
+		s, ref := NewState(), map[app]bool{}
 		for len(ref) < n {
 			e := randomEntry(rng)
 			s.Add(e.key, e.r)
@@ -218,7 +229,7 @@ func TestStatePairsAgainstModel(t *testing.T) {
 		}
 		return s, ref
 	}
-	edit := func(s *State, ref map[appEntry]bool, edits int) (*State, map[appEntry]bool) {
+	edit := func(s *State, ref map[app]bool, edits int) (*State, map[app]bool) {
 		s, ref = s.Clone(), maps.Clone(ref)
 		for range edits {
 			e := randomEntry(rng)
@@ -240,7 +251,7 @@ func TestStatePairsAgainstModel(t *testing.T) {
 			t2, tref2 := build(m)
 			for i, p := range []struct {
 				t    *State
-				tref map[appEntry]bool
+				tref map[app]bool
 			}{{s, sref}, {t1, tref1}, {t2, tref2}, {nil, nil}} {
 				t.Run(fmt.Sprintf("%d-%d/%d", n, m, i), func(t *testing.T) { checkPair(t, s, p.t, sref, p.tref) })
 			}
@@ -249,9 +260,9 @@ func TestStatePairsAgainstModel(t *testing.T) {
 	checkPair(t, nil, nil, nil, nil)
 }
 
-func checkPair(t *testing.T, s, u *State, sref, uref map[appEntry]bool) {
+func checkPair(t *testing.T, s, u *State, sref, uref map[app]bool) {
 	t.Helper()
-	applies := func(ref map[appEntry]bool, m string) bool {
+	applies := func(ref map[app]bool, m string) bool {
 		for e := range ref {
 			if e.key.Method == m {
 				return true
@@ -273,9 +284,9 @@ func checkPair(t *testing.T, s, u *State, sref, uref map[appEntry]bool) {
 		if moved := applies(sref, m) != applies(uref, m); moved != (calls[m] == 1) {
 			t.Fatalf("methodsMoved reports %q %d times, want %v", m, calls[m], moved)
 		}
-		of := func(ref map[appEntry]bool) map[appEntry]bool {
+		of := func(ref map[app]bool) map[app]bool {
 			out := maps.Clone(ref)
-			maps.DeleteFunc(out, func(e appEntry, _ bool) bool { return e.key.Method != m })
+			maps.DeleteFunc(out, func(e app, _ bool) bool { return e.key.Method != m })
 			return out
 		}
 		if want := maps.Equal(of(sref), of(uref)); s.sameOfMethod(u, m) != want {
@@ -295,7 +306,7 @@ func TestStateConcurrentReads(t *testing.T) {
 		e := randomEntry(rng)
 		frozen.Add(e.key, e.r)
 	}
-	probes := make([]appEntry, 64)
+	probes := make([]app, 64)
 	for i := range probes {
 		probes[i] = randomEntry(rng)
 	}
@@ -334,4 +345,75 @@ func TestStateConcurrentReads(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestStateLayout pins what a copied state costs: an application is an
+// interned key and a result (DESIGN.md "One form of a state").
+func TestStateLayout(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"appEntry", unsafe.Sizeof(appEntry{}), 32},
+		{"State", unsafe.Sizeof(State{}), 32},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestStateKeyEquality holds the rules of key equality in both forms of a
+// state, scanned and indexed: keys equal by value are one key whatever
+// their strings' backing, and keys that differ in their arguments or in
+// their method alone are two.
+func TestStateKeyEquality(t *testing.T) {
+	one := term.EncodeOIDs([]term.OID{term.Int(1)})
+	two := term.EncodeOIDs([]term.OID{term.Int(2)})
+	r := term.Sym("r")
+	for _, filler := range []int{3, stateIndexThreshold + 6} {
+		build := func() *State {
+			s := NewState()
+			for i := range filler {
+				s.Add(term.MethodKey{Method: "fill"}, term.Int(int64(i)))
+			}
+			return s
+		}
+		t.Run(fmt.Sprintf("%d-entries", filler), func(t *testing.T) {
+			k := term.MethodKey{Method: "sal", Args: one}
+			same := term.MethodKey{Method: strings.Clone("s") + "al", Args: term.EncodeOIDs([]term.OID{term.Int(1)})}
+			if unsafe.StringData(k.Method) == unsafe.StringData(same.Method) {
+				t.Fatal("the test's keys share their method's backing")
+			}
+			s := build()
+			if !s.Add(k, r) || s.Add(same, r) || s.Size() != filler+1 {
+				t.Fatalf("equal keys of different backings are two entries (%d)", s.Size())
+			}
+			if !s.Has(same, r) || !s.HasKey(same.Intern(), r) || !s.HasMethod(same) {
+				t.Fatal("a key equal by value is not found")
+			}
+			n := 0
+			for range s.Results(same) {
+				n++
+			}
+			if n != 1 || !s.Remove(same, r) || s.Has(k, r) || s.Size() != filler {
+				t.Fatalf("Results yields %d; removing by an equal key leaves %d entries", n, s.Size())
+			}
+			if (s.pos != nil) != (filler > stateIndexThreshold) {
+				t.Fatalf("%d entries, index %v", s.Size(), s.pos != nil)
+			}
+			for _, other := range []term.MethodKey{
+				{Method: "sal", Args: two},                 // differs in its arguments alone
+				{Method: strings.Clone("wage"), Args: one}, // in its method alone
+			} {
+				s := build()
+				if !s.Add(k, r) || !s.Add(other, r) || s.Size() != filler+2 {
+					t.Fatalf("%v and %v are one entry", k, other)
+				}
+				if !s.Remove(other, r) || !s.Has(k, r) || s.Has(other, r) || s.HasMethod(other) {
+					t.Fatalf("removing %v takes %v with it, or leaves itself", other, k)
+				}
+			}
+		})
+	}
 }

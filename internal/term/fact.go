@@ -215,3 +215,14 @@ type MethodKey struct {
 func (f Fact) Key() MethodKey { return MethodKey{Method: f.Method, Args: f.Args} }
 
 func (k MethodKey) String() string { return k.Method + k.Args.String() }
+
+// Key is an interned MethodKey, one word, as Args is an interned tuple: ==
+// on Keys is equality of the keys they hold. The zero Key holds none.
+type Key struct{ h unique.Handle[MethodKey] }
+
+// Intern returns the interned form of k. It hashes k: hold the result
+// where a key is used more than once.
+func (k MethodKey) Intern() Key { return Key{unique.Make(k)} }
+
+// MethodKey returns the key k holds, without hashing it.
+func (k Key) MethodKey() MethodKey { return k.h.Value() }
