@@ -123,51 +123,6 @@ func TestBenchRegressionGuard(t *testing.T) {
 	}
 }
 
-// TestScratchReuseGuard: an evaluation leaves its working memory — the update
-// log, the targets, the table of touched objects, the delta buckets — to the
-// next one, and an idle process lets go of it. On the closed genealogy of
-// recursive_closure, where that memory is nearly all an apply allocates, the
-// third apply in a row must allocate at most a quarter of what the first
-// apply after the slot was emptied does (measured: 0.11x; 1.0x when every run
-// buys its own). The slot is emptied by collections with no apply between
-// them, made until it is; then three applies, the collector off: counts.
-func TestScratchReuseGuard(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("race instrumentation allocates on its own account")
-	}
-	head, p, opts := closedGenealogy(t, workload.GenealogySpec{Generations: 8, Branching: 2, Roots: 3})
-	apply := func() uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if _, err := Apply(head, p, opts...); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
-	}
-	apply() // the head's literal index
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// The second sweep after the apply drops the scratch; a sweep runs after
-	// a collection, on its own goroutine, so each collection is given time to
-	// be swept before the next.
-	for deadline := time.Now().Add(10 * time.Second); eval.ScratchHeld(); {
-		if time.Now().After(deadline) {
-			t.Fatal("ten seconds of collections with no apply between them left the evaluation's working memory in its slot")
-		}
-		runtime.GC()
-		for wait := time.Now().Add(100 * time.Millisecond); eval.ScratchHeld() && time.Now().Before(wait); {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	cold := apply()
-	apply()
-	warm := apply()
-	t.Logf("the first apply after the slot was emptied allocates %d B, the third %d B (%.2fx)", cold, warm, float64(warm)/float64(cold))
-	if 4*warm > cold {
-		t.Errorf("the third apply in a row allocates %d B, the first after the slot was emptied %d B: %.2fx, want ≤ 0.25x — is the working memory of one evaluation reaching the next?", warm, cold, float64(warm)/float64(cold))
-	}
-}
-
 // enterpriseHead returns a frozen head of n generated employees that has
 // served one bulk raise: the next writer's read of it, as on a server.
 func enterpriseHead(tb testing.TB, n int) *ObjectBase {
@@ -576,6 +531,77 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 	}
 }
 
+// TestResidentTenantHeapGuard: a process keeps one evaluation's working
+// memory, whatever the number of repositories it holds open. It opens 4, 8
+// and 16 repositories, half serving the bulk raise on 1 500 employees and
+// half the closure on 765 persons, applies five rounds round-robin, and
+// holds the live heap they add, per repository, to what was measured × 1.2.
+// At 4 it counts the one working memory too: the slot held a one-employee
+// raise's before, a bulk raise's after, and at 8 and 16 a bulk raise's
+// before as well. A working memory per repository would add what one commit
+// retains (about 0.6 MB) to each: +37 % at 16.
+func TestResidentTenantHeapGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens 28 repositories of up to 1 500 employees; skipped in -short")
+	}
+	if raceDetectorEnabled {
+		t.Skip("race instrumentation allocates on its own account")
+	}
+	raise, err := ParseProgram(workload.BulkRaiseProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ancestors, err := ParseProgram(workload.AncestorsProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What the tests before this one left in the working memory's slot is
+	// trimmed to a one-employee raise, so that it does not count.
+	if _, err := Apply(workload.EnterpriseSpec{Employees: 1, Seed: 1}.ObjectBase(), raise); err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	// measured is the live heap per repository, in bytes, by tenants.
+	measured := map[int]float64{4: 1_694_000, 8: 1_451_000, 16: 1_451_000}
+	for _, tenants := range []int{4, 8, 16} {
+		before, dir := liveHeap(), t.TempDir()
+		repos := make([]*repository.Repository, tenants)
+		progs := make([]*Program, tenants)
+		for i := range repos {
+			base, p := workload.EnterpriseSpec{Employees: 1500, Seed: int64(i)}.ObjectBase(), raise
+			if i%2 == 1 {
+				base, p = workload.GenealogySpec{Generations: 8, Branching: 2, Roots: 3}.ObjectBase(), ancestors
+			}
+			r, err := repository.Init(fmt.Sprintf("%s/repo%d", dir, i), base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			repos[i], progs[i] = r, p
+		}
+		for range 5 {
+			for i, r := range repos {
+				if _, err := r.Apply(progs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		perTenant := float64(liveHeap()-before) / float64(tenants)
+		for _, r := range repos {
+			r.Close()
+		}
+		t.Logf("%d resident repositories: %.0f B of live heap each (measured %.0f)", tenants, perTenant, measured[tenants])
+		if perTenant > 1.2*measured[tenants] {
+			t.Errorf("%d resident repositories hold %.2f MB of live heap each, want ≤ %.2f (measured × 1.2) — does each keep a working memory of its own?", tenants, perTenant/1e6, 1.2*measured[tenants]/1e6)
+		}
+	}
+}
+
 // TestLayerScanAllocGuard: the delta layer Derive builds keeps no VID index
 // for its first reader to rebuild — a scan walks the layer, which the
 // flatten rule holds to a sixteenth of the root — so the first scan of a
@@ -627,9 +653,9 @@ func TestLayerScanAllocGuard(t *testing.T) {
 // a fresh subject and returns its first use, which is run with the
 // collector off after a collection, as measure runs; the least bytes and
 // allocations of the reps are returned. A collection that ends during a
-// use would count what the runtime's cleanup goroutine allocates after it
-// (the eval sweep re-arms itself with a new sentinel), and that goroutine
-// may still be running when runtime.GC returns, so one use is not enough.
+// use would count what the runtime's cleanup goroutine allocates after it,
+// and that goroutine may still be running when runtime.GC returns, so one
+// use is not enough.
 func firstUseAllocs(reps int, prepare func() (use func())) (bytes, mallocs uint64) {
 	bytes, mallocs = math.MaxUint64, math.MaxUint64
 	for range reps {

@@ -29,7 +29,6 @@ var testSupport = map[string]string{
 	"term.GV":                             "the version constructor the tests write versions with",
 	"objectbase.Base.Depth":               "the overlay depth the objectbase and eval tests bound",
 	"objectbase.State.CloneWithoutMethod": "the state edit the objectbase and eval tests build inputs with",
-	"eval.ScratchHeld":                    "how the tests observe the process-wide working-memory slot (ROADMAP item 24 removes both)",
 	"workload.BulkRaiseProgram":           "the bulk_raise program of the root package's guards and the repository tests",
 	"objectbase.Diff.Apply":               "the diff replay E31 holds recovery by evaluation against, and the storage tests' round trip",
 }

@@ -3,7 +3,6 @@ package eval_test
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"testing"
 
 	"verlog/internal/eval"
@@ -17,9 +16,8 @@ import (
 // that commits, one whose diff is empty, one a constraint refuses, and a
 // keyed replay — leaves the evaluation's working memory in the slot for the
 // next run once the call returns, with a change list that holds none of the
-// run's states. The collector is off, so no sweep takes the slot meanwhile.
+// run's states.
 func TestCommitsGiveTheirWorkingMemoryBack(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n = 50
 	r, err := repository.Init(t.TempDir()+"/repo", workload.EnterpriseSpec{Employees: n, Seed: 2}.ObjectBase())
 	if err != nil {
@@ -69,10 +67,10 @@ func TestCommitsGiveTheirWorkingMemoryBack(t *testing.T) {
 		if err := step.apply(); err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
-		if !eval.ScratchHeld() {
+		changes, held := eval.ParkedChanges()
+		if !held {
 			t.Fatalf("%s: the slot holds no working memory once the call returned", step.name)
 		}
-		changes := eval.ParkedChanges()
 		if len(changes) < step.kept {
 			t.Errorf("%s: the parked change list keeps room for %d changes, want %d", step.name, len(changes), step.kept)
 		}

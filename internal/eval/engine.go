@@ -4,12 +4,11 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"verlog/internal/objectbase"
@@ -328,77 +327,30 @@ type scratch struct {
 }
 
 // parked is the one process-wide slot a finished run leaves its scratch in
-// for the next. It holds the scratch strongly while runs keep coming: used
-// says a run has parked in the slot since the last collection, and the sweep
-// that follows every collection drops a scratch that no run has used since
-// the one before. The mark is set when a run parks, not when it takes: a run
-// in flight across a sweep has used the slot after it. A busy process never
-// buys its working memory twice; an idle one drops it at its second
-// collection and frees it at its third. Every repository of a process shares
-// the one. (A sync.Pool would keep one per P, each counted live at every
-// mark; a weak pointer lets every collection take it, so that what an apply
-// allocates follows the collector's timing. DESIGN.md §4 has the numbers.)
-// The mutex is a leaf: it is held for a few assignments and no call is made
-// under it.
-var parked struct {
-	mu   sync.Mutex
-	sc   *scratch
-	used bool
-}
-
-func init() { armSweep() }
-
-// sweepSentinel is what a sweep waits on: nothing points to it, so the next
-// collection finds it unreachable and runs its cleanup. It holds a pointer so
-// that the allocator never batches it with a live object.
-type sweepSentinel struct{ _ *byte }
-
-// armSweep registers the sweep that follows the next collection.
-func armSweep() { runtime.AddCleanup(new(sweepSentinel), sweep, struct{}{}) }
-
-// sweep runs once per collection, on the cleanup goroutine: it re-arms itself
-// for the next one, drops the parked scratch unless a run has parked in the
-// slot since the last sweep, and clears the mark.
-func sweep(struct{}) {
-	armSweep()
-	parked.mu.Lock()
-	if !parked.used {
-		parked.sc = nil
-	}
-	parked.used = false
-	parked.mu.Unlock()
-}
+// for the next, shared by every repository of the process. A run takes what
+// it holds and parks what it used in its place: runs beside each other never
+// share a scratch, and whoever parks last wins. An idle process keeps the
+// last run's scratch, trimmed by empty to what that run used. (With a
+// sync.Pool or a weak pointer, collections would take it and what an apply
+// allocates would follow the collector's timing; a slot per repository would
+// retain one scratch per resident tenant. DESIGN.md §4 has the numbers.)
+var parked atomic.Pointer[scratch]
 
 // takeScratch empties the slot and returns what it held, or a new scratch
-// when it held nothing (no run has parked one, a run beside this one has
-// taken it, or the sweep has dropped it). The run owns what it gets: runs
-// beside each other never share one.
+// when it held nothing (no run has parked one, or a run beside this one has
+// taken it). The run owns what it gets.
 func takeScratch() *scratch {
-	parked.mu.Lock()
-	sc := parked.sc
-	parked.sc = nil
-	parked.mu.Unlock()
-	if sc == nil {
-		sc = new(scratch)
+	if sc := parked.Swap(nil); sc != nil {
+		return sc
 	}
-	return sc
+	return new(scratch)
 }
 
 // park empties the scratch and leaves it in the slot, in place of whatever
-// a run beside this one has left there, and marks the slot used.
+// a run beside this one has left there.
 func (sc *scratch) park() {
 	sc.empty()
-	parked.mu.Lock()
-	parked.sc, parked.used = sc, true
-	parked.mu.Unlock()
-}
-
-// ScratchHeld reports whether the slot holds a finished run's working memory
-// for the next run: tests poll it to wait for an idle process to let go.
-func ScratchHeld() bool {
-	parked.mu.Lock()
-	defer parked.mu.Unlock()
-	return parked.sc != nil
+	parked.Store(sc)
 }
 
 // empty makes the scratch what the next run expects — every value a slab

@@ -2,12 +2,13 @@ package eval
 
 import "verlog/internal/objectbase"
 
-// ParkedChanges returns the change list of the working memory in the slot,
-// up to its capacity: nil when the slot is empty or the list was dropped.
-func ParkedChanges() []objectbase.Change {
+// ParkedChanges reports whether the slot holds working memory and returns
+// its change list up to its capacity: nil when the slot is empty or the list
+// was dropped.
+func ParkedChanges() (changes []objectbase.Change, held bool) {
 	sc := parkedScratch()
 	if sc == nil {
-		return nil
+		return nil, false
 	}
-	return sc.changes[:cap(sc.changes)]
+	return sc.changes[:cap(sc.changes)], true
 }

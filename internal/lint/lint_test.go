@@ -161,27 +161,27 @@ func alsoGood(r *Repo) {
 	// another mutex included, is a finding.
 	const underLeaf = `package x
 func bad(r *Repo) {
-	parked.mu.Lock()
-	parked.sc = newScratch() // finding
-	r.applyMu.Lock()         // finding
-	parked.mu.Unlock()
+	r.planMu.Lock()
+	r.plans[0] = newPlans() // finding
+	r.applyMu.Lock()        // finding
+	r.planMu.Unlock()
 	r.applyMu.Unlock()
 }
-func sweep() {
-	arm()                    // before the lock: fine
-	parked.mu.Lock()
-	defer parked.mu.Unlock()
-	if !parked.used {
-		parked.sc = nil
+func evict(r *Repo) {
+	arm()                   // before the lock: fine
+	r.planMu.Lock()
+	defer r.planMu.Unlock()
+	if !r.used {
+		r.plans[0] = nil
 	}
-	parked.used = false
-	other.mu.Lock()          // finding: still held through the defer
+	r.used = false
+	other.mu.Lock()         // finding: still held through the defer
 }`
 	got = analyze(t, Lockorder, "verlog/internal/x", underLeaf)
 	wantFindings(t, got,
-		"call while parked.mu is held in bad",
-		"call while parked.mu is held in bad",
-		"call while parked.mu is held in sweep")
+		"call while planMu is held in bad",
+		"call while planMu is held in bad",
+		"call while planMu is held in evict")
 
 	// The plan cache's lock is held for the slot read and the store; a
 	// compile under it would make every query wait for another's planning.

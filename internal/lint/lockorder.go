@@ -12,13 +12,10 @@ var lockOrder = []string{"applyMu", "diskMu", "commitMu"}
 
 // leafLocks are mutexes held for a few assignments with no call made under
 // them, so no other lock can be taken inside one and none can take part in a
-// deadlock. parked.mu guards the slot an evaluation leaves its working memory
-// in (internal/eval): every run takes it, and so does the sweep that follows
-// each collection, on the runtime's cleanup goroutine, whatever locks the
-// other goroutines hold. planMu guards the repository's plan cache, which
-// applies read and fill under applyMu and queries under no lock at all: it
-// is held for a slot read or a store, never across a compile.
-var leafLocks = []string{"parked.mu", "planMu"}
+// deadlock. planMu guards the repository's plan cache, which applies read
+// and fill under applyMu and queries under no lock at all: it is held for a
+// slot read or a store, never across a compile.
+var leafLocks = []string{"planMu"}
 
 // Lockorder enforces that hierarchy: a mutex is never acquired while one
 // that comes after it is held. diskMu.Lock() under commitMu deadlocks

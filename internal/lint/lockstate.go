@@ -27,7 +27,7 @@ import (
 // scope. Both analyzers built on it only ever report patterns inside a
 // critical section the scan is certain about.
 type lockScan struct {
-	mutex string // field name, e.g. "commitMu", or variable and field, e.g. "parked.mu"
+	mutex string // field name, e.g. "commitMu"
 	// onHeld is called on every call expression evaluated while the
 	// mutex is held; the analyzer filters for the calls it forbids.
 	onHeld func(call *ast.CallExpr)
@@ -60,7 +60,7 @@ func (s *lockScan) scanStmt(st ast.Stmt, held bool) bool {
 		// defer mu.Unlock() releases at return: the mutex stays held for
 		// the remainder of the scan. Other deferred calls (incl. closures)
 		// run outside the critical section.
-		if s.is(st.Call.Fun, "Unlock") {
+		if selRoot(st.Call.Fun, "Unlock") == s.mutex {
 			return held
 		}
 		s.scanClosures(st.Call, false)
@@ -141,11 +141,11 @@ func (s *lockScan) scanExpr(e ast.Expr, held bool) bool {
 		if !ok {
 			return true
 		}
-		if s.is(call.Fun, "Lock") {
+		if selRoot(call.Fun, "Lock") == s.mutex {
 			held = true
 			return false
 		}
-		if s.is(call.Fun, "Unlock") {
+		if selRoot(call.Fun, "Unlock") == s.mutex {
 			held = false
 			return false
 		}
@@ -155,24 +155,6 @@ func (s *lockScan) scanExpr(e ast.Expr, held bool) bool {
 		return true
 	})
 	return held
-}
-
-// is reports whether fun is the tracked mutex's method: x.mutex.method or
-// mutex.method for a field name, variable.field.method for a dotted one.
-func (s *lockScan) is(fun ast.Expr, method string) bool {
-	if selRoot(fun, method) == s.mutex {
-		return true
-	}
-	sel, ok := fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != method {
-		return false
-	}
-	field, ok := sel.X.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	v, ok := field.X.(*ast.Ident)
-	return ok && v.Name+"."+field.Sel.Name == s.mutex
 }
 
 // scanClosures scans only the function literals inside call.
