@@ -3,7 +3,10 @@ package replication_test
 import (
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -177,5 +180,175 @@ func runFailover(t *testing.T, point int, mode string, progs []*term.Program, ke
 	fh, fseq := frepo.Snapshot()
 	if rseq != fseq || !rh.Equal(fh) {
 		t.Fatalf("point %d %s: promoted head (seq %d) diverges from a clean replay of its own journal (seq %d)", point, mode, fseq, rseq)
+	}
+}
+
+// headOf returns repo's published head seq.
+func headOf(repo *repository.Repository) int {
+	_, seq := repo.Snapshot()
+	return seq
+}
+
+// TestDoubleFailover: O dies and N is promoted at P. F, a follower that
+// lagged behind P, syncs once with N. Then N dies too, holding a record F
+// never saw, and F is promoted: its epoch is 3, past both earlier ones.
+// N rejoins F with a suffix past F's promotion point, so it re-bootstraps
+// from F's snapshot and converges onto F's history.
+func TestDoubleFailover(t *testing.T) {
+	o := startPrimary(t, replication.Config{})
+	n := startFollower(t, o.srv.URL)
+	frepo, err := repository.Init(t.TempDir()+"/lagging", testBase(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := followAs(t, frepo, o.srv.URL, "lagging")
+	for i := 1; i <= 2; i++ {
+		if _, err := o.repo.Apply(raiseProgram(t, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitConverged(t, o.repo, n.repo, 2)
+	waitConverged(t, o.repo, f.repo, 2)
+	f.node.Stop() // F lags: it misses what comes next
+
+	for i := 3; i <= 4; i++ {
+		if _, err := o.repo.Apply(raiseProgram(t, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitConverged(t, o.repo, n.repo, 4)
+	o.srv.Close()
+	if epoch, err := n.node.Promote(0); err != nil || epoch != 2 {
+		t.Fatalf("Promote N = %d, %v; want epoch 2", epoch, err)
+	}
+
+	// F, behind the promotion point, streams N's history once.
+	f = followAs(t, f.repo, n.srv.URL, "lagging-on-n")
+	waitFor(t, "F caught up with N under epoch 2", func() bool {
+		return f.repo.Epoch() == 2 && headOf(f.repo) == headOf(n.repo)
+	})
+	f.node.Stop()
+
+	// N runs one record ahead of F, then dies; F is promoted.
+	if _, err := n.repo.Apply(raiseProgram(t, 500)); err != nil {
+		t.Fatal(err)
+	}
+	n.srv.Close()
+	if epoch, err := f.node.Promote(0); err != nil || epoch != 3 {
+		t.Fatalf("Promote F = %d, %v; want epoch 3", epoch, err)
+	}
+	if _, err := f.repo.Apply(raiseProgram(t, 7)); err != nil {
+		t.Fatal(err)
+	}
+
+	// N rejoins F: its record past F's promotion point forces a bootstrap.
+	// N's head is F's already: converged means bootstrapped from F.
+	followAs(t, n.repo, f.srv.URL, "deposed-n")
+	head := headOf(f.repo)
+	waitFor(t, "N bootstrapped from F", func() bool { return n.repo.SnapshotSeq() == head })
+	waitConverged(t, f.repo, n.repo, head)
+	waitFor(t, "N under epoch 3", func() bool { return n.repo.Epoch() == 3 })
+}
+
+// TestPromotePastEpochSeenUpstream: a follower can learn of an upstream
+// epoch from a response header before it holds the records of that epoch
+// (the batch stopped short of them). Promoting it must still go past that
+// epoch: an explicit target at it is refused, and Promote(0) gives 3.
+func TestPromotePastEpochSeenUpstream(t *testing.T) {
+	src, err := repository.Init(t.TempDir()+"/src", testBase(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		if _, err := src.Apply(raiseProgram(t, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An upstream at epoch 2 whose log goes on past src's records; it
+	// serves src's records and stops short of the rest.
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasPrefix(r.URL.Path, "/v1/repl/stream") {
+			http.NotFound(w, r)
+			return
+		}
+		after, _ := strconv.Atoi(r.URL.Query().Get("after"))
+		entries, head, _ := src.EntriesAfter(after)
+		if len(entries) == 0 {
+			time.Sleep(20 * time.Millisecond)
+		}
+		var frames []byte
+		for _, e := range entries {
+			frames = e.AppendRecord(frames)
+		}
+		w.Header().Set(replication.HeaderEpoch, "2")
+		w.Header().Set(replication.HeaderSeq, strconv.Itoa(head+1))
+		w.Write(frames)
+	}))
+	t.Cleanup(fake.Close)
+	repo, err := repository.Init(t.TempDir()+"/follower", testBase(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := followOn(t, repo, fake.URL)
+	waitConverged(t, src, f.repo, 2)
+
+	if _, err := f.node.Promote(2); !errors.Is(err, replication.ErrBadPromoteTarget) {
+		t.Errorf("Promote(2) = %v, want ErrBadPromoteTarget: epoch 2 was seen upstream", err)
+	}
+	if epoch, err := f.node.Promote(0); err != nil || epoch != 3 {
+		t.Errorf("Promote(0) = %d, %v; want 3, past the epoch seen upstream", epoch, err)
+	}
+}
+
+// TestEpochFoldedIntoCheckpoint: the promoted node compacts, folding the
+// promotion into its checkpoint. A follower behind the checkpoint gets
+// snapshot_required, and a deposed primary whose head is the checkpoint's
+// seq is past the promotion point: both bootstrap and converge.
+func TestEpochFoldedIntoCheckpoint(t *testing.T) {
+	o := startPrimary(t, replication.Config{})
+	n := startFollower(t, o.srv.URL)
+	frepo, err := repository.Init(t.TempDir()+"/lagging", testBase(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := followAs(t, frepo, o.srv.URL, "lagging")
+	for i := 1; i <= 2; i++ {
+		if _, err := o.repo.Apply(raiseProgram(t, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitConverged(t, o.repo, n.repo, 2)
+	waitConverged(t, o.repo, f.repo, 2)
+	f.node.Stop()
+	o.srv.Close()
+
+	if epoch, err := n.node.Promote(0); err != nil || epoch != 2 {
+		t.Fatalf("Promote = %d, %v; want epoch 2", epoch, err)
+	}
+	for i := 3; i <= 4; i++ {
+		if _, err := n.repo.Apply(raiseProgram(t, 10*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.repo.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	head := headOf(n.repo)
+	if got := n.repo.SnapshotSeq(); got != head {
+		t.Fatalf("N's checkpoint is at %d, want its head %d", got, head)
+	}
+	// The deposed primary ran on alone, up to the checkpoint's seq.
+	for i := 0; headOf(o.repo) < head; i++ {
+		if _, err := o.repo.Apply(raiseProgram(t, 900+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	f = followAs(t, f.repo, n.srv.URL, "lagging-on-n")
+	followAs(t, o.repo, n.srv.URL, "deposed-o")
+	for name, repo := range map[string]*repository.Repository{"lagging follower": f.repo, "deposed primary": o.repo} {
+		waitFor(t, name+" bootstrapped from N", func() bool { return repo.SnapshotSeq() == head })
+		waitConverged(t, n.repo, repo, head)
+		waitFor(t, name+" under epoch 2", func() bool { return repo.Epoch() == 2 })
 	}
 }

@@ -93,9 +93,16 @@ func startFollower(t *testing.T, primaryURL string) *testNode {
 // followOn starts repo following primaryURL, as startFollower does.
 func followOn(t *testing.T, repo *repository.Repository, primaryURL string) *testNode {
 	t.Helper()
+	return followAs(t, repo, primaryURL, "follower-under-test")
+}
+
+// followAs is followOn under the follower id id, for topologies with more
+// than one follower.
+func followAs(t *testing.T, repo *repository.Repository, primaryURL, id string) *testNode {
+	t.Helper()
 	n := replication.NewNode(repo, replication.Config{
 		PrimaryURL: primaryURL,
-		FollowerID: "follower-under-test",
+		FollowerID: id,
 		PollWait:   100 * time.Millisecond,
 	})
 	srv := httptest.NewServer(server.New(repo, server.WithReplication(n)))
