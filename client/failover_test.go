@@ -196,8 +196,8 @@ func TestClientFailoverAfterPromotion(t *testing.T) {
 	if _, err := c.Apply(ctx, raiseSrc(20)); err != nil {
 		t.Fatalf("fresh apply after failover: %v", err)
 	}
-	if _, seq := rp.frepo.Snapshot(); seq != 2 {
-		t.Errorf("new primary head seq = %d, want 2", seq)
+	if _, seq := rp.frepo.Snapshot(); seq != 3 {
+		t.Errorf("new primary head seq = %d, want 3 (the apply, the epoch record, the fresh apply)", seq)
 	}
 	st, err := c.ReplStatusOf(ctx, rp.fsrv.URL)
 	if err != nil {

@@ -818,8 +818,11 @@ func cmdRepo(args []string) error {
 		}
 		for _, e := range r.Log() {
 			first := strings.SplitN(strings.TrimSpace(e.Program), "\n", 2)[0]
-			if e.Constraints != nil {
+			switch {
+			case e.Constraints != nil:
 				first = "constraints: " + strings.Join(strings.Fields(*e.Constraints), " ")
+			case e.Epoch != 0:
+				first = fmt.Sprintf("epoch: %d", e.Epoch)
 			}
 			fmt.Printf("state %d: +%d -%d facts, %d fired, %d strata | %s\n",
 				e.Seq, e.Added.Len(), e.Removed.Len(), e.Fired, e.Strata, first)

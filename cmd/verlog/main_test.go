@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"verlog/internal/repository"
 )
 
 // capture runs fn with os.Stdout redirected and returns what it printed.
@@ -229,6 +231,29 @@ func TestCmdRepoConstrain(t *testing.T) {
 	}
 	if _, err := capture(t, func() error { return cmdRepo([]string{"apply", "-dir", repo, "-prog", cut}) }); err == nil {
 		t.Errorf("violating apply accepted")
+	}
+}
+
+// TestCmdRepoLogEpoch: a promotion is a state of its own too, shown with
+// the epoch it opened.
+func TestCmdRepoLogEpoch(t *testing.T) {
+	dir := t.TempDir()
+	ob := writeFile(t, dir, "ob.vlg", `henry.isa -> empl / sal -> 100.`)
+	repo := filepath.Join(dir, "repo")
+	if _, err := capture(t, func() error { return cmdRepo([]string{"init", "-dir", repo, "-ob", ob}) }); err != nil {
+		t.Fatalf("init: %v", err)
+	}
+	r, err := repository.Open(repo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AdvanceEpoch(2); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	logOut, err := capture(t, func() error { return cmdRepo([]string{"log", "-dir", repo}) })
+	if want := "state 1: +0 -0 facts, 0 fired, 0 strata | epoch: 2\n"; err != nil || logOut != want {
+		t.Errorf("repo log = %q (%v), want %q", logOut, err, want)
 	}
 }
 

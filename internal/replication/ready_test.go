@@ -158,7 +158,7 @@ func TestReadyzFencedNotReady(t *testing.T) {
 	// sync fails with a stale epoch and the node marks itself fenced.
 	primary := fakePrimary(t, 3, 100)
 	f := startObservedFollower(t, primary.URL, 0, time.Hour)
-	if err := f.repo.AdvanceEpoch(5, 0); err != nil {
+	if err := f.repo.AdvanceEpoch(5); err != nil {
 		t.Fatalf("AdvanceEpoch: %v", err)
 	}
 	f.node.Start()

@@ -19,22 +19,26 @@
 // byte-identical to what the primary fsynced. An installed constraint set
 // is a record of the journal like an apply, and the snapshot carries the
 // set in force at its seq, so a follower enforces its primary's set and
-// keeps enforcing it once promoted. Responses carry
-// X-Verlog-Epoch and X-Verlog-Seq headers; the epoch is the fencing
-// token. A follower only applies records from an epoch at least as new
-// as its own, so a deposed primary (older epoch) cannot roll back a
-// promoted follower.
+// keeps enforcing it once promoted. The replication epoch is the same: a
+// promotion appends an epoch record, which followers stream and journal
+// like any other, and the snapshot carries the epoch in force at its seq,
+// so a follower writes nothing its primary did not. Responses carry
+// X-Verlog-Epoch and X-Verlog-Seq headers, the sender's head epoch and
+// seq; the epoch is the fencing token. A follower only applies records
+// from an epoch at least as new as its own, so a deposed primary (older
+// epoch) cannot roll back a promoted follower.
 //
 // The fence also covers the reverse direction — a deposed primary
 // rejoining as a follower. Its journal suffix past the promotion point
 // was written under the dead epoch and may diverge from the new
 // primary's history, so it must never be grafted onto. The stream
 // request carries the follower's epoch (&epoch=E); when that epoch is
-// stale the response adds X-Verlog-Fence-Seq, the earliest seq at which
-// any newer epoch was adopted. A follower whose resume point lies past
-// the fence discards its suffix by re-bootstrapping from the snapshot
-// instead of adopting the epoch, and a resume point past the primary's
-// own head is answered snapshot_required for the same reason.
+// stale the response adds X-Verlog-Fence-Seq, the promotion point of the
+// earliest newer epoch: the seq before its record. A follower whose
+// resume point lies past the fence discards its suffix by
+// re-bootstrapping from the snapshot instead of streaming the record, and
+// a resume point past the primary's own head is answered
+// snapshot_required for the same reason.
 //
 // The follower side is a pull loop: resume from the last durable seq,
 // jittered exponential backoff on any failure, snapshot bootstrap when
@@ -69,10 +73,11 @@ const (
 	HeaderEpoch = "X-Verlog-Epoch"
 	// HeaderSeq is the sender's head seq at response time (decimal).
 	HeaderSeq = "X-Verlog-Seq"
-	// HeaderFenceSeq is the earliest journal seq at which the sender
-	// adopted an epoch newer than the requester's (decimal). Present only
-	// when the requester's epoch is behind; a follower whose local head
-	// exceeds it holds a divergent suffix and must re-bootstrap.
+	// HeaderFenceSeq is the promotion point of the earliest epoch the
+	// sender holds that is newer than the requester's: the seq before its
+	// record (decimal). Present only when the requester's epoch is behind;
+	// a follower whose local head exceeds it holds a divergent suffix and
+	// must re-bootstrap.
 	HeaderFenceSeq = "X-Verlog-Fence-Seq"
 )
 
@@ -160,9 +165,12 @@ type Node struct {
 	lastErr     string
 	lastSync    time.Time // last successful exchange with the primary
 	primaryHead int       // head seq the primary last reported
-	started     bool
-	cancel      context.CancelFunc
-	done        chan struct{}
+	// seen is the highest epoch a stream or snapshot response carried; its
+	// record may not have reached the journal yet (see Promote).
+	seen    uint64
+	started bool
+	cancel  context.CancelFunc
+	done    chan struct{}
 
 	httpc  *http.Client
 	logger *slog.Logger
@@ -276,8 +284,8 @@ type StreamBatch struct {
 	Records int
 	HeadSeq int
 	Epoch   uint64
-	// FenceSeq is the earliest seq at which an epoch newer than the
-	// requester's was adopted here; valid only when HasFence (the
+	// FenceSeq is the promotion point of the earliest epoch newer than
+	// the requester's (repository.FenceSeq); valid only when HasFence (the
 	// requester's epoch is behind ours).
 	FenceSeq int
 	HasFence bool
@@ -343,47 +351,42 @@ func (n *Node) Stream(ctx context.Context, followerID string, after int, epoch u
 }
 
 // Promote turns a follower into the primary: the pull loop is stopped and
-// the epoch durably advanced past the old primary's, so its records are
-// fenced out everywhere this node's epoch propagates. The adoption seq —
-// the promotion point — is recorded with the epoch, fencing any deposed
+// the node opens a new epoch with a journal record at its next seq
+// (repository.AdvanceEpoch). The record reaches its followers with the
+// stream, and the seq before it, the promotion point, fences any deposed
 // node whose journal extends past it. Idempotent — on a node that is
 // already primary it reports the current epoch.
 //
-// target is the epoch to promote to; 0 means the current epoch plus one.
-// Epochs fence only because exactly one primary ever holds a given one:
-// promote at most one follower per failover, or — when an operator must
-// race promotions — pass each candidate a distinct explicit target.
-// A target at or below the current epoch is rejected (except the exact
-// current epoch on a node already primary, which is an idempotent retry).
+// target is the epoch to promote to; 0 means one past both the epoch in
+// force here and the highest one an upstream response carried, whose
+// record may not have arrived yet. Epochs fence only because exactly one
+// primary ever holds a given one: promote at most one follower per
+// failover, or — when an operator must race promotions — pass each
+// candidate a distinct explicit target. A target at or below either epoch
+// is rejected (except the exact current epoch on a node already primary,
+// which is an idempotent retry).
 func (n *Node) Promote(target uint64) (uint64, error) {
 	n.mu.Lock()
 	wasFollower := n.follower
 	cancel, done := n.cancel, n.done
 	n.mu.Unlock()
-	if !wasFollower {
-		cur := n.repo.Epoch()
-		if target != 0 && target != cur {
-			if target < cur {
-				return 0, fmt.Errorf("%w (target %d, current %d)", ErrBadPromoteTarget, target, cur)
-			}
-			if err := n.repo.AdvanceEpoch(target, n.headSeq()); err != nil {
-				return 0, err
-			}
-		}
-		return n.repo.Epoch(), nil
-	}
 	if cancel != nil {
 		cancel()
 		<-done
 	}
-	next := n.repo.Epoch() + 1
-	if target != 0 {
-		if target <= n.repo.Epoch() {
-			return 0, fmt.Errorf("%w (target %d, current %d)", ErrBadPromoteTarget, target, n.repo.Epoch())
-		}
-		next = target
+	cur := n.repo.Epoch()
+	n.mu.Lock()
+	floor := max(cur, n.seen)
+	n.mu.Unlock()
+	switch {
+	case !wasFollower && (target == 0 || target == cur):
+		return cur, nil
+	case target == 0:
+		target = floor + 1
+	case target <= floor:
+		return 0, fmt.Errorf("%w (target %d; epoch %d is in force or was seen upstream)", ErrBadPromoteTarget, target, floor)
 	}
-	if err := n.repo.AdvanceEpoch(next, n.headSeq()); err != nil {
+	if err := n.repo.AdvanceEpoch(target); err != nil {
 		return 0, err
 	}
 	n.mu.Lock()
@@ -391,8 +394,8 @@ func (n *Node) Promote(target uint64) (uint64, error) {
 	n.connected = false
 	n.cancel, n.done = nil, nil
 	n.mu.Unlock()
-	n.logger.Info("promoted to primary", slog.Uint64("epoch", n.repo.Epoch()), slog.Int("head_seq", n.headSeq()))
-	return n.repo.Epoch(), nil
+	n.logger.Info("promoted to primary", slog.Uint64("epoch", target), slog.Int("head_seq", n.headSeq()))
+	return target, nil
 }
 
 // FollowerStatus is one row of the primary's follower table.
@@ -539,10 +542,10 @@ func (n *Node) run(ctx context.Context, done chan struct{}) {
 }
 
 // syncOnce performs one stream exchange: long-poll for records after the
-// local head, vet the epoch (adopting a legitimate promotion, refusing a
-// deposed primary, re-bootstrapping when our own suffix is the divergent
-// one), apply the valid prefix, and bootstrap from a snapshot when the
-// primary has compacted past our resume point.
+// local head, vet the epoch (refusing a deposed primary, re-bootstrapping
+// when our own suffix is the divergent one), apply the valid prefix, epoch
+// records included, and bootstrap from a snapshot when the primary has
+// compacted past our resume point.
 func (n *Node) syncOnce(ctx context.Context) error {
 	after := n.headSeq()
 	wait := n.cfg.PollWait
@@ -573,6 +576,7 @@ func (n *Node) syncOnce(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	n.see(epoch)
 	own := n.repo.Epoch()
 	if epoch < own {
 		if n.staleEpochs != nil {
@@ -580,24 +584,17 @@ func (n *Node) syncOnce(ctx context.Context) error {
 		}
 		return fmt.Errorf("%w (upstream %d, ours %d)", ErrStaleEpoch, epoch, own)
 	}
-	if epoch > own {
-		// A promotion happened upstream. If our journal extends past the
-		// promotion point, our suffix was written under the dead epoch and
+	if epoch > own && fence >= 0 && after > fence {
+		// A promotion happened upstream, and our journal extends past its
+		// promotion point: our suffix was written under the dead epoch and
 		// may diverge from the new primary's history — grafting its stream
 		// on would fork this replica silently. Discard the suffix by
 		// rebuilding from the new primary's snapshot; only a head at or
-		// before the fence is a provable prefix we may stream onto.
-		if fence >= 0 && after > fence {
-			n.logger.Warn("local journal extends past the promotion point; re-bootstrapping",
-				slog.Int("head_seq", after), slog.Int("fence_seq", fence), slog.Uint64("epoch", epoch))
-			return n.bootstrap(ctx)
-		}
-		// Adopt the epoch durably before applying anything under it. The
-		// adoption seq is our own head: everything beyond it will come from
-		// the new epoch's stream.
-		if err := n.repo.AdvanceEpoch(epoch, after); err != nil {
-			return err
-		}
+		// before the fence is a provable prefix we may stream onto, and
+		// the epoch's record comes with the stream.
+		n.logger.Warn("local journal extends past the promotion point; re-bootstrapping",
+			slog.Int("head_seq", after), slog.Int("fence_seq", fence), slog.Uint64("epoch", epoch))
+		return n.bootstrap(ctx)
 	}
 	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxStreamBody))
 	if rerr != nil {
@@ -644,10 +641,9 @@ func (n *Node) syncOnce(ctx context.Context) error {
 
 // bootstrap fetches the primary's snapshot and resets the repository onto
 // it — the catch-up path when the journal suffix we need is gone, and the
-// fork-repair path when our own suffix must be discarded. The reset runs
-// before any epoch adoption: a crash in between leaves a consistent
-// (merely stale) repository whose old epoch makes the next sync bootstrap
-// again, never a divergent journal under an adopted epoch.
+// fork-repair path when our own suffix must be discarded. The snapshot
+// carries the epoch in force at its seq, so the reset installs base,
+// constraints and epoch in one rename.
 func (n *Node) bootstrap(ctx context.Context) error {
 	rctx, cancel := context.WithTimeout(ctx, 5*time.Minute)
 	defer cancel()
@@ -655,6 +651,7 @@ func (n *Node) bootstrap(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
+	n.see(epoch)
 	if own := n.repo.Epoch(); epoch < own {
 		if n.staleEpochs != nil {
 			n.staleEpochs.Inc()
@@ -664,13 +661,6 @@ func (n *Node) bootstrap(ctx context.Context) error {
 	if err := n.repo.ResetToSnapshot(snap); err != nil {
 		return err
 	}
-	if epoch > n.repo.Epoch() {
-		// The whole repository is now the new primary's history; the epoch
-		// starts for us at the snapshot seq.
-		if err := n.repo.AdvanceEpoch(epoch, snap.Seq); err != nil {
-			return err
-		}
-	}
 	if n.snapshotLoads != nil {
 		n.snapshotLoads.Inc()
 	}
@@ -678,9 +668,16 @@ func (n *Node) bootstrap(ctx context.Context) error {
 	return nil
 }
 
+// see remembers epoch, carried by an upstream response (see Promote).
+func (n *Node) see(epoch uint64) {
+	n.mu.Lock()
+	n.seen = max(n.seen, epoch)
+	n.mu.Unlock()
+}
+
 // FetchSnapshot fetches and decodes the snapshot the primary at base URL
-// primary serves at /v1/repl/snapshot: its published head, seq and
-// constraint set, and the epoch it serves them under.
+// primary serves at /v1/repl/snapshot: its published head, seq, epoch and
+// constraint set, and the epoch its header carries, the snapshot's.
 func FetchSnapshot(ctx context.Context, client *http.Client, primary string) (storage.Snapshot, uint64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(primary, "/")+"/v1/repl/snapshot", nil)
 	if err != nil {

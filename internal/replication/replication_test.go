@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -369,50 +370,64 @@ func TestFollowerTornStream(t *testing.T) {
 
 // TestEpochFencing: a stream carrying an older epoch (a deposed primary)
 // is rejected and fences the follower; a newer epoch (a legitimate
-// promotion) is adopted durably before its records apply.
+// promotion) is taken with its records, its epoch record first. The fake
+// primary serves the records of a source log that holds epoch records,
+// under that log's epoch and fence.
 func TestEpochFencing(t *testing.T) {
-	// Source of genuine frames: a scratch repository one commit ahead.
-	src, err := repository.Init(t.TempDir()+"/src", testBase(t))
-	if err != nil {
-		t.Fatalf("Init src: %v", err)
-	}
-	if _, err := src.Apply(raiseProgram(t, 5)); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	entries, _, _ := src.EntriesAfter(0)
-	var frames bytes.Buffer
-	for _, e := range entries {
-		payload, err := json.Marshal(e)
+	source := func(name string, epochs ...uint64) *repository.Repository {
+		t.Helper()
+		r, err := repository.Init(t.TempDir()+"/"+name, testBase(t))
 		if err != nil {
-			t.Fatalf("marshal entry: %v", err)
+			t.Fatal(err)
 		}
-		frames.Write(storage.FrameJournalRecord(payload))
+		for _, e := range epochs {
+			if err := r.AdvanceEpoch(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := r.Apply(raiseProgram(t, 5)); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+		return r
 	}
+	// A deposed primary's log, at epoch 3, and a promoted one's, which
+	// went through epoch 5 (the follower's) to 7.
+	stale, promoted := source("stale", 3), source("promoted", 5, 7)
 
-	// A fake primary serving those frames under a configurable epoch.
 	var mu sync.Mutex
-	epoch := uint64(3)
+	src := stale
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !strings.HasPrefix(r.URL.Path, "/v1/repl/stream") {
 			http.NotFound(w, r)
 			return
 		}
 		mu.Lock()
-		e := epoch
+		s := src
 		mu.Unlock()
-		w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(e, 10))
-		w.Header().Set(replication.HeaderSeq, "1")
-		w.Write(frames.Bytes())
+		q := r.URL.Query()
+		after, _ := strconv.Atoi(q.Get("after"))
+		epoch, _ := strconv.ParseUint(q.Get("epoch"), 10, 64)
+		entries, head, _ := s.EntriesAfter(after)
+		var frames []byte
+		for _, e := range entries {
+			frames = e.AppendRecord(frames)
+		}
+		w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(s.Epoch(), 10))
+		w.Header().Set(replication.HeaderSeq, strconv.Itoa(head))
+		if fence, ok := s.FenceSeq(epoch); ok {
+			w.Header().Set(replication.HeaderFenceSeq, strconv.Itoa(fence))
+		}
+		w.Write(frames)
 	}))
 	t.Cleanup(fake.Close)
 
 	// Build the follower by hand: its epoch must be 5 BEFORE the pull
-	// loop first talks to the fake, or the loop would adopt epoch 3.
+	// loop first talks to the fake. Its record is the promoted log's seq 1.
 	frepo, err := repository.Init(t.TempDir()+"/follower", testBase(t))
 	if err != nil {
 		t.Fatalf("Init follower: %v", err)
 	}
-	if err := frepo.AdvanceEpoch(5, 0); err != nil {
+	if err := frepo.AdvanceEpoch(5); err != nil {
 		t.Fatalf("AdvanceEpoch: %v", err)
 	}
 	fnode := replication.NewNode(frepo, replication.Config{
@@ -427,18 +442,19 @@ func TestEpochFencing(t *testing.T) {
 	waitFor(t, "follower fenced against the stale epoch", func() bool {
 		return getStatus(t, f.srv.URL).Fenced
 	})
-	if _, seq := f.repo.Snapshot(); seq != 0 {
-		t.Fatalf("follower applied %d records from a deposed primary", seq)
+	if _, seq := f.repo.Snapshot(); seq != 1 {
+		t.Fatalf("follower applied %d records from a deposed primary", seq-1)
 	}
 	if s := metricValue(t, f.srv.URL, "verlog_repl_stale_epochs_total"); s < 1 {
 		t.Errorf("verlog_repl_stale_epochs_total = %v, want >= 1", s)
 	}
 
-	// Epoch 7 > 5: adopted durably, records applied, fence cleared.
+	// Epoch 7 > 5: its record and the apply after it are taken, the fence
+	// cleared.
 	mu.Lock()
-	epoch = 7
+	src = promoted
 	mu.Unlock()
-	waitConverged(t, src, f.repo, 1)
+	waitConverged(t, promoted, f.repo, 3)
 	if got := f.repo.Epoch(); got != 7 {
 		t.Errorf("follower epoch = %d, want the adopted 7", got)
 	}
@@ -475,19 +491,20 @@ func TestDeposedPrimaryRejoinsPastPromotionPoint(t *testing.T) {
 	}
 	p.srv.Close()
 
-	// Failover: the follower is promoted at seq 2 and commits a different
-	// history for seqs 3..4.
+	// Failover: the follower is promoted at seq 2, its epoch record is seq
+	// 3, and it commits a different history for seqs 4..5.
 	if epoch, err := f.node.Promote(0); err != nil || epoch != 2 {
 		t.Fatalf("Promote = %d, %v; want epoch 2", epoch, err)
 	}
-	for i := 3; i <= 4; i++ {
+	for i := 4; i <= 5; i++ {
 		if _, err := f.repo.Apply(raiseProgram(t, i)); err != nil {
 			t.Fatalf("Apply on promoted follower %d: %v", i, err)
 		}
 	}
 
 	// The deposed primary rejoins as a follower of the new primary. Its
-	// head (3) is past the promotion point (2): the fence must reject the
+	// head (3) is past the promotion point (2), though not past the epoch
+	// record (3): the fence must reject the
 	// resume and rebuild it from the new primary's snapshot.
 	rejoin := replication.NewNode(p.repo, replication.Config{
 		PrimaryURL: f.srv.URL,
@@ -497,14 +514,15 @@ func TestDeposedPrimaryRejoinsPastPromotionPoint(t *testing.T) {
 	rejoin.Start()
 	t.Cleanup(rejoin.Stop)
 
-	waitConverged(t, f.repo, p.repo, 4)
-	// The snapshot reset (what waitConverged saw) precedes the epoch
-	// adoption, so that a crash between the two re-bootstraps.
-	waitFor(t, "rejoined node adopts epoch 2", func() bool { return p.repo.Epoch() == 2 })
+	waitConverged(t, f.repo, p.repo, 5)
+	// The snapshot carries the epoch: the reset installed it with the base.
+	if got := p.repo.Epoch(); got != 2 {
+		t.Errorf("rejoined node epoch = %d, want 2", got)
+	}
 	// Convergence went via snapshot transfer: the rejoined node's snapshot
 	// is the new primary's head, not its own pre-failover snapshot at 0.
-	if got := p.repo.SnapshotSeq(); got != 4 {
-		t.Errorf("rejoined node snapshot seq = %d, want 4 (bootstrapped from the new primary)", got)
+	if got := p.repo.SnapshotSeq(); got != 5 {
+		t.Errorf("rejoined node snapshot seq = %d, want 5 (bootstrapped from the new primary)", got)
 	}
 }
 
@@ -524,7 +542,7 @@ func TestDeposedPrimaryAheadOfNewPrimary(t *testing.T) {
 	f.node.Stop()
 
 	// Two unreplicated applies, then death: the deposed primary is at seq
-	// 3 while the promoted follower stays at 1.
+	// 3 while the promoted follower stays at 1, and its promotion at 2.
 	for i := 2; i <= 3; i++ {
 		if _, err := p.repo.Apply(raiseProgram(t, 100*i)); err != nil {
 			t.Fatalf("Apply unreplicated %d: %v", i, err)
@@ -543,11 +561,11 @@ func TestDeposedPrimaryAheadOfNewPrimary(t *testing.T) {
 	rejoin.Start()
 	t.Cleanup(rejoin.Stop)
 
-	// The rejoined node must come BACK to seq 1 — its seqs 2..3 never
-	// happened on the surviving history.
+	// The rejoined node must come BACK to seq 2 — its seqs 2..3 never
+	// happened on the surviving history, whose seq 2 is the epoch record.
 	waitFor(t, "deposed primary to reset onto the new history", func() bool {
 		_, seq := p.repo.Snapshot()
-		return seq == 1 && p.repo.SnapshotSeq() == 1
+		return seq == 2 && p.repo.SnapshotSeq() == 2
 	})
 	pb, _ := f.repo.Snapshot()
 	rb, _ := p.repo.Snapshot()
@@ -701,13 +719,22 @@ func TestPromoteIsIdempotent(t *testing.T) {
 		t.Fatalf("decode promote response: %v", err)
 	}
 	resp.Body.Close()
-	if pr.Role != "primary" || pr.Epoch != 2 || pr.Seq != 1 {
-		t.Fatalf("promote = %+v, want primary at epoch 2, seq 1", pr)
+	if pr.Role != "primary" || pr.Epoch != 2 || pr.Seq != 2 {
+		t.Fatalf("promote = %+v, want primary at epoch 2, seq 2 (the epoch record)", pr)
 	}
 
-	// Again: same epoch, no second advance.
+	// Again: same epoch, no second record.
 	if epoch, err := f.node.Promote(0); err != nil || epoch != 2 {
 		t.Errorf("second Promote = %d, %v; want 2, nil", epoch, err)
+	}
+	resp, err = http.Get(f.srv.URL + "/v1/t/default/log?after=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `{"entries":[{"seq":2,"added":0,"removed":0,"fired":0,"strata":0,"program":"","epoch":2}]}`; strings.TrimSpace(string(body)) != want {
+		t.Errorf("log after the promotion = %s, want %s", body, want)
 	}
 
 	// The promoted node takes writes.
@@ -766,10 +793,18 @@ func TestPromoteExplicitTarget(t *testing.T) {
 // so after a mixed sequence — point updates under idempotency keys, bulk
 // raises, an object created, one deleted, an update that changes nothing,
 // a constraint set installed — the follower's journal file is the
-// primary's, byte for byte.
+// primary's, byte for byte, and so is that of the follower's own follower.
+// Once the middle node is promoted and applies, its journal and its
+// follower's are byte-identical, epoch record included, and the old
+// primary's is a prefix of theirs up to the promotion point.
 func TestJournalsByteIdentical(t *testing.T) {
 	p := startPrimary(t, replication.Config{})
 	f := startFollower(t, p.srv.URL)
+	grepo, err := repository.Init(t.TempDir()+"/grandchild", testBase(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := followAs(t, grepo, f.srv.URL, "grandchild")
 	steps := []string{
 		`raise: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S * 1.1 + 7.`,
 		`mod[bob].sal -> (S, S') <- bob.sal -> S, S' = S + 1.`,
@@ -820,6 +855,36 @@ func TestJournalsByteIdentical(t *testing.T) {
 	}
 	if err := f.repo.Verify(); err != nil {
 		t.Errorf("follower Verify: %v", err)
+	}
+	waitConverged(t, p.repo, g.repo, records)
+	if gj, err := os.ReadFile(filepath.Join(g.repo.Dir(), "journal.jsonl")); err != nil || !bytes.Equal(gj, pj) {
+		t.Errorf("the follower's follower's journal differs (%v):\n%s", err, gj)
+	}
+
+	if epoch, err := f.node.Promote(0); err != nil || epoch != 2 {
+		t.Fatalf("Promote = %d, %v; want epoch 2", epoch, err)
+	}
+	if _, err := f.repo.Apply(raiseProgram(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, f.repo, g.repo, records+2)
+	fj, err = os.ReadFile(filepath.Join(f.repo.Dir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gj, err := os.ReadFile(filepath.Join(g.repo.Dir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fj, gj) {
+		t.Errorf("after the promotion the journals differ:\npromoted:\n%s\nits follower:\n%s", fj, gj)
+	}
+	opened := repository.Entry{Seq: records + 1, Epoch: 2}.AppendRecord(nil)
+	if !bytes.HasPrefix(fj, append(slices.Clip(pj), opened...)) {
+		t.Errorf("the promoted journal is not the old primary's, then the epoch record %q:\n%s", opened, fj)
+	}
+	if g.repo.Epoch() != 2 {
+		t.Errorf("the promoted node's follower is at epoch %d, want 2", g.repo.Epoch())
 	}
 }
 

@@ -101,8 +101,9 @@ rule4: ins[mod(E)].isa -> hpe <- mod(E).isa -> empl / sal -> S, S > 4500, !del[m
 	if err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
-	if pr.Role != "primary" || pr.Epoch != 2 || pr.HeadSeq != applies {
-		t.Fatalf("promote = %+v, want primary, epoch 2, head %d", pr, applies)
+	// The promotion is the journal's record after the last apply.
+	if pr.Role != "primary" || pr.Epoch != 2 || pr.HeadSeq != applies+1 {
+		t.Fatalf("promote = %+v, want primary, epoch 2, head %d", pr, applies+1)
 	}
 
 	// Every acked apply survived the failover exactly once: the retry of
@@ -116,10 +117,10 @@ rule4: ins[mod(E)].isa -> hpe <- mod(E).isa -> empl / sal -> S, S > 4500, !del[m
 			t.Fatalf("apply %d (key %s) re-executed after failover", i, keys[i])
 		}
 	}
-	// And the promoted node accepts fresh writes.
+	// And the promoted node accepts fresh writes, after the epoch record.
 	res, err := c.ApplyWithKey(ctx, progs[1], "soak-after-failover")
-	if err != nil || res.State != applies+1 {
-		t.Fatalf("fresh apply after failover = %+v, %v; want state %d", res, err, applies+1)
+	if err != nil || res.State != applies+2 {
+		t.Fatalf("fresh apply after failover = %+v, %v; want state %d", res, err, applies+2)
 	}
 
 	// Promotion ended the follower role, so readiness is restored.

@@ -299,7 +299,7 @@ func runSurvivableWorkload(t *testing.T, dir string, fs fsio.FS, progs []*term.P
 			a.applies++
 		}
 	}
-	a.epoched = step("AdvanceEpoch", r.AdvanceEpoch(2, len(progs)+1))
+	a.epoched = step("AdvanceEpoch", r.AdvanceEpoch(2))
 	return r, a, states
 }
 

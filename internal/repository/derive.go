@@ -140,7 +140,10 @@ func (r *Repository) settle(d derivation) {
 // extended by the entries as derived, their diffs resident. A record its
 // program does not reproduce — another digest, fired count or number of
 // strata, or a program that no longer evaluates — stops it with ErrDiverged,
-// naming the record's seq. A constraints record installs its set. fresh
+// naming the record's seq. A constraints record installs its set, an epoch
+// record opens its epoch; one that carries a program, a digest or (an
+// epoch record) a constraint set besides, or an epoch not past the one in
+// force, is ErrDiverged too. fresh
 // evaluates as Verify does (derive); otherwise each evaluation goes into the
 // no-op proof's books, and the caller ends the no-op records by bumping
 // baseGen whatever the outcome, since the bases they were made on may never
@@ -149,7 +152,17 @@ func (r *Repository) advance(hs *headState, entries []Entry, fresh bool, m *Metr
 	ns := *hs
 	for _, e := range entries {
 		ns.prev = ns.base
-		if e.Constraints != nil {
+		switch {
+		case e.Epoch != 0:
+			if e.Program != "" || e.Digest != nil || e.Constraints != nil {
+				return nil, fmt.Errorf("%w: entry %d opens epoch %d, and carries a program, a digest or a constraint set", ErrDiverged, e.Seq, e.Epoch)
+			}
+			if e.Epoch <= ns.epoch {
+				return nil, fmt.Errorf("%w: entry %d opens epoch %d, which is not past epoch %d", ErrDiverged, e.Seq, e.Epoch, ns.epoch)
+			}
+			ns.epoch = e.Epoch
+			e.Added, e.Removed = "", ""
+		case e.Constraints != nil:
 			if e.Program != "" || e.Digest != nil {
 				return nil, fmt.Errorf("%w: entry %d installs a constraint set, and carries a program or a digest", ErrDiverged, e.Seq)
 			}
@@ -159,7 +172,7 @@ func (r *Repository) advance(hs *headState, entries []Entry, fresh bool, m *Metr
 			}
 			ns.cons = cons
 			e.Added, e.Removed = "", ""
-		} else {
+		default:
 			p, err := parser.Program(e.Program, journalFile)
 			if err != nil {
 				return nil, fmt.Errorf("%w: entry %d: %w", ErrDiverged, e.Seq, err)

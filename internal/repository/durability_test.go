@@ -316,9 +316,9 @@ func TestCheckpointDamageRefused(t *testing.T) {
 	}
 }
 
-// TestDirectoryHoldsTheLogOnly: after Init, InitAt, ResetToSnapshot and
-// both kinds of Compact a repository directory holds journal.jsonl, and
-// the epoch file beside it once an epoch was adopted; nothing else.
+// TestDirectoryHoldsTheLogOnly: after Init, InitAt, ResetToSnapshot,
+// both kinds of Compact and a promotion a repository directory holds
+// journal.jsonl and nothing else.
 func TestDirectoryHoldsTheLogOnly(t *testing.T) {
 	holds := func(what string, r *Repository, want ...string) {
 		t.Helper()
@@ -347,15 +347,16 @@ func TestDirectoryHoldsTheLogOnly(t *testing.T) {
 		t.Fatalf("full Compact: %v, %d entries left", err, r.Len())
 	}
 	holds("a full Compact", r, journalFile)
-	if err := r.AdvanceEpoch(2, 3); err != nil {
+	if err := r.AdvanceEpoch(2); err != nil {
 		t.Fatal(err)
 	}
-	holds("AdvanceEpoch", r, epochFile, journalFile)
-	head, _ := r.Head()
-	if err := r.ResetToSnapshot(storage.Snapshot{Base: head, Seq: 9}); err != nil {
+	holds("AdvanceEpoch", r, journalFile)
+	snap := r.Export()
+	snap.Seq = 9
+	if err := r.ResetToSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	holds("ResetToSnapshot", r, epochFile, journalFile)
+	holds("ResetToSnapshot", r, journalFile)
 	at, err := InitAt(t.TempDir()+"/at", r.Export())
 	if err != nil {
 		t.Fatal(err)

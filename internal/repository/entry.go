@@ -11,7 +11,8 @@ import (
 )
 
 // Entry is one journal record: an applied program, or the installation of a
-// constraint set, which has no program. The record holds the request and
+// constraint set or the opening of a replication epoch, which have no
+// program. The record holds the request and
 // the digest of the state it leads to, not its effect: a state is a
 // function of the state before it and the program (§3–§5), so recovery and
 // followers derive it again by evaluation and check it against the digest.
@@ -26,6 +27,9 @@ type Entry struct {
 	// Constraints is the source of the constraint set a constraints record
 	// installs (empty clears the set); nil in an apply's record.
 	Constraints *string `json:"constraints,omitempty"`
+	// Epoch is the replication epoch an epoch record opens, past the one
+	// in force before it; 0 in every other record. A promotion writes it.
+	Epoch uint64 `json:"epoch,omitempty"`
 	// Added and Removed are the fact-level diff on the updated base, in the
 	// compact encoding. They are resident only, never journaled: the commit
 	// renders them from its changes, recovery and followers from the
@@ -57,6 +61,9 @@ func (e Entry) AppendRecord(dst []byte) []byte {
 		}
 		if e.Constraints != nil {
 			b = storage.AppendJSONString(append(b, `,"constraints":`...), *e.Constraints)
+		}
+		if e.Epoch != 0 {
+			b = strconv.AppendUint(append(b, `,"epoch":`...), e.Epoch, 10)
 		}
 		b = strconv.AppendInt(append(b, `,"fired":`...), int64(e.Fired), 10)
 		b = strconv.AppendInt(append(b, `,"strata":`...), int64(e.Strata), 10)

@@ -110,6 +110,26 @@ func TestOpenRefusesConstraintsFile(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesEpochFile: earlier versions kept the replication epoch in
+// a file of its own, epoch, beside the journal that now holds it as
+// records. Open refuses a directory still holding that file, naming it and
+// the migration (promote the primary to the file's last epoch), and leaves
+// every byte of the directory as it was.
+func TestOpenRefusesEpochFile(t *testing.T) {
+	r := newRepo(t, `henry.isa -> empl / sal -> 100.`)
+	applyRaises(t, r, 1)
+	if err := os.WriteFile(filepath.Join(r.Dir(), "epoch"), []byte("2 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := readDir(t, r.Dir())
+	if _, err := Open(r.Dir()); err == nil || !strings.Contains(err.Error(), "holds epoch") || !strings.Contains(err.Error(), "/v1/repl/promote?epoch=") {
+		t.Fatalf("Open = %v, want a refusal naming epoch and the migration", err)
+	}
+	if after := readDir(t, r.Dir()); !reflect.DeepEqual(after, before) {
+		t.Errorf("Open changed the directory:\nbefore %q\nafter  %q", before, after)
+	}
+}
+
 // readDir returns the contents of every file in dir, by name.
 func readDir(t *testing.T, dir string) map[string]string {
 	t.Helper()

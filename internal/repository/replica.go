@@ -8,13 +8,11 @@
 package repository
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"verlog/internal/fsio"
 	"verlog/internal/objectbase"
@@ -70,8 +68,9 @@ func snapHead(snap storage.Snapshot, frozen *objectbase.Base) (*headState, error
 	if digest == (storage.Digest{}) {
 		digest = storage.BaseDigest(frozen)
 	}
+	epoch := max(snap.Epoch, 1)
 	return &headState{snap: frozen, base: frozen, seq: snap.Seq, snapSeq: snap.Seq, cons: cons, snapCons: cons,
-		digest: digest, snapDigest: digest}, nil
+		epoch: epoch, snapEpoch: epoch, digest: digest, snapDigest: digest}, nil
 }
 
 // EntriesAfter returns the resident journal entries with seq > after, the
@@ -129,73 +128,51 @@ var ErrReplicaSeqGap = errors.New("repository: replicated entry does not extend 
 // published for the same wait-free reads a primary serves. A record its
 // program does not reproduce fails the batch with ErrDiverged, naming its
 // seq, and nothing is written. A constraints record installs its set here
-// as it did on the primary. Entries at or below the published seq are
-// skipped (idempotent re-delivery); an entry beyond published+1 fails with
-// ErrReplicaSeqGap and nothing is written. Idempotency keys ride along,
-// so a client retry after a failover is still answered as a replay.
+// as it did on the primary, an epoch record opens its epoch. Entries at or
+// below the published seq are skipped (idempotent re-delivery); an entry
+// beyond published+1 fails with ErrReplicaSeqGap and nothing is written.
+// Idempotency keys ride along, so a client retry after a failover is still
+// answered as a replay. After Close it fails with ErrClosed.
 func (r *Repository) ApplyReplicaBatch(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	r.applyMu.Lock()
-	defer r.applyMu.Unlock()
-	r.diskMu.Lock()
-	defer r.diskMu.Unlock()
-	r.flushPendingLocked() // a flush that failed is repaired before anything is appended
-	if err := r.repairDiskLocked(); err != nil {
-		return err
-	}
-	hs := r.published.Load()
-	seq := hs.seq
-	var fresh []Entry
-	for _, e := range entries {
-		if e.Seq <= seq {
-			continue // already durable here
+	return r.quiesced(func(hs *headState) error {
+		seq := hs.seq
+		var fresh []Entry
+		for _, e := range entries {
+			if e.Seq <= seq {
+				continue // already durable here
+			}
+			if e.Seq != seq+1 {
+				return fmt.Errorf("%w: got seq %d, journal is at %d", ErrReplicaSeqGap, e.Seq, seq)
+			}
+			fresh = append(fresh, e)
+			seq = e.Seq
 		}
-		if e.Seq != seq+1 {
-			return fmt.Errorf("%w: got seq %d, journal is at %d", ErrReplicaSeqGap, e.Seq, seq)
+		if len(fresh) == 0 {
+			return nil
 		}
-		fresh = append(fresh, e)
-		seq = e.Seq
-	}
-	if len(fresh) == 0 {
+		err := r.commitLocked(hs, fresh)
+		r.baseGen++ // whatever the outcome: the no-op records made meanwhile end here
+		if err != nil {
+			return err
+		}
+		m := r.met()
+		m.ReplicaApplies.Add(int64(len(fresh)))
+		m.Applies.Add(int64(len(fresh)))
 		return nil
-	}
-	ns, err := r.advance(hs, fresh, false, r.met())
-	r.baseGen++ // whatever the outcome: the no-op records made meanwhile end here
-	if err != nil {
-		return err
-	}
-	var buf []byte
-	for _, e := range ns.entries[len(hs.entries):] {
-		buf = e.AppendRecord(buf)
-	}
-	if err := r.appendJournal(buf); err != nil {
-		return err
-	}
-	r.commitMu.Lock()
-	r.spec = ns
-	for _, e := range fresh {
-		if e.Key != "" {
-			r.keys[e.Key] = &keyRecord{entry: slimEntry(e)}
-		}
-	}
-	r.commitMu.Unlock()
-	r.publish(ns)
-	applied := len(fresh)
-	m := r.met()
-	m.ReplicaApplies.Add(int64(applied))
-	m.Applies.Add(int64(applied))
-	return nil
+	})
 }
 
 // ResetToSnapshot replaces the repository's contents with snap: the
 // journal becomes snap alone, its base both checkpoint and head, its
-// constraint set the one in force, and every idempotency key is
+// constraint set and epoch the ones in force, and every idempotency key is
 // forgotten. It is the follower's catch-up path when the primary has
-// compacted past the follower's position. The journal is replaced with one
-// rename, so a crash leaves the old repository or the new one; after a
-// failure the published head is what the disk holds.
+// compacted past the follower's position. A snapshot of an epoch older
+// than the head's is refused: epochs only grow. The journal is replaced
+// with one rename, so a crash leaves the old repository or the new one;
+// after a failure the published head is what the disk holds.
 func (r *Repository) ResetToSnapshot(snap storage.Snapshot) error {
 	ns, err := snapHead(snap, snap.Base.Clone().Freeze())
 	if err != nil {
@@ -208,6 +185,9 @@ func (r *Repository) ResetToSnapshot(snap storage.Snapshot) error {
 	defer r.diskMu.Unlock()
 	if err := r.unwritableErr(); err != nil {
 		return err
+	}
+	if head := r.published.Load().epoch; ns.epoch < head {
+		return fmt.Errorf("repository: the snapshot is of epoch %d, the head of epoch %d: epochs only grow", ns.epoch, head)
 	}
 	r.flushPendingLocked()
 	r.baseGen++
@@ -223,110 +203,53 @@ func (r *Repository) ResetToSnapshot(snap storage.Snapshot) error {
 	return nil
 }
 
-// Epoch returns the replication epoch this repository last accepted (1
-// for a repository that has never seen a promotion). The epoch fences
-// journal streams: a promoted follower advances it, and records offered
-// under an older epoch — a deposed primary's — are rejected.
+// Epoch returns the replication epoch in force at the published head: the
+// epoch of the last epoch record, or of the checkpoint when no record
+// follows it (1 in a repository that never saw a promotion). The epoch
+// fences journal streams: a promoted follower opens a new one, and records
+// offered under an older epoch, a deposed primary's, are refused.
 func (r *Repository) Epoch() uint64 {
-	return r.epoch.Load()
+	return r.published.Load().epoch
 }
 
-// EpochMark records one epoch adoption: the epoch and the journal seq the
-// repository's head was at when it adopted it. For a promoted follower the
-// seq is the promotion point — every record beyond it belongs to the new
-// epoch's history, so the marks are what lets a primary tell a rejoining
-// node whether its journal suffix predates a promotion (see FenceSeq).
-type EpochMark struct {
-	Epoch uint64
-	Seq   int
+// AdvanceEpoch opens epoch e: it appends an epoch record, the next seq with
+// no program, digest or constraints, as SetConstraints appends its record,
+// and the epoch is in force from it on. Its followers stream the record
+// like any other, so a promotion is written once, by the promoted node, and
+// every journal of the epoch holds it byte for byte. Advancing to the
+// current epoch writes nothing; moving backwards is an error — epochs only
+// grow, which is what makes them a fence.
+func (r *Repository) AdvanceEpoch(e uint64) error {
+	return r.quiesced(func(hs *headState) error {
+		switch {
+		case e == hs.epoch:
+			return nil
+		case e < hs.epoch:
+			return fmt.Errorf("repository: epoch may not move backwards (%d -> %d)", hs.epoch, e)
+		}
+		return r.commitLocked(hs, []Entry{{Seq: hs.seq + 1, Epoch: e}})
+	})
 }
 
-// AdvanceEpoch durably raises the repository's epoch to e, recording that
-// it was adopted at journal seq atSeq. Advancing to the current epoch is
-// a no-op; moving backwards is an error — epochs only grow, which is what
-// makes them a fence. The adoption history is the epoch file, one line
-// appended per adoption, and survives reopen. An append that fails is cut
-// away (appendDurable), and the epoch and history in memory are always
-// what the file reads back: a failed adoption is in effect neither before
-// nor after a reopen.
-func (r *Repository) AdvanceEpoch(e uint64, atSeq int) error {
-	r.diskMu.Lock()
-	defer r.diskMu.Unlock()
-	cur := r.epoch.Load()
-	if e == cur {
-		return nil
-	}
-	if e < cur {
-		return fmt.Errorf("repository: epoch may not move backwards (%d -> %d)", cur, e)
-	}
-	size, err := r.loadEpoch()
-	switch {
-	case err != nil:
-	case size < 0:
-		size, err = 0, r.writeDurable(epochFile, nil)
-	default: // cut away a line a crash left short
-		err = r.fs.Truncate(filepath.Join(r.dir, epochFile), size)
-	}
-	if err == nil {
-		_, err = r.appendDurable(epochFile, &size, fmt.Appendf(nil, "%d %d\n", e, atSeq), &zeroMetrics)
-	}
-	if _, lerr := r.loadEpoch(); lerr != nil {
-		return errors.Join(err, lerr)
-	}
-	return err
-}
-
-// FenceSeq returns the earliest journal seq at which an epoch newer than
-// since was adopted here — the promotion point a follower still on epoch
-// since must not have written past. ok is false when no such adoption is
-// recorded (the requester's epoch is current). A follower whose head
+// FenceSeq returns the promotion point of the earliest epoch newer than
+// since: the seq before that epoch's record, the last one a follower still
+// on epoch since may share with this node. ok is false when no such epoch
+// is in force (the requester's epoch is current). A follower whose head
 // exceeds the fence holds a journal suffix written under a deposed
 // primary; its suffix may diverge from this node's history and it must
-// re-bootstrap from a snapshot rather than graft the stream on.
+// re-bootstrap from a snapshot rather than graft the stream on. When the
+// record was folded into the checkpoint the fence is the seq before it:
+// a follower at the checkpoint's seq or past it re-bootstraps, and one
+// behind it has to anyway.
 func (r *Repository) FenceSeq(since uint64) (fence int, ok bool) {
-	r.epochMu.Lock()
-	defer r.epochMu.Unlock()
-	for _, m := range r.epochHist {
-		if m.Epoch > since && (!ok || m.Seq < fence) {
-			fence, ok = m.Seq, true
+	hs := r.published.Load()
+	if hs.snapEpoch > since {
+		return hs.snapSeq - 1, true
+	}
+	for _, e := range hs.entries {
+		if e.Epoch > since {
+			return e.Seq - 1, true
 		}
 	}
-	return fence, ok
-}
-
-// loadEpoch makes the epoch and its adoption history what the epoch file
-// reads back (epoch 1 and no history when there is no file, as in every
-// repository that never saw a promotion), and returns the length of the
-// file's complete lines, -1 when there is no file. Each line is
-// "<epoch> <seq>", epochs growing; a last line without its newline is an
-// append a crash cut short and is not read. Any other line makes the file
-// corrupt.
-func (r *Repository) loadEpoch() (int64, error) {
-	data, err := r.fs.ReadFile(filepath.Join(r.dir, epochFile))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return 0, fmt.Errorf("repository: %w", err)
-	}
-	size := int64(bytes.LastIndexByte(data, '\n') + 1)
-	if err != nil {
-		size = -1
-	}
-	epoch := uint64(1)
-	var hist []EpochMark
-	for _, line := range strings.Split(string(data[:max(size, 0)]), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		var m EpochMark
-		var extra string
-		if n, _ := fmt.Sscan(line, &m.Epoch, &m.Seq, &extra); n != 2 || m.Epoch < epoch || m.Seq < 0 {
-			return 0, fmt.Errorf("repository: corrupt epoch file line %q", line)
-		}
-		epoch = m.Epoch
-		hist = append(hist, m)
-	}
-	r.epochMu.Lock()
-	r.epochHist = hist
-	r.epochMu.Unlock()
-	r.epoch.Store(epoch)
-	return size, nil
+	return 0, false
 }

@@ -1,10 +1,12 @@
 package repository
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -224,35 +226,54 @@ func TestWaitPublished(t *testing.T) {
 }
 
 // TestEpochFencing checks the promotion fence: epoch defaults to 1, only
-// grows, and survives a reopen.
+// grows, each promotion is a journal record, and the epochs and fences
+// survive a reopen and a compaction folding the records into the
+// checkpoint.
 func TestEpochFencing(t *testing.T) {
 	dir := t.TempDir() + "/repo"
 	r := replTestInit(t, dir)
 	if got := r.Epoch(); got != 1 {
 		t.Fatalf("fresh epoch = %d, want 1", got)
 	}
-	if err := r.AdvanceEpoch(1, 0); err != nil {
-		t.Fatalf("no-op advance: %v", err)
+	if err := r.AdvanceEpoch(1); err != nil || r.Len() != 0 {
+		t.Fatalf("no-op advance: %v, %d records", err, r.Len())
 	}
-	if err := r.AdvanceEpoch(3, 7); err != nil {
+	apply := func(pct string) {
+		t.Helper()
+		if _, err := r.Apply(replTestProgram(t, pct)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply("2")
+	apply("3")
+	if err := r.AdvanceEpoch(3); err != nil { // the record of seq 3
 		t.Fatalf("AdvanceEpoch(3): %v", err)
 	}
-	if err := r.AdvanceEpoch(2, 9); err == nil {
+	if err := r.AdvanceEpoch(2); err == nil {
 		t.Fatalf("epoch moved backwards")
 	}
-	if err := r.AdvanceEpoch(5, 11); err != nil {
+	apply("5")
+	if err := r.AdvanceEpoch(5); err != nil { // the record of seq 5
 		t.Fatalf("AdvanceEpoch(5): %v", err)
 	}
-	// The fence is the earliest adoption past the asking epoch.
-	if fence, ok := r.FenceSeq(1); !ok || fence != 7 {
-		t.Fatalf("FenceSeq(1) = %d, %v; want 7 (epoch 3's adoption)", fence, ok)
+	if log := r.Log(); len(log) != 5 || log[2] != (Entry{Seq: 3, Epoch: 3}) || log[4] != (Entry{Seq: 5, Epoch: 5}) {
+		t.Fatalf("journal %+v, want epoch records at seqs 3 and 5", log)
 	}
-	if fence, ok := r.FenceSeq(3); !ok || fence != 11 {
-		t.Fatalf("FenceSeq(3) = %d, %v; want 11 (epoch 5's adoption)", fence, ok)
+	// The fence is the promotion point of the earliest epoch past the
+	// asking one, the seq before its record.
+	fences := func(r *Repository, when string, want1, want3 int) {
+		t.Helper()
+		if fence, ok := r.FenceSeq(1); !ok || fence != want1 {
+			t.Errorf("%s: FenceSeq(1) = %d, %v; want %d", when, fence, ok, want1)
+		}
+		if fence, ok := r.FenceSeq(3); !ok || fence != want3 {
+			t.Errorf("%s: FenceSeq(3) = %d, %v; want %d", when, fence, ok, want3)
+		}
+		if _, ok := r.FenceSeq(5); ok {
+			t.Errorf("%s: FenceSeq(5) reported a fence; the asking epoch is current", when)
+		}
 	}
-	if _, ok := r.FenceSeq(5); ok {
-		t.Fatalf("FenceSeq(5) reported a fence; the asking epoch is current")
-	}
+	fences(r, "the records", 2, 4)
 	reopened, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -260,66 +281,86 @@ func TestEpochFencing(t *testing.T) {
 	if got := reopened.Epoch(); got != 5 {
 		t.Fatalf("epoch after reopen = %d, want 5", got)
 	}
-	// The adoption history survives reopen, so fences do too.
-	if fence, ok := reopened.FenceSeq(1); !ok || fence != 7 {
-		t.Fatalf("FenceSeq(1) after reopen = %d, %v; want 7", fence, ok)
+	fences(reopened, "reopened", 2, 4)
+	// Folded into the checkpoint, both records fence at the seq before it.
+	if err := reopened.Compact(); err != nil || reopened.SnapshotSeq() != 5 {
+		t.Fatalf("Compact: %v, snapshot at %d", err, reopened.SnapshotSeq())
 	}
-}
-
-// TestEpochFileRefusesOtherLines: an epoch file holds "<epoch> <seq>"
-// lines with growing epochs. A bare "<epoch>" line, an epoch lower than the
-// one before it and a seq that is not a number each make Open fail, naming
-// the line, and leave the file as it was; a valid history loads.
-func TestEpochFileRefusesOtherLines(t *testing.T) {
-	dir := t.TempDir() + "/repo"
-	replTestInit(t, dir)
-	path := filepath.Join(dir, epochFile)
-	for _, bad := range []string{"3\n", "2 0\n4\n", "3 7\n2 9\n", "3 seven\n"} {
-		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt epoch file line") {
-			t.Errorf("epoch file %q: Open = %v, want a corrupt epoch file line", bad, err)
-		}
-		if got, err := os.ReadFile(path); err != nil || string(got) != bad {
-			t.Errorf("epoch file %q reads %q after the refused Open (%v)", bad, got, err)
-		}
-	}
-	if err := os.WriteFile(path, []byte("3 7\n5 11\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatalf("a valid epoch file: %v", err)
-	}
-	if fence, ok := r.FenceSeq(3); r.Epoch() != 5 || !ok || fence != 11 {
-		t.Errorf("epoch %d, FenceSeq(3) = %d, %v; want 5, 11, true", r.Epoch(), fence, ok)
-	}
-}
-
-// TestEpochFileTornLine: an adoption is a line appended to the epoch file,
-// so a crash may leave the last one without its newline. That line was
-// never acknowledged: Open does not read it, and the next adoption cuts it
-// away before appending its own.
-func TestEpochFileTornLine(t *testing.T) {
-	dir := t.TempDir() + "/repo"
-	replTestInit(t, dir)
-	path := filepath.Join(dir, epochFile)
-	if err := os.WriteFile(path, []byte("3 7\n5 1"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(dir)
+	fences(reopened, "compacted", 4, 4)
+	compacted, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Epoch() != 3 {
-		t.Fatalf("Open with a torn last line: epoch %d, want 3", r.Epoch())
+	if got := compacted.Epoch(); got != 5 {
+		t.Fatalf("epoch of the compacted journal = %d, want 5", got)
 	}
-	if err := r.AdvanceEpoch(5, 11); err != nil {
-		t.Fatal(err)
+	fences(compacted, "compacted and reopened", 4, 4)
+	// Epochs only grow: a snapshot of an older one does not replace the head.
+	head, _ := compacted.Head()
+	if err := compacted.ResetToSnapshot(storage.Snapshot{Base: head, Seq: 9, Epoch: 3}); err == nil || compacted.Epoch() != 5 {
+		t.Errorf("ResetToSnapshot of an epoch-3 snapshot onto an epoch-5 head = %v, epoch %d", err, compacted.Epoch())
 	}
-	if got, err := os.ReadFile(path); err != nil || string(got) != "3 7\n5 11\n" {
-		t.Errorf("epoch file %q (%v), want the torn line replaced", got, err)
+}
+
+// TestEpochRecordsRefused: an epoch record opens an epoch past the one in
+// force and carries nothing else. One that does not grow the epoch, or
+// that carries a program, a digest or a constraint set besides, is
+// ErrDiverged at its seq, in Open and in a follower's batch, and nothing
+// is written.
+func TestEpochRecordsRefused(t *testing.T) {
+	src := `nonneg: E.sal -> S, S < 0.`
+	digest := storage.Digest{1}
+	for name, bad := range map[string]Entry{
+		"the epoch in force": {Seq: 2, Epoch: 3},
+		"an older epoch":     {Seq: 2, Epoch: 2},
+		"a program":          {Seq: 2, Epoch: 4, Program: `ins[x].a -> b.`},
+		"a digest":           {Seq: 2, Epoch: 4, Digest: &digest},
+		"a constraint set":   {Seq: 2, Epoch: 4, Constraints: &src},
+	} {
+		t.Run(name, func(t *testing.T) {
+			refused := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "entry 2 opens epoch") {
+					t.Fatalf("%s = %v, want ErrDiverged naming entry 2", what, err)
+				}
+			}
+			unchanged := func(path string, want []byte) {
+				t.Helper()
+				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("%s: %d bytes after the refusal, were %d (%v)", path, len(got), len(want), err)
+				}
+			}
+			r := replTestInit(t, t.TempDir()+"/repo")
+			if err := r.AdvanceEpoch(3); err != nil {
+				t.Fatal(err)
+			}
+			opened := r.Log()
+			r.Close()
+			path := filepath.Join(r.Dir(), journalFile)
+			journal, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tampered := bad.AppendRecord(slices.Clip(journal))
+			if err := os.WriteFile(path, tampered, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(r.Dir())
+			refused("Open", err)
+			unchanged(path, tampered)
+
+			f := replTestInit(t, t.TempDir()+"/follower")
+			fpath := filepath.Join(f.Dir(), journalFile)
+			before, err := os.ReadFile(fpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refused("ApplyReplicaBatch", f.ApplyReplicaBatch(append(slices.Clip(opened), bad)))
+			unchanged(fpath, before)
+			if _, seq := f.Snapshot(); seq != 0 || f.Epoch() != 1 {
+				t.Errorf("the refused batch moved the follower to seq %d, epoch %d", seq, f.Epoch())
+			}
+		})
 	}
 }
 

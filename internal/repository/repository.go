@@ -8,12 +8,15 @@
 // Layout of a repository directory:
 //
 //	journal.jsonl — the log: first a checkpoint, the object base the
-//	                entries start from with the constraint set in force
-//	                there (storage.Snapshot's records), then one checksummed
-//	                record per applied program, with the digest of the
-//	                state it leads to, or per constraint set installed
-//	epoch         — the replication epochs adopted, after the first
-//	                promotion (replica.go)
+//	                entries start from with the constraint set and the
+//	                replication epoch in force there (storage.Snapshot's
+//	                records), then one checksummed record per applied
+//	                program, with the digest of the state it leads to, per
+//	                constraint set installed, or per epoch a promotion
+//	                opened (replica.go)
+//
+// and nothing else: every durable fact of a repository is the checkpoint
+// and its records.
 //
 // Durability contract: an update is applied exactly when its journal
 // record has been written and fsynced. The current base exists in memory
@@ -55,9 +58,10 @@
 // serializes evaluate-and-enqueue, diskMu file operations and the advance
 // of the published head, commitMu the in-memory commit state for a few
 // pointer swaps at a time. An operation that needs the repository
-// quiescent (SetConstraints, Compact, Verify, Close, ApplyReplicaBatch,
-// ResetToSnapshot, repair) holds applyMu and diskMu and flushes the
-// pending batch: nothing is evaluating, nothing is in flight. The one
+// quiescent (SetConstraints, AdvanceEpoch, Compact, Verify,
+// ApplyReplicaBatch, all through quiesced; Close, ResetToSnapshot, repair)
+// holds applyMu and diskMu and flushes the pending batch: nothing is
+// evaluating, nothing is in flight. The one
 // re-run is fault handling: an apply that finds a flush ahead of it failed
 // repairs the repository from disk and evaluates again.
 package repository
@@ -85,10 +89,7 @@ import (
 	"verlog/internal/term"
 )
 
-const (
-	journalFile = "journal.jsonl"
-	epochFile   = "epoch"
-)
+const journalFile = "journal.jsonl"
 
 // headState is one published state of the repository: the frozen object
 // base after seq applied programs, together with the frozen base of the
@@ -108,8 +109,10 @@ type headState struct {
 	seq     int
 	snapSeq int
 	entries []Entry // journal entries snapSeq+1..seq, in order
-	// cons and snapCons are the constraint sets in force at seq and snapSeq.
-	cons, snapCons *consState
+	// cons and snapCons are the constraint sets in force at seq and snapSeq,
+	// epoch and snapEpoch the replication epochs.
+	cons, snapCons   *consState
+	epoch, snapEpoch uint64
 	// digest and snapDigest are the digests of base and snap
 	// (storage.Digest); each entry that changes the digest records the new
 	// one, so the chain from snapDigest through the entries ends at digest.
@@ -202,13 +205,6 @@ type Repository struct {
 	published atomic.Pointer[headState]
 	// metricsP holds nil-safe instruments; see Instrument.
 	metricsP atomic.Pointer[Metrics]
-	// epoch is the replication generation this repository last accepted
-	// (see AdvanceEpoch); persisted in epochFile, 1 when the file is absent.
-	epoch atomic.Uint64
-	// epochMu guards epochHist, the durable record of every epoch adoption
-	// and the journal seq it happened at (see FenceSeq).
-	epochMu   sync.Mutex
-	epochHist []EpochMark
 
 	// notifyMu guards notifyCh, which is closed and replaced on every
 	// publish so WaitPublished can block for the next durable state.
@@ -283,7 +279,6 @@ type Repository struct {
 
 func newRepository(dir string, fs fsio.FS) *Repository {
 	r := &Repository{dir: dir, fs: fs, keys: make(map[string]*keyRecord), journalLen: -1}
-	r.epoch.Store(1)
 	r.notifyCh = make(chan struct{})
 	return r
 }
@@ -355,9 +350,10 @@ func InitFS(dir string, initial *objectbase.Base, fs fsio.FS) (*Repository, erro
 // reproduce is refused like a corrupt record in the middle of the journal:
 // Open fails naming its seq, and leaves the directory as it found it.
 // Recovery() reports what was done. A directory without a journal is an
-// error that wraps fs.ErrNotExist. A directory holding snapshot.bin or
-// constraints.vlg, where earlier versions kept the checkpoint and the
-// constraint set, is refused and left as it is; so is a journal whose
+// error that wraps fs.ErrNotExist. A directory holding snapshot.bin,
+// constraints.vlg or epoch, where earlier versions kept the checkpoint, the
+// constraint set and the replication epoch, is refused and left as it is,
+// the error naming the migration; so is a journal whose
 // records carry diffs, as earlier versions wrote them, or whose checkpoint
 // names another evaluator semantics (eval.Semantics) with records after it.
 // A checkpoint of another semantics with no record after it is written
@@ -368,11 +364,14 @@ func Open(dir string) (*Repository, error) {
 
 // OpenFS is Open on an explicit filesystem (fault injection in tests).
 func OpenFS(dir string, fs fsio.FS) (*Repository, error) {
-	if _, err := fs.Stat(filepath.Join(dir, "snapshot.bin")); err == nil {
-		return nil, fmt.Errorf("repository: %s holds snapshot.bin, which this version does not read: the checkpoint heads journal.jsonl now; a framed snapshot.bin (it starts with \"v1 \") is one, so run `cat snapshot.bin journal.jsonl > journal.new && mv journal.new journal.jsonl && rm snapshot.bin` there (README)", dir)
-	}
-	if _, err := fs.Stat(filepath.Join(dir, "constraints.vlg")); err == nil {
-		return nil, fmt.Errorf("repository: %s holds constraints.vlg, which this version does not read: the constraint set is a journal record now; move the file away, open the repository and install its set again (verlog repo constrain)", dir)
+	for _, old := range []struct{ name, migration string }{
+		{"snapshot.bin", "the checkpoint heads journal.jsonl now; a framed snapshot.bin (it starts with \"v1 \") is one, so run `cat snapshot.bin journal.jsonl > journal.new && mv journal.new journal.jsonl && rm snapshot.bin` there (README)"},
+		{"constraints.vlg", "the constraint set is a journal record now; move the file away, open the repository and install its set again (verlog repo constrain)"},
+		{"epoch", "the replication epoch is a journal record now; remove the file, start the primary and `POST /v1/repl/promote?epoch=E` on it, E the file's last epoch, which writes the record its followers then stream (README)"},
+	} {
+		if _, err := fs.Stat(filepath.Join(dir, old.name)); err == nil {
+			return nil, fmt.Errorf("repository: %s holds %s, which this version does not read: %s", dir, old.name, old.migration)
+		}
 	}
 	if _, err := fs.Stat(filepath.Join(dir, journalFile)); err != nil {
 		return nil, fmt.Errorf("repository: %s is not a repository: %w", dir, err)
@@ -474,9 +473,6 @@ func (r *Repository) recoverLocked() error {
 		if err := r.writeLog(snap, nil); err != nil {
 			return err
 		}
-	}
-	if _, err := r.loadEpoch(); err != nil {
-		return err
 	}
 	rec.Entries = len(entries)
 	rec.Duration = time.Since(start)
@@ -628,11 +624,11 @@ func (r *Repository) Snapshot() (*objectbase.Base, int) {
 }
 
 // Export returns the published head as a snapshot: its base, its seq, the
-// constraint set in force there and its digest, as one consistent
-// wait-free load. It is what a follower bootstraps from.
+// epoch and the constraint set in force there and its digest, as one
+// consistent wait-free load. It is what a follower bootstraps from.
 func (r *Repository) Export() storage.Snapshot {
 	hs := r.published.Load()
-	return storage.Snapshot{Base: hs.base, Seq: hs.seq, Constraints: hs.cons.src, Semantics: eval.Semantics, Digest: hs.digest}
+	return storage.Snapshot{Base: hs.base, Seq: hs.seq, Epoch: hs.epoch, Constraints: hs.cons.src, Semantics: eval.Semantics, Digest: hs.digest}
 }
 
 // Digest returns the digest of the published head (storage.Digest), wait-free.
@@ -719,7 +715,7 @@ func (e *ConstraintViolationError) Error() string {
 // against them and refuses to commit on violation. The current head must
 // already satisfy them. The set is installed by a journal record of its
 // own, with the next seq, no program and no diff, so it reaches followers
-// with the stream and the snapshot. Installation holds applyMu, so no
+// with the stream and the snapshot. Installation runs quiesced, so no
 // update can slip between the validation and the switch: every apply
 // evaluated under the previous set is durable (or has failed) before the
 // head is validated, and every later one reads the new set.
@@ -728,6 +724,19 @@ func (r *Repository) SetConstraints(src string) error {
 	if err != nil {
 		return err
 	}
+	return r.quiesced(func(hs *headState) error {
+		if err := checkConstraints(hs.base, cons.cs); err != nil {
+			return fmt.Errorf("repository: current head already violates constraints: %w", err)
+		}
+		return r.commitLocked(hs, []Entry{{Seq: hs.seq + 1, Constraints: &src}})
+	})
+}
+
+// quiesced runs fn on the published head with the repository quiescent:
+// applyMu and diskMu held, the pending batch flushed and a failed flush
+// repaired, so that nothing is evaluating or in flight and the head is
+// what the disk holds. It refuses once the repository is closed.
+func (r *Repository) quiesced(fn func(hs *headState) error) error {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
 	r.diskMu.Lock()
@@ -739,18 +748,32 @@ func (r *Repository) SetConstraints(src string) error {
 	if err := r.repairDiskLocked(); err != nil {
 		return err
 	}
-	hs := r.published.Load()
-	if err := checkConstraints(hs.base, cons.cs); err != nil {
-		return fmt.Errorf("repository: current head already violates constraints: %w", err)
-	}
-	entry := Entry{Seq: hs.seq + 1, Constraints: &src}
-	if err := r.appendJournal(entry.AppendRecord(nil)); err != nil {
+	return fn(r.published.Load())
+}
+
+// commitLocked derives the state entries lead to from hs, the published
+// head, as advance does, appends their records in one write+fsync,
+// registers their idempotency keys and publishes that state. applyMu and
+// diskMu must be held with the pending batch flushed.
+func (r *Repository) commitLocked(hs *headState, entries []Entry) error {
+	ns, err := r.advance(hs, entries, false, r.met())
+	if err != nil {
 		return err
 	}
-	ns := &headState{snap: hs.snap, base: hs.base, prev: hs.base, seq: entry.Seq, snapSeq: hs.snapSeq,
-		entries: append(hs.entries, entry), cons: cons, snapCons: hs.snapCons, digest: hs.digest, snapDigest: hs.snapDigest}
+	var buf []byte
+	for _, e := range ns.entries[len(hs.entries):] {
+		buf = e.AppendRecord(buf)
+	}
+	if err := r.appendJournal(buf); err != nil {
+		return err
+	}
 	r.commitMu.Lock()
 	r.spec = ns
+	for _, e := range entries {
+		if e.Key != "" {
+			r.keys[e.Key] = &keyRecord{entry: slimEntry(e)}
+		}
+	}
 	r.commitMu.Unlock()
 	r.publish(ns)
 	return nil
@@ -934,18 +957,10 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 		commitSpan.End()
 		return a, true, nil
 	}
-	ns := &headState{
-		snap:       head.snap,
-		base:       res.Final,
-		prev:       head.base,
-		seq:        entry.Seq,
-		snapSeq:    head.snapSeq,
-		entries:    append(head.entries, entry),
-		cons:       cons,
-		snapCons:   head.snapCons,
-		digest:     d.digest,
-		snapDigest: head.snapDigest,
-	}
+	next := *head
+	next.base, next.prev, next.seq, next.digest = res.Final, head.base, entry.Seq, d.digest
+	next.entries = append(head.entries, entry)
+	ns := &next
 	b := r.pending
 	leader := b == nil
 	if leader {
@@ -1023,45 +1038,29 @@ func (r *Repository) dropBatchKeysLocked(b *commitBatch) {
 	}
 }
 
-// appendJournal appends the framed records to the journal and fsyncs them
-// (appendDurable); diskMu must be held. After a failure the speculative
-// chain runs ahead of a disk state we no longer trust, so recovery rebuilds
-// both before the next write; if the failed append could not be cut away,
-// the repository turns unwritable.
+// appendJournal appends the framed records to the journal and fsyncs them;
+// diskMu must be held. journalLen is the journal's durable length, read off
+// the file when it is -1. An append that fails is undone before recovery
+// or a reader can see its bytes: the journal is cut back to its durable
+// length (a failed fsync is not retried — its pages may be gone while the
+// bytes still read back). After a failure the speculative chain runs ahead
+// of a disk state we no longer trust, so recovery rebuilds both before the
+// next write; if the failed append could not be cut away either, the
+// journal may end in it, and the repository turns unwritable.
 func (r *Repository) appendJournal(buf []byte) error {
-	kept, err := r.appendDurable(journalFile, &r.journalLen, buf, r.met())
-	if err != nil {
-		r.commitMu.Lock()
-		r.needRepair = true
-		r.unwritable = r.unwritable || kept
-		r.commitMu.Unlock()
-		if kept {
-			return fmt.Errorf("%w: %w", ErrJournalUnwritable, err)
-		}
-	}
-	return err
-}
-
-// appendDurable appends buf to the file name and fsyncs it; diskMu must be
-// held. *durable is the file's durable length, its length after the last
-// fsync that succeeded, or -1 to read it off the file. An append that
-// fails is undone before recovery or a reader can see its bytes: the file
-// is cut back to its durable length (a failed fsync is not retried — its
-// pages may be gone while the bytes still read back). kept reports that
-// the cut failed too, so the file may end in the failed append.
-func (r *Repository) appendDurable(name string, durable *int64, buf []byte, m *Metrics) (kept bool, err error) {
-	path := filepath.Join(r.dir, name)
-	if *durable < 0 {
+	path := filepath.Join(r.dir, journalFile)
+	if r.journalLen < 0 {
 		st, err := r.fs.Stat(path)
 		if err != nil {
-			return false, fmt.Errorf("repository: %w", err)
+			return r.appendFailed(false, fmt.Errorf("repository: %w", err))
 		}
-		*durable = st.Size()
+		r.journalLen = st.Size()
 	}
 	f, err := r.fs.Append(path)
 	if err != nil {
-		return false, fmt.Errorf("repository: %w", err)
+		return r.appendFailed(false, fmt.Errorf("repository: %w", err))
 	}
+	m := r.met()
 	writeStart := time.Now()
 	if _, err = f.Write(buf); err == nil {
 		m.AppendWrite.Observe(time.Since(writeStart))
@@ -1074,13 +1073,23 @@ func (r *Repository) appendDurable(name string, durable *int64, buf []byte, m *M
 		err = cerr
 	}
 	if err == nil {
-		*durable += int64(len(buf))
-		return false, nil
+		r.journalLen += int64(len(buf))
+		return nil
 	}
-	if terr := r.fs.Truncate(path, *durable); terr != nil {
-		return true, fmt.Errorf("appending to %s failed (%w), and cutting the append away failed (%w)", name, err, terr)
+	if terr := r.fs.Truncate(path, r.journalLen); terr != nil {
+		return r.appendFailed(true, fmt.Errorf("%w: appending to %s failed (%w), and cutting the append away failed (%w)", ErrJournalUnwritable, journalFile, err, terr))
 	}
-	return false, fmt.Errorf("repository: %w", err)
+	return r.appendFailed(false, fmt.Errorf("repository: %w", err))
+}
+
+// appendFailed marks the repository for repair after a failed append, and
+// unwritable when kept, the append left in the journal; it returns err.
+func (r *Repository) appendFailed(kept bool, err error) error {
+	r.commitMu.Lock()
+	r.needRepair = true
+	r.unwritable = r.unwritable || kept
+	r.commitMu.Unlock()
+	return err
 }
 
 // VerifyError reports a repository whose journal does not reproduce its
@@ -1107,41 +1116,31 @@ func (e *VerifyError) Unwrap() error { return e.Reason }
 // published head, fact for fact and digest for digest — the repository's
 // integrity check, independent of every evaluation the head was built by.
 func (r *Repository) Verify() error {
-	r.applyMu.Lock()
-	defer r.applyMu.Unlock()
-	r.diskMu.Lock()
-	defer r.diskMu.Unlock()
-	if err := r.closedErr(); err != nil {
-		return err
-	}
-	if err := r.repairDiskLocked(); err != nil {
-		return err
-	}
-	r.flushPendingLocked()
-	snap, entries, err := r.readLog()
-	if err != nil {
-		return err
-	}
-	if err := seqsFollow(snap, entries); err != nil {
-		return &VerifyError{Reason: err}
-	}
-	state, err := snapHead(snap, snap.Base.Freeze())
-	if err == nil {
-		state, err = r.advance(state, entries, true, &zeroMetrics)
-	}
-	if errors.Is(err, ErrDiverged) {
-		return &VerifyError{Reason: err}
-	} else if err != nil {
-		return err
-	}
-	hs := r.published.Load()
-	if !state.base.Equal(hs.base) {
-		return &VerifyError{Replayed: state.base.Size(), Head: hs.base.Size()}
-	}
-	if state.digest != hs.digest {
-		return &VerifyError{Reason: fmt.Errorf("the journal leads to digest %s, the head holds %s", state.digest, hs.digest)}
-	}
-	return nil
+	return r.quiesced(func(hs *headState) error {
+		snap, entries, err := r.readLog()
+		if err != nil {
+			return err
+		}
+		if err := seqsFollow(snap, entries); err != nil {
+			return &VerifyError{Reason: err}
+		}
+		state, err := snapHead(snap, snap.Base.Freeze())
+		if err == nil {
+			state, err = r.advance(state, entries, true, &zeroMetrics)
+		}
+		if errors.Is(err, ErrDiverged) {
+			return &VerifyError{Reason: err}
+		} else if err != nil {
+			return err
+		}
+		if !state.base.Equal(hs.base) {
+			return &VerifyError{Replayed: state.base.Size(), Head: hs.base.Size()}
+		}
+		if state.digest != hs.digest {
+			return &VerifyError{Reason: fmt.Errorf("the journal leads to digest %s, the head holds %s", state.digest, hs.digest)}
+		}
+		return nil
+	})
 }
 
 // checkDiskLocked checks that the journal on disk is the published head's
@@ -1227,61 +1226,53 @@ func (r *Repository) compactFloor(hs *headState) int {
 // the published head is then what the disk holds. Applies wait for the
 // duration; reads do not.
 func (r *Repository) Compact() error {
-	r.applyMu.Lock()
-	defer r.applyMu.Unlock()
-	r.diskMu.Lock()
-	defer r.diskMu.Unlock()
-	if err := r.closedErr(); err != nil {
-		return err
-	}
-	start := time.Now()
-	defer func() { r.met().Compaction.Observe(time.Since(start)) }()
-	if err := r.repairDiskLocked(); err != nil {
-		return err
-	}
-	r.flushPendingLocked()
-	if err := r.repairDiskLocked(); err != nil { // the flush itself may have failed
-		return err
-	}
-	if err := r.checkDiskLocked(); err != nil {
-		return err
-	}
-	hs := r.published.Load()
-	floor := r.compactFloor(hs)
-	if floor == hs.snapSeq {
-		return nil // every entry is still needed; nothing to fold
-	}
-	n := floor - hs.snapSeq
-	snap, err := hs.at(n)
-	if err != nil {
-		return err
-	}
-	snapCons, err := consAfter(hs.snapCons, hs.entries[:n])
-	if err != nil {
-		return err
-	}
-	// The digests follow the diffs, the checkpoint is written from the base:
-	// they disagree only when a base in memory holds other states than its
-	// diffs name, which no check of the journal sees.
-	snapDigest := hs.digestAt(n)
-	if d := storage.BaseDigest(snap); d != snapDigest {
-		return &VerifyError{Reason: fmt.Errorf("the state of seq %d hashes to %s, its records' digests say %s", floor, d, snapDigest)}
-	}
-	remaining := slices.Clone(hs.entries[n:]) // the folded entries go with the old array
-	if err := r.writeLog(storage.Snapshot{Base: snap, Seq: floor, Constraints: snapCons.src, Digest: snapDigest}, remaining); err != nil {
-		return r.reread(err)
-	}
-	ns := &headState{snap: snap, base: hs.base, seq: hs.seq, snapSeq: floor, entries: remaining, cons: hs.cons, snapCons: snapCons,
-		digest: hs.digest, snapDigest: snapDigest}
-	if len(remaining) > 0 {
-		ns.prev = hs.prev
-	}
-	r.commitMu.Lock()
-	r.spec = ns
-	r.keys = keysOf(remaining)
-	r.commitMu.Unlock()
-	r.publish(ns)
-	return nil
+	return r.quiesced(func(hs *headState) error {
+		start := time.Now()
+		defer func() { r.met().Compaction.Observe(time.Since(start)) }()
+		if err := r.checkDiskLocked(); err != nil {
+			return err
+		}
+		floor := r.compactFloor(hs)
+		if floor == hs.snapSeq {
+			return nil // every entry is still needed; nothing to fold
+		}
+		n := floor - hs.snapSeq
+		snap, err := hs.at(n)
+		if err != nil {
+			return err
+		}
+		snapCons, err := consAfter(hs.snapCons, hs.entries[:n])
+		if err != nil {
+			return err
+		}
+		// The digests follow the diffs, the checkpoint is written from the base:
+		// they disagree only when a base in memory holds other states than its
+		// diffs name, which no check of the journal sees.
+		snapDigest := hs.digestAt(n)
+		if d := storage.BaseDigest(snap); d != snapDigest {
+			return &VerifyError{Reason: fmt.Errorf("the state of seq %d hashes to %s, its records' digests say %s", floor, d, snapDigest)}
+		}
+		snapEpoch := hs.snapEpoch
+		for _, e := range hs.entries[:n] {
+			snapEpoch = max(snapEpoch, e.Epoch)
+		}
+		remaining := slices.Clone(hs.entries[n:]) // the folded entries go with the old array
+		if err := r.writeLog(storage.Snapshot{Base: snap, Seq: floor, Epoch: snapEpoch, Constraints: snapCons.src, Digest: snapDigest}, remaining); err != nil {
+			return r.reread(err)
+		}
+		next := *hs
+		next.snap, next.snapSeq, next.entries, next.snapCons, next.snapEpoch, next.snapDigest = snap, floor, remaining, snapCons, snapEpoch, snapDigest
+		if len(remaining) == 0 {
+			next.prev = nil
+		}
+		ns := &next
+		r.commitMu.Lock()
+		r.spec = ns
+		r.keys = keysOf(remaining)
+		r.commitMu.Unlock()
+		r.publish(ns)
+		return nil
+	})
 }
 
 // ErrJournalUnwritable reports a repository whose journal append failed
@@ -1308,9 +1299,9 @@ var ErrDiverged = errors.New("repository: journal diverged")
 // Close quiesces the repository and marks it closed: it waits for the
 // apply that is evaluating to enqueue, flushes the pending group-commit
 // batch, and every later mutating or disk-touching operation (ApplyKey,
-// SetConstraints, Compact, Verify) returns ErrClosed — applies
-// queued behind Close included, instead of writing to a repository whose
-// owner has moved on. Reads (Head, Snapshot, Log, At, ...) stay wait-free
+// SetConstraints, AdvanceEpoch, ApplyReplicaBatch, Compact, Verify) returns
+// ErrClosed — applies queued behind Close included, instead of writing to a
+// repository whose owner has moved on. Reads (Head, Snapshot, Log, At, ...) stay wait-free
 // against the last published state, so a racing reader never observes a
 // torn close. The directory is untouched — Close is how a tenant is
 // evicted from residency, not deleted — and reopening it recovers the

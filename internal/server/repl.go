@@ -105,13 +105,14 @@ func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplSnapshot serves GET /v1/repl/snapshot: the published head as
-// a framed snapshot (base, seq and the constraint set in force) for
-// follower bootstrap. The stamped seq is the resume point the follower
-// streams from afterwards.
+// a framed snapshot (base, seq, and the epoch and constraint set in force)
+// for follower bootstrap, stamped with the snapshot's own epoch and seq.
+// The stamped seq is the resume point the follower streams from
+// afterwards.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	snap := s.def.Repo().Export()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(s.def.Repo().Epoch(), 10))
+	w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(snap.Epoch, 10))
 	w.Header().Set(replication.HeaderSeq, strconv.Itoa(snap.Seq))
 	w.WriteHeader(http.StatusOK)
 	if err := snap.Save(w); err != nil {
@@ -133,8 +134,8 @@ type promoteResponse struct {
 	Seq   int    `json:"head_seq"`
 }
 
-// handleReplPromote serves POST /v1/repl/promote: stop following, advance
-// the epoch, accept writes. Idempotent — promoting a primary reports its
+// handleReplPromote serves POST /v1/repl/promote: stop following, append
+// the record of a new epoch, accept writes. Idempotent — promoting a primary reports its
 // current epoch. An optional ?epoch=N names the target epoch, for
 // operators that must issue more than one promotion per failover and need
 // the epochs to stay distinct (epochs fence only while unique).

@@ -451,7 +451,8 @@ func (s *Server) handleState(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 }
 
 // logEntry is the journal summary row. Constraints is present on the row
-// of a constraints record: the source of the set it installs.
+// of a constraints record: the source of the set it installs; Epoch on the
+// row of an epoch record: the epoch a promotion opened.
 type logEntry struct {
 	Seq         int     `json:"seq"`
 	Added       int     `json:"added"`
@@ -460,6 +461,7 @@ type logEntry struct {
 	Strata      int     `json:"strata"`
 	Program     string  `json:"program"`
 	Constraints *string `json:"constraints,omitempty"`
+	Epoch       uint64  `json:"epoch,omitempty"`
 }
 
 // logResponse is one page of the journal. NextAfter is present when more
@@ -489,7 +491,7 @@ func (s *Server) handleLog(t *tenant.Tenant, w http.ResponseWriter, r *http.Requ
 		}
 		resp.Entries = append(resp.Entries, logEntry{
 			Seq: e.Seq, Added: e.Added.Len(), Removed: e.Removed.Len(),
-			Fired: e.Fired, Strata: e.Strata, Program: e.Program, Constraints: e.Constraints,
+			Fired: e.Fired, Strata: e.Strata, Program: e.Program, Constraints: e.Constraints, Epoch: e.Epoch,
 		})
 	}
 	writeJSON(w, resp)

@@ -31,11 +31,12 @@ func SaveText(w io.Writer, b *objectbase.Base) error {
 
 // A snapshot is framed records: first the header
 //
-//	{"snapshot":2,"seq":N,"facts":K,"constraints":"...","semantics":V,"digest":"..."}
+//	{"snapshot":2,"seq":N,"epoch":E,"facts":K,"constraints":"...","semantics":V,"digest":"..."}
 //
 // where N is the journal sequence number the snapshot represents (0 for the
 // state before any program: entries with Seq at most N are folded into it),
-// K the number of facts, constraints the source of the integrity
+// E the replication epoch in force at N (absent when it is 1), K the number
+// of facts, constraints the source of the integrity
 // constraints in force at N (absent when there are none), V the evaluator
 // semantics the records after it were written under (eval.Semantics) and
 // digest the base's Digest; then the base's facts, exists facts included so
@@ -53,6 +54,7 @@ const (
 type snapshotHeader struct {
 	Snapshot    int     `json:"snapshot"`
 	Seq         int     `json:"seq"`
+	Epoch       uint64  `json:"epoch,omitempty"`
 	Facts       int     `json:"facts"`
 	Constraints string  `json:"constraints,omitempty"`
 	Semantics   int     `json:"semantics,omitempty"`
@@ -60,12 +62,15 @@ type snapshotHeader struct {
 }
 
 // Snapshot is what a snapshot holds: a base, the journal sequence number it
-// represents, the source of the constraint set in force there, the
-// evaluator semantics its journal's records were written under and the
-// base's digest.
+// represents, the replication epoch and the source of the constraint set in
+// force there, the evaluator semantics its journal's records were written
+// under and the base's digest.
 type Snapshot struct {
-	Base        *objectbase.Base
-	Seq         int
+	Base *objectbase.Base
+	Seq  int
+	// Epoch is the epoch in force at Seq, 0 standing for 1: a header holds
+	// it only when it is past 1, and ReadLog returns 0 for one without it.
+	Epoch       uint64
 	Constraints string
 	Semantics   int
 	// Digest is the digest of Base. ReadLog sets it; Append computes it
@@ -79,7 +84,10 @@ func (s Snapshot) Append(dst []byte) []byte {
 	if s.Digest == (Digest{}) {
 		s.Digest = digestOf(slices.Values(facts))
 	}
-	hdr, _ := json.Marshal(snapshotHeader{snapshotVersion, s.Seq, len(facts), s.Constraints, s.Semantics, &s.Digest}) // cannot fail
+	if s.Epoch == 1 {
+		s.Epoch = 0
+	}
+	hdr, _ := json.Marshal(snapshotHeader{snapshotVersion, s.Seq, s.Epoch, len(facts), s.Constraints, s.Semantics, &s.Digest}) // cannot fail
 	dst = AppendJournalRecord(dst, func(b []byte) []byte { return append(b, hdr...) })
 	var enc factEncoder
 	for len(facts) > 0 {
@@ -152,7 +160,7 @@ func ReadLog(r io.Reader, entry func(payload []byte) error) (Snapshot, error) {
 		}
 		return Snapshot{}, fmt.Errorf("storage: not an intact snapshot (want a framed header record, then framed Facts records): %w", err)
 	}
-	return Snapshot{objectbase.FromFacts(facts), hdr.Seq, hdr.Constraints, hdr.Semantics, digest}, err
+	return Snapshot{objectbase.FromFacts(facts), hdr.Seq, hdr.Epoch, hdr.Constraints, hdr.Semantics, digest}, err
 }
 
 // SkipCheckpoint reads the checkpoint that heads a log held in memory

@@ -78,22 +78,27 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotCarriesConstraints: the constraint set rides in the header,
-// which leaves the field out when there is none, as the snapshots of
-// earlier versions were written.
+// TestSnapshotCarriesConstraints: the constraint set and the replication
+// epoch ride in the header, which leaves each field out when there is no
+// set and when the epoch is 1, as the snapshots of earlier versions were
+// written.
 func TestSnapshotCarriesConstraints(t *testing.T) {
 	b := sampleBase(t)
-	want := Snapshot{Base: b, Seq: 3, Constraints: "cap: E.sal -> S, S > 5000.\n% \"q\" \\ <&> π\n"}
+	want := Snapshot{Base: b, Seq: 3, Epoch: 4, Constraints: "cap: E.sal -> S, S > 5000.\n% \"q\" \\ <&> π\n"}
 	var buf bytes.Buffer
 	if err := want.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadSnapshot(&buf)
-	if err != nil || got.Seq != want.Seq || got.Constraints != want.Constraints || !got.Base.Equal(b) {
-		t.Fatalf("LoadSnapshot = seq %d, constraints %q, %v; want seq 3, %q and the base", got.Seq, got.Constraints, err, want.Constraints)
+	if err != nil || got.Seq != want.Seq || got.Epoch != want.Epoch || got.Constraints != want.Constraints || !got.Base.Equal(b) {
+		t.Fatalf("LoadSnapshot = seq %d, epoch %d, constraints %q, %v; want seq 3, epoch 4, %q and the base", got.Seq, got.Epoch, got.Constraints, err, want.Constraints)
 	}
-	if snap := saveSnapshot(t, b, 3); bytes.Contains(snap, []byte("constraints")) {
-		t.Errorf("a snapshot without constraints names the field: %.80q", snap)
+	snap := saveSnapshot(t, b, 3)
+	if bytes.Contains(snap, []byte("constraints")) || bytes.Contains(snap, []byte("epoch")) {
+		t.Errorf("a snapshot without constraints, of epoch 1, names the fields: %.80q", snap)
+	}
+	if one := (Snapshot{Base: b, Seq: 3, Epoch: 1}).Append(nil); !bytes.Equal(one, snap) {
+		t.Errorf("a snapshot of epoch 1 is not the snapshot without one: %.80q", one)
 	}
 }
 
