@@ -443,9 +443,12 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		// besides: the states of the raised employees, Derive's new root and
 		// one journal record, its diff rendered from the changed states
 		// straight into the record. The list of changes is working memory the
-		// commit before it left (measured: 274-319 B per changed employee,
-		// 339-385 B with 48-byte state entries; 465-502 B when every commit
-		// buys its list and renders its diff three times).
+		// commit before it left, and the new root re-slots the old root's
+		// states under its version index, 8 B a version (measured: 205-212 B
+		// per changed employee; 274-319 B when the new root hashes every
+		// version into a table of its own, 339-385 B with 48-byte state
+		// entries as well; 465-502 B when every commit buys its list and
+		// renders its diff three times).
 		name:  "committed bulk raise",
 		sizes: []int{500, 1500, 4500}, // employees; x is the changed objects
 		reps:  4,
@@ -468,13 +471,17 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 			}
 		},
 		bytesExp:  1.1,
-		bytesPerX: 383, // measured × 1.2
+		bytesPerX: 255, // measured × 1.2
 	}, {
 		// A one-object update through repository.Apply and the first boss
-		// probe of the head it publishes cost the same on any base. The
-		// largest head outgrows its delta layer and flattens twice in the
-		// stream (every |base|/16 applies): that O(|base|) step, averaged in,
-		// is why bytes may grow as |base|^0.15 (2× over 100×).
+		// probe of the head it publishes cost nearly the same on any base.
+		// The largest head outgrows its delta layer and flattens twice in the
+		// stream (every |base|/16 applies), and the new root re-slots the
+		// old one's states at 8 B a version: 128 B an apply, averaged in,
+		// whatever the base. What still grows is the path each Derive copies
+		// in the delta layer's trie, deeper on a larger base (measured: 5.2,
+		// 7.0 and 8.4 kB per apply, x^0.10; x^0.13 when the new root hashed
+		// every version into a table of its own).
 		name:  "point apply",
 		sizes: []int{100, 1000, 10000}, // employees; x is the size
 		reps:  1280,
@@ -494,7 +501,7 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 				return n
 			}
 		},
-		bytesExp: 0.15, allocsExp: 0.1,
+		bytesExp: 0.13, allocsExp: 0.1,
 	}, {
 		// A read costs what it returns: on a warm head the workload queries
 		// probe the literal index and follow their answers, not the base. A

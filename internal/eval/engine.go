@@ -310,11 +310,11 @@ type scratch struct {
 	// the most one stratum of the run took.
 	buckets     []*bucket
 	bucketsUsed int
-	// layer holds the maps of the overlay's own layer — its states, its
-	// per-path override counts, its VID index — on a run that returns no
-	// result(P) (Options.DropResult): objectbase.Overlay writes into them,
-	// and the run after it into the same storage. A run that keeps result(P)
-	// leaves them empty.
+	// layer holds the storage of the overlay's own layer — its version index
+	// and slot array, its per-path override counts, its VID index — on a run
+	// that returns no result(P) (Options.DropResult): objectbase.Overlay
+	// writes into it, and the run after it into the same storage. A run that
+	// keeps result(P) leaves it empty.
 	layer objectbase.Layer
 	// changes is the list finalize writes a run's changes into when it
 	// returns no result(P) (Options.DropResult): the Result lends it as
@@ -322,8 +322,8 @@ type scratch struct {
 	changes []objectbase.Change
 	// objsMost, spillMost and the three after them are the most entries the
 	// maps have held since they were made (see emptied).
-	objsMost, spillMost                  int
-	statesMost, overridesMost, indexMost int
+	objsMost, spillMost                    int
+	versionsMost, overridesMost, indexMost int
 }
 
 // parked is the one process-wide slot a finished run leaves its scratch in
@@ -355,8 +355,8 @@ func (sc *scratch) park() {
 
 // empty makes the scratch what the next run expects — every value a slab
 // hands out zero, every map and slice empty — and leaves nothing of the
-// finished run reachable through it: the states its targets held, the
-// interned terms of its log, the strings of its program.
+// finished run reachable through it: the states its targets and slots held,
+// the interned terms of its log, the strings of its program.
 //
 // What stays allocated follows this run, not the largest the process has
 // seen: a slab keeps the chunks the run reached (slab.reset), a map that
@@ -369,7 +369,8 @@ func (sc *scratch) empty() {
 	sc.touchedRecs.reset()
 	sc.objs = emptied(sc.objs, &sc.objsMost)
 	sc.spill = emptied(sc.spill, &sc.spillMost)
-	sc.layer.States = emptied(sc.layer.States, &sc.statesMost)
+	sc.layer.Versions = emptied(sc.layer.Versions, &sc.versionsMost)
+	sc.layer.Slots = trimmed(sc.layer.Slots)
 	sc.layer.Overrides = emptied(sc.layer.Overrides, &sc.overridesMost)
 	sc.layer.Index = emptied(sc.layer.Index, &sc.indexMost)
 	sc.methods = trimmed(sc.methods)

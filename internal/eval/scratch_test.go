@@ -72,8 +72,8 @@ func (sc *scratch) checkEmpty() error {
 	if len(sc.objs) != 0 || len(sc.spill) != 0 {
 		errs = append(errs, fmt.Errorf("objs holds %d entries, spill %d", len(sc.objs), len(sc.spill)))
 	}
-	if l := sc.layer; len(l.States) != 0 || len(l.Overrides) != 0 || len(l.Index) != 0 {
-		errs = append(errs, fmt.Errorf("the overlay's own layer holds %d states, %d override counts, %d index entries", len(l.States), len(l.Overrides), len(l.Index)))
+	if l := sc.layer; len(l.Versions) != 0 || len(l.Overrides) != 0 || len(l.Index) != 0 {
+		errs = append(errs, fmt.Errorf("the overlay's own layer holds %d versions, %d override counts, %d index entries", len(l.Versions), len(l.Overrides), len(l.Index)))
 	}
 	for name, ok := range map[string]bool{
 		"methods": len(sc.methods) == 0 && allZero(sc.methods),
@@ -83,6 +83,7 @@ func (sc *scratch) checkEmpty() error {
 		"tasks":   len(sc.tasks) == 0 && allZero(sc.tasks),
 		"stats":   len(sc.stats) == 0 && allZero(sc.stats),
 		"changes": len(sc.changes) == 0 && allZero(sc.changes),
+		"slots":   len(sc.layer.Slots) == 0 && allZero(sc.layer.Slots),
 		"buckets": sc.bucketsUsed == 0 && allZero(sc.buckets[len(sc.buckets):]),
 	} {
 		if !ok {
@@ -232,7 +233,7 @@ func TestDroppedResultOwesNothingToTheScratch(t *testing.T) {
 				t.Fatal("the run did not take the scratch the run before it parked")
 			}
 			slot = sc
-			lent = lent || sc.layer.States != nil
+			lent = lent || sc.layer.Versions != nil
 			if err := sc.checkEmpty(); err != nil {
 				t.Fatalf("the parked scratch: %v", err)
 			}

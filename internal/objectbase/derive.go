@@ -19,8 +19,9 @@ type Change struct {
 // flattenDivisor is the flatten rule of Derive: a delta layer may hold at
 // most 1/flattenDivisor as many versions as the root under it. Past that
 // the next Derive builds a fresh root — the only O(|base|) step left on the
-// publish path, paid once per |root|/flattenDivisor changed versions, i.e.
-// flattenDivisor versions per change whatever the size of the base. What
+// publish path, a copy of the slot array (8 B a version) when the versions
+// stay the root's, paid once per |root|/flattenDivisor changed versions,
+// i.e. flattenDivisor slots per change whatever the size of the base. What
 // the bound buys is that nothing read off a delta layer (a scan, which walks
 // it; the walk that builds a literal-index partition, per head when first
 // probed, which allocates only for the versions that changed the probed
@@ -47,13 +48,16 @@ var tombstone = &State{}
 // caller must not mutate them afterwards. Derive with no changes returns b
 // itself.
 //
-// A new root inherits what readers built on the root it replaces (see
-// inheritIndexes): if that root's VID index is built, the new root is born
-// with its own — the old one, patched for the changed versions — and with
-// every partition of the old literal index the changes did not touch. If
-// nobody scanned the old root there is nothing to patch, and the new root
-// defers its VID index to its first scanning reader, as a Flatten does; nor
-// is anything inherited across a chain deeper than root plus one layer.
+// A new root keeps the version index of the root it replaces when the two
+// hold the same versions, and copies only the slot array (see reslot);
+// otherwise it builds one of its own (reindex). It inherits, too, what
+// readers built on that root (see inheritIndexes): if its VID index is
+// built, the new root is born with its own — the old one, patched for the
+// changed versions — and with every partition of the old literal index the
+// changes did not touch. If nobody scanned the old root there is nothing to
+// patch, and the new root defers its VID index to its first scanning
+// reader, as a Flatten does; nor is anything inherited across a chain
+// deeper than root plus one layer.
 func (b *Base) Derive(changes []Change) *Base {
 	if !b.frozen {
 		panic("objectbase: Derive of an unfrozen base")
@@ -62,7 +66,7 @@ func (b *Base) Derive(changes []Change) *Base {
 		return b
 	}
 	out := &Base{size: b.size, frozen: true}
-	out.unsettledOnce.Do(func() { out.unsettled = b.unsettledAfter(changes) })
+	out.keepUnsettled(b.unsettledAfter(changes))
 	for _, c := range changes {
 		if c.Old != nil {
 			out.size -= c.Old.Size()
@@ -76,20 +80,8 @@ func (b *Base) Derive(changes []Change) *Base {
 		root, layer = b.parent, b.ownLen()+len(changes)
 	}
 	if root.parent != nil || layer*flattenDivisor > root.ownLen() {
-		// A new root: the changes first, then everything they left alone.
-		out.states = make(map[term.GVID]*State, b.VersionCount())
-		for _, c := range changes {
-			out.states[c.V] = c.New
-		}
-		for v, s := range b.eachState {
-			if _, changed := out.states[v]; !changed {
-				out.states[v] = s
-			}
-		}
-		for _, c := range changes {
-			if c.New == nil || c.New.Empty() {
-				delete(out.states, c.V)
-			}
+		if root.parent != nil || !out.reslot(root, b, changes) {
+			out.reindex(b, changes)
 		}
 		if root.parent != nil || root.vidStale.Load() {
 			// Nothing to inherit: the VID index is built by the first reader
@@ -108,14 +100,14 @@ func (b *Base) Derive(changes []Change) *Base {
 			out.overridesByPath[p] = n
 		}
 		out.delta = b.delta
-		for v, s := range b.states { // only a layer the mutators built has any
-			out.delta = out.delta.with(v, s)
+		for v, i := range b.at { // only a layer the mutators built has any
+			out.delta = out.delta.with(v, b.slots[i])
 		}
 	}
 	for _, c := range changes {
 		before := out.delta.len()
 		switch {
-		case c.New != nil && !c.New.Empty():
+		case !c.New.Empty():
 			out.delta = out.delta.with(c.V, c.New)
 		case root.stateOf(c.V) != nil:
 			out.delta = out.delta.with(c.V, tombstone)
@@ -129,6 +121,54 @@ func (b *Base) Derive(changes []Change) *Base {
 		}
 	}
 	return out
+}
+
+// reslot gives out, the new root built from b over root, root's version
+// index and a copy of its slots with b's delta-layer entries, then the
+// changes, written in: 8 bytes a version. It reports false, leaving out to
+// reindex, when one of them adds a version to root's or empties one.
+func (out *Base) reslot(root, b *Base, changes []Change) bool {
+	slots := slices.Clone(root.slots)
+	// put reports whether the versions stay root's: v is, and s not empty,
+	// or v is not, and s is.
+	put := func(v term.GVID, s *State) bool {
+		i, ok := root.at[v]
+		if ok && !s.Empty() {
+			slots[i] = s
+		}
+		return ok != s.Empty()
+	}
+	if b != root && !b.eachOwn(put) {
+		return false
+	}
+	for _, c := range changes {
+		if !put(c.V, c.New) {
+			return false
+		}
+	}
+	out.at, out.slots = root.at, slots
+	return true
+}
+
+// reindex gives out, the new root built from b, a version index of its own,
+// compacted: every version of b the changes left alone, then the changed
+// ones that stay.
+func (out *Base) reindex(b *Base, changes []Change) {
+	n := b.VersionCount()
+	out.at, out.slots = make(map[term.GVID]int32, n), make([]*State, 0, n)
+	for _, c := range changes {
+		out.at[c.V] = -1 // not to be entered from b
+	}
+	for v, s := range b.eachState {
+		if _, changed := out.at[v]; !changed {
+			out.addOwn(v, s)
+		}
+	}
+	for _, c := range changes {
+		if delete(out.at, c.V); !c.New.Empty() {
+			out.addOwn(c.V, c.New)
+		}
+	}
 }
 
 // inheritIndexes gives out, the new root built from b by the changes, the
@@ -187,7 +227,8 @@ func (out *Base) inheritIndexes(root, b *Base, changes []Change) {
 	}
 	visit := func(changed term.GVID, _ *State) bool {
 		v = changed
-		before, after := root.states[v], out.states[v]
+		before, _ := root.own(v)
+		after, _ := out.own(v)
 		if before == after {
 			return true
 		}
@@ -231,7 +272,7 @@ func (b *Base) unsettledAfter(changes []Change) []term.GVID {
 		}
 	}
 	for _, c := range changes {
-		if c.New != nil && !c.New.Empty() && !(c.V.IsObject() && c.New.settledFor(c.V.Object)) {
+		if !c.New.Empty() && !(c.V.IsObject() && c.New.settledFor(c.V.Object)) {
 			out = append(out, c.V)
 		}
 	}

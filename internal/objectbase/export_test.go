@@ -59,3 +59,13 @@ func (b *Base) VIDSetsSharedWith(other *Base) (shared, own []string) {
 	slices.Sort(own)
 	return shared, own
 }
+
+// VersionIndexSharedWith reports whether the base reads its own layer
+// through the very version index other does.
+func (b *Base) VersionIndexSharedWith(other *Base) bool {
+	return b.at != nil && reflect.ValueOf(b.at).Pointer() == reflect.ValueOf(other.at).Pointer()
+}
+
+// SlotCount returns how many versions the base's version index lists and how
+// long its slot array is: the same when the index is compacted.
+func (b *Base) SlotCount() (versions, slots int) { return len(b.at), len(b.slots) }

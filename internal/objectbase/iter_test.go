@@ -50,7 +50,7 @@ func iterBases(t *testing.T) map[string]*Base {
 		changes = append(changes, Change{V: v, Old: root.StateOf(v), New: changed})
 	}
 	delta := root.Derive(changes)
-	if delta.Parent() != root || delta.states != nil {
+	if delta.Parent() != root || delta.at != nil {
 		t.Fatalf("Derive of %d versions over %d built no delta layer", len(changes), root.ownLen())
 	}
 	if !slices.ContainsFunc(delta.delta.root.slots, func(s pslot) bool { return s.child != nil }) {

@@ -18,11 +18,12 @@
 // frozen delta layer holding the states that changed since the root was
 // built (Derive). Every other state is shared by pointer between
 // successive heads, so publishing an update costs what it touched. The same
-// goes for what readers built on a head: when the delta layer outgrows its
-// share and Derive makes a new root, the new root inherits the VID index and
-// the literal-index partitions of the old one, patched for the changed
-// versions, sharing every (path, method) set and partition the changes left
-// alone (see Derive).
+// goes for what a head is indexed by: when the delta layer outgrows its
+// share and Derive makes a new root, the new root keeps the version index
+// of the old one while the two hold the same versions, copying only the
+// slot array the index points into, and inherits the VID index and the
+// literal-index partitions, patched for the changed versions, sharing every
+// (path, method) set and partition the changes left alone (see Derive).
 package objectbase
 
 import (
@@ -42,15 +43,22 @@ type pathMethod struct {
 // Base is an object base: a set of ground version-terms.
 type Base struct {
 	// parent is the read-only base this overlay shadows, nil for root
-	// bases. A VID present in states fully shadows the parent's state for
-	// that VID; an empty own state is a tombstone (version deleted).
+	// bases. A VID present in the own layer fully shadows the parent's
+	// state for that VID; an empty own state is a tombstone (version deleted).
 	parent *Base
-	states map[term.GVID]*State
-	// delta holds the own layer in place of states (which is then nil) on
-	// the delta layers Derive builds: a persistent map, so that the next
+	// at and slots hold the own layer of every base but a delta layer: at
+	// is the version index, each own version's position in slots. A mutable
+	// base owns at; a root Derive builds may share its predecessor's (see
+	// reslot), so a frozen base never writes it. A removed version's slot
+	// is nil.
+	at    map[term.GVID]int32
+	slots []*State
+	// delta holds the own layer in place of at and slots (at is then nil)
+	// on the delta layers Derive builds: a persistent map, so that the next
 	// Derive re-makes a path of it, not the layer. Such a base is born
-	// frozen, so the mutators, which work on states, never see one; readers
-	// go through own, ownLen, eachOwn and eachOwnWith.
+	// frozen, so the mutators, which work on slots, never see one; readers
+	// go through own, ownLen, eachOwn and eachOwnWith. An own layer that has
+	// held no version yet has no at either, and reads as the empty delta.
 	delta pmap
 	// byPathMethod indexes, for every (VID path, method) pair, the set of
 	// VIDs that carry at least one application of that method. It serves
@@ -70,9 +78,11 @@ type Base struct {
 	// included).
 	size  int
 	depth int // overlay chain length; 0 for root bases
-	// lent marks an overlay whose own-layer maps are its creator's (see
-	// Layer): nothing replaces them, GrowStates included.
-	lent bool
+	// lent is the layer an overlay's own-layer storage is lent from (see
+	// Layer), nil when the storage is the overlay's: nothing replaces its
+	// maps, GrowStates included, and what the overlay makes or grows of its
+	// version index and slot array is handed back.
+	lent *Layer
 	// frozen marks a base published for concurrent readers; every mutator
 	// panics on it. See Freeze.
 	frozen bool
@@ -87,9 +97,9 @@ type Base struct {
 	// to the others.
 	vidStale atomic.Bool
 	// unsettled lists, on a frozen base, the versions Section 5's final copy
-	// would not leave as they are; the first caller of Unsettled collects it.
-	unsettledOnce sync.Once
-	unsettled     []term.GVID
+	// would not leave as they are: Derive sets it, or the first caller of
+	// Unsettled collects it (a caller beside it may collect the same list).
+	unsettled atomic.Pointer[[]term.GVID]
 
 	// idx caches the literal index of a frozen base so all snapshot
 	// readers share its partitions. idxMu serialises its creation and the
@@ -101,19 +111,63 @@ type Base struct {
 
 // own returns the own-layer entry of v, which may be a tombstone.
 func (b *Base) own(v term.GVID) (*State, bool) {
-	if b.states == nil {
+	if b.at == nil {
 		return b.delta.get(v)
 	}
-	s, ok := b.states[v]
-	return s, ok
+	i, ok := b.at[v]
+	if !ok {
+		return nil, false
+	}
+	return b.slots[i], true
 }
 
 // ownLen returns the number of own-layer entries, tombstones included.
 func (b *Base) ownLen() int {
-	if b.states == nil {
+	if b.at == nil {
 		return b.delta.len()
 	}
-	return len(b.states)
+	return len(b.at)
+}
+
+// setOwn makes s the own-layer entry of v, reporting whether v had none.
+func (b *Base) setOwn(v term.GVID, s *State) bool {
+	if i, ok := b.at[v]; ok {
+		b.slots[i] = s
+		return false
+	}
+	b.addOwn(v, s)
+	return true
+}
+
+// addOwn gives v, which has no own-layer entry, the entry s.
+func (b *Base) addOwn(v term.GVID, s *State) {
+	if b.at == nil {
+		b.at = make(map[term.GVID]int32)
+	}
+	b.at[v] = int32(len(b.slots))
+	b.slots = append(b.slots, s)
+	if b.lent != nil {
+		b.lent.Versions, b.lent.Slots = b.at, b.slots
+	}
+}
+
+// dropOwn removes the own-layer entry of v, reporting whether there was one.
+func (b *Base) dropOwn(v term.GVID) bool {
+	i, ok := b.at[v]
+	if ok {
+		b.slots[i] = nil
+		delete(b.at, v)
+	}
+	return ok
+}
+
+// unoverride takes one own-layer state off the count of its path.
+func (b *Base) unoverride(p term.Path) {
+	if n := b.overridesByPath[p] - 1; n > 0 {
+		b.overridesByPath[p] = n
+	} else {
+		delete(b.overridesByPath, p)
+	}
 }
 
 // eachOwn calls yield for every own-layer entry, tombstones included, until
@@ -121,11 +175,11 @@ func (b *Base) ownLen() int {
 // of the package has this form, so a walk through several layers stops in
 // whichever layer its caller does.
 func (b *Base) eachOwn(yield func(v term.GVID, s *State) bool) bool {
-	if b.states == nil {
+	if b.at == nil {
 		return b.delta.each(yield)
 	}
-	for v, s := range b.states {
-		if !yield(v, s) {
+	for v, i := range b.at {
+		if !yield(v, b.slots[i]) {
 			return false
 		}
 	}
@@ -136,7 +190,7 @@ func (b *Base) eachOwn(yield func(v term.GVID, s *State) bool) bool {
 // carries an application of the method: read off the VID index, or — on a
 // layer Derive built, which has none — found by walking the layer.
 func (b *Base) eachOwnWith(path term.Path, method string, yield func(v term.GVID) bool) bool {
-	if b.states == nil {
+	if b.at == nil {
 		return b.delta.each(func(v term.GVID, s *State) bool {
 			return v.Path != path || !s.HasAnyOfMethod(method) || yield(v)
 		})
@@ -178,8 +232,26 @@ func (b *Base) Unsettled() []term.GVID {
 	if !b.frozen {
 		return b.collectUnsettled()
 	}
-	b.unsettledOnce.Do(func() { b.unsettled = b.collectUnsettled() })
-	return b.unsettled
+	if u := b.unsettled.Load(); u != nil {
+		return *u
+	}
+	return b.keepUnsettled(b.collectUnsettled())
+}
+
+// noneUnsettled is the Unsettled list of every frozen base that has none.
+var noneUnsettled []term.GVID
+
+// keepUnsettled records u as the Unsettled list of the frozen base, unless
+// one is recorded already, and returns the recorded list. An empty list
+// costs no allocation.
+func (b *Base) keepUnsettled(u []term.GVID) []term.GVID {
+	p := &noneUnsettled
+	if len(u) > 0 {
+		p = new([]term.GVID)
+		*p = u
+	}
+	b.unsettled.CompareAndSwap(nil, p)
+	return *b.unsettled.Load()
 }
 
 // collectUnsettled scans the own layer and inherits what the parent
@@ -214,10 +286,7 @@ func (b *Base) mutable() {
 
 // New returns an empty object base.
 func New() *Base {
-	return &Base{
-		states:       make(map[term.GVID]*State),
-		byPathMethod: make(map[pathMethod]map[term.GVID]struct{}),
-	}
+	return &Base{byPathMethod: make(map[pathMethod]map[term.GVID]struct{})}
 }
 
 // Overlay returns a mutable copy-on-write view of parent: reads see the
@@ -233,11 +302,8 @@ func Overlay(parent *Base, lent *Layer) *Base {
 	l := lent
 	if l == nil {
 		l = new(Layer)
-	} else if len(l.States) != 0 || len(l.Overrides) != 0 || len(l.Index) != 0 {
+	} else if len(l.Versions) != 0 || len(l.Slots) != 0 || len(l.Overrides) != 0 || len(l.Index) != 0 {
 		panic("objectbase: Overlay on a lent layer that is not empty")
-	}
-	if l.States == nil {
-		l.States = make(map[term.GVID]*State)
 	}
 	if l.Overrides == nil {
 		l.Overrides = make(map[term.Path]int)
@@ -247,12 +313,13 @@ func Overlay(parent *Base, lent *Layer) *Base {
 	}
 	b := &Base{
 		parent:          parent,
-		states:          l.States,
+		at:              l.Versions,
+		slots:           l.Slots,
 		byPathMethod:    l.Index,
 		overridesByPath: l.Overrides,
 		size:            parent.size,
 		depth:           parent.depth + 1,
-		lent:            lent != nil,
+		lent:            lent,
 	}
 	// The own-layer VID index starts deferred: fixpoints whose body
 	// literals never scan derived (pushed-path) versions never build
@@ -261,15 +328,18 @@ func Overlay(parent *Base, lent *Layer) *Base {
 	return b
 }
 
-// Layer is the storage of an overlay's own layer — its states, its per-path
-// override counts and its VID index — lent to Overlay by a caller that keeps
-// it past the overlay: the evaluator's working memory, on a run whose
-// fixpoint base nobody reads. The overlay writes into the maps it finds
-// here, makes and leaves here those it does not find, and never replaces
-// one. The lender empties them for the next overlay once nothing reads this
-// one any more; the states the maps pointed to are not touched.
+// Layer is the storage of an overlay's own layer — its version index and
+// slot array, its per-path override counts and its VID index — lent to
+// Overlay by a caller that keeps it past the overlay: the evaluator's working
+// memory, on a run whose fixpoint base nobody reads. The overlay writes into
+// the maps it finds here, makes and leaves here those it does not find, and
+// never replaces one; it appends to Slots and leaves here the array it
+// appended to. The lender empties them for the next overlay once nothing
+// reads this one any more, clearing the slots' pointers; the states they
+// pointed to are not touched.
 type Layer struct {
-	States    map[term.GVID]*State
+	Versions  map[term.GVID]int32
+	Slots     []*State
 	Overrides map[term.Path]int
 	Index     map[pathMethod]map[term.GVID]struct{}
 }
@@ -290,7 +360,7 @@ func (b *Base) Flatten() *Base {
 	out.vidStale.Store(true)
 	for v, s := range b.eachState {
 		cp := s.Clone()
-		out.states[v] = cp
+		out.addOwn(v, cp)
 		out.size += cp.Size()
 	}
 	return out
@@ -369,7 +439,7 @@ func (b *Base) ensureVIDIndex() {
 	if !b.vidStale.Load() {
 		return
 	}
-	if !b.frozen && len(b.states) == 0 {
+	if !b.frozen && len(b.at) == 0 {
 		// Nothing to index yet. Staying deferred keeps the states that arrive
 		// from maintaining an index nobody may read: an evaluation overlay
 		// whose first iteration scans a derived path finds it empty, and the
@@ -440,7 +510,7 @@ func (b *Base) unindexVID(v term.GVID, method string) {
 // parent's state up on first write. The returned state is registered in the
 // own layer (shadowing the parent) but may be empty.
 func (b *Base) ownMutableState(v term.GVID) *State {
-	if s, ok := b.states[v]; ok {
+	if s, ok := b.own(v); ok {
 		return s
 	}
 	var s *State
@@ -452,7 +522,7 @@ func (b *Base) ownMutableState(v term.GVID) *State {
 	if s == nil {
 		s = NewState()
 	}
-	b.states[v] = s
+	b.addOwn(v, s)
 	if b.parent != nil {
 		b.overridesByPath[v.Path]++
 		s.forEachMethod(func(m string) { b.indexVID(v, m) })
@@ -531,16 +601,8 @@ func (b *Base) dropOwnIfUnneeded(v term.GVID) {
 	if b.parent != nil && b.parent.stateOf(v) != nil {
 		return // keep the empty state as a tombstone
 	}
-	if _, ok := b.states[v]; !ok {
-		return
-	}
-	delete(b.states, v)
-	if b.parent != nil {
-		if n := b.overridesByPath[v.Path] - 1; n > 0 {
-			b.overridesByPath[v.Path] = n
-		} else {
-			delete(b.overridesByPath, v.Path)
-		}
+	if b.dropOwn(v) && b.parent != nil {
+		b.unoverride(v.Path)
 	}
 }
 
@@ -554,7 +616,7 @@ func (b *Base) EnsureObject(o term.OID) {
 // ownership of st; callers must not mutate it afterwards.
 func (b *Base) SetState(v term.GVID, st *State) bool {
 	b.mutable()
-	if st != nil && st.Empty() {
+	if st.Empty() {
 		st = nil
 	}
 	old := b.stateOf(v)
@@ -565,34 +627,27 @@ func (b *Base) SetState(v term.GVID, st *State) bool {
 		return false
 	}
 	// Unregister the current own-layer entry, if any.
-	if own, ok := b.states[v]; ok {
+	if own, ok := b.own(v); ok {
 		own.forEachMethod(func(m string) { b.unindexVID(v, m) })
-		delete(b.states, v)
-		if b.parent != nil {
-			if n := b.overridesByPath[v.Path] - 1; n > 0 {
-				b.overridesByPath[v.Path] = n
-			} else {
-				delete(b.overridesByPath, v.Path)
-			}
-		}
 	}
 	if old != nil {
 		b.size -= old.Size()
 	}
 	if st == nil {
-		// Deletion: leave a tombstone when a parent layer still has v.
-		if b.parent != nil && b.parent.stateOf(v) != nil {
-			b.states[v] = NewState()
-			b.overridesByPath[v.Path]++
+		if b.parent == nil || b.parent.stateOf(v) == nil {
+			if b.dropOwn(v) && b.parent != nil {
+				b.unoverride(v.Path)
+			}
+			return true
 		}
-		return true
+		st = NewState() // deletion: a tombstone, as a parent layer still has v
+	} else {
+		b.size += st.Size()
+		st.forEachMethod(func(m string) { b.indexVID(v, m) })
 	}
-	b.states[v] = st
-	b.size += st.Size()
-	if b.parent != nil {
+	if b.setOwn(v, st) && b.parent != nil {
 		b.overridesByPath[v.Path]++
 	}
-	st.forEachMethod(func(m string) { b.indexVID(v, m) })
 	return true
 }
 
@@ -603,7 +658,7 @@ func (b *Base) SetState(v term.GVID, st *State) bool {
 // version that already has a state (or an empty one) corrupts the base.
 func (b *Base) SetStateFresh(v term.GVID, st *State) {
 	b.mutable()
-	b.states[v] = st
+	b.addOwn(v, st)
 	b.size += st.Size()
 	if b.parent != nil {
 		b.overridesByPath[v.Path]++
@@ -614,14 +669,15 @@ func (b *Base) SetStateFresh(v term.GVID, st *State) {
 }
 
 // GrowStates hints that about n versions are about to receive their first
-// state. When the layer's own state map is still empty it is re-made with
-// that capacity, so a bulk apply pays one table allocation instead of the
-// incremental grow-and-rehash ladder. A no-op once any state exists, and on
-// a lent layer (see Layer), whose map has the room an earlier overlay grew.
+// state. When the layer's own version index is still empty it is re-made,
+// and its slot array with it, with that capacity, so a bulk apply pays one
+// allocation of each instead of the incremental grow-and-copy ladder. A
+// no-op once any state exists, and on a lent layer (see Layer), whose
+// storage has the room an earlier overlay grew.
 func (b *Base) GrowStates(n int) {
 	b.mutable()
-	if len(b.states) == 0 && n > 0 && !b.lent {
-		b.states = make(map[term.GVID]*State, n)
+	if len(b.at) == 0 && n > 0 && b.lent == nil {
+		b.at, b.slots = make(map[term.GVID]int32, n), make([]*State, 0, n)
 	}
 }
 
@@ -632,11 +688,10 @@ func (b *Base) GrowStates(n int) {
 // (AddTo, RemoveFrom).
 func (b *Base) Adopt(v term.GVID, st *State) {
 	b.mutable()
-	if _, own := b.states[v]; !own && b.parent != nil {
+	if b.setOwn(v, st) && b.parent != nil {
 		b.overridesByPath[v.Path]++
 		st.forEachMethod(func(m string) { b.indexVID(v, m) })
 	}
-	b.states[v] = st
 }
 
 // AddTo adds an application to st in place, reporting whether it was new.
@@ -718,7 +773,7 @@ func (b *Base) vidsWith(path term.Path, method string, yield func(term.GVID) boo
 // discounted); it is an estimate, not a truth value.
 func (b *Base) CountVIDsWith(path term.Path, method string) int {
 	n := 0
-	if b.states == nil {
+	if b.at == nil {
 		b.eachOwnWith(path, method, func(term.GVID) bool { n++; return true })
 	} else {
 		b.ensureVIDIndex()
@@ -737,7 +792,7 @@ func (b *Base) VIDsWithMethod(method string) iter.Seq[term.GVID] {
 }
 
 func (b *Base) vidsWithMethod(method string, yield func(term.GVID) bool) bool {
-	if b.states == nil {
+	if b.at == nil {
 		if !b.delta.each(func(v term.GVID, s *State) bool { return !s.HasAnyOfMethod(method) || yield(v) }) {
 			return false
 		}
@@ -881,7 +936,7 @@ func FromFacts(facts []term.Fact) *Base {
 	for _, f := range facts {
 		b.Insert(f)
 	}
-	for v := range b.states {
+	for v := range b.at {
 		if v.IsObject() {
 			b.EnsureObject(v.Object)
 		}

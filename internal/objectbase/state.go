@@ -162,8 +162,8 @@ func (s *State) settledFor(o term.OID) bool {
 // Size returns the number of method applications in the state.
 func (s *State) Size() int { return len(s.entries) }
 
-// Empty reports whether the state holds no method applications at all.
-func (s *State) Empty() bool { return len(s.entries) == 0 }
+// Empty reports whether the state holds no method applications; nil holds none.
+func (s *State) Empty() bool { return s == nil || len(s.entries) == 0 }
 
 // OnlyExists reports whether the state holds nothing but exists
 // applications — the "fully deleted" shape of Section 5.
