@@ -68,12 +68,14 @@ race:
 guard:
 	$(GO) test -count=1 -run 'Guard|CostLaws' . ./internal/...
 
-# The two fuzz targets, 30 s each (as in CI) on top of the seed corpora that
-# `go test` always replays: the journal and snapshot codec (round trip,
-# corruption caught) and the engine against the spec evaluator (same
-# refusal, or the same result(P), ob' and fired updates).
+# The three fuzz targets, 30 s each (as in CI) on top of the seed corpora
+# that `go test` always replays: the journal and snapshot codec (round trip,
+# corruption caught), the digest a commit sums from its changes against the
+# rendered lists', and the engine against the spec evaluator (same refusal,
+# or the same result(P), ob' and fired updates).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDiffCodec -fuzztime 30s ./internal/storage
+	$(GO) test -run '^$$' -fuzz FuzzChangesDigest -fuzztime 30s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzEngineVsSpec -fuzztime 30s ./internal/eval
 
 # The gate: everything a change must pass before it lands.
@@ -105,12 +107,13 @@ bench:
 	# measures cold single shots (index builds, first-touch page faults);
 	# the interpreter-gap trajectory wants warm numbers, and so does E25
 	# (queries against a warm head; its build rows are the cold ones), and so
-	# do the fixpoint-bound ones (E4, E5, E24) and the bulk commit (E34): a
+	# do the fixpoint-bound ones (E4, E5, E24), the bulk commit (E34) and the
+	# history reads that evaluate bulk commits again (E36): a
 	# single shot buys the evaluation's working memory, which every apply
 	# after it finds parked — the collection the runner makes before it
 	# counts leaves it there. The converter keeps the last result per name,
 	# so these overwrite the smoke rows.
-	$(GO) test -bench 'E1SalaryRaise|E2Enterprise|E4Ancestors|E5VersionChains|E11VsDirect|E24ClosedClosure|E25QueryScaling|E34BulkApply' -benchmem -benchtime 5x -run '^$$' . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
+	$(GO) test -bench 'E1SalaryRaise|E2Enterprise|E4Ancestors|E5VersionChains|E11VsDirect|E24ClosedClosure|E25QueryScaling|E34BulkApply|E36HistoryAt' -benchmem -benchtime 5x -run '^$$' . >> bench.out || (cat bench.out; rm -f bench.out; exit 1)
 	$(GO) run ./cmd/verlog-bench -gobench-json bench.out > BENCH_10.json
 	@rm -f bench.out
 

@@ -441,14 +441,16 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 	}, {
 		// A bulk commit pays for what it changes and for nothing per change
 		// besides: the states of the raised employees, Derive's new root and
-		// one journal record, its diff rendered from the changed states
-		// straight into the record. The list of changes is working memory the
-		// commit before it left, and the new root re-slots the old root's
-		// states under its version index, 8 B a version (measured: 205-212 B
-		// per changed employee; 274-319 B when the new root hashes every
-		// version into a table of its own, 339-385 B with 48-byte state
-		// entries as well; 465-502 B when every commit buys its list and
-		// renders its diff three times).
+		// one journal record, its digest summed from the changed states, each
+		// fact encoded in one buffer on the stack. The list of changes is
+		// working memory the commit before it left, and the new root re-slots
+		// the old root's states under its version index, 8 B a version
+		// (measured: 175-185 B per changed employee; 205-212 B while the
+		// entry kept its diff as two strings, 274-319 B when the new root
+		// hashed every version into a table of its own, 339-385 B with
+		// 48-byte state entries as well; 465-502 B when every commit bought
+		// its list and rendered its diff three times). The changed employees
+		// are the entry's count of added facts, one raised salary each.
 		name:  "committed bulk raise",
 		sizes: []int{500, 1500, 4500}, // employees; x is the changed objects
 		reps:  4,
@@ -467,11 +469,11 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 				if err != nil {
 					t.Fatal(err)
 				}
-				return strings.Count(string(e.Added), ";") + 1 // a raised salary per changed employee
+				return int(e.NumAdded)
 			}
 		},
 		bytesExp:  1.1,
-		bytesPerX: 255, // measured × 1.2
+		bytesPerX: 222, // measured × 1.2
 	}, {
 		// A one-object update through repository.Apply and the first boss
 		// probe of the head it publishes cost nearly the same on any base.

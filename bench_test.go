@@ -22,6 +22,7 @@ import (
 	"verlog/internal/core"
 	"verlog/internal/eval"
 	"verlog/internal/fsio"
+	"verlog/internal/objectbase"
 	"verlog/internal/obs"
 	"verlog/internal/repository"
 	"verlog/internal/storage"
@@ -193,8 +194,8 @@ func BenchmarkE33ChangingClosure(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if (e.Added != "") != changes || (res.Plan == "proved") != wantProved {
-					b.Fatalf("closure apply %d: added %q, plan %s", e.Seq, e.Added, res.Plan)
+				if (e.NumAdded != 0) != changes || (res.Plan == "proved") != wantProved {
+					b.Fatalf("closure apply %d: added %d facts, plan %s", e.Seq, e.NumAdded, res.Plan)
 				}
 				return d
 			}
@@ -227,8 +228,9 @@ func BenchmarkE33ChangingClosure(b *testing.B) {
 
 // BenchmarkE34BulkApply commits workload.BulkRaiseProgram through
 // repository.ApplyKey on 1 500 employees, as bulk_raise does end to end: the
-// bytes are the states of the raised employees, Derive's new root and the
-// resident diff (EXPERIMENTS.md, E34). Five applies first, so that the
+// bytes are the states of the raised employees and Derive's new root; the
+// digest is summed from the changed states, and the entry keeps no diff
+// (EXPERIMENTS.md, E34). Five applies first, so that the
 // evaluation's working memory is parked and the repository's buffers grown.
 func BenchmarkE34BulkApply(b *testing.B) {
 	r, err := repository.Init(b.TempDir()+"/repo", workload.EnterpriseSpec{Employees: 1500, Seed: 1}.ObjectBase())
@@ -238,8 +240,8 @@ func BenchmarkE34BulkApply(b *testing.B) {
 	defer r.Close()
 	p := mustParseProgram(b, workload.BulkRaiseProgram)
 	commit := func() {
-		if _, e, _, err := r.ApplyKey(p, ""); err != nil || e.Added == "" {
-			b.Fatalf("bulk raise: %v, added %q", err, e.Added)
+		if _, e, _, err := r.ApplyKey(p, ""); err != nil || e.NumAdded == 0 {
+			b.Fatalf("bulk raise: %v, added %d facts", err, e.NumAdded)
 		}
 	}
 	for range 5 {
@@ -641,7 +643,7 @@ func BenchmarkE23OpenBulkJournal(b *testing.B) {
 		}
 	}
 	for _, e := range r.Log() {
-		facts += e.Added.Len() + e.Removed.Len()
+		facts += int(e.NumAdded + e.NumRemoved)
 	}
 	journal, _ := r.HistoryBytes()
 	r.Close()
@@ -665,6 +667,7 @@ func BenchmarkE23OpenBulkJournal(b *testing.B) {
 	}
 	without := liveHeap()
 	runtime.KeepAlive(snapshot)
+	runtime.KeepAlive(r) // and the head with it: the repository is measured, not dropped
 	b.ReportMetric(float64(journal-checkpoint)/float64(facts), "journal-B/fact")
 	b.ReportMetric((float64(with)-float64(without))/applies, "resident-B/entry")
 }
@@ -673,10 +676,11 @@ func BenchmarkE23OpenBulkJournal(b *testing.B) {
 // costs. On E23's history (1 500 employees, 100 bulk raises) each iteration
 // times Open, which evaluates every journaled program and checks its digest,
 // and then the same head rebuilt the way recovery rebuilt it when records
-// carried their diffs: the checkpoint read back, and each resident entry's
-// diff decoded and applied to it. It reports the ratio of the two times
-// (evaluate/replay, two measurements of one run), the journal bytes per entry
-// and the resident bytes of each entry's program, key and diff.
+// carried their diffs: the checkpoint read back, and each entry's diff —
+// rendered outside the timer from the heads on either side of it — decoded
+// and applied to it. It reports the ratio of the two times (evaluate/replay,
+// two measurements of one run), the journal bytes per entry and the resident
+// bytes of each entry (its program and key: an entry keeps no diff).
 func BenchmarkE31RecoverByReevaluation(b *testing.B) {
 	const applies = 100
 	dir := b.TempDir() + "/repo"
@@ -686,13 +690,16 @@ func BenchmarkE31RecoverByReevaluation(b *testing.B) {
 	}
 	raise := mustParseProgram(b, `r: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S + 1.`)
 	checkpoint, _ := r.HistoryBytes()
-	for i := 0; i < applies; i++ {
+	diffs := make([][2]storage.Facts, applies)
+	for i := range diffs {
+		before, _ := r.Head()
 		if _, err := r.Apply(raise); err != nil {
 			b.Fatal(err)
 		}
+		after, _ := r.Head()
+		diffs[i][0], diffs[i][1] = storage.EncodeDiff(objectbase.Compute(before, after))
 	}
 	journal, resident := r.HistoryBytes()
-	entries := r.Log()
 	want, _ := r.Head()
 	r.Close()
 	var evaluate, replay time.Duration
@@ -722,8 +729,11 @@ func BenchmarkE31RecoverByReevaluation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, e := range entries {
-			d, err := storage.DecodeDiff(e.Added, e.Removed)
+		for _, diff := range diffs {
+			var d objectbase.Diff
+			if d.Added, err = diff[0].Decode(); err == nil {
+				d.Removed, err = diff[1].Decode()
+			}
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -739,6 +749,87 @@ func BenchmarkE31RecoverByReevaluation(b *testing.B) {
 	b.ReportMetric(float64(evaluate)/float64(replay), "evaluate/replay")
 	b.ReportMetric(float64(journal-checkpoint)/applies, "journal-B/entry")
 	b.ReportMetric(float64(resident)/applies, "resident-B/entry")
+}
+
+// BenchmarkE36HistoryAt — E36: what a state the head has passed costs now
+// that an entry keeps no diff. E23's history (1 500 employees, seed 23, 100
+// bulk raises) is reopened, so that the head and the checkpoint are the only
+// resident states, and each iteration asks At for state k, which evaluates
+// the first k programs from the checkpoint and checks each against its
+// entry. Each row also reports what a kept state would cost instead: the
+// live heap of the entries per entry (resident-B/entry, measured as E23
+// measures it, on a copy of the directory) and the live heap one frozen
+// state held beside the head costs (held-state-B) — what a head retained
+// every m entries would hold per m entries.
+func BenchmarkE36HistoryAt(b *testing.B) {
+	const applies = 100
+	dir := b.TempDir()
+	r, err := repository.Init(dir+"/repo", workload.EnterpriseSpec{Employees: 1500, Seed: 23}.ObjectBase())
+	if err != nil {
+		b.Fatal(err)
+	}
+	raise := mustParseProgram(b, `r: mod[E].sal -> (S, S') <- E.isa -> empl, E.sal -> S, S' = S + 1.`)
+	for i := 0; i < applies; i++ {
+		if _, err := r.Apply(raise); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r.Close()
+	journal, err := os.ReadFile(filepath.Join(dir, "repo", "journal.jsonl"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "copy"), 0o755); err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "copy", "journal.jsonl"), journal, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	liveHeap := func() float64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return float64(m.HeapAlloc)
+	}
+	// The entries' heap: the copy opened, less the same after Compact
+	// dropped its entries, the checkpoint's state held across.
+	c, err := repository.Open(filepath.Join(dir, "copy"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	snapshot, _ := c.At(0)
+	with := liveHeap()
+	if err := c.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	resident := (with - liveHeap()) / applies
+	runtime.KeepAlive(snapshot)
+	runtime.KeepAlive(c)
+	c.Close()
+
+	if r, err = repository.Open(filepath.Join(dir, "repo")); err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	before := liveHeap()
+	held, err := r.At(applies / 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	heldState := liveHeap() - before
+	runtime.KeepAlive(held)
+	for _, k := range []int{1, 25, 50, 99} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.At(k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(resident, "resident-B/entry")
+			b.ReportMetric(heldState, "held-state-B")
+		})
+	}
 }
 
 // BenchmarkE32Checkpoint — E32: what a Compact costs. A repository of 3 000

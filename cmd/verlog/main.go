@@ -825,7 +825,7 @@ func cmdRepo(args []string) error {
 				first = fmt.Sprintf("epoch: %d", e.Epoch)
 			}
 			fmt.Printf("state %d: +%d -%d facts, %d fired, %d strata | %s\n",
-				e.Seq, e.Added.Len(), e.Removed.Len(), e.Fired, e.Strata, first)
+				e.Seq, e.NumAdded, e.NumRemoved, e.Fired, e.Strata, first)
 		}
 		return nil
 	case "verify":

@@ -1,8 +1,8 @@
 // Evolution: long-term object-base evolution under journal control — the
 // complementary use of versioning that Section 1 of the paper mentions.
 // Each applied update-program becomes one journaled evolution step; any
-// past state can be reconstructed by replaying the journal, and the diffs
-// show exactly what each program changed.
+// past state can be reconstructed by evaluating the journal's programs
+// again, and each entry counts the facts its program added and removed.
 package main
 
 import (
@@ -59,7 +59,7 @@ bonus: ins[E].bonus -> 500 <- E.isa -> empl / dept -> accounts.`},
 
 	fmt.Println("\n== journal ==")
 	for _, e := range repo.Log() {
-		fmt.Printf("  state %d: +%d facts, -%d facts\n", e.Seq, e.Added.Len(), e.Removed.Len())
+		fmt.Printf("  state %d: +%d facts, -%d facts\n", e.Seq, e.NumAdded, e.NumRemoved)
 	}
 
 	fmt.Println("\n== time travel: henry's salary over time ==")

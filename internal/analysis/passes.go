@@ -295,37 +295,72 @@ func emptiedVersionPass(c *ctx) {
 // consistent history. A pair is suppressed when either body carries a
 // negated update atom whose target unifies the other rule's head target
 // (the standard guard pattern making the two alternatives exclusive).
+//
+// Only heads whose bases unify are compared: a head on a ground object
+// against the heads on the same object and those on a variable, so that
+// rules on distinct objects cost nothing per pair. Pairs are visited, and
+// flagged, in the order of an all-pairs scan.
 func linearityPass(c *ctx) {
 	n := len(c.p.Rules)
-	for i := 0; i < n; i++ {
-		ti, ok := headTarget(c.p.Rules[i])
-		if !ok {
+	targets := make([]term.VersionID, n)
+	has := make([]bool, n)
+	byOID := map[term.OID][]int{}
+	var open []int // heads on a variable, which unify with every base
+	for i, r := range c.p.Rules {
+		if targets[i], has[i] = headTarget(r); !has[i] {
 			continue
 		}
-		for j := i + 1; j < n; j++ {
-			tj, ok := headTarget(c.p.Rules[j])
-			if !ok {
-				continue
+		if o, ok := targets[i].Base.(term.OID); ok {
+			byOID[o] = append(byOID[o], i)
+		} else {
+			open = append(open, i)
+		}
+	}
+	check := func(i, j int) {
+		ti, tj := targets[i], targets[j]
+		if ti.Path.HasPrefix(tj.Path) || tj.Path.HasPrefix(ti.Path) {
+			return
+		}
+		if guardedAgainst(c.p.Rules[i], tj) || guardedAgainst(c.p.Rules[j], ti) {
+			return
+		}
+		c.add(Diagnostic{
+			Code:     CodeLinearityClash,
+			Severity: Warning,
+			Pos:      c.p.Rules[j].Pos,
+			Rule:     c.labels[j],
+			Message: fmt.Sprintf(
+				"rules %s and %s derive incomparable versions %s and %s of the same object: version linearity is lost unless the rules are mutually exclusive",
+				c.labels[i], c.labels[j], ti, tj),
+			Witness: fmt.Sprintf("%s / %s", c.labels[i], c.labels[j]),
+		})
+	}
+	for i := 0; i < n; i++ {
+		if !has[i] {
+			continue
+		}
+		o, ok := targets[i].Base.(term.OID)
+		if !ok {
+			for j := i + 1; j < n; j++ {
+				if has[j] {
+					check(i, j)
+				}
 			}
-			if !unify.ObjTerms(ti.Base, tj.Base) {
-				continue
+			continue
+		}
+		// The heads after i on o or on a variable, in order: two sorted
+		// lists merged.
+		same, vars := byOID[o], open
+		for len(same) > 0 || len(vars) > 0 {
+			var j int
+			if len(vars) == 0 || len(same) > 0 && same[0] < vars[0] {
+				j, same = same[0], same[1:]
+			} else {
+				j, vars = vars[0], vars[1:]
 			}
-			if ti.Path.HasPrefix(tj.Path) || tj.Path.HasPrefix(ti.Path) {
-				continue
+			if j > i {
+				check(i, j)
 			}
-			if guardedAgainst(c.p.Rules[i], tj) || guardedAgainst(c.p.Rules[j], ti) {
-				continue
-			}
-			c.add(Diagnostic{
-				Code:     CodeLinearityClash,
-				Severity: Warning,
-				Pos:      c.p.Rules[j].Pos,
-				Rule:     c.labels[j],
-				Message: fmt.Sprintf(
-					"rules %s and %s derive incomparable versions %s and %s of the same object: version linearity is lost unless the rules are mutually exclusive",
-					c.labels[i], c.labels[j], ti, tj),
-				Witness: fmt.Sprintf("%s / %s", c.labels[i], c.labels[j]),
-			})
 		}
 	}
 }

@@ -147,8 +147,8 @@ type Result struct {
 	Final *objectbase.Base
 	// Changes lists the objects whose state differs between the input base
 	// and Final, each with its old and new state — the update as a delta.
-	// objectbase.DiffChanges turns it into the fact-level diff (and sorts
-	// it by version, as does anything else that walks it in diff order).
+	// objectbase.DiffChanges turns it into the fact-level diff, and
+	// storage.ChangesDigest into the digest's change; neither reorders it.
 	// Under Options.DropResult it is the run's working memory, valid until
 	// Release.
 	Changes []objectbase.Change

@@ -273,10 +273,10 @@ func TestDiffChanges(t *testing.T) {
 			}
 		}
 		d := objectbase.Compute(head, target)
-		changes := d.Changes(head)
+		changes := obtest.Changes(head, d)
 		next := head.Derive(changes)
 		if !next.Equal(target) {
-			t.Fatalf("step %d: Derive(d.Changes(head)) differs from the target", step)
+			t.Fatalf("step %d: Derive(obtest.Changes(head, d)) differs from the target", step)
 		}
 		if err := obtest.CheckDerived(head, next, changes); err != nil {
 			t.Fatalf("step %d: %v", step, err)

@@ -35,6 +35,36 @@ func CheckDerived(head, derived *objectbase.Base, changes []objectbase.Change) e
 	return SameAnswers(derived, derived.Clone().Freeze())
 }
 
+// Changes returns the diff d as the changes it makes to the base b, one per
+// version it touches, so that b.Derive(Changes(b, d)) is b with the diff
+// applied.
+func Changes(b *objectbase.Base, d objectbase.Diff) []objectbase.Change {
+	byV := make(map[term.GVID]*objectbase.State)
+	edit := func(v term.GVID) *objectbase.State {
+		s, ok := byV[v]
+		if !ok {
+			if old := b.StateOf(v); old != nil {
+				s = old.Clone()
+			} else {
+				s = objectbase.NewState()
+			}
+			byV[v] = s
+		}
+		return s
+	}
+	for _, f := range d.Removed {
+		edit(f.V).Remove(f.Key(), f.Result)
+	}
+	for _, f := range d.Added {
+		edit(f.V).Add(f.Key(), f.Result)
+	}
+	changes := make([]objectbase.Change, 0, len(byV))
+	for v, s := range byV {
+		changes = append(changes, objectbase.Change{V: v, Old: b.StateOf(v), New: s})
+	}
+	return changes
+}
+
 // SameAnswers verifies that two bases holding the same facts also answer
 // every (path, method) scan, any-path scan, literal-index probe and
 // statistics request alike.

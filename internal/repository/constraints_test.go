@@ -138,7 +138,7 @@ func TestConstraintsAreJournalRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := r.Log()
-	if len(log) != 2 || log[1].Seq != 2 || log[1].Constraints == nil || *log[1].Constraints != src || log[1].Program != "" || log[1].Added != "" || log[1].Removed != "" {
+	if len(log) != 2 || log[1].Seq != 2 || log[1].Constraints == nil || *log[1].Constraints != src || log[1].Program != "" || log[1].NumAdded != 0 || log[1].NumRemoved != 0 {
 		t.Fatalf("log = %+v, want the install as entry 2", log)
 	}
 	res, err := r.Replay(2)

@@ -70,27 +70,21 @@ func checkedApply(t *testing.T, r *Repository, p *term.Program, key, what string
 			parser.FormatFacts(after, true), parser.FormatFacts(want, true))
 	}
 	// The changes went back to the evaluation's working memory with the
-	// record written; the diff journaled is what the two heads differ by,
-	// and what every read of the new head answers after it.
+	// record written; the entry counts what the two heads differ by, and
+	// that diff is what every read of the new head answers after it.
 	if res.Changes != nil {
 		t.Fatalf("%s: the commit returned its changes", what)
 	}
-	d, err := entry.diff()
-	if err != nil {
+	d := objectbase.Compute(before, after)
+	if err := obtest.CheckDerived(before, after, obtest.Changes(before, d)); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	if err := obtest.CheckDerived(before, after, d.Changes(before)); err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
-	// The resident diff is byte for byte the one Compute would have
-	// produced, same facts, same order; the digest the head keeps from the
-	// diffs is the one a fresh hash of its facts gives; and the journaled
-	// record is the request, the counters and that digest, left out when
-	// the state's digest is the one before it.
-	added, removed := storage.EncodeDiff(objectbase.Compute(before, after))
-	if entry.Added != added || entry.Removed != removed {
-		t.Fatalf("%s: the resident diff differs from Compute's:\n got +%q -%q\nwant +%q -%q", what, entry.Added, entry.Removed, added, removed)
-	}
+	// The counts the entry keeps are Compute's, over the states At
+	// returns; the digest the head keeps from the changes is the one a
+	// fresh hash of its facts gives; and the journaled record is the
+	// request, the counters and that digest, left out when the state's
+	// digest is the one before it.
+	committedDiff(t, r, entry)
 	digest := storage.BaseDigest(after)
 	if r.Digest() != digest {
 		t.Fatalf("%s: the head's digest is %s, a fresh hash of its facts %s", what, r.Digest(), digest)
@@ -109,6 +103,33 @@ func checkedApply(t *testing.T, r *Repository, p *term.Program, key, what string
 		t.Fatalf("%s: Verify: %v", what, err)
 	}
 	return nil
+}
+
+// committedDiff returns the diff entry e of r made, found the long way
+// round: Compute over the states before and after it (At), encoded. It
+// fails t unless the entry's counts are the sizes of that diff and the
+// digest of the state after it is a fresh hash of that state's facts.
+func committedDiff(t testing.TB, r *Repository, e Entry) (added, removed storage.Facts) {
+	t.Helper()
+	n := e.Seq - r.SnapshotSeq()
+	before, err := r.At(n - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := r.At(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := objectbase.Compute(before, after)
+	if int(e.NumAdded) != len(d.Added) || int(e.NumRemoved) != len(d.Removed) {
+		t.Fatalf("entry %d counts +%d -%d facts; the states before and after it differ by +%d -%d",
+			e.Seq, e.NumAdded, e.NumRemoved, len(d.Added), len(d.Removed))
+	}
+	want := storage.BaseDigest(after)
+	if e.Digest == nil && storage.BaseDigest(before) != want || e.Digest != nil && *e.Digest != want {
+		t.Fatalf("entry %d holds digest %v; a fresh hash of the state after it is %s", e.Seq, e.Digest, want)
+	}
+	return storage.EncodeDiff(d)
 }
 
 // goldenSection extracts one "-- name --" section of a golden corpus file.

@@ -2,10 +2,12 @@ package repository
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"verlog/internal/core"
 	"verlog/internal/eval"
+	"verlog/internal/objectbase"
 	"verlog/internal/obs"
 	"verlog/internal/parser"
 	"verlog/internal/storage"
@@ -15,9 +17,12 @@ import (
 // Getting a state from a journal record. A record holds a program, not its
 // effect: the state it leads to is the program evaluated on the state before
 // it (§3–§5), and the record carries that state's digest to check the
-// evaluation against. derive is the one way a state is got from a program —
-// an apply's commit, recovery, a follower's batch and Verify all call it —
-// and advance checks the states of journaled records with it.
+// evaluation against. derive is the one way a head's state is got from a
+// program — an apply's commit, recovery, a follower's batch and Verify all
+// call it — and advance checks the states of journaled records with it. An
+// entry keeps no diff: a state the head has passed is got again the same
+// way, by evaluating the entries from the checkpoint (at), each evaluation
+// checked against what its entry holds (record, reproducedBy).
 
 // derivation is what derive hands its caller: the evaluation, the digest of
 // the state it leads to, and the no-op proof's bookkeeping (noop.go).
@@ -35,13 +40,12 @@ type derivation struct {
 }
 
 // derive evaluates p, the program of e, on head, and sets e's Fired,
-// Strata, Added, Removed and Digest from the evaluation. p runs on the plans
-// cached for its shape, planned now on a miss, or not at all when a no-op
-// record proves that it changes nothing (noop.go); plan-cache outcomes count
-// in m. fresh evaluates with neither cache nor proof, as Replay does, so that
-// the evaluation is independent of every earlier one. The diff is rendered
-// in a buffer the repository owns and the digest follows it: the facts it
-// adds are hashed in, the facts it removes out. applyMu must be held.
+// Strata, NumAdded, NumRemoved and Digest from the evaluation (record). p
+// runs on the plans cached for its shape, planned now on a miss, or not at
+// all when a no-op record proves that it changes nothing (noop.go);
+// plan-cache outcomes count in m. fresh evaluates with neither cache nor
+// proof, as Verify does, so that the evaluation is independent of every
+// earlier one. applyMu must be held.
 func (r *Repository) derive(head *headState, e *Entry, p *term.Program, opts []core.Option, fresh bool, m *Metrics) (d derivation, err error) {
 	// Plans of p's shape, planned against the current seq class, serve it.
 	// On a miss p is planned by shape here; a program that cannot be planned
@@ -96,30 +100,69 @@ func (r *Repository) derive(head *headState, e *Entry, p *term.Program, opts []c
 		}
 	}
 
-	// The diff is written straight from the states the evaluation changed:
-	// no comparison of the two bases, no fact lists in between. Changes is
-	// the evaluation's working memory and goes back once it is written.
-	renderStart := time.Now()
+	// The digest is summed straight from the states the evaluation changed:
+	// no comparison of the two bases, no diff rendered. Changes is the
+	// evaluation's working memory and goes back once it is read.
+	sumStart := time.Now()
 	res := d.res
 	d.changed = len(res.Changes) > 0
-	buf := storage.AppendAdded(r.diffBuf[:0], res.Changes)
-	split := len(buf)
-	buf = storage.AppendRemoved(buf, res.Changes)
-	r.diffBuf = buf
+	d.digest = e.record(res, head.digest)
 	res.Release()
-	e.Fired, e.Strata = res.Fired, res.Assignment.NumStrata()
-	e.Added, e.Removed, e.Digest = "", "", nil
-	d.digest = head.digest
-	if len(buf) > 0 {
-		e.Added, e.Removed = storage.Facts(buf[:split]), storage.Facts(buf[split:])
-		d.digest = head.digest.Add(storage.FactsDigest(buf[:split])).Sub(storage.FactsDigest(buf[split:]))
-		if d.digest != head.digest {
-			digest := d.digest
-			e.Digest = &digest
-		}
-	}
-	res.Stats.Encode = time.Since(renderStart)
+	res.Stats.Encode = time.Since(sumStart)
 	return d, nil
+}
+
+// record sets what e holds of res, the evaluation of its program on a state
+// of digest before: the fired count, the strata, the counts of the facts it
+// adds and removes and the digest of the state it leads to, which it
+// returns. res.Changes is read and left as it is.
+func (e *Entry) record(res *eval.Result, before storage.Digest) storage.Digest {
+	delta, added, removed := storage.ChangesDigest(res.Changes)
+	e.Fired, e.Strata, e.NumAdded, e.NumRemoved, e.Digest = res.Fired, res.Assignment.NumStrata(), int32(added), int32(removed), nil
+	after := before.Add(delta)
+	if after != before {
+		digest := after // allocated only when the state changed
+		e.Digest = &digest
+	}
+	return after
+}
+
+// at returns the frozen base after the first n entries, sharing with the
+// snapshot every state they leave alone; the caller has checked 0 <= n <=
+// len(entries). The head is resident, and so is the state before it until
+// a recovery; any other is derived again: each entry's program evaluated on
+// the state before it, from the snapshot on, and checked against what the
+// entry holds — digest, fired count, strata and counts — so that an entry
+// its program does not reproduce is ErrDiverged, naming its seq.
+func (hs *headState) at(n int) (*objectbase.Base, error) {
+	switch {
+	case n == len(hs.entries):
+		return hs.base, nil
+	case n == len(hs.entries)-1 && hs.prev != nil:
+		return hs.prev, nil
+	}
+	base, digest := hs.snap, hs.snapDigest
+	for _, e := range hs.entries[:n] {
+		if e.Constraints != nil || e.Epoch != 0 {
+			continue // the state is the one before it
+		}
+		p, err := parser.Program(e.Program, journalFile)
+		if err != nil {
+			return nil, fmt.Errorf("%w: entry %d: %w", ErrDiverged, e.Seq, err)
+		}
+		res, err := eval.Run(base, p, eval.Options{DropResult: true})
+		if err != nil {
+			return nil, fmt.Errorf("%w: entry %d: %w", ErrDiverged, e.Seq, err)
+		}
+		derived := Entry{Seq: e.Seq}
+		digest = derived.record(res, digest)
+		res.Release()
+		if err := e.reproducedBy(derived, true); err != nil {
+			return nil, err
+		}
+		base = res.Final
+	}
+	return base, nil
 }
 
 // settle puts a derivation that is on the chain into the no-op proof's
@@ -137,7 +180,7 @@ func (r *Repository) settle(d derivation) {
 
 // advance evaluates entries — journal records read back, or received from a
 // primary — in order from hs, and returns the state they lead to: hs
-// extended by the entries as derived, their diffs resident. A record its
+// extended by the entries as derived, their counts set. A record its
 // program does not reproduce — another digest, fired count or number of
 // strata, or a program that no longer evaluates — stops it with ErrDiverged,
 // naming the record's seq. A constraints record installs its set, an epoch
@@ -150,6 +193,7 @@ func (r *Repository) settle(d derivation) {
 // be published. applyMu must be held.
 func (r *Repository) advance(hs *headState, entries []Entry, fresh bool, m *Metrics) (*headState, error) {
 	ns := *hs
+	ns.entries = slices.Grow(ns.entries, len(entries))
 	for _, e := range entries {
 		ns.prev = ns.base
 		switch {
@@ -161,7 +205,6 @@ func (r *Repository) advance(hs *headState, entries []Entry, fresh bool, m *Metr
 				return nil, fmt.Errorf("%w: entry %d opens epoch %d, which is not past epoch %d", ErrDiverged, e.Seq, e.Epoch, ns.epoch)
 			}
 			ns.epoch = e.Epoch
-			e.Added, e.Removed = "", ""
 		case e.Constraints != nil:
 			if e.Program != "" || e.Digest != nil {
 				return nil, fmt.Errorf("%w: entry %d installs a constraint set, and carries a program or a digest", ErrDiverged, e.Seq)
@@ -171,7 +214,6 @@ func (r *Repository) advance(hs *headState, entries []Entry, fresh bool, m *Metr
 				return nil, fmt.Errorf("repository: journal entry %d: %w", e.Seq, err)
 			}
 			ns.cons = cons
-			e.Added, e.Removed = "", ""
 		default:
 			p, err := parser.Program(e.Program, journalFile)
 			if err != nil {
@@ -182,9 +224,8 @@ func (r *Repository) advance(hs *headState, entries []Entry, fresh bool, m *Metr
 			if err != nil {
 				return nil, fmt.Errorf("%w: entry %d: %w", ErrDiverged, e.Seq, err)
 			}
-			if derived.Fired != e.Fired || derived.Strata != e.Strata || !sameDigest(derived.Digest, e.Digest) {
-				return nil, fmt.Errorf("%w: entry %d: its program derives %s; the record holds %s",
-					ErrDiverged, e.Seq, derived.outcome(), e.outcome())
+			if err := e.reproducedBy(derived, false); err != nil {
+				return nil, err
 			}
 			if !fresh {
 				r.settle(d)
@@ -198,17 +239,36 @@ func (r *Repository) advance(hs *headState, entries []Entry, fresh bool, m *Metr
 	return &ns, nil
 }
 
+// reproducedBy returns nil when derived, the entry as an evaluation of its
+// program derived it (record), holds what e holds — the digest, the fired
+// count and the strata, and the counts when counts is set, as a resident
+// entry holds them and a record read back does not — and ErrDiverged naming
+// e's seq otherwise.
+func (e Entry) reproducedBy(derived Entry, counts bool) error {
+	if derived.Fired != e.Fired || derived.Strata != e.Strata || !sameDigest(derived.Digest, e.Digest) ||
+		counts && (derived.NumAdded != e.NumAdded || derived.NumRemoved != e.NumRemoved) {
+		return fmt.Errorf("%w: entry %d: its program derives %s; the journal holds %s",
+			ErrDiverged, e.Seq, derived.outcome(counts), e.outcome(counts))
+	}
+	return nil
+}
+
 // sameDigest reports whether two record digests are equal, both absent
 // included.
 func sameDigest(a, b *storage.Digest) bool {
 	return a == b || a != nil && b != nil && *a == *b
 }
 
-// outcome renders what a record holds of its evaluation, for errors.
-func (e Entry) outcome() string {
+// outcome renders what an entry holds of its evaluation, for errors; counts
+// adds the counts.
+func (e Entry) outcome(counts bool) string {
 	digest := "none (the state before it)"
 	if e.Digest != nil {
 		digest = e.Digest.String()
 	}
-	return fmt.Sprintf("digest %s, fired %d, strata %d", digest, e.Fired, e.Strata)
+	s := fmt.Sprintf("digest %s, fired %d, strata %d", digest, e.Fired, e.Strata)
+	if counts {
+		s += fmt.Sprintf(", +%d -%d facts", e.NumAdded, e.NumRemoved)
+	}
+	return s
 }

@@ -3,10 +3,8 @@ package repository
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"strconv"
 
-	"verlog/internal/objectbase"
 	"verlog/internal/storage"
 )
 
@@ -30,11 +28,20 @@ type Entry struct {
 	// Epoch is the replication epoch an epoch record opens, past the one
 	// in force before it; 0 in every other record. A promotion writes it.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Added and Removed are the fact-level diff on the updated base, in the
-	// compact encoding. They are resident only, never journaled: the commit
-	// renders them from its changes, recovery and followers from the
-	// evaluation they check the record with. History reads them (At, Log,
-	// HistoryBytes).
+	// NumAdded and NumRemoved count the facts the entry's program added to
+	// and removed from the state before it. They are resident only, never
+	// journaled: the commit counts them off its changes as it sums the
+	// digest, recovery and followers off the evaluation they check the
+	// record with. Log reads them, and At and Replay check their own
+	// evaluations against them. Two 32-bit counts take the room of one
+	// int, so the entry is no larger than the ones whose diff fields
+	// (Added, Removed) were in use.
+	NumAdded   int32 `json:"-"`
+	NumRemoved int32 `json:"-"`
+	// Added and Removed are neither set nor read: an entry keeps no diff,
+	// and these stay only because the end-to-end benchmark's per-layer pass
+	// (benchmarks/load) builds entries with them. ROADMAP item 11, which
+	// re-bases that pass, removes them.
 	Added   storage.Facts `json:"-"`
 	Removed storage.Facts `json:"-"`
 	// Fired is the number of ground updates the evaluation fired.
@@ -86,7 +93,7 @@ func (e Entry) recordCap() int {
 
 // size is what the entry's strings hold in memory.
 func (e Entry) size() int {
-	n := len(e.Program) + len(e.Key) + len(e.Added) + len(e.Removed)
+	n := len(e.Program) + len(e.Key)
 	if e.Constraints != nil {
 		n += len(*e.Constraints)
 	}
@@ -112,27 +119,4 @@ func decodeEntry(payload []byte) (Entry, error) {
 		return Entry{}, errDiffRecord
 	}
 	return rec.Entry, nil
-}
-
-// diff decodes the entry's resident diff.
-func (e Entry) diff() (objectbase.Diff, error) {
-	d, err := storage.DecodeDiff(e.Added, e.Removed)
-	if err != nil {
-		return d, fmt.Errorf("repository: journal entry %d: %w", e.Seq, err)
-	}
-	return d, nil
-}
-
-// replayDerived applies the resident diffs of entries, in order, to a
-// frozen head: it returns the frozen base the entries lead to, sharing with
-// head every state they leave alone.
-func replayDerived(head *objectbase.Base, entries []Entry) (*objectbase.Base, error) {
-	for _, e := range entries {
-		d, err := e.diff()
-		if err != nil {
-			return nil, err
-		}
-		head = head.Derive(d.Changes(head))
-	}
-	return head, nil
 }

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"verlog/internal/storage"
 	"verlog/internal/workload"
@@ -185,13 +186,18 @@ func TestJournalBytesGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, size := lastRecord(ent)
-	facts := e.Added.Len() + e.Removed.Len()
+	facts := e.NumAdded + e.NumRemoved
 	if facts < 2000 {
 		t.Fatalf("the raise changed %d facts, want two per employee", facts)
 	}
 	t.Logf("E1 n=1000: %d changed facts in a %d-byte record", facts, size)
 	if size > 256 {
 		t.Errorf("bulk update: a %d-byte record for %d changed facts, want <= 256 whatever it changes", size, facts)
+	}
+	// Nor does a changed fact cost anything in memory: the entry keeps its
+	// program and two counts, no diff.
+	if resident := int(unsafe.Sizeof(e)) + e.size(); resident > len(e.Program)+256 {
+		t.Errorf("bulk update: the entry holds %d bytes for a %d-byte program, want at most 256 more", resident, len(e.Program))
 	}
 
 	// A one-object update.
@@ -200,8 +206,8 @@ func TestJournalBytesGuard(t *testing.T) {
 	}
 	e, size = lastRecord(ent)
 	t.Logf("point update: %d-byte record", size)
-	if e.Added.Len() != 1 || e.Removed.Len() != 1 || size > 256 {
-		t.Errorf("point update: +%d -%d facts in %d bytes, want one each in <= 256", e.Added.Len(), e.Removed.Len(), size)
+	if e.NumAdded != 1 || e.NumRemoved != 1 || size > 256 {
+		t.Errorf("point update: +%d -%d facts in %d bytes, want one each in <= 256", e.NumAdded, e.NumRemoved, size)
 	}
 
 	// The recursive ancestors program applied a second time derives nothing
@@ -217,8 +223,8 @@ func TestJournalBytesGuard(t *testing.T) {
 	}
 	e, size = lastRecord(gen)
 	t.Logf("empty-diff re-apply: %d-byte record (before: %d)", size, oldSize(e))
-	if e.Added != "" || e.Removed != "" || size > oldSize(e) {
-		t.Errorf("empty-diff record: %d bytes with diff %q/%q, want none and at most the %d of the previous format", size, e.Added, e.Removed, oldSize(e))
+	if e.NumAdded != 0 || e.NumRemoved != 0 || size > oldSize(e) {
+		t.Errorf("empty-diff record: %d bytes for +%d -%d facts, want none and at most the %d of the previous format", size, e.NumAdded, e.NumRemoved, oldSize(e))
 	}
 }
 

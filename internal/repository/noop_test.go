@@ -45,8 +45,8 @@ func noopRepo(t *testing.T, fs fsio.FS) *Repository {
 	r.Instrument(obs.NewRegistry())
 	anc := prog(t, workload.AncestorsProgram)
 	for i, want := range []bool{true, false} {
-		if e := closureApply(t, r, anc, ""); (e.Added != "") != want {
-			t.Fatalf("closure apply %d: added %q", i+1, e.Added)
+		if e := closureApply(t, r, anc, ""); (e.NumAdded != 0) != want {
+			t.Fatalf("closure apply %d: added %d facts", i+1, e.NumAdded)
 		}
 	}
 	return r
@@ -96,18 +96,18 @@ func TestNoopProofAcrossCommits(t *testing.T) {
 		t.Fatal("the apply after one that changed nothing, on the same head, was evaluated")
 	}
 	none := prog(t, `mod[p0_0_0].sal -> (S, S2) <- p0_0_0.sal -> S, S > 1000000, S2 = S + 1.`)
-	if proved, e := proof(t, r, none); proved || e.Added != "" {
-		t.Fatalf("the raise of nobody was proved (%v) or changed something (%q)", proved, e.Added)
+	if proved, e := proof(t, r, none); proved || e.NumAdded != 0 {
+		t.Fatalf("the raise of nobody was proved (%v) or changed something (+%d)", proved, e.NumAdded)
 	}
 	if proved, _ := proof(t, r, anc); !proved {
 		t.Error("the closure apply after a commit that changed nothing was evaluated")
 	}
 	raise := prog(t, `mod[p0_0_0].sal -> (S, S2) <- p0_0_0.sal -> S, S2 = S + 1.`)
-	if proved, e := proof(t, r, raise); proved || e.Added == "" {
-		t.Fatalf("the salary raise was proved (%v) or changed nothing (%q)", proved, e.Added)
+	if proved, e := proof(t, r, raise); proved || e.NumAdded == 0 {
+		t.Fatalf("the salary raise was proved (%v) or changed nothing (+%d)", proved, e.NumAdded)
 	}
-	if proved, e := proof(t, r, anc); proved || e.Added != "" {
-		t.Errorf("the closure apply after a salary commit was proved (%v) or added %q", proved, e.Added)
+	if proved, e := proof(t, r, anc); proved || e.NumAdded != 0 {
+		t.Errorf("the closure apply after a salary commit was proved (%v) or added %d facts", proved, e.NumAdded)
 	}
 	if proved, _ := proof(t, r, anc); !proved {
 		t.Error("the closure apply after one that changed nothing was evaluated")
@@ -121,15 +121,16 @@ func TestNoopProofAcrossCommits(t *testing.T) {
 		{`mod[p0_3_14].parents -> (p0_2_6, p0_2_5).`, "newborn.anc=p0_2_5;p0_3_14.anc=p0_2_5"},
 		{`mod[p0_3_14].isa -> (person, child).`, ""},
 	} {
-		if proved, e := proof(t, r, prog(t, c.edit)); proved || e.Added == "" {
-			t.Fatalf("%s: proved %v, added %q", c.edit, proved, e.Added)
+		if proved, e := proof(t, r, prog(t, c.edit)); proved || e.NumAdded == 0 {
+			t.Fatalf("%s: proved %v, added %d facts", c.edit, proved, e.NumAdded)
 		}
-		if proved, e := proof(t, r, anc); proved || string(e.Added) != c.added {
-			t.Fatalf("after %s the closure apply was proved (%v) or added %q, want %q", c.edit, proved, e.Added, c.added)
+		proved, e := proof(t, r, anc)
+		if added, _ := committedDiff(t, r, e); proved || string(added) != c.added {
+			t.Fatalf("after %s the closure apply was proved (%v) or added %q, want %q", c.edit, proved, added, c.added)
 		}
 		if c.added != "" {
-			if proved, e := proof(t, r, anc); proved || e.Added != "" {
-				t.Fatalf("after %s the second closure apply was proved (%v) or added %q", c.edit, proved, e.Added)
+			if proved, e := proof(t, r, anc); proved || e.NumAdded != 0 {
+				t.Fatalf("after %s the second closure apply was proved (%v) or added %d facts", c.edit, proved, e.NumAdded)
 			}
 		}
 		if proved, _ := proof(t, r, anc); !proved {
@@ -258,8 +259,8 @@ func TestNoopRecordsEndWithTheHead(t *testing.T) {
 	anc := prog(t, workload.AncestorsProgram)
 	evaluated := func(t *testing.T, r *Repository, what string) {
 		t.Helper()
-		if proved, e := proof(t, r, anc); proved || e.Added != "" {
-			t.Errorf("after %s: proved %v, added %q", what, proved, e.Added)
+		if proved, e := proof(t, r, anc); proved || e.NumAdded != 0 {
+			t.Errorf("after %s: proved %v, added %d facts", what, proved, e.NumAdded)
 		}
 		if proved, _ := proof(t, r, anc); !proved {
 			t.Errorf("after %s the second apply was evaluated", what)
@@ -299,15 +300,15 @@ func TestNoopRecordsEndWithTheHead(t *testing.T) {
 		if err := f.ApplyReplicaBatch(primary.Log()[:1]); err != nil {
 			t.Fatal(err)
 		}
-		if proved, e := proof(t, f, anc); proved || e.Added != "" || e.Seq != 2 {
-			t.Fatalf("the follower's own apply: proved %v, added %q, seq %d", proved, e.Added, e.Seq)
+		if proved, e := proof(t, f, anc); proved || e.NumAdded != 0 || e.Seq != 2 {
+			t.Fatalf("the follower's own apply: proved %v, added %d facts, seq %d", proved, e.NumAdded, e.Seq)
 		}
 		closureApply(t, primary, prog(t, `ins[newborn].isa -> person. ins[newborn].parents -> p0_3_14.`), "")
 		if err := f.ApplyReplicaBatch(primary.Log()); err != nil {
 			t.Fatal(err)
 		}
-		if proved, e := proof(t, f, anc); proved || e.Added == "" {
-			t.Errorf("after a replica batch that added a person: proved %v, added %q", proved, e.Added)
+		if proved, e := proof(t, f, anc); proved || e.NumAdded == 0 {
+			t.Errorf("after a replica batch that added a person: proved %v, added %d facts", proved, e.NumAdded)
 		}
 		if err := f.Verify(); err != nil {
 			t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"verlog/internal/eval"
 	"verlog/internal/obs"
 	"verlog/internal/parser"
-	"verlog/internal/storage"
 	"verlog/internal/term"
 	"verlog/internal/workload"
 )
@@ -227,43 +226,66 @@ func TestPlanCacheConcurrentReads(t *testing.T) {
 	}
 }
 
-// TestReplayDiverged: an entry whose journaled diff its program does not
+// TestReplayDiverged: an entry whose digest or counts its program does not
 // derive is ErrDiverged, naming its seq, and explains nothing; the entries
-// around it still replay.
+// around it still replay. At past it refuses the same way.
 func TestReplayDiverged(t *testing.T) {
-	r, err := Init(t.TempDir()+"/repo", workload.EnterpriseSpec{Employees: 20, Seed: 1}.ObjectBase())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for k := 1; k <= 3; k++ {
-		p, err := parser.Program(fmt.Sprintf("mod[e%d].sal -> (S, S') <- e%d.sal -> S, S' = S + 1.", k, k), "p.vlg")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Apply(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for n := 1; n <= 3; n++ {
-		if _, err := r.Replay(n); err != nil {
-			t.Fatalf("Replay(%d) before tampering: %v", n, err)
-		}
-	}
-	// The resident journal as a corrupted record would leave it: entry 2
-	// claims e2 earns one more than its program pays.
-	hs := r.published.Load()
-	e := &hs.entries[1]
-	tampered := strings.Replace(string(e.Added), "e2.sal=", "e2.sal=1", 1)
-	if tampered == string(e.Added) {
-		t.Fatalf("entry 2 adds %q: nothing to tamper with", e.Added)
-	}
-	e.Added = storage.Facts(tampered)
-	_, err = r.Replay(2)
-	if !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "entry 2") {
-		t.Errorf("Replay(2) of a tampered entry = %v, want ErrDiverged naming entry 2", err)
-	}
-	if _, err := r.Replay(1); err != nil {
-		t.Errorf("Replay(1): %v", err)
+	for _, c := range []struct {
+		name   string
+		tamper func(e *Entry)
+	}{
+		// The resident journal as a corrupted record or memory gone wrong
+		// would leave it: entry 2 leads to another state, or claims to have
+		// added one fact more than its program adds.
+		{"digest", func(e *Entry) {
+			forged := *e.Digest
+			forged[0]++
+			e.Digest = &forged
+		}},
+		{"count", func(e *Entry) { e.NumAdded++ }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := Init(t.TempDir()+"/repo", workload.EnterpriseSpec{Employees: 20, Seed: 1}.ObjectBase())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for k := 1; k <= 4; k++ {
+				p, err := parser.Program(fmt.Sprintf("mod[e%d].sal -> (S, S') <- e%d.sal -> S, S' = S + 1.", k, k), "p.vlg")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.Apply(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for n := 1; n <= 4; n++ {
+				if _, err := r.Replay(n); err != nil {
+					t.Fatalf("Replay(%d) before tampering: %v", n, err)
+				}
+			}
+			hs := r.published.Load()
+			c.tamper(&hs.entries[1])
+			_, err = r.Replay(2)
+			if !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "entry 2") {
+				t.Errorf("Replay(2) of a tampered entry = %v, want ErrDiverged naming entry 2", err)
+			}
+			if _, err := r.Replay(1); err != nil {
+				t.Errorf("Replay(1): %v", err)
+			}
+			// State 2 and the one after it are derived again, past the
+			// tampered entry; state 3 is resident, the one before the head.
+			for n := 2; n <= 3; n++ {
+				if n == 3 {
+					hs.prev = nil // as after a reopen
+				}
+				if _, err := r.At(n); !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "entry 2") {
+					t.Errorf("At(%d) past a tampered entry = %v, want ErrDiverged naming entry 2", n, err)
+				}
+			}
+			if _, err := r.At(1); err != nil {
+				t.Errorf("At(1): %v", err)
+			}
+		})
 	}
 }

@@ -47,11 +47,11 @@
 // extends the speculative head and joins the pending group-commit batch;
 // no evaluation is ever discarded. Its product is a delta: the new head
 // shares every state the program did not change with the old one
-// (objectbase.Derive), and its resident diff and digest are computed from
-// the changed states alone. With applyMu released, the first writer into a
-// batch leads it: under diskMu it writes every queued record in one
-// write+fsync, publishes the new head and wakes the batch, while the others
-// wait on the batch. So apply k+1 evaluates while batch k's fsync is in
+// (objectbase.Derive), and its digest and the counts of the facts it adds
+// and removes are summed from the changed states alone. With applyMu
+// released, the first writer into a batch leads it: under diskMu it writes
+// every queued record in one write+fsync, publishes the new head and wakes
+// the batch, while the others wait on the batch. So apply k+1 evaluates while batch k's fsync is in
 // flight, and under contention one fsync commits many updates.
 //
 // Three locks, taken in the order applyMu -> diskMu -> commitMu: applyMu
@@ -130,20 +130,6 @@ func (hs *headState) digestAt(n int) storage.Digest {
 	return d
 }
 
-// at returns the frozen base after the first n entries, sharing with the
-// snapshot every state they leave alone; the caller has checked 0 <= n <=
-// len(entries). The two newest states are resident, the others are replayed
-// from the snapshot.
-func (hs *headState) at(n int) (*objectbase.Base, error) {
-	switch {
-	case n == len(hs.entries):
-		return hs.base, nil
-	case n == len(hs.entries)-1 && hs.prev != nil:
-		return hs.prev, nil
-	}
-	return replayDerived(hs.snap, hs.entries[:n])
-}
-
 // commitBatch is one group-commit batch: the framed journal records of
 // every committer that joined it, flushed with a single write+fsync by
 // its leader. done is closed once the batch's fate is decided; err is set
@@ -184,12 +170,14 @@ func parseCons(src, file string) (*consState, error) {
 	return &consState{src: src, cs: cs}, nil
 }
 
-// keyRecord is one idempotency-key cache entry. batch is the commit batch
-// the key's update rides in, nil once the update is durable; a replay hit
-// on a still-pending key waits for the batch so a replayed answer always
-// refers to a durable update.
+// keyRecord is one idempotency-key cache entry: the resident entry of the
+// update committed under the key, which ApplyKey answers a replay with (it
+// holds no diff to strip). batch is the commit batch the key's update rides
+// in, nil once the update is durable; a replay hit on a still-pending key
+// waits for the batch so a replayed answer always refers to a durable
+// update.
 type keyRecord struct {
-	entry Entry // diff stripped
+	entry Entry
 	batch *commitBatch
 }
 
@@ -227,9 +215,8 @@ type Repository struct {
 	// other than by a commit, bumps it. applyMu guards it.
 	baseGen uint64
 	// shapeParams holds the shape parameters of the program derive
-	// evaluates, and diffBuf the diff it renders; applyMu guards both.
+	// evaluates; applyMu guards it.
 	shapeParams [eval.MaxParams]term.OID
-	diffBuf     []byte
 
 	// planMu guards plans, the plan cache of applies and queries (plans.go).
 	// It is a leaf: nothing else is taken, and no call made, while it is
@@ -478,7 +465,7 @@ func (r *Repository) recoverLocked() error {
 	rec.Duration = time.Since(start)
 	r.commitMu.Lock()
 	r.spec = hs
-	r.keys = keysOf(entries)
+	r.keys = keysOf(hs.entries)
 	r.recovery = rec
 	r.needRepair = false
 	r.commitMu.Unlock()
@@ -502,7 +489,7 @@ func keysOf(entries []Entry) map[string]*keyRecord {
 	keys := make(map[string]*keyRecord)
 	for _, e := range entries {
 		if e.Key != "" {
-			keys[e.Key] = &keyRecord{entry: slimEntry(e)}
+			keys[e.Key] = &keyRecord{entry: e}
 		}
 	}
 	return keys
@@ -666,10 +653,11 @@ func (r *Repository) Log() []Entry {
 }
 
 // HistoryBytes reports what the history occupies: the journal file on
-// disk, its checkpoint included, and the resident entries' programs, keys
-// and encoded diffs in memory. Compact empties the second and rewrites the
-// first as the checkpoint of its floor and the entries after it, so
-// together they tell an operator when compacting is worth it.
+// disk, its checkpoint included, and what the resident entries hold in
+// memory, their programs, keys and constraint sources (an entry keeps no
+// diff, only two counts). Compact empties the second and rewrites the first
+// as the checkpoint of its floor and the entries after it, so together they
+// tell an operator when compacting is worth it.
 func (r *Repository) HistoryBytes() (journal, resident int64) {
 	if st, err := r.fs.Stat(filepath.Join(r.dir, journalFile)); err == nil {
 		journal = st.Size()
@@ -771,7 +759,7 @@ func (r *Repository) commitLocked(hs *headState, entries []Entry) error {
 	r.spec = ns
 	for _, e := range entries {
 		if e.Key != "" {
-			r.keys[e.Key] = &keyRecord{entry: slimEntry(e)}
+			r.keys[e.Key] = &keyRecord{entry: e}
 		}
 	}
 	r.commitMu.Unlock()
@@ -798,19 +786,13 @@ func checkConstraints(base *objectbase.Base, cs []term.Constraint) error {
 	return nil
 }
 
-// slimEntry strips the diff, which the idempotency cache does not need.
-func slimEntry(e Entry) Entry {
-	e.Added, e.Removed = "", ""
-	return e
-}
-
 // Apply evaluates p on the current head, verifies the installed integrity
 // constraints against the result, appends the journal entry (fsynced) and
 // advances the head to the updated object base. On a constraint violation
 // nothing is committed. It returns the evaluation result without result(P)
 // and without its changes: Result.Result and Result.Changes are nil (the
 // commit builds them in working memory the next apply reuses; the entry
-// ApplyKey returns holds the diff). Replay recomputes them for a journaled
+// ApplyKey returns counts the facts it added and removed). Replay recomputes them for a journaled
 // apply, as verlog.Apply computes them for a program and a base.
 func (r *Repository) Apply(p *term.Program, opts ...core.Option) (*eval.Result, error) {
 	res, _, _, err := r.ApplyKey(p, "", opts...)
@@ -819,7 +801,7 @@ func (r *Repository) Apply(p *term.Program, opts ...core.Option) (*eval.Result, 
 
 // ApplyKey is Apply under an idempotency key. If key is non-empty and a
 // journaled entry already carries it, nothing is re-evaluated: ApplyKey
-// returns (nil, that entry with its diff stripped, true, nil). Otherwise
+// returns (nil, that entry, true, nil). Otherwise
 // the update is applied, journaled with the key, and returned as Apply
 // returns it (without result(P) and changes) with replayed=false. Keys are remembered
 // as far back as the journal reaches; Compact clears them along with the
@@ -974,7 +956,7 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	b.last = ns
 	if key != "" {
 		b.keys = append(b.keys, key)
-		r.keys[key] = &keyRecord{entry: slimEntry(entry), batch: b}
+		r.keys[key] = &keyRecord{entry: entry, batch: b}
 	}
 	r.spec = ns
 	r.commitMu.Unlock()
@@ -1245,9 +1227,9 @@ func (r *Repository) Compact() error {
 		if err != nil {
 			return err
 		}
-		// The digests follow the diffs, the checkpoint is written from the base:
-		// they disagree only when a base in memory holds other states than its
-		// diffs name, which no check of the journal sees.
+		// The digests follow the changes, the checkpoint is written from the
+		// base: they disagree only when a base in memory holds other states
+		// than its changes summed to, which no check of the journal sees.
 		snapDigest := hs.digestAt(n)
 		if d := storage.BaseDigest(snap); d != snapDigest {
 			return &VerifyError{Reason: fmt.Errorf("the state of seq %d hashes to %s, its records' digests say %s", floor, d, snapDigest)}
@@ -1292,7 +1274,8 @@ var ErrClosed = errors.New("repository: closed")
 // ErrDiverged reports a journal entry whose program, evaluated on the state
 // before it, does not yield what the entry holds: another digest, fired
 // count or number of strata than its record (recovery, a follower's batch,
-// Verify), or another diff than the resident entry (Replay). The state the
+// Verify), or another digest, fired count, number of strata or count of
+// added or removed facts than the resident entry (At, Replay). The state the
 // journal records is not the one this evaluator derives.
 var ErrDiverged = errors.New("repository: journal diverged")
 
@@ -1330,10 +1313,15 @@ func (r *Repository) closedErr() error {
 }
 
 // At reconstructs the object base after the first seq programs since the
-// snapshot (seq 0 is the snapshot itself) by replaying the entries'
-// resident diffs — wait-free with respect to writers, no disk I/O. The
-// returned base is frozen and shares with the snapshot every state the
-// replayed programs left alone: Clone it before mutating.
+// snapshot (seq 0 is the snapshot itself) — wait-free with respect to
+// writers, no disk I/O. The head is resident, and so is the state before it
+// until the repository is reopened; any other state is derived again by
+// evaluating the entries' programs from the snapshot, each evaluation
+// checked against its entry, so that one its program does not reproduce is
+// ErrDiverged, naming its seq. It costs seq evaluations: an entry keeps no
+// diff, and no workload reads history (EXPERIMENTS.md, E36). The returned
+// base is frozen and shares with the snapshot every state the programs left
+// alone: Clone it before mutating.
 func (r *Repository) At(seq int) (*objectbase.Base, error) {
 	hs := r.published.Load()
 	if seq < 0 || seq > len(hs.entries) {
@@ -1373,9 +1361,11 @@ type replayed struct {
 // run one at a time. The result is shared: callers must not modify it.
 // State 0 (the snapshot) and states outside the journal are ErrNoSuchState.
 //
-// The diff the evaluation derives is held against the one the resident
-// entry holds: an entry whose program no longer yields its own diff is
-// ErrDiverged, naming its seq, and nothing about it is explained. Applies,
+// The evaluation is held against what the resident entry holds — the
+// digest of the state it leads to, the fired count, the strata and the
+// counts of added and removed facts: an entry its program no longer
+// reproduces is ErrDiverged, naming its seq, and nothing about it is
+// explained. So is one before it, when state n-1 is derived again (At). Applies,
 // recovery and followers run on plans cached by shape; a replay plans its
 // text afresh, so every replay cross-checks them against an independent
 // evaluation.
@@ -1407,12 +1397,10 @@ func (r *Repository) Replay(n int) (*eval.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repository: journal entry %d: %w", entry.Seq, err)
 	}
-	derived := storage.AppendAdded(nil, res.Changes)
-	split := len(derived)
-	derived = storage.AppendRemoved(derived, res.Changes)
-	if added, removed := derived[:split], derived[split:]; string(added) != string(entry.Added) || string(removed) != string(entry.Removed) {
-		return nil, fmt.Errorf("%w: entry %d: its program derives added %q, removed %q; the journal holds added %q, removed %q",
-			ErrDiverged, entry.Seq, added, removed, entry.Added, entry.Removed)
+	derived := Entry{Seq: entry.Seq}
+	derived.record(res, hs.digestAt(n-1))
+	if err := entry.reproducedBy(derived, true); err != nil {
+		return nil, err
 	}
 	r.lastReplay = &replayed{snap: hs.snap, seq: entry.Seq, res: res}
 	return res, nil

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,9 +18,11 @@ import (
 
 // TestDivergedJournal: a journal record whose digest its program does not
 // derive — framed and checksummed — is refused by Open, naming its seq, and
-// the file is left as it was. A resident entry whose diff its program does
-// not derive is refused by every read that re-evaluates it, history and
-// explain, with a stable code, while the entry before it still explains.
+// the file is left as it was. A resident entry whose digest or counts its
+// program does not derive is refused by every read that re-evaluates it —
+// history and explain of its state, and a state past it — with a stable
+// code, while the entry before it still explains and the states before it
+// still read.
 func TestDivergedJournal(t *testing.T) {
 	dir := t.TempDir() + "/repo"
 	initial, err := parser.ObjectBase("phil.isa -> empl / sal -> 4000.\nbob.isa -> empl / sal -> 4200.\n", "init.vlg")
@@ -33,6 +36,7 @@ func TestDivergedJournal(t *testing.T) {
 	for _, src := range []string{
 		"mod[bob].sal -> (S, S') <- bob.sal -> S, S' = S + 100.",
 		"mod[phil].sal -> (S, S') <- phil.sal -> S, S' = S + 100.",
+		"mod[bob].sal -> (S, S') <- bob.sal -> S, S' = S + 1.",
 	} {
 		p, err := parser.Program(src, "p.vlg")
 		if err != nil {
@@ -53,8 +57,8 @@ func TestDivergedJournal(t *testing.T) {
 	// Entry 2's digest with its first digit changed, under a checksum that
 	// holds.
 	lines := bytes.SplitAfter(journal, []byte("\n"))
-	last := len(lines) - 2 // the empty string after the final newline is last
-	payload, err := storage.ParseJournalLine(bytes.TrimSuffix(lines[last], []byte("\n")), last+1)
+	second := slices.IndexFunc(lines, func(line []byte) bool { return bytes.Contains(line, []byte(`{"seq":2,`)) })
+	payload, err := storage.ParseJournalLine(bytes.TrimSuffix(lines[second], []byte("\n")), second+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +69,7 @@ func TestDivergedJournal(t *testing.T) {
 	forged := bytes.Clone(payload)
 	const hex = "0123456789abcdef"
 	forged[at] = hex[(strings.IndexByte(hex, forged[at])+1)%16]
-	lines[last] = storage.FrameJournalRecord(forged)
+	lines[second] = storage.FrameJournalRecord(forged)
 	tampered := bytes.Join(lines, nil)
 	if err := os.WriteFile(path, tampered, 0o644); err != nil {
 		t.Fatal(err)
@@ -80,28 +84,47 @@ func TestDivergedJournal(t *testing.T) {
 	if err := os.WriteFile(path, journal, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	repo, err = repository.Open(dir)
-	if err != nil {
-		t.Fatalf("the journal does not open: %v", err)
-	}
-	defer repo.Close()
-	// phil's raise resident as 4101 instead of 4100, as memory gone wrong
-	// would leave it.
-	entries := repo.Log()
-	entries[1].Added = storage.Facts(strings.Replace(string(entries[1].Added), "phil.sal=4100", "phil.sal=4101", 1))
-	ts := httptest.NewServer(New(repo))
-	defer ts.Close()
-
-	for _, path := range []string{
-		"/v1/t/default/history?object=phil&state=2",
-		"/v1/t/default/explain?vid=mod(phil)&method=sal&state=2",
+	for _, c := range []struct {
+		name   string
+		tamper func(e *repository.Entry)
+	}{
+		// phil's raise resident as leading to another state, or as adding
+		// one fact more, as memory gone wrong would leave it.
+		{"digest", func(e *repository.Entry) {
+			forged := *e.Digest
+			forged[1]++
+			e.Digest = &forged
+		}},
+		{"count", func(e *repository.Entry) { e.NumAdded++ }},
 	} {
-		code, body := get(t, ts.URL+path)
-		if code != http.StatusInternalServerError || errCode(t, body) != CodeDiverged || !strings.Contains(body, "entry 2") {
-			t.Errorf("GET %s = %d %s, want 500 %s naming entry 2", path, code, body, CodeDiverged)
-		}
-	}
-	if code, body := get(t, ts.URL+"/v1/t/default/explain?vid=mod(bob)&method=sal&state=1"); code != http.StatusOK {
-		t.Errorf("explain of the untampered entry 1 = %d %s", code, body)
+		t.Run(c.name, func(t *testing.T) {
+			repo, err := repository.Open(dir)
+			if err != nil {
+				t.Fatalf("the journal does not open: %v", err)
+			}
+			defer repo.Close()
+			c.tamper(&repo.Log()[1])
+			ts := httptest.NewServer(New(repo))
+			defer ts.Close()
+
+			for _, path := range []string{
+				"/v1/t/default/history?object=phil&state=2",
+				"/v1/t/default/explain?vid=mod(phil)&method=sal&state=2",
+				"/v1/t/default/state?n=2",
+			} {
+				code, body := get(t, ts.URL+path)
+				if code != http.StatusInternalServerError || errCode(t, body) != CodeDiverged || !strings.Contains(body, "entry 2") {
+					t.Errorf("GET %s = %d %s, want 500 %s naming entry 2", path, code, body, CodeDiverged)
+				}
+			}
+			for _, path := range []string{
+				"/v1/t/default/explain?vid=mod(bob)&method=sal&state=1",
+				"/v1/t/default/state?n=1",
+			} {
+				if code, body := get(t, ts.URL+path); code != http.StatusOK {
+					t.Errorf("GET %s before the tampered entry = %d %s", path, code, body)
+				}
+			}
+		})
 	}
 }

@@ -57,8 +57,9 @@ const (
 	// CodeSnapshotRequired: the requested replication resume point
 	// predates the primary's snapshot; bootstrap via /v1/repl/snapshot.
 	CodeSnapshotRequired = "snapshot_required"
-	// CodeDiverged: a journal entry's program, re-evaluated for history or
-	// explain, derives another diff than the journal holds.
+	// CodeDiverged: a journal entry's program, re-evaluated for history,
+	// explain or a past state, does not reproduce the digest or the counts
+	// the entry holds.
 	CodeDiverged = "journal_diverged"
 	// CodeJournalUnwritable: a journal append failed and could not be cut
 	// back; the tenant serves reads and refuses writes until it is reopened.

@@ -490,7 +490,7 @@ func (s *Server) handleLog(t *tenant.Tenant, w http.ResponseWriter, r *http.Requ
 			break
 		}
 		resp.Entries = append(resp.Entries, logEntry{
-			Seq: e.Seq, Added: e.Added.Len(), Removed: e.Removed.Len(),
+			Seq: e.Seq, Added: int(e.NumAdded), Removed: int(e.NumRemoved),
 			Fired: e.Fired, Strata: e.Strata, Program: e.Program, Constraints: e.Constraints, Epoch: e.Epoch,
 		})
 	}

@@ -16,8 +16,8 @@ import (
 // one hash of every fact's stand-alone encoding (vid "." method-part, see
 // Facts) — FNV-1a 64 in the first lane, CRC-64/ECMA in the second. A sum
 // does not depend on order, so adding a fact to a base adds its hash and
-// removing one subtracts it: a state's digest follows its diffs at the cost
-// of the diffs. Both hashes are fixed functions of the bytes, unlike
+// removing one subtracts it: a state's digest follows its changes at the cost
+// of the changes. Both hashes are fixed functions of the bytes, unlike
 // interned ids or hash/maphash, so every process computes the same digest
 // for the same facts.
 //
@@ -141,18 +141,40 @@ func vidEnd(s []byte) int {
 // the call reuses.
 func digestOf(facts iter.Seq[term.Fact]) Digest {
 	var d Digest
-	var enc factEncoder
+	var room [128]byte
+	buf := room[:0]
 	for f := range facts {
-		enc.buf = enc.buf[:0]
-		enc.add(f)
-		d = d.Add(feed(newFactHash(), enc.buf).sum())
+		buf = appendFact(buf[:0], f)
+		d = d.Add(feed(newFactHash(), buf).sum())
 	}
 	return d
 }
 
+// ChangesDigest returns what a set of changed versions does to a digest —
+// the facts the changes add hashed in, the facts they remove hashed out —
+// and how many facts each side holds, straight from the changed states: no
+// list is rendered and nothing is sorted, since a sum has no order. Each
+// fact is encoded on its own, as digestOf encodes it, in one buffer the call
+// reuses, so that facts of a few dozen bytes allocate nothing. The state the
+// changes lead to from a state of digest d has digest
+// d.Add(ChangesDigest(changes)).
+func ChangesDigest(changes []objectbase.Change) (d Digest, added, removed int) {
+	var room [128]byte
+	buf := room[:0]
+	hash := func(f term.Fact) Digest {
+		buf = appendFact(buf[:0], f)
+		return feed(newFactHash(), buf).sum()
+	}
+	objectbase.ChangedFacts(changes,
+		func(f term.Fact) { d = d.Add(hash(f)); added++ },
+		func(f term.Fact) { d = d.Sub(hash(f)); removed++ })
+	return d, added, removed
+}
+
 // BaseDigest returns the digest of every fact of b, exists facts included:
 // the digest of b's snapshot. It costs an encoding of the base, in no
-// order; a commit keeps its head's digest from the diffs instead.
+// order; a commit keeps its head's digest from its changes instead
+// (ChangesDigest).
 func BaseDigest(b *objectbase.Base) Digest {
 	return digestOf(b.AllFacts())
 }

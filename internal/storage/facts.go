@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -12,11 +10,11 @@ import (
 	"verlog/internal/term"
 )
 
-// Facts is a fact list in a compact encoding: the form a diff is built in
-// and kept resident in, and a snapshot's facts are written in. It is a
+// Facts is a fact list in a compact encoding: the form a snapshot's facts
+// are written in, and each fact's bytes are hashed in (Digest). It is a
 // plain string — no pointers for the collector to trace, no newline,
-// nothing JSON has to escape — and is decoded only where a diff is
-// replayed or a snapshot read. The empty string is the empty list.
+// nothing JSON has to escape — and is decoded only where a snapshot is
+// read. The empty string is the empty list.
 //
 //	facts  = fact { ";" fact | "/" method-part }
 //	fact   = vid "." method-part
@@ -36,43 +34,13 @@ import (
 // and the bytes of a list are a function of its facts alone.
 type Facts string
 
-// Len returns the number of facts in the list.
-func (f Facts) Len() int {
-	if f == "" {
-		return 0
-	}
-	return 1 + strings.Count(string(f), ";") + strings.Count(string(f), "/")
-}
-
-// UnmarshalJSON reads the list from a journal record: a JSON string holding
-// the compact encoding. A record writes a list between its quotes as it is,
-// so a string that decodes to a byte JSON escapes was not written as a list,
-// and is refused.
-func (f *Facts) UnmarshalJSON(data []byte) error {
-	if len(data) >= 2 && data[0] == '"' && bytes.IndexByte(data, '\\') < 0 {
-		*f = Facts(data[1 : len(data)-1]) // no escapes: the common case, one copy
-		return nil
-	}
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' {
-			return fmt.Errorf("storage: a fact list holds %q, which JSON escapes and no list holds", c)
-		}
-	}
-	*f = Facts(s)
-	return nil
-}
-
 // EncodeFacts encodes a fact list.
 func EncodeFacts(facts []term.Fact) Facts {
 	var enc factEncoder
 	for _, f := range facts {
 		enc.add(f)
 	}
-	return enc.facts()
+	return Facts(enc.buf)
 }
 
 // EncodeDiff encodes a diff's two fact lists.
@@ -80,70 +48,44 @@ func EncodeDiff(d objectbase.Diff) (added, removed Facts) {
 	return EncodeFacts(d.Added), EncodeFacts(d.Removed)
 }
 
-// AppendAdded appends to dst, encoded, the added list of the diff a set of
-// changed versions amounts to, straight from the changed states: the bytes
-// of the first list EncodeDiff(objectbase.DiffChanges(changes)) returns,
-// without the fact lists in between. changes is sorted by version in place.
-func AppendAdded(dst []byte, changes []objectbase.Change) []byte {
-	e := factEncoder{buf: dst, start: len(dst)}
-	objectbase.ChangedFacts(changes, e.add, nil)
-	return e.buf
-}
-
-// AppendRemoved is AppendAdded for the removed list.
-func AppendRemoved(dst []byte, changes []objectbase.Change) []byte {
-	e := factEncoder{buf: dst, start: len(dst)}
-	objectbase.ChangedFacts(changes, nil, e.add)
-	return e.buf
-}
-
-// DecodeDiff decodes two encoded fact lists into a diff.
-func DecodeDiff(added, removed Facts) (d objectbase.Diff, err error) {
-	if d.Added, err = added.Decode(); err != nil {
-		return objectbase.Diff{}, err
-	}
-	if d.Removed, err = removed.Decode(); err != nil {
-		return objectbase.Diff{}, err
-	}
-	return d, nil
-}
-
-// factEncoder appends facts to one buffer, as a list starting at start.
+// factEncoder appends facts to one buffer, as a list.
 type factEncoder struct {
-	buf   []byte
-	start int
-	prev  term.GVID // version of the fact before, valid once the list is non-empty
+	buf  []byte
+	prev term.GVID // version of the fact before, valid once the list is non-empty
 }
-
-func (e *factEncoder) facts() Facts { return Facts(e.buf) }
 
 func (e *factEncoder) add(f term.Fact) {
-	b := e.buf
-	if len(b) > e.start && f.V == e.prev {
-		b = append(b, '/')
-	} else {
-		if len(b) > e.start {
-			b = append(b, ';')
-		}
-		b = appendOID(b, f.V.Object)
-		if f.V.Path != "" {
-			b = append(b, '^')
-			b = append(b, f.V.Path...)
-		}
-		b = append(b, '.')
-		e.prev = f.V
+	switch {
+	case len(e.buf) > 0 && f.V == e.prev:
+		e.buf = appendPart(append(e.buf, '/'), f)
+		return
+	case len(e.buf) > 0:
+		e.buf = append(e.buf, ';')
 	}
+	e.prev = f.V
+	e.buf = appendFact(e.buf, f)
+}
+
+// appendFact appends the encoding of f on its own: vid "." method-part.
+func appendFact(b []byte, f term.Fact) []byte {
+	b = appendOID(b, f.V.Object)
+	if f.V.Path != "" {
+		b = append(append(b, '^'), f.V.Path...)
+	}
+	return appendPart(append(b, '.'), f)
+}
+
+// appendPart appends the method-part of f.
+func appendPart(b []byte, f term.Fact) []byte {
 	b = appendName(b, f.Method, "")
 	if !f.Args.Empty() {
 		sep := byte('@')
 		for _, a := range f.Args.Decode() {
-			b = append(b, sep)
-			b = appendOID(b, a)
+			b = appendOID(append(b, sep), a)
 			sep = ','
 		}
 	}
-	b = append(b, '=')
-	e.buf = appendOID(b, f.Result)
+	return appendOID(append(b, '='), f.Result)
 }
 
 func appendOID(b []byte, o term.OID) []byte {
@@ -229,7 +171,7 @@ func (f Facts) Decode() ([]term.Fact, error) {
 		return nil, nil
 	}
 	d := factDecoder{s: string(f)}
-	out := make([]term.Fact, 0, f.Len())
+	out := make([]term.Fact, 0, 1+strings.Count(string(f), ";")+strings.Count(string(f), "/"))
 	var fact term.Fact
 	for sep := byte(';'); ; d.i++ {
 		if sep == ';' {

@@ -8,10 +8,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"verlog/internal/objectbase"
+	"verlog/internal/objectbase/obtest"
 	"verlog/internal/term"
 )
 
@@ -70,9 +72,6 @@ func nastyFacts(rng *rand.Rand, n int) []term.Fact {
 func checkRoundTrip(t *testing.T, facts []term.Fact) Facts {
 	t.Helper()
 	enc := EncodeFacts(facts)
-	if enc.Len() != len(facts) {
-		t.Fatalf("Len = %d for %d facts: %q", enc.Len(), len(facts), enc)
-	}
 	for i := 0; i < len(enc); i++ {
 		if c := enc[i]; c < 0x20 || c == 0x7f || strings.IndexByte(`"\<>&`, c) >= 0 {
 			t.Fatalf("encoding holds byte %q, which JSON or a line-framed journal has to escape: %q", c, enc)
@@ -144,10 +143,12 @@ func TestFactsSyntax(t *testing.T) {
 	}
 }
 
-// TestAppendChangesMatchesCompute: the lists written straight from changed
-// states, behind whatever dst already holds, are byte for byte the ones the
-// two-base oracle leads to, whatever order the changes come in.
-func TestAppendChangesMatchesCompute(t *testing.T) {
+// TestChangesDigestMatchesCompute: the digest summed straight from changed
+// states, in whatever order they come, is that of the lists the two-base
+// oracle renders — the added list's digest minus the removed list's — its
+// counts are the lists' lengths, and it carries the digest of the base the
+// changes start from to that of the base they lead to.
+func TestChangesDigestMatchesCompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		from := randomBase(rng).Freeze()
@@ -161,53 +162,44 @@ func TestAppendChangesMatchesCompute(t *testing.T) {
 			}
 		}
 		d := objectbase.Compute(from, to)
-		changes := d.Changes(from)
+		changes := obtest.Changes(from, d)
 		rng.Shuffle(len(changes), func(i, j int) { changes[i], changes[j] = changes[j], changes[i] })
-		kept := []byte(`,"added":"`)
-		rec := AppendAdded(kept, changes)
-		split := len(rec)
-		rec = AppendRemoved(rec, changes)
-		if string(rec[:len(kept)]) != string(kept) {
-			t.Fatalf("trial %d: what dst held changed: %q", trial, rec)
+		order := slices.Clone(changes)
+		added, removed := EncodeDiff(d)
+		sum, nAdded, nRemoved := ChangesDigest(changes)
+		if want := FactsDigest([]byte(added)).Sub(FactsDigest([]byte(removed))); sum != want || nAdded != len(d.Added) || nRemoved != len(d.Removed) {
+			t.Fatalf("trial %d: ChangesDigest = %s +%d -%d; the rendered lists give %s +%d -%d", trial, sum, nAdded, nRemoved, want, len(d.Added), len(d.Removed))
 		}
-		added, removed := Facts(rec[len(kept):split]), Facts(rec[split:])
-		wantAdded, wantRemoved := EncodeDiff(d)
-		if added != wantAdded || removed != wantRemoved {
-			t.Fatalf("trial %d:\n added %q\n  want %q\nremoved %q\n   want %q", trial, added, wantAdded, removed, wantRemoved)
+		if got, want := BaseDigest(from).Add(sum), BaseDigest(to); got != want {
+			t.Fatalf("trial %d: the changes carry the digest to %s, the base they lead to hashes to %s", trial, got, want)
 		}
-		back, err := DecodeDiff(added, removed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		redo := from.Clone()
-		back.Apply(redo)
-		if !redo.Equal(to) {
-			t.Fatalf("trial %d: replaying the decoded diff does not reach the target base", trial)
+		if !slices.Equal(changes, order) {
+			t.Fatalf("trial %d: ChangesDigest reordered the changes", trial)
 		}
 	}
 }
 
-// TestFactsRefuseJSONEscapes: a list read from a record holds no byte JSON
-// escapes, since a record writes its lists between their quotes as they
-// are. Escapes of bytes a list may hold raw — a quote, or what a
-// U+2028-escaping writer escapes — still read.
-func TestFactsRefuseJSONEscapes(t *testing.T) {
-	for data, want := range map[string]Facts{
-		`"x.m=\u0027a\u0027"`: "x.m='a'",
-		`"x.m='\u2028'"`:      "x.m='\u2028'",
-		`"x.m='\u00e9'/n=1"`:  "x.m='é'/n=1",
-		`"x.m=1;y.m=2"`:       "x.m=1;y.m=2",
-	} {
-		var f Facts
-		if err := f.UnmarshalJSON([]byte(data)); err != nil || f != want {
-			t.Errorf("UnmarshalJSON(%s) = %q, %v; want %q", data, f, err, want)
+// TestChangesDigestAllocatesNothing: a commit sums its digest in one buffer
+// on the stack, so once a fact's encoding fits it nothing is allocated (a
+// method with arguments decodes them, which does allocate).
+func TestChangesDigestAllocatesNothing(t *testing.T) {
+	from := objectbase.New()
+	for i := range 40 {
+		v := term.GV(term.Str(fmt.Sprintf("e %d", i)), term.Mod)
+		from.Insert(term.NewFact(v, "sal", term.Num(int64(i), 7)))
+		from.Insert(term.NewFact(v, "isa", term.Sym("empl")))
+	}
+	from.Freeze()
+	to := from.Clone()
+	for i, f := range from.Facts() {
+		if i%3 == 0 {
+			to.Remove(f)
 		}
 	}
-	for _, data := range []string{`"x.m='a\"b'"`, `"x.m='a\\b'"`, `"x.m='a\nb'"`, `"x.m='\u0000'"`} {
-		var f Facts
-		if err := f.UnmarshalJSON([]byte(data)); err == nil {
-			t.Errorf("UnmarshalJSON(%s) = %q, want an error", data, f)
-		}
+	to.Insert(term.NewFact(term.GV(term.Sym("new")), "sal", term.Int(7)))
+	changes := obtest.Changes(from, objectbase.Compute(from, to))
+	if allocs := testing.AllocsPerRun(100, func() { ChangesDigest(changes) }); allocs != 0 {
+		t.Errorf("ChangesDigest allocates %.0f times a call, want none", allocs)
 	}
 }
 
@@ -295,6 +287,19 @@ func TestAppendJSONString(t *testing.T) {
 	}
 }
 
+// diffCodecSeeds are the seed corpus of FuzzDiffCodec, which
+// FuzzChangesDigest starts from too.
+var diffCodecSeeds = []struct {
+	data []byte
+	pos  uint16
+	flip byte
+}{
+	{[]byte("e12.sal=4213"), 3, 1},
+	{[]byte("e1.isa=empl/sal=4000;e2^md.cell@1,'k'=-652r7;$'7 up'.'odd m'='x%3by'"), 20, 0x40},
+	{[]byte("\x02a\x00\x01\xffm'\"\n;/%\\<>&\x03"), 0, 0xff},
+	{[]byte("\x01\x04a\"\\b\x00\x01m\x00\x01\x02\"\\"), 0, 0}, // 'a"\b'.m='"\': what JSON escapes, quoted
+}
+
 // FuzzDiffCodec: decode∘encode is the identity on fact lists built from
 // arbitrary bytes, and so is a snapshot of the base they make; an arbitrary
 // string decodes or is refused, never panics, and what it decodes to
@@ -302,10 +307,9 @@ func TestAppendJSONString(t *testing.T) {
 // or a snapshot is always caught — it never reads as a record with a
 // different diff, or as a different base.
 func FuzzDiffCodec(f *testing.F) {
-	f.Add([]byte("e12.sal=4213"), uint16(3), byte(1))
-	f.Add([]byte("e1.isa=empl/sal=4000;e2^md.cell@1,'k'=-652r7;$'7 up'.'odd m'='x%3by'"), uint16(20), byte(0x40))
-	f.Add([]byte("\x02a\x00\x01\xffm'\"\n;/%\\<>&\x03"), uint16(0), byte(0xff))
-	f.Add([]byte("\x01\x04a\"\\b\x00\x01m\x00\x01\x02\"\\"), uint16(0), byte(0)) // 'a"\b'.m='"\': what JSON escapes, quoted
+	for _, seed := range diffCodecSeeds {
+		f.Add(seed.data, seed.pos, seed.flip)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, pos uint16, flip byte) {
 		facts := factsFromBytes(data)
 		enc := checkRoundTrip(t, facts)
@@ -315,9 +319,6 @@ func FuzzDiffCodec(f *testing.F) {
 				t.Fatalf("%q decodes, but re-encodes as %q", data, re)
 			}
 			checkRoundTrip(t, direct)
-			if Facts(data).Len() != len(direct) {
-				t.Fatalf("%q: Len = %d, Decode yields %d facts", data, Facts(data).Len(), len(direct))
-			}
 		}
 
 		snap, err := snapshotRoundTrip(facts)
@@ -384,6 +385,72 @@ func snapshotRoundTrip(facts []term.Fact) ([]byte, error) {
 		return nil, fmt.Errorf("snapshot %q loads as seq %d and\n%v, want seq %d and\n%v", buf.Bytes(), seq, got.Facts(), len(facts), b.Facts())
 	}
 	return buf.Bytes(), nil
+}
+
+// FuzzChangesDigest: the digest a commit sums straight from its changes is
+// the one its rendered lists give — FactsDigest of the added list minus that
+// of the removed list, the lists rendered from the facts put in each side,
+// not through the walker — and its counts are the lists' lengths, on change
+// lists that add, change and empty versions of any facts the codec encodes
+// (quoted OIDs, version paths, methods with arguments). The input is
+// FuzzDiffCodec's, read as facts in pairs that share a version: bit i of pos
+// puts fact i in the version's old state, bit i of flip in its new one.
+func FuzzChangesDigest(f *testing.F) {
+	for _, seed := range diffCodecSeeds {
+		f.Add(seed.data, seed.pos, seed.flip)
+	}
+	rng := rand.New(rand.NewSource(61))
+	for range 8 {
+		data := make([]byte, 32+rng.Intn(224))
+		rng.Read(data)
+		f.Add(data, uint16(rng.Intn(1<<16)), byte(rng.Intn(256)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, pos uint16, flip byte) {
+		facts := factsFromBytes(data)
+		sides := [2]map[term.GVID]*objectbase.State{{}, {}} // old, new
+		in := [2]map[term.Fact]bool{{}, {}}
+		var versions []term.GVID
+		for i, fact := range facts {
+			fact.V = facts[i&^1].V
+			if !slices.Contains(versions, fact.V) {
+				versions = append(versions, fact.V)
+			}
+			for side, on := range [2]bool{pos>>(i%16)&1 != 0, flip>>(i%8)&1 != 0} {
+				if !on {
+					continue
+				}
+				st := sides[side][fact.V]
+				if st == nil {
+					st = objectbase.NewState()
+					sides[side][fact.V] = st
+				}
+				st.Add(fact.Key(), fact.Result)
+				in[side][fact] = true
+			}
+		}
+		var changes []objectbase.Change
+		for _, v := range versions {
+			if old, new := sides[0][v], sides[1][v]; old != nil || new != nil {
+				changes = append(changes, objectbase.Change{V: v, Old: old, New: new})
+			}
+		}
+		// The lists, rendered from the sets the states were built from.
+		var lists [2][]term.Fact // added, removed
+		for side := range 2 {
+			for fact := range in[1-side] {
+				if !in[side][fact] {
+					lists[side] = append(lists[side], fact)
+				}
+			}
+			slices.SortFunc(lists[side], term.Fact.Compare)
+		}
+		added, removed := EncodeFacts(lists[0]), EncodeFacts(lists[1])
+		sum, nAdded, nRemoved := ChangesDigest(changes)
+		if want := FactsDigest([]byte(added)).Sub(FactsDigest([]byte(removed))); sum != want || nAdded != len(lists[0]) || nRemoved != len(lists[1]) {
+			t.Fatalf("ChangesDigest = %s +%d -%d; the rendered lists +%q -%q give %s +%d -%d",
+				sum, nAdded, nRemoved, added, removed, want, len(lists[0]), len(lists[1]))
+		}
+	})
 }
 
 // factsFromBytes turns fuzz input into a fact list: every string in it is

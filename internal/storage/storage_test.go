@@ -183,9 +183,13 @@ func TestDiffRecordsRoundTrip(t *testing.T) {
 	to.Remove(term.NewFact(term.GV(term.Sym("phil")), "sal", term.Int(4000)))
 	d := objectbase.Compute(from, to)
 	added, removed := EncodeDiff(d)
-	back, err := DecodeDiff(added, removed)
-	if err != nil {
-		t.Fatalf("DecodeDiff: %v", err)
+	var back objectbase.Diff
+	var err error
+	if back.Added, err = added.Decode(); err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if back.Removed, err = removed.Decode(); err != nil {
+		t.Fatalf("Decode: %v", err)
 	}
 	redo := from.Clone()
 	back.Apply(redo)
