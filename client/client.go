@@ -531,8 +531,11 @@ func (c *Client) Log(ctx context.Context) ([]LogEntry, error) {
 
 // ApplyTimings are the server-reported per-stage timings of one apply, in
 // microseconds (see eval.Stats for the stage meanings). Queue is the wait
-// for the applies ahead; Copy is part of Eval; Encode and CommitWait are
-// the two parts of Commit.
+// for the applies ahead; Stratify, Strata and Copy are part of Eval; Commit
+// holds Encode, CommitWait and the hand-off between them. Total runs from
+// the server handler's entry until just before the response is encoded,
+// and Other is what it spent outside the other stages:
+// Parse + Queue + Safety + Eval + Constraints + Commit + Other = Total.
 type ApplyTimings struct {
 	ParseUS       int64   `json:"parse_us"`
 	QueueUS       int64   `json:"queue_us"`
@@ -545,6 +548,7 @@ type ApplyTimings struct {
 	CommitUS      int64   `json:"commit_us"`
 	EncodeUS      int64   `json:"encode_us"`
 	CommitWaitUS  int64   `json:"commit_wait_us"`
+	OtherUS       int64   `json:"other_us"`
 	TotalUS       int64   `json:"total_us"`
 }
 

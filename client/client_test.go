@@ -59,7 +59,11 @@ func TestClientEndToEnd(t *testing.T) {
 		t.Errorf("apply = %+v", res)
 	}
 	if res.Timings == nil || len(res.Timings.StrataUS) != 3 || res.Timings.TotalUS <= 0 {
-		t.Errorf("apply timings = %+v", res.Timings)
+		t.Fatalf("apply timings = %+v", res.Timings)
+	}
+	// The stages and the rest add up to the total.
+	if tm := res.Timings; tm.OtherUS < 0 || tm.ParseUS+tm.QueueUS+tm.SafetyUS+tm.EvalUS+tm.ConstraintsUS+tm.CommitUS+tm.OtherUS != tm.TotalUS {
+		t.Errorf("apply timings do not add up to total_us: %+v", tm)
 	}
 
 	head, err := c.Head(ctx)

@@ -246,13 +246,13 @@ func cmdTrace(args []string) error {
 	}
 
 	tr := obs.NewTrace("verlog trace " + filepath.Base(progPath))
-	parseSpan := tr.Root.StartChild("parse")
+	parse := tr.Root.Stage("parse")
 	p, err := loadProgram(progPath)
-	parseSpan.End()
+	parse.End()
 	if err != nil {
 		return err
 	}
-	parseSpan.SetInt("rules", int64(len(p.Rules)))
+	parse.Span().SetInt("rules", int64(len(p.Rules)))
 
 	opts := []core.Option{core.WithSpan(tr.Root), core.WithTrace()}
 	res, err := core.New(opts...).Apply(ob, p)

@@ -4,8 +4,6 @@
 package core
 
 import (
-	"time"
-
 	"verlog/internal/eval"
 	"verlog/internal/objectbase"
 	"verlog/internal/obs"
@@ -93,19 +91,17 @@ func (e *Engine) Check(p *term.Program) (*strata.Assignment, error) {
 // (fixpoint base unless WithDropResult, updated object base,
 // stratification, statistics). ob is not modified.
 func (e *Engine) Apply(ob *objectbase.Base, p *term.Program) (*eval.Result, error) {
-	safetyStart := time.Now()
-	safetySpan := e.opts.Span.StartChild("safety")
+	check := e.opts.Span.Stage("safety")
 	err := safety.Program(p)
-	safetySpan.End()
+	checked := check.End()
 	if err != nil {
 		return nil, err
 	}
-	safetyDur := time.Since(safetyStart)
 	res, err := eval.Run(ob, p, e.opts)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.Safety = safetyDur
+	res.Stats.Safety = checked
 	return res, nil
 }
 

@@ -274,20 +274,18 @@ func Compile(base *objectbase.Base, p *term.Program, static bool) (*CompiledProg
 // back. A program that cannot be stratified is refused with Stratify's
 // error, an unsafe one with its *CompileError.
 func PlanProgram(base *objectbase.Base, p *term.Program, sp *obs.Span) (*CompiledProgram, time.Duration, error) {
-	start := time.Now()
-	span := sp.StartChild("stratify")
+	stratify := sp.Stage("stratify")
 	_, params := ProgramShape(p, nil)
 	a, err := strata.StratifyLifted(p)
 	lifted := err == nil && (a.NumStrata() == 1 || len(params) == 0)
 	if !lifted && len(params) > 0 {
 		a, err = strata.Stratify(p)
 	}
-	span.End()
-	d := time.Since(start)
+	d := stratify.End()
 	if err != nil {
 		return nil, d, err
 	}
-	span.SetInt("strata", int64(len(a.Strata)))
+	stratify.Span().SetInt("strata", int64(len(a.Strata)))
 	if !lifted {
 		params = nil
 	}

@@ -95,12 +95,15 @@ type StratumTiming struct {
 }
 
 // Stats carries per-stage timings across the layers of one apply. eval.Run
-// fills Stratify, Strata, Copy and Eval; core.Apply adds Safety; the
-// repository adds Queue, ConstraintCheck, Encode, CommitWait and Commit; the
-// server adds Parse. The
-// stage names follow the paper's pipeline: parse, safety, stratification,
-// per-stratum T_P fixpoints, the copy phase building ob', and the apply
-// phase committing the result.
+// fills Stratify, Strata and Copy; core.Apply adds Safety; the repository
+// adds Queue, Eval, ConstraintCheck, Encode, CommitWait and Commit; the
+// server adds Parse. The stage names follow the paper's pipeline: parse,
+// safety, stratification, per-stratum T_P fixpoints, the copy phase
+// building ob', and the apply phase committing the result. A stage that
+// has a span under a trace is timed by an obs.Stage, so the span and the
+// field hold the same two clock readings. Parse, Queue, Safety, Eval,
+// ConstraintCheck and Commit do not overlap; what an apply spends outside
+// them is the server's other_us.
 type Stats struct {
 	// Parse is the time spent parsing the program text (callers that start
 	// from a parsed program leave it zero).
@@ -120,16 +123,20 @@ type Stats struct {
 	// Copy is the copy phase: deriving the updated object base ob' from the
 	// input base and the fixpoint's final versions.
 	Copy time.Duration
-	// Eval is the total time inside eval.Run (stratify through copy), with
-	// the planning the repository did for the apply on a plan-cache miss.
+	// Eval is the evaluation of an apply (repository layer): the plan-cache
+	// lookup, the planning on a miss and eval.Run, stratify through copy,
+	// less Safety, which runs inside it. Zero for an apply proved a no-op.
 	Eval time.Duration
 	// ConstraintCheck is the integrity-constraint verification of the
 	// updated base (repository layer).
 	ConstraintCheck time.Duration
-	// Commit is the whole apply phase (repository layer). Its two parts:
-	// Encode turns the changed states into the journal record's bytes, and
-	// CommitWait is the time from joining a group-commit batch until the
-	// batch is fsynced and the new head published — queueing plus disk.
+	// Commit is the apply phase (repository layer), one stage from the
+	// start of Encode to the end of CommitWait: Encode renders the program
+	// and sums the digest of the state it leads to into the journal
+	// record's bytes, and CommitWait is the time from joining a
+	// group-commit batch until the batch is fsynced and the new head
+	// published — queueing plus disk. The rest of Commit is the hand-off
+	// between them.
 	Commit     time.Duration
 	Encode     time.Duration
 	CommitWait time.Duration
@@ -645,27 +652,22 @@ type ruleAgg struct {
 // Run refuses an unsafe rule with the *CompileError of its match plan.
 func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	sp := opts.Span
-	evalStart := time.Now()
 	// Plans that serve p and carry their stratification (PlanProgram's)
 	// spare the run its own.
-	compiled, planAttr := opts.Plans, "cached"
+	compiled, res := opts.Plans, &Result{Plan: "cached"}
 	params, served := compiled.bind(p)
-	var assignment *strata.Assignment
 	if served {
-		assignment = compiled.strata
+		res.Assignment = compiled.strata
 	}
-	var stratifyDur time.Duration
-	if assignment == nil {
-		stratifyStart := time.Now()
-		stratifySpan := sp.StartChild("stratify")
+	if res.Assignment == nil {
+		stratify := sp.Stage("stratify")
 		var err error
-		assignment, err = strata.Stratify(p)
-		stratifySpan.End()
+		res.Assignment, err = strata.Stratify(p)
+		res.Stats.Stratify = stratify.End()
 		if err != nil {
 			return nil, err
 		}
-		stratifySpan.SetInt("strata", int64(len(assignment.Strata)))
-		stratifyDur = time.Since(stratifyStart)
+		stratify.Span().SetInt("strata", int64(len(res.Assignment.Strata)))
 	}
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = defaultMaxIterations
@@ -684,11 +686,9 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 		if compiled, err = Compile(ob, p, false); err != nil {
 			return nil, err
 		}
-		planAttr = "compiled"
+		res.Plan = "compiled"
 	}
-	sp.SetAttr("plan", planAttr)
-	res := &Result{Assignment: assignment, Plan: planAttr}
-	res.Stats.Stratify = stratifyDur
+	sp.SetAttr("plan", res.Plan)
 	// The evaluation writes into the scratch the last one parked and parks it
 	// again once nothing reads it any more — after buildTrace and ruleStats,
 	// on a refusal as on a result, and, on a result whose Changes it lends,
@@ -696,7 +696,7 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 	// in no state to hand on, and the collector has it.
 	e := newEngine(ob, p, compiled, opts, takeScratch())
 	e.x.params = params
-	if err := e.evaluate(res, evalStart); err != nil {
+	if err := e.evaluate(res); err != nil {
 		e.park()
 		return nil, err
 	}
@@ -710,42 +710,37 @@ func Run(ob *objectbase.Base, p *term.Program, opts Options) (*Result, error) {
 
 // evaluate runs the strata of res.Assignment in order and the copy phase
 // after them, and fills in res.
-func (e *engine) evaluate(res *Result, evalStart time.Time) error {
+func (e *engine) evaluate(res *Result) error {
 	sp := e.opts.Span
 	if err := e.seedDeepest(); err != nil {
 		return err
 	}
 	for si, stratum := range res.Assignment.Strata {
-		stratumStart := time.Now()
-		var stratumSpan *obs.Span
+		var name string
 		if sp != nil {
-			stratumSpan = sp.StartChild("stratum " + strconv.Itoa(si+1))
-			stratumSpan.SetInt("rules", int64(len(stratum)))
+			name = "stratum " + strconv.Itoa(si+1)
 		}
-		iters, err := e.newStratumRun(si, stratum, stratumSpan).run()
-		stratumSpan.SetInt("iterations", int64(iters))
-		stratumSpan.End()
+		stage := sp.Stage(name)
+		stage.Span().SetInt("rules", int64(len(stratum)))
+		iters, err := e.newStratumRun(si, stratum, stage.Span()).run()
+		stage.Span().SetInt("iterations", int64(iters))
+		d := stage.End()
 		if err != nil {
 			return err
 		}
 		res.Iterations = append(res.Iterations, iters)
-		res.Stats.Strata = append(res.Stats.Strata, StratumTiming{
-			Duration: time.Since(stratumStart), Iterations: iters,
-		})
+		res.Stats.Strata = append(res.Stats.Strata, StratumTiming{Duration: d, Iterations: iters})
 	}
 	// result(P) shares the states of versions no update changed with the
 	// input base: frozen, nobody can edit the input through it.
 	if !e.opts.DropResult {
 		res.Result = e.base.Freeze()
 	}
-	copyStart := time.Now()
-	copySpan := sp.StartChild("copy")
+	stage := sp.Stage("copy")
 	res.Final, res.Changes = e.finalize()
-	copySpan.SetInt("objects", int64(len(e.objs)))
-	copySpan.SetInt("changed", int64(len(res.Changes)))
-	copySpan.End()
-	res.Stats.Copy = time.Since(copyStart)
-	res.Stats.Eval = time.Since(evalStart)
+	stage.Span().SetInt("objects", int64(len(e.objs)))
+	stage.Span().SetInt("changed", int64(len(res.Changes)))
+	res.Stats.Copy = stage.End()
 	res.Fired = e.fired
 	res.RuleStats = e.ruleStats()
 	res.Trace = e.buildTrace()
@@ -1115,7 +1110,7 @@ func (s *stratumRun) iterate() (int, error) {
 
 	var itSpan *obs.Span
 	if s.span != nil {
-		itSpan = s.span.StartChild("iteration " + strconv.Itoa(iter))
+		itSpan = s.span.AddChild("iteration "+strconv.Itoa(iter), time.Now(), 0)
 		itSpan.SetInt("delta_in", int64(s.added))
 		clear(s.freshByRule)
 	}

@@ -9,14 +9,20 @@ import (
 // pointer swaps long, and the journal's append/fsync latency probes
 // (time.Now/time.Since pairs) belong around the disk calls under diskMu
 // — never inside commitMu, where a vDSO stall or a clock-probe syscall
-// stretches the serialization point of the whole pipeline. Deferred
-// closures are exempt: they run at return, after the section the
-// analyzer cares about.
+// stretches the serialization point of the whole pipeline. A stage timer
+// reads the clock too: opening one (obs.Span.Stage) or ending one (End, on
+// a stage or a span) is a clock read, matched by the method's name and
+// argument count. Deferred closures are exempt: they run at return, after
+// the section the analyzer cares about.
 var Commitclock = &Analyzer{
 	Name: "commitclock",
-	Doc:  "flag time.Now()/time.Since() while commitMu is held (probe latency outside the commit section)",
+	Doc:  "flag time.Now()/time.Since() and stage timers while commitMu is held (probe latency outside the commit section)",
 	Run:  runCommitclock,
 }
+
+// clockMethods are the methods of obs.Span and obs.Stage that read the
+// clock, by name and argument count.
+var clockMethods = map[string]int{"Stage": 1, "End": 0}
 
 func runCommitclock(p *Pass) {
 	funcBodies(p, func(name string, body *ast.BlockStmt) {
@@ -25,14 +31,19 @@ func runCommitclock(p *Pass) {
 			if !ok {
 				return
 			}
-			pkg, ok := sel.X.(*ast.Ident)
-			if !ok || pkg.Name != "time" {
+			method := sel.Sel.Name
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" {
+				if method == "Now" || method == "Since" {
+					p.Reportf(call.Pos(),
+						"time.%s() while commitMu is held in %s: wall-clock probes belong outside the commit critical section",
+						method, name)
+				}
 				return
 			}
-			if sel.Sel.Name == "Now" || sel.Sel.Name == "Since" {
+			if n, ok := clockMethods[method]; ok && len(call.Args) == n {
 				p.Reportf(call.Pos(),
-					"time.%s() while commitMu is held in %s: wall-clock probes belong outside the commit critical section",
-					sel.Sel.Name, name)
+					"%s() reads the clock while commitMu is held in %s: stage timers belong outside the commit critical section",
+					method, name)
 			}
 		}}
 		scan.scanBody(body)

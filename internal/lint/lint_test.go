@@ -218,6 +218,21 @@ func bad(r *Repo) {
 	got := analyze(t, Commitclock, "verlog/internal/x", positive)
 	wantFindings(t, got, "time.Now()", "time.Since()")
 
+	// A stage timer reads the clock where it opens and where it ends.
+	const timer = `package x
+func bad(r *Repo, sp *obs.Span, commit obs.Stage) {
+	r.commitMu.Lock()
+	wait := commit.Span().Stage("wait")       // finding: opens a stage
+	child := sp.AddChild("seal", time.Now(), 0) // finding: time.Now()
+	r.seal()
+	child.End()                                 // finding
+	r.lat = wait.End()                          // finding
+	r.commitMu.Unlock()
+	commit.End()                                // lock released
+}`
+	got = analyze(t, Commitclock, "verlog/internal/x", timer)
+	wantFindings(t, got, "Stage()", "time.Now()", "End()", "End()")
+
 	const negative = `package x
 func good(r *Repo) {
 	start := time.Now()              // before the section

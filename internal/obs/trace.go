@@ -29,7 +29,6 @@ type Span struct {
 	Children []*Span `json:"children,omitempty"`
 
 	trace *Trace
-	start time.Time
 }
 
 // Attr is one span annotation.
@@ -55,7 +54,7 @@ type Trace struct {
 // NewTrace starts a trace whose root span carries the given name.
 func NewTrace(name string) *Trace {
 	t := &Trace{ID: NewTraceID(), Name: name, Start: time.Now()}
-	t.Root = &Span{Name: name, trace: t, start: t.Start}
+	t.Root = &Span{Name: name, trace: t}
 	return t
 }
 
@@ -98,20 +97,39 @@ func (s *Span) count() int {
 	return n
 }
 
-// StartChild opens a child span starting now. On a nil receiver it
-// returns nil, so disabled tracing costs a nil check and nothing else.
-func (s *Span) StartChild(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	now := time.Now()
-	c := &Span{Name: name, trace: s.trace, start: now, StartUS: s.trace.offsetUS(now)}
-	s.Children = append(s.Children, c)
-	return c
+// Stage is one timed stage of a pipeline: its duration and, under a
+// trace, its span come from the same two clock readings, so the two
+// never disagree.
+type Stage struct {
+	span  *Span
+	start time.Time
 }
 
+// Stage opens the stage named name as a child of s, reading the clock
+// once. On a nil receiver the stage is timed all the same and opens no
+// span: it allocates nothing.
+func (s *Span) Stage(name string) Stage {
+	now := time.Now()
+	return Stage{span: s.AddChild(name, now, 0), start: now}
+}
+
+// End reads the clock once, closes the stage's span with that reading and
+// returns the stage's duration, which the span holds in microseconds.
+func (st Stage) End() time.Duration {
+	d := time.Since(st.start)
+	if st.span != nil {
+		st.span.DurUS = d.Microseconds()
+	}
+	return d
+}
+
+// Span returns the stage's span, nil when untraced.
+func (st Stage) Span() *Span { return st.span }
+
 // AddChild attaches a child with an explicit start and duration —
-// measured elsewhere, e.g. on a parallel worker — and returns it.
+// measured elsewhere, e.g. on a parallel worker, or left for End to fix
+// — and returns it. On a nil receiver it returns nil, so disabled tracing
+// costs a nil check and nothing else.
 func (s *Span) AddChild(name string, start time.Time, dur time.Duration) *Span {
 	if s == nil {
 		return nil
@@ -119,7 +137,6 @@ func (s *Span) AddChild(name string, start time.Time, dur time.Duration) *Span {
 	c := &Span{
 		Name:    name,
 		trace:   s.trace,
-		start:   start,
 		StartUS: s.trace.offsetUS(start),
 		DurUS:   dur.Microseconds(),
 	}
@@ -132,7 +149,7 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.DurUS = time.Since(s.start).Microseconds()
+	s.DurUS = s.trace.offsetUS(time.Now()) - s.StartUS
 }
 
 // SetAttr annotates the span.

@@ -11,7 +11,7 @@ import (
 func TestNilSpanIsSafe(t *testing.T) {
 	var s *Span
 	var tr *Trace
-	c := s.StartChild("x")
+	c := s.Stage("x").Span()
 	if c != nil {
 		t.Fatal("nil span produced a child")
 	}
@@ -36,20 +36,39 @@ func TestNilSpanIsSafe(t *testing.T) {
 	}
 }
 
+// TestStage: a stage's span holds the duration its End returns, in
+// microseconds, and a stage without a trace is timed all the same and
+// allocates nothing.
+func TestStage(t *testing.T) {
+	tr := NewTrace("apply")
+	st := tr.Root.Stage("parse")
+	time.Sleep(2 * time.Millisecond)
+	d := st.End()
+	if d < 2*time.Millisecond || st.Span() != tr.Root.Children[0] || st.Span().DurUS != d.Microseconds() {
+		t.Errorf("stage took %v, its span %+v", d, st.Span())
+	}
+	var untraced *Span
+	var sum time.Duration
+	if allocs := testing.AllocsPerRun(100, func() { sum += untraced.Stage("parse").End() }); allocs != 0 || sum <= 0 {
+		t.Errorf("an untraced stage allocates %v times and took %v in all", allocs, sum)
+	}
+}
+
 func TestSpanTree(t *testing.T) {
 	tr := NewTrace("apply")
 	if len(tr.ID) != 32 {
 		t.Fatalf("trace id %q, want 32 hex chars", tr.ID)
 	}
 	root := tr.Root
-	parse := root.StartChild("parse")
-	parse.SetInt("rules", 4)
+	parse := root.Stage("parse")
+	parse.Span().SetInt("rules", 4)
 	parse.End()
-	st := root.StartChild("stratum")
-	it := st.StartChild("iteration")
+	stratum := root.Stage("stratum")
+	st := stratum.Span()
+	it := st.AddChild("iteration", time.Now(), 0)
 	it.SetAttr("fresh_updates", 3)
 	it.End()
-	st.End()
+	stratum.End()
 	st.AddChild("rule r1", tr.Start, 2*time.Millisecond).SetInt("fired", 3)
 	tr.SetMeta("request_id", "req1")
 	tr.Finish()
@@ -79,8 +98,8 @@ func TestSpanTree(t *testing.T) {
 
 func TestWriteChrome(t *testing.T) {
 	tr := NewTrace("apply")
-	p := tr.Root.StartChild("parse")
-	p.SetInt("rules", 2)
+	p := tr.Root.Stage("parse")
+	p.Span().SetInt("rules", 2)
 	p.End()
 	tr.SetMeta("request_id", "reqX")
 	tr.Finish()

@@ -24,13 +24,12 @@ import (
 // way, by evaluating the entries from the checkpoint (at), each evaluation
 // checked against what its entry holds (record, reproducedBy).
 
-// derivation is what derive hands its caller: the evaluation, the digest of
-// the state it leads to, and the no-op proof's bookkeeping (noop.go).
+// derivation is what derive hands its caller: the evaluation and the no-op
+// proof's bookkeeping (noop.go).
 type derivation struct {
 	res     *eval.Result
 	span    *obs.Span
-	digest  storage.Digest // of res.Final
-	changed bool           // the evaluation changed some version's state
+	changed bool // the evaluation changed some version's state
 	// pe holds the plans the evaluation ran on and params the program's
 	// shape parameters (in Repository.shapeParams); proved says a no-op
 	// record answered it, provable that one could have.
@@ -39,19 +38,21 @@ type derivation struct {
 	proved, provable bool
 }
 
-// derive evaluates p, the program of e, on head, and sets e's Fired,
-// Strata, NumAdded, NumRemoved and Digest from the evaluation (record). p
-// runs on the plans cached for its shape, planned now on a miss, or not at
-// all when a no-op record proves that it changes nothing (noop.go);
-// plan-cache outcomes count in m. fresh evaluates with neither cache nor
-// proof, as Verify does, so that the evaluation is independent of every
-// earlier one. applyMu must be held.
-func (r *Repository) derive(head *headState, e *Entry, p *term.Program, opts []core.Option, fresh bool, m *Metrics) (d derivation, err error) {
+// derive evaluates p on head. p runs on the plans cached for its shape,
+// planned now on a miss, or not at all when a no-op record proves that it
+// changes nothing (noop.go); plan-cache outcomes count in m. fresh evaluates
+// with neither cache nor proof, as Verify does, so that the evaluation is
+// independent of every earlier one. The caller reads the evaluation's
+// changes into its entry (Entry.record), which gives them back. applyMu
+// must be held.
+func (r *Repository) derive(head *headState, p *term.Program, opts []core.Option, fresh bool, m *Metrics) (d derivation, err error) {
 	// Plans of p's shape, planned against the current seq class, serve it.
 	// On a miss p is planned by shape here; a program that cannot be planned
 	// runs without plans, and the run refuses it, after the safety check, as
 	// it would any apply. Nothing reads result(P): the fixpoint is built in
-	// working memory the next evaluation reuses.
+	// working memory the next evaluation reuses. Eval runs from the lookup
+	// to the end of the run.
+	start := time.Now()
 	opts = append(opts[:len(opts):len(opts)], core.WithDropResult())
 	var shape uint64
 	seqClass := head.seq >> planSeqClassBits
@@ -72,52 +73,44 @@ func (r *Repository) derive(head *headState, e *Entry, p *term.Program, opts []c
 		m.PlanCacheHits.Inc()
 		m.ProvedNoops.Inc()
 		d.res = d.pe.noop.result(head.base)
-	} else {
-		planned := !fresh && d.pe == nil
-		var plan, stratify time.Duration
-		switch {
-		case planned:
-			m.PlanCacheMisses.Inc()
-			planStart := time.Now()
-			var cp *eval.CompiledProgram
-			cp, stratify, _ = eval.PlanProgram(head.base, p, d.span)
-			if cp != nil {
-				d.pe = r.storeProgramPlans(shape, d.params, seqClass, cp)
-				eng = core.New(append(opts, core.WithPlans(cp))...)
-			}
-			plan = time.Since(planStart)
-		case !fresh:
-			m.PlanCacheHits.Inc()
-		}
-		if d.res, err = eng.Apply(head.base, p); err != nil {
-			return d, err
-		}
-		if planned {
-			// The plans were made for this apply: it stratified and compiled.
-			d.res.Plan = "compiled"
-			d.res.Stats.Stratify = stratify
-			d.res.Stats.Eval += plan
-		}
+		return d, nil
 	}
-
-	// The digest is summed straight from the states the evaluation changed:
-	// no comparison of the two bases, no diff rendered. Changes is the
-	// evaluation's working memory and goes back once it is read.
-	sumStart := time.Now()
-	res := d.res
-	d.changed = len(res.Changes) > 0
-	d.digest = e.record(res, head.digest)
-	res.Release()
-	res.Stats.Encode = time.Since(sumStart)
+	planned := !fresh && d.pe == nil
+	var stratify time.Duration
+	switch {
+	case planned:
+		m.PlanCacheMisses.Inc()
+		var cp *eval.CompiledProgram
+		cp, stratify, _ = eval.PlanProgram(head.base, p, d.span)
+		if cp != nil {
+			d.pe = r.storeProgramPlans(shape, d.params, seqClass, cp)
+			eng = core.New(append(opts, core.WithPlans(cp))...)
+		}
+	case !fresh:
+		m.PlanCacheHits.Inc()
+	}
+	if d.res, err = eng.Apply(head.base, p); err != nil {
+		return d, err
+	}
+	if planned {
+		// The plans were made for this apply: it stratified and compiled.
+		d.res.Plan = "compiled"
+		d.res.Stats.Stratify = stratify
+	}
+	d.res.Stats.Eval = time.Since(start) - d.res.Stats.Safety
+	d.changed = len(d.res.Changes) > 0
 	return d, nil
 }
 
 // record sets what e holds of res, the evaluation of its program on a state
 // of digest before: the fired count, the strata, the counts of the facts it
 // adds and removes and the digest of the state it leads to, which it
-// returns. res.Changes is read and left as it is.
+// returns. The digest is summed straight from the states the evaluation
+// changed: no comparison of the two bases, no diff rendered. res.Changes is
+// the evaluation's working memory and goes back once it is read.
 func (e *Entry) record(res *eval.Result, before storage.Digest) storage.Digest {
 	delta, added, removed := storage.ChangesDigest(res.Changes)
+	res.Release()
 	e.Fired, e.Strata, e.NumAdded, e.NumRemoved, e.Digest = res.Fired, res.Assignment.NumStrata(), int32(added), int32(removed), nil
 	after := before.Add(delta)
 	if after != before {
@@ -156,7 +149,6 @@ func (hs *headState) at(n int) (*objectbase.Base, error) {
 		}
 		derived := Entry{Seq: e.Seq}
 		digest = derived.record(res, digest)
-		res.Release()
 		if err := e.reproducedBy(derived, true); err != nil {
 			return nil, err
 		}
@@ -219,18 +211,19 @@ func (r *Repository) advance(hs *headState, entries []Entry, fresh bool, m *Metr
 			if err != nil {
 				return nil, fmt.Errorf("%w: entry %d: %w", ErrDiverged, e.Seq, err)
 			}
-			derived := Entry{Seq: e.Seq, Program: e.Program, Key: e.Key}
-			d, err := r.derive(&ns, &derived, p, nil, fresh, m)
+			d, err := r.derive(&ns, p, nil, fresh, m)
 			if err != nil {
 				return nil, fmt.Errorf("%w: entry %d: %w", ErrDiverged, e.Seq, err)
 			}
+			derived := Entry{Seq: e.Seq, Program: e.Program, Key: e.Key}
+			digest := derived.record(d.res, ns.digest)
 			if err := e.reproducedBy(derived, false); err != nil {
 				return nil, err
 			}
 			if !fresh {
 				r.settle(d)
 			}
-			ns.base, ns.digest = d.res.Final, d.digest
+			ns.base, ns.digest = d.res.Final, digest
 			e = derived
 		}
 		ns.seq = e.Seq

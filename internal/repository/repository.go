@@ -834,18 +834,15 @@ func (r *Repository) ApplyKey(p *term.Program, key string, opts ...core.Option) 
 			r.met().ReplayHits.Inc()
 			return nil, a.entry, true, nil
 		}
-		waitStart := time.Now()
-		waitSpan := a.commitSpan.StartChild("wait")
+		wait := a.commit.Span().Stage("wait")
 		if a.leader {
 			r.diskMu.Lock()
 			r.flushPendingLocked()
 			r.diskMu.Unlock()
 		}
 		<-a.batch.done
-		waitSpan.End()
-		a.commitSpan.End()
-		a.res.Stats.CommitWait = time.Since(waitStart)
-		a.res.Stats.Commit = a.res.Stats.Encode + a.res.Stats.CommitWait
+		a.res.Stats.CommitWait = wait.End()
+		a.res.Stats.Commit = a.commit.End()
 		r.met().CommitWait.Observe(a.res.Stats.CommitWait)
 		if a.batch.err != nil {
 			return nil, Entry{}, false, a.batch.err
@@ -862,7 +859,7 @@ type attempt struct {
 	entry       Entry
 	batch       *commitBatch // the batch entry rides in; nil once it is durable
 	leader      bool         // this apply opened batch and flushes it
-	commitSpan  *obs.Span
+	commit      obs.Stage    // the commit stage, open until the batch is durable
 	recordBytes int
 }
 
@@ -896,8 +893,7 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	r.commitMu.Unlock()
 	cons := head.cons
 
-	entry := Entry{Seq: head.seq + 1, Program: parser.FormatProgram(p), Key: key}
-	d, err := r.derive(head, &entry, p, opts, false, r.met())
+	d, err := r.derive(head, p, opts, false, r.met())
 	if err != nil {
 		return a, false, err
 	}
@@ -909,25 +905,24 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	// apply that changed nothing publishes the head it ran on again, so it
 	// has nothing to check.
 	if d.changed {
-		constraintStart := time.Now()
-		constraintSpan := sp.StartChild("constraints")
+		check := sp.Stage("constraints")
 		err = checkConstraints(res.Final, cons.cs)
-		constraintSpan.SetInt("constraints", int64(len(cons.cs)))
-		constraintSpan.End()
+		check.Span().SetInt("constraints", int64(len(cons.cs)))
+		res.Stats.ConstraintCheck = check.End()
 		if err != nil {
+			res.Release()
 			r.met().ConstraintRejects.Inc()
 			return a, false, err
 		}
-		res.Stats.ConstraintCheck = time.Since(constraintStart)
 	}
-	commitStart := time.Now()
-	commitSpan := sp.StartChild("commit")
+	commit := sp.Stage("commit")
 	// The record is the request and the digest of the state it leads to.
-	encodeSpan := commitSpan.StartChild("encode")
+	encode := commit.Span().Stage("encode")
+	entry := Entry{Seq: head.seq + 1, Program: parser.FormatProgram(p), Key: key}
+	digest := entry.record(res, head.digest)
 	framed := entry.AppendRecord(make([]byte, 0, entry.recordCap()))
-	encodeSpan.SetInt("bytes", int64(len(framed)))
-	encodeSpan.End()
-	res.Stats.Encode += time.Since(commitStart)
+	encode.Span().SetInt("bytes", int64(len(framed)))
+	res.Stats.Encode = encode.End()
 
 	// Nothing replaced the head meanwhile — that takes applyMu — so the
 	// result extends the speculative chain and joins the pending batch.
@@ -936,11 +931,11 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 		// The flush of a batch ahead failed while this apply evaluated on
 		// top of it; the next attempt repairs and evaluates again.
 		r.commitMu.Unlock()
-		commitSpan.End()
+		commit.End()
 		return a, true, nil
 	}
 	next := *head
-	next.base, next.prev, next.seq, next.digest = res.Final, head.base, entry.Seq, d.digest
+	next.base, next.prev, next.seq, next.digest = res.Final, head.base, entry.Seq, digest
 	next.entries = append(head.entries, entry)
 	ns := &next
 	b := r.pending
@@ -961,7 +956,7 @@ func (r *Repository) tryApply(p *term.Program, key string, opts []core.Option, q
 	r.spec = ns
 	r.commitMu.Unlock()
 	r.settle(d)
-	return attempt{res: res, entry: entry, batch: b, leader: leader, commitSpan: commitSpan, recordBytes: len(framed)}, false, nil
+	return attempt{res: res, entry: entry, batch: b, leader: leader, commit: commit, recordBytes: len(framed)}, false, nil
 }
 
 // flushPendingLocked seals the pending batch, writes all its records in

@@ -2,15 +2,17 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
 
+	"verlog/internal/objectbase"
 	"verlog/internal/parser"
 	"verlog/internal/repository"
 	"verlog/internal/storage"
@@ -120,10 +122,12 @@ func toggleRootIsa(t testing.TB, r *repository.Repository) func() {
 	}
 }
 
-// TestProvedApplyTimings: an apply the repository proves a no-op answers
-// like an evaluated one — its state, fired count, strata and iterations —
-// and its timings have no evaluation stage: parse, queue, constraints and
-// commit are all it spent, and they fit in its total. /metrics counts it.
+// TestProvedApplyTimings: an apply's timings add up — parse + queue +
+// safety + eval + constraints + commit + other = total, other ≥ 0 — whether
+// the apply is evaluated, proved a no-op or checked against a constraint, on
+// the workload programs and the golden ones. An apply the repository proves
+// a no-op answers like an evaluated one — its state, fired count, strata and
+// iterations — and its timings have no evaluation stage. /metrics counts it.
 // An apply with ?trace=1 is evaluated, so its rules' fired values sum to its
 // fired.
 func TestProvedApplyTimings(t *testing.T) {
@@ -138,34 +142,12 @@ func TestProvedApplyTimings(t *testing.T) {
 		}
 		bodies[i] = body
 	}
-	var evaluated, proved struct {
-		State, Fired, Strata int
-		Iterations           []int
-		T                    struct {
-			ParseUS       int64   `json:"parse_us"`
-			QueueUS       int64   `json:"queue_us"`
-			SafetyUS      int64   `json:"safety_us"`
-			StratifyUS    int64   `json:"stratify_us"`
-			StrataUS      []int64 `json:"strata_us"`
-			CopyUS        int64   `json:"copy_us"`
-			EvalUS        int64   `json:"eval_us"`
-			ConstraintsUS int64   `json:"constraints_us"`
-			CommitUS      int64   `json:"commit_us"`
-			TotalUS       int64   `json:"total_us"`
-		} `json:"timings"`
-	}
-	if err := errors.Join(json.Unmarshal([]byte(bodies[1]), &evaluated), json.Unmarshal([]byte(bodies[2]), &proved)); err != nil {
-		t.Fatal(err)
-	}
-	if proved.State != 3 || proved.Fired != evaluated.Fired || proved.Strata != evaluated.Strata || !slices.Equal(proved.Iterations, evaluated.Iterations) {
+	evaluated, proved := addsUp(t, "evaluated", bodies[1]), addsUp(t, "proved", bodies[2])
+	if proved.State != 3 || proved.Fired != evaluated.Fired || proved.Strata != evaluated.Strata || !slices.Equal(proved.Iters, evaluated.Iters) {
 		t.Errorf("the proved apply answers %s, the evaluated one before it %s", bodies[2], bodies[1])
 	}
-	pt := proved.T
-	if pt.SafetyUS != 0 || pt.StratifyUS != 0 || pt.CopyUS != 0 || pt.EvalUS != 0 || pt.StrataUS != nil || evaluated.T.StrataUS == nil {
+	if pt := proved.Timings; pt.SafetyUS != 0 || pt.StratifyUS != 0 || pt.CopyUS != 0 || pt.EvalUS != 0 || pt.StrataUS != nil || evaluated.Timings.StrataUS == nil {
 		t.Errorf("the proved apply's timings have an evaluation stage: %s", bodies[2])
-	}
-	if sum := pt.ParseUS + pt.QueueUS + pt.ConstraintsUS + pt.CommitUS; sum > pt.TotalUS {
-		t.Errorf("the proved apply's stages sum to %d µs, past its total %d µs", sum, pt.TotalUS)
 	}
 	code, body := post(t, ts.URL+"/v1/t/default/apply?trace=1", raise)
 	var traced struct {
@@ -188,4 +170,91 @@ func TestProvedApplyTimings(t *testing.T) {
 	if _, body := get(t, ts.URL+"/metrics"); !strings.Contains(body, "\nverlog_applies_proved_noop_total 1\n") {
 		t.Errorf("/metrics does not count one proved apply")
 	}
+	timingsAddUp(t)
+}
+
+// timingsAddUp applies each workload program on its base and each golden
+// program on its own, three times, then once more under a constraint that
+// nothing violates, and holds every apply's timings to their identity
+// (addsUp). The closure's third apply is proved a no-op; every apply after
+// the constraint that changes something checks it.
+func timingsAddUp(t *testing.T) {
+	type run struct {
+		name, program string
+		base          *objectbase.Base
+	}
+	staff := workload.EnterpriseSpec{Employees: 200, Seed: 1}
+	runs := []run{
+		{"point_update", "mod[e7].sal -> (S, S') <- e7.sal -> S, S' = S + 1.", staff.ObjectBase()},
+		{"bulk_raise", workload.BulkRaiseProgram, staff.ObjectBase()},
+		{"recursive_closure", workload.AncestorsProgram, workload.GenealogySpec{Generations: 5, Branching: 2, Roots: 2}.ObjectBase()},
+		{"enterprise", workload.EnterpriseProgram, staff.ObjectBase()},
+	}
+	files, err := filepath.Glob("../../testdata/golden/*.txt")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden cases found (%v)", err)
+	}
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(raw)
+		if strings.Contains(src, "\n-- error --") {
+			continue // refused: no timings
+		}
+		base, err := parser.ObjectBase(goldenSection(src, "base"), file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, run{filepath.Base(file), goldenSection(src, "program"), base})
+	}
+	proved := 0
+	for _, rn := range runs {
+		repo, err := repository.Init(t.TempDir()+"/repo", rn.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(New(repo))
+		for i := 1; i <= 4; i++ {
+			if i == 4 {
+				if code, body := post(t, ts.URL+"/v1/t/default/constraints", `never: X.timings_never -> Y.`); code != 200 {
+					t.Fatalf("%s: constraints: %d %s", rn.name, code, body)
+				}
+			}
+			code, body := post(t, ts.URL+"/v1/t/default/apply", rn.program)
+			if code != 200 {
+				t.Fatalf("%s: apply %d: %d %s", rn.name, i, code, body)
+			}
+			if res := addsUp(t, fmt.Sprintf("%s apply %d", rn.name, i), body); res.Timings.StrataUS == nil {
+				proved++
+			}
+		}
+		ts.Close()
+	}
+	if proved == 0 {
+		t.Error("no apply was proved a no-op")
+	}
+}
+
+// addsUp decodes an apply response and holds its timings to their identity:
+// the stages that do not overlap and the rest sum to the total.
+func addsUp(t *testing.T, what, body string) applyResponse {
+	t.Helper()
+	var res applyResponse
+	if err := json.Unmarshal([]byte(body), &res); err != nil || res.Timings == nil {
+		t.Fatalf("%s: no timings (%v): %s", what, err, body)
+	}
+	tm := res.Timings
+	if sum := tm.ParseUS + tm.QueueUS + tm.SafetyUS + tm.EvalUS + tm.ConstraintsUS + tm.CommitUS + tm.OtherUS; sum != tm.TotalUS || tm.OtherUS < 0 {
+		t.Errorf("%s: the timings sum to %d µs, other %d µs, total %d µs: %s", what, sum, tm.OtherUS, tm.TotalUS, body)
+	}
+	return res
+}
+
+// goldenSection returns the named section of a golden case.
+func goldenSection(src, name string) string {
+	_, rest, _ := strings.Cut(src, "-- "+name+" --\n")
+	body, _, _ := strings.Cut(rest, "\n-- ")
+	return body
 }

@@ -63,7 +63,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	// Per-stage timings: every pipeline stage has one observation.
-	for _, stage := range []string{"parse", "queue", "safety", "stratify", "eval", "copy", "constraints", "commit", "encode", "commit_wait"} {
+	for _, stage := range []string{"parse", "queue", "safety", "stratify", "eval", "copy", "constraints", "commit", "encode", "commit_wait", "other"} {
 		want := `verlog_eval_stage_seconds_count{stage="` + stage + `"} 1`
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

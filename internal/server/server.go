@@ -868,28 +868,8 @@ type applyTimings struct {
 	CommitUS      int64   `json:"commit_us"`
 	EncodeUS      int64   `json:"encode_us"`
 	CommitWaitUS  int64   `json:"commit_wait_us"`
+	OtherUS       int64   `json:"other_us"`
 	TotalUS       int64   `json:"total_us"`
-}
-
-func timingsFromStats(st eval.Stats, total time.Duration) *applyTimings {
-	us := func(d time.Duration) int64 { return d.Microseconds() }
-	t := &applyTimings{
-		ParseUS:       us(st.Parse),
-		QueueUS:       us(st.Queue),
-		SafetyUS:      us(st.Safety),
-		StratifyUS:    us(st.Stratify),
-		CopyUS:        us(st.Copy),
-		EvalUS:        us(st.Eval),
-		ConstraintsUS: us(st.ConstraintCheck),
-		CommitUS:      us(st.Commit),
-		EncodeUS:      us(st.Encode),
-		CommitWaitUS:  us(st.CommitWait),
-		TotalUS:       us(total),
-	}
-	for _, s := range st.Strata {
-		t.StrataUS = append(t.StrataUS, us(s.Duration))
-	}
-	return t
 }
 
 // applyResponse reports a committed update. Replayed is set when the
@@ -917,31 +897,42 @@ func stratumLabel(i int) string {
 	return strconv.Itoa(i + 1)
 }
 
-// recordApplyStats aggregates one apply's stage timings into the
-// server-side histograms.
-func (s *Server) recordApplyStats(st eval.Stats, total time.Duration) {
+// recordApply renders an apply's stages in microseconds and observes each
+// in the server-side histograms. total runs from the handler's entry until
+// just before the response is encoded, and other is what it spent outside
+// the stages that do not overlap, so that parse + queue + safety + eval +
+// constraints + commit + other = total.
+func (s *Server) recordApply(st eval.Stats, total time.Duration) *applyTimings {
 	s.applySeconds.Observe(total)
-	stage := func(name string, d time.Duration) {
+	us := func(stage string, d time.Duration) int64 {
 		s.reg.Histogram("verlog_eval_stage_seconds",
-			"Per-stage apply latency (parse, queue, safety, stratify, eval, copy, constraints, commit = encode + commit_wait).",
-			"stage", name).Observe(d)
+			"Per-stage apply latency (parse, queue, safety, stratify, eval, copy, constraints, commit = encode + commit_wait + hand-off, other = the rest of total).",
+			"stage", stage).Observe(d)
+		return d.Microseconds()
 	}
-	stage("parse", st.Parse)
-	stage("queue", st.Queue)
-	stage("safety", st.Safety)
-	stage("stratify", st.Stratify)
-	stage("eval", st.Eval)
-	stage("copy", st.Copy)
-	stage("constraints", st.ConstraintCheck)
-	stage("commit", st.Commit)
-	stage("encode", st.Encode)
-	stage("commit_wait", st.CommitWait)
+	t := &applyTimings{
+		ParseUS:       us("parse", st.Parse),
+		QueueUS:       us("queue", st.Queue),
+		SafetyUS:      us("safety", st.Safety),
+		StratifyUS:    us("stratify", st.Stratify),
+		CopyUS:        us("copy", st.Copy),
+		EvalUS:        us("eval", st.Eval),
+		ConstraintsUS: us("constraints", st.ConstraintCheck),
+		CommitUS:      us("commit", st.Commit),
+		EncodeUS:      us("encode", st.Encode),
+		CommitWaitUS:  us("commit_wait", st.CommitWait),
+		TotalUS:       total.Microseconds(),
+	}
+	t.OtherUS = t.TotalUS - (t.ParseUS + t.QueueUS + t.SafetyUS + t.EvalUS + t.ConstraintsUS + t.CommitUS)
+	us("other", time.Duration(t.OtherUS)*time.Microsecond)
 	for i, tm := range st.Strata {
+		t.StrataUS = append(t.StrataUS, tm.Duration.Microseconds())
 		s.reg.Histogram("verlog_eval_stratum_seconds",
 			"Per-stratum T_P fixpoint latency.", "stratum", stratumLabel(i)).Observe(tm.Duration)
 		s.reg.Counter("verlog_eval_stratum_iterations_total",
 			"T_P iterations per stratum.", "stratum", stratumLabel(i)).Add(int64(tm.Iterations))
 	}
+	return t
 }
 
 // setDetail attaches a one-line summary of the request body to the slow
@@ -1011,17 +1002,15 @@ func (s *Server) handleApply(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 		tr = nil // at most one ring entry per request
 	}
 
-	parseStart := time.Now()
-	parseSpan := root.StartChild("parse")
+	parse := root.Stage("parse")
 	p, err := parser.Program(src, "request")
-	parseSpan.End()
+	parsed := parse.End()
 	if err != nil {
 		finishTrace("parse_error")
 		writeError(w, r, err)
 		return
 	}
-	parseSpan.SetInt("rules", int64(len(p.Rules)))
-	parseDur := time.Since(parseStart)
+	parse.Span().SetInt("rules", int64(len(p.Rules)))
 	key := r.Header.Get("Idempotency-Key")
 	// No fired-update trace and nothing kept past the response: history and
 	// explain recompute theirs from the journal (replayOr4xx). The span tree
@@ -1052,9 +1041,8 @@ func (s *Server) handleApply(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 	// Number the state from this commit's own journal entry rather than
 	// Len(): under concurrency the published head may already be past it.
 	n := entry.Seq - t.Repo().SnapshotSeq()
-	res.Stats.Parse = parseDur
-	total := time.Since(start)
-	s.recordApplyStats(res.Stats, total)
+	res.Stats.Parse = parsed
+	timings := s.recordApply(res.Stats, time.Since(start))
 	s.recordRuleStats(res.RuleStats)
 	resp := applyResponse{
 		State:   n,
@@ -1062,7 +1050,7 @@ func (s *Server) handleApply(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 		Strata:  res.Assignment.NumStrata(),
 		Facts:   res.Final.Size(),
 		Iters:   res.Iterations,
-		Timings: timingsFromStats(res.Stats, total),
+		Timings: timings,
 	}
 	if tr != nil {
 		resp.Trace = tr

@@ -5,6 +5,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -12,8 +13,9 @@ import (
 
 // applyTraceResponse mirrors the trace fields of the apply response.
 type applyTraceResponse struct {
-	Fired int `json:"fired"`
-	Trace *struct {
+	Fired   int          `json:"fired"`
+	Timings applyTimings `json:"timings"`
+	Trace   *struct {
 		ID    string         `json:"id"`
 		Name  string         `json:"name"`
 		DurUS int64          `json:"dur_us"`
@@ -74,6 +76,33 @@ func TestApplyTraced(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("trace has no %s span: %v", k, kinds)
 		}
+	}
+	// Each stage's span and its timings field are the same two clock
+	// readings: the top-level spans, and encode and wait under commit.
+	tm := ar.Timings
+	want := map[string]int64{"parse": tm.ParseUS, "queue": tm.QueueUS, "safety": tm.SafetyUS,
+		"stratify": tm.StratifyUS, "copy": tm.CopyUS, "constraints": tm.ConstraintsUS,
+		"commit": tm.CommitUS, "encode": tm.EncodeUS, "wait": tm.CommitWaitUS}
+	for i, us := range tm.StrataUS {
+		want["stratum "+strconv.Itoa(i+1)] = us
+	}
+	stages := ar.Trace.Root.Children
+	for _, s := range stages {
+		if s.Name == "commit" {
+			stages = append(stages, s.Children...)
+		}
+	}
+	for _, s := range stages {
+		us, ok := want[s.Name]
+		if !ok {
+			t.Errorf("top-level span %s has no timings field", s.Name)
+		} else if s.DurUS != us {
+			t.Errorf("span %s took %d µs, its timings field %d µs", s.Name, s.DurUS, us)
+		}
+		delete(want, s.Name)
+	}
+	if len(want) != 0 || len(tm.StrataUS) != 3 {
+		t.Errorf("timings %+v without a span: %v", tm, want)
 	}
 	// Hot list: one entry per rule, fired sums to the run's fired count.
 	if len(ar.Rules) != 4 {
