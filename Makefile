@@ -68,14 +68,16 @@ race:
 guard:
 	$(GO) test -count=1 -run 'Guard|CostLaws' . ./internal/...
 
-# The three fuzz targets, 30 s each (as in CI) on top of the seed corpora
+# The four fuzz targets, 30 s each (as in CI) on top of the seed corpora
 # that `go test` always replays: the journal and snapshot codec (round trip,
 # corruption caught), the digest a commit sums from its changes against the
-# rendered lists', and the engine against the spec evaluator (same refusal,
-# or the same result(P), ob' and fired updates).
+# rendered lists', the delta layer's persistent map against a Go map and its
+# own earlier snapshots, and the engine against the spec evaluator (same
+# refusal, or the same result(P), ob' and fired updates).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDiffCodec -fuzztime 30s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzChangesDigest -fuzztime 30s ./internal/storage
+	$(GO) test -run '^$$' -fuzz FuzzPmap -fuzztime 30s ./internal/objectbase
 	$(GO) test -run '^$$' -fuzz FuzzEngineVsSpec -fuzztime 30s ./internal/eval
 
 # The gate: everything a change must pass before it lands.

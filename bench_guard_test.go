@@ -481,9 +481,10 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		// stream (every |base|/16 applies), and the new root re-slots the
 		// old one's states at 8 B a version: 128 B an apply, averaged in,
 		// whatever the base. What still grows is the path each Derive copies
-		// in the delta layer's trie, deeper on a larger base (measured: 5.2,
-		// 7.0 and 8.4 kB per apply, x^0.10; x^0.13 when the new root hashed
-		// every version into a table of its own).
+		// in the delta layer's trie, a level deeper on a larger base, but a
+		// path copy re-makes slots of one pointer and one shared leaf
+		// (measured: 4.8, 5.7 and 6.0 kB per apply, x^0.05; 5.2, 7.0 and
+		// 8.4 kB, x^0.10, when a trie slot held the entry itself).
 		name:  "point apply",
 		sizes: []int{100, 1000, 10000}, // employees; x is the size
 		reps:  1280,
@@ -503,7 +504,7 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 				return n
 			}
 		},
-		bytesExp: 0.13, allocsExp: 0.1,
+		bytesExp: 0.07, allocsExp: 0.1,
 	}, {
 		// A read costs what it returns: on a warm head the workload queries
 		// probe the literal index and follow their answers, not the base. A

@@ -42,7 +42,8 @@ var tombstone = &State{}
 // exactly the given versions: each takes its New state, or disappears when
 // New is nil or empty; Old must be the state b holds for it. Every other
 // state is shared with b by pointer and b's delta layer is shared node by
-// node (see pmap), so the cost is that of the changes: the result is b's
+// node and leaf by leaf (see pmap), as is its list of paths unless a
+// change adds one, so the cost is that of the changes: the result is b's
 // root under one delta layer, until that layer outgrows the flatten rule
 // and a new root is built. The new states become part of a frozen base: the
 // caller must not mutate them afterwards. Derive with no changes returns b
@@ -94,18 +95,17 @@ func (b *Base) Derive(changes []Change) *Base {
 		return out
 	}
 	out.parent, out.depth = root, 1
-	out.overridesByPath = make(map[term.Path]int, len(b.overridesByPath)+1)
+	private := false // whether out.overridesByPath is out's own to write
 	if b != root {
-		for p, n := range b.overridesByPath {
-			out.overridesByPath[p] = n
+		out.delta, out.overridesByPath = b.delta, b.overridesByPath
+		if b.lent != nil { // the lender empties the map once b is done with
+			out.overridesByPath, private = maps.Clone(b.overridesByPath), true
 		}
-		out.delta = b.delta
 		for v, i := range b.at { // only a layer the mutators built has any
 			out.delta = out.delta.with(v, b.slots[i])
 		}
 	}
 	for _, c := range changes {
-		before := out.delta.len()
 		switch {
 		case !c.New.Empty():
 			out.delta = out.delta.with(c.V, c.New)
@@ -113,11 +113,15 @@ func (b *Base) Derive(changes []Change) *Base {
 			out.delta = out.delta.with(c.V, tombstone)
 		default:
 			out.delta = out.delta.without(c.V)
+			continue
 		}
-		if n := out.overridesByPath[c.V.Path] + out.delta.len() - before; n > 0 {
-			out.overridesByPath[c.V.Path] = n
-		} else {
-			delete(out.overridesByPath, c.V.Path)
+		if _, listed := out.overridesByPath[c.V.Path]; !listed {
+			if !private {
+				paths := make(map[term.Path]int, len(out.overridesByPath)+1)
+				maps.Copy(paths, out.overridesByPath)
+				out.overridesByPath, private = paths, true
+			}
+			out.overridesByPath[c.V.Path] = 1
 		}
 	}
 	return out

@@ -70,9 +70,14 @@ type Base struct {
 	// reads of the root — and no commit leaves an index for its first
 	// reader to rebuild.
 	byPathMethod map[pathMethod]map[term.GVID]struct{}
-	// overridesByPath counts own-layer states (including tombstones) per
-	// path, so parent scans can skip the per-VID shadow check entirely for
-	// paths the overlay never touched. Only allocated on overlays.
+	// overridesByPath lists the paths of the own layer, so parent scans can
+	// skip the per-VID shadow check entirely for paths the overlay never
+	// touched; it is read only as zero or not. On an overlay the mutators
+	// build it counts own-layer states (tombstones included) per path. On a
+	// delta layer it is a superset, each count 1: every path the layer
+	// holds an entry on, and maybe paths it no longer does, which cost only
+	// the shadow check. Derive shares it by pointer with the delta layer it
+	// derives from and copies it only when a new path enters. Nil on roots.
 	overridesByPath map[term.Path]int
 	// size is the number of facts visible through this base (parent layers
 	// included).

@@ -3,36 +3,50 @@ package objectbase
 import (
 	"hash/maphash"
 	"math/bits"
+	"slices"
 
 	"verlog/internal/term"
 )
 
-// pmap is a persistent hash map from versions to states: a hash array
-// mapped trie with path copying. with and without return a new map that
-// shares every node off the path to the changed key with the receiver, so
-// deriving a map from another costs O(log n) however many entries it
-// holds, and maps derived from one another can be read concurrently
-// without synchronization. It stores the delta layer of derived bases (see
-// Derive) — the one map on the commit path that is re-made on every
-// commit; everything else uses Go maps. The zero value is the empty map.
+// pmap is a persistent hash map from versions to states: a compressed hash
+// array mapped trie (CHAMP, Steindorfer and Vinju, OOPSLA 2015) with path
+// copying. with and without return a new map that shares every node off
+// the path to the changed key with the receiver, and every leaf but the
+// changed key's, so deriving a map from another costs O(log n) words and
+// one leaf however many entries it holds, and maps derived from one
+// another can be read concurrently without synchronization. Its shape
+// depends only on its key set (see pnode). It stores the delta layer of
+// derived bases (see Derive) — the one map on the commit path that is
+// re-made on every commit; everything else uses Go maps. The zero value is
+// the empty map.
 type pmap struct {
 	root *pnode
 	n    int
 }
 
-// pnode is one trie node: a slot per set bit of bitmap, in bit order, each
-// either an entry (child == nil) or a subtree. Level l branches on hash
-// bits [5l, 5l+5); a node below the last level (two keys sharing all 64
-// hash bits) is a plain bucket of entries with an unused bitmap.
+// pnode is one trie node. Level l branches on hash bits [5l, 5l+5): a bit
+// set in datamap holds an entry, in leaves, and a bit set in nodemap a
+// subtree, in nodes, each slice in bit order and the two bitmaps disjoint.
+// A path copy re-makes the node and the one slice it changes, a pointer a
+// slot, and shares the other. A node below the last level (two keys sharing
+// all 64 hash bits) is a plain bucket of leaves with unused bitmaps.
+//
+// The shape is canonical: a subtree exists for a hash prefix exactly when
+// two or more keys share it, so no node below the root holds a lone leaf
+// and nothing else. with keeps that by splitting a slot only when a second
+// key meets the first; without by folding a subtree left with one leaf
+// into its parent's leaves.
 type pnode struct {
-	bitmap uint32
-	slots  []pslot
+	datamap, nodemap uint32
+	leaves           []*pleaf
+	nodes            []*pnode
 }
 
-type pslot struct {
-	key   term.GVID
-	val   *State
-	child *pnode
+// pleaf is one entry. It is never mutated once made, so every map that
+// holds the entry shares it: a rebinding makes a new leaf.
+type pleaf struct {
+	key term.GVID
+	val *State
 }
 
 const pmapBits = 5
@@ -56,12 +70,11 @@ var hashGVID = func(v term.GVID) uint64 {
 	return h ^ h>>32
 }
 
-// slot returns the position hash h selects at the node's level and whether
-// a slot is there.
-func (n *pnode) slot(h uint64, shift uint) (int, uint32, bool) {
-	bit := uint32(1) << (h >> shift & (1<<pmapBits - 1))
-	return bits.OnesCount32(n.bitmap & (bit - 1)), bit, n.bitmap&bit != 0
-}
+// bitAt returns the bit hash h selects at the level of shift.
+func bitAt(h uint64, shift uint) uint32 { return 1 << (h >> shift & (1<<pmapBits - 1)) }
+
+// slotIndex returns the position of bit's slot among the slots of bitmap.
+func slotIndex(bitmap, bit uint32) int { return bits.OnesCount32(bitmap & (bit - 1)) }
 
 func (m pmap) len() int { return m.n }
 
@@ -69,20 +82,20 @@ func (m pmap) get(k term.GVID) (*State, bool) {
 	h := hashGVID(k)
 	n := m.root
 	for shift := uint(0); n != nil && shift < 64; shift += pmapBits {
-		i, _, ok := n.slot(h, shift)
-		if !ok {
+		bit := bitAt(h, shift)
+		if n.datamap&bit != 0 {
+			l := n.leaves[slotIndex(n.datamap, bit)]
+			return l.val, l.key == k
+		}
+		if n.nodemap&bit == 0 {
 			return nil, false
 		}
-		s := &n.slots[i]
-		if s.child == nil {
-			return s.val, s.key == k
-		}
-		n = s.child
+		n = n.nodes[slotIndex(n.nodemap, bit)]
 	}
 	if n != nil { // a bucket
-		for i := range n.slots {
-			if n.slots[i].key == k {
-				return n.slots[i].val, true
+		for _, l := range n.leaves {
+			if l.key == k {
+				return l.val, true
 			}
 		}
 	}
@@ -91,7 +104,7 @@ func (m pmap) get(k term.GVID) (*State, bool) {
 
 // with returns the map with k bound to v.
 func (m pmap) with(k term.GVID, v *State) pmap {
-	root, added := m.root.with(k, v, hashGVID(k), 0)
+	root, added := m.root.with(&pleaf{key: k, val: v}, hashGVID(k), 0)
 	if added {
 		m.n++
 	}
@@ -104,6 +117,9 @@ func (m pmap) without(k term.GVID) pmap {
 	root, removed := m.root.without(k, hashGVID(k), 0)
 	if removed {
 		m.n--
+		if len(root.leaves)+len(root.nodes) == 0 {
+			root = nil
+		}
 	}
 	m.root = root
 	return m
@@ -117,111 +133,155 @@ func (n *pnode) each(yield func(k term.GVID, v *State) bool) bool {
 	if n == nil {
 		return true
 	}
-	for i := range n.slots {
-		if s := &n.slots[i]; s.child != nil {
-			if !s.child.each(yield) {
-				return false
-			}
-		} else if !yield(s.key, s.val) {
+	for _, l := range n.leaves {
+		if !yield(l.key, l.val) {
+			return false
+		}
+	}
+	for _, c := range n.nodes {
+		if !c.each(yield) {
 			return false
 		}
 	}
 	return true
 }
 
-// edit returns a copy of n with room for the slot at i: the existing one
-// when grow is 0, a new one when grow is 1, none when grow is -1.
-func (n *pnode) edit(i, grow int) *pnode {
-	c := &pnode{slots: make([]pslot, len(n.slots)+grow)}
-	c.bitmap = n.bitmap
-	copy(c.slots, n.slots[:i])
-	switch grow {
-	case 0:
-		copy(c.slots[i:], n.slots[i:])
-	case 1:
-		copy(c.slots[i+1:], n.slots[i:])
-	default:
-		copy(c.slots[i:], n.slots[i+1:])
-	}
-	return c
-}
-
-func (n *pnode) with(k term.GVID, v *State, h uint64, shift uint) (*pnode, bool) {
-	if n == nil {
-		n = &pnode{}
-	}
+// with returns n with l entered, the leaf of the same key replaced, and
+// whether the key is new. A nil n is the empty node.
+func (n *pnode) with(l *pleaf, h uint64, shift uint) (*pnode, bool) {
+	c := n.clone()
 	if shift >= 64 { // a bucket
-		for i := range n.slots {
-			if n.slots[i].key == k {
-				c := n.edit(i, 0)
-				c.slots[i].val = v
-				return c, false
-			}
+		i := slices.IndexFunc(c.leaves, func(o *pleaf) bool { return o.key == l.key })
+		if i < 0 {
+			c.leaves = inserted(c.leaves, len(c.leaves), l)
+			return c, true
 		}
-		c := n.edit(len(n.slots), 1)
-		c.slots[len(n.slots)] = pslot{key: k, val: v}
-		return c, true
-	}
-	i, bit, ok := n.slot(h, shift)
-	if !ok {
-		c := n.edit(i, 1)
-		c.bitmap |= bit
-		c.slots[i] = pslot{key: k, val: v}
-		return c, true
-	}
-	c := n.edit(i, 0)
-	s := &c.slots[i]
-	switch {
-	case s.child != nil:
-		var added bool
-		s.child, added = s.child.with(k, v, h, shift+pmapBits)
-		return c, added
-	case s.key == k:
-		s.val = v
+		c.leaves = replaced(c.leaves, i, l)
 		return c, false
-	default:
-		// Two keys meet in one slot: both move a level down.
-		sub, _ := (*pnode)(nil).with(s.key, s.val, hashGVID(s.key), shift+pmapBits)
-		sub, _ = sub.with(k, v, h, shift+pmapBits)
-		*s = pslot{child: sub}
+	}
+	bit := bitAt(h, shift)
+	switch {
+	case c.nodemap&bit != 0:
+		j := slotIndex(c.nodemap, bit)
+		sub, added := c.nodes[j].with(l, h, shift+pmapBits)
+		c.nodes = replaced(c.nodes, j, sub)
+		return c, added
+	case c.datamap&bit == 0:
+		c.datamap |= bit
+		c.leaves = inserted(c.leaves, slotIndex(c.datamap, bit), l)
 		return c, true
 	}
+	i := slotIndex(c.datamap, bit)
+	if old := c.leaves[i]; old.key != l.key {
+		// Two keys meet in one slot: both move a level down.
+		c.datamap &^= bit
+		c.nodemap |= bit
+		c.leaves = removed(c.leaves, i)
+		c.nodes = inserted(c.nodes, slotIndex(c.nodemap, bit), pair(old, l, hashGVID(old.key), h, shift+pmapBits))
+		return c, true
+	}
+	c.leaves = replaced(c.leaves, i, l)
+	return c, false
 }
 
+// pair returns the node that holds the leaves a and b, of hashes ha and hb,
+// at the level of shift: one level per hash bits the two share.
+func pair(a, b *pleaf, ha, hb uint64, shift uint) *pnode {
+	if shift >= 64 {
+		return &pnode{leaves: []*pleaf{a, b}}
+	}
+	ba, bb := bitAt(ha, shift), bitAt(hb, shift)
+	switch {
+	case ba == bb:
+		return &pnode{nodemap: ba, nodes: []*pnode{pair(a, b, ha, hb, shift+pmapBits)}}
+	case ba > bb:
+		a, b = b, a
+	}
+	return &pnode{datamap: ba | bb, leaves: []*pleaf{a, b}}
+}
+
+// without returns n with k taken out and whether it was there (n itself
+// when not). The node it returns may hold a lone leaf, or nothing when it
+// is the root: the parent folds the one in, pmap.without drops the other.
 func (n *pnode) without(k term.GVID, h uint64, shift uint) (*pnode, bool) {
 	if n == nil {
 		return nil, false
 	}
-	i, bit, ok := 0, uint32(0), false
 	if shift >= 64 { // a bucket
-		for i = range n.slots {
-			if ok = n.slots[i].key == k; ok {
-				break
-			}
+		i := slices.IndexFunc(n.leaves, func(o *pleaf) bool { return o.key == k })
+		if i < 0 {
+			return n, false
 		}
-	} else {
-		i, bit, ok = n.slot(h, shift)
+		c := n.clone()
+		c.leaves = removed(c.leaves, i)
+		return c, true
 	}
+	bit := bitAt(h, shift)
+	switch {
+	case n.datamap&bit != 0:
+		i := slotIndex(n.datamap, bit)
+		if n.leaves[i].key != k {
+			return n, false
+		}
+		c := n.clone()
+		c.datamap &^= bit
+		c.leaves = removed(c.leaves, i)
+		return c, true
+	case n.nodemap&bit == 0:
+		return n, false
+	}
+	j := slotIndex(n.nodemap, bit)
+	sub, ok := n.nodes[j].without(k, h, shift+pmapBits)
 	if !ok {
 		return n, false
 	}
-	if s := &n.slots[i]; s.child != nil {
-		sub, removed := s.child.without(k, h, shift+pmapBits)
-		if !removed {
-			return n, false
-		}
-		if sub != nil {
-			c := n.edit(i, 0)
-			c.slots[i].child = sub
-			return c, true
-		}
-	} else if s.key != k {
-		return n, false
+	c := n.clone()
+	if len(sub.leaves) == 1 && len(sub.nodes) == 0 {
+		// The subtree holds one key: its leaf takes the slot.
+		c.nodemap &^= bit
+		c.datamap |= bit
+		c.nodes = removed(c.nodes, j)
+		c.leaves = inserted(c.leaves, slotIndex(c.datamap, bit), sub.leaves[0])
+		return c, true
 	}
-	if len(n.slots) == 1 {
-		return nil, true
-	}
-	c := n.edit(i, -1)
-	c.bitmap &^= bit
+	c.nodes = replaced(c.nodes, j, sub)
 	return c, true
+}
+
+// clone returns a copy of n that shares its slices; a nil n is the empty
+// node.
+func (n *pnode) clone() *pnode {
+	if n == nil {
+		return &pnode{}
+	}
+	c := *n
+	return &c
+}
+
+// The slice edits of a path copy: each returns a new slice of exactly the
+// length it needs and leaves s as it was.
+
+func inserted[T any](s []T, i int, x T) []T {
+	c := make([]T, len(s)+1)
+	copy(c, s[:i])
+	c[i] = x
+	copy(c[i+1:], s[i:])
+	return c
+}
+
+func removed[T any](s []T, i int) []T {
+	if len(s) == 1 {
+		return nil
+	}
+	c := make([]T, len(s)-1)
+	copy(c, s[:i])
+	copy(c[i:], s[i+1:])
+	return c
+}
+
+func replaced[T any](s []T, i int, x T) []T {
+	c := make([]T, len(s))
+	copy(c, s)
+	c[i] = x
+	return c
 }

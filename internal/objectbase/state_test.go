@@ -348,7 +348,10 @@ func TestStateConcurrentReads(t *testing.T) {
 }
 
 // TestStateLayout pins what a copied state costs: an application is an
-// interned key and a result (DESIGN.md "One form of a state").
+// interned key and a result (DESIGN.md "One form of a state"); and what a
+// commit's path copy of the delta layer costs: a trie node is two bitmaps
+// and two slices of pointers, and an entry a leaf of a version and a state
+// pointer, made once per changed version and then shared.
 func TestStateLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -356,6 +359,8 @@ func TestStateLayout(t *testing.T) {
 	}{
 		{"appEntry", unsafe.Sizeof(appEntry{}), 32},
 		{"State", unsafe.Sizeof(State{}), 32},
+		{"pleaf", unsafe.Sizeof(pleaf{}), 48},
+		{"pnode", unsafe.Sizeof(pnode{}), 56},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
