@@ -68,16 +68,21 @@ race:
 guard:
 	$(GO) test -count=1 -run 'Guard|CostLaws' . ./internal/...
 
-# The four fuzz targets, 30 s each (as in CI) on top of the seed corpora
+# The six fuzz targets, 30 s each (as in CI) on top of the seed corpora
 # that `go test` always replays: the journal and snapshot codec (round trip,
 # corruption caught), the digest a commit sums from its changes against the
 # rendered lists', the delta layer's persistent map against a Go map and its
-# own earlier snapshots, and the engine against the spec evaluator (same
+# own earlier snapshots, the two-word OID's order, equality and rendering
+# against a reference of a sort, a string and a rational side by side (every
+# number reads back as itself), the argument tuple's encoding (round trip,
+# first element, length), and the engine against the spec evaluator (same
 # refusal, or the same result(P), ob' and fired updates).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDiffCodec -fuzztime 30s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzChangesDigest -fuzztime 30s ./internal/storage
 	$(GO) test -run '^$$' -fuzz FuzzPmap -fuzztime 30s ./internal/objectbase
+	$(GO) test -run '^$$' -fuzz FuzzOIDCompare -fuzztime 30s ./internal/term
+	$(GO) test -run '^$$' -fuzz FuzzArgsRoundTrip -fuzztime 30s ./internal/term
 	$(GO) test -run '^$$' -fuzz FuzzEngineVsSpec -fuzztime 30s ./internal/eval
 
 # The gate: everything a change must pass before it lands.

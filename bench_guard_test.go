@@ -351,7 +351,8 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		// membership test is a probe of its position index, so an iteration
 		// costs what it adds. Re-copying the state per iteration costs O(k)
 		// bytes per fired update; scanning it, O(k) time and no bytes.
-		// Measured: 308-318 B per fired update, 32 of them the entry.
+		// Measured: 245-253 B per fired update, 24 of them the entry
+		// (308-318 B with a 32-byte entry).
 		name:  "accumulator",
 		sizes: []int{1000, 4000, 16000},
 		prepare: func(t *testing.T, k int) (func(), func() int) {
@@ -366,11 +367,11 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 			return nil, applyRun(t, ob.Freeze(), acc)
 		},
 		bytesExp: 1.1, nsExp: 1.3,
-		bytesPerX: 382, // measured × 1.2
+		bytesPerX: 304, // measured × 1.2
 	}, {
 		// The apply of recursive_closure: the ancestors program on a head
 		// that holds the closure, cached plans, no trace. It logs each fired
-		// update in 48 bytes of the log the apply before it left and copies
+		// update in 40 bytes of the log the apply before it left and copies
 		// no facts of the versions it fires on, so its bytes per fired update
 		// are small and do not grow with the genealogy (what a run pays per
 		// version is spread over more updates). A trace breaks the cap.
@@ -381,7 +382,7 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 			return nil, applyRun(t, head, p, opts...)
 		},
 		bytesExp: 1.0, nsExp: 1.3,
-		bytesPerX: 63, // measured × 1.2: 52 B per fired update at six generations, 15 B at ten
+		bytesPerX: 57, // measured × 1.2: 47 B per fired update at six generations, 14 B at ten
 	}, {
 		// The same re-apply as a server commits it: through repository.Apply,
 		// which returns no result(P), so the fixpoint's own layer is the
@@ -445,7 +446,8 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 		// fact encoded in one buffer on the stack. The list of changes is
 		// working memory the commit before it left, and the new root re-slots
 		// the old root's states under its version index, 8 B a version
-		// (measured: 175-185 B per changed employee; 205-212 B while the
+		// (measured: 143-152 B per changed employee, states of 24-byte
+		// entries; 175-185 B with 32-byte entries, 205-212 B while the
 		// entry kept its diff as two strings, 274-319 B when the new root
 		// hashed every version into a table of its own, 339-385 B with
 		// 48-byte state entries as well; 465-502 B when every commit bought
@@ -473,7 +475,7 @@ step: ins[acc].reach -> Y <- ins(acc).reach -> X, X.next -> Y.
 			}
 		},
 		bytesExp:  1.1,
-		bytesPerX: 222, // measured × 1.2
+		bytesPerX: 183, // measured × 1.2
 	}, {
 		// A one-object update through repository.Apply and the first boss
 		// probe of the head it publishes cost nearly the same on any base.

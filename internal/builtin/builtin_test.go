@@ -111,3 +111,28 @@ func TestApplyArithAndCompareAgreeWithMathBig(t *testing.T) {
 		t.Logf("%v: %d of %d refusals of a result that fits", o.op, spurious[o.op], pairs)
 	}
 }
+
+// TestApplyArithInlineAllocatesNothing: the arithmetic of an update such as
+// S' = S + 1 or S' = S * 1.1 mints a new number on every apply; while it
+// stays in the inline range of an OID that number allocates nothing.
+func TestApplyArithInlineAllocatesNothing(t *testing.T) {
+	var sink term.OID
+	for _, c := range []struct {
+		op   term.ArithOp
+		l, r term.OID
+		want term.OID
+	}{
+		{term.OpAdd, term.Int(4200), term.Int(1), term.Int(4201)},
+		{term.OpMul, term.Int(4200), term.Num(11, 10), term.Int(4620)},
+		{term.OpMul, term.Int(4205), term.Num(11, 10), term.Num(9251, 2)},
+		{term.OpMul, term.Num(9251, 2), term.Num(11, 10), term.Num(101761, 20)},
+	} {
+		if got, err := ApplyArith(c.op, c.l, c.r); err != nil || got != c.want {
+			t.Errorf("%v %v %v = %v, %v; want %v", c.l, c.op, c.r, got, err, c.want)
+		}
+		if n := testing.AllocsPerRun(20, func() { sink, _ = ApplyArith(c.op, c.l, c.r) }); n != 0 {
+			t.Errorf("%v %v %v allocates %.0f times", c.l, c.op, c.r, n)
+		}
+	}
+	_ = sink
+}

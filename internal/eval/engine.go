@@ -106,7 +106,8 @@ type StratumTiming struct {
 // them is the server's other_us.
 type Stats struct {
 	// Parse is the time spent parsing the program text (callers that start
-	// from a parsed program leave it zero).
+	// from a parsed program leave it zero); the server counts reading the
+	// request body in it.
 	Parse time.Duration
 	// Queue is the time the apply waited for the applies ahead of it to
 	// evaluate and enqueue (repository layer: evaluation is serial). Zero,
@@ -575,7 +576,7 @@ func (e *engine) touch(o term.OID) *touched {
 	return obj
 }
 
-// firedUpdate is one fired update, 48 bytes of the log engine.ups: the
+// firedUpdate is one fired update, 40 bytes of the log engine.ups: the
 // method key (interned, see engine.intern) and the result it was fired
 // with, its method as a number of the run's (engine.methods), the rule and
 // iteration that derived it first, and the position of its target's next
@@ -611,7 +612,7 @@ func (e *engine) update(tu *targetUpdates, pos int32) Update {
 // itself) by pointer; the first update that changes anything copies it,
 // once, and from then on w is extended in place with the updates each
 // iteration adds. All updates of one target have the same kind and version:
-// w is kind(version). 96 bytes: the pointers first, then the five int32s and
+// w is kind(version). 88 bytes: the pointers first, then the five int32s and
 // the two bools together — an int32 or a bool between two pointers costs a
 // word of padding each time.
 type targetUpdates struct {
@@ -920,7 +921,7 @@ func (sc *scratch) bucket(i int, method string) *bucket {
 }
 
 // spillKey identifies a fired update within a stratum: its target and what
-// it does there (64 bytes).
+// it does there (48 bytes).
 type spillKey struct {
 	tu    *targetUpdates
 	r, r2 term.OID

@@ -165,21 +165,21 @@ func TestAppearingVersionsAreTheirOwnDelta(t *testing.T) {
 
 // TestFixpointRecordSizes pins the sizes of what an evaluation keeps per
 // fired update, per delta entry, per target and per touched object (DESIGN.md
-// §4 quotes them). targetUpdates is 96 only with its int32s and bools laid
+// §4 quotes them). targetUpdates is 88 only with its int32s and bools laid
 // out together after the pointers: every narrow field that sits between two
 // pointers pads to a word, and putting the three positions where the three
-// pointers were gives 104.
+// pointers were gives 96.
 func TestFixpointRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"firedUpdate", unsafe.Sizeof(firedUpdate{}), 48},
-		{"spillKey", unsafe.Sizeof(spillKey{}), 64},
-		{"deltaFact", unsafe.Sizeof(deltaFact{}), 56},
-		{"wholeVersion", unsafe.Sizeof(wholeVersion{}), 32},
+		{"firedUpdate", unsafe.Sizeof(firedUpdate{}), 40},
+		{"spillKey", unsafe.Sizeof(spillKey{}), 48},
+		{"deltaFact", unsafe.Sizeof(deltaFact{}), 40},
+		{"wholeVersion", unsafe.Sizeof(wholeVersion{}), 24},
 		{"touched", unsafe.Sizeof(touched{}), 24},
-		{"targetUpdates", unsafe.Sizeof(targetUpdates{}), 96},
+		{"targetUpdates", unsafe.Sizeof(targetUpdates{}), 88},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)

@@ -15,7 +15,7 @@ import (
 // recursive closures) need O(1) membership tests to stay linear.
 const stateIndexThreshold = 24
 
-// appEntry is one method application, 32 bytes: its key interned, so that
+// appEntry is one method application, 24 bytes: its key interned, so that
 // a copied state holds one word per key. Interning hashes the key, so only
 // Add (the loader's way in) and a lookup in an indexed state pay for it; a
 // read of a scanned state compares keys by value, and entries compare by

@@ -357,9 +357,9 @@ func TestStateLayout(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"appEntry", unsafe.Sizeof(appEntry{}), 32},
+		{"appEntry", unsafe.Sizeof(appEntry{}), 24},
 		{"State", unsafe.Sizeof(State{}), 32},
-		{"pleaf", unsafe.Sizeof(pleaf{}), 48},
+		{"pleaf", unsafe.Sizeof(pleaf{}), 40},
 		{"pnode", unsafe.Sizeof(pnode{}), 56},
 	} {
 		if c.got != c.want {

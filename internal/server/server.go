@@ -971,17 +971,12 @@ func (s *Server) handleApply(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 		return
 	}
 	start := time.Now()
-	src, ok := readBodyOr400(w, r)
-	if !ok {
-		return
-	}
-	setDetail(r, src)
 
-	// With ?trace=1 the whole pipeline (parse through commit) is collected
-	// as a span tree, returned in the response and retained in the trace
-	// ring (successful or not). The trace id is the request's W3C trace id,
-	// so the traceparent header, the slog line, the slow log and the ring
-	// all join on it.
+	// With ?trace=1 the whole pipeline (reading the body through commit) is
+	// collected as a span tree, returned in the response and retained in
+	// the trace ring (successful or not). The trace id is the request's W3C
+	// trace id, so the traceparent header, the slog line, the slow log and
+	// the ring all join on it.
 	var tr *obs.Trace
 	var root *obs.Span
 	if wantTrace(r) {
@@ -1002,7 +997,16 @@ func (s *Server) handleApply(t *tenant.Tenant, w http.ResponseWriter, r *http.Re
 		tr = nil // at most one ring entry per request
 	}
 
+	// The parse stage holds the read of the body as well: it is the
+	// program's text arriving, and the apply's first work.
 	parse := root.Stage("parse")
+	src, ok := readBodyOr400(w, r)
+	if !ok {
+		parse.End()
+		finishTrace("bad_request")
+		return
+	}
+	setDetail(r, src)
 	p, err := parser.Program(src, "request")
 	parsed := parse.End()
 	if err != nil {

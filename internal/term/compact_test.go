@@ -17,11 +17,11 @@ func TestCompactLayoutGuard(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"OID", unsafe.Sizeof(OID{}), 24},
+		{"OID", unsafe.Sizeof(OID{}), 16},
 		{"Args", unsafe.Sizeof(Args{}), 8},
-		{"GVID", unsafe.Sizeof(GVID{}), 40},
+		{"GVID", unsafe.Sizeof(GVID{}), 32},
 		{"MethodKey", unsafe.Sizeof(MethodKey{}), 24},
-		{"Fact", unsafe.Sizeof(Fact{}), 88},
+		{"Fact", unsafe.Sizeof(Fact{}), 80},
 	} {
 		if c.got > c.want {
 			t.Errorf("unsafe.Sizeof(%s) = %d, want ≤ %d", c.name, c.got, c.want)
@@ -114,6 +114,82 @@ func TestArgsFirstAndLenDecodeInPlace(t *testing.T) {
 	}
 }
 
+// sinkOID and sinkInt keep the results of the allocation probes live.
+var (
+	sinkOID OID
+	sinkInt int
+)
+
+// TestInlineNumbersAllocateNothing: an integer, and a fraction whose
+// numerator fits an int32 and denominator a uint32, live in the OID itself,
+// so making one, reading it back, sorting it and ordering it intern nothing
+// — S' = S + 1 and S' = S * 1.1 mint new numbers on every apply.
+func TestInlineNumbersAllocateNothing(t *testing.T) {
+	for _, r := range []Rat{
+		RatInt(0), RatInt(1), RatInt(2), RatInt(-1), RatInt(math.MaxInt64), RatInt(math.MinInt64),
+		MakeRat(11, 10), MakeRat(-7, 3), MakeRat(math.MaxInt32, math.MaxUint32),
+		MakeRat(math.MinInt32, math.MaxUint32), MakeRat(1, 2),
+	} {
+		o := FromRat(r)
+		if got := o.Rat(); got != r || Num(r.Num(), r.Den()) != o || !o.IsNum() || o.Sort() != SortNum {
+			t.Errorf("FromRat(%v) reads back as %v", r, got)
+		}
+		probes := map[string]func(){
+			"FromRat": func() { sinkOID = FromRat(r) },
+			"Num":     func() { sinkOID = Num(r.Num(), r.Den()) },
+			"Rat":     func() { sinkOID = FromRat(o.Rat()) },
+			"Sort":    func() { sinkInt = int(o.Sort()) },
+			"Compare": func() { sinkInt = o.Compare(Int(3)) + o.Compare(Num(1, 3)) },
+		}
+		if r.IsInt() {
+			probes["Int"] = func() { sinkOID = Int(r.Int()) }
+		}
+		for name, f := range probes {
+			if n := testing.AllocsPerRun(20, f); n != 0 {
+				t.Errorf("%s of %v allocates %.0f times", name, r, n)
+			}
+		}
+	}
+}
+
+// TestWideRationals: a fraction too wide to pack interns its canonical
+// text, and is still one OID however it is spelled, reads back as itself,
+// orders among the other numbers by value and is no symbol or string of
+// the same text.
+func TestWideRationals(t *testing.T) {
+	for _, c := range []struct {
+		num, den, num2, den2 int64
+		text                 string
+	}{
+		{1, 1 << 32, 2, 1 << 33, "1/4294967296"},
+		{1 << 31, 3, 1 << 32, 6, "2147483648/3"},
+		{-(1 << 31) - 2, 3, (1 << 31) + 2, -3, "-2147483650/3"},
+		{math.MaxInt64, 2, -math.MaxInt64, -2, "9223372036854775807/2"},
+		{math.MinInt64 + 1, math.MaxInt64 - 1, math.MaxInt64, -(math.MaxInt64 - 1), "-9223372036854775807/9223372036854775806"},
+	} {
+		o := Num(c.num, c.den)
+		if o != Num(c.num2, c.den2) || o != FromRat(o.Rat()) || o.Rat() != MakeRat(c.num, c.den) {
+			t.Errorf("%d/%d: %v, spelled %d/%d %v, read back %v", c.num, c.den, o, c.num2, c.den2, Num(c.num2, c.den2), FromRat(o.Rat()))
+		}
+		if !o.IsNum() || o.Sort() != SortNum || o == Sym(c.text) || o == Str(c.text) || Sym(c.text).IsNum() || Str(c.text).IsNum() {
+			t.Errorf("%s is not a number apart from the name %q", o, c.text)
+		}
+		r := o.Rat()
+		below, above := Int(r.Num()/r.Den()), Int(r.Num()/r.Den()+1) // both sides of the truncation
+		if r.Num() < 0 {
+			below, above = Int(r.Num()/r.Den()-1), Int(r.Num()/r.Den())
+		}
+		if o.Compare(below) != 1 || o.Compare(above) != -1 || below.Compare(o) != -1 || o.Compare(Sym("")) != -1 {
+			t.Errorf("%s orders wrongly against %s and %s", o, below, above)
+		}
+	}
+	for _, name := range []string{"", "r", "0", "1", "2"} {
+		if Sym(name).IsNum() || Str(name).IsNum() || Sym(name) == Int(0) || Str(name) == Int(1) {
+			t.Errorf("the name %q is taken for a number", name)
+		}
+	}
+}
+
 // refOID is the representation OID had before it was compacted — a sort, a
 // string and a rational side by side — kept as the reference its order and
 // its equality are held against.
@@ -172,11 +248,29 @@ func FuzzOIDCompare(f *testing.F) {
 	f.Add(uint8(2), "", int64(0), int64(5), uint8(0), "0", int64(0), int64(0))
 	f.Add(uint8(2), "", int64(math.MaxInt64), int64(1), uint8(2), "", int64(math.MaxInt64), int64(2))
 	f.Add(uint8(1), "a", int64(0), int64(0), uint8(0), "a", int64(0), int64(0))
+	// The edges of the encoding: ±2³¹ and a denominator of 2³² just past
+	// the packed fractions, the ends of int64, the words 0, 1 and 2 that
+	// tag a name, and names that spell a number or the packed fractions' tag.
+	f.Add(uint8(2), "", int64(1<<31), int64(3), uint8(2), "", int64(-1<<31), int64(3))
+	f.Add(uint8(2), "", int64(1<<31-1), int64(1<<32-1), uint8(2), "", int64(-1<<31-1), int64(1<<32-1))
+	f.Add(uint8(2), "", int64(1), int64(1<<32), uint8(2), "", int64(1), int64(1<<32-1))
+	f.Add(uint8(2), "", int64(math.MaxInt64), int64(3), uint8(2), "", int64(math.MinInt64+1), int64(1))
+	f.Add(uint8(2), "", int64(math.MinInt64+1), int64(math.MaxInt64), uint8(2), "", int64(-1), int64(1))
+	f.Add(uint8(2), "", int64(0), int64(1), uint8(0), "", int64(0), int64(0))
+	f.Add(uint8(2), "", int64(1), int64(1), uint8(1), "", int64(0), int64(0))
+	f.Add(uint8(2), "", int64(2), int64(1), uint8(0), "2", int64(0), int64(0))
+	f.Add(uint8(2), "", int64(1<<31), int64(3), uint8(0), "2147483648/3", int64(0), int64(0))
+	f.Add(uint8(2), "", int64(1), int64(2), uint8(1), "r", int64(0), int64(0))
 	f.Fuzz(func(t *testing.T, ka uint8, sa string, na, da int64, kb uint8, sb string, nb, db int64) {
 		a, okA := fuzzOID(ka, sa, na, da)
 		b, okB := fuzzOID(kb, sb, nb, db)
 		if !okA || !okB {
 			t.Skip()
+		}
+		for _, o := range []OID{a, b} {
+			if o.IsNum() && FromRat(o.Rat()) != o {
+				t.Fatalf("%v reads back as %v", o, FromRat(o.Rat()))
+			}
 		}
 		ra, rb := refOf(a), refOf(b)
 		if got, want := a.Compare(b), ra.compare(rb); got != want {
@@ -213,6 +307,10 @@ func FuzzArgsRoundTrip(f *testing.F) {
 	f.Add(uint8(3), uint8(1), "7:", int64(0), int64(0), uint8(1), "x:y", int64(0), int64(0), uint8(0), "s7", int64(0), int64(0))
 	f.Add(uint8(0), uint8(0), "", int64(0), int64(0), uint8(0), "", int64(0), int64(0), uint8(0), "", int64(0), int64(0))
 	f.Add(uint8(2), uint8(2), "", int64(-3), int64(1), uint8(2), "", int64(3), int64(-1), uint8(0), "", int64(0), int64(0))
+	f.Add(uint8(3), uint8(2), "", int64(1<<31), int64(3), uint8(2), "", int64(1), int64(1<<32), uint8(0), "2147483648/3", int64(0), int64(0))
+	f.Add(uint8(3), uint8(2), "", int64(math.MaxInt64), int64(1), uint8(2), "", int64(math.MinInt64+1), int64(2), uint8(2), "", int64(-1<<31), int64(1<<32-1))
+	f.Add(uint8(3), uint8(2), "", int64(0), int64(1), uint8(2), "", int64(1), int64(1), uint8(2), "", int64(2), int64(1))
+	f.Add(uint8(3), uint8(0), "", int64(0), int64(0), uint8(1), "", int64(0), int64(0), uint8(0), "r", int64(0), int64(0))
 	f.Fuzz(func(t *testing.T, count uint8,
 		k0 uint8, s0 string, n0, d0 int64,
 		k1 uint8, s1 string, n1, d1 int64,
@@ -229,6 +327,9 @@ func FuzzArgsRoundTrip(f *testing.F) {
 			o, ok := fuzzOID(p.k, p.s, p.n, p.d)
 			if !ok {
 				t.Skip()
+			}
+			if o.IsNum() && FromRat(o.Rat()) != o {
+				t.Fatalf("%v reads back as %v", o, FromRat(o.Rat()))
 			}
 			tuple = append(tuple, o)
 		}

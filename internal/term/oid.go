@@ -11,17 +11,18 @@
 //     as the paper's salary update (S' = S*1.1 + 200) reproduce the paper's
 //     results (4600, not 4600.000000000001).
 //
-//   - An OID is three words: an interned name (unique.Handle[string]) and
-//     the two int64 of a rational, of which the denominator doubles as the
-//     sort tag (see OID). Equality is still equality of values, because each
-//     value has one representation: rationals are kept in lowest terms with a
-//     positive denominator, and two handles are equal exactly when the
-//     strings they were made from are. An argument tuple (Args) is the
-//     handle of its canonical encoding, one word. States, fired-update logs,
-//     delta buckets, traces and every map keyed by a VID are arrays of these
+//   - An OID is two words: an interned name (unique.Handle[string]) and one
+//     int64 (see OID). A symbol or a string is its name and a tag; an
+//     integer, and a fraction small enough to pack into one word, is a tag
+//     handle and the number itself, so that numbers stay inline: an update
+//     such as S' = S + 1 mints new ones on every apply, and they need no
+//     table. Equality is still equality of values, because each value has
+//     one representation: rationals are kept in lowest terms with a positive
+//     denominator, and two handles are equal exactly when the strings they
+//     were made from are. An argument tuple (Args) is the handle of its
+//     canonical encoding, one word. States, fired-update logs, delta
+//     buckets, traces and every map keyed by a VID are arrays of these
 //     values, so their size is what a bulk apply allocates per touched fact.
-//     Numbers stay inline: an update such as S' = S + 1 mints new ones on
-//     every apply, and they need no table.
 //
 //   - There is no symbol table of our own. A table per repository that only
 //     grows is a leak in a server that never restarts (every name a deleted
@@ -43,6 +44,7 @@
 package term
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -77,17 +79,39 @@ func (s Sort) String() string {
 // The zero value is the empty symbol and is not a valid OID.
 // OID is a comparable value type and may be used as a map key.
 //
-// The three sorts share three words. d says which is in use: d > 0 is the
-// number n/d in lowest terms, d = 0 a symbol and d = symStr a string, both
-// named by sym (the zero handle names ""). Every constructor produces one
-// representation per value, so == on OIDs is equality of values.
+// The three sorts share two words, a handle h and a word n:
+//
+//   - a symbol is {name, 0} and a string {contents, 1} (the zero handle
+//     names "", so the zero OID is the empty symbol);
+//   - an integer i is {numTag, i};
+//   - a fraction p/q in lowest terms with p an int32 and q a uint32 is
+//     {ratTag, p<<32 | q}; q ≥ 2 and p ≠ 0, so the word is never 0, 1 or 2;
+//   - any other fraction is {"p/q", 2}, its canonical text interned.
+//
+// numTag is the handle of "", which no name carries (intern gives "" the
+// zero handle), so {numTag, n} is no name. A name's word is 0, 1 or 2 and a
+// packed fraction's is none of these, so {ratTag, p<<32 | q} is none either.
+// Every constructor produces one representation per value, so == on OIDs is
+// equality of values; Sort reads the tag without dereferencing the handle.
 type OID struct {
-	sym  unique.Handle[string] // payload for SortSym and SortStr
-	n, d int64                 // payload for SortNum; d also tags the sort
+	h unique.Handle[string] // the name, numTag or ratTag
+	n int64                 // the sort of a name, or the number
 }
 
-// symStr is the d of a string-valued OID.
-const symStr = -1
+// The words of a name, by sort; the word of any other handle is a number.
+const (
+	wordSym    = 0
+	wordStr    = 1
+	wordBigRat = 2
+)
+
+// The handles that tag numbers. numTag is the handle of "", which no name
+// carries; ratTag may be any handle, since no name's word is a packed
+// fraction's.
+var (
+	numTag = unique.Make("")
+	ratTag = unique.Make("r")
+)
 
 // intern returns the handle naming s. The empty name keeps the zero handle,
 // so that Sym("") is the zero OID and the empty tuple the zero Args.
@@ -107,27 +131,40 @@ func interned(h unique.Handle[string]) string {
 }
 
 // Sym returns the symbol OID with the given name.
-func Sym(name string) OID { return OID{sym: intern(name)} }
+func Sym(name string) OID { return OID{h: intern(name), n: wordSym} }
 
 // Str returns the string-valued OID with the given contents.
-func Str(s string) OID { return OID{sym: intern(s), d: symStr} }
+func Str(s string) OID { return OID{h: intern(s), n: wordStr} }
 
 // Int returns the numeric OID for the given integer.
-func Int(i int64) OID { return OID{n: i, d: 1} }
+func Int(i int64) OID { return OID{h: numTag, n: i} }
 
 // Num returns the numeric OID for the rational num/den. It panics if den is
 // zero.
 func Num(num, den int64) OID { return FromRat(MakeRat(num, den)) }
 
 // FromRat returns the numeric OID holding r.
-func FromRat(r Rat) OID { return OID{n: r.Num(), d: r.Den()} }
+func FromRat(r Rat) OID {
+	num, den := r.Num(), r.Den()
+	switch {
+	case den == 1:
+		return Int(num)
+	case num == int64(int32(num)) && den == int64(uint32(den)):
+		return OID{h: ratTag, n: num<<32 | den}
+	}
+	var b [48]byte
+	text := strconv.AppendInt(b[:0], num, 10)
+	text = append(text, '/')
+	text = strconv.AppendInt(text, den, 10)
+	return OID{h: unique.Make(string(text)), n: wordBigRat}
+}
 
 // Sort reports the sort of the OID.
 func (o OID) Sort() Sort {
 	switch {
-	case o.d > 0:
+	case o.IsNum():
 		return SortNum
-	case o.d == 0:
+	case o.n == wordSym:
 		return SortSym
 	default:
 		return SortStr
@@ -135,28 +172,37 @@ func (o OID) Sort() Sort {
 }
 
 // IsNum reports whether the OID is a number.
-func (o OID) IsNum() bool { return o.d > 0 }
+func (o OID) IsNum() bool { return o.h == numTag || uint64(o.n) > wordStr }
 
 // Rat returns the numeric value of the OID. It panics unless IsNum.
 func (o OID) Rat() Rat {
-	if o.d <= 0 {
-		panic("term: Rat on non-numeric OID " + o.String())
+	switch {
+	case o.h == numTag:
+		return Rat{n: o.n, d: 1}
+	case o.h == ratTag && uint64(o.n) > wordStr:
+		return Rat{n: o.n >> 32, d: o.n & (1<<32 - 1)}
+	case o.n == wordBigRat:
+		text := o.h.Value()
+		slash := strings.IndexByte(text, '/')
+		num, _ := strconv.ParseInt(text[:slash], 10, 64)
+		den, _ := strconv.ParseInt(text[slash+1:], 10, 64)
+		return Rat{n: num, d: den}
 	}
-	return Rat{n: o.n, d: o.d}
+	panic("term: Rat on non-numeric OID " + o.String())
 }
 
 // Name returns the symbol name or string payload. It panics on numbers.
 func (o OID) Name() string {
-	if o.d > 0 {
+	if o.IsNum() {
 		panic("term: Name on numeric OID " + o.String())
 	}
-	return interned(o.sym)
+	return interned(o.h)
 }
 
 // String renders the OID in the concrete syntax of the language.
 func (o OID) String() string {
-	if o.d == 0 {
-		return interned(o.sym) // a symbol is its name
+	if o.Sort() == SortSym {
+		return interned(o.h) // a symbol is its name
 	}
 	var b [48]byte
 	return string(o.AppendTo(b[:0]))
@@ -181,6 +227,9 @@ func (o OID) AppendTo(dst []byte) []byte {
 func (o OID) Compare(p OID) int {
 	if o == p {
 		return 0
+	}
+	if o.h == numTag && p.h == numTag {
+		return cmp.Compare(o.n, p.n)
 	}
 	so, sp := o.Sort(), p.Sort()
 	if so != sp {
