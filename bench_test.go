@@ -49,6 +49,15 @@ func apply(b *testing.B, ob *ObjectBase, p *Program, opts ...Option) *Result {
 	return res
 }
 
+// reportWork reports the work counts of one apply (eval.Work): they repeat
+// from apply to apply, so the last one stands for every op.
+func reportWork(b *testing.B, w eval.Work) {
+	b.ReportMetric(float64(w.Probes), "probes/op")
+	b.ReportMetric(float64(w.Scanned), "scanned/op")
+	b.ReportMetric(float64(w.Copied), "copied/op")
+	b.ReportMetric(float64(w.Moved), "moved/op")
+}
+
 // BenchmarkE1SalaryRaise — Section 2.1: one modify per employee, scaling.
 func BenchmarkE1SalaryRaise(b *testing.B) {
 	p := mustParseProgram(b, workload.SalaryRaiseProgram)
@@ -74,9 +83,11 @@ func BenchmarkE2Enterprise(b *testing.B) {
 		ob := workload.EnterpriseSpec{Employees: n, Seed: 7}.ObjectBase().Freeze()
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
+			var res *Result
 			for i := 0; i < b.N; i++ {
-				apply(b, ob, p)
+				res = apply(b, ob, p)
 			}
+			reportWork(b, res.Stats.Work)
 		})
 	}
 }
@@ -153,14 +164,17 @@ func BenchmarkE24ClosedClosure(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var work eval.Work
 			for i := 0; i < b.N; i++ {
 				res := apply(b, head, p, c.opts...)
 				if res.Fired != spec.AncestorPairs() || len(res.Trace) != c.trace || len(res.Changes) != 0 {
 					b.Fatalf("fired %d, trace %d, changes %d; want %d, %d, 0",
 						res.Fired, len(res.Trace), len(res.Changes), spec.AncestorPairs(), c.trace)
 				}
+				work = res.Stats.Work
 				res.Release() // as the commit does once its record is written
 			}
+			reportWork(b, work)
 		})
 	}
 }
@@ -239,19 +253,23 @@ func BenchmarkE34BulkApply(b *testing.B) {
 	}
 	defer r.Close()
 	p := mustParseProgram(b, workload.BulkRaiseProgram)
-	commit := func() {
-		if _, e, _, err := r.ApplyKey(p, ""); err != nil || e.NumAdded == 0 {
+	commit := func() *Result {
+		res, e, _, err := r.ApplyKey(p, "")
+		if err != nil || e.NumAdded == 0 {
 			b.Fatalf("bulk raise: %v, added %d facts", err, e.NumAdded)
 		}
+		return res
 	}
 	for range 5 {
 		commit()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var res *Result
 	for i := 0; i < b.N; i++ {
-		commit()
+		res = commit()
 	}
+	reportWork(b, res.Stats.Work)
 }
 
 // BenchmarkE5VersionChains — Figure 1: k consecutive update groups.
@@ -388,9 +406,11 @@ func BenchmarkE11VsDirect(b *testing.B) {
 	}
 	b.Run("verlog", func(b *testing.B) {
 		b.ReportAllocs()
+		var res *Result
 		for i := 0; i < b.N; i++ {
-			apply(b, ob, p)
+			res = apply(b, ob, p)
 		}
+		reportWork(b, res.Stats.Work)
 	})
 	b.Run("direct", func(b *testing.B) {
 		b.ReportAllocs()

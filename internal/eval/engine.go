@@ -84,6 +84,37 @@ type RuleStat struct {
 	// TimeUS is the wall-clock microseconds spent matching the rule,
 	// summed over its step-1 tasks.
 	TimeUS int64 `json:"time_us"`
+	// Work is what matching the rule and applying its updates did.
+	Work
+}
+
+// Work counts what an evaluation did in units no host or firing order
+// changes, so that two runs of one program on one base count the same.
+// Step 1 counts the lookups and candidates of its matching on the account of
+// the rule it matches; step 2 counts its work on a target on the account of
+// the least rule among those that fired the target's fresh updates.
+type Work struct {
+	// Probes counts lookups: a version's state, an index probe, a test of a
+	// fact, an existence or v* check, and one membership test of its
+	// target's state per fresh update step 2 applies.
+	Probes int `json:"probes"`
+	// Scanned counts the candidates a scan visits: delta entries, index
+	// hits, versions a scan of the version index hands out, the entries of
+	// a state a match walks, and those a membership test of a state without
+	// its position index reads.
+	Scanned int `json:"scanned"`
+	// Copied counts the states step 2 copies before it edits them.
+	Copied int `json:"copied"`
+	// Moved counts the entries step 2 appends to states: those a copy
+	// carries over and those an update adds.
+	Moved int `json:"moved"`
+}
+
+func (w *Work) add(v Work) {
+	w.Probes += v.Probes
+	w.Scanned += v.Scanned
+	w.Copied += v.Copied
+	w.Moved += v.Moved
 }
 
 // StratumTiming is the cost of one stratum's fixpoint.
@@ -141,6 +172,8 @@ type Stats struct {
 	Commit     time.Duration
 	Encode     time.Duration
 	CommitWait time.Duration
+	// Work is the evaluation's work, the sum of its rules' (RuleStat.Work).
+	Work Work
 }
 
 // Result is the outcome of running an update-program.
@@ -644,6 +677,7 @@ type ruleAgg struct {
 	matched    int64
 	iterations int
 	time       time.Duration
+	work       Work
 }
 
 // Run evaluates the update-program p on the object base ob: it stratifies
@@ -744,6 +778,9 @@ func (e *engine) evaluate(res *Result) error {
 	res.Stats.Copy = stage.End()
 	res.Fired = e.fired
 	res.RuleStats = e.ruleStats()
+	for _, rs := range res.RuleStats {
+		res.Stats.Work.add(rs.Work)
+	}
 	res.Trace = e.buildTrace()
 	return nil
 }
@@ -848,6 +885,7 @@ func (e *engine) ruleStats() []RuleStat {
 			Rule: e.labels[i], Stratum: a.stratum,
 			Fired: a.fired, Emitted: a.emitted, Matched: int(a.matched),
 			Iterations: a.iterations, TimeUS: a.time.Microseconds(),
+			Work: a.work,
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -1133,6 +1171,8 @@ func (s *stratumRun) iterate() (int, error) {
 		a.emitted += emitted
 		a.matched += st.matched
 		a.time += st.dur
+		a.work.add(e.x.work)
+		e.x.work = Work{}
 		if ti == 0 || tasks[ti-1].ri != ri {
 			a.iterations++
 		}
@@ -1205,11 +1245,13 @@ func (e *engine) addRuleSpans(itSpan *obs.Span, tasks []fireTask, stats []fireSt
 
 // deltaSink receives the facts an iteration adds to one version that was
 // there before it: it counts them all and files those some rule can be
-// seeded from in their buckets.
+// seeded from in their buckets. work is the account extending the version
+// is counted on (see payer).
 type deltaSink struct {
-	w  term.GVID
-	bs []*bucket // the buckets of w's path
-	n  int
+	w    term.GVID
+	bs   []*bucket // the buckets of w's path
+	n    int
+	work *Work
 }
 
 func (d *deltaSink) add(k term.MethodKey, r term.OID) {
@@ -1256,7 +1298,7 @@ func (s *stratumRun) applyTargets() (changed bool, added int, err error) {
 
 	e.base.GrowStates(len(dirty))
 	for _, tu := range dirty {
-		sink := deltaSink{w: tu.w, bs: s.byPath[tu.w.Path]}
+		sink := deltaSink{w: tu.w, bs: s.byPath[tu.w.Path], work: e.payer(tu)}
 		if tu.appears {
 			changed = e.appear(tu, &sink) || changed
 		} else {
@@ -1267,6 +1309,21 @@ func (s *stratumRun) applyTargets() (changed bool, added int, err error) {
 	}
 	e.dirty = dirty[:0]
 	return changed, added, nil
+}
+
+// payer returns the account step 2's work on tu is counted on — that of the
+// least rule among those that fired its fresh updates, which no firing order
+// changes — and counts on it the membership test of tu's state that each
+// fresh update costs.
+func (e *engine) payer(tu *targetUpdates) *Work {
+	ri, n := int32(len(e.agg)), 0
+	for f := e.up(tu.fresh); f != nil; f = e.up(f.next) {
+		ri, n = min(ri, f.rule), n+1
+	}
+	w := &e.agg[ri].work
+	w.Probes += n
+	w.Scanned += n * tu.st.Visits()
+	return w
 }
 
 // reserve counts, before anything is edited, what the target's fresh
@@ -1344,7 +1401,7 @@ func (e *engine) locate(tu *targetUpdates) error {
 func (e *engine) appear(tu *targetUpdates, d *deltaSink) (changed bool) {
 	prev := tu.prev
 	tu.appears, tu.prev = false, nil
-	var quiet deltaSink
+	quiet := deltaSink{work: d.work}
 	if prev == nil {
 		// The common case skips SetState's lookup and equality work.
 		e.base.SetStateFresh(tu.w, tu.st)
@@ -1371,7 +1428,9 @@ func (e *engine) appear(tu *targetUpdates, d *deltaSink) (changed bool) {
 // updates that wait: the one copy step 2 of T_P makes of a version — and,
 // for an object's deepest version, the only one the apply makes of that
 // state (see finalize).
-func (e *engine) own(tu *targetUpdates, room int) {
+func (e *engine) own(tu *targetUpdates, room int, w *Work) {
+	w.Copied++
+	w.Moved += tu.st.Size()
 	tu.st = tu.st.CloneWithRoom(room)
 	tu.owned = true
 	e.base.Adopt(tu.w, tu.st)
@@ -1407,10 +1466,11 @@ func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 				for g := e.up(f.next); g != nil; g = e.up(g.next) {
 					room++
 				}
-				e.own(tu, room)
+				e.own(tu, room, d.work)
 			}
 			if e.base.AddTo(w, tu.st, f.key, f.r) {
 				changed = true
+				d.work.Moved++
 				d.add(f.key.MethodKey(), f.r)
 			}
 		}
@@ -1420,7 +1480,7 @@ func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 				if !tu.st.HasKey(f.key, f.r) {
 					continue
 				}
-				e.own(tu, 0)
+				e.own(tu, 0, d.work)
 			}
 			changed = e.base.RemoveFrom(w, tu.st, f.key, f.r) || changed
 		}
@@ -1435,7 +1495,7 @@ func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 			if !touches {
 				return false
 			}
-			e.own(tu, 0) // a modify puts in what it takes out
+			e.own(tu, 0, d.work) // a modify puts in what it takes out
 		}
 		gone := e.gone[:0]
 		for f := e.up(tu.fresh); f != nil; f = e.up(f.next) {
@@ -1450,6 +1510,7 @@ func (e *engine) extend(tu *targetUpdates, d *deltaSink) (changed bool) {
 			if !e.base.AddTo(w, tu.st, f.key, r2) {
 				continue
 			}
+			d.work.Moved++
 			if slices.Contains(gone, keyResult{f.key, r2}) {
 				lost-- // was there before the iteration: not new
 			} else {

@@ -51,6 +51,9 @@ type executor struct {
 	// every candidate of a run, is encoded once.
 	lastKey  term.MethodKey
 	lastArgs []term.OID
+	// work is what the matching did since the engine last took it: plain
+	// counts, a lookup or a candidate at a time (see Work).
+	work Work
 
 	// Two-entry state cache. Plans touch the same candidate VIDs in several
 	// consecutive steps (the scan driver, then one lookup per further body
@@ -69,6 +72,7 @@ type executor struct {
 // stateFor returns the state of g (nil if absent), memoizing the last two
 // lookups.
 func (x *executor) stateFor(g term.GVID) *objectbase.State {
+	x.work.Probes++
 	for i := 0; i < x.cacheN; i++ {
 		if x.cacheV[i] == g {
 			return x.cacheS[i]
@@ -108,6 +112,8 @@ func (x *executor) index() *objectbase.LiteralIndex {
 
 // probe runs the step on every live hit of an index probe.
 func (x *executor) probe(st *cstep, fr []term.OID, hits objectbase.Hits, k func() error) error {
+	x.work.Probes++
+	x.work.Scanned += hits.Len()
 	for i, n := 0, hits.Len(); i < n; i++ {
 		g, ok := hits.At(i)
 		if !ok || !st.base.match(fr, g.Object) {
@@ -181,6 +187,7 @@ func (x *executor) exec(st *cstep, fr []term.OID, delta *bucket, k func() error)
 func (x *executor) execScan(st *cstep, fr []term.OID, delta *bucket, k func() error) error {
 	switch st.acc {
 	case accessDelta:
+		x.work.Scanned += len(delta.facts) + len(delta.whole)
 		for i := range delta.facts {
 			f := &delta.facts[i]
 			if !st.base.match(fr, f.object) {
@@ -226,6 +233,7 @@ func (x *executor) execScan(st *cstep, fr []term.OID, delta *bucket, k func() er
 		// Each loop ranges over the iterator itself, not over an iter.Seq
 		// passed in: the iterator inlines, and the loop body stays on the stack.
 		for g := range x.base.VIDsWithMethod(st.method) {
+			x.work.Scanned++
 			if !st.base.match(fr, g.Object) {
 				continue
 			}
@@ -237,6 +245,7 @@ func (x *executor) execScan(st *cstep, fr []term.OID, delta *bucket, k func() er
 
 	default: // accessScan
 		for g := range x.base.VIDsWith(st.path, st.method) {
+			x.work.Scanned++
 			if !st.base.match(fr, g.Object) {
 				continue
 			}
@@ -306,12 +315,14 @@ func (x *executor) matchOn(st *cstep, fr []term.OID, s *objectbase.State, k func
 	if !st.argsBind {
 		key := x.resolveKey(st.keyStatic, st.key, st.method, st.args, fr)
 		if st.result.mode != oBind {
+			x.work.Scanned += s.Visits()
 			r := st.result.value(fr)
 			if s.Has(key, r) {
 				return k(key, r)
 			}
 			return nil
 		}
+		x.work.Scanned += s.Size()
 		for r := range s.Results(key) {
 			fr[st.result.slot] = r
 			if err := k(key, r); err != nil {
@@ -322,6 +333,7 @@ func (x *executor) matchOn(st *cstep, fr []term.OID, s *objectbase.State, k func
 	}
 	// Arguments contain binding slots: scan all applications of the method
 	// on g and unify per candidate.
+	x.work.Scanned += s.Size()
 	for key, r := range s.OfMethod(st.method) {
 		if !x.matchFactArgs(st, fr, key.Args) || !st.result.match(fr, r) {
 			continue
@@ -341,6 +353,7 @@ func (x *executor) execDel(st *cstep, fr []term.OID, k func() error) error {
 		return x.delOn(st, fr, w, k)
 	}
 	for w := range x.base.VIDsWith(st.tpath, term.ExistsMethod) {
+		x.work.Scanned++
 		if !st.base.match(fr, w.Object) {
 			continue
 		}
@@ -352,6 +365,7 @@ func (x *executor) execDel(st *cstep, fr []term.OID, k func() error) error {
 }
 
 func (x *executor) delOn(st *cstep, fr []term.OID, w term.GVID, k func() error) error {
+	x.work.Probes += 2 // exists(w), and v*
 	if !x.base.Exists(w) {
 		return nil
 	}
@@ -361,6 +375,7 @@ func (x *executor) delOn(st *cstep, fr []term.OID, w term.GVID, k func() error) 
 		return nil
 	}
 	return x.matchAppKR(st, fr, vstar, func(key term.MethodKey, r term.OID) error {
+		x.work.Probes++
 		if x.base.Has(term.Fact{V: w, Method: key.Method, Args: key.Args, Result: r}) {
 			return nil
 		}
@@ -377,6 +392,7 @@ func (x *executor) execMod(st *cstep, fr []term.OID, k func() error) error {
 		return x.modOn(st, fr, w, k)
 	}
 	for w := range x.base.VIDsWith(st.tpath, st.method) {
+		x.work.Scanned++
 		if !st.base.match(fr, w.Object) {
 			continue
 		}
@@ -388,16 +404,20 @@ func (x *executor) execMod(st *cstep, fr []term.OID, k func() error) error {
 }
 
 func (x *executor) modOn(st *cstep, fr []term.OID, w term.GVID, k func() error) error {
+	x.work.Probes++ // v*
 	v := term.GVID{Object: w.Object, Path: w.Path[:w.Path.Len()-1]}
 	vstar, ok := x.readBase(v).VStar(v)
 	if !ok {
 		return nil
 	}
 	return x.matchAppKR(st, fr, vstar, func(key term.MethodKey, r term.OID) error {
+		x.work.Probes++
 		for rp := range x.base.Results(w, key) {
+			x.work.Scanned++
 			if !st.newResult.match(fr, rp) {
 				continue
 			}
+			x.work.Probes++
 			if r != rp && x.base.Has(term.Fact{V: w, Method: key.Method, Args: key.Args, Result: r}) {
 				continue
 			}
@@ -471,6 +491,7 @@ func (x *executor) evalCexpr(e *cexpr, fr []term.OID) (term.OID, error) {
 func (x *executor) execNegVer(st *cstep, fr []term.OID, k func() error) error {
 	g := term.GVID{Object: st.base.value(fr), Path: st.path}
 	key := x.resolveKey(st.keyStatic, st.key, st.method, st.args, fr)
+	x.work.Probes++
 	if x.base.Has(term.Fact{V: g, Method: key.Method, Args: key.Args, Result: st.result.value(fr)}) {
 		return nil
 	}
@@ -485,6 +506,7 @@ func (x *executor) execNegAny(st *cstep, fr []term.OID, k func() error) error {
 	key := x.resolveKey(st.keyStatic, st.key, st.method, st.args, fr)
 	r := st.result.value(fr)
 	for g := range x.base.VIDsWithMethod(st.method) {
+		x.work.Scanned++
 		if g.Object == o && x.base.Has(term.Fact{V: g, Method: key.Method, Args: key.Args, Result: r}) {
 			return nil
 		}
@@ -500,6 +522,7 @@ func (x *executor) execNegUpd(st *cstep, fr []term.OID, k func() error) error {
 	key := x.resolveKey(st.keyStatic, st.key, st.method, st.args, fr)
 	r := st.result.value(fr)
 	truth := false
+	x.work.Probes += 2 // v*, and the fact under it
 	switch st.kind {
 	case stepNegDel:
 		if vstar, ok := x.base.VStar(v); ok {
@@ -528,12 +551,14 @@ func (x *executor) execNegUpd(st *cstep, fr []term.OID, k func() error) error {
 func (x *executor) fire(h *chead, fr []term.OID, onFire func(Update) error) error {
 	v := term.GVID{Object: h.base.value(fr), Path: h.path}
 	if h.all {
+		x.work.Probes++
 		vstar, ok := x.base.VStar(v)
 		if !ok {
 			return nil
 		}
 		ups := x.ups[:0]
 		for f := range x.base.FactsOf(vstar) {
+			x.work.Scanned++
 			if !f.IsExists() {
 				ups = append(ups, Update{Kind: term.Del, V: v, Key: f.Key(), R: f.Result})
 			}
@@ -553,6 +578,7 @@ func (x *executor) fire(h *chead, fr []term.OID, onFire func(Update) error) erro
 	u := Update{Kind: h.kind, V: v, Key: key, R: res}
 	switch h.kind {
 	case term.Del, term.Mod:
+		x.work.Probes += 2 // v*, and the fact under it
 		vstar, ok := x.readBase(v).VStar(v)
 		if !ok {
 			return nil

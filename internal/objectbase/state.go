@@ -162,6 +162,15 @@ func (s *State) settledFor(o term.OID) bool {
 // Size returns the number of method applications in the state.
 func (s *State) Size() int { return len(s.entries) }
 
+// Visits returns the entries a membership test of the state reads: none
+// when it keeps its position index, every one when it is scanned.
+func (s *State) Visits() int {
+	if s.pos != nil {
+		return 0
+	}
+	return len(s.entries)
+}
+
 // Empty reports whether the state holds no method applications; nil holds none.
 func (s *State) Empty() bool { return s == nil || len(s.entries) == 0 }
 
