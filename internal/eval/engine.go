@@ -233,7 +233,9 @@ func (res *Result) Release() {
 }
 
 // LinearityError reports a violation of version-linearity (Section 5): two
-// versions of the same object that are not subterm-comparable.
+// versions of the same object that are not subterm-comparable. It names the
+// least object that fails a check, and the least such pair of its versions
+// (input versions and targets), A < B: no firing order changes the text.
 type LinearityError struct {
 	Object term.OID
 	A, B   term.GVID
@@ -255,7 +257,9 @@ func (e *IterationLimitError) Error() string {
 }
 
 // NewObjectError reports an insert on an object unknown to the base when
-// Options.ForbidNewObjects is set.
+// Options.ForbidNewObjects is set. It names the least update fired on a
+// version with no state to start from, of the least object that fails a
+// check; this reason comes before the object's linearity.
 type NewObjectError struct {
 	Update Update
 }
@@ -341,11 +345,10 @@ type scratch struct {
 	// strata of a run share it without meeting each other's entries.
 	spill map[spillKey]struct{}
 	// dirty lists the targets that received updates in the current
-	// iteration; tasks and stats are its step-1 work and what that cost. One
-	// stratum runs at a time, so one of each serves them all.
+	// iteration, tasks its step-1 work. One stratum runs at a time, so one of
+	// each serves them all.
 	dirty []*targetUpdates
 	tasks []fireTask
-	stats []fireStat
 	// buckets is the storage of the delta buckets: a stratum takes as many
 	// as it has delta keys, from the front (see bucket), and bucketsUsed is
 	// the most one stratum of the run took.
@@ -419,7 +422,6 @@ func (sc *scratch) empty() {
 	sc.gone = trimmed(sc.gone)
 	sc.dirty = trimmed(sc.dirty)
 	sc.tasks = trimmed(sc.tasks)
-	sc.stats = trimmed(sc.stats)
 	sc.changes = trimmed(sc.changes)
 	clear(sc.buckets[sc.bucketsUsed:])
 	sc.buckets, sc.bucketsUsed = sc.buckets[:sc.bucketsUsed], 0
@@ -847,33 +849,73 @@ func (e *engine) buildTrace() []TraceEvent {
 // seedDeepest enters the input base's unsettled versions into the table of
 // touched objects and verifies the input itself is version-linear. Settled
 // objects need no entry, and an updated base ob' lists nothing, so the
-// seeding costs nothing on a repository head. A single unsorted pass
-// suffices: while no violation has been seen, every version of an object is
-// a prefix of the running deepest (or extends it), so any version
+// seeding costs nothing on a repository head. A single unsorted pass finds
+// every object that fails: while an object has passed, every version of it
+// is a prefix of the running deepest (or extends it), so any version
 // incomparable with some earlier one is also incomparable with the running
 // deepest and is caught when it arrives. (The object itself is a prefix of
-// all its versions and cannot take part in a violation.)
+// all its versions and cannot take part in a violation.) Which version is
+// caught follows the order; which objects fail does not (see refusal).
 func (e *engine) seedDeepest() error {
+	var failed *term.OID // the least object that fails
 	for _, v := range e.p0.Unsettled() {
-		if err := e.touch(v.Object).deepen(v); err != nil {
-			return err
+		if !e.touch(v.Object).deepen(v) && (failed == nil || v.Object.Compare(*failed) < 0) {
+			failed = &v.Object
 		}
+	}
+	if failed != nil {
+		return e.refusal(*failed)
 	}
 	return nil
 }
 
 // deepen holds version w of the object against its deepest version so far
 // — the online version-linearity check Section 5 suggests — and makes w
-// the deepest when it extends it.
-func (obj *touched) deepen(w term.GVID) error {
+// the deepest when it extends it. It reports whether w passed.
+func (obj *touched) deepen(w term.GVID) bool {
 	d := obj.deepest
 	if !w.Path.HasPrefix(d) && !d.HasPrefix(w.Path) {
-		return &LinearityError{Object: w.Object, A: term.GVID{Object: w.Object, Path: d}, B: w}
+		return false
 	}
 	if w.Path.Len() > d.Len() {
 		obj.deepest = w.Path
 	}
-	return nil
+	return true
+}
+
+// refusal is the error for o, the least object that failed a check. It
+// reads only sets: the updates fired on o's targets with no state to start
+// from (locate leaves them nil), or else the pairs of o's versions, the
+// input's and the targets' (see LinearityError and NewObjectError).
+func (e *engine) refusal(o term.OID) error {
+	var first *Update
+	var vs []term.GVID
+	for tu := e.objs[o].updates; tu != nil; tu = tu.older {
+		vs = append(vs, tu.w)
+		for pos := tu.first; tu.st == nil && pos != 0; pos = e.up(pos).next {
+			if u := e.update(tu, pos); first == nil || u.compare(*first) < 0 {
+				first = &u
+			}
+		}
+	}
+	if first != nil {
+		return &NewObjectError{Update: *first}
+	}
+	for _, v := range e.p0.Unsettled() {
+		if v.Object == o {
+			vs = append(vs, v)
+		}
+	}
+	var err *LinearityError // A < B, so B is no prefix of A
+	for _, a := range vs {
+		for _, b := range vs {
+			if a.Compare(b) < 0 && !b.Path.HasPrefix(a.Path) &&
+				(err == nil || a.Compare(err.A) < 0 || a == err.A && b.Compare(err.B) < 0) {
+				err = &LinearityError{Object: o, A: a, B: b}
+			}
+		}
+	}
+	return err
 }
 
 // ruleStats snapshots the per-rule accumulators, hottest first (by match
@@ -989,9 +1031,6 @@ type stratumRun struct {
 	// dirty) change — everything else a state depends on (its source, its own
 	// update list) is fixed within the stratum. fresh counts the updates.
 	fresh int
-	// freshByRule feeds the per-rule iteration spans; nil unless tracing so
-	// the hot path stays map-free.
-	freshByRule map[int]int
 	// buckets holds one delta bucket per (path, method) some rule of the
 	// stratum can be seeded from, byPath the same buckets per path; both
 	// nil when no rule consumes a delta.
@@ -1075,18 +1114,12 @@ func (s *stratumRun) collect(ri int, u Update) {
 	s.fresh++
 	e.fired++
 	e.agg[ri].fired++
-	if s.freshByRule != nil {
-		s.freshByRule[ri]++
-	}
 }
 
 // newStratumRun sets up the fixpoint of stratum si over the given rules,
 // recording iteration spans under stratumSpan when tracing.
 func (e *engine) newStratumRun(si int, ruleIdx []int, stratumSpan *obs.Span) *stratumRun {
 	s := &stratumRun{e: e, si: si, rules: ruleIdx, span: stratumSpan}
-	if stratumSpan != nil {
-		s.freshByRule = make(map[int]int)
-	}
 	for _, ri := range ruleIdx {
 		e.agg[ri].stratum = si + 1
 		// Semi-naive iteration only pays for a delta some rule of the
@@ -1128,7 +1161,7 @@ func (s *stratumRun) iterate() (int, error) {
 	if iter > e.opts.MaxIterations {
 		return iter, &IterationLimitError{Stratum: s.si, Limit: e.opts.MaxIterations}
 	}
-	tasks, stats := e.tasks[:0], e.stats[:0]
+	tasks := e.tasks[:0]
 	if iter == 1 {
 		for _, ri := range s.rules {
 			tasks = append(tasks, fireTask{ri: ri, pos: -1})
@@ -1151,11 +1184,13 @@ func (s *stratumRun) iterate() (int, error) {
 	if s.span != nil {
 		itSpan = s.span.AddChild("iteration "+strconv.Itoa(iter), time.Now(), 0)
 		itSpan.SetInt("delta_in", int64(s.added))
-		clear(s.freshByRule)
 	}
 	s.fresh = 0
+	// A rule's tasks are listed together and run in order, so the span of a
+	// rule folds adjacent tasks: the first one's start, the sums of the rest.
+	var rule fireStat
 	for ti, t := range tasks {
-		ri, emitted := t.ri, 0
+		ri, emitted, fired := t.ri, 0, e.agg[t.ri].fired
 		st, err := e.step1(s.si, t, func(u Update) error {
 			emitted++
 			s.collect(ri, u)
@@ -1165,8 +1200,6 @@ func (s *stratumRun) iterate() (int, error) {
 			itSpan.End()
 			return iter, err
 		}
-		st.emitted = emitted
-		stats = append(stats, st)
 		a := &e.agg[ri]
 		a.emitted += emitted
 		a.matched += st.matched
@@ -1175,11 +1208,21 @@ func (s *stratumRun) iterate() (int, error) {
 		e.x.work = Work{}
 		if ti == 0 || tasks[ti-1].ri != ri {
 			a.iterations++
+			rule = fireStat{start: st.start}
+		}
+		rule.dur += st.dur
+		rule.matched += st.matched
+		rule.emitted += emitted
+		rule.fired += a.fired - fired
+		if itSpan != nil && (ti+1 == len(tasks) || tasks[ti+1].ri != ri) {
+			rs := itSpan.AddChild("rule "+e.labels[ri], rule.start, rule.dur)
+			rs.SetInt("matched", rule.matched)
+			rs.SetInt("emitted", int64(rule.emitted))
+			rs.SetInt("fired", int64(rule.fired))
 		}
 	}
-	e.tasks, e.stats = tasks, stats
+	e.tasks = tasks
 	if itSpan != nil {
-		e.addRuleSpans(itSpan, tasks, stats, s.freshByRule)
 		itSpan.SetInt("fresh_updates", int64(s.fresh))
 	}
 	if s.fresh == 0 {
@@ -1208,41 +1251,6 @@ func (s *stratumRun) iterate() (int, error) {
 	return 0, nil
 }
 
-// addRuleSpans attaches one child span per rule evaluated in the
-// iteration, aggregating its step-1 tasks (a rule can run several delta
-// tasks): earliest start, summed duration, match/emit/fired counts.
-func (e *engine) addRuleSpans(itSpan *obs.Span, tasks []fireTask, stats []fireStat, freshByRule map[int]int) {
-	type ruleIterAgg struct {
-		start   time.Time
-		dur     time.Duration
-		matched int64
-		emitted int
-	}
-	order := make([]int, 0, len(tasks))
-	byRule := make(map[int]*ruleIterAgg)
-	for ti, t := range tasks {
-		a := byRule[t.ri]
-		if a == nil {
-			a = &ruleIterAgg{start: stats[ti].start}
-			byRule[t.ri] = a
-			order = append(order, t.ri)
-		}
-		if stats[ti].start.Before(a.start) {
-			a.start = stats[ti].start
-		}
-		a.dur += stats[ti].dur
-		a.matched += stats[ti].matched
-		a.emitted += stats[ti].emitted
-	}
-	for _, ri := range order {
-		a := byRule[ri]
-		rs := itSpan.AddChild("rule "+e.labels[ri], a.start, a.dur)
-		rs.SetInt("matched", a.matched)
-		rs.SetInt("emitted", int64(a.emitted))
-		rs.SetInt("fired", int64(freshByRule[ri]))
-	}
-}
-
 // deltaSink receives the facts an iteration adds to one version that was
 // there before it: it counts them all and files those some rule can be
 // seeded from in their buckets. work is the account extending the version
@@ -1268,28 +1276,28 @@ func (d *deltaSink) add(k term.MethodKey, r term.OID) {
 // source's state; every target is then extended by its fresh updates. It
 // returns whether the base changed and how many facts were added; what was
 // added that some rule can be seeded from is left in the delta buckets.
+// The targets are checked first, in the order they were met in: where a
+// new one starts from, its object's linearity, the delta buckets' room. No
+// state is edited unless all pass; a refusal is decided by sets (refusal).
 func (s *stratumRun) applyTargets() (changed bool, added int, err error) {
 	e, dirty := s.e, s.e.dirty
-	slices.SortFunc(dirty, func(a, b *targetUpdates) int { return a.w.Compare(b.w) })
 	for _, b := range s.buckets {
 		b.reset()
 	}
-
-	// Checks first, in target order (deterministic error reporting), along
-	// with where each new target starts from and how much room the delta
-	// buckets need — no state is edited until every target has passed.
+	var failed *term.OID // the least object that fails
 	for _, tu := range dirty {
-		if tu.st == nil {
-			if err := e.locate(tu); err != nil {
-				return false, 0, err
+		if o := &tu.w.Object; (tu.st == nil && !e.locate(tu)) || !tu.obj.deepen(tu.w) {
+			if failed == nil || o.Compare(*failed) < 0 {
+				failed = o
 			}
-		}
-		if err := tu.obj.deepen(tu.w); err != nil {
-			return false, 0, err
+			continue
 		}
 		for _, b := range s.byPath[tu.w.Path] {
 			e.reserve(tu, b)
 		}
+	}
+	if failed != nil {
+		return false, 0, e.refusal(*failed)
 	}
 	for _, b := range s.buckets {
 		b.facts = slices.Grow(b.facts, b.room)
@@ -1360,14 +1368,15 @@ func (e *engine) reserve(tu *targetUpdates, b *bucket) {
 // locate finds the state a target starts the stratum from: its own when the
 // version is active already, otherwise that of v* — shared, not copied — or,
 // for an object no version of which exists, a fresh state holding exists
-// (creation of new objects is an extension; see DESIGN.md).
-func (e *engine) locate(tu *targetUpdates) error {
+// (creation of new objects is an extension; see DESIGN.md). It reports
+// whether it found one: not the last under Options.ForbidNewObjects.
+func (e *engine) locate(tu *targetUpdates) bool {
 	w := tu.w
 	existsKey := term.MethodKey{Method: term.ExistsMethod}
 	cur := e.base.StateOf(w)
 	if cur != nil && cur.HasMethod(existsKey) {
 		tu.st = cur
-		return nil
+		return true
 	}
 	tu.appears, tu.prev = true, cur
 	// Path-0 parents can be read straight from the frozen base: the
@@ -1377,20 +1386,14 @@ func (e *engine) locate(tu *targetUpdates) error {
 	v := term.GVID{Object: w.Object, Path: path}
 	if vstar, ok := e.readBase(v).VStar(v); ok {
 		tu.st = e.readBase(vstar).StateOf(vstar)
-		return nil
+		return true
 	}
 	if e.opts.ForbidNewObjects {
-		first := e.update(tu, tu.first)
-		for pos := e.up(tu.first).next; pos != 0; pos = e.up(pos).next {
-			if u := e.update(tu, pos); u.compare(first) < 0 {
-				first = u
-			}
-		}
-		return &NewObjectError{Update: first}
+		return false
 	}
 	tu.st, tu.owned = objectbase.NewState(), true
 	tu.st.Add(existsKey, w.Object)
-	return nil
+	return true
 }
 
 // appear installs a target the base does not hold yet and applies its

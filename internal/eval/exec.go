@@ -44,7 +44,6 @@ type executor struct {
 	// nor a query's row collection, calls match on the same executor — so
 	// one frame serves every match of the executor.
 	frame []term.OID
-	ups   []Update   // fire's delete-all scratch
 	args  []term.OID // resolveKey scratch, consumed before any recursion
 	// lastKey and lastArgs are the key resolveKey built last and its
 	// argument values: a tuple of constants and parameters, the same for
@@ -556,22 +555,17 @@ func (x *executor) fire(h *chead, fr []term.OID, onFire func(Update) error) erro
 		if !ok {
 			return nil
 		}
-		ups := x.ups[:0]
+		// onFire edits no state, so the facts are emitted as they are read.
 		for f := range x.base.FactsOf(vstar) {
 			x.work.Scanned++
-			if !f.IsExists() {
-				ups = append(ups, Update{Kind: term.Del, V: v, Key: f.Key(), R: f.Result})
+			if f.IsExists() {
+				continue
 			}
-		}
-		slices.SortFunc(ups, func(a, b Update) int { return a.compare(b) })
-		x.ups = ups[:0]
-		for _, u := range ups {
-			if err := onFire(u); err != nil {
+			if err := onFire(Update{Kind: term.Del, V: v, Key: f.Key(), R: f.Result}); err != nil {
 				return err
 			}
 		}
 		return nil
-		// x.ups keeps the grown capacity for the next delete-all head.
 	}
 	key := x.resolveKey(h.keyStatic, h.key, h.method, h.args, fr)
 	res := h.result.value(fr)

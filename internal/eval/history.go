@@ -52,13 +52,9 @@ func (h HistoryStep) String() string {
 // strictly deepening chain; stages the program skipped (e.g. del(mod(o))
 // derived directly from o with no mod(o) version) simply do not appear.
 func History(result *objectbase.Base, o term.OID) []HistoryStep {
-	versions := result.VersionsOf(o)
-	sort.Slice(versions, func(i, j int) bool {
-		return versions[i].Path.Len() < versions[j].Path.Len()
-	})
 	var steps []HistoryStep
 	var prev map[appKey]term.Fact
-	for _, v := range versions {
+	for _, v := range result.VersionsOf(o) { // shallow to deep
 		state := stateFacts(result, v)
 		cur := make(map[appKey]term.Fact, len(state))
 		for _, f := range state {

@@ -81,7 +81,6 @@ func (sc *scratch) checkEmpty() error {
 		"gone":    len(sc.gone) == 0 && allZero(sc.gone),
 		"dirty":   len(sc.dirty) == 0 && allZero(sc.dirty),
 		"tasks":   len(sc.tasks) == 0 && allZero(sc.tasks),
-		"stats":   len(sc.stats) == 0 && allZero(sc.stats),
 		"changes": len(sc.changes) == 0 && allZero(sc.changes),
 		"slots":   len(sc.layer.Slots) == 0 && allZero(sc.layer.Slots),
 		"buckets": sc.bucketsUsed == 0 && allZero(sc.buckets[len(sc.buckets):]),
@@ -415,7 +414,7 @@ func TestScratchFollowsTheLastRun(t *testing.T) {
 	// The point update used one entry of each slice: a backing array kept for
 	// it holds at most eight.
 	for name, c := range map[string]int{
-		"methods": cap(sc.methods), "gone": cap(sc.gone), "dirty": cap(sc.dirty), "tasks": cap(sc.tasks), "stats": cap(sc.stats),
+		"methods": cap(sc.methods), "gone": cap(sc.gone), "dirty": cap(sc.dirty), "tasks": cap(sc.tasks),
 	} {
 		if c > 8 {
 			t.Errorf("after a point update %s keeps room for %d entries, want at most 8", name, c)

@@ -68,14 +68,15 @@ type fireTask struct {
 	delta   *bucket
 }
 
-// fireStat is the cost of one step-1 task: when it started, how long the
-// matching took, how many complete body matches it enumerated and how many
-// updates it emitted (duplicates of known updates included).
+// fireStat is the cost of step-1 tasks: when the first started, how long
+// the matching took, how many complete body matches it enumerated, how many
+// updates it emitted (duplicates of known updates included) and how many of
+// those were new: the change in the rule's fired count across the tasks.
 type fireStat struct {
-	start   time.Time
-	dur     time.Duration
-	matched int64
-	emitted int
+	start          time.Time
+	dur            time.Duration
+	matched        int64
+	emitted, fired int
 }
 
 // step1 runs one task, feeding every emitted update to onFire as it fires.
