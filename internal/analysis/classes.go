@@ -112,8 +112,7 @@ func inferPass(c *ctx, f *Facts) {
 		sigs:        map[string]*methodSignature{},
 		established: map[string]sortMask{},
 	}
-	in.seedFromBase(c)
-	in.collectClasses(c)
+	f.Base = in.readBase(c)
 
 	// Fixpoint over the method-signature table: rule-local sort inference
 	// and head-written signatures feed each other. Masks only grow, so the
@@ -128,15 +127,53 @@ func inferPass(c *ctx, f *Facts) {
 	in.reportSortClashes(c, f)
 	in.reportModRetypes(c)
 	in.reportClassMatches(c, f)
-	f.Base = in.baseFacts(c)
 }
 
-// seedFromBase enters every base fact into the signature tables.
-func (in *inference) seedFromBase(c *ctx) {
-	if c.opts.Base == nil {
-		return
+// readBase walks the supplied base once, in no order: it enters every fact
+// into the signature tables, builds the class tables from the base's path-0
+// state — classesOf from isa facts, classMethods as the union of the methods
+// each class's members carry — and counts the objects and versions. A
+// version's facts come together, so an object's classes are known once its
+// facts have passed. Rule heads only ever write versions (path >= 1), so the
+// base state is the complete truth about path-0 reads.
+func (in *inference) readBase(c *ctx) BaseFacts {
+	b := c.opts.Base
+	if b == nil {
+		return BaseFacts{}
 	}
-	for _, fact := range c.opts.Base.Facts() {
+	in.classesOf = map[term.OID][]string{}
+	in.classMethods = map[string]map[string]bool{}
+	facts := BaseFacts{Supplied: true, Facts: b.Size()}
+	var v term.GVID
+	var methods []string
+	// carried enters the methods of v, a path-0 version, under its classes.
+	carried := func() {
+		if len(methods) == 0 {
+			return
+		}
+		classes := in.classesOf[v.Object]
+		if len(classes) == 0 {
+			classes = []string{unclassed}
+		}
+		for _, cl := range classes {
+			if in.classMethods[cl] == nil {
+				in.classMethods[cl] = map[string]bool{}
+			}
+			for _, m := range methods {
+				in.classMethods[cl][m] = true
+			}
+		}
+		methods = methods[:0]
+	}
+	for fact := range b.AllFacts() {
+		if facts.Versions == 0 || fact.V != v {
+			carried()
+			v = fact.V
+			facts.Versions++
+			if v.IsObject() {
+				facts.Objects++
+			}
+		}
 		args := fact.Args.Decode()
 		s := in.sig(fact.Method, len(args))
 		s.result |= maskOf(fact.Result.Sort())
@@ -144,45 +181,20 @@ func (in *inference) seedFromBase(c *ctx) {
 			s.args[i] |= maskOf(a.Sort())
 		}
 		in.established[fact.Method] |= maskOf(fact.Result.Sort())
-	}
-}
-
-// collectClasses builds the class tables from the base's path-0 state:
-// classesOf from isa facts, classMethods as the union of the methods each
-// class's members carry. Rule heads only ever write versions (path >= 1),
-// so the base state is the complete truth about path-0 reads.
-func (in *inference) collectClasses(c *ctx) {
-	if c.opts.Base == nil {
-		return
-	}
-	in.classesOf = map[term.OID][]string{}
-	in.classMethods = map[string]map[string]bool{}
-	for _, fact := range c.opts.Base.Facts() {
-		if fact.V.Path.Len() == 0 && fact.Method == "isa" {
-			in.classesOf[fact.V.Object] = append(in.classesOf[fact.V.Object], fact.Result.String())
-		}
-	}
-	for _, fact := range c.opts.Base.Facts() {
-		if fact.V.Path.Len() != 0 {
-			continue
-		}
-		classes := in.classesOf[fact.V.Object]
-		if len(classes) == 0 {
-			classes = []string{unclassed}
-		}
-		for _, cl := range classes {
-			ms := in.classMethods[cl]
-			if ms == nil {
-				ms = map[string]bool{}
-				in.classMethods[cl] = ms
+		if v.IsObject() {
+			methods = append(methods, fact.Method)
+			if fact.Method == "isa" {
+				in.classesOf[v.Object] = append(in.classesOf[v.Object], fact.Result.String())
 			}
-			ms[fact.Method] = true
 		}
 	}
+	carried()
 	for cl := range in.classMethods {
 		in.classNames = append(in.classNames, cl)
 	}
 	sort.Strings(in.classNames)
+	facts.Classes = in.classNames
+	return facts
 }
 
 // inferAllRules recomputes the per-rule variable sort masks under the
@@ -543,21 +555,6 @@ func (in *inference) recordClasses(f *Facts, ri int, v term.Var, classes []strin
 			}
 			return
 		}
-	}
-}
-
-// baseFacts summarizes the supplied base for the Facts export.
-func (in *inference) baseFacts(c *ctx) BaseFacts {
-	b := c.opts.Base
-	if b == nil {
-		return BaseFacts{}
-	}
-	return BaseFacts{
-		Supplied: true,
-		Objects:  len(b.Objects()),
-		Versions: len(b.Versions()),
-		Facts:    b.Size(),
-		Classes:  in.classNames,
 	}
 }
 

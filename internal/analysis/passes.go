@@ -158,8 +158,8 @@ func (c *ctx) baseHas(vid term.VersionID) bool {
 	if oid, ok := vid.Base.(term.OID); ok {
 		return c.opts.Base.HasVersion(term.GVID{Object: oid, Path: vid.Path})
 	}
-	for _, g := range c.opts.Base.Versions() {
-		if g.Path == vid.Path {
+	for f := range c.opts.Base.AllFacts() {
+		if f.V.Path == vid.Path {
 			return true
 		}
 	}
