@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test vet fmt lint verlog-lint staticcheck govulncheck race guard fuzz check bench bench-e2e soak clean
+.PHONY: all build test vet fmt lint verlog-lint staticcheck govulncheck race guard fuzz check size bench bench-e2e soak clean
 
 all: check
 
@@ -87,6 +87,13 @@ fuzz:
 
 # The gate: everything a change must pass before it lands.
 check: build vet race guard
+
+# Lines of Go outside benchmarks/, non-test and test: the size ROADMAP.md
+# tracks. Only tracked files count (git ls-files), so build output and
+# scratch files do not. Prints; gates nothing.
+size:
+	@git ls-files -z '*.go' ':!:benchmarks/' | grep -zv '_test\.go$$' | xargs -0 cat | wc -l | xargs printf 'non-test Go lines: %s\n'
+	@git ls-files -z '*_test.go' ':!:benchmarks/' | xargs -0 cat | wc -l | xargs printf 'test Go lines:     %s\n'
 
 # Two-process replication soak: builds verlog-server, runs a real
 # primary/follower pair over TCP with enterprise (Figure 2) traffic,
