@@ -32,9 +32,9 @@ func (u Update) String() string {
 	}
 }
 
-// compare orders updates for deterministic traces; distinct updates never
-// compare equal. Argument tuples are ordered by their encodings — any total
-// order does, and this one decodes nothing.
+// compare orders updates for deterministic traces and refusals; distinct
+// updates never compare equal. Argument tuples are ordered by their
+// encodings — any total order does, and this one decodes nothing.
 func (u Update) compare(v Update) int {
 	if c := u.V.Compare(v.V); c != 0 {
 		return c
